@@ -4,7 +4,7 @@ GO ?= go
 # race detector on purpose: the allocation-budget guards (alloc_test.go)
 # skip themselves under -race, so both flavors are needed.
 .PHONY: ci
-ci: fmt-check vet build test race race-query bench-smoke check-examples check-docs
+ci: fmt-check vet build test race race-query bench-smoke bench-e2e-smoke check-examples check-docs
 
 .PHONY: fmt-check
 fmt-check:
@@ -37,17 +37,27 @@ race:
 	$(GO) test -race ./...
 
 # The query plane is the most concurrency-dense package (pipelined
-# connections, coalesced flights, async completions); run it repeatedly
-# under the race detector so interleavings get more than one roll.
+# connections, coalesced flights, async completions), and the coalescing
+# writer under it and under the switch channel hands every byte from one
+# goroutine to another; run them repeatedly under the race detector so
+# interleavings get more than one roll.
 .PHONY: race-query
 race-query:
-	$(GO) test -race -count=2 ./internal/query/
+	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# `go vet ./...` and `go test ./...` at the root never compile it. This
+# does: a signature bench/ imports cannot change without failing here. Its
+# smoke test runs every workload at 1/16 scale for a second and a half.
+.PHONY: bench-e2e-smoke
+bench-e2e-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full measurement run of the paper's E/M benchmark suite.
 .PHONY: bench
@@ -60,19 +70,23 @@ bench:
 bench-m7:
 	$(GO) test -run=NONE -bench=BenchmarkM7 -benchtime=2s .
 
-# Compare the steady-state benchmarks (M7-M12) against a base ref and
+# Compare the steady-state benchmarks (M7-M16) against a base ref and
 # enforce the allocation budget, exactly as CI's bench-compare job does.
 # Requires a clean-enough tree for `git worktree add` of BASE (default
 # main). benchstat (golang.org/x/perf) enriches the report when installed;
 # the budget gate itself is the in-repo cmd/benchdiff, so no network or
 # extra tools are needed to run the check. Besides the text report, the
-# run leaves BENCH_$(BENCH_COUNT).json in the repo root — the full
-# comparison serialized by benchdiff -json, written even when the gate
-# fails; CI uploads the same file as the job's artifact.
+# run leaves BENCH_<pr>.json in the repo root — the full comparison
+# serialized by benchdiff -json, written even when the gate fails; CI
+# uploads the same file as the job's artifact. <pr> is the number in
+# ISSUE.md's title (BENCH_local.json without one), so each PR's run lands
+# in a file of its own, to be committed: the trajectory is those files.
 BASE ?= main
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 20000x
-BENCH_OUT ?= BENCH_$(BENCH_COUNT).json
+BENCH_SET ?= M7_|M8_|M9_|M10_|M11_|M12_|M13_|M14_|M15_|M16_
+PR ?= $(or $(shell sed -n '1s/^\# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md 2>/dev/null),local)
+BENCH_OUT ?= BENCH_$(PR).json
 .PHONY: bench-compare
 bench-compare:
 	@tmp=$$(mktemp -d); \
@@ -80,9 +94,9 @@ bench-compare:
 	git worktree add --detach $$tmp/base $(BASE) >/dev/null; \
 	trap 'git worktree remove --force '"$$tmp"'/base >/dev/null 2>&1; rm -rf '"$$tmp" EXIT; \
 	echo "== base ($(BASE)) =="; \
-	(cd $$tmp/base && $(GO) test -run=NONE -bench='M7_|M8_|M9_|M10_|M11_|M12_|M13_|M14_|M15_' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) .) | tee $$tmp/base.txt; \
+	(cd $$tmp/base && $(GO) test -run=NONE -bench='$(BENCH_SET)' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) .) | tee $$tmp/base.txt; \
 	echo "== head =="; \
-	$(GO) test -run=NONE -bench='M7_|M8_|M9_|M10_|M11_|M12_|M13_|M14_|M15_' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) . | tee $$tmp/head.txt; \
+	$(GO) test -run=NONE -bench='$(BENCH_SET)' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) . | tee $$tmp/head.txt; \
 	if command -v benchstat >/dev/null 2>&1; then benchstat $$tmp/base.txt $$tmp/head.txt || true; fi; \
 	$(GO) run ./cmd/benchdiff \
 		-max-allocs 'BenchmarkM7_ShardedHandleEvent=2' \
@@ -94,6 +108,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM13_CredentialedSession/steady=2' \
 		-max-allocs 'BenchmarkM14_Cluster/owned-hit=2' \
 		-max-allocs 'BenchmarkM15_Trace/off=2' \
+		-max-allocs 'BenchmarkM16_ChannelIO=4' \
 		-json $(BENCH_OUT) \
 		$$tmp/base.txt $$tmp/head.txt
 

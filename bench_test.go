@@ -11,6 +11,8 @@
 package identxx_bench
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -27,6 +29,7 @@ import (
 	"identxx/internal/hostinfo"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
+	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/query"
 	"identxx/internal/sig"
@@ -1278,4 +1281,111 @@ func BenchmarkM15_Trace(b *testing.B) {
 			b.Fatal("no traces retained on the always path")
 		}
 	})
+}
+
+// m16Conn counts the Reads and Writes the controller's end of a switch
+// channel issues: each is one syscall (a Read that has to wait is two).
+type m16Conn struct {
+	net.Conn
+	reads, writes *atomic.Int64
+}
+
+func (c m16Conn) Read(p []byte) (int, error)  { c.reads.Add(1); return c.Conn.Read(p) }
+func (c m16Conn) Write(p []byte) (int, error) { c.writes.Add(1); return c.Conn.Write(p) }
+
+type m16Listener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *m16Listener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return m16Conn{conn, &l.reads, &l.writes}, nil
+}
+
+// m16Handler decides every packet-in at once with one flow-mod, so the
+// benchmark prices the channel and nothing behind it.
+type m16Handler struct{ mod openflow.FlowMod }
+
+func (h *m16Handler) SwitchConnected(*openflow.RemoteSwitch)                   {}
+func (h *m16Handler) SwitchDisconnected(*openflow.RemoteSwitch)                {}
+func (h *m16Handler) FlowRemoved(*openflow.RemoteSwitch, openflow.FlowRemoved) {}
+func (h *m16Handler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
+	mod := h.mod
+	mod.BufferID = ev.BufferID
+	sw.Apply(mod)
+}
+
+// BenchmarkM16_ChannelIO prices the switch channel's I/O alone: a real
+// ChannelServer over loopback TCP against a peer that keeps 1 or 32
+// packet-ins outstanding (the two windows of the end-to-end benchmark),
+// sending the next when a flow-mod comes back. It reports what the
+// controller's end of the socket did per decision. With one outstanding a
+// decision cannot cost less than one read and one write; with 32 the reads
+// and writes of a burst are shared, and writes/decision and reads/decision
+// fall well under one (PR 14: from 2 writes per flow-mod at any window).
+// allocs/op covers both ends: the peer's ReadMsg and the server's.
+// Run with -cpu 1,2,4: the writer goroutine's hand-off is what -cpu moves.
+func BenchmarkM16_ChannelIO(b *testing.B) {
+	five := flow.Five{
+		SrcIP: netaddr.MustParseIP("10.0.0.1"), DstIP: netaddr.MustParseIP("10.0.0.2"),
+		Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: 80,
+	}
+	frame := packet.TCPFrame(netaddr.MAC(1), netaddr.MAC(2), five, 0x02, nil)
+	pin, err := openflow.AppendPacketIn(nil, openflow.PacketIn{SwitchID: 1, BufferID: 7, InPort: 1, Frame: frame}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, window := range []int{1, 32} {
+		b.Run("outstanding="+itoa(window), func(b *testing.B) {
+			tcp, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			l := &m16Listener{Listener: tcp}
+			srv := openflow.NewChannelServer(&m16Handler{mod: openflow.FlowMod{
+				Match: flow.FiveMatch(five), Priority: 100, Actions: openflow.Output(2), IdleTimeout: time.Minute,
+			}})
+			srv.Serve(l)
+			defer srv.Close()
+			conn, err := net.Dial("tcp", tcp.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close() // before srv.Close, which waits for the channel to end
+			if err := openflow.WriteMsg(conn, openflow.Msg{Type: openflow.MsgHello, Body: make([]byte, 8)}); err != nil {
+				b.Fatal(err)
+			}
+			br := bufio.NewReaderSize(conn, 64<<10)
+			if m, err := openflow.ReadMsg(br); err != nil || m.Type != openflow.MsgHello {
+				b.Fatalf("hello reply: %v", err)
+			}
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			reads, writes := l.reads.Load(), l.writes.Load()
+			sent := min(window, b.N)
+			if _, err := conn.Write(bytes.Repeat(pin, sent)); err != nil {
+				b.Fatal(err)
+			}
+			for got := 0; got < b.N; got++ {
+				m, err := openflow.ReadMsg(br)
+				if err != nil || m.Type != openflow.MsgFlowMod {
+					b.Fatalf("decision %d: type %d, %v", got, m.Type, err)
+				}
+				if sent < b.N {
+					if _, err := conn.Write(pin); err != nil {
+						b.Fatal(err)
+					}
+					sent++
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(l.reads.Load()-reads)/float64(b.N), "reads/decision")
+			b.ReportMetric(float64(l.writes.Load()-writes)/float64(b.N), "writes/decision")
+		})
+	}
 }

@@ -320,6 +320,13 @@ func (h *channelHandler) FlowRemoved(sw *openflow.RemoteSwitch, ev openflow.Flow
 
 func (h *channelHandler) SwitchDisconnected(sw *openflow.RemoteSwitch) {
 	fmt.Printf("identctl: switch %d disconnected\n", sw.DatapathID())
+	// A reconnect may already have replaced the handle; then this removes
+	// nothing.
+	if h.rt != nil {
+		h.rt.RemoveDatapath(sw)
+		return
+	}
+	h.ctl.RemoveDatapath(sw)
 }
 
 func rebuildTuple(ev openflow.PacketIn) openflow.PacketIn {

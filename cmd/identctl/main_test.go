@@ -193,3 +193,44 @@ func TestAdminRing(t *testing.T) {
 		t.Errorf("ring bogus = %q, want err", got)
 	}
 }
+
+// A switch whose connection closes is deregistered — directly, or through the
+// ownership router — so the controller stops counting installs to it as
+// errors; and it is back once it reconnects.
+func TestSwitchDisconnectDeregistersDatapath(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		ctl := core.New(core.Config{
+			Name:      "disconnect-test",
+			Policy:    pf.MustCompile("p", "block all"),
+			Transport: nullTransport{},
+			Topology:  &sinkTopo{},
+		})
+		h := &channelHandler{ctl: ctl}
+		if clustered {
+			h.rt = cluster.NewRouter(ctl, cluster.Member{ID: "a"}, cluster.Options{})
+		}
+		server := openflow.NewChannelServer(h)
+		addr, err := server.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCount := func(want int) {
+			t.Helper()
+			for deadline := time.Now().Add(5 * time.Second); ctl.DatapathCount() != want; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("clustered=%v: %d datapaths, want %d", clustered, ctl.DatapathCount(), want)
+				}
+			}
+		}
+		for round := 0; round < 2; round++ {
+			agent, err := openflow.Connect(openflow.NewSwitch(5, "s5", 0), addr.String(), 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitCount(1)
+			agent.Close()
+			waitCount(0)
+		}
+		server.Close()
+	}
+}

@@ -371,6 +371,14 @@ func (r *Router) AddDatapath(dp openflow.Datapath) {
 	r.pushAll(snap, links)
 }
 
+// RemoveDatapath deregisters this replica's handle for a switch whose
+// connection is gone (core.Controller.RemoveDatapath; identity-guarded the
+// same way). The replicated config keeps the ID: the switch still exists,
+// and the peers' own connections to it are none of this one's business.
+func (r *Router) RemoveDatapath(dp openflow.Datapath) bool {
+	return r.local.RemoveDatapath(dp)
+}
+
 // snapshotLocked deep-copies the current config for a push; r.mu held.
 func (r *Router) snapshotLocked() *Snapshot {
 	s := r.cfg

@@ -562,6 +562,22 @@ func (c *Controller) AddDatapath(dp openflow.Datapath) {
 	})
 }
 
+// RemoveDatapath deregisters dp when its connection is gone, so installs
+// stop being attempted (and counted as install_errors) on a dead handle. It
+// is guarded by identity: when a reconnect has already registered a new
+// handle under the same datapath ID, the old connection's late disconnect
+// removes nothing. It reports whether dp was the registered handle.
+func (c *Controller) RemoveDatapath(dp openflow.Datapath) bool {
+	removed := false
+	c.mutate(func(st *ctlState) {
+		if st.datapaths[dp.DatapathID()] == dp {
+			delete(st.datapaths, dp.DatapathID())
+			removed = true
+		}
+	})
+	return removed
+}
+
 // SetPolicy atomically replaces the policy and flushes every cached verdict
 // from the switches — the revocation path: a delegation withdrawn in the
 // policy takes effect for the next packet of every flow. The snapshot swap

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -556,5 +557,68 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 		five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP,
 			SrcPort: netaddr.Port(i), DstPort: 80}
 		c.HandleEvent(sampleEvent(five, 1))
+	}
+}
+
+// deadDatapath is a handle whose connection is gone: every install fails.
+type deadDatapath struct{ fakeDatapath }
+
+func (d *deadDatapath) Apply(openflow.FlowMod) error { return errors.New("channel closed") }
+
+// TestRemoveDatapathIsGuardedByIdentity covers both orders a disconnect and
+// a reconnect can arrive in. Disconnect first: the handle goes, installs to
+// it stop being attempted (no install_errors), and the reconnect registers
+// afresh. Reconnect first: the new handle already replaced the old one, and
+// the old connection's late disconnect removes nothing.
+func TestRemoveDatapathIsGuardedByIdentity(t *testing.T) {
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}
+	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}}
+	c, _, dp2 := newTestController(`
+block all
+pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
+`, tr, topo)
+	five := func(port netaddr.Port) flow.Five {
+		return flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: port, DstPort: 200}
+	}
+
+	// Switch 2's connection dies; until the disconnect is handled every
+	// install along a path through it is an error.
+	dead := &deadDatapath{fakeDatapath{id: 2}}
+	c.AddDatapath(dead)
+	c.HandleEvent(sampleEvent(five(100), 1))
+	if n := c.Counters.Get("install_errors"); n != 1 {
+		t.Fatalf("install_errors = %d with a dead handle registered, want 1", n)
+	}
+
+	// Disconnect, then reconnect.
+	if c.RemoveDatapath(dp2) {
+		t.Fatal("removed by a handle that was already replaced")
+	}
+	if !c.RemoveDatapath(dead) || c.DatapathCount() != 1 {
+		t.Fatalf("dead handle not removed (datapaths = %d)", c.DatapathCount())
+	}
+	c.HandleEvent(sampleEvent(five(101), 1))
+	if n := c.Counters.Get("install_errors"); n != 1 {
+		t.Fatalf("install_errors = %d after the dead handle was removed, want 1 still", n)
+	}
+	fresh := &fakeDatapath{id: 2}
+	c.AddDatapath(fresh)
+	c.HandleEvent(sampleEvent(five(102), 1))
+	if fresh.modCount() != 1 {
+		t.Fatalf("reconnected switch got %d installs, want 1", fresh.modCount())
+	}
+
+	// Reconnect, then the old connection's disconnect.
+	fresher := &fakeDatapath{id: 2}
+	c.AddDatapath(fresher)
+	if c.RemoveDatapath(fresh) {
+		t.Fatal("the old connection's late disconnect removed the new handle")
+	}
+	c.HandleEvent(sampleEvent(five(103), 1))
+	if fresher.modCount() != 1 || c.DatapathCount() != 2 {
+		t.Fatalf("new handle lost: %d installs, %d datapaths", fresher.modCount(), c.DatapathCount())
 	}
 }

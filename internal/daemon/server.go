@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"identxx/internal/link"
 	"identxx/internal/wire"
 )
 
@@ -41,12 +43,27 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// servedConn is the per-connection state: the write lock serializing
-// responses against pushed updates, and the subscription's cancel.
+// servedConn is the per-connection state: the buffered writer and the lock
+// serializing responses against pushed updates on it, and the
+// subscription's cancel.
 type servedConn struct {
 	conn    net.Conn
 	writeMu sync.Mutex
-	cancel  func() // non-nil once subscribed
+	bw      *bufio.Writer // guarded by writeMu
+	cancel  func()        // non-nil once subscribed
+}
+
+// connBuf is the size of each connection's read and write buffer: a burst
+// of some forty pipelined queries, or a dozen responses, per syscall. A
+// larger frame passes through unbuffered. Two are held per connection, so
+// they are no larger than that (docs/architecture.md, "Wire I/O").
+const connBuf = 4 << 10
+
+// flush writes the buffered responses out.
+func (sc *servedConn) flush() error {
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	return sc.bw.Flush()
 }
 
 // DefaultReadTimeout is applied when Server.ReadTimeout is zero.
@@ -118,20 +135,38 @@ func (s *Server) serveConn(sc *servedConn) {
 	if timeout == 0 {
 		timeout = DefaultReadTimeout
 	}
+	br := bufio.NewReaderSize(conn, connBuf)
+	sc.bw = bufio.NewWriterSize(link.Deadlined(conn, timeout), connBuf)
+	// Whatever ends the loop, the queries answered before it keep their
+	// responses; on a dead connection this fails and nobody minds.
+	defer sc.flush()
+	var payload []byte // every frame's, in turn: decoding copies what it keeps
 	for {
-		// An unsubscribed connection is a transient client: bound each read
-		// so a slow or hostile peer cannot pin the goroutine. A subscribed
-		// connection is a controller's long-lived push channel — it is
-		// legitimately silent between queries, so idle reads must not kill
-		// it; failed pushes tear it down instead.
-		deadline := time.Now().Add(timeout)
-		if sc.cancel != nil {
-			deadline = time.Time{}
+		// Responses collect in bw while whole queries are still buffered in
+		// br, so a pipelined burst is answered with one write. Before a read
+		// that could block — anything short of a whole frame buffered, not
+		// merely an empty buffer — they are flushed: the client may be
+		// waiting for them before it sends the rest.
+		if !wire.FrameBuffered(br) {
+			if sc.flush() != nil {
+				return
+			}
+			// An unsubscribed connection is a transient client: bound each
+			// read so a slow or hostile peer cannot pin the goroutine. A
+			// subscribed connection is a controller's long-lived push
+			// channel — it is legitimately silent between queries, so idle
+			// reads must not kill it; failed pushes tear it down instead.
+			deadline := time.Now().Add(timeout)
+			if sc.cancel != nil {
+				deadline = time.Time{}
+			}
+			if err := conn.SetReadDeadline(deadline); err != nil {
+				return
+			}
 		}
-		if err := conn.SetReadDeadline(deadline); err != nil {
-			return
-		}
-		f, err := wire.ReadFrame(conn)
+		var f wire.Frame
+		var err error
+		f, payload, err = wire.ReadFrameInto(br, payload)
 		if err != nil {
 			return // EOF, timeout, or garbage: drop the connection
 		}
@@ -143,16 +178,20 @@ func (s *Server) serveConn(sc *servedConn) {
 			// Subscribe delivers the hello (and every later update) under
 			// the daemon's publication lock, so the hello is on the wire
 			// before any subsequent update and serials arrive in order.
-			// Updates are pushed from the publishing goroutine; the write
-			// lock keeps them whole against this goroutine's responses. A
-			// push that cannot complete within the timeout abandons the
-			// connection (closing it), making the client reconnect and
-			// resync rather than silently miss updates.
+			// Updates are pushed from the publishing goroutine: written
+			// behind whatever responses are buffered and flushed at once,
+			// under the write lock that keeps them whole against this
+			// goroutine's responses. A push that cannot complete within the
+			// timeout abandons the connection (closing it), making the
+			// client reconnect and resync rather than silently miss updates.
 			sc.cancel = s.Daemon.Subscribe(func(u wire.Update) {
 				sc.writeMu.Lock()
 				defer sc.writeMu.Unlock()
-				conn.SetWriteDeadline(time.Now().Add(timeout))
-				if err := wire.WriteUpdate(conn, u); err != nil {
+				err := wire.WriteUpdate(sc.bw, u)
+				if err == nil {
+					err = sc.bw.Flush()
+				}
+				if err != nil {
 					conn.Close()
 				}
 			})
@@ -163,8 +202,11 @@ func (s *Server) serveConn(sc *servedConn) {
 			}
 			resp := s.Daemon.HandleQuery(q)
 			sc.writeMu.Lock()
-			conn.SetWriteDeadline(time.Now().Add(timeout))
-			err = wire.WriteResponse(conn, resp)
+			// Rendered in place in the writer's free space when it fits.
+			b, err := wire.AppendResponse(sc.bw.AvailableBuffer(), resp)
+			if err == nil {
+				_, err = sc.bw.Write(b)
+			}
 			sc.writeMu.Unlock()
 			if err != nil {
 				return

@@ -1,15 +1,16 @@
 package openflow
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"identxx/internal/flow"
+	"identxx/internal/link"
 )
 
 // Datapath abstracts "a switch the controller can program": the in-process
@@ -27,16 +28,74 @@ func (s *Switch) DatapathID() uint64 { return s.ID }
 
 var _ Datapath = (*Switch)(nil)
 
+// channelReadBuf is the read buffer of one end of a secure channel: a burst
+// of a few hundred minimum-size packet-ins, or ten full Ethernet frames, per
+// read. Not larger, because one is held per switch for as long as it is
+// connected (docs/architecture.md, "Wire I/O").
+const channelReadBuf = 16 << 10
+
+var errChannelClosed = errors.New("openflow: channel closed")
+
+// channel is the sending half of either end of a secure channel. Senders
+// append whole messages to the coalescing writer's buffer under mu; its
+// goroutine is the only writer of the socket, so messages from any number
+// of goroutines reach the wire whole, in the order of their xids, one Write
+// per burst. A failed Write closes the connection, which the reading side
+// of the same end sees as the end of the channel.
+type channel struct {
+	conn net.Conn
+	mu   sync.Mutex
+	out  *link.Writer
+	xid  uint32
+}
+
+func newChannel(conn net.Conn) *channel {
+	c := &channel{conn: conn}
+	c.out = link.NewWriter(&c.mu, conn, func(error) { conn.Close() })
+	return c
+}
+
+// send appends the message enc encodes, under the next xid, to the pending
+// buffer. It blocks only while link.Bound bytes are pending — the peer has
+// stopped reading — and fails once the channel is closed.
+func (c *channel) send(enc func(b []byte, xid uint32) ([]byte, error)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.out.Reserve(); err != nil {
+		return err
+	}
+	c.xid++
+	b, err := enc(c.out.Buf, c.xid)
+	if err != nil {
+		return err
+	}
+	c.out.Buf = b
+	c.out.Flush()
+	return nil
+}
+
+func (c *channel) echoReply(req Msg) {
+	c.send(func(b []byte, _ uint32) ([]byte, error) {
+		return AppendMsg(b, Msg{Type: MsgEchoReply, Xid: req.Xid, Body: req.Body})
+	})
+}
+
+// close ends the channel at once. Messages queued but not yet written are
+// dropped with it: a sender that needs its last message delivered waits for
+// the peer's reaction to it before closing.
+func (c *channel) close() {
+	c.mu.Lock()
+	c.out.Close(errChannelClosed)
+	c.mu.Unlock()
+	c.conn.Close()
+}
+
 // Agent runs on the switch side of a TCP secure channel: it registers as
 // the switch's Controller, relays PacketIn/FlowRemoved to the remote
 // controller, and applies FlowMod/PacketOut messages it receives.
 type Agent struct {
-	sw   *Switch
-	conn net.Conn
-
-	mu     sync.Mutex
-	closed bool
-	xid    atomic.Uint32
+	sw *Switch
+	ch *channel
 }
 
 // Connect dials the controller, performs the hello exchange (hello bodies
@@ -54,45 +113,34 @@ func Connect(sw *Switch, addr string, timeout time.Duration) (*Agent, error) {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	m, err := ReadMsg(conn)
+	br := bufio.NewReaderSize(conn, channelReadBuf)
+	m, err := ReadMsg(br)
 	if err != nil || m.Type != MsgHello {
 		conn.Close()
 		return nil, fmt.Errorf("openflow: hello exchange failed: %v", err)
 	}
 	conn.SetReadDeadline(time.Time{})
-	a := &Agent{sw: sw, conn: conn}
+	a := &Agent{sw: sw, ch: newChannel(conn)}
 	sw.SetController(a)
-	go a.readLoop()
+	go a.readLoop(br)
 	return a, nil
 }
 
 // HandlePacketIn implements Controller by relaying the event.
 func (a *Agent) HandlePacketIn(_ *Switch, ev PacketIn) {
-	a.send(EncodePacketIn(ev, a.xid.Add(1)))
+	a.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendPacketIn(b, ev, xid) })
 }
 
 // HandleFlowRemoved implements Controller by relaying the event.
 func (a *Agent) HandleFlowRemoved(_ *Switch, ev FlowRemoved) {
-	a.send(EncodeFlowRemoved(ev, a.xid.Add(1)))
+	a.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendFlowRemoved(b, ev, xid) })
 }
 
-func (a *Agent) send(m Msg) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return
-	}
-	if err := WriteMsg(a.conn, m); err != nil {
-		a.closed = true
-		a.conn.Close()
-	}
-}
-
-func (a *Agent) readLoop() {
+func (a *Agent) readLoop(br *bufio.Reader) {
+	defer a.Close()
 	for {
-		m, err := ReadMsg(a.conn)
+		m, err := ReadMsg(br)
 		if err != nil {
-			a.Close()
 			return
 		}
 		switch m.Type {
@@ -111,29 +159,21 @@ func (a *Agent) readLoop() {
 				}
 			}
 		case MsgEchoRequest:
-			a.send(Msg{Type: MsgEchoReply, Xid: m.Xid, Body: m.Body})
+			a.ch.echoReply(m)
 		}
 	}
 }
 
 // Close tears the channel down.
-func (a *Agent) Close() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.closed {
-		a.closed = true
-		a.conn.Close()
-	}
-}
+func (a *Agent) Close() { a.ch.close() }
 
 // RemoteSwitch is the controller-side handle for a TCP-attached switch.
+// Apply and PacketOut return once the message is queued behind the ones
+// before it; a message that then cannot be written closes the channel, and
+// every later call fails.
 type RemoteSwitch struct {
-	id   uint64
-	conn net.Conn
-
-	mu     sync.Mutex
-	closed bool
-	xid    atomic.Uint32
+	id uint64
+	ch *channel
 }
 
 // DatapathID implements Datapath.
@@ -141,43 +181,26 @@ func (r *RemoteSwitch) DatapathID() uint64 { return r.id }
 
 // Apply implements Datapath by sending a FlowMod message.
 func (r *RemoteSwitch) Apply(mod FlowMod) error {
-	return r.send(EncodeFlowMod(mod, r.xid.Add(1)))
+	return r.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendFlowMod(b, mod, xid) })
 }
 
 // PacketOut implements Datapath.
 func (r *RemoteSwitch) PacketOut(port uint16, frame []byte) {
-	r.send(EncodePacketOut(PacketOutMsg{BufferID: BufferNone, Port: port, Frame: frame}, r.xid.Add(1)))
+	r.packetOut(PacketOutMsg{BufferID: BufferNone, Port: port, Frame: frame})
 }
 
 // ReleaseBuffer implements Datapath: a PacketOut naming the buffer with no
 // frame and no output releases (drops) it.
 func (r *RemoteSwitch) ReleaseBuffer(bufID uint32) {
-	r.send(EncodePacketOut(PacketOutMsg{BufferID: bufID}, r.xid.Add(1)))
+	r.packetOut(PacketOutMsg{BufferID: bufID})
 }
 
-func (r *RemoteSwitch) send(m Msg) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return errors.New("openflow: channel closed")
-	}
-	if err := WriteMsg(r.conn, m); err != nil {
-		r.closed = true
-		r.conn.Close()
-		return err
-	}
-	return nil
+func (r *RemoteSwitch) packetOut(po PacketOutMsg) {
+	r.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendPacketOut(b, po, xid) })
 }
 
 // Close tears the channel down.
-func (r *RemoteSwitch) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed {
-		r.closed = true
-		r.conn.Close()
-	}
-}
+func (r *RemoteSwitch) Close() { r.ch.close() }
 
 // ChannelHandler receives events from TCP-attached switches.
 type ChannelHandler interface {
@@ -209,6 +232,13 @@ func (s *ChannelServer) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.Serve(l)
+	return l.Addr(), nil
+}
+
+// Serve accepts switch connections from l in the background until Close,
+// which also closes l.
+func (s *ChannelServer) Serve(l net.Listener) {
 	s.mu.Lock()
 	s.listener = l
 	s.mu.Unlock()
@@ -227,25 +257,28 @@ func (s *ChannelServer) Listen(addr string) (net.Addr, error) {
 			}()
 		}
 	}()
-	return l.Addr(), nil
 }
 
 func (s *ChannelServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	m, err := ReadMsg(conn)
+	br := bufio.NewReaderSize(conn, channelReadBuf)
+	m, err := ReadMsg(br)
 	if err != nil || m.Type != MsgHello || len(m.Body) < 8 {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	// The hello reply goes out before the coalescing writer exists, so it
+	// is on the wire ahead of anything a handler sends.
 	if err := WriteMsg(conn, Msg{Type: MsgHello}); err != nil {
 		return
 	}
-	rs := &RemoteSwitch{id: binary.BigEndian.Uint64(m.Body[:8]), conn: conn}
+	rs := &RemoteSwitch{id: binary.BigEndian.Uint64(m.Body[:8]), ch: newChannel(conn)}
+	defer rs.Close()
 	s.Handler.SwitchConnected(rs)
 	defer s.Handler.SwitchDisconnected(rs)
 	for {
-		m, err := ReadMsg(conn)
+		m, err := ReadMsg(br)
 		if err != nil {
 			return
 		}
@@ -259,7 +292,7 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 				s.Handler.FlowRemoved(rs, ev)
 			}
 		case MsgEchoRequest:
-			WriteMsg(conn, Msg{Type: MsgEchoReply, Xid: m.Xid, Body: m.Body})
+			rs.ch.echoReply(m)
 		}
 	}
 }

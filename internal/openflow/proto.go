@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"identxx/internal/flow"
@@ -42,20 +43,46 @@ type Msg struct {
 	Body []byte
 }
 
-// WriteMsg writes a framed message.
-func WriteMsg(w io.Writer, m Msg) error {
+// AppendMsg appends m, framed, to b. On error b is returned unchanged.
+func AppendMsg(b []byte, m Msg) ([]byte, error) {
 	if msgHeaderLen+len(m.Body) > MaxMsgSize {
-		return fmt.Errorf("openflow: message too large (%d bytes)", len(m.Body))
+		return b, fmt.Errorf("openflow: message too large (%d bytes)", len(m.Body))
 	}
-	var hdr [msgHeaderLen]byte
-	hdr[0] = ProtoVersion
-	hdr[1] = m.Type
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(msgHeaderLen+len(m.Body)))
-	binary.BigEndian.PutUint32(hdr[4:8], m.Xid)
-	if _, err := w.Write(hdr[:]); err != nil {
+	b = slices.Grow(b, msgHeaderLen+len(m.Body))
+	return finishMsg(append(appendHeader(b, m.Type, m.Xid), m.Body...), len(b))
+}
+
+// appendHeader appends a message header whose length finishMsg fills in
+// once the body has been appended behind it.
+func appendHeader(b []byte, typ uint8, xid uint32) []byte {
+	b = append(b, ProtoVersion, typ, 0, 0)
+	return binary.BigEndian.AppendUint32(b, xid)
+}
+
+// finishMsg completes the message that starts at b[start], or removes it
+// when it is larger than a peer would read.
+func finishMsg(b []byte, start int) ([]byte, error) {
+	n := len(b) - start
+	if n > MaxMsgSize {
+		return b[:start], fmt.Errorf("openflow: message too large (%d bytes)", n-msgHeaderLen)
+	}
+	binary.BigEndian.PutUint16(b[start+2:], uint16(n))
+	return b, nil
+}
+
+// extend appends n zero bytes to b and returns them as body.
+func extend(b []byte, n int) (all, body []byte) {
+	all = append(b, make([]byte, n)...)
+	return all, all[len(b):]
+}
+
+// WriteMsg writes a framed message with one Write.
+func WriteMsg(w io.Writer, m Msg) error {
+	b, err := AppendMsg(nil, m)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(m.Body)
+	_, err = w.Write(b)
 	return err
 }
 
@@ -157,17 +184,28 @@ func getActions(b []byte) ([]Action, error) {
 
 // EncodePacketIn serializes a PacketIn event.
 func EncodePacketIn(ev PacketIn, xid uint32) Msg {
-	body := make([]byte, 8+4+2+1+1+len(ev.Frame))
+	return Msg{Type: MsgPacketIn, Xid: xid, Body: appendPacketInBody(nil, ev)}
+}
+
+// AppendPacketIn appends ev as one framed message to b.
+func AppendPacketIn(b []byte, ev PacketIn, xid uint32) ([]byte, error) {
+	return finishMsg(appendPacketInBody(appendHeader(b, MsgPacketIn, xid), ev), len(b))
+}
+
+func appendPacketInBody(b []byte, ev PacketIn) []byte {
+	b, body := extend(b, 8+4+2+1+1+len(ev.Frame))
 	binary.BigEndian.PutUint64(body[0:8], ev.SwitchID)
 	binary.BigEndian.PutUint32(body[8:12], ev.BufferID)
 	binary.BigEndian.PutUint16(body[12:14], ev.InPort)
 	body[14] = byte(ev.Reason)
 	copy(body[16:], ev.Frame)
-	return Msg{Type: MsgPacketIn, Xid: xid, Body: body}
+	return b
 }
 
 // DecodePacketIn parses a PacketIn body. The tuple is reconstructed by the
-// receiver from the frame; only transport fields travel.
+// receiver from the frame; only transport fields travel. Frame aliases
+// m.Body: ReadMsg gives every message a body of its own, so the event owns
+// its frame without a second copy.
 func DecodePacketIn(m Msg) (PacketIn, error) {
 	if m.Type != MsgPacketIn || len(m.Body) < 16 {
 		return PacketIn{}, errors.New("openflow: bad packet-in")
@@ -177,13 +215,22 @@ func DecodePacketIn(m Msg) (PacketIn, error) {
 		BufferID: binary.BigEndian.Uint32(m.Body[8:12]),
 		InPort:   binary.BigEndian.Uint16(m.Body[12:14]),
 		Reason:   PacketInReason(m.Body[14]),
-		Frame:    append([]byte(nil), m.Body[16:]...),
+		Frame:    m.Body[16:],
 	}, nil
 }
 
 // EncodeFlowMod serializes a FlowMod.
 func EncodeFlowMod(mod FlowMod, xid uint32) Msg {
-	body := make([]byte, matchLen+8+2+2+4+4+4+1+1+2+len(mod.Actions)*actionLen)
+	return Msg{Type: MsgFlowMod, Xid: xid, Body: appendFlowModBody(nil, mod)}
+}
+
+// AppendFlowMod appends mod as one framed message to b.
+func AppendFlowMod(b []byte, mod FlowMod, xid uint32) ([]byte, error) {
+	return finishMsg(appendFlowModBody(appendHeader(b, MsgFlowMod, xid), mod), len(b))
+}
+
+func appendFlowModBody(b []byte, mod FlowMod) []byte {
+	b, body := extend(b, matchLen+8+2+2+4+4+4+1+1+2+len(mod.Actions)*actionLen)
 	putMatch(body[0:], mod.Match)
 	off := matchLen
 	binary.BigEndian.PutUint64(body[off:], mod.Cookie)
@@ -209,7 +256,7 @@ func EncodeFlowMod(mod FlowMod, xid uint32) Msg {
 	binary.BigEndian.PutUint16(body[off:], uint16(len(mod.Actions)))
 	off += 2
 	putActions(body[off:], mod.Actions)
-	return Msg{Type: MsgFlowMod, Xid: xid, Body: body}
+	return b
 }
 
 // DecodeFlowMod parses a FlowMod body.
@@ -260,14 +307,24 @@ type PacketOutMsg struct {
 
 // EncodePacketOut serializes a PacketOut.
 func EncodePacketOut(po PacketOutMsg, xid uint32) Msg {
-	body := make([]byte, 4+2+2+len(po.Frame))
+	return Msg{Type: MsgPacketOut, Xid: xid, Body: appendPacketOutBody(nil, po)}
+}
+
+// AppendPacketOut appends po as one framed message to b.
+func AppendPacketOut(b []byte, po PacketOutMsg, xid uint32) ([]byte, error) {
+	return finishMsg(appendPacketOutBody(appendHeader(b, MsgPacketOut, xid), po), len(b))
+}
+
+func appendPacketOutBody(b []byte, po PacketOutMsg) []byte {
+	b, body := extend(b, 4+2+2+len(po.Frame))
 	binary.BigEndian.PutUint32(body[0:4], po.BufferID)
 	binary.BigEndian.PutUint16(body[4:6], po.Port)
 	copy(body[8:], po.Frame)
-	return Msg{Type: MsgPacketOut, Xid: xid, Body: body}
+	return b
 }
 
-// DecodePacketOut parses a PacketOut body.
+// DecodePacketOut parses a PacketOut body. Frame aliases m.Body, as in
+// DecodePacketIn.
 func DecodePacketOut(m Msg) (PacketOutMsg, error) {
 	if m.Type != MsgPacketOut || len(m.Body) < 8 {
 		return PacketOutMsg{}, errors.New("openflow: bad packet-out")
@@ -275,13 +332,22 @@ func DecodePacketOut(m Msg) (PacketOutMsg, error) {
 	return PacketOutMsg{
 		BufferID: binary.BigEndian.Uint32(m.Body[0:4]),
 		Port:     binary.BigEndian.Uint16(m.Body[4:6]),
-		Frame:    append([]byte(nil), m.Body[8:]...),
+		Frame:    m.Body[8:],
 	}, nil
 }
 
 // EncodeFlowRemoved serializes a FlowRemoved event.
 func EncodeFlowRemoved(ev FlowRemoved, xid uint32) Msg {
-	body := make([]byte, 8+matchLen+8+1+7+8+8)
+	return Msg{Type: MsgFlowRemoved, Xid: xid, Body: appendFlowRemovedBody(nil, ev)}
+}
+
+// AppendFlowRemoved appends ev as one framed message to b.
+func AppendFlowRemoved(b []byte, ev FlowRemoved, xid uint32) ([]byte, error) {
+	return finishMsg(appendFlowRemovedBody(appendHeader(b, MsgFlowRemoved, xid), ev), len(b))
+}
+
+func appendFlowRemovedBody(b []byte, ev FlowRemoved) []byte {
+	b, body := extend(b, 8+matchLen+8+1+7+8+8)
 	binary.BigEndian.PutUint64(body[0:8], ev.SwitchID)
 	putMatch(body[8:], ev.Match)
 	off := 8 + matchLen
@@ -292,7 +358,7 @@ func EncodeFlowRemoved(ev FlowRemoved, xid uint32) Msg {
 	binary.BigEndian.PutUint64(body[off:], ev.Packets)
 	off += 8
 	binary.BigEndian.PutUint64(body[off:], ev.Bytes)
-	return Msg{Type: MsgFlowRemoved, Xid: xid, Body: body}
+	return b
 }
 
 // DecodeFlowRemoved parses a FlowRemoved body.

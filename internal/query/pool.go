@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"identxx/internal/core"
 	"identxx/internal/flow"
+	"identxx/internal/link"
 	"identxx/internal/metrics"
 	"identxx/internal/netaddr"
 	"identxx/internal/sig"
@@ -58,6 +60,12 @@ const (
 	// connection and its pipeline intact) before the reader declares the
 	// whole connection hung and tears it down.
 	readGrace = 500 * time.Millisecond
+
+	// connReadBuf is each connection's read buffer: a burst of a dozen
+	// responses per read. A larger frame is read straight into its own
+	// payload. One is held per daemon, so it is no larger than that
+	// (docs/architecture.md, "Wire I/O").
+	connReadBuf = 4 << 10
 )
 
 // Pool is the pooled TCP transport of the query plane: one connection per
@@ -243,19 +251,38 @@ func releaseCall(c *call) {
 	callPool.Put(c)
 }
 
+// timerPool recycles the deadline timer every exchange waits on: nearly all
+// are stopped unfired a round trip later, and a stopped or fired timer
+// delivers nothing stale after Reset (Go 1.23 timer channels).
+var timerPool sync.Pool
+
+func acquireTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func releaseTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
+}
+
 // hostConn owns the single pipelined connection to one daemon.
 type hostConn struct {
 	pool *Pool
 	host netaddr.IP
 	addr string
 
-	// sendMu serializes enqueue+write pairs so the pending queue's order
-	// is exactly the wire order — the correlation invariant.
-	sendMu sync.Mutex
-
+	// mu guards everything below, the coalescing writer's buffer included:
+	// send appends a call to pending and its frame to out.Buf in one
+	// critical section, so the pending queue's order is the wire order —
+	// the correlation invariant — by construction.
 	mu       sync.Mutex
 	conn     net.Conn
-	gen      uint64 // bumped by teardown; stale readers/teardowns no-op
+	out      *link.Writer // conn's only writer; nil exactly when conn is
+	gen      uint64       // bumped by teardown; stale readers/teardowns no-op
 	pending  []*call
 	horizon  time.Time // read deadline currently set on conn
 	dialErr  error     // last dial failure, served during backoff
@@ -275,17 +302,14 @@ type hostConn struct {
 	cred credState
 }
 
-// exchange writes one query and waits for its response or the deadline.
+// exchange queues one query and waits for its response or the deadline.
 func (hc *hostConn) exchange(q wire.Query, deadline time.Time) (*wire.Response, error) {
-	c, early, err := hc.send(q, deadline)
+	c, err := hc.send(q, deadline)
 	if err != nil {
 		return nil, err
 	}
-	if early != nil {
-		return early, nil
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
+	timer := acquireTimer(time.Until(deadline))
+	defer releaseTimer(timer)
 	select {
 	case r := <-c.done:
 		releaseCall(c)
@@ -304,47 +328,38 @@ func (hc *hostConn) exchange(q wire.Query, deadline time.Time) (*wire.Response, 
 	}
 }
 
-// send dials if needed, enqueues the call, and writes the frame. On a
-// write failure the call is already resolved here: early carries a
-// response the reader managed to deliver before the teardown (the write
-// "failed" after the frame reached the daemon), err the failure otherwise.
-func (hc *hostConn) send(q wire.Query, deadline time.Time) (c *call, early *wire.Response, err error) {
-	hc.sendMu.Lock()
-	defer hc.sendMu.Unlock()
+// send dials if needed, then enqueues the call and appends its frame to the
+// connection's pending buffer; the writer goroutine puts the burst on the
+// wire. A write that fails later tears the connection down and fails the
+// call like every other one pending.
+func (hc *hostConn) send(q wire.Query, deadline time.Time) (*call, error) {
 	hc.mu.Lock()
+	defer hc.mu.Unlock()
 	if hc.conn == nil {
 		if err := hc.dialLocked(deadline); err != nil {
-			hc.mu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	conn, gen := hc.conn, hc.gen
-	c = acquireCall(q.Flow)
+	// Reserve may wait with hc.mu released; it fails if the connection was
+	// torn down meanwhile, so past it out is still hc.conn's writer.
+	conn, out := hc.conn, hc.out
+	if err := out.Reserve(); err != nil {
+		return nil, err
+	}
+	b, err := wire.AppendQuery(out.Buf, q)
+	if err != nil {
+		return nil, err
+	}
+	out.Buf = b
+	c := acquireCall(q.Flow)
 	hc.pending = append(hc.pending, c)
 	if h := deadline.Add(readGrace); h.After(hc.horizon) {
 		hc.horizon = h
 		conn.SetReadDeadline(h)
 	}
-	hc.mu.Unlock()
-
-	conn.SetWriteDeadline(deadline)
-	if err := wire.WriteQuery(conn, q); err != nil {
-		err = fmt.Errorf("query: write %s: %w", hc.addr, err)
-		// teardown fails every pending call, ours included; collect our
-		// own result from the channel so the slot is recycled exactly
-		// once. The reader may have beaten the teardown to our slot with
-		// a real response (write deadline hit after the frame was
-		// kernel-buffered and answered) — that is a success, not an error.
-		hc.teardown(gen, err)
-		r := <-c.done
-		releaseCall(c)
-		if r.err == nil {
-			return nil, r.resp, nil
-		}
-		return nil, nil, r.err
-	}
+	out.Flush()
 	hc.pool.Counters.Add("pool_queries_sent", 1)
-	return c, nil, nil
+	return c, nil
 }
 
 // dialLocked establishes the connection (hc.mu held). During backoff after
@@ -394,24 +409,25 @@ func (hc *hostConn) dialLocked(deadline time.Time) error {
 	hc.horizon = time.Time{}
 	hc.pool.Counters.Add("pool_dials", 1)
 	hc.pool.Conns.Inc()
-	go hc.readLoop(conn, hc.gen)
+	// Every flush gets the request timeout as its write deadline: a daemon
+	// that stops reading is torn down within it, as when each query's write
+	// carried the query's own deadline.
+	gen := hc.gen
+	hc.out = link.NewWriter(&hc.mu, link.Deadlined(conn, hc.pool.reqTimeout), func(err error) {
+		hc.teardown(gen, fmt.Errorf("query: write %s: %w", hc.addr, err))
+	})
+	go hc.readLoop(conn, gen)
 	if hc.pool.updateFn() != nil || hc.pool.credentialed() {
 		// Opt this connection into the daemon's update stream before any
-		// query goes out (the caller holds sendMu, so nothing interleaves).
-		// The daemon acknowledges with a hello update the reader demuxes;
-		// a subscribe the daemon cannot take breaks the connection and
-		// surfaces as an ordinary exchange failure. Credentialed pools
-		// always subscribe even with no update handler: the hello is where
-		// the session's credential arrives.
-		conn.SetWriteDeadline(deadline)
-		if err := wire.WriteSubscribe(conn); err != nil {
-			gen := hc.gen
-			hc.mu.Unlock()
-			err = fmt.Errorf("query: subscribe %s: %w", hc.addr, err)
-			hc.teardown(gen, err)
-			hc.mu.Lock()
-			return err
-		}
+		// query goes out (the caller holds hc.mu, so the frame is first in
+		// the buffer). The daemon acknowledges with a hello update the
+		// reader demuxes; a subscribe the daemon cannot take breaks the
+		// connection and surfaces as an ordinary exchange failure.
+		// Credentialed pools always subscribe even with no update handler:
+		// the hello is where the session's credential arrives. (An empty
+		// payload cannot be over the frame limit: no error to handle.)
+		hc.out.Buf, _ = wire.AppendFrame(hc.out.Buf, wire.Frame{Type: wire.FrameSubscribe})
+		hc.out.Flush()
 		hc.pool.Counters.Add("pool_subscribes", 1)
 	}
 	return nil
@@ -439,8 +455,12 @@ func classifyDial(addr string, err error) error {
 // are demuxed out of the correlation path and handed to the pool's update
 // handler before the loop returns to the stream.
 func (hc *hostConn) readLoop(conn net.Conn, gen uint64) {
+	br := bufio.NewReaderSize(conn, connReadBuf)
+	var frame wire.Frame
+	var payload []byte // every frame's, in turn: decoding copies what it keeps
 	for {
-		frame, err := wire.ReadFrame(conn)
+		var err error
+		frame, payload, err = wire.ReadFrameInto(br, payload)
 		if err != nil {
 			hc.teardown(gen, fmt.Errorf("query: read %s: %w", hc.addr, err))
 			return
@@ -579,6 +599,10 @@ func (hc *hostConn) teardown(gen uint64, err error) {
 	hc.gen++
 	conn := hc.conn
 	hc.conn = nil
+	if hc.out != nil {
+		hc.out.Close(err)
+		hc.out = nil
+	}
 	failed := hc.pending
 	hc.pending = nil
 	hc.horizon = time.Time{}

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"identxx/internal/netaddr"
 )
@@ -69,29 +71,88 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
+// AppendFrame appends f, framed, to b. On error b is returned unchanged.
+func AppendFrame(b []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxMessageSize {
-		return fmt.Errorf("wire: frame payload %d exceeds limit", len(f.Payload))
+		return b, fmt.Errorf("wire: frame payload %d exceeds limit", len(f.Payload))
 	}
-	var hdr [frameHeaderLen]byte
-	hdr[0] = f.Type
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(f.SrcIP))
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(f.DstIP))
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	b = slices.Grow(b, frameHeaderLen+len(f.Payload))
+	return finishFrame(append(appendHeader(b, f.Type, f.SrcIP, f.DstIP), f.Payload...), len(b))
+}
+
+// appendHeader appends a frame header whose payload length finishFrame
+// fills in once the payload has been appended behind it.
+func appendHeader(b []byte, typ byte, src, dst netaddr.IP) []byte {
+	b = append(b, typ)
+	b = binary.BigEndian.AppendUint32(b, uint32(src))
+	b = binary.BigEndian.AppendUint32(b, uint32(dst))
+	return append(b, 0, 0, 0, 0)
+}
+
+// finishFrame completes the frame that starts at b[start], or removes it
+// when its payload is larger than a peer would read.
+func finishFrame(b []byte, start int) ([]byte, error) {
+	n := len(b) - start - frameHeaderLen
+	if n > MaxMessageSize {
+		return b[:start], fmt.Errorf("wire: frame payload %d exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(b[start+9:], uint32(n))
+	return b, nil
+}
+
+// AppendQuery appends q as one frame to b, the payload rendered in place.
+func AppendQuery(b []byte, q Query) ([]byte, error) {
+	return finishFrame(appendQuery(appendHeader(b, FrameQuery, q.Flow.SrcIP, q.Flow.DstIP), q), len(b))
+}
+
+// AppendResponse appends resp as one frame to b, the payload rendered in
+// place.
+func AppendResponse(b []byte, resp *Response) ([]byte, error) {
+	return finishFrame(appendResponse(appendHeader(b, FrameResponse, resp.Flow.SrcIP, resp.Flow.DstIP), resp), len(b))
+}
+
+// WriteFrame writes one frame to w with one Write.
+func WriteFrame(w io.Writer, f Frame) error {
+	b, err := AppendFrame(nil, f)
+	return writeOnce(w, b, err)
+}
+
+// writeOnce writes an encoder's result, or returns its error.
+func writeOnce(w io.Writer, b []byte, err error) error {
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(f.Payload)
+	_, err = w.Write(b)
 	return err
+}
+
+// FrameBuffered reports whether r holds a whole frame, so that the next
+// ReadFrame cannot block. A frame larger than r's buffer is never whole.
+func FrameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, _ := r.Peek(frameHeaderLen)
+	return uint64(r.Buffered()) >= frameHeaderLen+uint64(binary.BigEndian.Uint32(hdr[9:13]))
 }
 
 // ReadFrame reads one frame from r, rejecting oversized payloads before
 // allocating for them.
 func ReadFrame(r io.Reader) (Frame, error) {
+	f, _, err := ReadFrameInto(r, nil)
+	return f, err
+}
+
+// ReadFrameInto is ReadFrame with the payload read into buf, grown when it
+// is too small, instead of into an allocation of its own: the payload
+// aliases the returned buffer and is valid until the buffer's next use. A
+// loop that decodes each frame before it reads the next (the Decode
+// functions copy what they keep) passes the buffer back in and allocates
+// nothing per frame.
+func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	f := Frame{
 		Type:  hdr[0],
@@ -102,27 +163,26 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	case FrameQuery, FrameResponse, FrameUpdate, FrameSubscribe,
 		FrameEvent, FrameEventTraced, FrameSnapshot, FrameAck:
 	default:
-		return Frame{}, fmt.Errorf("wire: unknown frame type %#02x", f.Type)
+		return Frame{}, buf, fmt.Errorf("wire: unknown frame type %#02x", f.Type)
 	}
 	n := binary.BigEndian.Uint32(hdr[9:13])
 	if n > MaxMessageSize {
-		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit", n)
+		return Frame{}, buf, fmt.Errorf("wire: frame payload %d exceeds limit", n)
 	}
-	f.Payload = make([]byte, n)
+	if buf == nil || uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	f.Payload = buf[:n]
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
-	return f, nil
+	return f, buf, nil
 }
 
 // WriteQuery frames and writes a query.
 func WriteQuery(w io.Writer, q Query) error {
-	return WriteFrame(w, Frame{
-		Type:    FrameQuery,
-		SrcIP:   q.Flow.SrcIP,
-		DstIP:   q.Flow.DstIP,
-		Payload: EncodeQuery(q),
-	})
+	b, err := AppendQuery(nil, q)
+	return writeOnce(w, b, err)
 }
 
 // ReadQuery reads and decodes a framed query.
@@ -139,12 +199,8 @@ func ReadQuery(r io.Reader) (Query, error) {
 
 // WriteResponse frames and writes a response.
 func WriteResponse(w io.Writer, resp *Response) error {
-	return WriteFrame(w, Frame{
-		Type:    FrameResponse,
-		SrcIP:   resp.Flow.SrcIP,
-		DstIP:   resp.Flow.DstIP,
-		Payload: EncodeResponse(resp),
-	})
+	b, err := AppendResponse(nil, resp)
+	return writeOnce(w, b, err)
 }
 
 // WriteUpdate frames and writes an unsolicited endpoint-state update.

@@ -250,33 +250,54 @@ func sanitizeValue(v string) string {
 const traceLinePrefix = "trace:"
 
 // EncodeQuery renders the §3.2 query payload.
-func EncodeQuery(q Query) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d %d\n", q.Flow.Proto, q.Flow.SrcPort, q.Flow.DstPort)
+func EncodeQuery(q Query) []byte { return appendQuery(nil, q) }
+
+func appendQuery(b []byte, q Query) []byte {
+	b = appendTupleLine(b, q.Flow)
 	for _, k := range q.Keys {
-		b.WriteString(strings.TrimSpace(k))
-		b.WriteByte('\n')
+		b = append(b, strings.TrimSpace(k)...)
+		b = append(b, '\n')
 	}
 	if q.TraceID != 0 {
-		fmt.Fprintf(&b, "%s%016x\n", traceLinePrefix, q.TraceID)
+		// %016x by hand: the trace line is written once per traced query.
+		b = append(b, traceLinePrefix...)
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, "0123456789abcdef"[q.TraceID>>shift&0xf])
+		}
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendTupleLine renders the "<PROTO> <SRC PORT> <DST PORT>" line every
+// payload starts with.
+func appendTupleLine(b []byte, f flow.Five) []byte {
+	b = strconv.AppendUint(b, uint64(f.Proto), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(f.SrcPort), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(f.DstPort), 10)
+	return append(b, '\n')
 }
 
 // DecodeQuery parses a query payload. The flow's IP addresses come from the
 // transport (the IP header in the simulator, the framed envelope over TCP).
 func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
-	lines := strings.Split(string(payload), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+	// One copy of the payload backs every key; lines are cut from it in
+	// place rather than split into a slice first.
+	first, rest, more := strings.Cut(string(payload), "\n")
+	if strings.TrimSpace(first) == "" {
 		return Query{}, fmt.Errorf("wire: empty query")
 	}
-	f, err := parseTupleLine(lines[0])
+	f, err := parseTupleLine(first)
 	if err != nil {
 		return Query{}, err
 	}
 	f.SrcIP, f.DstIP = srcIP, dstIP
 	q := Query{Flow: f}
-	for _, l := range lines[1:] {
+	for more {
+		var l string
+		l, rest, more = strings.Cut(rest, "\n")
 		l = strings.TrimSpace(l)
 		if l == "" {
 			continue
@@ -292,6 +313,10 @@ func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
 				continue
 			}
 		}
+		if q.Keys == nil {
+			// A key per remaining line at most: one array, no regrowth.
+			q.Keys = make([]string, 0, strings.Count(rest, "\n")+2)
+		}
 		q.Keys = append(q.Keys, l)
 	}
 	return q, nil
@@ -301,21 +326,22 @@ func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
 // sections. Leading/trailing empty sections are preserved structurally by
 // emitting their separators, except that a single empty section encodes as a
 // bare tuple line (a daemon with nothing to say).
-func EncodeResponse(r *Response) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d %d\n", r.Flow.Proto, r.Flow.SrcPort, r.Flow.DstPort)
+func EncodeResponse(r *Response) []byte { return appendResponse(nil, r) }
+
+func appendResponse(b []byte, r *Response) []byte {
+	b = appendTupleLine(b, r.Flow)
 	for i, s := range r.Sections {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
 		for _, p := range s.Pairs {
-			b.WriteString(strings.TrimSpace(p.Key))
-			b.WriteString(": ")
-			b.WriteString(sanitizeValue(p.Value))
-			b.WriteByte('\n')
+			b = append(b, strings.TrimSpace(p.Key)...)
+			b = append(b, ": "...)
+			b = append(b, sanitizeValue(p.Value)...)
+			b = append(b, '\n')
 		}
 	}
-	return []byte(b.String())
+	return b
 }
 
 // DecodeResponse parses a response payload. IP addresses come from the
@@ -324,27 +350,50 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 	if len(payload) > MaxMessageSize {
 		return nil, fmt.Errorf("wire: response exceeds %d bytes", MaxMessageSize)
 	}
-	lines := strings.Split(string(payload), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+	// One copy of the payload backs every key and value; lines are cut from
+	// it in place rather than split into a slice first.
+	first, rest, more := strings.Cut(string(payload), "\n")
+	if strings.TrimSpace(first) == "" {
 		return nil, fmt.Errorf("wire: empty response")
 	}
-	f, err := parseTupleLine(lines[0])
+	f, err := parseTupleLine(first)
 	if err != nil {
 		return nil, err
 	}
 	f.SrcIP, f.DstIP = srcIP, dstIP
-	r := &Response{Flow: f, Sections: []Section{{}}}
-	cur := &r.Sections[0]
-	for _, l := range lines[1:] {
+	// The response and its first sections are one allocation, and one array
+	// (a pair per remaining line at most) backs the pairs of every section,
+	// each section's share capped so that a later Add cannot run into the
+	// next one's.
+	a := &struct {
+		r    Response
+		secs [2]Section
+	}{}
+	r := &a.r
+	r.Flow, r.Sections = f, a.secs[:1]
+	var pairs []KV
+	if more {
+		pairs = make([]KV, 0, strings.Count(rest, "\n")+1)
+	}
+	start := 0 // pairs[start:] belong to the section being filled
+	closeSection := func() {
+		if end := len(pairs); end > start {
+			r.Sections[len(r.Sections)-1].Pairs = pairs[start:end:end]
+			start = end
+		}
+	}
+	for more {
+		var l string
+		l, rest, more = strings.Cut(rest, "\n")
 		trimmed := strings.TrimRight(l, "\r")
 		if strings.TrimSpace(trimmed) == "" {
 			// Empty line: new section. Collapse a run of empty lines at the
 			// very end of the payload (trailing newline artifacts).
-			if cur == &r.Sections[len(r.Sections)-1] && len(cur.Pairs) == 0 && len(r.Sections) > 1 {
+			if len(pairs) == start && len(r.Sections) > 1 {
 				continue
 			}
+			closeSection()
 			r.Sections = append(r.Sections, Section{})
-			cur = &r.Sections[len(r.Sections)-1]
 			continue
 		}
 		colon := strings.Index(trimmed, ":")
@@ -359,12 +408,13 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 		if key == "" {
 			return nil, fmt.Errorf("wire: empty key in %q", trimmed)
 		}
-		cur.Add(key, val)
+		pairs = append(pairs, KV{key, val})
 	}
 	// Drop a trailing empty section created by a final newline.
-	if n := len(r.Sections); n > 1 && len(r.Sections[n-1].Pairs) == 0 {
+	if n := len(r.Sections); n > 1 && len(pairs) == start {
 		r.Sections = r.Sections[:n-1]
 	}
+	closeSection()
 	return r, nil
 }
 

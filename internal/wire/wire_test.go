@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -413,5 +414,71 @@ func BenchmarkDecodeResponse(b *testing.B) {
 		if _, err := DecodeResponse(payload, r.Flow.SrcIP, r.Flow.DstIP); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The append encoders replaced fmt and strings.Builder; the bytes on the
+// wire are the ones those produced.
+func TestAppendEncodersMatchFmt(t *testing.T) {
+	f := sampleFlow()
+	q := Query{Flow: f, Keys: []string{" name ", "userID"}, TraceID: 0xabc}
+	wantQ := fmt.Sprintf("%d %d %d\nname\nuserID\ntrace:%016x\n", f.Proto, f.SrcPort, f.DstPort, q.TraceID)
+	if got := string(EncodeQuery(q)); got != wantQ {
+		t.Errorf("query payload %q, want %q", got, wantQ)
+	}
+	r := NewResponse(f)
+	r.Add(" name", "sky\npe")
+	r.Augment("ctl").Add("netpath", "b")
+	wantR := fmt.Sprintf("%d %d %d\nname: sky pe\n\nnetpath: b\n", f.Proto, f.SrcPort, f.DstPort)
+	if got := string(EncodeResponse(r)); got != wantR {
+		t.Errorf("response payload %q, want %q", got, wantR)
+	}
+
+	// AppendQuery/AppendResponse are the frame around the same payload,
+	// behind whatever the buffer already held.
+	for name, c := range map[string]struct {
+		frame Frame
+		app   func([]byte) ([]byte, error)
+	}{
+		"query":    {Frame{FrameQuery, f.SrcIP, f.DstIP, EncodeQuery(q)}, func(b []byte) ([]byte, error) { return AppendQuery(b, q) }},
+		"response": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(r)}, func(b []byte) ([]byte, error) { return AppendResponse(b, r) }},
+	} {
+		want, err := AppendFrame([]byte("earlier"), c.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.app([]byte("earlier"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: %q (%v), want %q", name, got, err, want)
+		}
+	}
+
+	// A payload over the limit leaves the buffer as it was.
+	big := Query{Flow: f, Keys: []string{strings.Repeat("k", MaxMessageSize)}}
+	if got, err := AppendQuery([]byte("earlier"), big); err == nil || string(got) != "earlier" {
+		t.Errorf("oversized query: err %v, %d bytes in the buffer", err, len(got))
+	}
+}
+
+type writeCounter struct{ writes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) { w.writes++; return len(p), nil }
+
+func TestWritersIssueOneWrite(t *testing.T) {
+	var w writeCounter
+	if err := WriteQuery(&w, Query{Flow: sampleFlow(), Keys: []string{"name"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteResponse(&w, NewResponse(sampleFlow())); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteUpdate(&w, Update{Serial: 1, Hello: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSubscribe(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 4 {
+		t.Fatalf("%d writes for 4 frames", w.writes)
 	}
 }
