@@ -131,6 +131,8 @@ check-docs:
 	echo "check-docs: links ok"
 
 # Short bursts of every fuzz target; regression seeds live in testdata/.
+# FuzzDispatch's bytes are positional choices the minimizer cannot shorten,
+# so its minimization budget is capped (the default is a minute per input).
 FUZZTIME ?= 30s
 .PHONY: fuzz
 fuzz:
@@ -138,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeResponse -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzParsePolicy -fuzztime=$(FUZZTIME) ./internal/pf/
+	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/pf/
 	$(GO) test -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzParseCredential -fuzztime=$(FUZZTIME) ./internal/cred/
 

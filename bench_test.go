@@ -638,7 +638,8 @@ func m10Policy(rules int) *pf.Policy {
 //
 // CI's bench-compare gates the compiled variants at ≤ 2 allocs/op (they
 // measure 0): the steady-state compiled path must never regress into
-// allocating.
+// allocating. A third size, fence/2000 (benchmarkM10Fence), is the
+// end-to-end benchmark's policy_large policy.
 func BenchmarkM10_PolicyEval(b *testing.B) {
 	for _, size := range []struct {
 		name  string
@@ -701,6 +702,88 @@ func BenchmarkM10_PolicyEval(b *testing.B) {
 			}
 		})
 	}
+	benchmarkM10Fence(b)
+}
+
+// m10FenceSource is the end-to-end benchmark's policy_large policy
+// (bench/identxx-e2e, largePolicy) at n rules: every rule but the last
+// fences off one (source host, destination port) pair no benchmark flow
+// carries, and the last is the only one the flows match — so a decision
+// that scans the ruleset pays for all of it.
+func m10FenceSource(n int) string {
+	sb := []byte("table <lan> { 10.0.0.0/16 }\nblock all\n")
+	for i := 0; i < n-2; i++ {
+		sb = append(sb, ("block from 172.16." + itoa(i/250) + "." + itoa(i%250+1) + " to any port " + itoa(20000+i) + "\n")...)
+	}
+	sb = append(sb, "pass from <lan> to <lan> port 5060-5063 keep state\n"...)
+	return string(sb)
+}
+
+// m10FenceRules is policy_large's size.
+const m10FenceRules = 2000
+
+// BenchmarkM10_PolicyEval/…/fence/2000 is the shape the end-to-end run's
+// policy_large workload decides on, priced alone: the header-only
+// pre-pass the controller actually runs, a full compiled evaluation, and
+// the interpreter's scan of the same rules for scale. The compiled cases
+// sit under the same ≤ 2 allocs/op gate as the other sizes.
+func benchmarkM10Fence(b *testing.B) {
+	p := pf.MustCompile("m10-fence", m10FenceSource(m10FenceRules))
+	prog := p.Program()
+	f := flow.Five{
+		SrcIP: netaddr.MustParseIP("10.0.1.1"), DstIP: netaddr.MustParseIP("10.0.1.2"),
+		Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: 5060,
+	}
+	in := pf.Input{Flow: f}
+	size := "fence/" + itoa(m10FenceRules)
+	b.Run("compiled/"+size+"/prepass", func(b *testing.B) {
+		srcKeys := make([]string, 0, 16)
+		dstKeys := make([]string, 0, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d, ok, s2, d2 := prog.Prepass(f, srcKeys[:0], dstKeys[:0])
+			if !ok || d.Action != pf.Pass {
+				b.Fatal("flow should be header-only decidable")
+			}
+			srcKeys, dstKeys = s2, d2
+		}
+	})
+	b.Run("compiled/"+size+"/eval", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d := p.EvaluateCompiled(in); d.Action != pf.Pass {
+				b.Fatal("wrong decision")
+			}
+		}
+	})
+	b.Run("interpreted/"+size+"/eval", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d := p.EvaluateInterpreted(in); d.Action != pf.Pass {
+				b.Fatal("wrong decision")
+			}
+		}
+	})
+}
+
+// BenchmarkM10_Compile prices a policy load at policy_large's size: parse,
+// resolve, lower and build the dispatch index — what the end-to-end run
+// reports as pf.compile_ms and what every SetPolicy pays once.
+func BenchmarkM10_Compile(b *testing.B) {
+	src := m10FenceSource(m10FenceRules)
+	b.Run(itoa(m10FenceRules), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			file, err := pf.Parse("m10-fence", src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pf.Compile(file); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkM11_Revocation measures the revocation plane (PR 5):

@@ -11,8 +11,11 @@
 //
 // -explain dumps the compiled decision program: every rule with its
 // static key-requirement set (which @src/@dst keys it can read, the
-// basis of the controller's per-flow query hints) and whether the
-// header-only pre-pass can ever decide a flow under this policy.
+// basis of the controller's per-flow query hints), whether the
+// header-only pre-pass can ever decide a flow under this policy, and what
+// the dispatch index made of the header guards: the field it dispatches
+// on, distinct values, residual size and worst-case candidates a decision
+// scans.
 package main
 
 import (

@@ -533,6 +533,15 @@ func (c *Controller) PolicyRuleCacheStats() (entries, evictions int64) {
 	return c.state.Load().policy.RuleCacheStats()
 }
 
+// PolicyScanStats reports the compiled policy's size and the most rules
+// one decision's scan can have to look at under its dispatch index
+// (pf.Program.ScanWorstCase), from the snapshot the fast path reads — so
+// the figures follow every SetPolicy.
+func (c *Controller) PolicyScanStats() (rules, worstCase int) {
+	prog := c.state.Load().prog
+	return prog.NumRules(), prog.ScanWorstCase()
+}
+
 // HostDependencies snapshots the revocation index's per-host view (flows
 // and megaflow classes depending on each host's facts, push-capability) —
 // the per-host drill-down. Nil when revocation is disabled.

@@ -41,17 +41,19 @@ type lowerCtx struct {
 func lowerPolicy(p *Policy) *Program {
 	pr := &Program{policy: p}
 	lc := lowerCtx{p: p}
-	pr.rules = lc.lowerRules(p.Rules, 0)
+	rules := lc.lowerRules(p.Rules, 0)
+	pr.rules = rules
+	pr.index = buildDispatch(rules)
 
 	var srcSets, dstSets [][]string
-	for i := range pr.rules {
-		srcSets = append(srcSets, pr.rules[i].srcKeys)
-		dstSets = append(dstSets, pr.rules[i].dstKeys)
+	for i := range rules {
+		srcSets = append(srcSets, rules[i].srcKeys)
+		dstSets = append(dstSets, rules[i].dstKeys)
 	}
 	pr.srcKeysAll = sortedKeyUnion(srcSets...)
 	pr.dstKeysAll = sortedKeyUnion(dstSets...)
 	pr.refKeys = sortedKeyUnion(pr.srcKeysAll, pr.dstKeysAll)
-	pr.maybeHeaderOnly = computeMaybeHeaderOnly(pr.rules)
+	pr.maybeHeaderOnly = computeMaybeHeaderOnly(rules)
 	return pr
 }
 

@@ -351,7 +351,7 @@ func (p *Policy) EvaluateCompiled(in Input) Decision {
 	prog := p.Program()
 	c := acquireEvalCtx(p, in, 0)
 	c.compiled = true
-	d := c.runProgram(prog.rules, Decision{Action: p.Default})
+	d := c.runProgram(prog.rules, prog.candidates(c, in.Flow), Decision{Action: p.Default})
 	d.Diags = c.diags
 	releaseEvalCtx(c)
 	return d
@@ -370,7 +370,7 @@ func (p *Policy) EvaluateTraced(in Input) (Decision, Trace) {
 	c := acquireEvalCtx(p, in, 0)
 	c.compiled = true
 	c.tracing = true
-	d := c.runProgram(prog.rules, Decision{Action: p.Default})
+	d := c.runProgram(prog.rules, prog.candidates(c, in.Flow), Decision{Action: p.Default})
 	d.Diags = c.diags
 	tr := Trace{Fields: c.traceFields, SrcRead: c.traceSrcRead, DstRead: c.traceDstRead}
 	releaseEvalCtx(c)
@@ -656,7 +656,7 @@ func (x *Ctx) EvalEmbedded(origin, src string) (Decision, error) {
 	// Embedded rule sets are default-deny.
 	var d Decision
 	if sub.compiled {
-		d = sub.runProgram(entry.prog, Decision{Action: Block})
+		d = sub.runProgram(entry.prog, denseIter(len(entry.prog)), Decision{Action: Block})
 	} else {
 		d = sub.run(entry.rules, Decision{Action: Block})
 	}

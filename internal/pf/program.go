@@ -14,9 +14,12 @@ import (
 // decision program the VM (vm.go) executes instead of walking the parsed
 // AST per decision. Compile lowers the ordered rule list once per
 // SetPolicy — the way real packet filters (BPF, pf, iptables) compile
-// their rulesets — so the per-decision cost is a linear scan over
-// pre-resolved matchers:
+// their rulesets — so a decision runs pre-resolved matchers over the few
+// rules its header can reach:
 //
+//   - a dispatch index over one header field (dispatch.go) hands each
+//     decision its candidates — the rules filed under the flow's value
+//     plus the rules that field cannot discriminate — not the ruleset,
 //   - table references are resolved to *netaddr.IPSet pointers,
 //   - address lists are flattened (nested non-negated lists collapse),
 //   - CIDR prefixes and port ranges are the parsed value types,
@@ -41,6 +44,9 @@ import (
 type Program struct {
 	policy *Policy
 	rules  []progRule
+	// index orders every scan of rules: Prepass, Hints and evaluation all
+	// draw their candidates from it (dispatch.go).
+	index dispatchIndex
 
 	// srcKeysAll/dstKeysAll are the sorted unions of every rule's static
 	// key set for that end; the hint fallback when a rule's requirements
@@ -177,6 +183,12 @@ func (pr *Program) MaybeHeaderOnly() bool { return pr.maybeHeaderOnly }
 // NumRules returns the number of compiled rules.
 func (pr *Program) NumRules() int { return len(pr.rules) }
 
+// ScanWorstCase returns the most rules any one decision can have to look
+// at: NumRules when no header field discriminates the ruleset, else the
+// dispatch field's residual plus its largest bucket. A reload that moves
+// this toward NumRules has de-optimised every decision's scan.
+func (pr *Program) ScanWorstCase() int { return pr.index.worst }
+
 // ReferencedKeys returns the sorted set of @src/@dst keys the program's
 // rules can read, including keys inside statically-known embedded
 // `allowed` rules. This is the one source of truth behind
@@ -273,7 +285,7 @@ func (pr *Program) collectHints(r *progRule, srcHints, dstHints []string) ([]str
 }
 
 // Prepass is the header-only pre-pass over the program for one flow. It
-// scans the rules applying only the header guards:
+// scans the flow's candidates applying only the header guards:
 //
 //   - A rule that cannot match the header is skipped.
 //   - A header-matching rule that requires endpoint keys makes the flow
@@ -298,7 +310,8 @@ func (pr *Program) Prepass(f flow.Five, srcHints, dstHints []string) (d Decision
 	c.compiled = true
 	decidable := true
 	d = Decision{Action: pr.policy.Default}
-	for i := range pr.rules {
+	it := pr.candidates(c, f)
+	for i := it.pop(); i >= 0; i = it.pop() {
 		r := &pr.rules[i]
 		if !r.headerMatches(c, f) {
 			continue
@@ -337,7 +350,8 @@ func (pr *Program) Prepass(f flow.Five, srcHints, dstHints []string) (d Decision
 // can never decide, but a cache-missing flow still wants its per-flow
 // key hints). Returns the appended-to slices.
 func (pr *Program) Hints(f flow.Five, srcHints, dstHints []string) (src, dst []string) {
-	for i := range pr.rules {
+	it := pr.candidates(nil, f)
+	for i := it.pop(); i >= 0; i = it.pop() {
 		r := &pr.rules[i]
 		if !r.headerMatches(nil, f) {
 			continue
@@ -357,18 +371,30 @@ func (pr *Program) Hints(f flow.Five, srcHints, dstHints []string) (src, dst []s
 
 // Explain writes a human-readable dump of the compiled program: each
 // rule with its static key requirements and header-only classification,
-// plus the program-level summary pfcheck -explain prints for operators.
+// plus the program-level summary pfcheck -explain prints for operators,
+// the dispatch index's shape included.
 func (pr *Program) Explain(w io.Writer) {
 	fmt.Fprintf(w, "program: %d rules, default %s, header-only pre-pass %s\n",
 		len(pr.rules), pr.policy.Default, map[bool]string{true: "possible", false: "never applies"}[pr.maybeHeaderOnly])
 	if len(pr.refKeys) > 0 {
 		fmt.Fprintf(w, "referenced keys: %s\n", strings.Join(pr.refKeys, ", "))
 	}
-	for i := range pr.rules {
-		r := &pr.rules[i]
+	if ix := &pr.index; ix.field == 0 {
+		fmt.Fprintf(w, "dispatch: none (no header field narrows the scan), worst case %d candidates per decision\n", ix.worst)
+	} else {
+		fmt.Fprintf(w, "dispatch: on %s, %d distinct values, residual %d rules, worst case %d candidates per decision\n",
+			fieldNames[ix.field], len(ix.keys), len(ix.residual()), ix.worst)
+	}
+	for i, r := range pr.rules {
 		fmt.Fprintf(w, "  %3d  %s\n", i, r.src)
 		fmt.Fprintf(w, "       keys: %s\n", r.keyRequirements())
 	}
+}
+
+// fieldNames names the header fields by their Trace* bit.
+var fieldNames = map[uint8]string{
+	TraceSrcIP: "source address", TraceSrcPort: "source port",
+	TraceDstIP: "destination address", TraceDstPort: "destination port",
 }
 
 // keyRequirements renders one rule's static key analysis.

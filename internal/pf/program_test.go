@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -304,6 +305,10 @@ pass from any to any port 80 with eq(@src[name], web)
 pass from any to any port 22 with eq(@dst[userID], root)
 `)
 	prog := p.Program()
+	if prog.index.field != TraceDstPort {
+		t.Fatalf("dispatch on %q, want the destination port", fieldNames[prog.index.field])
+	}
+	lin := withoutIndex(prog)
 	for _, f := range []flow.Five{
 		tcp("1.1.1.1", 1, "2.2.2.2", 80),
 		tcp("1.1.1.1", 1, "2.2.2.2", 22),
@@ -314,7 +319,33 @@ pass from any to any port 22 with eq(@dst[userID], root)
 		if !reflect.DeepEqual(psrc, hsrc) || !reflect.DeepEqual(pdst, hdst) {
 			t.Errorf("flow %s: Prepass hints (%v,%v) != Hints (%v,%v)", f, psrc, pdst, hsrc, hdst)
 		}
+		lsrc, ldst := lin.Hints(f, nil, nil)
+		if !reflect.DeepEqual(hsrc, lsrc) || !reflect.DeepEqual(hdst, ldst) {
+			t.Errorf("flow %s: Hints (%v,%v) != linear scan's (%v,%v)", f, hsrc, hdst, lsrc, ldst)
+		}
 	}
+
+	// On a generated ruleset the two walks may part ways — Prepass stops at
+	// a quick rule whose constant predicates hold, Hints does not evaluate
+	// predicates and walks on — but only that way round: what Prepass
+	// collected, Hints collected first.
+	pick := seeded(11)
+	p = MustCompile("gen", genRuleset(pick, 300, genProfile{[4]int{10, 5, 10, 90}, 60}))
+	prog = p.Program()
+	if prog.index.field == 0 {
+		t.Fatal("generated ruleset built no index")
+	}
+	isPrefix := func(pre, all []string) bool {
+		return len(pre) <= len(all) && slices.Equal(pre, all[:len(pre)])
+	}
+	for _, f := range genFlows(pick, 2000) {
+		_, _, psrc, pdst := prog.Prepass(f, nil, nil)
+		hsrc, hdst := prog.Hints(f, nil, nil)
+		if !isPrefix(psrc, hsrc) || !isPrefix(pdst, hdst) {
+			t.Fatalf("flow %s: Prepass hints (%v,%v) are not a prefix of Hints (%v,%v)", f, psrc, pdst, hsrc, hdst)
+		}
+	}
+	checkDispatch(t, p, genFlows(pick, 500))
 }
 
 func TestRuleCacheBounded(t *testing.T) {
@@ -345,17 +376,31 @@ pass from any to any with allowed(@src[requirements])
 }
 
 func TestProgramExplain(t *testing.T) {
-	p := MustCompile("t", `
+	explain := func(src string) string {
+		var b strings.Builder
+		MustCompile("t", src).Program().Explain(&b)
+		return b.String()
+	}
+	out := explain(`
 block all
 pass from 10.0.0.0/8 to any port 80 with eq(@src[name], web)
 `)
-	var b strings.Builder
-	p.Program().Explain(&b)
-	out := b.String()
-	for _, want := range []string{"program: 2 rules", "src[name]", "header-only"} {
+	for _, want := range []string{"program: 2 rules", "src[name]", "header-only",
+		"dispatch: none", "worst case 2 candidates per decision"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)
 		}
+	}
+	out = explain(`
+block all
+pass from any to any port { 80, 443 }
+pass from any to any port 443 with eq(@src[name], web)
+pass from any to any port 22
+block from any to any port 1-1023 with eq(@src[name], nc)
+`)
+	want := "dispatch: on destination port, 3 distinct values, residual 2 rules, worst case 4 candidates per decision"
+	if !strings.Contains(out, want) {
+		t.Errorf("Explain output missing %q:\n%s", want, out)
 	}
 }
 

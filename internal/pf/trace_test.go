@@ -1,16 +1,14 @@
 package pf
 
-import (
-	"testing"
-
-	"identxx/internal/netaddr"
-)
+import "testing"
 
 // These tests pin the field-use trace EvaluateTraced reports — the mask
 // the controller's megaflow layer widens verdicts by. A trace that
 // over-approximates costs cache efficiency; one that under-approximates
 // applies a verdict to flows the policy would have decided differently,
-// so every case here is a soundness fence.
+// so every case here is a soundness fence. The property itself — flows
+// agreeing on the traced fields get the same verdict — is checked over
+// generated rulesets in dispatch_test.go (TestTraceWideningSoundness).
 
 func TestTraceMaskDerivation(t *testing.T) {
 	cases := []struct {
@@ -115,36 +113,5 @@ func TestTraceMaskZeroesUntracedFields(t *testing.T) {
 	}
 	if all := (Trace{Fields: TraceAllFields}).Mask(f); all != f {
 		t.Errorf("full mask should be identity: %+v", all)
-	}
-}
-
-// TestTraceWideningSoundness is the property the megaflow cache rests on:
-// two flows agreeing on the traced fields get identical verdicts.
-func TestTraceWideningSoundness(t *testing.T) {
-	p := MustCompile("t", "block all\npass from any to any port 5060 with eq(@dst[name], skype)")
-	founder := tcp("10.1.2.3", 40000, "192.168.0.9", 5060)
-	d, tr := p.EvaluateTraced(Input{Flow: founder, Dst: resp(founder, "name", "skype")})
-	if d.Action != Pass {
-		t.Fatalf("founder = %v, want pass", d.Action)
-	}
-	if tr.CoversAllFields() {
-		t.Fatal("founder trace covers all fields; nothing to widen")
-	}
-	for _, member := range []struct {
-		src string
-		sp  netaddr.Port
-	}{
-		{"10.1.2.3", 40001},
-		{"172.16.0.1", 1},
-		{"10.99.99.99", 65535},
-	} {
-		f2 := tcp(member.src, member.sp, "192.168.0.9", 5060)
-		if tr.Mask(f2) != tr.Mask(founder) {
-			t.Fatalf("member %s:%d not in founder's class", member.src, member.sp)
-		}
-		d2 := p.Evaluate(Input{Flow: f2, Dst: resp(f2, "name", "skype")})
-		if d2.Action != d.Action || d2.Matched != d.Matched {
-			t.Errorf("member %s:%d verdict %v != founder %v", member.src, member.sp, d2.Action, d.Action)
-		}
 	}
 }

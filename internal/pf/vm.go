@@ -7,17 +7,18 @@ import (
 )
 
 // The VM: a non-recursive executor for the compiled program (program.go).
-// One flat loop applies PF's last-match-wins scan over the lowered rules;
-// matchers and arguments were pre-resolved at lower time, so the per-rule
-// work is pointer-chasing-free header checks plus direct predicate calls.
+// One flat loop applies PF's last-match-wins scan to the candidates the
+// dispatch index (dispatch.go) yields, in rule order; matchers and
+// arguments were pre-resolved at lower time, so the per-candidate work is
+// pointer-chasing-free header checks plus direct predicate calls.
 // The VM shares the pooled evalCtx (and its inline argument scratch) with
 // the interpreter, so steady-state execution allocates nothing.
 
-// runProgram applies the last-match-wins scan to compiled rules, starting
-// from the given default decision. The compiled counterpart of
-// evalCtx.run.
-func (c *evalCtx) runProgram(rules []progRule, d Decision) Decision {
-	for i := range rules {
+// runProgram applies the last-match-wins scan to the compiled rules it
+// yields, starting from the given default decision. The compiled
+// counterpart of evalCtx.run.
+func (c *evalCtx) runProgram(rules []progRule, it candIter, d Decision) Decision {
+	for i := it.pop(); i >= 0; i = it.pop() {
 		r := &rules[i]
 		if !c.progRuleMatches(r) {
 			continue

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -334,6 +335,44 @@ func TestControllerParseBack(t *testing.T) {
 	// Nothing the controller actually incremented may be undocumented.
 	if strings.Contains(b.String(), "UNDOCUMENTED") {
 		t.Errorf("scrape contains undocumented counters:\n%s", b.String())
+	}
+}
+
+// TestPolicyScanGaugesFollowSetPolicy: the two policy gauges are read from
+// the live snapshot, so a reload that de-optimises the scan — range rules
+// no header field can file under a value — shows up on the next scrape.
+func TestPolicyScanGaugesFollowSetPolicy(t *testing.T) {
+	ctl := newTestController(t)
+	r := NewRegistry()
+	RegisterController(r, ctl)
+	scrape := func() (rules, worst float64) {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		values, _ := parseExposition(t, b.String())
+		return values["identxx_policy_rules"], values["identxx_policy_scan_worst_case"]
+	}
+	if rules, worst := scrape(); rules != 2 || worst != 2 {
+		t.Errorf("two-rule policy: rules=%v worst=%v, want 2 and 2", rules, worst)
+	}
+
+	var indexed strings.Builder
+	indexed.WriteString("block all\n")
+	for port := 8000; port < 8100; port++ {
+		fmt.Fprintf(&indexed, "pass from any to any port %d\n", port)
+	}
+	ctl.SetPolicy(pf.MustCompile("p", indexed.String()))
+	if rules, worst := scrape(); rules != 101 || worst != 2 {
+		t.Errorf("a port per rule: rules=%v worst=%v, want 101 and 2", rules, worst)
+	}
+
+	for lo := 1000; lo < 1050; lo++ {
+		fmt.Fprintf(&indexed, "block from any to any port %d-%d\n", lo, lo+10)
+	}
+	ctl.SetPolicy(pf.MustCompile("p", indexed.String()))
+	if rules, worst := scrape(); rules != 151 || worst != 52 {
+		t.Errorf("fifty range rules appended: rules=%v worst=%v, want 151 and 52", rules, worst)
 	}
 }
 

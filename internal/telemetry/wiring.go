@@ -141,6 +141,10 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 
 	r.RegisterGaugeFunc("policy_epoch", "Current policy epoch (bumped by every SetPolicy snapshot swap).",
 		func() int64 { return int64(ctl.Epoch()) }, labels...)
+	r.RegisterGaugeFunc("policy_rules", "Rules in the compiled policy of the current snapshot.",
+		func() int64 { rules, _ := ctl.PolicyScanStats(); return int64(rules) }, labels...)
+	r.RegisterGaugeFunc("policy_scan_worst_case", "Most rules one decision's scan can consult under the policy's dispatch index (equals policy_rules when no header field narrows the scan).",
+		func() int64 { _, worst := ctl.PolicyScanStats(); return int64(worst) }, labels...)
 	r.RegisterGaugeFunc("datapaths", "Switches registered in the current snapshot.",
 		func() int64 { return int64(ctl.DatapathCount()) }, labels...)
 	r.RegisterGaugeFunc("flow_shards", "Flow-state shard count (fixed at construction).",
