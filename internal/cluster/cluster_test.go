@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"identxx/internal/core"
 	"identxx/internal/flow"
+	"identxx/internal/link"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
 	"identxx/internal/pf"
@@ -326,11 +329,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 // ErrStaleEpoch, and transparent redial after the connection dies.
 func TestTCPLinkForwardSnapshotReconnect(t *testing.T) {
 	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
+	ln := listenKillable(t)
 	go rb.Serve(ln)
 
 	l := DialTCP(ln.Addr().String())
@@ -354,16 +353,50 @@ func TestTCPLinkForwardSnapshotReconnect(t *testing.T) {
 
 	// Kill the connection out from under the link; the next forward must
 	// heal by redialing (immediately — working connections don't back off).
-	l.sendMu.Lock()
-	conn := l.conn
-	l.sendMu.Unlock()
-	conn.Close()
+	ln.killConns()
 	waitUntil(t, "link recovery", func() bool {
 		return l.ForwardEvent(testPacketIn(testFive(31001))) == nil
 	})
 	waitUntil(t, "event after recovery", func() bool {
 		return rb.Counters.Get("cluster_events_received") >= 2
 	})
+}
+
+// killableListener lets a test kill the connections a link has established,
+// from the peer's end, as a crashed or restarted replica would.
+type killableListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func listenKillable(t *testing.T) *killableListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return &killableListener{Listener: ln}
+}
+
+func (l *killableListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, conn)
+		l.mu.Unlock()
+	}
+	return conn, err
+}
+
+func (l *killableListener) killConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
 }
 
 // TestTCPLinkTracedFallbackToLegacy: a peer built before FrameEventTraced
@@ -414,6 +447,122 @@ func TestTCPLinkTracedFallbackToLegacy(t *testing.T) {
 	}
 	if got := legacyEvents.Load(); got != 1 {
 		t.Errorf("legacy events received = %d, want 1 (forward must degrade to 'E')", got)
+	}
+
+	// A peer that takes the traced frame and never acks is not an old peer:
+	// the forward fails at its one deadline, with no second attempt as 'E'
+	// to wait out a second one before the Router can decide locally.
+	var frames atomic.Int64
+	wedged := listenKillable(t)
+	go func() {
+		for {
+			conn, err := wedged.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				br := bufio.NewReader(conn)
+				for {
+					if _, err := wire.ReadFrame(br); err != nil {
+						return
+					}
+					frames.Add(1)
+				}
+			}()
+		}
+	}()
+	const timeout = 100 * time.Millisecond
+	lw := dialTCP(wedged.Addr().String(), timeout)
+	t.Cleanup(func() { lw.Close() })
+	start := time.Now()
+	if err := lw.ForwardEvent(ev); !errors.Is(err, link.ErrDeadline) {
+		t.Fatalf("traced forward to a wedged peer: %v, want the ack deadline", err)
+	}
+	if d := time.Since(start); d >= 2*timeout {
+		t.Errorf("traced forward to a wedged peer took %v: two deadlines, not one", d)
+	}
+	if got := frames.Load(); got != 1 {
+		t.Errorf("wedged peer received %d frames, want 1 (no legacy retry)", got)
+	}
+}
+
+// TestTCPLinkLateAckFailsOneForward: an ack later than its deadline fails
+// that forward only. The connection lives, the forward behind it succeeds
+// with no redial, and the late ack is not taken for the second forward's.
+func TestTCPLinkLateAckFailsOneForward(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	var conns, events atomic.Int64
+	ln := listenKillable(t)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				br := bufio.NewReader(conn)
+				for {
+					if _, err := wire.ReadFrame(br); err != nil {
+						return
+					}
+					status := byte(ackOK)
+					if events.Add(1) == 1 {
+						// The first ack is late, and says "rejected": taken
+						// for the second forward's it would fail that one.
+						time.Sleep(2 * timeout)
+						status = ackError
+					}
+					if wire.WriteFrame(conn, wire.Frame{Type: wire.FrameAck, Payload: []byte{status}}) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	l := dialTCP(ln.Addr().String(), 10*timeout)
+	t.Cleanup(func() { l.Close() })
+	l.timeout = timeout
+	if err := l.ForwardEvent(testPacketIn(testFive(34000))); !errors.Is(err, link.ErrDeadline) {
+		t.Fatalf("forward acked late: %v, want the ack deadline", err)
+	}
+	l.timeout = 10 * timeout
+	if err := l.ForwardEvent(testPacketIn(testFive(34001))); err != nil {
+		t.Fatalf("forward behind a late ack: %v", err)
+	}
+	if c, e := conns.Load(), events.Load(); c != 1 || e != 2 {
+		t.Errorf("%d connections, %d events; want 1 and 2 (a late ack must not cost the connection)", c, e)
+	}
+}
+
+// TestTCPLinkClosedStaysClosed: a forward after Close fails at once and
+// dials nothing.
+func TestTCPLinkClosedStaysClosed(t *testing.T) {
+	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
+	ln := listenKillable(t)
+	go rb.Serve(ln)
+
+	l := DialTCP(ln.Addr().String())
+	if err := l.ForwardEvent(testPacketIn(testFive(35000))); err != nil {
+		t.Fatalf("forward: %v", err)
+	}
+	l.Close()
+	for range 2 {
+		if err := l.ForwardEvent(testPacketIn(testFive(35001))); !errors.Is(err, errLinkClosed) {
+			t.Errorf("forward after Close: %v, want %v", err, errLinkClosed)
+		}
+	}
+	if err := l.PushSnapshot(&Snapshot{Epoch: 1, Origin: "A"}); !errors.Is(err, errLinkClosed) {
+		t.Errorf("push after Close: %v, want %v", err, errLinkClosed)
+	}
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if n := len(ln.conns); n != 1 {
+		t.Errorf("%d connections accepted, want 1: a closed link must not redial", n)
+	}
+	if got := rb.Counters.Get("cluster_events_received"); got != 1 {
+		t.Errorf("received = %d, want 1", got)
 	}
 }
 

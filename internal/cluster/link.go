@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"identxx/internal/link"
 	"identxx/internal/openflow"
 	"identxx/internal/wire"
 )
@@ -18,7 +19,7 @@ import (
 // use — the Router calls ForwardEvent from every packet-in goroutine.
 type Link interface {
 	// ForwardEvent hands a non-owned packet-in to the peer and waits for
-	// its ack (the peer acks after its decision completes, so forwarding
+	// its ack (the peer acknowledges after its decision completes, so forwarding
 	// inherits the decision path's backpressure). A non-nil error means
 	// the event may not have been processed; the Router falls back to a
 	// local decision.
@@ -34,9 +35,8 @@ type Link interface {
 // receiver's applied (epoch, origin) already supersedes the snapshot's.
 var ErrStaleEpoch = errors.New("cluster: snapshot epoch not newer than applied")
 
-// errLinkDown is the fast-fail result while a peer link is in dial
-// backoff or its connection has just died.
-var errLinkDown = errors.New("cluster: peer link down")
+// errLinkClosed fails every forward and push on a link after its Close.
+var errLinkClosed = errors.New("cluster: peer link closed")
 
 // Loopback is the in-process Link: forwards become direct calls into the
 // peer Router. It is what in-process replica sets (tests, benchmarks, one
@@ -52,15 +52,10 @@ func (l Loopback) ForwardEvent(ev openflow.PacketIn) error {
 func (l Loopback) PushSnapshot(s *Snapshot) error { return l.Peer.ApplySnapshot(s) }
 func (l Loopback) Close() error                   { return nil }
 
-// Inter-controller link tuning. The link reuses the query plane's shape —
-// one pipelined connection per peer, FIFO correlation, per-request
-// deadlines, immediate redial after a connection death and exponential
-// backoff after dial failures — with the same constants that plane
-// settled on.
+// Inter-controller link tuning: the query plane's pipelined connection
+// (link.Pipe) with the constants that plane settled on.
 const (
-	linkDialTimeout    = 1 * time.Second
 	linkRequestTimeout = 2 * time.Second
-	linkInitialBackoff = 50 * time.Millisecond
 	linkMaxBackoff     = 2 * time.Second
 	// linkMaxInFlight bounds pipelined unacked requests per peer; beyond
 	// it, forwards fail fast (and the Router decides locally) rather than
@@ -68,31 +63,27 @@ const (
 	linkMaxInFlight = 256
 )
 
-// TCPLink is a Link over one pipelined TCP connection. Requests (events,
-// snapshots) are written in FIFO order under sendMu; the peer processes
-// each connection serially and acks in order, so the reader completes
-// waiters front-to-front with no request IDs on the wire. A waiter that
-// hits its deadline abandons its slot (the reader discards the eventual
-// ack into the slot's buffered channel) and the connection is torn down —
-// a peer that stopped acking is indistinguishable from a dead one, and
-// redialing is how the link heals.
+// TCPLink is a Link over one link.Pipe. The peer processes each connection
+// serially and acknowledges in order, so each ack completes the oldest
+// request (event, snapshot) outstanding, with no request IDs on the wire. An
+// ack later than its request's deadline fails that request only; a peer that
+// stops acking altogether is torn down and redialed by the next forward.
 type TCPLink struct {
-	addr string
-
-	sendMu  sync.Mutex
-	conn    net.Conn
-	bw      *bufio.Writer
-	acks    chan chan byte // FIFO of waiter slots for this connection
-	gen     uint64         // bumped by every teardown; guards against double-teardown
-	nextTry time.Time      // dial gate while backing off
-	backoff time.Duration
+	mu      sync.Mutex // the lock pipe runs under; the link keeps no state beside it
+	pipe    *link.Pipe[struct{}, byte]
+	timeout time.Duration // per request, ack included
 }
 
 // DialTCP returns a TCPLink for addr. The connection is established
 // lazily on first use and re-established as needed; construction never
 // blocks.
-func DialTCP(addr string) *TCPLink {
-	return &TCPLink{addr: addr, backoff: linkInitialBackoff}
+func DialTCP(addr string) *TCPLink { return dialTCP(addr, linkRequestTimeout) }
+
+func dialTCP(addr string, timeout time.Duration) *TCPLink {
+	l := &TCPLink{timeout: timeout}
+	l.pipe = link.NewPipe(&l.mu, addr, timeout, linkMaxBackoff, linkMaxInFlight,
+		link.Plane[struct{}, byte]{Frame: ackStatus})
+	return l
 }
 
 func (l *TCPLink) ForwardEvent(ev openflow.PacketIn) error {
@@ -102,15 +93,17 @@ func (l *TCPLink) ForwardEvent(ev openflow.PacketIn) error {
 	// tracing is off never sees the newer kind (see wire.FrameEventTraced).
 	if ev.TraceID != 0 {
 		prefix := binary.BigEndian.AppendUint64(make([]byte, 0, 8+eventHeaderLen+len(ev.Frame)), ev.TraceID)
-		if err := l.forwardEventFrame(wire.FrameEventTraced, prefix, ev); err == nil {
-			return nil
+		err := l.forwardEventFrame(wire.FrameEventTraced, prefix, ev)
+		if !errors.Is(err, link.ErrLost) {
+			return err
 		}
 		// A peer built before FrameEventTraced fails its ReadFrame on the
-		// unknown kind and kills the connection instead of acking, which
-		// surfaces here as a link error. Retry once as the legacy 'E'
-		// frame, dropping the ID: a mixed-version ring degrades to
-		// untraced forwarding, not to a local-decision fallback per
-		// traced event.
+		// unknown kind and kills the connection instead of acking: the
+		// connection is lost with the frame written. Retry once as the
+		// legacy 'E' frame, dropping the ID: a mixed-version ring degrades
+		// to untraced forwarding, not to a local-decision fallback per
+		// traced event. No other failure is retried — a late ack, a failed
+		// dial or a full pipeline would only fail, or wait, a second time.
 	}
 	return l.forwardEventFrame(wire.FrameEvent, nil, ev)
 }
@@ -118,7 +111,7 @@ func (l *TCPLink) ForwardEvent(ev openflow.PacketIn) error {
 // forwardEventFrame round-trips one packet-in as the given frame kind,
 // with an optional payload prefix ahead of the event encoding.
 func (l *TCPLink) forwardEventFrame(typ byte, prefix []byte, ev openflow.PacketIn) error {
-	status, err := l.roundTrip(wire.Frame{
+	status, err := l.request(wire.Frame{
 		Type:    typ,
 		SrcIP:   ev.Tuple.SrcIP,
 		DstIP:   ev.Tuple.DstIP,
@@ -134,7 +127,7 @@ func (l *TCPLink) forwardEventFrame(typ byte, prefix []byte, ev openflow.PacketI
 }
 
 func (l *TCPLink) PushSnapshot(s *Snapshot) error {
-	status, err := l.roundTrip(wire.Frame{Type: wire.FrameSnapshot, Payload: encodeSnapshot(s)})
+	status, err := l.request(wire.Frame{Type: wire.FrameSnapshot, Payload: encodeSnapshot(s)})
 	if err != nil {
 		return err
 	}
@@ -148,149 +141,30 @@ func (l *TCPLink) PushSnapshot(s *Snapshot) error {
 	}
 }
 
-// roundTrip writes one request frame and waits for its FIFO-correlated
-// ack, dialing first when no connection is up.
-func (l *TCPLink) roundTrip(f wire.Frame) (byte, error) {
-	l.sendMu.Lock()
-	if l.conn == nil {
-		if time.Now().Before(l.nextTry) {
-			l.sendMu.Unlock()
-			return 0, errLinkDown
-		}
-		if err := l.dialLocked(); err != nil {
-			// Failed dial: back off exponentially so a dead peer costs a
-			// cheap time check, not a dial timeout, per forward.
-			l.nextTry = time.Now().Add(l.backoff)
-			if l.backoff *= 2; l.backoff > linkMaxBackoff {
-				l.backoff = linkMaxBackoff
-			}
-			l.sendMu.Unlock()
-			return 0, err
-		}
-	}
-	slot := make(chan byte, 1)
-	select {
-	case l.acks <- slot:
-	default:
-		l.sendMu.Unlock()
-		return 0, fmt.Errorf("cluster: peer %s pipeline full (%d in flight)", l.addr, linkMaxInFlight)
-	}
-	gen := l.gen
-	if err := wire.WriteFrame(l.bw, f); err == nil {
-		err = l.bw.Flush()
-		if err != nil {
-			l.sendMu.Unlock()
-			l.teardown(gen)
-			return 0, err
-		}
-	} else {
-		l.sendMu.Unlock()
-		l.teardown(gen)
-		return 0, err
-	}
-	l.sendMu.Unlock()
-
-	t := time.NewTimer(linkRequestTimeout)
-	defer t.Stop()
-	select {
-	case status, ok := <-slot:
-		if !ok {
-			return 0, errLinkDown
-		}
-		return status, nil
-	case <-t.C:
-		// The peer stopped acking within the deadline: kill the
-		// connection (failing the requests pipelined behind this one —
-		// they were about to time out against the same wedged peer) and
-		// let the next forward redial.
-		l.teardown(gen)
-		return 0, fmt.Errorf("cluster: peer %s ack deadline exceeded", l.addr)
-	}
+// request sends one frame and waits for the status byte of its ack.
+func (l *TCPLink) request(f wire.Frame) (byte, error) {
+	return l.pipe.Call(struct{}{}, time.Now().Add(l.timeout), func(b []byte) ([]byte, error) {
+		return wire.AppendFrame(b, f)
+	})
 }
 
-func (l *TCPLink) dialLocked() error {
-	conn, err := net.DialTimeout("tcp", l.addr, linkDialTimeout)
-	if err != nil {
-		return err
+// ackStatus is the pipe's view of one frame from the peer: an ack, or a
+// protocol violation that kills the connection.
+func ackStatus(f wire.Frame) (struct{}, byte, link.Verdict, error) {
+	if f.Type != wire.FrameAck || len(f.Payload) < 1 {
+		return struct{}{}, 0, link.Fatal, fmt.Errorf("cluster: unexpected frame %#02x", f.Type)
 	}
-	l.conn = conn
-	l.bw = bufio.NewWriter(conn)
-	l.acks = make(chan chan byte, linkMaxInFlight)
-	l.backoff = linkInitialBackoff
-	l.nextTry = time.Time{}
-	gen := l.gen
-	go l.readAcks(conn, l.acks, gen)
-	return nil
-}
-
-// readAcks is the connection's reader: it completes waiter slots in FIFO
-// order until the connection dies, then fails every waiter still queued.
-func (l *TCPLink) readAcks(conn net.Conn, acks chan chan byte, gen uint64) {
-	br := bufio.NewReader(conn)
-read:
-	for {
-		f, err := wire.ReadFrame(br)
-		if err != nil {
-			break
-		}
-		if f.Type != wire.FrameAck || len(f.Payload) < 1 {
-			break
-		}
-		select {
-		case slot := <-acks:
-			slot <- f.Payload[0]
-		default:
-			// An ack nothing asked for: protocol violation; kill the
-			// connection rather than guess at correlation.
-			break read
-		}
-	}
-	l.teardown(gen)
-	for {
-		select {
-		case slot := <-acks:
-			close(slot)
-		default:
-			return
-		}
-	}
-}
-
-// teardown closes the current connection and starts the fail-fast dial
-// window, exactly once per generation: the reader, a writer hitting an
-// error, and a waiter hitting its deadline can all observe the same death.
-func (l *TCPLink) teardown(gen uint64) {
-	l.sendMu.Lock()
-	defer l.sendMu.Unlock()
-	if l.gen != gen || l.conn == nil {
-		return
-	}
-	l.conn.Close()
-	l.conn, l.bw = nil, nil
-	l.gen++
-	// A connection that died after working gets an immediate redial on
-	// the next forward (nextTry zero): transient resets should not
-	// penalize the next flow. Only failed dials accumulate backoff.
-	l.nextTry = time.Time{}
-	l.backoff = linkInitialBackoff
+	return struct{}{}, f.Payload[0], link.Reply, nil
 }
 
 func (l *TCPLink) Close() error {
-	l.sendMu.Lock()
-	defer l.sendMu.Unlock()
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn, l.bw = nil, nil
-		l.gen++
-	}
-	// Gate redials far enough out that a closed link stays down.
-	l.nextTry = time.Now().Add(24 * time.Hour)
+	l.pipe.Close(errLinkClosed)
 	return nil
 }
 
 // Serve accepts inter-controller connections on ln and dispatches their
 // frames into the Router until ln is closed. Each connection is processed
-// serially — that is what makes FIFO acks correct — and independent
+// serially — that is what makes FIFO acknowledgement correct — and independent
 // connections in parallel.
 func (r *Router) Serve(ln net.Listener) error {
 	for {
@@ -353,7 +227,7 @@ func (r *Router) serveConn(conn net.Conn) {
 			return
 		}
 		// Flush only when the read side has drained: pipelined bursts get
-		// their acks batched into one segment.
+		// their replies batched into one segment.
 		if br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
 				return

@@ -200,11 +200,7 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 	})
 	ctl.AddDatapath(&sinkDatapath{id: 1})
 	rb := NewRouter(ctl, Member{ID: "B"}, Options{Trace: rec})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
+	ln := listenKillable(t)
 	go rb.Serve(ln)
 
 	l := DialTCP(ln.Addr().String())
@@ -218,14 +214,17 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 
 	// Kill the connection out from under the link; the next forward heals
 	// by redialing.
-	l.sendMu.Lock()
-	conn := l.conn
-	l.sendMu.Unlock()
-	conn.Close()
+	ln.killConns()
+	// An untraced forward finds the dead connection and redials: a traced
+	// one that found it would be taken for the old-peer signature and be
+	// retried, delivered, without its ID.
+	waitUntil(t, "link recovery", func() bool { return l.ForwardEvent(testPacketIn(testFive(33003))) == nil })
 
 	ev2 := testPacketIn(testFive(33002))
 	ev2.TraceID = 0x2222000022220002
-	waitUntil(t, "link recovery", func() bool { return l.ForwardEvent(ev2) == nil })
+	if err := l.ForwardEvent(ev2); err != nil {
+		t.Fatalf("forward after redial: %v", err)
+	}
 
 	waitUntil(t, "both traces retained", func() bool {
 		return len(rec.Find(ev1.TraceID)) == 1 && len(rec.Find(ev2.TraceID)) == 1

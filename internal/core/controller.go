@@ -166,18 +166,9 @@ type Config struct {
 	Topology  Topology
 	Latency   LatencyModel
 
-	// QueryKeys overrides the key hints sent in queries. When nil (the
-	// default) the controller derives hints per flow from the compiled
-	// policy's per-rule key analysis: each end is asked only for the keys
-	// some still-matching rule could read for that flow (§3.2's "list of
-	// keys that the controller is interested in", sharpened per flow).
-	// The override applies until the next SetPolicy.
-	QueryKeys []string
-
-	// IdleTimeout/HardTimeout are applied to installed entries. Defaults:
-	// 60s idle, no hard timeout (Ethane-style).
+	// IdleTimeout is applied to installed entries (default 60s); they get
+	// no hard timeout (Ethane-style).
 	IdleTimeout time.Duration
-	HardTimeout time.Duration
 
 	// InstallEntries caches verdicts in switch flow tables. Disabling it is
 	// the M5 ablation: every packet of every flow punts to the controller.
@@ -235,9 +226,6 @@ type Config struct {
 	// of two. Zero picks a hardware-sized default (≥ GOMAXPROCS).
 	Shards int
 
-	// AuditCap bounds the audit ring buffer (default 4096).
-	AuditCap int
-
 	// Clock for cache expiry; defaults to time.Now.
 	Clock func() time.Time
 
@@ -260,11 +248,7 @@ type ctlState struct {
 	// prog is the policy's compiled decision program, captured in the
 	// snapshot so the fast path reaches the header-only pre-pass and the
 	// per-rule key analysis without re-deriving anything per event.
-	prog *pf.Program
-	// queryKeys is the operator's static hint override (Config.QueryKeys).
-	// nil — the default — means hints are derived per flow from the
-	// compiled program's per-rule key sets.
-	queryKeys []string
+	prog      *pf.Program
 	datapaths map[uint64]openflow.Datapath
 	answers   map[netaddr.IP][]wire.KV // answer-on-behalf data (§3.4, §4)
 	augment   func(q wire.Query, resp *wire.Response)
@@ -301,7 +285,6 @@ type Controller struct {
 	topo     Topology
 	latency  LatencyModel
 	idle     time.Duration
-	hard     time.Duration
 	install  bool
 	cacheTTL time.Duration
 	clock    func() time.Time
@@ -402,14 +385,13 @@ func New(cfg Config) *Controller {
 		topo:        cfg.Topology,
 		latency:     cfg.Latency,
 		idle:        idle,
-		hard:        cfg.HardTimeout,
 		install:     cfg.InstallEntries,
 		cacheTTL:    cfg.ResponseCacheTTL,
 		clock:       clock,
 		flows:       newShardTable(shards),
 		Counters:    metrics.NewCounter(),
 		Setup:       metrics.NewSetupRecorder(),
-		Audit:       NewAuditLog(cfg.AuditCap),
+		Audit:       NewAuditLog(0),
 	}
 	c.hot.packetIns = c.Counters.Cell("packet_ins")
 	c.hot.cacheHits = c.Counters.Cell("response_cache_hits")
@@ -446,7 +428,6 @@ func New(cfg Config) *Controller {
 	c.state.Store(&ctlState{
 		policy:    cfg.Policy,
 		prog:      cfg.Policy.Program(),
-		queryKeys: cfg.QueryKeys,
 		datapaths: make(map[uint64]openflow.Datapath),
 		answers:   make(map[netaddr.IP][]wire.KV),
 	})
@@ -599,9 +580,6 @@ func (c *Controller) SetPolicy(p *pf.Policy) {
 		st.epoch++
 		st.policy = p
 		st.prog = p.Program()
-		// Any construction-time hint override belonged to the old policy;
-		// hints for the new one derive from its own key analysis.
-		st.queryKeys = nil
 	})
 
 	c.flows.flushAll()
@@ -814,18 +792,18 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 		hintsDone = true
 	}
 
-	srcHints, dstHints := st.queryKeys, st.queryKeys
-	if st.queryKeys == nil {
-		if !hintsDone {
-			s.srcKeys, s.dstKeys = st.prog.Hints(five, s.srcKeys[:0], s.dstKeys[:0])
-		}
-		srcHints, dstHints = s.srcKeys, s.dstKeys
+	// Each end is asked only for the keys some still-matching rule could
+	// read for this flow (§3.2's "list of keys that the controller is
+	// interested in", sharpened per flow by the compiled program's per-rule
+	// key sets).
+	if !hintsDone {
+		s.srcKeys, s.dstKeys = st.prog.Hints(five, s.srcKeys[:0], s.dstKeys[:0])
 	}
 	// The trace ID rides each endpoint query as a legacy-tolerant wire
 	// line, so the daemon-side view of this exchange attributes to this
 	// decision. ID() is 0 on a nil buffer and EncodeQuery omits it.
-	g.qs = wire.Query{Flow: five, Keys: srcHints, TraceID: s.tb.ID()}
-	g.qd = wire.Query{Flow: five, Keys: dstHints, TraceID: s.tb.ID()}
+	g.qs = wire.Query{Flow: five, Keys: s.srcKeys, TraceID: s.tb.ID()}
+	g.qd = wire.Query{Flow: five, Keys: s.dstKeys, TraceID: s.tb.ID()}
 	if c.asyncTr != nil {
 		// Non-blocking pipeline: hand both endpoint queries to the query
 		// plane and return — no goroutine parks on the round trip. pending
@@ -1261,7 +1239,6 @@ func (c *Controller) pathMods(st *ctlState, hops []Hop, five flow.Five, cookie u
 			Actions:     openflow.Output(h.OutPort),
 			Cookie:      cookie,
 			IdleTimeout: c.idle,
-			HardTimeout: c.hard,
 			BufferID:    openflow.BufferNone,
 		}
 		if hasIngress && h.Datapath == ingress {
@@ -1370,7 +1347,6 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 		Actions:     openflow.Drop,
 		Cookie:      cookie,
 		IdleTimeout: c.idle,
-		HardTimeout: c.hard,
 		BufferID:    openflow.BufferNone,
 	}
 	if err := dp.Apply(mod); err != nil {

@@ -1,8 +1,9 @@
-// Package link holds what the framed streams identctl speaks — the switch
-// channel and the query plane — share below their framing. Today that is the
-// coalescing writer: one Write per burst of messages instead of one (or two)
-// per message. Dial/backoff, FIFO correlation and deadlines still live with
-// their planes (ROADMAP open item 4).
+// Package link holds what the streams identctl speaks share below their
+// messages. Writer is the coalescing writer under all of them — the switch
+// channel, the query plane, the cluster link: one Write per burst of messages
+// instead of one (or two) per message. Pipe is the one pipelined
+// request/reply connection of wire.Frames, under the query plane and the
+// cluster link: dial and backoff, FIFO correlation, deadlines, teardown.
 package link
 
 import (

@@ -325,3 +325,79 @@ func TestPoolDialClassification(t *testing.T) {
 		t.Error("repeated dial failures never hit the backoff fast-fail")
 	}
 }
+
+// TestPoolResponseFlowMismatchKillsConnection: a response about another
+// flow than the query it would be correlated to fails that query and tears
+// the connection down — nothing behind it may be misattributed — and the
+// next query redials.
+func TestPoolResponseFlowMismatchKillsConnection(t *testing.T) {
+	hostIP := netaddr.MustParseIP("10.0.0.7")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for answered := 0; ; answered++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			q, err := wire.ReadQuery(conn)
+			if err == nil {
+				if answered == 0 {
+					q.Flow.SrcPort++ // the first connection answers about another flow
+				}
+				wire.WriteResponse(conn, wire.NewResponse(q.Flow))
+				wire.ReadFrame(conn) // until the pool hangs up
+			}
+			conn.Close()
+		}
+	}()
+
+	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: l.Addr().String()}})
+	defer p.Close()
+	if resp, _, err := p.Query(hostIP, wire.Query{Flow: testFlow(hostIP, 6000)}); err == nil {
+		t.Fatalf("response for flow %v delivered to a query for another", resp.Flow)
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.Conns.Get() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("desynced connection never torn down")
+		}
+	}
+	if _, _, err := p.Query(hostIP, wire.Query{Flow: testFlow(hostIP, 6001)}); err != nil {
+		t.Fatalf("query after the desync: %v", err)
+	}
+	if n := p.Counters.Get("pool_dials"); n != 2 {
+		t.Errorf("pool_dials = %d, want 2", n)
+	}
+}
+
+// TestPoolCloseRacingFirstQueries: Close while first queries are dialing
+// leaves no connection behind, whichever side wins, and nothing dials after.
+func TestPoolCloseRacingFirstQueries(t *testing.T) {
+	host, addr, srv := startDaemon(t, "h1", "10.0.0.8")
+	defer srv.Close()
+	for range 20 {
+		p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}})
+		var wg sync.WaitGroup
+		for i := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := p.Query(host, wire.Query{Flow: testFlow(host, netaddr.Port(7000+i))}); err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("query racing Close: %v", err)
+				}
+			}()
+		}
+		p.Close()
+		wg.Wait()
+		dials := p.Counters.Get("pool_dials")
+		if _, _, err := p.Query(host, wire.Query{Flow: testFlow(host, 7100)}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("query after Close: %v, want ErrClosed", err)
+		}
+		if c, d := p.Conns.Get(), p.Counters.Get("pool_dials"); c != 0 || d != dials {
+			t.Fatalf("after Close: %d connections, %d dials (%d before the late query)", c, d, dials)
+		}
+	}
+}

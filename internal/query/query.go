@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"identxx/internal/link"
 	"identxx/internal/netaddr"
 )
 
@@ -39,14 +40,7 @@ import (
 // was written (or queued) but no response arrived in time. It reports
 // Timeout() true so callers classifying with net.Error-style checks (the
 // controller's query_timeouts accounting) see it as a timeout.
-var ErrDeadline = deadlineError{}
-
-type deadlineError struct{}
-
-func (deadlineError) Error() string { return "query: deadline exceeded" }
-
-// Timeout marks the error as a timeout for net.Error-shaped classifiers.
-func (deadlineError) Timeout() bool { return true }
+var ErrDeadline = link.ErrDeadline
 
 // ErrDial is wrapped into every connection-establishment failure. The
 // engine's negative cache keys off it: a host we cannot even connect to is
