@@ -4,7 +4,7 @@ GO ?= go
 # race detector on purpose: the allocation-budget guards (alloc_test.go)
 # skip themselves under -race, so both flavors are needed.
 .PHONY: ci
-ci: fmt-check vet build test race race-query bench-smoke bench-e2e-smoke check-examples check-docs
+ci: fmt-check vet build test race race-query race-core bench-smoke bench-e2e-smoke check-examples check-docs
 
 .PHONY: fmt-check
 fmt-check:
@@ -48,6 +48,16 @@ race:
 race-query:
 	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/
 	$(GO) test -race -count=2 -run 'TCPLink|TraceLink' ./internal/cluster/
+
+# The verdict cache's safety rests on interleavings one run rarely rolls:
+# an insert racing a fact update (register-before-publish, the publication
+# re-check), a hit racing a teardown (addPaths refused, the hit self-
+# cleans), a ring rebuild's sweep racing live classes. Their tests check
+# conservation laws, so repeat them under the race detector instead of
+# trusting one lucky pass.
+.PHONY: race-core
+race-core:
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep' ./internal/core/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.

@@ -25,8 +25,8 @@ func allocsPerEvent(ctl *core.Controller, ev func()) float64 {
 	return testing.AllocsPerRun(2000, ev)
 }
 
-// TestAllocBudgetCacheHit pins the M7 fast path — warm response cache,
-// PF+=2 evaluation, audit, one-hop install — to the allocation budget.
+// TestAllocBudgetCacheHit pins the M7 fast path — warm verdict cache (an
+// exact entry), audit, one-hop install — to the allocation budget.
 // This is the enforcement half of the budget: BenchmarkM8_AllocProfile
 // reports, this test fails.
 func TestAllocBudgetCacheHit(t *testing.T) {
@@ -54,7 +54,7 @@ func TestAllocBudgetCacheHit(t *testing.T) {
 	if got > allocBudget {
 		t.Fatalf("cache-hit HandleEvent allocates %.1f objects/op, budget is %d", got, allocBudget)
 	}
-	if ctl.Counters.Get("response_cache_hits") == 0 {
+	if ctl.Counters.Get("megaflow_hits") == 0 {
 		t.Fatal("cache-hit path not exercised")
 	}
 }
@@ -62,7 +62,7 @@ func TestAllocBudgetCacheHit(t *testing.T) {
 // TestAllocBudgetMegaflowHit pins the megaflow member-hit path — one
 // class-table probe resolving the verdict, install under the class
 // cookie, path publication to the entry's teardown set — to the same
-// budget as the exact-cache hit. Each measured event is a different
+// budget as the exact hit. Each measured event is a different
 // member tuple (cycling source ports), so the probe, not a per-tuple
 // cache line, is what serves it.
 func TestAllocBudgetMegaflowHit(t *testing.T) {

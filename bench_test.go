@@ -293,10 +293,10 @@ func (d *m7Datapath) ReleaseBuffer(id uint32)             {}
 
 // BenchmarkM7_ShardedHandleEvent measures packet-in throughput on the
 // sharded fast path under b.RunParallel, across shard counts. Every
-// goroutine cycles its own working set of flows with the response cache
-// warm, so an iteration is the full Figure 1 pipeline minus daemon RTTs:
-// snapshot load, shard claim, cache hit, PF+=2 evaluation, audit, and a
-// one-hop install. shards=1 approximates the old single-lock controller;
+// goroutine cycles its own working set of flows with the verdict cache
+// warm, so an iteration is the Figure 1 pipeline minus daemon RTTs and
+// evaluation: snapshot load, shard claim, cache hit, audit, and a one-hop
+// install. shards=1 approximates the old single-lock controller;
 // the spread to shards=16 is what the sharding buys on a multi-core host.
 func BenchmarkM7_ShardedHandleEvent(b *testing.B) {
 	srcIP := netaddr.MustParseIP("10.0.0.1")
@@ -385,7 +385,7 @@ func m8Event(srcIP, dstIP netaddr.IP) openflow.PacketIn {
 // steady-state decision paths the ≤ 2 allocs/op budget covers (see
 // TestAllocBudget and README "Allocation budget"):
 //
-//   - cache-hit: warm response cache, the M7 fast path.
+//   - cache-hit: warm verdict cache (an exact entry), the M7 fast path.
 //   - miss-local-answer: cache disabled, no daemons anywhere, both ends
 //     answered from the controller's answer-on-behalf table — the full
 //     query fan-out and pooled response-view cycle every event.
@@ -417,6 +417,10 @@ func BenchmarkM8_AllocProfile(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctl.HandleEvent(ev)
 		}
+		b.StopTimer()
+		if ctl.Counters.Get("megaflow_hits") < int64(b.N) {
+			b.Fatal("cache-hit path not exercised")
+		}
 	})
 
 	b.Run("miss-local-answer", func(b *testing.B) {
@@ -426,7 +430,7 @@ func BenchmarkM8_AllocProfile(b *testing.B) {
 			Transport:      m8NoDaemonTransport{},
 			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries: true,
-			// No response cache: every event runs the full two-ended query
+			// No verdict cache: every event runs the full two-ended query
 			// fan-out and builds (and releases) both response views.
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -477,7 +481,7 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 // daemon.Server):
 //
 //   - hit: the controller's steady state with the async transport wired in —
-//     warm response cache, so the query plane is never touched. This variant
+//     warm verdict cache, so the query plane is never touched. This variant
 //     carries the same ≤ 2 allocs/op budget as M8 (CI gates it): adopting
 //     the async pipeline must not cost the cache-hit path anything.
 //   - miss: one full wire round trip per op through the pipelined
@@ -500,7 +504,7 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		ctl := core.New(core.Config{
 			Name: "m9",
 			// The rule must read an endpoint key: a header-only policy
-			// would be decided by the pre-pass and never warm the response
+			// would be decided by the pre-pass and never warm the verdict
 			// cache this variant measures.
 			Policy:           pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype)"),
 			Transport:        eng,
@@ -532,7 +536,7 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			ctl.HandleEvent(ev)
 		}
 		b.StopTimer()
-		if ctl.Counters.Get("response_cache_hits") < int64(b.N) {
+		if ctl.Counters.Get("megaflow_hits") < int64(b.N) {
 			b.Fatal("cache-hit path not exercised")
 		}
 	})
@@ -838,7 +842,7 @@ func BenchmarkM11_Revocation(b *testing.B) {
 			ctl.HandleEvent(ev)
 		}
 		b.StopTimer()
-		if ctl.Counters.Get("response_cache_hits") < int64(b.N) {
+		if ctl.Counters.Get("megaflow_hits") < int64(b.N) {
 			b.Fatal("cache-hit path not exercised")
 		}
 	})
@@ -913,11 +917,11 @@ func m12Event(srcIP, dstIP netaddr.IP, sp int) openflow.PacketIn {
 //
 //   - member-hit: steady-state decision cost for flows inside an
 //     already-widened class, cycling 512 distinct source ports — one
-//     class-table probe instead of query+eval, and no exact-cache line
-//     per member. CI enforces ≤ 2 allocs/op on this path.
-//   - exact-baseline: the same 512-tuple workload with the megaflow
-//     layer off — every distinct tuple pays one full decision, then
-//     exact-cache hits; the per-tuple cache footprint this PR removes.
+//     class-table probe instead of query+eval, and no entry per
+//     member. CI enforces ≤ 2 allocs/op on this path.
+//   - exact-baseline: the same 512-tuple workload with Config.Megaflow
+//     off — every distinct tuple pays one full decision, then hits its
+//     own full-mask entry; the per-tuple footprint widening removes.
 //   - widen-install: the founder path — traced evaluation plus class
 //     insert and wide registration — against the plain decision above.
 func BenchmarkM12_Megaflow(b *testing.B) {
@@ -1020,7 +1024,7 @@ func m13Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five, *dae
 //     query.
 //   - steady: the controller's steady state over a fully credentialed
 //     query plane (RequireCredentials, both daemons verified) with a warm
-//     response cache. The credential plane must cost this path nothing:
+//     verdict cache. The credential plane must cost this path nothing:
 //     CI enforces the same ≤ 2 allocs/op budget as the insecure M9 hit
 //     variant, and the subtest asserts no re-verification happened during
 //     the timed loop.
@@ -1104,7 +1108,7 @@ func BenchmarkM13_CredentialedSession(b *testing.B) {
 			ctl.HandleEvent(ev)
 		}
 		b.StopTimer()
-		if ctl.Counters.Get("response_cache_hits") < int64(b.N) {
+		if ctl.Counters.Get("megaflow_hits") < int64(b.N) {
 			b.Fatal("cache-hit path not exercised")
 		}
 		if got := pool.Counters.Get("pool_cred_verified"); got != verifiedBefore {
@@ -1117,7 +1121,7 @@ func BenchmarkM13_CredentialedSession(b *testing.B) {
 }
 
 // m14Replica is one in-process controller replica for the cluster
-// benchmarks: the M8 steady-state configuration (warmable response cache,
+// benchmarks: the M8 steady-state configuration (warmable verdict cache,
 // entries installed at a sink datapath).
 func m14Replica(name string) *core.Controller {
 	srcIP := netaddr.MustParseIP("10.0.0.1")

@@ -19,7 +19,7 @@ package main
 //	stats rulecache          ->  ok entries=<n> evictions=<n>
 //	status                   ->  ok epoch=<n> datapaths=<n> shards=<n> cached=<n> install_busy=<n> install_workers=<n>
 //	counters                 ->  ok <n>  then n lines  <name> <value>
-//	shards                   ->  ok <n>  then n lines  shard=<i> cached=<n> pending=<n> waiters=<n> revseq=<n>
+//	shards                   ->  ok <n>  then n lines  shard=<i> pending=<n> waiters=<n> revseq=<n>
 //	hosts                    ->  ok <n>  then n lines  host=<ip> flows=<n> wide=<n> push=<bool> queries=<n> rtt_mean=<dur> rtt_p99=<dur> fails=<n> breaker=<bool> cred=<state> scope=<keys> exp=<rfc3339> cred_err=<verdict>
 //	rules                    ->  ok <n>  then n lines  rule=<q-string> total=<n> denied=<n> revoked=<n>
 //	creds                    ->  ok <n>  then n lines  host=<ip> present=<bool> verified=<bool> scope=<keys> exp=<rfc3339> err=<verdict>
@@ -124,8 +124,9 @@ func adminCommand(st adminState, line string) string {
 		}
 	case "status":
 		busy, workers := core.InstallBacklog()
+		cached, _, _, _ := ctl.MegaflowStats()
 		return fmt.Sprintf("ok epoch=%d datapaths=%d shards=%d cached=%d install_busy=%d install_workers=%d",
-			ctl.Epoch(), ctl.DatapathCount(), ctl.Shards(), ctl.CachedFlows(), busy, workers)
+			ctl.Epoch(), ctl.DatapathCount(), ctl.Shards(), cached, busy, workers)
 	case "counters":
 		snap := ctl.Counters.Snapshot()
 		names := make([]string, 0, len(snap))
@@ -144,8 +145,8 @@ func adminCommand(st adminState, line string) string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "ok %d", len(stats))
 		for i, s := range stats {
-			fmt.Fprintf(&b, "\nshard=%d cached=%d pending=%d waiters=%d revseq=%d",
-				i, s.Cached, s.Pending, s.Waiters, s.RevSeq)
+			fmt.Fprintf(&b, "\nshard=%d pending=%d waiters=%d revseq=%d",
+				i, s.Pending, s.Waiters, s.RevSeq)
 		}
 		return b.String()
 	case "ring":

@@ -65,8 +65,8 @@ func main() {
 	adminAddr := flag.String("admin", "127.0.0.1:7833", "admin listen address for `identctl revoke` (empty disables)")
 	authorityFile := flag.String("authority-key", "", "delegation-authority public key file; daemon answers require a valid credential (empty = insecure mode)")
 	leaseTTL := flag.Duration("revocation-lease", 5*time.Minute, "fact lease for daemons that do not push updates (0 disables)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "response-cache TTL for repeated flow setups (0 disables caching)")
-	megaflow := flag.Bool("megaflow", false, "widen cached verdicts into wildcard megaflows (requires -cache-ttl)")
+	cacheTTL := flag.Duration("cache-ttl", 0, "verdict-cache TTL: a decided flow's repeats skip the daemon queries and the evaluation for this long (0 disables caching)")
+	megaflow := flag.Bool("megaflow", false, "cache each verdict under the header fields its decision consumed, so it serves the whole traffic class, not only the decided flow (requires -cache-ttl)")
 	telemetryAddr := flag.String("telemetry", "", "HTTP listen address for /metrics, /healthz, /readyz (empty disables)")
 	telemetryPprof := flag.Bool("telemetry-pprof", false, "mount /debug/pprof/ on the telemetry listener (requires -telemetry; see docs/operations.md before enabling in production)")
 	traceSample := flag.Int("trace-sample", 0, "flight recorder: retain roughly 1 in N decision traces (0 disables sampling; 1 traces everything)")

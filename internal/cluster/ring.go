@@ -9,7 +9,7 @@
 //
 // The design lifts the controller's existing per-shard isolation across
 // process boundaries (ROADMAP: "lifting shards across processes is a
-// refactor, not a rewrite"): per-flow state — response-cache entry,
+// refactor, not a rewrite"): per-flow state — cached verdict,
 // pending decision, revocation-index registration, daemon subscription —
 // lives only at the flow's owner, so replicas share no per-flow state and
 // need no cross-replica locks. Replica loss is handled by rebuilding the

@@ -160,7 +160,7 @@ func TestAsyncInlineCompletion(t *testing.T) {
 	}
 }
 
-// TestAsyncCacheHitStaysSynchronous: with a warm response cache the async
+// TestAsyncCacheHitStaysSynchronous: with a warm verdict cache the async
 // pipeline is never entered — the hit path decides on the packet-in
 // goroutine, preserving the allocation budget's fast path.
 func TestAsyncCacheHitStaysSynchronous(t *testing.T) {
@@ -193,8 +193,8 @@ func TestAsyncCacheHitStaysSynchronous(t *testing.T) {
 	}()
 
 	c.HandleEvent(sampleEvent(five, 1))
-	if c.Counters.Get("response_cache_hits") != 1 {
-		t.Fatal("second packet-in missed the response cache")
+	if c.Counters.Get("megaflow_hits") != 1 {
+		t.Fatal("second packet-in missed the verdict cache")
 	}
 	if got := func() int {
 		tr.mu.Lock()
@@ -282,7 +282,7 @@ func (t *flakyTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, t
 }
 
 // TestTransientFailureNotCached: a verdict shaped by a transport timeout
-// must not be pinned in the response cache for the TTL — once the daemon
+// must not be pinned in the verdict cache for the TTL — once the daemon
 // answers again, the very next packet of the flow gets the real verdict.
 func TestTransientFailureNotCached(t *testing.T) {
 	tr := &flakyTransport{
@@ -313,8 +313,8 @@ func TestTransientFailureNotCached(t *testing.T) {
 	// The daemons are back; the flow's next packet must re-query and pass
 	// instead of hitting a cached no-info verdict.
 	c.HandleEvent(sampleEvent(five, 1))
-	if got := c.Counters.Get("response_cache_hits"); got != 0 {
-		t.Errorf("response_cache_hits = %d; transient-failure decision was cached", got)
+	if got := c.Counters.Get("megaflow_hits"); got != 0 {
+		t.Errorf("megaflow_hits = %d; transient-failure decision was cached", got)
 	}
 	if c.Counters.Get("flows_allowed") != 1 {
 		t.Errorf("recovered daemon's verdict not applied; counters: %s", c.Counters)
@@ -322,7 +322,7 @@ func TestTransientFailureNotCached(t *testing.T) {
 
 	// The healthy decision IS cached: a third packet hits.
 	c.HandleEvent(sampleEvent(five, 1))
-	if c.Counters.Get("response_cache_hits") != 1 {
+	if c.Counters.Get("megaflow_hits") != 1 {
 		t.Error("healthy decision was not cached")
 	}
 }

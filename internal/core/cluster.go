@@ -22,8 +22,10 @@ type FlowEnumerator interface {
 
 // TakeoverSweep deletes, at every enumerable datapath, the entries of
 // flows that owned() claims for this replica but that this controller
-// holds no decision state for — no response-cache entry and no
-// revocation-index registration in either direction. After a cluster ring
+// holds no decision state for — no cached verdict covering the flow (a
+// cache hit's entries carry the class cookie and have no registration of
+// their own; the live class is what vouches for them) and no
+// revocation-index registration, in either direction. After a cluster ring
 // rebuild those are exactly the entries installed by a replica that no
 // longer owns the flow (typically a dead one): left alone they would keep
 // forwarding under the departed owner's verdict, unreachable by this
@@ -39,6 +41,7 @@ type FlowEnumerator interface {
 func (c *Controller) TakeoverSweep(owned func(flow.Five) bool) int {
 	st := c.state.Load()
 	var tuples []flow.Five
+	var covering []*megaEntry
 	swept := 0
 	for _, dp := range st.datapaths {
 		en, ok := dp.(FlowEnumerator)
@@ -51,8 +54,12 @@ func (c *Controller) TakeoverSweep(owned func(flow.Five) bool) int {
 				continue
 			}
 			rev := f.Reverse()
-			if c.flows.shardFor(f).has(f) || c.flows.shardFor(rev).has(rev) {
-				continue
+			if c.mega != nil {
+				covering = c.mega.covering(f, covering[:0])
+				covering = c.mega.covering(rev, covering)
+				if len(covering) > 0 {
+					continue
+				}
 			}
 			if c.revoker != nil && (c.revoker.Registered(f) || c.revoker.Registered(rev)) {
 				continue

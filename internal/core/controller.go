@@ -10,12 +10,13 @@
 // Concurrency model: the packet-in fast path takes zero global locks.
 // Read-mostly configuration (policy, query keys, datapaths, answer-on-
 // behalf table, augmenter) lives in an immutable snapshot behind an
-// atomic.Pointer; mutators copy-on-write and swap. Per-flow state (the
-// response cache and the pending set) is sharded by the flow's maphash
-// (see shard.go), so packet-ins for different flows contend only when
-// they hash to the same shard. Duplicate packet-ins for an in-flight flow
-// park on the shard's waiter list and are resolved by the first verdict
-// instead of being dropped and re-punted.
+// atomic.Pointer; mutators copy-on-write and swap. Per-flow in-flight
+// state (the pending set) is sharded by the flow's maphash (see shard.go),
+// so packet-ins for different flows contend only when they hash to the
+// same shard; cached verdicts live in one class-sharded table
+// (megaflow.go). Duplicate packet-ins for an in-flight flow park on the
+// shard's waiter list and are resolved by the first verdict instead of
+// being dropped and re-punted.
 package core
 
 import (
@@ -182,18 +183,19 @@ type Config struct {
 	// goroutine. Requires Transport to implement AsyncQueryTransport.
 	AsyncQueries bool
 
-	// ResponseCacheTTL caches (flow -> responses) so retransmissions during
-	// slow installs and repeated short flows skip daemon queries. Zero
+	// ResponseCacheTTL turns on the verdict cache (megaflow.go): each full
+	// decision's verdict is kept for this long, pinned to the policy epoch,
+	// so retransmissions during slow installs and repeated short flows
+	// resolve in one table probe — no daemon query, no evaluation. Zero
 	// disables the cache.
 	ResponseCacheTTL time.Duration
 
-	// Megaflow adds the wildcard decision cache in front of the exact
-	// response cache (megaflow.go): each full decision runs under the
-	// field-use trace and its verdict is widened to the traffic
-	// equivalence class that shares the header fields the decision
-	// actually consumed, so a new flow in a decided class resolves in one
-	// table probe — no query, no evaluation. Requires ResponseCacheTTL
-	// (widened entries live for the same TTL under the same epoch pin).
+	// Megaflow chooses the mask a verdict is cached under. Off, it is the
+	// whole tuple: an entry serves repeats of the decided flow only. On,
+	// it is the decision's field-use trace: the verdict is widened to the
+	// traffic equivalence class that shares the header fields the decision
+	// actually consumed, so a new flow in a decided class resolves from
+	// the cache too. Requires ResponseCacheTTL.
 	Megaflow bool
 
 	// Revocation enables the revocation plane: every cache-missing decision
@@ -243,7 +245,7 @@ type Config struct {
 // Mutators never modify a published snapshot: they clone, edit the clone,
 // and atomically swap it in under writeMu.
 type ctlState struct {
-	epoch  uint64 // bumped by SetPolicy; pins cache entries to a policy
+	epoch  uint64 // bumped by SetPolicy; pins cached verdicts to a policy
 	policy *pf.Policy
 	// prog is the policy's compiled decision program, captured in the
 	// snapshot so the fast path reaches the header-only pre-pass and the
@@ -291,8 +293,9 @@ type Controller struct {
 
 	state   atomic.Pointer[ctlState] // read-mostly snapshot; fast path loads once
 	writeMu sync.Mutex               // serializes snapshot writers only
-	flows   *shardTable              // sharded per-flow state (shard.go)
-	mega    *megaTable               // wildcard decision cache (nil unless Config.Megaflow)
+	flows   *shardTable              // sharded in-flight flow state (shard.go)
+	mega    *megaTable               // the verdict cache (nil unless ResponseCacheTTL > 0)
+	widen   bool                     // Config.Megaflow: cache under the trace's mask, not the full one
 
 	// revoker is the revocation plane's fact-dependency index (nil unless
 	// Config.Revocation); leaseTTL the legacy-daemon lease fallback.
@@ -313,7 +316,7 @@ type Controller struct {
 	// so the fast path pays one atomic add per counter instead of a map
 	// lookup plus the add.
 	hot struct {
-		packetIns, cacheHits, dupPacketIns  *atomic.Int64
+		packetIns, dupPacketIns             *atomic.Int64
 		waitersResolved, waitersForwarded   *atomic.Int64
 		flowsAllowed, flowsDenied, installs *atomic.Int64
 		evalDiags, installErrors            *atomic.Int64
@@ -394,7 +397,6 @@ func New(cfg Config) *Controller {
 		Audit:       NewAuditLog(0),
 	}
 	c.hot.packetIns = c.Counters.Cell("packet_ins")
-	c.hot.cacheHits = c.Counters.Cell("response_cache_hits")
 	c.hot.dupPacketIns = c.Counters.Cell("duplicate_packet_ins")
 	c.hot.waitersResolved = c.Counters.Cell("waiters_resolved")
 	c.hot.waitersForwarded = c.Counters.Cell("waiters_forwarded")
@@ -414,11 +416,12 @@ func New(cfg Config) *Controller {
 	c.hot.megaHits = c.Counters.Cell("megaflow_hits")
 	c.hot.megaInstalls = c.Counters.Cell("megaflow_installs")
 	c.hot.megaTeardowns = c.Counters.Cell("megaflow_teardowns")
-	if cfg.Megaflow {
-		if cfg.ResponseCacheTTL <= 0 {
-			panic("core: Config.Megaflow requires ResponseCacheTTL > 0 (widened entries share the cache TTL)")
-		}
+	if cfg.Megaflow && cfg.ResponseCacheTTL <= 0 {
+		panic("core: Config.Megaflow requires ResponseCacheTTL > 0 (widened entries share the cache TTL)")
+	}
+	if cfg.ResponseCacheTTL > 0 {
 		c.mega = newMegaTable(shards)
+		c.widen = cfg.Megaflow
 	}
 	if cfg.Revocation {
 		c.revoker = revoke.NewIndex(shards)
@@ -440,12 +443,6 @@ func (c *Controller) Name() string { return c.name }
 // Shards returns the shard count of the flow-state table.
 func (c *Controller) Shards() int { return len(c.flows.shards) }
 
-// CachedFlows counts live response-cache entries across all shards.
-func (c *Controller) CachedFlows() int {
-	st := c.state.Load()
-	return c.flows.cachedFlows(c.clock(), st.epoch)
-}
-
 // Epoch returns the current policy epoch: 0 at construction, bumped by
 // every SetPolicy. Exported as a gauge so operators can confirm a policy
 // push actually swapped the snapshot (the health/metrics surface's
@@ -461,11 +458,10 @@ func (c *Controller) DatapathCount() int {
 	return len(c.state.Load().datapaths)
 }
 
-// ShardStat is one flow-state shard's occupancy snapshot: live (unexpired,
-// current-epoch) cache entries, in-flight decisions, parked duplicate
-// packet-ins across them, and the shard's revocation sequence.
+// ShardStat is one flow-state shard's occupancy snapshot: in-flight
+// decisions, parked duplicate packet-ins across them, and the shard's
+// revocation sequence.
 type ShardStat struct {
-	Cached  int
 	Pending int
 	Waiters int
 	RevSeq  uint64
@@ -475,8 +471,6 @@ type ShardStat struct {
 // (`identctl admin shards`). Each shard is locked briefly in turn; the
 // result is a consistent per-shard view, not a cross-shard atomic one.
 func (c *Controller) ShardStats() []ShardStat {
-	st := c.state.Load()
-	now := c.clock()
 	out := make([]ShardStat, len(c.flows.shards))
 	for i := range c.flows.shards {
 		s := &c.flows.shards[i]
@@ -484,11 +478,6 @@ func (c *Controller) ShardStats() []ShardStat {
 		stat := ShardStat{Pending: len(s.pending), RevSeq: s.rev.Load()}
 		for _, waiters := range s.pending {
 			stat.Waiters += len(waiters)
-		}
-		for _, e := range s.respCache {
-			if e.epoch == st.epoch && now.Before(e.expires) {
-				stat.Cached++
-			}
 		}
 		s.mu.Unlock()
 		out[i] = stat
@@ -571,10 +560,10 @@ func (c *Controller) RemoveDatapath(dp openflow.Datapath) bool {
 // SetPolicy atomically replaces the policy and flushes every cached verdict
 // from the switches — the revocation path: a delegation withdrawn in the
 // policy takes effect for the next packet of every flow. The snapshot swap
-// bumps the policy epoch, so response-cache entries written by decisions
-// racing this call are stale-on-arrival; the shard caches are then dropped
-// and the per-switch table flushes issued concurrently, so revocation
-// latency is the slowest single switch, not their sum behind one lock.
+// bumps the policy epoch, so verdicts cached by decisions racing this call
+// are stale-on-arrival; the verdict cache is then emptied and the
+// per-switch table flushes issued concurrently, so revocation latency is
+// the slowest single switch, not their sum behind one lock.
 func (c *Controller) SetPolicy(p *pf.Policy) {
 	st := c.mutate(func(st *ctlState) {
 		st.epoch++
@@ -582,11 +571,11 @@ func (c *Controller) SetPolicy(p *pf.Policy) {
 		st.prog = p.Program()
 	})
 
-	c.flows.flushAll()
 	if c.mega != nil {
-		// Widened verdicts are old-policy decisions too; flushing also
-		// kills each entry so member hits in flight self-clean instead of
-		// appending paths to an unreachable entry.
+		// Correctness never depended on the flush (the epoch bump already
+		// invalidated every entry), but it also kills each entry, so hits
+		// in flight self-clean instead of appending paths to an
+		// unreachable entry.
 		c.mega.flushAll()
 	}
 	if c.revoker != nil {
@@ -635,17 +624,23 @@ func (c *Controller) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
 
 // HandleFlowRemoved implements openflow.Controller. The ingress entry is
 // the only one installed with NotifyRemoved, so its eviction means the
-// flow's forward path is gone from the network's point of view: the flow's
-// response-cache entry is dropped with it — previously it survived, so a
-// flow that idle-timed-out was re-admitted from cache without re-querying
-// even though the daemon might now answer differently (stale-grant-on-
-// reuse) — and, when the revocation plane is on, the dependency links are
-// unregistered and any remaining entries along the installed path deleted
-// so no orphan state lingers on non-ingress switches.
+// flow's forward path is gone from the network's point of view: the cached
+// verdict whose class is exactly that flow is retired with it — previously
+// it survived, so a flow that idle-timed-out was re-admitted from cache
+// without re-querying even though the daemon might now answer differently
+// (stale-grant-on-reuse); a wider class answers for its other members too
+// and stays — and, when the revocation plane is on, the dependency links
+// are unregistered and any remaining entries along the installed path
+// deleted so no orphan state lingers on non-ingress switches.
 func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemoved) {
 	c.Counters.Add("flow_removed", 1)
 	five := ev.Match.Tuple.Five()
-	c.flows.shardFor(five).drop(five)
+	st := c.state.Load()
+	if c.mega != nil {
+		if e := c.mega.exact(five); e != nil {
+			c.retireMega(st, e)
+		}
+	}
 	if c.revoker == nil {
 		return
 	}
@@ -657,7 +652,6 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 	// entry was evicted there — a keep-state reverse entry at the same
 	// switch must go too (deleting the already-gone forward entry is a
 	// no-op).
-	st := c.state.Load()
 	b := getTeardownBatch()
 	b.appendDeletes(st, five, reg.Paths)
 	c.flushTeardown(b)
@@ -674,7 +668,7 @@ func (c *Controller) PacketInFromRemote(sw *openflow.RemoteSwitch, ev openflow.P
 // a pooled scratch — the steady-state path allocates nothing (see
 // decisionScratch and the M8 allocation budget).
 //
-// On a response-cache hit the decision completes synchronously. On a miss
+// On a verdict-cache hit the decision completes synchronously. On a miss
 // the two endpoint queries are issued and the decision is finished by
 // finishDecision — on this goroutine for a blocking transport, or on a
 // query-plane completion goroutine when AsyncQueries is enabled, in which
@@ -733,10 +727,11 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	g := &s.gather
 	g.c, g.st = c, st
 
-	// Megaflow probe first: a flow inside an already-decided traffic
-	// equivalence class takes that class's verdict directly — no query,
-	// no evaluation, no exact-cache line of its own. The exact cache is
-	// consulted second so class-mates never accrete per-tuple entries.
+	// Cache probe first: a flow inside an already-decided class (with the
+	// full mask, the decided flow itself) takes the stored verdict directly
+	// — no query, no evaluation. Header-only flows never insert entries
+	// (see below), so the probe can never return a verdict the pre-pass
+	// would have overridden.
 	if c.mega != nil {
 		if e := c.mega.lookup(five, c.clock(), st.epoch); e != nil {
 			c.hot.megaHits.Add(1)
@@ -746,25 +741,6 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 			return
 		}
 		s.tb.Rec(trace.StageMegaflowProbe, 0, 0)
-	}
-
-	// Cache probe first: for a cached key-dependent flow the decision is
-	// one shard lookup away, and header-only flows never store entries
-	// (see below), so the probe can never return a verdict the pre-pass
-	// would have overridden.
-	if c.cacheTTL > 0 {
-		if e, ok := sh.lookup(five, c.clock(), st.epoch); ok {
-			c.hot.cacheHits.Add(1)
-			s.tb.Rec(trace.StageCacheProbe, trace.FlagHit, 0)
-			g.src, g.dst = e.src, e.dst
-			// The lookup retained the entry's view refcount; the deferred
-			// cleanup in finishDecision releases the borrow.
-			g.cacheLife = e.life
-			g.fromCache = true
-			c.finishDecision(s)
-			return
-		}
-		s.tb.Rec(trace.StageCacheProbe, 0, 0)
 	}
 
 	// Header-only pre-pass: when the compiled program admits it at all,
@@ -844,9 +820,9 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	c.finishDecision(s)
 }
 
-// finishDecision is the back half of the Figure 1 pipeline: cache the
-// gathered responses, evaluate the policy, record the audit entry, install
-// the verdict, and resolve the parked duplicates. It runs on the
+// finishDecision is the back half of the Figure 1 pipeline: evaluate the
+// policy (or take the cached verdict), record the audit entry, install the
+// verdict, cache it, and resolve the parked duplicates. It runs on the
 // packet-in goroutine for cache hits and blocking transports, and on a
 // query-plane completion goroutine for suspended asynchronous decisions;
 // everything it touches is either scratch-owned or independently
@@ -865,10 +841,11 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 			c.hot.waitersResolved.Add(int64(len(waiters)))
 		}
 		// The decision is fully published (audit, metrics, installs); the
-		// scratch — including controller-built response views nothing else
-		// took ownership of — can go back to its pools. The trace buffer
-		// goes first: Finish retires it into the recorder's ring (or drops
-		// it) and re-pools it, so release() only nils the reference.
+		// scratch — including its controller-built response views, which
+		// nothing outlives the decision to read — can go back to its pools.
+		// The trace buffer goes first: Finish retires it into the
+		// recorder's ring (or drops it) and re-pools it, so release() only
+		// nils the reference.
 		s.gather.releaseBuilt()
 		c.tr.Finish(s.tb)
 		s.release()
@@ -877,8 +854,8 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	g := &s.gather
 	if sh.rev.Load() != s.revSeq {
 		// A revocation touched this shard after the decision claimed its
-		// flow: the responses it gathered (or the cache line it read) may
-		// predate the endpoint-state change that caused the revocation.
+		// flow: the responses it gathered (or the cached verdict it read)
+		// may predate the endpoint-state change that caused the revocation.
 		// Publishing would re-install possibly-stale state right behind the
 		// teardown, so the decision voids itself — buffer released, nothing
 		// cached, nothing installed; the packet's retransmission re-decides
@@ -890,65 +867,28 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		s.dp.ReleaseBuffer(s.ev.BufferID)
 		return
 	}
-	if !g.fromCache && !g.preDecided && g.mega == nil && c.cacheTTL > 0 && !g.srcTransient && !g.dstTransient {
-		// Cache only decisions whose information is as good as it gets: a
-		// verdict shaped by a transient transport failure (timeout, reset,
-		// open breaker) must not pin its no-info view of the host for the
-		// whole TTL — the daemon may answer again for the next packet.
-		// Header-only decisions gathered nothing and re-decide from the
-		// header alone per packet, cheaper than a cache probe would be.
-		// The store itself re-checks the revocation sequence under the
-		// shard lock (a revocation racing past the check above must not be
-		// outrun by this write); on refusal the responses simply stay
-		// decision-owned and the post-publication re-check below settles
-		// the rest.
-		now := c.clock()
-		// Controller-built views get a refcounted life: the cache holds
-		// one reference, each concurrent borrower (lookup) another, and
-		// the last release — on any eviction path or the final borrower's
-		// finish — returns the views to the pf pool. Daemon-returned
-		// responses are GC-owned and need no life.
-		var life *entryLife
-		if g.srcBuilt || g.dstBuilt {
-			life = &entryLife{}
-			if g.srcBuilt {
-				life.src = g.src
-			}
-			if g.dstBuilt {
-				life.dst = g.dst
-			}
-			life.refs.Store(1)
-		}
-		if sh.store(five, cacheEntry{src: g.src, dst: g.dst, expires: now.Add(c.cacheTTL), epoch: st.epoch, life: life}, now, c.cacheTTL, s.revSeq) {
-			// The cache owns the responses now (decisions across goroutines
-			// may borrow them until eviction); the shard releases the life
-			// when the entry leaves.
-			g.srcBuilt, g.dstBuilt = false, false
-		}
-	}
-
 	bd := &s.bd
 	bd.QuerySrc, bd.QueryDst = g.qsrc, g.qdst
 
 	var d pf.Decision
 	var tr pf.Trace
-	traced := false
 	switch {
 	case g.preDecided:
 		// The header-only pre-pass already decided (and timed itself into
 		// bd.Eval); evaluating again would just re-derive it.
 		d = g.pre
 	case g.mega != nil:
-		// Megaflow hit: the class verdict is the flow's verdict. Installs
+		// Cache hit: the class verdict is the flow's verdict. Installs
 		// below carry the class cookie so one wildcard delete tears every
 		// member's entries down with the class.
 		d = pf.Decision{Action: g.mega.action, Rule: g.mega.rule, Matched: g.mega.matched, KeepState: g.mega.keepState}
 		s.cookie = g.mega.cookie
-	case c.mega != nil && !g.fromCache:
+	case c.mega != nil:
+		// The verdict will be cached: the trace says which ends it read
+		// (its fact dependencies) and, under Config.Megaflow, its mask.
 		evalStart := time.Now()
 		d, tr = st.policy.EvaluateTraced(pf.Input{Flow: five, Src: g.src, Dst: g.dst})
 		bd.Eval = time.Since(evalStart)
-		traced = true
 	default:
 		evalStart := time.Now()
 		d = st.policy.Evaluate(pf.Input{Flow: five, Src: g.src, Dst: g.dst})
@@ -996,39 +936,49 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		// teardown set. Refusal means the class was torn down while this
 		// hit was installing: its entries postdate the teardown's path
 		// snapshot, so the hit deletes its own installs — the self-clean
-		// half of the teardown handshake (megaflow.go).
+		// half of the teardown handshake (megaflow.go). The hit keeps the
+		// registrations the founder's miss created and touches neither
+		// index — the hot path stays exactly as fast as without revocation.
 		if !g.mega.addPaths(s.pathIDs) {
 			c.deleteMegaAt(st, g.mega.cookie, s.pathIDs)
 			c.Counters.Add("megaflow_hit_raced", 1)
 		}
-	} else if traced && !g.preDecided && !g.srcTransient && !g.dstTransient && !tr.CoversAllFields() {
-		// Widen the verdict to its traffic equivalence class. Skipped when
-		// the trace consumed every field (the class is one flow — the
-		// exact cache already covers it) and for transient-trouble
-		// decisions (same reason they are not cached). Insertion happens
-		// before the publication re-check below, closing the race with a
-		// concurrent fact update (see megaInstall).
-		c.megaInstall(s, st, d, tr)
+		return
+	}
+	if g.preDecided {
+		// Header-only decisions gathered nothing and read no endpoint facts:
+		// they re-decide from the header alone per packet, cheaper than a
+		// cache probe would be, and never touch the revocation index.
+		return
 	}
 
+	// Cache only decisions whose information is as good as it gets: a
+	// verdict shaped by a transient transport failure (timeout, reset, open
+	// breaker) must not pin its no-info view of the host for the whole TTL
+	// — the daemon may answer again for the next packet. Insertion happens
+	// before the publication re-check below, closing the race with a
+	// concurrent fact update (see megaInstall).
+	cached := c.mega != nil && !g.srcTransient && !g.dstTransient
+	if cached {
+		c.megaInstall(s, st, d, tr)
+	}
 	// Revocation plane: record which endpoint facts this verdict read, so
-	// a daemon-pushed update resolves straight to this flow. Cache hits
-	// keep the registration their original miss created, and header-only
-	// decisions read no endpoint facts at all; neither touches the index —
-	// the hot paths stay exactly as fast as without revocation.
-	if c.revoker != nil && !g.fromCache && !g.preDecided && g.mega == nil && (c.install || c.cacheTTL > 0) {
+	// a daemon-pushed update resolves straight to this flow.
+	registered := c.revoker != nil && (c.install || c.cacheTTL > 0)
+	if registered {
 		c.registerDeps(s)
-		// Publication re-check: a revocation that landed after the entry
-		// check at the top resolved to nothing (neither the cache entry
-		// nor the registration existed yet) — its state is gone, but ours
-		// just went live on pre-revocation facts. The registration is in
-		// place now, so tearing ourselves down reaches everything this
-		// decision installed; the next packet re-decides under current
-		// facts. One extra atomic load on the miss path, nothing on hits.
-		if sh.rev.Load() != s.revSeq {
-			c.Counters.Add("revocations_raced", 1)
-			c.revokeResolved(five, "raced-decision", false)
-		}
+	}
+	// Publication re-check: a revocation that landed after the entry check
+	// at the top resolved to nothing (neither the cached verdict nor the
+	// registration existed yet) — its state is gone, but ours just went
+	// live on pre-revocation facts. The entry and the registration are in
+	// place now, so tearing ourselves down reaches everything this
+	// decision cached and installed; the next packet re-decides under
+	// current facts. One extra atomic load on the miss path, nothing on
+	// hits.
+	if (cached || registered) && sh.rev.Load() != s.revSeq {
+		c.Counters.Add("revocations_raced", 1)
+		c.revokeResolved(five, "raced-decision", false)
 	}
 }
 
@@ -1070,8 +1020,8 @@ func (c *Controller) resolveWaiters(waiters []parked, pass bool, hops []Hop) {
 // and are counted apart (query_timeouts vs query_errors) so operators can
 // tell a down daemon from a daemon-less one. built reports that the
 // response is a controller-built view from the pf pool, owned by the
-// caller until released or handed to the cache; transient reports exactly
-// the transport-trouble case, so the decision it feeds is not cached —
+// caller until its decision finishes; transient reports exactly the
+// transport-trouble case, so the decision it feeds is not cached —
 // the daemon may be answering again for the very next packet.
 func (c *Controller) resolveResponse(st *ctlState, five flow.Five, host netaddr.IP, resp *wire.Response, rtt time.Duration, err error) (_ *wire.Response, _ time.Duration, built, transient bool) {
 	if err == nil {
@@ -1284,8 +1234,8 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 	}
 	cookie := five.Hash() | 1 // non-zero (odd) so delete-by-cookie can target it
 	if s.cookie != 0 {
-		// Megaflow member: entries carry the class cookie (even, disjoint
-		// from the exact space) so one wildcard delete tears the class down.
+		// Cache hit: entries carry the class cookie (even, disjoint from
+		// the exact space) so one wildcard delete tears the class down.
 		cookie = s.cookie
 	}
 	s.dps, s.mods = c.pathMods(st, hops, five, cookie, true, ev.SwitchID, ev.BufferID, s.dps[:0], s.mods[:0])
@@ -1309,8 +1259,8 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 }
 
 // collectPathIDs records the datapaths the just-applied batch touched,
-// for the revocation plane's teardown-along-path and the megaflow
-// layer's per-class path set. Skipped entirely when both are off: the
+// for the revocation plane's teardown-along-path and the verdict
+// cache's per-class path set. Skipped entirely when both are off: the
 // hot path pays two nil checks.
 func (c *Controller) collectPathIDs(s *decisionScratch) {
 	if c.revoker == nil && c.mega == nil {

@@ -101,6 +101,13 @@ func sampleEvent(five flow.Five, swID uint64) openflow.PacketIn {
 	}
 }
 
+// cachedVerdicts is the verdict cache's live (current-epoch, unexpired)
+// entry count.
+func cachedVerdicts(c *Controller) int {
+	live, _, _, _ := c.MegaflowStats()
+	return live
+}
+
 func newTestController(policySrc string, tr QueryTransport, topo Topology) (*Controller, *fakeDatapath, *fakeDatapath) {
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
@@ -375,7 +382,7 @@ func TestResponseCache(t *testing.T) {
 	if tr.queries != 2 {
 		t.Errorf("queries = %d, want 2 (second event served from cache)", tr.queries)
 	}
-	if c.Counters.Get("response_cache_hits") != 1 {
+	if c.Counters.Get("megaflow_hits") != 1 {
 		t.Error("cache hit not counted")
 	}
 }

@@ -53,10 +53,10 @@ func TestHeaderOnlyFlowDecidesWithoutQueries(t *testing.T) {
 	if dp.modCount() != 2 {
 		t.Errorf("mods = %d, want forward + reverse", dp.modCount())
 	}
-	// Header-only decisions gather nothing; the response cache must not
+	// Header-only decisions gather nothing; the verdict cache must not
 	// hold an entry for them.
-	if n := c.CachedFlows(); n != 0 {
-		t.Errorf("CachedFlows = %d, want 0 (nothing was gathered)", n)
+	if n := cachedVerdicts(c); n != 0 {
+		t.Errorf("cached verdicts = %d, want 0 (nothing was gathered)", n)
 	}
 	if c.Audit.Total() != 1 {
 		t.Error("header-only decision must still be audited")

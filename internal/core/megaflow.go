@@ -12,22 +12,24 @@ import (
 	"identxx/internal/revoke"
 )
 
-// The megaflow layer caches one verdict per traffic equivalence class
-// instead of one per exact 5-tuple — the Open vSwitch megaflow insight
-// applied to the paper's controller. A full decision run under the
-// field-use trace (pf.EvaluateTraced) reports which header fields the
-// matched path actually consumed; every flow agreeing with the decided
-// flow on exactly those fields takes the same path through the program
-// and gets the same verdict, so finishDecision installs one widened
-// entry keyed by the masked tuple and every member of the class resolves
-// in a single table probe — no query, no evaluation, no exact-cache
-// line per member.
+// The megaTable is the controller's one verdict cache (§3.4: the decision
+// is what gets cached — as flow entries along the path, and here). Every
+// cacheable full decision inserts one entry keyed by the decided flow's
+// tuple under a field mask, and a later flow agreeing with it on the
+// masked fields takes the stored verdict in a single table probe — no
+// query, no evaluation. The mask is the whole tuple by default (an exact
+// entry: the class is the one flow). With Config.Megaflow it is the
+// field-use trace (pf.EvaluateTraced) — the Open vSwitch megaflow insight
+// applied to the paper's controller: the trace reports which header fields
+// the matched path actually consumed, every flow agreeing with the decided
+// flow on exactly those fields takes the same path through the program and
+// gets the same verdict, so one widened entry serves the whole traffic
+// equivalence class.
 //
 // Correctness leans on three invariants:
 //
-//   - Entries are pinned to the policy epoch and the response-cache TTL,
-//     exactly like exact entries, so SetPolicy and expiry invalidate them
-//     identically.
+//   - Entries are pinned to the policy epoch and to ResponseCacheTTL, so
+//     SetPolicy and expiry invalidate every cached verdict identically.
 //   - Entries whose verdict read endpoint facts register those facts in
 //     the revocation index's wide side (one entry ↔ many installed
 //     paths), so a daemon-pushed update tears the whole class down in
@@ -49,8 +51,9 @@ type megaKey struct {
 	mask   uint8
 }
 
-// megaEntry is one widened verdict. The verdict fields are copies — no
-// response views are retained, so the entry never pins pooled memory.
+// megaEntry is one cached verdict. The verdict fields are copies — no
+// response views are retained, so the entry never pins pooled memory and
+// responses never outlive the decision that gathered them.
 type megaEntry struct {
 	id      uint64
 	cookie  uint64 // id<<1: even, disjoint from exact cookies (hash|1, odd)
@@ -111,11 +114,12 @@ type megaShard struct {
 	lastSweep time.Time
 }
 
-// megaTable is the sharded megaflow cache. Lookup probes one map per
+// megaTable is the sharded verdict cache. Lookup probes one map per
 // active mask: the mask census (maskCounts/active) tracks which of the
 // 16 possible field masks have resident entries, so a probe costs
-// popcount(active) map reads — in practice one or two, since a policy
-// produces few distinct masks — instead of 16.
+// popcount(active) map reads — exactly one without Config.Megaflow (only
+// the full mask is ever resident), in practice one or two with it, since
+// a policy produces few distinct masks — instead of 16.
 type megaTable struct {
 	shards []megaShard
 	mask   uint64
@@ -165,6 +169,16 @@ func (t *megaTable) maskRelease(m uint8) {
 	t.maskMu.Unlock()
 }
 
+// resident returns whatever entry occupies class slot k — live, stale or
+// dead — or nil.
+func (t *megaTable) resident(k megaKey) *megaEntry {
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	e := sh.entries[k]
+	sh.mu.Unlock()
+	return e
+}
+
 // lookup probes the active masks for a live, current-epoch, unexpired
 // entry covering f. The winning entry's hit counter is bumped here so
 // the caller's fast path stays load-only.
@@ -173,11 +187,7 @@ func (t *megaTable) lookup(f flow.Five, now time.Time, epoch uint64) *megaEntry 
 	for active != 0 {
 		m := uint8(bits.TrailingZeros32(active))
 		active &= active - 1
-		k := megaKey{masked: pf.Trace{Fields: m}.Mask(f), mask: m}
-		sh := t.shardFor(k)
-		sh.mu.Lock()
-		e := sh.entries[k]
-		sh.mu.Unlock()
+		e := t.resident(megaKey{masked: pf.Trace{Fields: m}.Mask(f), mask: m})
 		if e != nil && e.epoch == epoch && now.Before(e.expires) && !e.dead.Load() {
 			e.hits.Add(1)
 			return e
@@ -231,6 +241,12 @@ func (t *megaTable) get(id uint64) *megaEntry {
 	return e
 }
 
+// exact returns the resident entry whose class is the single flow f (a
+// full-mask entry), dead or stale included; nil when there is none.
+func (t *megaTable) exact(f flow.Five) *megaEntry {
+	return t.resident(megaKey{masked: f, mask: pf.TraceAllFields})
+}
+
 // retire kills e and unlinks it from the id map and the mask census,
 // returning its installed-path snapshot. Exactly one caller gets
 // ok=true per entry; the shard-map removal is separate (remove) because
@@ -267,11 +283,7 @@ func (t *megaTable) covering(f flow.Five, dst []*megaEntry) []*megaEntry {
 	for active != 0 {
 		m := uint8(bits.TrailingZeros32(active))
 		active &= active - 1
-		k := megaKey{masked: pf.Trace{Fields: m}.Mask(f), mask: m}
-		sh := t.shardFor(k)
-		sh.mu.Lock()
-		e := sh.entries[k]
-		sh.mu.Unlock()
+		e := t.resident(megaKey{masked: pf.Trace{Fields: m}.Mask(f), mask: m})
 		if e != nil && !e.dead.Load() {
 			dst = append(dst, e)
 		}
@@ -303,28 +315,36 @@ func (t *megaTable) flushAll() {
 	t.maskMu.Unlock()
 }
 
-// live counts resident entries; a diagnostics helper.
-func (t *megaTable) live() int {
+// live counts the entries a lookup could still serve (current epoch,
+// unexpired, not retired); a diagnostics helper for tests and operators.
+func (t *megaTable) live(now time.Time, epoch uint64) int {
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		for _, e := range sh.entries {
+			if e.epoch == epoch && now.Before(e.expires) && !e.dead.Load() {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// megaInstall widens a freshly decided verdict into the class table and
-// registers its fact dependencies in the revocation index's wide side.
-// Runs on the decision path after install, before the publication
-// re-check: a fact update racing this insert either finds the entry
-// (its covering probe runs after its rev bump, which the re-check
-// observes) or the re-check fires and tears the entry straight back
-// down — in neither interleaving does a widened verdict survive facts
-// it predates.
+// megaInstall caches a freshly decided verdict in the class table — under
+// the field-use trace's mask with Config.Megaflow, under the full mask (the
+// class is the one flow) without — and registers its fact dependencies in
+// the revocation index's wide side. Runs on the decision path after
+// install, before the publication re-check: a fact update racing this
+// insert either finds the entry (its covering probe runs after its rev
+// bump, which the re-check observes) or the re-check fires and tears the
+// entry straight back down — in neither interleaving does a cached verdict
+// survive facts it predates.
 func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision, tr pf.Trace) {
-	g := &s.gather
+	if !c.widen {
+		tr.Fields = pf.TraceAllFields
+	}
 	now := c.clock()
 	e := &megaEntry{
 		id:        c.mega.nextID.Add(1),
@@ -339,6 +359,35 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 		keepState: d.KeepState,
 	}
 	e.cookie = e.id << 1
+	if c.revoker != nil {
+		// Register before publishing: a teardown can only reach the entry
+		// through the table, so whichever one finds it also finds (and
+		// drops) a complete registration. Registered after the insert, a
+		// teardown in between dropped an id not yet registered and the
+		// late registration was never dropped — a wide-index leak.
+		g := &s.gather
+		facts := make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))
+		leased := false
+		if tr.SrcRead {
+			facts = append(facts, revoke.Fact{Host: s.five.SrcIP})
+			for _, k := range g.qs.Keys {
+				facts = append(facts, revoke.Fact{Host: s.five.SrcIP, Key: k})
+			}
+			leased = leased || !c.revoker.PushCapable(s.five.SrcIP)
+		}
+		if tr.DstRead {
+			facts = append(facts, revoke.Fact{Host: s.five.DstIP})
+			for _, k := range g.qd.Keys {
+				facts = append(facts, revoke.Fact{Host: s.five.DstIP, Key: k})
+			}
+			leased = leased || !c.revoker.PushCapable(s.five.DstIP)
+		}
+		var lease time.Time
+		if c.leaseTTL > 0 && leased && len(facts) > 0 {
+			lease = now.Add(c.leaseTTL)
+		}
+		c.revoker.RegisterWide(e.id, facts, lease)
+	}
 	resident, swept := c.mega.insert(e, now, c.cacheTTL)
 	for _, old := range swept {
 		if _, ok := c.mega.retire(old); ok {
@@ -352,42 +401,19 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 		// Founder race: another decision widened this class first. Our
 		// own installs carry the exact cookie and our exact registration
 		// covers them; nothing to merge.
+		if c.revoker != nil {
+			c.revoker.DropWide(e.id)
+		}
 		return
 	}
 	c.hot.megaInstalls.Add(1)
-	if c.revoker == nil {
-		return
-	}
-	facts := make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))
-	leased := false
-	if tr.SrcRead {
-		facts = append(facts, revoke.Fact{Host: s.five.SrcIP})
-		for _, k := range g.qs.Keys {
-			facts = append(facts, revoke.Fact{Host: s.five.SrcIP, Key: k})
-		}
-		leased = leased || !c.revoker.PushCapable(s.five.SrcIP)
-	}
-	if tr.DstRead {
-		facts = append(facts, revoke.Fact{Host: s.five.DstIP})
-		for _, k := range g.qd.Keys {
-			facts = append(facts, revoke.Fact{Host: s.five.DstIP, Key: k})
-		}
-		leased = leased || !c.revoker.PushCapable(s.five.DstIP)
-	}
-	var lease time.Time
-	if c.leaseTTL > 0 && leased && len(facts) > 0 {
-		lease = now.Add(c.leaseTTL)
-	}
-	c.revoker.RegisterWide(e.id, facts, lease)
 }
 
-// teardownMega retires one widened entry and deletes the class's
-// installed entries at every datapath its members touched, by the
-// entry's cookie under an all-fields wildcard — one delete mod per
-// datapath covers every member tuple. deleteEntries=false is the TTL-
-// expiry case: switch entries idle out on their own, matching the exact
-// cache's expiry semantics.
-func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, deleteEntries bool) bool {
+// retireMega retires one cached verdict and deletes the class's installed
+// entries at every datapath its members touched, by the entry's cookie
+// under an all-fields wildcard — one delete mod per datapath covers every
+// member tuple. False means another retirer won and did all of it.
+func (c *Controller) retireMega(st *ctlState, e *megaEntry) bool {
 	paths, ok := c.mega.retire(e)
 	if !ok {
 		return false
@@ -396,10 +422,17 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, del
 	if c.revoker != nil {
 		c.revoker.DropWide(e.id)
 	}
-	if deleteEntries {
-		c.deleteMegaAt(st, e.cookie, paths)
-	}
+	c.deleteMegaAt(st, e.cookie, paths)
 	c.hot.megaTeardowns.Add(1)
+	return true
+}
+
+// teardownMega is retireMega plus the class's audit record, for teardowns
+// no per-flow record reports.
+func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) bool {
+	if !c.retireMega(st, e) {
+		return false
+	}
 	c.Audit.Record(AuditEntry{
 		Time:    c.clock(),
 		Flow:    e.founder,
@@ -437,11 +470,12 @@ func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
 	wg.Wait()
 }
 
-// MegaflowStats reports the class table's occupancy and lifetime
-// hit/install/teardown totals. Zeros when the megaflow layer is off.
+// MegaflowStats reports the verdict cache's live (current-epoch,
+// unexpired) entries and lifetime hit/install/teardown totals. Zeros when
+// the cache is off (ResponseCacheTTL 0).
 func (c *Controller) MegaflowStats() (live int, hits, installs, teardowns int64) {
 	if c.mega == nil {
 		return 0, 0, 0, 0
 	}
-	return c.mega.live(), c.hot.megaHits.Load(), c.hot.megaInstalls.Load(), c.hot.megaTeardowns.Load()
+	return c.mega.live(c.clock(), c.state.Load().epoch), c.hot.megaHits.Load(), c.hot.megaInstalls.Load(), c.hot.megaTeardowns.Load()
 }

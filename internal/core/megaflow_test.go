@@ -55,10 +55,10 @@ func (t *fakeTransport) queryCount() int {
 	return t.queries
 }
 
-// TestMegaflowClassHit is the tentpole's core contract: the first flow of
-// a class decides and widens; every later flow agreeing on the traced
-// fields resolves from the megaflow table — no query, no evaluation, no
-// exact-cache line of its own — and its installs carry the class cookie.
+// TestMegaflowClassHit is the widening contract: the first flow of a class
+// decides and widens; every later flow agreeing on the traced fields
+// resolves from the verdict cache — no query, no evaluation, no entry of
+// its own — and its installs carry the class cookie.
 func TestMegaflowClassHit(t *testing.T) {
 	c, tr, dp1, _ := newMegaController(t, megaPolicy, 0, nil)
 
@@ -70,9 +70,6 @@ func TestMegaflowClassHit(t *testing.T) {
 	live, hits, installs, _ := c.MegaflowStats()
 	if live != 1 || installs != 1 || hits != 0 {
 		t.Fatalf("after founder: live=%d hits=%d installs=%d, want 1/0/1", live, hits, installs)
-	}
-	if c.CachedFlows() != 1 {
-		t.Fatalf("founder exact entry missing: cached=%d", c.CachedFlows())
 	}
 	queriesAfterFounder := tr.queryCount()
 	modsAfterFounder := dp1.modCount()
@@ -94,8 +91,8 @@ func TestMegaflowClassHit(t *testing.T) {
 	if hits != 2 || installs != 1 {
 		t.Errorf("after members: hits=%d installs=%d, want 2/1", hits, installs)
 	}
-	if c.CachedFlows() != 1 {
-		t.Errorf("members accreted exact entries: cached=%d, want 1", c.CachedFlows())
+	if cachedVerdicts(c) != 1 {
+		t.Errorf("members accreted entries of their own: cached=%d, want 1", cachedVerdicts(c))
 	}
 
 	// Member installs carry the even class cookie; the founder's carry its
@@ -169,9 +166,8 @@ func TestMegaflowFactUpdateTearsDownClass(t *testing.T) {
 	}
 }
 
-// TestMegaflowSetPolicyFlush: a policy swap empties the class table the
-// same way it flushes the exact cache; stale verdicts never survive into
-// the new epoch.
+// TestMegaflowSetPolicyFlush: a policy swap empties the verdict cache;
+// stale verdicts never survive into the new epoch.
 func TestMegaflowSetPolicyFlush(t *testing.T) {
 	c, tr, _, _ := newMegaController(t, megaPolicy, 0, nil)
 	c.HandleEvent(sampleEvent(megaFlow(hostA, 40000), 1))
@@ -195,10 +191,10 @@ func TestMegaflowSetPolicyFlush(t *testing.T) {
 	}
 }
 
-// TestMegaflowTTLExpiry: widened entries share the response-cache TTL. An
-// expired class stops serving hits, and the displacing re-decision counts
-// it as expired without issuing deletes — switch entries idle out, exactly
-// like the exact cache's expiry semantics.
+// TestMegaflowTTLExpiry: widened entries live for ResponseCacheTTL like
+// any cached verdict. An expired class stops serving hits, and the
+// displacing re-decision counts it as expired without issuing deletes —
+// switch entries idle out.
 func TestMegaflowTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	var mu sync.Mutex
@@ -257,17 +253,160 @@ func TestMegaflowRevokeFlowMemberTearsClass(t *testing.T) {
 }
 
 // TestMegaflowFullMaskNotWidened: a policy whose matched path reads both
-// ends consumes all four header fields, so the class is a single flow and
-// no megaflow entry is installed — the exact cache already covers it.
+// ends consumes all four header fields, so the class is a single flow: a
+// full-trace decision is one full-mask entry — the same entry the cache
+// holds without Config.Megaflow — which serves the decided flow's repeats
+// and nothing else.
 func TestMegaflowFullMaskNotWidened(t *testing.T) {
-	c, _, _, _ := newMegaController(t, revPolicy, 0, nil)
-	c.HandleEvent(sampleEvent(megaFlow(hostA, 40000), 1))
+	c, tr, _, _ := newMegaController(t, revPolicy, 0, nil)
+	five := megaFlow(hostA, 40000)
+	c.HandleEvent(sampleEvent(five, 1))
 	if got := c.Counters.Get("flows_allowed"); got != 1 {
 		t.Fatalf("flow not allowed; %s", c.Counters)
 	}
 	live, _, installs, _ := c.MegaflowStats()
-	if live != 0 || installs != 0 {
-		t.Errorf("full-mask verdict was widened: live=%d installs=%d", live, installs)
+	if live != 1 || installs != 1 {
+		t.Fatalf("full-trace decision: live=%d installs=%d, want one entry", live, installs)
+	}
+	if e := c.mega.exact(five); e == nil || e.mask != pf.TraceAllFields {
+		t.Fatalf("full-trace decision's entry = %+v, want a full-mask one", e)
+	}
+	queries := tr.queryCount()
+	c.HandleEvent(sampleEvent(five, 1))
+	c.HandleEvent(sampleEvent(megaFlow(hostA, 40001), 1))
+	_, hits, installs, _ := c.MegaflowStats()
+	if hits != 1 || installs != 2 || tr.queryCount() != queries+2 {
+		t.Errorf("hits=%d installs=%d queries=%d->%d: want the repeat served and the neighbor decided afresh",
+			hits, installs, queries, tr.queryCount())
+	}
+}
+
+// TestExactHitDoesNotEvaluate: without Config.Megaflow a cached verdict
+// serves repeats of its flow exactly as a class hit does — no query, no
+// policy evaluation, installs under the entry's class cookie, and an audit
+// entry naming the rule the founding decision matched — and RevokeFlow
+// tears the entry and those installs down.
+func TestExactHitDoesNotEvaluate(t *testing.T) {
+	var evals atomic.Int64
+	policy := pf.MustCompile("count", "block all\npass from any to any with counted(@src[name], skype)")
+	policy.Register("counted", func(_ *pf.Ctx, args []pf.Value) (bool, error) {
+		evals.Add(1)
+		return len(args) == 2 && args[0].S == args[1].S, nil
+	})
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:             "exact",
+		Policy:           policy,
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+	})
+	c.AddDatapath(dp1)
+
+	five := megaFlow(hostA, 40000)
+	c.HandleEvent(sampleEvent(five, 1))
+	if c.Counters.Get("flows_allowed") != 1 || evals.Load() == 0 {
+		t.Fatalf("founding decision: evals=%d; %s", evals.Load(), c.Counters)
+	}
+	queries, evalsBefore, mods := tr.queryCount(), evals.Load(), dp1.modCount()
+	registered, _, _ := c.RevocationIndexStats()
+
+	c.HandleEvent(sampleEvent(five, 1))
+	if got := c.Counters.Get("megaflow_hits"); got != 1 {
+		t.Fatalf("megaflow_hits = %d, want 1; %s", got, c.Counters)
+	}
+	if tr.queryCount() != queries || evals.Load() != evalsBefore {
+		t.Errorf("hit queried or evaluated: queries %d->%d, evals %d->%d",
+			queries, tr.queryCount(), evalsBefore, evals.Load())
+	}
+	if now, _, _ := c.RevocationIndexStats(); now != registered {
+		t.Errorf("hit touched the revocation index: %d -> %d registrations", registered, now)
+	}
+	e := c.mega.exact(five)
+	if e == nil {
+		t.Fatal("no exact entry for the decided flow")
+	}
+	dp1.mu.Lock()
+	hitMods := append([]openflow.FlowMod(nil), dp1.mods[mods:]...)
+	dp1.mu.Unlock()
+	if len(hitMods) != 1 || hitMods[0].Cookie != e.cookie || e.cookie&1 != 0 {
+		t.Errorf("hit installs = %+v, want one under the even class cookie %#x", hitMods, e.cookie)
+	}
+	audit := c.Audit.Entries()
+	if len(audit) != 2 || audit[1].Rule != audit[0].Rule || audit[1].Rule == "(default)" || audit[1].Action != pf.Pass {
+		t.Errorf("audit = %+v, want the hit to name the founder's rule", audit)
+	}
+
+	// RevokeFlow retires the exact entry and reaches the hit's installs
+	// through the class cookie; the next packet decides from scratch.
+	c.RevokeFlow(five)
+	classDeleted := false
+	for _, m := range dp1.deleteMods() {
+		if m.Cookie == e.cookie && m.Match == flow.MatchAll() {
+			classDeleted = true
+		}
+	}
+	if !classDeleted || cachedVerdicts(c) != 0 {
+		t.Errorf("after RevokeFlow: class delete issued=%v cached=%d, want true/0", classDeleted, cachedVerdicts(c))
+	}
+	c.HandleEvent(sampleEvent(five, 1))
+	if tr.queryCount() == queries || evals.Load() == evalsBefore {
+		t.Error("post-revocation packet was served without a fresh query and evaluation")
+	}
+}
+
+// TestTakeoverSweepSparesLiveClassMembers: a cache hit's entries carry the
+// class cookie and have no registration of their own, so the sweep must
+// ask the verdict cache whether a live class vouches for them — while an
+// entry nothing vouches for is still an orphan and still deleted.
+func TestTakeoverSweepSparesLiveClassMembers(t *testing.T) {
+	sw := openflow.NewSwitch(1, "s1", 0)
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}
+	c := New(Config{
+		Name:             "sweep",
+		Policy:           pf.MustCompile("mega", megaPolicy),
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+		Megaflow:         true,
+	})
+	c.AddDatapath(sw)
+	event := func(f flow.Five) openflow.PacketIn {
+		ev := sampleEvent(f, 1)
+		ev.BufferID = openflow.BufferNone
+		return ev
+	}
+	c.HandleEvent(event(megaFlow(hostA, 40000))) // founder
+	c.HandleEvent(event(megaFlow(hostA, 40001))) // member: class cookie, no registration
+	if _, hits, _, _ := c.MegaflowStats(); hits != 1 || sw.Table.Len() != 2 {
+		t.Fatalf("setup: hits=%d table=%d, want 1/2", hits, sw.Table.Len())
+	}
+	orphan := megaFlow(hostA, 40002)
+	orphan.DstPort = 7000 // outside every class
+	if err := sw.Apply(openflow.FlowMod{Match: flow.FiveMatch(orphan), Priority: 100,
+		Actions: openflow.Output(2), Cookie: 0xdead, BufferID: openflow.BufferNone}); err != nil {
+		t.Fatal(err)
+	}
+
+	swept := c.TakeoverSweep(func(flow.Five) bool { return true })
+	if swept != 1 || sw.Table.Len() != 2 {
+		t.Fatalf("swept=%d table=%d, want the orphan deleted and the class's two entries kept", swept, sw.Table.Len())
+	}
+	for _, f := range sw.FlowTuples(nil) {
+		if f == orphan {
+			t.Error("orphan entry survived the sweep")
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // updates pushed by daemons (or synthesized by the transport on serial
 // gaps) resolve through the fact-dependency index to the exact flows whose
 // verdicts depended on the changed facts, and each is torn down live —
-// response-cache entry dropped, flow-table entries deleted along the full
+// cached verdict retired, flow-table entries deleted along the full
 // installed path through the shared install worker pool, audit record
 // emitted. The next packet of a torn-down flow punts, re-queries, and
 // re-decides under current endpoint state; no controller restart, policy
@@ -91,11 +91,12 @@ func (c *Controller) revokeHostFact(host netaddr.IP, key, reason string) int {
 		c.flushTeardown(b)
 	}
 	if c.mega != nil {
-		// Wide side: every megaflow whose verdict read the fact goes too —
-		// one teardown deletes the entries of every member of the class.
+		// Wide side: every cached verdict that read the fact and was not
+		// already retired with its founder above goes too — one teardown
+		// deletes the entries of every member of the class.
 		st := c.state.Load()
 		for _, id := range c.revoker.ResolveFactWide(host, key, nil) {
-			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, reason, true) {
+			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, reason) {
 				n++
 			}
 		}
@@ -129,7 +130,7 @@ func (c *Controller) SweepLeases() int {
 		st := c.state.Load()
 		wide := 0
 		for _, id := range c.revoker.ExpiredWideLeases(c.clock(), nil) {
-			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, "lease-expired", true) {
+			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, "lease-expired") {
 				wide++
 			}
 		}
@@ -154,33 +155,34 @@ func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast boo
 	c.flushTeardown(b)
 }
 
-// revokeFlowInto is the per-flow half of a teardown: sequence bump, cache
-// drop, covering-megaflow teardown, dependency-index drop, audit record —
+// revokeFlowInto is the per-flow half of a teardown: sequence bump,
+// covering-verdict teardown, dependency-index drop, audit record —
 // everything except the switch deletes, which accumulate in b (grouped per
 // datapath) for one batched flush. rule is the pre-decorated audit string
 // ("(revoked: <reason>)"), built once by the caller so a fan-in tearing N
 // flows does not concatenate it N times.
 func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
-	sh := c.flows.shardFor(five)
-	// Order matters: bump the sequence before dropping the cache, so a
-	// decision that read the cache (or gathered responses) before the bump
-	// cannot publish after the drop without noticing.
-	sh.rev.Add(1)
-	dropped := sh.drop(five)
-	megaTorn := 0
+	// Order matters: bump the sequence before probing the cache, so a
+	// decision that read a cached verdict (or gathered responses) before
+	// the bump cannot publish after the teardown without noticing.
+	c.flows.shardFor(five).rev.Add(1)
+	exactTorn, megaTorn := false, 0
 	if c.mega != nil {
-		// Any megaflow covering this flow falls with it: the class verdict
-		// may rest on the same facts this revocation invalidates (a daemon
-		// flow-scoped update names a member, not the class), and the
+		// Every cached verdict covering this flow falls with it: the class
+		// verdict may rest on the same facts this revocation invalidates (a
+		// daemon flow-scoped update names a member, not the class), and the
 		// member's installed entries carry the class cookie, unreachable
 		// by the exact-cookie deletes below. Tearing the whole class down
 		// is conservative and correct — members re-decide and re-widen.
 		// The probe runs after the rev bump above, completing the install
-		// handshake: a widened entry inserted before this probe is found
-		// here; one inserted after will see the bump at its publication
-		// re-check and tear itself down.
+		// handshake: an entry inserted before this probe is found here;
+		// one inserted after will see the bump at its publication re-check
+		// and tear itself down.
 		for _, e := range c.mega.covering(five, nil) {
-			if c.teardownMega(st, e, reason, true) {
+			if e.mask == pf.TraceAllFields {
+				// The class is this one flow; its record is the flow's own.
+				exactTorn = c.retireMega(st, e)
+			} else if c.teardownMega(st, e, reason) {
 				megaTorn++
 			}
 		}
@@ -198,9 +200,10 @@ func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Fi
 			paths = append(paths, id)
 		}
 	}
-	if !haveReg && !broadcast && !dropped {
-		// Nothing known about this flow: no cache entry, no registration.
-		// The sequence bump above still voids any in-flight decision.
+	if !haveReg && !broadcast && !exactTorn {
+		// Nothing known about this flow: no verdict of its own cached, no
+		// registration. The sequence bump above still voids any in-flight
+		// decision.
 		if megaTorn == 0 {
 			c.Counters.Add("revocations_noop", 1)
 		}

@@ -71,14 +71,14 @@ func TestUpdateTearsDownFlow(t *testing.T) {
 	if live, _, _ := c.RevocationIndexStats(); live != 1 {
 		t.Fatalf("setup: index live = %d, want 1", live)
 	}
-	if c.CachedFlows() != 1 {
-		t.Fatalf("setup: cached flows = %d", c.CachedFlows())
+	if cachedVerdicts(c) != 1 {
+		t.Fatalf("setup: cached flows = %d", cachedVerdicts(c))
 	}
 	queriesBefore := func() int { tr.mu.Lock(); defer tr.mu.Unlock(); return tr.queries }()
 
 	c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
 
-	if c.CachedFlows() != 0 {
+	if cachedVerdicts(c) != 0 {
 		t.Error("cache entry survived the update")
 	}
 	if live, _, _ := c.RevocationIndexStats(); live != 0 {
@@ -122,20 +122,20 @@ func TestKeyScopedUpdateFanOut(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.HandleEvent(sampleEvent(revFlow(41000+i), 1))
 	}
-	if c.CachedFlows() != 8 {
-		t.Fatalf("setup: cached = %d", c.CachedFlows())
+	if cachedVerdicts(c) != 8 {
+		t.Fatalf("setup: cached = %d", cachedVerdicts(c))
 	}
 
 	// A key nothing read: no effect.
 	c.HandleUpdate(hostA, wire.Update{Key: "os-patch", Serial: 1})
-	if c.CachedFlows() != 8 {
-		t.Errorf("unrelated key tore down flows: cached = %d", c.CachedFlows())
+	if cachedVerdicts(c) != 8 {
+		t.Errorf("unrelated key tore down flows: cached = %d", cachedVerdicts(c))
 	}
 
 	// The key every verdict read at the src end.
 	c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 2})
-	if c.CachedFlows() != 0 {
-		t.Errorf("cached = %d after key-scoped revocation, want 0", c.CachedFlows())
+	if cachedVerdicts(c) != 0 {
+		t.Errorf("cached = %d after key-scoped revocation, want 0", cachedVerdicts(c))
 	}
 	if got := c.Counters.Get("revocations_flows"); got != 8 {
 		t.Errorf("revocations_flows = %d, want 8", got)
@@ -150,8 +150,8 @@ func TestResyncTearsDownHost(t *testing.T) {
 		c.HandleEvent(sampleEvent(revFlow(42000+i), 1))
 	}
 	c.HandleUpdate(hostB, wire.Update{Serial: 9})
-	if c.CachedFlows() != 0 {
-		t.Errorf("cached = %d after resync, want 0", c.CachedFlows())
+	if cachedVerdicts(c) != 0 {
+		t.Errorf("cached = %d after resync, want 0", cachedVerdicts(c))
 	}
 	if c.Counters.Get("revocations_resyncs") != 1 {
 		t.Errorf("revocations_resyncs = %d", c.Counters.Get("revocations_resyncs"))
@@ -160,7 +160,7 @@ func TestResyncTearsDownHost(t *testing.T) {
 
 // TestFlowRemovedDropsCacheEntry is the stale-grant-on-reuse regression:
 // before the fix, a flow whose switch entry idle-timed-out was re-admitted
-// from the response cache without consulting the daemons again.
+// from the verdict cache without consulting the daemons again.
 func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 	// Revocation deliberately off: the fix must hold for every controller.
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
@@ -178,8 +178,8 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 	c.AddDatapath(&fakeDatapath{id: 1})
 	five := revFlow(43000)
 	c.HandleEvent(sampleEvent(five, 1))
-	if c.CachedFlows() != 1 {
-		t.Fatalf("setup: cached = %d", c.CachedFlows())
+	if cachedVerdicts(c) != 1 {
+		t.Fatalf("setup: cached = %d", cachedVerdicts(c))
 	}
 	q1 := func() int { tr.mu.Lock(); defer tr.mu.Unlock(); return tr.queries }()
 
@@ -189,7 +189,7 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 		Cookie:   five.Hash() | 1,
 		Reason:   openflow.RemovedIdleTimeout,
 	})
-	if c.CachedFlows() != 0 {
+	if cachedVerdicts(c) != 0 {
 		t.Fatal("cache entry survived FlowRemoved: stale-grant-on-reuse")
 	}
 
@@ -221,6 +221,9 @@ func TestFlowRemovedCleansRemainingPath(t *testing.T) {
 	}
 	if live, _, _ := c.RevocationIndexStats(); live != 0 {
 		t.Error("index registration survived FlowRemoved")
+	}
+	if wlive, _, _ := c.WideStats(); wlive != 0 || cachedVerdicts(c) != 0 {
+		t.Errorf("cached verdict survived FlowRemoved: cached=%d wide=%d", cachedVerdicts(c), wlive)
 	}
 }
 
@@ -258,6 +261,16 @@ func TestLeaseFallback(t *testing.T) {
 	if live, _, _ := c.RevocationIndexStats(); live != 1 {
 		t.Errorf("index live = %d, want the push-exempt flow only", live)
 	}
+	// The leased flow's cached verdict and its wide registration went with
+	// it (counted once, not again by the wide lease sweep); the exempt
+	// flow's stay.
+	if c.mega.exact(leased) != nil || c.mega.exact(pushed) == nil {
+		t.Errorf("cached verdicts after sweep: leased=%v pushed=%v, want gone/kept",
+			c.mega.exact(leased) != nil, c.mega.exact(pushed) != nil)
+	}
+	if wlive, _, _ := c.WideStats(); wlive != 1 {
+		t.Errorf("wide registrations = %d, want the push-exempt flow's only", wlive)
+	}
 	advance(2 * time.Minute)
 	if n := c.SweepLeases(); n != 0 {
 		t.Errorf("push-capable hosts' flow was lease-revoked (%d)", n)
@@ -273,8 +286,8 @@ func TestRevokeHostOperator(t *testing.T) {
 	if n := c.RevokeHost(hostA, "name"); n != 3 {
 		t.Errorf("RevokeHost = %d, want 3", n)
 	}
-	if c.CachedFlows() != 0 {
-		t.Errorf("cached = %d after operator revocation", c.CachedFlows())
+	if cachedVerdicts(c) != 0 {
+		t.Errorf("cached = %d after operator revocation", cachedVerdicts(c))
 	}
 	if n := c.RevokeHost(hostA, "name"); n != 0 {
 		t.Errorf("second RevokeHost = %d, want 0", n)
@@ -374,7 +387,7 @@ func TestRevocationStorm(t *testing.T) {
 	// Quiescence: with updates stopped, a fresh decision lands and stays.
 	quiet := revFlow(47000)
 	c.HandleEvent(sampleEvent(quiet, 1))
-	if !c.flows.shardFor(quiet).has(quiet) {
+	if c.mega.exact(quiet) == nil {
 		t.Error("post-storm decision did not cache")
 	}
 	// Nothing pending.
@@ -424,7 +437,7 @@ func TestInFlightRevocationVoidsDecision(t *testing.T) {
 	if c.Counters.Get("revocations_inflight") != 1 {
 		t.Errorf("revocations_inflight = %d, want 1", c.Counters.Get("revocations_inflight"))
 	}
-	if c.CachedFlows() != 0 {
+	if cachedVerdicts(c) != 0 {
 		t.Error("voided decision cached its responses")
 	}
 	if c.Counters.Get("flows_allowed") != 0 {

@@ -43,7 +43,7 @@ type decisionScratch struct {
 	revSeq uint64
 
 	// cookie, when non-zero, overrides the exact per-flow cookie on
-	// installed entries: megaflow member installs carry their class's
+	// installed entries: a cache hit's installs carry their class's
 	// cookie so one wildcard delete tears the whole class down.
 	cookie uint64
 
@@ -150,7 +150,6 @@ type gatherState struct {
 	qsrc, qdst                 time.Duration
 	srcBuilt, dstBuilt         bool // response built by the controller (answer-on-behalf), not a daemon
 	srcTransient, dstTransient bool // end lost to transport trouble; decision must not be cached
-	fromCache                  bool // responses borrowed from the shard cache; do not re-store
 
 	// pre is the header-only pre-pass verdict; when preDecided is set the
 	// decision needed no endpoint information and finishDecision installs
@@ -158,13 +157,9 @@ type gatherState struct {
 	pre        pf.Decision
 	preDecided bool
 
-	// mega is the megaflow entry a class hit resolved to; finishDecision
-	// takes its verdict and publishes the member's installed paths to it.
+	// mega is the cached verdict a hit resolved to; finishDecision takes
+	// its verdict and publishes the member's installed paths to it.
 	mega *megaEntry
-
-	// cacheLife is the exact-cache entry's view refcount, retained by the
-	// hit lookup; released when the borrowing decision finishes.
-	cacheLife *entryLife
 
 	owner   *decisionScratch
 	pending atomic.Int32 // outstanding async ends; 2 → 0
@@ -202,7 +197,8 @@ func (g *gatherState) recQueryDone(epFlag uint16, rtt time.Duration, err error) 
 // srcDone and dstDone are the query plane's completion entry points. The
 // response they receive is a read-only borrow shared with any coalesced
 // waiters (see internal/query's borrow contract); resolveResponse never
-// mutates it, and downstream it is either cached or dropped, never pooled.
+// mutates it, and downstream it is read by the evaluation and dropped —
+// never retained past the decision, never pooled.
 func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error) {
 	g.recQueryDone(trace.FlagSrc, rtt, err)
 	g.src, g.qsrc, g.srcBuilt, g.srcTransient = g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
@@ -227,19 +223,17 @@ func (g *gatherState) reset() {
 	g.qsrc, g.qdst = 0, 0
 	g.srcBuilt, g.dstBuilt = false, false
 	g.srcTransient, g.dstTransient = false, false
-	g.fromCache = false
 	g.pre, g.preDecided = pf.Decision{}, false
 	g.mega = nil
-	g.cacheLife = nil
 	g.pending.Store(0)
 	g.selfTraced = false
 }
 
 // releaseBuilt returns the controller-built response views to the pf pool
-// once the decision that borrowed them is finished. Responses stored into
-// the shard cache are owned by the cache (finishDecision clears the built
-// flags when it stores), and daemon-returned responses are owned by the
-// transport or the garbage collector; neither is touched here.
+// once the decision that built them is finished — always: the verdict
+// cache keeps verdicts, not responses, so nothing outlives the decision to
+// read them. Daemon-returned responses are owned by the transport or the
+// garbage collector and are not touched here.
 func (g *gatherState) releaseBuilt() {
 	if g.srcBuilt {
 		pf.ReleaseResponse(g.src)
@@ -248,12 +242,5 @@ func (g *gatherState) releaseBuilt() {
 	if g.dstBuilt {
 		pf.ReleaseResponse(g.dst)
 		g.dstBuilt = false
-	}
-	if g.cacheLife != nil {
-		// End the borrow the cache-hit lookup retained; if the entry was
-		// evicted while this decision ran, this is the release that pools
-		// its views.
-		g.cacheLife.release()
-		g.cacheLife = nil
 	}
 }

@@ -4,63 +4,18 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"identxx/internal/flow"
 	"identxx/internal/openflow"
-	"identxx/internal/pf"
-	"identxx/internal/wire"
 )
 
-// The controller's per-flow state (verdict/response cache, in-flight
-// pending set, parked duplicate packet-ins) is split across N power-of-two
-// shards keyed by flow.Five.ShardIndex, so concurrent packet-ins for
-// different flows never contend on one lock. Each shard owns its own
-// mutex, maps, and expiry sweep; nothing in a shard is touched without
-// that shard's lock.
-
-// entryLife refcounts a cache entry's controller-built response views.
-// The cache holds one reference for the entry's residency; each lookup
-// retains one for the borrowing decision (under the shard lock, so a
-// borrow can never race the entry's eviction) and releases it when the
-// decision finishes. The last release — eviction or final borrower,
-// whichever is later — returns the views to the pf pool. Entries whose
-// responses are all daemon-returned (GC-owned) carry no life at all, so
-// the common path pays one nil check.
-type entryLife struct {
-	src, dst *wire.Response
-	refs     atomic.Int32
-}
-
-func (l *entryLife) retain() {
-	if l != nil {
-		l.refs.Add(1)
-	}
-}
-
-func (l *entryLife) release() {
-	if l == nil {
-		return
-	}
-	if l.refs.Add(-1) == 0 {
-		pf.ReleaseResponse(l.src)
-		pf.ReleaseResponse(l.dst)
-	}
-}
-
-// cacheEntry caches the responses gathered for one flow. epoch pins the
-// entry to the policy snapshot it was computed under: SetPolicy bumps the
-// controller epoch, so entries cached by in-flight decisions racing a
-// policy swap can never satisfy a lookup under the new policy, even if
-// they land after the flush. life is non-nil when some of the responses
-// are controller-built pool views; every path that removes the entry
-// from the map must release it, or the views leak from the pool.
-type cacheEntry struct {
-	src, dst *wire.Response
-	expires  time.Time
-	epoch    uint64
-	life     *entryLife
-}
+// The controller's per-flow in-flight state (the pending set with its
+// parked duplicate packet-ins, and the revocation sequence) is split across
+// N power-of-two shards keyed by flow.Five.ShardIndex, so concurrent
+// packet-ins for different flows never contend on one lock. Each shard owns
+// its own mutex and map; nothing in a shard but rev is touched without that
+// shard's lock. Cached verdicts live in the megaTable (megaflow.go), which
+// is sharded by class, not by flow.
 
 // parked is a duplicate packet-in waiting for the first packet's verdict.
 // Releasing its buffer after the verdict's entries are installed lets the
@@ -77,20 +32,18 @@ type parked struct {
 
 // shard is one lock domain of the flow-decision fast path.
 type shard struct {
-	mu        sync.Mutex
-	respCache map[flow.Five]cacheEntry
-	pending   map[flow.Five][]parked
-	lastSweep time.Time
+	mu      sync.Mutex
+	pending map[flow.Five][]parked
 
 	// rev counts revocations that touched this shard. A decision captures
 	// the value when it claims its flow and re-checks before publishing
-	// (cache store + install): a bump in between means an endpoint-state
-	// update raced the decision, whose gathered responses may predate the
-	// change — the decision voids itself instead of installing possibly
-	// stale state, and the packet's retransmission re-decides under current
-	// facts. Per-shard granularity means an unrelated same-shard revocation
-	// occasionally voids a healthy decision; that costs one re-decision,
-	// never correctness.
+	// (verdict-cache insert + install): a bump in between means an
+	// endpoint-state update raced the decision, whose gathered responses
+	// may predate the change — the decision voids itself instead of
+	// installing possibly stale state, and the packet's retransmission
+	// re-decides under current facts. Per-shard granularity means an
+	// unrelated same-shard revocation occasionally voids a healthy
+	// decision; that costs one re-decision, never correctness.
 	rev atomic.Uint64
 }
 
@@ -105,7 +58,6 @@ func newShardTable(n int) *shardTable {
 	n = ceilPow2(n)
 	t := &shardTable{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range t.shards {
-		t.shards[i].respCache = make(map[flow.Five]cacheEntry)
 		t.shards[i].pending = make(map[flow.Five][]parked)
 	}
 	return t
@@ -149,116 +101,6 @@ func (s *shard) resolve(five flow.Five) []parked {
 	waiters := s.pending[five]
 	delete(s.pending, five)
 	return waiters
-}
-
-// lookup returns the cached responses for five if present, unexpired, and
-// from the current policy epoch.
-func (s *shard) lookup(five flow.Five, now time.Time, epoch uint64) (cacheEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.respCache[five]
-	if !ok || e.epoch != epoch || !now.Before(e.expires) {
-		return cacheEntry{}, false
-	}
-	// Retain under the shard lock: eviction also runs under it, so the
-	// borrow is pinned before any eviction path can issue the cache's
-	// release.
-	e.life.retain()
-	return e, true
-}
-
-// store caches the responses for five and opportunistically sweeps the
-// shard: at most once per TTL it walks its own map and drops expired
-// entries, so expiry cost is bounded, per shard, and off every other
-// shard's lock.
-//
-// revSeq is the revocation sequence the storing decision captured at
-// claim time; the write is refused (ok=false) if a revocation has touched
-// the shard since. The check happens under the shard lock, and teardown
-// bumps rev before taking that lock to drop: so either this store sees
-// the bump and refuses, or the store commits strictly before the
-// teardown's drop, which then removes it. In neither interleaving can a
-// pre-revocation response survive in the cache.
-func (s *shard) store(five flow.Five, e cacheEntry, now time.Time, ttl time.Duration, revSeq uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rev.Load() != revSeq {
-		return false
-	}
-	if s.lastSweep.IsZero() {
-		s.lastSweep = now
-	} else if now.Sub(s.lastSweep) >= ttl {
-		for f, old := range s.respCache {
-			if !now.Before(old.expires) {
-				delete(s.respCache, f)
-				old.life.release()
-			}
-		}
-		s.lastSweep = now
-	}
-	if old, ok := s.respCache[five]; ok {
-		// Overwrite is an eviction of the previous entry.
-		old.life.release()
-	}
-	s.respCache[five] = e
-	return true
-}
-
-// drop removes one flow's cached responses (per-flow revocation),
-// reporting whether an entry was present.
-func (s *shard) drop(five flow.Five) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.respCache[five]
-	delete(s.respCache, five)
-	if ok {
-		e.life.release()
-	}
-	return ok
-}
-
-// has reports whether a cache entry (of any epoch/expiry) exists for five;
-// a diagnostics helper.
-func (s *shard) has(five flow.Five) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.respCache[five]
-	return ok
-}
-
-// flushAll clears every shard's cache. Sequential on purpose: dropping a
-// map pointer under a briefly held lock costs nanoseconds per shard, far
-// less than goroutine spawn would — and correctness never depended on the
-// flush anyway (the epoch bump already invalidated every entry).
-func (t *shardTable) flushAll() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		old := s.respCache
-		s.respCache = make(map[flow.Five]cacheEntry)
-		s.lastSweep = time.Time{}
-		s.mu.Unlock()
-		for _, e := range old {
-			e.life.release()
-		}
-	}
-}
-
-// cachedFlows counts live (unexpired, current-epoch) entries across all
-// shards; a diagnostics helper for tests and operators.
-func (t *shardTable) cachedFlows(now time.Time, epoch uint64) int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, e := range s.respCache {
-			if e.epoch == epoch && now.Before(e.expires) {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
 }
 
 func ceilPow2(n int) int {

@@ -33,10 +33,10 @@ func stressFlow(n int) flow.Five {
 		SrcPort: netaddr.Port(3000 + n), DstPort: 80}
 }
 
-// TestShardedCacheExpiryDeterministicClock drives the response cache with
-// a hand-advanced clock: entries must serve hits inside the TTL, stop
+// TestShardedCacheExpiryDeterministicClock drives the verdict cache with a
+// hand-advanced clock: entries must serve hits inside the TTL, stop
 // counting once expired, and the per-shard sweep must only ever touch the
-// shard it runs in — storing into one shard cannot evict another shard's
+// shard it runs in — inserting into one shard cannot evict another shard's
 // entries, expired or not.
 func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	const ttl = 10 * time.Second
@@ -62,15 +62,15 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	for i := 0; i < flows; i++ {
 		c.HandleEvent(sampleEvent(stressFlow(i), 1))
 	}
-	if got := c.CachedFlows(); got != flows {
-		t.Fatalf("CachedFlows = %d, want %d", got, flows)
+	if got := cachedVerdicts(c); got != flows {
+		t.Fatalf("cached verdicts = %d, want %d", got, flows)
 	}
 	// Entries should be spread over all four shards — otherwise the
 	// "per shard" claims below test nothing.
-	for i := range c.flows.shards {
-		sh := &c.flows.shards[i]
+	for i := range c.mega.shards {
+		sh := &c.mega.shards[i]
 		sh.mu.Lock()
-		n := len(sh.respCache)
+		n := len(sh.entries)
 		sh.mu.Unlock()
 		if n == 0 {
 			t.Fatalf("shard %d got no entries out of %d flows; hash badly skewed", i, flows)
@@ -84,14 +84,14 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	if tr.queries != before {
 		t.Errorf("in-TTL event queried daemons (%d -> %d queries)", before, tr.queries)
 	}
-	if c.Counters.Get("response_cache_hits") != 1 {
-		t.Errorf("response_cache_hits = %d, want 1", c.Counters.Get("response_cache_hits"))
+	if c.Counters.Get("megaflow_hits") != 1 {
+		t.Errorf("megaflow_hits = %d, want 1", c.Counters.Get("megaflow_hits"))
 	}
 
 	// Past the TTL: nothing counts as live, and a re-decision re-queries.
 	fc.Advance(ttl)
-	if got := c.CachedFlows(); got != 0 {
-		t.Fatalf("CachedFlows = %d after expiry, want 0", got)
+	if got := cachedVerdicts(c); got != 0 {
+		t.Fatalf("cached verdicts = %d after expiry, want 0", got)
 	}
 	before = tr.queries
 	c.HandleEvent(sampleEvent(stressFlow(1), 1))
@@ -99,17 +99,20 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 		t.Errorf("expired entry did not force re-query (%d -> %d)", before, tr.queries)
 	}
 
-	// That re-decision stored into exactly one shard and its sweep ran
+	// That re-decision inserted into exactly one shard and its sweep ran
 	// there: the owning shard holds only the fresh entry, while the other
 	// shards still hold their expired tombstones (sweeps are per shard and
 	// lazy; no cross-shard eviction).
-	owner := c.flows.shardFor(stressFlow(1))
+	shardOf := func(f flow.Five) *megaShard {
+		return c.mega.shardFor(megaKey{masked: f, mask: pf.TraceAllFields})
+	}
+	owner := shardOf(stressFlow(1))
 	ownerIdx := -1
 	staleElsewhere := 0
-	for i := range c.flows.shards {
-		sh := &c.flows.shards[i]
+	for i := range c.mega.shards {
+		sh := &c.mega.shards[i]
 		sh.mu.Lock()
-		n := len(sh.respCache)
+		n := len(sh.entries)
 		sh.mu.Unlock()
 		if sh == owner {
 			ownerIdx = i
@@ -131,7 +134,7 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	// expired entry must re-query.
 	var other flow.Five
 	for i := 2; i < flows; i++ {
-		if c.flows.shardFor(stressFlow(i)) != owner {
+		if shardOf(stressFlow(i)) != owner {
 			other = stressFlow(i)
 			break
 		}

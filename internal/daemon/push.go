@@ -14,7 +14,7 @@ import (
 // a previously-asserted fact stops being true. The controller's verdicts
 // are computed from flow-setup-time answers; without this channel a user
 // logging out or a process exiting keeps its allowed flows until switch
-// idle-timeout, and the response cache re-grants them without asking again.
+// idle-timeout, and the verdict cache re-grants them without asking again.
 //
 // The answered-facts memo is bounded (answeredCap): a daemon on a busy
 // server must not grow per-flow state without limit just because it was

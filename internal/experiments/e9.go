@@ -17,8 +17,8 @@ import (
 // setup-time-only verdicts cannot handle, since nothing ever re-checks the
 // facts a flow was admitted on. The daemon pushes one endpoint-state
 // update per asserted flow; the controller's fact-dependency index
-// resolves each to the affected flow and tears it down live: response
-// cache dropped, flow-table entries deleted on every switch along the
+// resolves each to the affected flow and tears it down live: cached
+// verdict retired, flow-table entries deleted on every switch along the
 // path. The table sweeps flow count and reports the virtual revocation
 // latency (state change to last flow-table delete) and the residue, which
 // must be zero — no idle-timeout, no policy reload, no restart.
@@ -76,9 +76,9 @@ pass from any to any with eq(@src[name], skype)
 		entriesAfter := s1.SW.Table.Len() + s2.SW.Table.Len()
 		torn := ctl.Counters.Get("revocations_flows")
 		verdict := "torn-down"
-		if entriesAfter != 0 || int(torn) != flows || ctl.CachedFlows() != 0 {
+		if cached, _, _, _ := ctl.MegaflowStats(); entriesAfter != 0 || int(torn) != flows || cached != 0 {
 			verdict = fmt.Sprintf("residue: %d entries, %d torn, %d cached",
-				entriesAfter, torn, ctl.CachedFlows())
+				entriesAfter, torn, cached)
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", flows),
@@ -90,7 +90,7 @@ pass from any to any with eq(@src[name], skype)
 			ck.cell("torn-down", verdict),
 		)
 	}
-	t.Note("teardown is event-driven: latency is one daemon→controller propagation plus per-flow O(affected) index work, independent of table size — no scan, no timeout, no reload. The response cache would otherwise re-grant for its whole TTL (1h here).")
+	t.Note("teardown is event-driven: latency is one daemon→controller propagation plus per-flow O(affected) index work, independent of table size — no scan, no timeout, no reload. The verdict cache would otherwise re-grant for its whole TTL (1h here).")
 	t.Fprint(w)
 	return t
 }

@@ -78,7 +78,7 @@ func splitHostPort(s string) (netaddr.IP, netaddr.Port, error) {
 var hashSeed = maphash.MakeSeed()
 
 // Hash returns a 64-bit hash of the tuple, suitable for flow tables and
-// response caches. The seed is fixed per process. maphash.Comparable hashes
+// verdict caches. The seed is fixed per process. maphash.Comparable hashes
 // the tuple's fixed-size memory directly — no intermediate buffer, no
 // allocation, nothing escaping — which matters because shard selection and
 // flow-mod cookies hash on every packet-in.

@@ -274,8 +274,8 @@ func TestE2ECredentialExpiryRevokesFlows(t *testing.T) {
 	waitUntil(t, "entries torn down at credential expiry", func() bool {
 		return sw.Table.Len() == 0
 	})
-	if ctl.CachedFlows() != 0 {
-		t.Errorf("cache entries = %d after credential lapse", ctl.CachedFlows())
+	if n := cachedVerdicts(ctl); n != 0 {
+		t.Errorf("cache entries = %d after credential lapse", n)
 	}
 	waitUntil(t, "audit record", func() bool {
 		revs := ctl.Audit.Revocations()

@@ -23,9 +23,10 @@
 // Responses delivered by the engine are owned by the engine's caller set
 // as a group: a coalesced query hands the same *wire.Response to every
 // waiter, so delivered responses are read-only borrows — callers must not
-// mutate or pool-release them. (The controller already honors this: daemon
-// responses are either stored in the shard response cache or dropped to
-// the garbage collector, never returned to the pf view pool.)
+// mutate or pool-release them. (The controller already honors this: it
+// caches verdicts, not responses, so a daemon response is read by one
+// evaluation and dropped to the garbage collector — never retained past
+// the decision, never returned to the pf view pool.)
 package query
 
 import (

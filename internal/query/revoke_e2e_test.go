@@ -5,7 +5,7 @@ package query_test
 // daemon.Server instances on loopback TCP, programming real
 // openflow.Switch flow tables. A mid-flow endpoint-state change on the
 // source host (the owning process exits) is pushed by the daemon, demuxed
-// by the pool, and enforced by the controller: response-cache entry gone,
+// by the pool, and enforced by the controller: cached verdict gone,
 // flow-table entries deleted on every datapath along the installed path,
 // audit record emitted — no controller restart, no policy reload, no
 // idle-timeout. The ISSUE 5 acceptance scenario.
@@ -24,6 +24,12 @@ import (
 	"identxx/internal/wire"
 	"identxx/internal/workload"
 )
+
+// cachedVerdicts is the controller's live verdict-cache entry count.
+func cachedVerdicts(ctl *core.Controller) int {
+	live, _, _, _ := ctl.MegaflowStats()
+	return live
+}
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -96,8 +102,8 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	waitUntil(t, "entries installed", func() bool {
 		return sw1.Table.Len() == 2 && sw2.Table.Len() == 2
 	})
-	if ctl.CachedFlows() != 1 {
-		t.Fatalf("cached flows = %d", ctl.CachedFlows())
+	if n := cachedVerdicts(ctl); n != 1 {
+		t.Fatalf("cached verdicts = %d", n)
 	}
 	// The daemons said hello through the subscribed connections.
 	waitUntil(t, "hellos", func() bool {
@@ -110,7 +116,7 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	waitUntil(t, "flow torn down from both switches", func() bool {
 		return sw1.Table.Len() == 0 && sw2.Table.Len() == 0
 	})
-	waitUntil(t, "cache entry dropped", func() bool { return ctl.CachedFlows() == 0 })
+	waitUntil(t, "cache entry dropped", func() bool { return cachedVerdicts(ctl) == 0 })
 	waitUntil(t, "audit record emitted", func() bool {
 		revs := ctl.Audit.Revocations()
 		return len(revs) >= 1 && revs[0].Flow == connected
@@ -199,7 +205,7 @@ pass from any to any port 631 with eq(@dst[type], printer)
 	if sw.Table.Len() != 0 {
 		t.Errorf("entries = %d after lease teardown", sw.Table.Len())
 	}
-	if ctl.CachedFlows() != 0 {
-		t.Errorf("cache entries = %d after lease teardown", ctl.CachedFlows())
+	if n := cachedVerdicts(ctl); n != 0 {
+		t.Errorf("cache entries = %d after lease teardown", n)
 	}
 }

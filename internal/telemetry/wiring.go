@@ -21,7 +21,6 @@ import (
 // ControllerCounters documents every counter the controller increments.
 var ControllerCounters = map[string]string{
 	"packet_ins":                     "Packet-in events admitted to the decision path.",
-	"response_cache_hits":            "Flow setups resolved from the exact response cache without daemon queries.",
 	"duplicate_packet_ins":           "Packet-ins for a flow whose decision was already in flight.",
 	"waiters_resolved":               "Parked duplicate packet-ins resolved by the first verdict.",
 	"waiters_forwarded":              "Packets forwarded on behalf of resolved waiters.",
@@ -42,22 +41,22 @@ var ControllerCounters = map[string]string{
 	"path_errors":                    "Topology path lookups that failed during install or teardown.",
 	"queries_intercepted":            "ident++ queries the controller intercepted and answered itself (§3.4).",
 	"responses_augmented":            "Transit responses the controller augmented with its own observations (§3.4).",
-	"megaflow_hits":                  "Flow setups resolved by the megaflow wildcard cache.",
-	"megaflow_installs":              "Wildcard entries installed into the megaflow cache.",
-	"megaflow_teardowns":             "Wildcard entries torn down by revocation or policy change.",
-	"megaflow_expired":               "Wildcard entries dropped by TTL expiry.",
-	"megaflow_hit_raced":             "Megaflow hits that raced a concurrent teardown and fell through to a full decision.",
+	"megaflow_hits":                  "Flow setups resolved from the verdict cache without daemon queries or evaluation (exact entries, and wildcard classes under -megaflow).",
+	"megaflow_installs":              "Verdicts inserted into the verdict cache.",
+	"megaflow_teardowns":             "Cached verdicts retired by revocation or flow removal.",
+	"megaflow_expired":               "Cached verdicts dropped by TTL expiry.",
+	"megaflow_hit_raced":             "Verdict-cache hits that raced a concurrent teardown and deleted their own installs.",
 	"flows_revoked":                  "Installed flows torn down live by the revocation plane.",
 	"revocations_updates":            "Daemon-pushed endpoint-state updates received.",
 	"revocations_flows":              "Flows matched by revocation updates (teardown initiated).",
 	"revocations_inflight":           "Revocations that cancelled a decision still in flight.",
-	"revocations_raced":              "Revocations that raced a concurrent cache store and re-ran teardown.",
+	"revocations_raced":              "Revocations that raced a decision's publication (verdict-cache insert, registration) and re-ran teardown.",
 	"revocations_hellos":             "Daemon hello updates (subscription handshakes) processed.",
 	"revocations_resyncs":            "Full resyncs forced by serial gaps in a daemon's update stream.",
 	"revocations_noop":               "Updates that matched no registered fact (nothing to tear down).",
 	"revocations_entries":            "Fact dependencies registered in the revocation index.",
 	"revocations_lease_expired":      "Flows torn down by lease expiry (daemons that never push).",
-	"revocations_wide_lease_expired": "Megaflow classes torn down by lease expiry.",
+	"revocations_wide_lease_expired": "Cached verdicts torn down by lease expiry.",
 	"cred_unauthorized":              "Daemon answers excluded from verdicts by credential enforcement (unverified, expired, or out-of-scope sessions).",
 }
 
@@ -149,8 +148,6 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 		func() int64 { return int64(ctl.DatapathCount()) }, labels...)
 	r.RegisterGaugeFunc("flow_shards", "Flow-state shard count (fixed at construction).",
 		func() int64 { return int64(ctl.Shards()) }, labels...)
-	r.RegisterGaugeFunc("flows_cached", "Live (unexpired, current-epoch) response-cache entries.",
-		func() int64 { return int64(ctl.CachedFlows()) }, labels...)
 	r.RegisterGaugeFunc("decisions_pending", "Decisions in flight across all shards.",
 		func() int64 {
 			var n int64
@@ -168,17 +165,17 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 			return n
 		}, labels...)
 
-	r.RegisterGaugeFunc("megaflow_live", "Live wildcard entries in the megaflow cache.",
+	r.RegisterGaugeFunc("megaflow_live", "Live (unexpired, current-epoch) entries in the verdict cache.",
 		func() int64 { live, _, _, _ := ctl.MegaflowStats(); return int64(live) }, labels...)
 	r.RegisterGaugeFunc("revocation_index_live", "Fact dependencies resident in the revocation index.",
 		func() int64 { live, _, _ := ctl.RevocationIndexStats(); return int64(live) }, labels...)
 	r.RegisterCounterFunc("revocation_index_dropped", "Fact registrations dropped by the index's bounds.",
 		func() int64 { _, _, dropped := ctl.RevocationIndexStats(); return dropped }, labels...)
-	r.RegisterGaugeFunc("revocation_wide_live", "Megaflow-class registrations resident in the revocation index.",
+	r.RegisterGaugeFunc("revocation_wide_live", "Cached-verdict registrations resident in the revocation index.",
 		func() int64 { live, _, _ := ctl.WideStats(); return int64(live) }, labels...)
-	r.RegisterCounterFunc("revocation_wide_registered", "Lifetime megaflow-class registrations in the revocation index.",
+	r.RegisterCounterFunc("revocation_wide_registered", "Lifetime cached-verdict registrations in the revocation index.",
 		func() int64 { _, registered, _ := ctl.WideStats(); return registered }, labels...)
-	r.RegisterCounterFunc("revocation_wide_dropped", "Megaflow-class registrations dropped by the index's bounds.",
+	r.RegisterCounterFunc("revocation_wide_dropped", "Cached-verdict registrations dropped from the revocation index.",
 		func() int64 { _, _, dropped := ctl.WideStats(); return dropped }, labels...)
 	r.RegisterGaugeFunc("rule_cache_entries", "Resident entries in the policy's embedded-rules memo.",
 		func() int64 { entries, _ := ctl.PolicyRuleCacheStats(); return entries }, labels...)

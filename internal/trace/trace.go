@@ -54,10 +54,9 @@ const (
 	// StageForward marks a non-owned packet-in handed to its owning
 	// replica over the cluster link (recorded on the forwarder's half).
 	StageForward
-	// StageMegaflowProbe is the wildcard decision-cache probe.
+	// StageMegaflowProbe is the verdict-cache probe (exact entries and
+	// wildcard classes alike; the wire name predates the one table).
 	StageMegaflowProbe
-	// StageCacheProbe is the exact response-cache probe.
-	StageCacheProbe
 	// StagePrepass is the header-only pre-pass.
 	StagePrepass
 	// StageQueryEnqueue marks one endpoint query entering the query plane.
@@ -84,7 +83,6 @@ var stageNames = [...]string{
 	StageBegin:          "begin",
 	StageForward:        "forward",
 	StageMegaflowProbe:  "megaflow-probe",
-	StageCacheProbe:     "cache-probe",
 	StagePrepass:        "prepass",
 	StageQueryEnqueue:   "query-enqueue",
 	StageQueryDone:      "query-done",

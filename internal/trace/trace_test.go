@@ -34,7 +34,7 @@ func TestSampleEveryOneRetainsAll(t *testing.T) {
 	r := New(Config{SampleEvery: 1})
 	for i := 0; i < 10; i++ {
 		b := r.Begin(0)
-		b.Rec(StageCacheProbe, FlagHit, 0)
+		b.Rec(StageMegaflowProbe, FlagHit, 0)
 		b.SetVerdict("pass")
 		r.Finish(b)
 	}
@@ -239,7 +239,7 @@ func TestConcurrentRecordRetain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				b := r.Begin(0)
-				b.Rec(StageCacheProbe, 0, 0)
+				b.Rec(StageMegaflowProbe, 0, 0)
 				b.Rec(StageEval, 0, 0)
 				r.Finish(b)
 			}
