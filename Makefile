@@ -43,10 +43,12 @@ race:
 # interleavings get more than one roll. The cluster link's client is the
 # same link.Pipe as the query plane's, so its tests repeat too; the -run
 # filter keeps TestFailoverLosesNoRevocations (a known flake, over Loopback
-# links: ROADMAP open item 1) out of the repeat.
+# links: ROADMAP open item 1) out of the repeat. The histograms every
+# decision writes are lock-free atomic cells read by concurrent scrapes;
+# their conservation tests repeat here with the exporter's.
 .PHONY: race-query
 race-query:
-	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/
+	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/ ./internal/metrics/ ./internal/telemetry/
 	$(GO) test -race -count=2 -run 'TCPLink|TraceLink' ./internal/cluster/
 
 # The verdict cache's safety rests on interleavings one run rarely rolls:

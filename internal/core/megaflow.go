@@ -444,27 +444,34 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) boo
 }
 
 // deleteMegaAt issues one cookie-scoped wildcard delete per datapath,
-// through the shared install fan-out as installs and exact teardowns do.
+// through the shared install fan-out as installs and exact teardowns do:
+// the last datapath — the only one, for a one-switch class — runs on the
+// calling goroutine, so a single-datapath teardown pays no hand-off.
 func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
-	if len(paths) == 0 {
-		return
-	}
+	m := openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone}
 	var wg sync.WaitGroup
-	ch := installCh()
+	var last openflow.Datapath
 	for _, id := range paths {
 		dp := st.datapaths[id]
 		if dp == nil {
 			continue
 		}
-		m := openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone}
-		wg.Add(1)
-		select {
-		case ch <- installJob{dp: dp, mod: m, wg: &wg, errs: c.hot.installErrors}:
-		default:
-			if err := dp.Apply(m); err != nil {
-				c.hot.installErrors.Add(1)
+		if last != nil {
+			wg.Add(1)
+			select {
+			case installCh() <- installJob{dp: last, mod: m, wg: &wg, errs: c.hot.installErrors}:
+			default:
+				if err := last.Apply(m); err != nil {
+					c.hot.installErrors.Add(1)
+				}
+				wg.Done()
 			}
-			wg.Done()
+		}
+		last = dp
+	}
+	if last != nil {
+		if err := last.Apply(m); err != nil {
+			c.hot.installErrors.Add(1)
 		}
 	}
 	wg.Wait()

@@ -4,16 +4,14 @@
 // decision counts, and cache statistics.
 //
 // Everything here sits on the controller's packet-in hot path, so nothing
-// takes a global lock: counters are atomics behind a sync.Map, and
-// histograms are striped across per-stripe mutexes with stripe selection
-// from a per-P cursor (sync.Pool), so concurrent writers rarely touch the
-// same stripe.
+// takes a lock: counters are atomics behind a sync.Map, and a histogram is
+// a fixed array of atomic cells.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -21,225 +19,151 @@ import (
 	"time"
 )
 
-// stripeCursor hands each P (roughly, each OS thread running goroutines) a
-// private round-robin cursor for picking stripes. sync.Pool's fast path is
-// per-P, so Get/Put almost never contend; the cursor's walk spreads a
-// single P's writes across stripes too.
-var stripeCursor = sync.Pool{New: func() any { return new(uint64) }}
+// Cell layout: a duration d lands in the cell of v = d-1 ns, so a cell covers
+// (lower, upper] and a cumulative count up to an edge is exactly the
+// Prometheus "le" count. Cells 0-15 are 1 ns wide; from there each octave of
+// v (bits.Len64) splits into 8 linear cells, so a cell is never wider than
+// 1/8 of its lower edge. 256 cells end at 2^34 ns (≈ 17.2 s); the cell after
+// them counts everything above that.
+const (
+	firstBound = 9  // the le ladder starts at 2^9 ns (512 ns) ...
+	topBound   = 34 // ... and doubles up to the top edge, 2^34 ns
+	numCells   = (topBound - 2) << 3
+)
 
-func nextStripe(n int) int {
-	c := stripeCursor.Get().(*uint64)
-	*c++
-	i := int(*c & uint64(n-1))
-	stripeCursor.Put(c)
-	return i
+// cellOf returns the cell d is counted in: cell 0 for d <= 1 ns (negative
+// durations included), the overflow cell past the top edge.
+func cellOf(d time.Duration) int {
+	if d <= 1 {
+		return 0
+	}
+	v := uint64(d - 1)
+	e := max(bits.Len64(v), 4) - 4
+	return min(e<<3+int(v>>e), numCells)
 }
 
-// histStripes is the histogram stripe count: enough to keep GOMAXPROCS
-// writers apart, fixed per process, always a power of two.
-var histStripes = func() int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
+// cellEdge returns the exclusive lower edge of cell i, which is the
+// inclusive upper edge of cell i-1.
+func cellEdge(i int) time.Duration {
+	if i < 8 {
+		return time.Duration(i)
 	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}()
-
-// histStripe is one lock domain of a Histogram.
-type histStripe struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-	min     time.Duration
-	cap     int
-	rng     uint64
+	return time.Duration(8|i&7) << (i>>3 - 1)
 }
 
-func (s *histStripe) observe(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count++
-	s.sum += d
-	if d > s.max {
-		s.max = d
-	}
-	if d < s.min {
-		s.min = d
-	}
-	if len(s.samples) < s.cap {
-		s.samples = append(s.samples, d)
-		return
-	}
-	// xorshift64* reservoir replacement.
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	idx := s.rng % uint64(s.count)
-	if idx < uint64(s.cap) {
-		s.samples[idx] = d
-	}
-}
-
-// Histogram records duration samples and reports quantiles. It keeps all
-// samples up to a cap, then switches to uniform reservoir sampling, so
-// quantiles stay meaningful on long runs without unbounded memory. Samples
-// are striped across independently locked reservoirs; readers merge the
-// stripes, writers touch exactly one.
+// Histogram records durations in a fixed array of atomic cells (≈ 2 KB), so
+// Observe takes no lock and allocates nothing, and count, sum, min, max and
+// every bucket are exact for the life of the process. Quantiles are read
+// off the cells and are within one cell (12.5 %) of the true value.
 type Histogram struct {
-	stripes []histStripe
+	cells         [numCells + 1]atomic.Int64
+	sum, min, max atomic.Int64
 }
 
-// NewHistogram creates a histogram retaining up to capSamples samples
-// (default 4096 when 0).
-func NewHistogram(capSamples int) *Histogram {
-	if capSamples <= 0 {
-		capSamples = 4096
-	}
-	n := histStripes
-	if capSamples < n {
-		n = 1
-	}
-	per, rem := capSamples/n, capSamples%n
-	h := &Histogram{stripes: make([]histStripe, n)}
-	for i := range h.stripes {
-		sz := per
-		if i < rem {
-			sz++ // distribute the remainder so total capacity is exact
-		}
-		h.stripes[i] = histStripe{cap: sz, rng: 0x9e3779b97f4a7c15 + uint64(i)<<1, min: math.MaxInt64}
-	}
+// NewHistogram creates an empty histogram.
+func NewHistogram() *Histogram {
+	h := new(Histogram)
+	h.min.Store(math.MaxInt64)
 	return h
 }
 
-// Observe records one sample.
+// Observe records one sample. The extremes are published before the cell, so
+// a reader that loads the cells first never counts a sample outside
+// [min, max].
 func (h *Histogram) Observe(d time.Duration) {
-	h.stripes[nextStripe(len(h.stripes))].observe(d)
+	v := int64(d)
+	for m := h.max.Load(); v > m && !h.max.CompareAndSwap(m, v); {
+		m = h.max.Load()
+	}
+	for m := h.min.Load(); v < m && !h.min.CompareAndSwap(m, v); {
+		m = h.min.Load()
+	}
+	h.sum.Add(v)
+	h.cells[cellOf(d)].Add(1)
+}
+
+// load reads every cell once and returns the counts and their total.
+func (h *Histogram) load() (cells [numCells + 1]int64, n int64) {
+	for i := range h.cells {
+		cells[i] = h.cells[i].Load()
+		n += cells[i]
+	}
+	return cells, n
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.count
-		s.mu.Unlock()
-	}
+	_, n := h.load()
 	return n
 }
 
+// Sum returns the sum of all observations.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
 // Mean returns the mean of all observations.
 func (h *Histogram) Mean() time.Duration {
-	var n int64
-	var sum time.Duration
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.count
-		sum += s.sum
-		s.mu.Unlock()
-	}
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	return sum / time.Duration(n)
+	return h.Sum() / time.Duration(n)
 }
 
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration {
-	var max time.Duration
-	seen := false
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		if s.count > 0 {
-			seen = true
-			if s.max > max {
-				max = s.max
-			}
-		}
-		s.mu.Unlock()
-	}
-	if !seen {
-		return 0
-	}
-	return max
-}
+// Max returns the largest observation, zero when there is none.
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
-// Min returns the smallest observation.
+// Min returns the smallest observation, zero when there is none.
 func (h *Histogram) Min() time.Duration {
-	min := time.Duration(math.MaxInt64)
-	seen := false
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		if s.count > 0 {
-			seen = true
-			if s.min < min {
-				min = s.min
-			}
+	if m := h.min.Load(); m != math.MaxInt64 {
+		return time.Duration(m)
+	}
+	return 0
+}
+
+// Bucket is one line of the exported histogram: the number of observations
+// at or below Le.
+type Bucket struct {
+	Le    time.Duration
+	Count int64
+}
+
+// Buckets reads the cells once and returns the cumulative counts for the
+// fixed le ladder, whose bounds are cell edges, and the total those counts
+// were derived from: the +Inf bucket, never below a finite one.
+func (h *Histogram) Buckets() (ladder []Bucket, count int64) {
+	cells, count := h.load()
+	ladder = make([]Bucket, 0, topBound-firstBound+1)
+	i, below := 0, int64(0)
+	for k := firstBound; k <= topBound; k++ {
+		for ; i < (k-2)<<3; i++ { // cellEdge((k-2)<<3) is 2^k ns
+			below += cells[i]
 		}
-		s.mu.Unlock()
+		ladder = append(ladder, Bucket{Le: 1 << k, Count: below})
 	}
-	if !seen {
-		return 0
-	}
-	return min
+	return ladder, count
 }
 
-// Sum returns the sum of all observations (exact, not sampled: stripes
-// accumulate the running sum even after the reservoir starts evicting).
-func (h *Histogram) Sum() time.Duration {
-	var sum time.Duration
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		sum += s.sum
-		s.mu.Unlock()
-	}
-	return sum
-}
-
-// Samples returns a copy of the retained (reservoir) samples, unordered.
-// Exporters bucket these; the retained set is a uniform sample of the full
-// stream once the reservoir is saturated, so bucket counts derived from it
-// understate true counts but never exceed Count().
-func (h *Histogram) Samples() []time.Duration {
-	return h.retained()
-}
-
-// retained returns a merged copy of every stripe's samples.
-func (h *Histogram) retained() []time.Duration {
-	var out []time.Duration
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		out = append(out, s.samples...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained samples.
+// Quantile returns the q-quantile (0 <= q <= 1): the cell holding that rank,
+// interpolated linearly and clamped into [Min, Max], so the ends and a
+// constant stream are exact.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	sorted := h.retained()
-	if len(sorted) == 0 {
-		return 0
+	cells, n := h.load()
+	lo, hi := h.Min(), h.Max()
+	rank := int64(q * float64(n-1))
+	if rank <= 0 {
+		return lo
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
+	if rank >= n-1 {
+		return hi
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	for i, c := range cells {
+		if rank < c {
+			a, b := max(cellEdge(i), lo), min(cellEdge(i+1), hi)
+			return a + time.Duration(float64(b-a)*(float64(rank)+0.5)/float64(c))
+		}
+		rank -= c
 	}
-	return sorted[idx]
+	return hi
 }
 
 // Summary renders count/mean/p50/p95/p99/max on one line.
@@ -367,12 +291,12 @@ type SetupRecorder struct {
 // NewSetupRecorder creates a recorder.
 func NewSetupRecorder() *SetupRecorder {
 	return &SetupRecorder{
-		Punt:     NewHistogram(0),
-		QuerySrc: NewHistogram(0),
-		QueryDst: NewHistogram(0),
-		Eval:     NewHistogram(0),
-		Install:  NewHistogram(0),
-		Total:    NewHistogram(0),
+		Punt:     NewHistogram(),
+		QuerySrc: NewHistogram(),
+		QueryDst: NewHistogram(),
+		Eval:     NewHistogram(),
+		Install:  NewHistogram(),
+		Total:    NewHistogram(),
 	}
 }
 

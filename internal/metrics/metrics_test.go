@@ -1,13 +1,18 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -34,7 +39,7 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	if h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
@@ -43,38 +48,135 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramReservoirBounded(t *testing.T) {
-	h := NewHistogram(64)
-	for i := 0; i < 10000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
+// TestHistogramQuantileAccuracy: against a sorted reference, a quantile read
+// off the cells is within one cell (12.5 %) of the true value, and a
+// constant stream reads back exactly.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	h := NewHistogram()
+	ref := make([]time.Duration, 200000)
+	for i := range ref {
+		// log-uniform over 100 ns .. 10 s
+		ref[i] = time.Duration(100 * math.Pow(1e8, rng.Float64()))
+		h.Observe(ref[i])
 	}
-	if h.Count() != 10000 {
-		t.Errorf("count = %d", h.Count())
+	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		want := ref[int(q*float64(len(ref)-1))]
+		got := h.Quantile(q)
+		if err := math.Abs(float64(got-want)) / float64(want); err > 0.125 {
+			t.Errorf("Quantile(%v) = %v, reference %v: off by %.1f%%", q, got, want, 100*err)
+		}
 	}
-	if n := len(h.retained()); n != 64 {
-		t.Errorf("retained samples = %d, want 64", n)
+	if h.Quantile(0) != ref[0] || h.Quantile(1) != ref[len(ref)-1] || h.Quantile(1) != h.Max() {
+		t.Errorf("ends = %v/%v, want %v/%v", h.Quantile(0), h.Quantile(1), ref[0], ref[len(ref)-1])
 	}
-	// Quantiles remain in range.
-	if q := h.Quantile(0.5); q < 0 || q > 10000*time.Microsecond {
-		t.Errorf("p50 = %v out of range", q)
+
+	c := NewHistogram()
+	for i := 0; i < 1000; i++ {
+		c.Observe(1234567 * time.Nanosecond)
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := c.Quantile(q); got != 1234567*time.Nanosecond {
+			t.Errorf("constant stream: Quantile(%v) = %v", q, got)
+		}
 	}
 }
 
+// TestHistogramCells pins the cell layout: every duration lies in
+// (cellEdge(i), cellEdge(i+1)] of its cell, no cell is wider than 1/8 of its
+// lower edge, negative durations clamp to cell 0 and durations past the top
+// edge land in the overflow cell that only the total reports.
+func TestHistogramCells(t *testing.T) {
+	for _, d := range []time.Duration{2, 8, 9, 16, 17, 1000, 1024, 1025, 5 * time.Microsecond,
+		time.Millisecond, 10 * time.Second, 1 << topBound} {
+		i := cellOf(d)
+		if lo, hi := cellEdge(i), cellEdge(i+1); d <= lo || d > hi || (lo >= 8 && (hi-lo)*8 > lo) {
+			t.Errorf("cellOf(%d) = %d, edges (%d, %d]", d, i, lo, hi)
+		}
+	}
+	if cellEdge(numCells) != 1<<topBound {
+		t.Errorf("top edge = %d", cellEdge(numCells))
+	}
+	h := NewHistogram()
+	for _, d := range []time.Duration{-time.Second, 0, 1, 1<<topBound + 1, math.MaxInt64} {
+		h.Observe(d)
+	}
+	if h.cells[0].Load() != 3 || h.cells[numCells].Load() != 2 {
+		t.Errorf("cell 0 = %d, overflow = %d, want 3 and 2", h.cells[0].Load(), h.cells[numCells].Load())
+	}
+	ladder, count := h.Buckets()
+	if last := ladder[len(ladder)-1]; last.Le != 1<<topBound || last.Count != 3 || count != 5 {
+		t.Errorf("top bucket = %+v, count = %d, want 3 at the top edge and 5", last, count)
+	}
+	if unsafe.Sizeof(*h) > 2200 {
+		t.Errorf("a histogram is %d bytes, want ≈ 2 KB", unsafe.Sizeof(*h))
+	}
+}
+
+// TestHistogramConcurrent is a conservation test: against 8 writers a
+// looping reader sees counts, buckets and sums that only grow, +Inf never
+// below a finite bucket, and the final count and sum are exact.
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(128)
+	const writers, each = 8, 50000
+	h := NewHistogram()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(time.Duration(w+1) * time.Microsecond)
+			}
+		}(w)
+	}
 	done := make(chan struct{})
 	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			h.Observe(time.Millisecond)
-		}
+		wg.Wait()
+		close(done)
 	}()
-	for i := 0; i < 1000; i++ {
-		h.Observe(2 * time.Millisecond)
+	var prev []Bucket
+	var prevCount int64
+	var prevSum time.Duration
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more read, of the final state
+		default:
+		}
+		ladder, count := h.Buckets()
+		sum := h.Sum()
+		if count < prevCount || sum < prevSum {
+			t.Fatalf("count %d -> %d, sum %v -> %v: not monotone", prevCount, count, prevSum, sum)
+		}
+		for i, b := range ladder {
+			if b.Count > count || (i > 0 && b.Count < ladder[i-1].Count) || (prev != nil && b.Count < prev[i].Count) {
+				t.Fatalf("bucket le=%v = %d (before %v, total %d): not monotone", b.Le, b.Count, prev, count)
+			}
+		}
+		if q := h.Quantile(0.5); count > 0 && (q < h.Min() || q > h.Max()) {
+			t.Fatalf("p50 %v outside [%v, %v]", q, h.Min(), h.Max())
+		}
+		prev, prevCount, prevSum = ladder, count, sum
 	}
-	<-done
-	if h.Count() != 2000 {
-		t.Errorf("count = %d", h.Count())
+	if want := int64(writers * each); h.Count() != want || prevCount != want {
+		t.Errorf("count = %d (last read %d), want %d", h.Count(), prevCount, want)
+	}
+	if want := time.Duration(each*writers*(writers+1)/2) * time.Microsecond; h.Sum() != want {
+		t.Errorf("sum = %v, want %v", h.Sum(), want)
+	}
+}
+
+// BenchmarkSetupRecorderObserve prices what every decision pays for its six
+// latency histograms.
+func BenchmarkSetupRecorderObserve(b *testing.B) {
+	r := NewSetupRecorder()
+	bd := SetupBreakdown{Punt: 40 * time.Microsecond, QuerySrc: 210 * time.Microsecond,
+		QueryDst: 190 * time.Microsecond, Install: 55 * time.Microsecond}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bd.Eval = time.Duration(i&1023) * time.Nanosecond
+		r.Observe(bd)
 	}
 }
 

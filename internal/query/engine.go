@@ -396,7 +396,7 @@ func (e *Engine) hostState(host netaddr.IP) *hostState {
 	defer e.hostMu.Unlock()
 	hs, ok := e.hosts[host]
 	if !ok {
-		hs = &hostState{rtt: metrics.NewHistogram(0)}
+		hs = &hostState{rtt: metrics.NewHistogram()}
 		e.hosts[host] = hs
 	}
 	return hs
@@ -423,8 +423,8 @@ type HostStatus struct {
 
 // HostStats snapshots every host the engine has ever queried, sorted by
 // address — the per-host drill-down behind `identctl admin hosts` and the
-// telemetry export. Quantiles read the striped reservoir, so the call is
-// safe (and meaningful) under live traffic.
+// telemetry export. The histograms are read with atomic loads, so the call
+// is safe under live traffic and p99 is within one cell (12.5 %).
 func (e *Engine) HostStats() []HostStatus {
 	e.hostMu.Lock()
 	hosts := make([]netaddr.IP, 0, len(e.hosts))
@@ -548,7 +548,7 @@ func (e *Engine) settle(host netaddr.IP, rtt time.Duration, err error) {
 		hs.openTill = time.Time{}
 		hs.negErr = nil
 		hs.mu.Unlock()
-		hs.rtt.Observe(rtt) // histograms stripe their own locks
+		hs.rtt.Observe(rtt) // outside hs.mu: Observe takes no lock
 		return
 	}
 	hs.mu.Lock()

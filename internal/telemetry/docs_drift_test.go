@@ -13,6 +13,7 @@ import (
 	"identxx/internal/cluster"
 	"identxx/internal/daemon"
 	"identxx/internal/hostinfo"
+	"identxx/internal/metrics"
 	"identxx/internal/netaddr"
 	"identxx/internal/query"
 	"identxx/internal/trace"
@@ -104,6 +105,24 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("docs/metrics.md documents metrics the registry no longer exports (delete the rows):\n  %s",
 			strings.Join(stale, "\n  "))
+	}
+
+	// The le ladder is pinned the same way: the doc's "`le` = ..."
+	// paragraph must list exactly the bounds every histogram exports.
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "metrics.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, para, _ := strings.Cut(string(raw), "`le` = ")
+	para, _, _ = strings.Cut(para, "\n\n")
+	var want []string
+	ladder, _ := metrics.NewHistogram().Buckets()
+	for _, b := range ladder {
+		want = append(want, formatLe(b.Le.Seconds()))
+	}
+	want = append(want, "+Inf")
+	if got := strings.Join(strings.Fields(para), " "); got != strings.Join(want, ", ") {
+		t.Errorf("docs/metrics.md le ladder disagrees with the exporter:\n  doc:  %s\n  code: %s", got, strings.Join(want, ", "))
 	}
 }
 

@@ -7,17 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
-
-// defaultBuckets are the histogram bucket upper bounds, in seconds. The
-// range spans sub-microsecond cache hits through multi-second daemon
-// timeouts — the full spread of the paper's flow-setup latencies.
-var defaultBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 // writePrometheus renders families in text exposition format 0.0.4:
 // https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -68,30 +58,18 @@ func writeCounterSet(bw *bufio.Writer, f *family) {
 	}
 }
 
-// writeHistogram emits _bucket/_sum/_count. Bucket counts are computed
-// from the reservoir's retained samples; since retained ≤ Count(), every
-// finite cumulative bucket is ≤ the +Inf bucket (which carries the true
-// count), preserving the monotonicity the format requires. _sum is the
-// true sum, so sum/count is the exact mean.
+// writeHistogram emits _bucket/_sum/_count. The le ladder and its exact
+// cumulative counts come from one read of the histogram's cells, and +Inf
+// and _count are the total of that same read, so no finite bucket can
+// exceed them. _sum is the true sum, so sum/count is the exact mean.
 func writeHistogram(bw *bufio.Writer, f *family) {
 	writeHeader(bw, f.name, f.help, "histogram")
-	samples := f.hist.Samples()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	count := f.hist.Count()
-	sum := f.hist.Sum()
-
-	idx := 0
-	cumulative := int64(0)
-	for _, le := range defaultBuckets {
-		bound := time.Duration(le * float64(time.Second))
-		for idx < len(samples) && samples[idx] <= bound {
-			idx++
-		}
-		cumulative = int64(idx)
-		writeSample(bw, f.name+"_bucket", f.labels, formatLe(le), float64(cumulative))
+	ladder, count := f.hist.Buckets()
+	for _, b := range ladder {
+		writeSample(bw, f.name+"_bucket", f.labels, formatLe(b.Le.Seconds()), float64(b.Count))
 	}
 	writeSample(bw, f.name+"_bucket", f.labels, "+Inf", float64(count))
-	writeSample(bw, f.name+"_sum", f.labels, "", sum.Seconds())
+	writeSample(bw, f.name+"_sum", f.labels, "", f.hist.Sum().Seconds())
 	writeSample(bw, f.name+"_count", f.labels, "", float64(count))
 }
 

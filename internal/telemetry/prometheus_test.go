@@ -205,8 +205,42 @@ func TestNameSanitizationAndLabelEscaping(t *testing.T) {
 	}
 }
 
+// scrapeBuckets scrapes r and returns family's finite buckets in emission
+// order (bound in seconds, cumulative count), its +Inf bucket and its _count.
+func scrapeBuckets(t *testing.T, r *Registry, family string) (les, counts []float64, inf, count float64) {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	parseExposition(t, out)
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, family+"_bucket") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			le := line[strings.Index(line, `le="`)+4 : strings.LastIndexByte(line, '"')]
+			if le == "+Inf" {
+				inf = v
+				continue
+			}
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			les, counts = append(les, bound), append(counts, v)
+		}
+		if strings.HasPrefix(line, family+"_count ") {
+			count, _ = strconv.ParseFloat(strings.Fields(line)[1], 64)
+		}
+	}
+	return les, counts, inf, count
+}
+
 func TestHistogramBucketsCumulative(t *testing.T) {
-	h := metrics.NewHistogram(0)
+	h := metrics.NewHistogram()
 	for _, d := range []time.Duration{
 		500 * time.Nanosecond, 50 * time.Microsecond, 2 * time.Millisecond,
 		30 * time.Millisecond, 700 * time.Millisecond, 20 * time.Second,
@@ -215,40 +249,17 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 	r := NewRegistry()
 	r.RegisterHistogram("lat", "Latency.", h)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	parseExposition(t, out)
+	les, counts, infCount, count := scrapeBuckets(t, r, "identxx_lat_seconds")
 
-	// Collect bucket counts in emission order; they must be
-	// non-decreasing and end at the true count.
-	var counts []float64
-	var infCount, count float64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "identxx_lat_seconds_bucket") {
-			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.Contains(line, `le="+Inf"`) {
-				infCount = v
-			} else {
-				counts = append(counts, v)
-			}
-		}
-		if strings.HasPrefix(line, "identxx_lat_seconds_count ") {
-			count, _ = strconv.ParseFloat(strings.Fields(line)[1], 64)
-		}
-	}
-	if len(counts) != len(defaultBuckets) {
-		t.Fatalf("bucket lines = %d, want %d", len(counts), len(defaultBuckets))
+	// The ladder covers 1 µs – 10 s in 18–28 ascending lines; counts must
+	// be non-decreasing and end at the true count.
+	if n := len(les); n < 18 || n > 28 || les[0] > 1e-6 || les[n-1] < 10 {
+		t.Fatalf("le ladder = %v, want 18-28 bounds covering 1e-06..10", les)
 	}
 	prev := float64(0)
 	for i, c := range counts {
-		if c < prev {
-			t.Errorf("bucket %d count %v < previous %v (not cumulative)", i, c, prev)
+		if c < prev || (i > 0 && les[i] <= les[i-1]) {
+			t.Errorf("bucket %d (le=%v) count %v after %v (not cumulative)", i, les[i], c, prev)
 		}
 		prev = c
 	}
@@ -259,6 +270,35 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	// must hold 5, not 6.
 	if counts[len(counts)-1] != 5 {
 		t.Errorf("last finite bucket = %v, want 5", counts[len(counts)-1])
+	}
+
+	// Buckets are exact at any observation count and never fall between
+	// scrapes. A sampled histogram fails both: its finite buckets stop at
+	// the sample capacity, then shrink as later observations displace
+	// earlier ones.
+	h = metrics.NewHistogram()
+	r = NewRegistry()
+	r.RegisterHistogram("lat", "Latency.", h)
+	var before []float64
+	total := float64(0)
+	for _, d := range []time.Duration{5 * time.Microsecond, 5 * time.Millisecond} {
+		for i := 0; i < 100000; i++ {
+			h.Observe(d)
+		}
+		total += 100000
+		les, counts, inf, count := scrapeBuckets(t, r, "identxx_lat_seconds")
+		if inf != total || count != total || float64(h.Count()) != total {
+			t.Errorf("after %v phase: +Inf=%v _count=%v cells=%d, want %v", d, inf, count, h.Count(), total)
+		}
+		for i, le := range les {
+			if le >= d.Seconds() && counts[i] != total {
+				t.Errorf("after %v phase: le=%v reads %v, want %v", d, le, counts[i], total)
+			}
+			if before != nil && counts[i] < before[i] {
+				t.Errorf("le=%v fell from %v to %v between scrapes", le, before[i], counts[i])
+			}
+		}
+		before = counts
 	}
 }
 
@@ -431,7 +471,7 @@ func TestRegistryNames(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterCounterFunc("a", "a.", func() int64 { return 0 })
 	r.RegisterGaugeFunc("b", "b.", func() int64 { return 0 })
-	h := metrics.NewHistogram(0)
+	h := metrics.NewHistogram()
 	r.RegisterHistogram("c", "c.", h)
 	r.RegisterCounterSet(metrics.NewCounter(), map[string]string{"d": "d."})
 	want := []string{"identxx_a_total", "identxx_b", "identxx_c_seconds", "identxx_d_total"}

@@ -4,9 +4,8 @@
 // endpoints wired to real process signals and a structured (JSON-lines)
 // audit stream tapped off the controller's audit ring.
 //
-// The package deliberately sits outside the decision path. Counters and
-// gauges are read with atomic loads at scrape time; histograms snapshot
-// their reservoirs under per-stripe locks that writers hold for nanoseconds.
+// The package deliberately sits outside the decision path. Counters,
+// gauges and histogram cells are read with atomic loads at scrape time.
 // Nothing here is ever called from HandleEvent or finishDecision except the
 // audit tap, which is a single non-blocking channel send (audit.go).
 //
