@@ -118,6 +118,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM7_ShardedHandleEvent=2' \
 		-max-allocs 'BenchmarkM8_AllocProfile=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
+		-max-allocs 'BenchmarkM9_QueryPlane/async=13' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
 		-max-allocs 'BenchmarkM12_Megaflow/member-hit=2' \

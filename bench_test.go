@@ -486,6 +486,11 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //     the async pipeline must not cost the cache-hit path anything.
 //   - miss: one full wire round trip per op through the pipelined
 //     connection — the per-flow price of a cold cache.
+//   - async: what identctl does on a miss — QueryAsync with 32 queries
+//     outstanding on the one connection, each completion issuing the next
+//     from the reader it runs on. ns/op and allocs/op are per query: the
+//     query plane's own cost with the round trips overlapped (CI gates the
+//     allocations).
 //   - coalesced: every goroutine asks for the same (host, flow, keys)
 //     concurrently; the engine shares wire exchanges between them
 //     (wire_queries_per_op reported; well under 1 means coalescing works).
@@ -558,6 +563,49 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			if v, _ := resp.Latest(wire.KeyUserID); v != "alice" {
 				b.Fatal("wrong response")
 			}
+		}
+	})
+
+	b.Run("async", func(b *testing.B) {
+		srcIP, srcAddr, five := m9Host(b, "pc", "10.4.4.1")
+		pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{srcIP: srcAddr}})
+		b.Cleanup(func() { pool.Close() })
+		eng := query.NewEngine(query.Config{Lower: pool})
+		b.Cleanup(eng.Close)
+		// Distinct flows, or the engine would coalesce the window into one.
+		const window = 32
+		qs := make([]wire.Query, window)
+		for i := range qs {
+			qs[i] = wire.Query{Flow: five, Keys: []string{wire.KeyUserID, wire.KeyName}}
+			qs[i].Flow.SrcPort += netaddr.Port(i)
+		}
+		var issued, failed atomic.Int64
+		finished := make(chan struct{}, window)
+		var done func(*wire.Response, time.Duration, error)
+		done = func(_ *wire.Response, _ time.Duration, err error) {
+			if err != nil {
+				failed.Add(1)
+			}
+			if n := issued.Add(1); n <= int64(b.N) {
+				eng.QueryAsync(srcIP, qs[n%window], done)
+			} else {
+				finished <- struct{}{}
+			}
+		}
+		if _, _, err := eng.Query(srcIP, qs[0]); err != nil { // dial, warm the pools
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < window; i++ {
+			done(nil, 0, nil)
+		}
+		for i := 0; i < window; i++ {
+			<-finished
+		}
+		b.StopTimer()
+		if failed.Load() != 0 {
+			b.Fatalf("%d queries failed", failed.Load())
 		}
 	})
 

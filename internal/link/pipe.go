@@ -5,26 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"identxx/internal/wire"
 )
 
 const (
-	// dialTimeout bounds connection establishment; a request deadline
-	// closer than this wins.
+	// dialTimeout bounds connection establishment. A request deadline closer
+	// than this fails that request; the dial goes on for those behind it.
 	dialTimeout = 1 * time.Second
 
 	// initialBackoff is how long calls fail fast after the first failed
 	// dial; it doubles with every further failure up to the Pipe's maximum.
 	initialBackoff = 50 * time.Millisecond
 
-	// readGrace pads the reader's deadline horizon past the last request's
-	// deadline, so per-request timeouts abandon their slot (keeping the
-	// connection and its pipeline intact) before the reader declares the
-	// whole connection hung and tears it down.
+	// readGrace is how long past the last request's deadline the sweeper
+	// waits, so per-request timeouts abandon their slot (keeping the
+	// connection and its pipeline intact) before it declares the whole
+	// connection hung and tears it down.
 	readGrace = 500 * time.Millisecond
 
 	// readBuf is each connection's read buffer: a burst of a dozen replies
@@ -82,9 +83,21 @@ type Plane[K comparable, R any] struct {
 // by FIFO order — the peer answers one connection's requests in order — with
 // each reply's key checked against its request's as a desync guard.
 //
-// A failed dial makes later calls fail fast with the same error for a
-// backoff window; the death of an established connection does not (the next
-// call redials at once). A call that hits its deadline abandons its slot:
+// Go queues a request and returns; the call's completion runs later, exactly
+// once and with no lock held, on the goroutine that learns the outcome: the
+// connection's reader for a reply, the sweeper for a deadline, whoever tears
+// the connection down, the dialer for a failed dial, the caller itself only
+// for a request refused on the spot. A completion may call Go again, on any
+// Pipe; it must not block, because its reader reads nothing meanwhile.
+//
+// Nothing dials on a caller's goroutine (it may be another Pipe's reader):
+// calls that find the Pipe disconnected wait for one dialer goroutine. A
+// failed dial fails them and makes later calls fail fast with the same error
+// for a backoff window; the death of an established connection does not (the
+// next call redials at once).
+//
+// One sweeper per Pipe, armed for the earliest deadline outstanding, stands
+// in for a timer per call. A call that hits its deadline abandons its slot:
 // the reader discards the late reply when it comes and the calls pipelined
 // behind it live. Only a peer silent past the last deadline outstanding
 // (plus readGrace) is declared hung, and then — as for any read or write
@@ -99,162 +112,159 @@ type Pipe[K comparable, R any] struct {
 	addr       string
 	timeout    time.Duration // write deadline of every burst
 	maxBackoff time.Duration
-	limit      int // calls outstanding at which Call fails fast; 0: none
+	limit      int // calls outstanding at which Go refuses; 0: none
 	plane      Plane[K, R]
 	calls      sync.Pool // *call[K, R]
 
 	conn     net.Conn
-	out      *Writer // conn's only writer; nil exactly when conn is
-	gen      uint64  // connections torn down so far: stale readers and writers no-op
-	pending  []*call[K, R]
-	horizon  time.Time // read deadline currently set on conn
-	dialErr  error     // last dial failure, served until nextDial
+	out      *Writer       // conn's only writer; nil exactly when conn is
+	gen      uint64        // connections torn down so far: stale readers and writers no-op
+	pending  []*call[K, R] // written to conn and unanswered, oldest first
+	waiting  []*call[K, R] // queued for the dialer to write
+	dialing  bool          // a dialer goroutine is running
+	dialErr  error         // last dial failure, served until nextDial
 	nextDial time.Time
 	backoff  time.Duration
-	closed   error // set by Close: nothing dials again
+	sweeper  *time.Timer // runs sweep at sweepAt
+	sweepAt  time.Time   // zero: not armed
+	closed   error       // set by Close: nothing dials again
 }
 
-// NewPipe returns a Pipe to addr; nothing is dialed before the first Call.
+// NewPipe returns a Pipe to addr; nothing is dialed before the first call.
 // timeout bounds each write (a peer that stops reading is torn down within
 // it), maxBackoff caps the fail-fast window after repeated dial failures,
-// and limit, when not 0, is the number of unanswered requests at which Call
+// and limit, when not 0, is the number of unanswered requests at which a call
 // fails at once instead of queueing behind them. Bound caps the bytes
 // pending either way.
 func NewPipe[K comparable, R any](l sync.Locker, addr string, timeout, maxBackoff time.Duration, limit int, plane Plane[K, R]) *Pipe[K, R] {
 	return &Pipe[K, R]{l: l, addr: addr, timeout: timeout, maxBackoff: maxBackoff, limit: limit, plane: plane}
 }
 
-// call is one request's slot in the pipeline. The reader CASes
-// waiting→delivered and sends on done; a waiter whose deadline passes CASes
-// waiting→abandoned and leaves, after which the reader recycles the slot
-// when the late reply or a teardown reaches it.
+// call is one request's slot in a queue. Whoever takes it out of the queue,
+// under the lock — the reader for its reply, a teardown, the dialer, Close —
+// completes it. The sweeper takes only done out of an expired slot and leaves
+// the slot where it is, so the late reply still finds its place in the FIFO.
 type call[K comparable, R any] struct {
-	key   K
-	state atomic.Int32
-	done  chan result[R]
+	key      K
+	deadline time.Time
+	frame    func([]byte) ([]byte, error)
+	done     func(R, error) // nil once the deadline has abandoned the slot
 }
 
-type result[R any] struct {
-	reply R
-	err   error
+// Call is Go and a wait for its completion.
+func (p *Pipe[K, R]) Call(key K, deadline time.Time, frame func([]byte) ([]byte, error)) (reply R, err error) {
+	done := make(chan struct{})
+	p.Go(key, deadline, frame, func(r R, e error) { reply, err = r, e; close(done) })
+	<-done
+	return reply, err
 }
 
-const (
-	callWaiting int32 = iota
-	callDelivered
-	callAbandoned
-)
-
-// timers recycles the deadline timer every Call waits on: nearly all are
-// stopped unfired a round trip later, and a stopped or fired timer delivers
-// nothing stale after Reset (Go 1.23 timer channels).
-var timers sync.Pool
-
-// Call appends one request — frame appends it, whole, to the buffer it is
-// given, under the lock — and waits for its reply or the deadline.
-func (p *Pipe[K, R]) Call(key K, deadline time.Time, frame func([]byte) ([]byte, error)) (R, error) {
-	var r result[R]
-	c, err := p.send(key, deadline, frame)
-	if err != nil {
-		return r.reply, err
-	}
-	timer, _ := timers.Get().(*time.Timer)
-	if timer == nil {
-		timer = time.NewTimer(time.Until(deadline))
-	} else {
-		timer.Reset(time.Until(deadline))
-	}
-	defer func() {
-		timer.Stop()
-		timers.Put(timer)
-	}()
-	select {
-	case r = <-c.done:
-	case <-timer.C:
-		if c.state.CompareAndSwap(callWaiting, callAbandoned) {
-			return r.reply, fmt.Errorf("link: %s: %w", p.addr, ErrDeadline)
-		}
-		r = <-c.done // delivery won the race
-	}
-	p.calls.Put(c)
-	return r.reply, r.err
-}
-
-// send dials if needed, then queues the call and its frame in one critical
-// section, so the pending queue's order is the wire order by construction.
-// A write that fails later tears the connection down and fails the call like
-// every other one outstanding.
-func (p *Pipe[K, R]) send(key K, deadline time.Time, frame func([]byte) ([]byte, error)) (*call[K, R], error) {
-	p.l.Lock()
-	defer p.l.Unlock()
-	if p.closed != nil {
-		return nil, p.closed
-	}
-	if p.conn == nil {
-		if err := p.dialLocked(deadline); err != nil {
-			return nil, err
-		}
-	}
-	if p.limit > 0 && len(p.pending) >= p.limit {
-		return nil, fmt.Errorf("link: %s: %d requests unanswered", p.addr, len(p.pending))
-	}
-	// Reserve may wait with the lock released; it fails if the connection
-	// was torn down meanwhile, so past it out is still p.conn's writer.
-	conn, out := p.conn, p.out
-	if err := out.Reserve(); err != nil {
-		return nil, err
-	}
-	b, err := frame(out.Buf)
-	if err != nil {
-		return nil, err
-	}
-	out.Buf = b
+// Go queues one request — frame appends it, whole, to the buffer it is given,
+// under the lock — and returns. done runs exactly once: with the reply, or
+// with the error that failed the call (ErrDeadline once deadline passes).
+func (p *Pipe[K, R]) Go(key K, deadline time.Time, frame func([]byte) ([]byte, error), done func(R, error)) {
 	c, _ := p.calls.Get().(*call[K, R])
 	if c == nil {
-		c = &call[K, R]{done: make(chan result[R], 1)}
+		c = new(call[K, R])
 	}
-	c.key = key
-	c.state.Store(callWaiting)
-	p.pending = append(p.pending, c)
-	if h := deadline.Add(readGrace); h.After(p.horizon) {
-		p.horizon = h
-		conn.SetReadDeadline(h)
+	c.key, c.deadline, c.frame, c.done = key, deadline, frame, done
+	var err error // not nil: the call was refused and is in no queue
+	p.l.Lock()
+	switch {
+	case p.closed != nil:
+		err = p.closed
+	case p.limit > 0 && len(p.pending)+len(p.waiting) >= p.limit:
+		err = fmt.Errorf("link: %s: %d requests unanswered", p.addr, len(p.pending)+len(p.waiting))
+	case p.conn != nil:
+		err = p.writeLocked(p.out, c)
+	case p.dialErr != nil && time.Now().Before(p.nextDial):
+		err = p.dialFailed(p.dialErr, true)
+	default: // wait for the dialer
+		p.waiting = append(p.waiting, c)
+		p.arm(c.deadline)
+		if !p.dialing {
+			p.dialing = true
+			go p.dial()
+		}
 	}
-	out.Flush()
-	return c, nil
+	p.l.Unlock()
+	if err != nil {
+		p.complete(c, *new(R), err)
+	}
 }
 
-// dialLocked establishes the connection, or fails fast with the cached
-// error while a failed dial's backoff window is open. The lock is held
-// throughout, so a connection Close did not see does not exist.
-func (p *Pipe[K, R]) dialLocked(deadline time.Time) error {
-	now := time.Now()
-	if p.dialErr != nil && now.Before(p.nextDial) {
-		return p.dialFailed(p.dialErr, true)
+// writeLocked queues the call and its frame in one critical section, so the
+// pending queue's order is the wire order by construction. A write that fails
+// later tears the connection down and fails the call like every other one
+// outstanding.
+func (p *Pipe[K, R]) writeLocked(out *Writer, c *call[K, R]) error {
+	// Reserve may wait with the lock released; it fails if the connection
+	// was torn down meanwhile, so past it out is still p.conn's writer.
+	if err := out.Reserve(); err != nil {
+		return err
 	}
-	timeout := min(dialTimeout, deadline.Sub(now))
-	if timeout <= 0 {
-		return fmt.Errorf("link: %s: %w", p.addr, ErrDeadline)
-	}
-	conn, err := net.DialTimeout("tcp", p.addr, timeout)
+	b, err := c.frame(out.Buf)
 	if err != nil {
-		p.backoff = min(max(2*p.backoff, initialBackoff), p.maxBackoff)
-		p.nextDial = now.Add(p.backoff)
-		p.dialErr = p.dialFailed(err, false)
-		return p.dialErr
+		return err
 	}
-	p.backoff, p.dialErr = 0, nil
-	p.conn, p.horizon = conn, time.Time{}
-	gen := p.gen
-	p.out = NewWriter(p.l, Deadlined(conn, p.timeout), func(err error) {
-		p.teardown(gen, fmt.Errorf("link: write %s: %w", p.addr, err))
-	})
-	go p.read(conn, gen)
-	if p.plane.Opened != nil {
-		p.out.Buf = p.plane.Opened(p.out.Buf)
-		p.out.Flush()
-	}
+	out.Buf = b
+	p.pending = append(p.pending, c)
+	p.arm(c.deadline)
+	out.Flush()
 	return nil
+}
+
+// dial establishes the connection for the calls waiting for it and writes
+// them to it — a call waits for one dial and lives or dies with its
+// connection — or fails them and opens the backoff window. It holds no lock
+// while it dials; a Close it could not see is honoured when it has.
+func (p *Pipe[K, R]) dial() {
+	conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
+	p.l.Lock()
+	p.dialing = false
+	failed := p.waiting // out of the sweeper's reach from here
+	p.waiting = nil
+	switch {
+	case p.closed != nil: // Close took the queue
+		if err == nil {
+			conn.Close()
+		}
+	case err != nil:
+		p.backoff = min(max(2*p.backoff, initialBackoff), p.maxBackoff)
+		p.nextDial = time.Now().Add(p.backoff)
+		p.dialErr = p.dialFailed(err, false)
+		err = p.dialErr
+	default:
+		p.backoff, p.dialErr = 0, nil
+		p.conn = conn
+		gen := p.gen
+		p.out = NewWriter(p.l, Deadlined(conn, p.timeout), func(err error) {
+			p.teardown(gen, fmt.Errorf("link: write %s: %w", p.addr, err))
+		})
+		go p.read(conn, gen)
+		if p.plane.Opened != nil {
+			p.out.Buf = p.plane.Opened(p.out.Buf)
+			p.out.Flush()
+		}
+		// Keep in failed only what is not written: calls that expired while
+		// the dial ran, and any the connection refuses (with the last cause).
+		out, waiting := p.out, failed
+		failed = failed[:0]
+		for _, c := range waiting {
+			if c.done != nil {
+				werr := p.writeLocked(out, c)
+				if werr == nil {
+					continue
+				}
+				err = werr
+			}
+			failed = append(failed, c)
+		}
+	}
+	p.l.Unlock()
+	for _, c := range failed {
+		p.complete(c, *new(R), err)
+	}
 }
 
 func (p *Pipe[K, R]) dialFailed(err error, cached bool) error {
@@ -264,8 +274,74 @@ func (p *Pipe[K, R]) dialFailed(err error, cached bool) error {
 	return err
 }
 
+// complete recycles a slot that is in no queue any more and, unless its
+// deadline got there first, runs its completion. The lock is not held.
+func (p *Pipe[K, R]) complete(c *call[K, R], reply R, err error) {
+	done := c.done
+	*c = call[K, R]{}
+	p.calls.Put(c)
+	if done != nil {
+		done(reply, err)
+	}
+}
+
+// arm makes the sweeper run at t unless it will run sooner. Deadlines mostly
+// grow from call to call, so a busy Pipe re-arms once per sweep, not per call.
+func (p *Pipe[K, R]) arm(t time.Time) {
+	if !p.sweepAt.IsZero() && !t.Before(p.sweepAt) {
+		return
+	}
+	p.sweepAt = t
+	if p.sweeper == nil {
+		p.sweeper = time.AfterFunc(time.Until(t), p.sweep)
+	} else {
+		p.sweeper.Reset(time.Until(t))
+	}
+}
+
+// sweep fails every call whose deadline has passed, in place, and re-arms
+// for the earliest deadline left. When every slot on the connection is
+// abandoned it waits for the last one's deadline plus readGrace instead, and
+// tears down a peer still silent then.
+func (p *Pipe[K, R]) sweep() {
+	now := time.Now()
+	p.l.Lock()
+	p.sweepAt = time.Time{}
+	var expired []func(R, error)
+	var next time.Time // the earliest deadline still running
+	for _, queue := range [2][]*call[K, R]{p.waiting, p.pending} {
+		for _, c := range queue {
+			switch {
+			case c.done == nil:
+			case !c.deadline.After(now):
+				expired = append(expired, c.done)
+				c.done = nil
+			case next.IsZero() || c.deadline.Before(next):
+				next = c.deadline
+			}
+		}
+	}
+	if next.IsZero() && len(p.pending) > 0 { // all abandoned: the horizon
+		last := slices.MaxFunc(p.pending, func(a, b *call[K, R]) int { return a.deadline.Compare(b.deadline) })
+		next = last.deadline.Add(readGrace)
+	}
+	switch {
+	case next.IsZero():
+		p.l.Unlock()
+	case next.After(now):
+		p.arm(next)
+		p.l.Unlock()
+	default: // only the horizon can be in the past after the loop above
+		p.dropLocked(p.gen, fmt.Errorf("link: %s: silent %v past the last deadline: %w", p.addr, readGrace, os.ErrDeadlineExceeded))
+	}
+	err := fmt.Errorf("link: %s: %w", p.addr, ErrDeadline)
+	for _, done := range expired {
+		done(*new(R), err)
+	}
+}
+
 // read is the connection's single reader: it hands every frame to the Plane
-// and gives each reply to the oldest call outstanding.
+// and completes the oldest call outstanding with each reply.
 func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
 	br := bufio.NewReaderSize(conn, readBuf)
 	var payload []byte // every frame's, in turn
@@ -296,37 +372,23 @@ func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
 		}
 		c := p.pending[0]
 		p.pending = p.pending[1:]
-		if len(p.pending) == 0 {
-			// Nothing outstanding: an idle connection must not trip the
-			// hung-connection deadline.
-			p.horizon = time.Time{}
-			conn.SetReadDeadline(time.Time{})
-		}
+		match := key == c.key
 		p.l.Unlock()
-		if key != c.key {
+		if !match {
 			// Correlation broken — a peer answering out of order or a
 			// protocol bug. Fail everything rather than misattribute.
-			p.deliver(c, result[R]{err: fmt.Errorf("link: %s: reply to %v does not match request %v", p.addr, key, c.key)})
+			p.complete(c, *new(R), fmt.Errorf("link: %s: reply to %v does not match request %v", p.addr, key, c.key))
 			p.teardown(gen, fmt.Errorf("link: %s: pipeline desync", p.addr))
 			return
 		}
-		p.deliver(c, result[R]{reply, err})
+		p.complete(c, reply, err)
 	}
-}
-
-// deliver completes a call; an abandoned slot is recycled here, exactly once.
-func (p *Pipe[K, R]) deliver(c *call[K, R], r result[R]) {
-	if c.state.CompareAndSwap(callWaiting, callDelivered) {
-		c.done <- r
-		return
-	}
-	p.calls.Put(c)
 }
 
 // teardown closes the connection of generation gen and fails every call
-// outstanding on it with err. The reader, the writer and Close can all see
-// the same death; the generation makes the first the only one to act, and
-// keeps a late one from killing the connection dialed since.
+// outstanding on it with err. The reader, the writer, the sweeper and Close
+// can all see the same death; the generation makes the first the only one to
+// act, and keeps a late one from killing the connection dialed since.
 func (p *Pipe[K, R]) teardown(gen uint64, err error) {
 	p.l.Lock()
 	p.dropLocked(gen, err)
@@ -337,7 +399,15 @@ func (p *Pipe[K, R]) teardown(gen uint64, err error) {
 func (p *Pipe[K, R]) Close(err error) {
 	p.l.Lock()
 	p.closed = err
+	waiting := p.waiting
+	p.waiting = nil
+	if p.sweeper != nil {
+		p.sweeper.Stop()
+	}
 	p.dropLocked(p.gen, err)
+	for _, c := range waiting {
+		p.complete(c, *new(R), err)
+	}
 }
 
 // dropLocked is teardown with the lock held; it releases it. The next call
@@ -354,7 +424,7 @@ func (p *Pipe[K, R]) dropLocked(gen uint64, err error) {
 	p.out.Close(err)
 	p.conn, p.out = nil, nil
 	failed := p.pending
-	p.pending, p.horizon = nil, time.Time{}
+	p.pending = nil
 	if p.plane.Down != nil {
 		p.plane.Down(len(failed))
 	}
@@ -363,6 +433,6 @@ func (p *Pipe[K, R]) dropLocked(gen uint64, err error) {
 		err = fmt.Errorf("%w: %w", ErrLost, err)
 	}
 	for _, c := range failed {
-		p.deliver(c, result[R]{err: err})
+		p.complete(c, *new(R), err)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -120,10 +123,15 @@ func (pr *probe) counts() counts {
 	return pr.n
 }
 
-func request(p *Pipe[uint32, string], key uint32, timeout time.Duration) (string, error) {
-	return p.Call(key, time.Now().Add(timeout), func(b []byte) ([]byte, error) {
+// query appends the request frame for key.
+func query(key uint32) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) {
 		return wire.AppendFrame(b, wire.Frame{Type: wire.FrameQuery, SrcIP: netaddr.IP(key), Payload: strconv.AppendUint(nil, uint64(key), 10)})
-	})
+	}
+}
+
+func request(p *Pipe[uint32, string], key uint32, timeout time.Duration) (string, error) {
+	return p.Call(key, time.Now().Add(timeout), query(key))
 }
 
 func mustReply(t *testing.T, p *Pipe[uint32, string], key uint32) {
@@ -533,4 +541,229 @@ func TestPipeCloseRacingDial(t *testing.T) {
 		}
 	}
 	eventually(t, "peer to see every connection closed", func() bool { return pe.live.Load() == 0 })
+}
+
+// start issues one request through Go and returns at once.
+func start(p *Pipe[uint32, string], key uint32, timeout time.Duration, done func(string, error)) {
+	p.Go(key, time.Now().Add(timeout), query(key), done)
+}
+
+// Whatever ends a call — its reply, its deadline, the connection's death, a
+// failed dial, Close — and however those race, done runs once.
+func TestPipeDoneRunsExactlyOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	var mu sync.Mutex // rng is shared with the peer's script
+	roll := func(n int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.Intn(n)
+	}
+	// The peer answers most requests after a moment, swallows some and now
+	// and then drops the connection.
+	pe := listen(t, "127.0.0.1:0", func(c net.Conn, br *bufio.Reader) {
+		for {
+			f, err := wire.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			switch r := roll(20); {
+			case r == 0:
+				return
+			case r < 4:
+			default:
+				time.Sleep(time.Duration(roll(300)) * time.Microsecond)
+				if answer(c, f) != nil {
+					return
+				}
+			}
+		}
+	})
+	for round := range 20 {
+		var pr probe
+		p := pr.pipe(pe.addr(), 5*time.Millisecond, 0)
+		const calls = 200
+		var ran [calls]atomic.Int32
+		var wg sync.WaitGroup
+		wg.Add(calls)
+		for i := range calls {
+			if i == calls/2 && round%2 == 0 {
+				go p.Close(errors.New("closed mid-round"))
+			}
+			start(p, uint32(i), time.Duration(roll(2000))*time.Microsecond, func(string, error) {
+				if ran[i].Add(1) == 1 {
+					wg.Done()
+				}
+			})
+		}
+		wg.Wait()
+		p.Close(errors.New("round over"))
+		time.Sleep(5 * time.Millisecond) // a second run of some done would come about now
+		for i := range ran {
+			if n := ran[i].Load(); n != 1 {
+				t.Fatalf("round %d: done of call %d ran %d times", round, i, n)
+			}
+		}
+	}
+}
+
+// A completion may issue the next call on the same Pipe, whether it runs on
+// the reader with a reply or on whoever tore the connection down.
+func TestPipeCompletionReenters(t *testing.T) {
+	var killed atomic.Bool
+	pe := listen(t, "127.0.0.1:0", func(c net.Conn, br *bufio.Reader) {
+		if killed.CompareAndSwap(false, true) {
+			// The first connection dies under three calls.
+			for range 3 {
+				if _, err := wire.ReadFrame(br); err != nil {
+					return
+				}
+			}
+			return
+		}
+		echo(c, br)
+	})
+	var pr probe
+	p := pr.pipe(pe.addr(), time.Second, 0)
+	defer p.Close(errors.New("test over"))
+
+	// Each of three calls fails with the connection and is reissued from its
+	// completion; the reissued call's reply starts a chain of ten more, each
+	// from the reply before it.
+	results := make(chan error, 3)
+	for key := uint32(1); key <= 3; key++ {
+		var chain func(left int) func(string, error)
+		chain = func(left int) func(string, error) {
+			return func(got string, err error) {
+				switch {
+				case errors.Is(err, ErrLost) && left == 11:
+					start(p, key, 5*time.Second, chain(10))
+				case err != nil || got != "re:"+strconv.Itoa(int(key)):
+					results <- fmt.Errorf("call %d, %d to go: %q, %v", key, left, got, err)
+				case left == 0:
+					results <- nil
+				default:
+					start(p, key, 5*time.Second, chain(left-1))
+				}
+			}
+		}
+		start(p, key, 5*time.Second, chain(11))
+	}
+	for range 3 {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a completion that calls Go never finished: deadlock")
+		}
+	}
+	if n := pr.counts(); n.downs != 1 || n.failed != 3 || pe.accepts.Load() != 2 {
+		t.Errorf("downs = %d, failed = %d, connections = %d; want 1, 3, 2", n.downs, n.failed, pe.accepts.Load())
+	}
+}
+
+// A thousand calls outstanding park no goroutine and arm no timer each: they
+// all fail at their deadline, from one run of the sweeper.
+func TestPipeOutstandingCallsCostNoGoroutine(t *testing.T) {
+	pe := listen(t, "127.0.0.1:0", swallow)
+	var pr probe
+	p := pr.pipe(pe.addr(), time.Second, 0)
+	defer p.Close(errors.New("test over"))
+	if _, err := request(p, 0, 20*time.Millisecond); !errors.Is(err, ErrDeadline) { // dialed, reader and writer running
+		t.Fatal(err)
+	}
+
+	const calls = 1000
+	before := runtime.NumGoroutine()
+	deadline := time.Now().Add(150 * time.Millisecond)
+	var failed atomic.Int64
+	ends := make(chan time.Time, calls)
+	for range calls {
+		p.Go(0, deadline, query(0), func(_ string, err error) {
+			if errors.Is(err, ErrDeadline) {
+				failed.Add(1)
+			}
+			ends <- time.Now()
+		})
+	}
+	if n := runtime.NumGoroutine(); n > before+1 { // +1: the sweeper's timer may be firing
+		t.Errorf("%d goroutines with %d calls outstanding, %d before", n, calls, before)
+	}
+	var first, last time.Time
+	for range calls {
+		at := <-ends
+		if first.IsZero() {
+			first = at
+		}
+		last = at
+	}
+	if failed.Load() != calls {
+		t.Errorf("%d of %d calls failed with ErrDeadline", failed.Load(), calls)
+	}
+	if first.Before(deadline) || last.Sub(first) > 50*time.Millisecond {
+		t.Errorf("calls failed from %v before to %v after their deadline; want all at it, together", deadline.Sub(first), last.Sub(deadline))
+	}
+	if downs := pr.counts().downs; downs != 0 {
+		t.Errorf("deadlines tore the connection down %d times", downs)
+	}
+}
+
+// blackhole returns a loopback address whose SYNs go unanswered: a listener
+// that never accepts, with its accept queue full.
+func blackhole(t *testing.T) string {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Skip(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Skip(err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		t.Skip(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Skip(err)
+	}
+	addr := net.JoinHostPort("127.0.0.1", strconv.Itoa(sa.(*syscall.SockaddrInet4).Port))
+	for range 8 { // fill the queue; the dials that no longer fit time out
+		c, err := net.DialTimeout("tcp", addr, 50*time.Millisecond)
+		if err != nil {
+			return addr
+		}
+		t.Cleanup(func() { c.Close() })
+	}
+	t.Skip("this kernel keeps completing connections to a full accept queue")
+	return ""
+}
+
+// Go never dials on its caller's goroutine: to an address that swallows SYNs
+// it returns at once, and the call fails through done when the dial times out.
+func TestPipeGoDoesNotDial(t *testing.T) {
+	var pr probe
+	p := pr.pipe(blackhole(t), time.Second, 0)
+	defer p.Close(errors.New("test over"))
+
+	failed := make(chan error, 2)
+	begin := time.Now()
+	start(p, 1, 5*time.Second, func(_ string, err error) { failed <- err })
+	start(p, 2, 5*time.Second, func(_ string, err error) { failed <- err })
+	if d := time.Since(begin); d > dialTimeout/4 {
+		t.Errorf("Go took %v to a black-holed address", d)
+	}
+	var nerr net.Error
+	for range 2 {
+		if err := <-failed; !errors.As(err, &nerr) || !nerr.Timeout() {
+			t.Errorf("call failed with %v, want the dial's timeout", err)
+		}
+	}
+	if d := time.Since(begin); d < dialTimeout || d > 3*dialTimeout {
+		t.Errorf("calls failed after %v, want the dial timeout (%v)", d, dialTimeout)
+	}
+	if n := pr.counts(); n.fresh != 1 {
+		t.Errorf("%d dials failed, want 1 for both calls", n.fresh)
+	}
 }

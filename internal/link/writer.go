@@ -3,7 +3,9 @@
 // channel, the query plane, the cluster link: one Write per burst of messages
 // instead of one (or two) per message. Pipe is the one pipelined
 // request/reply connection of wire.Frames, under the query plane and the
-// cluster link: dial and backoff, FIFO correlation, deadlines, teardown.
+// cluster link: a dialer goroutine with backoff, FIFO correlation, one
+// deadline sweeper, teardown — and each call's completion run on the
+// goroutine that learns its outcome, so no goroutine waits per call.
 package link
 
 import (

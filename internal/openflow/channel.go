@@ -34,14 +34,20 @@ var _ Datapath = (*Switch)(nil)
 // connected (docs/architecture.md, "Wire I/O").
 const channelReadBuf = 16 << 10
 
+// channelTimeout bounds the hello exchange and every write of either end: a
+// peer that stops reading is cut off within it, which fails the senders
+// blocked behind it at link.Bound. (A variable for a test to shorten.)
+var channelTimeout = 5 * time.Second
+
 var errChannelClosed = errors.New("openflow: channel closed")
 
 // channel is the sending half of either end of a secure channel. Senders
 // append whole messages to the coalescing writer's buffer under mu; its
 // goroutine is the only writer of the socket, so messages from any number
 // of goroutines reach the wire whole, in the order of their xids, one Write
-// per burst. A failed Write closes the connection, which the reading side
-// of the same end sees as the end of the channel.
+// per burst. A Write that fails, or has not finished within channelTimeout,
+// closes the connection, which the reading side of the same end sees as the
+// end of the channel.
 type channel struct {
 	conn net.Conn
 	mu   sync.Mutex
@@ -51,7 +57,7 @@ type channel struct {
 
 func newChannel(conn net.Conn) *channel {
 	c := &channel{conn: conn}
-	c.out = link.NewWriter(&c.mu, conn, func(error) { conn.Close() })
+	c.out = link.NewWriter(&c.mu, link.Deadlined(conn, channelTimeout), func(error) { conn.Close() })
 	return c
 }
 
@@ -261,7 +267,7 @@ func (s *ChannelServer) Serve(l net.Listener) {
 
 func (s *ChannelServer) serveConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	conn.SetReadDeadline(time.Now().Add(channelTimeout))
 	br := bufio.NewReaderSize(conn, channelReadBuf)
 	m, err := ReadMsg(br)
 	if err != nil || m.Type != MsgHello || len(m.Body) < 8 {

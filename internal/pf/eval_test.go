@@ -1,6 +1,8 @@
 package pf
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -269,6 +271,60 @@ pass from any to any with includes(@dst[os-patch], MS08-067)
 	// Substring is not membership: MS08-0671 does not include MS08-067.
 	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "os-patch", "MS08-0671")}); d.Action != Block {
 		t.Error("token membership must be exact")
+	}
+}
+
+// Walking a set in place yields what splitting with strings.FieldsFunc did,
+// on the shapes policies use and on seeded strings over an alphabet of
+// separators, braces, other whitespace and multi-byte runes.
+func TestSetElementsMatchFieldsFunc(t *testing.T) {
+	fields := func(s string) []string {
+		s = strings.TrimSpace(s)
+		s = strings.TrimPrefix(s, "{")
+		s = strings.TrimSuffix(s, "}")
+		return strings.FieldsFunc(s, func(r rune) bool {
+			return r == ' ' || r == '\t' || r == ',' || r == '\n'
+		})
+	}
+	cases := []string{"", " ", "{}", "{ }", "research", "users,staff", "{ http ssh }", " {a,b\tc\nd} ",
+		"{{a}}", "a}", "{a", ",,a,,", "a\rb", "{ a }\r\n", "\u00a0x y\u00a0", "é,ü z", "\xff a"}
+	rng := rand.New(rand.NewSource(20))
+	alphabet := []string{" ", "\t", ",", "\n", "\r", "{", "}", "a", "bc", "é", "\u00a0", "\xff"}
+	for range 2000 {
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		cases = append(cases, b.String())
+	}
+	for _, s := range cases {
+		var got []string
+		for tok, rest := nextElem(setBody(s)); tok != ""; tok, rest = nextElem(rest) {
+			got = append(got, tok)
+		}
+		if want := fields(s); !slices.Equal(got, want) {
+			t.Errorf("elements of %q = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// member and includes run per decision on key-dependent policies: walking
+// their set arguments must not allocate.
+func TestSetFunctionsAllocateNothing(t *testing.T) {
+	p := MustCompile("t", "services = \"{ svc0 svc1 svc2 svc3 httpd }\"\nblock all\n")
+	ctx := &Ctx{c: &evalCtx{p: p}}
+	member := []Value{{S: "users httpd", Present: true}, {S: "services", Present: true, Arg: Arg{Kind: ArgLiteral}}}
+	includes := []Value{{S: "MS08-001 MS08-067 MS09-001", Present: true}, {S: " MS08-067 ", Present: true}}
+	for name, call := range map[string]func() (bool, error){
+		"member":   func() (bool, error) { return fnMember(ctx, member) },
+		"includes": func() (bool, error) { return fnIncludes(ctx, includes) },
+	} {
+		if ok, err := call(); !ok || err != nil {
+			t.Fatalf("%s = %v, %v; want a match", name, ok, err)
+		}
+		if n := testing.AllocsPerRun(1000, func() { call() }); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
 	}
 }
 

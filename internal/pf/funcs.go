@@ -169,16 +169,23 @@ func parseNum(s string) (float64, bool) {
 	return f, err == nil
 }
 
-// splitSet tokenizes a set-valued string: an optional brace wrapper around
-// whitespace- or comma-separated elements ("{ http ssh }", "users,staff",
-// "research").
-func splitSet(s string) []string {
+// setBody strips the optional brace wrapper of a set-valued string ("{ http
+// ssh }", "users,staff", "research"); nextElem then walks its whitespace- or
+// comma-separated elements in place: the first one ("" when none is left) and
+// what follows it.
+func setBody(s string) string {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "{")
-	s = strings.TrimSuffix(s, "}")
-	return strings.FieldsFunc(s, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == ',' || r == '\n'
-	})
+	return strings.TrimSuffix(s, "}")
+}
+
+func nextElem(s string) (elem, rest string) {
+	s = strings.TrimLeft(s, " \t,\n")
+	i := strings.IndexAny(s, " \t,\n")
+	if i < 0 {
+		i = len(s)
+	}
+	return s[:i], s[i:]
 }
 
 // fnMember tests whether any value of the first argument is in the set
@@ -200,12 +207,9 @@ func fnMember(ctx *Ctx, args []Value) (bool, error) {
 			setText = body
 		}
 	}
-	set := splitSet(setText)
-	if len(set) == 0 {
-		return false, nil
-	}
-	for _, v := range splitSet(args[0].S) {
-		for _, m := range set {
+	set := setBody(setText)
+	for v, vs := nextElem(setBody(args[0].S)); v != ""; v, vs = nextElem(vs) {
+		for m, ms := nextElem(set); m != ""; m, ms = nextElem(ms) {
 			if v == m {
 				return true, nil
 			}
@@ -225,7 +229,7 @@ func fnIncludes(_ *Ctx, args []Value) (bool, error) {
 		return false, nil
 	}
 	needle := strings.TrimSpace(args[1].S)
-	for _, tok := range splitSet(args[0].S) {
+	for tok, rest := nextElem(setBody(args[0].S)); tok != ""; tok, rest = nextElem(rest) {
 		if tok == needle {
 			return true, nil
 		}

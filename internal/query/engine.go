@@ -3,9 +3,9 @@ package query
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"hash/maphash"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,11 +25,12 @@ type Lower interface {
 	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
 }
 
-// deadlineLower is the optional deadline-aware face of a Lower; *Pool
-// implements it, so engine deadlines reach the socket. Lowers without it
-// (the simulator: instantaneous) are called plain.
-type deadlineLower interface {
-	Exchange(host netaddr.IP, q wire.Query, deadline time.Time) (*wire.Response, time.Duration, error)
+// completionLower is the optional non-blocking face of a Lower; *Pool
+// implements it, so a flight parks no goroutine and its completion runs on
+// the goroutine that decoded the response. Lowers without it (the simulator:
+// instantaneous; test doubles) are called plain, on a goroutine per flight.
+type completionLower interface {
+	Go(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
 }
 
 // updateSource is the optional push face of a Lower: transports that can
@@ -67,11 +68,6 @@ type Config struct {
 	// letting a probe through (default 1s).
 	BreakerCooldown time.Duration
 
-	// Workers bounds the asynchronous completion pool (default
-	// 8×GOMAXPROCS, capped at 64). Workers start lazily on the first
-	// QueryAsync, so a blocking-only Engine spawns no goroutines.
-	Workers int
-
 	// Clock supplies time for the negative cache and breaker; defaults to
 	// time.Now. The simulator passes its virtual clock.
 	Clock func() time.Time
@@ -84,15 +80,14 @@ type Config struct {
 // (blocking Query) and core.AsyncQueryTransport (QueryAsync), multiplexing
 // both over the same coalescing, caching, and breaker state.
 type Engine struct {
-	lower     Lower
-	dlLower   deadlineLower // nil when lower is not deadline-aware
-	timeout   time.Duration
-	retries   int
-	negTTL    time.Duration
-	brkN      int
-	brkCool   time.Duration
-	workerCap int
-	clock     func() time.Time
+	lower   Lower
+	goLower completionLower // nil when lower only blocks
+	timeout time.Duration
+	retries int
+	negTTL  time.Duration
+	brkN    int
+	brkCool time.Duration
+	clock   func() time.Time
 
 	Counters *metrics.Counter
 	// InFlight gauges queries between admission and delivery, coalesced
@@ -104,25 +99,27 @@ type Engine struct {
 		breakerOpens, breakerFastfails, timeoutsC *atomic.Int64
 	}
 
-	sfMu sync.Mutex
-	sf   map[sfKey]*flight
+	sfMu    sync.Mutex
+	sf      map[sfKey]*flight
+	idle    sync.Cond // on sfMu: Close waits here for InFlight to reach 0
+	flights sync.Pool // *flight
 
 	hostMu sync.Mutex
 	hosts  map[netaddr.IP]*hostState
 
-	startWorkers sync.Once
-	workerWG     sync.WaitGroup
-	jobs         chan *flight
-	closed       atomic.Bool
+	closed atomic.Bool
 }
 
 // sfKey identifies coalesceable work: same host, same flow, same key
-// hints — one wire query serves every concurrent asker.
+// hints — one wire query serves every concurrent asker. The hints are in it
+// as a hash; join compares the lists themselves.
 type sfKey struct {
 	host netaddr.IP
 	flow flow.Five
-	keys string
+	keys uint64
 }
+
+var keySeed = maphash.MakeSeed()
 
 // completion receives a delivered result; see the package comment for the
 // borrow contract on resp.
@@ -138,16 +135,15 @@ type qcb struct {
 	ep uint16
 }
 
-// flight is one in-flight wire query and the waiters coalesced onto it.
+// flight is one in-flight wire query and the waiters coalesced onto it;
+// flights are recycled, with the completion the lower layer is handed.
 type flight struct {
+	e        *Engine
 	key      sfKey
 	q        wire.Query
-	resp     *wire.Response
-	rtt      time.Duration
-	err      error
-	attempts int32         // transport attempts consumed (set by run before deliver)
-	cbs      []qcb         // async waiters; invoked after delivery
-	done     chan struct{} // closed at delivery; blocking waiters select on it
+	attempts int32                                      // transport attempts started
+	cbs      []qcb                                      // waiters; invoked at delivery
+	reply    func(*wire.Response, time.Duration, error) // onReply
 }
 
 // hostState is the per-host availability record: negative cache, breaker,
@@ -177,7 +173,8 @@ func NewEngine(cfg Config) *Engine {
 		sf:      make(map[sfKey]*flight),
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
-	e.dlLower, _ = cfg.Lower.(deadlineLower)
+	e.goLower, _ = cfg.Lower.(completionLower)
+	e.idle.L = &e.sfMu
 	if e.timeout <= 0 {
 		e.timeout = defaultRequestTimeout
 	}
@@ -198,13 +195,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if e.brkCool <= 0 {
 		e.brkCool = time.Second
-	}
-	e.workerCap = cfg.Workers
-	if e.workerCap <= 0 {
-		e.workerCap = 8 * runtime.GOMAXPROCS(0)
-		if e.workerCap > 64 {
-			e.workerCap = 64
-		}
 	}
 	if e.clock == nil {
 		e.clock = time.Now
@@ -274,28 +264,19 @@ func (e *Engine) hostRecovered(host netaddr.IP) {
 
 // Query implements core.QueryTransport: it blocks until the result is
 // available, joining an identical in-flight query instead of issuing a
-// duplicate.
+// duplicate. Over a lower that only blocks, a query that starts a flight
+// runs it on this goroutine.
 func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	if e.closed.Load() {
-		return nil, 0, ErrClosed
-	}
-	if err := e.fastFail(host); err != nil {
-		return nil, 0, err
-	}
-	f, leader := e.join(host, q, qcb{})
-	if leader {
-		e.run(f)
-	} else {
-		e.hot.coalesced.Add(1)
-		<-f.done
-	}
-	return f.resp, f.rtt, f.err
+	w := waiters.Get().(*waiter)
+	e.query(host, q, qcb{fn: w.done}, false)
+	return w.wait()
 }
 
 // QueryAsync implements core.AsyncQueryTransport: done is invoked exactly
-// once — inline for fast-path rejections (negative cache, breaker,
-// closed), from a completion worker otherwise, possibly sharing one wire
-// exchange with other callers. done must not block for long; the
+// once — inline for fast-path rejections (negative cache, breaker, closed,
+// and what the lower refuses on the spot), otherwise on the goroutine that
+// learns the outcome: over a Pool, the host connection's reader. It possibly
+// shares one wire exchange with other callers. done must not block; the
 // controller's continuation (evaluate + install) is the intended scale.
 func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	e.QueryAsyncTraced(host, q, nil, 0, done)
@@ -307,70 +288,49 @@ func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Respo
 // breaker fast-fail) and its completion (RTT, transport attempts, error)
 // into tb. A nil tb records nothing and behaves exactly like QueryAsync.
 func (e *Engine) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
+	e.query(host, q, qcb{fn: done, tb: tb, ep: ep}, true)
+}
+
+// query passes the gates, then joins the flight for (host, q) or starts it.
+func (e *Engine) query(host netaddr.IP, q wire.Query, cb qcb, async bool) {
 	if e.closed.Load() {
-		tb.Rec(trace.StageQueryEnqueue, ep|trace.FlagErr, 0)
-		done(nil, 0, ErrClosed)
+		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|trace.FlagErr, 0)
+		cb.fn(nil, 0, ErrClosed)
 		return
 	}
 	if err := e.fastFail(host); err != nil {
-		if tb != nil {
-			flags := ep
+		if cb.tb != nil {
+			flags := cb.ep
 			if errors.Is(err, ErrBreakerOpen) {
 				flags |= trace.FlagBreaker
 			} else {
 				flags |= trace.FlagNegCache
 			}
-			tb.Rec(trace.StageQueryEnqueue, flags, 0)
-			tb.Rec(trace.StageQueryDone, flags|trace.FlagErr, 0)
+			cb.tb.Rec(trace.StageQueryEnqueue, flags, 0)
+			cb.tb.Rec(trace.StageQueryDone, flags|trace.FlagErr, 0)
 		}
-		done(nil, 0, err)
+		cb.fn(nil, 0, err)
 		return
 	}
-	f, leader := e.join(host, q, qcb{fn: done, tb: tb, ep: ep})
-	if !leader {
+	if f, leader := e.join(host, q, cb); leader {
+		f.launch(async)
+	} else {
 		e.hot.coalesced.Add(1)
-		return
-	}
-	e.startWorkers.Do(e.spawnWorkers)
-	defer func() {
-		if recover() != nil {
-			// Close raced the enqueue and the jobs channel is gone; fail
-			// the flight so no coalesced waiter hangs.
-			e.deliver(f, nil, 0, ErrClosed)
-		}
-	}()
-	e.jobs <- f
-}
-
-func (e *Engine) spawnWorkers() {
-	e.jobs = make(chan *flight, 4*e.workerCap)
-	e.workerWG.Add(e.workerCap)
-	for i := 0; i < e.workerCap; i++ {
-		go func() {
-			defer e.workerWG.Done()
-			for f := range e.jobs {
-				e.run(f)
-			}
-		}()
 	}
 }
 
-// Close rejects future queries, then blocks until the completion workers
-// have drained every already-enqueued async flight (their waiters still
-// get real results) and exited. Because Close returns only after the last
-// flight has run, closing the Engine before its lower layer is safe — the
-// identctl/defer idiom of eng.Close() then pool.Close() never yanks the
-// transport out from under a running flight. Close must not be called
-// from a completion callback (it would wait on its own worker).
+// Close rejects future queries, then blocks until every flight already
+// started has been delivered (its waiters still get real results), so
+// closing the Engine before its lower layer is safe — the identctl/defer
+// idiom of eng.Close() then pool.Close() never yanks the transport out from
+// under a flight. Close must not be called from a completion callback.
 func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
+	e.closed.Store(true)
+	e.sfMu.Lock()
+	for e.InFlight.Get() > 0 {
+		e.idle.Wait()
 	}
-	// Ensure jobs exists so the close/drain below have a channel to work
-	// with even if no QueryAsync ever ran.
-	e.startWorkers.Do(e.spawnWorkers)
-	close(e.jobs)
-	e.workerWG.Wait()
+	e.sfMu.Unlock()
 }
 
 // fastFail consults the negative cache and the breaker; a non-nil return
@@ -453,71 +413,86 @@ func (e *Engine) HostStats() []HostStatus {
 }
 
 // join registers interest in (host, flow, keys): the first caller becomes
-// the leader who must execute the flight; later callers coalesce onto it.
+// the leader who must launch the flight; later callers coalesce onto it.
 // The key deliberately excludes the trace ID — tracing must not defeat
 // coalescing — so the leader's ID is the one a daemon sees on the wire.
 func (e *Engine) join(host netaddr.IP, q wire.Query, cb qcb) (*flight, bool) {
-	key := sfKey{host: host, flow: q.Flow, keys: strings.Join(q.Keys, "\n")}
+	key := sfKey{host: host, flow: q.Flow}
+	for _, k := range q.Keys {
+		key.keys = key.keys*31 + maphash.String(keySeed, k)
+	}
 	e.sfMu.Lock()
 	defer e.sfMu.Unlock()
-	if f, ok := e.sf[key]; ok {
-		if cb.fn != nil {
-			// Record the enqueue before the qcb is published: once it is
-			// appended, a completion worker may deliver the flight — and the
-			// caller's continuation re-pool tb — at any moment, so this is
-			// the last point a write to tb cannot race deliver. The leader's
-			// query is the one on the wire; this decision rides it, so the
-			// daemon attributes the RTT to the leader's trace ID.
-			cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|trace.FlagCoalesced, 0)
-			f.cbs = append(f.cbs, cb)
-		}
+	f, taken := e.sf[key]
+	if taken && slices.Equal(f.q.Keys, q.Keys) {
+		// Record the enqueue before the qcb is published: once it is
+		// appended, the flight may be delivered — and the caller's
+		// continuation re-pool tb — at any moment, so this is the last point
+		// a write to tb cannot race deliver. The leader's query is the one on
+		// the wire; this decision rides it, so the daemon attributes the RTT
+		// to the leader's trace ID.
+		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|trace.FlagCoalesced, 0)
+		f.cbs = append(f.cbs, cb)
 		return f, false
 	}
-	f := &flight{key: key, q: q, done: make(chan struct{})}
-	if cb.fn != nil {
-		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep, 0)
-		f.cbs = append(f.cbs, cb)
+	f, _ = e.flights.Get().(*flight)
+	if f == nil {
+		f = &flight{e: e}
+		f.reply = f.onReply
 	}
-	e.sf[key] = f
+	f.key, f.q, f.attempts = key, q, 0
+	cb.tb.Rec(trace.StageQueryEnqueue, cb.ep, 0)
+	f.cbs = append(f.cbs, cb)
+	if !taken { // a hash collision flies alone, outside the map
+		e.sf[key] = f
+	}
 	e.InFlight.Inc()
 	return f, true
 }
 
-// run executes a flight against the lower layer (with retries) and
-// delivers the result to every waiter.
-func (e *Engine) run(f *flight) {
-	host := f.key.host
-	var resp *wire.Response
-	var rtt time.Duration
-	var err error
-	for attempt := 0; ; attempt++ {
-		e.hot.sent.Add(1)
-		f.attempts = int32(attempt + 1)
-		resp, rtt, err = e.exchange(host, f.q)
-		if err == nil || !retryable(err) || attempt >= e.retries {
-			break
-		}
-		e.hot.retriesC.Add(1)
+// launch starts one attempt. Over a Pool it returns at once and the attempt
+// ends in onReply on a pool goroutine; a plain lower blocks a goroutine for
+// the round trip — a new one when the caller must not wait.
+func (f *flight) launch(async bool) {
+	e := f.e
+	e.hot.sent.Add(1)
+	f.attempts++
+	switch {
+	case e.goLower != nil:
+		e.goLower.Go(f.key.host, f.q, time.Now().Add(e.timeout), f.reply)
+	case async:
+		go f.runPlain()
+	default:
+		f.runPlain()
 	}
-	e.settle(host, rtt, err)
+}
+
+func (f *flight) runPlain() { f.onReply(f.e.lower.Query(f.key.host, f.q)) }
+
+// onReply ends one attempt: retry, or settle the host's record and deliver.
+// It is the lower layer's completion, so it runs wherever that does.
+func (f *flight) onReply(resp *wire.Response, rtt time.Duration, err error) {
+	e := f.e
+	if err != nil && retryable(err) && int(f.attempts) <= e.retries {
+		e.hot.retriesC.Add(1)
+		f.launch(false)
+		return
+	}
+	e.settle(f.key.host, rtt, err)
 	e.deliver(f, resp, rtt, err)
 }
 
-// deliver publishes a flight's result: fields first, then the done close
-// and the callback snapshot, so blocking waiters (ordered by the channel)
-// and async waiters (invoked with the values directly) both observe a
-// complete result exactly once.
+// deliver hands a flight's result to every waiter, exactly once each, and
+// recycles the flight. Once it is out of the map no one else can reach it.
 func (e *Engine) deliver(f *flight, resp *wire.Response, rtt time.Duration, err error) {
-	f.resp, f.rtt, f.err = resp, rtt, err
-
 	e.sfMu.Lock()
-	delete(e.sf, f.key)
-	cbs := f.cbs
-	f.cbs = nil
-	e.sfMu.Unlock()
+	if e.sf[f.key] == f {
+		delete(e.sf, f.key)
+	}
 	e.InFlight.Dec()
-	close(f.done)
-	for _, cb := range cbs {
+	e.idle.Broadcast()
+	e.sfMu.Unlock()
+	for _, cb := range f.cbs {
 		if cb.tb != nil {
 			flags := cb.ep
 			if err != nil {
@@ -527,15 +502,9 @@ func (e *Engine) deliver(f *flight, resp *wire.Response, rtt time.Duration, err 
 		}
 		cb.fn(resp, rtt, err)
 	}
-}
-
-// exchange performs one attempt, threading the engine deadline through to
-// deadline-aware lowers.
-func (e *Engine) exchange(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	if e.dlLower != nil {
-		return e.dlLower.Exchange(host, q, time.Now().Add(e.timeout))
-	}
-	return e.lower.Query(host, q)
+	clear(f.cbs)
+	f.cbs, f.q = f.cbs[:0], wire.Query{}
+	e.flights.Put(f)
 }
 
 // settle updates the host's availability record from one exchange outcome.

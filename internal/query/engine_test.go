@@ -1,7 +1,10 @@
 package query
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -357,5 +360,142 @@ func TestEngineClosed(t *testing.T) {
 	})
 	if err := <-got; !errors.Is(err, ErrClosed) {
 		t.Errorf("QueryAsync after Close delivered %v, want ErrClosed", err)
+	}
+}
+
+// countingConn counts the Reads issued on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestEngineBurstSharesWrites: queries issued back to back to one host are
+// appended to its connection by the caller and leave together — none waits
+// for a worker, or for an earlier one's response — so a daemon that starts
+// reading afterwards finds all 64 in a few reads.
+func TestEngineBurstSharesWrites(t *testing.T) {
+	const n = 64
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	issued := make(chan struct{})
+	reads := make(chan int64, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		<-issued
+		time.Sleep(20 * time.Millisecond) // the coalescing writer's last burst
+		cc := &countingConn{Conn: conn}
+		br := bufio.NewReaderSize(cc, 64<<10)
+		var qs []wire.Query
+		for len(qs) < n {
+			q, err := wire.ReadQuery(br)
+			if err != nil {
+				return
+			}
+			qs = append(qs, q)
+		}
+		reads <- cc.reads.Load()
+		for _, q := range qs {
+			wire.WriteResponse(conn, wire.NewResponse(q.Flow))
+		}
+		wire.ReadFrame(br) // until the pool hangs up
+	}()
+
+	pool := NewPool(PoolConfig{Resolver: StaticResolver{engHost: l.Addr().String()}})
+	defer pool.Close()
+	e := NewEngine(Config{Lower: pool})
+	defer e.Close()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		e.QueryAsync(engHost, engQuery(netaddr.Port(1+i)), func(_ *wire.Response, _ time.Duration, err error) {
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+			wg.Done()
+		})
+	}
+	close(issued)
+	select {
+	case r := <-reads:
+		if r > 8 {
+			t.Errorf("the daemon needed %d reads for %d queries, want <= 8", r, n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queries never all reached the daemon")
+	}
+	wg.Wait()
+	if sent := pool.Counters.Get("pool_queries_sent"); sent != n {
+		t.Errorf("pool_queries_sent = %d, want %d", sent, n)
+	}
+}
+
+// TestEngineRetryOnRedialledConnection: a flight whose connection dies under
+// it is retried from the completion that delivers the failure — on the
+// goroutine tearing the connection down, with the pipe disconnected — and
+// finishes on the connection dialed for it.
+func TestEngineRetryOnRedialledConnection(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for conns := 0; ; conns++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			for {
+				q, err := wire.ReadQuery(conn)
+				if err != nil || conns == 0 { // the first connection dies with the queries read
+					break
+				}
+				wire.WriteResponse(conn, wire.NewResponse(q.Flow))
+			}
+			conn.Close()
+		}
+	}()
+
+	pool := NewPool(PoolConfig{Resolver: StaticResolver{engHost: l.Addr().String()}})
+	defer pool.Close()
+	e := NewEngine(Config{Lower: pool})
+	defer e.Close()
+	const n = 4
+	errs := make(chan error, n)
+	for i := range n {
+		e.QueryAsync(engHost, engQuery(netaddr.Port(1+i)), func(resp *wire.Response, _ time.Duration, err error) {
+			if err == nil && resp.Flow != engQuery(netaddr.Port(1+i)).Flow {
+				err = fmt.Errorf("response for %v", resp.Flow)
+			}
+			errs <- err
+		})
+	}
+	for range n {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Errorf("query over a connection killed once: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a retried flight never completed")
+		}
+	}
+	if r := e.Counters.Get("engine_retries"); r < 1 || r > n {
+		t.Errorf("engine_retries = %d, want 1..%d", r, n)
+	}
+	if d := pool.Counters.Get("pool_dials"); d != 2 {
+		t.Errorf("pool_dials = %d, want 2", d)
 	}
 }

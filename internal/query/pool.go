@@ -22,7 +22,7 @@ type PoolConfig struct {
 	Resolver Resolver
 
 	// RequestTimeout is the per-request deadline Query applies when the
-	// caller does not supply one via Exchange (default 2s).
+	// caller does not supply one via Exchange or Go (default 2s).
 	RequestTimeout time.Duration
 
 	// MaxBackoff caps the reconnect backoff after repeated dial failures
@@ -62,6 +62,7 @@ type Pool struct {
 	reqTimeout time.Duration
 	maxBackoff time.Duration
 	authority  sig.PublicKey // non-zero: credentialed mode (cred.go)
+	exchanges  sync.Pool     // *exchange
 
 	Counters *metrics.Counter
 	// Conns gauges currently established connections.
@@ -134,26 +135,86 @@ func (p *Pool) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Durati
 	return p.Exchange(host, q, time.Now().Add(p.reqTimeout))
 }
 
-// Exchange performs one query/response round trip against host's daemon,
-// failing with ErrDeadline once deadline passes. The reported duration is
-// the caller-observed round trip (wall time).
+// waiter is a completion to wait for: done is handed to what completes.
+// Recycled with done bound, so a blocking call allocates neither.
+type waiter struct {
+	ch   chan result
+	done completion
+}
+
+type result struct {
+	resp *wire.Response
+	rtt  time.Duration
+	err  error
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan result, 1)}
+	w.done = func(resp *wire.Response, rtt time.Duration, err error) { w.ch <- result{resp, rtt, err} }
+	return w
+}}
+
+func (w *waiter) wait() (*wire.Response, time.Duration, error) {
+	r := <-w.ch
+	waiters.Put(w)
+	return r.resp, r.rtt, r.err
+}
+
+// Exchange is Go and a wait for its completion.
 func (p *Pool) Exchange(host netaddr.IP, q wire.Query, deadline time.Time) (*wire.Response, time.Duration, error) {
-	start := time.Now()
+	w := waiters.Get().(*waiter)
+	p.Go(host, q, deadline, w.done)
+	return w.wait()
+}
+
+// Go starts one query/response round trip against host's daemon and returns;
+// it waits for nothing, a dial included. done runs exactly once, with the
+// response or the failure (ErrDeadline once deadline passes) and the time
+// since Go was called — behind a busy pipeline, the wait in it included — on
+// the goroutine link.Pipe completes the call on: the host connection's
+// reader for a response. It may call Go again and must not block.
+func (p *Pool) Go(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error)) {
+	x, _ := p.exchanges.Get().(*exchange)
+	if x == nil {
+		x = &exchange{pool: p}
+		x.frame, x.reply = x.appendQuery, x.complete
+	}
+	x.q, x.done, x.start = q, done, time.Now()
 	hc, err := p.host(host)
 	if err != nil {
-		return nil, time.Since(start), err
+		x.complete(nil, err)
+		return
 	}
-	resp, err := hc.pipe.Call(q.Flow, deadline, func(b []byte) ([]byte, error) {
-		b, err := wire.AppendQuery(b, q)
-		if err == nil {
-			p.Counters.Add("pool_queries_sent", 1)
-		}
-		return b, err
-	})
+	hc.pipe.Go(q.Flow, deadline, x.frame, x.reply)
+}
+
+// exchange is one round trip in progress. The two funcs the pipe needs are
+// bound once and recycled with it, so a query allocates neither.
+type exchange struct {
+	pool  *Pool
+	q     wire.Query
+	start time.Time
+	done  func(*wire.Response, time.Duration, error)
+	frame func([]byte) ([]byte, error)
+	reply func(*wire.Response, error)
+}
+
+func (x *exchange) appendQuery(b []byte) ([]byte, error) {
+	b, err := wire.AppendQuery(b, x.q)
+	if err == nil {
+		x.pool.Counters.Add("pool_queries_sent", 1)
+	}
+	return b, err
+}
+
+func (x *exchange) complete(resp *wire.Response, err error) {
 	if errors.Is(err, ErrDeadline) {
-		p.Counters.Add("pool_timeouts", 1)
+		x.pool.Counters.Add("pool_timeouts", 1)
 	}
-	return resp, time.Since(start), err
+	done, rtt := x.done, time.Since(x.start)
+	x.q, x.done = wire.Query{}, nil
+	x.pool.exchanges.Put(x)
+	done(resp, rtt, err)
 }
 
 // host returns (creating if needed) the connection manager for host.

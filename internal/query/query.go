@@ -7,7 +7,8 @@
 //   - Pool is the wire transport: one multiplexed, pipelined TCP connection
 //     per end-host speaking the wire.Frame protocol against daemon.Server,
 //     with request/response correlation, reconnect-with-backoff, and
-//     per-request deadlines (pool.go).
+//     per-request deadlines; Go starts a query and returns, and its
+//     completion runs on the connection's reader (pool.go).
 //
 //   - Engine sits above any core.QueryTransport-shaped lower layer (the
 //     Pool for real deployments, netsim.Transport for the §5–§6
@@ -17,8 +18,10 @@
 //     wire query, bounded retries, a per-host circuit breaker, a TTL'd
 //     negative cache so daemon-less or down hosts stop costing a connect
 //     timeout per miss, and an asynchronous completion API the controller
-//     uses to suspend a decision instead of parking a goroutine on the
-//     round trip (engine.go).
+//     uses to suspend a decision: no goroutine is parked on the round trip,
+//     and the flight's completion — retry, breaker, delivery, and with it the
+//     controller's evaluate-and-install — runs on the Pool goroutine that
+//     decoded the response, so it must not block (engine.go).
 //
 // Responses delivered by the engine are owned by the engine's caller set
 // as a group: a coalesced query hands the same *wire.Response to every

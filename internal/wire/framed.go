@@ -148,10 +148,14 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // aliases the returned buffer and is valid until the buffer's next use. A
 // loop that decodes each frame before it reads the next (the Decode
 // functions copy what they keep) passes the buffer back in and allocates
-// nothing per frame.
+// nothing per frame (the header too is read into it: an array of its own
+// would escape through r).
 func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, buf, err
 	}
 	f := Frame{
@@ -169,7 +173,7 @@ func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if n > MaxMessageSize {
 		return Frame{}, buf, fmt.Errorf("wire: frame payload %d exceeds limit", n)
 	}
-	if buf == nil || uint32(cap(buf)) < n {
+	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
 	f.Payload = buf[:n]
