@@ -56,10 +56,11 @@ race-query:
 # re-check), a hit racing a teardown (addPaths refused, the hit self-
 # cleans), a ring rebuild's sweep racing live classes. Their tests check
 # conservation laws, so repeat them under the race detector instead of
-# trusting one lucky pass.
+# trusting one lucky pass. The teardown and install paths those
+# handshakes run through (revocation.go, installHops) repeat with them.
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revoc|Install' ./internal/core/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.

@@ -17,7 +17,7 @@ package main
 //	stats megaflow           ->  ok live=<n> hits=<n> installs=<n> teardowns=<n>
 //	stats wide               ->  ok live=<n> registered=<n> dropped=<n>
 //	stats rulecache          ->  ok entries=<n> evictions=<n>
-//	status                   ->  ok epoch=<n> datapaths=<n> shards=<n> cached=<n> install_busy=<n> install_workers=<n>
+//	status                   ->  ok epoch=<n> datapaths=<n> shards=<n> cached=<n>
 //	counters                 ->  ok <n>  then n lines  <name> <value>
 //	shards                   ->  ok <n>  then n lines  shard=<i> pending=<n> waiters=<n> revseq=<n>
 //	hosts                    ->  ok <n>  then n lines  host=<ip> flows=<n> wide=<n> push=<bool> queries=<n> rtt_mean=<dur> rtt_p99=<dur> fails=<n> breaker=<bool> cred=<state> scope=<keys> exp=<rfc3339> cred_err=<verdict>
@@ -123,10 +123,9 @@ func adminCommand(st adminState, line string) string {
 			return "err unknown stats scope " + f[1]
 		}
 	case "status":
-		busy, workers := core.InstallBacklog()
 		cached, _, _, _ := ctl.MegaflowStats()
-		return fmt.Sprintf("ok epoch=%d datapaths=%d shards=%d cached=%d install_busy=%d install_workers=%d",
-			ctl.Epoch(), ctl.DatapathCount(), ctl.Shards(), cached, busy, workers)
+		return fmt.Sprintf("ok epoch=%d datapaths=%d shards=%d cached=%d",
+			ctl.Epoch(), ctl.DatapathCount(), ctl.Shards(), cached)
 	case "counters":
 		snap := ctl.Counters.Snapshot()
 		names := make([]string, 0, len(snap))

@@ -381,10 +381,11 @@ func TestIsNoDaemonClassification(t *testing.T) {
 	}
 }
 
-// TestApplyModsPooledFanout: a pass verdict across a many-switch path is
-// installed on every datapath through the shared install workers (no
-// goroutine-per-datapath), including under keep-state's reverse pass.
-func TestApplyModsPooledFanout(t *testing.T) {
+// TestInstallPathOrderAndCoverage: a pass verdict across a many-switch path
+// is installed on every datapath, forward then reverse under keep state,
+// and the ingress hop's forward mod — the one that releases the buffered
+// first packet — is applied after every downstream hop's.
+func TestInstallPathOrderAndCoverage(t *testing.T) {
 	const nDatapaths = 6
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
@@ -397,7 +398,7 @@ func TestApplyModsPooledFanout(t *testing.T) {
 	topo := &fakeTopo{hops: hops}
 	dps := make([]*fakeDatapath, nDatapaths)
 	c := New(Config{
-		Name: "fanout",
+		Name: "install",
 		Policy: pf.MustCompile("policy", `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep state
@@ -412,13 +413,33 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	}
 
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 104, DstPort: 200}
-	c.HandleEvent(sampleEvent(five, 1))
+	ev := sampleEvent(five, 1)
+	c.HandleEvent(ev)
 	if c.Counters.Get("flows_allowed") != 1 {
 		t.Fatalf("flow not allowed; counters: %s", c.Counters)
 	}
 	for i, dp := range dps {
 		if got := dp.modCount(); got != 2 { // forward + reverse (keep state)
-			t.Errorf("datapath %d: mods = %d, want 2", i+1, got)
+			t.Fatalf("datapath %d: mods = %d, want 2", i+1, got)
+		}
+		fwd, rev := dp.mods[0], dp.mods[1]
+		if fwd.Match != flow.FiveMatch(five) || rev.Match != flow.FiveMatch(five.Reverse()) {
+			t.Errorf("datapath %d: mods are not forward then reverse", i+1)
+		}
+		if ingress := i == 0; (fwd.BufferID == ev.BufferID) != ingress || fwd.NotifyRemoved != ingress {
+			t.Errorf("datapath %d: forward mod buffer=%d notify=%t", i+1, fwd.BufferID, fwd.NotifyRemoved)
+		}
+		if rev.BufferID != openflow.BufferNone {
+			t.Errorf("datapath %d: reverse mod carries buffer %d", i+1, rev.BufferID)
+		}
+	}
+	ingressSeq := dps[0].seqs[0]
+	for i, dp := range dps {
+		if i > 0 && dp.seqs[0] > ingressSeq {
+			t.Errorf("datapath %d programmed after the ingress released the first packet", i+1)
+		}
+		if dp.seqs[1] < ingressSeq {
+			t.Errorf("datapath %d: reverse entry installed before the forward pass finished", i+1)
 		}
 	}
 	if c.Counters.Get("entries_installed") != 2*nDatapaths {

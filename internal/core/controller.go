@@ -21,7 +21,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,6 +323,7 @@ type Controller struct {
 		credUnauthorized                    *atomic.Int64
 		answeredOnBehalf, headerOnly        *atomic.Int64
 		revUpdates, revFlows, revInflight   *atomic.Int64
+		revEntries                          *atomic.Int64
 		megaHits, megaInstalls              *atomic.Int64
 		megaTeardowns                       *atomic.Int64
 	}
@@ -413,6 +413,7 @@ func New(cfg Config) *Controller {
 	c.hot.revUpdates = c.Counters.Cell("revocations_updates")
 	c.hot.revFlows = c.Counters.Cell("revocations_flows")
 	c.hot.revInflight = c.Counters.Cell("revocations_inflight")
+	c.hot.revEntries = c.Counters.Cell("revocations_entries")
 	c.hot.megaHits = c.Counters.Cell("megaflow_hits")
 	c.hot.megaInstalls = c.Counters.Cell("megaflow_installs")
 	c.hot.megaTeardowns = c.Counters.Cell("megaflow_teardowns")
@@ -561,9 +562,11 @@ func (c *Controller) RemoveDatapath(dp openflow.Datapath) bool {
 // from the switches — the revocation path: a delegation withdrawn in the
 // policy takes effect for the next packet of every flow. The snapshot swap
 // bumps the policy epoch, so verdicts cached by decisions racing this call
-// are stale-on-arrival; the verdict cache is then emptied and the
-// per-switch table flushes issued concurrently, so revocation latency is
-// the slowest single switch, not their sum behind one lock.
+// are stale-on-arrival; the verdict cache is then emptied and one table
+// flush issued per switch, in turn on this goroutine. A flush is an append
+// to the switch's channel, so the reload costs their sum only when a
+// switch has stopped reading — at most the channel's 5 s write deadline
+// each, after which that switch is cut off and deregistered.
 func (c *Controller) SetPolicy(p *pf.Policy) {
 	st := c.mutate(func(st *ctlState) {
 		st.epoch++
@@ -583,15 +586,9 @@ func (c *Controller) SetPolicy(p *pf.Policy) {
 		// table flush below removes the entries wholesale.
 		c.revoker.FlushAll()
 	}
-	var wg sync.WaitGroup
 	for _, dp := range st.datapaths {
-		wg.Add(1)
-		go func(dp openflow.Datapath) {
-			defer wg.Done()
-			dp.Apply(openflow.FlowMod{Delete: true, Match: flow.MatchAll(), BufferID: openflow.BufferNone})
-		}(dp)
+		c.apply(dp, openflow.FlowMod{Delete: true, Match: flow.MatchAll(), BufferID: openflow.BufferNone})
 	}
-	wg.Wait()
 	c.Counters.Add("policy_reloads", 1)
 }
 
@@ -652,9 +649,7 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 	// entry was evicted there — a keep-state reverse entry at the same
 	// switch must go too (deleting the already-gone forward entry is a
 	// no-op).
-	b := getTeardownBatch()
-	b.appendDeletes(st, five, reg.Paths)
-	c.flushTeardown(b)
+	c.deleteFlowAt(st, five, reg.Paths)
 }
 
 // PacketInFromRemote adapts ChannelServer events (TCP-attached switches).
@@ -920,12 +915,12 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		s.tb.SetVerdict("pass")
 		c.hot.flowsAllowed.Add(1)
 		c.installPath(st, s.dp, s.ev, five, d.KeepState, s)
-		s.tb.Rec(trace.StageInstall, 0, int64(len(s.mods)))
+		s.tb.Rec(trace.StageInstall, 0, int64(s.installed))
 	} else {
 		s.tb.SetVerdict("deny")
 		c.hot.flowsDenied.Add(1)
 		c.installDrop(s.dp, s.ev, five, s)
-		s.tb.Rec(trace.StageInstall, trace.FlagDeny, int64(len(s.mods)))
+		s.tb.Rec(trace.StageInstall, trace.FlagDeny, int64(s.installed))
 	}
 	if len(d.Diags) > 0 {
 		c.hot.evalDiags.Add(int64(len(d.Diags)))
@@ -1061,153 +1056,70 @@ func (c *Controller) resolveResponse(st *ctlState, five flow.Five, host netaddr.
 	return r, rtt, true, false
 }
 
-// installJob is one datapath's flow-mod application, dispatched to the
-// shared fan-out workers. A batched teardown sets mods instead of mod: the
-// worker applies the whole slice against the one datapath, so a fan-in
-// revocation tearing N flows hands each switch one job, not 2N.
-type installJob struct {
-	dp   openflow.Datapath
-	mod  openflow.FlowMod
-	mods []openflow.FlowMod
-	wg   *sync.WaitGroup
-	errs *atomic.Int64
-}
-
-// installFanout is the process-wide pool of install workers, shared by
-// every controller and started on the first multi-switch install. A fixed
-// worker set replaces the goroutine-per-datapath spawn (and its closure
-// allocation) the multi-hop path used to pay, extending the zero-alloc
-// property to long paths; jobs are plain values on a buffered channel.
-var installFanout struct {
-	once sync.Once
-	ch   chan installJob
-	// busy counts workers currently applying a mod — the install-worker
-	// backlog signal health checks report. Touched only on the multi-switch
-	// hand-off path, never on the single-hop fast path.
-	busy atomic.Int64
-	n    int
-}
-
-// InstallBacklog reports how many shared install workers are applying a
-// flow-mod right now, and how many exist in total. All workers busy for a
-// sustained period means installs are degrading to sequential behind slow
-// switches — the signal the readiness surface exposes.
-func InstallBacklog() (busy int64, workers int) {
-	return installFanout.busy.Load(), installFanout.n
-}
-
-func installCh() chan installJob {
-	installFanout.once.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n < 4 {
-			n = 4
-		}
-		if n > 16 {
-			n = 16
-		}
-		// Unbuffered on purpose: a job is handed over only when a worker
-		// is ready to run it now. Were jobs buffered, a path's installs
-		// could sit in the queue behind every worker being wedged on a
-		// dead switch, and the owning decision would wait on switches it
-		// never touches.
-		installFanout.ch = make(chan installJob)
-		installFanout.n = n
-		for i := 0; i < n; i++ {
-			go func() {
-				for j := range installFanout.ch {
-					installFanout.busy.Add(1)
-					if j.mods != nil {
-						for _, m := range j.mods {
-							if err := j.dp.Apply(m); err != nil {
-								j.errs.Add(1)
-							}
-						}
-					} else if err := j.dp.Apply(j.mod); err != nil {
-						j.errs.Add(1)
-					}
-					installFanout.busy.Add(-1)
-					j.wg.Done()
-				}
-			}()
-		}
-	})
-	return installFanout.ch
-}
-
-// applyMods issues one flow-mod per datapath, through the shared fan-out
-// workers when the path crosses more than one switch, so install latency
-// along a path tends to the slowest single switch rather than the sum of
-// all of them. Handoffs never block: a mod is given to a worker only if
-// one is free this instant, and runs on the calling goroutine otherwise —
-// so worker starvation (every worker wedged on an unresponsive switch)
-// degrades multi-hop installs to sequential rather than stalling healthy
-// decisions behind other decisions' dead switches. The single-hop fast
-// path never touches the pool at all.
-func (c *Controller) applyMods(s *decisionScratch, dps []openflow.Datapath, mods []openflow.FlowMod) {
-	last := len(dps) - 1
-	if last < 0 {
-		return
-	}
-	handedOff := false
-	if last > 0 {
-		ch := installCh()
-		for i := 0; i < last; i++ {
-			s.installWG.Add(1)
-			select {
-			case ch <- installJob{dp: dps[i], mod: mods[i], wg: &s.installWG, errs: c.hot.installErrors}:
-				handedOff = true
-			default:
-				if err := dps[i].Apply(mods[i]); err != nil {
-					c.hot.installErrors.Add(1)
-				}
-				s.installWG.Done()
-			}
-		}
-	}
-	if err := dps[last].Apply(mods[last]); err != nil {
+// apply issues one flow-mod on the calling goroutine and reports whether it
+// was accepted. Against a RemoteSwitch that is an append to the channel's
+// coalescing writer, against an in-process Switch a table edit: nothing
+// worth handing to another goroutine. A switch that has stopped reading
+// its channel stalls the caller for at most the channel's write deadline
+// (5 s), after which it is cut off and deregistered and Apply fails fast.
+func (c *Controller) apply(dp openflow.Datapath, m openflow.FlowMod) bool {
+	if err := dp.Apply(m); err != nil {
 		c.hot.installErrors.Add(1)
+		return false
 	}
-	if handedOff {
-		s.installWG.Wait()
-	}
+	return true
 }
 
-// pathMods builds the per-hop flow-mods for one direction of a flow,
-// appending into the scratch slices passed in (callers hand in length-zero
-// slices whose capacity is recycled across decisions). hasIngress
-// distinguishes "no ingress on this path" (reverse direction) from a
-// legitimate ingress datapath ID of 0.
-func (c *Controller) pathMods(st *ctlState, hops []Hop, five flow.Five, cookie uint64, hasIngress bool, ingress uint64, bufferID uint32, dps []openflow.Datapath, mods []openflow.FlowMod) ([]openflow.Datapath, []openflow.FlowMod) {
+// installHops programs one direction of a flow, hop by hop in path order
+// except that the hop at the packet-in's switch — ev is nil for the reverse
+// direction, which has none — goes last: its flow-mod carries the buffered
+// first packet, which must be released into a programmed path, not re-punt
+// at the next hop (Figure 1: entries, then "packet proceeds"). Hops whose
+// datapath is not registered are skipped. Every datapath tried is recorded
+// in s.pathIDs for the teardown-along-path (when anything will tear down),
+// every mod accepted in s.installed.
+func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cookie uint64, ev *openflow.PacketIn, s *decisionScratch) {
+	mod := openflow.FlowMod{
+		Match:       flow.FiveMatch(five),
+		Priority:    100,
+		Cookie:      cookie,
+		IdleTimeout: c.idle,
+		BufferID:    openflow.BufferNone,
+	}
+	track := c.revoker != nil || c.mega != nil
+	var ingress openflow.Datapath
+	var ingressOut uint16
 	for _, h := range hops {
 		dp := st.datapaths[h.Datapath]
 		if dp == nil {
 			continue
 		}
-		mod := openflow.FlowMod{
-			Match:       flow.FiveMatch(five),
-			Priority:    100,
-			Actions:     openflow.Output(h.OutPort),
-			Cookie:      cookie,
-			IdleTimeout: c.idle,
-			BufferID:    openflow.BufferNone,
+		if track {
+			s.pathIDs = appendPathID(s.pathIDs, h.Datapath)
 		}
-		if hasIngress && h.Datapath == ingress {
-			mod.BufferID = bufferID
-			mod.NotifyRemoved = true
+		if ev != nil && ingress == nil && h.Datapath == ev.SwitchID {
+			ingress, ingressOut = dp, h.OutPort
+			continue
 		}
-		dps = append(dps, dp)
-		mods = append(mods, mod)
+		mod.Actions = openflow.Output(h.OutPort)
+		if c.apply(dp, mod) {
+			s.installed++
+		}
 	}
-	return dps, mods
+	if ingress != nil {
+		mod.Actions = openflow.Output(ingressOut)
+		mod.BufferID = ev.BufferID
+		mod.NotifyRemoved = true
+		if c.apply(ingress, mod) {
+			s.installed++
+		}
+	}
 }
 
 // installPath caches a pass verdict as exact-granularity entries along the
 // whole path, releasing the buffered first packet at the ingress switch
-// (Figure 1 steps 4-5), plus the reverse path under `keep state`. Entries
-// along a path are installed concurrently, one goroutine per switch; the
-// forward direction completes before the reverse is issued so the buffered
-// packet is released against a fully programmed forward path. The flow-mod
-// batches are built in the decision's scratch.
+// (Figure 1 steps 4-5), plus the reverse path under `keep state`. The
+// forward direction completes before the reverse is issued.
 func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev openflow.PacketIn, five flow.Five, keepState bool, s *decisionScratch) {
 	if !c.install {
 		// Ablation mode: forward this one packet, cache nothing. The path
@@ -1238,37 +1150,18 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 		// the exact space) so one wildcard delete tears the class down.
 		cookie = s.cookie
 	}
-	s.dps, s.mods = c.pathMods(st, hops, five, cookie, true, ev.SwitchID, ev.BufferID, s.dps[:0], s.mods[:0])
-	c.applyMods(s, s.dps, s.mods)
-	c.hot.installs.Add(int64(len(hops)))
-	c.collectPathIDs(s)
+	c.installHops(st, hops, five, cookie, &ev, s)
 	if keepState {
 		rev := five.Reverse()
-		rhops, err := c.topo.Path(rev.SrcIP, rev.DstIP)
-		if err != nil {
+		if rhops, err := c.topo.Path(rev.SrcIP, rev.DstIP); err != nil {
 			c.Counters.Add("path_errors", 1)
-			return
+		} else {
+			// No ingress buffer on the reverse path: the reply's first
+			// packet has not arrived yet.
+			c.installHops(st, rhops, rev, cookie, nil, s)
 		}
-		// No ingress buffer on the reverse path: the reply's first packet
-		// has not arrived yet.
-		s.dps, s.mods = c.pathMods(st, rhops, rev, cookie, false, 0, openflow.BufferNone, s.dps[:0], s.mods[:0])
-		c.applyMods(s, s.dps, s.mods)
-		c.hot.installs.Add(int64(len(rhops)))
-		c.collectPathIDs(s)
 	}
-}
-
-// collectPathIDs records the datapaths the just-applied batch touched,
-// for the revocation plane's teardown-along-path and the verdict
-// cache's per-class path set. Skipped entirely when both are off: the
-// hot path pays two nil checks.
-func (c *Controller) collectPathIDs(s *decisionScratch) {
-	if c.revoker == nil && c.mega == nil {
-		return
-	}
-	for _, dp := range s.dps {
-		s.pathIDs = appendPathID(s.pathIDs, dp.DatapathID())
-	}
+	c.hot.installs.Add(int64(s.installed))
 }
 
 func (c *Controller) packetOutOrRelease(dp openflow.Datapath, ev openflow.PacketIn, outPort uint16) {
@@ -1299,8 +1192,8 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 		IdleTimeout: c.idle,
 		BufferID:    openflow.BufferNone,
 	}
-	if err := dp.Apply(mod); err != nil {
-		c.hot.installErrors.Add(1)
+	if c.apply(dp, mod) {
+		s.installed++
 	}
 	if c.revoker != nil || c.mega != nil {
 		// A deny entry is as revocable as a pass entry: a fact change can

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,11 +50,16 @@ type fakeTopo struct {
 
 func (t *fakeTopo) Path(src, dst netaddr.IP) ([]Hop, error) { return t.hops, t.err }
 
+// applySeq numbers every Apply on any fakeDatapath, so a test can compare
+// the order in which mods reached different datapaths.
+var applySeq atomic.Int64
+
 // fakeDatapath records applied mods.
 type fakeDatapath struct {
 	id        uint64
 	mu        sync.Mutex
 	mods      []openflow.FlowMod
+	seqs      []int64 // applySeq at each Apply, parallel to mods
 	released  []uint32
 	outs      []uint16
 	outFrames [][]byte
@@ -64,6 +70,7 @@ func (d *fakeDatapath) Apply(m openflow.FlowMod) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.mods = append(d.mods, m)
+	d.seqs = append(d.seqs, applySeq.Add(1))
 	return nil
 }
 func (d *fakeDatapath) PacketOut(port uint16, frame []byte) {
@@ -598,6 +605,9 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 	c.HandleEvent(sampleEvent(five(100), 1))
 	if n := c.Counters.Get("install_errors"); n != 1 {
 		t.Fatalf("install_errors = %d with a dead handle registered, want 1", n)
+	}
+	if n := c.Counters.Get("entries_installed"); n != 1 {
+		t.Fatalf("entries_installed = %d with hop 2's install failing, want 1 (hop 1 only)", n)
 	}
 
 	// Disconnect, then reconnect.

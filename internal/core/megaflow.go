@@ -443,38 +443,15 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) boo
 	return true
 }
 
-// deleteMegaAt issues one cookie-scoped wildcard delete per datapath,
-// through the shared install fan-out as installs and exact teardowns do:
-// the last datapath — the only one, for a one-switch class — runs on the
-// calling goroutine, so a single-datapath teardown pays no hand-off.
+// deleteMegaAt issues one cookie-scoped wildcard delete at every
+// registered datapath in paths, in order, on the calling goroutine.
 func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
 	m := openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone}
-	var wg sync.WaitGroup
-	var last openflow.Datapath
 	for _, id := range paths {
-		dp := st.datapaths[id]
-		if dp == nil {
-			continue
-		}
-		if last != nil {
-			wg.Add(1)
-			select {
-			case installCh() <- installJob{dp: last, mod: m, wg: &wg, errs: c.hot.installErrors}:
-			default:
-				if err := last.Apply(m); err != nil {
-					c.hot.installErrors.Add(1)
-				}
-				wg.Done()
-			}
-		}
-		last = dp
-	}
-	if last != nil {
-		if err := last.Apply(m); err != nil {
-			c.hot.installErrors.Add(1)
+		if dp := st.datapaths[id]; dp != nil {
+			c.apply(dp, m)
 		}
 	}
-	wg.Wait()
 }
 
 // MegaflowStats reports the verdict cache's live (current-epoch,

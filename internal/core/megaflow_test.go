@@ -166,58 +166,6 @@ func TestMegaflowFactUpdateTearsDownClass(t *testing.T) {
 	}
 }
 
-// backlogDatapath records how many install workers were busy while each of
-// its deletes ran: zero means the delete ran on the goroutine that asked.
-type backlogDatapath struct {
-	*fakeDatapath
-	busyAtDelete []int64
-}
-
-func (d *backlogDatapath) Apply(m openflow.FlowMod) error {
-	if m.Delete {
-		busy, _ := InstallBacklog()
-		d.busyAtDelete = append(d.busyAtDelete, busy)
-	}
-	return d.fakeDatapath.Apply(m)
-}
-
-// TestMegaflowSingleDatapathTeardownRunsInline: a one-switch class is torn
-// down on the calling goroutine, like applyMods and flushTeardown run their
-// only datapath — no hand-off to the install workers, no wait.
-func TestMegaflowSingleDatapathTeardownRunsInline(t *testing.T) {
-	// Workers up and parked on the channel, as on any controller that has
-	// installed a multi-hop path: a hand-off would find one ready.
-	var warm sync.WaitGroup
-	warm.Add(1)
-	installCh() <- installJob{dp: &fakeDatapath{}, wg: &warm, errs: new(atomic.Int64)}
-	warm.Wait()
-	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}
-	dp := &backlogDatapath{fakeDatapath: &fakeDatapath{id: 1}}
-	c := New(Config{
-		Name: "mega", Policy: pf.MustCompile("mega", megaPolicy), Transport: tr,
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true, ResponseCacheTTL: time.Hour, Revocation: true, Megaflow: true,
-	})
-	c.AddDatapath(dp)
-	c.HandleEvent(sampleEvent(megaFlow(hostA, 40000), 1)) // founder
-	c.HandleEvent(sampleEvent(megaFlow(hostA, 40001), 1)) // member: its entries are the class's
-	c.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
-	if _, _, _, teardowns := c.MegaflowStats(); teardowns != 1 {
-		t.Fatalf("teardowns = %d, want 1", teardowns)
-	}
-	if len(dp.busyAtDelete) == 0 {
-		t.Fatal("class teardown issued no delete")
-	}
-	for _, busy := range dp.busyAtDelete {
-		if busy != 0 {
-			t.Errorf("delete ran with %d install workers busy, want 0 (the caller's goroutine)", busy)
-		}
-	}
-}
-
 // TestMegaflowSetPolicyFlush: a policy swap empties the verdict cache;
 // stale verdicts never survive into the new epoch.
 func TestMegaflowSetPolicyFlush(t *testing.T) {

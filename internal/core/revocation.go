@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"identxx/internal/flow"
@@ -17,10 +16,13 @@ import (
 // gaps) resolve through the fact-dependency index to the exact flows whose
 // verdicts depended on the changed facts, and each is torn down live —
 // cached verdict retired, flow-table entries deleted along the full
-// installed path through the shared install worker pool, audit record
-// emitted. The next packet of a torn-down flow punts, re-queries, and
-// re-decides under current endpoint state; no controller restart, policy
-// reload, or switch idle-timeout is involved.
+// installed path, audit record emitted. The deletes are issued in turn on
+// the goroutine that called in: when HandleUpdate, RevokeHost or
+// SweepLeases returns, every datapath on every torn flow's registered path
+// has been handed both of that flow's deletes. The next packet of a
+// torn-down flow punts, re-queries, and re-decides under current endpoint
+// state; no controller restart, policy reload, or switch idle-timeout is
+// involved.
 
 // HandleUpdate consumes one daemon-pushed endpoint-state update for host.
 // It is the intended sink for query.Engine.SetUpdateHandler and is safe
@@ -79,16 +81,12 @@ func (c *Controller) revokeHostFact(host netaddr.IP, key, reason string) int {
 	flows := c.revoker.ResolveFact(host, key, nil)
 	n := len(flows)
 	if n > 0 {
-		// One batch for the whole fan-in: the audit rule string is built
-		// once, and each datapath on any torn flow's path receives a single
-		// batched delete job at flush rather than per-flow handoffs.
+		// The audit rule string is built once for the whole fan-in.
 		st := c.state.Load()
 		rule := "(revoked: " + reason + ")"
-		b := getTeardownBatch()
 		for _, f := range flows {
-			c.revokeFlowInto(b, st, f, reason, rule, false)
+			c.revokeFlow(st, f, reason, rule, false)
 		}
-		c.flushTeardown(b)
 	}
 	if c.mega != nil {
 		// Wide side: every cached verdict that read the fact and was not
@@ -117,13 +115,9 @@ func (c *Controller) SweepLeases() int {
 	n := len(expired)
 	if n > 0 {
 		st := c.state.Load()
-		b := getTeardownBatch()
 		for _, f := range expired {
-			c.revokeFlowInto(b, st, f, "lease-expired", "(revoked: lease-expired)", false)
+			c.revokeFlow(st, f, "lease-expired", "(revoked: lease-expired)", false)
 		}
-		c.flushTeardown(b)
-	}
-	if n > 0 {
 		c.Counters.Add("revocations_lease_expired", int64(n))
 	}
 	if c.mega != nil {
@@ -150,18 +144,15 @@ func (c *Controller) SweepLeases() int {
 // kept its pre-plane contract (counter only), whereas plane-driven
 // teardowns are audited with their reason.
 func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast bool) {
-	b := getTeardownBatch()
-	c.revokeFlowInto(b, c.state.Load(), five, reason, "(revoked: "+reason+")", broadcast)
-	c.flushTeardown(b)
+	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")", broadcast)
 }
 
-// revokeFlowInto is the per-flow half of a teardown: sequence bump,
-// covering-verdict teardown, dependency-index drop, audit record —
-// everything except the switch deletes, which accumulate in b (grouped per
-// datapath) for one batched flush. rule is the pre-decorated audit string
-// ("(revoked: <reason>)"), built once by the caller so a fan-in tearing N
-// flows does not concatenate it N times.
-func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
+// revokeFlow tears one flow down: sequence bump, covering-verdict teardown,
+// dependency-index drop, switch deletes along the registered path, audit
+// record. rule is the pre-decorated audit string ("(revoked: <reason>)"),
+// built once by the caller so a fan-in tearing N flows does not concatenate
+// it N times.
+func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
 	// Order matters: bump the sequence before probing the cache, so a
 	// decision that read a cached verdict (or gathered responses) before
 	// the bump cannot publish after the teardown without noticing.
@@ -209,7 +200,7 @@ func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Fi
 		}
 		return
 	}
-	b.appendDeletes(st, five, paths)
+	c.deleteFlowAt(st, five, paths)
 	c.hot.revFlows.Add(1)
 	if !broadcast {
 		c.Audit.Record(AuditEntry{
@@ -222,123 +213,24 @@ func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Fi
 	}
 }
 
-// teardownLane is one datapath's accumulated delete mods within a batch.
-type teardownLane struct {
-	id   uint64
-	dp   openflow.Datapath
-	mods []openflow.FlowMod
-}
-
-// teardownBatch accumulates cookie-scoped delete flow-mods per datapath
-// across a revocation, so tearing N flows costs one handoff per datapath
-// touched instead of 2N single-mod handoffs (and one WaitGroup total
-// instead of one per flow). Batches are pooled; lane mod slices keep
-// their capacity across uses.
-type teardownBatch struct {
-	lanes  []teardownLane
-	wg     sync.WaitGroup
-	issued int
-}
-
-var teardownPool = sync.Pool{New: func() any { return new(teardownBatch) }}
-
-func getTeardownBatch() *teardownBatch {
-	return teardownPool.Get().(*teardownBatch)
-}
-
-// laneFor returns the batch lane for datapath id, creating it if the batch
-// has not touched that datapath yet. Paths are short, so the linear scan
-// wins over a map (and allocates nothing).
-func (b *teardownBatch) laneFor(st *ctlState, id uint64) *teardownLane {
-	for i := range b.lanes {
-		if b.lanes[i].id == id {
-			return &b.lanes[i]
-		}
-	}
-	dp := st.datapaths[id]
-	if dp == nil {
-		return nil
-	}
-	if len(b.lanes) < cap(b.lanes) {
-		// Reuse a retired lane's mods capacity.
-		b.lanes = b.lanes[:len(b.lanes)+1]
-	} else {
-		b.lanes = append(b.lanes, teardownLane{})
-	}
-	l := &b.lanes[len(b.lanes)-1]
-	l.id, l.dp, l.mods = id, dp, l.mods[:0]
-	return l
-}
-
-// appendDeletes queues delete-by-flow mods (both directions, cookie-
-// scoped) for every datapath in paths.
-func (b *teardownBatch) appendDeletes(st *ctlState, five flow.Five, paths []uint64) {
-	if len(paths) == 0 {
-		return
-	}
-	cookie := five.Hash() | 1
-	fwd := flow.FiveMatch(five)
-	rev := flow.FiveMatch(five.Reverse())
+// deleteFlowAt issues the flow's two cookie-scoped deletes (forward and
+// reverse match) at every registered datapath in paths, in order, on the
+// calling goroutine, and counts them in revocations_entries.
+func (c *Controller) deleteFlowAt(st *ctlState, five flow.Five, paths []uint64) {
+	fwd := openflow.FlowMod{Delete: true, Cookie: five.Hash() | 1, Match: flow.FiveMatch(five), BufferID: openflow.BufferNone}
+	rev := fwd
+	rev.Match = flow.FiveMatch(five.Reverse())
+	issued := 0
 	for _, id := range paths {
-		l := b.laneFor(st, id)
-		if l == nil {
+		dp := st.datapaths[id]
+		if dp == nil {
 			continue
 		}
-		l.mods = append(l.mods,
-			openflow.FlowMod{Delete: true, Cookie: cookie, Match: fwd, BufferID: openflow.BufferNone},
-			openflow.FlowMod{Delete: true, Cookie: cookie, Match: rev, BufferID: openflow.BufferNone})
-		b.issued += 2
+		c.apply(dp, fwd)
+		c.apply(dp, rev)
+		issued += 2
 	}
-}
-
-// flushTeardown fans the batch's per-datapath delete lanes out through the
-// shared install worker pool exactly as installs do, so teardown latency
-// across datapaths tends to the slowest switch, not the sum. The last lane
-// always runs on the calling goroutine — a single-datapath teardown (the
-// common case) therefore pays no handoff and no wait at all. Waits for
-// every delete to land, bumps the entries counter, and returns the batch
-// to the pool.
-func (c *Controller) flushTeardown(b *teardownBatch) {
-	if last := len(b.lanes) - 1; last >= 0 {
-		if last > 0 {
-			ch := installCh()
-			for i := 0; i < last; i++ {
-				l := &b.lanes[i]
-				b.wg.Add(1)
-				select {
-				case ch <- installJob{dp: l.dp, mods: l.mods, wg: &b.wg, errs: c.hot.installErrors}:
-				default:
-					// No worker free this instant: run inline rather than
-					// queue behind other teardowns' wedged switches.
-					for _, m := range l.mods {
-						if err := l.dp.Apply(m); err != nil {
-							c.hot.installErrors.Add(1)
-						}
-					}
-					b.wg.Done()
-				}
-			}
-		}
-		l := &b.lanes[last]
-		for _, m := range l.mods {
-			if err := l.dp.Apply(m); err != nil {
-				c.hot.installErrors.Add(1)
-			}
-		}
-		if last > 0 {
-			b.wg.Wait()
-		}
-	}
-	if b.issued > 0 {
-		c.Counters.Add("revocations_entries", int64(b.issued))
-	}
-	for i := range b.lanes {
-		b.lanes[i].dp = nil
-		b.lanes[i].mods = b.lanes[i].mods[:0]
-	}
-	b.lanes = b.lanes[:0]
-	b.issued = 0
-	teardownPool.Put(b)
+	c.hot.revEntries.Add(int64(issued))
 }
 
 // registerDeps records the decision's fact dependencies in the index: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,7 +119,7 @@ func TestUpdateTearsDownFlow(t *testing.T) {
 // TestKeyScopedUpdateFanOut: a key-scoped update (no flow) tears down
 // every flow whose verdict read that key from that host, and nothing else.
 func TestKeyScopedUpdateFanOut(t *testing.T) {
-	c, _, _, _ := newRevController(t, 0, nil)
+	c, _, dp1, dp2 := newRevController(t, 0, nil)
 	for i := 0; i < 8; i++ {
 		c.HandleEvent(sampleEvent(revFlow(41000+i), 1))
 	}
@@ -139,6 +140,23 @@ func TestKeyScopedUpdateFanOut(t *testing.T) {
 	}
 	if got := c.Counters.Get("revocations_flows"); got != 8 {
 		t.Errorf("revocations_flows = %d, want 8", got)
+	}
+	// The post-condition of a revoke: HandleUpdate has returned, so every
+	// datapath on every torn flow's registered path holds both of that
+	// flow's cookie-scoped deletes — nothing is still on its way.
+	for _, dp := range []*fakeDatapath{dp1, dp2} {
+		perCookie := make(map[uint64]int)
+		for _, m := range dp.deleteMods() {
+			perCookie[m.Cookie]++
+		}
+		for i := 0; i < 8; i++ {
+			if got := perCookie[revFlow(41000+i).Hash()|1]; got != 2 {
+				t.Errorf("dp%d: flow %d has %d deletes when HandleUpdate returned, want 2 (fwd+rev)", dp.id, i, got)
+			}
+		}
+	}
+	if got := c.Counters.Get("revocations_entries"); got != 8*2*2 {
+		t.Errorf("revocations_entries = %d, want 32 (8 flows x 2 datapaths x 2 directions)", got)
 	}
 }
 
@@ -467,5 +485,62 @@ func (t *gatedTransport) waitBlocked(tt *testing.T) {
 			tt.Fatal("transport never reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInstallRevokeReloadSpawnNoGoroutine: flow-mods are applied on the
+// goroutine that asked. A controller that has installed a six-switch path,
+// torn a fan-in of flows down across all six and reloaded its policy has
+// started no goroutine — no workers are left behind and none were needed.
+// (The async transport completes inline; the blocking gather's destination
+// query is the one goroutine the package starts, and no install, teardown
+// or reload path reaches it.)
+func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	const nDatapaths = 6
+	hops := make([]Hop, nDatapaths)
+	for i := range hops {
+		hops[i] = Hop{Datapath: uint64(i + 1), OutPort: uint16(i + 2)}
+	}
+	c := New(Config{
+		Name:   "quiet",
+		Policy: pf.MustCompile("quiet", revPolicy+" keep state"),
+		Transport: &fakeAsyncTransport{inline: true, fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
+			hostA: {"name": "skype"},
+			hostB: {"name": "skype"},
+		}}},
+		Topology:         &fakeTopo{hops: hops},
+		InstallEntries:   true,
+		AsyncQueries:     true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+	})
+	dps := make([]*fakeDatapath, nDatapaths)
+	for i := range dps {
+		dps[i] = &fakeDatapath{id: uint64(i + 1)}
+		c.AddDatapath(dps[i])
+	}
+
+	for i := 0; i < 4; i++ {
+		c.HandleEvent(sampleEvent(revFlow(43000+i), 1))
+	}
+	if got := c.Counters.Get("entries_installed"); got != 4*2*nDatapaths {
+		t.Fatalf("entries_installed = %d, want %d", got, 4*2*nDatapaths)
+	}
+	c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 1})
+	if got := c.Counters.Get("revocations_flows"); got != 4 {
+		t.Fatalf("revocations_flows = %d, want 4", got)
+	}
+	c.SetPolicy(pf.MustCompile("quiet2", revPolicy))
+	for i, dp := range dps {
+		mods := dp.deleteMods()
+		if len(mods) == 0 || mods[len(mods)-1].Match != flow.MatchAll() || mods[len(mods)-1].Cookie != 0 {
+			t.Errorf("datapath %d: last delete is not the reload's table flush", i+1)
+		}
+	}
+
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }

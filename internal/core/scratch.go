@@ -14,9 +14,9 @@ import (
 )
 
 // decisionScratch is the reusable working set of one HandleEvent decision:
-// the latency breakdown, the flow-mod batches installPath builds, the path
-// an ablation verdict resolved (reused by the waiter resolver), the
-// two-ended query fan-out state, and — since the asynchronous query plane —
+// the latency breakdown, the path an ablation verdict resolved (reused by
+// the waiter resolver), the datapaths its entries went to, the two-ended
+// query fan-out state, and — since the asynchronous query plane —
 // the decision's continuation context (shard, datapath, event), because a
 // cache-missing decision now survives its originating goroutine and is
 // finished by whichever query-plane completion arrives last. One scratch is
@@ -27,9 +27,12 @@ import (
 // and never escapes the stack.)
 type decisionScratch struct {
 	bd   metrics.SetupBreakdown
-	dps  []openflow.Datapath
-	mods []openflow.FlowMod
 	hops []Hop
+
+	// installed counts the flow-mods this decision's verdict applied
+	// without error: what entries_installed adds for a pass verdict and
+	// what the trace's install stage reports.
+	installed int
 
 	// pathIDs collects the datapath IDs this decision installed entries on
 	// (forward and reverse, deduplicated), for the revocation plane's
@@ -59,10 +62,6 @@ type decisionScratch struct {
 	dp   openflow.Datapath
 	ev   openflow.PacketIn
 	five flow.Five
-
-	// installWG pairs the pooled flow-mod fan-out (applyMods) without a
-	// per-install allocation.
-	installWG sync.WaitGroup
 
 	// tb is the decision's flight-recorder buffer (internal/trace); nil
 	// when tracing is disabled. Owned by the recorder's pool, not the
@@ -102,14 +101,7 @@ func acquireScratch() *decisionScratch {
 func (s *decisionScratch) release() {
 	s.bd = metrics.SetupBreakdown{}
 	s.hops = nil // owned by the topology, not scratch capacity
-	for i := range s.dps {
-		s.dps[i] = nil
-	}
-	s.dps = s.dps[:0]
-	for i := range s.mods {
-		s.mods[i] = openflow.FlowMod{}
-	}
-	s.mods = s.mods[:0]
+	s.installed = 0
 	s.pathIDs = s.pathIDs[:0]
 	s.revSeq = 0
 	s.cookie = 0

@@ -54,7 +54,7 @@ var ControllerCounters = map[string]string{
 	"revocations_hellos":             "Daemon hello updates (subscription handshakes) processed.",
 	"revocations_resyncs":            "Full resyncs forced by serial gaps in a daemon's update stream.",
 	"revocations_noop":               "Updates that matched no registered fact (nothing to tear down).",
-	"revocations_entries":            "Fact dependencies registered in the revocation index.",
+	"revocations_entries":            "Delete flow-mods issued by flow teardowns (two per datapath on a torn flow's path).",
 	"revocations_lease_expired":      "Flows torn down by lease expiry (daemons that never push).",
 	"revocations_wide_lease_expired": "Cached verdicts torn down by lease expiry.",
 	"cred_unauthorized":              "Daemon answers excluded from verdicts by credential enforcement (unverified, expired, or out-of-scope sessions).",
@@ -185,12 +185,6 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 	r.RegisterCounterFunc("audit_records", "Audit entries ever recorded (ring sequence number).",
 		ctl.Audit.Total, labels...)
 
-	busyWorkers := func() int64 { busy, _ := core.InstallBacklog(); return busy }
-	r.RegisterGaugeFunc("install_workers_busy", "Install fan-out workers currently applying flow-mods.",
-		busyWorkers, labels...)
-	r.RegisterGaugeFunc("install_workers", "Install fan-out worker pool size (0 until first multi-switch install).",
-		func() int64 { _, workers := core.InstallBacklog(); return int64(workers) }, labels...)
-
 	r.RegisterHistogram("setup_total", "End-to-end flow-setup latency (Figure 1: punt + max(queries) + eval + install).", ctl.Setup.Total, labels...)
 	r.RegisterHistogram("setup_punt", "Switch-to-controller punt latency.", ctl.Setup.Punt, labels...)
 	r.RegisterHistogram("setup_query_src", "ident++ round trip to the source daemon.", ctl.Setup.QuerySrc, labels...)
@@ -199,21 +193,14 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 	r.RegisterHistogram("setup_install", "Flow-entry install latency along the path.", ctl.Setup.Install, labels...)
 }
 
-// RegisterControllerHealth wires the controller's readiness to real
-// signals: switches registered (a controller with no datapaths enforces
-// nothing) and the install fan-out not saturated. Liveness stays the HTTP
-// baseline — a wedged process stops answering.
+// RegisterControllerHealth wires the controller's readiness to a real
+// signal: switches registered (a controller with no datapaths enforces
+// nothing). Liveness stays the HTTP baseline — a wedged process stops
+// answering.
 func RegisterControllerHealth(h *Health, ctl *core.Controller) {
 	h.AddReadiness("datapaths", func() error {
 		if ctl.DatapathCount() == 0 {
 			return fmt.Errorf("%w: no datapaths registered", errNotReady)
-		}
-		return nil
-	})
-	h.AddReadiness("install-workers", func() error {
-		busy, workers := core.InstallBacklog()
-		if workers > 0 && busy >= int64(workers) {
-			return fmt.Errorf("%w: install fan-out saturated (%d/%d busy)", errNotReady, busy, workers)
 		}
 		return nil
 	})

@@ -66,8 +66,8 @@ const (
 	StageQueryDone
 	// StageEval is policy evaluation.
 	StageEval
-	// StageInstall marks the install fan-out completing. Arg is the
-	// number of datapaths modified.
+	// StageInstall marks the verdict's flow-mods applied. Arg is the
+	// number the switches accepted.
 	StageInstall
 	// StageWaiterRelease marks parked duplicate packet-ins being
 	// released. Arg is the waiter count.
