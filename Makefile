@@ -57,10 +57,13 @@ race-query:
 # cleans), a ring rebuild's sweep racing live classes. Their tests check
 # conservation laws, so repeat them under the race detector instead of
 # trusting one lucky pass. The teardown and install paths those
-# handshakes run through (revocation.go, installHops) repeat with them.
+# handshakes run through (revocation.go, installHops) repeat with them,
+# and so does the dependency index under all of it (internal/revoke: its
+# two sides are locked apart, so churn is where a lost link would show).
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revoc|Install' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease' ./internal/core/
+	$(GO) test -race -count=20 ./internal/revoke/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.

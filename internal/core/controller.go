@@ -199,11 +199,12 @@ type Config struct {
 
 	// Revocation enables the revocation plane: every cache-missing decision
 	// registers the (host, key) facts its verdict read in a fact-dependency
-	// index, and HandleUpdate — fed daemon-pushed endpoint-state updates by
-	// the query plane — tears affected flows down live (cache entry dropped,
-	// flow-table entries deleted along the installed path, audit record
-	// emitted). The cache-hit fast path is untouched: it neither registers
-	// nor consults the index.
+	// index — one record, under its cache entry when the verdict is cached,
+	// under its flow otherwise — and HandleUpdate — fed daemon-pushed
+	// endpoint-state updates by the query plane — tears affected verdicts
+	// down live (cache entry dropped, flow-table entries deleted along the
+	// installed path, audit record emitted). The cache-hit fast path is
+	// untouched: it neither registers nor consults the index.
 	Revocation bool
 
 	// RevocationLeaseTTL is the fallback for daemons that never push (the
@@ -486,9 +487,9 @@ func (c *Controller) ShardStats() []ShardStat {
 	return out
 }
 
-// WideStats reports the revocation index's wide (megaflow-class)
-// registrations: resident count plus lifetime register/drop totals. Zeros
-// when revocation is disabled.
+// WideStats reports the revocation index's class records — one per cached
+// verdict: resident count plus lifetime register/drop totals. Zeros when
+// revocation is disabled.
 func (c *Controller) WideStats() (live int, registered, dropped int64) {
 	if c.revoker == nil {
 		return 0, 0, 0
@@ -621,21 +622,28 @@ func (c *Controller) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
 
 // HandleFlowRemoved implements openflow.Controller. The ingress entry is
 // the only one installed with NotifyRemoved, so its eviction means the
-// flow's forward path is gone from the network's point of view: the cached
-// verdict whose class is exactly that flow is retired with it — previously
-// it survived, so a flow that idle-timed-out was re-admitted from cache
-// without re-querying even though the daemon might now answer differently
-// (stale-grant-on-reuse); a wider class answers for its other members too
-// and stays — and, when the revocation plane is on, the dependency links
-// are unregistered and any remaining entries along the installed path
-// deleted so no orphan state lingers on non-ingress switches.
+// flow's forward path is gone from the network's point of view, and a
+// verdict that is the flow's alone goes with it: the cached verdict whose
+// class is exactly that flow is retired — or a flow that idle-timed-out
+// would be re-admitted from cache without re-querying though the daemon
+// might now answer differently (stale-grant-on-reuse) — or the uncached
+// flow's record is dropped; and whatever entries remain along the installed
+// path are deleted, so no orphan state lingers on non-ingress switches. A
+// wider class (Config.Megaflow) answers for its other members too: it
+// stays, and with it the flow's remaining entries, which idle out or fall
+// with the class.
 func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemoved) {
 	c.Counters.Add("flow_removed", 1)
 	five := ev.Match.Tuple.Five()
 	st := c.state.Load()
 	if c.mega != nil {
 		if e := c.mega.exact(five); e != nil {
-			c.retireMega(st, e)
+			if paths, ok := c.retireMega(e); ok {
+				c.deleteMegaAt(st, e.cookie, paths)
+				if !e.aged {
+					c.hot.megaTeardowns.Add(1)
+				}
+			}
 		}
 	}
 	if c.revoker == nil {
@@ -866,24 +874,29 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	bd.QuerySrc, bd.QueryDst = g.qsrc, g.qdst
 
 	var d pf.Decision
-	var tr pf.Trace
+	hit := g.mega != nil
 	switch {
 	case g.preDecided:
 		// The header-only pre-pass already decided (and timed itself into
 		// bd.Eval); evaluating again would just re-derive it.
 		d = g.pre
-	case g.mega != nil:
-		// Cache hit: the class verdict is the flow's verdict. Installs
-		// below carry the class cookie so one wildcard delete tears every
-		// member's entries down with the class.
+	case hit:
+		// The class verdict is the flow's verdict.
 		d = pf.Decision{Action: g.mega.action, Rule: g.mega.rule, Matched: g.mega.matched, KeepState: g.mega.keepState}
-		s.cookie = g.mega.cookie
-	case c.mega != nil:
-		// The verdict will be cached: the trace says which ends it read
-		// (its fact dependencies) and, under Config.Megaflow, its mask.
+	case c.mega != nil && !g.srcTransient && !g.dstTransient:
+		// The verdict is cached — before anything is installed, so the
+		// founder installs below as its class's first member. The trace says
+		// which ends it read (its fact dependencies) and, under
+		// Config.Megaflow, its mask. Only decisions whose information is as
+		// good as it gets are cached: a verdict shaped by a transient
+		// transport failure (timeout, reset, open breaker) must not pin its
+		// no-info view of the host for the whole TTL — the daemon may answer
+		// again for the next packet.
 		evalStart := time.Now()
+		var tr pf.Trace
 		d, tr = st.policy.EvaluateTraced(pf.Input{Flow: five, Src: g.src, Dst: g.dst})
 		bd.Eval = time.Since(evalStart)
+		g.mega = c.megaInstall(s, st, d, tr)
 	default:
 		evalStart := time.Now()
 		d = st.policy.Evaluate(pf.Input{Flow: five, Src: g.src, Dst: g.dst})
@@ -926,52 +939,39 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		c.hot.evalDiags.Add(int64(len(d.Diags)))
 	}
 
-	if g.mega != nil {
-		// Publish this member's installed datapaths to the class's
-		// teardown set. Refusal means the class was torn down while this
-		// hit was installing: its entries postdate the teardown's path
-		// snapshot, so the hit deletes its own installs — the self-clean
-		// half of the teardown handshake (megaflow.go). The hit keeps the
-		// registrations the founder's miss created and touches neither
-		// index — the hot path stays exactly as fast as without revocation.
-		if !g.mega.addPaths(s.pathIDs) {
-			c.deleteMegaAt(st, g.mega.cookie, s.pathIDs)
-			c.Counters.Add("megaflow_hit_raced", 1)
-		}
-		return
-	}
 	if g.preDecided {
 		// Header-only decisions gathered nothing and read no endpoint facts:
 		// they re-decide from the header alone per packet, cheaper than a
 		// cache probe would be, and never touch the revocation index.
 		return
 	}
-
-	// Cache only decisions whose information is as good as it gets: a
-	// verdict shaped by a transient transport failure (timeout, reset, open
-	// breaker) must not pin its no-info view of the host for the whole TTL
-	// — the daemon may answer again for the next packet. Insertion happens
-	// before the publication re-check below, closing the race with a
-	// concurrent fact update (see megaInstall).
-	cached := c.mega != nil && !g.srcTransient && !g.dstTransient
-	if cached {
-		c.megaInstall(s, st, d, tr)
-	}
-	// Revocation plane: record which endpoint facts this verdict read, so
-	// a daemon-pushed update resolves straight to this flow.
-	registered := c.revoker != nil && (c.install || c.cacheTTL > 0)
-	if registered {
+	if g.mega != nil {
+		// Publish this member's installed datapaths to the class's
+		// teardown set. Refusal means the class was torn down while this
+		// member was installing: its entries postdate the teardown's path
+		// snapshot, so the member deletes its own installs — the self-clean
+		// half of the teardown handshake (megaflow.go). The class's record
+		// is every member's record: a hit touches no index — the hot path
+		// stays exactly as fast as without revocation.
+		if !g.mega.addPaths(s.pathIDs) {
+			c.deleteMegaAt(st, g.mega.cookie, s.pathIDs)
+			c.Counters.Add("megaflow_hit_raced", 1)
+		}
+	} else if c.revoker != nil && c.install {
+		// Revocation plane, uncached verdict: record which endpoint facts
+		// it read, so a daemon-pushed update resolves straight to this flow.
 		c.registerDeps(s)
+	} else {
+		return // nothing published that a revocation could have missed
 	}
 	// Publication re-check: a revocation that landed after the entry check
 	// at the top resolved to nothing (neither the cached verdict nor the
-	// registration existed yet) — its state is gone, but ours just went
-	// live on pre-revocation facts. The entry and the registration are in
-	// place now, so tearing ourselves down reaches everything this
-	// decision cached and installed; the next packet re-decides under
-	// current facts. One extra atomic load on the miss path, nothing on
-	// hits.
-	if (cached || registered) && sh.rev.Load() != s.revSeq {
+	// record existed yet) — its state is gone, but ours just went live on
+	// pre-revocation facts. The entry or the record is in place now, so
+	// tearing ourselves down reaches everything this decision cached and
+	// installed; the next packet re-decides under current facts. One extra
+	// atomic load on the miss path, nothing on hits.
+	if !hit && sh.rev.Load() != s.revSeq {
 		c.Counters.Add("revocations_raced", 1)
 		c.revokeResolved(five, "raced-decision", false)
 	}
@@ -1144,12 +1144,7 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 		ingress.ReleaseBuffer(ev.BufferID)
 		return
 	}
-	cookie := five.Hash() | 1 // non-zero (odd) so delete-by-cookie can target it
-	if s.cookie != 0 {
-		// Cache hit: entries carry the class cookie (even, disjoint from
-		// the exact space) so one wildcard delete tears the class down.
-		cookie = s.cookie
-	}
+	cookie := s.cookie()
 	c.installHops(st, hops, five, cookie, &ev, s)
 	if keepState {
 		rev := five.Reverse()
@@ -1180,15 +1175,11 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 	if !c.install {
 		return
 	}
-	cookie := five.Hash() | 1
-	if s.cookie != 0 {
-		cookie = s.cookie
-	}
 	mod := openflow.FlowMod{
 		Match:       flow.FiveMatch(five),
 		Priority:    100,
 		Actions:     openflow.Drop,
-		Cookie:      cookie,
+		Cookie:      s.cookie(),
 		IdleTimeout: c.idle,
 		BufferID:    openflow.BufferNone,
 	}
@@ -1203,9 +1194,12 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 }
 
 // RevokeFlow deletes the cached entries for a flow, forcing the next
-// packet back to the controller — per-flow revocation. With the dependency
-// index on, deletes go to the flow's installed path; otherwise (or for an
-// unknown flow) they broadcast to every datapath, the pre-index contract.
+// packet back to the controller — per-flow revocation. Deletes go where the
+// flow's one record says its entries are: to every datapath its class
+// installed on when the verdict is cached (the whole class falls), along its
+// own installed path when the index holds a record for it; for a flow
+// nothing is known about they broadcast to every datapath, the pre-index
+// contract. Counted in flows_revoked, not audited.
 func (c *Controller) RevokeFlow(five flow.Five) {
 	c.revokeResolved(five, "revoke-flow", true)
 	c.Counters.Add("flows_revoked", 1)

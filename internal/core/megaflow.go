@@ -2,14 +2,13 @@ package core
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"identxx/internal/flow"
-	"identxx/internal/openflow"
 	"identxx/internal/pf"
-	"identxx/internal/revoke"
 )
 
 // The megaTable is the controller's one verdict cache (§3.4: the decision
@@ -30,12 +29,16 @@ import (
 //
 //   - Entries are pinned to the policy epoch and to ResponseCacheTTL, so
 //     SetPolicy and expiry invalidate every cached verdict identically.
-//   - Entries whose verdict read endpoint facts register those facts in
-//     the revocation index's wide side (one entry ↔ many installed
-//     paths), so a daemon-pushed update tears the whole class down in
-//     O(affected). The trace forces a queried end's IP and port into the
-//     mask, so every member of a class shares the traced end — the facts
-//     of one member are the facts of all.
+//     Expiry ends an entry's hits, not the flows installed under it: no
+//     delete is sent — switch entries idle out (see megaShard.aged).
+//   - The entry's dependency record in the revocation index (keyed by the
+//     entry's id) is the one record of every verdict installed under it,
+//     the founder's included: every member's switch entries carry the
+//     entry's cookie and every datapath they touched is in its paths, so
+//     a daemon-pushed update tears the whole class down in O(affected)
+//     with one delete per datapath. The trace forces a queried end's IP
+//     and port into the mask, so every member of a class shares the
+//     traced end — the facts of one member are the facts of all.
 //   - A teardown racing a member's in-flight hit is settled by the dead
 //     flag: the teardown's path snapshot is taken under the entry lock,
 //     and a hit that installed entries after the snapshot finds
@@ -56,7 +59,7 @@ type megaKey struct {
 // responses never outlive the decision that gathered them.
 type megaEntry struct {
 	id      uint64
-	cookie  uint64 // id<<1: even, disjoint from exact cookies (hash|1, odd)
+	cookie  uint64 // id<<1: even, disjoint from uncached flows' cookies (hash|1, odd)
 	founder flow.Five
 	masked  flow.Five
 	mask    uint8
@@ -69,6 +72,11 @@ type megaEntry struct {
 	keepState bool
 
 	hits atomic.Int64
+
+	// aged is set, under the shard lock, when a sweep keeps the entry aside
+	// (megaShard.aged): it has been counted out of the cache, and whatever
+	// retires it later counts nothing more.
+	aged bool
 
 	// dead flips exactly once, under mu, when the entry is retired;
 	// lookup reads it lock-free (a stale read is settled by addPaths).
@@ -95,6 +103,16 @@ func (e *megaEntry) addPaths(ids []uint64) bool {
 	return true
 }
 
+// announced reports whether the network will say when the entry's installed
+// state is gone: it is one flow's own, that flow passes, and entries went
+// in — the ingress one asking for a flow-removed. Nothing reports the end
+// of a drop entry or of a wider class's members.
+func (e *megaEntry) announced() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.mask == pf.TraceAllFields && e.action == pf.Pass && len(e.paths) > 0 && !e.dead.Load()
+}
+
 // kill retires the entry, returning its path snapshot. ok=false means
 // another retirer won; exactly one caller performs the teardown.
 func (e *megaEntry) kill() ([]uint64, bool) {
@@ -107,10 +125,17 @@ func (e *megaEntry) kill() ([]uint64, bool) {
 	return e.paths, true
 }
 
-// megaShard is one lock domain of the class table.
+// megaShard is one lock domain of the class table. entries serves hits.
+// aged holds the announced entries (see megaEntry.announced) a sweep moved
+// out of it: such an entry serves no hit and blocks no founder, but its
+// flow's switch entries may outlive it by hours, and it stays their record —
+// a fact update, a lease, a flow-removed or a takeover sweep finds it as it
+// would a serving entry — until one of those retires it or the flow's next
+// verdict takes the class over. A class is in at most one of the two maps.
 type megaShard struct {
 	mu        sync.Mutex
 	entries   map[megaKey]*megaEntry
+	aged      map[megaKey]*megaEntry
 	lastSweep time.Time
 }
 
@@ -138,11 +163,13 @@ func newMegaTable(n int) *megaTable {
 	t := &megaTable{
 		shards: make([]megaShard, n),
 		mask:   uint64(n - 1),
-		byID:   make(map[uint64]*megaEntry),
 	}
-	for i := range t.shards {
-		t.shards[i].entries = make(map[megaKey]*megaEntry)
-	}
+	t.flushAll()
+	// Class ids, and so class cookies, count up from a random base. Replicas
+	// programming one switch must not share a cookie: a class teardown is a
+	// cookie-scoped wildcard, and since a founder's entries carry the class
+	// cookie it would delete another replica's flows outright.
+	t.nextID.Store(rand.Uint64() >> 2)
 	return t
 }
 
@@ -151,30 +178,27 @@ func (t *megaTable) shardFor(k megaKey) *megaShard {
 	return &t.shards[h&t.mask]
 }
 
-func (t *megaTable) maskAcquire(m uint8) {
+// maskCount moves mask m's census by d (an entry in: +1, out: -1).
+func (t *megaTable) maskCount(m uint8, d int) {
 	t.maskMu.Lock()
-	t.maskCounts[m]++
-	if t.maskCounts[m] == 1 {
+	t.maskCounts[m] += d
+	if t.maskCounts[m] == 0 {
+		t.active.Store(t.active.Load() &^ (1 << m))
+	} else {
 		t.active.Store(t.active.Load() | 1<<m)
 	}
 	t.maskMu.Unlock()
 }
 
-func (t *megaTable) maskRelease(m uint8) {
-	t.maskMu.Lock()
-	t.maskCounts[m]--
-	if t.maskCounts[m] == 0 {
-		t.active.Store(t.active.Load() &^ (1 << m))
-	}
-	t.maskMu.Unlock()
-}
-
 // resident returns whatever entry occupies class slot k — live, stale or
-// dead — or nil.
+// dead — or, the slot empty, the one aged out of it; or nil.
 func (t *megaTable) resident(k megaKey) *megaEntry {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	e := sh.entries[k]
+	if e == nil {
+		e = sh.aged[k]
+	}
 	sh.mu.Unlock()
 	return e
 }
@@ -197,12 +221,15 @@ func (t *megaTable) lookup(f flow.Five, now time.Time, epoch uint64) *megaEntry 
 }
 
 // insert publishes e unless a live entry for the same class is already
-// resident (a founder race: the caller keeps its own verdict and skips
-// the wide registration). A stale resident (dead, expired, old epoch) is
-// displaced and returned in swept, along with anything the opportunistic
-// per-shard TTL sweep collected; the caller retires swept entries and
-// drops their wide registrations. resident is nil when e went in.
-func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resident *megaEntry, swept []*megaEntry) {
+// resident (a founder race: the caller joins the resident as a member;
+// resident is nil when e went in). The opportunistic per-shard TTL sweep
+// unmaps every expired entry, keeping the announced ones aside, and e
+// takes its class over from whatever held it — a stale resident (dead,
+// expired, old epoch) or an aged entry, whose flow's switch entries the
+// install that follows replaces. aged counts the entries kept aside; swept
+// returns the others unmapped, and the aged entry taken over, for the
+// caller to retire.
+func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resident *megaEntry, aged int, swept []*megaEntry) {
 	k := megaKey{masked: e.masked, mask: e.mask}
 	sh := t.shardFor(k)
 	sh.mu.Lock()
@@ -212,16 +239,27 @@ func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resi
 		for ok, old := range sh.entries {
 			if ok != k && !now.Before(old.expires) {
 				delete(sh.entries, ok)
-				swept = append(swept, old)
+				if old.announced() {
+					sh.aged[ok], old.aged = old, true
+					aged++
+				} else {
+					swept = append(swept, old)
+				}
 			}
 		}
 		sh.lastSweep = now
 	}
-	if res, ok := sh.entries[k]; ok {
-		if res.epoch == e.epoch && now.Before(res.expires) && !res.dead.Load() {
-			sh.mu.Unlock()
-			return res, swept
+	res, ok := sh.entries[k]
+	if ok && res.epoch == e.epoch && now.Before(res.expires) && !res.dead.Load() {
+		sh.mu.Unlock()
+		return res, aged, swept
+	}
+	if !ok {
+		if res, ok = sh.aged[k]; ok {
+			delete(sh.aged, k)
 		}
+	}
+	if ok {
 		swept = append(swept, res)
 	}
 	sh.entries[k] = e
@@ -229,11 +267,11 @@ func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resi
 	t.byIDMu.Lock()
 	t.byID[e.id] = e
 	t.byIDMu.Unlock()
-	t.maskAcquire(e.mask)
-	return nil, swept
+	t.maskCount(e.mask, +1)
+	return nil, aged, swept
 }
 
-// get resolves a wide-registration id back to its entry.
+// get resolves a class record's id back to its entry.
 func (t *megaTable) get(id uint64) *megaEntry {
 	t.byIDMu.Lock()
 	e := t.byID[id]
@@ -241,37 +279,35 @@ func (t *megaTable) get(id uint64) *megaEntry {
 	return e
 }
 
-// exact returns the resident entry whose class is the single flow f (a
-// full-mask entry), dead or stale included; nil when there is none.
+// exact returns the entry whose class is the single flow f (a full-mask
+// entry) — serving, stale, dead or aged; nil when there is none.
 func (t *megaTable) exact(f flow.Five) *megaEntry {
 	return t.resident(megaKey{masked: f, mask: pf.TraceAllFields})
 }
 
-// retire kills e and unlinks it from the id map and the mask census,
-// returning its installed-path snapshot. Exactly one caller gets
-// ok=true per entry; the shard-map removal is separate (remove) because
-// sweep paths have already unmapped the entry.
+// retire kills e and unlinks it from its class slot, serving or aged (when
+// it is still there: a sweep or a takeover has already unmapped it), the id
+// map and the mask census, returning its installed-path snapshot. Exactly
+// one caller gets ok=true per entry.
 func (t *megaTable) retire(e *megaEntry) ([]uint64, bool) {
 	paths, ok := e.kill()
 	if !ok {
 		return nil, false
 	}
-	t.byIDMu.Lock()
-	delete(t.byID, e.id)
-	t.byIDMu.Unlock()
-	t.maskRelease(e.mask)
-	return paths, true
-}
-
-// remove unmaps e from its class slot if it is still the resident entry.
-func (t *megaTable) remove(e *megaEntry) {
 	k := megaKey{masked: e.masked, mask: e.mask}
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	if sh.entries[k] == e {
 		delete(sh.entries, k)
+	} else if sh.aged[k] == e {
+		delete(sh.aged, k)
 	}
 	sh.mu.Unlock()
+	t.byIDMu.Lock()
+	delete(t.byID, e.id)
+	t.byIDMu.Unlock()
+	t.maskCount(e.mask, -1)
+	return paths, true
 }
 
 // covering returns the live entries whose class contains f, across all
@@ -291,18 +327,21 @@ func (t *megaTable) covering(f flow.Five, dst []*megaEntry) []*megaEntry {
 	return dst
 }
 
-// flushAll empties the table and kills every resident entry, so member
-// hits in flight across a policy swap find addPaths refused and clean
-// up after themselves instead of appending to an unreachable entry.
+// flushAll empties the table and kills every entry in it, so member hits
+// in flight across a policy swap find addPaths refused and clean up after
+// themselves instead of appending to an unreachable entry.
 func (t *megaTable) flushAll() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		old := sh.entries
-		sh.entries = make(map[megaKey]*megaEntry)
+		old, aged := sh.entries, sh.aged
+		sh.entries, sh.aged = make(map[megaKey]*megaEntry), make(map[megaKey]*megaEntry)
 		sh.lastSweep = time.Time{}
 		sh.mu.Unlock()
 		for _, e := range old {
+			e.kill()
+		}
+		for _, e := range aged {
 			e.kill()
 		}
 	}
@@ -334,14 +373,15 @@ func (t *megaTable) live(now time.Time, epoch uint64) int {
 
 // megaInstall caches a freshly decided verdict in the class table — under
 // the field-use trace's mask with Config.Megaflow, under the full mask (the
-// class is the one flow) without — and registers its fact dependencies in
-// the revocation index's wide side. Runs on the decision path after
-// install, before the publication re-check: a fact update racing this
-// insert either finds the entry (its covering probe runs after its rev
-// bump, which the re-check observes) or the re-check fires and tears the
-// entry straight back down — in neither interleaving does a cached verdict
-// survive facts it predates.
-func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision, tr pf.Trace) {
+// class is the one flow) without — with the facts the trace says it read as
+// its one dependency record, and returns the entry the decision installs
+// under as a member: its own, or the resident one when another decision
+// founded the class first. Runs before install and before the publication
+// re-check: a fact update racing this insert either finds the entry (its
+// covering probe runs after its rev bump, which the re-check observes) or
+// the re-check fires and tears the entry straight back down — in neither
+// interleaving does a cached verdict survive facts it predates.
+func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision, tr pf.Trace) *megaEntry {
 	if !c.widen {
 		tr.Fields = pf.TraceAllFields
 	}
@@ -362,96 +402,64 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 	if c.revoker != nil {
 		// Register before publishing: a teardown can only reach the entry
 		// through the table, so whichever one finds it also finds (and
-		// drops) a complete registration. Registered after the insert, a
-		// teardown in between dropped an id not yet registered and the
-		// late registration was never dropped — a wide-index leak.
-		g := &s.gather
-		facts := make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))
-		leased := false
-		if tr.SrcRead {
-			facts = append(facts, revoke.Fact{Host: s.five.SrcIP})
-			for _, k := range g.qs.Keys {
-				facts = append(facts, revoke.Fact{Host: s.five.SrcIP, Key: k})
-			}
-			leased = leased || !c.revoker.PushCapable(s.five.SrcIP)
-		}
-		if tr.DstRead {
-			facts = append(facts, revoke.Fact{Host: s.five.DstIP})
-			for _, k := range g.qd.Keys {
-				facts = append(facts, revoke.Fact{Host: s.five.DstIP, Key: k})
-			}
-			leased = leased || !c.revoker.PushCapable(s.five.DstIP)
-		}
-		var lease time.Time
-		if c.leaseTTL > 0 && leased && len(facts) > 0 {
-			lease = now.Add(c.leaseTTL)
-		}
-		c.revoker.RegisterWide(e.id, facts, lease)
+		// drops) a complete record. Registered after the insert, a teardown
+		// in between dropped an id not yet registered and the late record
+		// was never dropped — an index leak.
+		reg := c.deps(s, tr.SrcRead, tr.DstRead)
+		reg.Class = e.id
+		c.revoker.Register(reg)
 	}
-	resident, swept := c.mega.insert(e, now, c.cacheTTL)
+	resident, expired, swept := c.mega.insert(e, now, c.cacheTTL)
 	for _, old := range swept {
-		if _, ok := c.mega.retire(old); ok {
-			if c.revoker != nil {
-				c.revoker.DropWide(old.id)
-			}
-			c.Counters.Add("megaflow_expired", 1)
+		// Expired, not revoked: nothing is deleted under live traffic.
+		if _, ok := c.retireMega(old); ok && !old.aged {
+			expired++
 		}
+	}
+	if expired > 0 {
+		c.Counters.Add("megaflow_expired", int64(expired))
 	}
 	if resident != nil {
-		// Founder race: another decision widened this class first. Our
-		// own installs carry the exact cookie and our exact registration
-		// covers them; nothing to merge.
+		// Founder race: another decision founded this class first, and this
+		// one joins it.
 		if c.revoker != nil {
-			c.revoker.DropWide(e.id)
+			c.revoker.DropClass(e.id)
 		}
-		return
+		return resident
 	}
 	c.hot.megaInstalls.Add(1)
+	return e
 }
 
-// retireMega retires one cached verdict and deletes the class's installed
-// entries at every datapath its members touched, by the entry's cookie
-// under an all-fields wildcard — one delete mod per datapath covers every
-// member tuple. False means another retirer won and did all of it.
-func (c *Controller) retireMega(st *ctlState, e *megaEntry) bool {
+// retireMega retires one cached verdict, entry and dependency record, and
+// returns every datapath its members' entries went to. ok=false means
+// another retirer won and did all of it.
+func (c *Controller) retireMega(e *megaEntry) ([]uint64, bool) {
 	paths, ok := c.mega.retire(e)
+	if ok && c.revoker != nil {
+		c.revoker.DropClass(e.id)
+	}
+	return paths, ok
+}
+
+// teardownMega revokes one cached verdict: retired, its installed entries
+// deleted, counted as one revoked verdict and — unless the caller's
+// contract is counter-only — audited under the founder's tuple. False means
+// another retirer won and did all of it.
+func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, audit bool) bool {
+	paths, ok := c.retireMega(e)
 	if !ok {
 		return false
 	}
-	c.mega.remove(e)
-	if c.revoker != nil {
-		c.revoker.DropWide(e.id)
-	}
 	c.deleteMegaAt(st, e.cookie, paths)
-	c.hot.megaTeardowns.Add(1)
-	return true
-}
-
-// teardownMega is retireMega plus the class's audit record, for teardowns
-// no per-flow record reports.
-func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) bool {
-	if !c.retireMega(st, e) {
-		return false
+	if !e.aged {
+		c.hot.megaTeardowns.Add(1)
 	}
-	c.Audit.Record(AuditEntry{
-		Time:    c.clock(),
-		Flow:    e.founder,
-		Action:  pf.Block,
-		Rule:    "(megaflow revoked: " + reason + ")",
-		Revoked: true,
-	})
-	return true
-}
-
-// deleteMegaAt issues one cookie-scoped wildcard delete at every
-// registered datapath in paths, in order, on the calling goroutine.
-func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
-	m := openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone}
-	for _, id := range paths {
-		if dp := st.datapaths[id]; dp != nil {
-			c.apply(dp, m)
-		}
+	c.hot.revFlows.Add(1)
+	if audit {
+		c.auditRevoked(e.founder, "(megaflow revoked: "+reason+")")
 	}
+	return true
 }
 
 // MegaflowStats reports the verdict cache's live (current-epoch,

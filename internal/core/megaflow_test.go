@@ -95,28 +95,21 @@ func TestMegaflowClassHit(t *testing.T) {
 		t.Errorf("members accreted entries of their own: cached=%d, want 1", cachedVerdicts(c))
 	}
 
-	// Member installs carry the even class cookie; the founder's carry its
-	// odd exact cookie. One wildcard delete per datapath can therefore
-	// tear the whole class without touching the founder's exact entries.
-	founderCookie := founder.Hash() | 1
-	dp1.mu.Lock()
-	memberMods := dp1.mods[modsAfterFounder:]
-	var classCookie uint64
-	for _, m := range memberMods {
-		if m.Cookie == founderCookie {
-			t.Errorf("member install reused the founder's exact cookie %#x", m.Cookie)
-		}
-		if m.Cookie&1 != 0 {
-			t.Errorf("member install cookie %#x is odd; class cookies are even", m.Cookie)
-		}
-		if classCookie == 0 {
-			classCookie = m.Cookie
-		} else if m.Cookie != classCookie {
-			t.Errorf("member installs disagree on class cookie: %#x vs %#x", m.Cookie, classCookie)
-		}
+	// Every install of the class — the founder's as much as a member's —
+	// carries the one even class cookie, so one wildcard delete per
+	// datapath tears the whole class down.
+	classCookie := verdictCookie(c, founder)
+	if classCookie == 0 || classCookie&1 != 0 {
+		t.Fatalf("class cookie %#x: want even and non-zero", classCookie)
 	}
-	if len(memberMods) == 0 {
+	dp1.mu.Lock()
+	if len(dp1.mods) <= modsAfterFounder {
 		t.Error("member hits installed no entries")
+	}
+	for i, m := range dp1.mods {
+		if m.Cookie != classCookie {
+			t.Errorf("install %d carries cookie %#x, want the class cookie %#x", i, m.Cookie, classCookie)
+		}
 	}
 	dp1.mu.Unlock()
 }
@@ -222,6 +215,49 @@ func TestMegaflowTTLExpiry(t *testing.T) {
 	live, _, installs, _ := c.MegaflowStats()
 	if live != 1 || installs != 2 {
 		t.Errorf("post-expiry: live=%d installs=%d, want 1/2", live, installs)
+	}
+	// A widened class's record leaves with it: nothing would ever report
+	// its members' entries gone.
+	if flows, classes := liveRecords(c); flows != 0 || classes != 1 {
+		t.Errorf("records = %d flow / %d class, want the new class's only", flows, classes)
+	}
+}
+
+// TestMegaflowTeardownMovesOnlyTheRevokedSequence: a revocation sequence is
+// per shard, so every bump voids unrelated decisions in flight there. A
+// class that falls to a fact update moves its founder's — the founder's
+// re-decision on pre-update facts must void — exactly once; one that falls
+// because a member was revoked moves the member's only.
+func TestMegaflowTeardownMovesOnlyTheRevokedSequence(t *testing.T) {
+	c, _, _, _ := newMegaController(t, megaPolicy, 0, nil)
+	founder, member := megaFlow(hostA, 40000), megaFlow(hostA, 40001)
+	for c.flows.shardFor(member) == c.flows.shardFor(founder) {
+		member.SrcPort++
+	}
+	revs := func() (f, m uint64) {
+		return c.flows.shardFor(founder).rev.Load(), c.flows.shardFor(member).rev.Load()
+	}
+	found := func() {
+		t.Helper()
+		c.HandleEvent(sampleEvent(founder, 1))
+		c.HandleEvent(sampleEvent(member, 1))
+		if cachedVerdicts(c) != 1 {
+			t.Fatalf("setup: cached = %d, want the one class", cachedVerdicts(c))
+		}
+	}
+
+	found()
+	f0, m0 := revs()
+	c.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "skype", Serial: 1})
+	if f1, m1 := revs(); f1 != f0+1 || m1 != m0 || cachedVerdicts(c) != 0 {
+		t.Errorf("fact update: founder seq %d -> %d, member seq %d -> %d, cached = %d; want +1, +0, 0", f0, f1, m0, m1, cachedVerdicts(c))
+	}
+
+	found()
+	f0, m0 = revs()
+	c.HandleUpdate(hostA, wire.Update{Flow: member, Key: "name", Serial: 2})
+	if f1, m1 := revs(); f1 != f0 || m1 != m0+1 || cachedVerdicts(c) != 0 {
+		t.Errorf("member revoked: founder seq %d -> %d, member seq %d -> %d, cached = %d; want +0, +1, 0", f0, f1, m0, m1, cachedVerdicts(c))
 	}
 }
 
@@ -358,6 +394,46 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 	c.HandleEvent(sampleEvent(five, 1))
 	if tr.queryCount() == queries || evals.Load() == evalsBefore {
 		t.Error("post-revocation packet was served without a fresh query and evaluation")
+	}
+}
+
+// TestMegaflowCookiesDisjointAcrossControllers: replicas program the same
+// switch, and a class teardown is a cookie-scoped wildcard — with the
+// founder's entries under the class cookie, two caches numbering their
+// classes alike would have one replica's revocation delete the other's
+// flows. Each cache counts its ids up from its own random base.
+func TestMegaflowCookiesDisjointAcrossControllers(t *testing.T) {
+	sw := openflow.NewSwitch(1, "s1", 0)
+	replica := func(name string) *Controller {
+		c := New(Config{
+			Name:   name,
+			Policy: pf.MustCompile("mega", megaPolicy),
+			Transport: &fakeTransport{responses: map[netaddr.IP]map[string]string{
+				hostA: {"name": "skype"},
+				hostB: {"name": "skype"},
+			}},
+			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries:   true,
+			ResponseCacheTTL: time.Hour,
+			Revocation:       true,
+		})
+		c.AddDatapath(sw)
+		return c
+	}
+	a, b := replica("a"), replica("b")
+	fa, fb := megaFlow(hostA, 40000), megaFlow(hostA, 40001)
+	for c, f := range map[*Controller]flow.Five{a: fa, b: fb} {
+		ev := sampleEvent(f, 1)
+		ev.BufferID = openflow.BufferNone
+		c.HandleEvent(ev)
+	}
+	if ca, cb := verdictCookie(a, fa), verdictCookie(b, fb); ca == cb || sw.Table.Len() != 2 {
+		t.Fatalf("setup: cookies %#x / %#x, table = %d; want distinct cookies over two entries", ca, cb, sw.Table.Len())
+	}
+	a.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
+	left := sw.FlowTuples(nil)
+	if len(left) != 1 || left[0] != fb {
+		t.Errorf("after replica a's teardown the switch holds %v, want replica b's flow only", left)
 	}
 }
 
@@ -542,6 +618,176 @@ func TestMegaflowHitRacingTeardownSelfCleans(t *testing.T) {
 	}
 	if !found {
 		t.Error("raced member hit did not delete its own installs")
+	}
+}
+
+// resident replays the mod log into the entries a switch would hold now,
+// by match, with the cookie each carries.
+func (d *fakeDatapath) resident() map[flow.Match]uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	live := make(map[flow.Match]uint64)
+	for _, m := range d.mods {
+		if !m.Delete {
+			live[m.Match] = m.Cookie
+			continue
+		}
+		for match, cookie := range live {
+			if (m.Cookie == 0 || m.Cookie == cookie) && (m.Match == match || m.Match.Covers(match.Tuple)) {
+				delete(live, match)
+			}
+		}
+	}
+	return live
+}
+
+// TestMegaflowFounderRaceJoinsResident: two decisions that both missed the
+// cache before either founded their class leave one entry and one record.
+// The loser installs as a member of the winner's class — under its cookie,
+// on its teardown set — so the class's teardown reaches both flows' entries
+// and nothing is left installed under a cookie no record knows.
+func TestMegaflowFounderRaceJoinsResident(t *testing.T) {
+	gate := make(chan struct{})
+	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:             "mega-founders",
+		Policy:           pf.MustCompile("mega", megaPolicy),
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+		Megaflow:         true,
+	})
+	c.AddDatapath(dp1)
+
+	// Both flows probe the empty cache, then park in the transport: each
+	// is past its lookup when the gate opens, so both found the class.
+	flows := []flow.Five{megaFlow(hostA, 40000), megaFlow(hostA, 40001)}
+	var wg sync.WaitGroup
+	for _, f := range flows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.HandleEvent(sampleEvent(f, 1))
+		}()
+	}
+	tr.waitQueries(t, 2*len(flows))
+	close(gate)
+	wg.Wait()
+
+	live, hits, installs, _ := c.MegaflowStats()
+	if live != 1 || installs != 1 || hits != 0 {
+		t.Fatalf("after the race: live=%d installs=%d hits=%d, want one class founded once by two misses", live, installs, hits)
+	}
+	if flowRecs, classRecs := liveRecords(c); flowRecs != 0 || classRecs != 1 {
+		t.Fatalf("records = %d flow / %d class, want the resident class's only", flowRecs, classRecs)
+	}
+	entries := dp1.resident()
+	if len(entries) != len(flows) {
+		t.Fatalf("installed entries = %v, want one per flow", entries)
+	}
+	residentCookie := verdictCookie(c, flows[0])
+	for match, cookie := range entries {
+		if cookie != residentCookie {
+			t.Errorf("entry %v carries cookie %#x, want the resident class's %#x", match, cookie, residentCookie)
+		}
+	}
+
+	c.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
+	if left := dp1.resident(); len(left) != 0 {
+		t.Errorf("entries left after the class's teardown: %v", left)
+	}
+	if flowRecs, classRecs := liveRecords(c); flowRecs != 0 || classRecs != 0 {
+		t.Errorf("records after teardown = %d flow / %d class, want none", flowRecs, classRecs)
+	}
+}
+
+// credTransport is a credential-enforcing transport whose credentials
+// expire when the test says.
+type credTransport struct {
+	fakeTransport
+	expiry map[netaddr.IP]time.Time
+}
+
+func (t *credTransport) Credentialed() bool             { return true }
+func (t *credTransport) HostAuthorized(netaddr.IP) bool { return true }
+func (t *credTransport) CredentialExpiry(h netaddr.IP) (time.Time, bool) {
+	exp, ok := t.expiry[h]
+	return exp, ok
+}
+
+// TestClassLeaseFollowsCredentialExpiry: a class record is leased no longer
+// than the credential its facts were admitted under, exactly as a flow
+// record is. The founder idling out takes nothing with it — the class
+// answers for its other members — so the class's own lease is the only
+// expiry backstop there is if the live lapse-resync is missed.
+func TestClassLeaseFollowsCredentialExpiry(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+
+	tr := &credTransport{
+		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
+			hostA: {"name": "skype"},
+			hostB: {"name": "skype"},
+		}},
+		expiry: map[netaddr.IP]time.Time{hostB: now.Add(10 * time.Minute)},
+	}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:               "mega-cred",
+		Policy:             pf.MustCompile("mega", megaPolicy),
+		Transport:          tr,
+		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:     true,
+		ResponseCacheTTL:   time.Hour,
+		Revocation:         true,
+		Megaflow:           true,
+		RequireCredentials: true,
+		Clock:              clock,
+	})
+	c.AddDatapath(dp1)
+
+	founder, member := megaFlow(hostA, 40000), megaFlow(hostA, 40001)
+	c.HandleEvent(sampleEvent(founder, 1))
+	c.HandleEvent(sampleEvent(member, 1))
+	if _, hits, _, _ := c.MegaflowStats(); hits != 1 {
+		t.Fatalf("setup: member hits = %d, want 1", hits)
+	}
+	classCookie := verdictCookie(c, founder)
+
+	// The founder's ingress entry idles out: the widened class stays.
+	c.HandleFlowRemoved(nil, openflow.FlowRemoved{
+		SwitchID: 1, Match: flow.FiveMatch(founder), Cookie: classCookie,
+		Reason: openflow.RemovedIdleTimeout,
+	})
+	if cachedVerdicts(c) != 1 {
+		t.Fatalf("class did not survive its founder idling out: cached = %d", cachedVerdicts(c))
+	}
+	if n := c.SweepLeases(); n != 0 {
+		t.Fatalf("SweepLeases tore down %d verdicts before the credential expired", n)
+	}
+
+	mu.Lock()
+	now = now.Add(11 * time.Minute)
+	mu.Unlock()
+	if n := c.SweepLeases(); n != 1 {
+		t.Fatalf("SweepLeases = %d past the credential's expiry, want the class torn down", n)
+	}
+	if flowRecs, classRecs := liveRecords(c); cachedVerdicts(c) != 0 || flowRecs != 0 || classRecs != 0 {
+		t.Errorf("after the sweep: cached = %d, records = %d flow / %d class, want none", cachedVerdicts(c), flowRecs, classRecs)
+	}
+	if left := dp1.resident(); len(left) != 0 {
+		t.Errorf("members' entries left after the class's lease expired: %v", left)
+	}
+	dels := dp1.deleteMods()
+	if len(dels) != 1 || dels[0].Cookie != classCookie || dels[0].Match != flow.MatchAll() {
+		t.Errorf("deletes = %+v, want the class's one wildcard", dels)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // cached verdict retired, flow-table entries deleted along the full
 // installed path, audit record emitted. The deletes are issued in turn on
 // the goroutine that called in: when HandleUpdate, RevokeHost or
-// SweepLeases returns, every datapath on every torn flow's registered path
-// has been handed both of that flow's deletes. The next packet of a
+// SweepLeases returns, every datapath on every torn verdict's recorded
+// path has been handed all of that verdict's deletes. The next packet of a
 // torn-down flow punts, re-queries, and re-decides under current endpoint
 // state; no controller restart, policy reload, or switch idle-timeout is
 // involved.
@@ -53,7 +53,7 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 	if u.Resync() {
 		c.Counters.Add("revocations_resyncs", 1)
 	}
-	c.revokeHostFact(host, u.Key, "update:"+updateKeyLabel(u))
+	c.revokeKeys(c.revoker.Resolve(host, u.Key, nil), "update:"+updateKeyLabel(u))
 }
 
 func updateKeyLabel(u wire.Update) string {
@@ -74,81 +74,70 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 	if c.revoker == nil {
 		return 0
 	}
-	return c.revokeHostFact(host, key, "operator:"+host.String())
-}
-
-func (c *Controller) revokeHostFact(host netaddr.IP, key, reason string) int {
-	flows := c.revoker.ResolveFact(host, key, nil)
-	n := len(flows)
-	if n > 0 {
-		// The audit rule string is built once for the whole fan-in.
-		st := c.state.Load()
-		rule := "(revoked: " + reason + ")"
-		for _, f := range flows {
-			c.revokeFlow(st, f, reason, rule, false)
-		}
-	}
-	if c.mega != nil {
-		// Wide side: every cached verdict that read the fact and was not
-		// already retired with its founder above goes too — one teardown
-		// deletes the entries of every member of the class.
-		st := c.state.Load()
-		for _, id := range c.revoker.ResolveFactWide(host, key, nil) {
-			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, reason) {
-				n++
-			}
-		}
-	}
+	n, _ := c.revokeKeys(c.revoker.Resolve(host, key, nil), "operator:"+host.String())
 	return n
 }
 
-// SweepLeases tears down every flow whose lease has expired — the fallback
-// revocation for hosts whose daemons never push. Callers own the cadence
-// (identctl runs it on a ticker; the simulator in virtual time; tests
-// directly): the controller spawns no goroutine of its own. Returns the
-// number of flows torn down.
+// SweepLeases tears down every verdict whose lease has expired — the
+// fallback revocation for hosts whose daemons never push. Callers own the
+// cadence (identctl runs it on a ticker; the simulator in virtual time;
+// tests directly): the controller spawns no goroutine of its own. Returns
+// the number of verdicts torn down.
 func (c *Controller) SweepLeases() int {
 	if c.revoker == nil {
 		return 0
 	}
-	expired := c.revoker.ExpiredLeases(c.clock(), nil)
-	n := len(expired)
-	if n > 0 {
-		st := c.state.Load()
-		for _, f := range expired {
-			c.revokeFlow(st, f, "lease-expired", "(revoked: lease-expired)", false)
-		}
-		c.Counters.Add("revocations_lease_expired", int64(n))
-	}
-	if c.mega != nil {
-		st := c.state.Load()
-		wide := 0
-		for _, id := range c.revoker.ExpiredWideLeases(c.clock(), nil) {
-			if e := c.mega.get(id); e != nil && c.teardownMega(st, e, "lease-expired") {
-				wide++
-			}
-		}
-		if wide > 0 {
-			c.Counters.Add("revocations_wide_lease_expired", int64(wide))
-			n += wide
-		}
-	}
+	n, classes := c.revokeKeys(c.revoker.Expired(c.clock(), nil), "lease-expired")
+	c.Counters.Add("revocations_lease_expired", int64(n-classes))
+	c.Counters.Add("revocations_wide_lease_expired", int64(classes))
 	return n
 }
 
-// revokeResolved tears one flow down. broadcast controls the no-
-// registration fallback: RevokeFlow (which predates the index and promises
-// "everywhere") deletes at every datapath when the flow is unknown, while
-// update-driven teardown trusts the index — an unregistered flow has no
-// entries to delete. broadcast also suppresses the audit record: RevokeFlow
-// kept its pre-plane contract (counter only), whereas plane-driven
-// teardowns are audited with their reason.
+// revokeKeys tears down what one resolve of the index returned — flow
+// records and class records alike, each verdict having exactly one — under
+// one configuration snapshot. It reports how many verdicts fell, and how
+// many of those were classes.
+func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes int) {
+	if len(keys) == 0 {
+		return 0, 0
+	}
+	st := c.state.Load()
+	// The audit rule string is built once for the whole fan-in.
+	rule := "(revoked: " + reason + ")"
+	for _, k := range keys {
+		if k.Class == 0 {
+			c.revokeFlow(st, k.Flow, reason, rule, false)
+			n++
+		} else if e := c.mega.get(k.Class); e != nil && c.teardownMega(st, e, reason, true) {
+			// One teardown deletes the entries of every member of the class.
+			// The founder's sequence moves as a revoked flow's does: its
+			// re-decision in flight on facts gathered before this voids itself
+			// instead of re-founding the class on them.
+			c.flows.shardFor(e.founder).rev.Add(1)
+			n++
+			classes++
+		}
+	}
+	return n, classes
+}
+
+// revokeResolved tears one flow down. broadcast controls the fallback for a
+// flow with neither a covering class nor a record: RevokeFlow (which
+// predates the index and promises "everywhere") deletes at every datapath,
+// while update-driven teardown trusts the index — an unregistered flow has
+// no entries to delete; a class that covers the flow is torn down either
+// way, and its deletes reach every datapath the class installed on.
+// broadcast also suppresses the audit record: RevokeFlow kept its pre-plane
+// contract (counter only), whereas plane-driven teardowns are audited with
+// their reason.
 func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast bool) {
 	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")", broadcast)
 }
 
 // revokeFlow tears one flow down: sequence bump, covering-verdict teardown,
-// dependency-index drop, switch deletes along the registered path, audit
+// dependency-record drop, switch deletes along the registered path, audit
+// record. A flow whose verdict is cached has no record of its own: the
+// covering class's teardown is its teardown, reported by the class's audit
 // record. rule is the pre-decorated audit string ("(revoked: <reason>)"),
 // built once by the caller so a fan-in tearing N flows does not concatenate
 // it N times.
@@ -157,120 +146,138 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 	// decision that read a cached verdict (or gathered responses) before
 	// the bump cannot publish after the teardown without noticing.
 	c.flows.shardFor(five).rev.Add(1)
-	exactTorn, megaTorn := false, 0
+	classFell := false
 	if c.mega != nil {
 		// Every cached verdict covering this flow falls with it: the class
 		// verdict may rest on the same facts this revocation invalidates (a
 		// daemon flow-scoped update names a member, not the class), and the
-		// member's installed entries carry the class cookie, unreachable
-		// by the exact-cookie deletes below. Tearing the whole class down
-		// is conservative and correct — members re-decide and re-widen.
-		// The probe runs after the rev bump above, completing the install
-		// handshake: an entry inserted before this probe is found here;
-		// one inserted after will see the bump at its publication re-check
-		// and tear itself down.
+		// flow's installed entries carry the class cookie, reachable only
+		// through the class. Tearing the whole class down is conservative
+		// and correct — members re-decide and re-found it. The probe runs
+		// after the rev bump above, completing the install handshake: an
+		// entry inserted before this probe is found here; one inserted
+		// after will see the bump at its publication re-check and tear
+		// itself down.
 		for _, e := range c.mega.covering(five, nil) {
-			if e.mask == pf.TraceAllFields {
-				// The class is this one flow; its record is the flow's own.
-				exactTorn = c.retireMega(st, e)
-			} else if c.teardownMega(st, e, reason) {
-				megaTorn++
+			if c.teardownMega(st, e, reason, !broadcast) {
+				classFell = true
 			}
 		}
 	}
-	var paths []uint64
+	var reg revoke.Registration
 	haveReg := false
 	if c.revoker != nil {
-		var reg revoke.Registration
-		if reg, haveReg = c.revoker.Drop(five); haveReg {
-			paths = reg.Paths
-		}
+		reg, haveReg = c.revoker.Drop(five)
 	}
-	if !haveReg && broadcast {
+	paths := reg.Paths
+	if !haveReg {
+		// No record of its own: a class's teardown above was this flow's,
+		// and reached everything installed for it. With no class either,
+		// nothing is known about the flow — the sequence bump above still
+		// voids any in-flight decision.
+		if classFell {
+			return
+		}
+		if !broadcast {
+			c.Counters.Add("revocations_noop", 1)
+			return
+		}
 		for id := range st.datapaths {
 			paths = append(paths, id)
 		}
 	}
-	if !haveReg && !broadcast && !exactTorn {
-		// Nothing known about this flow: no verdict of its own cached, no
-		// registration. The sequence bump above still voids any in-flight
-		// decision.
-		if megaTorn == 0 {
-			c.Counters.Add("revocations_noop", 1)
-		}
-		return
-	}
 	c.deleteFlowAt(st, five, paths)
 	c.hot.revFlows.Add(1)
 	if !broadcast {
-		c.Audit.Record(AuditEntry{
-			Time:    c.clock(),
-			Flow:    five,
-			Action:  pf.Block,
-			Rule:    rule,
-			Revoked: true,
-		})
+		c.auditRevoked(five, rule)
 	}
 }
 
+func (c *Controller) auditRevoked(five flow.Five, rule string) {
+	c.Audit.Record(AuditEntry{Time: c.clock(), Flow: five, Action: pf.Block, Rule: rule, Revoked: true})
+}
+
 // deleteFlowAt issues the flow's two cookie-scoped deletes (forward and
-// reverse match) at every registered datapath in paths, in order, on the
-// calling goroutine, and counts them in revocations_entries.
+// reverse match) along paths and counts them in revocations_entries.
 func (c *Controller) deleteFlowAt(st *ctlState, five flow.Five, paths []uint64) {
 	fwd := openflow.FlowMod{Delete: true, Cookie: five.Hash() | 1, Match: flow.FiveMatch(five), BufferID: openflow.BufferNone}
 	rev := fwd
 	rev.Match = flow.FiveMatch(five.Reverse())
-	issued := 0
-	for _, id := range paths {
-		dp := st.datapaths[id]
-		if dp == nil {
-			continue
-		}
-		c.apply(dp, fwd)
-		c.apply(dp, rev)
-		issued += 2
-	}
-	c.hot.revEntries.Add(int64(issued))
+	c.hot.revEntries.Add(int64(c.applyAt(st, paths, fwd, rev)))
 }
 
-// registerDeps records the decision's fact dependencies in the index: the
-// host-scope markers for both ends plus each key the verdict could have
-// read at each end (the query hints — the compiled policy's per-flow
-// static key analysis). Facts from hosts that have not proven they push
-// updates carry a lease when leases are configured.
+// deleteMegaAt deletes a class's installed entries along paths: by the
+// entry's cookie under an all-fields wildcard, one delete mod per datapath
+// covers every member tuple.
+func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
+	c.applyAt(st, paths, openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone})
+}
+
+// applyAt applies mods at every registered datapath in paths, in order, on
+// the calling goroutine, and returns how many mods that was.
+func (c *Controller) applyAt(st *ctlState, paths []uint64, mods ...openflow.FlowMod) (issued int) {
+	for _, id := range paths {
+		if dp := st.datapaths[id]; dp != nil {
+			for _, m := range mods {
+				c.apply(dp, m)
+			}
+			issued += len(mods)
+		}
+	}
+	return issued
+}
+
+// registerDeps records an uncached verdict's dependencies under its flow,
+// with the datapaths its entries went to. Nothing says which ends an
+// untraced evaluation read, so both count.
 func (c *Controller) registerDeps(s *decisionScratch) {
-	five := s.five
+	reg := c.deps(s, true, true)
+	reg.Flow = s.five
+	reg.Paths = append([]uint64(nil), s.pathIDs...)
+	c.revoker.Register(reg)
+}
+
+// deps builds what a flow record and a class record share: per end the
+// verdict read, the host-scope marker plus each key it could have read there
+// (the query hints — the compiled policy's per-flow static key analysis),
+// and the earliest lease any read end imposes: RevocationLeaseTTL from now
+// for a host that has not proven it pushes updates and, under
+// RequireCredentials, the expiry of the credential its facts were admitted
+// under — if the live lapse-resync is missed, the lease sweep still tears
+// the verdict down at expiry. Records keep the expiry they were admitted
+// under; a rotation refreshes subsequent decisions.
+func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Registration {
 	g := &s.gather
-	facts := make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))
-	facts = append(facts, revoke.Fact{Host: five.SrcIP}, revoke.Fact{Host: five.DstIP})
-	for _, k := range g.qs.Keys {
-		facts = append(facts, revoke.Fact{Host: five.SrcIP, Key: k})
-	}
-	for _, k := range g.qd.Keys {
-		facts = append(facts, revoke.Fact{Host: five.DstIP, Key: k})
-	}
-	var lease time.Time
-	if c.leaseTTL > 0 && (!c.revoker.PushCapable(five.SrcIP) || !c.revoker.PushCapable(five.DstIP)) {
-		lease = c.clock().Add(c.leaseTTL)
-	}
-	if c.credTr != nil {
-		// Expiry-as-lease: facts admitted under a credential are leased no
-		// longer than that credential's remaining lifetime, so even if the
-		// live lapse-resync were missed the lease sweep still tears the
-		// flow down at expiry. A rotation refreshes subsequent decisions;
-		// existing registrations keep the expiry they were admitted under.
-		for _, h := range [2]netaddr.IP{five.SrcIP, five.DstIP} {
-			if exp, ok := c.credTr.CredentialExpiry(h); ok && (lease.IsZero() || exp.Before(lease)) {
-				lease = exp
+	reg := revoke.Registration{Facts: make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))}
+	end := func(host netaddr.IP, keys []string) {
+		reg.Facts = append(reg.Facts, revoke.Fact{Host: host})
+		for _, k := range keys {
+			reg.Facts = append(reg.Facts, revoke.Fact{Host: host, Key: k})
+		}
+		if c.leaseTTL > 0 && !c.revoker.PushCapable(host) {
+			reg.Lease = earlier(reg.Lease, c.clock().Add(c.leaseTTL))
+		}
+		if c.credTr != nil {
+			if exp, ok := c.credTr.CredentialExpiry(host); ok {
+				reg.Lease = earlier(reg.Lease, exp)
 			}
 		}
 	}
-	c.revoker.Register(revoke.Registration{
-		Flow:  five,
-		Facts: facts,
-		Paths: append([]uint64(nil), s.pathIDs...),
-		Lease: lease,
-	})
+	if srcRead {
+		end(s.five.SrcIP, g.qs.Keys)
+	}
+	if dstRead {
+		end(s.five.DstIP, g.qd.Keys)
+	}
+	return reg
+}
+
+// earlier returns the earlier of two lease deadlines, zero meaning none.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || b.Before(a) {
+		return b
+	}
+	return a
 }
 
 // RevocationIndexStats exposes the index's occupancy for operators and

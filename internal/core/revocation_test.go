@@ -16,9 +16,45 @@ import (
 
 const revPolicy = "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"
 
+// recordModes are the two places a verdict's one dependency record can
+// live, and the teardown wire shape each implies: a cached verdict is
+// recorded under its class and its entries — the founder's included — carry
+// the class cookie, so one wildcard delete per datapath clears them; an
+// uncached verdict is recorded under its flow, its entries carry the flow's
+// own cookie and a teardown sends the two FiveMatch-scoped deletes (forward
+// and reverse). The second shape is pinned: bench/identxx-e2e/gen.go's
+// onFlowMod clears a flow from its table by the delete's match tuple.
+var recordModes = []struct {
+	name         string
+	cacheTTL     time.Duration
+	deletesPerDP int
+}{
+	{"cached", time.Hour, 1},
+	{"uncached", 0, 2},
+}
+
+// liveRecords is the dependency index's occupancy: flow records, class
+// records.
+func liveRecords(c *Controller) (flows, classes int) {
+	flows, _, _ = c.RevocationIndexStats()
+	classes, _, _ = c.WideStats()
+	return flows, classes
+}
+
+// verdictCookie is the cookie a decided flow's entries must carry: its
+// class's when the verdict is cached, the flow's own otherwise.
+func verdictCookie(c *Controller, five flow.Five) uint64 {
+	if c.mega != nil {
+		if es := c.mega.covering(five, nil); len(es) > 0 {
+			return es[0].cookie
+		}
+	}
+	return five.Hash() | 1
+}
+
 // newRevController builds a revocation-enabled controller with a two-hop
 // path and the canned skype transport.
-func newRevController(t *testing.T, leaseTTL time.Duration, clock func() time.Time) (*Controller, *fakeTransport, *fakeDatapath, *fakeDatapath) {
+func newRevController(t *testing.T, cacheTTL, leaseTTL time.Duration, clock func() time.Time) (*Controller, *fakeTransport, *fakeDatapath, *fakeDatapath) {
 	t.Helper()
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
@@ -32,7 +68,7 @@ func newRevController(t *testing.T, leaseTTL time.Duration, clock func() time.Ti
 		Transport:          tr,
 		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 		InstallEntries:     true,
-		ResponseCacheTTL:   time.Hour,
+		ResponseCacheTTL:   cacheTTL,
 		Revocation:         true,
 		RevocationLeaseTTL: leaseTTL,
 		Clock:              clock,
@@ -60,110 +96,149 @@ func (d *fakeDatapath) deleteMods() []openflow.FlowMod {
 }
 
 // TestUpdateTearsDownFlow is the plane's core contract with a fake
-// transport: a flow-scoped update drops the cache entry, deletes entries
-// along the whole installed path, audits, and the next packet re-queries.
+// transport, for a verdict's one record in either place: a flow-scoped
+// update retires the verdict, deletes its entries along the whole installed
+// path, audits, and the next packet re-queries.
 func TestUpdateTearsDownFlow(t *testing.T) {
-	c, tr, dp1, dp2 := newRevController(t, 0, nil)
-	five := revFlow(40000)
-	c.HandleEvent(sampleEvent(five, 1))
-	if c.Counters.Get("flows_allowed") != 1 {
-		t.Fatalf("setup: flow not allowed; %s", c.Counters)
-	}
-	if live, _, _ := c.RevocationIndexStats(); live != 1 {
-		t.Fatalf("setup: index live = %d, want 1", live)
-	}
-	if cachedVerdicts(c) != 1 {
-		t.Fatalf("setup: cached flows = %d", cachedVerdicts(c))
-	}
-	queriesBefore := func() int { tr.mu.Lock(); defer tr.mu.Unlock(); return tr.queries }()
-
-	c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
-
-	if cachedVerdicts(c) != 0 {
-		t.Error("cache entry survived the update")
-	}
-	if live, _, _ := c.RevocationIndexStats(); live != 0 {
-		t.Error("index registration survived the update")
-	}
-	// Deletes along the full installed path: both datapaths, both
-	// directions, flow granularity.
-	for i, dp := range []*fakeDatapath{dp1, dp2} {
-		dels := dp.deleteMods()
-		if len(dels) != 2 {
-			t.Fatalf("dp%d delete mods = %d, want 2 (fwd+rev)", i+1, len(dels))
-		}
-		for _, m := range dels {
-			if m.Cookie != five.Hash()|1 {
-				t.Errorf("dp%d delete cookie = %d", i+1, m.Cookie)
+	for _, mode := range recordModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cached := mode.cacheTTL > 0
+			c, tr, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
+			five := revFlow(40000)
+			c.HandleEvent(sampleEvent(five, 1))
+			if c.Counters.Get("flows_allowed") != 1 {
+				t.Fatalf("setup: flow not allowed; %s", c.Counters)
 			}
-		}
-	}
-	if got := c.Audit.Revocations(); len(got) != 1 || got[0].Flow != five {
-		t.Errorf("revocation audit records = %+v", got)
-	}
-	if c.Counters.Get("revocations_flows") != 1 {
-		t.Errorf("revocations_flows = %d", c.Counters.Get("revocations_flows"))
-	}
+			// Exactly one record, under the class iff the verdict is cached.
+			wantFlows, wantClasses := 1, 0
+			if cached {
+				wantFlows, wantClasses = 0, 1
+			}
+			if flows, classes := liveRecords(c); flows != wantFlows || classes != wantClasses {
+				t.Fatalf("setup: records = %d flow / %d class, want %d / %d", flows, classes, wantFlows, wantClasses)
+			}
+			if cachedVerdicts(c) != wantClasses {
+				t.Fatalf("setup: cached verdicts = %d", cachedVerdicts(c))
+			}
+			cookie := verdictCookie(c, five)
+			if cached != (cookie&1 == 0) {
+				t.Fatalf("setup: cookie %#x: class cookies are even, flow cookies odd", cookie)
+			}
+			for _, dp := range []*fakeDatapath{dp1, dp2} {
+				dp.mu.Lock()
+				for _, m := range dp.mods {
+					if m.Cookie != cookie {
+						t.Errorf("dp%d: founder install carries cookie %#x, want %#x", dp.id, m.Cookie, cookie)
+					}
+				}
+				dp.mu.Unlock()
+			}
+			queriesBefore := tr.queryCount()
 
-	// Next packet of the same flow re-queries and re-decides.
-	c.HandleEvent(sampleEvent(five, 1))
-	queriesAfter := func() int { tr.mu.Lock(); defer tr.mu.Unlock(); return tr.queries }()
-	if queriesAfter <= queriesBefore {
-		t.Error("re-admission did not re-query the daemons")
-	}
-	if c.Counters.Get("flows_allowed") != 2 {
-		t.Errorf("flow not re-admitted: %s", c.Counters)
+			c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
+
+			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
+				t.Errorf("after the update: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
+			}
+			// Deletes along the full installed path, cookie-scoped: one
+			// wildcard for a class, the flow's two directions otherwise.
+			wantMatches := []flow.Match{flow.FiveMatch(five), flow.FiveMatch(five.Reverse())}
+			wantRule, wantClassCtr := "(revoked: update:name)", int64(0)
+			if cached {
+				wantMatches = []flow.Match{flow.MatchAll()}
+				wantRule, wantClassCtr = "(megaflow revoked: update:name)", 1
+			}
+			for _, dp := range []*fakeDatapath{dp1, dp2} {
+				dels := dp.deleteMods()
+				if len(dels) != mode.deletesPerDP {
+					t.Fatalf("dp%d delete mods = %d, want %d", dp.id, len(dels), mode.deletesPerDP)
+				}
+				for i, m := range dels {
+					if m.Cookie != cookie || m.Match != wantMatches[i] {
+						t.Errorf("dp%d delete %d = cookie %#x match %v, want %#x %v", dp.id, i, m.Cookie, m.Match, cookie, wantMatches[i])
+					}
+				}
+			}
+			if got := c.Audit.Revocations(); len(got) != 1 || got[0].Flow != five || got[0].Rule != wantRule {
+				t.Errorf("revocation audit records = %+v, want one for the flow saying %q", got, wantRule)
+			}
+			// One revoked verdict either way; a class's is also a megaflow teardown.
+			if f, m := c.Counters.Get("revocations_flows"), c.Counters.Get("megaflow_teardowns"); f != 1 || m != wantClassCtr {
+				t.Errorf("revocations_flows = %d, megaflow_teardowns = %d, want 1 / %d", f, m, wantClassCtr)
+			}
+
+			// Next packet of the same flow re-queries and re-decides.
+			c.HandleEvent(sampleEvent(five, 1))
+			if tr.queryCount() <= queriesBefore {
+				t.Error("re-admission did not re-query the daemons")
+			}
+			if c.Counters.Get("flows_allowed") != 2 {
+				t.Errorf("flow not re-admitted: %s", c.Counters)
+			}
+		})
 	}
 }
 
 // TestKeyScopedUpdateFanOut: a key-scoped update (no flow) tears down
-// every flow whose verdict read that key from that host, and nothing else.
+// every verdict that read that key from that host, and nothing else.
 func TestKeyScopedUpdateFanOut(t *testing.T) {
-	c, _, dp1, dp2 := newRevController(t, 0, nil)
-	for i := 0; i < 8; i++ {
-		c.HandleEvent(sampleEvent(revFlow(41000+i), 1))
-	}
-	if cachedVerdicts(c) != 8 {
-		t.Fatalf("setup: cached = %d", cachedVerdicts(c))
-	}
-
-	// A key nothing read: no effect.
-	c.HandleUpdate(hostA, wire.Update{Key: "os-patch", Serial: 1})
-	if cachedVerdicts(c) != 8 {
-		t.Errorf("unrelated key tore down flows: cached = %d", cachedVerdicts(c))
-	}
-
-	// The key every verdict read at the src end.
-	c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 2})
-	if cachedVerdicts(c) != 0 {
-		t.Errorf("cached = %d after key-scoped revocation, want 0", cachedVerdicts(c))
-	}
-	if got := c.Counters.Get("revocations_flows"); got != 8 {
-		t.Errorf("revocations_flows = %d, want 8", got)
-	}
-	// The post-condition of a revoke: HandleUpdate has returned, so every
-	// datapath on every torn flow's registered path holds both of that
-	// flow's cookie-scoped deletes — nothing is still on its way.
-	for _, dp := range []*fakeDatapath{dp1, dp2} {
-		perCookie := make(map[uint64]int)
-		for _, m := range dp.deleteMods() {
-			perCookie[m.Cookie]++
-		}
-		for i := 0; i < 8; i++ {
-			if got := perCookie[revFlow(41000+i).Hash()|1]; got != 2 {
-				t.Errorf("dp%d: flow %d has %d deletes when HandleUpdate returned, want 2 (fwd+rev)", dp.id, i, got)
+	for _, mode := range recordModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c, _, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
+			var cookies [8]uint64
+			for i := range cookies {
+				c.HandleEvent(sampleEvent(revFlow(41000+i), 1))
+				cookies[i] = verdictCookie(c, revFlow(41000+i))
 			}
-		}
-	}
-	if got := c.Counters.Get("revocations_entries"); got != 8*2*2 {
-		t.Errorf("revocations_entries = %d, want 32 (8 flows x 2 datapaths x 2 directions)", got)
+			records := func() int { flows, classes := liveRecords(c); return flows + classes }
+			if records() != 8 {
+				t.Fatalf("setup: records = %d", records())
+			}
+
+			// A key nothing read: no effect.
+			c.HandleUpdate(hostA, wire.Update{Key: "os-patch", Serial: 1})
+			if records() != 8 {
+				t.Errorf("unrelated key tore down verdicts: records = %d", records())
+			}
+
+			// The key every verdict read at the src end.
+			c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 2})
+			if records() != 0 || cachedVerdicts(c) != 0 {
+				t.Errorf("records = %d, cached = %d after key-scoped revocation, want 0", records(), cachedVerdicts(c))
+			}
+			if got := c.Counters.Get("revocations_flows"); got != 8 {
+				t.Errorf("revocations_flows = %d, want 8", got)
+			}
+			// The post-condition of a revoke: HandleUpdate has returned, so
+			// every datapath on every torn verdict's path holds all of that
+			// verdict's cookie-scoped deletes — nothing is still on its way.
+			for _, dp := range []*fakeDatapath{dp1, dp2} {
+				perCookie := make(map[uint64]int)
+				for _, m := range dp.deleteMods() {
+					perCookie[m.Cookie]++
+				}
+				for i, cookie := range cookies {
+					if got := perCookie[cookie]; got != mode.deletesPerDP {
+						t.Errorf("dp%d: flow %d has %d deletes when HandleUpdate returned, want %d", dp.id, i, got, mode.deletesPerDP)
+					}
+				}
+			}
+			// revocations_entries counts the deletes of flow records only.
+			want := int64(0)
+			if mode.cacheTTL == 0 {
+				want = 8 * 2 * 2
+			}
+			if got := c.Counters.Get("revocations_entries"); got != want {
+				t.Errorf("revocations_entries = %d, want %d (8 flows x 2 datapaths x 2 directions, uncached only)", got, want)
+			}
+		})
 	}
 }
 
 // TestResyncTearsDownHost: a bare update (serial-gap resync) invalidates
 // everything depending on the host.
 func TestResyncTearsDownHost(t *testing.T) {
-	c, _, _, _ := newRevController(t, 0, nil)
+	c, _, _, _ := newRevController(t, time.Hour, 0, nil)
 	for i := 0; i < 4; i++ {
 		c.HandleEvent(sampleEvent(revFlow(42000+i), 1))
 	}
@@ -222,82 +297,241 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 // entry's eviction also deletes the flow's entries on the rest of the
 // path, so no orphan state lingers on non-ingress switches.
 func TestFlowRemovedCleansRemainingPath(t *testing.T) {
-	c, _, dp1, dp2 := newRevController(t, 0, nil)
-	five := revFlow(43500)
-	c.HandleEvent(sampleEvent(five, 1))
-	c.HandleFlowRemoved(nil, openflow.FlowRemoved{
-		SwitchID: 1, Match: flow.FiveMatch(five), Cookie: five.Hash() | 1,
-		Reason: openflow.RemovedIdleTimeout,
+	for _, mode := range recordModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c, _, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
+			five := revFlow(43500)
+			c.HandleEvent(sampleEvent(five, 1))
+			c.HandleFlowRemoved(nil, openflow.FlowRemoved{
+				SwitchID: 1, Match: flow.FiveMatch(five), Cookie: verdictCookie(c, five),
+				Reason: openflow.RemovedIdleTimeout,
+			})
+			// The notifying switch gets deletes too: only its forward entry
+			// was evicted, and a keep-state reverse entry could remain there.
+			for _, dp := range []*fakeDatapath{dp1, dp2} {
+				if n := len(dp.deleteMods()); n != mode.deletesPerDP {
+					t.Errorf("dp%d got %d deletes, want %d", dp.id, n, mode.deletesPerDP)
+				}
+			}
+			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
+				t.Errorf("after FlowRemoved: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
+			}
+		})
+	}
+}
+
+// TestRevokeFlowContract: RevokeFlow predates the plane and keeps its
+// contract wherever the flow's record lives — the flow's entries are gone
+// from every datapath on its path when it returns, flows_revoked and
+// revocations_flows count it, and no audit record is written.
+func TestRevokeFlowContract(t *testing.T) {
+	for _, mode := range recordModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c, _, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
+			five := revFlow(43700)
+			c.HandleEvent(sampleEvent(five, 1))
+			c.RevokeFlow(five)
+			for _, dp := range []*fakeDatapath{dp1, dp2} {
+				if n, left := len(dp.deleteMods()), dp.resident(); n != mode.deletesPerDP || len(left) != 0 {
+					t.Errorf("dp%d got %d deletes and kept %v, want %d and nothing", dp.id, n, left, mode.deletesPerDP)
+				}
+			}
+			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
+				t.Errorf("after RevokeFlow: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
+			}
+			if a, b := c.Counters.Get("flows_revoked"), c.Counters.Get("revocations_flows"); a != 1 || b != 1 {
+				t.Errorf("flows_revoked = %d, revocations_flows = %d, want 1/1", a, b)
+			}
+			if n := len(c.Audit.Revocations()); n != 0 {
+				t.Errorf("RevokeFlow wrote %d audit records; its contract is counter-only", n)
+			}
+		})
+	}
+}
+
+// TestRevocableVerdictOutlivesCacheTTL: the cache's TTL bounds how long
+// a verdict serves hits, not how long its flow may live. A pass verdict's
+// entry that a sweep moves out of the serving table sends no delete — a
+// connection older than the TTL is not interrupted — and stays the flow's
+// one record: a fact update still tears it down by its cookie, a takeover
+// sweep still finds the flow vouched for, and the ingress entry's
+// flow-removed finally retires it. A deny verdict's drop entry reports
+// nothing, so its record leaves at the sweep.
+func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
+	const ttl = time.Minute
+	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 44000, DstPort: 5060}
+	setup := func(t *testing.T, dps ...openflow.Datapath) (*Controller, *fakeClock) {
+		fc := &fakeClock{now: time.Unix(1000, 0)}
+		c := New(Config{
+			Name:   "aged",
+			Policy: pf.MustCompile("rev", revPolicy),
+			Transport: &fakeTransport{responses: map[netaddr.IP]map[string]string{
+				hostA: {"name": "skype"},
+				hostB: {"name": "skype"},
+			}},
+			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
+			InstallEntries:   true,
+			ResponseCacheTTL: ttl,
+			Revocation:       true,
+			Shards:           1,
+			Clock:            fc.Now,
+		})
+		for _, dp := range dps {
+			c.AddDatapath(dp)
+		}
+		event := func(f flow.Five) openflow.PacketIn {
+			ev := sampleEvent(f, 1)
+			ev.BufferID = openflow.BufferNone
+			return ev
+		}
+		c.HandleEvent(event(revFlow(44000)))
+		c.HandleEvent(event(denied))
+		if allowed, blocked := c.Counters.Get("flows_allowed"), c.Counters.Get("flows_denied"); allowed != 1 || blocked != 1 || cachedVerdicts(c) != 2 {
+			t.Fatalf("setup: allowed=%d denied=%d cached=%d, want 1/1/2", allowed, blocked, cachedVerdicts(c))
+		}
+		// Another flow's insert two TTLs on sweeps the one shard.
+		fc.Advance(2 * ttl)
+		c.HandleEvent(event(revFlow(44001)))
+		if got := c.Counters.Get("megaflow_expired"); got != 2 || cachedVerdicts(c) != 1 {
+			t.Fatalf("after the sweep: megaflow_expired=%d cached=%d, want 2/1", got, cachedVerdicts(c))
+		}
+		if flows, classes := liveRecords(c); flows != 0 || classes != 2 {
+			t.Fatalf("after the sweep: records = %d flow / %d class, want the aged pass verdict's and the fresh one's", flows, classes)
+		}
+		return c, fc
+	}
+	long := revFlow(44000)
+
+	t.Run("update", func(t *testing.T) {
+		dp1, dp2 := &fakeDatapath{id: 1}, &fakeDatapath{id: 2}
+		c, _ := setup(t, dp1, dp2)
+		if n := len(dp1.deleteMods()) + len(dp2.deleteMods()); n != 0 {
+			t.Fatalf("the sweep issued %d deletes; entries should idle out", n)
+		}
+		if c.mega.lookup(long, c.clock(), c.state.Load().epoch) != nil {
+			t.Fatal("aged entry still serves hits")
+		}
+		cookie := verdictCookie(c, long)
+		if cookie&1 != 0 || dp1.resident()[flow.FiveMatch(long)] != cookie {
+			t.Fatalf("aged entry's cookie %#x is not the one its flow's entries carry", cookie)
+		}
+		c.HandleUpdate(hostA, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
+		for _, dp := range []*fakeDatapath{dp1, dp2} {
+			byCookie := 0
+			for _, m := range dp.deleteMods() {
+				if m.Cookie == cookie && m.Match == flow.MatchAll() {
+					byCookie++
+				}
+			}
+			if _, left := dp.resident()[flow.FiveMatch(long)]; byCookie != 1 || left {
+				t.Errorf("dp%d: %d wildcard deletes by the aged cookie, entry left=%v; want 1/false", dp.id, byCookie, left)
+			}
+		}
+		if flows, classes := liveRecords(c); flows != 0 || classes != 0 {
+			t.Errorf("records after the update = %d flow / %d class, want none", flows, classes)
+		}
+		// Each entry left the cache through one counter: the aged one was
+		// counted out by the sweep, and its teardown counts nothing more.
+		_, _, installs, teardowns := c.MegaflowStats()
+		if expired := c.Counters.Get("megaflow_expired"); installs != 3 || teardowns != 1 || expired != 2 || c.Counters.Get("revocations_flows") != 2 {
+			t.Errorf("installs=%d teardowns=%d expired=%d revocations_flows=%d, want 3/1/2/2", installs, teardowns, expired, c.Counters.Get("revocations_flows"))
+		}
 	})
-	// The notifying switch gets deletes too: only its forward entry was
-	// evicted, and a keep-state reverse entry could remain there.
-	if n := len(dp1.deleteMods()); n != 2 {
-		t.Errorf("notifying switch got %d deletes, want 2 (fwd+rev)", n)
-	}
-	if n := len(dp2.deleteMods()); n != 2 {
-		t.Errorf("downstream switch got %d deletes, want 2 (fwd+rev)", n)
-	}
-	if live, _, _ := c.RevocationIndexStats(); live != 0 {
-		t.Error("index registration survived FlowRemoved")
-	}
-	if wlive, _, _ := c.WideStats(); wlive != 0 || cachedVerdicts(c) != 0 {
-		t.Errorf("cached verdict survived FlowRemoved: cached=%d wide=%d", cachedVerdicts(c), wlive)
-	}
+
+	t.Run("flow-removed", func(t *testing.T) {
+		dp1, dp2 := &fakeDatapath{id: 1}, &fakeDatapath{id: 2}
+		c, _ := setup(t, dp1, dp2)
+		cookie := verdictCookie(c, long)
+		c.HandleFlowRemoved(nil, openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
+		if flows, classes := liveRecords(c); flows != 0 || classes != 1 {
+			t.Errorf("records after flow-removed = %d flow / %d class, want the fresh verdict's only", flows, classes)
+		}
+		for _, dp := range []*fakeDatapath{dp1, dp2} {
+			if dels := dp.deleteMods(); len(dels) != 1 || dels[0].Cookie != cookie {
+				t.Errorf("dp%d deletes = %+v, want the aged verdict's one wildcard", dp.id, dels)
+			}
+		}
+		// Nothing is left aside to retire twice.
+		c.HandleFlowRemoved(nil, openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
+		if n := len(dp1.deleteMods()); n != 1 {
+			t.Errorf("second flow-removed issued deletes: %d", n)
+		}
+	})
+
+	t.Run("takeover", func(t *testing.T) {
+		sw1, sw2 := openflow.NewSwitch(1, "s1", 0), openflow.NewSwitch(2, "s2", 0)
+		c, _ := setup(t, sw1, sw2)
+		before := sw1.Table.Len() + sw2.Table.Len()
+		// Only the deny's drop entry has nothing to vouch for it.
+		if swept := c.TakeoverSweep(func(flow.Five) bool { return true }); swept != 1 || sw1.Table.Len()+sw2.Table.Len() != before-1 {
+			t.Errorf("takeover swept %d, tables %d -> %d: want only the unrecorded drop entry gone", swept, before, sw1.Table.Len()+sw2.Table.Len())
+		}
+		for _, f := range sw1.FlowTuples(nil) {
+			if f == denied {
+				t.Error("drop entry with no record survived the takeover sweep")
+			}
+		}
+	})
 }
 
 // TestLeaseFallback: facts from hosts that never said hello expire on the
 // lease; push-capable hosts are exempt.
 func TestLeaseFallback(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	for _, mode := range recordModes {
+		t.Run(mode.name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			var mu sync.Mutex
+			clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+			advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	c, _, _, _ := newRevController(t, time.Minute, clock)
+			c, _, _, _ := newRevController(t, mode.cacheTTL, time.Minute, clock)
 
-	// Flow 1: neither end push-capable — leased.
-	leased := revFlow(44000)
-	c.HandleEvent(sampleEvent(leased, 1))
+			// Flow 1: neither end push-capable — leased.
+			leased := revFlow(44000)
+			c.HandleEvent(sampleEvent(leased, 1))
 
-	if n := c.SweepLeases(); n != 0 {
-		t.Fatalf("lease expired immediately: %d", n)
-	}
-	advance(2 * time.Minute)
+			if n := c.SweepLeases(); n != 0 {
+				t.Fatalf("lease expired immediately: %d", n)
+			}
+			advance(2 * time.Minute)
 
-	// Both hosts say hello before the next decision: exempt from leases.
-	c.HandleUpdate(hostA, wire.Update{Hello: true, Serial: 1})
-	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
-	pushed := revFlow(44001)
-	c.HandleEvent(sampleEvent(pushed, 1))
+			// Both hosts say hello before the next decision: exempt from leases.
+			c.HandleUpdate(hostA, wire.Update{Hello: true, Serial: 1})
+			c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
+			pushed := revFlow(44001)
+			c.HandleEvent(sampleEvent(pushed, 1))
 
-	if n := c.SweepLeases(); n != 1 {
-		t.Fatalf("SweepLeases tore down %d flows, want 1 (the leased one)", n)
-	}
-	if c.Counters.Get("revocations_lease_expired") != 1 {
-		t.Errorf("revocations_lease_expired = %d", c.Counters.Get("revocations_lease_expired"))
-	}
-	if live, _, _ := c.RevocationIndexStats(); live != 1 {
-		t.Errorf("index live = %d, want the push-exempt flow only", live)
-	}
-	// The leased flow's cached verdict and its wide registration went with
-	// it (counted once, not again by the wide lease sweep); the exempt
-	// flow's stay.
-	if c.mega.exact(leased) != nil || c.mega.exact(pushed) == nil {
-		t.Errorf("cached verdicts after sweep: leased=%v pushed=%v, want gone/kept",
-			c.mega.exact(leased) != nil, c.mega.exact(pushed) != nil)
-	}
-	if wlive, _, _ := c.WideStats(); wlive != 1 {
-		t.Errorf("wide registrations = %d, want the push-exempt flow's only", wlive)
-	}
-	advance(2 * time.Minute)
-	if n := c.SweepLeases(); n != 0 {
-		t.Errorf("push-capable hosts' flow was lease-revoked (%d)", n)
+			if n := c.SweepLeases(); n != 1 {
+				t.Fatalf("SweepLeases tore down %d verdicts, want 1 (the leased one)", n)
+			}
+			// Counted once, under the kind of record the verdict had.
+			wantFlows, wantClasses := int64(1), int64(0)
+			if mode.cacheTTL > 0 {
+				wantFlows, wantClasses = 0, 1
+			}
+			if f, w := c.Counters.Get("revocations_lease_expired"), c.Counters.Get("revocations_wide_lease_expired"); f != wantFlows || w != wantClasses {
+				t.Errorf("revocations_lease_expired = %d, revocations_wide_lease_expired = %d, want %d / %d", f, w, wantFlows, wantClasses)
+			}
+			// The leased verdict's record and cache entry went with it; the
+			// exempt one's stay.
+			if flows, classes := liveRecords(c); int64(flows) != wantFlows || int64(classes) != wantClasses {
+				t.Errorf("records = %d flow / %d class, want the push-exempt verdict's only", flows, classes)
+			}
+			if mode.cacheTTL > 0 && (c.mega.exact(leased) != nil || c.mega.exact(pushed) == nil) {
+				t.Errorf("cached verdicts after sweep: leased=%v pushed=%v, want gone/kept",
+					c.mega.exact(leased) != nil, c.mega.exact(pushed) != nil)
+			}
+			advance(2 * time.Minute)
+			if n := c.SweepLeases(); n != 0 {
+				t.Errorf("push-capable hosts' verdict was lease-revoked (%d)", n)
+			}
+		})
 	}
 }
 
 // TestRevokeHostOperator: the identctl-facing entry point.
 func TestRevokeHostOperator(t *testing.T) {
-	c, _, _, _ := newRevController(t, 0, nil)
+	c, _, _, _ := newRevController(t, time.Hour, 0, nil)
 	for i := 0; i < 3; i++ {
 		c.HandleEvent(sampleEvent(revFlow(45000+i), 1))
 	}
@@ -468,19 +702,22 @@ func TestInFlightRevocationVoidsDecision(t *testing.T) {
 type gatedTransport struct {
 	gate    chan struct{}
 	inner   *fakeTransport
-	blocked atomic.Bool
+	blocked atomic.Int32
 }
 
 func (t *gatedTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	t.blocked.Store(true)
+	t.blocked.Add(1)
 	<-t.gate
 	return t.inner.Query(host, q)
 }
 
-func (t *gatedTransport) waitBlocked(tt *testing.T) {
+func (t *gatedTransport) waitBlocked(tt *testing.T) { t.waitQueries(tt, 1) }
+
+// waitQueries returns once n queries are parked on the gate.
+func (t *gatedTransport) waitQueries(tt *testing.T, n int) {
 	tt.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !t.blocked.Load() {
+	for int(t.blocked.Load()) < n {
 		if time.Now().After(deadline) {
 			tt.Fatal("transport never reached")
 		}

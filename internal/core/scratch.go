@@ -45,11 +45,6 @@ type decisionScratch struct {
 	// publishing (see shard.rev).
 	revSeq uint64
 
-	// cookie, when non-zero, overrides the exact per-flow cookie on
-	// installed entries: a cache hit's installs carry their class's
-	// cookie so one wildcard delete tears the whole class down.
-	cookie uint64
-
 	// srcKeys/dstKeys are the per-flow key-hint scratch the pre-pass
 	// appends into: the program's per-rule key sets for the rules this
 	// flow could still match, per end. The strings are interned in the
@@ -94,6 +89,17 @@ func acquireScratch() *decisionScratch {
 	return scratchPool.Get().(*decisionScratch)
 }
 
+// cookie is the cookie the decision's entries carry: a cached verdict's
+// carry their class's (even), so one wildcard delete tears every member's
+// entries down with the class; an uncached verdict's carry the flow's own
+// (odd, hence non-zero: delete-by-cookie can target it).
+func (s *decisionScratch) cookie() uint64 {
+	if e := s.gather.mega; e != nil {
+		return e.cookie
+	}
+	return s.five.Hash() | 1
+}
+
 // release clears everything that points outside the scratch — datapaths,
 // responses, config snapshots, the packet-in's frame — so a pooled scratch
 // never extends their lifetime, then returns it to the pool. Slice capacity
@@ -104,7 +110,6 @@ func (s *decisionScratch) release() {
 	s.installed = 0
 	s.pathIDs = s.pathIDs[:0]
 	s.revSeq = 0
-	s.cookie = 0
 	s.sh = nil
 	s.dp = nil
 	s.ev = openflow.PacketIn{}

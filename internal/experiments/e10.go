@@ -97,7 +97,7 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 			ck.cell("one-per-class", verdict),
 		)
 	}
-	t.Note("the policy's matched path reads only the destination's facts plus the destination port, so the trace-derived mask collapses every client tuple into one class: decision misses stay at 1 per service while per-tuple caching pays one full decision per client. Revocation stays O(affected): the class registers its facts once in the wide index, and one daemon update tears down every member's entries.")
+	t.Note("the policy's matched path reads only the destination's facts plus the destination port, so the trace-derived mask collapses every client tuple into one class: decision misses stay at 1 per service while per-tuple caching pays one full decision per client. Revocation stays O(affected): the class has one dependency record for all its members, and one daemon update tears down every member's entries.")
 	t.Fprint(w)
 	return t
 }

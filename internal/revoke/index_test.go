@@ -1,6 +1,8 @@
 package revoke
 
 import (
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,110 +16,205 @@ var (
 	hostB = netaddr.MustParseIP("10.0.0.2")
 )
 
-func mkFlow(sp int) flow.Five {
-	return flow.Five{
-		SrcIP: hostA, DstIP: hostB,
-		Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(sp), DstPort: 80,
-	}
+// kinds are the two things a record can stand for. Every behaviour of the
+// index is one implementation over the key, so every test below runs once
+// per kind, building its keys through mk.
+var kinds = []struct {
+	name string
+	mk   func(n int) Key
+}{
+	{"flow", func(n int) Key {
+		return Key{Flow: flow.Five{
+			SrcIP: hostA, DstIP: hostB,
+			Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(n), DstPort: 80,
+		}}
+	}},
+	{"class", func(n int) Key { return Key{Class: uint64(n) + 1} }},
 }
 
 // reg builds the registration shape the controller uses: per-end key facts
 // plus the host-scope markers.
-func reg(f flow.Five, srcKeys, dstKeys []string, paths ...uint64) Registration {
-	facts := []Fact{{Host: f.SrcIP}, {Host: f.DstIP}}
-	for _, k := range srcKeys {
-		facts = append(facts, Fact{Host: f.SrcIP, Key: k})
+func reg(k Key, srcKeys, dstKeys []string, paths ...uint64) Registration {
+	facts := []Fact{{Host: hostA}, {Host: hostB}}
+	for _, key := range srcKeys {
+		facts = append(facts, Fact{Host: hostA, Key: key})
 	}
-	for _, k := range dstKeys {
-		facts = append(facts, Fact{Host: f.DstIP, Key: k})
+	for _, key := range dstKeys {
+		facts = append(facts, Fact{Host: hostB, Key: key})
 	}
-	return Registration{Flow: f, Facts: facts, Paths: paths}
+	return Registration{Flow: k.Flow, Class: k.Class, Facts: facts, Paths: paths}
+}
+
+// drop removes k's record through the entry point of its kind.
+func drop(ix *Index, k Key) (Registration, bool) {
+	if k.Class != 0 {
+		return Registration{}, ix.DropClass(k.Class)
+	}
+	return ix.Drop(k.Flow)
+}
+
+// liveOf is the resident and lifetime counts for k's kind.
+func liveOf(ix *Index, k Key) (live int, registered, dropped int64) {
+	if k.Class != 0 {
+		return ix.WideStats()
+	}
+	return ix.Stats()
 }
 
 func TestResolveFactExact(t *testing.T) {
-	ix := NewIndex(8)
-	f1, f2, f3 := mkFlow(1), mkFlow(2), mkFlow(3)
-	ix.Register(reg(f1, []string{"userID"}, []string{"name"}, 1, 2))
-	ix.Register(reg(f2, []string{"userID"}, nil, 1))
-	ix.Register(reg(f3, nil, []string{"name"}, 1))
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			k1, k2, k3 := kind.mk(1), kind.mk(2), kind.mk(3)
+			ix.Register(reg(k1, []string{"userID"}, []string{"name"}, 1, 2))
+			ix.Register(reg(k2, []string{"userID"}, nil, 1))
+			ix.Register(reg(k3, nil, []string{"name"}, 1))
 
-	got := ix.ResolveFact(hostA, "userID", nil)
-	if len(got) != 2 {
-		t.Fatalf("ResolveFact(A, userID) = %v, want f1+f2", got)
+			if got := ix.Resolve(hostA, "userID", nil); len(got) != 2 {
+				t.Fatalf("Resolve(A, userID) = %v, want k1+k2", got)
+			}
+			if got := ix.Resolve(hostB, "name", nil); len(got) != 2 {
+				t.Fatalf("Resolve(B, name) = %v, want k1+k3", got)
+			}
+			if got := ix.Resolve(hostA, "name", nil); len(got) != 0 {
+				t.Fatalf("Resolve(A, name) = %v, want none", got)
+			}
+			if got := ix.Resolve(hostA, "", nil); len(got) != 3 {
+				t.Fatalf("Resolve(A, host marker) = %v, want all three", got)
+			}
+			// ResolveFact is the same resolve narrowed to the flow records.
+			wantFlows := 0
+			if k1.Class == 0 {
+				wantFlows = 3
+			}
+			if got := ix.ResolveFact(hostA, "", nil); len(got) != wantFlows {
+				t.Fatalf("ResolveFact(A, host marker) = %v, want %d flows", got, wantFlows)
+			}
+		})
 	}
-	got = ix.ResolveFact(hostB, "name", nil)
-	if len(got) != 2 {
-		t.Fatalf("ResolveFact(B, name) = %v, want f1+f3", got)
+}
+
+// TestResolveYieldsBothKinds: the flows and the classes behind one fact
+// come back from one Resolve.
+func TestResolveYieldsBothKinds(t *testing.T) {
+	ix := NewIndex(8)
+	f, c := kinds[0].mk(1), kinds[1].mk(1)
+	ix.Register(reg(f, []string{"userID"}, nil, 1))
+	ix.Register(reg(c, []string{"userID"}, nil))
+	got := ix.Resolve(hostA, "userID", nil)
+	if len(got) != 2 || !(got[0] == f && got[1] == c || got[0] == c && got[1] == f) {
+		t.Fatalf("Resolve = %v, want the flow and the class", got)
 	}
-	if got := ix.ResolveFact(hostA, "name", nil); len(got) != 0 {
-		t.Fatalf("ResolveFact(A, name) = %v, want none", got)
+	if got := ix.ResolveFact(hostA, "userID", nil); len(got) != 1 || got[0] != f.Flow {
+		t.Fatalf("ResolveFact = %v, want the flow only", got)
 	}
-	if got := ix.ResolveHost(hostA, nil); len(got) != 3 {
-		t.Fatalf("ResolveHost(A) = %v, want all three", got)
+	hosts := ix.Hosts(nil)
+	if len(hosts) != 2 || hosts[0] != (HostStat{Host: hostA, Flows: 1, Wide: 1}) {
+		t.Fatalf("Hosts = %+v, want A with one flow and one class", hosts)
+	}
+	if flows, _, _ := ix.Stats(); flows != 1 {
+		t.Errorf("Stats live = %d, want the flow only", flows)
+	}
+	if classes, _, _ := ix.WideStats(); classes != 1 {
+		t.Errorf("WideStats live = %d, want the class only", classes)
+	}
+}
+
+// TestResolveAllocatesNothing: both resolves walk the fact's set through one
+// shared visitor, and neither may cost a fan-in an allocation for it —
+// bench/ resolves per revocation into a reused slice.
+func TestResolveAllocatesNothing(t *testing.T) {
+	ix := NewIndex(4)
+	for _, kind := range kinds {
+		for n := 0; n < 8; n++ {
+			ix.Register(reg(kind.mk(n), []string{"userID"}, nil))
+		}
+	}
+	keys, flows := make([]Key, 0, 16), make([]flow.Five, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		keys = ix.Resolve(hostA, "userID", keys[:0])
+		flows = ix.ResolveFact(hostA, "userID", flows[:0])
+	}); n != 0 || len(keys) != 16 || len(flows) != 8 {
+		t.Errorf("%v allocs per resolve pair, %d keys, %d flows; want 0/16/8", n, len(keys), len(flows))
 	}
 }
 
 func TestDropUnlinksFacts(t *testing.T) {
-	ix := NewIndex(8)
-	f1 := mkFlow(1)
-	ix.Register(reg(f1, []string{"userID"}, nil, 1, 2, 3))
-	r, ok := ix.Drop(f1)
-	if !ok {
-		t.Fatal("Drop missed a registered flow")
-	}
-	if len(r.Paths) != 3 {
-		t.Errorf("paths = %v", r.Paths)
-	}
-	if ix.Registered(f1) {
-		t.Error("flow still registered after Drop")
-	}
-	if got := ix.ResolveFact(hostA, "userID", nil); len(got) != 0 {
-		t.Errorf("fact link survived Drop: %v", got)
-	}
-	if got := ix.ResolveHost(hostA, nil); len(got) != 0 {
-		t.Errorf("host link survived Drop: %v", got)
-	}
-	if _, ok := ix.Drop(f1); ok {
-		t.Error("second Drop succeeded")
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			k := kind.mk(1)
+			ix.Register(reg(k, []string{"userID"}, nil, 1, 2, 3))
+			r, ok := drop(ix, k)
+			if !ok {
+				t.Fatal("drop missed a registered key")
+			}
+			if k.Class == 0 && len(r.Paths) != 3 {
+				t.Errorf("paths = %v", r.Paths)
+			}
+			if ix.Registered(k.Flow) {
+				t.Error("flow still registered after Drop")
+			}
+			if got := ix.Resolve(hostA, "userID", nil); len(got) != 0 {
+				t.Errorf("fact link survived the drop: %v", got)
+			}
+			if got := ix.Resolve(hostA, "", nil); len(got) != 0 {
+				t.Errorf("host link survived the drop: %v", got)
+			}
+			if _, ok := drop(ix, k); ok {
+				t.Error("second drop succeeded")
+			}
+		})
 	}
 }
 
 func TestReRegisterReplaces(t *testing.T) {
-	ix := NewIndex(8)
-	f1 := mkFlow(1)
-	ix.Register(reg(f1, []string{"userID"}, nil, 1))
-	ix.Register(reg(f1, []string{"name"}, nil, 2))
-	if got := ix.ResolveFact(hostA, "userID", nil); len(got) != 0 {
-		t.Errorf("stale fact link survived re-registration: %v", got)
-	}
-	if got := ix.ResolveFact(hostA, "name", nil); len(got) != 1 {
-		t.Errorf("fresh fact link missing: %v", got)
-	}
-	r, _ := ix.Drop(f1)
-	if len(r.Paths) != 1 || r.Paths[0] != 2 {
-		t.Errorf("paths = %v, want the re-registration's", r.Paths)
-	}
-	live, registered, dropped := ix.Stats()
-	if live != 0 || registered != 2 || dropped != 1 {
-		t.Errorf("stats = %d/%d/%d", live, registered, dropped)
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			k := kind.mk(1)
+			ix.Register(reg(k, []string{"userID"}, nil, 1))
+			ix.Register(reg(k, []string{"name"}, nil, 2))
+			if got := ix.Resolve(hostA, "userID", nil); len(got) != 0 {
+				t.Errorf("stale fact link survived re-registration: %v", got)
+			}
+			if got := ix.Resolve(hostA, "name", nil); len(got) != 1 {
+				t.Errorf("fresh fact link missing: %v", got)
+			}
+			if live, _, _ := liveOf(ix, k); live != 1 {
+				t.Errorf("live = %d after re-registration, want 1", live)
+			}
+			r, _ := drop(ix, k)
+			if k.Class == 0 && (len(r.Paths) != 1 || r.Paths[0] != 2) {
+				t.Errorf("paths = %v, want the re-registration's", r.Paths)
+			}
+			live, registered, dropped := liveOf(ix, k)
+			if live != 0 || registered != 2 || dropped != 1 {
+				t.Errorf("stats = %d/%d/%d", live, registered, dropped)
+			}
+		})
 	}
 }
 
 func TestLeases(t *testing.T) {
-	ix := NewIndex(8)
-	now := time.Now()
-	f1, f2 := mkFlow(1), mkFlow(2)
-	r1 := reg(f1, []string{"userID"}, nil, 1)
-	r1.Lease = now.Add(time.Second)
-	ix.Register(r1)
-	ix.Register(reg(f2, []string{"userID"}, nil, 1)) // no lease
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			now := time.Now()
+			k1, k2 := kind.mk(1), kind.mk(2)
+			r1 := reg(k1, []string{"userID"}, nil, 1)
+			r1.Lease = now.Add(time.Second)
+			ix.Register(r1)
+			ix.Register(reg(k2, []string{"userID"}, nil, 1)) // no lease
 
-	if got := ix.ExpiredLeases(now, nil); len(got) != 0 {
-		t.Errorf("leases expired early: %v", got)
-	}
-	got := ix.ExpiredLeases(now.Add(2*time.Second), nil)
-	if len(got) != 1 || got[0] != f1 {
-		t.Errorf("ExpiredLeases = %v, want f1 only", got)
+			if got := ix.Expired(now, nil); len(got) != 0 {
+				t.Errorf("leases expired early: %v", got)
+			}
+			got := ix.Expired(now.Add(2*time.Second), nil)
+			if len(got) != 1 || got[0] != k1 {
+				t.Errorf("Expired = %v, want k1 only", got)
+			}
+		})
 	}
 }
 
@@ -137,51 +234,207 @@ func TestPushCapable(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	ix := NewIndex(8)
-	for i := 0; i < 32; i++ {
-		ix.Register(reg(mkFlow(i), []string{"userID"}, nil, 1))
-	}
-	ix.FlushAll()
-	live, _, _ := ix.Stats()
-	if live != 0 {
-		t.Errorf("live = %d after FlushAll", live)
-	}
-	if got := ix.ResolveHost(hostA, nil); len(got) != 0 {
-		t.Errorf("fact side survived FlushAll: %v", got)
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			for i := 0; i < 32; i++ {
+				ix.Register(reg(kind.mk(i), []string{"userID"}, nil, 1))
+			}
+			ix.FlushAll()
+			if live, _, _ := liveOf(ix, kind.mk(0)); live != 0 {
+				t.Errorf("live = %d after FlushAll", live)
+			}
+			if got := ix.Resolve(hostA, "", nil); len(got) != 0 {
+				t.Errorf("fact side survived FlushAll: %v", got)
+			}
+		})
 	}
 }
 
 // TestConcurrentChurn exercises register/drop/resolve races under the race
 // detector; correctness here is "no crash, no race, index drains to empty".
 func TestConcurrentChurn(t *testing.T) {
-	ix := NewIndex(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				f := mkFlow(g*1000 + i%37)
-				ix.Register(reg(f, []string{"userID", "name"}, []string{"name"}, 1, 2))
-				ix.ResolveFact(hostA, "userID", nil)
-				ix.ResolveHost(hostB, nil)
-				ix.Drop(f)
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(4)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 500; i++ {
+						k := kind.mk(g*1000 + i%37)
+						ix.Register(reg(k, []string{"userID", "name"}, []string{"name"}, 1, 2))
+						ix.Resolve(hostA, "userID", nil)
+						ix.Resolve(hostB, "", nil)
+						ix.Expired(time.Now(), nil)
+						drop(ix, k)
+					}
+				}(g)
 			}
-		}(g)
+			wg.Wait()
+			if live, _, _ := liveOf(ix, kind.mk(0)); live != 0 {
+				t.Errorf("live = %d after drain", live)
+			}
+			if n := linkedFacts(ix); n != 0 {
+				t.Errorf("fact side retains %d facts after drain", n)
+			}
+		})
 	}
-	wg.Wait()
-	// Flows are shared across goroutines (i%37 collides), so concurrent
-	// Register/Drop for the same flow can legitimately leave a few
-	// registrations; drop them all and verify the fact side drains too.
-	for g := 0; g < 8; g++ {
-		for i := 0; i < 37; i++ {
-			ix.Drop(mkFlow(g*1000 + i))
+}
+
+// linkedFacts counts the facts the fact side still holds a dependent set
+// for: zero iff every link any record made has been unlinked.
+func linkedFacts(ix *Index) int {
+	n := 0
+	for i := range ix.factShards {
+		sh := &ix.factShards[i]
+		sh.mu.Lock()
+		n += len(sh.deps)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestIndexAgainstModel drives a seeded random mix of register,
+// re-register, drop, resolve and lease expiry over both kinds of key
+// against the obvious model — a map from key to its facts and lease — and
+// asserts after every step that each fact resolves to exactly the keys the
+// model says depend on it, and at the end that the index is empty exactly
+// when the model is. A drop that forgets to unlink one fact fails the
+// per-step comparison on the first resolve of that fact.
+func TestIndexAgainstModel(t *testing.T) {
+	type modelRec struct {
+		facts []Fact
+		lease time.Time
+	}
+	hosts := []netaddr.IP{hostA, hostB, netaddr.MustParseIP("10.0.0.3")}
+	keys := []string{"", "name", "userID", "os-patch"}
+	var universe []Fact
+	for _, h := range hosts {
+		for _, k := range keys {
+			universe = append(universe, Fact{Host: h, Key: k})
 		}
 	}
-	if live, _, _ := ix.Stats(); live != 0 {
-		t.Errorf("live = %d after drain", live)
+	sortKeys := func(ks []Key) {
+		sort.Slice(ks, func(i, j int) bool {
+			if ks[i].Class != ks[j].Class {
+				return ks[i].Class < ks[j].Class
+			}
+			return ks[i].Flow.SrcPort < ks[j].Flow.SrcPort
+		})
 	}
-	if got := ix.ResolveHost(hostA, nil); len(got) != 0 {
-		t.Errorf("fact side retains %v after drain", got)
+
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ix := NewIndex(4)
+		model := make(map[Key]modelRec)
+		now := time.Unix(1000, 0)
+
+		randKey := func() Key { return kinds[rng.Intn(2)].mk(rng.Intn(24)) }
+		check := func(step int, op string) {
+			t.Helper()
+			for _, fact := range universe {
+				var want []Key
+				for k, rec := range model {
+					for _, f := range rec.facts {
+						if f == fact {
+							want = append(want, k)
+							break
+						}
+					}
+				}
+				got := ix.Resolve(fact.Host, fact.Key, nil)
+				sortKeys(want)
+				sortKeys(got)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d (%s): Resolve(%v) = %v, model says %v", seed, step, op, fact, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d step %d (%s): Resolve(%v) = %v, model says %v", seed, step, op, fact, got, want)
+					}
+				}
+			}
+			flows, classes := 0, 0
+			for k := range model {
+				if k.Class != 0 {
+					classes++
+				} else {
+					flows++
+				}
+			}
+			gotFlows, _, _ := ix.Stats()
+			gotClasses, _, _ := ix.WideStats()
+			if gotFlows != flows || gotClasses != classes {
+				t.Fatalf("seed %d step %d (%s): live = %d flows / %d classes, model says %d / %d", seed, step, op, gotFlows, gotClasses, flows, classes)
+			}
+		}
+
+		for step := 0; step < 600; step++ {
+			op := "register"
+			switch r := rng.Intn(10); {
+			case r < 5: // register, or re-register when the key is resident
+				k := randKey()
+				rec := modelRec{}
+				for _, fact := range universe {
+					if rng.Intn(4) == 0 {
+						rec.facts = append(rec.facts, fact)
+					}
+				}
+				if rng.Intn(3) == 0 {
+					rec.lease = now.Add(time.Duration(rng.Intn(50)) * time.Second)
+				}
+				ix.Register(Registration{Flow: k.Flow, Class: k.Class, Facts: rec.facts, Lease: rec.lease})
+				model[k] = rec
+			case r < 8:
+				op = "drop"
+				k := randKey()
+				_, inModel := model[k]
+				if _, ok := drop(ix, k); ok != inModel {
+					t.Fatalf("seed %d step %d: drop(%v) = %v, model says %v", seed, step, k, ok, inModel)
+				}
+				delete(model, k)
+			default:
+				op = "expire"
+				now = now.Add(time.Duration(rng.Intn(20)) * time.Second)
+				var want []Key
+				for k, rec := range model {
+					if !rec.lease.IsZero() && now.After(rec.lease) {
+						want = append(want, k)
+					}
+				}
+				got := ix.Expired(now, nil)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: Expired = %v, model says %v", seed, step, got, want)
+				}
+				for _, k := range got {
+					if _, ok := drop(ix, k); !ok {
+						t.Fatalf("seed %d step %d: expired key %v was not registered", seed, step, k)
+					}
+					delete(model, k)
+				}
+			}
+			check(step, op)
+		}
+
+		// Index empty ⇔ model empty: as they stand, then with the model's
+		// records drained out of the index.
+		empty := func() bool {
+			flows, _, _ := ix.Stats()
+			classes, _, _ := ix.WideStats()
+			return flows+classes+linkedFacts(ix) == 0
+		}
+		if empty() != (len(model) == 0) {
+			t.Fatalf("seed %d: index empty = %v with %d records in the model", seed, empty(), len(model))
+		}
+		for k := range model {
+			if _, ok := drop(ix, k); !ok {
+				t.Fatalf("seed %d: model's %v was not in the index", seed, k)
+			}
+		}
+		if !empty() {
+			t.Fatalf("seed %d: model drained, index still holds %d linked facts", seed, linkedFacts(ix))
+		}
 	}
 }

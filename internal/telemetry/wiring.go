@@ -44,18 +44,18 @@ var ControllerCounters = map[string]string{
 	"megaflow_hits":                  "Flow setups resolved from the verdict cache without daemon queries or evaluation (exact entries, and wildcard classes under -megaflow).",
 	"megaflow_installs":              "Verdicts inserted into the verdict cache.",
 	"megaflow_teardowns":             "Cached verdicts retired by revocation or flow removal.",
-	"megaflow_expired":               "Cached verdicts dropped by TTL expiry.",
-	"megaflow_hit_raced":             "Verdict-cache hits that raced a concurrent teardown and deleted their own installs.",
+	"megaflow_expired":               "Cached verdicts unmapped by TTL expiry (no deletes: switch entries idle out; a passing one-flow verdict with entries installed stays on record until its flow is removed).",
+	"megaflow_hit_raced":             "Members of a cached class (hits and founders) that raced its teardown and deleted their own installs.",
 	"flows_revoked":                  "Installed flows torn down live by the revocation plane.",
 	"revocations_updates":            "Daemon-pushed endpoint-state updates received.",
-	"revocations_flows":              "Flows matched by revocation updates (teardown initiated).",
+	"revocations_flows":              "Verdicts torn down by the revocation plane: one per flow record, one per cached class.",
 	"revocations_inflight":           "Revocations that cancelled a decision still in flight.",
 	"revocations_raced":              "Revocations that raced a decision's publication (verdict-cache insert, registration) and re-ran teardown.",
 	"revocations_hellos":             "Daemon hello updates (subscription handshakes) processed.",
 	"revocations_resyncs":            "Full resyncs forced by serial gaps in a daemon's update stream.",
 	"revocations_noop":               "Updates that matched no registered fact (nothing to tear down).",
-	"revocations_entries":            "Delete flow-mods issued by flow teardowns (two per datapath on a torn flow's path).",
-	"revocations_lease_expired":      "Flows torn down by lease expiry (daemons that never push).",
+	"revocations_entries":            "Delete flow-mods issued by flow-record teardowns (two per datapath on a torn flow's path).",
+	"revocations_lease_expired":      "Uncached flows torn down by lease expiry (daemons that never push).",
 	"revocations_wide_lease_expired": "Cached verdicts torn down by lease expiry.",
 	"cred_unauthorized":              "Daemon answers excluded from verdicts by credential enforcement (unverified, expired, or out-of-scope sessions).",
 }
@@ -167,15 +167,15 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 
 	r.RegisterGaugeFunc("megaflow_live", "Live (unexpired, current-epoch) entries in the verdict cache.",
 		func() int64 { live, _, _, _ := ctl.MegaflowStats(); return int64(live) }, labels...)
-	r.RegisterGaugeFunc("revocation_index_live", "Fact dependencies resident in the revocation index.",
+	r.RegisterGaugeFunc("revocation_index_live", "Flow records resident in the revocation index: one per installed verdict that is not cached.",
 		func() int64 { live, _, _ := ctl.RevocationIndexStats(); return int64(live) }, labels...)
-	r.RegisterCounterFunc("revocation_index_dropped", "Fact registrations dropped by the index's bounds.",
+	r.RegisterCounterFunc("revocation_index_dropped", "Flow records dropped from the revocation index (teardown, flow removal).",
 		func() int64 { _, _, dropped := ctl.RevocationIndexStats(); return dropped }, labels...)
-	r.RegisterGaugeFunc("revocation_wide_live", "Cached-verdict registrations resident in the revocation index.",
+	r.RegisterGaugeFunc("revocation_wide_live", "Class records resident in the revocation index: one per cached verdict.",
 		func() int64 { live, _, _ := ctl.WideStats(); return int64(live) }, labels...)
-	r.RegisterCounterFunc("revocation_wide_registered", "Lifetime cached-verdict registrations in the revocation index.",
+	r.RegisterCounterFunc("revocation_wide_registered", "Lifetime class records registered in the revocation index.",
 		func() int64 { _, registered, _ := ctl.WideStats(); return registered }, labels...)
-	r.RegisterCounterFunc("revocation_wide_dropped", "Cached-verdict registrations dropped from the revocation index.",
+	r.RegisterCounterFunc("revocation_wide_dropped", "Class records dropped from the revocation index (teardown, flow removal, expiry, takeover by the class's next verdict, founder race).",
 		func() int64 { _, _, dropped := ctl.WideStats(); return dropped }, labels...)
 	r.RegisterGaugeFunc("rule_cache_entries", "Resident entries in the policy's embedded-rules memo.",
 		func() int64 { entries, _ := ctl.PolicyRuleCacheStats(); return entries }, labels...)
