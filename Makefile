@@ -4,7 +4,7 @@ GO ?= go
 # race detector on purpose: the allocation-budget guards (alloc_test.go)
 # skip themselves under -race, so both flavors are needed.
 .PHONY: ci
-ci: fmt-check vet build test race race-query race-core bench-smoke bench-e2e-smoke check-examples check-docs
+ci: fmt-check vet check-seam build test race race-query race-core bench-smoke bench-e2e-smoke check-examples check-docs
 
 .PHONY: fmt-check
 fmt-check:
@@ -21,6 +21,15 @@ vet:
 lint: fmt-check vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipped (go install honnef.co/go/tools/cmd/staticcheck@v0.6.1)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "govulncheck not installed; skipped (go install golang.org/x/vuln/cmd/govulncheck@v1.1.4)"; fi
+
+# The internal/link seam: every listener is accepted from, and every framed
+# connection read, by internal/link (Listener, ServeFrames, Pipe) — a server
+# that grows its own accept or read loop grows its own lifecycle and flush
+# rule with it. internal/wire is the codec those calls live in.
+.PHONY: check-seam
+check-seam:
+	@out="$$(grep -rnE 'Accept\(\)|wire\.ReadFrame(Into)?\(' --include='*.go' internal cmd | grep -vE '^internal/(link|wire)/|_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "accept/read loop outside internal/link:"; echo "$$out"; exit 1; fi
 
 .PHONY: build
 build:

@@ -1071,7 +1071,7 @@ func m13Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five, *dae
 //     once per daemon session (and once per rotation re-hello), never per
 //     query.
 //   - steady: the controller's steady state over a fully credentialed
-//     query plane (RequireCredentials, both daemons verified) with a warm
+//     query plane (both daemons verified) with a warm
 //     verdict cache. The credential plane must cost this path nothing:
 //     CI enforces the same ≤ 2 allocs/op budget as the insecure M9 hit
 //     variant, and the subtest asserts no re-verification happened during
@@ -1123,14 +1123,13 @@ func BenchmarkM13_CredentialedSession(b *testing.B) {
 		eng := query.NewEngine(query.Config{Lower: pool})
 		b.Cleanup(eng.Close)
 		ctl := core.New(core.Config{
-			Name:               "m13",
-			Policy:             pf.MustCompile("m13", "block all\npass from any to any with eq(@src[name], skype)"),
-			Transport:          eng,
-			Topology:           &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:     true,
-			AsyncQueries:       true,
-			ResponseCacheTTL:   time.Hour,
-			RequireCredentials: true,
+			Name:             "m13",
+			Policy:           pf.MustCompile("m13", "block all\npass from any to any with eq(@src[name], skype)"),
+			Transport:        eng,
+			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries:   true,
+			AsyncQueries:     true,
+			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
 		ev := openflow.PacketIn{

@@ -44,6 +44,7 @@ import (
 
 	"identxx/internal/cluster"
 	"identxx/internal/core"
+	"identxx/internal/link"
 	"identxx/internal/netaddr"
 	"identxx/internal/query"
 	"identxx/internal/revoke"
@@ -61,23 +62,19 @@ type adminState struct {
 	tr  *trace.Recorder
 }
 
-// serveAdmin runs the admin listener until the listener is closed.
-func serveAdmin(l net.Listener, st adminState) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
+// serveAdmin serves the admin protocol on l in the background; closing the
+// result closes l and the sessions in progress.
+func serveAdmin(l net.Listener, st adminState) *link.Listener {
+	lis := new(link.Listener)
+	lis.Serve(l, func(conn net.Conn) {
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		sc := bufio.NewScanner(conn)
+		for sc.Scan() {
+			fmt.Fprintf(conn, "%s\n", adminCommand(st, sc.Text()))
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
-			sc := bufio.NewScanner(conn)
-			for sc.Scan() {
-				fmt.Fprintf(conn, "%s\n", adminCommand(st, sc.Text()))
-				conn.SetDeadline(time.Now().Add(30 * time.Second))
-			}
-		}()
-	}
+		}
+	})
+	return lis
 }
 
 // adminCommand executes one admin line and renders the reply (multi-line

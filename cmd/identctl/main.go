@@ -139,7 +139,6 @@ func main() {
 		RevocationLeaseTTL: *leaseTTL,
 		ResponseCacheTTL:   *cacheTTL,
 		Megaflow:           *megaflow,
-		RequireCredentials: *authorityFile != "",
 		Trace:              recorder,
 	})
 	// Close the revocation loop: daemon pushes demuxed by the pool land in
@@ -180,8 +179,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer cl.Close()
-		go rt.Serve(cl)
+		rt.Serve(cl)
+		defer rt.Close()
 		if err := rt.SetMembers(members); err != nil {
 			fmt.Fprintf(os.Stderr, "identctl: cluster: %v\n", err)
 		}
@@ -204,8 +203,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer al.Close()
-		go serveAdmin(al, adminState{ctl: ctl, eng: eng, rt: rt, tr: recorder})
+		defer serveAdmin(al, adminState{ctl: ctl, eng: eng, rt: rt, tr: recorder}).Close()
 	}
 	var auditSink *telemetry.AuditSink
 	if *auditLog != "" {

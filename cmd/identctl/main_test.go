@@ -118,8 +118,7 @@ func TestAdminOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go serveAdmin(l, adminState{ctl: ctl})
+	defer serveAdmin(l, adminState{ctl: ctl}).Close()
 	reply, err := adminRoundTrip(l.Addr().String(), "revoke 10.0.0.9")
 	if err != nil {
 		t.Fatal(err)

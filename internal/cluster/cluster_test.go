@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -329,10 +330,9 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 // ErrStaleEpoch, and transparent redial after the connection dies.
 func TestTCPLinkForwardSnapshotReconnect(t *testing.T) {
 	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
-	ln := listenKillable(t)
-	go rb.Serve(ln)
+	addr := serveRouter(t, rb, listen(t)).String()
 
-	l := DialTCP(ln.Addr().String())
+	l := DialTCP(addr)
 	t.Cleanup(func() { l.Close() })
 
 	if err := l.ForwardEvent(testPacketIn(testFive(31000))); err != nil {
@@ -351,52 +351,65 @@ func TestTCPLinkForwardSnapshotReconnect(t *testing.T) {
 		t.Fatalf("replayed push: got %v, want ErrStaleEpoch", err)
 	}
 
-	// Kill the connection out from under the link; the next forward must
-	// heal by redialing (immediately — working connections don't back off).
-	ln.killConns()
+	// The replica restarts, which drops the connection out from under the
+	// link; the next forward must heal by redialing (immediately — working
+	// connections don't back off).
+	rb2 := restart(t, rb, addr, Options{})
 	waitUntil(t, "link recovery", func() bool {
 		return l.ForwardEvent(testPacketIn(testFive(31001))) == nil
 	})
-	waitUntil(t, "event after recovery", func() bool {
-		return rb.Counters.Get("cluster_events_received") >= 2
-	})
+	if got := rb2.Counters.Get("cluster_events_received"); got < 1 {
+		t.Errorf("received after recovery = %d, want the forward", got)
+	}
 }
 
-// killableListener lets a test kill the connections a link has established,
-// from the peer's end, as a crashed or restarted replica would.
-type killableListener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func listenKillable(t *testing.T) *killableListener {
+// listen returns a loopback listener closed with the test. It counts what it
+// accepts.
+func listen(t *testing.T) *countingListener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	return &killableListener{Listener: ln}
+	return &countingListener{Listener: ln}
 }
 
-func (l *killableListener) Accept() (net.Conn, error) {
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err == nil {
-		l.mu.Lock()
-		l.conns = append(l.conns, conn)
-		l.mu.Unlock()
+		l.accepted.Add(1)
 	}
 	return conn, err
 }
 
-func (l *killableListener) killConns() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, c := range l.conns {
-		c.Close()
+// serveRouter serves r on ln until the test ends (or r.Close).
+func serveRouter(t *testing.T, r *Router, ln net.Listener) net.Addr {
+	t.Helper()
+	if err := r.Serve(ln); err != nil {
+		t.Fatal(err)
 	}
-	l.conns = nil
+	t.Cleanup(func() { r.Close() })
+	return ln.Addr()
+}
+
+// restart closes r — listener and served connections, as a crashed replica
+// drops them — and serves a fresh Router for the same controller on addr.
+func restart(t *testing.T, r *Router, addr string, opts Options) *Router {
+	t.Helper()
+	r.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewRouter(r.Local(), r.Self(), opts)
+	serveRouter(t, fresh, ln)
+	return fresh
 }
 
 // TestTCPLinkTracedFallbackToLegacy: a peer built before FrameEventTraced
@@ -405,11 +418,7 @@ func (l *killableListener) killConns() {
 // mixed-version ring degrades to untraced forwarding instead of a
 // local-decision fallback per traced event.
 func TestTCPLinkTracedFallbackToLegacy(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
+	ln := listen(t)
 
 	var legacyEvents atomic.Int64
 	go func() {
@@ -453,7 +462,7 @@ func TestTCPLinkTracedFallbackToLegacy(t *testing.T) {
 	// the forward fails at its one deadline, with no second attempt as 'E'
 	// to wait out a second one before the Router can decide locally.
 	var frames atomic.Int64
-	wedged := listenKillable(t)
+	wedged := listen(t)
 	go func() {
 		for {
 			conn, err := wedged.Accept()
@@ -491,15 +500,14 @@ func TestTCPLinkTracedFallbackToLegacy(t *testing.T) {
 // with no redial, and the late ack is not taken for the second forward's.
 func TestTCPLinkLateAckFailsOneForward(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	var conns, events atomic.Int64
-	ln := listenKillable(t)
+	var events atomic.Int64
+	ln := listen(t)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			conns.Add(1)
 			go func() {
 				br := bufio.NewReader(conn)
 				for {
@@ -531,7 +539,7 @@ func TestTCPLinkLateAckFailsOneForward(t *testing.T) {
 	if err := l.ForwardEvent(testPacketIn(testFive(34001))); err != nil {
 		t.Fatalf("forward behind a late ack: %v", err)
 	}
-	if c, e := conns.Load(), events.Load(); c != 1 || e != 2 {
+	if c, e := ln.accepted.Load(), events.Load(); c != 1 || e != 2 {
 		t.Errorf("%d connections, %d events; want 1 and 2 (a late ack must not cost the connection)", c, e)
 	}
 }
@@ -540,8 +548,8 @@ func TestTCPLinkLateAckFailsOneForward(t *testing.T) {
 // dials nothing.
 func TestTCPLinkClosedStaysClosed(t *testing.T) {
 	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
-	ln := listenKillable(t)
-	go rb.Serve(ln)
+	ln := listen(t)
+	serveRouter(t, rb, ln)
 
 	l := DialTCP(ln.Addr().String())
 	if err := l.ForwardEvent(testPacketIn(testFive(35000))); err != nil {
@@ -556,13 +564,95 @@ func TestTCPLinkClosedStaysClosed(t *testing.T) {
 	if err := l.PushSnapshot(&Snapshot{Epoch: 1, Origin: "A"}); !errors.Is(err, errLinkClosed) {
 		t.Errorf("push after Close: %v, want %v", err, errLinkClosed)
 	}
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if n := len(ln.conns); n != 1 {
+	if n := ln.accepted.Load(); n != 1 {
 		t.Errorf("%d connections accepted, want 1: a closed link must not redial", n)
 	}
 	if got := rb.Counters.Get("cluster_events_received"); got != 1 {
 		t.Errorf("received = %d, want 1", got)
+	}
+}
+
+// parkingTransport is an asynchronous transport that answers like
+// passTransport, but only when the test releases it: every decision that
+// needs a query stays suspended until then.
+type parkingTransport struct {
+	passTransport
+	mu     sync.Mutex
+	parked []func()
+}
+
+func (p *parkingTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.parked = append(p.parked, func() { done(p.Query(host, q)) })
+}
+
+func (p *parkingTransport) release() {
+	p.mu.Lock()
+	parked := p.parked
+	p.parked = nil
+	p.mu.Unlock()
+	for _, answer := range parked {
+		answer()
+	}
+}
+
+// frameRecorder is a datapath that keeps the frames it is told to send.
+type frameRecorder struct {
+	sinkDatapath
+	mu   sync.Mutex
+	sent [][]byte
+}
+
+func (d *frameRecorder) PacketOut(_ uint16, frame []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.sent = append(d.sent, append([]byte(nil), frame...))
+}
+
+// TestTCPLinkForwardedFrameOutlivesTheNextFrame: the ack of a forwarded packet-in
+// says the owner accepted it, not that it decided — the decision may be
+// suspended on the owner's query plane, holding the packet to release, while
+// the served connection reads the next frame into the same buffer. The packet
+// the owner finally sends must be the one that was forwarded.
+func TestTCPLinkForwardedFrameOutlivesTheNextFrame(t *testing.T) {
+	tr := &parkingTransport{}
+	dp := &frameRecorder{sinkDatapath: sinkDatapath{id: 1}}
+	ctl := core.New(core.Config{
+		Name:         "B",
+		Policy:       pf.MustCompile("B", passPolicy),
+		Transport:    tr,
+		Topology:     hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+		AsyncQueries: true,
+	})
+	ctl.AddDatapath(dp)
+	rb := NewRouter(ctl, Member{ID: "B"}, Options{})
+	l := DialTCP(serveRouter(t, rb, listen(t)).String())
+	t.Cleanup(func() { l.Close() })
+
+	var want [][]byte
+	for i := range 3 {
+		ev := testPacketIn(testFive(36000 + netaddr.Port(i)))
+		ev.Frame = bytes.Repeat([]byte{0xA0 + byte(i)}, 64)
+		want = append(want, ev.Frame)
+		if err := l.ForwardEvent(ev); err != nil {
+			t.Fatalf("forward %d: %v", i, err)
+		}
+	}
+	sent := func() [][]byte {
+		dp.mu.Lock()
+		defer dp.mu.Unlock()
+		return dp.sent
+	}
+	if n := len(sent()); n != 0 {
+		t.Fatalf("%d packets sent with every decision suspended", n)
+	}
+	waitUntil(t, "the suspended decisions", func() bool {
+		tr.release()
+		return len(sent()) == len(want)
+	})
+	if got := sent(); !reflect.DeepEqual(got, want) {
+		t.Errorf("packets released = %x, want the three forwarded, each intact: %x", got, want)
 	}
 }
 

@@ -49,8 +49,9 @@ func encodeEvent(dst []byte, ev openflow.PacketIn) []byte {
 	return append(dst, ev.Frame...)
 }
 
-// decodeEvent is encodeEvent's inverse. The frame slice aliases p's tail;
-// callers own p and must not recycle it while the event is live.
+// decodeEvent is encodeEvent's inverse. The frame bytes are copied out of p,
+// which is a served connection's reused read buffer: a decision suspended on
+// the query plane keeps the packet-in long after the next frame overwrote it.
 func decodeEvent(p []byte) (openflow.PacketIn, error) {
 	if len(p) < eventHeaderLen {
 		return openflow.PacketIn{}, fmt.Errorf("cluster: event payload %d bytes, want >= %d", len(p), eventHeaderLen)
@@ -72,7 +73,7 @@ func decodeEvent(p []byte) (openflow.PacketIn, error) {
 	ev.Tuple.SrcPort = netaddr.Port(binary.BigEndian.Uint16(p[46:48]))
 	ev.Tuple.DstPort = netaddr.Port(binary.BigEndian.Uint16(p[48:50]))
 	if len(p) > eventHeaderLen {
-		ev.Frame = p[eventHeaderLen:]
+		ev.Frame = append([]byte(nil), p[eventHeaderLen:]...)
 	}
 	return ev, nil
 }

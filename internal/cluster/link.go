@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,10 +18,10 @@ import (
 // use — the Router calls ForwardEvent from every packet-in goroutine.
 type Link interface {
 	// ForwardEvent hands a non-owned packet-in to the peer and waits for
-	// its ack (the peer acknowledges after its decision completes, so forwarding
-	// inherits the decision path's backpressure). A non-nil error means
-	// the event may not have been processed; the Router falls back to a
-	// local decision.
+	// its ack. The ack means the owner accepted the event: its decision has
+	// begun and may still be suspended on the owner's query plane. A non-nil
+	// error means the event may not have been processed; the Router falls
+	// back to a local decision.
 	ForwardEvent(ev openflow.PacketIn) error
 	// PushSnapshot delivers an epoch-fenced config snapshot. ErrStaleEpoch
 	// means the peer already holds a config that supersedes s — not a
@@ -162,76 +161,51 @@ func (l *TCPLink) Close() error {
 	return nil
 }
 
-// Serve accepts inter-controller connections on ln and dispatches their
-// frames into the Router until ln is closed. Each connection is processed
-// serially — that is what makes FIFO acknowledgement correct — and independent
-// connections in parallel.
+// Serve accepts inter-controller connections on ln in the background and
+// dispatches their frames into the Router, until Close. Each connection is
+// processed serially — that is what makes FIFO acknowledgement correct — and
+// independent connections in parallel; acks are written under the link's
+// request timeout, so a peer that stops reading them is cut off.
 func (r *Router) Serve(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go r.serveConn(conn)
-	}
+	return r.lis.Serve(ln, func(conn net.Conn) {
+		link.ServeFrames(conn, linkRequestTimeout, 0, r.serveFrame)
+	})
 }
 
-func (r *Router) serveConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	ack := [1]byte{}
-	for {
-		f, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case wire.FrameEvent, wire.FrameEventTraced:
-			payload := f.Payload
-			var tid uint64
-			if f.Type == wire.FrameEventTraced {
-				if len(payload) < 8 {
-					ack[0] = ackError
-					break
-				}
-				tid = binary.BigEndian.Uint64(payload[:8])
-				payload = payload[8:]
+// Close stops serving: the listeners and every served connection are closed,
+// and the frames being handled are waited for. Links to peers are unaffected.
+func (r *Router) Close() { r.lis.Close() }
+
+// serveFrame handles one request of a served connection and appends its ack.
+func (r *Router) serveFrame(c *link.Conn, f wire.Frame) error {
+	status := ackError
+	switch f.Type {
+	case wire.FrameEvent, wire.FrameEventTraced:
+		payload := f.Payload
+		var tid uint64
+		if f.Type == wire.FrameEventTraced {
+			if len(payload) < 8 {
+				break
 			}
-			ev, err := decodeEvent(payload)
-			if err != nil {
-				ack[0] = ackError
-			} else {
-				ev.TraceID = tid
-				r.DeliverEvent(ev)
-				ack[0] = ackOK
-			}
-		case wire.FrameSnapshot:
-			s, err := decodeSnapshot(f.Payload)
-			if err != nil {
-				ack[0] = ackError
-			} else {
-				switch r.ApplySnapshot(s) {
-				case nil:
-					ack[0] = ackOK
-				case ErrStaleEpoch:
-					ack[0] = ackStale
-				default:
-					ack[0] = ackError
-				}
-			}
-		default:
-			ack[0] = ackError
+			tid = binary.BigEndian.Uint64(payload[:8])
+			payload = payload[8:]
 		}
-		if err := wire.WriteFrame(bw, wire.Frame{Type: wire.FrameAck, Payload: ack[:]}); err != nil {
-			return
+		if ev, err := decodeEvent(payload); err == nil {
+			ev.TraceID = tid
+			r.DeliverEvent(ev)
+			status = ackOK
 		}
-		// Flush only when the read side has drained: pipelined bursts get
-		// their replies batched into one segment.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
+	case wire.FrameSnapshot:
+		if s, err := decodeSnapshot(f.Payload); err == nil {
+			switch r.ApplySnapshot(s) {
+			case nil:
+				status = ackOK
+			case ErrStaleEpoch:
+				status = ackStale
 			}
 		}
 	}
+	return c.Reply(func(b []byte) ([]byte, error) {
+		return wire.AppendFrame(b, wire.Frame{Type: wire.FrameAck, Payload: []byte{status}})
+	})
 }

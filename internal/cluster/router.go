@@ -7,6 +7,7 @@ import (
 
 	"identxx/internal/core"
 	"identxx/internal/flow"
+	"identxx/internal/link"
 	"identxx/internal/metrics"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
@@ -19,8 +20,8 @@ import (
 // ownership: packet-ins for flows the ring assigns to this replica run the
 // local decision pipeline unchanged (one ring lookup of added cost, zero
 // added allocations); packet-ins for flows owned elsewhere are forwarded
-// to the owner over its Link and acked after the owner's decision
-// completes. Configuration writes go through the Router so they replicate
+// to the owner over its Link and acked once the owner has accepted them.
+// Configuration writes go through the Router so they replicate
 // (epoch-fenced snapshot push); membership changes rebuild the ring and
 // sweep newly-owned orphan entries off the switches.
 //
@@ -40,6 +41,8 @@ type Router struct {
 	// take it (the packet path loads the ring pointer, nothing else).
 	mu  sync.Mutex
 	cfg Snapshot
+
+	lis link.Listener // the served half: Serve, Close
 
 	// tr is the flight recorder for the forwarder's half of a hand-off
 	// (nil = tracing disabled). The owned path never touches it — the
@@ -159,9 +162,9 @@ func (r *Router) HandleEvent(ev openflow.PacketIn) {
 }
 
 // DeliverEvent runs a forwarded packet-in on the local controller. It is
-// the receive half of Link.ForwardEvent — by the time it returns, the
-// decision is complete, which is what makes the forwarding ack mean
-// something.
+// the receive half of Link.ForwardEvent: when it returns the owner has
+// accepted the event — decided it, or (AsyncQueries) parked the decision on
+// its query plane — and that, not a verdict, is what the forwarding ack says.
 func (r *Router) DeliverEvent(ev openflow.PacketIn) {
 	r.hot.received.Add(1)
 	r.local.HandleEvent(ev)

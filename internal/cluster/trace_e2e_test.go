@@ -12,7 +12,6 @@ package cluster
 // B attributes to the decision A first saw.
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -81,24 +80,15 @@ func TestTraceStitchedAcrossReplicas(t *testing.T) {
 	// Real TCP between the replicas: each router serves its
 	// inter-controller listener, and the default dial (DialTCP on the
 	// member's address) connects them — the same path production takes.
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lnA.Close() })
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lnB.Close() })
+	lnA, lnB := listen(t), listen(t)
 	ms := []Member{
 		{ID: "A", Addr: lnA.Addr().String()},
 		{ID: "B", Addr: lnB.Addr().String()},
 	}
 	ra := NewRouter(repA.ctl, ms[0], Options{Trace: repA.rec})
 	rb := NewRouter(repB.ctl, ms[1], Options{Trace: repB.rec})
-	go ra.Serve(lnA)
-	go rb.Serve(lnB)
+	serveRouter(t, ra, lnA)
+	serveRouter(t, rb, lnB)
 	if err := ra.SetMembers(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +190,9 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 	})
 	ctl.AddDatapath(&sinkDatapath{id: 1})
 	rb := NewRouter(ctl, Member{ID: "B"}, Options{Trace: rec})
-	ln := listenKillable(t)
-	go rb.Serve(ln)
+	addr := serveRouter(t, rb, listen(t)).String()
 
-	l := DialTCP(ln.Addr().String())
+	l := DialTCP(addr)
 	t.Cleanup(func() { l.Close() })
 
 	ev1 := testPacketIn(testFive(33001))
@@ -212,9 +201,9 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 		t.Fatalf("forward before redial: %v", err)
 	}
 
-	// Kill the connection out from under the link; the next forward heals
-	// by redialing.
-	ln.killConns()
+	// Restart the replica, which kills the connection out from under the
+	// link; the next forward heals by redialing.
+	restart(t, rb, addr, Options{Trace: rec})
 	// An untraced forward finds the dead connection and redials: a traced
 	// one that found it would be taken for the old-peer signature and be
 	// retried, delivered, without its ID.

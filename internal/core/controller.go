@@ -97,11 +97,15 @@ func isUnauthorized(err error) bool {
 	return false
 }
 
-// CredentialChecker is the credential face a transport must expose when
-// Config.RequireCredentials is set (internal/query.Engine over a
-// credentialed Pool implements it). HostAuthorized gates fact ingestion;
-// CredentialExpiry lets the revocation plane lease facts no further than
-// the asserting credential's lifetime — expiry as a revocation event.
+// CredentialChecker is the credential face of a transport
+// (internal/query.Engine implements it). When the Transport has one and it
+// reports Credentialed — a query plane with an authority key — the credential
+// plane's controller half is on: facts from unauthorized hosts are refused
+// at ingestion (HostAuthorized) and fall back to answer-on-behalf/no-info,
+// and registered facts are leased no longer than the asserting credential's
+// remaining lifetime (CredentialExpiry), so credential expiry tears dependent
+// flows down through the revocation index. Netsim and experiments have no
+// such transport: the insecure mode.
 type CredentialChecker interface {
 	Credentialed() bool
 	HostAuthorized(host netaddr.IP) bool
@@ -214,16 +218,6 @@ type Config struct {
 	// channel exists. Zero disables leases. Requires Revocation.
 	RevocationLeaseTTL time.Duration
 
-	// RequireCredentials turns on the credential plane's controller half:
-	// the Transport must implement CredentialChecker and actually enforce
-	// credentials (a credentialed query plane — see internal/cred), facts
-	// from unauthorized hosts are refused at ingestion and fall back to
-	// answer-on-behalf/no-info, and registered facts are leased no longer
-	// than the asserting credential's remaining lifetime, so credential
-	// expiry tears dependent flows down through the revocation index.
-	// Leave false for netsim and experiments: the insecure mode.
-	RequireCredentials bool
-
 	// Shards sets the number of flow-state shards, rounded up to a power
 	// of two. Zero picks a hardware-sized default (≥ GOMAXPROCS).
 	Shards int
@@ -302,9 +296,9 @@ type Controller struct {
 	revoker  *revoke.Index
 	leaseTTL time.Duration
 
-	// credTr is the transport's credential face (nil unless
-	// Config.RequireCredentials): consulted at fact ingestion and when
-	// leasing registered facts.
+	// credTr is the transport's credential face (nil unless it enforces
+	// credentials): consulted at fact ingestion and when leasing registered
+	// facts.
 	credTr CredentialChecker
 
 	// Counters and latency recorder are exported for the harness.
@@ -369,14 +363,7 @@ func New(cfg Config) *Controller {
 		}
 	}
 	var credTr CredentialChecker
-	if cfg.RequireCredentials {
-		ct, ok := cfg.Transport.(CredentialChecker)
-		if !ok || !ct.Credentialed() {
-			// Refusing to start beats silently authorizing everyone: a
-			// transport without credential enforcement would make
-			// RequireCredentials a no-op.
-			panic("core: Config.RequireCredentials requires a credential-enforcing Transport (query plane with an authority key); netsim/experiments run with it off")
-		}
+	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
 		credTr = ct
 	}
 	c := &Controller{
@@ -658,11 +645,6 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 	// switch must go too (deleting the already-gone forward entry is a
 	// no-op).
 	c.deleteFlowAt(st, five, reg.Paths)
-}
-
-// PacketInFromRemote adapts ChannelServer events (TCP-attached switches).
-func (c *Controller) PacketInFromRemote(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
-	c.HandleEvent(ev)
 }
 
 // HandleEvent is the Figure 1 pipeline. It is safe for concurrent calls and
@@ -1020,8 +1002,8 @@ func (c *Controller) resolveWaiters(waiters []parked, pass bool, hops []Hop) {
 // the daemon may be answering again for the very next packet.
 func (c *Controller) resolveResponse(st *ctlState, five flow.Five, host netaddr.IP, resp *wire.Response, rtt time.Duration, err error) (_ *wire.Response, _ time.Duration, built, transient bool) {
 	if err == nil {
-		// RequireCredentials: the credentialed query plane already rejects
-		// unauthorized responses, but ingestion is the trust boundary —
+		// The credentialed query plane already rejects unauthorized
+		// responses, but ingestion is the trust boundary —
 		// re-check here so no transport composition can slip facts from an
 		// unauthorized host into a verdict. Refused answers fall through
 		// to answer-on-behalf/no-info like any unauthorized session.

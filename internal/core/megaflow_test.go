@@ -740,16 +740,15 @@ func TestClassLeaseFollowsCredentialExpiry(t *testing.T) {
 	}
 	dp1 := &fakeDatapath{id: 1}
 	c := New(Config{
-		Name:               "mega-cred",
-		Policy:             pf.MustCompile("mega", megaPolicy),
-		Transport:          tr,
-		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:     true,
-		ResponseCacheTTL:   time.Hour,
-		Revocation:         true,
-		Megaflow:           true,
-		RequireCredentials: true,
-		Clock:              clock,
+		Name:             "mega-cred",
+		Policy:           pf.MustCompile("mega", megaPolicy),
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+		Megaflow:         true,
+		Clock:            clock,
 	})
 	c.AddDatapath(dp1)
 

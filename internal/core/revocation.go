@@ -241,8 +241,8 @@ func (c *Controller) registerDeps(s *decisionScratch) {
 // verdict read, the host-scope marker plus each key it could have read there
 // (the query hints — the compiled policy's per-flow static key analysis),
 // and the earliest lease any read end imposes: RevocationLeaseTTL from now
-// for a host that has not proven it pushes updates and, under
-// RequireCredentials, the expiry of the credential its facts were admitted
+// for a host that has not proven it pushes updates and, on a credential-
+// enforcing transport, the expiry of the credential its facts were admitted
 // under — if the live lapse-resync is missed, the lease sweep still tears
 // the verdict down at expiry. Records keep the expiry they were admitted
 // under; a rotation refreshes subsequent decisions.

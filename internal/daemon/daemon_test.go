@@ -388,81 +388,3 @@ func BenchmarkHandleQuery(b *testing.B) {
 		}
 	}
 }
-
-// A pipelined burst is answered with its responses behind each other, and a
-// client that has sent one and a half queries gets the first one's answer
-// without sending the rest: the server flushes before any read that could
-// block, not merely when its read buffer is empty. (With the weaker rule the
-// response sits behind the half frame and the client, waiting for it before
-// it goes on, deadlocks against the server.)
-func TestServerAnswersWholeFramesBeforeBlockingOnAHalf(t *testing.T) {
-	_, d, f := newHostWithSkype(t)
-	srv := NewServer(d)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := netDial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	one, err := wire.AppendQuery(nil, wire.Query{Flow: f, Keys: []string{wire.KeyUserID}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(one) / 2
-	burst := append(append(append([]byte(nil), one...), one...), one[:half]...)
-	if _, err := conn.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for i := 0; i < 2; i++ {
-		resp, err := wire.ReadResponse(conn)
-		if err != nil {
-			t.Fatalf("response %d of two whole queries, with half a third sent: %v", i, err)
-		}
-		if v, _ := resp.Latest(wire.KeyUserID); v != "alice" || resp.Flow != f {
-			t.Fatalf("response %d = %+v", i, resp)
-		}
-	}
-	if _, err := conn.Write(one[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadResponse(conn); err != nil {
-		t.Fatalf("response to the completed third query: %v", err)
-	}
-}
-
-// Queries answered before a connection goes bad keep their responses.
-func TestServerFlushesAnswersBeforeDroppingGarbage(t *testing.T) {
-	_, d, f := newHostWithSkype(t)
-	srv := NewServer(d)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := netDial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	burst, err := wire.AppendQuery(nil, wire.Query{Flow: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst = append(burst, "GET / HTTP/1.0\r\n\r\n"...)
-	if _, err := conn.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadResponse(conn); err != nil {
-		t.Fatalf("the query ahead of the garbage went unanswered: %v", err)
-	}
-	if _, err := wire.ReadFrame(conn); err == nil {
-		t.Fatal("server kept the connection after garbage")
-	}
-}

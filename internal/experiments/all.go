@@ -27,15 +27,6 @@ var All = []Runner{
 	{"E10", RunE10},
 }
 
-// RunAll executes every experiment, printing tables to w, and returns them.
-func RunAll(w io.Writer) []*Table {
-	tables := make([]*Table, 0, len(All))
-	for _, r := range All {
-		tables = append(tables, r.Run(w))
-	}
-	return tables
-}
-
 // respWith builds a single-section response from a map (test/bench helper).
 func respWith(f flow.Five, kv map[string]string) *wire.Response {
 	r := wire.NewResponse(f)

@@ -28,11 +28,12 @@ const (
 	// connection hung and tears it down.
 	readGrace = 500 * time.Millisecond
 
-	// readBuf is each connection's read buffer: a burst of a dozen replies
-	// per read. A larger frame is read straight into its own payload. One is
-	// held per peer, so it is no larger than that (docs/architecture.md,
-	// "Wire I/O").
-	readBuf = 4 << 10
+	// connBuf is each connection's read buffer, and a served connection's
+	// write buffer: a burst of some forty pipelined queries, or a dozen
+	// replies, per syscall. A larger frame passes through unbuffered. One or
+	// two are held per peer, so they are no larger than that
+	// (docs/architecture.md, "Wire I/O").
+	connBuf = 4 << 10
 )
 
 // ErrDeadline fails a call whose reply did not arrive by its deadline. It
@@ -343,7 +344,7 @@ func (p *Pipe[K, R]) sweep() {
 // read is the connection's single reader: it hands every frame to the Plane
 // and completes the oldest call outstanding with each reply.
 func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
-	br := bufio.NewReaderSize(conn, readBuf)
+	br := bufio.NewReaderSize(conn, connBuf)
 	var payload []byte // every frame's, in turn
 	for {
 		f, buf, err := wire.ReadFrameInto(br, payload)

@@ -6,6 +6,9 @@
 // cluster link: a dialer goroutine with backoff, FIFO correlation, one
 // deadline sweeper, teardown — and each call's completion run on the
 // goroutine that learns its outcome, so no goroutine waits per call.
+// Listener and ServeFrames are the server half: the one accept-track-close
+// lifecycle of every listener, and the one read-dispatch-reply loop of the
+// servers that speak wire.Frames (the daemon, the cluster Router).
 package link
 
 import (

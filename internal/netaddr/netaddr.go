@@ -246,15 +246,6 @@ func ParsePort(s string) (Port, error) {
 	return Port(v), nil
 }
 
-// MustParsePort is ParsePort that panics on error.
-func MustParsePort(s string) Port {
-	p, err := ParsePort(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p Port) String() string { return strconv.Itoa(int(p)) }
 
 // ServiceName returns the well-known name for p if one exists, else its

@@ -142,7 +142,6 @@ type Host struct {
 
 	mu       sync.Mutex
 	received []*packet.Packet
-	onRecv   func(*packet.Packet)
 }
 
 // IP returns the host's address.
@@ -151,13 +150,6 @@ func (h *Host) IP() netaddr.IP { return h.Info.IP }
 // MAC returns the host's hardware address.
 func (h *Host) MAC() netaddr.MAC { return h.Info.MAC }
 
-// OnReceive sets a delivery callback (in addition to recording).
-func (h *Host) OnReceive(f func(*packet.Packet)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.onRecv = f
-}
-
 func (h *Host) deliver(frame []byte) {
 	p, err := packet.Decode(frame)
 	if err != nil {
@@ -165,11 +157,7 @@ func (h *Host) deliver(frame []byte) {
 	}
 	h.mu.Lock()
 	h.received = append(h.received, p)
-	cb := h.onRecv
 	h.mu.Unlock()
-	if cb != nil {
-		cb(p)
-	}
 }
 
 // ReceivedCount returns how many frames arrived.
@@ -203,13 +191,6 @@ func (h *Host) ClearReceived() {
 func (h *Host) SendTCP(five flow.Five, flags uint8, payload []byte) {
 	dstMAC := h.n.macOf(five.DstIP)
 	frame := packet.TCPFrame(h.Info.MAC, dstMAC, five, flags, payload)
-	h.inject(frame)
-}
-
-// SendUDP injects a UDP frame for five.
-func (h *Host) SendUDP(five flow.Five, payload []byte) {
-	dstMAC := h.n.macOf(five.DstIP)
-	frame := packet.UDPFrame(h.Info.MAC, dstMAC, five, payload)
 	h.inject(frame)
 }
 
@@ -386,14 +367,6 @@ func (n *Network) HostByIP(ip netaddr.IP) (*Host, bool) {
 	return h, ok
 }
 
-// HostByName returns the host with the given name.
-func (n *Network) HostByName(name string) (*Host, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.byName[name]
-	return h, ok
-}
-
 // SwitchByName returns the switch node with the given name.
 func (n *Network) SwitchByName(name string) (*SwitchNode, bool) {
 	n.mu.Lock()
@@ -540,28 +513,4 @@ func (n *Network) switchPathLocked(a, b uint64) ([]uint64, error) {
 		}
 	}
 	return nil, fmt.Errorf("netsim: no path between switches %d and %d", a, b)
-}
-
-// pathLatencyLocked sums link latencies along the switch path plus both
-// host attachment links.
-func (n *Network) pathLatencyLocked(src, dst netaddr.IP) (time.Duration, error) {
-	hsrc, ok := n.hosts[src]
-	if !ok {
-		return 0, fmt.Errorf("netsim: unknown host %s", src)
-	}
-	hdst, ok := n.hosts[dst]
-	if !ok {
-		return 0, fmt.Errorf("netsim: unknown host %s", dst)
-	}
-	swPath, err := n.switchPathLocked(hsrc.attachSW, hdst.attachSW)
-	if err != nil {
-		return 0, err
-	}
-	total := hsrc.linkLatency + hdst.linkLatency
-	for i := 0; i+1 < len(swPath); i++ {
-		node := n.switches[swPath[i]]
-		port, _ := portToward(node, swPath[i+1])
-		total += node.links[port].latency
-	}
-	return total, nil
 }

@@ -220,10 +220,7 @@ type ChannelHandler interface {
 type ChannelServer struct {
 	Handler ChannelHandler
 
-	mu       sync.Mutex
-	listener net.Listener
-	closed   bool
-	wg       sync.WaitGroup
+	lis link.Listener
 }
 
 // NewChannelServer creates a server delivering events to handler.
@@ -234,39 +231,14 @@ func NewChannelServer(h ChannelHandler) *ChannelServer {
 // Listen binds addr and serves in the background, returning the bound
 // address.
 func (s *ChannelServer) Listen(addr string) (net.Addr, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(l)
-	return l.Addr(), nil
+	return s.lis.Listen(addr, s.serveConn)
 }
 
 // Serve accepts switch connections from l in the background until Close,
-// which also closes l.
-func (s *ChannelServer) Serve(l net.Listener) {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-}
+// which also closes l (as Serve does itself after Close).
+func (s *ChannelServer) Serve(l net.Listener) { s.lis.Serve(l, s.serveConn) }
 
 func (s *ChannelServer) serveConn(conn net.Conn) {
-	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(channelTimeout))
 	br := bufio.NewReaderSize(conn, channelReadBuf)
 	m, err := ReadMsg(br)
@@ -303,17 +275,9 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops the server.
-func (s *ChannelServer) Close() {
-	s.mu.Lock()
-	l := s.listener
-	s.closed = true
-	s.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	s.wg.Wait()
-}
+// Close stops the server: the listener and every switch's channel are
+// closed, and each handler's SwitchDisconnected has run when it returns.
+func (s *ChannelServer) Close() { s.lis.Close() }
 
 // FlowTuples exposes the switch table's flow-granularity tuples for the
 // cluster takeover sweep (see Table.FiveTuples). Only in-process switches

@@ -123,17 +123,6 @@ func (s *Switch) AddPort(port uint16) {
 	s.ports[port] = true
 }
 
-// Ports returns the registered port numbers.
-func (s *Switch) Ports() []uint16 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint16, 0, len(s.ports))
-	for p := range s.ports {
-		out = append(out, p)
-	}
-	return out
-}
-
 // SetController attaches the controller.
 func (s *Switch) SetController(c Controller) {
 	s.mu.Lock()

@@ -289,10 +289,6 @@ type Trace struct {
 	SrcRead, DstRead bool
 }
 
-// CoversAllFields reports whether the trace names every header field — an
-// exact decision with no wildcarding headroom.
-func (t Trace) CoversAllFields() bool { return t.Fields&TraceAllFields == TraceAllFields }
-
 // Mask returns f with every field the evaluation never consulted zeroed,
 // the canonical representative of f's traffic equivalence class under this
 // trace. Proto is always kept: PF+=2 header guards cannot test it, but

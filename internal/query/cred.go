@@ -88,9 +88,8 @@ type CredStatus struct {
 // the insecure mode netsim and experiments run in.
 func (p *Pool) credentialed() bool { return !p.authority.IsZero() }
 
-// Credentialed reports whether this pool enforces credentials — the
-// startup probe core.Config.RequireCredentials uses to refuse running
-// atop a transport that would silently authorize everyone.
+// Credentialed reports whether this pool enforces credentials — what turns
+// the controller's half of the credential plane on (core.CredentialChecker).
 func (p *Pool) Credentialed() bool { return p.credentialed() }
 
 // CredentialStatus returns host's credential status. ok is false when the

@@ -1,7 +1,7 @@
 package query_test
 
 // End-to-end credential enforcement over real TCP: the full production
-// stack (core.Controller with RequireCredentials over query.Engine over
+// stack (core.Controller over a credentialed query.Engine over
 // query.Pool against real daemon.Server instances) with an authority
 // keypair issuing short-lived credentials. The untrusted-daemon
 // acceptance scenarios: a forged credential, an expired credential, and
@@ -44,8 +44,8 @@ func issueFor(t *testing.T, priv sig.PrivateKey, h *e2eHost, keys []string, ttl 
 }
 
 // credStack builds the credentialed production stack: pool with the
-// authority's public key, engine, controller with RequireCredentials and
-// the revocation plane wired, one real switch.
+// authority's public key, engine, controller (whose credential half the
+// engine switches on) with the revocation plane wired, one real switch.
 func credStack(t *testing.T, name string, authority sig.PublicKey, resolver query.StaticResolver) (*query.Pool, *query.Engine, *core.Controller, *openflow.Switch) {
 	t.Helper()
 	pool := query.NewPool(query.PoolConfig{Resolver: resolver, AuthorityKey: authority})
@@ -54,15 +54,14 @@ func credStack(t *testing.T, name string, authority sig.PublicKey, resolver quer
 	t.Cleanup(eng.Close)
 	sw := openflow.NewSwitch(1, "edge", 0)
 	ctl := core.New(core.Config{
-		Name:               name,
-		Policy:             pf.MustCompile(name, credPolicy),
-		Transport:          eng,
-		Topology:           &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:     true,
-		AsyncQueries:       true,
-		ResponseCacheTTL:   time.Hour,
-		Revocation:         true,
-		RequireCredentials: true,
+		Name:             name,
+		Policy:           pf.MustCompile(name, credPolicy),
+		Transport:        eng,
+		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		AsyncQueries:     true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
 	})
 	ctl.AddDatapath(sw)
 	if !eng.SetUpdateHandler(ctl.HandleUpdate) {

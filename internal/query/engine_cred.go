@@ -26,9 +26,8 @@ func (e *Engine) Credentialed() bool {
 }
 
 // HostAuthorized reports whether facts from host may influence verdicts.
-// Lowers without a credential face authorize everyone (insecure mode) —
-// a controller that *requires* credentials must sit on a credentialed
-// transport, which core.Config.RequireCredentials enforces at startup.
+// Lowers without a credential face authorize everyone (insecure mode); the
+// controller consults this only when Credentialed reports true.
 func (e *Engine) HostAuthorized(host netaddr.IP) bool {
 	cs, ok := e.lower.(credSource)
 	if !ok {

@@ -21,22 +21,14 @@ type Probe struct {
 // policy yet is live but not ready.
 type Health struct {
 	mu    sync.Mutex
-	live  []Probe
 	ready []Probe
 }
 
 // NewHealth creates an empty probe set. With no probes registered both
-// endpoints report healthy — answering the HTTP request at all is the
-// baseline liveness signal.
+// endpoints report healthy; /healthz always does — answering the HTTP
+// request at all is the liveness signal.
 func NewHealth() *Health {
 	return &Health{}
-}
-
-// AddLiveness registers a liveness probe.
-func (h *Health) AddLiveness(name string, check func() error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.live = append(h.live, Probe{Name: name, Check: check})
 }
 
 // AddReadiness registers a readiness probe.
@@ -46,16 +38,10 @@ func (h *Health) AddReadiness(name string, check func() error) {
 	h.ready = append(h.ready, Probe{Name: name, Check: check})
 }
 
-func (h *Health) snapshot(ready bool) []Probe {
+func (h *Health) snapshot() []Probe {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	src := h.live
-	if ready {
-		src = h.ready
-	}
-	out := make([]Probe, len(src))
-	copy(out, src)
-	return out
+	return append([]Probe(nil), h.ready...)
 }
 
 // run executes the probes and writes a plain-text report: one
@@ -92,12 +78,12 @@ func (h *Health) run(w http.ResponseWriter, probes []Probe) {
 
 // LiveHandler serves /healthz.
 func (h *Health) LiveHandler(w http.ResponseWriter, _ *http.Request) {
-	h.run(w, h.snapshot(false))
+	h.run(w, nil)
 }
 
 // ReadyHandler serves /readyz.
 func (h *Health) ReadyHandler(w http.ResponseWriter, _ *http.Request) {
-	h.run(w, h.snapshot(true))
+	h.run(w, h.snapshot())
 }
 
 // errNotReady is the base error for the canned probes in wiring.go.

@@ -207,14 +207,20 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	return writeOnce(w, b, err)
 }
 
-// WriteUpdate frames and writes an unsolicited endpoint-state update.
-func WriteUpdate(w io.Writer, u Update) error {
-	return WriteFrame(w, Frame{
+// AppendUpdate appends an unsolicited endpoint-state update as one frame to b.
+func AppendUpdate(b []byte, u Update) ([]byte, error) {
+	return AppendFrame(b, Frame{
 		Type:    FrameUpdate,
 		SrcIP:   u.Flow.SrcIP,
 		DstIP:   u.Flow.DstIP,
 		Payload: EncodeUpdate(u),
 	})
+}
+
+// WriteUpdate frames and writes an update.
+func WriteUpdate(w io.Writer, u Update) error {
+	b, err := AppendUpdate(nil, u)
+	return writeOnce(w, b, err)
 }
 
 // WriteSubscribe writes the empty subscription control frame.
