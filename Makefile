@@ -26,10 +26,18 @@ lint: fmt-check vet
 # connection read, by internal/link (Listener, ServeFrames, Pipe) — a server
 # that grows its own accept or read loop grows its own lifecycle and flush
 # rule with it. internal/wire is the codec those calls live in.
+#
+# The decision path: a miss gathers by completion and a flow-mod is an
+# append, so internal/core and the query engine start no goroutine and wait
+# on none — a decision runs on the goroutine that delivered its packet-in or
+# its second response. A `go` statement or a WaitGroup there is a second
+# gather or install path growing back.
 .PHONY: check-seam
 check-seam:
 	@out="$$(grep -rnE 'Accept\(\)|wire\.ReadFrame(Into)?\(' --include='*.go' internal cmd | grep -vE '^internal/(link|wire)/|_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "accept/read loop outside internal/link:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '^[[:space:]]*go |WaitGroup' internal/core/*.go internal/query/engine.go | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "goroutine or WaitGroup on the decision path:"; echo "$$out"; exit 1; fi
 
 .PHONY: build
 build:
@@ -69,9 +77,12 @@ race-query:
 # handshakes run through (revocation.go, installHops) repeat with them,
 # and so does the dependency index under all of it (internal/revoke: its
 # two sides are locked apart, so churn is where a lost link would show).
+# The handshake tests run once per completion mode (completionModes: inline,
+# and deferred — every completion on a goroutine of its own, as identctl's
+# connection readers deliver them); the pattern names each of them.
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease|LeaseFallback' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks

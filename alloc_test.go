@@ -140,13 +140,13 @@ func TestAllocBudgetMissLocalAnswer(t *testing.T) {
 }
 
 // TestAllocSetupRecorderObserve: every decision, hits included, records
-// its breakdown in six histograms; that is atomic adds on fixed cells and
+// its breakdown in four histograms; that is atomic adds on fixed cells and
 // must never allocate. No pool is involved, so the guard holds under -race
 // too.
 func TestAllocSetupRecorderObserve(t *testing.T) {
 	r := metrics.NewSetupRecorder()
-	bd := metrics.SetupBreakdown{Punt: 40 * time.Microsecond, QuerySrc: 210 * time.Microsecond,
-		QueryDst: 190 * time.Microsecond, Eval: 3 * time.Microsecond, Install: 55 * time.Microsecond}
+	bd := metrics.SetupBreakdown{QuerySrc: 210 * time.Microsecond,
+		QueryDst: 190 * time.Microsecond, Eval: 3 * time.Microsecond}
 	if got := testing.AllocsPerRun(2000, func() { r.Observe(bd) }); got != 0 {
 		t.Fatalf("SetupRecorder.Observe allocates %.1f objects/op, want 0", got)
 	}

@@ -250,7 +250,10 @@ func main() {
 		defer ts.Close()
 		fmt.Printf("identctl: telemetry on http://%s/metrics\n", taddr)
 	}
-	handler := &channelHandler{ctl: ctl, rt: rt}
+	handler := channelHandler{ctl}
+	if rt != nil {
+		handler.front = rt
+	}
 	server := openflow.NewChannelServer(handler)
 	addr, err := server.Listen(*listen)
 	if err != nil {
@@ -281,50 +284,39 @@ func parseMember(s string) (cluster.Member, error) {
 	return cluster.Member{ID: id, Addr: addr}, nil
 }
 
-// channelHandler adapts ChannelServer callbacks onto the controller — or,
-// in multi-controller operation, onto the ownership router in front of it.
-type channelHandler struct {
-	ctl *core.Controller
-	rt  *cluster.Router // nil when not clustered
+// front is what a switch channel drives: the controller itself, or in
+// multi-controller operation the ownership router before it.
+type front interface {
+	AddDatapath(openflow.Datapath)
+	RemoveDatapath(openflow.Datapath) bool
+	HandleEvent(openflow.PacketIn)
+	HandleFlowRemoved(*openflow.Switch, openflow.FlowRemoved)
 }
 
-func (h *channelHandler) SwitchConnected(sw *openflow.RemoteSwitch) {
+// channelHandler adapts ChannelServer callbacks onto the front chosen at
+// start-up.
+type channelHandler struct{ front }
+
+func (h channelHandler) SwitchConnected(sw *openflow.RemoteSwitch) {
 	fmt.Printf("identctl: switch %d connected\n", sw.DatapathID())
-	if h.rt != nil {
-		h.rt.AddDatapath(sw)
-		return
-	}
-	h.ctl.AddDatapath(sw)
+	h.AddDatapath(sw)
 }
 
-func (h *channelHandler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
+func (h channelHandler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
 	// The wire codec does not carry the parsed tuple; rebuild it from the
-	// frame before handing the event to the controller.
-	ev = rebuildTuple(ev)
-	if h.rt != nil {
-		h.rt.HandleEvent(ev)
-		return
-	}
-	h.ctl.HandleEvent(ev)
+	// frame before handing the event on.
+	h.HandleEvent(rebuildTuple(ev))
 }
 
-func (h *channelHandler) FlowRemoved(sw *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
-	if h.rt != nil {
-		h.rt.HandleFlowRemoved(nil, ev)
-		return
-	}
-	h.ctl.HandleFlowRemoved(nil, ev)
+func (h channelHandler) FlowRemoved(sw *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
+	h.HandleFlowRemoved(nil, ev)
 }
 
-func (h *channelHandler) SwitchDisconnected(sw *openflow.RemoteSwitch) {
+func (h channelHandler) SwitchDisconnected(sw *openflow.RemoteSwitch) {
 	fmt.Printf("identctl: switch %d disconnected\n", sw.DatapathID())
 	// A reconnect may already have replaced the handle; then this removes
 	// nothing.
-	if h.rt != nil {
-		h.rt.RemoveDatapath(sw)
-		return
-	}
-	h.ctl.RemoveDatapath(sw)
+	h.RemoveDatapath(sw)
 }
 
 func rebuildTuple(ev openflow.PacketIn) openflow.PacketIn {

@@ -208,9 +208,9 @@ func TestSwitchDisconnectDeregistersDatapath(t *testing.T) {
 			Transport: nullTransport{},
 			Topology:  &sinkTopo{},
 		})
-		h := &channelHandler{ctl: ctl}
+		h := channelHandler{ctl}
 		if clustered {
-			h.rt = cluster.NewRouter(ctl, cluster.Member{ID: "a"}, cluster.Options{})
+			h.front = cluster.NewRouter(ctl, cluster.Member{ID: "a"}, cluster.Options{})
 		}
 		server := openflow.NewChannelServer(h)
 		addr, err := server.Listen("127.0.0.1:0")

@@ -49,7 +49,6 @@ func main() {
 		Policy:         policy,
 		Transport:      n.Transport(sw, nil),
 		Topology:       n,
-		Latency:        n.LatencyModel(),
 		InstallEntries: true,
 		Clock:          n.Clock.Now,
 	})
@@ -77,5 +76,6 @@ func main() {
 	for _, e := range ctl.Audit.Entries() {
 		fmt.Printf("  %s\n", e)
 	}
-	fmt.Printf("\nflow-setup latency: %s\n", ctl.Setup.Total.Summary())
+	fmt.Printf("\nflow-setup latency: %s, plus %v each for the punt and the install (the simulator's control channel)\n",
+		ctl.Setup.Total.Summary(), n.CtrlLatency)
 }

@@ -13,7 +13,7 @@ import (
 	"identxx/internal/wire"
 )
 
-// fakeAsyncTransport implements AsyncQueryTransport over fakeTransport.
+// fakeAsyncTransport adds the 3-argument QueryAsync face to fakeTransport.
 // With a gate set, completions are held until the gate closes, so tests
 // can observe a suspended decision; inline delivers completions on the
 // QueryAsync caller's goroutine (the query plane's fast-fail shape).
@@ -39,6 +39,61 @@ func (t *fakeAsyncTransport) QueryAsync(host netaddr.IP, q wire.Query, done func
 	}()
 }
 
+// completionModes are the two places a miss's completions run. inline: over
+// the transport's blocking Query, on HandleEvent's goroutine before it
+// returns — the simulator and the experiments. deferred: each on a goroutine
+// of its own after the enqueue returned, as the query plane's connection
+// readers deliver them — what identctl runs. It is one code path
+// (srcDone/dstDone, then finishDecision), so a handshake test makes the same
+// assertions in both. The zero mode is inline.
+var completionModes = []completionMode{{name: "inline"}, {name: "deferred", deferred: true}}
+
+type completionMode struct {
+	name     string
+	deferred bool
+}
+
+// inCompletionModes runs test once per completion mode.
+func inCompletionModes(t *testing.T, test func(t *testing.T, cm completionMode)) {
+	for _, cm := range completionModes {
+		t.Run(cm.name, func(t *testing.T) { test(t, cm) })
+	}
+}
+
+// parked is how many of one decision's queries sit in a gated transport at
+// once: a blocking transport is asked for one end, then the other.
+func (m completionMode) parked() int {
+	if m.deferred {
+		return 2
+	}
+	return 1
+}
+
+// config sets cfg's transport up for the mode and returns settle, which
+// returns once every completion issued so far has run: a no-op inline.
+func (m completionMode) config(cfg *Config) (settle func()) {
+	if !m.deferred {
+		return func() {}
+	}
+	d := &deferredTransport{QueryTransport: cfg.Transport}
+	cfg.Transport, cfg.AsyncQueries = d, true
+	return d.wg.Wait
+}
+
+// deferredTransport completes every query on a goroutine of its own.
+type deferredTransport struct {
+	QueryTransport
+	wg sync.WaitGroup
+}
+
+func (d *deferredTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		done(d.Query(host, q))
+	}()
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -55,7 +110,7 @@ block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `
 
-func newAsyncController(tr AsyncQueryTransport, topo Topology) (*Controller, *fakeDatapath) {
+func newAsyncController(tr QueryTransport, topo Topology) (*Controller, *fakeDatapath) {
 	dp1 := &fakeDatapath{id: 1}
 	c := New(Config{
 		Name:           "async",
@@ -101,7 +156,7 @@ func TestAsyncDecisionSuspendsAndFinishes(t *testing.T) {
 
 // TestAsyncDuplicatesParkAndResolve: packet-ins arriving while the decision
 // is suspended park on the shard waiter list and are resolved by the
-// completion-side finish, exactly as on the blocking path.
+// completion-side finish, exactly as under inline completion.
 func TestAsyncDuplicatesParkAndResolve(t *testing.T) {
 	tr := &fakeAsyncTransport{
 		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{

@@ -63,10 +63,10 @@ func IsNoDaemon(err error) bool {
 	return errors.As(err, &nd) && nd.NoDaemon()
 }
 
-// isTimeout mirrors the net.Error convention without importing net:
+// IsTimeout mirrors the net.Error convention without importing net:
 // deadline-style failures (context.DeadlineExceeded, net timeouts, the
 // query plane's ErrDeadline) all report Timeout() true.
-func isTimeout(err error) bool {
+func IsTimeout(err error) bool {
 	var t interface{ Timeout() bool }
 	return errors.As(err, &t) && t.Timeout()
 }
@@ -114,32 +114,71 @@ type CredentialChecker interface {
 
 // QueryTransport delivers an ident++ query to a host's daemon and returns
 // its response plus the round-trip latency (virtual in simulation, wall on
-// TCP).
+// TCP). Under Config.AsyncQueries the transport must also have a
+// completion-style face, which New finds by its method: QueryAsyncTraced
+// (queryFunc's signature; internal/query.Engine) or the 3-argument
+// QueryAsync(host, q, done).
 type QueryTransport interface {
 	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
 }
 
-// AsyncQueryTransport is a QueryTransport that can additionally deliver
-// the result to a completion callback instead of blocking the caller —
-// the query plane's face (internal/query.Engine implements it). done is
-// invoked exactly once, possibly inline (fast-path failures, caches) and
-// possibly on a transport goroutine; the response it delivers may be
-// shared with coalesced waiters and must be treated as a read-only borrow.
-type AsyncQueryTransport interface {
-	QueryTransport
-	QueryAsync(host netaddr.IP, q wire.Query, done func(resp *wire.Response, rtt time.Duration, err error))
+// queryFunc is the one face the decision path asks a transport through. done
+// is invoked exactly once — inline on the caller (a blocking transport, the
+// query plane's fast-path failures and caches), or later on whichever
+// goroutine learns the outcome (over the query plane's Pool, the daemon
+// connection's reader). The response it delivers may be shared with coalesced
+// waiters and must be treated as a read-only borrow. tb is the decision's
+// flight-recorder buffer and epFlag its endpoint (trace.FlagSrc or
+// trace.FlagDst), OR'd into every event recorded for the exchange: one
+// StageQueryEnqueue when the query is accepted or rejected, one
+// StageQueryDone before done runs. A nil tb records nothing.
+type queryFunc func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(resp *wire.Response, rtt time.Duration, err error))
+
+// resolveTransport picks the transport's one face, once. internal/query.Engine
+// has queryFunc's shape itself and records richer span events than the
+// controller could (coalescing, breaker, negative cache, attempts); a
+// transport with only the 3-argument QueryAsync, and — without AsyncQueries —
+// any transport's blocking Query, completed inline on the caller, are wrapped
+// by selfTracing.
+func resolveTransport(tr QueryTransport, async bool) queryFunc {
+	if !async {
+		return selfTracing(func(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+			done(tr.Query(host, q))
+		})
+	}
+	switch t := tr.(type) {
+	case interface {
+		QueryAsyncTraced(netaddr.IP, wire.Query, *trace.Buffer, uint16, func(*wire.Response, time.Duration, error))
+	}:
+		return t.QueryAsyncTraced
+	case interface {
+		QueryAsync(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))
+	}:
+		return selfTracing(t.QueryAsync)
+	}
+	panic("core: Config.AsyncQueries requires a Transport with QueryAsync or QueryAsyncTraced")
 }
 
-// TracedAsyncQueryTransport is an AsyncQueryTransport that can additionally
-// annotate a decision's flight-recorder buffer with per-exchange query-plane
-// events: the enqueue (with the gate that admitted or rejected it —
-// coalesced, negative-cache, breaker) and the completion (RTT, transport
-// attempts). internal/query.Engine implements it. epFlag identifies the
-// endpoint (trace.FlagSrc or trace.FlagDst) and is OR'd into every event the
-// transport records; a nil tb must behave exactly like QueryAsync.
-type TracedAsyncQueryTransport interface {
-	AsyncQueryTransport
-	QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(resp *wire.Response, rtt time.Duration, err error))
+// selfTracing adapts a transport that knows nothing of the flight recorder:
+// the adapter records the enqueue/done pair itself, the done event before the
+// caller's completion runs (which may finish the decision and re-pool tb). An
+// untraced decision passes straight through, allocating nothing.
+func selfTracing(issue func(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))) queryFunc {
+	return func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(*wire.Response, time.Duration, error)) {
+		if tb != nil {
+			tb.Rec(trace.StageQueryEnqueue, epFlag, 0)
+			inner := done
+			done = func(resp *wire.Response, rtt time.Duration, err error) {
+				flags := epFlag
+				if err != nil {
+					flags |= trace.FlagErr
+				}
+				tb.Rec(trace.StageQueryDone, flags, int64(rtt))
+				inner(resp, rtt, err)
+			}
+		}
+		issue(host, q, done)
+	}
 }
 
 // Hop is one switch traversal on a flow's path.
@@ -154,21 +193,12 @@ type Topology interface {
 	Path(src, dst netaddr.IP) ([]Hop, error)
 }
 
-// LatencyModel supplies the control-channel latencies the controller cannot
-// observe itself; the simulator implements it with its virtual link delays.
-// A nil model contributes zero punt/install time to breakdowns.
-type LatencyModel interface {
-	PuntLatency(datapath uint64) time.Duration
-	InstallLatency(datapath uint64) time.Duration
-}
-
 // Config parameterizes a Controller.
 type Config struct {
 	Name      string
 	Policy    *pf.Policy
 	Transport QueryTransport
 	Topology  Topology
-	Latency   LatencyModel
 
 	// IdleTimeout is applied to installed entries (default 60s); they get
 	// no hard timeout (Ethane-style).
@@ -178,12 +208,14 @@ type Config struct {
 	// the M5 ablation: every packet of every flow punts to the controller.
 	InstallEntries bool
 
-	// AsyncQueries suspends cache-missing decisions on the query plane
-	// instead of parking a goroutine per decision on the daemon round
-	// trip: HandleEvent returns once both endpoint queries are enqueued,
-	// and the completion that delivers the second response finishes the
-	// decision (evaluation, install, waiter resolution) on its own
-	// goroutine. Requires Transport to implement AsyncQueryTransport.
+	// AsyncQueries lets a cache-missing decision outlive HandleEvent: the two
+	// endpoint queries go out through the transport's completion-style face
+	// (see QueryTransport), HandleEvent returns once both are enqueued, and
+	// the completion that delivers the second response finishes the decision
+	// (evaluation, install, waiter resolution) wherever the transport runs it
+	// — over the query plane, the daemon connection's reader. Off, the
+	// transport's blocking Query is asked for one end, then the other, and
+	// HandleEvent returns with the decision finished.
 	AsyncQueries bool
 
 	// ResponseCacheTTL turns on the verdict cache (megaflow.go): each full
@@ -270,16 +302,12 @@ func (st *ctlState) clone() *ctlState {
 type Controller struct {
 	name      string
 	sourceTag string // "controller:<name>", the §3.4 augmentation source, built once
-	transport QueryTransport
-	asyncTr   AsyncQueryTransport // non-nil iff Config.AsyncQueries
-	// asyncTraced is the transport's trace-aware face (nil when the
-	// transport has none); consulted only when a decision holds a trace
-	// buffer, so a plain AsyncQueryTransport keeps working untraced.
-	asyncTraced TracedAsyncQueryTransport
+	// query is Config.Transport's one face (resolveTransport): every miss
+	// asks both ends through it and is finished by the second completion.
+	query queryFunc
 	// tr is the flight recorder; nil = tracing disabled (the common case).
 	tr       *trace.Recorder
 	topo     Topology
-	latency  LatencyModel
 	idle     time.Duration
 	install  bool
 	cacheTTL time.Duration
@@ -348,41 +376,20 @@ func New(cfg Config) *Controller {
 	if shards <= 0 {
 		shards = defaultShards()
 	}
-	var asyncTr AsyncQueryTransport
-	if cfg.AsyncQueries {
-		at, ok := cfg.Transport.(AsyncQueryTransport)
-		if !ok {
-			panic("core: Config.AsyncQueries requires a Transport implementing AsyncQueryTransport")
-		}
-		asyncTr = at
-	}
-	var asyncTraced TracedAsyncQueryTransport
-	if asyncTr != nil {
-		if tt, ok := cfg.Transport.(TracedAsyncQueryTransport); ok {
-			asyncTraced = tt
-		}
-	}
-	var credTr CredentialChecker
-	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
-		credTr = ct
-	}
 	c := &Controller{
-		name:        cfg.Name,
-		sourceTag:   "controller:" + cfg.Name,
-		transport:   cfg.Transport,
-		asyncTr:     asyncTr,
-		asyncTraced: asyncTraced,
-		tr:          cfg.Trace,
-		topo:        cfg.Topology,
-		latency:     cfg.Latency,
-		idle:        idle,
-		install:     cfg.InstallEntries,
-		cacheTTL:    cfg.ResponseCacheTTL,
-		clock:       clock,
-		flows:       newShardTable(shards),
-		Counters:    metrics.NewCounter(),
-		Setup:       metrics.NewSetupRecorder(),
-		Audit:       NewAuditLog(0),
+		name:      cfg.Name,
+		sourceTag: "controller:" + cfg.Name,
+		query:     resolveTransport(cfg.Transport, cfg.AsyncQueries),
+		tr:        cfg.Trace,
+		topo:      cfg.Topology,
+		idle:      idle,
+		install:   cfg.InstallEntries,
+		cacheTTL:  cfg.ResponseCacheTTL,
+		clock:     clock,
+		flows:     newShardTable(shards),
+		Counters:  metrics.NewCounter(),
+		Setup:     metrics.NewSetupRecorder(),
+		Audit:     NewAuditLog(0),
 	}
 	c.hot.packetIns = c.Counters.Cell("packet_ins")
 	c.hot.dupPacketIns = c.Counters.Cell("duplicate_packet_ins")
@@ -416,7 +423,9 @@ func New(cfg Config) *Controller {
 		c.revoker = revoke.NewIndex(shards)
 		c.leaseTTL = cfg.RevocationLeaseTTL
 	}
-	c.credTr = credTr
+	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
+		c.credTr = ct
+	}
 	c.state.Store(&ctlState{
 		policy:    cfg.Policy,
 		prog:      cfg.Policy.Program(),
@@ -653,12 +662,15 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 // a pooled scratch — the steady-state path allocates nothing (see
 // decisionScratch and the M8 allocation budget).
 //
-// On a verdict-cache hit the decision completes synchronously. On a miss
-// the two endpoint queries are issued and the decision is finished by
-// finishDecision — on this goroutine for a blocking transport, or on a
-// query-plane completion goroutine when AsyncQueries is enabled, in which
-// case HandleEvent returns as soon as both queries are enqueued and the
-// event loop is free for the next packet-in.
+// On a verdict-cache hit or a header-only verdict the decision completes
+// right here. On a miss the two endpoint queries are issued and the second
+// completion runs finishDecision — before HandleEvent returns when the
+// transport completes inline (every blocking transport; the query plane's
+// fast-path rejections), otherwise wherever the transport completes: under
+// AsyncQueries over the query plane HandleEvent returns as soon as both
+// queries are enqueued, the event loop is free for the next packet-in, and
+// the decision finishes on the reader of the daemon connection whose
+// response arrived second.
 func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	c.hot.packetIns.Add(1)
 	st := c.state.Load()
@@ -705,10 +717,6 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	// trace ID and stitches here.
 	s.tb = c.tr.Begin(ev.TraceID)
 	s.tb.SetFlow(uint8(five.Proto), uint32(five.SrcIP), uint32(five.DstIP), uint16(five.SrcPort), uint16(five.DstPort))
-	if c.latency != nil {
-		s.bd.Punt = c.latency.PuntLatency(ev.SwitchID)
-		s.bd.Install = c.latency.InstallLatency(ev.SwitchID)
-	}
 	g := &s.gather
 	g.c, g.st = c, st
 
@@ -765,53 +773,26 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	// decision. ID() is 0 on a nil buffer and EncodeQuery omits it.
 	g.qs = wire.Query{Flow: five, Keys: s.srcKeys, TraceID: s.tb.ID()}
 	g.qd = wire.Query{Flow: five, Keys: s.dstKeys, TraceID: s.tb.ID()}
-	if c.asyncTr != nil {
-		// Non-blocking pipeline: hand both endpoint queries to the query
-		// plane and return — no goroutine parks on the round trip. pending
-		// is armed before the first enqueue because a completion may run
-		// inline (negative-cache hit, open breaker); whichever completion
-		// drops it to zero finishes the decision.
-		g.pending.Store(2)
-		if c.asyncTraced != nil && s.tb != nil {
-			// The query plane records its own span events (coalescing,
-			// breaker, negative cache, attempts) — richer than the
-			// controller could reconstruct from the completion alone.
-			c.asyncTraced.QueryAsyncTraced(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
-			c.asyncTraced.QueryAsyncTraced(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)
-			return
-		}
-		if s.tb != nil {
-			g.selfTraced = true
-			s.tb.Rec(trace.StageQueryEnqueue, trace.FlagSrc, 0)
-			s.tb.Rec(trace.StageQueryEnqueue, trace.FlagDst, 0)
-		}
-		c.asyncTr.QueryAsync(five.SrcIP, g.qs, g.srcDoneFn)
-		c.asyncTr.QueryAsync(five.DstIP, g.qd, g.dstDoneFn)
-		return
-	}
-
-	// Blocking transport: query both ends concurrently (§2 step 3), the
-	// destination on a goroutine started through the prebound entry point.
-	if s.tb != nil {
-		g.selfTraced = true
-		s.tb.Rec(trace.StageQueryEnqueue, trace.FlagSrc|trace.FlagDst, 0)
-	}
-	g.wg.Add(1)
-	go g.dstFn()
-	resp, rtt, err := c.transport.Query(five.SrcIP, g.qs)
-	g.recQueryDone(trace.FlagSrc, rtt, err)
-	g.src, g.qsrc, g.srcBuilt, g.srcTransient = c.resolveResponse(st, five, five.SrcIP, resp, rtt, err)
-	g.wg.Wait()
-	c.finishDecision(s)
+	// One gather sequence: hand both endpoint queries to the transport (§2
+	// step 3); whichever completion drops pending to zero finishes the
+	// decision. pending is armed before the first enqueue because a
+	// completion may run inline — always, over a blocking transport, whose
+	// two ends are therefore asked one after the other; on a negative-cache
+	// hit or an open breaker over the query plane. The second call may finish
+	// the decision and release the scratch: nothing reads s or g after it.
+	g.pending.Store(2)
+	c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
+	c.query(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)
 }
 
 // finishDecision is the back half of the Figure 1 pipeline: evaluate the
 // policy (or take the cached verdict), record the audit entry, install the
 // verdict, cache it, and resolve the parked duplicates. It runs on the
-// packet-in goroutine for cache hits and blocking transports, and on a
-// query-plane completion goroutine for suspended asynchronous decisions;
-// everything it touches is either scratch-owned or independently
-// synchronized, so the two arrivals share one code path.
+// packet-in goroutine for cache hits, header-only verdicts and inline
+// completions, and on the transport's completing goroutine (the daemon
+// connection's reader) for a decision that outlived HandleEvent. Everything
+// it touches is either scratch-owned or independently synchronized, so every
+// arrival shares this one code path; on a reader it must not block.
 func (c *Controller) finishDecision(s *decisionScratch) {
 	st, sh, five := s.gather.st, s.sh, s.five
 	pass := false
@@ -1012,7 +993,7 @@ func (c *Controller) resolveResponse(st *ctlState, five flow.Five, host netaddr.
 		}
 		c.hot.credUnauthorized.Add(1)
 	} else if !IsNoDaemon(err) {
-		if isTimeout(err) {
+		if IsTimeout(err) {
 			c.hot.queryTimeouts.Add(1)
 		} else {
 			c.hot.queryErrors.Add(1)

@@ -21,13 +21,21 @@ const megaPolicy = "block all\npass from any to any port 5060 with eq(@dst[name]
 
 func newMegaController(t *testing.T, policy string, leaseTTL time.Duration, clock func() time.Time) (*Controller, *fakeTransport, *fakeDatapath, *fakeDatapath) {
 	t.Helper()
+	c, tr, dp1, dp2, _ := newMegaControllerIn(t, completionMode{}, policy, leaseTTL, clock)
+	return c, tr, dp1, dp2
+}
+
+// newMegaControllerIn is newMegaController in a completion mode; settle waits
+// out the decisions HandleEvent left in flight.
+func newMegaControllerIn(t *testing.T, cm completionMode, policy string, leaseTTL time.Duration, clock func() time.Time) (_ *Controller, _ *fakeTransport, _, _ *fakeDatapath, settle func()) {
+	t.Helper()
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
 	}}
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
-	c := New(Config{
+	cfg := Config{
 		Name:               "mega",
 		Policy:             pf.MustCompile("mega", policy),
 		Transport:          tr,
@@ -38,10 +46,12 @@ func newMegaController(t *testing.T, policy string, leaseTTL time.Duration, cloc
 		RevocationLeaseTTL: leaseTTL,
 		Megaflow:           true,
 		Clock:              clock,
-	})
+	}
+	settle = cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
-	return c, tr, dp1, dp2
+	return c, tr, dp1, dp2, settle
 }
 
 func megaFlow(src netaddr.IP, sp int) flow.Five {
@@ -59,11 +69,14 @@ func (t *fakeTransport) queryCount() int {
 // decides and widens; every later flow agreeing on the traced fields
 // resolves from the verdict cache — no query, no evaluation, no entry of
 // its own — and its installs carry the class cookie.
-func TestMegaflowClassHit(t *testing.T) {
-	c, tr, dp1, _ := newMegaController(t, megaPolicy, 0, nil)
+func TestMegaflowClassHit(t *testing.T) { inCompletionModes(t, testMegaflowClassHit) }
+
+func testMegaflowClassHit(t *testing.T, cm completionMode) {
+	c, tr, dp1, _, settle := newMegaControllerIn(t, cm, megaPolicy, 0, nil)
 
 	founder := megaFlow(hostA, 40000)
 	c.HandleEvent(sampleEvent(founder, 1))
+	settle()
 	if got := c.Counters.Get("flows_allowed"); got != 1 {
 		t.Fatalf("founder not allowed; %s", c.Counters)
 	}
@@ -81,6 +94,7 @@ func TestMegaflowClassHit(t *testing.T) {
 	for _, f := range members {
 		c.HandleEvent(sampleEvent(f, 1))
 	}
+	settle()
 	if got := c.Counters.Get("flows_allowed"); got != 3 {
 		t.Fatalf("members not allowed; %s", c.Counters)
 	}
@@ -647,13 +661,17 @@ func (d *fakeDatapath) resident() map[flow.Match]uint64 {
 // on its teardown set — so the class's teardown reaches both flows' entries
 // and nothing is left installed under a cookie no record knows.
 func TestMegaflowFounderRaceJoinsResident(t *testing.T) {
+	inCompletionModes(t, testMegaflowFounderRaceJoinsResident)
+}
+
+func testMegaflowFounderRaceJoinsResident(t *testing.T, cm completionMode) {
 	gate := make(chan struct{})
 	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
 	}}}
 	dp1 := &fakeDatapath{id: 1}
-	c := New(Config{
+	cfg := Config{
 		Name:             "mega-founders",
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
@@ -662,7 +680,9 @@ func TestMegaflowFounderRaceJoinsResident(t *testing.T) {
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 		Megaflow:         true,
-	})
+	}
+	settle := cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 
 	// Both flows probe the empty cache, then park in the transport: each
@@ -676,9 +696,10 @@ func TestMegaflowFounderRaceJoinsResident(t *testing.T) {
 			c.HandleEvent(sampleEvent(f, 1))
 		}()
 	}
-	tr.waitQueries(t, 2*len(flows))
+	tr.waitQueries(t, cm.parked()*len(flows))
 	close(gate)
 	wg.Wait()
+	settle()
 
 	live, hits, installs, _ := c.MegaflowStats()
 	if live != 1 || installs != 1 || hits != 0 {

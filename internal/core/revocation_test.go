@@ -56,13 +56,21 @@ func verdictCookie(c *Controller, five flow.Five) uint64 {
 // path and the canned skype transport.
 func newRevController(t *testing.T, cacheTTL, leaseTTL time.Duration, clock func() time.Time) (*Controller, *fakeTransport, *fakeDatapath, *fakeDatapath) {
 	t.Helper()
+	c, tr, dp1, dp2, _ := newRevControllerIn(t, completionMode{}, cacheTTL, leaseTTL, clock)
+	return c, tr, dp1, dp2
+}
+
+// newRevControllerIn is newRevController in a completion mode; settle waits
+// out the decisions HandleEvent left in flight.
+func newRevControllerIn(t *testing.T, cm completionMode, cacheTTL, leaseTTL time.Duration, clock func() time.Time) (_ *Controller, _ *fakeTransport, _, _ *fakeDatapath, settle func()) {
+	t.Helper()
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
 	}}
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
-	c := New(Config{
+	cfg := Config{
 		Name:               "rev",
 		Policy:             pf.MustCompile("rev", revPolicy),
 		Transport:          tr,
@@ -72,10 +80,12 @@ func newRevController(t *testing.T, cacheTTL, leaseTTL time.Duration, clock func
 		Revocation:         true,
 		RevocationLeaseTTL: leaseTTL,
 		Clock:              clock,
-	})
+	}
+	settle = cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
-	return c, tr, dp1, dp2
+	return c, tr, dp1, dp2, settle
 }
 
 func revFlow(sp int) flow.Five {
@@ -102,80 +112,88 @@ func (d *fakeDatapath) deleteMods() []openflow.FlowMod {
 func TestUpdateTearsDownFlow(t *testing.T) {
 	for _, mode := range recordModes {
 		t.Run(mode.name, func(t *testing.T) {
-			cached := mode.cacheTTL > 0
-			c, tr, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
-			five := revFlow(40000)
-			c.HandleEvent(sampleEvent(five, 1))
-			if c.Counters.Get("flows_allowed") != 1 {
-				t.Fatalf("setup: flow not allowed; %s", c.Counters)
-			}
-			// Exactly one record, under the class iff the verdict is cached.
-			wantFlows, wantClasses := 1, 0
-			if cached {
-				wantFlows, wantClasses = 0, 1
-			}
-			if flows, classes := liveRecords(c); flows != wantFlows || classes != wantClasses {
-				t.Fatalf("setup: records = %d flow / %d class, want %d / %d", flows, classes, wantFlows, wantClasses)
-			}
-			if cachedVerdicts(c) != wantClasses {
-				t.Fatalf("setup: cached verdicts = %d", cachedVerdicts(c))
-			}
-			cookie := verdictCookie(c, five)
-			if cached != (cookie&1 == 0) {
-				t.Fatalf("setup: cookie %#x: class cookies are even, flow cookies odd", cookie)
-			}
-			for _, dp := range []*fakeDatapath{dp1, dp2} {
-				dp.mu.Lock()
-				for _, m := range dp.mods {
-					if m.Cookie != cookie {
-						t.Errorf("dp%d: founder install carries cookie %#x, want %#x", dp.id, m.Cookie, cookie)
-					}
-				}
-				dp.mu.Unlock()
-			}
-			queriesBefore := tr.queryCount()
-
-			c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
-
-			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
-				t.Errorf("after the update: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
-			}
-			// Deletes along the full installed path, cookie-scoped: one
-			// wildcard for a class, the flow's two directions otherwise.
-			wantMatches := []flow.Match{flow.FiveMatch(five), flow.FiveMatch(five.Reverse())}
-			wantRule, wantClassCtr := "(revoked: update:name)", int64(0)
-			if cached {
-				wantMatches = []flow.Match{flow.MatchAll()}
-				wantRule, wantClassCtr = "(megaflow revoked: update:name)", 1
-			}
-			for _, dp := range []*fakeDatapath{dp1, dp2} {
-				dels := dp.deleteMods()
-				if len(dels) != mode.deletesPerDP {
-					t.Fatalf("dp%d delete mods = %d, want %d", dp.id, len(dels), mode.deletesPerDP)
-				}
-				for i, m := range dels {
-					if m.Cookie != cookie || m.Match != wantMatches[i] {
-						t.Errorf("dp%d delete %d = cookie %#x match %v, want %#x %v", dp.id, i, m.Cookie, m.Match, cookie, wantMatches[i])
-					}
-				}
-			}
-			if got := c.Audit.Revocations(); len(got) != 1 || got[0].Flow != five || got[0].Rule != wantRule {
-				t.Errorf("revocation audit records = %+v, want one for the flow saying %q", got, wantRule)
-			}
-			// One revoked verdict either way; a class's is also a megaflow teardown.
-			if f, m := c.Counters.Get("revocations_flows"), c.Counters.Get("megaflow_teardowns"); f != 1 || m != wantClassCtr {
-				t.Errorf("revocations_flows = %d, megaflow_teardowns = %d, want 1 / %d", f, m, wantClassCtr)
-			}
-
-			// Next packet of the same flow re-queries and re-decides.
-			c.HandleEvent(sampleEvent(five, 1))
-			if tr.queryCount() <= queriesBefore {
-				t.Error("re-admission did not re-query the daemons")
-			}
-			if c.Counters.Get("flows_allowed") != 2 {
-				t.Errorf("flow not re-admitted: %s", c.Counters)
-			}
+			inCompletionModes(t, func(t *testing.T, cm completionMode) {
+				testUpdateTearsDownFlow(t, mode.cacheTTL, mode.deletesPerDP, cm)
+			})
 		})
+	}
+}
+
+func testUpdateTearsDownFlow(t *testing.T, cacheTTL time.Duration, deletesPerDP int, cm completionMode) {
+	cached := cacheTTL > 0
+	c, tr, dp1, dp2, settle := newRevControllerIn(t, cm, cacheTTL, 0, nil)
+	five := revFlow(40000)
+	c.HandleEvent(sampleEvent(five, 1))
+	settle()
+	if c.Counters.Get("flows_allowed") != 1 {
+		t.Fatalf("setup: flow not allowed; %s", c.Counters)
+	}
+	// Exactly one record, under the class iff the verdict is cached.
+	wantFlows, wantClasses := 1, 0
+	if cached {
+		wantFlows, wantClasses = 0, 1
+	}
+	if flows, classes := liveRecords(c); flows != wantFlows || classes != wantClasses {
+		t.Fatalf("setup: records = %d flow / %d class, want %d / %d", flows, classes, wantFlows, wantClasses)
+	}
+	if cachedVerdicts(c) != wantClasses {
+		t.Fatalf("setup: cached verdicts = %d", cachedVerdicts(c))
+	}
+	cookie := verdictCookie(c, five)
+	if cached != (cookie&1 == 0) {
+		t.Fatalf("setup: cookie %#x: class cookies are even, flow cookies odd", cookie)
+	}
+	for _, dp := range []*fakeDatapath{dp1, dp2} {
+		dp.mu.Lock()
+		for _, m := range dp.mods {
+			if m.Cookie != cookie {
+				t.Errorf("dp%d: founder install carries cookie %#x, want %#x", dp.id, m.Cookie, cookie)
+			}
+		}
+		dp.mu.Unlock()
+	}
+	queriesBefore := tr.queryCount()
+
+	c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
+
+	if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
+		t.Errorf("after the update: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
+	}
+	// Deletes along the full installed path, cookie-scoped: one
+	// wildcard for a class, the flow's two directions otherwise.
+	wantMatches := []flow.Match{flow.FiveMatch(five), flow.FiveMatch(five.Reverse())}
+	wantRule, wantClassCtr := "(revoked: update:name)", int64(0)
+	if cached {
+		wantMatches = []flow.Match{flow.MatchAll()}
+		wantRule, wantClassCtr = "(megaflow revoked: update:name)", 1
+	}
+	for _, dp := range []*fakeDatapath{dp1, dp2} {
+		dels := dp.deleteMods()
+		if len(dels) != deletesPerDP {
+			t.Fatalf("dp%d delete mods = %d, want %d", dp.id, len(dels), deletesPerDP)
+		}
+		for i, m := range dels {
+			if m.Cookie != cookie || m.Match != wantMatches[i] {
+				t.Errorf("dp%d delete %d = cookie %#x match %v, want %#x %v", dp.id, i, m.Cookie, m.Match, cookie, wantMatches[i])
+			}
+		}
+	}
+	if got := c.Audit.Revocations(); len(got) != 1 || got[0].Flow != five || got[0].Rule != wantRule {
+		t.Errorf("revocation audit records = %+v, want one for the flow saying %q", got, wantRule)
+	}
+	// One revoked verdict either way; a class's is also a megaflow teardown.
+	if f, m := c.Counters.Get("revocations_flows"), c.Counters.Get("megaflow_teardowns"); f != 1 || m != wantClassCtr {
+		t.Errorf("revocations_flows = %d, megaflow_teardowns = %d, want 1 / %d", f, m, wantClassCtr)
+	}
+
+	// Next packet of the same flow re-queries and re-decides.
+	c.HandleEvent(sampleEvent(five, 1))
+	settle()
+	if tr.queryCount() <= queriesBefore {
+		t.Error("re-admission did not re-query the daemons")
+	}
+	if c.Counters.Get("flows_allowed") != 2 {
+		t.Errorf("flow not re-admitted: %s", c.Counters)
 	}
 }
 
@@ -479,53 +497,61 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 func TestLeaseFallback(t *testing.T) {
 	for _, mode := range recordModes {
 		t.Run(mode.name, func(t *testing.T) {
-			now := time.Unix(1000, 0)
-			var mu sync.Mutex
-			clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-			advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-			c, _, _, _ := newRevController(t, mode.cacheTTL, time.Minute, clock)
-
-			// Flow 1: neither end push-capable — leased.
-			leased := revFlow(44000)
-			c.HandleEvent(sampleEvent(leased, 1))
-
-			if n := c.SweepLeases(); n != 0 {
-				t.Fatalf("lease expired immediately: %d", n)
-			}
-			advance(2 * time.Minute)
-
-			// Both hosts say hello before the next decision: exempt from leases.
-			c.HandleUpdate(hostA, wire.Update{Hello: true, Serial: 1})
-			c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
-			pushed := revFlow(44001)
-			c.HandleEvent(sampleEvent(pushed, 1))
-
-			if n := c.SweepLeases(); n != 1 {
-				t.Fatalf("SweepLeases tore down %d verdicts, want 1 (the leased one)", n)
-			}
-			// Counted once, under the kind of record the verdict had.
-			wantFlows, wantClasses := int64(1), int64(0)
-			if mode.cacheTTL > 0 {
-				wantFlows, wantClasses = 0, 1
-			}
-			if f, w := c.Counters.Get("revocations_lease_expired"), c.Counters.Get("revocations_wide_lease_expired"); f != wantFlows || w != wantClasses {
-				t.Errorf("revocations_lease_expired = %d, revocations_wide_lease_expired = %d, want %d / %d", f, w, wantFlows, wantClasses)
-			}
-			// The leased verdict's record and cache entry went with it; the
-			// exempt one's stay.
-			if flows, classes := liveRecords(c); int64(flows) != wantFlows || int64(classes) != wantClasses {
-				t.Errorf("records = %d flow / %d class, want the push-exempt verdict's only", flows, classes)
-			}
-			if mode.cacheTTL > 0 && (c.mega.exact(leased) != nil || c.mega.exact(pushed) == nil) {
-				t.Errorf("cached verdicts after sweep: leased=%v pushed=%v, want gone/kept",
-					c.mega.exact(leased) != nil, c.mega.exact(pushed) != nil)
-			}
-			advance(2 * time.Minute)
-			if n := c.SweepLeases(); n != 0 {
-				t.Errorf("push-capable hosts' verdict was lease-revoked (%d)", n)
-			}
+			inCompletionModes(t, func(t *testing.T, cm completionMode) {
+				testLeaseFallback(t, mode.cacheTTL, cm)
+			})
 		})
+	}
+}
+
+func testLeaseFallback(t *testing.T, cacheTTL time.Duration, cm completionMode) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+
+	c, _, _, _, settle := newRevControllerIn(t, cm, cacheTTL, time.Minute, clock)
+
+	// Flow 1: neither end push-capable — leased.
+	leased := revFlow(44000)
+	c.HandleEvent(sampleEvent(leased, 1))
+	settle()
+
+	if n := c.SweepLeases(); n != 0 {
+		t.Fatalf("lease expired immediately: %d", n)
+	}
+	advance(2 * time.Minute)
+
+	// Both hosts say hello before the next decision: exempt from leases.
+	c.HandleUpdate(hostA, wire.Update{Hello: true, Serial: 1})
+	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
+	pushed := revFlow(44001)
+	c.HandleEvent(sampleEvent(pushed, 1))
+	settle()
+
+	if n := c.SweepLeases(); n != 1 {
+		t.Fatalf("SweepLeases tore down %d verdicts, want 1 (the leased one)", n)
+	}
+	// Counted once, under the kind of record the verdict had.
+	wantFlows, wantClasses := int64(1), int64(0)
+	if cacheTTL > 0 {
+		wantFlows, wantClasses = 0, 1
+	}
+	if f, w := c.Counters.Get("revocations_lease_expired"), c.Counters.Get("revocations_wide_lease_expired"); f != wantFlows || w != wantClasses {
+		t.Errorf("revocations_lease_expired = %d, revocations_wide_lease_expired = %d, want %d / %d", f, w, wantFlows, wantClasses)
+	}
+	// The leased verdict's record and cache entry went with it; the
+	// exempt one's stay.
+	if flows, classes := liveRecords(c); int64(flows) != wantFlows || int64(classes) != wantClasses {
+		t.Errorf("records = %d flow / %d class, want the push-exempt verdict's only", flows, classes)
+	}
+	if cacheTTL > 0 && (c.mega.exact(leased) != nil || c.mega.exact(pushed) == nil) {
+		t.Errorf("cached verdicts after sweep: leased=%v pushed=%v, want gone/kept",
+			c.mega.exact(leased) != nil, c.mega.exact(pushed) != nil)
+	}
+	advance(2 * time.Minute)
+	if n := c.SweepLeases(); n != 0 {
+		t.Errorf("push-capable hosts' verdict was lease-revoked (%d)", n)
 	}
 }
 
@@ -725,14 +751,20 @@ func (t *gatedTransport) waitQueries(tt *testing.T, n int) {
 	}
 }
 
-// TestInstallRevokeReloadSpawnNoGoroutine: flow-mods are applied on the
-// goroutine that asked. A controller that has installed a six-switch path,
-// torn a fan-in of flows down across all six and reloaded its policy has
-// started no goroutine — no workers are left behind and none were needed.
-// (The async transport completes inline; the blocking gather's destination
-// query is the one goroutine the package starts, and no install, teardown
-// or reload path reaches it.)
+// TestInstallRevokeReloadSpawnNoGoroutine: the decision path starts no
+// goroutine. A controller that has gathered both ends of four misses,
+// installed a six-switch path for each — HandleEvent returning with the
+// verdict installed — torn the fan-in down across all six and reloaded its
+// policy is running on the caller alone, over a blocking transport as over an
+// async one that completes inline: no workers are left behind and none were
+// needed.
 func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		testSpawnNoGoroutine(t, async)
+	}
+}
+
+func testSpawnNoGoroutine(t *testing.T, async bool) {
 	before := runtime.NumGoroutine()
 
 	const nDatapaths = 6
@@ -749,7 +781,7 @@ func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
 		}}},
 		Topology:         &fakeTopo{hops: hops},
 		InstallEntries:   true,
-		AsyncQueries:     true,
+		AsyncQueries:     async,
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})
@@ -763,7 +795,7 @@ func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
 		c.HandleEvent(sampleEvent(revFlow(43000+i), 1))
 	}
 	if got := c.Counters.Get("entries_installed"); got != 4*2*nDatapaths {
-		t.Fatalf("entries_installed = %d, want %d", got, 4*2*nDatapaths)
+		t.Fatalf("async=%t: entries_installed = %d when HandleEvent returned, want %d", async, got, 4*2*nDatapaths)
 	}
 	c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 1})
 	if got := c.Counters.Get("revocations_flows"); got != 4 {
@@ -778,6 +810,6 @@ func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
 	}
 
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: %d before, %d after", before, after)
+		t.Errorf("async=%t: goroutines: %d before, %d after", async, before, after)
 	}
 }

@@ -16,10 +16,9 @@ import (
 // decisionScratch is the reusable working set of one HandleEvent decision:
 // the latency breakdown, the path an ablation verdict resolved (reused by
 // the waiter resolver), the datapaths its entries went to, the two-ended
-// query fan-out state, and — since the asynchronous query plane —
-// the decision's continuation context (shard, datapath, event), because a
-// cache-missing decision now survives its originating goroutine and is
-// finished by whichever query-plane completion arrives last. One scratch is
+// query fan-out state, and the decision's continuation context (shard,
+// datapath, event), because a cache-missing decision may outlive HandleEvent
+// and is finished by whichever endpoint completion arrives last. One scratch is
 // checked out of a pool per packet-in and returned when the decision
 // completes, so the steady-state decision path allocates nothing — the
 // budget BenchmarkM8_AllocProfile and TestAllocBudget enforce. (The audit
@@ -76,9 +75,8 @@ func init() {
 	scratchPool.New = func() any {
 		s := new(decisionScratch)
 		s.gather.owner = s
-		// Bind the entry points once: `go fn()` / QueryAsync on a prebound
-		// func value runs without wrapping a fresh closure per decision.
-		s.gather.dstFn = s.gather.runDst
+		// Bind the completion entry points once: handing the transport a
+		// prebound func value wraps no fresh closure per decision.
 		s.gather.srcDoneFn = s.gather.srcDone
 		s.gather.dstDoneFn = s.gather.dstDone
 		return s
@@ -126,16 +124,12 @@ func (s *decisionScratch) release() {
 	scratchPool.Put(s)
 }
 
-// gatherState carries one decision's concurrent two-ended query (§2 step 3:
-// the controller queries "both the source and the destination"). On the
-// blocking path the source query runs on the deciding goroutine and the
-// destination query on a goroutine started through the prebound dstFn, with
-// wg pairing the two. On the asynchronous path both ends are enqueued with
-// the query plane through the prebound completion funcs, pending counts the
-// outstanding ends, and the completion that drops it to zero finishes the
-// decision on its own goroutine.
+// gatherState carries one decision's two-ended query (§2 step 3: the
+// controller queries "both the source and the destination"). Both ends are
+// handed to the transport through the prebound completion funcs, pending
+// counts the outstanding ends, and the completion that drops it to zero
+// finishes the decision on the goroutine it runs on.
 type gatherState struct {
-	wg sync.WaitGroup
 	c  *Controller
 	st *ctlState
 	// qs/qd are the two endpoint queries. They differ only in key hints:
@@ -159,45 +153,17 @@ type gatherState struct {
 	mega *megaEntry
 
 	owner   *decisionScratch
-	pending atomic.Int32 // outstanding async ends; 2 → 0
+	pending atomic.Int32 // outstanding ends; 2 → 0
 
-	// selfTraced means the controller records the query-plane span events
-	// itself (blocking transports and async transports without a traced
-	// face). When the transport implements TracedAsyncQueryTransport the
-	// engine records richer events (coalescing, breaker, attempts) and this
-	// stays false so nothing is double-recorded.
-	selfTraced bool
-
-	dstFn                func()
 	srcDoneFn, dstDoneFn func(*wire.Response, time.Duration, error)
 }
 
-func (g *gatherState) runDst() {
-	resp, rtt, err := g.c.transport.Query(g.qd.Flow.DstIP, g.qd)
-	g.recQueryDone(trace.FlagDst, rtt, err)
-	g.dst, g.qdst, g.dstBuilt, g.dstTransient = g.c.resolveResponse(g.st, g.qd.Flow, g.qd.Flow.DstIP, resp, rtt, err)
-	g.wg.Done()
-}
-
-// recQueryDone records one endpoint query's completion when the controller
-// is the one tracing the query plane (see selfTraced).
-func (g *gatherState) recQueryDone(epFlag uint16, rtt time.Duration, err error) {
-	if !g.selfTraced {
-		return
-	}
-	if err != nil {
-		epFlag |= trace.FlagErr
-	}
-	g.owner.tb.Rec(trace.StageQueryDone, epFlag, int64(rtt))
-}
-
-// srcDone and dstDone are the query plane's completion entry points. The
+// srcDone and dstDone are the transport's completion entry points. The
 // response they receive is a read-only borrow shared with any coalesced
 // waiters (see internal/query's borrow contract); resolveResponse never
 // mutates it, and downstream it is read by the evaluation and dropped —
 // never retained past the decision, never pooled.
 func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error) {
-	g.recQueryDone(trace.FlagSrc, rtt, err)
 	g.src, g.qsrc, g.srcBuilt, g.srcTransient = g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
 	if g.pending.Add(-1) == 0 {
 		g.c.finishDecision(g.owner)
@@ -205,7 +171,6 @@ func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error)
 }
 
 func (g *gatherState) dstDone(resp *wire.Response, rtt time.Duration, err error) {
-	g.recQueryDone(trace.FlagDst, rtt, err)
 	g.dst, g.qdst, g.dstBuilt, g.dstTransient = g.c.resolveResponse(g.st, g.qd.Flow, g.qd.Flow.DstIP, resp, rtt, err)
 	if g.pending.Add(-1) == 0 {
 		g.c.finishDecision(g.owner)
@@ -223,7 +188,6 @@ func (g *gatherState) reset() {
 	g.pre, g.preDecided = pf.Decision{}, false
 	g.mega = nil
 	g.pending.Store(0)
-	g.selfTraced = false
 }
 
 // releaseBuilt returns the controller-built response views to the pf pool

@@ -18,7 +18,9 @@ import (
 // copy-on-write snapshot; correctness is asserted by conservation laws
 // over the counters, which must hold no matter how the schedules
 // interleave.
-func TestStressConcurrentPipeline(t *testing.T) {
+func TestStressConcurrentPipeline(t *testing.T) { inCompletionModes(t, testStressConcurrentPipeline) }
+
+func testStressConcurrentPipeline(t *testing.T, cm completionMode) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
@@ -26,7 +28,7 @@ func TestStressConcurrentPipeline(t *testing.T) {
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}}
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
-	c := New(Config{
+	cfg := Config{
 		Name:             "stress",
 		Policy:           pf.MustCompile("p", `pass from any to any`),
 		Transport:        tr,
@@ -34,7 +36,9 @@ func TestStressConcurrentPipeline(t *testing.T) {
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
 		Shards:           8,
-	})
+	}
+	settle := cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
 
@@ -124,6 +128,7 @@ func TestStressConcurrentPipeline(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("stress run wedged")
 	}
+	settle()
 
 	// Conservation: every packet-in was decided, parked behind a decision,
 	// or voided by a revocation racing its shard (the packet is released
@@ -171,7 +176,9 @@ func TestStressConcurrentPipeline(t *testing.T) {
 // audit entry accounted, and after a final resync every install is
 // matched by a teardown or an expiry — no widened entry leaks past the
 // facts it read.
-func TestStressMegaflowRevocation(t *testing.T) {
+func TestStressMegaflowRevocation(t *testing.T) { inCompletionModes(t, testStressMegaflowRevocation) }
+
+func testStressMegaflowRevocation(t *testing.T, cm completionMode) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
@@ -179,7 +186,7 @@ func TestStressMegaflowRevocation(t *testing.T) {
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}}
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
-	c := New(Config{
+	cfg := Config{
 		Name:             "mega-stress",
 		Policy:           pf.MustCompile("p", megaPolicy),
 		Transport:        tr,
@@ -189,7 +196,9 @@ func TestStressMegaflowRevocation(t *testing.T) {
 		Revocation:       true,
 		Megaflow:         true,
 		Shards:           8,
-	})
+	}
+	settle := cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
 
@@ -279,6 +288,7 @@ func TestStressMegaflowRevocation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("megaflow stress run wedged")
 	}
+	settle()
 
 	// A final resync for the traced end tears down every widened entry
 	// still registered; with that, installs must balance teardowns and

@@ -58,7 +58,7 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 				Name:      "e10",
 				Policy:    pf.MustCompile("e10", policy),
 				Transport: eng, Topology: n,
-				Latency: n.LatencyModel(), InstallEntries: true,
+				InstallEntries:   true,
 				ResponseCacheTTL: time.Hour,
 				Revocation:       true,
 				Megaflow:         mode == 1,

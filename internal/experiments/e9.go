@@ -50,7 +50,7 @@ block all
 pass from any to any with eq(@src[name], skype)
 `),
 			Transport: eng, Topology: n,
-			Latency: n.LatencyModel(), InstallEntries: true,
+			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 			Revocation:       true,
 			Clock:            n.Clock.Now,

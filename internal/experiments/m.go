@@ -76,7 +76,7 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 		Name:      "m1",
 		Policy:    SyntheticPolicy(ruleCount, false),
 		Transport: n.PlaneTransport(chain[0], nil), Topology: n,
-		Latency: n.LatencyModel(), InstallEntries: true, Clock: n.Clock.Now,
+		InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachControllerDelayed(sb.Ctl, chain...)
 	return sb
@@ -92,7 +92,7 @@ func NewSetupBenchNoCache(diameter, ruleCount int) *SetupBench {
 		Name:      "m5-ablation",
 		Policy:    SyntheticPolicy(ruleCount, false),
 		Transport: n.PlaneTransport(chain[0], nil), Topology: n,
-		Latency: n.LatencyModel(), InstallEntries: false, Clock: n.Clock.Now,
+		InstallEntries: false, Clock: n.Clock.Now,
 	})
 	n.AttachControllerDelayed(sb.Ctl, chain...)
 	return sb

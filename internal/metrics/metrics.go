@@ -261,51 +261,46 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Get returns the current level.
 func (g *Gauge) Get() int64 { return g.v.Load() }
 
-// SetupBreakdown decomposes one flow-setup into the stages of Figure 1:
-// punt to controller (2), ident++ queries to both ends (3), policy
-// evaluation, and entry installation along the path (4).
+// SetupBreakdown decomposes what the controller observes of one flow-setup
+// (Figure 1): the ident++ queries to both ends (3) and the policy
+// evaluation. The punt (2) and the entry installation (4) cross the switch
+// channel, where the controller sees neither end; they are not here.
 type SetupBreakdown struct {
-	Punt     time.Duration // switch -> controller
 	QuerySrc time.Duration // ident++ RTT to source daemon
 	QueryDst time.Duration // ident++ RTT to destination daemon
 	Eval     time.Duration // PF+=2 evaluation
-	Install  time.Duration // controller -> switches flow-mod
 }
 
-// Total returns the end-to-end setup latency. Queries to the two ends are
-// issued concurrently (§2 queries "both the source and the destination"),
+// Total returns the setup latency the controller accounts for. Queries to
+// the two ends overlap (§2 queries "both the source and the destination"),
 // so the slower of the two dominates.
 func (b SetupBreakdown) Total() time.Duration {
 	q := b.QuerySrc
 	if b.QueryDst > q {
 		q = b.QueryDst
 	}
-	return b.Punt + q + b.Eval + b.Install
+	return q + b.Eval
 }
 
 // SetupRecorder aggregates breakdowns stage by stage.
 type SetupRecorder struct {
-	Punt, QuerySrc, QueryDst, Eval, Install, Total *Histogram
+	QuerySrc, QueryDst, Eval, Total *Histogram
 }
 
 // NewSetupRecorder creates a recorder.
 func NewSetupRecorder() *SetupRecorder {
 	return &SetupRecorder{
-		Punt:     NewHistogram(),
 		QuerySrc: NewHistogram(),
 		QueryDst: NewHistogram(),
 		Eval:     NewHistogram(),
-		Install:  NewHistogram(),
 		Total:    NewHistogram(),
 	}
 }
 
 // Observe records one breakdown.
 func (r *SetupRecorder) Observe(b SetupBreakdown) {
-	r.Punt.Observe(b.Punt)
 	r.QuerySrc.Observe(b.QuerySrc)
 	r.QueryDst.Observe(b.QueryDst)
 	r.Eval.Observe(b.Eval)
-	r.Install.Observe(b.Install)
 	r.Total.Observe(b.Total())
 }

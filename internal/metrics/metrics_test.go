@@ -167,12 +167,11 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkSetupRecorderObserve prices what every decision pays for its six
+// BenchmarkSetupRecorderObserve prices what every decision pays for its four
 // latency histograms.
 func BenchmarkSetupRecorderObserve(b *testing.B) {
 	r := NewSetupRecorder()
-	bd := SetupBreakdown{Punt: 40 * time.Microsecond, QuerySrc: 210 * time.Microsecond,
-		QueryDst: 190 * time.Microsecond, Install: 55 * time.Microsecond}
+	bd := SetupBreakdown{QuerySrc: 210 * time.Microsecond, QueryDst: 190 * time.Microsecond}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bd.Eval = time.Duration(i&1023) * time.Nanosecond
@@ -200,13 +199,11 @@ func TestCounter(t *testing.T) {
 
 func TestSetupBreakdownTotalUsesSlowerQuery(t *testing.T) {
 	b := SetupBreakdown{
-		Punt:     1 * time.Millisecond,
 		QuerySrc: 5 * time.Millisecond,
 		QueryDst: 9 * time.Millisecond,
 		Eval:     100 * time.Microsecond,
-		Install:  1 * time.Millisecond,
 	}
-	want := 1*time.Millisecond + 9*time.Millisecond + 100*time.Microsecond + 1*time.Millisecond
+	want := 9*time.Millisecond + 100*time.Microsecond
 	if b.Total() != want {
 		t.Errorf("total = %v, want %v", b.Total(), want)
 	}
@@ -214,9 +211,9 @@ func TestSetupBreakdownTotalUsesSlowerQuery(t *testing.T) {
 
 func TestSetupRecorder(t *testing.T) {
 	r := NewSetupRecorder()
-	r.Observe(SetupBreakdown{Punt: time.Millisecond, QuerySrc: 2 * time.Millisecond})
-	r.Observe(SetupBreakdown{Punt: 3 * time.Millisecond, QueryDst: 4 * time.Millisecond})
-	if r.Punt.Count() != 2 || r.Total.Count() != 2 {
+	r.Observe(SetupBreakdown{Eval: time.Millisecond, QuerySrc: 2 * time.Millisecond})
+	r.Observe(SetupBreakdown{Eval: 3 * time.Millisecond, QueryDst: 4 * time.Millisecond})
+	if r.Eval.Count() != 2 || r.Total.Count() != 2 {
 		t.Error("recorder did not observe all stages")
 	}
 	if r.Total.Max() != 7*time.Millisecond {

@@ -30,7 +30,6 @@ func buildLine(t testing.TB, policy string) (*Network, *core.Controller, *Host, 
 		Policy:         pf.MustCompile("policy", policy),
 		Transport:      n.Transport(sw1, nil),
 		Topology:       n,
-		Latency:        n.LatencyModel(),
 		InstallEntries: true,
 		Clock:          n.Clock.Now,
 	})
@@ -130,10 +129,6 @@ func TestSetupBreakdownRecorded(t *testing.T) {
 	runSkypeFlow(t, n, ha, hb)
 	if ctl.Setup.Total.Count() != 1 {
 		t.Fatal("no setup breakdown recorded")
-	}
-	// Punt and install come from the latency model.
-	if ctl.Setup.Punt.Max() != n.CtrlLatency {
-		t.Errorf("punt = %v, want %v", ctl.Setup.Punt.Max(), n.CtrlLatency)
 	}
 	// Query RTT to hostB crosses two switch links + host link, doubled,
 	// plus daemon processing: strictly greater than to hostA.

@@ -30,7 +30,9 @@ func (n *Network) Transport(home *SwitchNode, self core.Interceptor) *Transport 
 	return &Transport{n: n, home: home.SW.ID, self: self}
 }
 
-// Query implements core.QueryTransport.
+// Query implements core.QueryTransport. It is analytic: the round trip is
+// computed, no virtual time passes while it runs — which is why the
+// controller and the query engine may call it inline, one end after the other.
 func (t *Transport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	t.n.mu.Lock()
 	h, ok := t.n.hosts[host]
@@ -137,21 +139,6 @@ func (n *Network) PlaneTransport(home *SwitchNode, self core.Interceptor) *query
 		Clock: n.Clock.Now,
 	})
 }
-
-// Latency implements core.LatencyModel with the network's control-channel
-// constant for every switch.
-type Latency struct {
-	n *Network
-}
-
-// LatencyModel returns the simulator's control-plane latency model.
-func (n *Network) LatencyModel() *Latency { return &Latency{n: n} }
-
-// PuntLatency implements core.LatencyModel.
-func (l *Latency) PuntLatency(uint64) time.Duration { return l.n.CtrlLatency }
-
-// InstallLatency implements core.LatencyModel.
-func (l *Latency) InstallLatency(uint64) time.Duration { return l.n.CtrlLatency }
 
 // AttachController wires a controller to a set of switches: the controller
 // becomes each switch's OpenFlow controller, each switch is registered as a

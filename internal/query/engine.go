@@ -20,17 +20,14 @@ import (
 
 // Lower is the wire layer underneath an Engine — core.QueryTransport's
 // shape, satisfied by *Pool (real TCP), netsim.Transport (the §5–§6
-// simulator), and the baselines.
+// simulator), and the baselines. A Lower that also has *Pool's Go(host, q,
+// deadline, done) is never waited on: a flight's completion runs on the
+// goroutine that decoded the response. One that only blocks is called on the
+// goroutine that started the flight, which waits out the exchange (the
+// simulator's is analytic: it computes the round trip, it does not wait for
+// it).
 type Lower interface {
 	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
-}
-
-// completionLower is the optional non-blocking face of a Lower; *Pool
-// implements it, so a flight parks no goroutine and its completion runs on
-// the goroutine that decoded the response. Lowers without it (the simulator:
-// instantaneous; test doubles) are called plain, on a goroutine per flight.
-type completionLower interface {
-	Go(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
 }
 
 // updateSource is the optional push face of a Lower: transports that can
@@ -77,11 +74,14 @@ type Config struct {
 }
 
 // Engine is the query-plane brain. It implements core.QueryTransport
-// (blocking Query) and core.AsyncQueryTransport (QueryAsync), multiplexing
-// both over the same coalescing, caching, and breaker state.
+// (blocking Query) and the completion-style faces core.Config.AsyncQueries
+// asks for (QueryAsync, QueryAsyncTraced), multiplexing all of them over the
+// same coalescing, caching, and breaker state.
 type Engine struct {
-	lower   Lower
-	goLower completionLower // nil when lower only blocks
+	lower Lower
+	// start issues one attempt: the lower's Go, or its blocking Query
+	// completed inline.
+	start   func(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
 	timeout time.Duration
 	retries int
 	negTTL  time.Duration
@@ -173,7 +173,15 @@ func NewEngine(cfg Config) *Engine {
 		sf:      make(map[sfKey]*flight),
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
-	e.goLower, _ = cfg.Lower.(completionLower)
+	if gl, ok := cfg.Lower.(interface {
+		Go(netaddr.IP, wire.Query, time.Time, func(*wire.Response, time.Duration, error))
+	}); ok {
+		e.start = gl.Go
+	} else {
+		e.start = func(host netaddr.IP, q wire.Query, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+			done(e.lower.Query(host, q))
+		}
+	}
 	e.idle.L = &e.sfMu
 	if e.timeout <= 0 {
 		e.timeout = defaultRequestTimeout
@@ -264,20 +272,20 @@ func (e *Engine) hostRecovered(host netaddr.IP) {
 
 // Query implements core.QueryTransport: it blocks until the result is
 // available, joining an identical in-flight query instead of issuing a
-// duplicate. Over a lower that only blocks, a query that starts a flight
-// runs it on this goroutine.
+// duplicate.
 func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	w := waiters.Get().(*waiter)
-	e.query(host, q, qcb{fn: w.done}, false)
+	e.query(host, q, qcb{fn: w.done})
 	return w.wait()
 }
 
-// QueryAsync implements core.AsyncQueryTransport: done is invoked exactly
-// once — inline for fast-path rejections (negative cache, breaker, closed,
-// and what the lower refuses on the spot), otherwise on the goroutine that
-// learns the outcome: over a Pool, the host connection's reader. It possibly
-// shares one wire exchange with other callers. done must not block; the
-// controller's continuation (evaluate + install) is the intended scale.
+// QueryAsync is the completion-style face: done is invoked exactly once —
+// inline for fast-path rejections (negative cache, breaker, closed, what the
+// lower refuses on the spot) and over a lower that only blocks, otherwise on
+// the goroutine that learns the outcome: over a Pool, the host connection's
+// reader. It possibly shares one wire exchange with other callers. done must
+// not block; the controller's continuation (evaluate + install) is the
+// intended scale.
 func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	e.QueryAsyncTraced(host, q, nil, 0, done)
 }
@@ -288,32 +296,25 @@ func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Respo
 // breaker fast-fail) and its completion (RTT, transport attempts, error)
 // into tb. A nil tb records nothing and behaves exactly like QueryAsync.
 func (e *Engine) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
-	e.query(host, q, qcb{fn: done, tb: tb, ep: ep}, true)
+	e.query(host, q, qcb{fn: done, tb: tb, ep: ep})
 }
 
 // query passes the gates, then joins the flight for (host, q) or starts it.
-func (e *Engine) query(host netaddr.IP, q wire.Query, cb qcb, async bool) {
-	if e.closed.Load() {
-		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|trace.FlagErr, 0)
-		cb.fn(nil, 0, ErrClosed)
-		return
+// A rejection is an exchange like any other to the trace: an enqueue flagged
+// with the gate that turned it away, then a failed done.
+func (e *Engine) query(host netaddr.IP, q wire.Query, cb qcb) {
+	gate, err := trace.FlagErr, ErrClosed
+	if !e.closed.Load() {
+		gate, err = e.fastFail(host)
 	}
-	if err := e.fastFail(host); err != nil {
-		if cb.tb != nil {
-			flags := cb.ep
-			if errors.Is(err, ErrBreakerOpen) {
-				flags |= trace.FlagBreaker
-			} else {
-				flags |= trace.FlagNegCache
-			}
-			cb.tb.Rec(trace.StageQueryEnqueue, flags, 0)
-			cb.tb.Rec(trace.StageQueryDone, flags|trace.FlagErr, 0)
-		}
+	if err != nil {
+		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|gate, 0)
+		cb.tb.Rec(trace.StageQueryDone, cb.ep|gate|trace.FlagErr, 0)
 		cb.fn(nil, 0, err)
 		return
 	}
 	if f, leader := e.join(host, q, cb); leader {
-		f.launch(async)
+		f.launch()
 	} else {
 		e.hot.coalesced.Add(1)
 	}
@@ -333,22 +334,23 @@ func (e *Engine) Close() {
 	e.sfMu.Unlock()
 }
 
-// fastFail consults the negative cache and the breaker; a non-nil return
-// is delivered without touching the wire.
-func (e *Engine) fastFail(host netaddr.IP) error {
+// fastFail consults the negative cache and the breaker; a non-nil error is
+// delivered without touching the wire, and gate is the trace flag naming
+// which of the two it was.
+func (e *Engine) fastFail(host netaddr.IP) (gate uint16, err error) {
 	hs := e.hostState(host)
 	now := e.clock()
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	if hs.negErr != nil && now.Before(hs.negUntil) {
 		e.hot.negHits.Add(1)
-		return hs.negErr
+		return trace.FlagNegCache, hs.negErr
 	}
 	if !hs.openTill.IsZero() && now.Before(hs.openTill) {
 		e.hot.breakerFastfails.Add(1)
-		return fmt.Errorf("query: %s: %w", host, ErrBreakerOpen)
+		return trace.FlagBreaker, fmt.Errorf("query: %s: %w", host, ErrBreakerOpen)
 	}
-	return nil
+	return 0, nil
 }
 
 func (e *Engine) hostState(host netaddr.IP) *hostState {
@@ -450,24 +452,14 @@ func (e *Engine) join(host netaddr.IP, q wire.Query, cb qcb) (*flight, bool) {
 	return f, true
 }
 
-// launch starts one attempt. Over a Pool it returns at once and the attempt
-// ends in onReply on a pool goroutine; a plain lower blocks a goroutine for
-// the round trip — a new one when the caller must not wait.
-func (f *flight) launch(async bool) {
+// launch starts one attempt, which ends in onReply: over a Pool on the host
+// connection's reader, over a lower that only blocks before launch returns.
+func (f *flight) launch() {
 	e := f.e
 	e.hot.sent.Add(1)
 	f.attempts++
-	switch {
-	case e.goLower != nil:
-		e.goLower.Go(f.key.host, f.q, time.Now().Add(e.timeout), f.reply)
-	case async:
-		go f.runPlain()
-	default:
-		f.runPlain()
-	}
+	e.start(f.key.host, f.q, time.Now().Add(e.timeout), f.reply)
 }
-
-func (f *flight) runPlain() { f.onReply(f.e.lower.Query(f.key.host, f.q)) }
 
 // onReply ends one attempt: retry, or settle the host's record and deliver.
 // It is the lower layer's completion, so it runs wherever that does.
@@ -475,7 +467,7 @@ func (f *flight) onReply(resp *wire.Response, rtt time.Duration, err error) {
 	e := f.e
 	if err != nil && retryable(err) && int(f.attempts) <= e.retries {
 		e.hot.retriesC.Add(1)
-		f.launch(false)
+		f.launch()
 		return
 	}
 	e.settle(f.key.host, rtt, err)
@@ -522,7 +514,7 @@ func (e *Engine) settle(host netaddr.IP, rtt time.Duration, err error) {
 	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	if isTimeout(err) {
+	if core.IsTimeout(err) {
 		e.hot.timeoutsC.Add(1)
 	}
 	if e.negTTL > 0 && hostUnavailable(err) {
@@ -560,10 +552,4 @@ func retryable(err error) bool {
 // do not qualify — the next request may well succeed.
 func hostUnavailable(err error) bool {
 	return core.IsNoDaemon(err) || errors.Is(err, ErrDial)
-}
-
-// isTimeout mirrors the net.Error convention without importing net.
-func isTimeout(err error) bool {
-	var t interface{ Timeout() bool }
-	return errors.As(err, &t) && t.Timeout()
 }

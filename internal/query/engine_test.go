@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,16 @@ func (l *fakeLower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.D
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyHost, "fake")
 	return r, time.Millisecond, nil
+}
+
+// goLower gives fakeLower the Pool's completion face, each exchange on a
+// goroutine of its own: a gated flight stays parked while its caller goes on
+// to issue the next query. (Over a lower with Query alone the engine runs the
+// exchange on the caller.)
+type goLower struct{ fakeLower }
+
+func (l *goLower) Go(host netaddr.IP, q wire.Query, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+	go func() { done(l.Query(host, q)) }()
 }
 
 // fakeClock is a manually advanced clock for TTL/cooldown determinism.
@@ -294,7 +305,7 @@ func TestEngineRetries(t *testing.T) {
 // TestEngineQueryAsync: completions are invoked exactly once with the
 // result, and concurrent async askers coalesce onto one wire query.
 func TestEngineQueryAsync(t *testing.T) {
-	lower := &fakeLower{gate: make(chan struct{})}
+	lower := &goLower{fakeLower{gate: make(chan struct{})}}
 	e := NewEngine(Config{Lower: lower})
 	defer e.Close()
 
@@ -327,6 +338,44 @@ func TestEngineQueryAsync(t *testing.T) {
 		if resps[i] != resps[0] {
 			t.Errorf("async waiter %d received a different response", i)
 		}
+	}
+}
+
+// TestEngineQueryAsyncOverBlockingLower: a lower with Query alone is asked on
+// the caller — done has run when QueryAsync returns, retries included, and no
+// goroutine was started for the flight.
+func TestEngineQueryAsyncOverBlockingLower(t *testing.T) {
+	lower := &fakeLower{}
+	fails := 1
+	lower.fn = func(_ netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+		if fails > 0 {
+			fails--
+			return nil, 0, errors.New("reset")
+		}
+		return wire.NewResponse(q.Flow), time.Millisecond, nil
+	}
+	e := NewEngine(Config{Lower: lower})
+	defer e.Close()
+
+	before := runtime.NumGoroutine()
+	delivered := 0
+	e.QueryAsync(engHost, engQuery(800), func(resp *wire.Response, _ time.Duration, err error) {
+		if err != nil || resp == nil {
+			t.Errorf("completion: resp=%v err=%v, want the retried exchange's answer", resp, err)
+		}
+		delivered++
+	})
+	if delivered != 1 {
+		t.Fatalf("completions run when QueryAsync returned = %d, want 1", delivered)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after", before, after)
+	}
+	if got := lower.calls.Load(); got != 2 {
+		t.Errorf("wire queries = %d, want 2 (one retry)", got)
+	}
+	if e.InFlight.Get() != 0 {
+		t.Errorf("InFlight = %d after delivery, want 0", e.InFlight.Get())
 	}
 }
 

@@ -8,10 +8,12 @@ package query
 // undercount exactly the decisions whose latency the operator is chasing.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"identxx/internal/core"
 	"identxx/internal/daemon"
 	"identxx/internal/hostinfo"
 	"identxx/internal/netaddr"
@@ -99,13 +101,66 @@ func enqueueEvents(t *testing.T, tr trace.Trace) (enq, done *trace.Event) {
 	return enq, done
 }
 
+// TestEngineTracedRejectionsPair: a query the engine turns away on the spot —
+// closed, negative cache, open breaker — is an exchange like any other to the
+// trace: one enqueue flagged with the gate, then one done flagged as failed.
+func TestEngineTracedRejectionsPair(t *testing.T) {
+	failing := func(err error) *fakeLower {
+		return &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) { return nil, 0, err }}
+	}
+	cases := []struct {
+		name string
+		gate uint16
+		arm  func() *Engine
+	}{
+		{"closed", trace.FlagErr, func() *Engine {
+			e := NewEngine(Config{Lower: &fakeLower{}})
+			e.Close()
+			return e
+		}},
+		{"negative cache", trace.FlagNegCache, func() *Engine {
+			e := NewEngine(Config{Lower: failing(core.ErrNoDaemon)})
+			e.Query(engHost, engQuery(4000))
+			return e
+		}},
+		{"breaker", trace.FlagBreaker, func() *Engine {
+			e := NewEngine(Config{Lower: failing(errors.New("reset")), BreakerThreshold: 1, Retries: -1})
+			e.Query(engHost, engQuery(4000))
+			return e
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.arm()
+			defer e.Close()
+			rec := trace.New(trace.Config{SampleEvery: 1})
+			tb := rec.Begin(0)
+			rejected := false
+			e.QueryAsyncTraced(engHost, engQuery(4001), tb, trace.FlagDst, func(_ *wire.Response, _ time.Duration, err error) {
+				rejected = err != nil
+				rec.Finish(tb)
+			})
+			if !rejected {
+				t.Fatal("the query was not rejected inline")
+			}
+			enq, done := enqueueEvents(t, rec.Traces()[0])
+			if enq == nil || done == nil {
+				return
+			}
+			if want := trace.FlagDst | tc.gate; enq.Flags != want || done.Flags != want|trace.FlagErr {
+				t.Errorf("flags: enqueue %#x done %#x, want %#x and %#x", enq.Flags, done.Flags, want, want|trace.FlagErr)
+			}
+		})
+	}
+}
+
 // TestEngineTracedCoalesceFlags: waiters coalesced onto an in-flight
 // exchange record StageQueryEnqueue with FlagCoalesced — and record it
 // before the qcb is published, so the event can never land after the
 // flight's delivery (or in a re-pooled buffer; see the race test below).
 func TestEngineTracedCoalesceFlags(t *testing.T) {
 	rec := trace.New(trace.Config{SampleEvery: 1, RingSize: 64})
-	lower := &fakeLower{gate: make(chan struct{})}
+	lower := &goLower{fakeLower{gate: make(chan struct{})}}
 	e := NewEngine(Config{Lower: lower})
 	defer e.Close()
 
@@ -151,12 +206,12 @@ func TestEngineTracedCoalesceFlags(t *testing.T) {
 // buffer already re-issued to another decision.
 func TestEngineTracedCoalesceRace(t *testing.T) {
 	rec := trace.New(trace.Config{SampleEvery: 1, RingSize: 64})
-	lower := &fakeLower{fn: func(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+	lower := &goLower{fakeLower{fn: func(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 		time.Sleep(50 * time.Microsecond)
 		r := wire.NewResponse(q.Flow)
 		r.Add(wire.KeyHost, "fake")
 		return r, time.Millisecond, nil
-	}}
+	}}}
 	e := NewEngine(Config{Lower: lower})
 	defer e.Close()
 

@@ -185,12 +185,10 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 	r.RegisterCounterFunc("audit_records", "Audit entries ever recorded (ring sequence number).",
 		ctl.Audit.Total, labels...)
 
-	r.RegisterHistogram("setup_total", "End-to-end flow-setup latency (Figure 1: punt + max(queries) + eval + install).", ctl.Setup.Total, labels...)
-	r.RegisterHistogram("setup_punt", "Switch-to-controller punt latency.", ctl.Setup.Punt, labels...)
+	r.RegisterHistogram("setup_total", "Flow-setup latency the controller observes (Figure 1: max(queries) + eval).", ctl.Setup.Total, labels...)
 	r.RegisterHistogram("setup_query_src", "ident++ round trip to the source daemon.", ctl.Setup.QuerySrc, labels...)
 	r.RegisterHistogram("setup_query_dst", "ident++ round trip to the destination daemon.", ctl.Setup.QueryDst, labels...)
 	r.RegisterHistogram("setup_eval", "PF+=2 policy evaluation latency.", ctl.Setup.Eval, labels...)
-	r.RegisterHistogram("setup_install", "Flow-entry install latency along the path.", ctl.Setup.Install, labels...)
 }
 
 // RegisterControllerHealth wires the controller's readiness to a real
