@@ -54,7 +54,7 @@ race:
 	$(GO) test -race ./...
 
 # The query plane is the most concurrency-dense package (pipelined
-# connections, coalesced flights, async completions), and the coalescing
+# connections, async completions, retries from the reader), and the coalescing
 # writer under it and under the switch channel hands every byte from one
 # goroutine to another; run them repeatedly under the race detector so
 # interleavings get more than one roll. The cluster link's client is the
@@ -79,10 +79,14 @@ race-query:
 # two sides are locked apart, so churn is where a lost link would show).
 # The handshake tests run once per completion mode (completionModes: inline,
 # and deferred — every completion on a goroutine of its own, as identctl's
-# connection readers deliver them); the pattern names each of them.
+# connection readers deliver them); the pattern names each of them. So does
+# the invariant the query engine relies on to keep no deduplication of its
+# own: one query per end per decision, never two outstanding for one
+# (host, flow) (TestAsyncDuplicatesParkAndResolve, and the counting
+# transport in TestStressConcurrentPipeline).
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease|LeaseFallback' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
 
 # One iteration of every benchmark as a smoke check: catches benchmarks

@@ -491,9 +491,6 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //     from the reader it runs on. ns/op and allocs/op are per query: the
 //     query plane's own cost with the round trips overlapped (CI gates the
 //     allocations).
-//   - coalesced: every goroutine asks for the same (host, flow, keys)
-//     concurrently; the engine shares wire exchanges between them
-//     (wire_queries_per_op reported; well under 1 means coalescing works).
 //   - daemon-down: the host's port answers nothing — after the first
 //     refused dial the negative cache absorbs every subsequent miss.
 func BenchmarkM9_QueryPlane(b *testing.B) {
@@ -572,7 +569,8 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		b.Cleanup(func() { pool.Close() })
 		eng := query.NewEngine(query.Config{Lower: pool})
 		b.Cleanup(eng.Close)
-		// Distinct flows, or the engine would coalesce the window into one.
+		// Distinct flows, as the controller's are: it never has two queries
+		// for one end of a flow outstanding.
 		const window = 32
 		qs := make([]wire.Query, window)
 		for i := range qs {
@@ -607,26 +605,6 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		if failed.Load() != 0 {
 			b.Fatalf("%d queries failed", failed.Load())
 		}
-	})
-
-	b.Run("coalesced", func(b *testing.B) {
-		srcIP, srcAddr, five := m9Host(b, "pc", "10.4.2.1")
-		pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{srcIP: srcAddr}})
-		b.Cleanup(func() { pool.Close() })
-		eng := query.NewEngine(query.Config{Lower: pool})
-		b.Cleanup(eng.Close)
-		q := wire.Query{Flow: five, Keys: []string{wire.KeyName}}
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, _, err := eng.Query(srcIP, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(pool.Counters.Get("pool_queries_sent"))/float64(b.N), "wire_queries_per_op")
 	})
 
 	b.Run("daemon-down", func(b *testing.B) {

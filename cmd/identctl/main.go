@@ -105,7 +105,7 @@ func main() {
 	}
 
 	// The production query plane: pooled pipelined connections to the
-	// daemons the topology declares, under the coalescing/negative-cache
+	// daemons the topology declares, under the retry/negative-cache/breaker
 	// engine, driving the controller's non-blocking decision pipeline.
 	pool := query.NewPool(query.PoolConfig{
 		Resolver:       topoResolver{topo},

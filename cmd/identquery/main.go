@@ -2,7 +2,7 @@
 // and prints the key-value response, sections delimited as on the wire.
 //
 // It drives the same query-plane client (internal/query: pooled transport
-// under the coalescing/retry engine) the controller and the CI benchmarks
+// under the retry/breaker engine) the controller and the CI benchmarks
 // use, so the CLI exercises the production code path rather than a
 // hand-rolled dial.
 //

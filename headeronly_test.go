@@ -65,7 +65,7 @@ pass from any to any port 443 with eq(@src[name], web)
 		t.Errorf("flows_allowed = %d, want %d", got, events)
 	}
 	for _, counter := range []string{
-		"engine_queries_sent", "engine_coalesce_hits", "engine_negcache_hits",
+		"engine_queries_sent", "engine_negcache_hits",
 		"engine_retries", "engine_breaker_opens", "engine_breaker_fastfails",
 		"engine_timeouts",
 	} {

@@ -277,9 +277,11 @@ func TestSnapshotEpochFence(t *testing.T) {
 	}
 }
 
-// TestEventCodecRoundTrip: the forwarded packet-in survives the wire.
+// TestEventCodecRoundTrip: the forwarded packet-in survives the wire, its
+// trace ID included.
 func TestEventCodecRoundTrip(t *testing.T) {
 	ev := openflow.PacketIn{
+		TraceID:  0x0102030405060708,
 		SwitchID: 0x1122334455667788,
 		BufferID: 42,
 		InPort:   7,
@@ -292,7 +294,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		},
 		Frame: []byte{0xde, 0xad, 0xbe, 0xef},
 	}
-	got, err := decodeEvent(encodeEvent(nil, ev))
+	got, err := decodeEvent(encodeEvent(ev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,89 +412,6 @@ func restart(t *testing.T, r *Router, addr string, opts Options) *Router {
 	fresh := NewRouter(r.Local(), r.Self(), opts)
 	serveRouter(t, fresh, ln)
 	return fresh
-}
-
-// TestTCPLinkTracedFallbackToLegacy: a peer built before FrameEventTraced
-// fails on the unknown 'T' kind and kills the connection without acking;
-// the link must retry the forward once as the legacy 'E' frame, so a
-// mixed-version ring degrades to untraced forwarding instead of a
-// local-decision fallback per traced event.
-func TestTCPLinkTracedFallbackToLegacy(t *testing.T) {
-	ln := listen(t)
-
-	var legacyEvents atomic.Int64
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br := bufio.NewReader(c)
-				for {
-					f, err := wire.ReadFrame(br)
-					if err != nil || f.Type != wire.FrameEvent {
-						// A stale decoder dies on any kind it doesn't
-						// know; dropping the connection simulates that.
-						return
-					}
-					legacyEvents.Add(1)
-					if wire.WriteFrame(c, wire.Frame{Type: wire.FrameAck, Payload: []byte{ackOK}}) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	l := DialTCP(ln.Addr().String())
-	t.Cleanup(func() { l.Close() })
-
-	ev := testPacketIn(testFive(32000))
-	ev.TraceID = 0x1122334455667788
-	if err := l.ForwardEvent(ev); err != nil {
-		t.Fatalf("traced forward against stale peer: %v", err)
-	}
-	if got := legacyEvents.Load(); got != 1 {
-		t.Errorf("legacy events received = %d, want 1 (forward must degrade to 'E')", got)
-	}
-
-	// A peer that takes the traced frame and never acks is not an old peer:
-	// the forward fails at its one deadline, with no second attempt as 'E'
-	// to wait out a second one before the Router can decide locally.
-	var frames atomic.Int64
-	wedged := listen(t)
-	go func() {
-		for {
-			conn, err := wedged.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				br := bufio.NewReader(conn)
-				for {
-					if _, err := wire.ReadFrame(br); err != nil {
-						return
-					}
-					frames.Add(1)
-				}
-			}()
-		}
-	}()
-	const timeout = 100 * time.Millisecond
-	lw := dialTCP(wedged.Addr().String(), timeout)
-	t.Cleanup(func() { lw.Close() })
-	start := time.Now()
-	if err := lw.ForwardEvent(ev); !errors.Is(err, link.ErrDeadline) {
-		t.Fatalf("traced forward to a wedged peer: %v, want the ack deadline", err)
-	}
-	if d := time.Since(start); d >= 2*timeout {
-		t.Errorf("traced forward to a wedged peer took %v: two deadlines, not one", d)
-	}
-	if got := frames.Load(); got != 1 {
-		t.Errorf("wedged peer received %d frames, want 1 (no legacy retry)", got)
-	}
 }
 
 // TestTCPLinkLateAckFailsOneForward: an ack later than its deadline fails

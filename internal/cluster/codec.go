@@ -20,33 +20,35 @@ const (
 )
 
 // eventHeaderLen is the fixed prefix of a FrameEvent payload: the
-// packet-in envelope (switch id, buffer id, in-port, reason) plus the full
-// OpenFlow 10-tuple. The raw frame bytes follow to the end of the payload.
-const eventHeaderLen = 8 + 4 + 2 + 1 + 2 + 8 + 8 + 2 + 2 + 4 + 4 + 1 + 2 + 2
+// flight-recorder trace ID (0: untraced), the packet-in envelope (switch id,
+// buffer id, in-port, reason) and the full OpenFlow 10-tuple. The raw frame
+// bytes follow to the end of the payload.
+const eventHeaderLen = 8 + 8 + 4 + 2 + 1 + 2 + 8 + 8 + 2 + 2 + 4 + 4 + 1 + 2 + 2
 
 // encodeEvent serializes a forwarded packet-in. The tuple rides alongside
 // the frame bytes even though it is derivable from them: the receiving
 // replica must not re-parse (the sender already did, and header-only
-// fast paths key on the tuple as given).
-func encodeEvent(dst []byte, ev openflow.PacketIn) []byte {
-	var h [eventHeaderLen]byte
-	binary.BigEndian.PutUint64(h[0:8], ev.SwitchID)
-	binary.BigEndian.PutUint32(h[8:12], ev.BufferID)
-	binary.BigEndian.PutUint16(h[12:14], ev.InPort)
-	h[14] = byte(ev.Reason)
+// fast paths key on the tuple as given). The trace ID stitches the owner's
+// decision to the forwarder's trace.
+func encodeEvent(ev openflow.PacketIn) []byte {
+	h := make([]byte, eventHeaderLen, eventHeaderLen+len(ev.Frame))
+	binary.BigEndian.PutUint64(h[0:8], ev.TraceID)
+	binary.BigEndian.PutUint64(h[8:16], ev.SwitchID)
+	binary.BigEndian.PutUint32(h[16:20], ev.BufferID)
+	binary.BigEndian.PutUint16(h[20:22], ev.InPort)
+	h[22] = byte(ev.Reason)
 	t := ev.Tuple
-	binary.BigEndian.PutUint16(h[15:17], t.InPort)
-	binary.BigEndian.PutUint64(h[17:25], uint64(t.MACSrc))
-	binary.BigEndian.PutUint64(h[25:33], uint64(t.MACDst))
-	binary.BigEndian.PutUint16(h[33:35], t.EthType)
-	binary.BigEndian.PutUint16(h[35:37], t.VLAN)
-	binary.BigEndian.PutUint32(h[37:41], uint32(t.SrcIP))
-	binary.BigEndian.PutUint32(h[41:45], uint32(t.DstIP))
-	h[45] = byte(t.Proto)
-	binary.BigEndian.PutUint16(h[46:48], uint16(t.SrcPort))
-	binary.BigEndian.PutUint16(h[48:50], uint16(t.DstPort))
-	dst = append(dst, h[:]...)
-	return append(dst, ev.Frame...)
+	binary.BigEndian.PutUint16(h[23:25], t.InPort)
+	binary.BigEndian.PutUint64(h[25:33], uint64(t.MACSrc))
+	binary.BigEndian.PutUint64(h[33:41], uint64(t.MACDst))
+	binary.BigEndian.PutUint16(h[41:43], t.EthType)
+	binary.BigEndian.PutUint16(h[43:45], t.VLAN)
+	binary.BigEndian.PutUint32(h[45:49], uint32(t.SrcIP))
+	binary.BigEndian.PutUint32(h[49:53], uint32(t.DstIP))
+	h[53] = byte(t.Proto)
+	binary.BigEndian.PutUint16(h[54:56], uint16(t.SrcPort))
+	binary.BigEndian.PutUint16(h[56:58], uint16(t.DstPort))
+	return append(h, ev.Frame...)
 }
 
 // decodeEvent is encodeEvent's inverse. The frame bytes are copied out of p,
@@ -57,21 +59,22 @@ func decodeEvent(p []byte) (openflow.PacketIn, error) {
 		return openflow.PacketIn{}, fmt.Errorf("cluster: event payload %d bytes, want >= %d", len(p), eventHeaderLen)
 	}
 	ev := openflow.PacketIn{
-		SwitchID: binary.BigEndian.Uint64(p[0:8]),
-		BufferID: binary.BigEndian.Uint32(p[8:12]),
-		InPort:   binary.BigEndian.Uint16(p[12:14]),
-		Reason:   openflow.PacketInReason(p[14]),
+		TraceID:  binary.BigEndian.Uint64(p[0:8]),
+		SwitchID: binary.BigEndian.Uint64(p[8:16]),
+		BufferID: binary.BigEndian.Uint32(p[16:20]),
+		InPort:   binary.BigEndian.Uint16(p[20:22]),
+		Reason:   openflow.PacketInReason(p[22]),
 	}
-	ev.Tuple.InPort = binary.BigEndian.Uint16(p[15:17])
-	ev.Tuple.MACSrc = netaddr.MAC(binary.BigEndian.Uint64(p[17:25]))
-	ev.Tuple.MACDst = netaddr.MAC(binary.BigEndian.Uint64(p[25:33]))
-	ev.Tuple.EthType = binary.BigEndian.Uint16(p[33:35])
-	ev.Tuple.VLAN = binary.BigEndian.Uint16(p[35:37])
-	ev.Tuple.SrcIP = netaddr.IP(binary.BigEndian.Uint32(p[37:41]))
-	ev.Tuple.DstIP = netaddr.IP(binary.BigEndian.Uint32(p[41:45]))
-	ev.Tuple.Proto = netaddr.Proto(p[45])
-	ev.Tuple.SrcPort = netaddr.Port(binary.BigEndian.Uint16(p[46:48]))
-	ev.Tuple.DstPort = netaddr.Port(binary.BigEndian.Uint16(p[48:50]))
+	ev.Tuple.InPort = binary.BigEndian.Uint16(p[23:25])
+	ev.Tuple.MACSrc = netaddr.MAC(binary.BigEndian.Uint64(p[25:33]))
+	ev.Tuple.MACDst = netaddr.MAC(binary.BigEndian.Uint64(p[33:41]))
+	ev.Tuple.EthType = binary.BigEndian.Uint16(p[41:43])
+	ev.Tuple.VLAN = binary.BigEndian.Uint16(p[43:45])
+	ev.Tuple.SrcIP = netaddr.IP(binary.BigEndian.Uint32(p[45:49]))
+	ev.Tuple.DstIP = netaddr.IP(binary.BigEndian.Uint32(p[49:53]))
+	ev.Tuple.Proto = netaddr.Proto(p[53])
+	ev.Tuple.SrcPort = netaddr.Port(binary.BigEndian.Uint16(p[54:56]))
+	ev.Tuple.DstPort = netaddr.Port(binary.BigEndian.Uint16(p[56:58]))
 	if len(p) > eventHeaderLen {
 		ev.Frame = append([]byte(nil), p[eventHeaderLen:]...)
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -86,35 +85,11 @@ func dialTCP(addr string, timeout time.Duration) *TCPLink {
 }
 
 func (l *TCPLink) ForwardEvent(ev openflow.PacketIn) error {
-	// A traced event rides the 'T' frame kind: the 8-byte trace ID prefix
-	// lets the owner's decision stitch to the forwarder's trace. Untraced
-	// events keep the byte-identical legacy 'E' encoding, so a ring where
-	// tracing is off never sees the newer kind (see wire.FrameEventTraced).
-	if ev.TraceID != 0 {
-		prefix := binary.BigEndian.AppendUint64(make([]byte, 0, 8+eventHeaderLen+len(ev.Frame)), ev.TraceID)
-		err := l.forwardEventFrame(wire.FrameEventTraced, prefix, ev)
-		if !errors.Is(err, link.ErrLost) {
-			return err
-		}
-		// A peer built before FrameEventTraced fails its ReadFrame on the
-		// unknown kind and kills the connection instead of acking: the
-		// connection is lost with the frame written. Retry once as the
-		// legacy 'E' frame, dropping the ID: a mixed-version ring degrades
-		// to untraced forwarding, not to a local-decision fallback per
-		// traced event. No other failure is retried — a late ack, a failed
-		// dial or a full pipeline would only fail, or wait, a second time.
-	}
-	return l.forwardEventFrame(wire.FrameEvent, nil, ev)
-}
-
-// forwardEventFrame round-trips one packet-in as the given frame kind,
-// with an optional payload prefix ahead of the event encoding.
-func (l *TCPLink) forwardEventFrame(typ byte, prefix []byte, ev openflow.PacketIn) error {
 	status, err := l.request(wire.Frame{
-		Type:    typ,
+		Type:    wire.FrameEvent,
 		SrcIP:   ev.Tuple.SrcIP,
 		DstIP:   ev.Tuple.DstIP,
-		Payload: encodeEvent(prefix, ev),
+		Payload: encodeEvent(ev),
 	})
 	if err != nil {
 		return err
@@ -180,18 +155,8 @@ func (r *Router) Close() { r.lis.Close() }
 func (r *Router) serveFrame(c *link.Conn, f wire.Frame) error {
 	status := ackError
 	switch f.Type {
-	case wire.FrameEvent, wire.FrameEventTraced:
-		payload := f.Payload
-		var tid uint64
-		if f.Type == wire.FrameEventTraced {
-			if len(payload) < 8 {
-				break
-			}
-			tid = binary.BigEndian.Uint64(payload[:8])
-			payload = payload[8:]
-		}
-		if ev, err := decodeEvent(payload); err == nil {
-			ev.TraceID = tid
+	case wire.FrameEvent:
+		if ev, err := decodeEvent(f.Payload); err == nil {
 			r.DeliverEvent(ev)
 			status = ackOK
 		}

@@ -70,12 +70,11 @@ type Options struct {
 	// see Router.resolveDP.
 	ResolveDatapath func(id uint64) openflow.Datapath
 	// Trace enables the flight recorder on the forward path: a forwarded
-	// packet-in mints (or inherits) a trace ID, carries it to the owner as
-	// a FrameEventTraced, and the forwarder retains its own half with a
+	// packet-in mints (or inherits) a trace ID, carries it to the owner in
+	// its FrameEvent, and the forwarder retains its own half with a
 	// StageForward span covering the full hand-off round trip. Enabling it
 	// here without also enabling tracing on the peer replicas loses the
-	// owner halves but breaks nothing — the 'T' frame kind is understood
-	// by every replica built with this package.
+	// owner halves but breaks nothing.
 	Trace *trace.Recorder
 }
 

@@ -7,7 +7,7 @@ package cluster
 // (query.Engine over query.Pool against real daemon.Server instances on
 // loopback TCP), queries both endpoints, evaluates, and installs on a
 // real switch. The forwarder's half of the trace and the owner's half
-// must share one trace ID — the 'T' frame carries it across the link, the
+// must share one trace ID — the event frame carries it across the link, the
 // `trace:` query line carries it to the daemons — so a daemon RTT paid on
 // B attributes to the decision A first saw.
 
@@ -204,9 +204,8 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 	// Restart the replica, which kills the connection out from under the
 	// link; the next forward heals by redialing.
 	restart(t, rb, addr, Options{Trace: rec})
-	// An untraced forward finds the dead connection and redials: a traced
-	// one that found it would be taken for the old-peer signature and be
-	// retried, delivered, without its ID.
+	// An untraced forward finds the dead connection and redials, so the
+	// traced one behind it goes out once, on the new connection.
 	waitUntil(t, "link recovery", func() bool { return l.ForwardEvent(testPacketIn(testFive(33003))) == nil })
 
 	ev2 := testPacketIn(testFive(33002))

@@ -94,6 +94,84 @@ func (d *deferredTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(
 	}()
 }
 
+// endQueries wraps a transport and checks the invariant the query plane
+// rests on: the controller asks each end of a flow once per decision, and
+// never has two queries for one (host, flow) outstanding — a flow's
+// duplicate packet-ins park on its decision (shard.begin), so nothing below
+// the controller deduplicates. A query is outstanding from the call until
+// its completion is about to run.
+type endQueries struct {
+	QueryTransport
+	mu       sync.Mutex
+	open     map[hostFlow]int
+	sent     map[netaddr.IP]int
+	overlaps int // queries issued while one for the same (host, flow) was outstanding
+}
+
+type hostFlow struct {
+	host netaddr.IP
+	five flow.Five
+}
+
+func countEndQueries(tr QueryTransport) *endQueries {
+	return &endQueries{QueryTransport: tr, open: make(map[hostFlow]int), sent: make(map[netaddr.IP]int)}
+}
+
+func (e *endQueries) issue(host netaddr.IP, five flow.Five) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	k := hostFlow{host, five}
+	if e.open[k] > 0 {
+		e.overlaps++
+	}
+	e.open[k]++
+	e.sent[host]++
+}
+
+func (e *endQueries) complete(host netaddr.IP, five flow.Five) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.open[hostFlow{host, five}]--
+}
+
+func (e *endQueries) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+	e.issue(host, q.Flow)
+	defer e.complete(host, q.Flow)
+	return e.QueryTransport.Query(host, q)
+}
+
+func (e *endQueries) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	five := q.Flow
+	e.issue(host, five)
+	e.QueryTransport.(interface {
+		QueryAsync(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))
+	}).QueryAsync(host, q, func(resp *wire.Response, rtt time.Duration, err error) {
+		e.complete(host, five)
+		done(resp, rtt, err)
+	})
+}
+
+// outstanding returns how many queries for (host, five) have not completed.
+func (e *endQueries) outstanding(host netaddr.IP, five flow.Five) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.open[hostFlow{host, five}]
+}
+
+// check fails t unless each of the two ends was asked exactly decisions
+// times with no query overlapping another for its (host, flow).
+func (e *endQueries) check(t *testing.T, src, dst netaddr.IP, decisions int64) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.overlaps != 0 {
+		t.Errorf("%d queries issued while one for the same (host, flow) was outstanding, want 0", e.overlaps)
+	}
+	if int64(e.sent[src]) != decisions || int64(e.sent[dst]) != decisions {
+		t.Errorf("queries: src %d, dst %d; want %d each (one per end per decision)", e.sent[src], e.sent[dst], decisions)
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -156,7 +234,10 @@ func TestAsyncDecisionSuspendsAndFinishes(t *testing.T) {
 
 // TestAsyncDuplicatesParkAndResolve: packet-ins arriving while the decision
 // is suspended park on the shard waiter list and are resolved by the
-// completion-side finish, exactly as under inline completion.
+// completion-side finish, exactly as under inline completion. They ask
+// nobody: the transport sees one query per end for the one decision, never
+// two outstanding for one (host, flow) — the query plane below keeps no
+// deduplication of its own.
 func TestAsyncDuplicatesParkAndResolve(t *testing.T) {
 	tr := &fakeAsyncTransport{
 		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
@@ -165,13 +246,19 @@ func TestAsyncDuplicatesParkAndResolve(t *testing.T) {
 		}},
 		gate: make(chan struct{}),
 	}
+	eq := countEndQueries(tr)
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
-	c, dp1 := newAsyncController(tr, topo)
+	c, dp1 := newAsyncController(eq, topo)
 
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 101, DstPort: 200}
 	c.HandleEvent(sampleEvent(five, 1))
 	for i := 0; i < 3; i++ {
 		c.HandleEvent(sampleEvent(five, 1)) // duplicates of the suspended flow
+	}
+	for _, host := range []netaddr.IP{hostA, hostB} {
+		if got := eq.outstanding(host, five); got != 1 {
+			t.Errorf("queries outstanding to %s for the flow = %d, want 1", host, got)
+		}
 	}
 	if got := c.Counters.Get("duplicate_packet_ins"); got != 3 {
 		t.Fatalf("duplicate_packet_ins = %d, want 3", got)
@@ -189,6 +276,7 @@ func TestAsyncDuplicatesParkAndResolve(t *testing.T) {
 		// three parked duplicates are released explicitly.
 		return len(dp1.released) == 3
 	})
+	eq.check(t, hostA, hostB, 1)
 }
 
 // TestAsyncInlineCompletion: a transport that completes inline (negative

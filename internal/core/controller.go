@@ -126,20 +126,18 @@ type QueryTransport interface {
 // is invoked exactly once — inline on the caller (a blocking transport, the
 // query plane's fast-path failures and caches), or later on whichever
 // goroutine learns the outcome (over the query plane's Pool, the daemon
-// connection's reader). The response it delivers may be shared with coalesced
-// waiters and must be treated as a read-only borrow. tb is the decision's
-// flight-recorder buffer and epFlag its endpoint (trace.FlagSrc or
-// trace.FlagDst), OR'd into every event recorded for the exchange: one
-// StageQueryEnqueue when the query is accepted or rejected, one
+// connection's reader). The response it delivers is a read-only borrow. tb
+// is the decision's flight-recorder buffer and epFlag its endpoint
+// (trace.FlagSrc or trace.FlagDst), OR'd into every event recorded for the
+// exchange: one StageQueryEnqueue when the query is accepted or rejected, one
 // StageQueryDone before done runs. A nil tb records nothing.
 type queryFunc func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(resp *wire.Response, rtt time.Duration, err error))
 
 // resolveTransport picks the transport's one face, once. internal/query.Engine
 // has queryFunc's shape itself and records richer span events than the
-// controller could (coalescing, breaker, negative cache, attempts); a
-// transport with only the 3-argument QueryAsync, and — without AsyncQueries —
-// any transport's blocking Query, completed inline on the caller, are wrapped
-// by selfTracing.
+// controller could (breaker, negative cache, attempts); a transport with only
+// the 3-argument QueryAsync, and — without AsyncQueries — any transport's
+// blocking Query, completed inline on the caller, are wrapped by selfTracing.
 func resolveTransport(tr QueryTransport, async bool) queryFunc {
 	if !async {
 		return selfTracing(func(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
@@ -899,7 +897,7 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		s.tb.Rec(trace.StageInstall, trace.FlagDeny, int64(s.installed))
 	}
 	if len(d.Diags) > 0 {
-		c.hot.evalDiags.Add(int64(len(d.Diags)))
+		c.hot.evalDiags.Add(1)
 	}
 
 	if g.preDecided {

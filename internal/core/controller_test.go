@@ -493,6 +493,38 @@ pass from any to any with eq(@src[name], skype)
 	}
 }
 
+// TestEvalDiagsCountsEvaluations: eval_diags counts evaluations that emitted
+// a diagnostic, not the diagnostics — one with two adds 1 — and a key the
+// daemon did not supply is a false predicate, not a diagnostic.
+func TestEvalDiagsCountsEvaluations(t *testing.T) {
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{hostA: {"name": "skype"}, hostB: {}}}
+	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
+	c, _, _ := newTestController(`
+block all
+pass from any to any port 1 with frob(@src[name])
+pass from any to any port 1 with eq(@src[name])
+pass from any to any port 2 with eq(@dst[name], skype)
+`, tr, topo)
+
+	diagnosed := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: 1}
+	c.HandleEvent(sampleEvent(diagnosed, 1))
+	if n := len(c.Audit.Entries()[0].Diags); n != 2 {
+		t.Fatalf("the evaluation emitted %d diagnostics, want 2", n)
+	}
+	if got := c.Counters.Get("eval_diags"); got != 1 {
+		t.Errorf("eval_diags = %d after one evaluation with two diagnostics, want 1", got)
+	}
+
+	missingKey := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: 2}
+	c.HandleEvent(sampleEvent(missingKey, 1))
+	if got := c.Counters.Get("eval_diags"); got != 1 {
+		t.Errorf("eval_diags = %d after a missing-key evaluation, want still 1", got)
+	}
+	if c.Counters.Get("flows_denied") != 2 {
+		t.Errorf("flows_denied = %d, want 2", c.Counters.Get("flows_denied"))
+	}
+}
+
 func TestInterceptChainAnswersAndAugments(t *testing.T) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{}}
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}

@@ -71,8 +71,6 @@ type megaEntry struct {
 	matched   bool
 	keepState bool
 
-	hits atomic.Int64
-
 	// aged is set, under the shard lock, when a sweep keeps the entry aside
 	// (megaShard.aged): it has been counted out of the cache, and whatever
 	// retires it later counts nothing more.
@@ -204,8 +202,7 @@ func (t *megaTable) resident(k megaKey) *megaEntry {
 }
 
 // lookup probes the active masks for a live, current-epoch, unexpired
-// entry covering f. The winning entry's hit counter is bumped here so
-// the caller's fast path stays load-only.
+// entry covering f.
 func (t *megaTable) lookup(f flow.Five, now time.Time, epoch uint64) *megaEntry {
 	active := t.active.Load()
 	for active != 0 {
@@ -213,7 +210,6 @@ func (t *megaTable) lookup(f flow.Five, now time.Time, epoch uint64) *megaEntry 
 		active &= active - 1
 		e := t.resident(megaKey{masked: pf.Trace{Fields: m}.Mask(f), mask: m})
 		if e != nil && e.epoch == epoch && now.Before(e.expires) && !e.dead.Load() {
-			e.hits.Add(1)
 			return e
 		}
 	}

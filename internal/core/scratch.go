@@ -159,10 +159,10 @@ type gatherState struct {
 }
 
 // srcDone and dstDone are the transport's completion entry points. The
-// response they receive is a read-only borrow shared with any coalesced
-// waiters (see internal/query's borrow contract); resolveResponse never
-// mutates it, and downstream it is read by the evaluation and dropped —
-// never retained past the decision, never pooled.
+// response they receive is a read-only borrow (see internal/query's borrow
+// contract); resolveResponse never mutates it, and downstream it is read by
+// the evaluation and dropped — never retained past the decision, never
+// pooled.
 func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error) {
 	g.src, g.qsrc, g.srcBuilt, g.srcTransient = g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
 	if g.pending.Add(-1) == 0 {

@@ -38,6 +38,8 @@ func testStressConcurrentPipeline(t *testing.T, cm completionMode) {
 		Shards:           8,
 	}
 	settle := cm.config(&cfg)
+	eq := countEndQueries(cfg.Transport)
+	cfg.Transport = eq
 	c := New(cfg)
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
@@ -155,6 +157,10 @@ func testStressConcurrentPipeline(t *testing.T, cm completionMode) {
 		t.Errorf("waiters_resolved = %d + overflowed = %d != duplicate_packet_ins = %d; parked events leaked",
 			snap["waiters_resolved"], snap["waiters_overflowed"], snap["duplicate_packet_ins"])
 	}
+	// Every packet-in that neither parked nor was decided without asking
+	// (verdict-cache hit, header-only pre-pass) asked each end exactly once,
+	// and no two of those queries to one end of a flow overlapped.
+	eq.check(t, hostA, hostB, snap["packet_ins"]-snap["duplicate_packet_ins"]-snap["megaflow_hits"]-snap["decisions_headeronly"])
 	// Quiescent: no flow still marked in flight.
 	for i := range c.flows.shards {
 		sh := &c.flows.shards[i]

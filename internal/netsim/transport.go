@@ -128,10 +128,9 @@ func (t *Transport) oneWay(host netaddr.IP) time.Duration {
 
 // PlaneTransport wraps the simulator transport in the production
 // query-plane engine (internal/query), so simulator experiments run the
-// same coalescing, negative-cache, and breaker machinery as a real
-// deployment: repeated queries to daemon-less hosts stop re-travelling the
-// virtual network, and concurrent identical queries share one exchange.
-// The engine reads the simulation's virtual clock, keeping expiry
+// same retry, negative-cache, and breaker machinery as a real deployment:
+// repeated queries to daemon-less hosts stop re-travelling the virtual
+// network. The engine reads the simulation's virtual clock, keeping expiry
 // semantics deterministic.
 func (n *Network) PlaneTransport(home *SwitchNode, self core.Interceptor) *query.Engine {
 	return query.NewEngine(query.Config{

@@ -3,15 +3,12 @@ package query
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"identxx/internal/core"
-	"identxx/internal/flow"
 	"identxx/internal/metrics"
 	"identxx/internal/netaddr"
 	"identxx/internal/trace"
@@ -75,8 +72,11 @@ type Config struct {
 
 // Engine is the query-plane brain. It implements core.QueryTransport
 // (blocking Query) and the completion-style faces core.Config.AsyncQueries
-// asks for (QueryAsync, QueryAsyncTraced), multiplexing all of them over the
-// same coalescing, caching, and breaker state.
+// asks for (QueryAsync, QueryAsyncTraced), all of them over the same
+// retry, negative-cache, and breaker state. Every query is its own flight to
+// the wire: the controller asks each end of a flow once per decision (its
+// pending set parks a flow's duplicate packet-ins), so there is nothing to
+// share.
 type Engine struct {
 	lower Lower
 	// start issues one attempt: the lower's Go, or its blocking Query
@@ -90,19 +90,20 @@ type Engine struct {
 	clock   func() time.Time
 
 	Counters *metrics.Counter
-	// InFlight gauges queries between admission and delivery, coalesced
-	// waiters excluded (they ride an already-counted flight).
+	// InFlight gauges queries between admission and delivery.
 	InFlight metrics.Gauge
 
 	hot struct {
-		sent, coalesced, negHits, retriesC        *atomic.Int64
+		sent, negHits, retriesC                   *atomic.Int64
 		breakerOpens, breakerFastfails, timeoutsC *atomic.Int64
 	}
 
-	sfMu    sync.Mutex
-	sf      map[sfKey]*flight
-	idle    sync.Cond // on sfMu: Close waits here for InFlight to reach 0
 	flights sync.Pool // *flight
+
+	// Close waits on idle for InFlight to reach 0; a delivery signals it
+	// only once closed is set.
+	idleMu sync.Mutex
+	idle   sync.Cond
 
 	hostMu sync.Mutex
 	hosts  map[netaddr.IP]*hostState
@@ -110,39 +111,22 @@ type Engine struct {
 	closed atomic.Bool
 }
 
-// sfKey identifies coalesceable work: same host, same flow, same key
-// hints — one wire query serves every concurrent asker. The hints are in it
-// as a hash; join compares the lists themselves.
-type sfKey struct {
-	host netaddr.IP
-	flow flow.Five
-	keys uint64
-}
-
-var keySeed = maphash.MakeSeed()
-
 // completion receives a delivered result; see the package comment for the
 // borrow contract on resp.
 type completion func(resp *wire.Response, rtt time.Duration, err error)
 
-// qcb is one async waiter on a flight: the completion plus the waiter's
-// flight-recorder buffer (nil for untraced decisions) and its endpoint
-// flag. Keeping the trace context per-waiter means coalesced decisions
-// each get the shared exchange's outcome recorded into their own trace.
-type qcb struct {
-	fn completion
-	tb *trace.Buffer
-	ep uint16
-}
-
-// flight is one in-flight wire query and the waiters coalesced onto it;
-// flights are recycled, with the completion the lower layer is handed.
+// flight is one query on its way through the wire: its completion, the
+// asker's flight-recorder buffer (nil for untraced decisions) and endpoint
+// flag, and the attempts it has started. Flights are recycled, with the
+// completion the lower layer is handed.
 type flight struct {
 	e        *Engine
-	key      sfKey
+	host     netaddr.IP
 	q        wire.Query
-	attempts int32                                      // transport attempts started
-	cbs      []qcb                                      // waiters; invoked at delivery
+	attempts int32
+	done     completion
+	tb       *trace.Buffer
+	ep       uint16
 	reply    func(*wire.Response, time.Duration, error) // onReply
 }
 
@@ -170,7 +154,6 @@ func NewEngine(cfg Config) *Engine {
 		brkN:    cfg.BreakerThreshold,
 		brkCool: cfg.BreakerCooldown,
 		clock:   cfg.Clock,
-		sf:      make(map[sfKey]*flight),
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
 	if gl, ok := cfg.Lower.(interface {
@@ -182,7 +165,7 @@ func NewEngine(cfg Config) *Engine {
 			done(e.lower.Query(host, q))
 		}
 	}
-	e.idle.L = &e.sfMu
+	e.idle.L = &e.idleMu
 	if e.timeout <= 0 {
 		e.timeout = defaultRequestTimeout
 	}
@@ -212,7 +195,6 @@ func NewEngine(cfg Config) *Engine {
 		e.Counters = metrics.NewCounter()
 	}
 	e.hot.sent = e.Counters.Cell("engine_queries_sent")
-	e.hot.coalesced = e.Counters.Cell("engine_coalesce_hits")
 	e.hot.negHits = e.Counters.Cell("engine_negcache_hits")
 	e.hot.retriesC = e.Counters.Cell("engine_retries")
 	e.hot.breakerOpens = e.Counters.Cell("engine_breaker_opens")
@@ -271,11 +253,10 @@ func (e *Engine) hostRecovered(host netaddr.IP) {
 }
 
 // Query implements core.QueryTransport: it blocks until the result is
-// available, joining an identical in-flight query instead of issuing a
-// duplicate.
+// available.
 func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	w := waiters.Get().(*waiter)
-	e.query(host, q, qcb{fn: w.done})
+	e.query(host, q, nil, 0, w.done)
 	return w.wait()
 }
 
@@ -283,55 +264,59 @@ func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Dura
 // inline for fast-path rejections (negative cache, breaker, closed, what the
 // lower refuses on the spot) and over a lower that only blocks, otherwise on
 // the goroutine that learns the outcome: over a Pool, the host connection's
-// reader. It possibly shares one wire exchange with other callers. done must
-// not block; the controller's continuation (evaluate + install) is the
-// intended scale.
+// reader. done must not block; the controller's continuation (evaluate +
+// install) is the intended scale.
 func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-	e.QueryAsyncTraced(host, q, nil, 0, done)
+	e.query(host, q, nil, 0, done)
 }
 
 // QueryAsyncTraced is QueryAsync with a flight-recorder buffer: the engine
-// records the query's enqueue (annotated with the gate that admitted or
-// rejected it — coalesced onto an in-flight exchange, negative-cache hit,
-// breaker fast-fail) and its completion (RTT, transport attempts, error)
-// into tb. A nil tb records nothing and behaves exactly like QueryAsync.
+// records the query's enqueue (annotated with the gate that rejected it, if
+// one did — negative-cache hit, breaker fast-fail) and its completion (RTT,
+// transport attempts, error) into tb, OR'ing ep into both. A nil tb records
+// nothing and behaves exactly like QueryAsync.
 func (e *Engine) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
-	e.query(host, q, qcb{fn: done, tb: tb, ep: ep})
+	e.query(host, q, tb, ep, done)
 }
 
-// query passes the gates, then joins the flight for (host, q) or starts it.
-// A rejection is an exchange like any other to the trace: an enqueue flagged
-// with the gate that turned it away, then a failed done.
-func (e *Engine) query(host netaddr.IP, q wire.Query, cb qcb) {
+// query passes the gates, then starts the query's flight. The enqueue is
+// recorded before launch, which may deliver — and the asker's continuation
+// re-pool tb — before it returns. A rejection is an exchange like any other
+// to the trace: an enqueue flagged with the gate that turned it away, then a
+// failed done.
+func (e *Engine) query(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done completion) {
 	gate, err := trace.FlagErr, ErrClosed
 	if !e.closed.Load() {
 		gate, err = e.fastFail(host)
 	}
+	tb.Rec(trace.StageQueryEnqueue, ep|gate, 0)
 	if err != nil {
-		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|gate, 0)
-		cb.tb.Rec(trace.StageQueryDone, cb.ep|gate|trace.FlagErr, 0)
-		cb.fn(nil, 0, err)
+		tb.Rec(trace.StageQueryDone, ep|gate|trace.FlagErr, 0)
+		done(nil, 0, err)
 		return
 	}
-	if f, leader := e.join(host, q, cb); leader {
-		f.launch()
-	} else {
-		e.hot.coalesced.Add(1)
+	f, _ := e.flights.Get().(*flight)
+	if f == nil {
+		f = &flight{e: e}
+		f.reply = f.onReply
 	}
+	f.host, f.q, f.done, f.tb, f.ep = host, q, done, tb, ep
+	e.InFlight.Inc()
+	f.launch()
 }
 
 // Close rejects future queries, then blocks until every flight already
-// started has been delivered (its waiters still get real results), so
+// started has been delivered (its asker still gets a real result), so
 // closing the Engine before its lower layer is safe — the identctl/defer
 // idiom of eng.Close() then pool.Close() never yanks the transport out from
 // under a flight. Close must not be called from a completion callback.
 func (e *Engine) Close() {
 	e.closed.Store(true)
-	e.sfMu.Lock()
+	e.idleMu.Lock()
 	for e.InFlight.Get() > 0 {
 		e.idle.Wait()
 	}
-	e.sfMu.Unlock()
+	e.idleMu.Unlock()
 }
 
 // fastFail consults the negative cache and the breaker; a non-nil error is
@@ -414,51 +399,13 @@ func (e *Engine) HostStats() []HostStatus {
 	return out
 }
 
-// join registers interest in (host, flow, keys): the first caller becomes
-// the leader who must launch the flight; later callers coalesce onto it.
-// The key deliberately excludes the trace ID — tracing must not defeat
-// coalescing — so the leader's ID is the one a daemon sees on the wire.
-func (e *Engine) join(host netaddr.IP, q wire.Query, cb qcb) (*flight, bool) {
-	key := sfKey{host: host, flow: q.Flow}
-	for _, k := range q.Keys {
-		key.keys = key.keys*31 + maphash.String(keySeed, k)
-	}
-	e.sfMu.Lock()
-	defer e.sfMu.Unlock()
-	f, taken := e.sf[key]
-	if taken && slices.Equal(f.q.Keys, q.Keys) {
-		// Record the enqueue before the qcb is published: once it is
-		// appended, the flight may be delivered — and the caller's
-		// continuation re-pool tb — at any moment, so this is the last point
-		// a write to tb cannot race deliver. The leader's query is the one on
-		// the wire; this decision rides it, so the daemon attributes the RTT
-		// to the leader's trace ID.
-		cb.tb.Rec(trace.StageQueryEnqueue, cb.ep|trace.FlagCoalesced, 0)
-		f.cbs = append(f.cbs, cb)
-		return f, false
-	}
-	f, _ = e.flights.Get().(*flight)
-	if f == nil {
-		f = &flight{e: e}
-		f.reply = f.onReply
-	}
-	f.key, f.q, f.attempts = key, q, 0
-	cb.tb.Rec(trace.StageQueryEnqueue, cb.ep, 0)
-	f.cbs = append(f.cbs, cb)
-	if !taken { // a hash collision flies alone, outside the map
-		e.sf[key] = f
-	}
-	e.InFlight.Inc()
-	return f, true
-}
-
 // launch starts one attempt, which ends in onReply: over a Pool on the host
 // connection's reader, over a lower that only blocks before launch returns.
 func (f *flight) launch() {
 	e := f.e
 	e.hot.sent.Add(1)
 	f.attempts++
-	e.start(f.key.host, f.q, time.Now().Add(e.timeout), f.reply)
+	e.start(f.host, f.q, time.Now().Add(e.timeout), f.reply)
 }
 
 // onReply ends one attempt: retry, or settle the host's record and deliver.
@@ -470,33 +417,33 @@ func (f *flight) onReply(resp *wire.Response, rtt time.Duration, err error) {
 		f.launch()
 		return
 	}
-	e.settle(f.key.host, rtt, err)
-	e.deliver(f, resp, rtt, err)
+	e.settle(f.host, rtt, err)
+	f.deliver(resp, rtt, err)
 }
 
-// deliver hands a flight's result to every waiter, exactly once each, and
-// recycles the flight. Once it is out of the map no one else can reach it.
-func (e *Engine) deliver(f *flight, resp *wire.Response, rtt time.Duration, err error) {
-	e.sfMu.Lock()
-	if e.sf[f.key] == f {
-		delete(e.sf, f.key)
-	}
-	e.InFlight.Dec()
-	e.idle.Broadcast()
-	e.sfMu.Unlock()
-	for _, cb := range f.cbs {
-		if cb.tb != nil {
-			flags := cb.ep
-			if err != nil {
-				flags |= trace.FlagErr
-			}
-			cb.tb.RecAux(trace.StageQueryDone, flags, int64(rtt), f.attempts)
+// deliver records the flight's completion, recycles the flight and hands its
+// result to the asker. The done event goes first: done may finish the
+// asker's decision and re-pool tb.
+func (f *flight) deliver(resp *wire.Response, rtt time.Duration, err error) {
+	e, done := f.e, f.done
+	if f.tb != nil {
+		flags := f.ep
+		if err != nil {
+			flags |= trace.FlagErr
 		}
-		cb.fn(resp, rtt, err)
+		f.tb.RecAux(trace.StageQueryDone, flags, int64(rtt), f.attempts)
 	}
-	clear(f.cbs)
-	f.cbs, f.q = f.cbs[:0], wire.Query{}
+	*f = flight{e: e, reply: f.reply}
 	e.flights.Put(f)
+	e.InFlight.Dec()
+	if e.closed.Load() {
+		// Close reads InFlight after setting closed: a delivery that saw
+		// closed unset decremented before that read.
+		e.idleMu.Lock()
+		e.idle.Broadcast()
+		e.idleMu.Unlock()
+	}
+	done(resp, rtt, err)
 }
 
 // settle updates the host's availability record from one exchange outcome.

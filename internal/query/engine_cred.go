@@ -8,8 +8,8 @@ import (
 
 // credSource is the optional credential face of a Lower: transports that
 // authenticate sessions (*Pool in credentialed mode) implement it. The
-// Engine passes these views through unchanged — retries, coalescing, and
-// the breaker sit above authorization, not instead of it.
+// Engine passes these views through unchanged — retries and the breaker
+// sit above authorization, not instead of it.
 type credSource interface {
 	Credentialed() bool
 	HostAuthorized(host netaddr.IP) bool

@@ -70,76 +70,6 @@ func engQuery(port netaddr.Port) wire.Query {
 	return wire.Query{Flow: testFlow(engHost, port), Keys: []string{wire.KeyName}}
 }
 
-// TestEngineCoalescing is the acceptance check: N concurrent misses for
-// one (host, flow, keys) produce exactly one wire query; every waiter gets
-// the same response.
-func TestEngineCoalescing(t *testing.T) {
-	lower := &fakeLower{gate: make(chan struct{})}
-	e := NewEngine(Config{Lower: lower})
-	defer e.Close()
-
-	const n = 16
-	q := engQuery(1000)
-	var wg sync.WaitGroup
-	resps := make([]*wire.Response, n)
-	errs := make([]error, n)
-	started := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started <- struct{}{}
-			resps[i], _, errs[i] = e.Query(engHost, q)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	// All askers are queued behind one gated flight (give the laggards a
-	// moment to reach join, then release).
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Counters.Get("engine_coalesce_hits") < n-1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(lower.gate)
-	wg.Wait()
-
-	if got := lower.calls.Load(); got != 1 {
-		t.Fatalf("wire queries = %d, want exactly 1 for %d concurrent misses", got, n)
-	}
-	for i := 1; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d: %v", i, errs[i])
-		}
-		if resps[i] != resps[0] {
-			t.Errorf("waiter %d got a different response pointer (coalescing should share)", i)
-		}
-	}
-	if ch := e.Counters.Get("engine_coalesce_hits"); ch != n-1 {
-		t.Errorf("engine_coalesce_hits = %d, want %d", ch, n-1)
-	}
-	if e.InFlight.Get() != 0 {
-		t.Errorf("InFlight = %d after delivery, want 0", e.InFlight.Get())
-	}
-}
-
-// TestEngineKeyedByQuery: different flows must NOT coalesce — the daemon's
-// answer depends on the flow it is asked about.
-func TestEngineKeyedByQuery(t *testing.T) {
-	lower := &fakeLower{}
-	e := NewEngine(Config{Lower: lower})
-	defer e.Close()
-	if _, _, err := e.Query(engHost, engQuery(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.Query(engHost, engQuery(2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := lower.calls.Load(); got != 2 {
-		t.Errorf("wire queries = %d, want 2 for distinct flows", got)
-	}
-}
-
 // TestEngineNegativeCache: a daemon-less host costs one wire trip, then
 // negative-cache hits until the TTL expires.
 func TestEngineNegativeCache(t *testing.T) {
@@ -303,7 +233,10 @@ func TestEngineRetries(t *testing.T) {
 }
 
 // TestEngineQueryAsync: completions are invoked exactly once with the
-// result, and concurrent async askers coalesce onto one wire query.
+// result, and every query is a flight of its own: n askers of one query are
+// n exchanges on the wire, all outstanding at once. (The controller never
+// asks one end of a flow twice at once; a caller that does gets what it
+// asked for.)
 func TestEngineQueryAsync(t *testing.T) {
 	lower := &goLower{fakeLower{gate: make(chan struct{})}}
 	e := NewEngine(Config{Lower: lower})
@@ -313,31 +246,29 @@ func TestEngineQueryAsync(t *testing.T) {
 	q := engQuery(700)
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
-	resps := make([]*wire.Response, n)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
 		e.QueryAsync(engHost, q, func(resp *wire.Response, rtt time.Duration, err error) {
-			if err != nil {
-				t.Errorf("async completion %d: %v", i, err)
+			if err != nil || resp == nil {
+				t.Errorf("async completion %d: resp=%v err=%v", i, resp, err)
 			}
-			resps[i] = resp
 			delivered.Add(1)
 			wg.Done()
 		})
+	}
+	if got := e.InFlight.Get(); got != n {
+		t.Errorf("InFlight = %d with every exchange gated, want %d", got, n)
 	}
 	close(lower.gate)
 	wg.Wait()
 	if got := delivered.Load(); got != n {
 		t.Fatalf("completions = %d, want %d", got, n)
 	}
-	if got := lower.calls.Load(); got != 1 {
-		t.Errorf("wire queries = %d, want 1 (async coalescing)", got)
+	if got := lower.calls.Load(); got != n {
+		t.Errorf("wire queries = %d, want %d (one per query)", got, n)
 	}
-	for i := 1; i < n; i++ {
-		if resps[i] != resps[0] {
-			t.Errorf("async waiter %d received a different response", i)
-		}
+	if got := e.InFlight.Get(); got != 0 {
+		t.Errorf("InFlight = %d after delivery, want 0", got)
 	}
 }
 
@@ -409,6 +340,41 @@ func TestEngineClosed(t *testing.T) {
 	})
 	if err := <-got; !errors.Is(err, ErrClosed) {
 		t.Errorf("QueryAsync after Close delivered %v, want ErrClosed", err)
+	}
+}
+
+// TestEngineCloseWaitsForFlights: Close returns only once every flight
+// already started has been delivered, and each asker gets the real result.
+func TestEngineCloseWaitsForFlights(t *testing.T) {
+	lower := &goLower{fakeLower{gate: make(chan struct{})}}
+	e := NewEngine(Config{Lower: lower})
+	const n = 4
+	errs := make(chan error, n)
+	for i := range n {
+		e.QueryAsync(engHost, engQuery(netaddr.Port(900+i)), func(_ *wire.Response, _ time.Duration, err error) {
+			errs <- err
+		})
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with flights outstanding")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(lower.gate)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned after the flights were delivered")
+	}
+	for range n {
+		if err := <-errs; err != nil {
+			t.Errorf("a flight delivered before Close returned failed: %v", err)
+		}
 	}
 }
 

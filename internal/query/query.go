@@ -13,23 +13,22 @@
 //   - Engine sits above any core.QueryTransport-shaped lower layer (the
 //     Pool for real deployments, netsim.Transport for the §5–§6
 //     experiments) and adds the behavior a controller serving millions of
-//     users needs on the availability-critical path: in-flight coalescing
-//     so concurrent cache misses for the same (host, flow, keys) share one
-//     wire query, bounded retries, a per-host circuit breaker, a TTL'd
-//     negative cache so daemon-less or down hosts stop costing a connect
-//     timeout per miss, and an asynchronous completion API the controller
-//     uses to suspend a decision: no goroutine is parked on the round trip,
-//     and the flight's completion — retry, breaker, delivery, and with it the
-//     controller's evaluate-and-install — runs on the Pool goroutine that
-//     decoded the response, so it must not block (engine.go).
+//     users needs on the availability-critical path: bounded retries, a
+//     per-host circuit breaker, a TTL'd negative cache so daemon-less or
+//     down hosts stop costing a connect timeout per miss, and an
+//     asynchronous completion API the controller uses to suspend a
+//     decision: no goroutine is parked on the round trip, and the flight's
+//     completion — retry, breaker, delivery, and with it the controller's
+//     evaluate-and-install — runs on the Pool goroutine that decoded the
+//     response, so it must not block (engine.go). Each query is its own
+//     wire exchange: the controller already asks each end of a flow once
+//     per decision.
 //
-// Responses delivered by the engine are owned by the engine's caller set
-// as a group: a coalesced query hands the same *wire.Response to every
-// waiter, so delivered responses are read-only borrows — callers must not
-// mutate or pool-release them. (The controller already honors this: it
-// caches verdicts, not responses, so a daemon response is read by one
-// evaluation and dropped to the garbage collector — never retained past
-// the decision, never returned to the pf view pool.)
+// Responses delivered by the engine are read-only borrows — callers must
+// not mutate or pool-release them. (The controller honors this: it caches
+// verdicts, not responses, so a daemon response is read by one evaluation
+// and dropped to the garbage collector — never retained past the decision,
+// never returned to the pf view pool.)
 package query
 
 import (

@@ -154,67 +154,25 @@ func TestEngineTracedRejectionsPair(t *testing.T) {
 	}
 }
 
-// TestEngineTracedCoalesceFlags: waiters coalesced onto an in-flight
-// exchange record StageQueryEnqueue with FlagCoalesced — and record it
-// before the qcb is published, so the event can never land after the
-// flight's delivery (or in a re-pooled buffer; see the race test below).
-func TestEngineTracedCoalesceFlags(t *testing.T) {
-	rec := trace.New(trace.Config{SampleEvery: 1, RingSize: 64})
-	lower := &goLower{fakeLower{gate: make(chan struct{})}}
-	e := NewEngine(Config{Lower: lower})
-	defer e.Close()
-
-	const n = 8
-	q := engQuery(4100)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		tb := rec.Begin(0)
-		e.QueryAsyncTraced(engHost, q, tb, 0, func(*wire.Response, time.Duration, error) {
-			rec.Finish(tb)
-			wg.Done()
-		})
-	}
-	close(lower.gate)
-	wg.Wait()
-
-	traces := rec.Traces()
-	if len(traces) != n {
-		t.Fatalf("retained traces = %d, want %d", len(traces), n)
-	}
-	leaders := 0
-	for _, tr := range traces {
-		enq, _ := enqueueEvents(t, tr)
-		if enq != nil && enq.Flags&trace.FlagCoalesced == 0 {
-			leaders++
-		}
-	}
-	if leaders != 1 {
-		t.Errorf("leader enqueues = %d, want exactly 1 (rest coalesced)", leaders)
-	}
-	if got := e.Counters.Get("engine_coalesce_hits"); got != n-1 {
-		t.Errorf("engine_coalesce_hits = %d, want %d", got, n-1)
-	}
-}
-
-// TestEngineTracedCoalesceRace drives concurrent traced queries whose
-// completions immediately Finish (re-pool) their buffers while other
-// callers are still joining the same flights. Run under -race, this is
-// the regression net for the coalesced-enqueue event being recorded after
-// join publishes the qcb: a worker could deliver the flight and re-pool
-// the buffer concurrently with (or before) the late Rec, corrupting a
-// buffer already re-issued to another decision.
+// TestEngineTracedCoalesceRace drives concurrent traced queries over
+// distinct flows whose completions immediately Finish (re-pool) their
+// buffers, half of them delivered on a goroutine of the lower's and half
+// inline on the asker. Run under -race, it is the regression net for the
+// enqueue event being recorded after launch (which may deliver and re-pool
+// the buffer before it returns), or the done event after done runs: either
+// writes into a buffer already re-issued to another decision. Every
+// retained trace must hold one enqueue before one done.
 func TestEngineTracedCoalesceRace(t *testing.T) {
 	rec := trace.New(trace.Config{SampleEvery: 1, RingSize: 64})
-	lower := &goLower{fakeLower{fn: func(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-		time.Sleep(50 * time.Microsecond)
+	answer := func(_ netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 		r := wire.NewResponse(q.Flow)
 		r.Add(wire.KeyHost, "fake")
 		return r, time.Millisecond, nil
-	}}}
-	e := NewEngine(Config{Lower: lower})
-	defer e.Close()
-
+	}
+	engines := []*Engine{
+		NewEngine(Config{Lower: &goLower{fakeLower{fn: answer}}}),
+		NewEngine(Config{Lower: &fakeLower{fn: answer}}),
+	}
 	const goroutines = 8
 	const perG = 200
 	var wg sync.WaitGroup
@@ -224,11 +182,10 @@ func TestEngineTracedCoalesceRace(t *testing.T) {
 			defer wg.Done()
 			var inner sync.WaitGroup
 			for i := 0; i < perG; i++ {
-				// Few distinct queries → constant join/deliver contention.
-				q := engQuery(netaddr.Port(5000 + i%4))
+				q := engQuery(netaddr.Port(5000 + g*perG + i))
 				tb := rec.Begin(0)
 				inner.Add(1)
-				e.QueryAsyncTraced(engHost, q, tb, 0, func(*wire.Response, time.Duration, error) {
+				engines[i%2].QueryAsyncTraced(engHost, q, tb, trace.FlagSrc, func(*wire.Response, time.Duration, error) {
 					rec.Finish(tb)
 					inner.Done()
 				})
@@ -237,4 +194,10 @@ func TestEngineTracedCoalesceRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for _, e := range engines {
+		e.Close()
+	}
+	for _, tr := range rec.Traces() {
+		enqueueEvents(t, tr)
+	}
 }

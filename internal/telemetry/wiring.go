@@ -26,7 +26,7 @@ var ControllerCounters = map[string]string{
 	"waiters_forwarded":              "Packets forwarded on behalf of resolved waiters.",
 	"flows_allowed":                  "Flow setups whose verdict was Allow.",
 	"flows_denied":                   "Flow setups whose verdict was Block.",
-	"eval_diags":                     "Policy evaluations that emitted diagnostics (missing keys, signature failures).",
+	"eval_diags":                     "Policy evaluations that emitted at least one diagnostic (unknown function, undefined macro or dict, wrong arity, malformed embedded rules or key).",
 	"entries_installed":              "Flow-table entries installed across all datapaths.",
 	"install_errors":                 "Flow-mod installs rejected by a datapath.",
 	"query_errors":                   "Endpoint queries that failed for reasons other than timeout.",
@@ -62,8 +62,7 @@ var ControllerCounters = map[string]string{
 
 // EngineCounters documents the query engine's counters.
 var EngineCounters = map[string]string{
-	"engine_queries_sent":      "Queries the engine passed to the lower transport (post-coalescing).",
-	"engine_coalesce_hits":     "Queries coalesced onto an identical in-flight exchange.",
+	"engine_queries_sent":      "Transport attempts the engine passed to the lower layer (one per admitted query, plus retries).",
 	"engine_negcache_hits":     "Queries served a cached host-unreachable verdict without touching the wire.",
 	"engine_retries":           "Extra attempts after retryable transport failures.",
 	"engine_breaker_opens":     "Circuit breakers opened by consecutive host failures.",
@@ -207,7 +206,7 @@ func RegisterControllerHealth(h *Health, ctl *core.Controller) {
 // RegisterEngine exports the query engine's counters and gauges.
 func RegisterEngine(r *Registry, eng *query.Engine, labels ...Label) {
 	r.RegisterCounterSet(eng.Counters, EngineCounters, labels...)
-	r.RegisterGauge("engine_inflight", "Queries between admission and delivery (coalesced waiters excluded).",
+	r.RegisterGauge("engine_inflight", "Admitted queries not yet delivered, one per query however many attempts it takes (fast-path rejections never count).",
 		&eng.InFlight, labels...)
 	r.RegisterGaugeFunc("engine_hosts", "Hosts with per-host engine state (negative cache, breaker, RTT histogram).",
 		func() int64 { return int64(len(eng.HostStats())) }, labels...)

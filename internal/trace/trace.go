@@ -2,8 +2,8 @@
 // span buffer rides each decision through the controller pipeline and
 // records timestamped events at every stage boundary — megaflow and exact
 // cache probes, the header-only pre-pass, query enqueue/completion per
-// endpoint (annotated with the query engine's coalescing, retry, breaker
-// and negative-cache behavior), policy eval, install fan-out, waiter
+// endpoint (annotated with the query engine's retry, breaker and
+// negative-cache behavior), policy eval, install fan-out, waiter
 // release, and revocation voids. Completed traces land in a striped ring;
 // the telemetry server exports them as JSON-lines and `identctl admin
 // trace` drills into them.
@@ -112,10 +112,6 @@ const (
 	FlagSrc
 	// FlagDst marks an event about the destination endpoint.
 	FlagDst
-	// FlagCoalesced marks a query that joined an already in-flight
-	// flight instead of going to the wire (the leader's trace ID is the
-	// one the daemon saw).
-	FlagCoalesced
 	// FlagNegCache marks a query answered from the engine's negative
 	// cache without touching the wire.
 	FlagNegCache
@@ -140,7 +136,6 @@ var flagNames = []struct {
 	{FlagHit, "hit"},
 	{FlagSrc, "src"},
 	{FlagDst, "dst"},
-	{FlagCoalesced, "coalesced"},
 	{FlagNegCache, "negcache"},
 	{FlagBreaker, "breaker"},
 	{FlagErr, "err"},

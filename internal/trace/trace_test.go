@@ -174,7 +174,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	b := r.Begin(0)
 	b.SetFlow(6, 0x0a000001, 0x0a000002, 40000, 80)
 	b.SetVerdict("pass")
-	b.RecAux(StageQueryDone, FlagSrc|FlagCoalesced, int64(3*time.Millisecond), 2)
+	b.RecAux(StageQueryDone, FlagSrc|FlagErr, int64(3*time.Millisecond), 2)
 	r.Finish(b)
 
 	var buf bytes.Buffer
@@ -208,7 +208,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	for _, e := range decoded.Events {
 		if e.Stage == "query-done" {
 			found = true
-			if e.Flags != "src,coalesced" || e.Arg != int64(3*time.Millisecond) || e.Aux != 2 {
+			if e.Flags != "src,err" || e.Arg != int64(3*time.Millisecond) || e.Aux != 2 {
 				t.Fatalf("query-done event wrong: %+v", e)
 			}
 		}

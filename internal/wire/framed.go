@@ -35,16 +35,10 @@ const (
 	// FrameEvent is a controller→controller forwarded packet-in: the
 	// cluster router's hand-off of a non-owned flow's event to the replica
 	// the ring assigns it to. The payload is internal/cluster's binary
-	// event encoding; Src/DstIP mirror the flow for symmetry with Q/R.
+	// event encoding, which leads with the 8-byte flight-recorder trace ID
+	// (0: untraced) the owner's decision stitches to; Src/DstIP mirror the
+	// flow for symmetry with Q/R.
 	FrameEvent byte = 'E'
-	// FrameEventTraced is FrameEvent with an 8-byte big-endian trace ID
-	// prefixed to the event payload: the forwarder's flight-recorder
-	// trace stitches to the owner's decision (internal/trace). Following
-	// the FrameSubscribe precedent, the kind is only ever sent to peers
-	// the operator has opted in — tracing is off by default and enabled
-	// ring-wide after every replica understands it — so a legacy ring
-	// never sees a kind it cannot decode.
-	FrameEventTraced byte = 'T'
 	// FrameSnapshot is a controller→controller epoch-fenced config
 	// snapshot push (policy source, answers, datapath set). 'C' for
 	// config; 'S' was taken.
@@ -165,7 +159,7 @@ func ReadFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 	}
 	switch f.Type {
 	case FrameQuery, FrameResponse, FrameUpdate, FrameSubscribe,
-		FrameEvent, FrameEventTraced, FrameSnapshot, FrameAck:
+		FrameEvent, FrameSnapshot, FrameAck:
 	default:
 		return Frame{}, buf, fmt.Errorf("wire: unknown frame type %#02x", f.Type)
 	}
