@@ -58,15 +58,13 @@ race:
 # writer under it and under the switch channel hands every byte from one
 # goroutine to another; run them repeatedly under the race detector so
 # interleavings get more than one roll. The cluster link's client is the
-# same link.Pipe as the query plane's, so its tests repeat too; the -run
-# filter keeps TestFailoverLosesNoRevocations (a known flake, over Loopback
-# links: ROADMAP open item 1) out of the repeat. The histograms every
-# decision writes are lock-free atomic cells read by concurrent scrapes;
-# their conservation tests repeat here with the exporter's.
+# same link.Pipe as the query plane's, so its tests repeat too. The
+# histograms every decision writes are lock-free atomic cells read by
+# concurrent scrapes; their conservation tests repeat here with the
+# exporter's.
 .PHONY: race-query
 race-query:
-	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/ ./internal/metrics/ ./internal/telemetry/
-	$(GO) test -race -count=2 -run 'TCPLink|TraceLink' ./internal/cluster/
+	$(GO) test -race -count=2 ./internal/query/ ./internal/openflow/ ./internal/link/ ./internal/metrics/ ./internal/telemetry/ ./internal/cluster/
 
 # The verdict cache's safety rests on interleavings one run rarely rolls:
 # an insert racing a fact update (register-before-publish, the publication
@@ -83,11 +81,21 @@ race-query:
 # the invariant the query engine relies on to keep no deduplication of its
 # own: one query per end per decision, never two outstanding for one
 # (host, flow) (TestAsyncDuplicatesParkAndResolve, and the counting
-# transport in TestStressConcurrentPipeline).
+# transport in TestStressConcurrentPipeline). The in-flight fences and the
+# re-decision they trigger (TestRedecide*, TestInFlightRevocation*) repeat
+# with them, and so does the daemon's half of that ordering: a change
+# landing between an answer and its memo is still published.
+#
+# The last line is the flake gate: tier-1 is deterministic, so the tests
+# whose schedules vary most — the failover test over Loopback links, the
+# re-decision tests, the stress suite — run fifty times at three
+# GOMAXPROCS settings, and one failure fails the gate.
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
+	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo' ./internal/daemon/
+	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Failover|Redecide|Stress' ./internal/cluster ./internal/core
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.

@@ -19,7 +19,7 @@ package main
 //	stats rulecache          ->  ok entries=<n> evictions=<n>
 //	status                   ->  ok epoch=<n> datapaths=<n> shards=<n> cached=<n>
 //	counters                 ->  ok <n>  then n lines  <name> <value>
-//	shards                   ->  ok <n>  then n lines  shard=<i> pending=<n> waiters=<n> revseq=<n>
+//	shards                   ->  ok <n>  then n lines  shard=<i> pending=<n> waiters=<n>
 //	hosts                    ->  ok <n>  then n lines  host=<ip> flows=<n> wide=<n> push=<bool> queries=<n> rtt_mean=<dur> rtt_p99=<dur> fails=<n> breaker=<bool> cred=<state> scope=<keys> exp=<rfc3339> cred_err=<verdict>
 //	rules                    ->  ok <n>  then n lines  rule=<q-string> total=<n> denied=<n> revoked=<n>
 //	creds                    ->  ok <n>  then n lines  host=<ip> present=<bool> verified=<bool> scope=<keys> exp=<rfc3339> err=<verdict>
@@ -141,8 +141,7 @@ func adminCommand(st adminState, line string) string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "ok %d", len(stats))
 		for i, s := range stats {
-			fmt.Fprintf(&b, "\nshard=%d pending=%d waiters=%d revseq=%d",
-				i, s.Pending, s.Waiters, s.RevSeq)
+			fmt.Fprintf(&b, "\nshard=%d pending=%d waiters=%d", i, s.Pending, s.Waiters)
 		}
 		return b.String()
 	case "ring":

@@ -14,9 +14,9 @@
 // state (the pending set) is sharded by the flow's maphash (see shard.go),
 // so packet-ins for different flows contend only when they hash to the
 // same shard; cached verdicts live in one class-sharded table
-// (megaflow.go). Duplicate packet-ins for an in-flight flow park on the
-// shard's waiter list and are resolved by the first verdict instead of
-// being dropped and re-punted.
+// (megaflow.go). Duplicate packet-ins for an in-flight flow park on its
+// decision and are resolved by the first verdict instead of being dropped
+// and re-punted.
 package core
 
 import (
@@ -314,6 +314,7 @@ type Controller struct {
 	state   atomic.Pointer[ctlState] // read-mostly snapshot; fast path loads once
 	writeMu sync.Mutex               // serializes snapshot writers only
 	flows   *shardTable              // sharded in-flight flow state (shard.go)
+	hosts   hostGens                 // the host fence (shard.go)
 	mega    *megaTable               // the verdict cache (nil unless ResponseCacheTTL > 0)
 	widen   bool                     // Config.Megaflow: cache under the trace's mask, not the full one
 
@@ -344,6 +345,7 @@ type Controller struct {
 		credUnauthorized                    *atomic.Int64
 		answeredOnBehalf, headerOnly        *atomic.Int64
 		revUpdates, revFlows, revInflight   *atomic.Int64
+		revRedecided, revVoidDropped        *atomic.Int64
 		revEntries                          *atomic.Int64
 		megaHits, megaInstalls              *atomic.Int64
 		megaTeardowns                       *atomic.Int64
@@ -406,6 +408,8 @@ func New(cfg Config) *Controller {
 	c.hot.revUpdates = c.Counters.Cell("revocations_updates")
 	c.hot.revFlows = c.Counters.Cell("revocations_flows")
 	c.hot.revInflight = c.Counters.Cell("revocations_inflight")
+	c.hot.revRedecided = c.Counters.Cell("revocations_redecided")
+	c.hot.revVoidDropped = c.Counters.Cell("revocations_void_dropped")
 	c.hot.revEntries = c.Counters.Cell("revocations_entries")
 	c.hot.megaHits = c.Counters.Cell("megaflow_hits")
 	c.hot.megaInstalls = c.Counters.Cell("megaflow_installs")
@@ -455,12 +459,10 @@ func (c *Controller) DatapathCount() int {
 }
 
 // ShardStat is one flow-state shard's occupancy snapshot: in-flight
-// decisions, parked duplicate packet-ins across them, and the shard's
-// revocation sequence.
+// decisions and the parked duplicate packet-ins across them.
 type ShardStat struct {
 	Pending int
 	Waiters int
-	RevSeq  uint64
 }
 
 // ShardStats snapshots every shard for the per-shard drill-down
@@ -471,9 +473,9 @@ func (c *Controller) ShardStats() []ShardStat {
 	for i := range c.flows.shards {
 		s := &c.flows.shards[i]
 		s.mu.Lock()
-		stat := ShardStat{Pending: len(s.pending), RevSeq: s.rev.Load()}
-		for _, waiters := range s.pending {
-			stat.Waiters += len(waiters)
+		stat := ShardStat{Pending: len(s.pending)}
+		for _, d := range s.pending {
+			stat.Waiters += len(d.waiters)
 		}
 		s.mu.Unlock()
 		out[i] = stat
@@ -688,11 +690,11 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	sh := c.flows.shardFor(five)
 
 	// Duplicate packet-ins for a flow whose verdict is being computed park
-	// on the shard's waiter list; the first packet's verdict resolves them.
+	// on the in-flight decision's waiter list; its verdict resolves them.
 	// A full waiter list (slow verdict at line rate) degrades to the
 	// release-now path so one flow cannot pin unbounded switch buffers.
-	first, parkedOK := sh.begin(five, dp, ev)
-	if !first {
+	s, parkedOK := sh.begin(five, dp, ev)
+	if s == nil {
 		c.hot.dupPacketIns.Add(1)
 		if !parkedOK {
 			dp.ReleaseBuffer(ev.BufferID)
@@ -703,18 +705,28 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 
 	// The decision owns the flow from here until finishDecision resolves
 	// it; capture the continuation context in the scratch so a suspended
-	// decision survives this goroutine. The shard's revocation sequence is
-	// captured before the cache probe: a revocation between here and the
-	// decision's publication voids it (see shard.rev).
-	s := acquireScratch()
+	// decision survives this goroutine.
 	s.sh, s.dp, s.ev, s.five = sh, dp, ev, five
-	s.revSeq = sh.rev.Load()
 	// Flight recorder: a nil recorder returns a nil buffer and every Rec
 	// below is a nil-receiver no-op — the disabled path stays within the
 	// M8 allocation budget. A forwarded packet-in carries the forwarder's
 	// trace ID and stitches here.
 	s.tb = c.tr.Begin(ev.TraceID)
 	s.tb.SetFlow(uint8(five.Proto), uint32(five.SrcIP), uint32(five.DstIP), uint16(five.SrcPort), uint16(five.DstPort))
+	c.decide(s, st)
+}
+
+// maxAttempts bounds the attempts at one packet-in's decision: a voided
+// attempt re-decides in place once, and a second void drops the packet.
+const maxAttempts = 2
+
+// decide runs one attempt at the claimed flow's decision: cache probe,
+// header-only pre-pass, then the two endpoint queries. The host fence's
+// generations are captured first, before anything is read (see shard.go).
+func (c *Controller) decide(s *decisionScratch, st *ctlState) {
+	five := s.five
+	s.attempts++
+	s.srcGen, s.dstGen = c.hosts.load(five.SrcIP), c.hosts.load(five.DstIP)
 	g := &s.gather
 	g.c, g.st = c, st
 
@@ -792,45 +804,33 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 // it touches is either scratch-owned or independently synchronized, so every
 // arrival shares this one code path; on a reader it must not block.
 func (c *Controller) finishDecision(s *decisionScratch) {
-	st, sh, five := s.gather.st, s.sh, s.five
-	pass := false
-	defer func() {
-		// Resolve after the verdict's entries are installed: released
-		// buffers then hit the fresh table entry instead of re-punting. On
-		// ablation runs there is no table entry, so passed waiters are
-		// packet-out'd along the path instead of silently dropped.
-		if waiters := sh.resolve(five); len(waiters) > 0 {
-			s.tb.Rec(trace.StageWaiterRelease, 0, int64(len(waiters)))
-			c.resolveWaiters(waiters, pass, s.hops)
-			c.hot.waitersResolved.Add(int64(len(waiters)))
-		}
-		// The decision is fully published (audit, metrics, installs); the
-		// scratch — including its controller-built response views, which
-		// nothing outlives the decision to read — can go back to its pools.
-		// The trace buffer goes first: Finish retires it into the
-		// recorder's ring (or drops it) and re-pools it, so release() only
-		// nils the reference.
-		s.gather.releaseBuilt()
-		c.tr.Finish(s.tb)
-		s.release()
-	}()
-
-	g := &s.gather
-	if sh.rev.Load() != s.revSeq {
-		// A revocation touched this shard after the decision claimed its
-		// flow: the responses it gathered (or the cached verdict it read)
-		// may predate the endpoint-state change that caused the revocation.
-		// Publishing would re-install possibly-stale state right behind the
-		// teardown, so the decision voids itself — buffer released, nothing
-		// cached, nothing installed; the packet's retransmission re-decides
-		// under current facts. (Same-shard neighbors occasionally void too;
-		// one spurious re-decision, never a wrong verdict.)
+	if c.fenced(s) {
+		// An update overturned what this attempt asked about after it claimed
+		// the flow: the responses it gathered (or the cached verdict it read)
+		// may predate the change. Publishing would re-install possibly-stale
+		// state right behind the teardown, so the attempt is void — nothing
+		// cached, nothing installed — and the decision starts over from the
+		// cache probe, here, with the packet still buffered. A second void
+		// releases the buffer and the packet's retransmission re-decides.
 		c.hot.revInflight.Add(1)
 		s.tb.Rec(trace.StageRevocationVoid, 0, 0)
+		if s.attempts < maxAttempts {
+			c.hot.revRedecided.Add(1)
+			s.again()
+			c.decide(s, c.state.Load())
+			return
+		}
+		c.hot.revVoidDropped.Add(1)
 		s.tb.SetVerdict("voided")
 		s.dp.ReleaseBuffer(s.ev.BufferID)
+		c.endDecision(s, false)
 		return
 	}
+	pass := false
+	defer func() { c.endDecision(s, pass) }()
+
+	st, five := s.gather.st, s.five
+	g := &s.gather
 	bd := &s.bd
 	bd.QuerySrc, bd.QueryDst = g.qsrc, g.qdst
 
@@ -925,17 +925,46 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	} else {
 		return // nothing published that a revocation could have missed
 	}
-	// Publication re-check: a revocation that landed after the entry check
+	// Publication re-check: a revocation that landed after the fence check
 	// at the top resolved to nothing (neither the cached verdict nor the
 	// record existed yet) — its state is gone, but ours just went live on
-	// pre-revocation facts. The entry or the record is in place now, so
-	// tearing ourselves down reaches everything this decision cached and
-	// installed; the next packet re-decides under current facts. One extra
-	// atomic load on the miss path, nothing on hits.
-	if !hit && sh.rev.Load() != s.revSeq {
+	// pre-revocation facts. The entry or the record is in place now (a
+	// revocation trips the fence before it resolves, and we registered
+	// before reading it), so tearing ourselves down reaches everything this
+	// decision cached and installed; the next packet re-decides under
+	// current facts. Nothing on hits.
+	if !hit && c.fenced(s) {
 		c.Counters.Add("revocations_raced", 1)
 		c.revokeResolved(five, "raced-decision", false)
 	}
+}
+
+// fenced reports whether either fence (see shard.go) tripped since the
+// decision's current attempt claimed its flow.
+func (c *Controller) fenced(s *decisionScratch) bool {
+	return s.voided.Load() || c.hosts.load(s.five.SrcIP) != s.srcGen || c.hosts.load(s.five.DstIP) != s.dstGen
+}
+
+// endDecision ends the flow's in-flight window and disposes of the decision:
+// the parked duplicates get the verdict (pass says which), and the scratch —
+// including its controller-built response views, which nothing outlives the
+// decision to read — goes back to its pools.
+func (c *Controller) endDecision(s *decisionScratch, pass bool) {
+	// Resolve after the verdict's entries are installed: released buffers
+	// then hit the fresh table entry instead of re-punting. On ablation runs
+	// there is no table entry, so passed waiters are packet-out'd along the
+	// path instead of silently dropped.
+	s.sh.resolve(s.five)
+	if n := len(s.waiters); n > 0 {
+		s.tb.Rec(trace.StageWaiterRelease, 0, int64(n))
+		c.resolveWaiters(s.waiters, pass, s.hops)
+		c.hot.waitersResolved.Add(int64(n))
+	}
+	// The trace buffer goes first: Finish retires it into the recorder's ring
+	// (or drops it) and re-pools it, so release() only nils the reference.
+	s.gather.releaseBuilt()
+	c.tr.Finish(s.tb)
+	s.release()
 }
 
 // resolveWaiters disposes of the parked duplicate packet-ins after the

@@ -118,17 +118,17 @@ func TestHeaderOnlyDuplicateAccounting(t *testing.T) {
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 80}
 	// Stage a parked duplicate as if a second packet-in raced the first.
 	sh := c.flows.shardFor(five)
-	if first, _ := sh.begin(five, dp, sampleEvent(five, 1)); !first {
+	s, _ := sh.begin(five, dp, sampleEvent(five, 1))
+	if s == nil {
 		t.Fatal("staging owner failed")
 	}
 	ev2 := sampleEvent(five, 1)
 	ev2.BufferID = 99
-	if first, parked := sh.begin(five, dp, ev2); first || !parked {
+	if dup, parked := sh.begin(five, dp, ev2); dup != nil || !parked {
 		t.Fatal("duplicate did not park")
 	}
 	// Resolve through the real decision path: the owner's verdict must
 	// release the parked buffer.
-	s := acquireScratch()
 	s.sh, s.dp, s.ev, s.five = sh, dp, sampleEvent(five, 1), five
 	g := &s.gather
 	g.c, g.st = c, c.state.Load()

@@ -374,8 +374,9 @@ func (t *megaTable) live(now time.Time, epoch uint64) int {
 // under as a member: its own, or the resident one when another decision
 // founded the class first. Runs before install and before the publication
 // re-check: a fact update racing this insert either finds the entry (its
-// covering probe runs after its rev bump, which the re-check observes) or
-// the re-check fires and tears the entry straight back down — in neither
+// resolve or covering probe runs after it trips the fence, which the
+// re-check observes) or the re-check fires and tears the entry straight
+// back down — in neither
 // interleaving does a cached verdict survive facts it predates.
 func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision, tr pf.Trace) *megaEntry {
 	if !c.widen {

@@ -29,10 +29,7 @@ func newMegaController(t *testing.T, policy string, leaseTTL time.Duration, cloc
 // out the decisions HandleEvent left in flight.
 func newMegaControllerIn(t *testing.T, cm completionMode, policy string, leaseTTL time.Duration, clock func() time.Time) (_ *Controller, _ *fakeTransport, _, _ *fakeDatapath, settle func()) {
 	t.Helper()
-	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}
+	tr := skypeFacts()
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
 	cfg := Config{
@@ -237,20 +234,15 @@ func TestMegaflowTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestMegaflowTeardownMovesOnlyTheRevokedSequence: a revocation sequence is
-// per shard, so every bump voids unrelated decisions in flight there. A
-// class that falls to a fact update moves its founder's — the founder's
-// re-decision on pre-update facts must void — exactly once; one that falls
-// because a member was revoked moves the member's only.
-func TestMegaflowTeardownMovesOnlyTheRevokedSequence(t *testing.T) {
-	c, _, _, _ := newMegaController(t, megaPolicy, 0, nil)
+// TestMegaflowTeardownFencesOnlyTheFounder: a class that falls to a fact
+// update fences every decision in flight on that host (the host fence); one
+// that falls to its lease fences its founder's re-decision in flight — the
+// founder's gather is what the class stood on — and no member's; one that
+// falls because a member was revoked fences that member only.
+func TestMegaflowTeardownFencesOnlyTheFounder(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	c, _, _, _ := newMegaController(t, megaPolicy, time.Minute, fc.Now)
 	founder, member := megaFlow(hostA, 40000), megaFlow(hostA, 40001)
-	for c.flows.shardFor(member) == c.flows.shardFor(founder) {
-		member.SrcPort++
-	}
-	revs := func() (f, m uint64) {
-		return c.flows.shardFor(founder).rev.Load(), c.flows.shardFor(member).rev.Load()
-	}
 	found := func() {
 		t.Helper()
 		c.HandleEvent(sampleEvent(founder, 1))
@@ -259,20 +251,49 @@ func TestMegaflowTeardownMovesOnlyTheRevokedSequence(t *testing.T) {
 			t.Fatalf("setup: cached = %d, want the one class", cachedVerdicts(c))
 		}
 	}
+	// inFlight claims f as a decision does, as if it were mid-gather.
+	inFlight := func(f flow.Five) *decisionScratch {
+		s, _ := c.flows.shardFor(f).begin(f, nil, openflow.PacketIn{})
+		s.five = f
+		s.srcGen, s.dstGen = c.hosts.load(f.SrcIP), c.hosts.load(f.DstIP)
+		return s
+	}
+	done := func(ss ...*decisionScratch) {
+		for _, s := range ss {
+			c.flows.shardFor(s.five).resolve(s.five)
+			s.release()
+		}
+	}
 
+	// A fact update of the class's traced end fences every decision with
+	// that host at an end, founder and member alike, and no other.
 	found()
-	f0, m0 := revs()
+	bystander := flow.Five{SrcIP: netaddr.MustParseIP("10.0.0.3"), DstIP: netaddr.MustParseIP("10.0.0.4"), Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 5060}
+	sf, sm, sb := inFlight(founder), inFlight(member), inFlight(bystander)
 	c.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "skype", Serial: 1})
-	if f1, m1 := revs(); f1 != f0+1 || m1 != m0 || cachedVerdicts(c) != 0 {
-		t.Errorf("fact update: founder seq %d -> %d, member seq %d -> %d, cached = %d; want +1, +0, 0", f0, f1, m0, m1, cachedVerdicts(c))
+	if !c.fenced(sf) || !c.fenced(sm) || c.fenced(sb) || cachedVerdicts(c) != 0 {
+		t.Errorf("fact update: fenced founder %t, member %t, bystander %t, cached = %d; want true, true, false, 0", c.fenced(sf), c.fenced(sm), c.fenced(sb), cachedVerdicts(c))
 	}
+	done(sf, sm, sb)
 
 	found()
-	f0, m0 = revs()
-	c.HandleUpdate(hostA, wire.Update{Flow: member, Key: "name", Serial: 2})
-	if f1, m1 := revs(); f1 != f0 || m1 != m0+1 || cachedVerdicts(c) != 0 {
-		t.Errorf("member revoked: founder seq %d -> %d, member seq %d -> %d, cached = %d; want +0, +1, 0", f0, f1, m0, m1, cachedVerdicts(c))
+	sf, sm = inFlight(founder), inFlight(member)
+	fc.Advance(2 * time.Minute)
+	if n := c.SweepLeases(); n != 1 || cachedVerdicts(c) != 0 {
+		t.Fatalf("lease sweep tore down %d, cached = %d; want the class", n, cachedVerdicts(c))
 	}
+	if !c.fenced(sf) || c.fenced(sm) {
+		t.Errorf("class lease expired: founder fenced %t, member fenced %t; want true, false", c.fenced(sf), c.fenced(sm))
+	}
+	done(sf, sm)
+
+	found()
+	sf, sm = inFlight(founder), inFlight(member)
+	c.HandleUpdate(hostA, wire.Update{Flow: member, Key: "name", Serial: 2})
+	if c.fenced(sf) || !c.fenced(sm) || cachedVerdicts(c) != 0 {
+		t.Errorf("member revoked: founder fenced %t, member fenced %t, cached = %d; want false, true, 0", c.fenced(sf), c.fenced(sm), cachedVerdicts(c))
+	}
+	done(sf, sm)
 }
 
 // TestMegaflowRevokeFlowMemberTearsClass: revoking one member tears down
@@ -501,17 +522,18 @@ func TestTakeoverSweepSparesLiveClassMembers(t *testing.T) {
 }
 
 // TestMegaflowUpdateRacingInstallVoidsDecision: a fact update arriving
-// while the founder is mid-gather bumps the shard's revocation sequence;
-// the decision voids itself and no widened entry is ever published on the
-// pre-update facts.
+// while the founder is mid-gather voids that attempt, so no class is ever
+// published on the pre-update facts; the decision re-decides in place and
+// founds the class on what the daemon says after the update.
 func TestMegaflowUpdateRacingInstallVoidsDecision(t *testing.T) {
-	gate := make(chan struct{})
-	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}}
+	inCompletionModes(t, testMegaflowUpdateRacingInstallVoidsDecision)
+}
+
+func testMegaflowUpdateRacingInstallVoidsDecision(t *testing.T, cm completionMode) {
+	facts := skypeFacts()
+	tr := newGatedTransport(facts)
 	dp1 := &fakeDatapath{id: 1}
-	c := New(Config{
+	cfg := Config{
 		Name:             "mega-race",
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
@@ -520,30 +542,33 @@ func TestMegaflowUpdateRacingInstallVoidsDecision(t *testing.T) {
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 		Megaflow:         true,
-	})
+	}
+	settle := cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
 
 	five := megaFlow(hostA, 40000)
-	decided := make(chan struct{})
-	go func() {
-		c.HandleEvent(sampleEvent(five, 1))
-		close(decided)
-	}()
-	tr.waitBlocked(t) // founder is mid-gather
+	finish := decideMidGather(c, tr, cm, settle, five)
+	facts.set(hostB, "name", "")
 	c.HandleUpdate(hostB, wire.Update{Flow: five, Key: "name", Old: "skype", New: "", Serial: 1})
-	close(gate)
-	<-decided
+	finish()
 
-	if got := c.Counters.Get("revocations_inflight"); got != 1 {
-		t.Errorf("revocations_inflight = %d, want 1", got)
-	}
+	checkCounters(t, c, map[string]int64{
+		"revocations_inflight": 1, "revocations_redecided": 1, "flows_allowed": 0, "flows_denied": 1,
+	})
 	live, _, installs, _ := c.MegaflowStats()
-	if live != 0 || installs != 0 {
-		t.Errorf("voided decision published a megaflow: live=%d installs=%d", live, installs)
+	es := c.mega.covering(five, nil)
+	if live != 1 || installs != 1 || len(es) != 1 || es[0].action != pf.Block {
+		t.Errorf("live=%d installs=%d covering=%d: want one class, founded on the post-update deny", live, installs, len(es))
 	}
-	if dp1.modCount() != 0 {
-		t.Errorf("voided decision installed %d mods", dp1.modCount())
+	dp1.mu.Lock()
+	for _, m := range dp1.mods {
+		if !m.Delete && m.Actions[0].Type != openflow.ActionDrop {
+			t.Errorf("installed %+v: a pass on the pre-update facts", m)
+		}
 	}
+	dp1.mu.Unlock()
+	checkOutcomes(t, c, 1)
 }
 
 // gatedInstallDatapath wedges non-delete Apply calls once armed, so a
@@ -665,11 +690,8 @@ func TestMegaflowFounderRaceJoinsResident(t *testing.T) {
 }
 
 func testMegaflowFounderRaceJoinsResident(t *testing.T, cm completionMode) {
-	gate := make(chan struct{})
-	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}}
+	tr := newGatedTransport(skypeFacts())
+	tr.arm()
 	dp1 := &fakeDatapath{id: 1}
 	cfg := Config{
 		Name:             "mega-founders",
@@ -696,8 +718,8 @@ func testMegaflowFounderRaceJoinsResident(t *testing.T, cm completionMode) {
 			c.HandleEvent(sampleEvent(f, 1))
 		}()
 	}
-	tr.waitQueries(t, cm.parked()*len(flows))
-	close(gate)
+	tr.waitQueries(cm.parked() * len(flows))
+	tr.open()
 	wg.Wait()
 	settle()
 

@@ -44,16 +44,16 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 	c.hot.revUpdates.Add(1)
 	if u.FlowScoped() {
 		// Revoke unconditionally rather than checking registration first:
-		// even when no decision state exists yet, bumping the shard's
-		// revocation sequence voids a decision in flight for this flow,
-		// whose gathered responses predate the change.
+		// even when no decision state exists yet, the flow fence voids a
+		// decision in flight for this flow, whose gathered responses predate
+		// the change. Nothing else is fenced: the update names one flow.
 		c.revokeResolved(u.Flow, "update:"+updateKeyLabel(u), false)
 		return
 	}
 	if u.Resync() {
 		c.Counters.Add("revocations_resyncs", 1)
 	}
-	c.revokeKeys(c.revoker.Resolve(host, u.Key, nil), "update:"+updateKeyLabel(u))
+	c.revokeHost(host, u.Key, "update:"+updateKeyLabel(u))
 }
 
 func updateKeyLabel(u wire.Update) string {
@@ -74,8 +74,17 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 	if c.revoker == nil {
 		return 0
 	}
-	n, _ := c.revokeKeys(c.revoker.Resolve(host, key, nil), "operator:"+host.String())
+	n, _ := c.revokeHost(host, key, "operator:"+host.String())
 	return n
+}
+
+// revokeHost tears down what depends on a fact of host (any fact, with an
+// empty key). The host fence moves first, before the index is resolved: a
+// decision in flight with host at either end has not registered yet, so the
+// resolve cannot find it, and it must not publish what it gathered.
+func (c *Controller) revokeHost(host netaddr.IP, key, reason string) (n, classes int) {
+	c.hosts.bump(host)
+	return c.revokeKeys(c.revoker.Resolve(host, key, nil), reason)
 }
 
 // SweepLeases tears down every verdict whose lease has expired — the
@@ -108,14 +117,17 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 		if k.Class == 0 {
 			c.revokeFlow(st, k.Flow, reason, rule, false)
 			n++
-		} else if e := c.mega.get(k.Class); e != nil && c.teardownMega(st, e, reason, true) {
+		} else if e := c.mega.get(k.Class); e != nil {
+			// The founder is fenced as a revoked flow is: its re-decision in
+			// flight on facts gathered before this voids itself instead of
+			// re-founding the class on them. A member in flight is a hit,
+			// which the dead entry's addPaths refusal settles.
+			c.flows.shardFor(e.founder).void(e.founder)
 			// One teardown deletes the entries of every member of the class.
-			// The founder's sequence moves as a revoked flow's does: its
-			// re-decision in flight on facts gathered before this voids itself
-			// instead of re-founding the class on them.
-			c.flows.shardFor(e.founder).rev.Add(1)
-			n++
-			classes++
+			if c.teardownMega(st, e, reason, true) {
+				n++
+				classes++
+			}
 		}
 	}
 	return n, classes
@@ -134,7 +146,7 @@ func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast boo
 	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")", broadcast)
 }
 
-// revokeFlow tears one flow down: sequence bump, covering-verdict teardown,
+// revokeFlow tears one flow down: flow fence, covering-verdict teardown,
 // dependency-record drop, switch deletes along the registered path, audit
 // record. A flow whose verdict is cached has no record of its own: the
 // covering class's teardown is its teardown, reported by the class's audit
@@ -142,10 +154,10 @@ func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast boo
 // built once by the caller so a fan-in tearing N flows does not concatenate
 // it N times.
 func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
-	// Order matters: bump the sequence before probing the cache, so a
+	// Order matters: trip the flow's fence before probing the cache, so a
 	// decision that read a cached verdict (or gathered responses) before
-	// the bump cannot publish after the teardown without noticing.
-	c.flows.shardFor(five).rev.Add(1)
+	// this cannot publish after the teardown without noticing.
+	c.flows.shardFor(five).void(five)
 	classFell := false
 	if c.mega != nil {
 		// Every cached verdict covering this flow falls with it: the class
@@ -154,9 +166,9 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 		// flow's installed entries carry the class cookie, reachable only
 		// through the class. Tearing the whole class down is conservative
 		// and correct — members re-decide and re-found it. The probe runs
-		// after the rev bump above, completing the install handshake: an
+		// after the fence above, completing the install handshake: an
 		// entry inserted before this probe is found here; one inserted
-		// after will see the bump at its publication re-check and tear
+		// after will see the fence at its publication re-check and tear
 		// itself down.
 		for _, e := range c.mega.covering(five, nil) {
 			if c.teardownMega(st, e, reason, !broadcast) {
@@ -173,8 +185,8 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 	if !haveReg {
 		// No record of its own: a class's teardown above was this flow's,
 		// and reached everything installed for it. With no class either,
-		// nothing is known about the flow — the sequence bump above still
-		// voids any in-flight decision.
+		// nothing is known about the flow — the fence above still voids
+		// its in-flight decision.
 		if classFell {
 			return
 		}

@@ -64,10 +64,7 @@ func newRevController(t *testing.T, cacheTTL, leaseTTL time.Duration, clock func
 // out the decisions HandleEvent left in flight.
 func newRevControllerIn(t *testing.T, cm completionMode, cacheTTL, leaseTTL time.Duration, clock func() time.Time) (_ *Controller, _ *fakeTransport, _, _ *fakeDatapath, settle func()) {
 	t.Helper()
-	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}
+	tr := skypeFacts()
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
 	cfg := Config{
@@ -655,13 +652,7 @@ func TestRevocationStorm(t *testing.T) {
 		t.Fatal("storm wedged")
 	}
 
-	snap := c.Counters.Snapshot()
-	decided := snap["flows_allowed"] + snap["flows_denied"]
-	if decided+snap["duplicate_packet_ins"]+snap["revocations_inflight"] != workers*eventsPerW {
-		t.Errorf("conservation: decided=%d dup=%d voided=%d, want sum %d; %s",
-			decided, snap["duplicate_packet_ins"], snap["revocations_inflight"],
-			workers*eventsPerW, c.Counters)
-	}
+	checkOutcomes(t, c, workers*eventsPerW)
 	// Quiescence: with updates stopped, a fresh decision lands and stays.
 	quiet := revFlow(47000)
 	c.HandleEvent(sampleEvent(quiet, 1))
@@ -680,75 +671,252 @@ func TestRevocationStorm(t *testing.T) {
 	}
 }
 
-// TestInFlightRevocationVoidsDecision pins the shard-sequence mechanism
-// directly: a revocation between a decision's claim and its publication
-// voids it (no cache entry, no installs beyond the teardown).
-func TestInFlightRevocationVoidsDecision(t *testing.T) {
-	gate := make(chan struct{})
-	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
+// skypeFacts is a transport whose two hosts both run skype.
+func skypeFacts() *fakeTransport {
+	return &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
-	}}}
+	}}
+}
+
+// set changes what host's daemon answers for key from now on.
+func (t *fakeTransport) set(host netaddr.IP, key, value string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.responses[host][key] = value
+}
+
+// newFenceController builds a revocation-enabled controller deciding
+// revPolicy over a one-hop path, its skype transport behind a gate, in
+// completion mode cm.
+func newFenceController(t *testing.T, cm completionMode, shards int, cacheTTL time.Duration) (_ *Controller, _ *fakeTransport, _ *gatedTransport, _ *fakeDatapath, settle func()) {
+	t.Helper()
+	facts := skypeFacts()
+	tr := newGatedTransport(facts)
 	dp1 := &fakeDatapath{id: 1}
-	c := New(Config{
-		Name:             "void",
-		Policy:           pf.MustCompile("void", revPolicy),
+	cfg := Config{
+		Name:             "fence",
+		Policy:           pf.MustCompile("fence", revPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
-		ResponseCacheTTL: time.Hour,
+		ResponseCacheTTL: cacheTTL,
 		Revocation:       true,
-	})
+		Shards:           shards,
+	}
+	settle = cm.config(&cfg)
+	c := New(cfg)
 	c.AddDatapath(dp1)
-	five := revFlow(48000)
+	return c, facts, tr, dp1, settle
+}
 
-	decided := make(chan struct{})
+// decideMidGather starts five's decision and returns once its queries are
+// parked on the gate. finish opens the gate and returns once the decision,
+// every attempt of it, is done.
+func decideMidGather(c *Controller, tr *gatedTransport, cm completionMode, settle func(), five flow.Five) (finish func()) {
+	tr.arm()
+	returned := make(chan struct{})
 	go func() {
 		c.HandleEvent(sampleEvent(five, 1))
-		close(decided)
+		close(returned)
 	}()
-	tr.waitBlocked(t) // the decision is mid-gather
-	c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Serial: 1})
-	close(gate) // release the gathered responses
-	<-decided
-
-	if c.Counters.Get("revocations_inflight") != 1 {
-		t.Errorf("revocations_inflight = %d, want 1", c.Counters.Get("revocations_inflight"))
-	}
-	if cachedVerdicts(c) != 0 {
-		t.Error("voided decision cached its responses")
-	}
-	if c.Counters.Get("flows_allowed") != 0 {
-		t.Error("voided decision still published a verdict")
+	tr.waitQueries(cm.parked())
+	return func() {
+		tr.open()
+		<-returned
+		settle()
 	}
 }
 
-// gatedTransport blocks the first query until its gate opens, so a test
-// can interleave a revocation mid-gather.
+// checkCounters fails t for every counter in want that reads otherwise.
+func checkCounters(t *testing.T, c *Controller, want map[string]int64) {
+	t.Helper()
+	for name, n := range want {
+		if got := c.Counters.Get(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+}
+
+// TestInFlightRevocationVoidsDecision: a flow-scoped update for a flow whose
+// decision is mid-gather voids that attempt — its answers may predate the
+// change — and the decision re-decides in place: the one packet-in gets the
+// post-update verdict, with no retransmission.
+func TestInFlightRevocationVoidsDecision(t *testing.T) {
+	inCompletionModes(t, testInFlightRevocationVoidsDecision)
+}
+
+func testInFlightRevocationVoidsDecision(t *testing.T, cm completionMode) {
+	c, facts, tr, dp1, settle := newFenceController(t, cm, 0, time.Hour)
+	five := revFlow(48000)
+	finish := decideMidGather(c, tr, cm, settle, five)
+	// The process behind the flow exits, and its daemon says so.
+	facts.set(hostA, "name", "")
+	c.HandleUpdate(hostA, wire.Update{Flow: five, Key: "name", Old: "skype", Serial: 1})
+	finish()
+
+	checkCounters(t, c, map[string]int64{
+		"revocations_inflight": 1, "revocations_redecided": 1, "revocations_void_dropped": 0,
+		"flows_allowed": 0, "flows_denied": 1,
+	})
+	if q := facts.queryCount(); q != 4 {
+		t.Errorf("queries = %d, want 4: each end asked once per attempt", q)
+	}
+	if dp1.modCount() != 1 || dp1.mods[0].Actions[0].Type != openflow.ActionDrop {
+		t.Errorf("mods = %+v, want the post-update verdict's one drop entry", dp1.mods)
+	}
+	checkOutcomes(t, c, 1)
+}
+
+// TestRedecideAfterResyncOnAnotherShard: a resync for a host fences every
+// decision in flight with that host at an end — on any shard, registered or
+// not — so one gathered before the resync re-decides on what the host says
+// after it.
+func TestRedecideAfterResyncOnAnotherShard(t *testing.T) {
+	inCompletionModes(t, func(t *testing.T, cm completionMode) {
+		c, facts, tr, _, settle := newFenceController(t, cm, 16, 0)
+		registered := revFlow(48100)
+		c.HandleEvent(sampleEvent(registered, 1))
+		settle()
+		inFlight := revFlow(48101)
+		for c.flows.shardFor(inFlight) == c.flows.shardFor(registered) {
+			inFlight.SrcPort++
+		}
+
+		finish := decideMidGather(c, tr, cm, settle, inFlight)
+		facts.set(hostA, "name", "")
+		c.HandleUpdate(hostA, wire.Update{Serial: 9})
+		finish()
+
+		checkCounters(t, c, map[string]int64{
+			"revocations_resyncs": 1, "revocations_flows": 1,
+			"revocations_inflight": 1, "revocations_redecided": 1,
+			"flows_allowed": 1, "flows_denied": 1,
+		})
+		checkOutcomes(t, c, 2)
+	})
+}
+
+// TestRedecideSparesUnrelatedFlowOnShard: a flow-scoped update fences the
+// flow it names and nothing else, not even a decision in flight on the same
+// shard.
+func TestRedecideSparesUnrelatedFlowOnShard(t *testing.T) {
+	inCompletionModes(t, func(t *testing.T, cm completionMode) {
+		c, facts, tr, _, settle := newFenceController(t, cm, 1, time.Hour)
+		finish := decideMidGather(c, tr, cm, settle, revFlow(48200))
+		c.HandleUpdate(hostA, wire.Update{Flow: revFlow(48201), Key: "name", Serial: 1})
+		finish()
+
+		checkCounters(t, c, map[string]int64{
+			"revocations_inflight": 0, "revocations_redecided": 0, "flows_allowed": 1,
+		})
+		if q := facts.queryCount(); q != 2 {
+			t.Errorf("queries = %d, want 2: one attempt", q)
+		}
+		checkOutcomes(t, c, 1)
+	})
+}
+
+// updatingTransport answers, then reports the flow's facts changed, every
+// time: a decision asking it voids on every attempt.
+type updatingTransport struct {
+	*fakeTransport
+	c *Controller
+}
+
+func (t *updatingTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+	resp, rtt, err := t.fakeTransport.Query(host, q)
+	t.c.HandleUpdate(host, wire.Update{Flow: q.Flow, Key: "name"})
+	return resp, rtt, err
+}
+
+// TestRedecideDropsAfterSecondVoid: re-deciding is bounded. A decision whose
+// second attempt voids too releases the packet's buffer with no verdict and
+// is counted, once, as a void drop.
+func TestRedecideDropsAfterSecondVoid(t *testing.T) {
+	facts := skypeFacts()
+	tr := &updatingTransport{fakeTransport: facts}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:           "churn",
+		Policy:         pf.MustCompile("churn", revPolicy),
+		Transport:      tr,
+		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries: true,
+		Revocation:     true,
+	})
+	tr.c = c
+	c.AddDatapath(dp1)
+	c.HandleEvent(sampleEvent(revFlow(48300), 1))
+
+	checkCounters(t, c, map[string]int64{
+		"revocations_inflight": 2, "revocations_redecided": 1, "revocations_void_dropped": 1,
+		"flows_allowed": 0, "flows_denied": 0,
+	})
+	if q := facts.queryCount(); q != 4 {
+		t.Errorf("queries = %d, want 4: two attempts", q)
+	}
+	if dp1.modCount() != 0 || len(dp1.released) != 1 || dp1.released[0] != 7 {
+		t.Errorf("mods = %d, released = %v: want nothing installed and the one buffer released", dp1.modCount(), dp1.released)
+	}
+	checkOutcomes(t, c, 1)
+}
+
+// gatedTransport, while armed, parks every query's answer until the gate
+// opens — the answer is built first, as a daemon's response on the wire
+// predates what happens while it travels — so a test can interleave a
+// revocation mid-gather. Unarmed, it answers straight away.
 type gatedTransport struct {
-	gate    chan struct{}
-	inner   *fakeTransport
-	blocked atomic.Int32
+	inner *fakeTransport
+
+	mu     sync.Mutex
+	cond   sync.Cond
+	gate   chan struct{} // nil while unarmed
+	parked int           // queries that reached the gate since arm
+}
+
+func newGatedTransport(inner *fakeTransport) *gatedTransport {
+	t := &gatedTransport{inner: inner}
+	t.cond.L = &t.mu
+	return t
 }
 
 func (t *gatedTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	t.blocked.Add(1)
-	<-t.gate
-	return t.inner.Query(host, q)
+	resp, rtt, err := t.inner.Query(host, q)
+	t.mu.Lock()
+	gate := t.gate
+	if gate != nil {
+		t.parked++
+		t.cond.Broadcast()
+	}
+	t.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return resp, rtt, err
 }
 
-func (t *gatedTransport) waitBlocked(tt *testing.T) { t.waitQueries(tt, 1) }
+func (t *gatedTransport) arm() {
+	t.mu.Lock()
+	t.gate, t.parked = make(chan struct{}), 0
+	t.mu.Unlock()
+}
+
+// open releases every parked query and disarms the gate.
+func (t *gatedTransport) open() {
+	t.mu.Lock()
+	close(t.gate)
+	t.gate = nil
+	t.mu.Unlock()
+}
 
 // waitQueries returns once n queries are parked on the gate.
-func (t *gatedTransport) waitQueries(tt *testing.T, n int) {
-	tt.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for int(t.blocked.Load()) < n {
-		if time.Now().After(deadline) {
-			tt.Fatal("transport never reached")
-		}
-		time.Sleep(time.Millisecond)
+func (t *gatedTransport) waitQueries(n int) {
+	t.mu.Lock()
+	for t.parked < n {
+		t.cond.Wait()
 	}
+	t.mu.Unlock()
 }
 
 // TestInstallRevokeReloadSpawnNoGoroutine: the decision path starts no

@@ -16,7 +16,8 @@ import (
 // decisionScratch is the reusable working set of one HandleEvent decision:
 // the latency breakdown, the path an ablation verdict resolved (reused by
 // the waiter resolver), the datapaths its entries went to, the two-ended
-// query fan-out state, and the decision's continuation context (shard,
+// query fan-out state, the fence and the parked duplicate packet-ins of the
+// flow it is deciding, and the decision's continuation context (shard,
 // datapath, event), because a cache-missing decision may outlive HandleEvent
 // and is finished by whichever endpoint completion arrives last. One scratch is
 // checked out of a pool per packet-in and returned when the decision
@@ -39,10 +40,18 @@ type decisionScratch struct {
 	// path. Only populated when revocation is enabled.
 	pathIDs []uint64
 
-	// revSeq is the flow's shard revocation sequence captured when the
-	// decision claimed the flow; finishDecision re-checks it before
-	// publishing (see shard.rev).
-	revSeq uint64
+	// The decision's fence (see shard.go). voided is the flow fence, tripped
+	// under the flow's shard lock while this scratch is the flow's in-flight
+	// decision; srcGen and dstGen are the host fence's generations of the two
+	// ends, captured when the attempt claimed the flow. attempts counts the
+	// attempts decide has started: a voided one is retried once in place.
+	voided         atomic.Bool
+	srcGen, dstGen uint64
+	attempts       int
+
+	// waiters are the flow's parked duplicate packet-ins, appended by
+	// shard.begin under the shard lock while the decision is in flight.
+	waiters []parked
 
 	// srcKeys/dstKeys are the per-flow key-hint scratch the pre-pass
 	// appends into: the program's per-rule key sets for the rules this
@@ -107,7 +116,10 @@ func (s *decisionScratch) release() {
 	s.hops = nil // owned by the topology, not scratch capacity
 	s.installed = 0
 	s.pathIDs = s.pathIDs[:0]
-	s.revSeq = 0
+	s.voided.Store(false)
+	s.srcGen, s.dstGen, s.attempts = 0, 0, 0
+	clear(s.waiters) // they hold datapaths and frames
+	s.waiters = s.waiters[:0]
 	s.sh = nil
 	s.dp = nil
 	s.ev = openflow.PacketIn{}
@@ -122,6 +134,22 @@ func (s *decisionScratch) release() {
 	s.tb = nil // recorder-owned; Finish already returned it to its pool
 	s.gather.reset()
 	scratchPool.Put(s)
+}
+
+// again readies a voided attempt's scratch for the next attempt at the same
+// flow. The claim, the packet-in, its waiters and the trace stay; what the
+// voided attempt gathered goes. A void is decided before anything is
+// installed, so there are no installs or path IDs to clear. A flow fence
+// tripped again between the void and the reset below is lost, and may be:
+// the next attempt's queries are all sent after the reset, so answered
+// after the update that tripped it, and a cached verdict it takes instead
+// falls to that update's teardown (the hit self-cleans).
+func (s *decisionScratch) again() {
+	s.gather.releaseBuilt()
+	s.gather.reset()
+	s.bd = metrics.SetupBreakdown{}
+	s.hops = nil
+	s.voided.Store(false)
 }
 
 // gatherState carries one decision's two-ended query (§2 step 3: the

@@ -4,6 +4,7 @@ import (
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"identxx/internal/cred"
 	"identxx/internal/flow"
@@ -46,6 +47,12 @@ type Daemon struct {
 	answered        map[flow.Five]map[string]string // facts asserted per flow
 	answeredCap     int                             // bound on answered (0 = DefaultAnsweredCap)
 	answeredEvicted int64                           // lifetime memo evictions
+
+	// changes counts the changes that can alter an answer (host state,
+	// configuration, application pairs), each counted before its rescan
+	// reads the memo. An answer built across one is re-derived once it is
+	// memoized (remember): that rescan may have read the memo first.
+	changes atomic.Uint64
 
 	// Publication side (push.go). pubMu owns the serial sequence and the
 	// subscriber set; it is never held while d.mu is taken for writing by
@@ -114,6 +121,7 @@ func (d *Daemon) InstallConfig(cf *ConfigFile, system bool) {
 	if system {
 		d.hostPairs = append(d.hostPairs, cf.HostPairs...)
 	}
+	d.changes.Add(1)
 	d.mu.Unlock()
 	// New configuration changes what the daemon asserts for flows of the
 	// affected applications; re-derive and publish.
@@ -146,6 +154,7 @@ func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 		}
 	}
 	d.dynamic[f] = append(d.dynamic[f], pairs...)
+	d.changes.Add(1)
 	d.mu.Unlock()
 	if haveEvicted {
 		d.rescanFlow(evicted)
@@ -157,6 +166,7 @@ func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 func (d *Daemon) ClearFlowPairs(f flow.Five) {
 	d.mu.Lock()
 	delete(d.dynamic, f)
+	d.changes.Add(1)
 	d.mu.Unlock()
 	d.rescanFlow(f)
 }
@@ -190,11 +200,12 @@ func (d *Daemon) HandleQuery(q wire.Query) *wire.Response {
 		// query wire end to end (they otherwise only surface in traces).
 		d.Counters.Add("daemon_queries_traced", 1)
 	}
+	seq := d.changes.Load()
 	resp := d.buildResponse(q)
 	// Remember what was asserted (post-forge: the memo tracks what went on
 	// the wire) so a later OS change can be mapped back to this flow and
 	// published as an update.
-	d.remember(q.Flow, resp)
+	d.remember(q.Flow, resp, seq)
 	return resp
 }
 

@@ -116,9 +116,12 @@ func flatten(resp *wire.Response) map[string]string {
 }
 
 // remember memoizes the facts just asserted for a flow, evicting (and
-// returning, for publication) an arbitrary other flow when the memo is
-// over capacity. Callers must not hold d.mu or d.pubMu.
-func (d *Daemon) remember(f flow.Five, resp *wire.Response) {
+// publishing) an arbitrary other flow when the memo is over capacity. seq is
+// d.changes as read before the answer was built: a change counted since may
+// have rescanned the flow before this answer was memoized — finding it
+// untracked, or tracked with an older answer — so the answer is re-derived
+// here and any difference published. Callers must not hold d.mu or d.pubMu.
+func (d *Daemon) remember(f flow.Five, resp *wire.Response, seq uint64) {
 	facts := flatten(resp)
 	d.mu.Lock()
 	if d.answered == nil {
@@ -155,6 +158,11 @@ func (d *Daemon) remember(f flow.Five, resp *wire.Response) {
 		}
 		d.pubMu.Unlock()
 	}
+	// Read after the memo write: a change counted after this read rescans
+	// with the flow memoized.
+	if d.changes.Load() != seq {
+		d.rescanFlow(f)
+	}
 }
 
 // diffFacts returns whether the fact maps differ and, if so, the first
@@ -185,6 +193,7 @@ func diffFacts(old, cur map[string]string) (key, oldV, newV string, changed bool
 // blast radius the host cannot enumerate (listener binds, patch
 // installs, configuration changes).
 func (d *Daemon) onHostChange(ch hostinfo.Change) {
+	d.changes.Add(1)
 	if ch.All {
 		d.rescan()
 		return

@@ -3,6 +3,7 @@ package daemon
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +96,36 @@ func TestProcessExitPublishesFlowUpdate(t *testing.T) {
 	}
 	if u.Hello || u.Key == "" {
 		t.Errorf("update should name a changed key: %+v", u)
+	}
+}
+
+// TestChangeBetweenAnswerAndMemo: a host change that lands after the daemon
+// built an answer and before it memoized the answer is still published. The
+// change's rescan finds the flow not yet memoized; the answer on the wire
+// names a process that is gone, and the subscriber must hear so.
+func TestChangeBetweenAnswerAndMemo(t *testing.T) {
+	h, d, p, five := pushHost(t)
+	c := newCollector()
+	cancel := d.Subscribe(c.fn)
+	defer cancel()
+	// The hook runs between the answer and the memo. The process exits there
+	// once: the exit's rescan runs the hook again (so no sync.Once, which
+	// would deadlock on itself).
+	var killed atomic.Bool
+	d.SetForge(func(q wire.Query, honest *wire.Response) *wire.Response {
+		if killed.CompareAndSwap(false, true) {
+			h.Kill(p.PID)
+		}
+		return honest
+	})
+
+	resp := d.HandleQuery(wire.Query{Flow: five})
+	if v, _ := resp.Latest(wire.KeyUserID); v != "alice" {
+		t.Fatalf("setup: answer keys %v, want the process's facts built before it exited", resp.Keys())
+	}
+	got := c.all()
+	if len(got) != 2 || got[1].Flow != five || got[1].Key == "" {
+		t.Fatalf("updates = %+v, want the hello, then the flow's changed fact", got)
 	}
 }
 

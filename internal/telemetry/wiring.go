@@ -49,7 +49,9 @@ var ControllerCounters = map[string]string{
 	"flows_revoked":                  "Installed flows torn down live by the revocation plane.",
 	"revocations_updates":            "Daemon-pushed endpoint-state updates received.",
 	"revocations_flows":              "Verdicts torn down by the revocation plane: one per flow record, one per cached class.",
-	"revocations_inflight":           "Revocations that cancelled a decision still in flight.",
+	"revocations_inflight":           "Decision attempts voided because an update overturned what they asked about (their flow, or either end's host) after they claimed the flow; each is redecided or void-dropped.",
+	"revocations_redecided":          "Voided decision attempts re-run in place from the cache probe, packet still buffered.",
+	"revocations_void_dropped":       "Packet-ins whose decision voided on its last attempt: buffer released, no verdict.",
 	"revocations_raced":              "Revocations that raced a decision's publication (verdict-cache insert, registration) and re-ran teardown.",
 	"revocations_hellos":             "Daemon hello updates (subscription handshakes) processed.",
 	"revocations_resyncs":            "Full resyncs forced by serial gaps in a daemon's update stream.",
