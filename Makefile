@@ -69,9 +69,9 @@ race-query:
 # The verdict cache's safety rests on interleavings one run rarely rolls:
 # an insert racing a fact update (register-before-publish, the publication
 # re-check), a hit racing a teardown (addPaths refused, the hit self-
-# cleans), a ring rebuild's sweep racing live classes. Their tests check
-# conservation laws, so repeat them under the race detector instead of
-# trusting one lucky pass. The teardown and install paths those
+# cleans). Their tests check conservation laws, so repeat them under the
+# race detector instead of trusting one lucky pass. The takeover tests and
+# the teardown and install paths those
 # handshakes run through (revocation.go, installHops) repeat with them,
 # and so does the dependency index under all of it (internal/revoke: its
 # two sides are locked apart, so churn is where a lost link would show).
@@ -86,16 +86,21 @@ race-query:
 # with them, and so does the daemon's half of that ordering: a change
 # landing between an answer and its memo is still published.
 #
-# The last line is the flake gate: tier-1 is deterministic, so the tests
-# whose schedules vary most — the failover test over Loopback links, the
-# re-decision tests, the stress suite — run fifty times at three
-# GOMAXPROCS settings, and one failure fails the gate.
+# The last two lines are the flake gate: tier-1 is deterministic, so the
+# tests whose schedules vary most — the failover test over in-process and
+# real-TCP switches, the re-decision tests, the stress suite, and the query
+# plane's concurrency, pipelining and reconnect tests — run fifty times at
+# three GOMAXPROCS settings, and one failure fails the gate. The query
+# plane's deadline tests (credential expiry, wedged daemon, idle and request
+# deadlines) wait on the wall clock and would triple the gate's time, so
+# they run in race-query only.
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|TakeoverSweep|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
 	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo' ./internal/daemon/
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Failover|Redecide|Stress' ./internal/cluster ./internal/core
+	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Pipeline|Concurrent|Race|Racing|CloseWaits|Burst|Reconnect|Redial|Recovery|Restart|SerialGap|Async|Revocation' ./internal/query
 
 # One iteration of every benchmark as a smoke check: catches benchmarks
 # that no longer compile or crash without paying for a measurement run.

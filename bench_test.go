@@ -1185,8 +1185,10 @@ func m14Event(port netaddr.Port) openflow.PacketIn {
 //     link and decided there — the per-event price of getting ownership
 //     wrong at the ingress switch (wire cost excluded; see the query-plane
 //     benchmarks for socket round-trip pricing).
-//   - rebalance: a full ring rebuild — membership swap plus the takeover
-//     sweep scanning a 256-flow switch table for orphaned entries.
+//   - rebalance: a full ring rebuild — membership swap, and on every
+//     second one the departing member's takeover: one delete by its
+//     installer tag per switch (here one in-process switch holding 256
+//     of this replica's entries, which the delete must leave alone).
 //   - aggregate/replicas=N: total decision throughput of N in-process
 //     replicas each decides its owned slice of a warmed flow population.
 //     On a multi-core runner this is the scale-out headline (4 replicas
@@ -1194,7 +1196,7 @@ func m14Event(port netaddr.Port) openflow.PacketIn {
 //     overhead instead, since the replicas share the core.
 func BenchmarkM14_Cluster(b *testing.B) {
 	b.Run("owned-hit", func(b *testing.B) {
-		rt := cluster.NewRouter(m14Replica("m14"), cluster.Member{ID: "r1"}, cluster.Options{})
+		rt := cluster.NewRouter(m14Replica("r1"), cluster.Member{ID: "r1"}, cluster.Options{})
 		ev := m14Event(40000) // single-member ring: every flow is owned
 		rt.HandleEvent(ev)    // warm the cache and the pools
 		b.ReportAllocs()
@@ -1210,10 +1212,10 @@ func BenchmarkM14_Cluster(b *testing.B) {
 
 	b.Run("forwarded", func(b *testing.B) {
 		var ra, rb *cluster.Router
-		ra = cluster.NewRouter(m14Replica("m14a"), cluster.Member{ID: "r1"}, cluster.Options{
+		ra = cluster.NewRouter(m14Replica("r1"), cluster.Member{ID: "r1"}, cluster.Options{
 			Dial: func(m cluster.Member) (cluster.Link, error) { return cluster.Loopback{Peer: rb}, nil },
 		})
-		rb = cluster.NewRouter(m14Replica("m14b"), cluster.Member{ID: "r2"}, cluster.Options{
+		rb = cluster.NewRouter(m14Replica("r2"), cluster.Member{ID: "r2"}, cluster.Options{
 			Dial: func(m cluster.Member) (cluster.Link, error) { return cluster.Loopback{Peer: ra}, nil },
 		})
 		members := []cluster.Member{{ID: "r1"}, {ID: "r2"}}
@@ -1240,7 +1242,7 @@ func BenchmarkM14_Cluster(b *testing.B) {
 	})
 
 	b.Run("rebalance", func(b *testing.B) {
-		ctl := m14Replica("m14")
+		ctl := m14Replica("r1")
 		sw := openflow.NewSwitch(1, "s1", 0)
 		ctl.AddDatapath(sw)
 		for p := netaddr.Port(0); p < 256; p++ {
@@ -1272,7 +1274,7 @@ func BenchmarkM14_Cluster(b *testing.B) {
 			rts := make([]*cluster.Router, replicas)
 			for i := range rts {
 				i := i
-				rts[i] = cluster.NewRouter(m14Replica("m14-"+itoa(i)), members[i], cluster.Options{
+				rts[i] = cluster.NewRouter(m14Replica(members[i].ID), members[i], cluster.Options{
 					// Peers are never consulted: each goroutine drives only
 					// events its replica owns.
 					Dial: func(m cluster.Member) (cluster.Link, error) { return cluster.Loopback{Peer: rts[i]}, nil },

@@ -128,8 +128,20 @@ func main() {
 			SlowThreshold: *traceSlow,
 		})
 	}
+	// A replica's controller is named by its member id: the name is the
+	// installer tag in every entry it installs, which a restart keeps and the
+	// survivors delete when the replica leaves the ring.
+	name := "identctl"
+	var self cluster.Member
+	if *clusterSelf != "" {
+		var err error
+		if self, err = parseMember(*clusterSelf); err != nil {
+			fatal(err)
+		}
+		name = self.ID
+	}
 	ctl := core.New(core.Config{
-		Name:               "identctl",
+		Name:               name,
 		Policy:             policy,
 		Transport:          eng,
 		Topology:           topo,
@@ -150,10 +162,6 @@ func main() {
 	// replica re-queries and re-subscribes for the flows it owns.
 	var rt *cluster.Router
 	if *clusterSelf != "" {
-		self, err := parseMember(*clusterSelf)
-		if err != nil {
-			fatal(err)
-		}
 		rt = cluster.NewRouter(ctl, self, cluster.Options{Trace: recorder})
 		members := []cluster.Member{self}
 		if *clusterPeers != "" {

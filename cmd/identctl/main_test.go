@@ -153,7 +153,7 @@ func (d *sinkDatapath) ReleaseBuffer(id uint32)             {}
 // counters, the drop form, and the error without a router.
 func TestAdminRing(t *testing.T) {
 	ctl := core.New(core.Config{
-		Name:             "ring-test",
+		Name:             "a",
 		Policy:           pf.MustCompile("p", "pass all"),
 		Transport:        nullTransport{},
 		Topology:         &sinkTopo{},
@@ -203,7 +203,7 @@ func TestAdminRing(t *testing.T) {
 func TestSwitchDisconnectDeregistersDatapath(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		ctl := core.New(core.Config{
-			Name:      "disconnect-test",
+			Name:      "a",
 			Policy:    pf.MustCompile("p", "block all"),
 			Transport: nullTransport{},
 			Topology:  &sinkTopo{},

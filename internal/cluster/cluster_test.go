@@ -128,13 +128,13 @@ func TestOwnerHashDirectionAgnostic(t *testing.T) {
 // in — otherwise replicas with differently-ordered configs would disagree.
 func TestOwnerIndependentOfMemberOrder(t *testing.T) {
 	ms := []Member{{ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}
-	ra := NewRouter(testController(t, "ra", false, nil), ms[0], Options{
+	ra := NewRouter(testController(t, "a", false, nil), ms[0], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := ra.SetMembers(ms); err != nil {
 		t.Fatal(err)
 	}
-	rb := NewRouter(testController(t, "rb", false, nil), ms[2], Options{
+	rb := NewRouter(testController(t, "c", false, nil), ms[2], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := rb.SetMembers([]Member{ms[3], ms[1], ms[2], ms[0]}); err != nil {
@@ -151,7 +151,7 @@ func TestOwnerIndependentOfMemberOrder(t *testing.T) {
 // TestRingShareBalance: HRW should split the flow space roughly evenly.
 func TestRingShareBalance(t *testing.T) {
 	ms := []Member{{ID: "r1"}, {ID: "r2"}, {ID: "r3"}, {ID: "r4"}}
-	r := NewRouter(testController(t, "share", false, nil), ms[0], Options{
+	r := NewRouter(testController(t, "r1", false, nil), ms[0], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := r.SetMembers(ms); err != nil {
@@ -575,43 +575,58 @@ func TestTCPLinkForwardedFrameOutlivesTheNextFrame(t *testing.T) {
 	}
 }
 
-// TestTakeoverSweep: after a ring rebuild, entries on the switch for flows
-// this replica now owns but holds no state for are deleted (their next
-// packet re-decides), while entries backed by local state are kept.
+// TestTakeoverSweep: a ring rebuild deletes, by installer tag, everything a
+// departed member installed on the switches — the flow's next packet punts
+// to its new owner and re-decides — and leaves the survivor's own entries
+// alone. A stable rebuild and a join delete nothing.
 func TestTakeoverSweep(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	hops := []core.Hop{{Datapath: 1, OutPort: 2}}
+	ra, rb := twoRouters(t, true, hops)
+	ra.Local().AddDatapath(sw)
+	rb.Local().AddDatapath(sw)
+	// B's flow arrives at A and is forwarded; A decides its own.
+	mine, theirs := fiveOwnedBy(t, rb, true), fiveOwnedBy(t, rb, false)
+	ra.HandleEvent(testPacketIn(mine))
+	ra.HandleEvent(testPacketIn(theirs))
+	if sw.Table.Len() != 4 {
+		t.Fatalf("setup: table len %d, want 4", sw.Table.Len())
+	}
+	entries := func(f flow.Five) int {
+		n := 0
+		for _, e := range sw.Table.Entries() {
+			if m := e.Match.Tuple.Five(); m == f || m == f.Reverse() {
+				n++
+			}
+		}
+		return n
+	}
 
-	// Replica A admits a flow and installs entries.
-	ctlA := testController(t, "A", true, hops)
-	ctlA.AddDatapath(sw)
-	f := testFive(20000)
-	ctlA.HandleEvent(testPacketIn(f))
-	waitUntil(t, "entries installed", func() bool { return sw.Table.Len() == 2 })
-
-	// A's own ring rebuild must not sweep entries A has state for.
-	ra := NewRouter(ctlA, Member{ID: "A"}, Options{})
-	if err := ra.SetMembers([]Member{{ID: "A"}}); err != nil {
+	both := []Member{{ID: "A"}, {ID: "B"}}
+	if err := rb.SetMembers(both); err != nil {
 		t.Fatal(err)
 	}
-	if got := sw.Table.Len(); got != 2 {
-		t.Fatalf("owner's rebuild swept its own entries: table len %d", got)
-	}
-	if got := ra.Counters.Get("cluster_takeover_swept"); got != 0 {
-		t.Errorf("cluster_takeover_swept = %d, want 0", got)
+	if got := rb.Counters.Get("cluster_takeover_swept"); got != 0 || sw.Table.Len() != 4 {
+		t.Fatalf("stable rebuild: %d deletes, table len %d; want 0/4", got, sw.Table.Len())
 	}
 
-	// Replica B takes over with no state for the flow: the orphan entries
-	// must be swept so the flow's next packet punts to B.
-	ctlB := testController(t, "B", true, hops)
-	ctlB.AddDatapath(sw)
-	rbB := NewRouter(ctlB, Member{ID: "B"}, Options{})
-	if err := rbB.SetMembers([]Member{{ID: "B"}}); err != nil {
+	// A departs: its tag goes from the switch in one delete, B's stays.
+	if err := rb.SetMembers([]Member{{ID: "B"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "orphan entries swept", func() bool { return sw.Table.Len() == 0 })
-	if got := rbB.Counters.Get("cluster_takeover_swept"); got != 2 {
-		t.Errorf("cluster_takeover_swept = %d, want 2", got)
+	if got := rb.Counters.Get("cluster_takeover_swept"); got != 1 {
+		t.Errorf("cluster_takeover_swept = %d, want one delete for the one switch", got)
+	}
+	if entries(theirs) != 0 || entries(mine) != 2 {
+		t.Errorf("after A departed: %d of A's entries and %d of B's left, want 0 and 2", entries(theirs), entries(mine))
+	}
+
+	// A re-joins: nothing is deleted.
+	if err := rb.SetMembers(both); err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.Counters.Get("cluster_takeover_swept"); got != 1 || entries(mine) != 2 {
+		t.Errorf("join: cluster_takeover_swept %d, B's entries %d; want 1 and 2", got, entries(mine))
 	}
 }
 

@@ -8,9 +8,10 @@ package cluster
 // then change (the source process exits) while those flows are
 // unsupervised; the survivor takes over. Conservation means every flow
 // stops forwarding: the survivor's own flows are torn down by the daemon
-// push it is subscribed for, and the dead replica's flows are swept at
-// takeover so their next packet re-decides — and is denied — under current
-// endpoint state. Failover is resubscribe, not restart.
+// push it is subscribed for, and the dead replica's flows are deleted by
+// its installer tag at takeover so their next packet re-decides — and is
+// denied — under current endpoint state. Failover is resubscribe, not
+// restart.
 
 import (
 	"testing"
@@ -65,7 +66,7 @@ type failoverReplica struct {
 	ctl  *core.Controller
 }
 
-func startFailoverReplica(t *testing.T, name string, resolver query.StaticResolver, sw *openflow.Switch) *failoverReplica {
+func startFailoverReplica(t *testing.T, name string, resolver query.StaticResolver) *failoverReplica {
 	t.Helper()
 	r := &failoverReplica{}
 	r.pool = query.NewPool(query.PoolConfig{Resolver: resolver})
@@ -85,23 +86,62 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})
-	r.ctl.AddDatapath(sw)
 	if !r.eng.SetUpdateHandler(r.ctl.HandleUpdate) {
 		t.Fatal("engine lower does not push updates")
 	}
 	return r
 }
 
+// TestFailoverLosesNoRevocations runs over both kinds of datapath: the
+// in-process switch, and the same switch behind a real secure channel to
+// each replica (a RemoteSwitch per replica, as production has), whose table
+// the controller cannot read — the takeover has to work without it.
 func TestFailoverLosesNoRevocations(t *testing.T) {
+	t.Run("in-process", func(t *testing.T) {
+		testFailoverLosesNoRevocations(t, func(t *testing.T, sw *openflow.Switch, r *Router) {
+			r.Local().AddDatapath(sw)
+		})
+	})
+	t.Run("tcp", func(t *testing.T) { testFailoverLosesNoRevocations(t, attachOverTCP) })
+}
+
+// attachOverTCP connects sw to r over a secure channel of its own, and
+// returns once r's controller has registered the RemoteSwitch.
+func attachOverTCP(t *testing.T, sw *openflow.Switch, r *Router) {
+	t.Helper()
+	srv := openflow.NewChannelServer(channelFront{r})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	agent, err := openflow.Connect(sw, addr.String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agent.Close)
+	waitUntil(t, "switch registered", func() bool { return r.Local().DatapathCount() == 1 })
+}
+
+// channelFront drives a Router from its switch channels.
+type channelFront struct{ r *Router }
+
+func (h channelFront) SwitchConnected(sw *openflow.RemoteSwitch) { h.r.Local().AddDatapath(sw) }
+func (h channelFront) PacketIn(_ *openflow.RemoteSwitch, ev openflow.PacketIn) {
+	h.r.HandleEvent(ev)
+}
+func (h channelFront) FlowRemoved(_ *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
+	h.r.HandleFlowRemoved(nil, ev)
+}
+func (h channelFront) SwitchDisconnected(sw *openflow.RemoteSwitch) { h.r.RemoveDatapath(sw) }
+
+func testFailoverLosesNoRevocations(t *testing.T, attach func(*testing.T, *openflow.Switch, *Router)) {
 	src := startFailoverHost(t, "client", "10.14.0.1", "alice")
 	dst := startFailoverHost(t, "server", "10.14.0.2", "bob")
 	resolver := query.StaticResolver{src.ip: src.addr, dst.ip: dst.addr}
 
-	// One real switch shared by both replicas (each holds its own
-	// datapath registration, as two processes would each hold a channel).
-	sw := openflow.NewSwitch(1, "s1", 0)
-	repA := startFailoverReplica(t, "replica-a", resolver, sw)
-	repB := startFailoverReplica(t, "replica-b", resolver, sw)
+	repA := startFailoverReplica(t, "A", resolver)
+	repB := startFailoverReplica(t, "B", resolver)
 
 	var ra, rb *Router
 	ra = NewRouter(repA.ctl, Member{ID: "A"}, Options{
@@ -110,6 +150,11 @@ func TestFailoverLosesNoRevocations(t *testing.T) {
 	rb = NewRouter(repB.ctl, Member{ID: "B"}, Options{
 		Dial: func(m Member) (Link, error) { return Loopback{Peer: ra}, nil },
 	})
+	// One switch programmed by both replicas (each holds its own datapath
+	// registration, as two processes would each hold a channel).
+	sw := openflow.NewSwitch(1, "s1", 0)
+	attach(t, sw, ra)
+	attach(t, sw, rb)
 	ms := []Member{{ID: "A"}, {ID: "B"}}
 	if err := ra.SetMembers(ms); err != nil {
 		t.Fatal(err)
@@ -179,15 +224,16 @@ func TestFailoverLosesNoRevocations(t *testing.T) {
 		return sw.Table.Len() == 4
 	})
 
-	// Failover: B declares A dead and takes over. The takeover sweep must
-	// delete A's orphaned entries — B holds no state for them, so their
-	// next packet re-decides under current endpoint state.
+	// Failover: B declares A dead and takes over. The takeover must delete
+	// A's orphaned entries — B holds no state for them, so their next packet
+	// re-decides under current endpoint state. It is one delete by A's
+	// installer tag at the one switch.
 	if err := rb.RemoveMember("A"); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "orphaned entries swept", func() bool { return sw.Table.Len() == 0 })
-	if got := rb.Counters.Get("cluster_takeover_swept"); got != 4 {
-		t.Errorf("cluster_takeover_swept = %d, want 4", got)
+	if got := rb.Counters.Get("cluster_takeover_swept"); got != 1 {
+		t.Errorf("cluster_takeover_swept = %d, want 1", got)
 	}
 
 	// Conservation: re-driving the dead replica's flows punts to B, which
@@ -201,6 +247,7 @@ func TestFailoverLosesNoRevocations(t *testing.T) {
 	waitUntil(t, "re-driven flows denied", func() bool {
 		return repB.ctl.Counters.Get("flows_denied") >= 2
 	})
+	waitUntil(t, "drop entries installed", func() bool { return sw.Table.Len() == 2 })
 	// Denials negative-cache as drop entries; nothing may still forward.
 	for _, e := range sw.Table.Entries() {
 		if len(e.Actions) != 1 || e.Actions[0].Type != openflow.ActionDrop {

@@ -13,10 +13,10 @@
 // pending decision, revocation-index registration, daemon subscription —
 // lives only at the flow's owner, so replicas share no per-flow state and
 // need no cross-replica locks. Replica loss is handled by rebuilding the
-// ring and sweeping newly-owned orphan entries from the switches
-// (core.Controller.TakeoverSweep); the next packet of each swept flow
-// punts to the new owner, which re-queries and re-subscribes through the
-// ordinary query plane — failover is resubscribe, not restart.
+// ring and deleting the lost replica's entries from the switches by its
+// installer tag (core.Controller.TakeOver); the next packet of each of its
+// flows punts to the new owner, which re-queries and re-subscribes through
+// the ordinary query plane — failover is resubscribe, not restart.
 package cluster
 
 import "identxx/internal/flow"

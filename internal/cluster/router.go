@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,7 @@ import (
 // to the owner over its Link and acked once the owner has accepted them.
 // Configuration writes go through the Router so they replicate
 // (epoch-fenced snapshot push); membership changes rebuild the ring and
-// sweep newly-owned orphan entries off the switches.
+// delete a departed replica's entries off the switches.
 //
 // A Router wraps exactly one Controller and is safe for concurrent use.
 type Router struct {
@@ -80,8 +81,13 @@ type Options struct {
 
 // NewRouter wraps local. The ring starts with self as the only member —
 // a single-replica deployment needs no SetMembers call and pays one ring
-// lookup per event.
+// lookup per event. local must be named self.ID: the name is the installer
+// tag its entries carry, and the tag the survivors delete when self leaves
+// the ring.
 func NewRouter(local *core.Controller, self Member, opts Options) *Router {
+	if local.Name() != self.ID {
+		panic(fmt.Sprintf("cluster: controller %q fronted as member %q; a replica's controller is named by its member id", local.Name(), self.ID))
+	}
 	r := &Router{
 		local:     local,
 		self:      self,
@@ -211,14 +217,16 @@ func (r *Router) Owns(f flow.Five) bool {
 
 // SetMembers installs a new replica set and rebuilds the ring. Links to
 // retained members are reused; links to departed members are closed after
-// the swap. Every rebuild runs the takeover sweep: entries for flows the
-// new ring assigns to this replica but that it holds no decision state
-// for — flows whose owner departed, or whose ownership rebalanced here —
-// are deleted from the local switches, so their next packet punts to this
-// replica and re-decides under current endpoint state through the
-// ordinary query plane (which re-queries and re-subscribes: failover =
-// resubscribe). Serial-gap resync on the query plane covers updates the
-// dead owner consumed that this one never saw.
+// the swap. Every member that left the ring — by id; never this replica —
+// is taken over: everything it installed on the local switches is deleted
+// by its installer tag (core.Controller.TakeOver), so each of its flows'
+// next packet punts to the flow's new owner and re-decides under current
+// endpoint state through the ordinary query plane (which re-queries and
+// re-subscribes: failover = resubscribe). Serial-gap resync on the query
+// plane covers updates the dead owner consumed that this one never saw. A
+// join or a stable rebuild deletes nothing: a flow whose ownership moved to
+// a joiner keeps its entries, which its old owner's records still
+// supervise.
 func (r *Router) SetMembers(members []Member) error {
 	r.mu.Lock()
 	old := r.ring.Load()
@@ -263,11 +271,13 @@ func (r *Router) SetMembers(members []Member) error {
 	links := retainedLinks(rg)
 	r.mu.Unlock()
 
-	swept := r.local.TakeoverSweep(func(f flow.Five) bool {
-		return rg.ownsSelf(ownerHash(f))
-	})
-	if swept > 0 {
-		r.Counters.Add("cluster_takeover_swept", int64(swept))
+	for _, m := range old.members {
+		stays := slices.ContainsFunc(members, func(n Member) bool { return n.ID == m.ID })
+		if m.ID != r.self.ID && !stays {
+			if n := r.local.TakeOver(m.ID); n > 0 {
+				r.Counters.Add("cluster_takeover_swept", int64(n))
+			}
+		}
 	}
 	// Late joiners get the current config without waiting for the next
 	// write: push the snapshot we hold at every live peer; fenced, so

@@ -74,8 +74,8 @@ func TestTraceStitchedAcrossReplicas(t *testing.T) {
 	resolver := query.StaticResolver{src.ip: src.addr, dst.ip: dst.addr}
 
 	sw := openflow.NewSwitch(1, "s1", 0)
-	repA := startTracedReplica(t, "replica-a", resolver, sw)
-	repB := startTracedReplica(t, "replica-b", resolver, sw)
+	repA := startTracedReplica(t, "A", resolver, sw)
+	repB := startTracedReplica(t, "B", resolver, sw)
 
 	// Real TCP between the replicas: each router serves its
 	// inter-controller listener, and the default dial (DialTCP on the

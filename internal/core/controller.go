@@ -193,6 +193,9 @@ type Topology interface {
 
 // Config parameterizes a Controller.
 type Config struct {
+	// Name names the controller in the responses it augments (§3.4) and in
+	// the cookie of every entry it installs (the installer tag, cookie.go):
+	// keep it across restarts. A cluster replica's is its member id.
 	Name      string
 	Policy    *pf.Policy
 	Transport QueryTransport
@@ -299,7 +302,8 @@ func (st *ctlState) clone() *ctlState {
 // Controller is an ident++-enabled OpenFlow controller.
 type Controller struct {
 	name      string
-	sourceTag string // "controller:<name>", the §3.4 augmentation source, built once
+	sourceTag string  // "controller:<name>", the §3.4 augmentation source, built once
+	cookies   cookies // the cookie layout under the name's installer tag (cookie.go)
 	// query is Config.Transport's one face (resolveTransport): every miss
 	// asks both ends through it and is finished by the second completion.
 	query queryFunc
@@ -379,6 +383,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		name:      cfg.Name,
 		sourceTag: "controller:" + cfg.Name,
+		cookies:   cookies{tag: installerTag(cfg.Name)},
 		query:     resolveTransport(cfg.Transport, cfg.AsyncQueries),
 		tr:        cfg.Trace,
 		topo:      cfg.Topology,
@@ -635,7 +640,7 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 	if c.mega != nil {
 		if e := c.mega.exact(five); e != nil {
 			if paths, ok := c.retireMega(e); ok {
-				c.deleteMegaAt(st, e.cookie, paths)
+				c.deleteMegaAt(st, e, paths)
 				if !e.aged {
 					c.hot.megaTeardowns.Add(1)
 				}
@@ -915,7 +920,7 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		// is every member's record: a hit touches no index — the hot path
 		// stays exactly as fast as without revocation.
 		if !g.mega.addPaths(s.pathIDs) {
-			c.deleteMegaAt(st, g.mega.cookie, s.pathIDs)
+			c.deleteMegaAt(st, g.mega, s.pathIDs)
 			c.Counters.Add("megaflow_hit_raced", 1)
 		}
 	} else if c.revoker != nil && c.install {

@@ -428,7 +428,7 @@ func TestRevokeFlow(t *testing.T) {
 		dp.mu.Lock()
 		last := dp.mods[len(dp.mods)-1]
 		dp.mu.Unlock()
-		if !last.Delete || last.Cookie != five.Hash()|1 {
+		if !last.Delete || last.Cookie != c.cookies.flow(five) || last.CookieMask != ^uint64(0) {
 			t.Errorf("dp%d: revoke mod = %+v", dp.id, last)
 		}
 	}

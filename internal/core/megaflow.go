@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +29,11 @@ import (
 //   - Entries are pinned to the policy epoch and to ResponseCacheTTL, so
 //     SetPolicy and expiry invalidate every cached verdict identically.
 //     Expiry ends an entry's hits, not the flows installed under it: no
-//     delete is sent — switch entries idle out (see megaShard.aged).
+//     delete is sent — switch entries idle out (see megaEntry.aged).
 //   - The entry's dependency record in the revocation index (keyed by the
 //     entry's id) is the one record of every verdict installed under it,
 //     the founder's included: every member's switch entries carry the
-//     entry's cookie and every datapath they touched is in its paths, so
+//     class's cookie and every datapath they touched is in its paths, so
 //     a daemon-pushed update tears the whole class down in O(affected)
 //     with one delete per datapath. The trace forces a queried end's IP
 //     and port into the mask, so every member of a class shares the
@@ -58,8 +57,7 @@ type megaKey struct {
 // response views are retained, so the entry never pins pooled memory and
 // responses never outlive the decision that gathered them.
 type megaEntry struct {
-	id      uint64
-	cookie  uint64 // id<<1: even, disjoint from uncached flows' cookies (hash|1, odd)
+	id      uint64 // its members' cookie is cookies.class(id)
 	founder flow.Five
 	masked  flow.Five
 	mask    uint8
@@ -71,9 +69,14 @@ type megaEntry struct {
 	matched   bool
 	keepState bool
 
-	// aged is set, under the shard lock, when a sweep keeps the entry aside
-	// (megaShard.aged): it has been counted out of the cache, and whatever
-	// retires it later counts nothing more.
+	// aged is set, under the shard lock, when a sweep finds the entry expired
+	// but announced (see announced) and leaves it in place: it serves no hit
+	// and blocks no founder, as any expired entry, but its flow's switch
+	// entries may outlive it by hours and it stays their record — a fact
+	// update, a lease or a flow-removed finds it as it would a serving entry
+	// — until one of those retires it or the flow's next verdict takes the
+	// class over. It has been counted out of the cache, and whatever retires
+	// it later counts nothing more.
 	aged bool
 
 	// dead flips exactly once, under mu, when the entry is retired;
@@ -123,17 +126,10 @@ func (e *megaEntry) kill() ([]uint64, bool) {
 	return e.paths, true
 }
 
-// megaShard is one lock domain of the class table. entries serves hits.
-// aged holds the announced entries (see megaEntry.announced) a sweep moved
-// out of it: such an entry serves no hit and blocks no founder, but its
-// flow's switch entries may outlive it by hours, and it stays their record —
-// a fact update, a lease, a flow-removed or a takeover sweep finds it as it
-// would a serving entry — until one of those retires it or the flow's next
-// verdict takes the class over. A class is in at most one of the two maps.
+// megaShard is one lock domain of the class table.
 type megaShard struct {
 	mu        sync.Mutex
 	entries   map[megaKey]*megaEntry
-	aged      map[megaKey]*megaEntry
 	lastSweep time.Time
 }
 
@@ -146,7 +142,7 @@ type megaShard struct {
 type megaTable struct {
 	shards []megaShard
 	mask   uint64
-	nextID atomic.Uint64
+	nextID atomic.Uint64 // the last class id issued: ids count up from 1
 
 	byIDMu sync.Mutex
 	byID   map[uint64]*megaEntry
@@ -163,11 +159,6 @@ func newMegaTable(n int) *megaTable {
 		mask:   uint64(n - 1),
 	}
 	t.flushAll()
-	// Class ids, and so class cookies, count up from a random base. Replicas
-	// programming one switch must not share a cookie: a class teardown is a
-	// cookie-scoped wildcard, and since a founder's entries carry the class
-	// cookie it would delete another replica's flows outright.
-	t.nextID.Store(rand.Uint64() >> 2)
 	return t
 }
 
@@ -188,15 +179,12 @@ func (t *megaTable) maskCount(m uint8, d int) {
 	t.maskMu.Unlock()
 }
 
-// resident returns whatever entry occupies class slot k — live, stale or
-// dead — or, the slot empty, the one aged out of it; or nil.
+// resident returns whatever entry occupies class slot k — live, stale, aged
+// or dead — or nil.
 func (t *megaTable) resident(k megaKey) *megaEntry {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
 	e := sh.entries[k]
-	if e == nil {
-		e = sh.aged[k]
-	}
 	sh.mu.Unlock()
 	return e
 }
@@ -219,12 +207,12 @@ func (t *megaTable) lookup(f flow.Five, now time.Time, epoch uint64) *megaEntry 
 // insert publishes e unless a live entry for the same class is already
 // resident (a founder race: the caller joins the resident as a member;
 // resident is nil when e went in). The opportunistic per-shard TTL sweep
-// unmaps every expired entry, keeping the announced ones aside, and e
-// takes its class over from whatever held it — a stale resident (dead,
-// expired, old epoch) or an aged entry, whose flow's switch entries the
-// install that follows replaces. aged counts the entries kept aside; swept
-// returns the others unmapped, and the aged entry taken over, for the
-// caller to retire.
+// unmaps every expired entry except the announced ones, which it marks aged
+// and leaves in place, and e takes its class over from whatever held it — a
+// stale resident (dead, expired, old epoch) or an aged entry, whose flow's
+// switch entries the install that follows replaces. aged counts the entries
+// newly marked; swept returns the others unmapped, and the resident taken
+// over, for the caller to retire.
 func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resident *megaEntry, aged int, swept []*megaEntry) {
 	k := megaKey{masked: e.masked, mask: e.mask}
 	sh := t.shardFor(k)
@@ -233,14 +221,15 @@ func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resi
 		sh.lastSweep = now
 	} else if now.Sub(sh.lastSweep) >= ttl {
 		for ok, old := range sh.entries {
-			if ok != k && !now.Before(old.expires) {
+			if ok == k || old.aged || now.Before(old.expires) {
+				continue
+			}
+			if old.announced() {
+				old.aged = true
+				aged++
+			} else {
 				delete(sh.entries, ok)
-				if old.announced() {
-					sh.aged[ok], old.aged = old, true
-					aged++
-				} else {
-					swept = append(swept, old)
-				}
+				swept = append(swept, old)
 			}
 		}
 		sh.lastSweep = now
@@ -249,11 +238,6 @@ func (t *megaTable) insert(e *megaEntry, now time.Time, ttl time.Duration) (resi
 	if ok && res.epoch == e.epoch && now.Before(res.expires) && !res.dead.Load() {
 		sh.mu.Unlock()
 		return res, aged, swept
-	}
-	if !ok {
-		if res, ok = sh.aged[k]; ok {
-			delete(sh.aged, k)
-		}
 	}
 	if ok {
 		swept = append(swept, res)
@@ -281,8 +265,8 @@ func (t *megaTable) exact(f flow.Five) *megaEntry {
 	return t.resident(megaKey{masked: f, mask: pf.TraceAllFields})
 }
 
-// retire kills e and unlinks it from its class slot, serving or aged (when
-// it is still there: a sweep or a takeover has already unmapped it), the id
+// retire kills e and unlinks it from its class slot (when it is still
+// there: a sweep or the class's next entry has already unmapped it), the id
 // map and the mask census, returning its installed-path snapshot. Exactly
 // one caller gets ok=true per entry.
 func (t *megaTable) retire(e *megaEntry) ([]uint64, bool) {
@@ -295,8 +279,6 @@ func (t *megaTable) retire(e *megaEntry) ([]uint64, bool) {
 	sh.mu.Lock()
 	if sh.entries[k] == e {
 		delete(sh.entries, k)
-	} else if sh.aged[k] == e {
-		delete(sh.aged, k)
 	}
 	sh.mu.Unlock()
 	t.byIDMu.Lock()
@@ -330,14 +312,11 @@ func (t *megaTable) flushAll() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		old, aged := sh.entries, sh.aged
-		sh.entries, sh.aged = make(map[megaKey]*megaEntry), make(map[megaKey]*megaEntry)
+		old := sh.entries
+		sh.entries = make(map[megaKey]*megaEntry)
 		sh.lastSweep = time.Time{}
 		sh.mu.Unlock()
 		for _, e := range old {
-			e.kill()
-		}
-		for _, e := range aged {
 			e.kill()
 		}
 	}
@@ -395,7 +374,6 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 		matched:   d.Matched,
 		keepState: d.KeepState,
 	}
-	e.cookie = e.id << 1
 	if c.revoker != nil {
 		// Register before publishing: a teardown can only reach the entry
 		// through the table, so whichever one finds it also finds (and
@@ -448,7 +426,7 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, aud
 	if !ok {
 		return false
 	}
-	c.deleteMegaAt(st, e.cookie, paths)
+	c.deleteMegaAt(st, e, paths)
 	if !e.aged {
 		c.hot.megaTeardowns.Add(1)
 	}

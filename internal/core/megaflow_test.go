@@ -406,8 +406,9 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 	dp1.mu.Lock()
 	hitMods := append([]openflow.FlowMod(nil), dp1.mods[mods:]...)
 	dp1.mu.Unlock()
-	if len(hitMods) != 1 || hitMods[0].Cookie != e.cookie || e.cookie&1 != 0 {
-		t.Errorf("hit installs = %+v, want one under the even class cookie %#x", hitMods, e.cookie)
+	classCookie := c.cookies.class(e.id)
+	if len(hitMods) != 1 || hitMods[0].Cookie != classCookie || classCookie&1 != 0 {
+		t.Errorf("hit installs = %+v, want one under the even class cookie %#x", hitMods, classCookie)
 	}
 	audit := c.Audit.Entries()
 	if len(audit) != 2 || audit[1].Rule != audit[0].Rule || audit[1].Rule == "(default)" || audit[1].Action != pf.Pass {
@@ -419,7 +420,7 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 	c.RevokeFlow(five)
 	classDeleted := false
 	for _, m := range dp1.deleteMods() {
-		if m.Cookie == e.cookie && m.Match == flow.MatchAll() {
+		if m.Cookie == classCookie && m.Match == flow.MatchAll() {
 			classDeleted = true
 		}
 	}
@@ -436,17 +437,15 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 // switch, and a class teardown is a cookie-scoped wildcard — with the
 // founder's entries under the class cookie, two caches numbering their
 // classes alike would have one replica's revocation delete the other's
-// flows. Each cache counts its ids up from its own random base.
+// flows. Every cache counts its ids up from 1; the installer tag of each
+// controller's name keeps the cookies apart.
 func TestMegaflowCookiesDisjointAcrossControllers(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	replica := func(name string) *Controller {
 		c := New(Config{
-			Name:   name,
-			Policy: pf.MustCompile("mega", megaPolicy),
-			Transport: &fakeTransport{responses: map[netaddr.IP]map[string]string{
-				hostA: {"name": "skype"},
-				hostB: {"name": "skype"},
-			}},
+			Name:             name,
+			Policy:           pf.MustCompile("mega", megaPolicy),
+			Transport:        skypeFacts(),
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
@@ -458,65 +457,73 @@ func TestMegaflowCookiesDisjointAcrossControllers(t *testing.T) {
 	a, b := replica("a"), replica("b")
 	fa, fb := megaFlow(hostA, 40000), megaFlow(hostA, 40001)
 	for c, f := range map[*Controller]flow.Five{a: fa, b: fb} {
-		ev := sampleEvent(f, 1)
-		ev.BufferID = openflow.BufferNone
-		c.HandleEvent(ev)
+		c.HandleEvent(unbuffered(f))
 	}
 	if ca, cb := verdictCookie(a, fa), verdictCookie(b, fb); ca == cb || sw.Table.Len() != 2 {
 		t.Fatalf("setup: cookies %#x / %#x, table = %d; want distinct cookies over two entries", ca, cb, sw.Table.Len())
 	}
 	a.HandleUpdate(hostB, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
-	left := sw.FlowTuples(nil)
-	if len(left) != 1 || left[0] != fb {
-		t.Errorf("after replica a's teardown the switch holds %v, want replica b's flow only", left)
+	left := sw.Table.Entries()
+	if len(left) != 1 || left[0].Match != flow.FiveMatch(fb) {
+		t.Errorf("after replica a's teardown the switch holds %d entries, want replica b's flow only", len(left))
 	}
 }
 
-// TestTakeoverSweepSparesLiveClassMembers: a cache hit's entries carry the
-// class cookie and have no registration of their own, so the sweep must
-// ask the verdict cache whether a live class vouches for them — while an
-// entry nothing vouches for is still an orphan and still deleted.
+// unbuffered is f's packet-in with the whole frame in it, for a real switch
+// that holds no buffer under the sample event's id.
+func unbuffered(f flow.Five) openflow.PacketIn {
+	ev := sampleEvent(f, 1)
+	ev.BufferID = openflow.BufferNone
+	return ev
+}
+
+// TestTakeoverSweepSparesLiveClassMembers: a takeover deletes by the
+// departed controller's installer tag — its uncached flows' entries and its
+// classes' members alike, whichever incarnation of the name installed them —
+// and leaves this controller's own entries, a live class's members included,
+// untouched.
 func TestTakeoverSweepSparesLiveClassMembers(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
-	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
-		hostA: {"name": "skype"},
-		hostB: {"name": "skype"},
-	}}
-	c := New(Config{
-		Name:             "sweep",
-		Policy:           pf.MustCompile("mega", megaPolicy),
-		Transport:        tr,
-		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
-		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
-		Megaflow:         true,
-	})
-	c.AddDatapath(sw)
-	event := func(f flow.Five) openflow.PacketIn {
-		ev := sampleEvent(f, 1)
-		ev.BufferID = openflow.BufferNone
-		return ev
+	controller := func(name string, megaflow bool) *Controller {
+		cfg := Config{
+			Name:           name,
+			Policy:         pf.MustCompile("mega", megaPolicy),
+			Transport:      skypeFacts(),
+			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries: true,
+			Revocation:     true,
+		}
+		if megaflow {
+			cfg.ResponseCacheTTL, cfg.Megaflow = time.Hour, true
+		}
+		c := New(cfg)
+		c.AddDatapath(sw)
+		return c
 	}
-	c.HandleEvent(event(megaFlow(hostA, 40000))) // founder
-	c.HandleEvent(event(megaFlow(hostA, 40001))) // member: class cookie, no registration
-	if _, hits, _, _ := c.MegaflowStats(); hits != 1 || sw.Table.Len() != 2 {
-		t.Fatalf("setup: hits=%d table=%d, want 1/2", hits, sw.Table.Len())
-	}
-	orphan := megaFlow(hostA, 40002)
-	orphan.DstPort = 7000 // outside every class
-	if err := sw.Apply(openflow.FlowMod{Match: flow.FiveMatch(orphan), Priority: 100,
-		Actions: openflow.Output(2), Cookie: 0xdead, BufferID: openflow.BufferNone}); err != nil {
-		t.Fatal(err)
+	c := controller("self", true)
+	c.HandleEvent(unbuffered(megaFlow(hostA, 40000))) // founder
+	c.HandleEvent(unbuffered(megaFlow(hostA, 40001))) // member: class cookie, no record of its own
+	// The departed replica's two incarnations: a class with a member, and an
+	// uncached flow.
+	gone := controller("gone", true)
+	gone.HandleEvent(unbuffered(megaFlow(hostA, 40002)))
+	gone.HandleEvent(unbuffered(megaFlow(hostA, 40003)))
+	controller("gone", false).HandleEvent(unbuffered(megaFlow(hostA, 40004)))
+	if _, hits, _, _ := c.MegaflowStats(); hits != 1 || sw.Table.Len() != 5 {
+		t.Fatalf("setup: hits=%d table=%d, want 1/5", hits, sw.Table.Len())
 	}
 
-	swept := c.TakeoverSweep(func(flow.Five) bool { return true })
-	if swept != 1 || sw.Table.Len() != 2 {
-		t.Fatalf("swept=%d table=%d, want the orphan deleted and the class's two entries kept", swept, sw.Table.Len())
+	if n := c.TakeOver("gone"); n != 1 {
+		t.Errorf("TakeOver issued %d deletes, want one per datapath", n)
 	}
-	for _, f := range sw.FlowTuples(nil) {
-		if f == orphan {
-			t.Error("orphan entry survived the sweep")
+	own := verdictCookie(c, megaFlow(hostA, 40000))
+	left := sw.Table.Entries()
+	if len(left) != 2 {
+		t.Errorf("after the takeover the switch holds %d entries, want this controller's two", len(left))
+	}
+	for _, e := range left {
+		if e.Cookie != own {
+			t.Errorf("entry %v with cookie %#x survived the takeover; want only the live class's %#x", e.Match.Tuple.Five(), e.Cookie, own)
 		}
 	}
 }
@@ -672,7 +679,7 @@ func (d *fakeDatapath) resident() map[flow.Match]uint64 {
 			continue
 		}
 		for match, cookie := range live {
-			if (m.Cookie == 0 || m.Cookie == cookie) && (m.Match == match || m.Match.Covers(match.Tuple)) {
+			if cookie&m.CookieMask == m.Cookie&m.CookieMask && (m.Match == match || m.Match.Covers(match.Tuple)) {
 				delete(live, match)
 			}
 		}

@@ -212,17 +212,17 @@ func (c *Controller) auditRevoked(five flow.Five, rule string) {
 // deleteFlowAt issues the flow's two cookie-scoped deletes (forward and
 // reverse match) along paths and counts them in revocations_entries.
 func (c *Controller) deleteFlowAt(st *ctlState, five flow.Five, paths []uint64) {
-	fwd := openflow.FlowMod{Delete: true, Cookie: five.Hash() | 1, Match: flow.FiveMatch(five), BufferID: openflow.BufferNone}
+	fwd := openflow.FlowMod{Delete: true, Cookie: c.cookies.flow(five), CookieMask: ^uint64(0), Match: flow.FiveMatch(five), BufferID: openflow.BufferNone}
 	rev := fwd
 	rev.Match = flow.FiveMatch(five.Reverse())
 	c.hot.revEntries.Add(int64(c.applyAt(st, paths, fwd, rev)))
 }
 
 // deleteMegaAt deletes a class's installed entries along paths: by the
-// entry's cookie under an all-fields wildcard, one delete mod per datapath
+// class's cookie under an all-fields wildcard, one delete mod per datapath
 // covers every member tuple.
-func (c *Controller) deleteMegaAt(st *ctlState, cookie uint64, paths []uint64) {
-	c.applyAt(st, paths, openflow.FlowMod{Delete: true, Cookie: cookie, Match: flow.MatchAll(), BufferID: openflow.BufferNone})
+func (c *Controller) deleteMegaAt(st *ctlState, e *megaEntry, paths []uint64) {
+	c.applyAt(st, paths, openflow.FlowMod{Delete: true, Cookie: c.cookies.class(e.id), CookieMask: ^uint64(0), Match: flow.MatchAll(), BufferID: openflow.BufferNone})
 }
 
 // applyAt applies mods at every registered datapath in paths, in order, on

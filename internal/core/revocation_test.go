@@ -46,10 +46,10 @@ func liveRecords(c *Controller) (flows, classes int) {
 func verdictCookie(c *Controller, five flow.Five) uint64 {
 	if c.mega != nil {
 		if es := c.mega.covering(five, nil); len(es) > 0 {
-			return es[0].cookie
+			return c.cookies.class(es[0].id)
 		}
 	}
-	return five.Hash() | 1
+	return c.cookies.flow(five)
 }
 
 // newRevController builds a revocation-enabled controller with a two-hop
@@ -294,7 +294,7 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 	c.HandleFlowRemoved(nil, openflow.FlowRemoved{
 		SwitchID: 1,
 		Match:    flow.FiveMatch(five),
-		Cookie:   five.Hash() | 1,
+		Cookie:   c.cookies.flow(five),
 		Reason:   openflow.RemovedIdleTimeout,
 	})
 	if cachedVerdicts(c) != 0 {
@@ -366,12 +366,12 @@ func TestRevokeFlowContract(t *testing.T) {
 
 // TestRevocableVerdictOutlivesCacheTTL: the cache's TTL bounds how long
 // a verdict serves hits, not how long its flow may live. A pass verdict's
-// entry that a sweep moves out of the serving table sends no delete — a
-// connection older than the TTL is not interrupted — and stays the flow's
-// one record: a fact update still tears it down by its cookie, a takeover
-// sweep still finds the flow vouched for, and the ingress entry's
-// flow-removed finally retires it. A deny verdict's drop entry reports
-// nothing, so its record leaves at the sweep.
+// entry that a sweep ages out of serving sends no delete — a connection
+// older than the TTL is not interrupted — and stays the flow's one record:
+// a fact update still tears it down by its cookie, another replica's
+// takeover leaves it alone, and the ingress entry's flow-removed finally
+// retires it. A deny verdict's drop entry reports nothing, so its record
+// leaves at the sweep.
 func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 	const ttl = time.Minute
 	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 44000, DstPort: 5060}
@@ -394,19 +394,14 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 		for _, dp := range dps {
 			c.AddDatapath(dp)
 		}
-		event := func(f flow.Five) openflow.PacketIn {
-			ev := sampleEvent(f, 1)
-			ev.BufferID = openflow.BufferNone
-			return ev
-		}
-		c.HandleEvent(event(revFlow(44000)))
-		c.HandleEvent(event(denied))
+		c.HandleEvent(unbuffered(revFlow(44000)))
+		c.HandleEvent(unbuffered(denied))
 		if allowed, blocked := c.Counters.Get("flows_allowed"), c.Counters.Get("flows_denied"); allowed != 1 || blocked != 1 || cachedVerdicts(c) != 2 {
 			t.Fatalf("setup: allowed=%d denied=%d cached=%d, want 1/1/2", allowed, blocked, cachedVerdicts(c))
 		}
 		// Another flow's insert two TTLs on sweeps the one shard.
 		fc.Advance(2 * ttl)
-		c.HandleEvent(event(revFlow(44001)))
+		c.HandleEvent(unbuffered(revFlow(44001)))
 		if got := c.Counters.Get("megaflow_expired"); got != 2 || cachedVerdicts(c) != 1 {
 			t.Fatalf("after the sweep: megaflow_expired=%d cached=%d, want 2/1", got, cachedVerdicts(c))
 		}
@@ -476,14 +471,43 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 	t.Run("takeover", func(t *testing.T) {
 		sw1, sw2 := openflow.NewSwitch(1, "s1", 0), openflow.NewSwitch(2, "s2", 0)
 		c, _ := setup(t, sw1, sw2)
-		before := sw1.Table.Len() + sw2.Table.Len()
-		// Only the deny's drop entry has nothing to vouch for it.
-		if swept := c.TakeoverSweep(func(flow.Five) bool { return true }); swept != 1 || sw1.Table.Len()+sw2.Table.Len() != before-1 {
-			t.Errorf("takeover swept %d, tables %d -> %d: want only the unrecorded drop entry gone", swept, before, sw1.Table.Len()+sw2.Table.Len())
+		own := sw1.Table.Len() + sw2.Table.Len()
+		// A departed replica's verdicts on the same switches: an uncached
+		// flow and a cached one.
+		for i, cacheTTL := range []time.Duration{0, time.Hour} {
+			d := New(Config{
+				Name:             "departed",
+				Policy:           pf.MustCompile("rev", revPolicy),
+				Transport:        skypeFacts(),
+				Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
+				InstallEntries:   true,
+				ResponseCacheTTL: cacheTTL,
+				Revocation:       true,
+			})
+			d.AddDatapath(sw1)
+			d.AddDatapath(sw2)
+			d.HandleEvent(unbuffered(revFlow(44002 + i)))
 		}
-		for _, f := range sw1.FlowTuples(nil) {
-			if f == denied {
-				t.Error("drop entry with no record survived the takeover sweep")
+		if got := sw1.Table.Len() + sw2.Table.Len(); got != own+4 {
+			t.Fatalf("setup: %d entries, want %d of ours and 4 of the departed replica's", got, own)
+		}
+		if n := c.TakeOver("departed"); n != 2 || sw1.Table.Len()+sw2.Table.Len() != own {
+			t.Errorf("takeover issued %d deletes, tables now %d: want one per switch and our %d entries left", n, sw1.Table.Len()+sw2.Table.Len(), own)
+		}
+		for _, sw := range []*openflow.Switch{sw1, sw2} {
+			for _, e := range sw.Table.Entries() {
+				if e.Cookie&tagMask != c.cookies.tag {
+					t.Errorf("s%d: entry %v with cookie %#x survived the takeover", sw.ID, e.Match.Tuple.Five(), e.Cookie)
+				}
+			}
+		}
+		// The aged verdict is untouched, and still its flow's record.
+		c.HandleUpdate(hostA, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
+		for _, sw := range []*openflow.Switch{sw1, sw2} {
+			for _, e := range sw.Table.Entries() {
+				if e.Match == flow.FiveMatch(long) {
+					t.Errorf("s%d: the aged verdict's entry survived its facts", sw.ID)
+				}
 			}
 		}
 	})

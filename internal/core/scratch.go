@@ -97,14 +97,13 @@ func acquireScratch() *decisionScratch {
 }
 
 // cookie is the cookie the decision's entries carry: a cached verdict's
-// carry their class's (even), so one wildcard delete tears every member's
-// entries down with the class; an uncached verdict's carry the flow's own
-// (odd, hence non-zero: delete-by-cookie can target it).
+// carry their class's, so one wildcard delete tears every member's entries
+// down with the class; an uncached verdict's carry the flow's own.
 func (s *decisionScratch) cookie() uint64 {
 	if e := s.gather.mega; e != nil {
-		return e.cookie
+		return s.gather.c.cookies.class(e.id)
 	}
-	return s.five.Hash() | 1
+	return s.gather.c.cookies.flow(s.five)
 }
 
 // release clears everything that points outside the scratch — datapaths,

@@ -100,9 +100,10 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	}
 
 	// That re-decision inserted into exactly one shard and its sweep ran
-	// there: the owning shard holds only the fresh entry, while the other
-	// shards still hold their expired tombstones (sweeps are per shard and
-	// lazy; no cross-shard eviction).
+	// there: apart from the fresh entry, the owning shard holds only entries
+	// the sweep aged (announced pass verdicts, kept as their flows' records),
+	// while the other shards still hold their unswept tombstones (sweeps are
+	// per shard and lazy; no cross-shard eviction).
 	shardOf := func(f flow.Five) *megaShard {
 		return c.mega.shardFor(megaKey{masked: f, mask: pf.TraceAllFields})
 	}
@@ -112,7 +113,12 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 	for i := range c.mega.shards {
 		sh := &c.mega.shards[i]
 		sh.mu.Lock()
-		n := len(sh.entries)
+		n := 0
+		for _, e := range sh.entries {
+			if !e.aged {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 		if sh == owner {
 			ownerIdx = i

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"identxx/internal/flow"
 	"identxx/internal/link"
 )
 
@@ -278,11 +277,3 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 // Close stops the server: the listener and every switch's channel are
 // closed, and each handler's SwitchDisconnected has run when it returns.
 func (s *ChannelServer) Close() { s.lis.Close() }
-
-// FlowTuples exposes the switch table's flow-granularity tuples for the
-// cluster takeover sweep (see Table.FiveTuples). Only in-process switches
-// are enumerable; a RemoteSwitch's table lives across the wire, and its
-// orphaned entries age out by idle timeout instead.
-func (s *Switch) FlowTuples(dst []flow.Five) []flow.Five {
-	return s.Table.FiveTuples(dst)
-}

@@ -230,10 +230,12 @@ func AppendFlowMod(b []byte, mod FlowMod, xid uint32) ([]byte, error) {
 }
 
 func appendFlowModBody(b []byte, mod FlowMod) []byte {
-	b, body := extend(b, matchLen+8+2+2+4+4+4+1+1+2+len(mod.Actions)*actionLen)
+	b, body := extend(b, matchLen+8+8+2+2+4+4+4+1+1+2+len(mod.Actions)*actionLen)
 	putMatch(body[0:], mod.Match)
 	off := matchLen
 	binary.BigEndian.PutUint64(body[off:], mod.Cookie)
+	off += 8
+	binary.BigEndian.PutUint64(body[off:], mod.CookieMask)
 	off += 8
 	binary.BigEndian.PutUint16(body[off:], uint16(mod.Priority))
 	off += 2
@@ -261,7 +263,7 @@ func appendFlowModBody(b []byte, mod FlowMod) []byte {
 
 // DecodeFlowMod parses a FlowMod body.
 func DecodeFlowMod(m Msg) (FlowMod, error) {
-	if m.Type != MsgFlowMod || len(m.Body) < matchLen+8+2+2+4+4+4+4 {
+	if m.Type != MsgFlowMod || len(m.Body) < matchLen+8+8+2+2+4+4+4+4 {
 		return FlowMod{}, errors.New("openflow: bad flow-mod")
 	}
 	match, err := getMatch(m.Body)
@@ -271,6 +273,8 @@ func DecodeFlowMod(m Msg) (FlowMod, error) {
 	off := matchLen
 	mod := FlowMod{Match: match}
 	mod.Cookie = binary.BigEndian.Uint64(m.Body[off:])
+	off += 8
+	mod.CookieMask = binary.BigEndian.Uint64(m.Body[off:])
 	off += 8
 	mod.Priority = int(binary.BigEndian.Uint16(m.Body[off:]))
 	off += 2

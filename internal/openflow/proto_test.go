@@ -94,12 +94,12 @@ func TestFlowModCodecRoundTrip(t *testing.T) {
 }
 
 func TestFlowModDeleteRoundTrip(t *testing.T) {
-	mod := FlowMod{Match: flow.MatchAll(), Delete: true, Cookie: 5, BufferID: BufferNone}
+	mod := FlowMod{Match: flow.MatchAll(), Delete: true, Cookie: 5, CookieMask: 0xffff << 48, BufferID: BufferNone}
 	got, err := DecodeFlowMod(EncodeFlowMod(mod, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Delete || got.Cookie != 5 {
+	if !got.Delete || got.Cookie != 5 || got.CookieMask != mod.CookieMask {
 		t.Errorf("delete round trip: %+v", got)
 	}
 }

@@ -228,10 +228,14 @@ func (s *Switch) transmit(port uint16, frame []byte) {
 
 // FlowMod is the controller's install/delete command.
 type FlowMod struct {
-	Match       flow.Match
-	Priority    int
-	Actions     []Action
-	Cookie      uint64
+	Match    flow.Match
+	Priority int
+	Actions  []Action
+	Cookie   uint64
+	// CookieMask scopes a delete by cookie, as in OpenFlow 1.1 and later: an
+	// entry matches when its cookie agrees with Cookie on the mask's bits.
+	// Zero matches every cookie.
+	CookieMask  uint64
 	IdleTimeout time.Duration
 	HardTimeout time.Duration
 	// BufferID, when not BufferNone, releases the referenced buffered frame
@@ -250,7 +254,7 @@ func (s *Switch) Apply(mod FlowMod) error {
 	now := s.Clock()
 	if mod.Delete {
 		pred := func(e *Entry) bool {
-			if mod.Cookie != 0 && e.Cookie != mod.Cookie {
+			if e.Cookie&mod.CookieMask != mod.Cookie&mod.CookieMask {
 				return false
 			}
 			return mod.Match.Covers(e.Match.Tuple) || e.Match == mod.Match
@@ -261,7 +265,7 @@ func (s *Switch) Apply(mod FlowMod) error {
 			// 5-tuple index in O(1). Entries at other granularities that the
 			// match would also cover are scanned only when any exist — in a
 			// controller-programmed table there are none.
-			removed = s.Table.DeleteFlow(f, mod.Cookie)
+			removed = s.Table.DeleteFlow(f, mod.Cookie, mod.CookieMask)
 			if s.Table.OtherGranularities() > 0 {
 				removed = append(removed, s.Table.DeleteWhere(func(e *Entry) bool {
 					if _, isFive := fiveGranular(e.Match); isFive {

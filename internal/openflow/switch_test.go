@@ -211,12 +211,53 @@ func TestDeleteByCookie(t *testing.T) {
 	f := flow.Five{SrcIP: ipA, DstIP: ipB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 80}
 	sw.Apply(FlowMod{Match: flow.FiveMatch(f), Actions: Output(2), Cookie: 7, BufferID: BufferNone})
 	sw.Apply(FlowMod{Match: flow.FiveMatch(f.Reverse()), Actions: Output(1), Cookie: 9, BufferID: BufferNone})
-	sw.Apply(FlowMod{Delete: true, Cookie: 7, Match: flow.MatchAll(), NotifyRemoved: true, BufferID: BufferNone})
+	sw.Apply(FlowMod{Delete: true, Cookie: 7, CookieMask: ^uint64(0), Match: flow.MatchAll(), NotifyRemoved: true, BufferID: BufferNone})
 	if sw.Table.Len() != 1 {
 		t.Errorf("table len = %d, want 1", sw.Table.Len())
 	}
 	if len(rec.removed) != 1 || rec.removed[0].Cookie != 7 {
 		t.Errorf("removal notification wrong: %+v", rec.removed)
+	}
+}
+
+// TestDeleteByCookieMask: a delete matches the entries whose cookie agrees
+// with its own on the mask's bits — in the five-tuple index and the wildcard
+// list alike — and a zero mask matches every cookie.
+func TestDeleteByCookieMask(t *testing.T) {
+	const tagMask = 0xffff << 48
+	const tagA, tagB = 0xa << 48, 0xb << 48
+	sw := newTestSwitch(&recorder{})
+	install := func(m flow.Match, cookie uint64) {
+		t.Helper()
+		if err := sw.Apply(FlowMod{Match: m, Actions: Output(2), Cookie: cookie, BufferID: BufferNone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tag := range []uint64{tagA, tagB} {
+		f := flow.Five{SrcIP: ipA, DstIP: ipB, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(1000 + i), DstPort: 80}
+		install(flow.FiveMatch(f), tag|1)
+		wide := flow.FiveMatch(f)
+		wide.Wild |= flow.WSrcPort
+		install(wide, tag|2)
+	}
+	if n := sw.Table.OtherGranularities(); n != 2 || sw.Table.Len() != 4 {
+		t.Fatalf("setup: %d wildcard entries of %d, want 2 of 4", n, sw.Table.Len())
+	}
+
+	sw.Apply(FlowMod{Delete: true, Match: flow.MatchAll(), Cookie: tagA, CookieMask: tagMask, BufferID: BufferNone})
+	left := sw.Table.Entries()
+	if len(left) != 2 || sw.Table.OtherGranularities() != 1 {
+		t.Fatalf("after the tag-A delete: %d entries, %d wildcard; want tag B's flow and wildcard entries", len(left), sw.Table.OtherGranularities())
+	}
+	for _, e := range left {
+		if e.Cookie&tagMask != tagB {
+			t.Errorf("entry %v with cookie %#x survived the tag-A delete", e.Match, e.Cookie)
+		}
+	}
+
+	sw.Apply(FlowMod{Delete: true, Match: flow.MatchAll(), Cookie: tagA, BufferID: BufferNone})
+	if n := sw.Table.Len(); n != 0 {
+		t.Errorf("a mask-0 delete left %d entries, want every cookie deleted", n)
 	}
 }
 

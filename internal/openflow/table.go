@@ -322,17 +322,17 @@ func (t *Table) DeleteWhere(pred func(*Entry) bool) []Removed {
 	return out
 }
 
-// DeleteFlow removes the flow-granularity entry for f (when cookie is
-// non-zero, only if the entry carries it) in O(1) — the revocation plane's
-// delete-by-flow, which must not scan a production-size table per revoked
-// flow. Entries at other granularities that a FiveMatch(f) delete would
-// also cover are the caller's (Switch.Apply's) concern; it scans them only
-// when any exist.
-func (t *Table) DeleteFlow(f flow.Five, cookie uint64) []Removed {
+// DeleteFlow removes the flow-granularity entry for f, if its cookie agrees
+// with cookie on mask's bits (FlowMod.CookieMask), in O(1) — the revocation
+// plane's delete-by-flow, which must not scan a production-size table per
+// revoked flow. Entries at other granularities that a FiveMatch(f) delete
+// would also cover are the caller's (Switch.Apply's) concern; it scans them
+// only when any exist.
+func (t *Table) DeleteFlow(f flow.Five, cookie, mask uint64) []Removed {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.five[f]
-	if !ok || (cookie != 0 && e.Cookie != cookie) {
+	if !ok || e.Cookie&mask != cookie&mask {
 		return nil
 	}
 	delete(t.five, f)
@@ -361,19 +361,4 @@ func (t *Table) Entries() []*Entry {
 	}
 	out = append(out, t.wild...)
 	return out
-}
-
-// FiveTuples appends the five-tuple of every flow-granularity entry to dst
-// and returns it. This is the enumeration a cluster takeover sweep needs:
-// after a ring rebuild, the new owner of a flow must find entries a
-// departed replica installed for it, and those are exactly the
-// flow-granularity entries (megaflow classes live in the wildcard tier
-// and expire by TTL and timeout instead).
-func (t *Table) FiveTuples(dst []flow.Five) []flow.Five {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for f := range t.five {
-		dst = append(dst, f)
-	}
-	return dst
 }

@@ -245,14 +245,6 @@ func (ix *Index) drop(of Key) (record, bool) {
 	return rec, ok
 }
 
-// Registered reports whether the flow has a live record of its own.
-func (ix *Index) Registered(f flow.Five) bool {
-	k, ks := ix.lock(Key{Flow: f})
-	_, ok := ks.records[k]
-	ks.mu.Unlock()
-	return ok
-}
-
 // Resolve returns the keys — flows and classes alike — whose verdicts
 // depend on (host, name), appended to dst, in one pass under the fact's
 // shard lock. Key "" resolves the host-scope marker: everything with any

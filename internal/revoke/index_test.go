@@ -152,9 +152,6 @@ func TestDropUnlinksFacts(t *testing.T) {
 			if k.Class == 0 && len(r.Paths) != 3 {
 				t.Errorf("paths = %v", r.Paths)
 			}
-			if ix.Registered(k.Flow) {
-				t.Error("flow still registered after Drop")
-			}
 			if got := ix.Resolve(hostA, "userID", nil); len(got) != 0 {
 				t.Errorf("fact link survived the drop: %v", got)
 			}

@@ -42,7 +42,7 @@ func fullRegistry(t *testing.T) *Registry {
 	sink := NewAuditSink(io.Discard, 1)
 	t.Cleanup(sink.Close)
 
-	rt := cluster.NewRouter(newTestController(t), cluster.Member{ID: "drift"}, cluster.Options{})
+	rt := cluster.NewRouter(newTestController(t), cluster.Member{ID: "telemetry-test"}, cluster.Options{})
 
 	r := NewRegistry()
 	RegisterController(r, ctl)

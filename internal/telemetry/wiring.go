@@ -118,7 +118,7 @@ var ClusterCounters = map[string]string{
 	"cluster_events_received":   "Forwarded packet-ins received from peer replicas and decided here.",
 	"cluster_forward_fallbacks": "Forwards that failed and fell back to a local decision (nonzero means a peer or link is down).",
 	"cluster_ring_rebuilds":     "Ownership ring rebuilds (SetMembers / RemoveMember calls).",
-	"cluster_takeover_swept":    "Orphaned switch entries deleted by takeover sweeps after ring rebuilds.",
+	"cluster_takeover_swept":    "Takeover deletes issued after ring rebuilds: one per switch per departed replica, removing every entry under its installer tag.",
 	"cluster_snapshots_pushed":  "Config snapshots accepted by peers.",
 	"cluster_snapshots_fenced":  "Config snapshot pushes rejected by peers already holding a newer epoch (the fence working, not an error).",
 	"cluster_push_errors":       "Config snapshot pushes that failed in transport or application.",
