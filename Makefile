@@ -73,8 +73,9 @@ race-query:
 # race detector instead of trusting one lucky pass. The takeover tests and
 # the teardown and install paths those
 # handshakes run through (revocation.go, installHops) repeat with them,
-# and so does the dependency index under all of it (internal/revoke: its
-# two sides are locked apart, so churn is where a lost link would show).
+# and so does the dependency index under all of it (internal/revoke: a
+# record's links are spliced under its key lock, then each fact's, so racing
+# registrations and drops are where a lost or stray link would show).
 # The handshake tests run once per completion mode (completionModes: inline,
 # and deferred — every completion on a goroutine of its own, as identctl's
 # connection readers deliver them); the pattern names each of them. So does
@@ -159,14 +160,15 @@ bench-compare:
 		-max-allocs 'BenchmarkM7_ShardedHandleEvent=2' \
 		-max-allocs 'BenchmarkM8_AllocProfile=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
-		-max-allocs 'BenchmarkM9_QueryPlane/async=13' \
+		-max-allocs 'BenchmarkM9_QueryPlane/async=10' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
+		-max-allocs 'BenchmarkM11_Revocation/register-drop=1' \
 		-max-allocs 'BenchmarkM12_Megaflow/member-hit=2' \
 		-max-allocs 'BenchmarkM13_CredentialedSession/steady=2' \
 		-max-allocs 'BenchmarkM14_Cluster/owned-hit=2' \
 		-max-allocs 'BenchmarkM15_Trace/off=2' \
-		-max-allocs 'BenchmarkM16_ChannelIO=4' \
+		-max-allocs 'BenchmarkM16_ChannelIO=2' \
 		-json $(BENCH_OUT) \
 		$$tmp/base.txt $$tmp/head.txt
 

@@ -32,6 +32,7 @@ import (
 	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/query"
+	"identxx/internal/revoke"
 	"identxx/internal/sig"
 	"identxx/internal/trace"
 	"identxx/internal/wire"
@@ -489,8 +490,9 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //   - async: what identctl does on a miss — QueryAsync with 32 queries
 //     outstanding on the one connection, each completion issuing the next
 //     from the reader it runs on. ns/op and allocs/op are per query: the
-//     query plane's own cost with the round trips overlapped (CI gates the
-//     allocations).
+//     query plane's own cost with the round trips overlapped, the
+//     in-process daemon's answer included (CI gates the allocations; two
+//     of them are the response's decode).
 //   - daemon-down: the host's port answers nothing — after the first
 //     refused dial the negative cache absorbs every subsequent miss.
 func BenchmarkM9_QueryPlane(b *testing.B) {
@@ -827,6 +829,11 @@ func BenchmarkM10_Compile(b *testing.B) {
 //     index unlink, path deletes). 1/ns-op is flows-torn-down/sec.
 //   - fanin-64: one key-scoped update revokes 64 dependent flows through
 //     the fact-dependency index; flows_torn_per_op reports the fan-in.
+//   - register-drop: the index alone, at a steady 4096 live flow records
+//     over 16 hosts in the controller's five-fact shape (both markers,
+//     name and version at the source, name at the destination): per op one
+//     record is dropped and registered again, what every uncached miss and
+//     its flow-removed cost. CI gates it at <= 1 allocs/op: the record.
 func BenchmarkM11_Revocation(b *testing.B) {
 	srcIP := netaddr.MustParseIP("10.0.0.1")
 	dstIP := netaddr.MustParseIP("10.0.0.2")
@@ -903,6 +910,38 @@ func BenchmarkM11_Revocation(b *testing.B) {
 		b.ReportMetric(float64(ctl.Counters.Get("revocations_flows"))/float64(b.N), "flows_torn_per_op")
 		if got := ctl.Counters.Get("revocations_flows"); got < int64(b.N)*fan {
 			b.Fatalf("revocations_flows = %d, want >= %d", got, int64(b.N)*fan)
+		}
+	})
+
+	b.Run("register-drop", func(b *testing.B) {
+		const live, hosts = 4096, 16
+		host := func(i int) netaddr.IP { return netaddr.IP(0x0a000001 + uint32(i%hosts)) }
+		ix := revoke.NewIndex(0)
+		regs := make([]revoke.Registration, live)
+		for i := range regs {
+			src, dst := host(i), host(i+1)
+			regs[i] = revoke.Registration{
+				Flow: flow.Five{SrcIP: src, DstIP: dst, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(1024 + i), DstPort: 80},
+				Facts: []revoke.Fact{
+					{Host: src}, {Host: src, Key: wire.KeyName}, {Host: src, Key: wire.KeyVersion},
+					{Host: dst}, {Host: dst, Key: wire.KeyName},
+				},
+				Paths: []uint64{1},
+			}
+			ix.Register(regs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := &regs[i%live]
+			if _, ok := ix.Drop(r.Flow); !ok {
+				b.Fatal("a live record was not registered")
+			}
+			ix.Register(*r)
+		}
+		b.StopTimer()
+		if n, _, _ := ix.Stats(); n != live {
+			b.Fatalf("%d live records, want %d", n, live)
 		}
 	})
 }
@@ -1441,7 +1480,8 @@ func (h *m16Handler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
 // decision cannot cost less than one read and one write; with 32 the reads
 // and writes of a burst are shared, and writes/decision and reads/decision
 // fall well under one (PR 14: from 2 writes per flow-mod at any window).
-// allocs/op covers both ends: the peer's ReadMsg and the server's.
+// allocs/op covers both ends: the peer's ReadMsg (header and body); the
+// server reads every message into one reused buffer.
 // Run with -cpu 1,2,4: the writer goroutine's hand-off is what -cpu moves.
 func BenchmarkM16_ChannelIO(b *testing.B) {
 	five := flow.Five{

@@ -38,6 +38,7 @@ import (
 	"identxx/internal/core"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
+	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/query"
 	"identxx/internal/sig"
@@ -328,7 +329,8 @@ func (h channelHandler) SwitchDisconnected(sw *openflow.RemoteSwitch) {
 }
 
 func rebuildTuple(ev openflow.PacketIn) openflow.PacketIn {
-	if p, err := decodeFrame(ev.Frame); err == nil {
+	var p packet.Packet
+	if p.DecodeInto(ev.Frame) == nil {
 		ev.Tuple = p.Ten(ev.InPort)
 	}
 	return ev
@@ -343,7 +345,8 @@ type topology struct {
 type placement struct {
 	datapath uint64
 	port     uint16
-	daemon   string // "" = no daemon
+	daemon   string     // "" = no daemon
+	path     []core.Hop // Path's answer toward the host, built once
 }
 
 func parseTopology(src string) (*topology, error) {
@@ -370,6 +373,7 @@ func parseTopology(src string) (*topology, error) {
 			return nil, fmt.Errorf("topology line %d: bad port", lineNo+1)
 		}
 		p := placement{datapath: dp, port: uint16(port)}
+		p.path = []core.Hop{{Datapath: p.datapath, OutPort: p.port}}
 		if len(f) >= 8 && f[6] == "daemon" {
 			p.daemon = f[7]
 		}
@@ -384,13 +388,14 @@ func parseTopology(src string) (*topology, error) {
 // Path implements core.Topology for single-switch-per-host placements: the
 // destination's attachment switch forwards out the destination's port.
 // Multi-switch fabrics are the simulator's domain; a deployed identctl
-// fronts one switch per segment.
+// fronts one switch per segment. The slice is the placement's, shared by
+// every call: the controller reads a path and never writes it.
 func (t *topology) Path(src, dst netaddr.IP) ([]core.Hop, error) {
 	p, ok := t.hosts[dst]
 	if !ok {
 		return nil, fmt.Errorf("identctl: unknown destination host %s", dst)
 	}
-	return []core.Hop{{Datapath: p.datapath, OutPort: p.port}}, nil
+	return p.path, nil
 }
 
 // topoResolver maps host IPs to the daemon addresses the topology file

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"identxx/internal/flow"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
+	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/wire"
 )
@@ -235,5 +239,141 @@ func TestSwitchDisconnectDeregistersDatapath(t *testing.T) {
 			waitCount(0)
 		}
 		server.Close()
+	}
+}
+
+// heldTransport answers every query as nullTransport does but holds the
+// completion until release, which runs the held completions on the caller:
+// decisions stay in flight while their switch channel reads on.
+type heldTransport struct {
+	nullTransport
+	mu      sync.Mutex
+	held    []func()
+	arrived chan struct{} // one per query held
+}
+
+func (t *heldTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	resp, rtt, err := t.Query(host, q)
+	t.mu.Lock()
+	t.held = append(t.held, func() { done(resp, rtt, err) })
+	t.mu.Unlock()
+	t.arrived <- struct{}{}
+}
+
+// waitHeld returns once n more queries are held.
+func (t *heldTransport) waitHeld(tb testing.TB, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-t.arrived:
+		case <-time.After(5 * time.Second):
+			tb.Fatalf("%d of %d queries held", i, n)
+		}
+	}
+}
+
+func (t *heldTransport) release() {
+	t.mu.Lock()
+	held := t.held
+	t.held = nil
+	t.mu.Unlock()
+	for _, done := range held {
+		done()
+	}
+}
+
+// txLog hands every frame the switch transmits to the test.
+type txLog chan []byte
+
+func (l txLog) Transmit(_ *openflow.Switch, _ uint16, frame []byte) { l <- bytes.Clone(frame) }
+
+// TestSwitchChannelFrameOutlivesTheNextRead: the switch channel reads every
+// message into one reused buffer, so a packet-in's frame is overwritten by
+// the next message while a decision suspended on its queries still has to
+// send that frame. With entries off a pass verdict is a packet-out of the
+// frame itself — the owner's from its decision, a parked duplicate's from
+// the waiter list — so each must come back byte for byte as the switch sent
+// it, though other packet-ins crossed the channel while it was held.
+func TestSwitchChannelFrameOutlivesTheNextRead(t *testing.T) {
+	topo, err := parseTopology("host 10.0.0.1 switch 1 port 1\nhost 10.0.0.2 switch 1 port 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &heldTransport{arrived: make(chan struct{}, 16)}
+	ctl := core.New(core.Config{
+		Name:         "identctl",
+		Policy:       pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
+		Transport:    tr,
+		Topology:     topo,
+		AsyncQueries: true,
+	})
+	server := openflow.NewChannelServer(channelHandler{ctl})
+	addr, err := server.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	sw := openflow.NewSwitch(1, "s1", 64)
+	sent := make(txLog, 16)
+	sw.SetTransmitter(sent)
+	agent, err := openflow.Connect(sw, addr.String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	for deadline := time.Now().Add(5 * time.Second); ctl.DatapathCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("switch never registered")
+		}
+	}
+
+	// Every frame is the same size with a payload of its own, so a frame read
+	// over by a later one would come back as that one.
+	frameOf := func(sp netaddr.Port, label string) []byte {
+		five := flow.Five{
+			SrcIP: netaddr.MustParseIP("10.0.0.1"), DstIP: netaddr.MustParseIP("10.0.0.2"),
+			Proto: netaddr.ProtoTCP, SrcPort: sp, DstPort: 80,
+		}
+		return packet.TCPFrame(netaddr.MAC(1), netaddr.MAC(2), five, 0x02, []byte(label))
+	}
+	owner, dup := frameOf(40000, "owner-00"), frameOf(40000, "parked-0")
+	want := [][]byte{owner, dup}
+
+	sw.Receive(1, owner)
+	tr.waitHeld(t, 2)
+	sw.Receive(1, dup) // the same flow: parks on the held decision
+	const others = 4
+	for i := 0; i < others; i++ {
+		f := frameOf(netaddr.Port(40001+i), fmt.Sprintf("other-%02d", i))
+		want = append(want, f)
+		sw.Receive(1, f)
+	}
+	// The channel is read in order: once the last flow's queries are held,
+	// every packet-in before it went through the one buffer.
+	tr.waitHeld(t, 2*others)
+	if n := ctl.Counters.Get("duplicate_packet_ins"); n != 1 {
+		t.Fatalf("duplicate_packet_ins = %d, want the one parked", n)
+	}
+
+	tr.release()
+	var got [][]byte
+	for len(got) < len(want) {
+		select {
+		case f := <-sent:
+			got = append(got, f)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d frames transmitted", len(got), len(want))
+		}
+	}
+	for _, w := range want {
+		n := 0
+		for _, g := range got {
+			if bytes.Equal(g, w) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("frame with payload %q transmitted %d times, want once", w[len(w)-8:], n)
+		}
 	}
 }

@@ -51,9 +51,11 @@ func encodeEvent(ev openflow.PacketIn) []byte {
 	return append(h, ev.Frame...)
 }
 
-// decodeEvent is encodeEvent's inverse. The frame bytes are copied out of p,
-// which is a served connection's reused read buffer: a decision suspended on
-// the query plane keeps the packet-in long after the next frame overwrote it.
+// decodeEvent is encodeEvent's inverse. The frame aliases p, a served
+// connection's reused read buffer, as a switch channel's packet-in aliases
+// its own: the controller copies the frame when it claims the flow, and a
+// parked duplicate's when it parks, so a decision suspended on the query
+// plane never reads the buffer the next frame overwrites.
 func decodeEvent(p []byte) (openflow.PacketIn, error) {
 	if len(p) < eventHeaderLen {
 		return openflow.PacketIn{}, fmt.Errorf("cluster: event payload %d bytes, want >= %d", len(p), eventHeaderLen)
@@ -76,7 +78,7 @@ func decodeEvent(p []byte) (openflow.PacketIn, error) {
 	ev.Tuple.SrcPort = netaddr.Port(binary.BigEndian.Uint16(p[54:56]))
 	ev.Tuple.DstPort = netaddr.Port(binary.BigEndian.Uint16(p[56:58]))
 	if len(p) > eventHeaderLen {
-		ev.Frame = append([]byte(nil), p[eventHeaderLen:]...)
+		ev.Frame = p[eventHeaderLen:]
 	}
 	return ev, nil
 }

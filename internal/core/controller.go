@@ -186,7 +186,8 @@ type Hop struct {
 }
 
 // Topology answers path queries so the controller can "insert entries in
-// switches across the network preemptively" (§3.1).
+// switches across the network preemptively" (§3.1). The controller only
+// reads a path it is given, so a topology may hand every caller one slice.
 type Topology interface {
 	Path(src, dst netaddr.IP) ([]Hop, error)
 }
@@ -710,7 +711,11 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 
 	// The decision owns the flow from here until finishDecision resolves
 	// it; capture the continuation context in the scratch so a suspended
-	// decision survives this goroutine.
+	// decision survives this goroutine. The frame is the one part of the
+	// event that may not: a switch channel reads every message into one
+	// buffer, so the decision keeps a copy in the scratch's own.
+	s.frame = append(s.frame[:0], ev.Frame...)
+	ev.Frame = s.frame
 	s.sh, s.dp, s.ev, s.five = sh, dp, ev, five
 	// Flight recorder: a nil recorder returns a nil buffer and every Rec
 	// below is a nil-receiver no-op — the disabled path stays within the

@@ -245,7 +245,7 @@ func (c *Controller) applyAt(st *ctlState, paths []uint64, mods ...openflow.Flow
 func (c *Controller) registerDeps(s *decisionScratch) {
 	reg := c.deps(s, true, true)
 	reg.Flow = s.five
-	reg.Paths = append([]uint64(nil), s.pathIDs...)
+	reg.Paths = s.pathIDs
 	c.revoker.Register(reg)
 }
 
@@ -257,10 +257,11 @@ func (c *Controller) registerDeps(s *decisionScratch) {
 // enforcing transport, the expiry of the credential its facts were admitted
 // under — if the live lapse-resync is missed, the lease sweep still tears
 // the verdict down at expiry. Records keep the expiry they were admitted
-// under; a rotation refreshes subsequent decisions.
+// under; a rotation refreshes subsequent decisions. The facts are built in
+// the scratch's buffer: Register keeps none of the registration's slices.
 func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Registration {
 	g := &s.gather
-	reg := revoke.Registration{Facts: make([]revoke.Fact, 0, 2+len(g.qs.Keys)+len(g.qd.Keys))}
+	reg := revoke.Registration{Facts: s.facts[:0]}
 	end := func(host netaddr.IP, keys []string) {
 		reg.Facts = append(reg.Facts, revoke.Fact{Host: host})
 		for _, k := range keys {
@@ -281,6 +282,7 @@ func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Regi
 	if dstRead {
 		end(s.five.DstIP, g.qd.Keys)
 	}
+	s.facts = reg.Facts
 	return reg
 }
 

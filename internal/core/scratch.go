@@ -9,6 +9,7 @@ import (
 	"identxx/internal/metrics"
 	"identxx/internal/openflow"
 	"identxx/internal/pf"
+	"identxx/internal/revoke"
 	"identxx/internal/trace"
 	"identxx/internal/wire"
 )
@@ -59,12 +60,20 @@ type decisionScratch struct {
 	// compiled program; only the slice capacity belongs to the scratch.
 	srcKeys, dstKeys []string
 
+	// facts is the buffer deps builds a registration's facts in; Register
+	// copies what it keeps.
+	facts []revoke.Fact
+
 	// Continuation context: everything finishDecision needs, captured
-	// before the decision suspends on the query plane.
-	sh   *shard
-	dp   openflow.Datapath
-	ev   openflow.PacketIn
-	five flow.Five
+	// before the decision suspends on the query plane. ev.Frame is frame, the
+	// scratch's copy of the packet-in's frame: the caller's may be a switch
+	// channel's read buffer, which the next message overwrites while the
+	// decision waits for its answers.
+	sh    *shard
+	dp    openflow.Datapath
+	ev    openflow.PacketIn
+	frame []byte
+	five  flow.Five
 
 	// tb is the decision's flight-recorder buffer (internal/trace); nil
 	// when tracing is disabled. Owned by the recorder's pool, not the
@@ -130,6 +139,8 @@ func (s *decisionScratch) release() {
 	// capacity costs bytes, never correctness.
 	s.srcKeys = s.srcKeys[:0]
 	s.dstKeys = s.dstKeys[:0]
+	s.facts = s.facts[:0]
+	s.frame = s.frame[:0]
 	s.tb = nil // recorder-owned; Finish already returned it to its pool
 	s.gather.reset()
 	scratchPool.Put(s)

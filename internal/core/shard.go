@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,9 @@ const maxParked = 64
 // fresh scratch, now the flow's in-flight decision, and owns resolving it;
 // a later caller gets nil and its event is parked on the in-flight
 // decision's waiter list (parkedOK=true) to be resolved by its verdict,
-// unless the list is full (parkedOK=false: the caller releases now).
+// unless the list is full (parkedOK=false: the caller releases now). A
+// parked event keeps a copy of its frame: the caller's may be a read buffer
+// the switch channel reuses for its next message.
 func (s *shard) begin(five flow.Five, dp openflow.Datapath, ev openflow.PacketIn) (d *decisionScratch, parkedOK bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,7 +96,7 @@ func (s *shard) begin(five flow.Five, dp openflow.Datapath, ev openflow.PacketIn
 			return nil, false
 		}
 		owner.waiters = append(owner.waiters, parked{
-			dp: dp, switchID: ev.SwitchID, bufferID: ev.BufferID, frame: ev.Frame,
+			dp: dp, switchID: ev.SwitchID, bufferID: ev.BufferID, frame: bytes.Clone(ev.Frame),
 		})
 		return nil, true
 	}

@@ -207,7 +207,10 @@ func (r *RemoteSwitch) packetOut(po PacketOutMsg) {
 // Close tears the channel down.
 func (r *RemoteSwitch) Close() { r.ch.close() }
 
-// ChannelHandler receives events from TCP-attached switches.
+// ChannelHandler receives events from TCP-attached switches. Calls for one
+// switch come from its channel's reader, one at a time; a PacketIn's frame
+// is the reader's buffer, overwritten by the next message, so a handler
+// that keeps it past its return keeps a copy.
 type ChannelHandler interface {
 	SwitchConnected(sw *RemoteSwitch)
 	PacketIn(sw *RemoteSwitch, ev PacketIn)
@@ -240,7 +243,9 @@ func (s *ChannelServer) Serve(l net.Listener) { s.lis.Serve(l, s.serveConn) }
 func (s *ChannelServer) serveConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(channelTimeout))
 	br := bufio.NewReaderSize(conn, channelReadBuf)
-	m, err := ReadMsg(br)
+	// Every message is read into one buffer, reused for the next: a handler
+	// copies what it keeps of a packet-in's frame (ChannelHandler).
+	m, buf, err := ReadMsgInto(br, nil)
 	if err != nil || m.Type != MsgHello || len(m.Body) < 8 {
 		return
 	}
@@ -255,7 +260,7 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 	s.Handler.SwitchConnected(rs)
 	defer s.Handler.SwitchDisconnected(rs)
 	for {
-		m, err := ReadMsg(br)
+		m, buf, err = ReadMsgInto(br, buf)
 		if err != nil {
 			return
 		}

@@ -201,7 +201,9 @@ func TestAppendMatchesEncode(t *testing.T) {
 	}
 }
 
-// However the stream is cut into reads, ReadMsg returns the same messages.
+// However the stream is cut into reads, ReadMsg returns the same messages,
+// and so does ReadMsgInto over one buffer passed back in, which it replaces
+// only for a body larger than the buffer.
 func TestReadMsgOneByteReaderEqualsWholeBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var stream []byte
@@ -227,6 +229,20 @@ func TestReadMsgOneByteReaderEqualsWholeBuffer(t *testing.T) {
 		}
 		if _, err := ReadMsg(br); err == nil {
 			t.Fatalf("%s reader: message past the end", name)
+		}
+
+		br = mk()
+		var buf []byte
+		for i, w := range want {
+			held := cap(buf)
+			got, next, err := ReadMsgInto(br, buf)
+			if err != nil || got.Type != w.Type || got.Xid != w.Xid || !bytes.Equal(got.Body, w.Body) {
+				t.Fatalf("%s reader, ReadMsgInto message %d: %+v, %v; want %+v", name, i, got, err, w)
+			}
+			if len(w.Body) <= held && cap(next) != held {
+				t.Fatalf("%s reader: ReadMsgInto replaced a %d-byte buffer for a %d-byte body", name, held, len(w.Body))
+			}
+			buf = next
 		}
 	}
 }

@@ -86,25 +86,44 @@ func WriteMsg(w io.Writer, m Msg) error {
 	return err
 }
 
-// ReadMsg reads one framed message, bounding the allocation.
+// ReadMsg reads one framed message, bounding the allocation. The body is
+// the message's own.
 func ReadMsg(r io.Reader) (Msg, error) {
-	var hdr [msgHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Msg{}, err
+	m, _, err := ReadMsgInto(r, nil)
+	return m, err
+}
+
+// ReadMsgInto is ReadMsg with the body read into buf, grown when it is too
+// small, instead of into an allocation of its own: the body aliases the
+// returned buffer and is valid until the buffer's next use. A loop that
+// handles each message before it reads the next (copying what it keeps)
+// passes the buffer back in and allocates nothing per message (the header
+// too is read into it: an array of its own would escape through r).
+func ReadMsgInto(r io.Reader, buf []byte) (Msg, []byte, error) {
+	if cap(buf) < msgHeaderLen {
+		buf = make([]byte, msgHeaderLen)
+	}
+	hdr := buf[:msgHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Msg{}, buf, err
 	}
 	if hdr[0] != ProtoVersion {
-		return Msg{}, fmt.Errorf("openflow: unsupported version %#02x", hdr[0])
+		return Msg{}, buf, fmt.Errorf("openflow: unsupported version %#02x", hdr[0])
 	}
 	length := int(binary.BigEndian.Uint16(hdr[2:4]))
 	if length < msgHeaderLen || length > MaxMsgSize {
-		return Msg{}, fmt.Errorf("openflow: bad message length %d", length)
+		return Msg{}, buf, fmt.Errorf("openflow: bad message length %d", length)
 	}
 	m := Msg{Type: hdr[1], Xid: binary.BigEndian.Uint32(hdr[4:8])}
-	m.Body = make([]byte, length-msgHeaderLen)
-	if _, err := io.ReadFull(r, m.Body); err != nil {
-		return Msg{}, err
+	n := length - msgHeaderLen
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return m, nil
+	m.Body = buf[:n]
+	if _, err := io.ReadFull(r, m.Body); err != nil {
+		return Msg{}, buf, err
+	}
+	return m, buf, nil
 }
 
 // Match wire encoding: 4 wildcards + 2 inport + 6+6 MACs + 2 ethtype +
@@ -204,8 +223,9 @@ func appendPacketInBody(b []byte, ev PacketIn) []byte {
 
 // DecodePacketIn parses a PacketIn body. The tuple is reconstructed by the
 // receiver from the frame; only transport fields travel. Frame aliases
-// m.Body: ReadMsg gives every message a body of its own, so the event owns
-// its frame without a second copy.
+// m.Body, so it lives as long as the body does: the message's own after
+// ReadMsg, until the buffer's next use after ReadMsgInto — a handler that
+// keeps the frame past its return copies it.
 func DecodePacketIn(m Msg) (PacketIn, error) {
 	if m.Type != MsgPacketIn || len(m.Body) < 16 {
 		return PacketIn{}, errors.New("openflow: bad packet-in")

@@ -47,9 +47,9 @@ type Key struct {
 	Class uint64
 }
 
-// key is a Key packed as the index holds it, once per record and once per
-// fact link: the 16 bytes, aligned to 4, of a bare flow.Five, where a Key
-// takes 24. A flow's tag has flowTag set beside the protocol; a class's is 0.
+// key is a Key packed as the index holds it, once per record: the 16
+// bytes, aligned to 4, of a bare flow.Five, where a Key takes 24. A flow's
+// tag has flowTag set beside the protocol; a class's is 0.
 type key struct{ hi, lo, tag, ports uint32 }
 
 const flowTag = 1 << 31
@@ -85,7 +85,9 @@ const (
 // Class when non-zero), the facts the verdict read, the datapaths a flow's
 // entries were installed on (teardown deletes along them only; a class's
 // are kept by its cache entry), and an optional lease deadline for facts
-// served by non-pushing daemons (zero = no lease).
+// served by non-pushing daemons (zero = no lease). Register keeps neither
+// slice: it links the facts and copies the paths, so the caller may reuse
+// both. A Registration returned by Drop carries Paths and Lease only.
 type Registration struct {
 	Flow  flow.Five
 	Class uint64
@@ -94,37 +96,102 @@ type Registration struct {
 	Lease time.Time
 }
 
-// record is what the key-sharded side holds per key.
+// record is one verdict's dependency record, one allocation (newRecord):
+// its packed key, its lease (Unix nanoseconds, 0 for none), its installed
+// paths — in inline for up to two — and one link per distinct fact it read.
+// Only the links' neighbours change after Register publishes it.
 type record struct {
-	facts []Fact
-	paths []uint64
-	lease time.Time
+	key    key
+	lease  int64
+	paths  []uint64
+	inline [2]uint64
+	links  []link
 }
 
-// factShard is one lock domain of the fact→keys side. The flows and the
-// classes behind a fact sit in one set, so one Resolve is one snapshot of
-// everything standing on it: no link made before the lock was taken is
-// missed, of either kind.
+// inlineLinks is how many links newRecord allocates with the record: the
+// controller's usual shape, two markers and three keys.
+const inlineLinks = 5
+
+// newRecord allocates a record with n links, as one object for up to
+// inlineLinks: a record is a couple of hundred bytes per installed verdict,
+// and their sum is most of the index's footprint.
+func newRecord(n int) *record {
+	if n > inlineLinks {
+		return &record{links: make([]link, n)}
+	}
+	o := new(struct {
+		record
+		l [inlineLinks]link
+	})
+	o.links = o.l[:n]
+	return &o.record
+}
+
+// link is one of a record's facts: its place in that fact's list of the
+// records standing on it. list and rec are fixed when the record links;
+// prev and next belong to the list, under its fact shard's lock.
+type link struct {
+	prev, next *link
+	list       *factList
+	rec        *record
+}
+
+// factList is the records standing on one (host, key) fact, most recently
+// linked first.
+type factList struct {
+	head *link
+	host *hostFacts
+	key  string
+}
+
+// hostFacts is one host's fact lists: its marker's, and one per key some
+// live record read there. A host has a few keys, so a key's list is found by
+// a linear scan of them — no key string is ever hashed. A list is removed
+// when its last link goes, and the host with its last list.
+type hostFacts struct {
+	ip     netaddr.IP
+	marker factList
+	keys   []*factList
+}
+
+// find returns the host's list for key, nil when no live record read it.
+func (h *hostFacts) find(key string) *factList {
+	if key == "" {
+		return &h.marker
+	}
+	for _, l := range h.keys {
+		if l.key == key {
+			return l
+		}
+	}
+	return nil
+}
+
+// factShard is one lock domain of the fact side: the hosts whose IPs hash to
+// it, with every list of theirs. The flows and the classes behind a fact sit
+// in one list, so one Resolve is one snapshot of everything standing on it:
+// no link made before the lock was taken is missed, of either kind.
 type factShard struct {
-	mu   sync.Mutex
-	deps map[Fact]map[key]struct{}
+	mu    sync.Mutex
+	hosts map[netaddr.IP]*hostFacts
 }
 
 // keyShard is one lock domain of the key→record side. live counts the
 // records of each kind, so occupancy is read without a walk.
 type keyShard struct {
 	mu      sync.Mutex
-	records map[key]record
+	records map[key]*record
 	live    [2]int
 }
 
 // Index is the sharded fact-dependency index. All methods are safe for
-// concurrent use. The two sides (fact→keys, key→record) are sharded and
-// locked independently; no operation holds two shard locks at once, so
-// cross-shard operations are lock-ordering-free. The consequence is a
-// benign asymmetry under races: a Resolve may name a key whose record a
-// concurrent Drop already removed — the caller's teardown of an
-// unregistered key is a no-op.
+// concurrent use. A record's key-shard lock is held for as long as its links
+// are spliced in or out, each splice under the fact shard's lock: locks are
+// always taken key before fact, and never two fact locks at once, so a
+// Register and a Drop of one key are serialized whole — no link a racing
+// Register makes survives the Drop after it. Resolve, Hosts and Expired take
+// one side's locks only, and read nothing a record changes after it is
+// published.
 type Index struct {
 	factShards []factShard
 	keyShards  []keyShard
@@ -157,12 +224,8 @@ func NewIndex(n int) *Index {
 	return ix
 }
 
-func (ix *Index) factShard(f Fact) *factShard {
-	h := uint64(f.Host)
-	for i := 0; i < len(f.Key); i++ {
-		h = h*131 + uint64(f.Key[i])
-	}
-	return &ix.factShards[h&ix.mask]
+func (ix *Index) factShard(host netaddr.IP) *factShard {
+	return &ix.factShards[uint64(host)*0x9e3779b97f4a7c15>>32&ix.mask]
 }
 
 // lock packs of and returns it with its shard, locked.
@@ -175,74 +238,175 @@ func (ix *Index) lock(of Key) (key, *keyShard) {
 }
 
 // Register records a verdict's dependencies, replacing any previous record
-// under the same key (re-decided flows re-register; the old fact links are
-// unlinked first so the index never accretes).
+// under the same key (re-decided flows re-register; the old record is
+// unlinked first so the index never accretes). A fact listed twice — the
+// marker of a flow whose two ends are one host — is linked once.
 func (ix *Index) Register(r Registration) {
+	distinct := 0
+	for i := range r.Facts {
+		if !repeated(r.Facts, i) {
+			distinct++
+		}
+	}
+	rec := newRecord(distinct)
+	if !r.Lease.IsZero() {
+		rec.lease = r.Lease.UnixNano()
+	}
+	rec.paths = append(rec.inline[:0:len(rec.inline)], r.Paths...)
 	k, ks := ix.lock(Key{Flow: r.Flow, Class: r.Class})
-	old, replaced := ks.records[k]
-	ks.records[k] = record{facts: r.Facts, paths: r.Paths, lease: r.Lease}
-	if !replaced {
+	rec.key = k
+	if old := ks.records[k]; old != nil {
+		ix.unlink(old)
+	} else {
 		ks.live[k.kind()]++
 	}
+	ks.records[k] = rec
+	ix.link(rec, r.Facts)
 	ks.mu.Unlock()
-	ix.unlink(k, old.facts)
-	for _, fact := range r.Facts {
-		sh := ix.factShard(fact)
-		sh.mu.Lock()
-		set := sh.deps[fact]
-		if set == nil {
-			set = make(map[key]struct{})
-			sh.deps[fact] = set
-		}
-		set[k] = struct{}{}
-		sh.mu.Unlock()
-	}
 	ix.counts[k.kind()].registered.Add(1)
 }
 
-func (ix *Index) unlink(k key, facts []Fact) {
-	for _, fact := range facts {
-		sh := ix.factShard(fact)
-		sh.mu.Lock()
-		if set := sh.deps[fact]; set != nil {
-			delete(set, k)
-			if len(set) == 0 {
-				delete(sh.deps, fact)
+// repeated reports whether facts[i] is listed earlier in facts.
+func repeated(facts []Fact, i int) bool {
+	for _, f := range facts[:i] {
+		if f == facts[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// link splices rec's links into the lists of facts' distinct entries,
+// creating any list or host missing. The caller holds rec's key-shard lock;
+// the fact shards are locked one at a time, once per run of facts that
+// share one.
+func (ix *Index) link(rec *record, facts []Fact) {
+	var sh *factShard
+	var h *hostFacts
+	n := 0
+	for i, f := range facts {
+		if repeated(facts, i) {
+			continue
+		}
+		if h == nil || h.ip != f.Host {
+			if next := ix.factShard(f.Host); next != sh {
+				if sh != nil {
+					sh.mu.Unlock()
+				}
+				sh = next
+				sh.mu.Lock()
+			}
+			if h = sh.hosts[f.Host]; h == nil {
+				h = &hostFacts{ip: f.Host}
+				h.marker.host = h
+				sh.hosts[f.Host] = h
 			}
 		}
+		list := h.find(f.Key)
+		if list == nil {
+			list = &factList{host: h, key: f.Key}
+			h.keys = append(h.keys, list)
+		}
+		l := &rec.links[n]
+		n++
+		l.rec, l.list, l.next = rec, list, list.head
+		if list.head != nil {
+			list.head.prev = l
+		}
+		list.head = l
+	}
+	if sh != nil {
 		sh.mu.Unlock()
+	}
+}
+
+// unlink takes rec's links out of their lists, in the order and under the
+// locks link took them, and removes every list and host it leaves empty.
+func (ix *Index) unlink(rec *record) {
+	var sh *factShard
+	for i := range rec.links {
+		l := &rec.links[i]
+		if next := ix.factShard(l.list.host.ip); next != sh {
+			if sh != nil {
+				sh.mu.Unlock()
+			}
+			sh = next
+			sh.mu.Lock()
+		}
+		sh.remove(l)
+	}
+	if sh != nil {
+		sh.mu.Unlock()
+	}
+}
+
+// remove takes l out of its list, and the list out of its host when l was
+// its last link, and the host out of the shard when that was its last list.
+func (sh *factShard) remove(l *link) {
+	list := l.list
+	if l.prev != nil {
+		l.prev.next = l.next
+	} else {
+		list.head = l.next
+	}
+	if l.next != nil {
+		l.next.prev = l.prev
+	}
+	l.prev, l.next = nil, nil
+	if list.head != nil {
+		return
+	}
+	h := list.host
+	if list != &h.marker {
+		for i, kl := range h.keys {
+			if kl == list {
+				last := len(h.keys) - 1
+				h.keys[i], h.keys[last] = h.keys[last], nil
+				h.keys = h.keys[:last]
+				break
+			}
+		}
+	}
+	if h.marker.head == nil && len(h.keys) == 0 {
+		delete(sh.hosts, h.ip)
 	}
 }
 
 // Drop removes a flow's record and unlinks its fact dependencies,
-// returning the registration for the caller's teardown (the installed
-// paths, chiefly). ok is false when the flow was not registered.
+// returning its paths and lease for the caller's teardown. ok is false when
+// the flow was not registered.
 func (ix *Index) Drop(f flow.Five) (Registration, bool) {
-	rec, ok := ix.drop(Key{Flow: f})
-	return Registration{Flow: f, Facts: rec.facts, Paths: rec.paths, Lease: rec.lease}, ok
+	rec := ix.drop(Key{Flow: f})
+	if rec == nil {
+		return Registration{Flow: f}, false
+	}
+	reg := Registration{Flow: f, Paths: rec.paths}
+	if rec.lease != 0 {
+		reg.Lease = time.Unix(0, rec.lease)
+	}
+	return reg, true
 }
 
 // DropClass removes a class's record and unlinks its fact dependencies. ok
 // is false when the id was not registered — concurrent teardowns race
 // benignly; exactly one caller gets true.
 func (ix *Index) DropClass(id uint64) bool {
-	_, ok := ix.drop(Key{Class: id})
-	return ok
+	return ix.drop(Key{Class: id}) != nil
 }
 
-func (ix *Index) drop(of Key) (record, bool) {
+func (ix *Index) drop(of Key) *record {
 	k, ks := ix.lock(of)
-	rec, ok := ks.records[k]
-	if ok {
+	rec := ks.records[k]
+	if rec != nil {
 		delete(ks.records, k)
 		ks.live[k.kind()]--
+		ix.unlink(rec)
 	}
 	ks.mu.Unlock()
-	if ok {
-		ix.unlink(k, rec.facts)
+	if rec != nil {
 		ix.counts[k.kind()].dropped.Add(1)
 	}
-	return rec, ok
+	return rec
 }
 
 // Resolve returns the keys — flows and classes alike — whose verdicts
@@ -250,40 +414,49 @@ func (ix *Index) drop(of Key) (record, bool) {
 // shard lock. Key "" resolves the host-scope marker: everything with any
 // dependency on the host.
 func (ix *Index) Resolve(host netaddr.IP, name string, dst []Key) []Key {
-	ix.resolve(Fact{Host: host, Key: name}, func(k key) { dst = append(dst, k.unpack()) })
+	sh := ix.factShard(host)
+	sh.mu.Lock()
+	for l := sh.head(host, name); l != nil; l = l.next {
+		dst = append(dst, l.rec.key.unpack())
+	}
+	sh.mu.Unlock()
 	return dst
 }
 
 // ResolveFact is Resolve narrowed to the flows: the keys of verdicts that
 // are not cached, appended to dst.
 func (ix *Index) ResolveFact(host netaddr.IP, name string, dst []flow.Five) []flow.Five {
-	ix.resolve(Fact{Host: host, Key: name}, func(k key) {
-		if k.kind() == flowKind {
+	sh := ix.factShard(host)
+	sh.mu.Lock()
+	for l := sh.head(host, name); l != nil; l = l.next {
+		if k := l.rec.key; k.kind() == flowKind {
 			dst = append(dst, k.unpack().Flow)
 		}
-	})
+	}
+	sh.mu.Unlock()
 	return dst
 }
 
-// resolve visits every key standing on fact, under the fact's shard lock.
-func (ix *Index) resolve(fact Fact, visit func(key)) {
-	sh := ix.factShard(fact)
-	sh.mu.Lock()
-	for k := range sh.deps[fact] {
-		visit(k)
+// head is the first link of (host, name)'s list, nil when nothing stands on it.
+func (sh *factShard) head(host netaddr.IP, name string) *link {
+	if h := sh.hosts[host]; h != nil {
+		if list := h.find(name); list != nil {
+			return list.head
+		}
 	}
-	sh.mu.Unlock()
+	return nil
 }
 
 // Expired returns the keys whose lease deadline has passed at now, appended
 // to dst. The walk is per-shard under that shard's lock only; callers tear
 // the returned keys down through the normal pipeline (which drops them).
 func (ix *Index) Expired(now time.Time, dst []Key) []Key {
+	t := now.UnixNano()
 	for i := range ix.keyShards {
 		ks := &ix.keyShards[i]
 		ks.mu.Lock()
 		for k, rec := range ks.records {
-			if !rec.lease.IsZero() && now.After(rec.lease) {
+			if rec.lease != 0 && t > rec.lease {
 				dst = append(dst, k.unpack())
 			}
 		}
@@ -309,21 +482,25 @@ func (ix *Index) PushCapable(host netaddr.IP) bool {
 }
 
 // FlushAll drops every record (policy swap: the verdicts' entries and
-// cache lines are being flushed wholesale anyway). Push-capability marks
+// cache lines are being flushed wholesale anyway). Every key shard is held
+// while the fact side empties — key locks before fact locks, as everywhere
+// — so no Register or Drop straddles the flush. Push-capability marks
 // survive — they describe daemons, not decisions.
 func (ix *Index) FlushAll() {
 	for i := range ix.keyShards {
-		ks := &ix.keyShards[i]
-		ks.mu.Lock()
-		ks.records = make(map[key]record)
-		ks.live = [2]int{}
-		ks.mu.Unlock()
+		ix.keyShards[i].mu.Lock()
 	}
 	for i := range ix.factShards {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
-		sh.deps = make(map[Fact]map[key]struct{})
+		sh.hosts = make(map[netaddr.IP]*hostFacts)
 		sh.mu.Unlock()
+	}
+	for i := range ix.keyShards {
+		ks := &ix.keyShards[i]
+		ks.records = make(map[key]*record)
+		ks.live = [2]int{}
+		ks.mu.Unlock()
 	}
 }
 
@@ -338,31 +515,29 @@ type HostStat struct {
 }
 
 // Hosts snapshots the per-host dependency view, appended to dst and sorted
-// by host address. It walks the fact shards' host-scope marker entries
-// (Key ""), which every record carries for each end it read, so the count
-// is exact without a key-side scan. Shards are locked one at a time; the
-// result is per-shard consistent.
+// by host address. It walks each host's marker list, which holds every
+// record that read the host, so the count is exact without a key-side scan.
+// Shards are locked one at a time; the result is per-shard consistent.
 func (ix *Index) Hosts(dst []HostStat) []HostStat {
-	hosts := make(map[netaddr.IP]HostStat)
+	start := len(dst)
 	for i := range ix.factShards {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
-		for fact, set := range sh.deps {
-			if fact.Key != "" {
+		for ip, h := range sh.hosts {
+			if h.marker.head == nil {
 				continue
 			}
 			var n [2]int
-			for k := range set {
-				n[k.kind()]++
+			for l := h.marker.head; l != nil; l = l.next {
+				n[l.rec.key.kind()]++
 			}
-			hosts[fact.Host] = HostStat{Flows: n[flowKind], Wide: n[classKind]}
+			dst = append(dst, HostStat{Host: ip, Flows: n[flowKind], Wide: n[classKind]})
 		}
 		sh.mu.Unlock()
 	}
 	ix.pushMu.RLock()
-	for h, st := range hosts {
-		st.Host, st.Push = h, ix.push[h]
-		dst = append(dst, st)
+	for i := range dst[start:] {
+		dst[start+i].Push = ix.push[dst[start+i].Host]
 	}
 	ix.pushMu.RUnlock()
 	sort.Slice(dst, func(i, j int) bool { return dst[i].Host < dst[j].Host })

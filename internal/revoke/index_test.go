@@ -2,6 +2,7 @@ package revoke
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -248,6 +249,106 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// TestRepeatedFactLinksOnce: a flow whose two ends are one host lists that
+// host's marker, and every key read at both ends, twice. Each distinct fact
+// is linked once, resolves to the key once, and the drop drains the index.
+func TestRepeatedFactLinksOnce(t *testing.T) {
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(8)
+			k := kind.mk(1)
+			facts := []Fact{{Host: hostA}, {Host: hostA, Key: "name"}, {Host: hostA, Key: "version"}, {Host: hostA}, {Host: hostA, Key: "name"}}
+			ix.Register(Registration{Flow: k.Flow, Class: k.Class, Facts: facts, Paths: []uint64{1}})
+			for _, key := range []string{"", "name", "version"} {
+				if got := ix.Resolve(hostA, key, nil); len(got) != 1 || got[0] != k {
+					t.Errorf("Resolve(A, %q) = %v, want %v once", key, got, k)
+				}
+			}
+			if n := checkLists(t, ix); n != 3 {
+				t.Errorf("%d links for 3 distinct facts", n)
+			}
+			if hosts := ix.Hosts(nil); len(hosts) != 1 || hosts[0].Flows+hosts[0].Wide != 1 {
+				t.Errorf("Hosts = %+v, want A with one record", hosts)
+			}
+			if _, ok := drop(ix, k); !ok {
+				t.Fatal("drop missed a registered key")
+			}
+			if n := linkedFacts(ix); n != 0 {
+				t.Errorf("fact side retains %d facts after the drop", n)
+			}
+		})
+	}
+}
+
+// TestDropRemovesEmptyListsAndHosts: a list goes with its last link, and a
+// host with its last list, while lists other records still stand on stay.
+func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
+	ix := NewIndex(1) // one fact shard: both hosts side by side
+	k1, k2 := kinds[0].mk(1), kinds[0].mk(2)
+	ix.Register(reg(k1, []string{"name", "version"}, []string{"name"}, 1))
+	ix.Register(reg(k2, []string{"name"}, nil, 1))
+	ix.Drop(k1.Flow)
+	if n := checkLists(t, ix); n != 3 {
+		t.Fatalf("%d links left, want k2's three", n)
+	}
+	ix.factShards[0].mu.Lock()
+	a, b := ix.factShards[0].hosts[hostA], ix.factShards[0].hosts[hostB]
+	ix.factShards[0].mu.Unlock()
+	if a == nil || len(a.keys) != 1 || a.keys[0].key != "name" {
+		t.Fatalf("host A holds %+v, want the one list k2 stands on", a)
+	}
+	if b == nil || len(b.keys) != 0 {
+		t.Fatalf("host B holds %+v, want its marker only", b)
+	}
+	ix.Drop(k2.Flow)
+	if n := linkedFacts(ix); n != 0 {
+		t.Fatalf("fact side retains %d facts after every drop", n)
+	}
+}
+
+// TestRacingRegisterDropLeavesNoLink races re-registrations and drops of
+// the same few keys across goroutines. A Register holds its key's shard lock
+// until its last link is spliced, so a Drop that follows it unlinks all of
+// them: once everything is dropped, no link, list or host is left.
+func TestRacingRegisterDropLeavesNoLink(t *testing.T) {
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			ix := NewIndex(2)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 2000; i++ {
+						k := kind.mk(i % 3)
+						if (g+i)%2 == 0 {
+							ix.Register(reg(k, []string{"name", "version"}, []string{"name"}, 1))
+						} else {
+							drop(ix, k)
+						}
+						if i%64 == 0 {
+							runtime.Gosched()
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for n := 0; n < 3; n++ {
+				drop(ix, kind.mk(n))
+			}
+			if live, _, _ := liveOf(ix, kind.mk(0)); live != 0 {
+				t.Errorf("live = %d after drain", live)
+			}
+			if n := linkedFacts(ix); n != 0 {
+				t.Errorf("fact side retains %d facts after drain", n)
+			}
+			if got := ix.Resolve(hostA, "", nil); len(got) != 0 {
+				t.Errorf("Resolve(A) = %v after drain", got)
+			}
+		})
+	}
+}
+
 // TestConcurrentChurn exercises register/drop/resolve races under the race
 // detector; correctness here is "no crash, no race, index drains to empty".
 func TestConcurrentChurn(t *testing.T) {
@@ -280,17 +381,62 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
-// linkedFacts counts the facts the fact side still holds a dependent set
-// for: zero iff every link any record made has been unlinked.
+// linkedFacts counts the facts the fact side still holds a list for, and
+// any host it holds with no list at all: zero iff every link any record made
+// has been unlinked and every list and host left empty has been removed.
 func linkedFacts(ix *Index) int {
 	n := 0
 	for i := range ix.factShards {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
-		n += len(sh.deps)
+		for _, h := range sh.hosts {
+			n += len(h.keys)
+			if h.marker.head != nil || len(h.keys) == 0 {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// checkLists walks every list of the fact side and fails unless each host
+// holds only non-empty lists, in its own shard, whose links are doubly
+// linked and point back at the list; it returns the links it walked.
+func checkLists(t *testing.T, ix *Index) int {
+	t.Helper()
+	links := 0
+	for i := range ix.factShards {
+		sh := &ix.factShards[i]
+		sh.mu.Lock()
+		for ip, h := range sh.hosts {
+			if h.ip != ip || ix.factShard(ip) != sh {
+				t.Fatalf("host %v filed under %v in shard %d", h.ip, ip, i)
+			}
+			if h.marker.head == nil && len(h.keys) == 0 {
+				t.Fatalf("host %v left behind with no list", ip)
+			}
+			lists := append([]*factList{&h.marker}, h.keys...)
+			for j, list := range lists {
+				if list.host != h {
+					t.Fatalf("list %q of %v names another host", list.key, ip)
+				}
+				if j > 0 && list.head == nil {
+					t.Fatalf("empty list %q of %v left behind", list.key, ip)
+				}
+				var prev *link
+				for l := list.head; l != nil; l = l.next {
+					if l.list != list || l.prev != prev {
+						t.Fatalf("list %q of %v is not doubly linked", list.key, ip)
+					}
+					prev = l
+					links++
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return links
 }
 
 // TestIndexAgainstModel drives a seeded random mix of register,
@@ -366,6 +512,17 @@ func TestIndexAgainstModel(t *testing.T) {
 			if gotFlows != flows || gotClasses != classes {
 				t.Fatalf("seed %d step %d (%s): live = %d flows / %d classes, model says %d / %d", seed, step, op, gotFlows, gotClasses, flows, classes)
 			}
+			links := 0
+			for _, rec := range model {
+				distinct := make(map[Fact]bool)
+				for _, f := range rec.facts {
+					distinct[f] = true
+				}
+				links += len(distinct)
+			}
+			if got := checkLists(t, ix); got != links {
+				t.Fatalf("seed %d step %d (%s): %d links in the lists, model says %d", seed, step, op, got, links)
+			}
 		}
 
 		for step := 0; step < 600; step++ {
@@ -378,6 +535,11 @@ func TestIndexAgainstModel(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						rec.facts = append(rec.facts, fact)
 					}
+				}
+				if n := len(rec.facts); n > 0 && rng.Intn(3) == 0 {
+					// A fact listed twice, as a flow's two ends that are one
+					// host list its marker: linked once, resolved once.
+					rec.facts = append(rec.facts, rec.facts[rng.Intn(n)])
 				}
 				if rng.Intn(3) == 0 {
 					rec.lease = now.Add(time.Duration(rng.Intn(50)) * time.Second)

@@ -133,7 +133,7 @@ func decodeQueryRef(payload []byte) (Query, error) {
 	if strings.TrimSpace(lines[0]) == "" {
 		return Query{}, fmt.Errorf("empty query")
 	}
-	f, err := parseTupleLine(lines[0])
+	f, err := parseTupleLineRef(lines[0])
 	if err != nil {
 		return Query{}, err
 	}
@@ -155,6 +155,26 @@ func decodeQueryRef(payload []byte) (Query, error) {
 	return q, nil
 }
 
+// parseTupleLineRef is the tuple line parser as first written, over
+// strings.Fields.
+func parseTupleLineRef(line string) (flow.Five, error) {
+	var f flow.Five
+	fields := strings.Fields(line)
+	if len(fields) != 3 {
+		return f, fmt.Errorf("malformed tuple line")
+	}
+	var v [3]uint64
+	for i, bits := range []int{8, 16, 16} {
+		n, err := strconv.ParseUint(fields[i], 10, bits)
+		if err != nil {
+			return f, err
+		}
+		v[i] = n
+	}
+	f.Proto, f.SrcPort, f.DstPort = netaddr.Proto(v[0]), netaddr.Port(v[1]), netaddr.Port(v[2])
+	return f, nil
+}
+
 func decodeResponseRef(payload []byte) (*Response, error) {
 	if len(payload) > MaxMessageSize {
 		return nil, fmt.Errorf("too large")
@@ -163,7 +183,7 @@ func decodeResponseRef(payload []byte) (*Response, error) {
 	if strings.TrimSpace(lines[0]) == "" {
 		return nil, fmt.Errorf("empty response")
 	}
-	f, err := parseTupleLine(lines[0])
+	f, err := parseTupleLineRef(lines[0])
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"identxx/internal/flow"
 	"identxx/internal/netaddr"
@@ -236,7 +237,7 @@ func (r *Response) Clone() *Response {
 // Values are single logical lines; daemon config files join continuation
 // lines before the value ever reaches the wire.
 func sanitizeValue(v string) string {
-	if !strings.ContainsAny(v, "\r\n") {
+	if strings.IndexByte(v, '\r') < 0 && strings.IndexByte(v, '\n') < 0 {
 		return v
 	}
 	v = strings.ReplaceAll(v, "\r\n", " ")
@@ -361,67 +362,78 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 		return nil, err
 	}
 	f.SrcIP, f.DstIP = srcIP, dstIP
-	// The response and its first sections are one allocation, and one array
-	// (a pair per remaining line at most) backs the pairs of every section,
-	// each section's share capped so that a later Add cannot run into the
-	// next one's.
+	// The response, its first sections and its first pairs are one
+	// allocation. One array backs the pairs of every section — the inline one
+	// while it has room, then one sized for a pair per remaining line — each
+	// section's share capped so that a later Add cannot run into the next
+	// one's.
 	a := &struct {
-		r    Response
-		secs [2]Section
+		r     Response
+		secs  [2]Section
+		pairs [8]KV
 	}{}
 	r := &a.r
 	r.Flow, r.Sections = f, a.secs[:1]
-	var pairs []KV
-	if more {
-		pairs = make([]KV, 0, strings.Count(rest, "\n")+1)
-	}
-	start := 0 // pairs[start:] belong to the section being filled
-	closeSection := func() {
-		if end := len(pairs); end > start {
-			r.Sections[len(r.Sections)-1].Pairs = pairs[start:end:end]
-			start = end
-		}
-	}
+	pairs := a.pairs[:0]
+	start := 0     // pairs[start:] belong to the section being filled
+	split := false // an empty line since the last pair: the next starts a section
 	for more {
 		var l string
 		l, rest, more = strings.Cut(rest, "\n")
-		trimmed := strings.TrimRight(l, "\r")
-		if strings.TrimSpace(trimmed) == "" {
-			// Empty line: new section. Collapse a run of empty lines at the
-			// very end of the payload (trailing newline artifacts).
-			if len(pairs) == start && len(r.Sections) > 1 {
+		colon := strings.IndexByte(l, ':')
+		if colon < 0 {
+			if strings.TrimSpace(l) == "" {
+				// A run of empty lines is one separator, and trailing ones (a
+				// final newline's artifacts) separate nothing.
+				split = true
 				continue
 			}
-			closeSection()
-			r.Sections = append(r.Sections, Section{})
-			continue
+			return nil, fmt.Errorf("wire: malformed pair %q", strings.TrimRight(l, "\r"))
 		}
-		colon := strings.Index(trimmed, ":")
-		if colon < 0 {
-			return nil, fmt.Errorf("wire: malformed pair %q", trimmed)
-		}
-		key := strings.TrimSpace(trimmed[:colon])
+		key := strings.TrimSpace(l[:colon])
 		// Canonicalize on the way in, exactly as EncodeResponse does on the
 		// way out, so decode∘encode is stable: an embedded CR would
 		// otherwise decode verbatim but re-encode as a space.
-		val := sanitizeValue(strings.TrimSpace(trimmed[colon+1:]))
+		val := sanitizeValue(strings.TrimSpace(l[colon+1:]))
 		if key == "" {
-			return nil, fmt.Errorf("wire: empty key in %q", trimmed)
+			return nil, fmt.Errorf("wire: empty key in %q", strings.TrimRight(l, "\r"))
+		}
+		if split {
+			start = closeSection(r, pairs, start)
+			r.Sections = append(r.Sections, Section{})
+			split = false
+		}
+		if len(pairs) == cap(pairs) {
+			pairs = append(make([]KV, 0, len(pairs)+strings.Count(rest, "\n")+1), pairs...)
 		}
 		pairs = append(pairs, KV{key, val})
 	}
-	// Drop a trailing empty section created by a final newline.
-	if n := len(r.Sections); n > 1 && len(pairs) == start {
-		r.Sections = r.Sections[:n-1]
-	}
-	closeSection()
+	closeSection(r, pairs, start)
 	return r, nil
 }
 
+// closeSection gives the last section of r the pairs from start on, capped,
+// and returns where the next section's pairs start. A section without pairs
+// keeps nil.
+func closeSection(r *Response, pairs []KV, start int) int {
+	if end := len(pairs); end > start {
+		r.Sections[len(r.Sections)-1].Pairs = pairs[start:end:end]
+		return end
+	}
+	return start
+}
+
+// parseTupleLine parses "<PROTO> <SRC PORT> <DST PORT>": three decimal
+// fields separated, as strings.Fields separates them, by any Unicode white
+// space, cut from the line in place.
 func parseTupleLine(line string) (flow.Five, error) {
 	var f flow.Five
-	fields := strings.Fields(line)
-	if len(fields) != 3 {
+	var fields [4]string // a fourth is an error
+	rest := line
+	for i := range fields {
+		fields[i], rest = nextField(rest)
+	}
+	if fields[2] == "" || fields[3] != "" {
 		return f, fmt.Errorf("wire: malformed tuple line %q", line)
 	}
 	proto, err := strconv.ParseUint(fields[0], 10, 8)
@@ -440,4 +452,23 @@ func parseTupleLine(line string) (flow.Five, error) {
 	f.SrcPort = netaddr.Port(sp)
 	f.DstPort = netaddr.Port(dp)
 	return f, nil
+}
+
+// nextField cuts the first field from s, skipping the white space before it,
+// and returns it with what follows it; "" when s holds none.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i, r := range s {
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return s[start:i], s[i:]
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
 }

@@ -417,6 +417,33 @@ func BenchmarkDecodeResponse(b *testing.B) {
 	}
 }
 
+// TestDecodeResponseAllocations: a decode costs the payload's string and one
+// object holding the response, its first two sections and its first eight
+// pairs; only pairs past the eighth cost an array of their own.
+func TestDecodeResponseAllocations(t *testing.T) {
+	for _, c := range []struct {
+		pairs, sections int
+		want            float64
+	}{{5, 2, 2}, {8, 2, 2}, {9, 1, 3}} {
+		r := NewResponse(sampleFlow())
+		for i := 0; i < c.pairs; i++ {
+			if i == c.pairs/2 && c.sections > 1 {
+				r.Augment("ctrl")
+			}
+			r.Add(fmt.Sprintf("key%d", i), "value")
+		}
+		payload := EncodeResponse(r)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeResponse(payload, r.Flow.SrcIP, r.Flow.DstIP); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%d pairs in %d sections: %v allocations per decode, want %v", c.pairs, c.sections, got, c.want)
+		}
+	}
+}
+
 // The append encoders replaced fmt and strings.Builder; the bytes on the
 // wire are the ones those produced.
 func TestAppendEncodersMatchFmt(t *testing.T) {
