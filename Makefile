@@ -85,7 +85,9 @@ race-query:
 # transport in TestStressConcurrentPipeline). The in-flight fences and the
 # re-decision they trigger (TestRedecide*, TestInFlightRevocation*) repeat
 # with them, and so does the daemon's half of that ordering: a change
-# landing between an answer and its memo is still published.
+# landing between an answer and its memo is still published, and queries
+# racing process and configuration churn leave every memo entry equal to a
+# fresh derivation (the daemon's per-process answers included).
 #
 # The last two lines are the flake gate: tier-1 is deterministic, so the
 # tests whose schedules vary most — the failover test over in-process and
@@ -99,7 +101,7 @@ race-query:
 race-core:
 	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
-	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo' ./internal/daemon/
+	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo|ConcurrentAnswers' ./internal/daemon/
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Failover|Redecide|Stress' ./internal/cluster ./internal/core
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Pipeline|Concurrent|Race|Racing|CloseWaits|Burst|Reconnect|Redial|Recovery|Restart|SerialGap|Async|Revocation' ./internal/query
 
@@ -160,7 +162,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM7_ShardedHandleEvent=2' \
 		-max-allocs 'BenchmarkM8_AllocProfile=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
-		-max-allocs 'BenchmarkM9_QueryPlane/async=10' \
+		-max-allocs 'BenchmarkM9_QueryPlane/async=2' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
 		-max-allocs 'BenchmarkM11_Revocation/register-drop=1' \

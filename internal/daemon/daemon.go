@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"path"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +22,8 @@ type ForgeFunc func(q wire.Query, honest *wire.Response) *wire.Response
 // use; controllers may query while applications register flow pairs.
 //
 // Beyond answering, the daemon participates in the revocation plane (see
-// push.go): it remembers the facts it asserted per answered flow (bounded
-// by answeredCap), listens for its host's OS-state changes, and publishes
+// push.go): it remembers the answer it gave per answered flow (bounded by
+// answeredCap), listens for its host's OS-state changes, and publishes
 // wire.Update messages to subscribers when a previously-given answer stops
 // being true.
 type Daemon struct {
@@ -36,6 +34,9 @@ type Daemon struct {
 	// daemon collector. Always non-nil after New.
 	Counters *metrics.Counter
 
+	// hot caches the cells of the counters every query bumps.
+	hot struct{ answered, traced *atomic.Int64 }
+
 	mu              sync.RWMutex
 	userApps        map[string]*AppConfig // user-writable config, by exe path
 	sysApps         map[string]*AppConfig // system config (/etc/identxx), by exe path
@@ -44,14 +45,22 @@ type Daemon struct {
 	dynamicCap      int   // bound on dynamic (0 = DefaultDynamicCap)
 	dynamicEvicted  int64 // lifetime dynamic evictions
 	forge           ForgeFunc
-	answered        map[flow.Five]map[string]string // facts asserted per flow
-	answeredCap     int                             // bound on answered (0 = DefaultAnsweredCap)
-	answeredEvicted int64                           // lifetime memo evictions
+	answered        map[flow.Five]*answer // the answer each flow was last given
+	answeredCap     int                   // bound on answered (0 = DefaultAnsweredCap)
+	answeredEvicted int64                 // lifetime memo evictions
+
+	// Per-process answers (answer.go), bounded by procAnswersCap. procGen
+	// moves with every invalidation, so an answer built from inputs read
+	// before one is not entered after it.
+	procAnswers map[*hostinfo.Process]*answer
+	procGen     uint64
+	noUser      *answer // the answer about a flow no process owns
 
 	// changes counts the changes that can alter an answer (host state,
 	// configuration, application pairs), each counted before its rescan
-	// reads the memo. An answer built across one is re-derived once it is
-	// memoized (remember): that rescan may have read the memo first.
+	// reads the memo and after the per-process answers it outdates are
+	// dropped. An answer built across one is re-derived once it is memoized
+	// (remember): that rescan may have read the memo first.
 	changes atomic.Uint64
 
 	// Publication side (push.go). pubMu owns the serial sequence and the
@@ -81,7 +90,10 @@ func New(h *hostinfo.Host) *Daemon {
 		userApps: make(map[string]*AppConfig),
 		sysApps:  make(map[string]*AppConfig),
 		dynamic:  make(map[flow.Five][]wire.KV),
+		noUser:   noUserAnswer(h),
 	}
+	d.hot.answered = d.Counters.Cell("daemon_queries_answered")
+	d.hot.traced = d.Counters.Cell("daemon_queries_traced")
 	h.AddChangeListener(d.onHostChange)
 	return d
 }
@@ -121,6 +133,7 @@ func (d *Daemon) InstallConfig(cf *ConfigFile, system bool) {
 	if system {
 		d.hostPairs = append(d.hostPairs, cf.HostPairs...)
 	}
+	d.dropProcessAnswersLocked()
 	d.changes.Add(1)
 	d.mu.Unlock()
 	// New configuration changes what the daemon asserts for flows of the
@@ -192,97 +205,36 @@ func (d *Daemon) SetForge(f ForgeFunc) {
 // Empty sections are elided. A query about a flow the host knows nothing
 // about yields a single section carrying an error pair, like the ident
 // protocol's NO-USER.
+//
+// The response is the one allocation of an answer to a known process: its
+// sections are that process's answer, shared with every other response about
+// its flows, and are never written afterwards. A holder that adds pairs adds
+// them in a section of its own (Response.Augment copies the array); it must
+// not write into the sections it was given.
 func (d *Daemon) HandleQuery(q wire.Query) *wire.Response {
-	d.Counters.Add("daemon_queries_answered", 1)
+	a, forged := d.respond(q)
+	if forged != nil {
+		return forged
+	}
+	return a.response(q.Flow)
+}
+
+// respond answers q and memoizes the answer: HandleQuery without building a
+// response, for the server, which frames the answer's encoded body. forged is
+// the forge hook's response, nil without a hook.
+func (d *Daemon) respond(q wire.Query) (a *answer, forged *wire.Response) {
+	d.hot.answered.Add(1)
 	if q.TraceID != 0 {
 		// The controller is flight-recording this decision; count the
 		// daemon's share so the operator can confirm trace IDs survive the
 		// query wire end to end (they otherwise only surface in traces).
-		d.Counters.Add("daemon_queries_traced", 1)
+		d.hot.traced.Add(1)
 	}
 	seq := d.changes.Load()
-	resp := d.buildResponse(q)
+	a, forged = d.derive(q)
 	// Remember what was asserted (post-forge: the memo tracks what went on
 	// the wire) so a later OS change can be mapped back to this flow and
 	// published as an update.
-	d.remember(q.Flow, resp, seq)
-	return resp
-}
-
-// buildResponse is HandleQuery without the answered-facts memo: the honest
-// response, passed through the compromise hook when one is installed. The
-// rescan path uses it to re-derive assertions without self-memoizing.
-func (d *Daemon) buildResponse(q wire.Query) *wire.Response {
-	honest := d.buildHonest(q)
-	d.mu.RLock()
-	forge := d.forge
-	d.mu.RUnlock()
-	if forge != nil {
-		return forge(q, honest)
-	}
-	return honest
-}
-
-func (d *Daemon) buildHonest(q wire.Query) *wire.Response {
-	resp := &wire.Response{Flow: q.Flow}
-
-	proc, ok := d.host.OwnerOf(q.Flow, hostinfo.RoleAuto)
-	if !ok {
-		s := wire.Section{Source: "daemon"}
-		s.Add(wire.KeyError, "NO-USER")
-		s.Add(wire.KeyHost, d.host.Name)
-		resp.Sections = append(resp.Sections, s)
-		return resp
-	}
-
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-
-	if pairs, ok := d.dynamic[q.Flow]; ok && len(pairs) > 0 {
-		resp.Sections = append(resp.Sections, wire.Section{
-			Source: "application",
-			Pairs:  append([]wire.KV(nil), pairs...),
-		})
-	}
-	if app, ok := d.userApps[proc.Exe.Path]; ok && len(app.Pairs) > 0 {
-		resp.Sections = append(resp.Sections, wire.Section{
-			Source: "user-config",
-			Pairs:  append([]wire.KV(nil), app.Pairs...),
-		})
-	}
-	sys := wire.Section{Source: "system-config", Pairs: append([]wire.KV(nil), d.hostPairs...)}
-	if app, ok := d.sysApps[proc.Exe.Path]; ok {
-		sys.Pairs = append(sys.Pairs, app.Pairs...)
-	}
-	if len(sys.Pairs) > 0 {
-		resp.Sections = append(resp.Sections, sys)
-	}
-
-	ground := wire.Section{Source: "daemon"}
-	ground.Add(wire.KeyUserID, proc.User.Name)
-	if len(proc.User.Groups) > 0 {
-		ground.Add(wire.KeyGroupID, strings.Join(proc.User.Groups, " "))
-	}
-	name := proc.Exe.Name
-	if name == "" {
-		name = path.Base(proc.Exe.Path)
-	}
-	ground.Add(wire.KeyName, name)
-	ground.Add(wire.KeyAppName, name)
-	ground.Add(wire.KeyExeHash, proc.Exe.Hash())
-	if proc.Exe.Version != "" {
-		ground.Add(wire.KeyVersion, proc.Exe.Version)
-	}
-	if proc.Exe.Vendor != "" {
-		ground.Add(wire.KeyVendor, proc.Exe.Vendor)
-	}
-	if proc.Exe.Type != "" {
-		ground.Add(wire.KeyType, proc.Exe.Type)
-	}
-	if patches := d.host.Patches(); patches != "" {
-		ground.Add(wire.KeyOSPatch, patches)
-	}
-	ground.Add(wire.KeyHost, d.host.Name)
-	resp.Sections = append(resp.Sections, ground)
-	return resp
+	d.remember(q.Flow, a, seq)
+	return a, forged
 }

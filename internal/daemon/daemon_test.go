@@ -372,6 +372,37 @@ func (a *AppConfig) Get1(key string) string {
 	return v
 }
 
+// TestServerFrameAllocatesNothing: the server's per-frame path — decode the
+// query frame, answer, append the reply — allocates nothing for a flow of a
+// process the daemon has answered for before, and the reply is the frame
+// WriteResponse writes for HandleQuery's response.
+func TestServerFrameAllocatesNothing(t *testing.T) {
+	_, d, f := newHostWithSkype(t)
+	q := wire.Query{Flow: f, Keys: []string{wire.KeyUserID, wire.KeyName}, TraceID: 0xfeed}
+	frame := wire.Frame{Type: wire.FrameQuery, SrcIP: f.SrcIP, DstIP: f.DstIP, Payload: wire.EncodeQuery(q)}
+	sc := &serverConn{d: d}
+	buf := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := sc.answer(frame); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if buf, err = sc.reply(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per query frame, want 0", allocs)
+	}
+	want, err := wire.AppendResponse(nil, d.HandleQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != string(want) {
+		t.Errorf("reply frame %q, want %q", buf, want)
+	}
+}
+
 func BenchmarkHandleQuery(b *testing.B) {
 	h := hostinfo.New("pc1", netaddr.MustParseIP("10.0.0.1"), 1)
 	alice := h.AddUser("alice", "users")

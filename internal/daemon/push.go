@@ -103,29 +103,16 @@ func (d *Daemon) emitLocked(u wire.Update) {
 	}
 }
 
-// flatten reduces a response to its effective facts: for each key, the
-// Latest value (§3.3's "the latest value is the most trusted").
-func flatten(resp *wire.Response) map[string]string {
-	facts := make(map[string]string)
-	for _, s := range resp.Sections {
-		for _, p := range s.Pairs {
-			facts[p.Key] = p.Value
-		}
-	}
-	return facts
-}
-
-// remember memoizes the facts just asserted for a flow, evicting (and
+// remember memoizes the answer just given about a flow, evicting (and
 // publishing) an arbitrary other flow when the memo is over capacity. seq is
 // d.changes as read before the answer was built: a change counted since may
 // have rescanned the flow before this answer was memoized — finding it
 // untracked, or tracked with an older answer — so the answer is re-derived
 // here and any difference published. Callers must not hold d.mu or d.pubMu.
-func (d *Daemon) remember(f flow.Five, resp *wire.Response, seq uint64) {
-	facts := flatten(resp)
+func (d *Daemon) remember(f flow.Five, a *answer, seq uint64) {
 	d.mu.Lock()
 	if d.answered == nil {
-		d.answered = make(map[flow.Five]map[string]string)
+		d.answered = make(map[flow.Five]*answer)
 	}
 	limit := d.answeredCap
 	if limit <= 0 {
@@ -144,7 +131,7 @@ func (d *Daemon) remember(f flow.Five, resp *wire.Response, seq uint64) {
 			}
 		}
 	}
-	d.answered[f] = facts
+	d.answered[f] = a
 	d.mu.Unlock()
 	if haveEvicted {
 		d.pubMu.Lock()
@@ -191,16 +178,24 @@ func diffFacts(old, cur map[string]string) (key, oldV, newV string, changed bool
 // for exactly the flows the mutation touched (connection churn, process
 // exit), falling back to the full memo walk only for mutations whose
 // blast radius the host cannot enumerate (listener binds, patch
-// installs, configuration changes).
+// installs). A flow-scoped change moves a flow between processes and leaves
+// the per-process answers alone; a host-wide one can change what every
+// process's answer says, so it drops them — before it is counted: an answer
+// to a query that read the count after it must not come from the table as it
+// was.
 func (d *Daemon) onHostChange(ch hostinfo.Change) {
-	d.changes.Add(1)
-	if ch.All {
-		d.rescan()
+	if !ch.All {
+		d.changes.Add(1)
+		for _, f := range ch.Flows {
+			d.rescanFlow(f)
+		}
 		return
 	}
-	for _, f := range ch.Flows {
-		d.rescanFlow(f)
-	}
+	d.mu.Lock()
+	d.dropProcessAnswersLocked()
+	d.mu.Unlock()
+	d.changes.Add(1)
+	d.rescan()
 }
 
 // rescan re-derives the facts for every memoized flow and publishes an
@@ -249,14 +244,14 @@ func (d *Daemon) rescanFlow(f flow.Five) {
 // rescanFlowLocked does the per-flow diff-and-publish. d.pubMu must be
 // held; d.mu must not be.
 func (d *Daemon) rescanFlowLocked(f flow.Five) {
-	cur := flatten(d.buildResponse(wire.Query{Flow: f}))
+	cur, _ := d.derive(wire.Query{Flow: f})
 	d.mu.Lock()
 	old, ok := d.answered[f]
-	if !ok {
+	if !ok || old == cur {
 		d.mu.Unlock()
 		return
 	}
-	key, oldV, newV, changed := diffFacts(old, cur)
+	key, oldV, newV, changed := diffFacts(old.facts, cur.facts)
 	if changed {
 		d.answered[f] = cur
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"identxx/internal/flow"
 	"identxx/internal/link"
 	"identxx/internal/wire"
 )
@@ -54,43 +55,77 @@ func (s *Server) serveConn(conn net.Conn) {
 	if timeout == 0 {
 		timeout = DefaultReadTimeout
 	}
-	var cancel func() // non-nil once subscribed
+	sc := &serverConn{d: s.Daemon}
+	sc.appendReply = sc.reply
 	defer func() {
-		if cancel != nil {
-			cancel()
+		if sc.cancel != nil {
+			sc.cancel()
 		}
 	}()
 	// An unsubscribed connection is a transient client: each read is bounded
 	// so a slow or hostile peer cannot pin the goroutine.
-	link.ServeFrames(conn, timeout, timeout, func(c *link.Conn, f wire.Frame) error {
-		switch f.Type {
-		case wire.FrameSubscribe:
-			if cancel != nil {
-				return nil // idempotent: already subscribed
-			}
-			// A subscribed connection is a controller's long-lived push
-			// channel — it is legitimately silent between queries, so idle
-			// reads must not kill it; failed pushes tear it down instead.
-			c.SetIdle(0)
-			// Subscribe delivers the hello (and every later update) under
-			// the daemon's publication lock, so the hello is on the wire
-			// before any subsequent update and serials arrive in order.
-			// Updates are pushed from the publishing goroutine.
-			cancel = s.Daemon.Subscribe(func(u wire.Update) {
-				c.Push(func(b []byte) ([]byte, error) { return wire.AppendUpdate(b, u) })
-			})
-			return nil
-		case wire.FrameQuery:
-			q, err := wire.DecodeQuery(f.Payload, f.SrcIP, f.DstIP)
-			if err != nil {
-				return err
-			}
-			resp := s.Daemon.HandleQuery(q)
-			return c.Reply(func(b []byte) ([]byte, error) { return wire.AppendResponse(b, resp) })
-		default:
-			return fmt.Errorf("daemon: client sent frame %#02x", f.Type)
+	link.ServeFrames(conn, timeout, timeout, sc.handle)
+}
+
+// serverConn is what one served connection keeps between frames. The query
+// being answered waits here for the reply that appends its answer, so that a
+// reply needs no closure of its own: answering a known process's flow takes
+// no allocation on this side of the wire.
+type serverConn struct {
+	d      *Daemon
+	cancel func() // non-nil once subscribed
+
+	flow        flow.Five                    // the query being answered
+	ans         *answer                      // its answer
+	forged      *wire.Response               // the forge hook's response, when one is installed
+	appendReply func([]byte) ([]byte, error) // reply, bound once
+}
+
+func (sc *serverConn) handle(c *link.Conn, f wire.Frame) error {
+	switch f.Type {
+	case wire.FrameSubscribe:
+		if sc.cancel != nil {
+			return nil // idempotent: already subscribed
 		}
-	})
+		// A subscribed connection is a controller's long-lived push
+		// channel — it is legitimately silent between queries, so idle
+		// reads must not kill it; failed pushes tear it down instead.
+		c.SetIdle(0)
+		// Subscribe delivers the hello (and every later update) under
+		// the daemon's publication lock, so the hello is on the wire
+		// before any subsequent update and serials arrive in order.
+		// Updates are pushed from the publishing goroutine.
+		sc.cancel = sc.d.Subscribe(func(u wire.Update) {
+			c.Push(func(b []byte) ([]byte, error) { return wire.AppendUpdate(b, u) })
+		})
+		return nil
+	case wire.FrameQuery:
+		if err := sc.answer(f); err != nil {
+			return err
+		}
+		return c.Reply(sc.appendReply)
+	default:
+		return fmt.Errorf("daemon: client sent frame %#02x", f.Type)
+	}
+}
+
+// answer answers a query frame, whose key hints a daemon does not read.
+func (sc *serverConn) answer(f wire.Frame) error {
+	q, err := wire.DecodeQueryHead(f.Payload, f.SrcIP, f.DstIP)
+	if err != nil {
+		return err
+	}
+	sc.flow = q.Flow
+	sc.ans, sc.forged = sc.d.respond(q)
+	return nil
+}
+
+// reply appends the response frame to the query answer took last.
+func (sc *serverConn) reply(b []byte) ([]byte, error) {
+	if sc.forged != nil {
+		return wire.AppendResponse(b, sc.forged)
+	}
+	return wire.AppendResponseBody(b, sc.flow, sc.ans.body)
 }
 
 // Close stops accepting, closes active connections, and waits for the

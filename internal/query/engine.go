@@ -117,11 +117,13 @@ type completion func(resp *wire.Response, rtt time.Duration, err error)
 
 // flight is one query on its way through the wire: its completion, the
 // asker's flight-recorder buffer (nil for untraced decisions) and endpoint
-// flag, and the attempts it has started. Flights are recycled, with the
-// completion the lower layer is handed.
+// flag, the host's record the gates read (settled from the outcome, with no
+// second lookup), and the attempts it has started. Flights are recycled,
+// with the completion the lower layer is handed.
 type flight struct {
 	e        *Engine
 	host     netaddr.IP
+	hs       *hostState
 	q        wire.Query
 	attempts int32
 	done     completion
@@ -286,8 +288,10 @@ func (e *Engine) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffe
 // failed done.
 func (e *Engine) query(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done completion) {
 	gate, err := trace.FlagErr, ErrClosed
+	var hs *hostState
 	if !e.closed.Load() {
-		gate, err = e.fastFail(host)
+		hs = e.hostState(host)
+		gate, err = e.fastFail(host, hs)
 	}
 	tb.Rec(trace.StageQueryEnqueue, ep|gate, 0)
 	if err != nil {
@@ -300,7 +304,7 @@ func (e *Engine) query(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint1
 		f = &flight{e: e}
 		f.reply = f.onReply
 	}
-	f.host, f.q, f.done, f.tb, f.ep = host, q, done, tb, ep
+	f.host, f.hs, f.q, f.done, f.tb, f.ep = host, hs, q, done, tb, ep
 	e.InFlight.Inc()
 	f.launch()
 }
@@ -319,14 +323,16 @@ func (e *Engine) Close() {
 	e.idleMu.Unlock()
 }
 
-// fastFail consults the negative cache and the breaker; a non-nil error is
+// fastFail consults host's negative cache and breaker; a non-nil error is
 // delivered without touching the wire, and gate is the trace flag naming
-// which of the two it was.
-func (e *Engine) fastFail(host netaddr.IP) (gate uint16, err error) {
-	hs := e.hostState(host)
-	now := e.clock()
+// which of the two it was. The clock is read only when one of them is set.
+func (e *Engine) fastFail(host netaddr.IP, hs *hostState) (gate uint16, err error) {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
+	if hs.negErr == nil && hs.openTill.IsZero() {
+		return 0, nil
+	}
+	now := e.clock()
 	if hs.negErr != nil && now.Before(hs.negUntil) {
 		e.hot.negHits.Add(1)
 		return trace.FlagNegCache, hs.negErr
@@ -417,7 +423,7 @@ func (f *flight) onReply(resp *wire.Response, rtt time.Duration, err error) {
 		f.launch()
 		return
 	}
-	e.settle(f.host, rtt, err)
+	e.settle(f.hs, rtt, err)
 	f.deliver(resp, rtt, err)
 }
 
@@ -446,10 +452,9 @@ func (f *flight) deliver(resp *wire.Response, rtt time.Duration, err error) {
 	done(resp, rtt, err)
 }
 
-// settle updates the host's availability record from one exchange outcome.
-func (e *Engine) settle(host netaddr.IP, rtt time.Duration, err error) {
-	hs := e.hostState(host)
-	now := e.clock()
+// settle updates a host's availability record from one exchange outcome. Only
+// a failure reads the clock.
+func (e *Engine) settle(hs *hostState, rtt time.Duration, err error) {
 	if err == nil {
 		hs.mu.Lock()
 		hs.fails = 0
@@ -459,6 +464,7 @@ func (e *Engine) settle(host netaddr.IP, rtt time.Duration, err error) {
 		hs.rtt.Observe(rtt) // outside hs.mu: Observe takes no lock
 		return
 	}
+	now := e.clock()
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	if core.IsTimeout(err) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -67,6 +68,7 @@ type Pool struct {
 	Counters *metrics.Counter
 	// Conns gauges currently established connections.
 	Conns metrics.Gauge
+	sent  *atomic.Int64 // Counters' pool_queries_sent, bumped per query
 
 	// onUpdate receives daemon-pushed endpoint-state updates (revocation
 	// plane). When set, every dialed connection subscribes; the reader
@@ -102,6 +104,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	if p.Counters == nil {
 		p.Counters = metrics.NewCounter()
 	}
+	p.sent = p.Counters.Cell("pool_queries_sent")
 	return p
 }
 
@@ -202,7 +205,7 @@ type exchange struct {
 func (x *exchange) appendQuery(b []byte) ([]byte, error) {
 	b, err := wire.AppendQuery(b, x.q)
 	if err == nil {
-		x.pool.Counters.Add("pool_queries_sent", 1)
+		x.pool.sent.Add(1)
 	}
 	return b, err
 }

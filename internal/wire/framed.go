@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 
+	"identxx/internal/flow"
 	"identxx/internal/netaddr"
 )
 
@@ -103,6 +104,13 @@ func AppendQuery(b []byte, q Query) ([]byte, error) {
 // place.
 func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 	return finishFrame(appendResponse(appendHeader(b, FrameResponse, resp.Flow.SrcIP, resp.Flow.DstIP), resp), len(b))
+}
+
+// AppendResponseBody appends one response frame for f whose sections body
+// rendered before (AppendSections): the frame AppendResponse appends for a
+// response of f with those sections.
+func AppendResponseBody(b []byte, f flow.Five, body []byte) ([]byte, error) {
+	return finishFrame(append(appendTupleLine(appendHeader(b, FrameResponse, f.SrcIP, f.DstIP), f), body...), len(b))
 }
 
 // WriteFrame writes one frame to w with one Write.

@@ -45,6 +45,10 @@ func FuzzDecodeQuery(f *testing.F) {
 		if ref, refErr := decodeQueryRef(payload); (err == nil) != (refErr == nil) || !reflect.DeepEqual(q, ref) {
 			t.Fatalf("decoder and reference disagree:\n  got:  %+v, %v\n  want: %+v, %v", q, err, ref, refErr)
 		}
+		if head, headErr := DecodeQueryHead(payload, fuzzSrc, fuzzDst); (headErr == nil) != (err == nil) ||
+			head.Flow != q.Flow || head.TraceID != q.TraceID || head.Keys != nil {
+			t.Fatalf("DecodeQueryHead disagrees with DecodeQuery:\n  head: %+v, %v\n  full: %+v, %v", head, headErr, q, err)
+		}
 		if err != nil {
 			return
 		}

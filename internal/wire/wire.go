@@ -28,6 +28,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -303,13 +304,8 @@ func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
 		if l == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(l, traceLinePrefix); ok && q.TraceID == 0 && len(rest) == 16 {
-			// Only the exact shape EncodeQuery emits (%016x) is a trace
-			// line, and only the first one counts; anything else — shorter
-			// hex, a second trace line — degrades to a key hint rather than
-			// failing the query, so a legitimate hint that merely resembles
-			// a trace still reaches the daemon.
-			if id, err := strconv.ParseUint(rest, 16, 64); err == nil && id != 0 {
+		if q.TraceID == 0 {
+			if id, ok := parseTraceLine(l); ok {
 				q.TraceID = id
 				continue
 			}
@@ -323,6 +319,55 @@ func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
 	return q, nil
 }
 
+// traceLineLen is the length of the one line shape parseTraceLine accepts.
+const traceLineLen = len(traceLinePrefix) + 16
+
+// parseTraceLine returns the trace ID a trimmed query line carries. Only the
+// exact shape EncodeQuery emits (%016x, non-zero) is a trace line, and only
+// the first one counts; anything else — shorter hex, a second trace line —
+// degrades to a key hint rather than failing the query, so a legitimate hint
+// that merely resembles a trace still reaches the daemon.
+func parseTraceLine(l string) (uint64, bool) {
+	hex, ok := strings.CutPrefix(l, traceLinePrefix)
+	if !ok || len(hex) != 16 {
+		return 0, false
+	}
+	id, err := strconv.ParseUint(hex, 16, 64)
+	return id, err == nil && id != 0
+}
+
+// DecodeQueryHead is DecodeQuery for a responder that reads no key hints: it
+// returns the query's flow and trace ID, and accepts and rejects exactly the
+// payloads DecodeQuery does. It keeps nothing of payload and, for a payload
+// whose tuple line is canonical, allocates nothing: the lines it converts to
+// parse (the tuple line, a trace line) fit the compiler's stack buffer for
+// conversions that do not escape.
+func DecodeQueryHead(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
+	first, rest, more := bytes.Cut(payload, newline)
+	if len(bytes.TrimSpace(first)) == 0 {
+		return Query{}, fmt.Errorf("wire: empty query")
+	}
+	f, err := parseTupleLine(string(first))
+	if err != nil {
+		return Query{}, err
+	}
+	f.SrcIP, f.DstIP = srcIP, dstIP
+	q := Query{Flow: f}
+	for more {
+		var l []byte
+		l, rest, more = bytes.Cut(rest, newline)
+		if l = bytes.TrimSpace(l); len(l) == traceLineLen {
+			if id, ok := parseTraceLine(string(l)); ok {
+				q.TraceID = id
+				break
+			}
+		}
+	}
+	return q, nil
+}
+
+var newline = []byte{'\n'}
+
 // EncodeResponse renders the §3.2 response payload with empty lines between
 // sections. Leading/trailing empty sections are preserved structurally by
 // emitting their separators, except that a single empty section encodes as a
@@ -330,8 +375,15 @@ func DecodeQuery(payload []byte, srcIP, dstIP netaddr.IP) (Query, error) {
 func EncodeResponse(r *Response) []byte { return appendResponse(nil, r) }
 
 func appendResponse(b []byte, r *Response) []byte {
-	b = appendTupleLine(b, r.Flow)
-	for i, s := range r.Sections {
+	return AppendSections(appendTupleLine(b, r.Flow), r.Sections)
+}
+
+// AppendSections appends what a response payload holds after its tuple line:
+// secs, rendered as EncodeResponse renders them. A responder whose sections
+// are the same for many flows renders them once and frames them per flow with
+// AppendResponseBody.
+func AppendSections(b []byte, secs []Section) []byte {
+	for i, s := range secs {
 		if i > 0 {
 			b = append(b, '\n')
 		}
@@ -425,7 +477,9 @@ func closeSection(r *Response, pairs []KV, start int) int {
 
 // parseTupleLine parses "<PROTO> <SRC PORT> <DST PORT>": three decimal
 // fields separated, as strings.Fields separates them, by any Unicode white
-// space, cut from the line in place.
+// space, cut from the line in place. It keeps nothing of line — its errors
+// quote a copy — so a caller may pass a string that aliases a reused buffer,
+// or one converted from bytes without an allocation.
 func parseTupleLine(line string) (flow.Five, error) {
 	var f flow.Five
 	var fields [4]string // a fourth is an error
@@ -434,19 +488,19 @@ func parseTupleLine(line string) (flow.Five, error) {
 		fields[i], rest = nextField(rest)
 	}
 	if fields[2] == "" || fields[3] != "" {
-		return f, fmt.Errorf("wire: malformed tuple line %q", line)
+		return f, fmt.Errorf("wire: malformed tuple line %q", strings.Clone(line))
 	}
 	proto, err := strconv.ParseUint(fields[0], 10, 8)
 	if err != nil {
-		return f, fmt.Errorf("wire: bad protocol in %q", line)
+		return f, fmt.Errorf("wire: bad protocol in %q", strings.Clone(line))
 	}
 	sp, err := strconv.ParseUint(fields[1], 10, 16)
 	if err != nil {
-		return f, fmt.Errorf("wire: bad src port in %q", line)
+		return f, fmt.Errorf("wire: bad src port in %q", strings.Clone(line))
 	}
 	dp, err := strconv.ParseUint(fields[2], 10, 16)
 	if err != nil {
-		return f, fmt.Errorf("wire: bad dst port in %q", line)
+		return f, fmt.Errorf("wire: bad dst port in %q", strings.Clone(line))
 	}
 	f.Proto = netaddr.Proto(proto)
 	f.SrcPort = netaddr.Port(sp)

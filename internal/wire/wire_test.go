@@ -444,6 +444,26 @@ func TestDecodeResponseAllocations(t *testing.T) {
 	}
 }
 
+// TestDecodeQueryHeadAllocatesNothing: a responder that reads only a query's
+// flow and trace ID takes no allocation per query, key hints or not.
+func TestDecodeQueryHeadAllocatesNothing(t *testing.T) {
+	q := Query{Flow: sampleFlow(), Keys: []string{KeyUserID, "a-rather-long-key-hint-past-the-stack-buffer"}, TraceID: 0xfeedface}
+	payload := EncodeQuery(q)
+	var got Query
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = DecodeQueryHead(payload, q.Flow.SrcIP, q.Flow.DstIP); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per decode, want 0", allocs)
+	}
+	if got.Flow != q.Flow || got.TraceID != q.TraceID || got.Keys != nil {
+		t.Errorf("decoded %+v, want the flow and trace ID of %+v and no keys", got, q)
+	}
+}
+
 // The append encoders replaced fmt and strings.Builder; the bytes on the
 // wire are the ones those produced.
 func TestAppendEncodersMatchFmt(t *testing.T) {
@@ -469,6 +489,9 @@ func TestAppendEncodersMatchFmt(t *testing.T) {
 	}{
 		"query":    {Frame{FrameQuery, f.SrcIP, f.DstIP, EncodeQuery(q)}, func(b []byte) ([]byte, error) { return AppendQuery(b, q) }},
 		"response": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(r)}, func(b []byte) ([]byte, error) { return AppendResponse(b, r) }},
+		"response body": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(r)}, func(b []byte) ([]byte, error) {
+			return AppendResponseBody(b, f, AppendSections(nil, r.Sections))
+		}},
 	} {
 		want, err := AppendFrame([]byte("earlier"), c.frame)
 		if err != nil {
