@@ -32,12 +32,22 @@ lint: fmt-check vet
 # on none — a decision runs on the goroutine that delivered its packet-in or
 # its second response. A `go` statement or a WaitGroup there is a second
 # gather or install path growing back.
+#
+# One policy engine: identctl links the compiled program and its VM. The
+# tree-walking interpreter is internal/pf's test oracle (interp_test.go);
+# any of its symbols, or the old switch that ran it beside the VM, in the
+# built binary is a second engine growing back.
+PF_ORACLE_SYMS = pf\.(\(\*Policy\)\.Evaluate(Interpreted|Compiled)|SetDifferential|differential|\(\*evalCtx\)\.(run|ruleMatches|addrMatches|callFunc|resolveArg|resolveDict))$$
 .PHONY: check-seam
 check-seam:
 	@out="$$(grep -rnE 'Accept\(\)|wire\.ReadFrame(Into)?\(' --include='*.go' internal cmd | grep -vE '^internal/(link|wire)/|_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "accept/read loop outside internal/link:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '^[[:space:]]*go |WaitGroup' internal/core/*.go internal/query/engine.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "goroutine or WaitGroup on the decision path:"; echo "$$out"; exit 1; fi
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/identctl" ./cmd/identctl || exit 1; \
+	out="$$($(GO) tool nm "$$tmp/identctl" | grep -E '$(PF_ORACLE_SYMS)')"; \
+	if [ -n "$$out" ]; then echo "a second policy engine linked into identctl:"; echo "$$out"; exit 1; fi
 
 .PHONY: build
 build:

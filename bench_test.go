@@ -658,19 +658,18 @@ func m10Policy(rules int) *pf.Policy {
 	return pf.MustCompile("m10", string(sb))
 }
 
-// BenchmarkM10_PolicyEval measures PF+=2 decision cost across the two
-// execution engines (tree-walking interpreter vs. compiled flat program),
-// policy sizes, and the two flow classes the compiler distinguishes:
+// BenchmarkM10_PolicyEval measures PF+=2 decision cost across policy
+// sizes and the two flow classes the compiler distinguishes:
 //
 //   - keys: the flow hits the key-dependent rule and evaluation reads
 //     both responses — the classic decision.
-//   - headeronly: the flow is decidable from the header alone; the
-//     compiled engine additionally runs the Prepass the controller uses
-//     to skip the query plane entirely.
+//   - headeronly: the flow is decidable from the header alone, and the
+//     controller runs only the Prepass, skipping the query plane entirely.
 //
-// CI's bench-compare gates the compiled variants at ≤ 2 allocs/op (they
-// measure 0): the steady-state compiled path must never regress into
-// allocating. A third size, fence/2000 (benchmarkM10Fence), is the
+// Every variant is named compiled/… (the tree-walking interpreter they
+// were once priced against is a test-only oracle in internal/pf now).
+// CI's bench-compare gates them at ≤ 2 allocs/op (they measure 0): the
+// steady-state decision path must never regress into allocating. A third size, fence/2000 (benchmarkM10Fence), is the
 // end-to-end benchmark's policy_large policy.
 func BenchmarkM10_PolicyEval(b *testing.B) {
 	for _, size := range []struct {
@@ -692,28 +691,11 @@ func BenchmarkM10_PolicyEval(b *testing.B) {
 
 		headerFlow := keyFlow
 		headerFlow.DstPort = 80
-		headerIn := pf.Input{Flow: headerFlow}
 
-		b.Run("interpreted/"+size.name+"/keys", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if d := p.EvaluateInterpreted(keyIn); d.Action != pf.Pass {
-					b.Fatal("wrong decision")
-				}
-			}
-		})
 		b.Run("compiled/"+size.name+"/keys", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if d := p.EvaluateCompiled(keyIn); d.Action != pf.Pass {
-					b.Fatal("wrong decision")
-				}
-			}
-		})
-		b.Run("interpreted/"+size.name+"/headeronly", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if d := p.EvaluateInterpreted(headerIn); d.Action != pf.Pass {
+				if d := p.Evaluate(keyIn); d.Action != pf.Pass {
 					b.Fatal("wrong decision")
 				}
 			}
@@ -756,9 +738,8 @@ const m10FenceRules = 2000
 
 // BenchmarkM10_PolicyEval/…/fence/2000 is the shape the end-to-end run's
 // policy_large workload decides on, priced alone: the header-only
-// pre-pass the controller actually runs, a full compiled evaluation, and
-// the interpreter's scan of the same rules for scale. The compiled cases
-// sit under the same ≤ 2 allocs/op gate as the other sizes.
+// pre-pass the controller actually runs and a full evaluation. Both sit
+// under the same ≤ 2 allocs/op gate as the other sizes.
 func benchmarkM10Fence(b *testing.B) {
 	p := pf.MustCompile("m10-fence", m10FenceSource(m10FenceRules))
 	prog := p.Program()
@@ -784,15 +765,7 @@ func benchmarkM10Fence(b *testing.B) {
 	b.Run("compiled/"+size+"/eval", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if d := p.EvaluateCompiled(in); d.Action != pf.Pass {
-				b.Fatal("wrong decision")
-			}
-		}
-	})
-	b.Run("interpreted/"+size+"/eval", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if d := p.EvaluateInterpreted(in); d.Action != pf.Pass {
+			if d := p.Evaluate(in); d.Action != pf.Pass {
 				b.Fatal("wrong decision")
 			}
 		}

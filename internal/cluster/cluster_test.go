@@ -248,6 +248,32 @@ func TestSnapshotReplication(t *testing.T) {
 	}
 }
 
+// TestAddDatapathReplicatesNothing: a switch connection is per-replica —
+// each replica registers its own — so a connect registers locally and
+// moves no config epoch on either side, and the peer applies nothing.
+func TestAddDatapathReplicatesNothing(t *testing.T) {
+	ra, rb := twoRouters(t, false, nil)
+	ea, _ := ra.Epoch()
+	eb, _ := rb.Epoch()
+	applied := rb.Counters.Get("cluster_snapshots_applied")
+	before := ra.Local().DatapathCount()
+
+	ra.AddDatapath(&sinkDatapath{id: 9})
+
+	if got := ra.Local().DatapathCount(); got != before+1 {
+		t.Errorf("A has %d datapaths, want %d", got, before+1)
+	}
+	if e, _ := ra.Epoch(); e != ea {
+		t.Errorf("A's epoch moved %d -> %d on a switch connect", ea, e)
+	}
+	if e, _ := rb.Epoch(); e != eb {
+		t.Errorf("B's epoch moved %d -> %d on A's switch connect", eb, e)
+	}
+	if got := rb.Counters.Get("cluster_snapshots_applied"); got != applied {
+		t.Errorf("B applied %d snapshots on A's switch connect", got-applied)
+	}
+}
+
 // TestSnapshotEpochFence: stale snapshots are rejected with ErrStaleEpoch,
 // and a snapshot that fails to compile does not advance the epoch (a later
 // good snapshot at the same epoch must still apply).
@@ -310,7 +336,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		Epoch: 9, Origin: "replica-2",
 		PolicyName: "prod", PolicySrc: passPolicy,
 		DefaultBlock: true,
-		Datapaths:    []uint64{1, 77},
 		Answers: map[netaddr.IP][]wire.KV{
 			netaddr.MustParseIP("10.0.0.9"): {
 				{Key: wire.KeyName, Value: "laser printer 2"},

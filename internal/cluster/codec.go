@@ -86,10 +86,8 @@ func decodeEvent(p []byte) (openflow.PacketIn, error) {
 // Snapshot is the replicated read-mostly configuration: everything a
 // replica needs to decide flows identically to its peers. Policy travels
 // as source text and is recompiled at the receiver — compiled programs
-// hold function values and caches that cannot cross a wire — and
-// datapaths travel as IDs resolved through the receiver's local resolver
-// hook (switch connections are per-replica; an openflow.Datapath is not
-// serializable).
+// hold function values and caches that cannot cross a wire. Switch
+// connections are not part of it: each replica registers its own.
 //
 // (Epoch, Origin) totally orders snapshots: Epoch is a Lamport-style
 // counter (every local config write sets it to last-seen+1) and Origin
@@ -102,7 +100,6 @@ type Snapshot struct {
 	PolicyName   string
 	PolicySrc    string
 	DefaultBlock bool
-	Datapaths    []uint64
 	Answers      map[netaddr.IP][]wire.KV
 }
 
@@ -127,9 +124,6 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b.WriteString("default:block\n")
 	} else {
 		b.WriteString("default:pass\n")
-	}
-	for _, id := range s.Datapaths {
-		fmt.Fprintf(&b, "datapath:%d\n", id)
 	}
 	// Deterministic order so identical configs encode identically (useful
 	// for tests and for comparing pushes in packet captures).
@@ -179,12 +173,6 @@ func decodeSnapshot(p []byte) (*Snapshot, error) {
 			s.PolicyName = val
 		case "default":
 			s.DefaultBlock = val == "block"
-		case "datapath":
-			id, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad datapath id %q", val)
-			}
-			s.Datapaths = append(s.Datapaths, id)
 		case "answer":
 			fields := strings.SplitN(val, "\t", 3)
 			if len(fields) != 3 {

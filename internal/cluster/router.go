@@ -31,10 +31,6 @@ type Router struct {
 	local *core.Controller
 	self  Member
 	dial  func(Member) (Link, error)
-	// resolveDP maps a snapshot's datapath IDs onto this replica's own
-	// switch connections (nil, the default, skips datapath replication —
-	// each replica registers the switches it can reach itself).
-	resolveDP func(id uint64) openflow.Datapath
 
 	ring atomic.Pointer[ring]
 
@@ -67,9 +63,6 @@ type Options struct {
 	// the member's Addr; in-process replica sets pass a closure returning
 	// Loopback links.
 	Dial func(Member) (Link, error)
-	// ResolveDatapath maps replicated datapath IDs to local connections;
-	// see Router.resolveDP.
-	ResolveDatapath func(id uint64) openflow.Datapath
 	// Trace enables the flight recorder on the forward path: a forwarded
 	// packet-in mints (or inherits) a trace ID, carries it to the owner in
 	// its FrameEvent, and the forwarder retains its own half with a
@@ -89,12 +82,11 @@ func NewRouter(local *core.Controller, self Member, opts Options) *Router {
 		panic(fmt.Sprintf("cluster: controller %q fronted as member %q; a replica's controller is named by its member id", local.Name(), self.ID))
 	}
 	r := &Router{
-		local:     local,
-		self:      self,
-		dial:      opts.Dial,
-		resolveDP: opts.ResolveDatapath,
-		tr:        opts.Trace,
-		Counters:  metrics.NewCounter(),
+		local:    local,
+		self:     self,
+		dial:     opts.Dial,
+		tr:       opts.Trace,
+		Counters: metrics.NewCounter(),
 	}
 	if r.dial == nil {
 		r.dial = func(m Member) (Link, error) {
@@ -358,35 +350,15 @@ func (r *Router) AnswerForHost(ip netaddr.IP, pairs ...wire.KV) {
 	r.pushAll(snap, links)
 }
 
-// AddDatapath registers dp locally and records its ID in the replicated
-// config, so peers with a resolver hook attach their own connection to
-// the same switch.
-func (r *Router) AddDatapath(dp openflow.Datapath) {
-	r.mu.Lock()
-	r.local.AddDatapath(dp)
-	id := dp.DatapathID()
-	known := false
-	for _, x := range r.cfg.Datapaths {
-		if x == id {
-			known = true
-			break
-		}
-	}
-	if !known {
-		r.cfg.Datapaths = append(r.cfg.Datapaths, id)
-	}
-	r.cfg.Epoch++
-	r.cfg.Origin = r.self.ID
-	snap := r.snapshotLocked()
-	links := retainedLinks(r.ring.Load())
-	r.mu.Unlock()
-	r.pushAll(snap, links)
-}
+// AddDatapath registers this replica's own connection to a switch. Nothing
+// replicates: a switch connection is per-replica (every switch connects to
+// every replica, and each registers its own), so a connect moves no config
+// epoch and pushes no snapshot.
+func (r *Router) AddDatapath(dp openflow.Datapath) { r.local.AddDatapath(dp) }
 
 // RemoveDatapath deregisters this replica's handle for a switch whose
 // connection is gone (core.Controller.RemoveDatapath; identity-guarded the
-// same way). The replicated config keeps the ID: the switch still exists,
-// and the peers' own connections to it are none of this one's business.
+// same way).
 func (r *Router) RemoveDatapath(dp openflow.Datapath) bool {
 	return r.local.RemoveDatapath(dp)
 }
@@ -394,7 +366,6 @@ func (r *Router) RemoveDatapath(dp openflow.Datapath) bool {
 // snapshotLocked deep-copies the current config for a push; r.mu held.
 func (r *Router) snapshotLocked() *Snapshot {
 	s := r.cfg
-	s.Datapaths = append([]uint64(nil), r.cfg.Datapaths...)
 	s.Answers = make(map[netaddr.IP][]wire.KV, len(r.cfg.Answers))
 	for ip, kvs := range r.cfg.Answers {
 		s.Answers[ip] = append([]wire.KV(nil), kvs...)
@@ -422,8 +393,7 @@ func (r *Router) pushAll(snap *Snapshot, links []Link) {
 // ApplySnapshot installs a peer's config snapshot if it supersedes the
 // applied one, rejecting stale epochs with ErrStaleEpoch — the receive
 // half of the epoch fence. The policy is recompiled from source only when
-// it actually changed, so datapath/answer-only pushes do not flush
-// verdict caches.
+// it actually changed, so answer-only pushes do not flush verdict caches.
 func (r *Router) ApplySnapshot(s *Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -445,13 +415,6 @@ func (r *Router) ApplySnapshot(s *Snapshot) error {
 		r.local.SetPolicy(p)
 	}
 	r.local.ReplaceAnswers(s.Answers)
-	if r.resolveDP != nil {
-		for _, id := range s.Datapaths {
-			if dp := r.resolveDP(id); dp != nil {
-				r.local.AddDatapath(dp)
-			}
-		}
-	}
 	r.cfg = *s
 	r.Counters.Add("cluster_snapshots_applied", 1)
 	return nil

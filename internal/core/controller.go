@@ -945,7 +945,7 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	// current facts. Nothing on hits.
 	if !hit && c.fenced(s) {
 		c.Counters.Add("revocations_raced", 1)
-		c.revokeResolved(five, "raced-decision", false)
+		c.revokeResolved(five, "raced-decision")
 	}
 }
 
@@ -1191,18 +1191,6 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 		// flip the verdict, and the drop entry must not outlive its facts.
 		s.pathIDs = appendPathID(s.pathIDs, ev.SwitchID)
 	}
-}
-
-// RevokeFlow deletes the cached entries for a flow, forcing the next
-// packet back to the controller — per-flow revocation. Deletes go where the
-// flow's one record says its entries are: to every datapath its class
-// installed on when the verdict is cached (the whole class falls), along its
-// own installed path when the index holds a record for it; for a flow
-// nothing is known about they broadcast to every datapath, the pre-index
-// contract. Counted in flows_revoked, not audited.
-func (c *Controller) RevokeFlow(five flow.Five) {
-	c.revokeResolved(five, "revoke-flow", true)
-	c.Counters.Add("flows_revoked", 1)
 }
 
 // ruleString names the deciding rule for the audit trail. The rendering is

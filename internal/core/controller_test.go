@@ -417,20 +417,36 @@ func TestSetPolicyFlushesAndRevokes(t *testing.T) {
 	}
 }
 
+// TestRevokeFlow: a flow-scoped update deletes the flow's forward and
+// reverse entries under its cookie where its record says they went, and
+// sends nothing to a datapath the flow never touched.
 func TestRevokeFlow(t *testing.T) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{hostA: {"name": "x"}, hostB: {"name": "x"}}}
-	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
-	c, dp1, dp2 := newTestController(`pass from any to any`, tr, topo)
+	dp1, dp2 := &fakeDatapath{id: 1}, &fakeDatapath{id: 2}
+	c := New(Config{
+		Name:           "ctl",
+		Policy:         pf.MustCompile("policy", `pass from any to any with eq(@src[name], x)`),
+		Transport:      tr,
+		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries: true,
+		Revocation:     true,
+	})
+	c.AddDatapath(dp1)
+	c.AddDatapath(dp2)
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 2}
 	c.HandleEvent(sampleEvent(five, 1))
-	c.RevokeFlow(five)
-	for _, dp := range []*fakeDatapath{dp1, dp2} {
-		dp.mu.Lock()
-		last := dp.mods[len(dp.mods)-1]
-		dp.mu.Unlock()
-		if !last.Delete || last.Cookie != c.cookies.flow(five) || last.CookieMask != ^uint64(0) {
-			t.Errorf("dp%d: revoke mod = %+v", dp.id, last)
+	pushFlowUpdate(c, five)
+	dels := dp1.deleteMods()
+	if len(dels) != 2 || dels[0].Match != flow.FiveMatch(five) || dels[1].Match != flow.FiveMatch(five.Reverse()) {
+		t.Fatalf("dp1 deletes = %+v, want the flow's forward and reverse match", dels)
+	}
+	for _, m := range dels {
+		if m.Cookie != c.cookies.flow(five) || m.CookieMask != ^uint64(0) {
+			t.Errorf("dp1: revoke mod = %+v, want the flow's cookie under the full mask", m)
 		}
+	}
+	if n := dp2.modCount(); n != 0 {
+		t.Errorf("dp2 got %d mods; the flow was never installed there", n)
 	}
 }
 

@@ -418,10 +418,9 @@ func (c *Controller) retireMega(e *megaEntry) ([]uint64, bool) {
 }
 
 // teardownMega revokes one cached verdict: retired, its installed entries
-// deleted, counted as one revoked verdict and — unless the caller's
-// contract is counter-only — audited under the founder's tuple. False means
-// another retirer won and did all of it.
-func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, audit bool) bool {
+// deleted, counted as one revoked verdict and audited under the founder's
+// tuple. False means another retirer won and did all of it.
+func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) bool {
 	paths, ok := c.retireMega(e)
 	if !ok {
 		return false
@@ -431,9 +430,7 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string, aud
 		c.hot.megaTeardowns.Add(1)
 	}
 	c.hot.revFlows.Add(1)
-	if audit {
-		c.auditRevoked(e.founder, "(megaflow revoked: "+reason+")")
-	}
+	c.auditRevoked(e.founder, "(megaflow revoked: "+reason+")")
 	return true
 }
 

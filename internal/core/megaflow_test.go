@@ -306,11 +306,11 @@ func TestMegaflowRevokeFlowMemberTearsClass(t *testing.T) {
 	member := megaFlow(hostA, 40001)
 	c.HandleEvent(sampleEvent(member, 1))
 
-	c.RevokeFlow(member)
+	pushFlowUpdate(c, member)
 
 	live, _, _, teardowns := c.MegaflowStats()
 	if live != 0 || teardowns != 1 {
-		t.Fatalf("after RevokeFlow(member): live=%d teardowns=%d, want 0/1", live, teardowns)
+		t.Fatalf("after revoking the member: live=%d teardowns=%d, want 0/1", live, teardowns)
 	}
 	found := false
 	for _, m := range dp1.deleteMods() {
@@ -355,8 +355,8 @@ func TestMegaflowFullMaskNotWidened(t *testing.T) {
 // TestExactHitDoesNotEvaluate: without Config.Megaflow a cached verdict
 // serves repeats of its flow exactly as a class hit does — no query, no
 // policy evaluation, installs under the entry's class cookie, and an audit
-// entry naming the rule the founding decision matched — and RevokeFlow
-// tears the entry and those installs down.
+// entry naming the rule the founding decision matched — and a flow-scoped
+// update tears the entry and those installs down.
 func TestExactHitDoesNotEvaluate(t *testing.T) {
 	var evals atomic.Int64
 	policy := pf.MustCompile("count", "block all\npass from any to any with counted(@src[name], skype)")
@@ -415,9 +415,10 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 		t.Errorf("audit = %+v, want the hit to name the founder's rule", audit)
 	}
 
-	// RevokeFlow retires the exact entry and reaches the hit's installs
-	// through the class cookie; the next packet decides from scratch.
-	c.RevokeFlow(five)
+	// Revoking the flow retires the exact entry and reaches the hit's
+	// installs through the class cookie; the next packet decides from
+	// scratch.
+	pushFlowUpdate(c, five)
 	classDeleted := false
 	for _, m := range dp1.deleteMods() {
 		if m.Cookie == classCookie && m.Match == flow.MatchAll() {
@@ -425,7 +426,7 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 		}
 	}
 	if !classDeleted || cachedVerdicts(c) != 0 {
-		t.Errorf("after RevokeFlow: class delete issued=%v cached=%d, want true/0", classDeleted, cachedVerdicts(c))
+		t.Errorf("after the flow's revocation: class delete issued=%v cached=%d, want true/0", classDeleted, cachedVerdicts(c))
 	}
 	c.HandleEvent(sampleEvent(five, 1))
 	if tr.queryCount() == queries || evals.Load() == evalsBefore {

@@ -47,7 +47,7 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 		// even when no decision state exists yet, the flow fence voids a
 		// decision in flight for this flow, whose gathered responses predate
 		// the change. Nothing else is fenced: the update names one flow.
-		c.revokeResolved(u.Flow, "update:"+updateKeyLabel(u), false)
+		c.revokeResolved(u.Flow, "update:"+updateKeyLabel(u))
 		return
 	}
 	if u.Resync() {
@@ -115,7 +115,7 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 	rule := "(revoked: " + reason + ")"
 	for _, k := range keys {
 		if k.Class == 0 {
-			c.revokeFlow(st, k.Flow, reason, rule, false)
+			c.revokeFlow(st, k.Flow, reason, rule)
 			n++
 		} else if e := c.mega.get(k.Class); e != nil {
 			// The founder is fenced as a revoked flow is: its re-decision in
@@ -124,7 +124,7 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 			// which the dead entry's addPaths refusal settles.
 			c.flows.shardFor(e.founder).void(e.founder)
 			// One teardown deletes the entries of every member of the class.
-			if c.teardownMega(st, e, reason, true) {
+			if c.teardownMega(st, e, reason) {
 				n++
 				classes++
 			}
@@ -133,27 +133,20 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 	return n, classes
 }
 
-// revokeResolved tears one flow down. broadcast controls the fallback for a
-// flow with neither a covering class nor a record: RevokeFlow (which
-// predates the index and promises "everywhere") deletes at every datapath,
-// while update-driven teardown trusts the index — an unregistered flow has
-// no entries to delete; a class that covers the flow is torn down either
-// way, and its deletes reach every datapath the class installed on.
-// broadcast also suppresses the audit record: RevokeFlow kept its pre-plane
-// contract (counter only), whereas plane-driven teardowns are audited with
-// their reason.
-func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast bool) {
-	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")", broadcast)
+// revokeResolved tears one flow down on the current configuration.
+func (c *Controller) revokeResolved(five flow.Five, reason string) {
+	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")")
 }
 
 // revokeFlow tears one flow down: flow fence, covering-verdict teardown,
 // dependency-record drop, switch deletes along the registered path, audit
 // record. A flow whose verdict is cached has no record of its own: the
 // covering class's teardown is its teardown, reported by the class's audit
-// record. rule is the pre-decorated audit string ("(revoked: <reason>)"),
-// built once by the caller so a fan-in tearing N flows does not concatenate
-// it N times.
-func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
+// record. A flow with neither a covering class nor a record has no entries
+// to delete — the index is trusted — and only its fence trips. rule is the
+// pre-decorated audit string ("(revoked: <reason>)"), built once by the
+// caller so a fan-in tearing N flows does not concatenate it N times.
+func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule string) {
 	// Order matters: trip the flow's fence before probing the cache, so a
 	// decision that read a cached verdict (or gathered responses) before
 	// this cannot publish after the teardown without noticing.
@@ -171,7 +164,7 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 		// after will see the fence at its publication re-check and tear
 		// itself down.
 		for _, e := range c.mega.covering(five, nil) {
-			if c.teardownMega(st, e, reason, !broadcast) {
+			if c.teardownMega(st, e, reason) {
 				classFell = true
 			}
 		}
@@ -181,28 +174,19 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 	if c.revoker != nil {
 		reg, haveReg = c.revoker.Drop(five)
 	}
-	paths := reg.Paths
 	if !haveReg {
 		// No record of its own: a class's teardown above was this flow's,
 		// and reached everything installed for it. With no class either,
 		// nothing is known about the flow — the fence above still voids
 		// its in-flight decision.
-		if classFell {
-			return
-		}
-		if !broadcast {
+		if !classFell {
 			c.Counters.Add("revocations_noop", 1)
-			return
 		}
-		for id := range st.datapaths {
-			paths = append(paths, id)
-		}
+		return
 	}
-	c.deleteFlowAt(st, five, paths)
+	c.deleteFlowAt(st, five, reg.Paths)
 	c.hot.revFlows.Add(1)
-	if !broadcast {
-		c.auditRevoked(five, rule)
-	}
+	c.auditRevoked(five, rule)
 }
 
 func (c *Controller) auditRevoked(five flow.Five, rule string) {

@@ -335,33 +335,10 @@ func TestFlowRemovedCleansRemainingPath(t *testing.T) {
 	}
 }
 
-// TestRevokeFlowContract: RevokeFlow predates the plane and keeps its
-// contract wherever the flow's record lives — the flow's entries are gone
-// from every datapath on its path when it returns, flows_revoked and
-// revocations_flows count it, and no audit record is written.
-func TestRevokeFlowContract(t *testing.T) {
-	for _, mode := range recordModes {
-		t.Run(mode.name, func(t *testing.T) {
-			c, _, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
-			five := revFlow(43700)
-			c.HandleEvent(sampleEvent(five, 1))
-			c.RevokeFlow(five)
-			for _, dp := range []*fakeDatapath{dp1, dp2} {
-				if n, left := len(dp.deleteMods()), dp.resident(); n != mode.deletesPerDP || len(left) != 0 {
-					t.Errorf("dp%d got %d deletes and kept %v, want %d and nothing", dp.id, n, left, mode.deletesPerDP)
-				}
-			}
-			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
-				t.Errorf("after RevokeFlow: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
-			}
-			if a, b := c.Counters.Get("flows_revoked"), c.Counters.Get("revocations_flows"); a != 1 || b != 1 {
-				t.Errorf("flows_revoked = %d, revocations_flows = %d, want 1/1", a, b)
-			}
-			if n := len(c.Audit.Revocations()); n != 0 {
-				t.Errorf("RevokeFlow wrote %d audit records; its contract is counter-only", n)
-			}
-		})
-	}
+// pushFlowUpdate delivers a flow-scoped update for five from its source
+// host, as that host's daemon pushes one when the flow's owner changes.
+func pushFlowUpdate(c *Controller, five flow.Five) {
+	c.HandleUpdate(five.SrcIP, wire.Update{Flow: five, Key: "name"})
 }
 
 // TestRevocableVerdictOutlivesCacheTTL: the cache's TTL bounds how long

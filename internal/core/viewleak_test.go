@@ -61,7 +61,7 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 		evict     func(c *Controller)
 	}{
 		{"drop", 2, 2, func(c *Controller) {
-			c.RevokeFlow(revFlow(40000))
+			pushFlowUpdate(c, revFlow(40000))
 			c.HandleFlowRemoved(nil, openflow.FlowRemoved{Match: flow.FiveMatch(revFlow(40001))})
 		}},
 		{"overwrite", 3, 2, func(c *Controller) {
@@ -120,7 +120,7 @@ func TestControllerEvictionReleasesBuiltViews(t *testing.T) {
 		}
 		// Half the cached flows leave through per-flow revocation…
 		for i := 0; i < n/2; i++ {
-			cached.RevokeFlow(revFlow(40000 + i))
+			pushFlowUpdate(cached, revFlow(40000+i))
 		}
 		// …the rest through the policy-swap flush.
 		cached.SetPolicy(pf.MustCompile("leak2", revPolicy))

@@ -3,14 +3,13 @@
 //
 // The ident++ datapath (internal/openflow, internal/netsim) performs millions
 // of header matches per simulated second, so the types here are fixed-size
-// integers rather than heap-allocated net.IP slices. Conversions to and from
-// the standard library types are provided for the edges of the system (real
-// TCP transports, CLI flags).
+// integers rather than heap-allocated net.IP slices. Text is the one
+// conversion: every edge of the system (rule files, topology and daemon
+// specs, CLI flags, the ident++ wire) spells addresses and ports out.
 package netaddr
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 )
@@ -58,42 +57,9 @@ func IPv4(a, b, c, d byte) IP {
 	return IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// FromStdIP converts a net.IP. It returns false if ip is not IPv4.
-func FromStdIP(ip net.IP) (IP, bool) {
-	v4 := ip.To4()
-	if v4 == nil {
-		return 0, false
-	}
-	return IPv4(v4[0], v4[1], v4[2], v4[3]), true
-}
-
-// Std returns the address as a net.IP.
-func (ip IP) Std() net.IP {
-	return net.IPv4(byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip)).To4()
-}
-
 // Octets returns the four octets of the address.
 func (ip IP) Octets() (a, b, c, d byte) {
 	return byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)
-}
-
-// IsUnspecified reports whether ip is 0.0.0.0.
-func (ip IP) IsUnspecified() bool { return ip == 0 }
-
-// IsLoopback reports whether ip is in 127.0.0.0/8.
-func (ip IP) IsLoopback() bool { return ip>>24 == 127 }
-
-// IsMulticast reports whether ip is in 224.0.0.0/4.
-func (ip IP) IsMulticast() bool { return ip>>28 == 0xe }
-
-// IsBroadcast reports whether ip is 255.255.255.255.
-func (ip IP) IsBroadcast() bool { return ip == 0xffffffff }
-
-// IsPrivate reports whether ip is in an RFC 1918 block.
-func (ip IP) IsPrivate() bool {
-	return ip>>24 == 10 ||
-		ip>>20 == 0xac1 || // 172.16.0.0/12
-		ip>>16 == 0xc0a8 // 192.168.0.0/16
 }
 
 func (ip IP) String() string {
@@ -151,14 +117,6 @@ func (ip IP) Mask(bits int) IP {
 // Contains reports whether the prefix contains ip.
 func (p Prefix) Contains(ip IP) bool {
 	return ip.Mask(p.Bits) == p.Addr.Mask(p.Bits)
-}
-
-// Overlaps reports whether two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.Bits > q.Bits {
-		p, q = q, p
-	}
-	return q.Addr.Mask(p.Bits) == p.Addr.Mask(p.Bits)
 }
 
 // IsSingleIP reports whether the prefix is a /32.
@@ -219,12 +177,6 @@ func (m MAC) Bytes() [6]byte {
 	return b
 }
 
-// IsBroadcast reports whether m is ff:ff:ff:ff:ff:ff.
-func (m MAC) IsBroadcast() bool { return m == 0xffffffffffff }
-
-// IsMulticast reports whether the group bit of the MAC is set.
-func (m MAC) IsMulticast() bool { return m>>40&1 == 1 }
-
 func (m MAC) String() string {
 	b := m.Bytes()
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", b[0], b[1], b[2], b[3], b[4], b[5])
@@ -247,15 +199,6 @@ func ParsePort(s string) (Port, error) {
 }
 
 func (p Port) String() string { return strconv.Itoa(int(p)) }
-
-// ServiceName returns the well-known name for p if one exists, else its
-// decimal form.
-func (p Port) ServiceName() string {
-	if n, ok := serviceNames[p]; ok {
-		return n
-	}
-	return p.String()
-}
 
 // Services maps the service names PF rule files may use to port numbers.
 // The set matches the names used in the paper's examples plus the common
@@ -285,21 +228,6 @@ var Services = map[string]Port{
 	"openflow": 6633,
 	"rdp":      3389,
 }
-
-var serviceNames = func() map[Port]string {
-	m := make(map[Port]string, len(Services))
-	// Prefer the canonical name when several aliases share a port.
-	order := []string{"ftp", "ssh", "telnet", "smtp", "domain", "http", "pop3",
-		"auth", "ntp", "imap", "snmp", "ldap", "https", "smb", "syslog",
-		"identxx", "imaps", "pop3s", "openflow", "rdp"}
-	for _, name := range order {
-		p := Services[name]
-		if _, dup := m[p]; !dup {
-			m[p] = name
-		}
-	}
-	return m
-}()
 
 // PortRange is an inclusive range of ports. Lo == Hi denotes a single port;
 // the zero value (0,0) is treated by callers as "any" when used in matches.
@@ -414,9 +342,6 @@ func NewIPSet(prefixes ...Prefix) *IPSet {
 // unaffected and PF table semantics do not require canonicalization.
 func (s *IPSet) Add(p Prefix) { s.prefixes = append(s.prefixes, p) }
 
-// AddIP inserts a /32.
-func (s *IPSet) AddIP(ip IP) { s.Add(Prefix{Addr: ip, Bits: 32}) }
-
 // AddSet inserts every prefix of t (PF allows tables to reference tables).
 func (s *IPSet) AddSet(t *IPSet) { s.prefixes = append(s.prefixes, t.prefixes...) }
 
@@ -432,13 +357,6 @@ func (s *IPSet) Contains(ip IP) bool {
 
 // Len returns the number of prefixes in the set.
 func (s *IPSet) Len() int { return len(s.prefixes) }
-
-// Prefixes returns a copy of the set's prefixes.
-func (s *IPSet) Prefixes() []Prefix {
-	out := make([]Prefix, len(s.prefixes))
-	copy(out, s.prefixes)
-	return out
-}
 
 func (s *IPSet) String() string {
 	parts := make([]string, len(s.prefixes))

@@ -18,7 +18,7 @@ pass from any to any with allowed(@src[requirements])
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 443)
 	eval := func(req string) Decision {
-		return p.Evaluate(Input{Flow: f, Src: resp(f, "requirements", req)})
+		return evaluate(t, p, Input{Flow: f, Src: resp(f, "requirements", req)})
 	}
 
 	// Warm the clock past its first full revolution: when the cache first

@@ -306,13 +306,11 @@ func lowerArg(p *Policy, a Arg) progArg {
 // costs a full parse+lower on the decision path).
 const maxRuleCacheEntries = 1024
 
-// allowedEntry is one memoized embedded rule set, in both executable
-// forms: the parsed rules for the interpreter and the lowered program
-// for the VM. truncated marks an analysis cut short by the depth cap —
-// such entries are returned to their caller but never cached, because
-// their key sets are only valid for the depth they were computed at.
+// allowedEntry is one memoized embedded rule set, lowered. truncated
+// marks an analysis cut short by the depth cap — such entries are
+// returned to their caller but never cached, because their key sets are
+// only valid for the depth they were computed at.
 type allowedEntry struct {
-	rules     []*Rule
 	prog      []progRule
 	err       error
 	truncated bool
@@ -332,7 +330,7 @@ func (p *Policy) embeddedEntry(origin, src string, depth int) *allowedEntry {
 		return e
 	}
 	rules, err := ParseRules(origin, src)
-	e := &allowedEntry{rules: rules, err: err}
+	e := &allowedEntry{err: err}
 	if err == nil {
 		lc := lowerCtx{p: p}
 		e.prog = lc.lowerRules(rules, depth)
@@ -414,14 +412,3 @@ func (p *Policy) Program() *Program {
 	p.prog.CompareAndSwap(nil, lowerPolicy(p))
 	return p.prog.Load()
 }
-
-// differential is the process-wide differential-testing switch: when on,
-// every Evaluate runs both the compiled program and the tree-walking
-// interpreter and panics on disagreement. The pf test suite (and the
-// fuzzers) run with it enabled; production never pays for it beyond one
-// atomic load.
-var differential atomic.Bool
-
-// SetDifferential toggles differential testing and returns the previous
-// setting.
-func SetDifferential(on bool) bool { return differential.Swap(on) }

@@ -212,7 +212,7 @@ func checkDispatch(t testing.TB, p *Policy, flows []flow.Five) {
 	for _, f := range flows {
 		for _, in := range []Input{{Flow: f}, genInput(f)} {
 			want := p.EvaluateInterpreted(in)
-			if got := p.EvaluateCompiled(in); !sameVerdict(got, want) {
+			if got := p.Evaluate(in); !sameVerdict(got, want) {
 				t.Fatalf("flow %s: compiled %+v, interpreter %+v", f, got, want)
 			}
 			if got, _ := p.EvaluateTraced(in); !sameVerdict(got, want) {
@@ -374,7 +374,7 @@ func TestTraceWideningSoundness(t *testing.T) {
 			}
 			for n := 0; n < founders; n++ {
 				a, other := genFlow(pick), genFlow(pick)
-				da, tr := p.EvaluateTraced(genInput(a))
+				da, tr := evaluateTraced(t, p, genInput(a))
 				b := tr.Mask(a)
 				if tr.Fields&TraceSrcIP == 0 {
 					b.SrcIP = other.SrcIP
@@ -392,7 +392,7 @@ func TestTraceWideningSoundness(t *testing.T) {
 					continue
 				}
 				widened++
-				db := p.Evaluate(genInput(b))
+				db := evaluate(t, p, genInput(b))
 				if da.Action != db.Action || da.Rule != db.Rule || da.Matched != db.Matched || da.KeepState != db.KeepState {
 					t.Fatalf("profile %v seed %d: %s traced %04b and got %v by %v;\n%s is in its class and got %v by %v",
 						prof, seed, a, tr.Fields, da.Action, da.Rule, b, db.Action, db.Rule)

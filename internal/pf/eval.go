@@ -315,11 +315,9 @@ func (t Trace) Mask(f flow.Five) flow.Five {
 // every rule is consulted in order, the final matching rule decides, and a
 // matching `quick` rule short-circuits immediately (§3.3).
 //
-// Since the policy compiler landed, Evaluate is a thin wrapper over the
-// lowered decision program (program.go, vm.go); the tree-walking
-// interpreter survives as EvaluateInterpreted, the reference
-// implementation the differential mode (SetDifferential) checks every
-// verdict against.
+// Evaluate executes the lowered decision program (program.go, vm.go). The
+// package's tests hold every verdict it returns to a tree-walking
+// interpreter of the parsed rules, which lives in the test binary only.
 //
 // Evaluation is allocation-free in steady state: the evaluation context
 // (including the argument scratch every `with` call resolves into) comes
@@ -327,29 +325,7 @@ func (t Trace) Mask(f flow.Five) flow.Five {
 // the ownership contract. Only diagnostics (which indicate a broken policy,
 // not a normal decision) allocate.
 func (p *Policy) Evaluate(in Input) Decision {
-	d := p.EvaluateCompiled(in)
-	if differential.Load() {
-		ref := p.EvaluateInterpreted(in)
-		if d.Action != ref.Action || d.Rule != ref.Rule ||
-			d.Matched != ref.Matched || d.KeepState != ref.KeepState {
-			panic(fmt.Sprintf(
-				"pf: compiled program and interpreter disagree on %s:\n  compiled:    %+v\n  interpreted: %+v",
-				in.Flow, d, ref))
-		}
-	}
-	return d
-}
-
-// EvaluateCompiled executes the lowered decision program. Callers
-// normally use Evaluate; this entry point exists for the differential
-// tests and benchmarks that need to name one engine explicitly.
-func (p *Policy) EvaluateCompiled(in Input) Decision {
-	prog := p.Program()
-	c := acquireEvalCtx(p, in, 0)
-	c.compiled = true
-	d := c.runProgram(prog.rules, prog.candidates(c, in.Flow), Decision{Action: p.Default})
-	d.Diags = c.diags
-	releaseEvalCtx(c)
+	d, _ := p.execute(in, false)
 	return d
 }
 
@@ -359,56 +335,19 @@ func (p *Policy) EvaluateCompiled(in Input) Decision {
 // short-circuit structure (a guard that never ran is not traced). The
 // verdict is identical to Evaluate's; the trace is what lets a caller cache
 // it for the whole traffic equivalence class instead of the exact tuple.
-// Differential mode cross-checks the traced execution against the
-// interpreter exactly as Evaluate does.
 func (p *Policy) EvaluateTraced(in Input) (Decision, Trace) {
+	return p.execute(in, true)
+}
+
+func (p *Policy) execute(in Input, tracing bool) (Decision, Trace) {
 	prog := p.Program()
 	c := acquireEvalCtx(p, in, 0)
-	c.compiled = true
-	c.tracing = true
+	c.tracing = tracing
 	d := c.runProgram(prog.rules, prog.candidates(c, in.Flow), Decision{Action: p.Default})
 	d.Diags = c.diags
 	tr := Trace{Fields: c.traceFields, SrcRead: c.traceSrcRead, DstRead: c.traceDstRead}
 	releaseEvalCtx(c)
-	if differential.Load() {
-		ref := p.EvaluateInterpreted(in)
-		if d.Action != ref.Action || d.Rule != ref.Rule ||
-			d.Matched != ref.Matched || d.KeepState != ref.KeepState {
-			panic(fmt.Sprintf(
-				"pf: traced program and interpreter disagree on %s:\n  compiled:    %+v\n  interpreted: %+v",
-				in.Flow, d, ref))
-		}
-	}
 	return d, tr
-}
-
-// EvaluateInterpreted walks the parsed rule AST — the original evaluator,
-// kept as the reference the compiled program is differentially tested
-// against.
-func (p *Policy) EvaluateInterpreted(in Input) Decision {
-	c := acquireEvalCtx(p, in, 0)
-	d := c.run(p.Rules, Decision{Action: p.Default})
-	d.Diags = c.diags
-	releaseEvalCtx(c)
-	return d
-}
-
-// run applies the last-match-wins scan to rules, starting from the given
-// default decision. Shared by Evaluate and EvalEmbedded.
-func (c *evalCtx) run(rules []*Rule, d Decision) Decision {
-	for _, r := range rules {
-		if !c.ruleMatches(r) {
-			continue
-		}
-		d.Action = r.Action
-		d.Rule = r
-		d.Matched = true
-		d.KeepState = r.KeepState
-		if r.Quick {
-			break
-		}
-	}
-	return d
 }
 
 // evalScratchArgs is the inline capacity for resolved `with` arguments; a
@@ -422,11 +361,6 @@ type evalCtx struct {
 	depth int
 	diags []string
 
-	// compiled selects the engine embedded `allowed` rules run under, so
-	// a differential evaluation exercises each engine end to end rather
-	// than converging on shared embedded execution.
-	compiled bool
-
 	// tracing arms the field-use trace (EvaluateTraced); the VM and the
 	// argument resolver record into traceFields/traceSrcRead/traceDstRead
 	// as guards and reads actually execute. Off (the default), the trace
@@ -438,7 +372,7 @@ type evalCtx struct {
 	// pub is the *Ctx handed to predicate functions, pointing back at this
 	// context; embedding it here keeps the per-call &Ctx{} off the heap.
 	pub Ctx
-	// valBuf is the argument scratch callFunc resolves into. Arguments are
+	// valBuf is the argument scratch callProg resolves into. Arguments are
 	// borrowed by the callee for the duration of the call only (see Func).
 	valBuf [evalScratchArgs]Value
 }
@@ -469,7 +403,6 @@ func releaseEvalCtx(c *evalCtx) {
 	c.in = Input{}
 	c.depth = 0
 	c.diags = nil
-	c.compiled = false
 	c.tracing = false
 	c.traceFields = 0
 	c.traceSrcRead, c.traceDstRead = false, false
@@ -479,60 +412,6 @@ func releaseEvalCtx(c *evalCtx) {
 
 func (c *evalCtx) diagf(format string, args ...any) {
 	c.diags = append(c.diags, fmt.Sprintf(format, args...))
-}
-
-func (c *evalCtx) ruleMatches(r *Rule) bool {
-	if !c.addrMatches(r.From, c.in.Flow.SrcIP) {
-		return false
-	}
-	if !r.FromPort.Matches(c.in.Flow.SrcPort) {
-		return false
-	}
-	if !c.addrMatches(r.To, c.in.Flow.DstIP) {
-		return false
-	}
-	if !r.ToPort.Matches(c.in.Flow.DstPort) {
-		return false
-	}
-	for _, w := range r.Withs {
-		ok, err := c.callFunc(w)
-		if err != nil {
-			c.diagf("%s: %s: %v", r.Pos, w, err)
-			return false
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *evalCtx) addrMatches(a AddrExpr, ip netaddr.IP) bool {
-	var base bool
-	switch a.Kind {
-	case AddrAny:
-		base = true
-	case AddrPrefix:
-		base = a.Prefix.Contains(ip)
-	case AddrTable:
-		t, ok := c.p.Tables[a.Table]
-		if !ok {
-			c.diagf("undefined table <%s>", a.Table)
-			return false
-		}
-		base = t.Contains(ip)
-	case AddrList:
-		for _, e := range a.List {
-			if c.addrMatches(e, ip) {
-				base = true
-				break
-			}
-		}
-	}
-	if a.Neg {
-		return !base
-	}
-	return base
 }
 
 // Value is a resolved function argument. Present distinguishes a genuinely
@@ -545,68 +424,6 @@ type Value struct {
 	// Arg preserves the syntactic form, letting set-valued functions like
 	// member re-resolve macros by name.
 	Arg Arg
-}
-
-func (c *evalCtx) callFunc(fc FuncCall) (bool, error) {
-	fn, ok := c.p.funcs.Lookup(fc.Name)
-	if !ok {
-		return false, fmt.Errorf("unknown function %q", fc.Name)
-	}
-	// Resolve into the context's scratch when it fits. Calls within one rule
-	// run sequentially and a recursing `allowed` gets its own pooled context,
-	// so the scratch is never live twice.
-	vals := c.valBuf[:0]
-	if len(fc.Args) > len(c.valBuf) {
-		vals = make([]Value, 0, len(fc.Args))
-	}
-	for _, a := range fc.Args {
-		vals = append(vals, c.resolveArg(a))
-	}
-	return fn(&c.pub, vals)
-}
-
-func (c *evalCtx) resolveArg(a Arg) Value {
-	switch a.Kind {
-	case ArgLiteral:
-		return Value{S: a.Text, Present: true, Arg: a}
-	case ArgMacro:
-		v, ok := c.p.Macros[a.Text]
-		if !ok {
-			c.diagf("undefined macro $%s", a.Text)
-			return Value{Arg: a}
-		}
-		return Value{S: v, Present: true, Arg: a}
-	case ArgDict, ArgDictConcat:
-		return c.resolveDict(a)
-	}
-	return Value{Arg: a}
-}
-
-func (c *evalCtx) resolveDict(a Arg) Value {
-	var resp *wire.Response
-	switch a.Text {
-	case "src":
-		resp = c.in.Src
-	case "dst":
-		resp = c.in.Dst
-	default:
-		d, ok := c.p.Dicts[a.Text]
-		if !ok {
-			c.diagf("undefined dict <%s>", a.Text)
-			return Value{Arg: a}
-		}
-		v, ok := d[a.Key]
-		return Value{S: v, Present: ok, Arg: a}
-	}
-	if resp == nil {
-		return Value{Arg: a}
-	}
-	if a.Kind == ArgDictConcat {
-		v, ok := resp.Concat(a.Key)
-		return Value{S: v, Present: ok, Arg: a}
-	}
-	v, ok := resp.Latest(a.Key)
-	return Value{S: v, Present: ok, Arg: a}
 }
 
 // Ctx is the interface the predicate functions see. It exposes controlled
@@ -634,10 +451,9 @@ func (x *Ctx) LookupMacro(name string) (string, bool) {
 
 // EvalEmbedded parses src as a rule-only PF+=2 fragment and evaluates it
 // against the current flow and responses, implementing `allowed` (§3.3).
-// The embedded rules run with this policy's tables, dicts, macros and
-// functions visible, under the same engine (compiled program or
-// interpreter) as the evaluation that reached them. Parse and lowering
-// results are memoized in the policy's bounded rule cache.
+// The embedded rules run as a compiled program with this policy's tables,
+// dicts, macros and functions visible. Parse and lowering results are
+// memoized in the policy's bounded rule cache.
 func (x *Ctx) EvalEmbedded(origin, src string) (Decision, error) {
 	if x.c.depth >= maxAllowedDepth {
 		return Decision{}, fmt.Errorf("allowed() recursion deeper than %d", maxAllowedDepth)
@@ -647,15 +463,9 @@ func (x *Ctx) EvalEmbedded(origin, src string) (Decision, error) {
 		return Decision{}, entry.err
 	}
 	sub := acquireEvalCtx(x.c.p, x.c.in, x.c.depth+1)
-	sub.compiled = x.c.compiled
 	sub.tracing = x.c.tracing
 	// Embedded rule sets are default-deny.
-	var d Decision
-	if sub.compiled {
-		d = sub.runProgram(entry.prog, denseIter(len(entry.prog)), Decision{Action: Block})
-	} else {
-		d = sub.run(entry.rules, Decision{Action: Block})
-	}
+	d := sub.runProgram(entry.prog, denseIter(len(entry.prog)), Decision{Action: Block})
 	x.c.diags = append(x.c.diags, sub.diags...)
 	x.c.traceFields |= sub.traceFields
 	x.c.traceSrcRead = x.c.traceSrcRead || sub.traceSrcRead

@@ -36,7 +36,7 @@ func TestLastMatchWins(t *testing.T) {
 block all
 pass from any to any
 `)
-	d := p.Evaluate(Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
 	if d.Action != Pass || !d.Matched {
 		t.Errorf("decision = %+v, want pass (last match wins)", d)
 	}
@@ -47,7 +47,7 @@ func TestQuickShortCircuits(t *testing.T) {
 block quick from any to any
 pass from any to any
 `)
-	d := p.Evaluate(Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
 	if d.Action != Block {
 		t.Errorf("quick block overridden: %+v", d)
 	}
@@ -58,7 +58,7 @@ pass from any to any
 
 func TestDefaultWhenNoMatch(t *testing.T) {
 	p := MustCompile("t", `block from 192.168.0.0/16 to any`)
-	d := p.Evaluate(Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)})
 	if d.Matched {
 		t.Error("no rule should match")
 	}
@@ -66,7 +66,7 @@ func TestDefaultWhenNoMatch(t *testing.T) {
 		t.Error("PF default is pass")
 	}
 	p.Default = Block
-	if got := p.Evaluate(Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)}); got.Action != Block {
+	if got := evaluate(t, p, Input{Flow: tcp("10.0.0.1", 1, "10.0.0.2", 2)}); got.Action != Block {
 		t.Error("configured default not honored")
 	}
 }
@@ -78,7 +78,7 @@ block all
 pass from <lan> to !<lan> port 443
 `)
 	in := func(src, dst string, dp netaddr.Port) Decision {
-		return p.Evaluate(Input{Flow: tcp(src, 999, dst, dp)})
+		return evaluate(t, p, Input{Flow: tcp(src, 999, dst, dp)})
 	}
 	if d := in("192.168.0.5", "8.8.8.8", 443); d.Action != Pass {
 		t.Errorf("lan->wan:443 = %v, want pass", d.Action)
@@ -102,7 +102,7 @@ table <int_hosts> { <lan> <server> }
 block all
 pass from <int_hosts> to <int_hosts>
 `)
-	if d := p.Evaluate(Input{Flow: tcp("192.168.0.7", 1, "192.168.1.1", 2)}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: tcp("192.168.0.7", 1, "192.168.1.1", 2)}); d.Action != Pass {
 		t.Errorf("nested table member not matched: %v", d)
 	}
 }
@@ -140,7 +140,7 @@ pass from <lan> to any`)
 		t.Fatal(err)
 	}
 	for _, src := range []string{"10.0.0.5", "10.1.0.5"} {
-		if d := p.Evaluate(Input{Flow: tcp(src, 1, "8.8.8.8", 2)}); d.Action != Pass {
+		if d := evaluate(t, p, Input{Flow: tcp(src, 1, "8.8.8.8", 2)}); d.Action != Pass {
 			t.Errorf("merged table missing %s", src)
 		}
 	}
@@ -153,15 +153,15 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `)
 	f := tcp("10.0.0.1", 1, "10.0.0.2", 2)
 	both := Input{Flow: f, Src: resp(f, "name", "skype"), Dst: resp(f, "name", "skype")}
-	if d := p.Evaluate(both); d.Action != Pass {
+	if d := evaluate(t, p, both); d.Action != Pass {
 		t.Errorf("skype<->skype = %v, want pass", d.Action)
 	}
 	oneSided := Input{Flow: f, Src: resp(f, "name", "skype"), Dst: resp(f, "name", "firefox")}
-	if d := p.Evaluate(oneSided); d.Action != Block {
+	if d := evaluate(t, p, oneSided); d.Action != Block {
 		t.Errorf("skype->firefox = %v, want block", d.Action)
 	}
 	missing := Input{Flow: f, Src: resp(f, "name", "skype")} // no dst response
-	if d := p.Evaluate(missing); d.Action != Block {
+	if d := evaluate(t, p, missing); d.Action != Block {
 		t.Errorf("missing dst response = %v, want block (fail closed)", d.Action)
 	}
 }
@@ -172,18 +172,18 @@ pass all
 block all with lt(@src[version], 200)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "version", "199")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "version", "199")}); d.Action != Block {
 		t.Error("version 199 should be blocked")
 	}
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "version", "210")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "version", "210")}); d.Action != Pass {
 		t.Error("version 210 should pass")
 	}
 	// Numeric, not lexicographic: "1000" > "200".
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "version", "1000")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "version", "1000")}); d.Action != Pass {
 		t.Error("version 1000 should pass (numeric comparison)")
 	}
 	// Missing version: lt() is false, so the block rule does not match.
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f)}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f)}); d.Action != Pass {
 		t.Error("missing version should not match lt()")
 	}
 }
@@ -198,13 +198,13 @@ pass all with gte(@src[v], 10) with lte(@src[v], 20)
 		v    string
 		want Action
 	}{{"10", Pass}, {"20", Pass}, {"15", Pass}, {"9", Block}, {"21", Block}} {
-		if d := p.Evaluate(Input{Flow: f, Src: resp(f, "v", c.v)}); d.Action != c.want {
+		if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "v", c.v)}); d.Action != c.want {
 			t.Errorf("v=%s: %v, want %v", c.v, d.Action, c.want)
 		}
 	}
 	p2 := MustCompile("t", `block all
 pass all with gt(@src[v], 5)`)
-	if d := p2.Evaluate(Input{Flow: f, Src: resp(f, "v", "5")}); d.Action != Block {
+	if d := evaluate(t, p2, Input{Flow: f, Src: resp(f, "v", "5")}); d.Action != Block {
 		t.Error("gt(5,5) should be false")
 	}
 }
@@ -216,10 +216,10 @@ block all
 pass from any to any with member(@src[name], $allowed)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "name", "ssh")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "name", "ssh")}); d.Action != Pass {
 		t.Error("ssh should be a member of $allowed")
 	}
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "name", "skype")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "name", "skype")}); d.Action != Block {
 		t.Error("skype should not be a member of $allowed")
 	}
 }
@@ -232,10 +232,10 @@ block all
 pass from any to any with member(@src[userID], users)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "userID", "alice")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "userID", "alice")}); d.Action != Pass {
 		t.Error("alice should match macro-resolved set")
 	}
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "userID", "mallory")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "userID", "mallory")}); d.Action != Block {
 		t.Error("mallory should not match")
 	}
 }
@@ -248,10 +248,10 @@ block all
 pass from any to any with member(@src[groupID], research)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "groupID", "staff research admins")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "groupID", "staff research admins")}); d.Action != Pass {
 		t.Error("multi-valued groupID should intersect {research}")
 	}
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "groupID", "staff")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "groupID", "staff")}); d.Action != Block {
 		t.Error("staff-only should not match research")
 	}
 }
@@ -262,14 +262,14 @@ block all
 pass from any to any with includes(@dst[os-patch], MS08-067)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "os-patch", "MS08-001 MS08-067 MS09-001")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f, "os-patch", "MS08-001 MS08-067 MS09-001")}); d.Action != Pass {
 		t.Error("patched host should pass")
 	}
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "os-patch", "MS08-001")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f, "os-patch", "MS08-001")}); d.Action != Block {
 		t.Error("unpatched host should be blocked")
 	}
 	// Substring is not membership: MS08-0671 does not include MS08-067.
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "os-patch", "MS08-0671")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f, "os-patch", "MS08-0671")}); d.Action != Block {
 		t.Error("token membership must be exact")
 	}
 }
@@ -335,19 +335,19 @@ pass from any to any with allowed(@dst[requirements])
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 80)
 	req := "block all pass from any to any port 80"
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "requirements", req)}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f, "requirements", req)}); d.Action != Pass {
 		t.Errorf("requirements admitting :80 should pass: %+v", d)
 	}
 	f2 := tcp("1.1.1.1", 1, "2.2.2.2", 22)
-	if d := p.Evaluate(Input{Flow: f2, Dst: resp(f2, "requirements", req)}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f2, Dst: resp(f2, "requirements", req)}); d.Action != Block {
 		t.Error("requirements not admitting :22 should block")
 	}
 	// Embedded rules are default-deny: empty/no-match requirements fail.
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f, "requirements", "pass from 9.9.9.9 to any")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f, "requirements", "pass from 9.9.9.9 to any")}); d.Action != Block {
 		t.Error("non-matching requirements should fail closed")
 	}
 	// Missing requirements key fails closed.
-	if d := p.Evaluate(Input{Flow: f, Dst: resp(f)}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Dst: resp(f)}); d.Action != Block {
 		t.Error("missing requirements should fail closed")
 	}
 }
@@ -365,11 +365,11 @@ pass from any to any with allowed(@src[requirements])
 		Src:  resp(f, "name", "research-app", "requirements", req),
 		Dst:  resp(f, "name", "research-app"),
 	}
-	if d := p.Evaluate(in); d.Action != Pass {
+	if d := evaluate(t, p, in); d.Action != Pass {
 		t.Errorf("research-app<->research-app should pass: %+v", d)
 	}
 	in.Dst = resp(f, "name", "database")
-	if d := p.Evaluate(in); d.Action != Block {
+	if d := evaluate(t, p, in); d.Action != Block {
 		t.Error("research-app->database should block")
 	}
 }
@@ -381,7 +381,7 @@ pass from any to any with allowed(@src[requirements])
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
 	// Definition smuggling is rejected (diagnostic, rule fails).
-	d := p.Evaluate(Input{Flow: f, Src: resp(f, "requirements", "table <x> { 1.2.3.4 } pass all")})
+	d := evaluate(t, p, Input{Flow: f, Src: resp(f, "requirements", "table <x> { 1.2.3.4 } pass all")})
 	if d.Action != Block {
 		t.Error("definition smuggling should fail closed")
 	}
@@ -389,7 +389,7 @@ pass from any to any with allowed(@src[requirements])
 		t.Error("expected a diagnostic for rejected requirements")
 	}
 	// Self-referential allowed() bottoms out at the depth limit.
-	d2 := p.Evaluate(Input{Flow: f, Src: resp(f, "requirements", "pass all with allowed(@src[requirements])")})
+	d2 := evaluate(t, p, Input{Flow: f, Src: resp(f, "requirements", "pass all with allowed(@src[requirements])")})
 	if d2.Action != Block {
 		t.Error("recursive requirements should fail closed")
 	}
@@ -417,13 +417,13 @@ pass from any to any \
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
 	in := Input{Flow: f, Src: resp(f,
 		"req-sig", good, "exe-hash", hash, "app-name", "research-app", "requirements", reqs)}
-	if d := p.Evaluate(in); d.Action != Pass {
+	if d := evaluate(t, p, in); d.Action != Pass {
 		t.Errorf("valid signature should pass: %+v", d)
 	}
 	// Tampered requirements: signature no longer covers the value.
 	in.Src = resp(f, "req-sig", good, "exe-hash", hash, "app-name", "research-app",
 		"requirements", "pass all")
-	if d := p.Evaluate(in); d.Action != Block {
+	if d := evaluate(t, p, in); d.Action != Block {
 		t.Error("tampered requirements must fail verify")
 	}
 	// Wrong signer key in dict.
@@ -431,12 +431,12 @@ pass from any to any \
 	f1b, _ := Parse("defs", `dict <pubkeys> { research : `+otherPub.String()+` }`)
 	p2, _ := Compile(f1b, f2)
 	in.Src = resp(f, "req-sig", good, "exe-hash", hash, "app-name", "research-app", "requirements", reqs)
-	if d := p2.Evaluate(in); d.Action != Block {
+	if d := evaluate(t, p2, in); d.Action != Block {
 		t.Error("signature under wrong key must fail")
 	}
 	// Missing req-sig fails closed without diagnostics noise.
 	in.Src = resp(f, "exe-hash", hash, "app-name", "research-app", "requirements", reqs)
-	if d := p.Evaluate(in); d.Action != Block {
+	if d := evaluate(t, p, in); d.Action != Block {
 		t.Error("missing signature must fail closed")
 	}
 }
@@ -450,13 +450,13 @@ pass from any to any with eq(*@src[netpath], "branchA,branchB")
 	r := wire.NewResponse(f)
 	r.Add("netpath", "branchA")
 	r.Augment("controllerB").Add("netpath", "branchB")
-	if d := p.Evaluate(Input{Flow: f, Src: r}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: r}); d.Action != Pass {
 		t.Errorf("endorsement chain should match: %+v", d)
 	}
 	// A single-section response does not present the full chain.
 	r2 := wire.NewResponse(f)
 	r2.Add("netpath", "branchA")
-	if d := p.Evaluate(Input{Flow: f, Src: r2}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: r2}); d.Action != Block {
 		t.Error("incomplete chain should not match")
 	}
 }
@@ -473,7 +473,7 @@ pass from any to any with eq(@src[userID], verified-alice)
 	r := wire.NewResponse(f)
 	r.Add("userID", "alice")
 	r.Augment("edge-controller").Add("userID", "verified-alice")
-	if d := p.Evaluate(Input{Flow: f, Src: r}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: r}); d.Action != Pass {
 		t.Error("latest section value should win")
 	}
 }
@@ -484,7 +484,7 @@ pass all
 block all with frob(@src[x])
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	d := p.Evaluate(Input{Flow: f, Src: resp(f, "x", "1")})
+	d := evaluate(t, p, Input{Flow: f, Src: resp(f, "x", "1")})
 	if d.Action != Pass {
 		t.Error("rule with unknown function must not match")
 	}
@@ -505,10 +505,10 @@ pass from any to any with even(@src[pid])
 		return len(args[0].S) > 0 && (args[0].S[len(args[0].S)-1]-'0')%2 == 0, nil
 	})
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "pid", "42")}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "pid", "42")}); d.Action != Pass {
 		t.Error("custom function should pass pid 42")
 	}
-	if d := p.Evaluate(Input{Flow: f, Src: resp(f, "pid", "43")}); d.Action != Block {
+	if d := evaluate(t, p, Input{Flow: f, Src: resp(f, "pid", "43")}); d.Action != Block {
 		t.Error("custom function should fail pid 43")
 	}
 }
@@ -519,7 +519,7 @@ pass all
 block all with eq(@src[x])
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	d := p.Evaluate(Input{Flow: f, Src: resp(f, "x", "1")})
+	d := evaluate(t, p, Input{Flow: f, Src: resp(f, "x", "1")})
 	if d.Action != Pass || len(d.Diags) == 0 {
 		t.Errorf("arity error should be a diagnostic: %+v", d)
 	}
@@ -532,7 +532,7 @@ block all with eq(@nosuch[k], x)
 block all with member(@src[g], $nosuch)
 `)
 	f := tcp("1.1.1.1", 1, "2.2.2.2", 2)
-	d := p.Evaluate(Input{Flow: f, Src: resp(f, "g", "x")})
+	d := evaluate(t, p, Input{Flow: f, Src: resp(f, "g", "x")})
 	if d.Action != Pass {
 		t.Error("rules with undefined references must not match")
 	}
@@ -547,7 +547,7 @@ func TestKeepStatePropagates(t *testing.T) {
 block all
 pass from any to any keep state
 `)
-	d := p.Evaluate(Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
 	if !d.KeepState {
 		t.Error("KeepState not propagated to decision")
 	}
@@ -616,7 +616,7 @@ block from any to <server> with eq(@src[name], skype)
 		if s.dstKV != nil {
 			in.Dst = resp(s.flow, s.dstKV...)
 		}
-		d := p.Evaluate(in)
+		d := evaluate(t, p, in)
 		if d.Action != s.want {
 			t.Errorf("%s: got %v, want %v (rule=%v diags=%v)", s.desc, d.Action, s.want, d.Rule, d.Diags)
 		}
@@ -635,7 +635,7 @@ pass from any to any with allowed(@src[requirements])
 		go func() {
 			ok := true
 			for i := 0; i < 200; i++ {
-				if d := p.Evaluate(in); d.Action != Pass {
+				if d := evaluate(t, p, in); d.Action != Pass {
 					ok = false
 				}
 			}

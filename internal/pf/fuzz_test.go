@@ -27,6 +27,7 @@ func FuzzParsePolicy(f *testing.F) {
 		"dict <pubkeys> { research : abc }\nblock all\npass all with eq(@pubkeys[research], abc)",
 		"block all\npass from any to any with allowed(@dst[requirements])",
 		"block all\npass from any to any with allowed(\"block all pass from any to any port 80\")",
+		"block all\npass from any to any with allowed(\"block all pass from !10.0.0.0/8 to any\")",
 		"block all\npass from any to any with eq(*@src[netpath], \"a,b\")",
 		"pass all\nblock all with lt(@src[version], 200) with gt(@src[version], 100)",
 		"pass from any to any with verify(@src[req-sig], @pubkeys[k], @src[exe-hash])",
@@ -70,12 +71,8 @@ func FuzzParsePolicy(f *testing.F) {
 					in.Src = probeResp(fv)
 					in.Dst = probeResp(fv)
 				}
-				dc := p.EvaluateCompiled(in)
-				di := p.EvaluateInterpreted(in)
-				if dc.Action != di.Action || dc.Rule != di.Rule ||
-					dc.Matched != di.Matched || dc.KeepState != di.KeepState {
-					t.Fatalf("engines disagree on %q (flow %s, resp=%v):\n  compiled    %+v\n  interpreted %+v",
-						src, fv, withResp, dc, di)
+				if diff := disagreement(p, in, p.Evaluate(in)); diff != "" {
+					t.Fatalf("engines disagree on %q (flow %s, resp=%v):\n%s", src, fv, withResp, diff)
 				}
 			}
 		}

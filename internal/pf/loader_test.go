@@ -22,7 +22,7 @@ func TestLoadControlFSAlphabeticalOrder(t *testing.T) {
 	if len(p.Rules) != 2 {
 		t.Fatalf("rules = %d, want 2", len(p.Rules))
 	}
-	d := p.Evaluate(Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
 	if d.Action != Pass {
 		t.Error("99- file should evaluate after 00- file")
 	}
@@ -37,7 +37,7 @@ func TestLoadControlFSReversedNamesReverseOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Evaluate(Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
+	d := evaluate(t, p, Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)})
 	if d.Action != Block {
 		t.Error("block in 99- should win")
 	}
@@ -77,7 +77,7 @@ func TestLoadControlDirOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Evaluate(Input{Flow: tcp("10.1.2.3", 1, "8.8.8.8", 443)})
+	d := evaluate(t, p, Input{Flow: tcp("10.1.2.3", 1, "8.8.8.8", 443)})
 	if d.Action != Pass || !d.KeepState {
 		t.Errorf("decision = %+v", d)
 	}
@@ -91,7 +91,7 @@ func TestLoadSourcesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := p.Evaluate(Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)}); d.Action != Pass {
 		t.Error("sources must sort by name before concatenation")
 	}
 }

@@ -307,7 +307,6 @@ func (pr *Program) collectHints(r *progRule, srcHints, dstHints []string) ([]str
 // they are returned even when headerOnly is true (empty).
 func (pr *Program) Prepass(f flow.Five, srcHints, dstHints []string) (d Decision, headerOnly bool, src, dst []string) {
 	c := acquireEvalCtx(pr.policy, Input{Flow: f}, 0)
-	c.compiled = true
 	decidable := true
 	d = Decision{Action: pr.policy.Default}
 	it := pr.candidates(c, f)

@@ -2,7 +2,6 @@ package pf
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -11,28 +10,43 @@ import (
 	"identxx/internal/flow"
 )
 
-// TestMain turns on differential mode for the whole package: every
-// Evaluate in the suite (the full eval_test.go corpus included) runs both
-// the compiled program and the tree-walking interpreter and panics on any
-// verdict disagreement. The acceptance contract of the policy compiler.
-func TestMain(m *testing.M) {
-	prev := SetDifferential(true)
-	code := m.Run()
-	SetDifferential(prev)
-	os.Exit(code)
-}
-
-func TestDifferentialModeEnabled(t *testing.T) {
-	if !differential.Load() {
-		t.Fatal("differential mode should be on for the pf test suite")
+// TestOracleCatchesLoweringBugs: the interpreter the suite checks every
+// evaluation against shares no lowering with the compiled program, inside
+// embedded `allowed(...)` rule sets included. A negation dropped from one
+// lowered address guard — in a top-level rule, then in a memoized embedded
+// rule set — must show up as a disagreement.
+func TestOracleCatchesLoweringBugs(t *testing.T) {
+	const embedded = "block all pass from any to !10.0.0.0/8"
+	p := MustCompile("t", `
+block all
+pass from any to !192.168.0.0/16 port 443
+pass from any to any port 80 with allowed("`+embedded+`")
+`)
+	top := Input{Flow: tcp("1.1.1.1", 1, "8.8.8.8", 443)}
+	inner := Input{Flow: tcp("1.1.1.1", 1, "8.8.8.8", 80)}
+	for _, in := range []Input{top, inner} {
+		if d := evaluate(t, p, in); d.Action != Pass {
+			t.Fatalf("%s: %v before any tampering, want pass", in.Flow, d.Action)
+		}
+	}
+	p.Program().rules[1].to.neg = false
+	if disagreement(p, top, p.Evaluate(top)) == "" {
+		t.Error("a top-level guard lowered without its negation went unnoticed")
+	}
+	e, ok := p.ruleCache.Load(embedded)
+	if !ok {
+		t.Fatal("the literal allowed() rule set was not memoized at compile time")
+	}
+	e.(*allowedEntry).prog[1].to.neg = false
+	if disagreement(p, inner, p.Evaluate(inner)) == "" {
+		t.Error("an embedded guard lowered without its negation went unnoticed")
 	}
 }
 
-// TestCompiledMatchesInterpreterOnCorpus spot-checks the two engines
-// explicitly (beyond the implicit check every Evaluate performs under
-// differential mode) across policies that exercise each compiled
-// construct: tables, lists, negation, ports, quick, macros, dicts,
-// concat accessors, embedded rules, and broken references.
+// TestCompiledMatchesInterpreterOnCorpus checks the two engines across
+// policies that exercise each compiled construct: tables, lists,
+// negation, ports, quick, macros, dicts, concat accessors, embedded
+// rules, and broken references.
 func TestCompiledMatchesInterpreterOnCorpus(t *testing.T) {
 	policies := []string{
 		`block all`,
@@ -61,6 +75,8 @@ pass from any to any with eq(*@src[netpath], "a,b")`,
 pass from any to any with allowed(@dst[requirements])`,
 		`block all
 pass from any to any with allowed("block all pass from any to any port 80")`,
+		`block all
+pass from any to any with allowed("block all pass from any to !192.168.0.0/16")`,
 		`pass all
 block all with frob(@src[x])
 block all with eq($missing, 1)
@@ -80,6 +96,7 @@ pass from any to any port 443 with eq(@src[name], web)`,
 		{"name", "http"},
 		{"name", "web", "netpath", "a", "requirements", "block all pass from any to any port 80"},
 		{"x", "1", "requirements", "pass all"},
+		{"requirements", "block all pass from !10.0.0.0/8 to { !192.168.0.0/16 } port 443"},
 	}
 	for pi, src := range policies {
 		p, err := Compile(mustParse(t, src))
@@ -93,11 +110,8 @@ pass from any to any port 443 with eq(@src[name], web)`,
 					in.Src = resp(f, kv...)
 					in.Dst = resp(f, kv...)
 				}
-				dc := p.EvaluateCompiled(in)
-				di := p.EvaluateInterpreted(in)
-				if dc.Action != di.Action || dc.Rule != di.Rule || dc.Matched != di.Matched || dc.KeepState != di.KeepState {
-					t.Errorf("policy %d flow %s resp %v:\n  compiled    %+v\n  interpreted %+v",
-						pi, f, kv, dc, di)
+				if diff := disagreement(p, in, p.Evaluate(in)); diff != "" {
+					t.Errorf("policy %d flow %s resp %v:\n%s", pi, f, kv, diff)
 				}
 			}
 		}
@@ -218,7 +232,7 @@ pass from any to any port 443 with eq(@src[name], web)
 		t.Errorf("decidable flow should need no hints, got %v / %v", src, dst)
 	}
 	// And the decision must agree with full evaluation.
-	if full := p.Evaluate(Input{Flow: tcp("10.1.2.3", 999, "8.8.8.8", 80)}); full.Action != d.Action || full.Rule != d.Rule {
+	if full := evaluate(t, p, Input{Flow: tcp("10.1.2.3", 999, "8.8.8.8", 80)}); full.Action != d.Action || full.Rule != d.Rule {
 		t.Errorf("prepass %+v != evaluate %+v", d, full)
 	}
 
@@ -358,7 +372,7 @@ pass from any to any with allowed(@src[requirements])
 	// text, the way a hostile (or just buggy) endpoint fleet would.
 	for i := 0; i < maxRuleCacheEntries+200; i++ {
 		req := fmt.Sprintf("block all pass from any to any port %d", 1+i%60000)
-		d := p.Evaluate(Input{Flow: f, Src: resp(f, "requirements", req)})
+		d := evaluate(t, p, Input{Flow: f, Src: resp(f, "requirements", req)})
 		_ = d
 	}
 	entries, evictions := p.RuleCacheStats()
@@ -369,7 +383,7 @@ pass from any to any with allowed(@src[requirements])
 		t.Error("expected evictions after overflowing the cache")
 	}
 	// The cache must still serve correct results after eviction churn.
-	d := p.Evaluate(Input{Flow: f, Src: resp(f, "requirements", "block all pass from any to any port 80")})
+	d := evaluate(t, p, Input{Flow: f, Src: resp(f, "requirements", "block all pass from any to any port 80")})
 	if d.Action != Pass {
 		t.Errorf("post-eviction evaluation = %+v, want pass", d)
 	}
@@ -433,10 +447,9 @@ pass from any to any port 80 with member($m, x)
 	if r := &prog.rules[1]; !r.srcAll || !r.dstAll {
 		t.Errorf("overridden builtin should be unbounded; got all=(%v,%v)", r.srcAll, r.dstAll)
 	}
-	// And evaluation uses the replacement (differential mode checks both
-	// engines agree on it).
+	// And evaluation uses the replacement, in both engines.
 	in := Input{Flow: f, Src: resp(f, "name", "web")}
-	if d := p.Evaluate(in); d.Action != Pass {
+	if d := evaluate(t, p, in); d.Action != Pass {
 		t.Errorf("replacement member should pass via embedded rules: %+v", d)
 	}
 }
@@ -481,7 +494,7 @@ block all
 pass from any to any with always()
 `)
 	p.Register("always", func(_ *Ctx, _ []Value) (bool, error) { return true, nil })
-	if d := p.EvaluateCompiled(Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)}); d.Action != Pass {
+	if d := evaluate(t, p, Input{Flow: tcp("1.1.1.1", 1, "2.2.2.2", 2)}); d.Action != Pass {
 		t.Errorf("late-registered function not visible to VM: %+v", d)
 	}
 }
@@ -490,8 +503,6 @@ func TestCompiledEvaluationAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting")
 	}
-	prev := SetDifferential(false)
-	defer SetDifferential(prev)
 	p := MustCompile("t", `
 table <lan> { 192.168.0.0/24 }
 block all

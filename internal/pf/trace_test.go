@@ -85,14 +85,14 @@ func TestTraceMaskDerivation(t *testing.T) {
 			if len(tc.dst) > 0 {
 				in.Dst = resp(flw, tc.dst...)
 			}
-			d, tr := p.EvaluateTraced(in)
+			d, tr := evaluateTraced(t, p, in)
 			if tr.Fields != tc.fields {
 				t.Errorf("Fields = %04b, want %04b", tr.Fields, tc.fields)
 			}
 			if tr.SrcRead != tc.srcRead || tr.DstRead != tc.dstRead {
 				t.Errorf("SrcRead/DstRead = %v/%v, want %v/%v", tr.SrcRead, tr.DstRead, tc.srcRead, tc.dstRead)
 			}
-			if plain := p.Evaluate(in); plain.Action != d.Action || plain.Matched != d.Matched {
+			if plain := evaluate(t, p, in); plain.Action != d.Action || plain.Matched != d.Matched {
 				t.Errorf("traced decision %v/%v != plain %v/%v", d.Action, d.Matched, plain.Action, plain.Matched)
 			}
 		})

@@ -11,12 +11,11 @@ import (
 // dispatch index (dispatch.go) yields, in rule order; matchers and
 // arguments were pre-resolved at lower time, so the per-candidate work is
 // pointer-chasing-free header checks plus direct predicate calls.
-// The VM shares the pooled evalCtx (and its inline argument scratch) with
-// the interpreter, so steady-state execution allocates nothing.
+// The VM runs in a pooled evalCtx (with its inline argument scratch), so
+// steady-state execution allocates nothing.
 
 // runProgram applies the last-match-wins scan to the compiled rules it
-// yields, starting from the given default decision. The compiled
-// counterpart of evalCtx.run.
+// yields, starting from the given default decision.
 func (c *evalCtx) runProgram(rules []progRule, it candIter, d Decision) Decision {
 	for i := it.pop(); i >= 0; i = it.pop() {
 		r := &rules[i]

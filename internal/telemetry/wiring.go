@@ -46,7 +46,6 @@ var ControllerCounters = map[string]string{
 	"megaflow_teardowns":             "Cached verdicts retired by revocation or flow removal.",
 	"megaflow_expired":               "Cached verdicts unmapped by TTL expiry (no deletes: switch entries idle out; a passing one-flow verdict with entries installed stays on record until its flow is removed).",
 	"megaflow_hit_raced":             "Members of a cached class (hits and founders) that raced its teardown and deleted their own installs.",
-	"flows_revoked":                  "Installed flows torn down live by the revocation plane.",
 	"revocations_updates":            "Daemon-pushed endpoint-state updates received.",
 	"revocations_flows":              "Verdicts torn down by the revocation plane: one per flow record, one per cached class.",
 	"revocations_inflight":           "Decision attempts voided because an update overturned what they asked about (their flow, or either end's host) after they claimed the flow; each is redecided or void-dropped.",
