@@ -184,13 +184,16 @@ bench-compare:
 		-json $(BENCH_OUT) \
 		$$tmp/base.txt $$tmp/head.txt
 
-# Documentation gates. The drift tests pin docs/metrics.md to the wired
-# telemetry registry (and counter literals in source to the wiring
-# tables); the link check walks every relative markdown link in README.md
-# and docs/ and fails on targets that do not exist. No external tools.
+# Documentation gates. The drift tests (internal/telemetry's
+# docs_drift_test.go: every test there matches 'Doc|Declared') pin
+# docs/metrics.md to the wired telemetry registry, counter, gauge and
+# histogram literals in source to the wiring tables and the doc's type
+# cells, and docs/operations.md's view table to telemetry.Views; the link
+# check walks every relative markdown link in README.md and docs/ and fails
+# on targets that do not exist. No external tools.
 .PHONY: check-docs
 check-docs:
-	$(GO) test -run 'TestMetricsDocMatchesRegistry|TestSourceCountersAreDeclared' ./internal/telemetry/
+	$(GO) test -run 'Doc|Declared' ./internal/telemetry/
 	@fail=0; \
 	for f in README.md docs/*.md; do \
 		dir=$$(dirname "$$f"); \

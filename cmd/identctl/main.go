@@ -15,12 +15,14 @@
 //
 //	identctl -listen :6633 -policy ./policy.d -topology hosts.topo
 //	identctl revoke [-admin addr] <host-ip> [key]
+//	identctl admin [-admin addr] <view> [args]
 //
 // The serving controller runs the revocation plane: daemons that push
 // endpoint-state updates get their flows torn down the moment a fact stops
 // being true, daemons that do not are covered by TTL leases
-// (-revocation-lease), and the -admin listener makes operator-initiated
-// revocation (`identctl revoke`) available from any shell.
+// (-revocation-lease). Its one operator listener, -telemetry, serves
+// /metrics, the health probes and the operator views (telemetry.Views)
+// that `identctl revoke` and `identctl admin` call.
 package main
 
 import (
@@ -47,12 +49,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "revoke" {
-		revokeMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "admin" {
-		adminMain(os.Args[2:])
+	if len(os.Args) > 1 && (os.Args[1] == "admin" || os.Args[1] == "revoke") {
+		adminMain(os.Args[1], os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "cred" {
@@ -63,12 +61,12 @@ func main() {
 	policyDir := flag.String("policy", "", ".control policy directory (required)")
 	topoFile := flag.String("topology", "", "host placement file (required)")
 	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "ident++ query timeout")
-	adminAddr := flag.String("admin", "127.0.0.1:7833", "admin listen address for `identctl revoke` (empty disables)")
+	adminAddr := flag.String("admin", "", "deprecated and ignored: the operator views are on -telemetry")
 	authorityFile := flag.String("authority-key", "", "delegation-authority public key file; daemon answers require a valid credential (empty = insecure mode)")
 	leaseTTL := flag.Duration("revocation-lease", 5*time.Minute, "fact lease for daemons that do not push updates (0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "verdict-cache TTL: a decided flow's repeats skip the daemon queries and the evaluation for this long (0 disables caching)")
 	megaflow := flag.Bool("megaflow", false, "cache each verdict under the header fields its decision consumed, so it serves the whole traffic class, not only the decided flow (requires -cache-ttl)")
-	telemetryAddr := flag.String("telemetry", "", "HTTP listen address for /metrics, /healthz, /readyz (empty disables)")
+	telemetryAddr := flag.String("telemetry", "127.0.0.1:7833", "HTTP listen address for /metrics, /healthz, /readyz and the operator views `identctl admin` and `identctl revoke` use (empty disables)")
 	telemetryPprof := flag.Bool("telemetry-pprof", false, "mount /debug/pprof/ on the telemetry listener (requires -telemetry; see docs/operations.md before enabling in production)")
 	traceSample := flag.Int("trace-sample", 0, "flight recorder: retain roughly 1 in N decision traces (0 disables sampling; 1 traces everything)")
 	traceSlow := flag.Duration("trace-slow", 0, "flight recorder: always retain decisions slower than this, regardless of -trace-sample (0 disables)")
@@ -77,6 +75,9 @@ func main() {
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated peer replicas as id@addr")
 	clusterListen := flag.String("cluster-listen", "", "inter-controller listen address (defaults to -cluster-self's addr)")
 	flag.Parse()
+	if *adminAddr != "" {
+		fmt.Fprintln(os.Stderr, "identctl: -admin is deprecated and ignored; the operator views are on -telemetry")
+	}
 	if *policyDir == "" || *topoFile == "" {
 		fmt.Fprintln(os.Stderr, "identctl: -policy and -topology are required")
 		os.Exit(2)
@@ -207,13 +208,6 @@ func main() {
 			}
 		}()
 	}
-	if *adminAddr != "" {
-		al, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer serveAdmin(al, adminState{ctl: ctl, eng: eng, rt: rt, tr: recorder}).Close()
-	}
 	var auditSink *telemetry.AuditSink
 	if *auditLog != "" {
 		w := os.Stdout
@@ -245,6 +239,7 @@ func main() {
 			telemetry.RegisterAuditSink(ts.Registry, auditSink)
 		}
 		telemetry.RegisterBuildInfo(ts.Registry)
+		ts.MountOperator(telemetry.Operator{Ctl: ctl, Eng: eng, Rt: rt})
 		if recorder != nil {
 			telemetry.RegisterTrace(ts.Registry, recorder)
 			ts.MountTrace(recorder)

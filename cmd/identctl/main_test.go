@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"net"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"identxx/internal/openflow"
 	"identxx/internal/packet"
 	"identxx/internal/pf"
+	"identxx/internal/telemetry"
 	"identxx/internal/wire"
 )
 
@@ -86,27 +89,86 @@ func TestAdminCommands(t *testing.T) {
 		},
 	})
 
-	// The verdict is cached, so its one dependency record is its class's.
-	if got := adminCommand(adminState{ctl: ctl}, "stats"); got != "ok live=0 registered=0 dropped=0" {
-		t.Errorf("stats = %q", got)
-	}
-	if got := adminCommand(adminState{ctl: ctl}, "stats wide"); got != "ok live=1 registered=1 dropped=0" {
-		t.Errorf("stats wide = %q", got)
-	}
-	if got := adminCommand(adminState{ctl: ctl}, "revoke 10.0.0.1 name"); got != "ok 1" {
-		t.Errorf("revoke = %q", got)
-	}
-	if got := adminCommand(adminState{ctl: ctl}, "revoke 10.0.0.1"); got != "ok 0" {
-		t.Errorf("second revoke = %q", got)
-	}
-	if got := adminCommand(adminState{ctl: ctl}, "sweep"); got != "ok 0" {
-		t.Errorf("sweep = %q", got)
-	}
-	for _, bad := range []string{"", "revoke", "revoke bogus", "revoke 1.2.3.4 k extra", "frobnicate"} {
-		if got := adminCommand(adminState{ctl: ctl}, bad); len(got) < 3 || got[:3] != "err" {
-			t.Errorf("adminCommand(%q) = %q, want err", bad, got)
+	addr := operatorServer(t, telemetry.Operator{Ctl: ctl})
+
+	// The verdict is cached, so its one dependency record is its class's:
+	// the flow-record series stay at 0, the class-record series count it.
+	for name, want := range map[string]string{
+		"identxx_revocation_index_live":             "0",
+		"identxx_revocation_index_registered_total": "0",
+		"identxx_revocation_index_dropped_total":    "0",
+		"identxx_revocation_wide_live":              "1",
+		"identxx_revocation_wide_registered_total":  "1",
+		"identxx_revocation_wide_dropped_total":     "0",
+	} {
+		if got := metric(t, addr, name); got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
 		}
 	}
+	for _, c := range []struct {
+		words []string
+		want  int
+	}{
+		{[]string{"revoke", "10.0.0.1", "name"}, 1},
+		{[]string{"revoke", "10.0.0.1"}, 0},
+		{[]string{"sweep"}, 0},
+	} {
+		if got := torn(t, addr, c.words...); got != c.want {
+			t.Errorf("%q tore down %d, want %d", c.words, got, c.want)
+		}
+	}
+	for _, bad := range [][]string{nil, {"revoke"}, {"revoke", "bogus"}, {"revoke", "1.2.3.4", "k", "extra"}, {"frobnicate"}} {
+		if body, err := operatorCall(addr, bad); err == nil {
+			t.Errorf("operatorCall(%q) = %s, want an error", bad, body)
+		}
+	}
+}
+
+// operatorServer serves op's views and the controller's metrics on a
+// loopback telemetry listener, as identctl does, and returns its address.
+func operatorServer(t *testing.T, op telemetry.Operator) string {
+	t.Helper()
+	ts := telemetry.NewServer()
+	telemetry.RegisterController(ts.Registry, op.Ctl)
+	ts.MountOperator(op)
+	addr, err := ts.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ts.Close() })
+	return addr.String()
+}
+
+// metric reads one unlabelled series from the listener's /metrics.
+func metric(t *testing.T, addr, name string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return ""
+}
+
+// torn sends a revoking command through the client and returns its count.
+func torn(t *testing.T, addr string, words ...string) int {
+	t.Helper()
+	body, err := operatorCall(addr, words)
+	if err != nil {
+		t.Fatalf("%q: %v", words, err)
+	}
+	var n telemetry.Torn
+	if err := json.Unmarshal(body, &n); err != nil {
+		t.Fatalf("%q: %v in %s", words, err, body)
+	}
+	return n.Flows
 }
 
 // TestAdminOverTCP drives the listener + client round trip.
@@ -118,17 +180,8 @@ func TestAdminOverTCP(t *testing.T) {
 		Topology:   &sinkTopo{},
 		Revocation: true,
 	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serveAdmin(l, adminState{ctl: ctl}).Close()
-	reply, err := adminRoundTrip(l.Addr().String(), "revoke 10.0.0.9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != "ok 0" {
-		t.Errorf("reply = %q", reply)
+	if got := torn(t, operatorServer(t, telemetry.Operator{Ctl: ctl}), "revoke", "10.0.0.9"); got != 0 {
+		t.Errorf("revoke tore down %d, want 0", got)
 	}
 }
 
@@ -171,33 +224,39 @@ func TestAdminRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := adminCommand(adminState{ctl: ctl}, "ring"); !strings.HasPrefix(got, "err") {
-		t.Errorf("ring without a router = %q, want err", got)
+	if _, err := operatorCall(operatorServer(t, telemetry.Operator{Ctl: ctl}), []string{"ring"}); err == nil {
+		t.Error("ring without a router succeeded, want an error")
 	}
 
-	got := adminCommand(adminState{ctl: ctl, rt: rt}, "ring")
-	lines := strings.Split(got, "\n")
-	if lines[0] != "ok 2" {
-		t.Fatalf("ring head = %q, want ok 2", lines[0])
+	addr := operatorServer(t, telemetry.Operator{Ctl: ctl, Rt: rt})
+	body, err := operatorCall(addr, []string{"ring"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var selfLine string
-	for _, l := range lines[1:] {
-		if strings.Contains(l, "self=true") {
-			selfLine = l
+	var ring telemetry.Ring
+	if err := json.Unmarshal(body, &ring); err != nil {
+		t.Fatal(err)
+	}
+	if len(ring.Replicas) != 2 {
+		t.Fatalf("ring = %s, want 2 replicas", body)
+	}
+	for _, r := range ring.Replicas {
+		if r.Self != (r.Member.ID == "a") || r.Share <= 0 {
+			t.Errorf("replica %+v: want a as self and a share each", r)
 		}
 	}
-	for _, field := range []string{"replica=a", "share=", "owned=", "forwarded=", "fallbacks=", "epoch="} {
-		if !strings.Contains(selfLine, field) {
-			t.Errorf("self line %q missing %s", selfLine, field)
+	for _, field := range []string{`"Share"`, `"Owned"`, `"Forwarded"`, `"Fallbacks"`, `"Epoch"`} {
+		if !strings.Contains(string(body), field) {
+			t.Errorf("ring %s missing %s", body, field)
 		}
 	}
 
-	got = adminCommand(adminState{ctl: ctl, rt: rt}, "ring drop b")
-	if !strings.HasPrefix(got, "ok 1\n") {
-		t.Errorf("ring drop = %q, want 1-member listing", got)
+	body, err = operatorCall(addr, []string{"ring", "drop", "b"})
+	if err != nil || json.Unmarshal(body, &ring) != nil || len(ring.Replicas) != 1 {
+		t.Errorf("ring drop = %s %v, want 1-member listing", body, err)
 	}
-	if got := adminCommand(adminState{ctl: ctl, rt: rt}, "ring bogus"); !strings.HasPrefix(got, "err") {
-		t.Errorf("ring bogus = %q, want err", got)
+	if body, err := operatorCall(addr, []string{"ring", "bogus"}); err == nil {
+		t.Errorf("ring bogus = %s, want an error", body)
 	}
 }
 

@@ -443,7 +443,7 @@ func compilePolicy(name, src string, defaultBlock bool) (*pf.Policy, error) {
 }
 
 // ReplicaStat is one ring member's share of the flow space, for the
-// identctl admin `ring` drill-down.
+// `/ring` operator view.
 type ReplicaStat struct {
 	Member Member
 	Self   bool

@@ -189,7 +189,7 @@ func (l *AuditLog) Revocations() []AuditEntry {
 // RuleCount aggregates the retained audit entries that named one policy
 // rule: how often it decided, how many of those decisions denied, and how
 // many were revocation teardowns. This is the per-policy-rule drill-down
-// behind `identctl admin rules` — counts cover the audit ring's retention
+// behind the `/rules` operator view — counts cover the audit ring's retention
 // window, not process lifetime.
 type RuleCount struct {
 	Rule                   string
@@ -197,7 +197,7 @@ type RuleCount struct {
 }
 
 // RuleCounts aggregates the retained entries by deciding rule, sorted by
-// descending Total then rule string (deterministic for the admin protocol).
+// descending Total then rule string (deterministic for the operator view).
 func (l *AuditLog) RuleCounts() []RuleCount {
 	agg := make(map[string]*RuleCount)
 	for _, e := range l.Entries() {

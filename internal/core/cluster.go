@@ -22,8 +22,12 @@ import (
 // re-decide under current endpoint state — the cluster's "failover =
 // resubscribe" invariant. This controller's own entries carry its own tag
 // and are untouched. Returns the number of deletes the datapaths accepted.
-func (c *Controller) TakeOver(replica string) int {
-	mod := openflow.FlowMod{Delete: true, Match: flow.MatchAll(), Cookie: installerTag(replica), CookieMask: tagMask, BufferID: openflow.BufferNone}
+func (c *Controller) TakeOver(replica string) int { return c.deleteTagged(installerTag(replica)) }
+
+// deleteTagged sends every registered datapath one match-all delete under
+// tag's mask, and returns how many the datapaths accepted.
+func (c *Controller) deleteTagged(tag uint64) int {
+	mod := openflow.FlowMod{Delete: true, Match: flow.MatchAll(), Cookie: tag, CookieMask: tagMask, BufferID: openflow.BufferNone}
 	n := 0
 	for _, dp := range c.state.Load().datapaths {
 		if c.apply(dp, mod) {

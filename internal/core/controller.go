@@ -472,7 +472,7 @@ type ShardStat struct {
 }
 
 // ShardStats snapshots every shard for the per-shard drill-down
-// (`identctl admin shards`). Each shard is locked briefly in turn; the
+// (the `/shards` operator view). Each shard is locked briefly in turn; the
 // result is a consistent per-shard view, not a cross-shard atomic one.
 func (c *Controller) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.flows.shards))
@@ -489,14 +489,14 @@ func (c *Controller) ShardStats() []ShardStat {
 	return out
 }
 
-// WideStats reports the revocation index's class records — one per cached
-// verdict: resident count plus lifetime register/drop totals. Zeros when
-// revocation is disabled.
-func (c *Controller) WideStats() (live int, registered, dropped int64) {
+// ClassRecordStats reports the revocation index's class records — one per
+// cached verdict: resident count plus lifetime register/drop totals. Zeros
+// when revocation is disabled.
+func (c *Controller) ClassRecordStats() (live int, registered, dropped int64) {
 	if c.revoker == nil {
 		return 0, 0, 0
 	}
-	return c.revoker.WideStats()
+	return c.revoker.ClassStats()
 }
 
 // PolicyRuleCacheStats reports the current policy's embedded-rules memo
@@ -565,13 +565,15 @@ func (c *Controller) RemoveDatapath(dp openflow.Datapath) bool {
 // from the switches — the revocation path: a delegation withdrawn in the
 // policy takes effect for the next packet of every flow. The snapshot swap
 // bumps the policy epoch, so verdicts cached by decisions racing this call
-// are stale-on-arrival; the verdict cache is then emptied and one table
-// flush issued per switch, in turn on this goroutine. A flush is an append
-// to the switch's channel, so the reload costs their sum only when a
-// switch has stopped reading — at most the channel's 5 s write deadline
-// each, after which that switch is cut off and deregistered.
+// are stale-on-arrival; the verdict cache is then emptied and one flush
+// under this controller's installer tag issued per switch, in turn on this
+// goroutine — other replicas' entries stay (each replica applies a
+// replicated policy through its own SetPolicy). A flush is an append to the
+// switch's channel, so the reload costs their sum only when a switch has
+// stopped reading — at most the channel's 5 s write deadline each, after
+// which that switch is cut off and deregistered.
 func (c *Controller) SetPolicy(p *pf.Policy) {
-	st := c.mutate(func(st *ctlState) {
+	c.mutate(func(st *ctlState) {
 		st.epoch++
 		st.policy = p
 		st.prog = p.Program()
@@ -589,9 +591,7 @@ func (c *Controller) SetPolicy(p *pf.Policy) {
 		// table flush below removes the entries wholesale.
 		c.revoker.FlushAll()
 	}
-	for _, dp := range st.datapaths {
-		c.apply(dp, openflow.FlowMod{Delete: true, Match: flow.MatchAll(), BufferID: openflow.BufferNone})
-	}
+	c.deleteTagged(c.cookies.tag)
 	c.Counters.Add("policy_reloads", 1)
 }
 

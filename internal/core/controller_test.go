@@ -417,6 +417,46 @@ func TestSetPolicyFlushesAndRevokes(t *testing.T) {
 	}
 }
 
+// TestSetPolicyFlushesOnlyItsOwnEntries: two replicas share one switch; a
+// policy reload on one removes its own entries and leaves the other's.
+func TestSetPolicyFlushesOnlyItsOwnEntries(t *testing.T) {
+	sw := openflow.NewSwitch(1, "s1", 0)
+	ctls := make(map[string]*Controller)
+	for i, name := range []string{"a", "b"} {
+		c := New(Config{
+			Name:           name,
+			Policy:         pf.MustCompile("rev", revPolicy),
+			Transport:      skypeFacts(),
+			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries: true,
+			Revocation:     true,
+		})
+		c.AddDatapath(sw)
+		c.HandleEvent(unbuffered(revFlow(45000 + i)))
+		ctls[name] = c
+	}
+	count := func(c *Controller) (n int) {
+		for _, e := range sw.Table.Entries() {
+			if e.Cookie&tagMask == c.cookies.tag {
+				n++
+			}
+		}
+		return n
+	}
+	a, b := ctls["a"], ctls["b"]
+	if count(a) == 0 || count(b) == 0 {
+		t.Fatalf("setup: a has %d entries, b %d; want some of each", count(a), count(b))
+	}
+	bBefore := count(b)
+	a.SetPolicy(pf.MustCompile("rev2", revPolicy))
+	if n := count(a); n != 0 {
+		t.Errorf("a's reload left %d of its own entries", n)
+	}
+	if n := count(b); n != bBefore {
+		t.Errorf("a's reload left b with %d entries, want its %d", n, bBefore)
+	}
+}
+
 // TestRevokeFlow: a flow-scoped update deletes the flow's forward and
 // reverse entries under its cookie where its record says they went, and
 // sends nothing to a datapath the flow never touched.

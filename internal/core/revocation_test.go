@@ -37,7 +37,7 @@ var recordModes = []struct {
 // records.
 func liveRecords(c *Controller) (flows, classes int) {
 	flows, _, _ = c.RevocationIndexStats()
-	classes, _, _ = c.WideStats()
+	classes, _, _ = c.ClassRecordStats()
 	return flows, classes
 }
 
@@ -973,7 +973,7 @@ func testSpawnNoGoroutine(t *testing.T, async bool) {
 	c.SetPolicy(pf.MustCompile("quiet2", revPolicy))
 	for i, dp := range dps {
 		mods := dp.deleteMods()
-		if len(mods) == 0 || mods[len(mods)-1].Match != flow.MatchAll() || mods[len(mods)-1].Cookie != 0 {
+		if len(mods) == 0 || mods[len(mods)-1].Match != flow.MatchAll() || mods[len(mods)-1].Cookie != c.cookies.tag || mods[len(mods)-1].CookieMask != tagMask {
 			t.Errorf("datapath %d: last delete is not the reload's table flush", i+1)
 		}
 	}

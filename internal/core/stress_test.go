@@ -327,7 +327,7 @@ func testStressMegaflowRevocation(t *testing.T, cm completionMode) {
 		t.Errorf("megaflow conservation: installs=%d != teardowns=%d + expired=%d",
 			installs, teardowns, snap["megaflow_expired"])
 	}
-	if wlive, _, _ := c.revoker.WideStats(); wlive != 0 {
+	if wlive, _, _ := c.revoker.ClassStats(); wlive != 0 {
 		t.Errorf("wide index still holds %d registrations after final resync", wlive)
 	}
 	for i := range c.flows.shards {

@@ -15,7 +15,7 @@ import (
 var ErrClosed = errors.New("link: listener closed")
 
 // Listener is the connection lifecycle of every server in the tree — the
-// daemon, the cluster Router, the switch channel, identctl's admin port:
+// daemon, the cluster Router, the switch channel:
 // accept, track, and on Close stop accepting, close what is live and wait.
 // The zero value is ready to use.
 type Listener struct {

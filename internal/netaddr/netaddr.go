@@ -67,6 +67,16 @@ func (ip IP) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)
 }
 
+// MarshalText renders the dotted quad, so encoders (encoding/json) show an
+// address, not its integer.
+func (ip IP) MarshalText() ([]byte, error) { return []byte(ip.String()), nil }
+
+// UnmarshalText parses what MarshalText renders.
+func (ip *IP) UnmarshalText(b []byte) (err error) {
+	*ip, err = ParseIP(string(b))
+	return err
+}
+
 // Prefix is an IPv4 CIDR prefix.
 type Prefix struct {
 	Addr IP

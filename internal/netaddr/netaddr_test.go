@@ -1,6 +1,7 @@
 package netaddr
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +43,26 @@ func TestIPStringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// An address encodes as its dotted quad, as a value and as a map key, and
+// decodes back.
+func TestIPJSON(t *testing.T) {
+	in := map[IP]IP{IPv4(10, 0, 0, 1): IPv4(192, 168, 0, 2)}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != `{"10.0.0.1":"192.168.0.2"}` {
+		t.Errorf("json = %s", b)
+	}
+	var out map[IP]IP
+	if err := json.Unmarshal(b, &out); err != nil || len(out) != 1 || out[IPv4(10, 0, 0, 1)] != IPv4(192, 168, 0, 2) {
+		t.Errorf("round trip = %v, %v", out, err)
+	}
+	if err := json.Unmarshal([]byte(`"10.0.0"`), new(IP)); err == nil {
+		t.Error("a malformed address decoded")
 	}
 }
 

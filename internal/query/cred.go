@@ -73,8 +73,8 @@ type credState struct {
 	lapse    *time.Timer // fires at expiry: expiry-as-revocation
 }
 
-// CredStatus is one host's credential status as surfaced to the engine,
-// admin plane, and telemetry.
+// CredStatus is one host's credential status as surfaced to the engine
+// and the telemetry operator views.
 type CredStatus struct {
 	Present  bool      // the daemon presented a credential at all
 	Verified bool      // the live session is credential-verified
@@ -149,7 +149,7 @@ type HostCredStatus struct {
 }
 
 // CredentialSessions lists every known host's credential status (nil on
-// insecure pools) — the `identctl admin creds` surface.
+// insecure pools) — the credential half of the `/hosts` operator view.
 func (p *Pool) CredentialSessions() []HostCredStatus {
 	if !p.credentialed() {
 		return nil

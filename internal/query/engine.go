@@ -375,7 +375,7 @@ type HostStatus struct {
 }
 
 // HostStats snapshots every host the engine has ever queried, sorted by
-// address — the per-host drill-down behind `identctl admin hosts` and the
+// address — the per-host drill-down behind the `/hosts` operator view and the
 // telemetry export. The histograms are read with atomic loads, so the call
 // is safe under live traffic and p99 is within one cell (12.5 %).
 func (e *Engine) HostStats() []HostStatus {

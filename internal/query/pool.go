@@ -425,7 +425,7 @@ func (hc *hostConn) handleUpdate(frame wire.Frame) bool {
 func (hc *hostConn) down(failed int) {
 	// Credential trust is per-session: the next connection's hello must
 	// re-verify. Last-known status (present/err/expiry) survives for the
-	// admin plane; no resync is emitted — if the reconnect hello verifies
+	// operator views; no resync is emitted — if the reconnect hello verifies
 	// at an unchanged serial, continuity was never broken.
 	hc.cred.verified = false
 	hc.stopLapseLocked()

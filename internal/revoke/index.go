@@ -505,13 +505,13 @@ func (ix *Index) FlushAll() {
 }
 
 // HostStat is one host's dependency footprint: how many live flow records
-// and wide (cached-verdict class) records read facts from it, and whether
-// its daemon has proven it pushes updates (facts lease-free).
+// and class (cached-verdict) records read facts from it, and whether its
+// daemon has proven it pushes updates (facts lease-free).
 type HostStat struct {
-	Host  netaddr.IP
-	Flows int
-	Wide  int
-	Push  bool
+	Host    netaddr.IP
+	Flows   int
+	Classes int
+	Push    bool
 }
 
 // Hosts snapshots the per-host dependency view, appended to dst and sorted
@@ -531,7 +531,7 @@ func (ix *Index) Hosts(dst []HostStat) []HostStat {
 			for l := h.marker.head; l != nil; l = l.next {
 				n[l.rec.key.kind()]++
 			}
-			dst = append(dst, HostStat{Host: ip, Flows: n[flowKind], Wide: n[classKind]})
+			dst = append(dst, HostStat{Host: ip, Flows: n[flowKind], Classes: n[classKind]})
 		}
 		sh.mu.Unlock()
 	}
@@ -548,8 +548,8 @@ func (ix *Index) Hosts(dst []HostStat) []HostStat {
 // counts.
 func (ix *Index) Stats() (live int, registered, dropped int64) { return ix.stats(flowKind) }
 
-// WideStats is Stats for the class records.
-func (ix *Index) WideStats() (live int, registered, dropped int64) { return ix.stats(classKind) }
+// ClassStats is Stats for the class records.
+func (ix *Index) ClassStats() (live int, registered, dropped int64) { return ix.stats(classKind) }
 
 func (ix *Index) stats(kind int) (live int, registered, dropped int64) {
 	for i := range ix.keyShards {

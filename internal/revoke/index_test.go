@@ -57,7 +57,7 @@ func drop(ix *Index, k Key) (Registration, bool) {
 // liveOf is the resident and lifetime counts for k's kind.
 func liveOf(ix *Index, k Key) (live int, registered, dropped int64) {
 	if k.Class != 0 {
-		return ix.WideStats()
+		return ix.ClassStats()
 	}
 	return ix.Stats()
 }
@@ -110,14 +110,14 @@ func TestResolveYieldsBothKinds(t *testing.T) {
 		t.Fatalf("ResolveFact = %v, want the flow only", got)
 	}
 	hosts := ix.Hosts(nil)
-	if len(hosts) != 2 || hosts[0] != (HostStat{Host: hostA, Flows: 1, Wide: 1}) {
+	if len(hosts) != 2 || hosts[0] != (HostStat{Host: hostA, Flows: 1, Classes: 1}) {
 		t.Fatalf("Hosts = %+v, want A with one flow and one class", hosts)
 	}
 	if flows, _, _ := ix.Stats(); flows != 1 {
 		t.Errorf("Stats live = %d, want the flow only", flows)
 	}
-	if classes, _, _ := ix.WideStats(); classes != 1 {
-		t.Errorf("WideStats live = %d, want the class only", classes)
+	if classes, _, _ := ix.ClassStats(); classes != 1 {
+		t.Errorf("ClassStats live = %d, want the class only", classes)
 	}
 }
 
@@ -267,7 +267,7 @@ func TestRepeatedFactLinksOnce(t *testing.T) {
 			if n := checkLists(t, ix); n != 3 {
 				t.Errorf("%d links for 3 distinct facts", n)
 			}
-			if hosts := ix.Hosts(nil); len(hosts) != 1 || hosts[0].Flows+hosts[0].Wide != 1 {
+			if hosts := ix.Hosts(nil); len(hosts) != 1 || hosts[0].Flows+hosts[0].Classes != 1 {
 				t.Errorf("Hosts = %+v, want A with one record", hosts)
 			}
 			if _, ok := drop(ix, k); !ok {
@@ -508,7 +508,7 @@ func TestIndexAgainstModel(t *testing.T) {
 				}
 			}
 			gotFlows, _, _ := ix.Stats()
-			gotClasses, _, _ := ix.WideStats()
+			gotClasses, _, _ := ix.ClassStats()
 			if gotFlows != flows || gotClasses != classes {
 				t.Fatalf("seed %d step %d (%s): live = %d flows / %d classes, model says %d / %d", seed, step, op, gotFlows, gotClasses, flows, classes)
 			}
@@ -581,7 +581,7 @@ func TestIndexAgainstModel(t *testing.T) {
 		// records drained out of the index.
 		empty := func() bool {
 			flows, _, _ := ix.Stats()
-			classes, _, _ := ix.WideStats()
+			classes, _, _ := ix.ClassStats()
 			return flows+classes+linkedFacts(ix) == 0
 		}
 		if empty() != (len(model) == 0) {

@@ -315,3 +315,48 @@ func TestGaugesAndHistogramsAreDocumented(t *testing.T) {
 			strings.Join(stale, "\n  "))
 	}
 }
+
+var docViewRe = regexp.MustCompile("^\\| `(/[a-z/]+)` \\| (GET|POST) \\|")
+
+// TestOperatorViewsDocumented pins docs/operations.md's "Operator views"
+// table to the declared Views the way the metric table is pinned to the
+// registry: every view has a row with its method, and every row a view.
+func TestOperatorViewsDocumented(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "operations.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Operator views\n")
+	if !ok {
+		t.Fatal(`docs/operations.md has no "## Operator views" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	doc := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if m := docViewRe.FindStringSubmatch(line); m != nil {
+			doc[m[2]+" "+m[1]] = true
+		}
+	}
+	declared := make(map[string]bool)
+	var missing, stale []string
+	for _, v := range Views {
+		declared[v.Method+" "+v.Path] = true
+		if !doc[v.Method+" "+v.Path] {
+			missing = append(missing, v.Method+" "+v.Path)
+		}
+	}
+	for row := range doc {
+		if !declared[row] {
+			stale = append(stale, row)
+		}
+	}
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("operator views missing from docs/operations.md's view table (add a row for each):\n  %s",
+			strings.Join(missing, "\n  "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/operations.md documents operator views Views does not declare (delete the rows):\n  %s",
+			strings.Join(stale, "\n  "))
+	}
+}

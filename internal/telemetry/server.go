@@ -15,21 +15,22 @@ import (
 //	GET /healthz      — liveness
 //	GET /readyz       — readiness
 //	GET /trace        — flight-recorder JSON-lines (after MountTrace)
+//	Views             — operator views and mutations (after MountOperator)
 //	GET /debug/pprof/ — Go profiling (after EnablePprof)
 //
 // Both identctl (controller role) and identd (daemon role) mount one; the
-// wiring helpers decide what gets registered.
+// wiring helpers decide what gets registered. identctl's is its only
+// operator listener.
 type Server struct {
 	Registry *Registry
 	Health   *Health
 
 	mux *http.ServeMux
 	srv *http.Server
-	ln  net.Listener
 }
 
 // NewServer creates a server with a fresh registry and health set. Call
-// Start to listen on an address, or use Handler directly (tests).
+// Start to listen on an address.
 func NewServer() *Server {
 	s := &Server{
 		Registry: NewRegistry(),
@@ -97,11 +98,6 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Handler returns the mux, for tests and embedding.
-func (s *Server) Handler() http.Handler {
-	return s.srv.Handler
-}
-
 // Start listens on addr and serves in a background goroutine. The returned
 // address carries the resolved port (useful with ":0").
 func (s *Server) Start(addr string) (net.Addr, error) {
@@ -109,7 +105,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ln = ln
 	go func() {
 		// ErrServerClosed after Close; anything else means the listener
 		// died, which the next scrape will notice.

@@ -169,14 +169,16 @@ func RegisterController(r *Registry, ctl *core.Controller, labels ...Label) {
 		func() int64 { live, _, _, _ := ctl.MegaflowStats(); return int64(live) }, labels...)
 	r.RegisterGaugeFunc("revocation_index_live", "Flow records resident in the revocation index: one per installed verdict that is not cached.",
 		func() int64 { live, _, _ := ctl.RevocationIndexStats(); return int64(live) }, labels...)
+	r.RegisterCounterFunc("revocation_index_registered", "Lifetime flow records registered in the revocation index.",
+		func() int64 { _, registered, _ := ctl.RevocationIndexStats(); return registered }, labels...)
 	r.RegisterCounterFunc("revocation_index_dropped", "Flow records dropped from the revocation index (teardown, flow removal).",
 		func() int64 { _, _, dropped := ctl.RevocationIndexStats(); return dropped }, labels...)
 	r.RegisterGaugeFunc("revocation_wide_live", "Class records resident in the revocation index: one per cached verdict.",
-		func() int64 { live, _, _ := ctl.WideStats(); return int64(live) }, labels...)
+		func() int64 { live, _, _ := ctl.ClassRecordStats(); return int64(live) }, labels...)
 	r.RegisterCounterFunc("revocation_wide_registered", "Lifetime class records registered in the revocation index.",
-		func() int64 { _, registered, _ := ctl.WideStats(); return registered }, labels...)
+		func() int64 { _, registered, _ := ctl.ClassRecordStats(); return registered }, labels...)
 	r.RegisterCounterFunc("revocation_wide_dropped", "Class records dropped from the revocation index (teardown, flow removal, expiry, takeover by the class's next verdict, founder race).",
-		func() int64 { _, _, dropped := ctl.WideStats(); return dropped }, labels...)
+		func() int64 { _, _, dropped := ctl.ClassRecordStats(); return dropped }, labels...)
 	r.RegisterGaugeFunc("rule_cache_entries", "Resident entries in the policy's embedded-rules memo.",
 		func() int64 { entries, _ := ctl.PolicyRuleCacheStats(); return entries }, labels...)
 	r.RegisterCounterFunc("rule_cache_evictions", "Lifetime evictions from the policy's embedded-rules memo.",

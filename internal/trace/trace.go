@@ -5,8 +5,7 @@
 // endpoint (annotated with the query engine's retry, breaker and
 // negative-cache behavior), policy eval, install fan-out, waiter
 // release, and revocation voids. Completed traces land in a striped ring;
-// the telemetry server exports them as JSON-lines and `identctl admin
-// trace` drills into them.
+// the telemetry server exports them as JSON-lines on /trace.
 //
 // The recorder has three costs, kept strictly separated:
 //
@@ -269,8 +268,8 @@ func ipString(ip uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// FormatID renders a trace ID the way the JSON export, the admin channel
-// and the /trace endpoint all spell it.
+// FormatID renders a trace ID the way the JSON export and the /trace
+// endpoint's ?id= both spell it.
 func FormatID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // ParseID parses FormatID's rendering (leading zeros optional).
@@ -530,7 +529,7 @@ func (r *Recorder) Find(id uint64) []Trace {
 }
 
 // JSON-lines export: one object per trace, events inline, IDs and stages
-// spelled exactly as the admin channel spells them.
+// spelled exactly as FormatID and the stage names spell them.
 type eventJSON struct {
 	Stage string `json:"stage"`
 	AtUS  int64  `json:"at_us"`
