@@ -99,6 +99,12 @@ race-query:
 # racing process and configuration churn leave every memo entry equal to a
 # fresh derivation (the daemon's per-process answers included).
 #
+# The simulator and the experiments query real daemon.Servers over loopback
+# sockets, and a daemon's pushed updates reach the event queue from the
+# pool's connection readers; twenty rolls of both packages check that every
+# run still replays the same (netsim's TestDeterministicReplay, and each
+# experiment's table).
+#
 # The last two lines are the flake gate: tier-1 is deterministic, so the
 # tests whose schedules vary most — the failover test over in-process and
 # real-TCP switches, the re-decision tests, the stress suite, and the query
@@ -112,6 +118,7 @@ race-core:
 	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
 	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo|ConcurrentAnswers' ./internal/daemon/
+	$(GO) test -race -count=20 ./internal/netsim ./internal/experiments
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Failover|Redecide|Stress' ./internal/cluster ./internal/core
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Pipeline|Concurrent|Race|Racing|CloseWaits|Burst|Reconnect|Redial|Recovery|Restart|SerialGap|Async|Revocation' ./internal/query
 

@@ -1,5 +1,5 @@
-// Command identxx-bench runs every paper experiment (E1-E9) and emits the
-// tables EXPERIMENTS.md records, in plain text or markdown.
+// Command identxx-bench runs the paper's experiments (E1-E10) over the
+// simulator and prints each one's table, in plain text or markdown.
 //
 // Usage:
 //

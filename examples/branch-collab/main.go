@@ -28,14 +28,15 @@ var branchBControl string
 
 func main() {
 	n := netsim.New()
+	defer n.Close()
 	swA := n.AddSwitch("branchA", 0)
 	swB := n.AddSwitch("branchB", 0)
-	bottleneckPort, _ := n.ConnectSwitches(swA, swB, 0)
+	bottleneckPort, _ := n.ConnectSwitches(swA, swB)
 
 	a1 := n.AddHost("a1", netaddr.MustParseIP("10.1.0.1"))
 	b1 := n.AddHost("b1", netaddr.MustParseIP("10.2.0.1"))
-	n.ConnectHost(a1, swA, 0)
-	n.ConnectHost(b1, swB, 0)
+	n.ConnectHost(a1, swA)
+	n.ConnectHost(b1, swB)
 	stA := workload.Populate(a1, "alice", []string{"users"},
 		workload.Firefox,
 		workload.App{Name: "bulk", Path: "/usr/bin/bulk", Version: "1", DstPort: 9999})
@@ -46,7 +47,7 @@ func main() {
 	ctlB := core.New(core.Config{
 		Name:      "B",
 		Policy:    pf.MustCompile("branch-b.control", branchBControl),
-		Transport: n.Transport(swB, nil), Topology: n,
+		Transport: n.Transport(swB), Topology: n,
 		InstallEntries: true, Clock: n.Clock.Now,
 	})
 	ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
@@ -59,7 +60,7 @@ func main() {
 	ctlA := core.New(core.Config{
 		Name:      "A",
 		Policy:    pf.MustCompile("branch-a.control", branchAControl),
-		Transport: n.Transport(swA, nil), Topology: n,
+		Transport: n.Transport(swA), Topology: n,
 		InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctlA, swA)

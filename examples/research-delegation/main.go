@@ -65,12 +65,13 @@ func main() {
 	policy := compileWithKey(pub)
 
 	n := netsim.New()
+	defer n.Close()
 	sw := n.AddSwitch("lab", 0)
 	r1 := n.AddHost("lab1", netaddr.MustParseIP("10.1.0.1"))
 	r2 := n.AddHost("lab2", netaddr.MustParseIP("10.1.0.2"))
 	prod := n.AddHost("prod", netaddr.MustParseIP("10.2.0.1"))
 	for _, h := range []*netsim.Host{r1, r2, prod} {
-		n.ConnectHost(h, sw, 0)
+		n.ConnectHost(h, sw)
 	}
 	st1 := workload.Populate(r1, "ryan", []string{"research"}, workload.ResearchApp)
 	st2 := workload.Populate(r2, "jad", []string{"research"}, workload.ResearchApp)
@@ -87,7 +88,7 @@ func main() {
 	}
 
 	ctl := core.New(core.Config{
-		Name: "lab", Policy: policy, Transport: n.Transport(sw, nil),
+		Name: "lab", Policy: policy, Transport: n.Transport(sw),
 		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw)

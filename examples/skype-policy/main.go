@@ -32,13 +32,14 @@ func main() {
 	}
 
 	n := netsim.New()
+	defer n.Close()
 	sw := n.AddSwitch("lan", 0)
 	pcA := n.AddHost("pcA", netaddr.MustParseIP("192.168.0.10"))
 	pcB := n.AddHost("pcB", netaddr.MustParseIP("192.168.0.20"))
 	srv := n.AddHost("server", netaddr.MustParseIP("192.168.1.1"))
-	n.ConnectHost(pcA, sw, 0)
-	n.ConnectHost(pcB, sw, 0)
-	n.ConnectHost(srv, sw, 0)
+	n.ConnectHost(pcA, sw)
+	n.ConnectHost(pcB, sw)
+	n.ConnectHost(srv, sw)
 
 	stA := workload.Populate(pcA, "alice", []string{"users"}, workload.Skype)
 	stB := workload.Populate(pcB, "bob", []string{"users"}, workload.Skype)
@@ -49,7 +50,7 @@ func main() {
 	}
 
 	ctl := core.New(core.Config{
-		Name: "fig2", Policy: policy, Transport: n.Transport(sw, nil),
+		Name: "fig2", Policy: policy, Transport: n.Transport(sw),
 		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw)

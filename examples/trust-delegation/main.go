@@ -53,12 +53,13 @@ func main() {
 	}
 
 	n := netsim.New()
+	defer n.Close()
 	sw := n.AddSwitch("office", 0)
 	desktop := n.AddHost("desktop", netaddr.MustParseIP("10.0.0.10"))
 	mail := n.AddHost("mail", netaddr.MustParseIP("10.0.0.25"))
 	web := n.AddHost("web", netaddr.MustParseIP("10.0.0.80"))
 	for _, h := range []*netsim.Host{desktop, mail, web} {
-		n.ConnectHost(h, sw, 0)
+		n.ConnectHost(h, sw)
 	}
 	carol := workload.Populate(desktop, "carol", []string{"users"}, workload.Thunderbird)
 	workload.Populate(mail, "postmaster", nil, workload.SMTPD)
@@ -71,7 +72,7 @@ func main() {
 	desktop.Daemon.InstallConfig(cf, true)
 
 	ctl := core.New(core.Config{
-		Name: "office", Policy: policy, Transport: n.Transport(sw, nil),
+		Name: "office", Policy: policy, Transport: n.Transport(sw),
 		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw)

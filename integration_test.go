@@ -1,7 +1,6 @@
 package identxx_bench
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ import (
 	"identxx/internal/openflow"
 	"identxx/internal/packet"
 	"identxx/internal/pf"
-	"identxx/internal/wire"
+	"identxx/internal/query"
 	"identxx/internal/workload"
 )
 
@@ -26,23 +25,6 @@ type tcpTopo struct {
 
 func (t *tcpTopo) Path(src, dst netaddr.IP) ([]core.Hop, error) {
 	return []core.Hop{{Datapath: 1, OutPort: t.ports[dst]}}, nil
-}
-
-// tcpQueryTransport queries a real daemon.Server over loopback TCP.
-type tcpQueryTransport struct {
-	addrs map[netaddr.IP]string
-}
-
-func (t *tcpQueryTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	addr, ok := t.addrs[host]
-	if !ok {
-		return nil, 0, core.ErrNoDaemon
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	start := time.Now()
-	resp, err := daemon.Query(ctx, addr, q)
-	return resp, time.Since(start), err
 }
 
 // recordingSink collects frames a switch transmits, keyed by port.
@@ -98,17 +80,22 @@ func TestAllTCPIntegration(t *testing.T) {
 	}
 	defer dServer.Close()
 
-	// Controller behind a TCP channel server.
+	// The query plane over both daemons, then the controller behind a TCP
+	// channel server.
+	pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{
+		clientIP: aClient.String(),
+		serverIP: aServer.String(),
+	}})
+	defer pool.Close()
+	eng := query.NewEngine(query.Config{Lower: pool})
+	defer eng.Close()
 	ctl := core.New(core.Config{
 		Name: "integration",
 		Policy: pf.MustCompile("p", `
 block all
 pass from any to any with eq(@src[name], skype) keep state
 `),
-		Transport: &tcpQueryTransport{addrs: map[netaddr.IP]string{
-			clientIP: aClient.String(),
-			serverIP: aServer.String(),
-		}},
+		Transport:      eng,
 		Topology:       &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
 		InstallEntries: true,
 	})
@@ -209,6 +196,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestEnterpriseScale(t *testing.T) {
 	run := func() (allowed, denied int64, audits int64) {
 		n := netsim.New()
+		defer n.Close()
 		tree := workload.BuildTree(n, 3, 5)
 		policy := pf.MustCompile("enterprise", `
 table <net> { 10.0.0.0/8 }
@@ -220,7 +208,7 @@ pass from <net> to <net> port 25 with eq(@src[name], thunderbird) keep state
 `)
 		ctl := core.New(core.Config{
 			Name: "enterprise", Policy: policy,
-			Transport: n.Transport(tree.Root, nil), Topology: n,
+			Transport: n.Transport(tree.Root), Topology: n,
 			InstallEntries: true, ResponseCacheTTL: time.Second, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, tree.AllSwitches()...)

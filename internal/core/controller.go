@@ -113,8 +113,7 @@ type CredentialChecker interface {
 }
 
 // QueryTransport delivers an ident++ query to a host's daemon and returns
-// its response plus the round-trip latency (virtual in simulation, wall on
-// TCP). Under Config.AsyncQueries the transport must also have a
+// its response plus the measured round-trip latency. Under Config.AsyncQueries the transport must also have a
 // completion-style face, which New finds by its method: QueryAsyncTraced
 // (queryFunc's signature; internal/query.Engine) or the 3-argument
 // QueryAsync(host, q, done).

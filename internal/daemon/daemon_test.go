@@ -9,6 +9,7 @@ import (
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
 	"identxx/internal/netaddr"
+	"identxx/internal/query"
 	"identxx/internal/wire"
 )
 
@@ -257,9 +258,9 @@ func TestServerQueryOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	resp, err := Query(ctx, addr.String(), wire.Query{Flow: f, Keys: []string{wire.KeyUserID}})
+	pool := query.NewPool(query.PoolConfig{Resolver: query.FixedResolver(addr.String())})
+	defer pool.Close()
+	resp, _, err := pool.Query(f.SrcIP, wire.Query{Flow: f, Keys: []string{wire.KeyUserID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +283,11 @@ func TestServerMultipleQueriesPerConnectionAndClients(t *testing.T) {
 	done := make(chan error, 4)
 	for c := 0; c < 4; c++ {
 		go func() {
+			// One client, one connection, ten queries on it.
+			pool := query.NewPool(query.PoolConfig{Resolver: query.FixedResolver(addr.String())})
+			defer pool.Close()
 			for i := 0; i < 10; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				resp, err := Query(ctx, addr.String(), wire.Query{Flow: f})
-				cancel()
+				resp, _, err := pool.Query(f.SrcIP, wire.Query{Flow: f})
 				if err != nil {
 					done <- err
 					return
@@ -327,15 +329,6 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Error("server answered a garbage request")
 	}
 	conn.Close()
-}
-
-func TestQueryContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Query(ctx, "127.0.0.1:1", wire.Query{})
-	if err == nil {
-		t.Error("cancelled query should fail")
-	}
 }
 
 func TestLoadConfigFSOrdering(t *testing.T) {

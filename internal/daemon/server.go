@@ -1,10 +1,7 @@
 package daemon
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -133,35 +130,4 @@ func (sc *serverConn) reply(b []byte) ([]byte, error) {
 func (s *Server) Close() error {
 	s.lis.Close()
 	return nil
-}
-
-// Query performs one ident++ exchange with the daemon at addr over a
-// connection of its own: the one-shot client E8(a)'s host firewall uses.
-// The controller's client is query.Pool.
-func Query(ctx context.Context, addr string, q wire.Query) (*wire.Response, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return nil, err
-		}
-	}
-	if err := wire.WriteQuery(conn, q); err != nil {
-		return nil, fmt.Errorf("daemon: write query: %w", err)
-	}
-	resp, err := wire.ReadResponse(conn)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("daemon: connection closed before response")
-		}
-		return nil, fmt.Errorf("daemon: read response: %w", err)
-	}
-	if resp.Flow != q.Flow {
-		return nil, fmt.Errorf("daemon: response flow %v does not match query %v", resp.Flow, q.Flow)
-	}
-	return resp, nil
 }

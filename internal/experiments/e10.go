@@ -39,21 +39,22 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 		var hits, live int64
 		for mode := 0; mode < 2; mode++ {
 			n := netsim.New()
+			defer n.Close()
 			s1 := n.AddSwitch("s1", 0)
 			s2 := n.AddSwitch("s2", 0)
-			n.ConnectSwitches(s1, s2, 0)
+			n.ConnectSwitches(s1, s2)
 			server := n.AddHost("server", netaddr.MustParseIP("10.1.0.1"))
-			n.ConnectHost(server, s2, 0)
+			n.ConnectHost(server, s2)
 			workload.Populate(server, "admin", []string{"wheel"}, workload.HTTPD)
 
 			stations := make([]*workload.Station, clients)
 			for i := 0; i < clients; i++ {
 				h := n.AddHost(fmt.Sprintf("c%d", i), netaddr.IPv4(10, 0, byte(i/250), byte(1+i%250)))
-				n.ConnectHost(h, s1, 0)
+				n.ConnectHost(h, s1)
 				stations[i] = workload.Populate(h, fmt.Sprintf("u%d", i), []string{"users"}, workload.Firefox)
 			}
 
-			eng := n.PlaneTransport(s1, nil)
+			eng := n.Transport(s1)
 			ctl := core.New(core.Config{
 				Name:      "e10",
 				Policy:    pf.MustCompile("e10", policy),

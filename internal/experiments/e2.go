@@ -78,7 +78,7 @@ func buildFig2() *fig2Net {
 	n := netsim.New()
 	swInt := n.AddSwitch("internal", 0)
 	swExt := n.AddSwitch("external", 0)
-	n.ConnectSwitches(swInt, swExt, 0)
+	n.ConnectSwitches(swInt, swExt)
 
 	f := &fig2Net{n: n}
 	ha := n.AddHost("lanA", netaddr.MustParseIP("192.168.0.10"))
@@ -86,11 +86,11 @@ func buildFig2() *fig2Net {
 	hs := n.AddHost("server", netaddr.MustParseIP("192.168.1.1"))
 	hu := n.AddHost("update", netaddr.MustParseIP("123.123.123.7"))
 	hi := n.AddHost("inet", netaddr.MustParseIP("8.8.8.8"))
-	n.ConnectHost(ha, swInt, 0)
-	n.ConnectHost(hb, swInt, 0)
-	n.ConnectHost(hs, swInt, 0)
-	n.ConnectHost(hu, swExt, 0)
-	n.ConnectHost(hi, swExt, 0)
+	n.ConnectHost(ha, swInt)
+	n.ConnectHost(hb, swInt)
+	n.ConnectHost(hs, swInt)
+	n.ConnectHost(hu, swExt)
+	n.ConnectHost(hi, swExt)
 
 	f.lanA = workload.Populate(ha, "alice", []string{"users"},
 		workload.Skype, workload.Firefox, workload.Dropbox, httpApp, sshApp)
@@ -106,7 +106,7 @@ func buildFig2() *fig2Net {
 		panic(err)
 	}
 	f.ctl = core.New(core.Config{
-		Name: "fig2", Policy: policy, Transport: n.Transport(swInt, nil),
+		Name: "fig2", Policy: policy, Transport: n.Transport(swInt),
 		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(f.ctl, swInt, swExt)
@@ -197,6 +197,7 @@ func RunE2(w io.Writer) *Table {
 	for _, s := range scenarios {
 		f := buildFig2()
 		delivered := s.run(f)
+		f.n.Close()
 		got := "block"
 		if delivered {
 			got = "pass"

@@ -74,9 +74,9 @@ func buildResearch(requirements string, tamper func(cfg string) string) *researc
 	h1 := n.AddHost("r1", netaddr.MustParseIP("10.1.0.1"))
 	h2 := n.AddHost("r2", netaddr.MustParseIP("10.1.0.2"))
 	hp := n.AddHost("prod", netaddr.MustParseIP("10.2.0.1"))
-	n.ConnectHost(h1, sw, 0)
-	n.ConnectHost(h2, sw, 0)
-	n.ConnectHost(hp, sw, 0)
+	n.ConnectHost(h1, sw)
+	n.ConnectHost(h2, sw)
+	n.ConnectHost(hp, sw)
 
 	rn := &researchNet{n: n, researchPub: pub}
 	rn.r1 = workload.Populate(h1, "ryan", []string{"research"}, workload.ResearchApp)
@@ -103,7 +103,7 @@ func buildResearch(requirements string, tamper func(cfg string) string) *researc
 	policy, err := pf.LoadSources(map[string]string{"30-research.control": fig5Policy(pub)})
 	must(err)
 	rn.ctl = core.New(core.Config{
-		Name: "research", Policy: policy, Transport: n.Transport(sw, nil),
+		Name: "research", Policy: policy, Transport: n.Transport(sw),
 		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 	})
 	n.AttachController(rn.ctl, sw)
@@ -140,6 +140,7 @@ func RunE3(w io.Writer) *Table {
 
 	// Honest setup: research-app between researchers passes.
 	rn := buildResearch(researchRequirements, nil)
+	defer rn.n.Close()
 	row("research-app r1->r2 (signed, both researchers)", "pass", rn.try(rn.r1, rn.r2))
 	// Production machine is excluded by the to !<production-machines> clause.
 	row("research-app r1->prod (production excluded)", "block", rn.try(rn.r1, rn.prod))
@@ -148,16 +149,19 @@ func RunE3(w io.Writer) *Table {
 	rnTampered := buildResearch(researchRequirements, func(cfg string) string {
 		return replaceOnce(cfg, "block all pass all", "pass all pass all")
 	})
+	defer rnTampered.n.Close()
 	row("tampered requirements (signature mismatch)", "block", rnTampered.try(rnTampered.r1, rnTampered.r2))
 
 	// Requirements that do not admit the flow: allowed() fails even though
 	// the signature is valid.
 	rnNarrow := buildResearch(`block all pass all with eq(@src[name], other-app)`, nil)
+	defer rnNarrow.n.Close()
 	row("valid signature but requirements deny the flow", "block", rnNarrow.try(rnNarrow.r1, rnNarrow.r2))
 
 	// Revocation: the administrator replaces the policy with an empty
 	// pubkeys dictionary; existing cached flows are flushed too.
 	rnRevoked := buildResearch(researchRequirements, nil)
+	defer rnRevoked.n.Close()
 	if !rnRevoked.try(rnRevoked.r1, rnRevoked.r2) {
 		t.Note("revocation precondition failed: honest flow did not pass")
 	}

@@ -70,15 +70,22 @@ func RunE4(w io.Writer) *Table {
 	}
 	securPub, securPriv := sig.MustGenerateKey()
 
+	var nets []*netsim.Network
+	defer func() {
+		for _, n := range nets {
+			n.Close()
+		}
+	}()
 	build := func(cfgText string) (*netsim.Network, *core.Controller, *workload.Station, *workload.Station, *workload.Station) {
 		n := netsim.New()
+		nets = append(nets, n)
 		sw := n.AddSwitch("office", 0)
 		hc := n.AddHost("desktop", netaddr.MustParseIP("10.0.0.10"))
 		hm := n.AddHost("mail", netaddr.MustParseIP("10.0.0.25"))
 		hw := n.AddHost("web", netaddr.MustParseIP("10.0.0.80"))
-		n.ConnectHost(hc, sw, 0)
-		n.ConnectHost(hm, sw, 0)
-		n.ConnectHost(hw, sw, 0)
+		n.ConnectHost(hc, sw)
+		n.ConnectHost(hm, sw)
+		n.ConnectHost(hw, sw)
 		client := workload.Populate(hc, "carol", []string{"users"}, workload.Thunderbird)
 		mail := workload.Populate(hm, "postmaster", nil, workload.SMTPD)
 		web := workload.Populate(hw, "webmaster", nil, workload.HTTPD)
@@ -88,7 +95,7 @@ func RunE4(w io.Writer) *Table {
 		policy, err := pf.LoadSources(map[string]string{"30-secur.control": fig7Policy(securPub)})
 		must(err)
 		ctl := core.New(core.Config{
-			Name: "secur", Policy: policy, Transport: n.Transport(sw, nil),
+			Name: "secur", Policy: policy, Transport: n.Transport(sw),
 			Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, sw)

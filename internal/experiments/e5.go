@@ -41,15 +41,22 @@ func RunE5(w io.Writer) *Table {
 		Title:  "Figure 8: System-user + MS08-067 patch gate for the Server service",
 		Header: []string{"scenario", "paper-expects", "measured"},
 	}
+	var nets []*netsim.Network
+	defer func() {
+		for _, n := range nets {
+			n.Close()
+		}
+	}()
 	build := func(patched bool) (*netsim.Network, *workload.Station, *workload.Station, *netsim.Host) {
 		n := netsim.New()
+		nets = append(nets, n)
 		sw := n.AddSwitch("lan", 0)
 		hc := n.AddHost("ws1", netaddr.MustParseIP("192.168.0.10"))
 		hs := n.AddHost("ws2", netaddr.MustParseIP("192.168.0.20"))
 		hi := n.AddHost("inet", netaddr.MustParseIP("8.8.8.8"))
-		n.ConnectHost(hc, sw, 0)
-		n.ConnectHost(hs, sw, 0)
-		n.ConnectHost(hi, sw, 0)
+		n.ConnectHost(hc, sw)
+		n.ConnectHost(hs, sw)
+		n.ConnectHost(hi, sw)
 		hi.DaemonEnabled = false
 
 		// Both workstations run the Server service as the "system" user.
@@ -64,7 +71,7 @@ func RunE5(w io.Writer) *Table {
 		policy, err := pf.LoadSources(map[string]string{"10-user-rules.control": fig8Policy})
 		must(err)
 		ctl := core.New(core.Config{
-			Name: "fig8", Policy: policy, Transport: n.Transport(sw, nil),
+			Name: "fig8", Policy: policy, Transport: n.Transport(sw),
 			Topology: n, InstallEntries: true, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, sw)

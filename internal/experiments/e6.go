@@ -67,17 +67,17 @@ func buildE6(system string) *e6Net {
 	root := n.AddSwitch("root", 0)
 	edge0 := n.AddSwitch("edge0", 0)
 	edge1 := n.AddSwitch("edge1", 0)
-	n.ConnectSwitches(root, edge0, 0)
-	n.ConnectSwitches(root, edge1, 0)
+	n.ConnectSwitches(root, edge0)
+	n.ConnectSwitches(root, edge1)
 
 	hAtk := n.AddHost("atk", netaddr.MustParseIP("10.0.0.66"))
 	hPeer := n.AddHost("peer", netaddr.MustParseIP("10.0.0.77"))
 	hAdm := n.AddHost("adm", netaddr.MustParseIP("10.1.0.10"))
 	hSrv := n.AddHost("srv", netaddr.MustParseIP("10.200.0.1"))
-	n.ConnectHost(hAtk, edge0, 0)
-	n.ConnectHost(hPeer, edge0, 0)
-	n.ConnectHost(hAdm, edge1, 0)
-	n.ConnectHost(hSrv, root, 0)
+	n.ConnectHost(hAtk, edge0)
+	n.ConnectHost(hPeer, edge0)
+	n.ConnectHost(hAdm, edge1)
+	n.ConnectHost(hSrv, root)
 
 	e := &e6Net{n: n, edge0: edge0, root: root}
 	e.exfil = workload.App{Name: "exfil", Path: "/home/mallory/exfil", Version: "1", DstPort: 80}
@@ -92,7 +92,7 @@ func buildE6(system string) *e6Net {
 	switch system {
 	case "identxx":
 		policySrc = e6IdentPolicy
-		tr = n.Transport(root, nil)
+		tr = n.Transport(root)
 	case "vanilla":
 		policySrc = e6VanillaPolicy
 		tr = baseline.NullTransport{}
@@ -249,6 +249,7 @@ func RunE6(w io.Writer) *Table {
 				})
 			}
 			results[system][sc] = e.runAttacks(appA1, appA2, appA3)
+			e.n.Close()
 		}
 	}
 	for _, sc := range scenarios {

@@ -34,15 +34,16 @@ func RunE7(w io.Writer) *Table {
 	}
 	run := func(collaborate bool) result {
 		n := netsim.New()
+		defer n.Close()
 		swA := n.AddSwitch("branchA", 0)
 		swB := n.AddSwitch("branchB", 0)
 		// The bottleneck: a slow WAN link between branches.
-		portA, _ := n.ConnectSwitches(swA, swB, 0)
+		portA, _ := n.ConnectSwitches(swA, swB)
 
 		a1 := n.AddHost("a1", netaddr.MustParseIP("10.1.0.1"))
 		b1 := n.AddHost("b1", netaddr.MustParseIP("10.2.0.1"))
-		n.ConnectHost(a1, swA, 0)
-		n.ConnectHost(b1, swB, 0)
+		n.ConnectHost(a1, swA)
+		n.ConnectHost(b1, swB)
 		stA := workload.Populate(a1, "alice", []string{"users"}, workload.Firefox,
 			workload.App{Name: "bulk", Path: "/usr/bin/bulk", Version: "1", DstPort: 9999})
 		workload.Populate(b1, "bsvc", nil, workload.HTTPD)
@@ -54,7 +55,7 @@ func RunE7(w io.Writer) *Table {
 block all
 pass from any to any port 80
 `),
-			Transport: n.Transport(swB, nil), Topology: n,
+			Transport: n.Transport(swB), Topology: n,
 			InstallEntries: true, Clock: n.Clock.Now,
 		})
 		ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
@@ -74,7 +75,7 @@ pass from any to any with allowed(@dst[branch-rules])
 		}
 		ctlA := core.New(core.Config{
 			Name: "A", Policy: pf.MustCompile("pA", policyA),
-			Transport: n.Transport(swA, nil), Topology: n,
+			Transport: n.Transport(swA), Topology: n,
 			InstallEntries: true, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctlA, swA)

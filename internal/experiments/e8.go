@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
-
 	"io"
-	"time"
 
 	"identxx/internal/baseline"
 	"identxx/internal/core"
@@ -14,6 +11,7 @@ import (
 	"identxx/internal/netaddr"
 	"identxx/internal/netsim"
 	"identxx/internal/pf"
+	"identxx/internal/query"
 	"identxx/internal/wire"
 	"identxx/internal/workload"
 )
@@ -67,15 +65,15 @@ block all
 pass from any to any with member(@src[groupID], staff)
 `)
 	fw := baseline.NewHostFirewall(serverPolicy)
+	pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{clientIP: addr.String()}})
+	defer pool.Close()
 	admitViaIdent := func(proc *hostinfo.Process) bool {
 		five, err := client.Connect(proc.PID, flow.Five{
 			DstIP: serverIP, Proto: netaddr.ProtoTCP, DstPort: 443,
 		})
 		must(err)
 		defer client.Close(five)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		resp, err := daemon.Query(ctx, addr.String(), wire.Query{
+		resp, _, err := pool.Query(clientIP, wire.Query{
 			Flow: five, Keys: []string{wire.KeyUserID, wire.KeyGroupID},
 		})
 		if err != nil {
@@ -89,13 +87,14 @@ pass from any to any with member(@src[groupID], staff)
 
 	// --- (b) Controllers only ----------------------------------------------
 	n := netsim.New()
+	defer n.Close()
 	sw := n.AddSwitch("office", 0)
 	legacy := n.AddHost("legacy-pc", netaddr.MustParseIP("10.0.0.5"))
 	printer := n.AddHost("printer", netaddr.MustParseIP("10.0.0.9"))
 	fileSrv := n.AddHost("files", netaddr.MustParseIP("10.0.0.12"))
-	n.ConnectHost(legacy, sw, 0)
-	n.ConnectHost(printer, sw, 0)
-	n.ConnectHost(fileSrv, sw, 0)
+	n.ConnectHost(legacy, sw)
+	n.ConnectHost(printer, sw)
+	n.ConnectHost(fileSrv, sw)
 	// Nobody runs a daemon in this deployment.
 	legacy.DaemonEnabled = false
 	printer.DaemonEnabled = false
@@ -109,10 +108,7 @@ pass from any to any with member(@src[groupID], staff)
 block all
 pass from any to any with eq(@dst[device-type], printer)
 `),
-		// The production query plane over the simulated network: repeated
-		// queries for these daemon-less devices hit the engine's negative
-		// cache instead of re-crossing the office network per flow.
-		Transport: n.PlaneTransport(sw, nil), Topology: n,
+		Transport: n.Transport(sw), Topology: n,
 		InstallEntries: true, Clock: n.Clock.Now,
 	})
 	// The administrator registers what the network knows about its devices;

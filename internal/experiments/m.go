@@ -41,12 +41,14 @@ func SyntheticPolicy(ruleCount int, quick bool) *pf.Policy {
 }
 
 // SetupBench is a ready-to-drive flow-setup scenario (M1): a linear chain
-// of diameter switches with a skype client and server at the ends.
+// of diameter switches with a skype client and server at the ends. Close
+// Net when done with it.
 type SetupBench struct {
 	Net    *netsim.Network
 	Ctl    *core.Controller
 	Client *workload.Station
 	Server *workload.Station
+	chain  []*netsim.SwitchNode
 }
 
 // NewSetupBench builds the M1 scenario.
@@ -59,15 +61,15 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 	for i := 0; i < diameter; i++ {
 		sw := n.AddSwitch(fmt.Sprintf("s%d", i), 0)
 		if i > 0 {
-			n.ConnectSwitches(chain[i-1], sw, 0)
+			n.ConnectSwitches(chain[i-1], sw)
 		}
 		chain = append(chain, sw)
 	}
 	ha := n.AddHost("client", netaddr.MustParseIP("10.0.0.1"))
 	hb := n.AddHost("server", netaddr.MustParseIP("10.0.0.2"))
-	n.ConnectHost(ha, chain[0], 0)
-	n.ConnectHost(hb, chain[len(chain)-1], 0)
-	sb := &SetupBench{Net: n}
+	n.ConnectHost(ha, chain[0])
+	n.ConnectHost(hb, chain[len(chain)-1])
+	sb := &SetupBench{Net: n, chain: chain}
 	sb.Client = workload.Populate(ha, "alice", []string{"users"}, workload.Skype)
 	sb.Server = workload.Populate(hb, "bob", []string{"users"}, workload.Skype)
 	must(hb.Info.Listen(sb.Server.Proc["skype"].PID, netaddr.ProtoTCP, 5060))
@@ -75,10 +77,10 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 	sb.Ctl = core.New(core.Config{
 		Name:      "m1",
 		Policy:    SyntheticPolicy(ruleCount, false),
-		Transport: n.PlaneTransport(chain[0], nil), Topology: n,
+		Transport: n.Transport(chain[0]), Topology: n,
 		InstallEntries: true, Clock: n.Clock.Now,
 	})
-	n.AttachControllerDelayed(sb.Ctl, chain...)
+	n.AttachController(sb.Ctl, chain...)
 	return sb
 }
 
@@ -87,26 +89,14 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 func NewSetupBenchNoCache(diameter, ruleCount int) *SetupBench {
 	sb := NewSetupBench(diameter, ruleCount)
 	n := sb.Net
-	chain := allSwitchesOf(sb)
 	sb.Ctl = core.New(core.Config{
 		Name:      "m5-ablation",
 		Policy:    SyntheticPolicy(ruleCount, false),
-		Transport: n.PlaneTransport(chain[0], nil), Topology: n,
+		Transport: n.Transport(sb.chain[0]), Topology: n,
 		InstallEntries: false, Clock: n.Clock.Now,
 	})
-	n.AttachControllerDelayed(sb.Ctl, chain...)
+	n.AttachController(sb.Ctl, sb.chain...)
 	return sb
-}
-
-func allSwitchesOf(sb *SetupBench) []*netsim.SwitchNode {
-	var out []*netsim.SwitchNode
-	for i := 0; ; i++ {
-		sw, ok := sb.Net.SwitchByName(fmt.Sprintf("s%d", i))
-		if !ok {
-			return out
-		}
-		out = append(out, sw)
-	}
 }
 
 // OneFlow opens one flow through the scenario and drains the simulator.

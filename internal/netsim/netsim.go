@@ -1,17 +1,19 @@
 // Package netsim is the network substrate the experiments run on: a
-// deterministic discrete-event simulator of hosts, OpenFlow switches and
-// links. It stands in for the paper's enterprise network. Data packets
-// travel the simulated links with configurable latencies; ident++ queries
-// are exchanged through a transport that models the paper's spoofed-IP
-// query path (§3.2) analytically — the daemon is invoked directly and the
-// round-trip time is computed from the topology's link latencies — while
-// still applying the interception chain of controllers whose networks the
-// query would traverse (§3.4).
+// deterministic event-driven simulator of hosts, OpenFlow switches and the
+// links between them. It stands in for the paper's enterprise network: its
+// graph gives the topology and the paths, and data packets travel it as
+// events run in FIFO order. The ident++ queries do not: each controller asks
+// through the production query plane (query.Engine over query.Pool) to a
+// real daemon.Server per host on loopback TCP, so a query's round trip is a
+// wall-clock measurement. Only interception stays simulated: the zone
+// controllers along the query's path see it in path order (§3.4). Virtual
+// time moves only in RunFor, for the flow-table and cache timeouts.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,7 +27,7 @@ import (
 )
 
 // Clock is the simulator's virtual clock. It starts at a fixed epoch so
-// runs are reproducible.
+// runs are reproducible, and only RunFor moves it.
 type Clock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -34,9 +36,6 @@ type Clock struct {
 // Epoch is the virtual time origin.
 var Epoch = time.Date(2009, 8, 21, 0, 0, 0, 0, time.UTC) // WREN'09 day
 
-// NewClock creates a clock at Epoch.
-func NewClock() *Clock { return &Clock{now: Epoch} }
-
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Time {
 	c.mu.Lock()
@@ -44,45 +43,12 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-func (c *Clock) advanceTo(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
-	}
-}
-
-type event struct {
-	at  time.Time
-	seq uint64
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at.Equal(q[j].at) {
-		return q[i].seq < q[j].seq
-	}
-	return q[i].at.Before(q[j].at)
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
-// linkEnd describes where a switch port leads.
-type linkEnd struct {
+// link is where a switch port leads, and what crossed it.
+type link struct {
 	toSwitch uint64 // 0 if host
 	toPort   uint16
 	toHost   netaddr.IP
-	latency  time.Duration
+	stats    LinkStats
 }
 
 // LinkStats counts traffic over one directed switch port.
@@ -97,80 +63,91 @@ type SwitchNode struct {
 	Interceptor core.Interceptor // controller owning this zone, if any
 
 	n        *Network
-	links    map[uint16]linkEnd
-	stats    map[uint16]*LinkStats
+	links    map[uint16]*link
 	nextPort uint16
 }
 
-// Transmit implements openflow.Transmitter: frames leave the switch onto
-// the attached link and arrive after its latency.
+// Transmit implements openflow.Transmitter: a frame leaves the switch onto
+// the attached link and arrives at the far end as the next event queued.
 func (s *SwitchNode) Transmit(sw *openflow.Switch, port uint16, frame []byte) {
 	s.n.mu.Lock()
-	end, ok := s.links[port]
-	if st := s.stats[port]; ok && st != nil {
-		st.Frames++
-		st.Bytes += uint64(len(frame))
-	}
-	s.n.mu.Unlock()
+	defer s.n.mu.Unlock()
+	l, ok := s.links[port]
 	if !ok {
 		return
 	}
-	if end.toSwitch != 0 {
-		peer := s.n.switches[end.toSwitch]
-		s.n.Schedule(end.latency, func() { peer.SW.Receive(end.toPort, frame) })
-		return
-	}
-	host := s.n.hosts[end.toHost]
-	if host != nil {
-		s.n.Schedule(end.latency, func() { host.deliver(frame) })
+	l.stats.Frames++
+	l.stats.Bytes += uint64(len(frame))
+	if peer := s.n.switches[l.toSwitch]; peer != nil {
+		s.n.events = append(s.n.events, func() { peer.SW.Receive(l.toPort, frame) })
+	} else if h := s.n.hosts[l.toHost]; h != nil {
+		s.n.events = append(s.n.events, func() { h.deliver(frame) })
 	}
 }
 
+// Stats returns the traffic counters for a switch port.
+func (s *SwitchNode) Stats(port uint16) LinkStats {
+	s.n.mu.Lock()
+	defer s.n.mu.Unlock()
+	if l, ok := s.links[port]; ok {
+		return l.stats
+	}
+	return LinkStats{}
+}
+
+// addPortLocked opens the switch's next port onto l.
+func (s *SwitchNode) addPortLocked(l *link) uint16 {
+	port := s.nextPort
+	s.nextPort++
+	s.SW.AddPort(port)
+	s.links[port] = l
+	return port
+}
+
 // Host is a simulated end-host: OS state, an ident++ daemon, and a NIC.
+// The daemon answers over a daemon.Server of its own on loopback, started
+// the first time a transport resolves the host.
 type Host struct {
 	Name   string
 	Info   *hostinfo.Host
 	Daemon *daemon.Daemon
 	// DaemonEnabled gates whether the host answers ident++ queries; the §4
-	// incremental-deployment experiments turn it off.
+	// incremental-deployment experiments turn it off. It is read when a
+	// transport first resolves the host.
 	DaemonEnabled bool
 
-	n           *Network
-	attachSW    uint64
-	attachPort  uint16
-	linkLatency time.Duration
-
-	mu       sync.Mutex
-	received []*packet.Packet
+	n          *Network
+	attachSW   uint64
+	attachPort uint16
+	server     *daemon.Server // nil until first resolved
+	addr       string         // server's address
+	received   []*packet.Packet
 }
 
 // IP returns the host's address.
 func (h *Host) IP() netaddr.IP { return h.Info.IP }
-
-// MAC returns the host's hardware address.
-func (h *Host) MAC() netaddr.MAC { return h.Info.MAC }
 
 func (h *Host) deliver(frame []byte) {
 	p, err := packet.Decode(frame)
 	if err != nil {
 		return
 	}
-	h.mu.Lock()
+	h.n.mu.Lock()
 	h.received = append(h.received, p)
-	h.mu.Unlock()
+	h.n.mu.Unlock()
 }
 
 // ReceivedCount returns how many frames arrived.
 func (h *Host) ReceivedCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.n.mu.Lock()
+	defer h.n.mu.Unlock()
 	return len(h.received)
 }
 
 // ReceivedFlows returns the distinct 5-tuples delivered to the host.
 func (h *Host) ReceivedFlows() map[flow.Five]int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.n.mu.Lock()
+	defer h.n.mu.Unlock()
 	out := make(map[flow.Five]int)
 	for _, p := range h.received {
 		out[p.Five()]++
@@ -180,8 +157,8 @@ func (h *Host) ReceivedFlows() map[flow.Five]int {
 
 // ClearReceived resets the delivery record.
 func (h *Host) ClearReceived() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.n.mu.Lock()
+	defer h.n.mu.Unlock()
 	h.received = nil
 }
 
@@ -189,15 +166,16 @@ func (h *Host) ClearReceived() {
 // NIC. The destination MAC is resolved from the simulator's host table
 // (the simulated network pre-populates ARP).
 func (h *Host) SendTCP(five flow.Five, flags uint8, payload []byte) {
-	dstMAC := h.n.macOf(five.DstIP)
+	n := h.n
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	dstMAC := netaddr.MAC(0xffffffffffff) // unknown: broadcast
+	if dst, ok := n.hosts[five.DstIP]; ok {
+		dstMAC = dst.Info.MAC
+	}
 	frame := packet.TCPFrame(h.Info.MAC, dstMAC, five, flags, payload)
-	h.inject(frame)
-}
-
-func (h *Host) inject(frame []byte) {
-	sw := h.n.switches[h.attachSW]
-	port := h.attachPort
-	h.n.Schedule(h.linkLatency, func() { sw.SW.Receive(port, frame) })
+	sw, port := n.switches[h.attachSW], h.attachPort
+	n.events = append(n.events, func() { sw.SW.Receive(port, frame) })
 }
 
 // StartFlow registers an outbound connection for pid on this host's OS
@@ -217,103 +195,119 @@ func (h *Host) StartFlow(pid int, dst netaddr.IP, dstPort netaddr.Port) (flow.Fi
 type Network struct {
 	Clock *Clock
 
-	// DefaultLinkLatency applies when Connect* is called with latency 0.
-	DefaultLinkLatency time.Duration
-	// CtrlLatency models the switch-controller secure channel (one way).
-	CtrlLatency time.Duration
-	// DaemonProcessing models the daemon's handling time per query.
-	DaemonProcessing time.Duration
-
 	mu       sync.Mutex
-	events   eventQueue
-	seq      uint64
+	cond     sync.Cond // broadcast when a pushed update is queued
+	events   []func()
+	updates  uint64 // pushed updates queued so far
 	hosts    map[netaddr.IP]*Host
-	byName   map[string]*Host
 	switches map[uint64]*SwitchNode
 	nextSWID uint64
 	nextMAC  uint64
+	lowers   []*lower // every transport's, until Close
+	closed   bool
 }
 
-// New creates an empty network with 100µs links, 200µs control channel and
-// 150µs daemon processing — laptop-scale stand-ins for LAN constants.
+// updateWait bounds Run's wait for a published update: past it, it is lost.
+const updateWait = 10 * time.Second
+
+// New creates an empty network.
 func New() *Network {
-	return &Network{
-		Clock:              NewClock(),
-		DefaultLinkLatency: 100 * time.Microsecond,
-		CtrlLatency:        200 * time.Microsecond,
-		DaemonProcessing:   150 * time.Microsecond,
-		hosts:              make(map[netaddr.IP]*Host),
-		byName:             make(map[string]*Host),
-		switches:           make(map[uint64]*SwitchNode),
-		nextSWID:           1,
-		nextMAC:            0x020000000001,
+	n := &Network{
+		Clock:    &Clock{now: Epoch},
+		hosts:    make(map[netaddr.IP]*Host),
+		switches: make(map[uint64]*SwitchNode),
+		nextSWID: 1,
+		nextMAC:  0x020000000001,
 	}
+	n.cond.L = &n.mu
+	return n
 }
 
-// Schedule queues fn to run after d of virtual time.
-func (n *Network) Schedule(d time.Duration, fn func()) {
+// Schedule queues fn behind every event already queued.
+func (n *Network) Schedule(fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.seq++
-	heap.Push(&n.events, &event{at: n.Clock.Now().Add(d), seq: n.seq, fn: fn})
+	n.events = append(n.events, fn)
 }
 
-// Run processes events until the queue is empty or maxEvents have run
-// (0 means a safety default of 1<<20). It returns the number processed.
+// Run processes events until none is queued and no update a subscribed
+// daemon published is still on its way, or until maxEvents have run (0 means
+// a safety default of 1<<20). It returns the number processed.
 func (n *Network) Run(maxEvents int) int {
 	if maxEvents <= 0 {
 		maxEvents = 1 << 20
 	}
 	processed := 0
-	for processed < maxEvents {
-		n.mu.Lock()
-		if n.events.Len() == 0 {
-			n.mu.Unlock()
+	for ; processed < maxEvents; processed++ {
+		fn := n.next()
+		if fn == nil {
 			break
 		}
-		e := heap.Pop(&n.events).(*event)
-		n.mu.Unlock()
-		n.Clock.advanceTo(e.at)
-		e.fn()
-		processed++
+		fn()
 	}
 	return processed
 }
 
-// RunFor processes events up to d of virtual time from now, then advances
-// the clock to that horizon and expires switch flow entries.
-func (n *Network) RunFor(d time.Duration) int {
-	deadline := n.Clock.Now().Add(d)
-	processed := 0
-	for {
-		n.mu.Lock()
-		if n.events.Len() == 0 || n.events[0].at.After(deadline) {
-			n.mu.Unlock()
-			break
-		}
-		e := heap.Pop(&n.events).(*event)
-		n.mu.Unlock()
-		n.Clock.advanceTo(e.at)
-		e.fn()
-		processed++
-	}
-	n.Clock.advanceTo(deadline)
-	n.TickSwitches()
-	return processed
-}
-
-// TickSwitches runs flow-table expiry on every switch at the current
-// virtual time.
-func (n *Network) TickSwitches() {
+// next pops the next event, or returns nil when there is none. First it
+// waits until every update a subscribed daemon has published is queued, so
+// an update lands right behind the events queued by the event that caused
+// it, wherever its connection's reader was: a run replays deterministically.
+// The wait is on a condition, never a sleep, and panics after updateWait.
+func (n *Network) next() func() {
+	var bound *time.Timer
+	expired := false
 	n.mu.Lock()
-	sws := make([]*SwitchNode, 0, len(n.switches))
-	for _, s := range n.switches {
-		sws = append(sws, s)
+	defer func() {
+		n.mu.Unlock()
+		if bound != nil {
+			bound.Stop()
+		}
+	}()
+	for {
+		seen := n.updates
+		n.mu.Unlock()
+		behind := n.behind()
+		n.mu.Lock()
+		if !behind {
+			if len(n.events) == 0 {
+				return nil
+			}
+			fn := n.events[0]
+			n.events[0] = nil
+			n.events = n.events[1:]
+			return fn
+		}
+		if expired {
+			panic("netsim: an update a daemon published never arrived")
+		}
+		if bound == nil {
+			bound = time.AfterFunc(updateWait, func() {
+				n.mu.Lock()
+				expired = true
+				n.cond.Broadcast()
+				n.mu.Unlock()
+			})
+		}
+		for n.updates == seen && !expired {
+			n.cond.Wait()
+		}
 	}
+}
+
+// RunFor processes every queued event, then advances the virtual clock by d
+// and expires switch flow entries.
+func (n *Network) RunFor(d time.Duration) int {
+	processed := n.Run(0)
+	n.Clock.mu.Lock()
+	n.Clock.now = n.Clock.now.Add(d)
+	n.Clock.mu.Unlock()
+	n.mu.Lock()
+	switches := slices.Collect(maps.Values(n.switches))
 	n.mu.Unlock()
-	for _, s := range sws {
+	for _, s := range switches {
 		s.SW.Tick()
 	}
+	return processed
 }
 
 // AddSwitch creates a switch with the given flow-table capacity (0 =
@@ -325,13 +319,7 @@ func (n *Network) AddSwitch(name string, tableCapacity int) *SwitchNode {
 	n.nextSWID++
 	sw := openflow.NewSwitch(id, name, tableCapacity)
 	sw.Clock = n.Clock.Now
-	node := &SwitchNode{
-		SW:       sw,
-		n:        n,
-		links:    make(map[uint16]linkEnd),
-		stats:    make(map[uint16]*LinkStats),
-		nextPort: 1,
-	}
+	node := &SwitchNode{SW: sw, n: n, links: make(map[uint16]*link), nextPort: 1}
 	sw.SetTransmitter(node)
 	n.switches[id] = node
 	return node
@@ -341,21 +329,11 @@ func (n *Network) AddSwitch(name string, tableCapacity int) *SwitchNode {
 // assigning it a MAC.
 func (n *Network) AddHost(name string, ip netaddr.IP) *Host {
 	n.mu.Lock()
-	mac := netaddr.MAC(n.nextMAC)
+	defer n.mu.Unlock()
+	info := hostinfo.New(name, ip, netaddr.MAC(n.nextMAC))
 	n.nextMAC++
-	n.mu.Unlock()
-	info := hostinfo.New(name, ip, mac)
-	h := &Host{
-		Name:          name,
-		Info:          info,
-		Daemon:        daemon.New(info),
-		DaemonEnabled: true,
-		n:             n,
-	}
-	n.mu.Lock()
+	h := &Host{Name: name, Info: info, Daemon: daemon.New(info), DaemonEnabled: true, n: n}
 	n.hosts[ip] = h
-	n.byName[name] = h
-	n.mu.Unlock()
 	return h
 }
 
@@ -367,78 +345,27 @@ func (n *Network) HostByIP(ip netaddr.IP) (*Host, bool) {
 	return h, ok
 }
 
-// SwitchByName returns the switch node with the given name.
-func (n *Network) SwitchByName(name string) (*SwitchNode, bool) {
+// ConnectHost attaches a host to a switch.
+func (n *Network) ConnectHost(h *Host, s *SwitchNode) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, s := range n.switches {
-		if s.SW.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-func (n *Network) macOf(ip netaddr.IP) netaddr.MAC {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if h, ok := n.hosts[ip]; ok {
-		return h.Info.MAC
-	}
-	return netaddr.MAC(0xffffffffffff) // unknown: broadcast
-}
-
-// ConnectHost attaches a host to a switch over a link with the given
-// latency (0 = default).
-func (n *Network) ConnectHost(h *Host, s *SwitchNode, latency time.Duration) {
-	if latency == 0 {
-		latency = n.DefaultLinkLatency
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	port := s.nextPort
-	s.nextPort++
-	s.SW.AddPort(port)
-	s.links[port] = linkEnd{toHost: h.Info.IP, latency: latency}
-	s.stats[port] = &LinkStats{}
 	h.attachSW = s.SW.ID
-	h.attachPort = port
-	h.linkLatency = latency
+	h.attachPort = s.addPortLocked(&link{toHost: h.Info.IP})
 }
 
 // ConnectSwitches links two switches bidirectionally and returns the port
 // numbers used on each side.
-func (n *Network) ConnectSwitches(a, b *SwitchNode, latency time.Duration) (uint16, uint16) {
-	if latency == 0 {
-		latency = n.DefaultLinkLatency
-	}
+func (n *Network) ConnectSwitches(a, b *SwitchNode) (uint16, uint16) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	pa := a.nextPort
-	a.nextPort++
-	pb := b.nextPort
-	b.nextPort++
-	a.SW.AddPort(pa)
-	b.SW.AddPort(pb)
-	a.links[pa] = linkEnd{toSwitch: b.SW.ID, toPort: pb, latency: latency}
-	b.links[pb] = linkEnd{toSwitch: a.SW.ID, toPort: pa, latency: latency}
-	a.stats[pa] = &LinkStats{}
-	b.stats[pb] = &LinkStats{}
+	pa := a.addPortLocked(&link{toSwitch: b.SW.ID})
+	pb := b.addPortLocked(&link{toSwitch: a.SW.ID, toPort: pa})
+	a.links[pa].toPort = pb
 	return pa, pb
 }
 
-// Stats returns the traffic counters for a switch port.
-func (s *SwitchNode) Stats(port uint16) LinkStats {
-	s.n.mu.Lock()
-	defer s.n.mu.Unlock()
-	if st, ok := s.stats[port]; ok {
-		return *st
-	}
-	return LinkStats{}
-}
-
-// Path implements core.Topology by BFS over the switch graph: the hops from
-// the source host's attachment switch to the destination host's port.
+// Path implements core.Topology: the hops from the source host's switch to
+// the destination host's port.
 func (n *Network) Path(src, dst netaddr.IP) ([]core.Hop, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -450,67 +377,40 @@ func (n *Network) Path(src, dst netaddr.IP) ([]core.Hop, error) {
 	if !ok {
 		return nil, fmt.Errorf("netsim: unknown destination host %s", dst)
 	}
-	swPath, err := n.switchPathLocked(hsrc.attachSW, hdst.attachSW)
+	hops, err := n.routeLocked(hsrc.attachSW, hdst.attachSW)
 	if err != nil {
 		return nil, err
 	}
-	hops := make([]core.Hop, 0, len(swPath))
-	for i, swID := range swPath {
-		node := n.switches[swID]
-		if i == len(swPath)-1 {
-			hops = append(hops, core.Hop{Datapath: swID, OutPort: hdst.attachPort})
-			continue
-		}
-		out, ok := portToward(node, swPath[i+1])
-		if !ok {
-			return nil, fmt.Errorf("netsim: no link %d -> %d", swID, swPath[i+1])
-		}
-		hops = append(hops, core.Hop{Datapath: swID, OutPort: out})
-	}
+	hops[len(hops)-1].OutPort = hdst.attachPort
 	return hops, nil
 }
 
-func portToward(node *SwitchNode, nextSW uint64) (uint16, bool) {
-	for port, end := range node.links {
-		if end.toSwitch == nextSW {
-			return port, true
-		}
-	}
-	return 0, false
-}
-
-// switchPathLocked BFS-computes the switch id sequence from a to b.
-func (n *Network) switchPathLocked(a, b uint64) ([]uint64, error) {
-	if a == b {
-		return []uint64{a}, nil
-	}
-	prev := map[uint64]uint64{a: a}
-	queue := []uint64{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		node := n.switches[cur]
-		// Deterministic neighbor order: scan ports ascending.
+// routeLocked finds the switch path from a to b breadth first, scanning
+// ports in ascending order so the choice is deterministic. Each hop's
+// OutPort leads to the next switch; the last hop's is left 0.
+func (n *Network) routeLocked(a, b uint64) ([]core.Hop, error) {
+	reached := map[uint64]core.Hop{a: {}} // switch -> the hop that reached it
+	for queue := []uint64{a}; len(queue) > 0; queue = queue[1:] {
+		node := n.switches[queue[0]]
 		for port := uint16(1); port < node.nextPort; port++ {
-			end, ok := node.links[port]
-			if !ok || end.toSwitch == 0 {
+			l, ok := node.links[port]
+			if !ok || l.toSwitch == 0 {
 				continue
 			}
-			if _, seen := prev[end.toSwitch]; seen {
+			if _, seen := reached[l.toSwitch]; seen {
 				continue
 			}
-			prev[end.toSwitch] = cur
-			if end.toSwitch == b {
-				var path []uint64
-				for at := b; ; at = prev[at] {
-					path = append([]uint64{at}, path...)
-					if at == a {
-						return path, nil
-					}
-				}
-			}
-			queue = append(queue, end.toSwitch)
+			reached[l.toSwitch] = core.Hop{Datapath: queue[0], OutPort: port}
+			queue = append(queue, l.toSwitch)
 		}
 	}
-	return nil, fmt.Errorf("netsim: no path between switches %d and %d", a, b)
+	if _, ok := reached[b]; !ok {
+		return nil, fmt.Errorf("netsim: no path between switches %d and %d", a, b)
+	}
+	hops := []core.Hop{{Datapath: b}}
+	for at := b; at != a; at = reached[at].Datapath {
+		hops = append(hops, reached[at])
+	}
+	slices.Reverse(hops)
+	return hops, nil
 }

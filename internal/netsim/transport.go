@@ -1,148 +1,155 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"identxx/internal/core"
+	"identxx/internal/daemon"
+	"identxx/internal/metrics"
 	"identxx/internal/netaddr"
-	"identxx/internal/openflow"
 	"identxx/internal/query"
 	"identxx/internal/wire"
 )
 
-// Transport implements core.QueryTransport over the simulated network. The
-// query itself is executed by invoking the target daemon directly; the
-// round-trip latency is computed from the topology (controller home switch
-// to host and back, plus daemon processing), which preserves the latency
-// shape of the paper's in-band spoofed-IP queries without simulating the
-// bootstrapping of the query packets through the very flow tables they
-// populate. Interceptors owned by zones the query path crosses are applied
-// in path order (§3.4).
-type Transport struct {
+// Transport returns the query plane of a controller homed at home: a
+// query.Engine on the virtual clock over a query.Pool of its own (one counter
+// set for both) that reaches each host's daemon.Server on loopback. With the
+// blocking gather a decision completes inside the event that punted it.
+func (n *Network) Transport(home *SwitchNode) *query.Engine {
+	l := &lower{n: n, home: home.SW.ID, serials: make(map[*Host]uint64)}
+	counters := metrics.NewCounter()
+	l.pool = query.NewPool(query.PoolConfig{Resolver: l, Counters: counters})
+	l.eng = query.NewEngine(query.Config{Lower: l, Clock: n.Clock.Now, Counters: counters})
+	n.mu.Lock()
+	n.lowers = append(n.lowers, l)
+	n.mu.Unlock()
+	return l.eng
+}
+
+// lower is the engine's wire layer: the pool, the host table as its
+// resolver, and the zone controllers on the path around each exchange.
+type lower struct {
 	n    *Network
-	home uint64           // the querying controller's home switch
-	self core.Interceptor // excluded from the chain (a controller does not intercept itself)
+	home uint64
+	pool *query.Pool
+	eng  *query.Engine
+
+	// serials is, per host that said hello, the serial of the last update
+	// queued (guarded by n.mu).
+	serials map[*Host]uint64
 }
 
-// Transport creates a query transport for a controller homed at the given
-// switch. self, when non-nil, is skipped in interception chains.
-func (n *Network) Transport(home *SwitchNode, self core.Interceptor) *Transport {
-	return &Transport{n: n, home: home.SW.ID, self: self}
+// Resolve implements query.Resolver: a host whose daemon is enabled
+// resolves to its server's address, the server starting on first use.
+func (l *lower) Resolve(ip netaddr.IP) (string, bool) {
+	n := l.n
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	h := n.hosts[ip]
+	if h == nil || !h.DaemonEnabled || n.closed {
+		return "", false
+	}
+	if h.server == nil {
+		srv := daemon.NewServer(h.Daemon)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			panic(fmt.Sprintf("netsim: %s's daemon: %v", h.Name, err))
+		}
+		h.server, h.addr = srv, addr.String()
+	}
+	return h.addr, true
 }
 
-// Query implements core.QueryTransport. It is analytic: the round trip is
-// computed, no virtual time passes while it runs — which is why the
-// controller and the query engine may call it inline, one end after the other.
-func (t *Transport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	t.n.mu.Lock()
-	h, ok := t.n.hosts[host]
+// Query implements query.Lower. The zone controllers between home and host
+// see the query in path order: the first that answers for host ends it there
+// (§3.4), otherwise host's daemon answers over the pool and each of them
+// augments the response on its way back.
+func (l *lower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	var rtt time.Duration
-	var chain []core.Interceptor
-	if ok {
-		// Path from the controller's home switch to the host.
-		if swPath, err := t.n.switchPathLocked(t.home, h.attachSW); err == nil {
-			var oneWay time.Duration
-			seen := make(map[core.Interceptor]bool)
-			for i, swID := range swPath {
-				node := t.n.switches[swID]
-				if ic := node.Interceptor; ic != nil && ic != t.self && !seen[ic] {
-					seen[ic] = true
-					chain = append(chain, ic)
-				}
-				if i+1 < len(swPath) {
-					if port, ok := portToward(node, swPath[i+1]); ok {
-						oneWay += node.links[port].latency
-					}
-				}
-			}
-			oneWay += h.linkLatency
-			rtt = 2*oneWay + t.n.DaemonProcessing
-		}
-	}
-	t.n.mu.Unlock()
-	if !ok || !h.DaemonEnabled {
-		// The query still travelled (and could have been intercepted by a
-		// controller answering on the host's behalf).
-		resp := core.InterceptChain{Outbound: chain}.Exchange(host, q, func() *wire.Response {
-			return nil
-		})
-		if resp != nil {
-			return resp, rtt, nil
-		}
-		return nil, rtt, core.ErrNoDaemon
-	}
-	resp := core.InterceptChain{Outbound: chain}.Exchange(host, q, func() *wire.Response {
-		return h.Daemon.HandleQuery(q)
+	err := core.ErrNoDaemon
+	resp := core.InterceptChain{Outbound: l.n.interceptors(l.home, host)}.Exchange(host, q, func() *wire.Response {
+		var r *wire.Response
+		r, rtt, err = l.pool.Query(host, q)
+		return r
 	})
+	if resp == nil {
+		return nil, rtt, err
+	}
 	return resp, rtt, nil
 }
 
-// SetUpdateHandler subscribes fn to every daemon-enabled host's update
-// stream, delivering each update after the one-way network latency from
-// the host to the controller's home switch — the simulator's equivalent of
-// the pool's demuxed update frames. Subscription is taken at call time:
-// hosts added afterwards do not push (mirroring a deployment where a
-// controller subscribes as it connects). Hosts with DaemonEnabled=false
-// are skipped — they are the honest-but-legacy case the controller covers
-// with TTL leases.
-func (t *Transport) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
-	t.n.mu.Lock()
-	hosts := make([]*Host, 0, len(t.n.hosts))
-	for _, h := range t.n.hosts {
-		hosts = append(hosts, h)
+// SetUpdateHandler queues each update the pool receives as an event, and
+// notes its serial for Run's wait. A host the pool subscribed to counts from
+// its hello on.
+func (l *lower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
+	if fn == nil {
+		l.pool.SetUpdateHandler(nil)
+		return
 	}
-	t.n.mu.Unlock()
-	for _, h := range hosts {
-		if !h.DaemonEnabled {
-			continue
+	n := l.n
+	l.pool.SetUpdateHandler(func(ip netaddr.IP, u wire.Update) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if h := n.hosts[ip]; h != nil {
+			l.serials[h] = u.Serial
 		}
-		ip := h.Info.IP
-		delay := t.oneWay(ip)
-		h.Daemon.Subscribe(func(u wire.Update) {
-			t.n.Schedule(delay, func() { fn(ip, u) })
-		})
-	}
-}
-
-// oneWay computes the host→controller-home-switch latency for update
-// delivery, mirroring the Query path's RTT computation.
-func (t *Transport) oneWay(host netaddr.IP) time.Duration {
-	t.n.mu.Lock()
-	defer t.n.mu.Unlock()
-	h, ok := t.n.hosts[host]
-	if !ok {
-		return t.n.DefaultLinkLatency
-	}
-	var oneWay time.Duration
-	if swPath, err := t.n.switchPathLocked(t.home, h.attachSW); err == nil {
-		for i, swID := range swPath {
-			if i+1 < len(swPath) {
-				if port, ok := portToward(t.n.switches[swID], swPath[i+1]); ok {
-					oneWay += t.n.switches[swID].links[port].latency
-				}
-			}
-		}
-	}
-	return oneWay + h.linkLatency
-}
-
-// PlaneTransport wraps the simulator transport in the production
-// query-plane engine (internal/query), so simulator experiments run the
-// same retry, negative-cache, and breaker machinery as a real deployment:
-// repeated queries to daemon-less hosts stop re-travelling the virtual
-// network. The engine reads the simulation's virtual clock, keeping expiry
-// semantics deterministic.
-func (n *Network) PlaneTransport(home *SwitchNode, self core.Interceptor) *query.Engine {
-	return query.NewEngine(query.Config{
-		Lower: n.Transport(home, self),
-		Clock: n.Clock.Now,
+		n.events = append(n.events, func() { fn(ip, u) })
+		n.updates++
+		n.cond.Broadcast()
 	})
 }
 
-// AttachController wires a controller to a set of switches: the controller
-// becomes each switch's OpenFlow controller, each switch is registered as a
-// datapath, and each switch's zone interceptor is set to the controller so
-// ident++ exchanges crossing this zone can be intercepted/augmented.
+// behind reports whether a daemon some transport subscribed to has published
+// an update that transport has not queued. It reads each daemon's serial
+// under the daemon's publication lock, so n.mu must not be held: a daemon
+// pushes under that lock, and queuing the push takes n.mu.
+func (n *Network) behind() bool {
+	type sub struct {
+		d      *daemon.Daemon
+		serial uint64
+	}
+	var subs []sub
+	n.mu.Lock()
+	for _, l := range n.lowers {
+		for h, serial := range l.serials {
+			subs = append(subs, sub{h.Daemon, serial})
+		}
+	}
+	n.mu.Unlock()
+	for _, s := range subs {
+		if s.d.UpdateSerial() > s.serial {
+			return true
+		}
+	}
+	return false
+}
+
+// interceptors lists the zone controllers on the switch path from home to
+// host's switch, each once, in path order.
+func (n *Network) interceptors(home uint64, host netaddr.IP) []core.Interceptor {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	h, ok := n.hosts[host]
+	if !ok {
+		return nil
+	}
+	hops, err := n.routeLocked(home, h.attachSW)
+	if err != nil {
+		return nil
+	}
+	var chain []core.Interceptor
+	for _, hop := range hops {
+		if ic := n.switches[hop.Datapath].Interceptor; ic != nil && !slices.Contains(chain, ic) {
+			chain = append(chain, ic)
+		}
+	}
+	return chain
+}
+
+// AttachController makes c each switch's OpenFlow controller and its zone's
+// interceptor (§3.4), and registers each switch as c's datapath.
 func (n *Network) AttachController(c *core.Controller, switches ...*SwitchNode) {
 	for _, s := range switches {
 		s.SW.SetController(c)
@@ -153,36 +160,25 @@ func (n *Network) AttachController(c *core.Controller, switches ...*SwitchNode) 
 	}
 }
 
-// ControllerShim delays packet-in delivery by the control-channel latency,
-// so verdict effects land at the right virtual time.
-type ControllerShim struct {
-	n *Network
-	c *core.Controller
-}
-
-// NewControllerShim wraps a controller for latency-accurate delivery.
-func (n *Network) NewControllerShim(c *core.Controller) *ControllerShim {
-	return &ControllerShim{n: n, c: c}
-}
-
-// HandlePacketIn implements openflow.Controller.
-func (s *ControllerShim) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
-	s.n.Schedule(s.n.CtrlLatency, func() { s.c.HandleEvent(ev) })
-}
-
-// HandleFlowRemoved implements openflow.Controller.
-func (s *ControllerShim) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemoved) {
-	s.n.Schedule(s.n.CtrlLatency, func() { s.c.HandleFlowRemoved(sw, ev) })
-}
-
-// AttachControllerDelayed is AttachController using the latency shim.
-func (n *Network) AttachControllerDelayed(c *core.Controller, switches ...*SwitchNode) {
-	shim := n.NewControllerShim(c)
-	for _, s := range switches {
-		s.SW.SetController(shim)
-		c.AddDatapath(s.SW)
-		n.mu.Lock()
-		s.Interceptor = c
-		n.mu.Unlock()
+// Close stops every engine, pool and daemon server the network started;
+// queries after it fail. A second Close does nothing.
+func (n *Network) Close() {
+	n.mu.Lock()
+	lowers := n.lowers
+	n.lowers, n.closed = nil, true
+	var servers []*daemon.Server
+	for _, h := range n.hosts {
+		if h.server != nil {
+			servers = append(servers, h.server)
+			h.server = nil
+		}
+	}
+	n.mu.Unlock()
+	for _, l := range lowers {
+		l.eng.Close()
+		l.pool.Close()
+	}
+	for _, s := range servers {
+		s.Close()
 	}
 }

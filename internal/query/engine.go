@@ -16,20 +16,19 @@ import (
 )
 
 // Lower is the wire layer underneath an Engine — core.QueryTransport's
-// shape, satisfied by *Pool (real TCP), netsim.Transport (the §5–§6
-// simulator), and the baselines. A Lower that also has *Pool's Go(host, q,
-// deadline, done) is never waited on: a flight's completion runs on the
-// goroutine that decoded the response. One that only blocks is called on the
-// goroutine that started the flight, which waits out the exchange (the
-// simulator's is analytic: it computes the round trip, it does not wait for
-// it).
+// shape, satisfied by *Pool (real TCP), the simulator's adapter (a Pool
+// behind the §3.4 interception chain), and the baselines. A Lower that also
+// has *Pool's Go(host, q, deadline, done) is never waited on: a flight's
+// completion runs on the goroutine that decoded the response. One that only
+// blocks is called on the goroutine that started the flight, which waits out
+// the exchange.
 type Lower interface {
 	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
 }
 
 // updateSource is the optional push face of a Lower: transports that can
-// deliver daemon-pushed endpoint-state updates (*Pool over TCP,
-// netsim.Transport in the simulator) implement it. Lowers without it are
+// deliver daemon-pushed endpoint-state updates (*Pool, and the simulator's
+// adapter, which queues the Pool's updates as events) implement it. Lowers without it are
 // the honest-but-legacy case — the controller falls back to TTL leases.
 type updateSource interface {
 	SetUpdateHandler(fn func(host netaddr.IP, u wire.Update))
@@ -209,8 +208,8 @@ func NewEngine(cfg Config) *Engine {
 // the lower transport. It returns false when the lower cannot push (no
 // subscription support): the caller then knows every host is lease-only.
 // The handler runs on transport goroutines (the pool's connection readers,
-// the simulator's event loop); it must be quick and must not re-enter the
-// engine.
+// or the simulator's event loop, where its adapter queues them); it must be
+// quick and must not re-enter the engine.
 //
 // The engine interposes on the handler: a hello from a host is proof its
 // daemon is back (the subscription handshake completed), so the host's

@@ -11,8 +11,8 @@
 //     completion runs on the connection's reader (pool.go).
 //
 //   - Engine sits above any core.QueryTransport-shaped lower layer (the
-//     Pool for real deployments, netsim.Transport for the §5–§6
-//     experiments) and adds the behavior a controller serving millions of
+//     Pool, directly in identctl, or behind the simulator's interception
+//     chain in the experiments) and adds the behavior a controller serving millions of
 //     users needs on the availability-critical path: bounded retries, a
 //     per-host circuit breaker, a TTL'd negative cache so daemon-less or
 //     down hosts stop costing a connect timeout per miss, and an

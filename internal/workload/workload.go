@@ -136,19 +136,19 @@ func BuildTree(n *netsim.Network, edgeCount, hostsPerEdge int) *Tree {
 	t := &Tree{Net: n}
 	t.Root = n.AddSwitch("root", 0)
 	serverHost := n.AddHost("server", netaddr.IPv4(10, 200, 0, 1))
-	n.ConnectHost(serverHost, t.Root, 0)
+	n.ConnectHost(serverHost, t.Root)
 	srv := Populate(serverHost, "admin", []string{"wheel"}, HTTPD, SMTPD, SSHD)
 	t.Servers = append(t.Servers, srv)
 
 	idx := 0
 	for e := 0; e < edgeCount; e++ {
 		edge := n.AddSwitch(fmt.Sprintf("edge%d", e), 0)
-		n.ConnectSwitches(t.Root, edge, 0)
+		n.ConnectSwitches(t.Root, edge)
 		t.Edges = append(t.Edges, edge)
 		for hI := 0; hI < hostsPerEdge; hI++ {
 			ip := netaddr.IPv4(10, byte(e), byte(hI), 2)
 			h := n.AddHost(fmt.Sprintf("pc%d", idx), ip)
-			n.ConnectHost(h, edge, 0)
+			n.ConnectHost(h, edge)
 			st := Populate(h, fmt.Sprintf("u%d", idx), []string{"users"}, ClientApps...)
 			t.Stations = append(t.Stations, st)
 			idx++
