@@ -180,6 +180,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM8_AllocProfile=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/async=2' \
+		-max-allocs 'BenchmarkM9_QueryPlane/daemon-down=0' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
 		-max-allocs 'BenchmarkM11_Revocation/register-drop=1' \

@@ -498,8 +498,9 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //     query plane's own cost with the round trips overlapped, the
 //     in-process daemon's answer included (CI gates the allocations; two
 //     of them are the response's decode).
-//   - daemon-down: the host's port answers nothing — after the first
-//     refused dial the negative cache absorbs every subsequent miss.
+//   - daemon-down: the host's port answers nothing — after each refused
+//     dial the pool's backoff window fails every miss fast with the same
+//     ErrNoDaemon (CI gates it at 0 allocs/op).
 func BenchmarkM9_QueryPlane(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		srcIP, srcAddr, five := m9Host(b, "pc", "10.4.0.1")
@@ -615,8 +616,8 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 	})
 
 	b.Run("daemon-down", func(b *testing.B) {
-		// A host that resolves to a dead port: one refused dial, then the
-		// negative cache answers for the whole TTL.
+		// A host that resolves to a dead port: a refused dial, then the
+		// backoff window answers until it passes (50 ms, doubling to 2 s).
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -626,7 +627,7 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		downIP := netaddr.MustParseIP("10.4.3.1")
 		pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{downIP: deadAddr}})
 		b.Cleanup(func() { pool.Close() })
-		eng := query.NewEngine(query.Config{Lower: pool, NegativeTTL: time.Hour, Retries: -1})
+		eng := query.NewEngine(query.Config{Lower: pool})
 		b.Cleanup(eng.Close)
 		q := wire.Query{Flow: flow.Five{
 			SrcIP: downIP, DstIP: netaddr.MustParseIP("10.4.3.2"),
@@ -641,8 +642,11 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if eng.Counters.Get("engine_negcache_hits") < int64(b.N) {
-			b.Fatal("negative cache not exercised")
+		// Every query but those that waited on a redial (the warm-up's
+		// refused dial included) was failed from the window.
+		fastfails := pool.Counters.Get("pool_dial_backoff_fastfails")
+		if redials := pool.Counters.Get("pool_dial_errors") - 1; fastfails+redials != int64(b.N) {
+			b.Fatalf("%d of %d queries failed from the backoff window (%d redials)", fastfails, b.N, redials)
 		}
 	})
 }

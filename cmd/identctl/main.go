@@ -107,8 +107,8 @@ func main() {
 	}
 
 	// The production query plane: pooled pipelined connections to the
-	// daemons the topology declares, under the retry/negative-cache/breaker
-	// engine, driving the controller's non-blocking decision pipeline.
+	// daemons the topology declares, under the retry/breaker engine,
+	// driving the controller's non-blocking decision pipeline.
 	pool := query.NewPool(query.PoolConfig{
 		Resolver:       topoResolver{topo},
 		RequestTimeout: *queryTimeout,

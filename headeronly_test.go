@@ -65,8 +65,7 @@ pass from any to any port 443 with eq(@src[name], web)
 		t.Errorf("flows_allowed = %d, want %d", got, events)
 	}
 	for _, counter := range []string{
-		"engine_queries_sent", "engine_negcache_hits",
-		"engine_retries", "engine_breaker_opens", "engine_breaker_fastfails",
+		"engine_queries_sent", "engine_retries", "engine_breaker_opens", "engine_breaker_fastfails",
 		"engine_timeouts",
 	} {
 		if got := eng.Counters.Get(counter); got != 0 {

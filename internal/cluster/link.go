@@ -45,7 +45,6 @@ func (l Loopback) Close() error { return nil }
 // (link.Pipe) with the constants that plane settled on.
 const (
 	linkRequestTimeout = 2 * time.Second
-	linkMaxBackoff     = 2 * time.Second
 	// linkMaxInFlight bounds pipelined unacked requests per peer; beyond
 	// it, forwards fail fast (and the Router decides locally) rather than
 	// queueing unboundedly behind a slow owner.
@@ -70,7 +69,7 @@ func DialTCP(addr string) *TCPLink { return dialTCP(addr, linkRequestTimeout) }
 
 func dialTCP(addr string, timeout time.Duration) *TCPLink {
 	l := &TCPLink{timeout: timeout}
-	l.pipe = link.NewPipe(&l.mu, addr, timeout, linkMaxBackoff, linkMaxInFlight,
+	l.pipe = link.NewPipe(&l.mu, addr, timeout, linkMaxInFlight,
 		link.Plane[struct{}, byte]{Frame: ackStatus})
 	return l
 }

@@ -53,22 +53,47 @@ type noDaemonError interface{ NoDaemon() bool }
 // timeouts and resets against a host that does run a daemon are transport
 // trouble, not an invitation to impersonate it.
 func IsNoDaemon(err error) bool {
-	if err == nil {
-		return false
-	}
 	if errors.Is(err, ErrNoDaemon) {
 		return true
 	}
-	var nd noDaemonError
-	return errors.As(err, &nd) && nd.NoDaemon()
+	nd, ok := find[noDaemonError](err)
+	return ok && nd.NoDaemon()
 }
 
 // IsTimeout mirrors the net.Error convention without importing net:
 // deadline-style failures (context.DeadlineExceeded, net timeouts, the
 // query plane's ErrDeadline) all report Timeout() true.
 func IsTimeout(err error) bool {
-	var t interface{ Timeout() bool }
-	return errors.As(err, &t) && t.Timeout()
+	t, ok := find[interface{ Timeout() bool }](err)
+	return ok && t.Timeout()
+}
+
+// find is errors.As for an interface type T, walking the Unwrap tree by
+// hand in the same order: errors.As would heap-allocate its target on every
+// call, and these checks sit on every failed query — the engine's settle
+// and resolveResponse on a daemon-less flow setup (the M8 and M9 zero-alloc
+// budgets).
+func find[T any](err error) (T, bool) {
+	for err != nil {
+		if t, ok := err.(T); ok {
+			return t, true
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if t, ok := find[T](e); ok {
+					return t, true
+				}
+			}
+			err = nil
+		default:
+			err = nil
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // unauthorizedErr marks query failures caused by the credential plane
@@ -80,21 +105,9 @@ func IsTimeout(err error) bool {
 // so operators can tell "daemon down" from "daemon unauthorized".
 type unauthorizedErr interface{ Unauthorized() bool }
 
-// isUnauthorized walks the Unwrap chain by hand: errors.As would heap-
-// allocate its target on every call, and this sits on the miss path of
-// every daemon-less flow setup (the M8 zero-alloc budget).
 func isUnauthorized(err error) bool {
-	for err != nil {
-		if ue, ok := err.(unauthorizedErr); ok {
-			return ue.Unauthorized()
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	ue, ok := find[unauthorizedErr](err)
+	return ok && ue.Unauthorized()
 }
 
 // CredentialChecker is the credential face of a transport
@@ -123,7 +136,7 @@ type QueryTransport interface {
 
 // queryFunc is the one face the decision path asks a transport through. done
 // is invoked exactly once — inline on the caller (a blocking transport, the
-// query plane's fast-path failures and caches), or later on whichever
+// query plane's fast-path failures), or later on whichever
 // goroutine learns the outcome (over the query plane's Pool, the daemon
 // connection's reader). The response it delivers is a read-only borrow. tb
 // is the decision's flight-recorder buffer and epFlag its endpoint
@@ -134,7 +147,7 @@ type queryFunc func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint
 
 // resolveTransport picks the transport's one face, once. internal/query.Engine
 // has queryFunc's shape itself and records richer span events than the
-// controller could (breaker, negative cache, attempts); a transport with only
+// controller could (breaker, attempts); a transport with only
 // the 3-argument QueryAsync, and — without AsyncQueries — any transport's
 // blocking Query, completed inline on the caller, are wrapped by selfTracing.
 func resolveTransport(tr QueryTransport, async bool) queryFunc {
@@ -790,9 +803,10 @@ func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	// step 3); whichever completion drops pending to zero finishes the
 	// decision. pending is armed before the first enqueue because a
 	// completion may run inline — always, over a blocking transport, whose
-	// two ends are therefore asked one after the other; on a negative-cache
-	// hit or an open breaker over the query plane. The second call may finish
-	// the decision and release the scratch: nothing reads s or g after it.
+	// two ends are therefore asked one after the other; on an open breaker
+	// or a host inside its dial backoff window over the query plane. The
+	// second call may finish the decision and release the scratch: nothing
+	// reads s or g after it.
 	g.pending.Store(2)
 	c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
 	c.query(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)

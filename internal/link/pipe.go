@@ -19,8 +19,9 @@ const (
 	dialTimeout = 1 * time.Second
 
 	// initialBackoff is how long calls fail fast after the first failed
-	// dial; it doubles with every further failure up to the Pipe's maximum.
+	// dial; it doubles with every further failure up to maxBackoff.
 	initialBackoff = 50 * time.Millisecond
+	maxBackoff     = 2 * time.Second
 
 	// readGrace is how long past the last request's deadline the sweeper
 	// waits, so per-request timeouts abandon their slot (keeping the
@@ -109,13 +110,12 @@ type Plane[K comparable, R any] struct {
 // Opened and Down change it in the critical section that changes the
 // connection.
 type Pipe[K comparable, R any] struct {
-	l          sync.Locker
-	addr       string
-	timeout    time.Duration // write deadline of every burst
-	maxBackoff time.Duration
-	limit      int // calls outstanding at which Go refuses; 0: none
-	plane      Plane[K, R]
-	calls      sync.Pool // *call[K, R]
+	l       sync.Locker
+	addr    string
+	timeout time.Duration // write deadline of every burst
+	limit   int           // calls outstanding at which Go refuses; 0: none
+	plane   Plane[K, R]
+	calls   sync.Pool // *call[K, R]
 
 	conn     net.Conn
 	out      *Writer       // conn's only writer; nil exactly when conn is
@@ -133,12 +133,11 @@ type Pipe[K comparable, R any] struct {
 
 // NewPipe returns a Pipe to addr; nothing is dialed before the first call.
 // timeout bounds each write (a peer that stops reading is torn down within
-// it), maxBackoff caps the fail-fast window after repeated dial failures,
-// and limit, when not 0, is the number of unanswered requests at which a call
-// fails at once instead of queueing behind them. Bound caps the bytes
+// it), and limit, when not 0, is the number of unanswered requests at which a
+// call fails at once instead of queueing behind them. Bound caps the bytes
 // pending either way.
-func NewPipe[K comparable, R any](l sync.Locker, addr string, timeout, maxBackoff time.Duration, limit int, plane Plane[K, R]) *Pipe[K, R] {
-	return &Pipe[K, R]{l: l, addr: addr, timeout: timeout, maxBackoff: maxBackoff, limit: limit, plane: plane}
+func NewPipe[K comparable, R any](l sync.Locker, addr string, timeout time.Duration, limit int, plane Plane[K, R]) *Pipe[K, R] {
+	return &Pipe[K, R]{l: l, addr: addr, timeout: timeout, limit: limit, plane: plane}
 }
 
 // call is one request's slot in a queue. Whoever takes it out of the queue,
@@ -231,7 +230,7 @@ func (p *Pipe[K, R]) dial() {
 			conn.Close()
 		}
 	case err != nil:
-		p.backoff = min(max(2*p.backoff, initialBackoff), p.maxBackoff)
+		p.backoff = min(max(2*p.backoff, initialBackoff), maxBackoff)
 		p.nextDial = time.Now().Add(p.backoff)
 		p.dialErr = p.dialFailed(err, false)
 		err = p.dialErr

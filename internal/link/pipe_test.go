@@ -92,8 +92,8 @@ type probe struct {
 // failed by teardowns, dials failed and calls failed fast from the window.
 type counts struct{ opened, downs, failed, fresh, cached int }
 
-func (pr *probe) pipe(addr string, maxBackoff time.Duration, limit int) *Pipe[uint32, string] {
-	return NewPipe(&pr.mu, addr, time.Second, maxBackoff, limit, Plane[uint32, string]{
+func (pr *probe) pipe(addr string, limit int) *Pipe[uint32, string] {
+	return NewPipe(&pr.mu, addr, time.Second, limit, Plane[uint32, string]{
 		Frame: func(f wire.Frame) (uint32, string, Verdict, error) {
 			switch f.Type {
 			case wire.FrameUpdate:
@@ -156,7 +156,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 func TestPipeFIFOUnderConcurrentSenders(t *testing.T) {
 	pe := listen(t, "127.0.0.1:0", echo)
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	const senders, each = 8, 200
@@ -196,7 +196,7 @@ func TestPipeAbandonedSlotDiscardsLateReply(t *testing.T) {
 		echo(c, br)
 	})
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	if _, err := request(p, 1, 30*time.Millisecond); !errors.Is(err, ErrDeadline) {
@@ -239,7 +239,7 @@ func TestPipeHungPeerTornDownAtHorizon(t *testing.T) {
 		}
 	})
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	start := time.Now()
@@ -275,7 +275,7 @@ func TestPipeTeardownFailsPendingWithOneCause(t *testing.T) {
 		<-kill
 	})
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	errs := make(chan error, 3)
@@ -307,7 +307,7 @@ func TestPipeTeardownFailsPendingWithOneCause(t *testing.T) {
 func TestPipeStaleTeardownSparesFreshConnection(t *testing.T) {
 	pe := listen(t, "127.0.0.1:0", echo)
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	mustReply(t, p, 1)
@@ -336,10 +336,17 @@ func TestPipeDialBackoff(t *testing.T) {
 	ln.Close() // nothing listens: dials are refused
 
 	var pr probe
-	p := pr.pipe(addr, 150*time.Millisecond, 0)
+	p := pr.pipe(addr, 0)
 	defer p.Close(errors.New("test over"))
 
-	for i, want := range []time.Duration{initialBackoff, 2 * initialBackoff, 150 * time.Millisecond, 150 * time.Millisecond} {
+	// The window doubles up to maxBackoff and stays there: the last two
+	// rounds both want the cap.
+	var wants []time.Duration
+	for w := initialBackoff; w < maxBackoff; w *= 2 {
+		wants = append(wants, w)
+	}
+	wants = append(wants, maxBackoff, maxBackoff)
+	for i, want := range wants {
 		_, dialErr := request(p, 1, time.Second)
 		if dialErr == nil {
 			t.Fatal("dial to a closed port succeeded")
@@ -372,8 +379,8 @@ func TestPipeDialBackoff(t *testing.T) {
 	pr.mu.Unlock()
 	eventually(t, "established connection's death", func() bool { return pr.counts().downs == 1 })
 	mustReply(t, p, 3) // at once: no window, no fast-fail
-	if n := pr.counts(); n.fresh != 4 || n.cached != 4 || pe.accepts.Load() != 2 {
-		t.Errorf("fresh = %d, cached = %d, connections = %d; want 4, 4, 2", n.fresh, n.cached, pe.accepts.Load())
+	if n, rounds := pr.counts(), len(wants); n.fresh != rounds || n.cached != rounds || pe.accepts.Load() != 2 {
+		t.Errorf("fresh = %d, cached = %d, connections = %d; want %d, %d, 2", n.fresh, n.cached, pe.accepts.Load(), rounds, rounds)
 	}
 }
 
@@ -383,7 +390,7 @@ func TestPipeOutOfBandUnsolicitedAndFatalFrames(t *testing.T) {
 	script := make(chan func(c net.Conn, br *bufio.Reader), 3)
 	pe := listen(t, "127.0.0.1:0", func(c net.Conn, br *bufio.Reader) { (<-script)(c, br) })
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	script <- func(c net.Conn, br *bufio.Reader) {
@@ -437,7 +444,7 @@ func TestPipeReplyKeyMismatchKillsConnection(t *testing.T) {
 		}
 	})
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	if got, err := request(p, 7, 5*time.Second); err == nil {
@@ -455,7 +462,7 @@ func TestPipeReplyKeyMismatchKillsConnection(t *testing.T) {
 func TestPipeLimitFailsFast(t *testing.T) {
 	pe := listen(t, "127.0.0.1:0", swallow)
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 2)
+	p := pr.pipe(pe.addr(), 2)
 	defer p.Close(errors.New("test over"))
 
 	for key := uint32(1); key <= 2; key++ {
@@ -480,7 +487,7 @@ func TestPipeLimitFailsFast(t *testing.T) {
 func TestPipeCloseWithCallsInFlight(t *testing.T) {
 	pe := listen(t, "127.0.0.1:0", swallow)
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 
 	errs := make(chan error, 2)
 	for key := uint32(1); key <= 2; key++ {
@@ -514,7 +521,7 @@ func TestPipeCloseRacingDial(t *testing.T) {
 	closed := errors.New("closed by the test")
 	for range 50 {
 		var pr probe
-		p := pr.pipe(pe.addr(), time.Second, 0)
+		p := pr.pipe(pe.addr(), 0)
 		var wg sync.WaitGroup
 		for key := uint32(1); key <= 4; key++ {
 			wg.Add(1)
@@ -580,7 +587,7 @@ func TestPipeDoneRunsExactlyOnce(t *testing.T) {
 	})
 	for round := range 20 {
 		var pr probe
-		p := pr.pipe(pe.addr(), 5*time.Millisecond, 0)
+		p := pr.pipe(pe.addr(), 0)
 		const calls = 200
 		var ran [calls]atomic.Int32
 		var wg sync.WaitGroup
@@ -623,7 +630,7 @@ func TestPipeCompletionReenters(t *testing.T) {
 		echo(c, br)
 	})
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 
 	// Each of three calls fails with the connection and is reissued from its
@@ -668,7 +675,7 @@ func TestPipeCompletionReenters(t *testing.T) {
 func TestPipeOutstandingCallsCostNoGoroutine(t *testing.T) {
 	pe := listen(t, "127.0.0.1:0", swallow)
 	var pr probe
-	p := pr.pipe(pe.addr(), time.Second, 0)
+	p := pr.pipe(pe.addr(), 0)
 	defer p.Close(errors.New("test over"))
 	if _, err := request(p, 0, 20*time.Millisecond); !errors.Is(err, ErrDeadline) { // dialed, reader and writer running
 		t.Fatal(err)
@@ -744,7 +751,7 @@ func blackhole(t *testing.T) string {
 // it returns at once, and the call fails through done when the dial times out.
 func TestPipeGoDoesNotDial(t *testing.T) {
 	var pr probe
-	p := pr.pipe(blackhole(t), time.Second, 0)
+	p := pr.pipe(blackhole(t), 0)
 	defer p.Close(errors.New("test over"))
 
 	failed := make(chan error, 2)

@@ -126,7 +126,7 @@ func TestE2EAsyncControllerOverTCP(t *testing.T) {
 		// daemon-less, the §4 registered-legacy-device shape.
 	}})
 	t.Cleanup(func() { pool.Close() })
-	eng := query.NewEngine(query.Config{Lower: pool, NegativeTTL: time.Hour})
+	eng := query.NewEngine(query.Config{Lower: pool})
 	t.Cleanup(eng.Close)
 
 	dp := &e2eDatapath{id: 1}
@@ -175,7 +175,7 @@ pass from any to any port 631 with eq(@dst[type], printer)
 	ctl.HandleEvent(packetIn(other, 1, 2))
 	waitCounter(t, ctl.Counters, "flows_denied", 1)
 
-	// Daemon-less device: connection refused → ErrNoDaemon → the
+	// Daemon-less device: no daemon address → ErrNoDaemon → the
 	// controller answers on the printer's behalf and the flow passes.
 	toPrinter := flow.Five{
 		SrcIP: src.ip, DstIP: printer,
@@ -187,19 +187,16 @@ pass from any to any port 631 with eq(@dst[type], printer)
 		t.Errorf("answered_on_behalf = %d, want 1", ctl.Counters.Get("answered_on_behalf"))
 	}
 
-	// A second flow to the printer is absorbed by the negative cache: no
-	// new dial, still answered on behalf.
+	// A second flow to the printer costs a resolver lookup: no dial, still
+	// answered on behalf.
 	dialsBefore := pool.Counters.Get("pool_dials") + pool.Counters.Get("pool_dial_errors") + pool.Counters.Get("pool_dial_backoff_fastfails")
 	toPrinter2 := toPrinter
 	toPrinter2.SrcPort = 40003
 	ctl.HandleEvent(packetIn(toPrinter2, 1, 4))
 	waitCounter(t, ctl.Counters, "flows_allowed", 3)
-	if eng.Counters.Get("engine_negcache_hits") == 0 {
-		t.Error("second daemon-less query never hit the negative cache")
-	}
 	dialsAfter := pool.Counters.Get("pool_dials") + pool.Counters.Get("pool_dial_errors") + pool.Counters.Get("pool_dial_backoff_fastfails")
 	if dialsAfter != dialsBefore {
-		t.Errorf("negative-cached host still touched the dialer (%d -> %d)", dialsBefore, dialsAfter)
+		t.Errorf("daemon-less host touched the dialer (%d -> %d)", dialsBefore, dialsAfter)
 	}
 
 	// The wire transport multiplexed everything over one connection per

@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,35 +43,30 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// Retries is how many extra attempts follow a retryable transport
-	// failure (default 1; negative disables retries). ErrNoDaemon and
-	// breaker rejections are never retried.
+	// failure (default 1; negative disables retries). ErrNoDaemon, failed
+	// dials and breaker rejections are never retried.
 	Retries int
 
-	// NegativeTTL is how long a host-unreachable verdict (no daemon, or
-	// dial failure) is served from the negative cache without touching the
-	// wire (default 5s; negative disables the cache).
-	NegativeTTL time.Duration
-
-	// BreakerThreshold opens a host's circuit breaker after this many
-	// consecutive failures (default 4; negative disables the breaker).
-	BreakerThreshold int
-
-	// BreakerCooldown is how long an open breaker rejects queries before
-	// letting a probe through (default 1s).
-	BreakerCooldown time.Duration
-
-	// Clock supplies time for the negative cache and breaker; defaults to
-	// time.Now. The simulator passes its virtual clock.
+	// Clock supplies time for the breaker; defaults to time.Now. The
+	// simulator passes its virtual clock.
 	Clock func() time.Time
 
 	// Counters receives engine counters; a private set when nil.
 	Counters *metrics.Counter
 }
 
+// The breaker opens after breakerThreshold consecutive failures of a host
+// and rejects its queries for breakerCooldown, then lets a probe through.
+const (
+	breakerThreshold = 4
+	breakerCooldown  = time.Second
+)
+
 // Engine is the query-plane brain. It implements core.QueryTransport
 // (blocking Query) and the completion-style faces core.Config.AsyncQueries
 // asks for (QueryAsync, QueryAsyncTraced), all of them over the same
-// retry, negative-cache, and breaker state. Every query is its own flight to
+// retry and breaker state. A host that fails to dial is remembered below,
+// by its Pipe's backoff window, not here. Every query is its own flight to
 // the wire: the controller asks each end of a flow once per decision (its
 // pending set parks a flow's duplicate packet-ins), so there is nothing to
 // share.
@@ -83,9 +77,6 @@ type Engine struct {
 	start   func(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
 	timeout time.Duration
 	retries int
-	negTTL  time.Duration
-	brkN    int
-	brkCool time.Duration
 	clock   func() time.Time
 
 	Counters *metrics.Counter
@@ -93,7 +84,7 @@ type Engine struct {
 	InFlight metrics.Gauge
 
 	hot struct {
-		sent, negHits, retriesC                   *atomic.Int64
+		sent, retriesC                            *atomic.Int64
 		breakerOpens, breakerFastfails, timeoutsC *atomic.Int64
 	}
 
@@ -131,12 +122,10 @@ type flight struct {
 	reply    func(*wire.Response, time.Duration, error) // onReply
 }
 
-// hostState is the per-host availability record: negative cache, breaker,
-// and the RTT histogram.
+// hostState is the per-host availability record: the breaker and the RTT
+// histogram.
 type hostState struct {
 	mu       sync.Mutex
-	negErr   error     // verdict served while the negative cache is live
-	negUntil time.Time // negative-cache expiry
 	fails    int       // consecutive failures feeding the breaker
 	openTill time.Time // breaker-open horizon; zero when closed
 	rtt      *metrics.Histogram
@@ -151,9 +140,6 @@ func NewEngine(cfg Config) *Engine {
 		lower:   cfg.Lower,
 		timeout: cfg.RequestTimeout,
 		retries: cfg.Retries,
-		negTTL:  cfg.NegativeTTL,
-		brkN:    cfg.BreakerThreshold,
-		brkCool: cfg.BreakerCooldown,
 		clock:   cfg.Clock,
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
@@ -175,19 +161,6 @@ func NewEngine(cfg Config) *Engine {
 	} else if cfg.Retries == 0 {
 		e.retries = 1
 	}
-	if e.negTTL < 0 {
-		e.negTTL = 0
-	} else if cfg.NegativeTTL == 0 {
-		e.negTTL = 5 * time.Second
-	}
-	if e.brkN < 0 {
-		e.brkN = 0
-	} else if cfg.BreakerThreshold == 0 {
-		e.brkN = 4
-	}
-	if e.brkCool <= 0 {
-		e.brkCool = time.Second
-	}
 	if e.clock == nil {
 		e.clock = time.Now
 	}
@@ -196,7 +169,6 @@ func NewEngine(cfg Config) *Engine {
 		e.Counters = metrics.NewCounter()
 	}
 	e.hot.sent = e.Counters.Cell("engine_queries_sent")
-	e.hot.negHits = e.Counters.Cell("engine_negcache_hits")
 	e.hot.retriesC = e.Counters.Cell("engine_retries")
 	e.hot.breakerOpens = e.Counters.Cell("engine_breaker_opens")
 	e.hot.breakerFastfails = e.Counters.Cell("engine_breaker_fastfails")
@@ -210,47 +182,12 @@ func NewEngine(cfg Config) *Engine {
 // The handler runs on transport goroutines (the pool's connection readers,
 // or the simulator's event loop, where its adapter queues them); it must be
 // quick and must not re-enter the engine.
-//
-// The engine interposes on the handler: a hello from a host is proof its
-// daemon is back (the subscription handshake completed), so the host's
-// negative-cache entry and breaker are cleared on the spot. Without
-// this, a recovered daemon kept fast-failing queries for the remainder
-// of the negative TTL — the fastFail gate never re-dialed, so the cache
-// could not learn of the recovery it was built to paper over.
 func (e *Engine) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) bool {
 	us, ok := e.lower.(updateSource)
-	if !ok {
-		return false
+	if ok {
+		us.SetUpdateHandler(fn)
 	}
-	if fn == nil {
-		us.SetUpdateHandler(nil)
-		return true
-	}
-	us.SetUpdateHandler(func(host netaddr.IP, u wire.Update) {
-		if u.Hello {
-			e.hostRecovered(host)
-		}
-		fn(host, u)
-	})
-	return true
-}
-
-// hostRecovered clears a host's failure state after its daemon proved
-// itself alive over the push channel: the negative cache stops serving
-// the stale dial error, the breaker closes, and the next query goes to
-// the wire immediately instead of after the TTL.
-func (e *Engine) hostRecovered(host netaddr.IP) {
-	hs := e.hostState(host)
-	hs.mu.Lock()
-	cleared := hs.negErr != nil || !hs.openTill.IsZero() || hs.fails > 0
-	hs.negErr = nil
-	hs.negUntil = time.Time{}
-	hs.fails = 0
-	hs.openTill = time.Time{}
-	hs.mu.Unlock()
-	if cleared {
-		e.Counters.Add("engine_host_recoveries", 1)
-	}
+	return ok
 }
 
 // Query implements core.QueryTransport: it blocks until the result is
@@ -262,8 +199,8 @@ func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Dura
 }
 
 // QueryAsync is the completion-style face: done is invoked exactly once —
-// inline for fast-path rejections (negative cache, breaker, closed, what the
-// lower refuses on the spot) and over a lower that only blocks, otherwise on
+// inline for fast-path rejections (breaker, closed, what the lower refuses on
+// the spot, a host inside its dial backoff window) and over a lower that only blocks, otherwise on
 // the goroutine that learns the outcome: over a Pool, the host connection's
 // reader. done must not block; the controller's continuation (evaluate +
 // install) is the intended scale.
@@ -272,8 +209,8 @@ func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Respo
 }
 
 // QueryAsyncTraced is QueryAsync with a flight-recorder buffer: the engine
-// records the query's enqueue (annotated with the gate that rejected it, if
-// one did — negative-cache hit, breaker fast-fail) and its completion (RTT,
+// records the query's enqueue (annotated with the breaker's flag if the
+// breaker rejected it) and its completion (RTT,
 // transport attempts, error) into tb, OR'ing ep into both. A nil tb records
 // nothing and behaves exactly like QueryAsync.
 func (e *Engine) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
@@ -290,7 +227,7 @@ func (e *Engine) query(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint1
 	var hs *hostState
 	if !e.closed.Load() {
 		hs = e.hostState(host)
-		gate, err = e.fastFail(host, hs)
+		gate, err = e.fastFail(hs)
 	}
 	tb.Rec(trace.StageQueryEnqueue, ep|gate, 0)
 	if err != nil {
@@ -322,25 +259,17 @@ func (e *Engine) Close() {
 	e.idleMu.Unlock()
 }
 
-// fastFail consults host's negative cache and breaker; a non-nil error is
-// delivered without touching the wire, and gate is the trace flag naming
-// which of the two it was. The clock is read only when one of them is set.
-func (e *Engine) fastFail(host netaddr.IP, hs *hostState) (gate uint16, err error) {
+// fastFail consults the host's breaker; while it is open, the query is
+// rejected with ErrBreakerOpen without touching the wire, and gate is
+// trace.FlagBreaker. The clock is read only when the breaker has opened.
+func (e *Engine) fastFail(hs *hostState) (gate uint16, err error) {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	if hs.negErr == nil && hs.openTill.IsZero() {
+	if hs.openTill.IsZero() || !e.clock().Before(hs.openTill) {
 		return 0, nil
 	}
-	now := e.clock()
-	if hs.negErr != nil && now.Before(hs.negUntil) {
-		e.hot.negHits.Add(1)
-		return trace.FlagNegCache, hs.negErr
-	}
-	if !hs.openTill.IsZero() && now.Before(hs.openTill) {
-		e.hot.breakerFastfails.Add(1)
-		return trace.FlagBreaker, fmt.Errorf("query: %s: %w", host, ErrBreakerOpen)
-	}
-	return 0, nil
+	e.hot.breakerFastfails.Add(1)
+	return trace.FlagBreaker, ErrBreakerOpen
 }
 
 func (e *Engine) hostState(host netaddr.IP) *hostState {
@@ -355,8 +284,8 @@ func (e *Engine) hostState(host netaddr.IP) *hostState {
 }
 
 // HostStatus is one host's availability snapshot: query volume and RTT
-// from its histogram, the breaker and negative-cache state, and the
-// consecutive-failure count feeding the breaker.
+// from its histogram, the breaker state, and the consecutive-failure count
+// feeding the breaker.
 type HostStatus struct {
 	Host        netaddr.IP
 	Queries     int64 // RTT observations (delivered exchanges)
@@ -364,7 +293,6 @@ type HostStatus struct {
 	RTTP99      time.Duration
 	Fails       int  // consecutive failures toward the breaker threshold
 	BreakerOpen bool // breaker currently rejecting queries
-	NegCached   bool // negative cache currently serving a failure verdict
 }
 
 // HostStats snapshots every host the engine has ever queried, sorted by
@@ -390,7 +318,6 @@ func (e *Engine) HostStats() []HostStatus {
 		hs.mu.Lock()
 		st.Fails = hs.fails
 		st.BreakerOpen = !hs.openTill.IsZero() && now.Before(hs.openTill)
-		st.NegCached = hs.negErr != nil && now.Before(hs.negUntil)
 		hs.mu.Unlock()
 		out[i] = st
 	}
@@ -446,56 +373,42 @@ func (f *flight) deliver(resp *wire.Response, rtt time.Duration, err error) {
 }
 
 // settle updates a host's availability record from one exchange outcome. Only
-// a failure reads the clock.
+// a failure that feeds the breaker reads the clock.
 func (e *Engine) settle(hs *hostState, rtt time.Duration, err error) {
 	if err == nil {
 		hs.mu.Lock()
 		hs.fails = 0
 		hs.openTill = time.Time{}
-		hs.negErr = nil
 		hs.mu.Unlock()
 		hs.rtt.Observe(rtt) // outside hs.mu: Observe takes no lock
 		return
 	}
-	now := e.clock()
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
 	if core.IsTimeout(err) {
 		e.hot.timeoutsC.Add(1)
-	}
-	if e.negTTL > 0 && hostUnavailable(err) {
-		// Host-granularity failure: no daemon there, or we cannot even
-		// connect. Serve the same verdict from cache until the TTL runs
-		// out, so a rack of daemon-less printers does not cost a dial
-		// timeout per flow.
-		hs.negErr = err
-		hs.negUntil = now.Add(e.negTTL)
 	}
 	// An authoritative "no daemon" is the host answering, in its way —
 	// connection refused means the machine is up. It must not feed the
 	// breaker: an open breaker would replace ErrNoDaemon with
 	// ErrBreakerOpen, and the controller's answer-on-behalf role (§3.4)
 	// keys on the no-daemon classification surviving end to end.
-	if e.brkN > 0 && !core.IsNoDaemon(err) {
-		hs.fails++
-		if hs.fails >= e.brkN && (hs.openTill.IsZero() || !now.Before(hs.openTill)) {
-			hs.openTill = now.Add(e.brkCool)
-			hs.fails = 0 // the post-cooldown probe restarts the count
-			e.hot.breakerOpens.Add(1)
-		}
+	if core.IsNoDaemon(err) {
+		return
+	}
+	now := e.clock()
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	hs.fails++
+	if hs.fails >= breakerThreshold && (hs.openTill.IsZero() || !now.Before(hs.openTill)) {
+		hs.openTill = now.Add(breakerCooldown)
+		hs.fails = 0 // the post-cooldown probe restarts the count
+		e.hot.breakerOpens.Add(1)
 	}
 }
 
-// retryable reports whether a failed attempt is worth repeating: transport
-// trouble is, an authoritative "no daemon" is not.
+// retryable reports whether a failed attempt is worth repeating: trouble on
+// an established connection is; an authoritative "no daemon" is not, and
+// neither is a failed dial — the Pipe fails every call inside its backoff
+// window with the same error, so a retry would only be served that copy.
 func retryable(err error) bool {
-	return !core.IsNoDaemon(err)
-}
-
-// hostUnavailable reports whether err condemns the host rather than the
-// request: daemon-less (refused / resolver miss) or unreachable (dial
-// failure). Per-request timeouts and resets on an established connection
-// do not qualify — the next request may well succeed.
-func hostUnavailable(err error) bool {
-	return core.IsNoDaemon(err) || errors.Is(err, ErrDial)
+	return !core.IsNoDaemon(err) && !errors.Is(err, ErrDial)
 }

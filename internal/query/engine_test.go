@@ -46,7 +46,7 @@ func (l *goLower) Go(host netaddr.IP, q wire.Query, _ time.Time, done func(*wire
 	go func() { done(l.Query(host, q)) }()
 }
 
-// fakeClock is a manually advanced clock for TTL/cooldown determinism.
+// fakeClock is a manually advanced clock for cooldown determinism.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -66,93 +66,26 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 var engHost = netaddr.MustParseIP("10.1.0.1")
 
+// badPortAddr fails every dial at once, and not with ECONNREFUSED: its port
+// is out of range. A Pool classifies the failure as ErrDial.
+const badPortAddr = "127.0.0.1:99999"
+
 func engQuery(port netaddr.Port) wire.Query {
 	return wire.Query{Flow: testFlow(engHost, port), Keys: []string{wire.KeyName}}
 }
 
-// TestEngineNegativeCache: a daemon-less host costs one wire trip, then
-// negative-cache hits until the TTL expires.
-func TestEngineNegativeCache(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
-		return nil, 0, core.ErrNoDaemon
-	}}
-	e := NewEngine(Config{Lower: lower, NegativeTTL: time.Second, Clock: clk.Now, Retries: -1})
-	defer e.Close()
-
-	for i := 0; i < 5; i++ {
-		_, _, err := e.Query(engHost, engQuery(netaddr.Port(100+i)))
-		if !errors.Is(err, core.ErrNoDaemon) {
-			t.Fatalf("query %d: err = %v, want ErrNoDaemon", i, err)
-		}
-	}
-	if got := lower.calls.Load(); got != 1 {
-		t.Errorf("wire queries = %d, want 1 (negative cache must absorb repeats)", got)
-	}
-	if hits := e.Counters.Get("engine_negcache_hits"); hits != 4 {
-		t.Errorf("engine_negcache_hits = %d, want 4", hits)
-	}
-
-	clk.Advance(2 * time.Second) // past the TTL: the host gets re-probed
-	if _, _, err := e.Query(engHost, engQuery(200)); !errors.Is(err, core.ErrNoDaemon) {
-		t.Fatalf("post-TTL query: %v", err)
-	}
-	if got := lower.calls.Load(); got != 2 {
-		t.Errorf("wire queries after TTL expiry = %d, want 2", got)
-	}
-}
-
-// TestEngineNegativeCachePreservesClassification: an unreachable (dial
-// failure, not refused) host is negative-cached too, but its cached error
-// must stay a transport failure — never mutate into "no daemon".
-func TestEngineNegativeCachePreservesClassification(t *testing.T) {
-	dialErr := &timeoutErr{}
-	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
-		return nil, 0, wrapDial(dialErr)
-	}}
-	e := NewEngine(Config{Lower: lower, Retries: -1})
-	defer e.Close()
-
-	_, _, err1 := e.Query(engHost, engQuery(1))
-	_, _, err2 := e.Query(engHost, engQuery(2))
-	for i, err := range []error{err1, err2} {
-		if errors.Is(err, core.ErrNoDaemon) {
-			t.Errorf("attempt %d: down host classified as daemon-less: %v", i, err)
-		}
-		if !errors.Is(err, ErrDial) {
-			t.Errorf("attempt %d: lost dial classification: %v", i, err)
-		}
-	}
-	if got := lower.calls.Load(); got != 1 {
-		t.Errorf("wire queries = %d, want 1 (down host negative-cached)", got)
-	}
-}
-
-type timeoutErr struct{}
-
-func (*timeoutErr) Error() string { return "fake dial timeout" }
-func (*timeoutErr) Timeout() bool { return true }
-
-func wrapDial(err error) error {
-	return errors.Join(ErrDial, err)
-}
-
-// TestEngineBreaker: consecutive per-request failures (not host-condemning,
-// so the negative cache stays out of the way) trip the breaker; while open,
-// queries fast-fail without wire trips; after the cooldown a probe goes
+// TestEngineBreaker: consecutive per-request failures trip the breaker; while
+// open, queries fast-fail without wire trips; after the cooldown a probe goes
 // through.
 func TestEngineBreaker(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
 		return nil, 0, errors.New("connection reset mid-exchange")
 	}}
-	e := NewEngine(Config{
-		Lower: lower, Retries: -1, NegativeTTL: -1,
-		BreakerThreshold: 3, BreakerCooldown: time.Second, Clock: clk.Now,
-	})
+	e := NewEngine(Config{Lower: lower, Retries: -1, Clock: clk.Now})
 	defer e.Close()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, _, err := e.Query(engHost, engQuery(netaddr.Port(i))); err == nil {
 			t.Fatal("scripted failure succeeded")
 		}
@@ -174,7 +107,7 @@ func TestEngineBreaker(t *testing.T) {
 		t.Errorf("engine_breaker_fastfails = %d, want 4", ff)
 	}
 
-	clk.Advance(2 * time.Second)
+	clk.Advance(breakerCooldown)
 	e.Query(engHost, engQuery(99)) // post-cooldown probe reaches the wire
 	if lower.calls.Load() != wireBefore+1 {
 		t.Error("post-cooldown probe never reached the wire")
@@ -189,9 +122,9 @@ func TestEngineBreakerIgnoresNoDaemon(t *testing.T) {
 	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
 		return nil, 0, core.ErrNoDaemon
 	}}
-	e := NewEngine(Config{Lower: lower, Retries: -1, NegativeTTL: -1, BreakerThreshold: 2})
+	e := NewEngine(Config{Lower: lower, Retries: -1})
 	defer e.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*breakerThreshold; i++ {
 		_, _, err := e.Query(engHost, engQuery(netaddr.Port(i)))
 		if !errors.Is(err, core.ErrNoDaemon) {
 			t.Fatalf("query %d lost the no-daemon classification: %v", i, err)
@@ -224,11 +157,126 @@ func TestEngineRetries(t *testing.T) {
 	lower2 := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
 		return nil, 0, core.ErrNoDaemon
 	}}
-	e2 := NewEngine(Config{Lower: lower2, NegativeTTL: -1})
+	e2 := NewEngine(Config{Lower: lower2})
 	defer e2.Close()
 	e2.Query(engHost, engQuery(2))
 	if got := lower2.calls.Load(); got != 1 {
 		t.Errorf("no-daemon was retried %d times; it is authoritative", got-1)
+	}
+}
+
+// TestEngineDoesNotRetryFailedDial: a dial that fails without a refusal
+// leaves the host in its Pipe's backoff window before the failure is
+// delivered, so a retry could only be served the same error again. The
+// engine delivers the first failure: one dial, no retry, one query sent.
+func TestEngineDoesNotRetryFailedDial(t *testing.T) {
+	p := NewPool(PoolConfig{Resolver: StaticResolver{engHost: badPortAddr}})
+	defer p.Close()
+	e := NewEngine(Config{Lower: p}) // default: 1 retry
+	defer e.Close()
+	if _, _, err := e.Query(engHost, engQuery(1)); !errors.Is(err, ErrDial) {
+		t.Fatalf("err = %v, want ErrDial", err)
+	}
+	if r := e.Counters.Get("engine_retries"); r != 0 {
+		t.Errorf("engine_retries = %d, want 0", r)
+	}
+	if s := e.Counters.Get("engine_queries_sent"); s != 1 {
+		t.Errorf("engine_queries_sent = %d, want 1", s)
+	}
+	if d, ff := p.Counters.Get("pool_dial_errors"), p.Counters.Get("pool_dial_backoff_fastfails"); d != 1 || ff != 0 {
+		t.Errorf("pool_dial_errors = %d, pool_dial_backoff_fastfails = %d; want 1, 0", d, ff)
+	}
+}
+
+// TestEngineNegativeCachePreservesClassification: the one memory of a failed
+// host is the Pool's dial backoff window. An unreachable host (a dial that
+// fails, not a refusal) is served from it on the next query, and through the
+// engine its error stays a transport failure, never "no daemon".
+func TestEngineNegativeCachePreservesClassification(t *testing.T) {
+	p := NewPool(PoolConfig{Resolver: StaticResolver{engHost: badPortAddr}})
+	defer p.Close()
+	e := NewEngine(Config{Lower: p})
+	defer e.Close()
+
+	for i := range 2 {
+		_, _, err := e.Query(engHost, engQuery(netaddr.Port(1+i)))
+		if errors.Is(err, core.ErrNoDaemon) {
+			t.Errorf("attempt %d: down host classified as daemon-less: %v", i, err)
+		}
+		if !errors.Is(err, ErrDial) {
+			t.Errorf("attempt %d: lost dial classification: %v", i, err)
+		}
+	}
+	if d, ff := p.Counters.Get("pool_dial_errors"), p.Counters.Get("pool_dial_backoff_fastfails"); d != 1 || ff != 1 {
+		t.Errorf("pool_dial_errors = %d, pool_dial_backoff_fastfails = %d; want 1, 1 (down host served from the backoff window)", d, ff)
+	}
+}
+
+// TestEngineFailuresAllocateNothing: the failures a host without a working
+// daemon meets on every query — an open breaker, a refused host inside its
+// dial backoff window, a resolver miss — are delivered through the engine
+// and the pool without a heap allocation.
+func TestEngineFailuresAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries randomly under -race; allocation counts are nondeterministic")
+	}
+	refusedAddr := func() string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		return l.Addr().String()
+	}()
+	refused, unknown, unreachable := engHost, netaddr.MustParseIP("10.1.0.2"), netaddr.MustParseIP("10.1.0.3")
+	p := NewPool(PoolConfig{Resolver: StaticResolver{refused: refusedAddr, unreachable: badPortAddr}})
+	defer p.Close()
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	e := NewEngine(Config{Lower: p, Clock: clk.Now})
+	defer e.Close()
+
+	var failed int
+	done := func(_ *wire.Response, _ time.Duration, err error) {
+		if err != nil {
+			failed++
+		}
+	}
+	q := engQuery(1)
+	allocs := func(host netaddr.IP) float64 {
+		failed = 0
+		n := testing.AllocsPerRun(100, func() { e.QueryAsync(host, q, done) })
+		if failed != 101 {
+			t.Fatalf("%v: %d of 101 queries failed inline", host, failed)
+		}
+		return n
+	}
+
+	// Every dial of the unreachable host fails, and each failure feeds the
+	// breaker; the fake clock keeps it open.
+	for range breakerThreshold {
+		e.Query(unreachable, q)
+	}
+	if n := allocs(unreachable); n != 0 {
+		t.Errorf("breaker-open rejection: %v allocs, want 0", n)
+	}
+	if n := allocs(unknown); n != 0 {
+		t.Errorf("resolver miss: %v allocs, want 0", n)
+	}
+	// The first backoff window is 50 ms: measure right after a refused dial,
+	// and again if a redial landed inside the measurement.
+	for try := 0; ; try++ {
+		if _, _, err := e.Query(refused, q); !core.IsNoDaemon(err) {
+			t.Fatalf("refused host: %v, want ErrNoDaemon", err)
+		}
+		dials := p.Counters.Get("pool_dial_errors")
+		n := allocs(refused)
+		if p.Counters.Get("pool_dial_errors") != dials && try < 5 {
+			continue
+		}
+		if n != 0 {
+			t.Errorf("refused host inside its backoff window: %v allocs, want 0", n)
+		}
+		break
 	}
 }
 

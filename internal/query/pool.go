@@ -26,10 +26,6 @@ type PoolConfig struct {
 	// caller does not supply one via Exchange or Go (default 2s).
 	RequestTimeout time.Duration
 
-	// MaxBackoff caps the reconnect backoff after repeated dial failures
-	// (default 2s; backoff starts at 50ms and doubles).
-	MaxBackoff time.Duration
-
 	// Counters receives transport counters; a private set when nil.
 	Counters *metrics.Counter
 
@@ -45,12 +41,14 @@ type PoolConfig struct {
 
 const (
 	defaultRequestTimeout = 2 * time.Second
-	defaultMaxBackoff     = 2 * time.Second
 
 	// maxInFlight is the pipe's count limit: none. Queries queue behind one
 	// another up to link.Bound bytes, where senders block.
 	maxInFlight = 0
 )
+
+// errNoAddress fails a query to a host the resolver knows no daemon for.
+var errNoAddress = fmt.Errorf("query: no daemon address: %w", core.ErrNoDaemon)
 
 // Pool is the pooled TCP transport of the query plane: one connection per
 // end-host, multiplexed and pipelined — any number of in-flight requests
@@ -61,7 +59,6 @@ const (
 type Pool struct {
 	resolver   Resolver
 	reqTimeout time.Duration
-	maxBackoff time.Duration
 	authority  sig.PublicKey // non-zero: credentialed mode (cred.go)
 	exchanges  sync.Pool     // *exchange
 
@@ -90,16 +87,12 @@ func NewPool(cfg PoolConfig) *Pool {
 	p := &Pool{
 		resolver:   cfg.Resolver,
 		reqTimeout: cfg.RequestTimeout,
-		maxBackoff: cfg.MaxBackoff,
 		authority:  cfg.AuthorityKey,
 		Counters:   cfg.Counters,
 		hosts:      make(map[netaddr.IP]*hostConn),
 	}
 	if p.reqTimeout <= 0 {
 		p.reqTimeout = defaultRequestTimeout
-	}
-	if p.maxBackoff <= 0 {
-		p.maxBackoff = defaultMaxBackoff
 	}
 	if p.Counters == nil {
 		p.Counters = metrics.NewCounter()
@@ -233,13 +226,14 @@ func (p *Pool) host(host netaddr.IP) (*hostConn, error) {
 	addr, ok := p.resolver.Resolve(host)
 	if !ok {
 		// Resolver-level knowledge: this host runs no daemon. Not cached
-		// in the pool (the resolver is the cache); cheap either way.
-		return nil, fmt.Errorf("query: no daemon address for %s: %w", host, core.ErrNoDaemon)
+		// in the pool (the resolver is the cache), and one error value for
+		// every such host, so the miss allocates nothing.
+		return nil, errNoAddress
 	}
 	hc := &hostConn{pool: p, host: host}
 	// Every flush gets the request timeout as its write deadline: a daemon
 	// that stops reading is torn down within it.
-	hc.pipe = link.NewPipe(&hc.mu, addr, p.reqTimeout, p.maxBackoff, maxInFlight, link.Plane[flow.Five, *wire.Response]{
+	hc.pipe = link.NewPipe(&hc.mu, addr, p.reqTimeout, maxInFlight, link.Plane[flow.Five, *wire.Response]{
 		Frame: hc.frame, Opened: hc.opened, DialFailed: hc.dialFailed, Down: hc.down,
 	})
 	p.hosts[host] = hc
@@ -328,9 +322,10 @@ func classifyDial(err error) error {
 	if errors.Is(err, syscall.ECONNREFUSED) {
 		return fmt.Errorf("query: %w: %w", err, core.ErrNoDaemon)
 	}
-	// Both wrapped: ErrDial drives the negative cache, and the original
-	// error keeps its net.Error shape so a dial timeout still counts as a
-	// timeout (query_timeouts), not a generic query_error.
+	// Both wrapped: ErrDial keeps the engine from retrying into the backoff
+	// window, and the original error keeps its net.Error shape so a dial
+	// timeout still counts as a timeout (query_timeouts), not a generic
+	// query_error.
 	return fmt.Errorf("query: %w: %w", err, ErrDial)
 }
 

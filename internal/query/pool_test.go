@@ -89,7 +89,7 @@ func TestPoolPipelinedExchanges(t *testing.T) {
 // request, back off, and transparently redial.
 func TestPoolReconnectAfterServerRestart(t *testing.T) {
 	host, addr, srv := startDaemon(t, "pc", "10.0.0.2")
-	p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}, MaxBackoff: 50 * time.Millisecond})
+	p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}})
 	defer p.Close()
 
 	f := testFlow(host, 2000)
@@ -153,7 +153,7 @@ func TestPoolIdleConnDroppedByServerReadTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: addr.String()}, MaxBackoff: 20 * time.Millisecond})
+	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: addr.String()}})
 	defer p.Close()
 	f := testFlow(hostIP, 3000)
 	if _, _, err := p.Query(hostIP, wire.Query{Flow: f}); err != nil {
@@ -291,7 +291,9 @@ func TestPoolRequestDeadline(t *testing.T) {
 
 // TestPoolDialClassification: a connection refused (closed port) is the
 // daemon-less case and must match core.ErrNoDaemon; the resolver saying
-// "no daemon" likewise, without any dial.
+// "no daemon" likewise, without any dial. A dial that fails otherwise leaves
+// the host unreachable: ErrDial, never "no daemon", neither fresh nor served
+// again from the backoff window.
 func TestPoolDialClassification(t *testing.T) {
 	// Grab a port and close it so nothing listens there.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -303,8 +305,22 @@ func TestPoolDialClassification(t *testing.T) {
 
 	refused := netaddr.MustParseIP("10.0.0.7")
 	unknown := netaddr.MustParseIP("10.0.0.8")
-	p := NewPool(PoolConfig{Resolver: StaticResolver{refused: addr}})
+	unreachable := netaddr.MustParseIP("10.0.0.9")
+	p := NewPool(PoolConfig{Resolver: StaticResolver{refused: addr, unreachable: badPortAddr}})
 	defer p.Close()
+
+	for i := range 2 {
+		_, _, err = p.Query(unreachable, wire.Query{Flow: testFlow(unreachable, netaddr.Port(6100+i))})
+		if errors.Is(err, core.ErrNoDaemon) {
+			t.Errorf("attempt %d: unreachable host classified as daemon-less: %v", i, err)
+		}
+		if !errors.Is(err, ErrDial) {
+			t.Errorf("attempt %d: lost the dial classification: %v", i, err)
+		}
+	}
+	if d, ff := p.Counters.Get("pool_dial_errors"), p.Counters.Get("pool_dial_backoff_fastfails"); d != 1 || ff != 1 {
+		t.Errorf("unreachable host: %d dials failed, %d calls failed fast; want 1, 1", d, ff)
+	}
 
 	_, _, err = p.Query(refused, wire.Query{Flow: testFlow(refused, 6000)})
 	if !errors.Is(err, core.ErrNoDaemon) {
@@ -318,10 +334,11 @@ func TestPoolDialClassification(t *testing.T) {
 
 	// Repeated failures are served from the backoff fast-fail, not a fresh
 	// dial each time.
+	ffBefore := p.Counters.Get("pool_dial_backoff_fastfails")
 	for i := 0; i < 5; i++ {
 		p.Query(refused, wire.Query{Flow: testFlow(refused, 6002)})
 	}
-	if ff := p.Counters.Get("pool_dial_backoff_fastfails"); ff == 0 {
+	if ff := p.Counters.Get("pool_dial_backoff_fastfails"); ff == ffBefore {
 		t.Error("repeated dial failures never hit the backoff fast-fail")
 	}
 }

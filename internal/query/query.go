@@ -14,9 +14,8 @@
 //     Pool, directly in identctl, or behind the simulator's interception
 //     chain in the experiments) and adds the behavior a controller serving millions of
 //     users needs on the availability-critical path: bounded retries, a
-//     per-host circuit breaker, a TTL'd negative cache so daemon-less or
-//     down hosts stop costing a connect timeout per miss, and an
-//     asynchronous completion API the controller uses to suspend a
+//     per-host circuit breaker that stops queries to a daemon that is
+//     connected but hung, and an asynchronous completion API the controller uses to suspend a
 //     decision: no goroutine is parked on the round trip, and the flight's
 //     completion — retry, breaker, delivery, and with it the controller's
 //     evaluate-and-install — runs on the Pool goroutine that decoded the
@@ -44,10 +43,11 @@ import (
 // controller's query_timeouts accounting) see it as a timeout.
 var ErrDeadline = link.ErrDeadline
 
-// ErrDial is wrapped into every connection-establishment failure. The
-// engine's negative cache keys off it: a host we cannot even connect to is
-// down or daemon-less at host granularity, unlike a per-request timeout on
-// a live connection, which says nothing about the next request.
+// ErrDial is wrapped into every connection-establishment failure that is
+// not a refusal: the host is unreachable, and the Pool fails its queries
+// with the same error until the dial's backoff window passes. The engine
+// does not retry it, unlike a per-request timeout on a live connection,
+// which says nothing about the next request.
 var ErrDial = errors.New("query: dial failed")
 
 // ErrBreakerOpen is returned without touching the wire while a host's
@@ -60,6 +60,8 @@ var ErrClosed = errors.New("query: closed")
 // Resolver maps an end-host IP to the TCP address of its ident++ daemon.
 // ok=false means the deployment knows the host runs no daemon (the §4
 // incremental case): the query fails with core.ErrNoDaemon without a dial.
+// The Pool asks again on every query to such a host, so Resolve should be a
+// lookup.
 type Resolver interface {
 	Resolve(host netaddr.IP) (addr string, ok bool)
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,113 +12,29 @@ import (
 	"identxx/internal/wire"
 )
 
-// pushLower is a fakeLower that also supports update subscription, so a
-// test can hand-deliver a hello and watch the engine's reaction.
-type pushLower struct {
-	fakeLower
-	handler atomic.Value // func(netaddr.IP, wire.Update)
-}
-
-func (l *pushLower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
-	l.handler.Store(fn)
-}
-
-func (l *pushLower) push(host netaddr.IP, u wire.Update) {
-	l.handler.Load().(func(netaddr.IP, wire.Update))(host, u)
-}
-
-// TestEngineHelloClearsNegativeCache: a hello over the push channel is
-// proof the daemon is back, and must clear the host's negative-cache
-// entry and breaker on the spot. The seed kept serving the cached dial
-// error for the rest of the negative TTL — the fast-fail gate never
-// re-dialed, so the engine could not learn of the recovery.
-func TestEngineHelloClearsNegativeCache(t *testing.T) {
-	var down atomic.Bool
-	down.Store(true)
-	lower := &pushLower{}
-	lower.fn = func(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-		if down.Load() {
-			return nil, 0, core.ErrNoDaemon
-		}
-		r := wire.NewResponse(q.Flow)
-		r.Add(wire.KeyHost, "pc")
-		return r, 0, nil
-	}
-	e := NewEngine(Config{Lower: lower, NegativeTTL: time.Hour, Retries: -1, BreakerThreshold: 1})
-	defer e.Close()
-	var hellos atomic.Int64
-	if !e.SetUpdateHandler(func(host netaddr.IP, u wire.Update) {
-		if u.Hello {
-			hellos.Add(1)
-		}
-	}) {
-		t.Fatal("lower does not support updates")
-	}
-
-	// Daemon down: one wire trip, then the negative cache absorbs repeats.
-	for i := 0; i < 3; i++ {
-		if _, _, err := e.Query(engHost, engQuery(netaddr.Port(100+i))); !errors.Is(err, core.ErrNoDaemon) {
-			t.Fatalf("down query %d: err = %v, want ErrNoDaemon", i, err)
-		}
-	}
-	if got := lower.calls.Load(); got != 1 {
-		t.Fatalf("wire queries while down = %d, want 1", got)
-	}
-
-	// The daemon comes back and its subscription handshake delivers a
-	// hello. The negative TTL has an hour left; recovery must not wait it.
-	down.Store(false)
-	lower.push(engHost, wire.Update{Hello: true, Serial: 1})
-	if hellos.Load() != 1 {
-		t.Fatal("hello not forwarded to the installed handler")
-	}
-	if got := e.Counters.Get("engine_host_recoveries"); got != 1 {
-		t.Fatalf("engine_host_recoveries = %d, want 1", got)
-	}
-
-	resp, _, err := e.Query(engHost, engQuery(200))
-	if err != nil {
-		t.Fatalf("post-recovery query: %v (negative cache not cleared)", err)
-	}
-	if resp == nil {
-		t.Fatal("post-recovery query returned no response")
-	}
-	if got := lower.calls.Load(); got != 2 {
-		t.Errorf("wire queries after recovery = %d, want 2", got)
-	}
-
-	// A hello from a never-failed host is a no-op, not a spurious count.
-	lower.push(engHost, wire.Update{Hello: true, Serial: 2})
-	if got := e.Counters.Get("engine_host_recoveries"); got != 1 {
-		t.Errorf("engine_host_recoveries after clean hello = %d, want 1", got)
-	}
-}
-
-// TestEngineRecoveryAfterServerRestart is the scripted end-to-end form:
-// a real daemon.Server goes down, queries through pool+engine negative-
-// cache the dial error, the server restarts on the same address, and the
-// reconnect's hello un-wedges the engine immediately — with an hour of
-// negative TTL still on the clock.
+// TestEngineRecoveryAfterServerRestart: a daemon goes down, queries through
+// pool+engine fail with ErrNoDaemon — the first dial refused, the rest from
+// the pool's backoff window — and once the server restarts on the same
+// address the engine serves the host again as soon as that window passes,
+// with no update handler installed: nothing above the pool remembers the
+// failure.
 func TestEngineRecoveryAfterServerRestart(t *testing.T) {
 	host, addr, srv := startDaemon(t, "pc", "10.0.0.77")
 	srv.Close() // daemon down; the address stays reserved for the restart
 
-	p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}, MaxBackoff: 10 * time.Millisecond})
+	p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}})
 	defer p.Close()
-	e := NewEngine(Config{Lower: p, NegativeTTL: time.Hour, Retries: -1})
+	e := NewEngine(Config{Lower: p})
 	defer e.Close()
-	if !e.SetUpdateHandler(func(netaddr.IP, wire.Update) {}) {
-		t.Fatal("pool does not support updates")
-	}
 
-	f := testFlow(host, 3000)
+	q := wire.Query{Flow: testFlow(host, 3000), Keys: []string{wire.KeyHost}}
 	for i := 0; i < 3; i++ {
-		if _, _, err := e.Query(host, wire.Query{Flow: f, Keys: []string{wire.KeyHost}}); !errors.Is(err, core.ErrNoDaemon) {
+		if _, _, err := e.Query(host, q); !errors.Is(err, core.ErrNoDaemon) {
 			t.Fatalf("down query %d: err = %v, want ErrNoDaemon", i, err)
 		}
 	}
-	if e.Counters.Get("engine_negcache_hits") == 0 {
-		t.Fatal("negative cache never armed")
+	if d, ff := p.Counters.Get("pool_dial_errors"), p.Counters.Get("pool_dial_backoff_fastfails"); d != 1 || ff != 2 {
+		t.Fatalf("while down: %d dials failed, %d calls failed fast; want 1, 2", d, ff)
 	}
 
 	// Restart the daemon on the same address.
@@ -133,28 +48,20 @@ func TestEngineRecoveryAfterServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	// A direct pool exchange (another flow's query, in a deployment)
-	// reconnects and subscribes; the daemon acks with a hello the engine
-	// intercepts. Wait out the pool's dial backoff.
-	deadline := time.Now().Add(5 * time.Second)
+	// One failed dial opened one window; the first query past it redials
+	// and is answered. 2 s is the longest window a Pipe ever opens.
+	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, err := p.Query(host, wire.Query{Flow: f}); err == nil {
+		_, _, err := e.Query(host, q)
+		if err == nil {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("pool never reconnected after restart")
+		if !errors.Is(err, core.ErrNoDaemon) || time.Now().After(deadline) {
+			t.Fatalf("restarted daemon not served within one backoff window: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	for e.Counters.Get("engine_host_recoveries") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hello never reached the engine")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// The engine must serve the host again now — not after the TTL.
-	if _, _, err := e.Query(host, wire.Query{Flow: f, Keys: []string{wire.KeyHost}}); err != nil {
-		t.Fatalf("post-recovery engine query: %v", err)
+	if d := p.Counters.Get("pool_dial_errors"); d != 1 {
+		t.Errorf("pool_dial_errors = %d, want 1 (the redial after the window succeeds)", d)
 	}
 }

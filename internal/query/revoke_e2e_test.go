@@ -166,7 +166,7 @@ func TestE2ELegacyDaemonLeaseFallback(t *testing.T) {
 		src.ip: src.addr,
 	}})
 	t.Cleanup(func() { pool.Close() })
-	eng := query.NewEngine(query.Config{Lower: pool, NegativeTTL: time.Hour})
+	eng := query.NewEngine(query.Config{Lower: pool})
 	t.Cleanup(eng.Close)
 
 	sw := openflow.NewSwitch(1, "edge", 0)

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"identxx/internal/core"
 	"identxx/internal/daemon"
 	"identxx/internal/hostinfo"
 	"identxx/internal/netaddr"
@@ -34,7 +33,7 @@ func TestPoolTraceIDSurvivesReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: addr.String()}, MaxBackoff: 50 * time.Millisecond})
+	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: addr.String()}})
 	defer p.Close()
 
 	f := testFlow(hostIP, 2100)
@@ -102,7 +101,7 @@ func enqueueEvents(t *testing.T, tr trace.Trace) (enq, done *trace.Event) {
 }
 
 // TestEngineTracedRejectionsPair: a query the engine turns away on the spot —
-// closed, negative cache, open breaker — is an exchange like any other to the
+// closed, open breaker — is an exchange like any other to the
 // trace: one enqueue flagged with the gate, then one done flagged as failed.
 func TestEngineTracedRejectionsPair(t *testing.T) {
 	failing := func(err error) *fakeLower {
@@ -118,14 +117,11 @@ func TestEngineTracedRejectionsPair(t *testing.T) {
 			e.Close()
 			return e
 		}},
-		{"negative cache", trace.FlagNegCache, func() *Engine {
-			e := NewEngine(Config{Lower: failing(core.ErrNoDaemon)})
-			e.Query(engHost, engQuery(4000))
-			return e
-		}},
 		{"breaker", trace.FlagBreaker, func() *Engine {
-			e := NewEngine(Config{Lower: failing(errors.New("reset")), BreakerThreshold: 1, Retries: -1})
-			e.Query(engHost, engQuery(4000))
+			e := NewEngine(Config{Lower: failing(errors.New("reset")), Retries: -1})
+			for range breakerThreshold {
+				e.Query(engHost, engQuery(4000))
+			}
 			return e
 		}},
 	}

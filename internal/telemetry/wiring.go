@@ -64,12 +64,10 @@ var ControllerCounters = map[string]string{
 // EngineCounters documents the query engine's counters.
 var EngineCounters = map[string]string{
 	"engine_queries_sent":      "Transport attempts the engine passed to the lower layer (one per admitted query, plus retries).",
-	"engine_negcache_hits":     "Queries served a cached host-unreachable verdict without touching the wire.",
 	"engine_retries":           "Extra attempts after retryable transport failures.",
 	"engine_breaker_opens":     "Circuit breakers opened by consecutive host failures.",
 	"engine_breaker_fastfails": "Queries rejected while a host's breaker was open.",
 	"engine_timeouts":          "Query attempts that exceeded the request timeout.",
-	"engine_host_recoveries":   "Hosts whose breaker and negative cache were cleared by a subscription hello.",
 }
 
 // PoolCounters documents the TCP connection pool's counters.
@@ -205,7 +203,7 @@ func RegisterEngine(r *Registry, eng *query.Engine, labels ...Label) {
 	r.RegisterCounterSet(eng.Counters, EngineCounters, labels...)
 	r.RegisterGauge("engine_inflight", "Admitted queries not yet delivered, one per query however many attempts it takes (fast-path rejections never count).",
 		&eng.InFlight, labels...)
-	r.RegisterGaugeFunc("engine_hosts", "Hosts with per-host engine state (negative cache, breaker, RTT histogram).",
+	r.RegisterGaugeFunc("engine_hosts", "Hosts with per-host engine state (breaker, RTT histogram).",
 		func() int64 { return int64(len(eng.HostStats())) }, labels...)
 }
 

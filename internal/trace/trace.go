@@ -2,8 +2,8 @@
 // span buffer rides each decision through the controller pipeline and
 // records timestamped events at every stage boundary — megaflow and exact
 // cache probes, the header-only pre-pass, query enqueue/completion per
-// endpoint (annotated with the query engine's retry, breaker and
-// negative-cache behavior), policy eval, install fan-out, waiter
+// endpoint (annotated with the query engine's retries and breaker),
+// policy eval, install fan-out, waiter
 // release, and revocation voids. Completed traces land in a striped ring;
 // the telemetry server exports them as JSON-lines on /trace.
 //
@@ -111,9 +111,6 @@ const (
 	FlagSrc
 	// FlagDst marks an event about the destination endpoint.
 	FlagDst
-	// FlagNegCache marks a query answered from the engine's negative
-	// cache without touching the wire.
-	FlagNegCache
 	// FlagBreaker marks a query fast-failed by an open circuit breaker.
 	FlagBreaker
 	// FlagErr marks a stage that completed with an error.
@@ -135,7 +132,6 @@ var flagNames = []struct {
 	{FlagHit, "hit"},
 	{FlagSrc, "src"},
 	{FlagDst, "dst"},
-	{FlagNegCache, "negcache"},
 	{FlagBreaker, "breaker"},
 	{FlagErr, "err"},
 	{FlagDeny, "deny"},
