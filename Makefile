@@ -33,6 +33,11 @@ lint: fmt-check vet
 # its second response. A `go` statement or a WaitGroup there is a second
 # gather or install path growing back.
 #
+# One place a punt's tuple is derived: a switch decodes its frame, in
+# process (openflow.Switch) or at the controller's end of the secure channel
+# (openflow.ChannelServer), so every controller is handed PacketIn.Tuple. A
+# `.Ten(` anywhere else in the program is another receiver re-deriving it.
+#
 # One policy engine: identctl links the compiled program and its VM. The
 # tree-walking interpreter is internal/pf's test oracle (interp_test.go);
 # any of its symbols, or the old switch that ran it beside the VM, in the
@@ -44,6 +49,8 @@ check-seam:
 	if [ -n "$$out" ]; then echo "accept/read loop outside internal/link:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '^[[:space:]]*go |WaitGroup' internal/core/*.go internal/query/engine.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "goroutine or WaitGroup on the decision path:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE '\.Ten\(' --include='*.go' internal cmd examples | grep -vE '^internal/(openflow|packet)/|_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "a tuple derived outside internal/openflow:"; echo "$$out"; exit 1; fi
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/identctl" ./cmd/identctl || exit 1; \
 	out="$$($(GO) tool nm "$$tmp/identctl" | grep -E '$(PF_ORACLE_SYMS)')"; \
@@ -227,6 +234,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzParseCredential -fuzztime=$(FUZZTIME) ./internal/cred/
 	$(GO) test -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz=FuzzChannelPacketIn -fuzztime=$(FUZZTIME) ./internal/openflow/
 
 # Compile every example's .control files through pfcheck (with -explain,
 # so the compiler's lowering and key analysis run too): example configs

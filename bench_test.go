@@ -1442,16 +1442,20 @@ func (l *m16Listener) Accept() (net.Conn, error) {
 }
 
 // m16Handler decides every packet-in at once with one flow-mod, so the
-// benchmark prices the channel and nothing behind it.
-type m16Handler struct{ mod openflow.FlowMod }
+// benchmark prices the channel and nothing behind it. Its one switch is
+// registered and punts on the same reader goroutine.
+type m16Handler struct {
+	mod openflow.FlowMod
+	dp  openflow.Datapath
+}
 
-func (h *m16Handler) SwitchConnected(*openflow.RemoteSwitch)                   {}
-func (h *m16Handler) SwitchDisconnected(*openflow.RemoteSwitch)                {}
-func (h *m16Handler) FlowRemoved(*openflow.RemoteSwitch, openflow.FlowRemoved) {}
-func (h *m16Handler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
+func (h *m16Handler) AddDatapath(dp openflow.Datapath)       { h.dp = dp }
+func (h *m16Handler) RemoveDatapath(openflow.Datapath) bool  { return true }
+func (h *m16Handler) HandleFlowRemoved(openflow.FlowRemoved) {}
+func (h *m16Handler) HandleEvent(ev openflow.PacketIn) {
 	mod := h.mod
 	mod.BufferID = ev.BufferID
-	sw.Apply(mod)
+	h.dp.Apply(mod)
 }
 
 // BenchmarkM16_ChannelIO prices the switch channel's I/O alone: a real

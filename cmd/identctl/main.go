@@ -5,7 +5,7 @@
 // verdicts into the switches.
 //
 // Host placement (which switch/port each host hangs off, and where its
-// daemon listens) comes from a topology file:
+// daemon listens) comes from a topology file, one line per host:
 //
 //	# host <ip> switch <datapath-id> port <n> [daemon <addr:port>]
 //	host 10.0.0.1 switch 1 port 2 daemon 10.0.0.1:783
@@ -40,7 +40,6 @@ import (
 	"identxx/internal/core"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
-	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/query"
 	"identxx/internal/sig"
@@ -164,7 +163,7 @@ func main() {
 	// replica re-queries and re-subscribes for the flows it owns.
 	var rt *cluster.Router
 	if *clusterSelf != "" {
-		rt = cluster.NewRouter(ctl, self, cluster.Options{Trace: recorder})
+		rt = cluster.NewRouter(ctl, self, cluster.Options{})
 		members := []cluster.Member{self}
 		if *clusterPeers != "" {
 			for _, p := range strings.Split(*clusterPeers, ",") {
@@ -254,11 +253,11 @@ func main() {
 		defer ts.Close()
 		fmt.Printf("identctl: telemetry on http://%s/metrics\n", taddr)
 	}
-	handler := channelHandler{ctl}
+	var front openflow.ChannelController = ctl
 	if rt != nil {
-		handler.front = rt
+		front = rt
 	}
-	server := openflow.NewChannelServer(handler)
+	server := openflow.NewChannelServer(announcer{front})
 	addr, err := server.Listen(*listen)
 	if err != nil {
 		fatal(err)
@@ -288,47 +287,19 @@ func parseMember(s string) (cluster.Member, error) {
 	return cluster.Member{ID: id, Addr: addr}, nil
 }
 
-// front is what a switch channel drives: the controller itself, or in
-// multi-controller operation the ownership router before it.
-type front interface {
-	AddDatapath(openflow.Datapath)
-	RemoveDatapath(openflow.Datapath) bool
-	HandleEvent(openflow.PacketIn)
-	HandleFlowRemoved(*openflow.Switch, openflow.FlowRemoved)
+// announcer prints each switch's connect and disconnect around the front a
+// switch channel drives: the controller itself, or in multi-controller
+// operation the ownership router before it.
+type announcer struct{ openflow.ChannelController }
+
+func (a announcer) AddDatapath(dp openflow.Datapath) {
+	fmt.Printf("identctl: switch %d connected\n", dp.DatapathID())
+	a.ChannelController.AddDatapath(dp)
 }
 
-// channelHandler adapts ChannelServer callbacks onto the front chosen at
-// start-up.
-type channelHandler struct{ front }
-
-func (h channelHandler) SwitchConnected(sw *openflow.RemoteSwitch) {
-	fmt.Printf("identctl: switch %d connected\n", sw.DatapathID())
-	h.AddDatapath(sw)
-}
-
-func (h channelHandler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
-	// The wire codec does not carry the parsed tuple; rebuild it from the
-	// frame before handing the event on.
-	h.HandleEvent(rebuildTuple(ev))
-}
-
-func (h channelHandler) FlowRemoved(sw *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
-	h.HandleFlowRemoved(nil, ev)
-}
-
-func (h channelHandler) SwitchDisconnected(sw *openflow.RemoteSwitch) {
-	fmt.Printf("identctl: switch %d disconnected\n", sw.DatapathID())
-	// A reconnect may already have replaced the handle; then this removes
-	// nothing.
-	h.RemoveDatapath(sw)
-}
-
-func rebuildTuple(ev openflow.PacketIn) openflow.PacketIn {
-	var p packet.Packet
-	if p.DecodeInto(ev.Frame) == nil {
-		ev.Tuple = p.Ten(ev.InPort)
-	}
-	return ev
+func (a announcer) RemoveDatapath(dp openflow.Datapath) bool {
+	fmt.Printf("identctl: switch %d disconnected\n", dp.DatapathID())
+	return a.ChannelController.RemoveDatapath(dp)
 }
 
 // topology is the static placement map for path computation and daemon
@@ -352,12 +323,15 @@ func parseTopology(src string) (*topology, error) {
 			continue
 		}
 		f := strings.Fields(line)
-		if len(f) < 6 || f[0] != "host" || f[2] != "switch" || f[4] != "port" {
+		if (len(f) != 6 && (len(f) != 8 || f[6] != "daemon")) || f[0] != "host" || f[2] != "switch" || f[4] != "port" {
 			return nil, fmt.Errorf("topology line %d: want `host <ip> switch <id> port <n> [daemon <addr>]`", lineNo+1)
 		}
 		ip, err := netaddr.ParseIP(f[1])
 		if err != nil {
 			return nil, fmt.Errorf("topology line %d: %v", lineNo+1, err)
+		}
+		if _, dup := t.hosts[ip]; dup {
+			return nil, fmt.Errorf("topology line %d: host %s placed twice", lineNo+1, ip)
 		}
 		dp, err := strconv.ParseUint(f[3], 10, 64)
 		if err != nil {
@@ -369,7 +343,7 @@ func parseTopology(src string) (*topology, error) {
 		}
 		p := placement{datapath: dp, port: uint16(port)}
 		p.path = []core.Hop{{Datapath: p.datapath, OutPort: p.port}}
-		if len(f) >= 8 && f[6] == "daemon" {
+		if len(f) == 8 {
 			p.daemon = f[7]
 		}
 		t.hosts[ip] = p

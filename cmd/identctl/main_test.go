@@ -57,6 +57,11 @@ func TestParseTopologyErrors(t *testing.T) {
 		"host 10.0.0.1 switch x port 2",
 		"host 10.0.0.1 switch 1 port x",
 		"peer 10.0.0.1 switch 1 port 2",
+		"host 10.0.0.5 switch 1 port 2 deamon 10.0.0.5:783",                     // misspelt keyword
+		"host 10.0.0.5 switch 1 port 2 daemon",                                  // daemon without an address
+		"host 10.0.0.5 switch 1 port 2 daemon 10.0.0.5:783 extra",               // trailing field
+		"host 10.0.0.5 switch 1 port 2 extra",                                   // trailing field, no daemon
+		"host 10.0.0.5 switch 1 port 2\nhost 10.0.0.5 switch 1 port 3 daemon a", // one host placed twice
 	} {
 		if _, err := parseTopology(src); err == nil {
 			t.Errorf("parseTopology(%q) should fail", src)
@@ -271,9 +276,9 @@ func TestSwitchDisconnectDeregistersDatapath(t *testing.T) {
 			Transport: nullTransport{},
 			Topology:  &sinkTopo{},
 		})
-		h := channelHandler{ctl}
+		h := announcer{ctl}
 		if clustered {
-			h.front = cluster.NewRouter(ctl, cluster.Member{ID: "a"}, cluster.Options{})
+			h = announcer{cluster.NewRouter(ctl, cluster.Member{ID: "a"}, cluster.Options{})}
 		}
 		server := openflow.NewChannelServer(h)
 		addr, err := server.Listen("127.0.0.1:0")
@@ -366,7 +371,7 @@ func TestSwitchChannelFrameOutlivesTheNextRead(t *testing.T) {
 		Topology:     topo,
 		AsyncQueries: true,
 	})
-	server := openflow.NewChannelServer(channelHandler{ctl})
+	server := openflow.NewChannelServer(announcer{ctl})
 	addr, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -190,14 +190,12 @@ func parseHostSpec(src string) (*hostinfo.Host, error) {
 				ensureHost().InstallPatch(p)
 			}
 		case "user":
-			if len(fields) < 2 {
+			if len(fields) != 2 && (len(fields) != 4 || fields[2] != "groups") {
 				return nil, errf("usage: user <name> [groups a,b]")
 			}
 			var groups []string
-			for i := 2; i+1 < len(fields); i += 2 {
-				if fields[i] == "groups" {
-					groups = strings.Split(fields[i+1], ",")
-				}
+			if len(fields) == 4 {
+				groups = strings.Split(fields[3], ",")
 			}
 			ensureHost().AddUser(fields[1], groups...)
 		case "proc":

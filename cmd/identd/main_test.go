@@ -68,7 +68,11 @@ func TestParseHostSpecErrors(t *testing.T) {
 		"user u\nproc u /bin/x\nconn u /bin/x tcp :40000 1.1.1.1:80",  // missing '>'
 		"user u\nproc u /bin/x\nconn u /bin/x tcp :40000 > 1.1.1.1",   // missing dport
 		"ip 300.1.1.1",
-		"user u\nname late", // name after host materialized
+		"user u\nname late",             // name after host materialized
+		"user alice grups users",        // misspelt keyword
+		"user alice groups",             // groups without a list
+		"user alice groups users extra", // trailing token
+		"user alice users",              // a list without its keyword
 	}
 	for _, src := range cases {
 		if _, err := parseHostSpec(src); err == nil {

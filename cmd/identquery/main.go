@@ -1,10 +1,10 @@
 // Command identquery is the ident++ client: it asks a daemon about a flow
 // and prints the key-value response, sections delimited as on the wire.
 //
-// It drives the same query-plane client (internal/query: pooled transport
-// under the retry/breaker engine) the controller and the CI benchmarks
-// use, so the CLI exercises the production code path rather than a
-// hand-rolled dial.
+// It asks through the same pooled, pipelined transport (internal/query's
+// Pool) the controller's query engine runs over, so the CLI exercises the
+// production wire path rather than a hand-rolled dial. It asks once: a CLI
+// user retries themselves, so the engine's retries and breaker add nothing.
 //
 // Usage:
 //
@@ -40,15 +40,9 @@ func main() {
 		RequestTimeout: *timeout,
 	})
 	defer pool.Close()
-	eng := query.NewEngine(query.Config{
-		Lower:          pool,
-		RequestTimeout: *timeout,
-		Retries:        -1, // one shot: a CLI user retries themselves
-	})
-	defer eng.Close()
 	// The daemon answers about the flow; which endpoint "owns" it only
 	// matters for address resolution, and the resolver pins that to -addr.
-	resp, _, err := eng.Query(f.SrcIP, wire.Query{Flow: f, Keys: flag.Args()[1:]})
+	resp, _, err := pool.Query(f.SrcIP, wire.Query{Flow: f, Keys: flag.Args()[1:]})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "identquery:", err)
 		os.Exit(1)

@@ -99,8 +99,7 @@ pass from any to any with eq(@src[name], skype) keep state
 		Topology:       &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
 		InstallEntries: true,
 	})
-	handler := &integrationHandler{ctl: ctl}
-	chSrv := openflow.NewChannelServer(handler)
+	chSrv := openflow.NewChannelServer(ctl)
 	chAddr, err := chSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -155,27 +154,6 @@ pass from any to any with eq(@src[name], skype) keep state
 		t.Errorf("denied flow leaked: port-2 tx = %d", sink.count(2))
 	}
 }
-
-type integrationHandler struct {
-	ctl *core.Controller
-}
-
-func (h *integrationHandler) SwitchConnected(sw *openflow.RemoteSwitch) {
-	h.ctl.AddDatapath(sw)
-}
-
-func (h *integrationHandler) PacketIn(sw *openflow.RemoteSwitch, ev openflow.PacketIn) {
-	if p, err := packet.Decode(ev.Frame); err == nil {
-		ev.Tuple = p.Ten(ev.InPort)
-	}
-	h.ctl.HandleEvent(ev)
-}
-
-func (h *integrationHandler) FlowRemoved(sw *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
-	h.ctl.HandleFlowRemoved(nil, ev)
-}
-
-func (h *integrationHandler) SwitchDisconnected(*openflow.RemoteSwitch) {}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

@@ -64,8 +64,6 @@ type Binding struct {
 type EthaneTransport struct {
 	mu       sync.RWMutex
 	bindings map[netaddr.IP]Binding
-	// RTT models the (local) binding-table lookup; zero by default.
-	RTT time.Duration
 }
 
 // NewEthaneTransport creates an empty binding table.
@@ -80,20 +78,21 @@ func (t *EthaneTransport) Bind(ip netaddr.IP, user string, groups ...string) {
 	t.bindings[ip] = Binding{User: user, Groups: groups}
 }
 
-// Query implements core.QueryTransport from the binding table.
+// Query implements core.QueryTransport from the binding table, which is
+// local: the lookup's round trip is zero.
 func (t *EthaneTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	t.mu.RLock()
 	b, ok := t.bindings[host]
 	t.mu.RUnlock()
 	if !ok {
-		return nil, t.RTT, errNoDaemon
+		return nil, 0, errNoDaemon
 	}
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyUserID, b.User)
 	if len(b.Groups) > 0 {
 		r.Add(wire.KeyGroupID, joinGroups(b.Groups))
 	}
-	return r, t.RTT, nil
+	return r, 0, nil
 }
 
 func joinGroups(gs []string) string {

@@ -279,7 +279,7 @@ func TestTCPLinkForwardReconnect(t *testing.T) {
 	// The replica restarts, which drops the connection out from under the
 	// link; the next forward must heal by redialing (immediately — working
 	// connections don't back off).
-	rb2 := restart(t, rb, addr, Options{})
+	rb2 := restart(t, rb, addr)
 	waitUntil(t, "link recovery", func() bool {
 		return l.ForwardEvent(testPacketIn(testFive(31001))) == nil
 	})
@@ -325,14 +325,14 @@ func serveRouter(t *testing.T, r *Router, ln net.Listener) net.Addr {
 
 // restart closes r — listener and served connections, as a crashed replica
 // drops them — and serves a fresh Router for the same controller on addr.
-func restart(t *testing.T, r *Router, addr string, opts Options) *Router {
+func restart(t *testing.T, r *Router, addr string) *Router {
 	t.Helper()
 	r.Close()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewRouter(r.Local(), r.Self(), opts)
+	fresh := NewRouter(r.Local(), r.Self(), Options{})
 	serveRouter(t, fresh, ln)
 	return fresh
 }

@@ -109,7 +109,7 @@ func TestFailoverLosesNoRevocations(t *testing.T) {
 // returns once r's controller has registered the RemoteSwitch.
 func attachOverTCP(t *testing.T, sw *openflow.Switch, r *Router) {
 	t.Helper()
-	srv := openflow.NewChannelServer(channelFront{r})
+	srv := openflow.NewChannelServer(r)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -122,18 +122,6 @@ func attachOverTCP(t *testing.T, sw *openflow.Switch, r *Router) {
 	t.Cleanup(agent.Close)
 	waitUntil(t, "switch registered", func() bool { return r.Local().DatapathCount() == 1 })
 }
-
-// channelFront drives a Router from its switch channels.
-type channelFront struct{ r *Router }
-
-func (h channelFront) SwitchConnected(sw *openflow.RemoteSwitch) { h.r.Local().AddDatapath(sw) }
-func (h channelFront) PacketIn(_ *openflow.RemoteSwitch, ev openflow.PacketIn) {
-	h.r.HandleEvent(ev)
-}
-func (h channelFront) FlowRemoved(_ *openflow.RemoteSwitch, ev openflow.FlowRemoved) {
-	h.r.HandleFlowRemoved(nil, ev)
-}
-func (h channelFront) SwitchDisconnected(sw *openflow.RemoteSwitch) { h.r.RemoveDatapath(sw) }
 
 func testFailoverLosesNoRevocations(t *testing.T, attach func(*testing.T, *openflow.Switch, *Router)) {
 	src := startFailoverHost(t, "client", "10.14.0.1", "alice")

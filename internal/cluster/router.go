@@ -37,9 +37,13 @@ type Router struct {
 
 	lis link.Listener // the served half: Serve, Close
 
-	// tr is the flight recorder for the forwarder's half of a hand-off
-	// (nil = tracing disabled). The owned path never touches it — the
-	// wrapped controller records there — so the M14 budget is unaffected.
+	// tr is the wrapped controller's flight recorder, which also holds the
+	// forwarder's half of a hand-off (nil = tracing disabled): a forwarded
+	// packet-in mints (or inherits) a trace ID, carries it to the owner in
+	// its FrameEvent, and the forwarder retains its own half with a
+	// StageForward span covering the full round trip. A peer replica
+	// without tracing loses the owner halves but breaks nothing. The owned
+	// path never touches tr, so the M14 budget is unaffected.
 	tr *trace.Recorder
 
 	// Counters is the router's observability surface (cluster_* namespace,
@@ -59,13 +63,6 @@ type Options struct {
 	// the member's Addr; in-process replica sets pass a closure returning
 	// Loopback links.
 	Dial func(Member) (Link, error)
-	// Trace enables the flight recorder on the forward path: a forwarded
-	// packet-in mints (or inherits) a trace ID, carries it to the owner in
-	// its FrameEvent, and the forwarder retains its own half with a
-	// StageForward span covering the full hand-off round trip. Enabling it
-	// here without also enabling tracing on the peer replicas loses the
-	// owner halves but breaks nothing.
-	Trace *trace.Recorder
 }
 
 // NewRouter wraps local. The ring starts with self as the only member —
@@ -81,7 +78,7 @@ func NewRouter(local *core.Controller, self Member, opts Options) *Router {
 		local:    local,
 		self:     self,
 		dial:     opts.Dial,
-		tr:       opts.Trace,
+		tr:       local.Trace(),
 		Counters: metrics.NewCounter(),
 	}
 	if r.dial == nil {
@@ -165,12 +162,6 @@ func (r *Router) DeliverEvent(ev openflow.PacketIn) {
 	r.local.HandleEvent(ev)
 }
 
-// HandlePacketIn implements openflow.Controller, so a Router can be
-// installed directly as an in-process switch's controller.
-func (r *Router) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
-	r.HandleEvent(ev)
-}
-
 // HandleFlowRemoved implements openflow.Controller. Expiry notifications
 // clean up per-flow decision state, which lives at the flow's owner; a
 // non-owner receiving one (shared in-process switches, or a switch whose
@@ -178,16 +169,16 @@ func (r *Router) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
 // owner when the link is in-process, and otherwise processes it locally —
 // dropping state the replica does not hold is a no-op, and the owner's
 // lease sweep remains the backstop.
-func (r *Router) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemoved) {
+func (r *Router) HandleFlowRemoved(ev openflow.FlowRemoved) {
 	rg := r.ring.Load()
 	o := rg.owner(ownerHash(ev.Match.Tuple.Five()))
 	if o != rg.self && o >= 0 {
 		if lb, ok := rg.links[o].(Loopback); ok {
-			lb.Peer.local.HandleFlowRemoved(sw, ev)
+			lb.Peer.local.HandleFlowRemoved(ev)
 			return
 		}
 	}
-	r.local.HandleFlowRemoved(sw, ev)
+	r.local.HandleFlowRemoved(ev)
 }
 
 // Owner reports which member owns f under the current ring.

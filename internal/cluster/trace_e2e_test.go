@@ -85,8 +85,8 @@ func TestTraceStitchedAcrossReplicas(t *testing.T) {
 		{ID: "A", Addr: lnA.Addr().String()},
 		{ID: "B", Addr: lnB.Addr().String()},
 	}
-	ra := NewRouter(repA.ctl, ms[0], Options{Trace: repA.rec})
-	rb := NewRouter(repB.ctl, ms[1], Options{Trace: repB.rec})
+	ra := NewRouter(repA.ctl, ms[0], Options{})
+	rb := NewRouter(repB.ctl, ms[1], Options{})
 	serveRouter(t, ra, lnA)
 	serveRouter(t, rb, lnB)
 	if err := ra.SetMembers(ms); err != nil {
@@ -189,7 +189,7 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 		Trace:            rec,
 	})
 	ctl.AddDatapath(&sinkDatapath{id: 1})
-	rb := NewRouter(ctl, Member{ID: "B"}, Options{Trace: rec})
+	rb := NewRouter(ctl, Member{ID: "B"}, Options{})
 	addr := serveRouter(t, rb, listen(t)).String()
 
 	l := DialTCP(addr)
@@ -203,7 +203,7 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 
 	// Restart the replica, which kills the connection out from under the
 	// link; the next forward heals by redialing.
-	restart(t, rb, addr, Options{Trace: rec})
+	restart(t, rb, addr)
 	// An untraced forward finds the dead connection and redials, so the
 	// traced one behind it goes out once, on the new connection.
 	waitUntil(t, "link recovery", func() bool { return l.ForwardEvent(testPacketIn(testFive(33003))) == nil })

@@ -452,6 +452,11 @@ func New(cfg Config) *Controller {
 // Name returns the controller's name (used in augmentation sections).
 func (c *Controller) Name() string { return c.name }
 
+// Trace returns the flight recorder the controller was configured with (nil
+// when tracing is off), for the router in front of it to record its own
+// half of a hand-off in.
+func (c *Controller) Trace() *trace.Recorder { return c.tr }
+
 // Shards returns the shard count of the flow-state table.
 func (c *Controller) Shards() int { return len(c.flows.shards) }
 
@@ -623,11 +628,6 @@ func (c *Controller) SetAugmenter(f func(q wire.Query, resp *wire.Response)) {
 	})
 }
 
-// HandlePacketIn implements openflow.Controller for in-process switches.
-func (c *Controller) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
-	c.HandleEvent(ev)
-}
-
 // HandleFlowRemoved implements openflow.Controller. The ingress entry is
 // the only one installed with NotifyRemoved, so its eviction means the
 // flow's forward path is gone from the network's point of view, and a
@@ -640,7 +640,7 @@ func (c *Controller) HandlePacketIn(sw *openflow.Switch, ev openflow.PacketIn) {
 // wider class (Config.Megaflow) answers for its other members too: it
 // stays, and with it the flow's remaining entries, which idle out or fall
 // with the class.
-func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemoved) {
+func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
 	c.Counters.Add("flow_removed", 1)
 	five := ev.Match.Tuple.Five()
 	st := c.state.Load()
@@ -668,7 +668,9 @@ func (c *Controller) HandleFlowRemoved(sw *openflow.Switch, ev openflow.FlowRemo
 	c.deleteFlowAt(st, five, reg.Paths)
 }
 
-// HandleEvent is the Figure 1 pipeline. It is safe for concurrent calls and
+// HandleEvent is the Figure 1 pipeline, and with HandleFlowRemoved what
+// makes the controller an openflow.Controller: switches in process and over
+// the secure channel punt to it alike. It is safe for concurrent calls and
 // takes no global locks: configuration comes from one atomic snapshot load,
 // per-flow state from the flow's shard, and the decision's working set from
 // a pooled scratch — the steady-state path allocates nothing (see

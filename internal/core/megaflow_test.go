@@ -812,7 +812,7 @@ func TestClassLeaseFollowsCredentialExpiry(t *testing.T) {
 	classCookie := verdictCookie(c, founder)
 
 	// The founder's ingress entry idles out: the widened class stays.
-	c.HandleFlowRemoved(nil, openflow.FlowRemoved{
+	c.HandleFlowRemoved(openflow.FlowRemoved{
 		SwitchID: 1, Match: flow.FiveMatch(founder), Cookie: classCookie,
 		Reason: openflow.RemovedIdleTimeout,
 	})

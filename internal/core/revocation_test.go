@@ -291,7 +291,7 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 	}
 	q1 := func() int { tr.mu.Lock(); defer tr.mu.Unlock(); return tr.queries }()
 
-	c.HandleFlowRemoved(nil, openflow.FlowRemoved{
+	c.HandleFlowRemoved(openflow.FlowRemoved{
 		SwitchID: 1,
 		Match:    flow.FiveMatch(five),
 		Cookie:   c.cookies.flow(five),
@@ -317,7 +317,7 @@ func TestFlowRemovedCleansRemainingPath(t *testing.T) {
 			c, _, dp1, dp2 := newRevController(t, mode.cacheTTL, 0, nil)
 			five := revFlow(43500)
 			c.HandleEvent(sampleEvent(five, 1))
-			c.HandleFlowRemoved(nil, openflow.FlowRemoved{
+			c.HandleFlowRemoved(openflow.FlowRemoved{
 				SwitchID: 1, Match: flow.FiveMatch(five), Cookie: verdictCookie(c, five),
 				Reason: openflow.RemovedIdleTimeout,
 			})
@@ -429,7 +429,7 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 		dp1, dp2 := &fakeDatapath{id: 1}, &fakeDatapath{id: 2}
 		c, _ := setup(t, dp1, dp2)
 		cookie := verdictCookie(c, long)
-		c.HandleFlowRemoved(nil, openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
+		c.HandleFlowRemoved(openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
 		if flows, classes := liveRecords(c); flows != 0 || classes != 1 {
 			t.Errorf("records after flow-removed = %d flow / %d class, want the fresh verdict's only", flows, classes)
 		}
@@ -439,7 +439,7 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 			}
 		}
 		// Nothing is left aside to retire twice.
-		c.HandleFlowRemoved(nil, openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
+		c.HandleFlowRemoved(openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
 		if n := len(dp1.deleteMods()); n != 1 {
 			t.Errorf("second flow-removed issued deletes: %d", n)
 		}

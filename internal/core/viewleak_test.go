@@ -62,7 +62,7 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 	}{
 		{"drop", 2, 2, func(c *Controller) {
 			pushFlowUpdate(c, revFlow(40000))
-			c.HandleFlowRemoved(nil, openflow.FlowRemoved{Match: flow.FiveMatch(revFlow(40001))})
+			c.HandleFlowRemoved(openflow.FlowRemoved{Match: flow.FiveMatch(revFlow(40001))})
 		}},
 		{"overwrite", 3, 2, func(c *Controller) {
 			// The same flow decided again past its TTL displaces its own

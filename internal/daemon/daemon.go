@@ -23,7 +23,7 @@ type ForgeFunc func(q wire.Query, honest *wire.Response) *wire.Response
 //
 // Beyond answering, the daemon participates in the revocation plane (see
 // push.go): it remembers the answer it gave per answered flow (bounded by
-// answeredCap), listens for its host's OS-state changes, and publishes
+// DefaultAnsweredCap), listens for its host's OS-state changes, and publishes
 // wire.Update messages to subscribers when a previously-given answer stops
 // being true.
 type Daemon struct {
@@ -42,11 +42,9 @@ type Daemon struct {
 	sysApps         map[string]*AppConfig // system config (/etc/identxx), by exe path
 	hostPairs       []wire.KV             // host-level static pairs (system)
 	dynamic         map[flow.Five][]wire.KV
-	dynamicCap      int   // bound on dynamic (0 = DefaultDynamicCap)
 	dynamicEvicted  int64 // lifetime dynamic evictions
 	forge           ForgeFunc
 	answered        map[flow.Five]*answer // the answer each flow was last given
-	answeredCap     int                   // bound on answered (0 = DefaultAnsweredCap)
 	answeredEvicted int64                 // lifetime memo evictions
 
 	// Per-process answers (answer.go), bounded by procAnswersCap. procGen
@@ -98,22 +96,6 @@ func New(h *hostinfo.Host) *Daemon {
 	return d
 }
 
-// SetAnsweredCap overrides the answered-facts memo bound (0 restores the
-// default). Intended for tests and small-footprint deployments.
-func (d *Daemon) SetAnsweredCap(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.answeredCap = n
-}
-
-// SetDynamicCap overrides the dynamic flow-pair bound (0 restores the
-// default).
-func (d *Daemon) SetDynamicCap(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.dynamicCap = n
-}
-
 // Host returns the host this daemon serves.
 func (d *Daemon) Host() *hostinfo.Host { return d.host }
 
@@ -144,19 +126,15 @@ func (d *Daemon) InstallConfig(cf *ConfigFile, system bool) {
 // ProvideFlowPairs registers application-supplied pairs for a flow — the
 // run-time channel the paper routes over a Unix domain socket, used e.g. by
 // a browser to distinguish user-initiated flows (§3.5). The map is bounded
-// (SetDynamicCap / DefaultDynamicCap): past the cap an arbitrary other
-// flow's pairs are evicted, counted in FlowPairStats, and — since eviction
-// changes what the daemon would answer — published like any other change.
+// (DefaultDynamicCap): past the cap an arbitrary other flow's pairs are
+// evicted, counted in FlowPairStats, and — since eviction changes what the
+// daemon would answer — published like any other change.
 func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 	d.mu.Lock()
-	limit := d.dynamicCap
-	if limit <= 0 {
-		limit = DefaultDynamicCap
-	}
 	_, existed := d.dynamic[f]
 	var evicted flow.Five
 	haveEvicted := false
-	if !existed && len(d.dynamic) >= limit {
+	if !existed && len(d.dynamic) >= DefaultDynamicCap {
 		for victim := range d.dynamic {
 			if victim != f {
 				delete(d.dynamic, victim)

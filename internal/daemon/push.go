@@ -16,7 +16,7 @@ import (
 // logging out or a process exiting keeps its allowed flows until switch
 // idle-timeout, and the verdict cache re-grants them without asking again.
 //
-// The answered-facts memo is bounded (answeredCap): a daemon on a busy
+// The answered-facts memo is bounded (DefaultAnsweredCap): a daemon on a busy
 // server must not grow per-flow state without limit just because it was
 // queried. Evicting a memo entry means the daemon can no longer tell
 // subscribers when that flow's facts change, so eviction itself is
@@ -114,14 +114,10 @@ func (d *Daemon) remember(f flow.Five, a *answer, seq uint64) {
 	if d.answered == nil {
 		d.answered = make(map[flow.Five]*answer)
 	}
-	limit := d.answeredCap
-	if limit <= 0 {
-		limit = DefaultAnsweredCap
-	}
 	_, existed := d.answered[f]
 	var evicted flow.Five
 	var haveEvicted bool
-	if !existed && len(d.answered) >= limit {
+	if !existed && len(d.answered) >= DefaultAnsweredCap {
 		for victim := range d.answered {
 			if victim != f {
 				delete(d.answered, victim)

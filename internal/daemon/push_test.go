@@ -200,12 +200,11 @@ func TestClearFlowPairsPublishes(t *testing.T) {
 
 func TestAnsweredMemoBoundedAndEvictionPublished(t *testing.T) {
 	h, d, p, _ := pushHost(t)
-	d.SetAnsweredCap(4)
 	c := newCollector()
 	cancel := d.Subscribe(c.fn)
 	defer cancel()
 
-	for i := 0; i < 8; i++ {
+	for i := 0; i < DefaultAnsweredCap+4; i++ {
 		f, err := h.Connect(p.PID, flow.Five{
 			DstIP: netaddr.MustParseIP("10.9.0.2"), Proto: netaddr.ProtoTCP,
 			SrcPort: netaddr.Port(20000 + i), DstPort: 80,
@@ -216,8 +215,8 @@ func TestAnsweredMemoBoundedAndEvictionPublished(t *testing.T) {
 		d.HandleQuery(wire.Query{Flow: f})
 	}
 	entries, evictions := d.AnsweredStats()
-	if entries > 4 {
-		t.Errorf("memo holds %d entries, cap is 4", entries)
+	if entries > DefaultAnsweredCap {
+		t.Errorf("memo holds %d entries, cap is %d", entries, DefaultAnsweredCap)
 	}
 	if evictions != 4 {
 		t.Errorf("evictions = %d, want 4", evictions)
@@ -236,8 +235,7 @@ func TestAnsweredMemoBoundedAndEvictionPublished(t *testing.T) {
 
 func TestDynamicFlowPairsBounded(t *testing.T) {
 	_, d, _, _ := pushHost(t)
-	d.SetDynamicCap(4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultDynamicCap+6; i++ {
 		f := flow.Five{
 			SrcIP: netaddr.MustParseIP("10.9.0.1"), DstIP: netaddr.MustParseIP("10.9.0.2"),
 			Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(30000 + i), DstPort: 80,
@@ -245,8 +243,8 @@ func TestDynamicFlowPairsBounded(t *testing.T) {
 		d.ProvideFlowPairs(f, wire.KV{Key: "k", Value: "v"})
 	}
 	entries, evictions := d.FlowPairStats()
-	if entries > 4 {
-		t.Errorf("dynamic map holds %d entries, cap is 4", entries)
+	if entries > DefaultDynamicCap {
+		t.Errorf("dynamic map holds %d entries, cap is %d", entries, DefaultDynamicCap)
 	}
 	if evictions != 6 {
 		t.Errorf("evictions = %d, want 6", evictions)

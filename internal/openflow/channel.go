@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"identxx/internal/link"
+	"identxx/internal/packet"
 )
 
 // Datapath abstracts "a switch the controller can program": the in-process
@@ -131,13 +132,14 @@ func Connect(sw *Switch, addr string, timeout time.Duration) (*Agent, error) {
 	return a, nil
 }
 
-// HandlePacketIn implements Controller by relaying the event.
-func (a *Agent) HandlePacketIn(_ *Switch, ev PacketIn) {
+// HandleEvent implements Controller by relaying the event. The tuple stays
+// behind: the controller's end decodes it from the frame.
+func (a *Agent) HandleEvent(ev PacketIn) {
 	a.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendPacketIn(b, ev, xid) })
 }
 
 // HandleFlowRemoved implements Controller by relaying the event.
-func (a *Agent) HandleFlowRemoved(_ *Switch, ev FlowRemoved) {
+func (a *Agent) HandleFlowRemoved(ev FlowRemoved) {
 	a.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendFlowRemoved(b, ev, xid) })
 }
 
@@ -207,27 +209,29 @@ func (r *RemoteSwitch) packetOut(po PacketOutMsg) {
 // Close tears the channel down.
 func (r *RemoteSwitch) Close() { r.ch.close() }
 
-// ChannelHandler receives events from TCP-attached switches. Calls for one
-// switch come from its channel's reader, one at a time; a PacketIn's frame
-// is the reader's buffer, overwritten by the next message, so a handler
-// that keeps it past its return keeps a copy.
-type ChannelHandler interface {
-	SwitchConnected(sw *RemoteSwitch)
-	PacketIn(sw *RemoteSwitch, ev PacketIn)
-	FlowRemoved(sw *RemoteSwitch, ev FlowRemoved)
-	SwitchDisconnected(sw *RemoteSwitch)
+// ChannelController is the controller a ChannelServer serves: the events of
+// every TCP-attached switch, and its datapath for as long as its channel is
+// up. Calls for one switch come from its channel's reader, one at a time; a
+// PacketIn's frame is the reader's buffer, overwritten by the next message,
+// so a controller that keeps it past its return keeps a copy.
+type ChannelController interface {
+	Controller
+	AddDatapath(Datapath)
+	// RemoveDatapath runs when the channel ends. A reconnect may already
+	// have registered a new handle for the same datapath; the old one's
+	// removal then removes nothing.
+	RemoveDatapath(Datapath) bool
 }
 
 // ChannelServer accepts switch secure-channel connections for a controller.
 type ChannelServer struct {
-	Handler ChannelHandler
-
+	ctl ChannelController
 	lis link.Listener
 }
 
-// NewChannelServer creates a server delivering events to handler.
-func NewChannelServer(h ChannelHandler) *ChannelServer {
-	return &ChannelServer{Handler: h}
+// NewChannelServer creates a server delivering events to ctl.
+func NewChannelServer(ctl ChannelController) *ChannelServer {
+	return &ChannelServer{ctl: ctl}
 }
 
 // Listen binds addr and serves in the background, returning the bound
@@ -243,22 +247,23 @@ func (s *ChannelServer) Serve(l net.Listener) { s.lis.Serve(l, s.serveConn) }
 func (s *ChannelServer) serveConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(channelTimeout))
 	br := bufio.NewReaderSize(conn, channelReadBuf)
-	// Every message is read into one buffer, reused for the next: a handler
-	// copies what it keeps of a packet-in's frame (ChannelHandler).
+	// Every message is read into one buffer, reused for the next: a
+	// controller copies what it keeps of a packet-in's frame
+	// (ChannelController).
 	m, buf, err := ReadMsgInto(br, nil)
 	if err != nil || m.Type != MsgHello || len(m.Body) < 8 {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	// The hello reply goes out before the coalescing writer exists, so it
-	// is on the wire ahead of anything a handler sends.
+	// is on the wire ahead of anything the controller sends.
 	if err := WriteMsg(conn, Msg{Type: MsgHello}); err != nil {
 		return
 	}
 	rs := &RemoteSwitch{id: binary.BigEndian.Uint64(m.Body[:8]), ch: newChannel(conn)}
 	defer rs.Close()
-	s.Handler.SwitchConnected(rs)
-	defer s.Handler.SwitchDisconnected(rs)
+	s.ctl.AddDatapath(rs)
+	defer s.ctl.RemoveDatapath(rs)
 	for {
 		m, buf, err = ReadMsgInto(br, buf)
 		if err != nil {
@@ -266,12 +271,12 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 		}
 		switch m.Type {
 		case MsgPacketIn:
-			if ev, err := DecodePacketIn(m); err == nil {
-				s.Handler.PacketIn(rs, ev)
+			if ev, err := decodePunt(m); err == nil {
+				s.ctl.HandleEvent(ev)
 			}
 		case MsgFlowRemoved:
 			if ev, err := DecodeFlowRemoved(m); err == nil {
-				s.Handler.FlowRemoved(rs, ev)
+				s.ctl.HandleFlowRemoved(ev)
 			}
 		case MsgEchoRequest:
 			rs.ch.echoReply(m)
@@ -279,6 +284,21 @@ func (s *ChannelServer) serveConn(conn net.Conn) {
 	}
 }
 
+// decodePunt decodes a packet-in as the server hands it on: with the Tuple
+// of its frame, as an in-process Switch punts it. A frame that does not
+// parse keeps the zero tuple, which the controller drops as non-IP.
+func decodePunt(m Msg) (PacketIn, error) {
+	ev, err := DecodePacketIn(m)
+	if err != nil {
+		return ev, err
+	}
+	var p packet.Packet
+	if p.DecodeInto(ev.Frame) == nil {
+		ev.Tuple = p.Ten(ev.InPort)
+	}
+	return ev, nil
+}
+
 // Close stops the server: the listener and every switch's channel are
-// closed, and each handler's SwitchDisconnected has run when it returns.
+// closed, and each switch's RemoveDatapath has run when it returns.
 func (s *ChannelServer) Close() { s.lis.Close() }

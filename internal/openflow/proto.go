@@ -221,10 +221,11 @@ func appendPacketInBody(b []byte, ev PacketIn) []byte {
 	return b
 }
 
-// DecodePacketIn parses a PacketIn body. The tuple is reconstructed by the
-// receiver from the frame; only transport fields travel. Frame aliases
+// DecodePacketIn parses a PacketIn body. Only transport fields and the
+// frame travel, so Tuple is left zero: the ChannelServer decodes it from
+// the frame before the controller sees the event. Frame aliases
 // m.Body, so it lives as long as the body does: the message's own after
-// ReadMsg, until the buffer's next use after ReadMsgInto — a handler that
+// ReadMsg, until the buffer's next use after ReadMsgInto — a controller that
 // keeps the frame past its return copies it.
 func DecodePacketIn(m Msg) (PacketIn, error) {
 	if m.Type != MsgPacketIn || len(m.Body) < 16 {

@@ -3,7 +3,6 @@ package openflow
 import (
 	"bytes"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -145,9 +144,9 @@ func TestFlowRemovedCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// chanHandler adapts ChannelHandler callbacks onto channels for tests.
+// chanHandler is a ChannelController that hands what the server delivers
+// to the test over channels.
 type chanHandler struct {
-	mu        sync.Mutex
 	connected chan *RemoteSwitch
 	packetIns chan PacketIn
 	removed   chan FlowRemoved
@@ -161,10 +160,10 @@ func newChanHandler() *chanHandler {
 	}
 }
 
-func (h *chanHandler) SwitchConnected(sw *RemoteSwitch)            { h.connected <- sw }
-func (h *chanHandler) PacketIn(_ *RemoteSwitch, ev PacketIn)       { h.packetIns <- ev }
-func (h *chanHandler) FlowRemoved(_ *RemoteSwitch, ev FlowRemoved) { h.removed <- ev }
-func (h *chanHandler) SwitchDisconnected(*RemoteSwitch)            {}
+func (h *chanHandler) AddDatapath(dp Datapath)          { h.connected <- dp.(*RemoteSwitch) }
+func (h *chanHandler) RemoveDatapath(Datapath) bool     { return true }
+func (h *chanHandler) HandleEvent(ev PacketIn)          { h.packetIns <- ev }
+func (h *chanHandler) HandleFlowRemoved(ev FlowRemoved) { h.removed <- ev }
 
 func TestSecureChannelEndToEnd(t *testing.T) {
 	h := newChanHandler()
@@ -234,6 +233,47 @@ func TestSecureChannelEndToEnd(t *testing.T) {
 	}
 	if rec.txCount() != 2 {
 		t.Fatal("remote packet-out not transmitted")
+	}
+}
+
+// A switch's punt reaches the controller over the secure channel with the
+// tuple an in-process punt of the same frame carries: the wire carries only
+// the frame, and the server decodes the tuple from it.
+func TestChannelPuntCarriesTuple(t *testing.T) {
+	h := newChanHandler()
+	server := NewChannelServer(h)
+	addr, err := server.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	sw := NewSwitch(3, "s3", 0)
+	agent, err := Connect(sw, addr.String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	select {
+	case <-h.connected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("switch never connected")
+	}
+
+	sw.Receive(2, testFrame(443))
+	var ev PacketIn
+	select {
+	case ev = <-h.packetIns:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no packet-in over channel")
+	}
+	five := flow.Five{SrcIP: ipA, DstIP: ipB, Proto: netaddr.ProtoTCP, SrcPort: 1234, DstPort: 443}
+	if ev.Tuple.Five() != five || ev.Tuple.InPort != 2 {
+		t.Errorf("tuple over the channel = %v, want %v on port 2", ev.Tuple, five)
+	}
+	rec := &recorder{}
+	newTestSwitch(rec).Receive(2, testFrame(443))
+	if len(rec.packetIns) != 1 || rec.packetIns[0].Tuple != ev.Tuple {
+		t.Errorf("in-process punt %+v, want the channel's tuple %v", rec.packetIns, ev.Tuple)
 	}
 }
 

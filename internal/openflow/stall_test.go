@@ -27,21 +27,6 @@ func (octetTopo) Path(_, dst netaddr.IP) ([]core.Hop, error) {
 	return []core.Hop{{Datapath: uint64(dp), OutPort: uint16(port)}}, nil
 }
 
-// registrar is identctl's channel handler: switches are datapaths for as long
-// as their channel is up.
-type registrar struct{ ctl *core.Controller }
-
-func (h registrar) SwitchConnected(sw *openflow.RemoteSwitch)    { h.ctl.AddDatapath(sw) }
-func (h registrar) SwitchDisconnected(sw *openflow.RemoteSwitch) { h.ctl.RemoveDatapath(sw) }
-func (h registrar) FlowRemoved(*openflow.RemoteSwitch, openflow.FlowRemoved) {
-}
-func (h registrar) PacketIn(_ *openflow.RemoteSwitch, ev openflow.PacketIn) {
-	if p, err := packet.Decode(ev.Frame); err == nil {
-		ev.Tuple = p.Ten(ev.InPort)
-	}
-	h.ctl.HandleEvent(ev)
-}
-
 type txCount struct {
 	mu sync.Mutex
 	n  int
@@ -88,7 +73,7 @@ func TestStalledSwitchIsCutOffAtWriteDeadline(t *testing.T) {
 		InstallEntries: true,
 		AsyncQueries:   true,
 	})
-	server := openflow.NewChannelServer(registrar{ctl})
+	server := openflow.NewChannelServer(ctl)
 	addr, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -52,12 +52,13 @@ type FlowRemoved struct {
 	Bytes    uint64
 }
 
-// Controller is what a switch speaks to. The in-process simulator
-// implements it directly; the TCP secure channel adapts the binary protocol
-// to it.
+// Controller is what a switch speaks to, attached in process or over the
+// secure channel: an in-process Switch calls it itself, and a ChannelServer
+// calls it for each TCP-attached switch. Either way a PacketIn's Tuple is
+// decoded from its frame, and its SwitchID names the datapath that punted.
 type Controller interface {
-	HandlePacketIn(sw *Switch, ev PacketIn)
-	HandleFlowRemoved(sw *Switch, ev FlowRemoved)
+	HandleEvent(ev PacketIn)
+	HandleFlowRemoved(ev FlowRemoved)
 }
 
 // Transmitter delivers a frame out a switch port; the network simulator
@@ -175,7 +176,7 @@ func (s *Switch) punt(inPort uint16, frame []byte, ten flow.Ten, reason PacketIn
 		return
 	}
 	s.Stats.PacketIns.Add(1)
-	c.HandlePacketIn(s, PacketIn{
+	c.HandleEvent(PacketIn{
 		SwitchID: s.ID,
 		BufferID: bufID,
 		InPort:   inPort,
@@ -345,7 +346,7 @@ func (s *Switch) notifyRemoved(removed []Removed, notify bool) {
 		return
 	}
 	for _, r := range removed {
-		c.HandleFlowRemoved(s, FlowRemoved{
+		c.HandleFlowRemoved(FlowRemoved{
 			SwitchID: s.ID,
 			Match:    r.Entry.Match,
 			Cookie:   r.Entry.Cookie,

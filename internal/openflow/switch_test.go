@@ -43,13 +43,13 @@ func (r *recorder) Transmit(_ *Switch, port uint16, frame []byte) {
 	}{port, frame})
 }
 
-func (r *recorder) HandlePacketIn(_ *Switch, ev PacketIn) {
+func (r *recorder) HandleEvent(ev PacketIn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.packetIns = append(r.packetIns, ev)
 }
 
-func (r *recorder) HandleFlowRemoved(_ *Switch, ev FlowRemoved) {
+func (r *recorder) HandleFlowRemoved(ev FlowRemoved) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.removed = append(r.removed, ev)

@@ -42,11 +42,6 @@ type Config struct {
 	// RequestTimeout bounds each attempt (default 2s).
 	RequestTimeout time.Duration
 
-	// Retries is how many extra attempts follow a retryable transport
-	// failure (default 1; negative disables retries). ErrNoDaemon, failed
-	// dials and breaker rejections are never retried.
-	Retries int
-
 	// Clock supplies time for the breaker; defaults to time.Now. The
 	// simulator passes its virtual clock.
 	Clock func() time.Time
@@ -56,10 +51,13 @@ type Config struct {
 }
 
 // The breaker opens after breakerThreshold consecutive failures of a host
-// and rejects its queries for breakerCooldown, then lets a probe through.
+// and rejects its queries for breakerCooldown, then lets a probe through. A
+// retryable transport failure is followed by retries more attempts;
+// ErrNoDaemon, failed dials and breaker rejections are never retried.
 const (
 	breakerThreshold = 4
 	breakerCooldown  = time.Second
+	retries          = 1
 )
 
 // Engine is the query-plane brain. It implements core.QueryTransport
@@ -76,7 +74,6 @@ type Engine struct {
 	// completed inline.
 	start   func(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
 	timeout time.Duration
-	retries int
 	clock   func() time.Time
 
 	Counters *metrics.Counter
@@ -139,7 +136,6 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		lower:   cfg.Lower,
 		timeout: cfg.RequestTimeout,
-		retries: cfg.Retries,
 		clock:   cfg.Clock,
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
@@ -155,11 +151,6 @@ func NewEngine(cfg Config) *Engine {
 	e.idle.L = &e.idleMu
 	if e.timeout <= 0 {
 		e.timeout = defaultRequestTimeout
-	}
-	if e.retries < 0 {
-		e.retries = 0
-	} else if cfg.Retries == 0 {
-		e.retries = 1
 	}
 	if e.clock == nil {
 		e.clock = time.Now
@@ -338,7 +329,7 @@ func (f *flight) launch() {
 // It is the lower layer's completion, so it runs wherever that does.
 func (f *flight) onReply(resp *wire.Response, rtt time.Duration, err error) {
 	e := f.e
-	if err != nil && retryable(err) && int(f.attempts) <= e.retries {
+	if err != nil && retryable(err) && int(f.attempts) <= retries {
 		e.hot.retriesC.Add(1)
 		f.launch()
 		return

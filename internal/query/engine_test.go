@@ -82,7 +82,7 @@ func TestEngineBreaker(t *testing.T) {
 	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
 		return nil, 0, errors.New("connection reset mid-exchange")
 	}}
-	e := NewEngine(Config{Lower: lower, Retries: -1, Clock: clk.Now})
+	e := NewEngine(Config{Lower: lower, Clock: clk.Now})
 	defer e.Close()
 
 	for i := 0; i < breakerThreshold; i++ {
@@ -108,8 +108,8 @@ func TestEngineBreaker(t *testing.T) {
 	}
 
 	clk.Advance(breakerCooldown)
-	e.Query(engHost, engQuery(99)) // post-cooldown probe reaches the wire
-	if lower.calls.Load() != wireBefore+1 {
+	e.Query(engHost, engQuery(99)) // post-cooldown probe reaches the wire, and is retried once
+	if lower.calls.Load() != wireBefore+1+retries {
 		t.Error("post-cooldown probe never reached the wire")
 	}
 }
@@ -122,7 +122,7 @@ func TestEngineBreakerIgnoresNoDaemon(t *testing.T) {
 	lower := &fakeLower{fn: func(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
 		return nil, 0, core.ErrNoDaemon
 	}}
-	e := NewEngine(Config{Lower: lower, Retries: -1})
+	e := NewEngine(Config{Lower: lower})
 	defer e.Close()
 	for i := 0; i < 2*breakerThreshold; i++ {
 		_, _, err := e.Query(engHost, engQuery(netaddr.Port(i)))
@@ -145,7 +145,7 @@ func TestEngineRetries(t *testing.T) {
 		}
 		return wire.NewResponse(q.Flow), 0, nil
 	}}
-	e := NewEngine(Config{Lower: lower}) // default: 1 retry
+	e := NewEngine(Config{Lower: lower})
 	defer e.Close()
 	if _, _, err := e.Query(engHost, engQuery(1)); err != nil {
 		t.Fatalf("retryable failure not retried: %v", err)
@@ -172,7 +172,7 @@ func TestEngineRetries(t *testing.T) {
 func TestEngineDoesNotRetryFailedDial(t *testing.T) {
 	p := NewPool(PoolConfig{Resolver: StaticResolver{engHost: badPortAddr}})
 	defer p.Close()
-	e := NewEngine(Config{Lower: p}) // default: 1 retry
+	e := NewEngine(Config{Lower: p})
 	defer e.Close()
 	if _, _, err := e.Query(engHost, engQuery(1)); !errors.Is(err, ErrDial) {
 		t.Fatalf("err = %v, want ErrDial", err)

@@ -118,7 +118,7 @@ func TestEngineTracedRejectionsPair(t *testing.T) {
 			return e
 		}},
 		{"breaker", trace.FlagBreaker, func() *Engine {
-			e := NewEngine(Config{Lower: failing(errors.New("reset")), Retries: -1})
+			e := NewEngine(Config{Lower: failing(errors.New("reset"))})
 			for range breakerThreshold {
 				e.Query(engHost, engQuery(4000))
 			}
