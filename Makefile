@@ -122,7 +122,7 @@ race-query:
 # they run in race-query only.
 .PHONY: race-core
 race-core:
-	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark' ./internal/core/
+	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark|HeldAnswer' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
 	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo|ConcurrentAnswers' ./internal/daemon/
 	$(GO) test -race -count=20 ./internal/netsim ./internal/experiments
@@ -188,6 +188,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/async=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/daemon-down=0' \
+		-max-allocs 'BenchmarkM9_QueryPlane/scoped-miss=4' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
 		-max-allocs 'BenchmarkM11_Revocation/register-drop=1' \

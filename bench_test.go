@@ -501,6 +501,10 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //   - daemon-down: the host's port answers nothing — after each refused
 //     dial the pool's backoff window fails every miss fast with the same
 //     ErrNoDaemon (CI gates it at 0 allocs/op).
+//   - scoped-miss: a controller with no verdict cache deciding fresh flows
+//     to one listener whose answer it holds (a daemon gave it at listener
+//     scope): each op is one miss and one wire query, the source's, over
+//     real daemons. CI gates its allocs/op at the measured figure.
 func BenchmarkM9_QueryPlane(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		srcIP, srcAddr, five := m9Host(b, "pc", "10.4.0.1")
@@ -612,6 +616,66 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		b.StopTimer()
 		if failed.Load() != 0 {
 			b.Fatalf("%d queries failed", failed.Load())
+		}
+	})
+
+	b.Run("scoped-miss", func(b *testing.B) {
+		srcIP, dstIP := netaddr.MustParseIP("10.4.5.1"), netaddr.MustParseIP("10.4.5.2")
+		serve := func(h *hostinfo.Host) string {
+			srv := daemon.NewServer(daemon.New(h))
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { srv.Close() })
+			return addr.String()
+		}
+		server := hostinfo.New("server", dstIP, 2)
+		bob := server.AddUser("bob", "users")
+		if err := server.Listen(server.Exec(bob, workload.Skype.Exe()).PID, netaddr.ProtoTCP, 5060); err != nil {
+			b.Fatal(err)
+		}
+		client := hostinfo.New("pc", srcIP, 1)
+		proc := client.Exec(client.AddUser("alice", "users"), workload.Skype.Exe())
+		const window = 256
+		evs := make([]openflow.PacketIn, window)
+		for i := range evs {
+			five, err := client.Connect(proc.PID, flow.Five{DstIP: dstIP, Proto: netaddr.ProtoTCP, DstPort: 5060})
+			if err != nil {
+				b.Fatal(err)
+			}
+			evs[i] = m8Event(srcIP, dstIP)
+			evs[i].Tuple.SrcPort, evs[i].Tuple.DstPort = five.SrcPort, five.DstPort
+		}
+		pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{srcIP: serve(client), dstIP: serve(server)}})
+		b.Cleanup(func() { pool.Close() })
+		eng := query.NewEngine(query.Config{Lower: pool})
+		b.Cleanup(eng.Close)
+		ctl := core.New(core.Config{
+			Name:           "m9",
+			Policy:         pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
+			Transport:      eng,
+			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries: true,
+			Revocation:     true,
+		})
+		eng.SetUpdateHandler(ctl.HandleUpdate)
+		ctl.AddDatapath(&m7Datapath{id: 1})
+		for i := range evs { // learn the listener's answer; warm the pools and the index
+			ctl.HandleEvent(evs[i])
+		}
+		sent := pool.Counters.Get("pool_queries_sent")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctl.HandleEvent(evs[i%window])
+		}
+		b.StopTimer()
+		if q := pool.Counters.Get("pool_queries_sent") - sent; q != int64(b.N) {
+			b.Fatalf("%d wire queries for %d misses, want one each", q, b.N)
+		}
+		if ctl.Counters.Get("flows_allowed") != int64(window+b.N) {
+			b.Fatal("a miss was not allowed")
 		}
 	})
 

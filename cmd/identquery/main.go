@@ -1,5 +1,6 @@
 // Command identquery is the ident++ client: it asks a daemon about a flow
-// and prints the key-value response, sections delimited as on the wire.
+// and prints the key-value response, sections delimited as on the wire, and
+// the answer's scope line when the daemon gave it at a listener's scope.
 //
 // It asks through the same pooled, pipelined transport (internal/query's
 // Pool) the controller's query engine runs over, so the CLI exercises the
@@ -54,5 +55,8 @@ func main() {
 		for _, p := range sec.Pairs {
 			fmt.Printf("%s: %s\n", p.Key, p.Value)
 		}
+	}
+	if resp.Scope.Listener() {
+		fmt.Printf("scope: %s\n", resp.Scope)
 	}
 }

@@ -335,14 +335,22 @@ type Controller struct {
 	widen   bool                     // Config.Megaflow: cache under the trace's mask, not the full one
 
 	// revoker is the revocation plane's fact-dependency index (nil unless
-	// Config.Revocation); leaseTTL the legacy-daemon lease fallback.
+	// Config.Revocation); leaseTTL the legacy-daemon lease fallback; held the
+	// listener-scoped destination answers (scope.go; nil unless
+	// Config.Revocation: without updates nothing would retire them).
 	revoker  *revoke.Index
 	leaseTTL time.Duration
+	held     *heldTable
 
 	// credTr is the transport's credential face (nil unless it enforces
 	// credentials): consulted at fact ingestion and when leasing registered
 	// facts.
 	credTr CredentialChecker
+
+	// streams is the transport's view of each host's update stream (nil
+	// when it has none): a held answer serves only while its host's stream
+	// is up (scope.go).
+	streams updateStreams
 
 	// Counters and latency recorder are exported for the harness.
 	Counters *metrics.Counter
@@ -365,6 +373,7 @@ type Controller struct {
 		revEntries                          *atomic.Int64
 		megaHits, megaInstalls              *atomic.Int64
 		megaTeardowns                       *atomic.Int64
+		scopeHits, scopeLearned             *atomic.Int64
 	}
 }
 
@@ -426,6 +435,8 @@ func New(cfg Config) *Controller {
 	c.hot.megaHits = c.Counters.Cell("megaflow_hits")
 	c.hot.megaInstalls = c.Counters.Cell("megaflow_installs")
 	c.hot.megaTeardowns = c.Counters.Cell("megaflow_teardowns")
+	c.hot.scopeHits = c.Counters.Cell("scope_hits")
+	c.hot.scopeLearned = c.Counters.Cell("scope_learned")
 	if cfg.Megaflow && cfg.ResponseCacheTTL <= 0 {
 		panic("core: Config.Megaflow requires ResponseCacheTTL > 0 (widened entries share the cache TTL)")
 	}
@@ -436,9 +447,13 @@ func New(cfg Config) *Controller {
 	if cfg.Revocation {
 		c.revoker = revoke.NewIndex(shards)
 		c.leaseTTL = cfg.RevocationLeaseTTL
+		c.held = new(heldTable)
 	}
 	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
 		c.credTr = ct
+	}
+	if us, ok := cfg.Transport.(updateStreams); ok {
+		c.streams = us
 	}
 	c.state.Store(&ctlState{
 		policy:    cfg.Policy,
@@ -677,14 +692,15 @@ func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
 // decisionScratch and the M8 allocation budget).
 //
 // On a verdict-cache hit or a header-only verdict the decision completes
-// right here. On a miss the two endpoint queries are issued and the second
-// completion runs finishDecision — before HandleEvent returns when the
-// transport completes inline (every blocking transport; the query plane's
-// fast-path rejections), otherwise wherever the transport completes: under
-// AsyncQueries over the query plane HandleEvent returns as soon as both
-// queries are enqueued, the event loop is free for the next packet-in, and
-// the decision finishes on the reader of the daemon connection whose
-// response arrived second.
+// right here. On a miss the endpoint queries are issued — both ends, or only
+// the source when the destination's listener-scoped answer is held
+// (scope.go) — and the last completion runs finishDecision: before
+// HandleEvent returns when the transport completes inline (every blocking
+// transport; the query plane's fast-path rejections), otherwise wherever the
+// transport completes: under AsyncQueries over the query plane HandleEvent
+// returns as soon as the queries are enqueued, the event loop is free for
+// the next packet-in, and the decision finishes on the reader of the daemon
+// connection whose response arrived last.
 func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	c.hot.packetIns.Add(1)
 	st := c.state.Load()
@@ -739,8 +755,9 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 const maxAttempts = 2
 
 // decide runs one attempt at the claimed flow's decision: cache probe,
-// header-only pre-pass, then the two endpoint queries. The host fence's
-// generations are captured first, before anything is read (see shard.go).
+// header-only pre-pass, then the endpoint queries — the source's only, when
+// a held answer serves the destination. The host fence's generations are
+// captured first, before anything is read (see shard.go).
 func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	five := s.five
 	s.attempts++
@@ -801,6 +818,14 @@ func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	// decision. ID() is 0 on a nil buffer and EncodeQuery omits it.
 	g.qs = wire.Query{Flow: five, Keys: s.srcKeys, TraceID: s.tb.ID()}
 	g.qd = wire.Query{Flow: five, Keys: s.dstKeys, TraceID: s.tb.ID()}
+	// A flow to a listener whose answer is held asks its source only: the
+	// destination end completes here, from the held answer.
+	if h := c.heldFor(s); h != nil {
+		c.useHeld(s, h)
+		g.pending.Store(1)
+		c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
+		return
+	}
 	// One gather sequence: hand both endpoint queries to the transport (§2
 	// step 3); whichever completion drops pending to zero finishes the
 	// decision. pending is armed before the first enqueue because a
@@ -852,6 +877,9 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	g := &s.gather
 	bd := &s.bd
 	bd.QuerySrc, bd.QueryDst = g.qsrc, g.qdst
+	if g.dstScoped {
+		c.learn(s)
+	}
 
 	var d pf.Decision
 	hit := g.mega != nil

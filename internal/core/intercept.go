@@ -14,8 +14,9 @@ type Interceptor interface {
 	// InterceptQuery may answer q for host on the controller's own
 	// authority. ok=false passes the query through unanswered.
 	InterceptQuery(host netaddr.IP, q wire.Query) (resp *wire.Response, ok bool)
-	// AugmentResponse may append a section to a response in transit.
-	AugmentResponse(q wire.Query, resp *wire.Response)
+	// AugmentResponse may append a section to a response in transit, and
+	// reports whether it did.
+	AugmentResponse(q wire.Query, resp *wire.Response) bool
 }
 
 // InterceptQuery implements Interceptor using the controller's
@@ -39,13 +40,14 @@ func (c *Controller) InterceptQuery(host netaddr.IP, q wire.Query) (*wire.Respon
 // AugmentResponse implements Interceptor: it appends a new section produced
 // by the configured augmenter, the "empty line followed by the key-value
 // pairs it wishes to add" of §3.4.
-func (c *Controller) AugmentResponse(q wire.Query, resp *wire.Response) {
+func (c *Controller) AugmentResponse(q wire.Query, resp *wire.Response) bool {
 	aug := c.state.Load().augment
 	if aug == nil || resp == nil {
-		return
+		return false
 	}
 	aug(q, resp)
 	c.Counters.Add("responses_augmented", 1)
+	return true
 }
 
 // InterceptChain applies a sequence of interceptors to a query/response
@@ -59,17 +61,29 @@ type InterceptChain struct {
 	Outbound []Interceptor
 }
 
-// Exchange runs the chain around an authoritative responder function.
+// Exchange runs the chain around an authoritative responder function. A
+// response an interceptor answered or augmented is flow-scoped whatever the
+// daemon said: what the interceptor added was added for this flow, not for
+// every flow to the daemon's listener.
 func (ch InterceptChain) Exchange(host netaddr.IP, q wire.Query,
 	respond func() *wire.Response) *wire.Response {
 	for _, ic := range ch.Outbound {
 		if resp, ok := ic.InterceptQuery(host, q); ok {
+			if resp != nil {
+				resp.Scope = wire.Scope{}
+			}
 			return resp
 		}
 	}
 	resp := respond()
+	augmented := false
 	for i := len(ch.Outbound) - 1; i >= 0; i-- {
-		ch.Outbound[i].AugmentResponse(q, resp)
+		if ch.Outbound[i].AugmentResponse(q, resp) {
+			augmented = true
+		}
+	}
+	if augmented && resp != nil {
+		resp.Scope = wire.Scope{}
 	}
 	return resp
 }

@@ -29,9 +29,13 @@ import (
 // for concurrent use. With revocation disabled it is a no-op.
 //
 // Scope resolution (see wire.Update): a hello marks the host push-capable
-// (its facts need no lease); a flow-scoped update revokes that flow; a
-// key-scoped update revokes every flow whose verdict read (host, key); a
-// bare update is a resync and revokes everything depending on the host.
+// (its facts need no lease); a flow-scoped update revokes that flow; an
+// update at a listener's scope revokes every verdict that took the host's
+// answer at that scope (its listener fact); a key-scoped update revokes
+// every flow whose verdict read (host, key); a bare update is a resync and
+// revokes everything depending on the host. All but the flow-scoped kind
+// bump the host fence first, which also retires every answer held for the
+// host (scope.go).
 func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 	if c.revoker == nil {
 		return
@@ -42,6 +46,11 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 		return
 	}
 	c.hot.revUpdates.Add(1)
+	if u.Scope.Listener() {
+		c.Counters.Add("revocations_scope_updates", 1)
+		c.revokeHost(host, revoke.ListenerKey(u.Scope.Proto, u.Scope.Port), "update:"+u.Scope.String())
+		return
+	}
 	if u.FlowScoped() {
 		// Revoke unconditionally rather than checking registration first:
 		// even when no decision state exists yet, the flow fence voids a
@@ -81,7 +90,8 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 // revokeHost tears down what depends on a fact of host (any fact, with an
 // empty key). The host fence moves first, before the index is resolved: a
 // decision in flight with host at either end has not registered yet, so the
-// resolve cannot find it, and it must not publish what it gathered.
+// resolve cannot find it, and it must not publish what it gathered; and no
+// answer held for the host serves a decision again.
 func (c *Controller) revokeHost(host netaddr.IP, key, reason string) (n, classes int) {
 	c.hosts.bump(host)
 	return c.revokeKeys(c.revoker.Resolve(host, key, nil), reason)
@@ -236,7 +246,8 @@ func (c *Controller) registerDeps(s *decisionScratch) {
 // deps builds what a flow record and a class record share: per end the
 // verdict read, the host-scope marker plus each key it could have read there
 // (the query hints — the compiled policy's per-flow static key analysis),
-// and the earliest lease any read end imposes: RevocationLeaseTTL from now
+// the listener fact when the destination's answer was a listener's, and the
+// earliest lease any read end imposes: RevocationLeaseTTL from now
 // for a host that has not proven it pushes updates and, on a credential-
 // enforcing transport, the expiry of the credential its facts were admitted
 // under — if the live lapse-resync is missed, the lease sweep still tears
@@ -265,6 +276,9 @@ func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Regi
 	}
 	if dstRead {
 		end(s.five.DstIP, g.qd.Keys)
+		if g.dstFact != "" {
+			reg.Facts = append(reg.Facts, revoke.Fact{Host: s.five.DstIP, Key: g.dstFact})
+		}
 	}
 	s.facts = reg.Facts
 	return reg

@@ -163,10 +163,11 @@ func (s *decisionScratch) again() {
 }
 
 // gatherState carries one decision's two-ended query (§2 step 3: the
-// controller queries "both the source and the destination"). Both ends are
-// handed to the transport through the prebound completion funcs, pending
-// counts the outstanding ends, and the completion that drops it to zero
-// finishes the decision on the goroutine it runs on.
+// controller queries "both the source and the destination"). The ends are
+// handed to the transport through the prebound completion funcs — the
+// destination's is completed in decide instead when its listener's answer is
+// held — pending counts the outstanding ends, and the completion that drops
+// it to zero finishes the decision on the goroutine it runs on.
 type gatherState struct {
 	c  *Controller
 	st *ctlState
@@ -179,6 +180,13 @@ type gatherState struct {
 	qsrc, qdst                 time.Duration
 	srcBuilt, dstBuilt         bool // response built by the controller (answer-on-behalf), not a daemon
 	srcTransient, dstTransient bool // end lost to transport trouble; decision must not be cached
+
+	// dstScoped marks a destination answer the daemon gave at the flow's
+	// listener scope, for finishDecision to learn (scope.go); dstFact is the
+	// listener fact the verdict stands on when the destination's answer was
+	// a listener's, learned or held — "" otherwise.
+	dstScoped bool
+	dstFact   string
 
 	// pre is the header-only pre-pass verdict; when preDecided is set the
 	// decision needed no endpoint information and finishDecision installs
@@ -199,8 +207,9 @@ type gatherState struct {
 // srcDone and dstDone are the transport's completion entry points. The
 // response they receive is a read-only borrow (see internal/query's borrow
 // contract); resolveResponse never mutates it, and downstream it is read by
-// the evaluation and dropped — never retained past the decision, never
-// pooled.
+// the evaluation and dropped, or — a destination answer given at its
+// listener's scope — kept read-only to serve that listener's next misses
+// (scope.go); never pooled.
 func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error) {
 	g.src, g.qsrc, g.srcBuilt, g.srcTransient = g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
 	if g.pending.Add(-1) == 0 {
@@ -210,6 +219,7 @@ func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error)
 
 func (g *gatherState) dstDone(resp *wire.Response, rtt time.Duration, err error) {
 	g.dst, g.qdst, g.dstBuilt, g.dstTransient = g.c.resolveResponse(g.st, g.qd.Flow, g.qd.Flow.DstIP, resp, rtt, err)
+	g.dstScoped = resp != nil && g.dst == resp && resp.Scope == wire.ListenerScope(g.qd.Flow.Proto, g.qd.Flow.DstPort)
 	if g.pending.Add(-1) == 0 {
 		g.c.finishDecision(g.owner)
 	}
@@ -223,6 +233,7 @@ func (g *gatherState) reset() {
 	g.qsrc, g.qdst = 0, 0
 	g.srcBuilt, g.dstBuilt = false, false
 	g.srcTransient, g.dstTransient = false, false
+	g.dstScoped, g.dstFact = false, ""
 	g.pre, g.preDecided = pf.Decision{}, false
 	g.mega = nil
 	g.pending.Store(0)

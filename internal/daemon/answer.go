@@ -6,6 +6,7 @@ import (
 
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
+	"identxx/internal/netaddr"
 	"identxx/internal/wire"
 )
 
@@ -15,14 +16,24 @@ import (
 // process, and serves every flow of the process from it. hostinfo replaces a
 // process copy-on-write whenever its user or executable changes (Exec,
 // SetUserGroups), so a changed process is a new key; what can change an
-// answer without a new process is a configuration install or a host-wide
-// change (a patch install, a listener bind), and those empty the table.
-// Connection churn (Connect, Close, Kill) changes which process owns a flow,
-// not what a process's answer says, and leaves the table alone.
+// answer without a new process is a configuration install or a patch
+// install, and those empty the table. Connection churn (Connect, Close) and
+// listener binds change which process owns a flow, not what a process's
+// answer says, and leave the table alone; a process that exits or is
+// replaced takes only its own answer with it.
 //
 // Only two kinds of answer are built per flow: a flow with application pairs
 // (ProvideFlowPairs) has them in a section of its own ahead of its process's,
 // and while a forge hook is installed every answer is the hook's.
+//
+// A flow to this host that no connection claims resolves to the process
+// listening on its port, and every such flow gets that process's answer: the
+// daemon gives it at listener scope (wire.Scope), and a controller may serve
+// the listener's next flows from it without asking. It does so only while
+// nothing could answer a flow to the port differently — no flow to the port
+// has application pairs (narrowed) and no forge hook is installed or being
+// installed (unscoped) — and it remembers the answer once per listener, not
+// once per flow (push.go).
 
 // procAnswersCap bounds the per-process answer table: a process that exited
 // keeps its entry until an invalidation empties the table or an insert past
@@ -32,8 +43,10 @@ const procAnswersCap = 256
 // answer is one answer as the wire carries it and as the memo compares it:
 // its sections, their facts flattened, and the sections encoded. Nothing in
 // an answer is written once newAnswer returns — a process's answer is shared
-// by every flow it owns, by those flows' memo entries and by every response
-// HandleQuery returned for them.
+// by every flow it owns, by those flows' memo entries, by its listeners'
+// and by every response HandleQuery returned for them. The scope an answer
+// is given at is not part of it: the same process answer is given at flow
+// scope to a connection's flow and at listener scope to a flow to its port.
 type answer struct {
 	sections []wire.Section
 	facts    map[string]string // flatten(sections)
@@ -48,9 +61,10 @@ func newAnswer(secs []wire.Section) *answer {
 	return &answer{sections: secs, facts: flatten(secs), body: wire.AppendSections(nil, secs)}
 }
 
-// response returns the answer as a response about f, sharing its sections.
-func (a *answer) response(f flow.Five) *wire.Response {
-	return &wire.Response{Flow: f, Sections: a.sections}
+// response returns the answer as a response about f at scope, sharing its
+// sections.
+func (a *answer) response(f flow.Five, scope wire.Scope) *wire.Response {
+	return &wire.Response{Flow: f, Sections: a.sections, Scope: scope}
 }
 
 // flatten reduces sections to their effective facts: for each key, the
@@ -77,9 +91,10 @@ func noUserAnswer(h *hostinfo.Host) *answer {
 // derive builds the answer the daemon gives about q's flow now, without
 // memoizing it: the answer of the process that owns the flow, behind the
 // flow's application pairs when it has any, passed through the forge hook
-// when one is installed. forged is the hook's response, nil without one.
-func (d *Daemon) derive(q wire.Query) (a *answer, forged *wire.Response) {
-	proc, owned := d.host.OwnerOf(q.Flow, hostinfo.RoleAuto)
+// when one is installed. scope is the scope it is given at; forged is the
+// hook's response, nil without one.
+func (d *Daemon) derive(q wire.Query) (a *answer, scope wire.Scope, forged *wire.Response) {
+	proc, viaListener, owned := d.host.ResolveOwner(q.Flow)
 	var app []wire.KV
 	var gen uint64
 	built := false
@@ -87,15 +102,11 @@ func (d *Daemon) derive(q wire.Query) (a *answer, forged *wire.Response) {
 	forge := d.forge
 	a = d.noUser
 	if owned {
-		// The generation is read with the configuration the answer is built
-		// from, and before the host's patches are: an invalidation after
-		// either read moves it, and keepProcess then drops the answer.
-		gen = d.procGen
-		if a = d.procAnswers[proc]; a == nil {
-			a, built = d.buildProcessLocked(proc), true
-		}
+		a, gen, built = d.processAnswerLocked(proc)
 		if pairs := d.dynamic[q.Flow]; len(pairs) > 0 {
 			app = append([]wire.KV(nil), pairs...)
+		} else if viaListener {
+			scope = d.listenerScopeLocked(q.Flow.Proto, q.Flow.DstPort)
 		}
 	}
 	d.mu.RUnlock()
@@ -111,10 +122,55 @@ func (d *Daemon) derive(q wire.Query) (a *answer, forged *wire.Response) {
 		// The hook gets a private copy to do with as it likes, and what it
 		// returns is copied for the memo: neither the shared answer nor the
 		// memo can change through a response after it is handed out.
-		forged = forge(q, a.response(q.Flow).Clone())
+		forged = forge(q, a.response(q.Flow, scope).Clone())
 		a = newAnswer(forged.Clone().Sections)
 	}
-	return a, forged
+	return a, scope, forged
+}
+
+// deriveScope builds the answer the daemon gives now at listener scope s:
+// the answer of the process listening there. ok is false when no process
+// listens there or something narrows the scope to flow scope.
+func (d *Daemon) deriveScope(s wire.Scope) (a *answer, ok bool) {
+	proc, owned := d.host.ListenerOf(s.Proto, s.Port)
+	if !owned || proc == nil {
+		return nil, false
+	}
+	d.mu.RLock()
+	if d.listenerScopeLocked(s.Proto, s.Port) != s {
+		d.mu.RUnlock()
+		return nil, false
+	}
+	a, gen, built := d.processAnswerLocked(proc)
+	d.mu.RUnlock()
+	if built {
+		d.keepProcess(proc, a, gen)
+	}
+	return a, true
+}
+
+// listenerScopeLocked is the scope of an answer resolved through the
+// listener on port: its listener scope, or flow scope while something
+// narrows it. d.mu must be held, for reading at least.
+func (d *Daemon) listenerScopeLocked(proto netaddr.Proto, port netaddr.Port) wire.Scope {
+	s := wire.ListenerScope(proto, port)
+	if d.unscoped || d.narrowed[s] > 0 {
+		return wire.Scope{}
+	}
+	return s
+}
+
+// processAnswerLocked returns proc's answer from the table, or builds it
+// (built) for keepProcess to enter under gen. The generation is read with
+// the configuration the answer is built from, and before the host's patches
+// are: an invalidation after either read moves it, and keepProcess then
+// drops the answer. d.mu must be held, for reading at least.
+func (d *Daemon) processAnswerLocked(proc *hostinfo.Process) (a *answer, gen uint64, built bool) {
+	gen = d.procGen
+	if a = d.procAnswers[proc]; a == nil {
+		a, built = d.buildProcessLocked(proc), true
+	}
+	return a, gen, built
 }
 
 // buildProcessLocked builds a process's answer: the user-config,

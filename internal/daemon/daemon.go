@@ -22,7 +22,8 @@ type ForgeFunc func(q wire.Query, honest *wire.Response) *wire.Response
 // use; controllers may query while applications register flow pairs.
 //
 // Beyond answering, the daemon participates in the revocation plane (see
-// push.go): it remembers the answer it gave per answered flow (bounded by
+// push.go): it remembers the answer it gave per answered flow, and per
+// listener for an answer given at listener scope (each bounded by
 // DefaultAnsweredCap), listens for its host's OS-state changes, and publishes
 // wire.Update messages to subscribers when a previously-given answer stops
 // being true.
@@ -44,8 +45,18 @@ type Daemon struct {
 	dynamic         map[flow.Five][]wire.KV
 	dynamicEvicted  int64 // lifetime dynamic evictions
 	forge           ForgeFunc
-	answered        map[flow.Five]*answer // the answer each flow was last given
-	answeredEvicted int64                 // lifetime memo evictions
+	answered        map[flow.Five]*answer  // the answer each flow was last given
+	scoped          map[wire.Scope]*answer // the answer each listener scope was last given
+	answeredEvicted int64                  // lifetime memo evictions, flows and scopes
+
+	// What narrows a listener's answers to flow scope (answer.go): narrowed
+	// counts, per listener, the flows to it with application pairs; unscoped
+	// is set from the moment a forge hook is being installed until it is
+	// removed. pairMu serializes the application-pair calls, which publish
+	// a narrowing before they change an answer.
+	narrowed map[wire.Scope]int
+	unscoped bool
+	pairMu   sync.Mutex
 
 	// Per-process answers (answer.go), bounded by procAnswersCap. procGen
 	// moves with every invalidation, so an answer built from inputs read
@@ -88,6 +99,7 @@ func New(h *hostinfo.Host) *Daemon {
 		userApps: make(map[string]*AppConfig),
 		sysApps:  make(map[string]*AppConfig),
 		dynamic:  make(map[flow.Five][]wire.KV),
+		narrowed: make(map[wire.Scope]int),
 		noUser:   noUserAnswer(h),
 	}
 	d.hot.answered = d.Counters.Cell("daemon_queries_answered")
@@ -129,15 +141,31 @@ func (d *Daemon) InstallConfig(cf *ConfigFile, system bool) {
 // (DefaultDynamicCap): past the cap an arbitrary other flow's pairs are
 // evicted, counted in FlowPairStats, and — since eviction changes what the
 // daemon would answer — published like any other change.
+//
+// Pairs for a flow to one of this host's ports give that flow an answer of
+// its own, so they narrow the port's listener scope to flow scope for as
+// long as they last: the scope's update is published first, before the
+// flow's answer changes, so no controller keeps serving the flow from the
+// listener's answer once it is different.
 func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
+	d.pairMu.Lock()
+	defer d.pairMu.Unlock()
+	s, toListener := d.listenerScopeOf(f)
 	d.mu.Lock()
 	_, existed := d.dynamic[f]
+	if toListener && !existed {
+		d.narrowed[s]++
+		d.changes.Add(1)
+		d.mu.Unlock()
+		d.rescanScope(s)
+		d.mu.Lock()
+	}
 	var evicted flow.Five
 	haveEvicted := false
 	if !existed && len(d.dynamic) >= DefaultDynamicCap {
 		for victim := range d.dynamic {
 			if victim != f {
-				delete(d.dynamic, victim)
+				d.dropPairsLocked(victim)
 				d.dynamicEvicted++
 				evicted, haveEvicted = victim, true
 				break
@@ -155,18 +183,57 @@ func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 
 // ClearFlowPairs drops the dynamic pairs for a flow (connection closed).
 func (d *Daemon) ClearFlowPairs(f flow.Five) {
+	d.pairMu.Lock()
+	defer d.pairMu.Unlock()
 	d.mu.Lock()
-	delete(d.dynamic, f)
+	d.dropPairsLocked(f)
 	d.changes.Add(1)
 	d.mu.Unlock()
 	d.rescanFlow(f)
 }
 
-// SetForge installs (or, with nil, removes) a compromise hook.
+// dropPairsLocked removes f's pairs and the narrowing they held. d.mu must
+// be held for writing.
+func (d *Daemon) dropPairsLocked(f flow.Five) {
+	if _, ok := d.dynamic[f]; !ok {
+		return
+	}
+	delete(d.dynamic, f)
+	if s, ok := d.listenerScopeOf(f); ok {
+		if d.narrowed[s]--; d.narrowed[s] <= 0 {
+			delete(d.narrowed, s)
+		}
+	}
+}
+
+// listenerScopeOf returns the listener scope a flow to this host falls
+// under, ok false for a flow this host is not the destination of.
+func (d *Daemon) listenerScopeOf(f flow.Five) (wire.Scope, bool) {
+	ip := d.host.IP
+	if f.DstIP != ip || f.SrcIP == ip {
+		return wire.Scope{}, false
+	}
+	return wire.ListenerScope(f.Proto, f.DstPort), true
+}
+
+// SetForge installs (or, with nil, removes) a compromise hook. While one is
+// installed every answer is the hook's and flow-scoped: the listener scopes
+// the daemon has answered at are withdrawn, and their updates published,
+// before the hook answers anything.
 func (d *Daemon) SetForge(f ForgeFunc) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	if f == nil {
+		d.forge, d.unscoped = nil, false
+		d.mu.Unlock()
+		return
+	}
+	d.unscoped = true
+	d.changes.Add(1)
+	d.mu.Unlock()
+	d.rescan()
+	d.mu.Lock()
 	d.forge = f
+	d.mu.Unlock()
 }
 
 // HandleQuery produces the response for a query. The response always has
@@ -190,17 +257,18 @@ func (d *Daemon) SetForge(f ForgeFunc) {
 // them in a section of its own (Response.Augment copies the array); it must
 // not write into the sections it was given.
 func (d *Daemon) HandleQuery(q wire.Query) *wire.Response {
-	a, forged := d.respond(q)
+	a, scope, forged := d.respond(q)
 	if forged != nil {
 		return forged
 	}
-	return a.response(q.Flow)
+	return a.response(q.Flow, scope)
 }
 
 // respond answers q and memoizes the answer: HandleQuery without building a
-// response, for the server, which frames the answer's encoded body. forged is
-// the forge hook's response, nil without a hook.
-func (d *Daemon) respond(q wire.Query) (a *answer, forged *wire.Response) {
+// response, for the server, which frames the answer's encoded body. scope is
+// the scope the answer is given at; forged is the forge hook's response, nil
+// without a hook.
+func (d *Daemon) respond(q wire.Query) (a *answer, scope wire.Scope, forged *wire.Response) {
 	d.hot.answered.Add(1)
 	if q.TraceID != 0 {
 		// The controller is flight-recording this decision; count the
@@ -209,10 +277,14 @@ func (d *Daemon) respond(q wire.Query) (a *answer, forged *wire.Response) {
 		d.hot.traced.Add(1)
 	}
 	seq := d.changes.Load()
-	a, forged = d.derive(q)
+	a, scope, forged = d.derive(q)
 	// Remember what was asserted (post-forge: the memo tracks what went on
-	// the wire) so a later OS change can be mapped back to this flow and
-	// published as an update.
-	d.remember(q.Flow, a, seq)
-	return a, forged
+	// the wire) so a later OS change can be mapped back to this flow, or to
+	// its listener, and published as an update.
+	if scope.Listener() {
+		d.rememberScope(scope, a, seq)
+	} else {
+		d.remember(q.Flow, a, seq)
+	}
+	return a, scope, forged
 }

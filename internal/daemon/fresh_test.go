@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"identxx/internal/flow"
@@ -28,6 +29,7 @@ type world struct {
 		system bool
 	}
 	pairs map[flow.Five][]wire.KV
+	forge ForgeFunc
 }
 
 func newWorld(t *testing.T) *world {
@@ -54,6 +56,11 @@ func (w *world) clearPairs(f flow.Five) {
 	delete(w.pairs, f)
 }
 
+func (w *world) setForge(f ForgeFunc) {
+	w.d.SetForge(f)
+	w.forge = f
+}
+
 // scratch is a daemon built from nothing on the world's current state.
 func (w *world) scratch() *Daemon {
 	s := New(w.h)
@@ -63,7 +70,48 @@ func (w *world) scratch() *Daemon {
 	for f, kv := range w.pairs {
 		s.ProvideFlowPairs(f, kv...)
 	}
+	s.SetForge(w.forge)
 	return s
+}
+
+// remote is the peer the world's destination flows come from.
+var remote = netaddr.MustParseIP("10.9.0.2")
+
+// newListenerWorld is newWorld with bob's httpd listening on 8080, and five
+// a flow to it from a remote host: one the daemon answers at the listener's
+// scope.
+func newListenerWorld(t *testing.T) *world {
+	w := newWorld(t)
+	bob := w.h.AddUser("bob", "staff")
+	w.p = w.h.Exec(bob, hostinfo.Executable{Path: "/usr/sbin/httpd", Name: "httpd", Version: "2.2"})
+	if err := w.h.Listen(w.p.PID, netaddr.ProtoTCP, 8080); err != nil {
+		t.Fatal(err)
+	}
+	w.five = flow.Five{SrcIP: remote, DstIP: w.h.IP, Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: 8080}
+	return w
+}
+
+// memoFresh fails t unless every entry of the daemon's memo — flows and
+// listener scopes — holds the facts a daemon built from scratch asserts
+// now, a scope's at that scope.
+func (w *world) memoFresh(t *testing.T) {
+	t.Helper()
+	scratch := w.scratch()
+	w.d.mu.RLock()
+	defer w.d.mu.RUnlock()
+	for f, a := range w.d.answered {
+		if want := flatten(scratch.HandleQuery(wire.Query{Flow: f}).Sections); !reflect.DeepEqual(a.facts, want) {
+			t.Errorf("flow %v is remembered with %v, a daemon built from scratch asserts %v", f, a.facts, want)
+		}
+	}
+	for s, a := range w.d.scoped {
+		want := scratch.HandleQuery(wire.Query{Flow: flow.Five{SrcIP: remote, DstIP: w.h.IP, Proto: s.Proto, SrcPort: 1, DstPort: s.Port}})
+		if want.Scope != s {
+			t.Errorf("scope %v is remembered, a daemon built from scratch answers at %v", s, want.Scope)
+		} else if facts := flatten(want.Sections); !reflect.DeepEqual(a.facts, facts) {
+			t.Errorf("scope %v is remembered with %v, a daemon built from scratch asserts %v", s, a.facts, facts)
+		}
+	}
 }
 
 // sameAnswer fails t unless got is the answer a daemon built from scratch
@@ -71,15 +119,16 @@ func (w *world) scratch() *Daemon {
 func (w *world) sameAnswer(t *testing.T, what string, f flow.Five, got *wire.Response) {
 	t.Helper()
 	want := w.scratch().HandleQuery(wire.Query{Flow: f})
-	if got.Flow != want.Flow || !reflect.DeepEqual(got.Sections, want.Sections) {
-		t.Errorf("%s: answer %+v, a daemon built from scratch answers %+v", what, got.Sections, want.Sections)
+	if got.Flow != want.Flow || got.Scope != want.Scope || !reflect.DeepEqual(got.Sections, want.Sections) {
+		t.Errorf("%s: answer %+v at %v, a daemon built from scratch answers %+v at %v", what, got.Sections, got.Scope, want.Sections, want.Scope)
 	}
 }
 
 // TestAnswersFollowEveryChange: for each kind of change that can alter an
 // answer, a flow answered before the change is answered after it exactly as
 // a daemon built from scratch on the new state answers, and the subscriber
-// hears of it in the one update it always has.
+// hears of it in the one update it always has — for a source's flow, and for
+// a destination answered at its listener's scope (the "listener" cases).
 func TestAnswersFollowEveryChange(t *testing.T) {
 	skype := "/usr/bin/skype"
 	for _, c := range []struct {
@@ -152,6 +201,106 @@ func TestAnswersFollowEveryChange(t *testing.T) {
 			}
 		})
 	}
+	listenerAnswersFollowEveryChange(t)
+}
+
+// listenerAnswersFollowEveryChange is TestAnswersFollowEveryChange for a
+// destination answered at its listener's scope: for each kind of change that
+// can alter what the listener's flows are answered, the flow is answered
+// after it as a daemon built from scratch answers it, every memo entry —
+// the scope's included — holds what such a daemon asserts, and the
+// subscriber hears of it in exactly the updates listed: one at the
+// listener's scope wherever the scope was held.
+func listenerAnswersFollowEveryChange(t *testing.T) {
+	httpd := "/usr/sbin/httpd"
+	other := flow.Five{SrcIP: remote, DstIP: netaddr.MustParseIP("10.9.0.1"), Proto: netaddr.ProtoTCP, SrcPort: 40001, DstPort: 8080}
+	scope := wire.ListenerScope(netaddr.ProtoTCP, 8080)
+	atScope := []wire.Update{{Scope: scope}}
+	for _, c := range []struct {
+		name   string
+		before func(w *world) // ahead of the first answer
+		change func(w *world)
+		want   func(w *world) []wire.Update // Flow, Scope, Key, Old, New of each update after the hello
+	}{
+		{"owner killed", nil, func(w *world) { w.h.Kill(w.p.PID) },
+			func(*world) []wire.Update { return atScope }},
+		{"owner logged out", nil, func(w *world) { w.h.Logout("bob") },
+			func(*world) []wire.Update { return atScope }},
+		{"owner's groups", nil, func(w *world) { w.h.SetUserGroups("bob", "web") },
+			func(*world) []wire.Update { return atScope }},
+		{"rebound by another executable", nil, func(w *world) {
+			w.h.Kill(w.p.PID)
+			bob, _ := w.h.UserByName("bob")
+			p := w.h.Exec(bob, hostinfo.Executable{Path: "/usr/sbin/nginx", Name: "nginx", Version: "1"})
+			if err := w.h.Listen(p.PID, netaddr.ProtoTCP, 8080); err != nil {
+				panic(err)
+			}
+		}, func(*world) []wire.Update { return atScope }},
+		{"listen on another port", nil, func(w *world) {
+			bob, _ := w.h.UserByName("bob")
+			p := w.h.Exec(bob, hostinfo.Executable{Path: "/usr/sbin/sshd", Name: "sshd"})
+			if err := w.h.Listen(p.PID, netaddr.ProtoTCP, 2222); err != nil {
+				panic(err)
+			}
+		}, func(*world) []wire.Update { return nil }},
+		{"flow pairs", nil, func(w *world) { w.providePairs(w.five, wire.KV{Key: "initiated-by", Value: "user"}) },
+			func(*world) []wire.Update { return atScope }},
+		{"pairs on another flow to the port", nil, func(w *world) { w.providePairs(other, wire.KV{Key: "initiated-by", Value: "user"}) },
+			func(*world) []wire.Update { return atScope }},
+		{"flow pairs cleared", func(w *world) { w.providePairs(w.five, wire.KV{Key: "initiated-by", Value: "user"}) },
+			func(w *world) { w.clearPairs(w.five) },
+			func(w *world) []wire.Update { return []wire.Update{{Flow: w.five, Key: "initiated-by", Old: "user"}} }},
+		{"forge", nil, func(w *world) {
+			w.setForge(func(_ wire.Query, honest *wire.Response) *wire.Response {
+				honest.Sections[len(honest.Sections)-1].Add(wire.KeyUserID, "root")
+				return honest
+			})
+		}, func(*world) []wire.Update { return atScope }},
+		{"config for the listener", nil, func(w *world) {
+			w.installConfig(&ConfigFile{Apps: []*AppConfig{{Path: httpd, Pairs: []wire.KV{{Key: wire.KeyRequirements, Value: "pass from any"}}}}}, true)
+		}, func(*world) []wire.Update { return atScope }},
+		{"patch", nil, func(w *world) { w.h.InstallPatch("MS08-067") },
+			func(*world) []wire.Update { return atScope }},
+	} {
+		t.Run("listener "+c.name, func(t *testing.T) {
+			w := newListenerWorld(t)
+			if c.before != nil {
+				c.before(w)
+			}
+			q := wire.Query{Flow: w.five}
+			first := w.d.HandleQuery(q)
+			w.sameAnswer(t, "before the change", w.five, first)
+			if (c.before == nil) != first.Scope.Listener() {
+				t.Fatalf("answered before the change at %v", first.Scope)
+			}
+			firstSections := first.Clone().Sections
+
+			col := newCollector()
+			cancel := w.d.Subscribe(col.fn)
+			defer cancel()
+			c.change(w)
+			w.memoFresh(t)
+			w.sameAnswer(t, "after the change", w.five, w.d.HandleQuery(q))
+			w.memoFresh(t)
+			if !reflect.DeepEqual(first.Sections, firstSections) {
+				t.Errorf("the answer given before the change changed after it: %+v, was %+v", first.Sections, firstSections)
+			}
+
+			got := col.all()
+			hello := got[0].Serial
+			got = got[1:]
+			want := c.want(w)
+			if len(got) != len(want) {
+				t.Fatalf("updates %+v, want %+v", got, want)
+			}
+			for i, u := range got {
+				want[i].Serial = hello + uint64(i) + 1
+				if u != want[i] {
+					t.Errorf("update %d = %+v, want %+v", i, u, want[i])
+				}
+			}
+		})
+	}
 }
 
 // TestForgeCannotChangeTheSharedAnswer: a forge hook that rewrites the
@@ -184,15 +333,16 @@ func TestForgeCannotChangeTheSharedAnswer(t *testing.T) {
 
 // TestConcurrentAnswersMatchFreshDerivation is the push plane's conservation
 // law under concurrency: queries run while the host's processes are killed,
-// re-executed and regrouped and configuration and patches are installed, and
-// once everything has stopped every flow the daemon remembers answering is
-// remembered with exactly the facts a daemon built from scratch asserts — no
-// assertion is left stale and unpublished.
+// re-executed and regrouped, their listeners released and bound again,
+// application pairs given to and taken from flows to them, and
+// configuration and patches are installed; once everything has stopped
+// every flow and every listener scope the daemon remembers answering is
+// remembered with exactly the facts a daemon built from scratch asserts —
+// no assertion is left stale and unpublished.
 func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 	const slots, flowsPerSlot, queriers, queries, changes = 4, 3, 3, 300, 60
 	w := newWorld(t)
-	dst := netaddr.MustParseIP("10.9.0.2")
-	var flows []flow.Five
+	var flows, inbound []flow.Five
 	pids := make([]int, slots)
 	users := []string{"alice", "bob"}
 	w.h.AddUser("bob", "staff")
@@ -205,19 +355,35 @@ func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 				panic(err)
 			}
 		}
+		if err := w.h.Listen(p.PID, netaddr.ProtoTCP, netaddr.Port(8000+slot)); err != nil {
+			panic(err)
+		}
 	}
 	for slot := 0; slot < slots; slot++ {
 		for i := 0; i < flowsPerSlot; i++ {
 			flows = append(flows, flow.Five{
-				SrcIP: w.h.IP, DstIP: dst, Proto: netaddr.ProtoTCP,
+				SrcIP: w.h.IP, DstIP: remote, Proto: netaddr.ProtoTCP,
 				SrcPort: netaddr.Port(40000 + slot*flowsPerSlot + i), DstPort: 80,
+			})
+			inbound = append(inbound, flow.Five{
+				SrcIP: remote, DstIP: w.h.IP, Proto: netaddr.ProtoTCP,
+				SrcPort: netaddr.Port(50000 + slot*flowsPerSlot + i), DstPort: netaddr.Port(8000 + slot),
 			})
 		}
 		exec(slot, 1)
 	}
-	cancel := w.d.Subscribe(func(wire.Update) {})
+	var scopeUpdates atomic.Int64
+	cancel := w.d.Subscribe(func(u wire.Update) {
+		if u.Scope.Listener() {
+			scopeUpdates.Add(1)
+		}
+	})
 	defer cancel()
 
+	all := append(append([]flow.Five(nil), flows...), inbound...)
+	for _, f := range inbound {
+		w.d.HandleQuery(wire.Query{Flow: f}) // every listener's scope held from the start
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < queriers; g++ {
 		wg.Add(1)
@@ -225,7 +391,7 @@ func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < queries; i++ {
-				w.d.HandleQuery(wire.Query{Flow: flows[rng.Intn(len(flows))]})
+				w.d.HandleQuery(wire.Query{Flow: all[rng.Intn(len(all))]})
 			}
 		}(int64(g))
 	}
@@ -235,7 +401,7 @@ func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < changes; i++ {
 			slot := rng.Intn(slots)
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0:
 				w.h.Kill(pids[slot])
 			case 1:
@@ -249,6 +415,10 @@ func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 				}}}, rng.Intn(2) == 0)
 			case 4:
 				w.h.InstallPatch(fmt.Sprintf("KB%d", i))
+			case 5:
+				w.providePairs(inbound[rng.Intn(len(inbound))], wire.KV{Key: "tag", Value: fmt.Sprint(i)})
+			case 6:
+				w.clearPairs(inbound[rng.Intn(len(inbound))])
 			}
 		}
 		// End on the two host-wide changes, so the final state holds
@@ -258,16 +428,14 @@ func TestConcurrentAnswersMatchFreshDerivation(t *testing.T) {
 	}()
 	wg.Wait()
 
-	scratch := w.scratch()
 	w.d.mu.RLock()
-	defer w.d.mu.RUnlock()
-	if len(w.d.answered) == 0 {
+	remembered := len(w.d.answered)
+	w.d.mu.RUnlock()
+	if remembered == 0 {
 		t.Fatal("the daemon remembers no answer")
 	}
-	for f, a := range w.d.answered {
-		want := flatten(scratch.HandleQuery(wire.Query{Flow: f}).Sections)
-		if !reflect.DeepEqual(a.facts, want) {
-			t.Errorf("flow %v is remembered with %v, a daemon built from scratch asserts %v", f, a.facts, want)
-		}
+	if scopeUpdates.Load() == 0 {
+		t.Fatal("no update at a listener's scope: the scoped path was not exercised")
 	}
+	w.memoFresh(t)
 }

@@ -16,14 +16,20 @@ import (
 // logging out or a process exiting keeps its allowed flows until switch
 // idle-timeout, and the verdict cache re-grants them without asking again.
 //
-// The answered-facts memo is bounded (DefaultAnsweredCap): a daemon on a busy
-// server must not grow per-flow state without limit just because it was
-// queried. Evicting a memo entry means the daemon can no longer tell
-// subscribers when that flow's facts change, so eviction itself is
-// published as a flow-scoped update — the controller conservatively
-// revokes, the next packet re-queries, and the memo re-learns the flow.
+// The memo holds one entry per flow answered at flow scope and one per
+// listener answered at listener scope: every flow to a listener that got its
+// answer shares the listener's entry, and a change to that answer is one
+// update at the listener's scope, not one per flow.
+//
+// The answered-facts memo is bounded (DefaultAnsweredCap flows and as many
+// listeners): a daemon on a busy server must not grow per-flow state without
+// limit just because it was queried. Evicting a memo entry means the daemon
+// can no longer tell subscribers when its facts change, so eviction itself
+// is published as an update at the entry's scope — the controller
+// conservatively revokes, the next packet re-queries, and the memo re-learns
+// the entry.
 
-// DefaultAnsweredCap bounds the answered-facts memo.
+// DefaultAnsweredCap bounds each half of the answered-facts memo.
 const DefaultAnsweredCap = 4096
 
 // DefaultDynamicCap bounds the application-supplied flow-pair map
@@ -74,12 +80,12 @@ func (d *Daemon) UpdateSerial() uint64 {
 	return d.serial
 }
 
-// AnsweredStats reports the answered-facts memo's resident entries and
-// lifetime evictions (the RuleCacheStats shape).
+// AnsweredStats reports the answered-facts memo's resident entries — flows
+// and listener scopes — and lifetime evictions (the RuleCacheStats shape).
 func (d *Daemon) AnsweredStats() (entries, evictions int64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return int64(len(d.answered)), d.answeredEvicted
+	return int64(len(d.answered) + len(d.scoped)), d.answeredEvicted
 }
 
 // FlowPairStats reports the dynamic flow-pair map's resident entries and
@@ -88,6 +94,16 @@ func (d *Daemon) FlowPairStats() (entries, evictions int64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return int64(len(d.dynamic)), d.dynamicEvicted
+}
+
+// publishLocked publishes u, or with nobody subscribed marks the stream
+// dirty, so the next subscriber resyncs. d.pubMu must be held.
+func (d *Daemon) publishLocked(u wire.Update) {
+	if len(d.subs) > 0 {
+		d.emitLocked(u)
+	} else {
+		d.dirty = true
+	}
 }
 
 // emitLocked publishes one update to every subscriber. d.pubMu must be
@@ -130,21 +146,53 @@ func (d *Daemon) remember(f flow.Five, a *answer, seq uint64) {
 	d.answered[f] = a
 	d.mu.Unlock()
 	if haveEvicted {
+		// The daemon stops tracking the evicted flow: a flow-scoped update
+		// with no key tells the controller to drop everything it derived
+		// from this daemon's answers for that flow.
 		d.pubMu.Lock()
-		if len(d.subs) > 0 {
-			// The daemon stops tracking the evicted flow: a flow-scoped
-			// update with no key tells the controller to drop everything it
-			// derived from this daemon's answers for that flow.
-			d.emitLocked(wire.Update{Flow: evicted})
-		} else {
-			d.dirty = true
-		}
+		d.publishLocked(wire.Update{Flow: evicted})
 		d.pubMu.Unlock()
 	}
 	// Read after the memo write: a change counted after this read rescans
 	// with the flow memoized.
 	if d.changes.Load() != seq {
 		d.rescanFlow(f)
+	}
+}
+
+// rememberScope is remember for an answer given at listener scope s: one
+// entry per listener, whichever of its flows was asked about, re-checked
+// against d.changes exactly as a flow's is.
+func (d *Daemon) rememberScope(s wire.Scope, a *answer, seq uint64) {
+	d.mu.RLock()
+	held := d.scoped[s] == a
+	d.mu.RUnlock()
+	if !held {
+		d.mu.Lock()
+		if d.scoped == nil {
+			d.scoped = make(map[wire.Scope]*answer)
+		}
+		var evicted wire.Scope
+		if _, existed := d.scoped[s]; !existed && len(d.scoped) >= DefaultAnsweredCap {
+			for victim := range d.scoped {
+				if victim != s {
+					delete(d.scoped, victim)
+					d.answeredEvicted++
+					evicted = victim
+					break
+				}
+			}
+		}
+		d.scoped[s] = a
+		d.mu.Unlock()
+		if evicted.Listener() {
+			d.pubMu.Lock()
+			d.publishLocked(wire.Update{Scope: evicted})
+			d.pubMu.Unlock()
+		}
+	}
+	if d.changes.Load() != seq {
+		d.rescanScope(s)
 	}
 }
 
@@ -171,34 +219,45 @@ func diffFacts(old, cur map[string]string) (key, oldV, newV string, changed bool
 }
 
 // onHostChange is the hostinfo change listener: it re-derives assertions
-// for exactly the flows the mutation touched (connection churn, process
-// exit), falling back to the full memo walk only for mutations whose
-// blast radius the host cannot enumerate (listener binds, patch
-// installs). A flow-scoped change moves a flow between processes and leaves
-// the per-process answers alone; a host-wide one can change what every
-// process's answer says, so it drops them — before it is counted: an answer
-// to a query that read the count after it must not come from the table as it
-// was.
+// for exactly what the mutation touched — the flows it names, and the
+// listener scopes it names with the flows to them remembered at flow scope —
+// falling back to the full memo walk only for mutations whose blast radius
+// the host cannot enumerate (patch installs). A scoped change leaves the
+// per-process answers alone but for the processes it names as gone; a
+// host-wide one can change what every process's answer says, so it drops
+// them — before it is counted: an answer to a query that read the count
+// after it must not come from the table as it was.
 func (d *Daemon) onHostChange(ch hostinfo.Change) {
-	if !ch.All {
+	if ch.All {
+		d.mu.Lock()
+		d.dropProcessAnswersLocked()
+		d.mu.Unlock()
 		d.changes.Add(1)
-		for _, f := range ch.Flows {
-			d.rescanFlow(f)
-		}
+		d.rescan()
 		return
 	}
-	d.mu.Lock()
-	d.dropProcessAnswersLocked()
-	d.mu.Unlock()
+	if len(ch.Gone) > 0 {
+		d.mu.Lock()
+		for _, p := range ch.Gone {
+			delete(d.procAnswers, p)
+		}
+		d.mu.Unlock()
+	}
 	d.changes.Add(1)
-	d.rescan()
+	for _, f := range ch.Flows {
+		d.rescanFlow(f)
+	}
+	for _, l := range ch.Listeners {
+		d.rescanListener(wire.ListenerScope(l.Proto, l.Port))
+	}
 }
 
-// rescan re-derives the facts for every memoized flow and publishes an
-// update for each flow whose assertion changed. It runs after changes of
-// unknowable scope (see onHostChange) and configuration installs; cost is
-// bounded by the memo cap. With no subscribers nothing can be published:
-// the stream is marked dirty so the next Subscribe forces a resync.
+// rescan re-derives the facts for every memo entry, flows and listener
+// scopes, and publishes an update for each whose assertion changed. It runs
+// after host-wide changes (see onHostChange) and configuration installs;
+// cost is bounded by the memo cap. With no subscribers nothing can be
+// published: the stream is marked dirty so the next Subscribe forces a
+// resync.
 func (d *Daemon) rescan() {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
@@ -207,13 +266,50 @@ func (d *Daemon) rescan() {
 	for f := range d.answered {
 		flows = append(flows, f)
 	}
+	scopes := make([]wire.Scope, 0, len(d.scoped))
+	for s := range d.scoped {
+		scopes = append(scopes, s)
+	}
 	d.mu.RUnlock()
 	if len(d.subs) == 0 {
-		if len(flows) > 0 {
+		if len(flows)+len(scopes) > 0 {
 			d.dirty = true
 		}
 		return
 	}
+	for _, f := range flows {
+		d.rescanFlowLocked(f)
+	}
+	for _, s := range scopes {
+		d.rescanScopeLocked(s)
+	}
+}
+
+// rescanListener re-derives what a change to the listener at s can have
+// changed: the scope's entry, and the entries of flows to it the daemon
+// answered at flow scope (while the scope was narrowed, or before the
+// listener was bound). Finding those flows walks the flow memo; only they
+// are re-derived.
+func (d *Daemon) rescanListener(s wire.Scope) {
+	ip := d.host.IP
+	d.pubMu.Lock()
+	defer d.pubMu.Unlock()
+	d.mu.RLock()
+	_, held := d.scoped[s]
+	var flows []flow.Five
+	for f := range d.answered {
+		if f.DstIP == ip && f.SrcIP != ip && f.Proto == s.Proto && f.DstPort == s.Port {
+			flows = append(flows, f)
+		}
+	}
+	d.mu.RUnlock()
+	if len(d.subs) == 0 {
+		if held || len(flows) > 0 {
+			d.dirty = true
+		}
+		return
+	}
+	d.rescanScopeLocked(s)
 	for _, f := range flows {
 		d.rescanFlowLocked(f)
 	}
@@ -237,10 +333,26 @@ func (d *Daemon) rescanFlow(f flow.Five) {
 	d.rescanFlowLocked(f)
 }
 
+// rescanScope is rescanFlow for a listener scope.
+func (d *Daemon) rescanScope(s wire.Scope) {
+	d.pubMu.Lock()
+	defer d.pubMu.Unlock()
+	if len(d.subs) == 0 {
+		d.mu.RLock()
+		_, tracked := d.scoped[s]
+		d.mu.RUnlock()
+		if tracked {
+			d.dirty = true
+		}
+		return
+	}
+	d.rescanScopeLocked(s)
+}
+
 // rescanFlowLocked does the per-flow diff-and-publish. d.pubMu must be
 // held; d.mu must not be.
 func (d *Daemon) rescanFlowLocked(f flow.Five) {
-	cur, _ := d.derive(wire.Query{Flow: f})
+	cur, _, _ := d.derive(wire.Query{Flow: f})
 	d.mu.Lock()
 	old, ok := d.answered[f]
 	if !ok || old == cur {
@@ -255,4 +367,30 @@ func (d *Daemon) rescanFlowLocked(f flow.Five) {
 	if changed {
 		d.emitLocked(wire.Update{Flow: f, Key: key, Old: oldV, New: newV})
 	}
+}
+
+// rescanScopeLocked does the per-scope diff-and-publish: when the answer at
+// s is no longer the one given — different facts, no listener, or narrowed
+// to flow scope — the entry goes and one update at s is published. The
+// receiver drops everything it derived from the old answer, so there is
+// nothing left to track until it asks again. d.pubMu must be held; d.mu
+// must not be.
+func (d *Daemon) rescanScopeLocked(s wire.Scope) {
+	cur, ok := d.deriveScope(s)
+	d.mu.Lock()
+	old, held := d.scoped[s]
+	if !held || (ok && old == cur) {
+		d.mu.Unlock()
+		return
+	}
+	if ok {
+		if _, _, _, changed := diffFacts(old.facts, cur.facts); !changed {
+			d.scoped[s] = cur
+			d.mu.Unlock()
+			return
+		}
+	}
+	delete(d.scoped, s)
+	d.mu.Unlock()
+	d.emitLocked(wire.Update{Scope: s})
 }

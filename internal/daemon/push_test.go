@@ -438,3 +438,36 @@ func TestChangesWhileUnsubscribedForceResync(t *testing.T) {
 		t.Errorf("idle resubscribe moved the serial %d -> %d", after, got)
 	}
 }
+
+// TestListenElsewherePublishesNothing: a listener bound on a port no answer
+// was given for changes no answer — nothing is published and the
+// per-process answers survive it (a bind used to be a host-wide change that
+// dropped them all and rescanned the whole memo).
+func TestListenElsewherePublishesNothing(t *testing.T) {
+	h, d, p, five := pushHost(t)
+	d.HandleQuery(wire.Query{Flow: five})
+	d.mu.RLock()
+	before := d.procAnswers[p]
+	d.mu.RUnlock()
+	if before == nil {
+		t.Fatal("no per-process answer after the query")
+	}
+	col := newCollector()
+	cancel := d.Subscribe(col.fn)
+	defer cancel()
+
+	u, _ := h.UserByName("alice")
+	sshd := h.Exec(u, hostinfo.Executable{Path: "/usr/sbin/sshd", Name: "sshd"})
+	if err := h.Listen(sshd.PID, netaddr.ProtoTCP, 2222); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.all(); len(got) != 1 {
+		t.Errorf("updates %+v, want the hello only", got)
+	}
+	d.mu.RLock()
+	after := d.procAnswers[p]
+	d.mu.RUnlock()
+	if after != before {
+		t.Error("the bind dropped the per-process answers")
+	}
+}

@@ -74,6 +74,7 @@ type serverConn struct {
 
 	flow        flow.Five                    // the query being answered
 	ans         *answer                      // its answer
+	scope       wire.Scope                   // the scope it is given at
 	forged      *wire.Response               // the forge hook's response, when one is installed
 	appendReply func([]byte) ([]byte, error) // reply, bound once
 }
@@ -113,7 +114,7 @@ func (sc *serverConn) answer(f wire.Frame) error {
 		return err
 	}
 	sc.flow = q.Flow
-	sc.ans, sc.forged = sc.d.respond(q)
+	sc.ans, sc.scope, sc.forged = sc.d.respond(q)
 	return nil
 }
 
@@ -122,7 +123,7 @@ func (sc *serverConn) reply(b []byte) ([]byte, error) {
 	if sc.forged != nil {
 		return wire.AppendResponse(b, sc.forged)
 	}
-	return wire.AppendResponseBody(b, sc.flow, sc.ans.body)
+	return wire.AppendResponseBody(b, sc.flow, sc.ans.body, sc.scope)
 }
 
 // Close stops accepting, closes active connections, and waits for the

@@ -114,3 +114,29 @@ func TestSetUserGroupsCopyOnWrite(t *testing.T) {
 		t.Errorf("UID changed across group change")
 	}
 }
+
+// TestListenerChangesNameTheirPorts: a bind names the socket it bound, and
+// the exit of a listener's owner names its sockets, its connections and
+// itself — no host-wide change.
+func TestListenerChangesNameTheirPorts(t *testing.T) {
+	h := newTestHost()
+	var last Change
+	h.AddChangeListener(func(ch Change) { last = ch })
+	alice := h.AddUser("alice", "users")
+	p := h.Exec(alice, skypeExe)
+	if err := h.Listen(p.PID, netaddr.ProtoTCP, 5060); err != nil {
+		t.Fatal(err)
+	}
+	if last.All || len(last.Listeners) != 1 || last.Listeners[0] != (Listener{netaddr.ProtoTCP, 5060}) {
+		t.Errorf("Listen scope = %+v, want exactly tcp/5060", last)
+	}
+	f, err := h.Connect(p.PID, flow.Five{DstIP: netaddr.MustParseIP("10.0.0.2"), Proto: netaddr.ProtoTCP, DstPort: 5061})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Kill(p.PID)
+	if last.All || len(last.Listeners) != 1 || len(last.Flows) != 1 || last.Flows[0] != f ||
+		len(last.Gone) != 1 || last.Gone[0] != p {
+		t.Errorf("Kill scope = %+v, want its listener, its flow and itself", last)
+	}
+}

@@ -67,11 +67,6 @@ type Process struct {
 // ErrPortInUse is returned by Listen for an already-bound port.
 var ErrPortInUse = fmt.Errorf("hostinfo: port in use")
 
-type sockKey struct {
-	proto netaddr.Proto
-	port  netaddr.Port
-}
-
 // Host is one end-host's OS view. All methods are safe for concurrent use.
 type Host struct {
 	Name string
@@ -81,7 +76,7 @@ type Host struct {
 	mu        sync.RWMutex
 	users     map[string]*User
 	procs     map[int]*Process
-	listeners map[sockKey]int   // bound port -> pid
+	listeners map[Listener]int  // bound port -> pid
 	conns     map[flow.Five]int // active outbound/accepted flows -> pid
 	patches   []string          // installed OS patches (Figure 8)
 	watchers  []func(Change)    // change listeners (AddChangeListener)
@@ -98,7 +93,7 @@ func New(name string, ip netaddr.IP, mac netaddr.MAC) *Host {
 		MAC:       mac,
 		users:     make(map[string]*User),
 		procs:     make(map[int]*Process),
-		listeners: make(map[sockKey]int),
+		listeners: make(map[Listener]int),
 		conns:     make(map[flow.Five]int),
 		nextPID:   100,
 		nextUID:   1000,
@@ -107,16 +102,28 @@ func New(name string, ip netaddr.IP, mac netaddr.MAC) *Host {
 }
 
 // Change scopes one OS-state mutation for change listeners. Flows names
-// the flows whose query answers can have changed; All marks mutations
-// whose blast radius the host cannot enumerate (a listener binding or
-// dying changes the answer for destination-side flows the host never
-// tracked in conns; a patch install changes every answer) — the listener
-// must then re-derive everything it has asserted. The scope keeps the
-// common churn (connections opening and closing, processes exiting)
-// O(affected) on the daemon side instead of O(everything-remembered).
+// the flows whose query answers can have changed. Listeners names the
+// listening sockets that were bound or released, or whose owner changed:
+// the answer for every destination-side flow to one of them — flows the host
+// never tracked in conns, resolved by OwnerOf's listener fallback — can have
+// changed. Gone names the processes that exited or were replaced
+// copy-on-write (SetUserGroups): nothing is answered from them again. All
+// marks mutations whose blast radius the host cannot enumerate (a patch
+// install changes every answer) — the listener must then re-derive
+// everything it has asserted. The scope keeps the common churn (connections
+// opening and closing, processes exiting, listeners binding) O(affected) on
+// the daemon side instead of O(everything-remembered).
 type Change struct {
-	Flows []flow.Five
-	All   bool
+	Flows     []flow.Five
+	Listeners []Listener
+	Gone      []*Process
+	All       bool
+}
+
+// Listener names one listening socket: a protocol and a local port.
+type Listener struct {
+	Proto netaddr.Proto
+	Port  netaddr.Port
 }
 
 // AddChangeListener registers fn to be called — outside the host's lock,
@@ -143,16 +150,16 @@ func (h *Host) notify(ch Change) {
 	}
 }
 
-// scopeOfPIDLocked collects the change scope of removing pid: its tracked
-// flows, escalating to All when the pid owns a listener (listener-resolved
-// destination flows are not in conns, so their extent is unknowable).
+// scopeOfPIDLocked adds to ch the change scope of removing or replacing
+// pid: its tracked flows, the listeners it owns (the destination flows they
+// answer for are not in conns) and the process itself.
 func (h *Host) scopeOfPIDLocked(pid int, ch Change) Change {
-	if ch.All {
-		return ch
+	if p := h.procs[pid]; p != nil {
+		ch.Gone = append(ch.Gone, p)
 	}
-	for _, owner := range h.listeners {
+	for l, owner := range h.listeners {
 		if owner == pid {
-			return Change{All: true}
+			ch.Listeners = append(ch.Listeners, l)
 		}
 	}
 	for f, owner := range h.conns {
@@ -287,7 +294,7 @@ func (h *Host) Listen(pid int, proto netaddr.Proto, port netaddr.Port) error {
 		return fmt.Errorf("hostinfo: pid %d (uid %d) may not bind privileged port %d",
 			pid, p.User.UID, port)
 	}
-	k := sockKey{proto, port}
+	k := Listener{proto, port}
 	if _, busy := h.listeners[k]; busy {
 		h.mu.Unlock()
 		return fmt.Errorf("%w: %s/%d", ErrPortInUse, proto, port)
@@ -295,9 +302,9 @@ func (h *Host) Listen(pid int, proto netaddr.Proto, port netaddr.Port) error {
 	h.listeners[k] = pid
 	h.mu.Unlock()
 	// A fresh listener changes the answer for destination-side flows the
-	// host was never tracking (the OwnerOf listener fallback): scope
-	// unknowable, re-derive everything.
-	h.notify(Change{All: true})
+	// host was never tracking (the OwnerOf listener fallback): every flow to
+	// this port, and no other.
+	h.notify(Change{Listeners: []Listener{k}})
 	return nil
 }
 
@@ -335,7 +342,7 @@ func (h *Host) allocPortLocked() netaddr.Port {
 		if h.nextPort == 0 {
 			h.nextPort = 32768
 		}
-		if _, busy := h.listeners[sockKey{netaddr.ProtoTCP, p}]; !busy {
+		if _, busy := h.listeners[Listener{netaddr.ProtoTCP, p}]; !busy {
 			return p
 		}
 	}
@@ -359,6 +366,29 @@ const (
 // on the flow's destination port, covering "a destination that has yet to
 // accept a connection".
 func (h *Host) OwnerOf(f flow.Five, role Role) (*Process, bool) {
+	p, _, ok := h.owner(f, role)
+	return p, ok
+}
+
+// ResolveOwner is OwnerOf with the role inferred from the flow's addresses,
+// and says whether the owner was found through the listener table: then
+// every flow to that listener that no connection claims resolves to it.
+func (h *Host) ResolveOwner(f flow.Five) (p *Process, viaListener, ok bool) {
+	return h.owner(f, RoleAuto)
+}
+
+// ListenerOf returns the process listening on port over proto.
+func (h *Host) ListenerOf(proto netaddr.Proto, port netaddr.Port) (*Process, bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	pid, ok := h.listeners[Listener{proto, port}]
+	if !ok {
+		return nil, false
+	}
+	return h.procs[pid], true
+}
+
+func (h *Host) owner(f flow.Five, role Role) (*Process, bool, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if role == RoleAuto {
@@ -368,24 +398,24 @@ func (h *Host) OwnerOf(f flow.Five, role Role) (*Process, bool) {
 		case f.DstIP:
 			role = RoleDestination
 		default:
-			return nil, false
+			return nil, false, false
 		}
 	}
 	if role == RoleSource {
 		if pid, ok := h.conns[f]; ok {
-			return h.procs[pid], true
+			return h.procs[pid], false, true
 		}
-		return nil, false
+		return nil, false, false
 	}
 	// Destination: a connection registered under the flow as the sender
 	// names it wins; otherwise consult the listener table.
 	if pid, ok := h.conns[f]; ok {
-		return h.procs[pid], true
+		return h.procs[pid], false, true
 	}
-	if pid, ok := h.listeners[sockKey{f.Proto, f.DstPort}]; ok {
-		return h.procs[pid], true
+	if pid, ok := h.listeners[Listener{f.Proto, f.DstPort}]; ok {
+		return h.procs[pid], true, true
 	}
-	return nil, false
+	return nil, false, false
 }
 
 // InstallPatch records an installed OS patch id (e.g. "MS08-067").

@@ -121,6 +121,7 @@ type Pipe[K comparable, R any] struct {
 	out      *Writer       // conn's only writer; nil exactly when conn is
 	gen      uint64        // connections torn down so far: stale readers and writers no-op
 	pending  []*call[K, R] // written to conn and unanswered, oldest first
+	queue    []*call[K, R] // pending's array from its start, empty: where an emptied queue restarts
 	waiting  []*call[K, R] // queued for the dialer to write
 	dialing  bool          // a dialer goroutine is running
 	dialErr  error         // last dial failure, served until nextDial
@@ -208,7 +209,12 @@ func (p *Pipe[K, R]) writeLocked(out *Writer, c *call[K, R]) error {
 		return err
 	}
 	out.Buf = b
-	p.pending = append(p.pending, c)
+	if len(p.pending) == cap(p.pending) {
+		p.pending = append(p.pending, c)
+		p.queue = p.pending[:0]
+	} else {
+		p.pending = append(p.pending, c)
+	}
 	p.arm(c.deadline)
 	out.Flush()
 	return nil
@@ -370,8 +376,14 @@ func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
 			p.teardown(gen, fmt.Errorf("link: %s: unsolicited reply", p.addr))
 			return
 		}
+		// Popping from the front leaves the array's head behind; an emptied
+		// queue restarts at its start, so a connection with one request out
+		// at a time appends into the same slot every time.
 		c := p.pending[0]
-		p.pending = p.pending[1:]
+		p.pending[0] = nil
+		if p.pending = p.pending[1:]; len(p.pending) == 0 {
+			p.pending = p.queue
+		}
 		match := key == c.key
 		p.l.Unlock()
 		if !match {
@@ -424,7 +436,7 @@ func (p *Pipe[K, R]) dropLocked(gen uint64, err error) {
 	p.out.Close(err)
 	p.conn, p.out = nil, nil
 	failed := p.pending
-	p.pending = nil
+	p.pending, p.queue = nil, nil
 	if p.plane.Down != nil {
 		p.plane.Down(len(failed))
 	}

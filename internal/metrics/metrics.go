@@ -266,6 +266,10 @@ type SetupBreakdown struct {
 	QuerySrc time.Duration // ident++ RTT to source daemon
 	QueryDst time.Duration // ident++ RTT to destination daemon
 	Eval     time.Duration // PF+=2 evaluation
+	// DstHeld marks a setup whose destination answer the controller held
+	// (a listener's, given at its scope): no destination query, so no
+	// QueryDst sample.
+	DstHeld bool
 }
 
 // Total returns the setup latency the controller accounts for. Queries to
@@ -294,10 +298,13 @@ func NewSetupRecorder() *SetupRecorder {
 	}
 }
 
-// Observe records one breakdown.
+// Observe records one breakdown; a held destination answer adds no
+// QueryDst sample.
 func (r *SetupRecorder) Observe(b SetupBreakdown) {
 	r.QuerySrc.Observe(b.QuerySrc)
-	r.QueryDst.Observe(b.QueryDst)
+	if !b.DstHeld {
+		r.QueryDst.Observe(b.QueryDst)
+	}
 	r.Eval.Observe(b.Eval)
 	r.Total.Observe(b.Total())
 }

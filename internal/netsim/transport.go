@@ -101,6 +101,9 @@ func (l *lower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
 	})
 }
 
+// Subscribed reports whether host's update stream is up on the pool.
+func (l *lower) Subscribed(host netaddr.IP) bool { return l.pool.Subscribed(host) }
+
 // behind reports whether a daemon some transport subscribed to has published
 // an update that transport has not queued. It reads each daemon's serial
 // under the daemon's publication lock, so n.mu must not be held: a daemon

@@ -17,10 +17,10 @@ import (
 // Lower is the wire layer underneath an Engine — core.QueryTransport's
 // shape, satisfied by *Pool (real TCP), the simulator's adapter (a Pool
 // behind the §3.4 interception chain), and the baselines. A Lower that also
-// has *Pool's Go(host, q, deadline, done) is never waited on: a flight's
-// completion runs on the goroutine that decoded the response. One that only
-// blocks is called on the goroutine that started the flight, which waits out
-// the exchange.
+// has *Pool's Go(host, q, start, deadline, done) is never waited on: a
+// flight's completion runs on the goroutine that decoded the response. One
+// that only blocks is called on the goroutine that started the flight, which
+// waits out the exchange.
 type Lower interface {
 	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
 }
@@ -70,9 +70,9 @@ const (
 // share.
 type Engine struct {
 	lower Lower
-	// start issues one attempt: the lower's Go, or its blocking Query
-	// completed inline.
-	start   func(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error))
+	// start issues one attempt begun at start: the lower's Go, or its
+	// blocking Query completed inline.
+	start   func(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error))
 	timeout time.Duration
 	clock   func() time.Time
 
@@ -140,11 +140,11 @@ func NewEngine(cfg Config) *Engine {
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
 	if gl, ok := cfg.Lower.(interface {
-		Go(netaddr.IP, wire.Query, time.Time, func(*wire.Response, time.Duration, error))
+		Go(netaddr.IP, wire.Query, time.Time, time.Time, func(*wire.Response, time.Duration, error))
 	}); ok {
 		e.start = gl.Go
 	} else {
-		e.start = func(host netaddr.IP, q wire.Query, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+		e.start = func(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
 			done(e.lower.Query(host, q))
 		}
 	}
@@ -179,6 +179,17 @@ func (e *Engine) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) bool 
 		us.SetUpdateHandler(fn)
 	}
 	return ok
+}
+
+// Subscribed reports whether host's update stream is up, as the lower sees
+// it (*Pool.Subscribed). A lower that cannot tell — one that cannot push,
+// or a test double — reports true: its hosts are push-capable or not by
+// their hellos alone.
+func (e *Engine) Subscribed(host netaddr.IP) bool {
+	if s, ok := e.lower.(interface{ Subscribed(netaddr.IP) bool }); ok {
+		return s.Subscribed(host)
+	}
+	return true
 }
 
 // Query implements core.QueryTransport: it blocks until the result is
@@ -318,11 +329,14 @@ func (e *Engine) HostStats() []HostStatus {
 
 // launch starts one attempt, which ends in onReply: over a Pool on the host
 // connection's reader, over a lower that only blocks before launch returns.
+// The clock is read once: the attempt's start, handed down with the deadline
+// it sets, is where the Pool's RTT begins.
 func (f *flight) launch() {
 	e := f.e
 	e.hot.sent.Add(1)
 	f.attempts++
-	e.start(f.host, f.q, time.Now().Add(e.timeout), f.reply)
+	now := time.Now()
+	e.start(f.host, f.q, now, now.Add(e.timeout), f.reply)
 }
 
 // onReply ends one attempt: retry, or settle the host's record and deliver.

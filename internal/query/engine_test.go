@@ -42,7 +42,7 @@ func (l *fakeLower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.D
 // exchange on the caller.)
 type goLower struct{ fakeLower }
 
-func (l *goLower) Go(host netaddr.IP, q wire.Query, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+func (l *goLower) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
 	go func() { done(l.Query(host, q)) }()
 }
 

@@ -126,9 +126,26 @@ func (p *Pool) updateFn() func(host netaddr.IP, u wire.Update) {
 	return fn
 }
 
+// Subscribed reports whether host's daemon connection is up with its update
+// stream flowing: subscribed, and the daemon's hello on this connection
+// accepted. While it is not, a change at the daemon may not have reached the
+// update handler, and will not until a query reconnects.
+func (p *Pool) Subscribed(host netaddr.IP) bool {
+	p.mu.Lock()
+	hc := p.hosts[host]
+	p.mu.Unlock()
+	if hc == nil {
+		return false
+	}
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	return hc.streaming
+}
+
 // Query implements core.QueryTransport with the pool's default deadline.
 func (p *Pool) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	return p.Exchange(host, q, time.Now().Add(p.reqTimeout))
+	now := time.Now()
+	return p.exchange(host, q, now, now.Add(p.reqTimeout))
 }
 
 // waiter is a completion to wait for: done is handed to what completes.
@@ -156,26 +173,32 @@ func (w *waiter) wait() (*wire.Response, time.Duration, error) {
 	return r.resp, r.rtt, r.err
 }
 
-// Exchange is Go and a wait for its completion.
+// Exchange is Go, started now, and a wait for its completion.
 func (p *Pool) Exchange(host netaddr.IP, q wire.Query, deadline time.Time) (*wire.Response, time.Duration, error) {
+	return p.exchange(host, q, time.Now(), deadline)
+}
+
+func (p *Pool) exchange(host netaddr.IP, q wire.Query, start, deadline time.Time) (*wire.Response, time.Duration, error) {
 	w := waiters.Get().(*waiter)
-	p.Go(host, q, deadline, w.done)
+	p.Go(host, q, start, deadline, w.done)
 	return w.wait()
 }
 
 // Go starts one query/response round trip against host's daemon and returns;
-// it waits for nothing, a dial included. done runs exactly once, with the
-// response or the failure (ErrDeadline once deadline passes) and the time
-// since Go was called — behind a busy pipeline, the wait in it included — on
-// the goroutine link.Pipe completes the call on: the host connection's
-// reader for a response. It may call Go again and must not block.
-func (p *Pool) Go(host netaddr.IP, q wire.Query, deadline time.Time, done func(*wire.Response, time.Duration, error)) {
+// it waits for nothing, a dial included. start is the caller's clock reading
+// as it asks, so that the Pool need not take one of its own. done runs
+// exactly once, with the response or the failure (ErrDeadline once deadline
+// passes) and the time since start — behind a busy pipeline, the wait in it
+// included — on the goroutine link.Pipe completes the call on: the host
+// connection's reader for a response. It may call Go again and must not
+// block.
+func (p *Pool) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error)) {
 	x, _ := p.exchanges.Get().(*exchange)
 	if x == nil {
 		x = &exchange{pool: p}
 		x.frame, x.reply = x.appendQuery, x.complete
 	}
-	x.q, x.done, x.start = q, done, time.Now()
+	x.q, x.done, x.start = q, done, start
 	hc, err := p.host(host)
 	if err != nil {
 		x.complete(nil, err)
@@ -275,6 +298,10 @@ type hostConn struct {
 	// while we were away — forces a resync.
 	lastSerial uint64
 	haveSerial bool
+	// streaming is set while the connection is up and its daemon has said
+	// a hello on it that was not suppressed: updates about the host reach
+	// the handler now (Subscribed).
+	streaming bool
 
 	// cred is the session's credential-verification state (cred.go);
 	// meaningful only in credentialed pools.
@@ -400,6 +427,9 @@ func (hc *hostConn) handleUpdate(frame wire.Frame) bool {
 		resync = !hc.haveSerial || u.Serial != hc.lastSerial+1
 	}
 	hc.lastSerial, hc.haveSerial = u.Serial, true
+	if u.Hello {
+		hc.streaming = !suppress
+	}
 	hc.mu.Unlock()
 	if fn == nil {
 		return true
@@ -423,6 +453,7 @@ func (hc *hostConn) down(failed int) {
 	// operator views; no resync is emitted — if the reconnect hello verifies
 	// at an unchanged serial, continuity was never broken.
 	hc.cred.verified = false
+	hc.streaming = false
 	hc.stopLapseLocked()
 	hc.pool.Conns.Dec()
 	if failed > 0 {

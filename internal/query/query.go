@@ -23,11 +23,12 @@
 //     wire exchange: the controller already asks each end of a flow once
 //     per decision.
 //
-// Responses delivered by the engine are read-only borrows — callers must
-// not mutate or pool-release them. (The controller honors this: it caches
-// verdicts, not responses, so a daemon response is read by one evaluation
-// and dropped to the garbage collector — never retained past the decision,
-// never returned to the pf view pool.)
+// Responses delivered by the engine are read-only: callers must not mutate
+// or pool-release them, and may keep them. (The controller honors this: a
+// daemon response is read by one evaluation and dropped to the garbage
+// collector, or — a destination answer given at its listener's scope — kept
+// read-only past its decision to serve that listener's next misses
+// (core/scope.go); never written, never returned to the pf view pool.)
 package query
 
 import (

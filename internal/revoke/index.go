@@ -20,6 +20,7 @@ package revoke
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +33,20 @@ import (
 // host-scope marker every registration carries for each end it read: it
 // resolves host-wide invalidations (serial-gap resyncs, daemon restarts,
 // operator "revoke everything about this host") without a separate host
-// table.
+// table. A listener fact (ListenerKey) stands for the answer a host gave at
+// a listener's scope: the daemon's one update at that scope resolves every
+// verdict that took it, however many flows they are.
 type Fact struct {
 	Host netaddr.IP
 	Key  string
+}
+
+// ListenerKey is the Key of the listener fact for the answer given at the
+// listener on port over proto. It holds a colon, which no fact key read from
+// a response can (the response line splits at its first one), so it names
+// no fact a policy reads.
+func ListenerKey(proto netaddr.Proto, port netaddr.Port) string {
+	return "listener:" + strconv.Itoa(int(proto)) + "/" + strconv.Itoa(int(port))
 }
 
 // Key names what a dependency record stands for. Every installed verdict
@@ -108,23 +119,29 @@ type record struct {
 	links  []link
 }
 
-// inlineLinks is how many links newRecord allocates with the record: the
-// controller's usual shape, two markers and three keys.
-const inlineLinks = 5
-
-// newRecord allocates a record with n links, as one object for up to
-// inlineLinks: a record is a couple of hundred bytes per installed verdict,
-// and their sum is most of the index's footprint.
+// newRecord allocates a record with n links, as one object for up to six: a
+// record is a couple of hundred bytes per installed verdict, and their sum is
+// most of the index's footprint. The controller's usual shape is five — two
+// markers and three keys — and six with a listener fact; each gets an object
+// of its own size.
 func newRecord(n int) *record {
-	if n > inlineLinks {
-		return &record{links: make([]link, n)}
+	switch {
+	case n <= 5:
+		o := new(struct {
+			record
+			l [5]link
+		})
+		o.links = o.l[:n]
+		return &o.record
+	case n == 6:
+		o := new(struct {
+			record
+			l [6]link
+		})
+		o.links = o.l[:n]
+		return &o.record
 	}
-	o := new(struct {
-		record
-		l [inlineLinks]link
-	})
-	o.links = o.l[:n]
-	return &o.record
+	return &record{links: make([]link, n)}
 }
 
 // link is one of a record's facts: its place in that fact's list of the

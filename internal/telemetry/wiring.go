@@ -54,6 +54,9 @@ var ControllerCounters = map[string]string{
 	"revocations_raced":              "Revocations that raced a decision's publication (verdict-cache insert, registration) and re-ran teardown.",
 	"revocations_hellos":             "Daemon hello updates (subscription handshakes) processed.",
 	"revocations_resyncs":            "Full resyncs forced by serial gaps in a daemon's update stream.",
+	"revocations_scope_updates":      "Daemon updates at a listener's scope: one per change to a listener's answer, however many verdicts took it.",
+	"scope_hits":                     "Flow setups whose destination answer was a held listener-scoped answer: the destination daemon was not queried.",
+	"scope_learned":                  "Listener-scoped destination answers the controller stored to serve the listener's next flows.",
 	"revocations_noop":               "Updates that matched no registered fact (nothing to tear down).",
 	"revocations_entries":            "Delete flow-mods issued by flow-record teardowns (two per datapath on a torn flow's path).",
 	"revocations_lease_expired":      "Uncached flows torn down by lease expiry (daemons that never push).",
@@ -233,7 +236,7 @@ func RegisterPoolHealth(h *Health, pool *query.Pool) {
 // publication state.
 func RegisterDaemon(r *Registry, d *daemon.Daemon, labels ...Label) {
 	r.RegisterCounterSet(d.Counters, DaemonCounters, labels...)
-	r.RegisterGaugeFunc("daemon_answered_entries", "Flows resident in the answered-facts memo.",
+	r.RegisterGaugeFunc("daemon_answered_entries", "Flows and listener scopes resident in the answered-facts memo.",
 		func() int64 { entries, _ := d.AnsweredStats(); return entries }, labels...)
 	r.RegisterCounterFunc("daemon_answered_evictions", "Lifetime evictions from the answered-facts memo.",
 		func() int64 { _, evictions := d.AnsweredStats(); return evictions }, labels...)

@@ -104,9 +104,10 @@ func AppendResponse(b []byte, resp *Response) ([]byte, error) {
 
 // AppendResponseBody appends one response frame for f whose sections body
 // rendered before (AppendSections): the frame AppendResponse appends for a
-// response of f with those sections.
-func AppendResponseBody(b []byte, f flow.Five, body []byte) ([]byte, error) {
-	return finishFrame(append(appendTupleLine(appendHeader(b, FrameResponse, f.SrcIP, f.DstIP), f), body...), len(b))
+// response of f with those sections and scope.
+func AppendResponseBody(b []byte, f flow.Five, body []byte, scope Scope) ([]byte, error) {
+	b2 := append(appendTupleLine(appendHeader(b, FrameResponse, f.SrcIP, f.DstIP), f), body...)
+	return finishFrame(appendScopeLine(b2, scope), len(b))
 }
 
 // WriteFrame writes one frame to w with one Write.

@@ -81,8 +81,11 @@ func FuzzDecodeResponse(f *testing.F) {
 		[]byte("6 234 80\nname: skype\n\nnetpath: branchB\n"),
 		[]byte("17 1 2\n\nname: late\n"), // leading empty section
 		EncodeResponse(multi),
-		[]byte("6 234 80\nno-colon-line\n"), // malformed pair
-		[]byte("6 234 80\n: novalue\n"),     // malformed: empty key
+		[]byte("6 234 80\nname: skype\nscope: listener 6/80\n"),         // a listener's answer
+		[]byte("6 234 80\nname: skype\n\n scope :  listener 6/80 \n\n"), // one, spaced out
+		[]byte("6 234 80\nscope: listener 6/80\nname: skype\n"),         // a pair: not the last
+		[]byte("6 234 80\nno-colon-line\n"),                             // malformed pair
+		[]byte("6 234 80\n: novalue\n"),                                 // malformed: empty key
 		[]byte(""),
 		// Framing seed: larger than any read buffer in the tree.
 		[]byte("6 234 80\n" + strings.Repeat("requirements: a value of some length\n", 300)),
@@ -109,7 +112,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded response is undecodable: %v", err)
 		}
-		if again.Flow != r.Flow || !reflect.DeepEqual(again.Sections, r.Sections) {
+		if again.Flow != r.Flow || again.Scope != r.Scope || !reflect.DeepEqual(again.Sections, r.Sections) {
 			t.Fatalf("response round trip diverged:\n  first:  %+v\n  second: %+v", r, again)
 		}
 		// The dictionary views must agree on every key however sections
@@ -217,6 +220,25 @@ func decodeResponseRef(payload []byte) (*Response, error) {
 	}
 	if n := len(r.Sections); n > 1 && len(r.Sections[n-1].Pairs) == 0 {
 		r.Sections = r.Sections[:n-1]
+	}
+	// A last pair "scope: listener <proto>/<port>" is the answer's scope.
+	last := &r.Sections[len(r.Sections)-1]
+	if n := len(last.Pairs); n > 0 && last.Pairs[n-1].Key == "scope" {
+		var proto, port uint64
+		var p, q string
+		if v, ok := strings.CutPrefix(last.Pairs[n-1].Value, "listener "); ok {
+			p, q, ok = strings.Cut(v, "/")
+			var e1, e2 error
+			proto, e1 = strconv.ParseUint(p, 10, 8)
+			port, e2 = strconv.ParseUint(q, 10, 16)
+			if ok && e1 == nil && e2 == nil && proto != 0 {
+				r.Scope = Scope{netaddr.Proto(proto), netaddr.Port(port)}
+				last.Pairs = last.Pairs[:n-1]
+				if n == 1 {
+					last.Pairs = nil
+				}
+			}
+		}
 	}
 	return r, nil
 }

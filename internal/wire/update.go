@@ -22,6 +22,7 @@ import (
 //	<PROTO> <SRC PORT> <DST PORT>
 //	serial: <n>
 //	[hello: 1]
+//	[scope: listener <proto>/<port>]
 //	[key: <key>]
 //	[old: <value>]
 //	[new: <value>]
@@ -41,6 +42,12 @@ import (
 //     flow changed (or stopped being tracked). Key/Old/New name the first
 //     changed fact for the audit trail; the controller revokes the flow
 //     whatever the key.
+//   - Scope set (a listener scope, Flow zero): the answer the daemon gave
+//     at that scope changed or stopped being given — the listener's owner
+//     exited, the port was bound again, or a flow to it now has an answer
+//     of its own (see Scope). Every verdict that took this host's answer at
+//     that scope is affected. The scope rides a line a legacy decoder skips,
+//     so to a receiver that does not read it the update is a resync.
 //   - Flow zero, Key set: every flow whose verdict read Key from this host
 //     is affected (operator-initiated revocations use this shape).
 //   - Flow zero, Key empty: resync — everything the controller believes
@@ -62,6 +69,7 @@ import (
 // and old controllers skip them as unknown lines.
 type Update struct {
 	Flow    flow.Five
+	Scope   Scope
 	Key     string
 	Old     string
 	New     string
@@ -75,8 +83,10 @@ type Update struct {
 func (u Update) FlowScoped() bool { return u.Flow != (flow.Five{}) }
 
 // Resync reports whether the update invalidates everything known about the
-// host: not a hello, no flow, no key.
-func (u Update) Resync() bool { return !u.Hello && !u.FlowScoped() && u.Key == "" }
+// host: not a hello, no flow, no scope, no key.
+func (u Update) Resync() bool {
+	return !u.Hello && !u.FlowScoped() && !u.Scope.Listener() && u.Key == ""
+}
 
 // EncodeUpdate renders the update payload.
 func EncodeUpdate(u Update) []byte {
@@ -86,6 +96,7 @@ func EncodeUpdate(u Update) []byte {
 	if u.Hello {
 		b.WriteString("hello: 1\n")
 	}
+	b.Write(appendScopeLine(nil, u.Scope))
 	if u.Key != "" {
 		b.WriteString("key: ")
 		b.WriteString(sanitizeValue(strings.TrimSpace(u.Key)))
@@ -152,6 +163,10 @@ func DecodeUpdate(payload []byte, srcIP, dstIP netaddr.IP) (Update, error) {
 			sawSerial = true
 		case "hello":
 			u.Hello = val == "1"
+		case scopeKey:
+			// A scope this decoder cannot read leaves the update a
+			// resync, never a narrower one.
+			u.Scope, _ = parseScopeValue(val)
 		case "key":
 			u.Key = val
 		case "old":

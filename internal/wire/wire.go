@@ -109,11 +109,13 @@ func (s *Section) Add(key, value string) {
 	s.Pairs = append(s.Pairs, KV{key, value})
 }
 
-// Response is an ident++ response: the flow it answers for and one or more
-// sections of key-value pairs.
+// Response is an ident++ response: the flow it answers for, one or more
+// sections of key-value pairs, and the scope the answer covers (flow scope
+// when zero; see Scope).
 type Response struct {
 	Flow     flow.Five
 	Sections []Section
+	Scope    Scope
 }
 
 // NewResponse builds a response with one initial (possibly empty) section.
@@ -169,6 +171,7 @@ func (r *Response) Reset(f flow.Five) {
 	}
 	r.Sections = r.Sections[:0]
 	r.Flow = f
+	r.Scope = Scope{}
 }
 
 // Latest returns the most recent value for key: sections are scanned from
@@ -227,7 +230,7 @@ func (r *Response) Keys() []string {
 // Clone deep-copies the response so an intercepting controller can augment
 // without aliasing the cached original.
 func (r *Response) Clone() *Response {
-	c := &Response{Flow: r.Flow, Sections: make([]Section, len(r.Sections))}
+	c := &Response{Flow: r.Flow, Sections: make([]Section, len(r.Sections)), Scope: r.Scope}
 	for i, s := range r.Sections {
 		c.Sections[i] = Section{Source: s.Source, Pairs: append([]KV(nil), s.Pairs...)}
 	}
@@ -371,11 +374,12 @@ var newline = []byte{'\n'}
 // EncodeResponse renders the §3.2 response payload with empty lines between
 // sections. Leading/trailing empty sections are preserved structurally by
 // emitting their separators, except that a single empty section encodes as a
-// bare tuple line (a daemon with nothing to say).
+// bare tuple line (a daemon with nothing to say). A listener scope is the
+// last line.
 func EncodeResponse(r *Response) []byte { return appendResponse(nil, r) }
 
 func appendResponse(b []byte, r *Response) []byte {
-	return AppendSections(appendTupleLine(b, r.Flow), r.Sections)
+	return appendScopeLine(AppendSections(appendTupleLine(b, r.Flow), r.Sections), r.Scope)
 }
 
 // AppendSections appends what a response payload holds after its tuple line:
@@ -398,7 +402,8 @@ func AppendSections(b []byte, secs []Section) []byte {
 }
 
 // DecodeResponse parses a response payload. IP addresses come from the
-// transport, as with DecodeQuery.
+// transport, as with DecodeQuery. A last pair that is a scope line sets the
+// response's Scope instead of being a pair.
 func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) {
 	if len(payload) > MaxMessageSize {
 		return nil, fmt.Errorf("wire: response exceeds %d bytes", MaxMessageSize)
@@ -461,6 +466,7 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 		pairs = append(pairs, KV{key, val})
 	}
 	closeSection(r, pairs, start)
+	takeScope(r)
 	return r, nil
 }
 

@@ -485,6 +485,9 @@ func TestAppendEncodersMatchFmt(t *testing.T) {
 		t.Errorf("response payload %q, want %q", got, wantR)
 	}
 
+	scoped := r.Clone()
+	scoped.Scope = ListenerScope(f.Proto, f.DstPort)
+
 	// AppendQuery/AppendResponse are the frame around the same payload,
 	// behind whatever the buffer already held.
 	for name, c := range map[string]struct {
@@ -494,7 +497,10 @@ func TestAppendEncodersMatchFmt(t *testing.T) {
 		"query":    {Frame{FrameQuery, f.SrcIP, f.DstIP, EncodeQuery(q)}, func(b []byte) ([]byte, error) { return AppendQuery(b, q) }},
 		"response": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(r)}, func(b []byte) ([]byte, error) { return AppendResponse(b, r) }},
 		"response body": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(r)}, func(b []byte) ([]byte, error) {
-			return AppendResponseBody(b, f, AppendSections(nil, r.Sections))
+			return AppendResponseBody(b, f, AppendSections(nil, r.Sections), r.Scope)
+		}},
+		"scoped response body": {Frame{FrameResponse, f.SrcIP, f.DstIP, EncodeResponse(scoped)}, func(b []byte) ([]byte, error) {
+			return AppendResponseBody(b, f, AppendSections(nil, scoped.Sections), scoped.Scope)
 		}},
 	} {
 		want, err := AppendFrame([]byte("earlier"), c.frame)
