@@ -33,6 +33,13 @@ lint: fmt-check vet
 # its second response. A `go` statement or a WaitGroup there is a second
 # gather or install path growing back.
 #
+# One gather: a controller asks every daemon by completion, through
+# core.QueryTransport's QueryAsync (or the engine's traced face), and nothing
+# selects another way. Config.AsyncQueries is declared only because the
+# benchmark module (bench/) still names it; any other Go in this module that
+# names it, tests included, is a mode coming back. So is a blocking `.Query(`
+# call in internal/core's program code.
+#
 # One place a punt's tuple is derived: a switch decodes its frame, in
 # process (openflow.Switch) or at the controller's end of the secure channel
 # (openflow.ChannelServer), so every controller is handed PacketIn.Tuple. A
@@ -49,6 +56,10 @@ check-seam:
 	if [ -n "$$out" ]; then echo "accept/read loop outside internal/link:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '^[[:space:]]*go |WaitGroup' internal/core/*.go internal/query/engine.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "goroutine or WaitGroup on the decision path:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnw 'AsyncQueries' --include='*.go' . | grep -v '^\./bench/' | grep -vE '^\./internal/core/controller\.go:[0-9]+:[[:space:]]*(//.*|AsyncQueries bool)$$')"; \
+	if [ -n "$$out" ]; then echo "a gather selected by Config.AsyncQueries:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '\.Query\(' internal/core/*.go | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "a blocking query in internal/core:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE '\.Ten\(' --include='*.go' internal cmd examples | grep -vE '^internal/(openflow|packet)/|_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "a tuple derived outside internal/openflow:"; echo "$$out"; exit 1; fi
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -107,10 +118,10 @@ race-query:
 # fresh derivation (the daemon's per-process answers included).
 #
 # The simulator and the experiments query real daemon.Servers over loopback
-# sockets, and a daemon's pushed updates reach the event queue from the
-# pool's connection readers; twenty rolls of both packages check that every
-# run still replays the same (netsim's TestDeterministicReplay, and each
-# experiment's table).
+# sockets: their decisions finish, and a daemon's pushed updates reach the
+# event queue, on the pool's connection readers. Twenty rolls of both
+# packages check that every run still replays the same (netsim's
+# TestDeterministicReplay, and each experiment's golden table).
 #
 # The last two lines are the flake gate: tier-1 is deterministic, so the
 # tests whose schedules vary most — the failover test over in-process and
@@ -242,6 +253,10 @@ fuzz:
 # cannot silently rot. branch-collab's two files are independent
 # per-controller policies, checked one by one exactly as the example
 # deploys them; every other example is a §3.4 concatenated directory.
+# Then run every example: each decides its flows on the query pool's
+# connection readers against real daemons on loopback, and nothing else
+# runs them. A non-zero exit, a panic or a run past 120 s fails: an
+# example takes a few seconds, so only a hung decision reaches the bound.
 .PHONY: check-examples
 check-examples:
 	@for d in examples/quickstart examples/skype-policy examples/trust-delegation examples/research-delegation; do \
@@ -251,4 +266,11 @@ check-examples:
 	@for f in examples/branch-collab/*.control; do \
 		echo "pfcheck -explain $$f"; \
 		$(GO) run ./cmd/pfcheck -explain $$f >/dev/null || exit 1; \
+	done
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		out="$$(timeout 120 $(GO) run ./$$d 2>&1)"; rc=$$?; \
+		if [ $$rc -ne 0 ] || printf '%s\n' "$$out" | grep -q '^panic:'; then \
+			printf '%s\n' "$$out"; echo "$$d: exit status $$rc"; exit 1; \
+		fi; \
 	done

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,16 +269,17 @@ type m7Transport struct {
 	responses map[netaddr.IP]map[string]string
 }
 
-func (t *m7Transport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (t *m7Transport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	kv, ok := t.responses[host]
 	if !ok {
-		return nil, 0, core.ErrNoDaemon
+		done(nil, 0, core.ErrNoDaemon)
+		return
 	}
 	r := wire.NewResponse(q.Flow)
 	for k, v := range kv {
 		r.Add(k, v)
 	}
-	return r, 0, nil
+	done(r, 0, nil)
 }
 
 // m7Topo returns a fixed one-hop path.
@@ -363,8 +365,8 @@ func BenchmarkM7_ShardedHandleEvent(b *testing.B) {
 // allocations, so the benchmark isolates the controller's own cost.
 type m8NoDaemonTransport struct{}
 
-func (m8NoDaemonTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	return nil, 0, core.ErrNoDaemon
+func (m8NoDaemonTransport) QueryAsync(_ netaddr.IP, _ wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(nil, 0, core.ErrNoDaemon)
 }
 
 // m8Policy is the M7 policy: a deny-all opener and one pass rule with two
@@ -524,7 +526,6 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			Transport:        eng,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
-			AsyncQueries:     true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -661,21 +662,51 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		})
 		eng.SetUpdateHandler(ctl.HandleUpdate)
 		ctl.AddDatapath(&m7Datapath{id: 1})
-		for i := range evs { // learn the listener's answer; warm the pools and the index
+		// A decision finishes on the pool's reader. decided waits until n
+		// flows are allowed and no decision holds its flow (a pass counts
+		// before its decision releases the flow): a flow is asked again
+		// only once its last decision is done, so every op is a fresh
+		// miss, never a duplicate.
+		allowed := ctl.Counters.Cell("flows_allowed")
+		idle := func() bool {
+			for _, s := range ctl.ShardStats() {
+				if s.Pending > 0 {
+					return false
+				}
+			}
+			return true
+		}
+		decided := func(n int) {
+			deadline := time.Now().Add(5 * time.Second)
+			for allowed.Load() < int64(n) || !idle() {
+				if time.Now().After(deadline) {
+					b.Fatalf("%d of %d misses allowed", allowed.Load(), n)
+				}
+				runtime.Gosched()
+			}
+		}
+		ctl.HandleEvent(evs[0]) // learn the listener's answer
+		decided(1)
+		for i := 1; i < window; i++ { // warm the pools and the index
 			ctl.HandleEvent(evs[i])
 		}
+		decided(window)
 		sent := pool.Counters.Get("pool_queries_sent")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if i%window == 0 {
+				decided(window + i)
+			}
 			ctl.HandleEvent(evs[i%window])
 		}
+		decided(window + b.N)
 		b.StopTimer()
 		if q := pool.Counters.Get("pool_queries_sent") - sent; q != int64(b.N) {
 			b.Fatalf("%d wire queries for %d misses, want one each", q, b.N)
 		}
-		if ctl.Counters.Get("flows_allowed") != int64(window+b.N) {
-			b.Fatal("a miss was not allowed")
+		if got := allowed.Load(); got != int64(window+b.N) {
+			b.Fatalf("%d flows allowed, want %d", got, window+b.N)
 		}
 	})
 
@@ -1191,7 +1222,6 @@ func BenchmarkM13_CredentialedSession(b *testing.B) {
 			Transport:        eng,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
-			AsyncQueries:     true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})

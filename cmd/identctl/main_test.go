@@ -192,10 +192,10 @@ func TestAdminOverTCP(t *testing.T) {
 
 type nullTransport struct{}
 
-func (nullTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (nullTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyName, "skype")
-	return r, 0, nil
+	done(r, 0, nil)
 }
 
 type sinkTopo struct{}
@@ -317,9 +317,8 @@ type heldTransport struct {
 }
 
 func (t *heldTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-	resp, rtt, err := t.Query(host, q)
 	t.mu.Lock()
-	t.held = append(t.held, func() { done(resp, rtt, err) })
+	t.held = append(t.held, func() { t.nullTransport.QueryAsync(host, q, done) })
 	t.mu.Unlock()
 	t.arrived <- struct{}{}
 }
@@ -365,11 +364,10 @@ func TestSwitchChannelFrameOutlivesTheNextRead(t *testing.T) {
 	}
 	tr := &heldTransport{arrived: make(chan struct{}, 16)}
 	ctl := core.New(core.Config{
-		Name:         "identctl",
-		Policy:       pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
-		Transport:    tr,
-		Topology:     topo,
-		AsyncQueries: true,
+		Name:      "identctl",
+		Policy:    pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
+		Transport: tr,
+		Topology:  topo,
 	})
 	server := openflow.NewChannelServer(announcer{ctl})
 	addr, err := server.Listen("127.0.0.1:0")

@@ -17,8 +17,8 @@ import (
 // reach it, so any call is a test failure by way of the engine counters.
 type refusingLower struct{}
 
-func (refusingLower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	return nil, 0, core.ErrNoDaemon
+func (refusingLower) Go(_ netaddr.IP, _ wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+	done(nil, 0, core.ErrNoDaemon)
 }
 
 // TestHeaderOnlyFlowKeepsQueryPlaneIdle is the acceptance check for the
@@ -39,7 +39,6 @@ pass from any to any port 443 with eq(@src[name], web)
 		Transport:      eng,
 		Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		AsyncQueries:   true,
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
 

@@ -16,6 +16,7 @@
 package baseline
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -30,10 +31,11 @@ import (
 // end-host information.
 type NullTransport struct{}
 
-// Query implements core.QueryTransport by never answering. It returns a
-// zero RTT: a vanilla firewall spends nothing gathering information.
-func (NullTransport) Query(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
-	return nil, 0, errNoDaemon
+// QueryAsync implements core.QueryTransport by never answering, inline. It
+// reports a zero RTT: a vanilla firewall spends nothing gathering
+// information.
+func (NullTransport) QueryAsync(_ netaddr.IP, _ wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(nil, 0, errNoDaemon)
 }
 
 // errNoDaemon mirrors core.ErrNoDaemon without importing core (baseline is
@@ -78,32 +80,22 @@ func (t *EthaneTransport) Bind(ip netaddr.IP, user string, groups ...string) {
 	t.bindings[ip] = Binding{User: user, Groups: groups}
 }
 
-// Query implements core.QueryTransport from the binding table, which is
-// local: the lookup's round trip is zero.
-func (t *EthaneTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+// QueryAsync implements core.QueryTransport from the binding table, which
+// is local: it completes inline, and the lookup's round trip is zero.
+func (t *EthaneTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	t.mu.RLock()
 	b, ok := t.bindings[host]
 	t.mu.RUnlock()
 	if !ok {
-		return nil, 0, errNoDaemon
+		done(nil, 0, errNoDaemon)
+		return
 	}
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyUserID, b.User)
 	if len(b.Groups) > 0 {
-		r.Add(wire.KeyGroupID, joinGroups(b.Groups))
+		r.Add(wire.KeyGroupID, strings.Join(b.Groups, " "))
 	}
-	return r, 0, nil
-}
-
-func joinGroups(gs []string) string {
-	out := ""
-	for i, g := range gs {
-		if i > 0 {
-			out += " "
-		}
-		out += g
-	}
-	return out
+	done(r, 0, nil)
 }
 
 // HostFirewall is the distributed-firewalls baseline: each host filters its

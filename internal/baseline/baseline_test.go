@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"testing"
+	"time"
 
 	"identxx/internal/core"
 	"identxx/internal/flow"
@@ -76,11 +77,17 @@ pass from any to any port 80
 	}
 }
 
+// ask queries host through et, which completes inline.
+func ask(et *EthaneTransport, host netaddr.IP) (resp *wire.Response, err error) {
+	et.QueryAsync(host, wire.Query{Flow: tcp(1, 2)}, func(r *wire.Response, _ time.Duration, e error) { resp, err = r, e })
+	return resp, err
+}
+
 func TestEthaneTransportSuppliesOnlyBindings(t *testing.T) {
 	et := NewEthaneTransport()
 	et.Bind(hostA, "alice", "users", "research")
 
-	resp, _, err := et.Query(hostA, wire.Query{Flow: tcp(1, 2)})
+	resp, err := ask(et, hostA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestEthaneTransportSuppliesOnlyBindings(t *testing.T) {
 			t.Errorf("Ethane response leaked %s", k)
 		}
 	}
-	if _, _, err := et.Query(hostB, wire.Query{Flow: tcp(1, 2)}); err == nil {
+	if _, err := ask(et, hostB); err == nil {
 		t.Error("unbound host should not answer")
 	}
 }

@@ -25,10 +25,10 @@ import (
 // policies admit or deny purely on what the policy text asks for.
 type passTransport struct{}
 
-func (passTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (passTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyName, "skype")
-	return r, 0, nil
+	done(r, 0, nil)
 }
 
 type hopTopo struct{ hops []core.Hop }
@@ -423,7 +423,7 @@ type parkingTransport struct {
 func (p *parkingTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.parked = append(p.parked, func() { done(p.Query(host, q)) })
+	p.parked = append(p.parked, func() { p.passTransport.QueryAsync(host, q, done) })
 }
 
 func (p *parkingTransport) release() {
@@ -458,11 +458,10 @@ func TestTCPLinkForwardedFrameOutlivesTheNextFrame(t *testing.T) {
 	tr := &parkingTransport{}
 	dp := &frameRecorder{sinkDatapath: sinkDatapath{id: 1}}
 	ctl := core.New(core.Config{
-		Name:         "B",
-		Policy:       pf.MustCompile("B", passPolicy),
-		Transport:    tr,
-		Topology:     hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		AsyncQueries: true,
+		Name:      "B",
+		Policy:    pf.MustCompile("B", passPolicy),
+		Transport: tr,
+		Topology:  hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	ctl.AddDatapath(dp)
 	rb := NewRouter(ctl, Member{ID: "B"}, Options{})

@@ -82,7 +82,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		Transport:        r.eng,
 		Topology:         hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
-		AsyncQueries:     true,
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})

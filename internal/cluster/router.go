@@ -155,8 +155,8 @@ func (r *Router) HandleEvent(ev openflow.PacketIn) {
 
 // DeliverEvent runs a forwarded packet-in on the local controller. It is
 // the receive half of Link.ForwardEvent: when it returns the owner has
-// accepted the event — decided it, or (AsyncQueries) parked the decision on
-// its query plane — and that, not a verdict, is what the forwarding ack says.
+// accepted the event — decided it, or parked the decision on its query
+// plane — and that, not a verdict, is what the forwarding ack says.
 func (r *Router) DeliverEvent(ev openflow.PacketIn) {
 	r.hot.received.Add(1)
 	r.local.HandleEvent(ev)

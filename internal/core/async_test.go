@@ -13,39 +13,30 @@ import (
 	"identxx/internal/wire"
 )
 
-// fakeAsyncTransport adds the 3-argument QueryAsync face to fakeTransport.
-// With a gate set, completions are held until the gate closes, so tests
-// can observe a suspended decision; inline delivers completions on the
-// QueryAsync caller's goroutine (the query plane's fast-fail shape).
+// fakeAsyncTransport is fakeTransport whose completions are held until the
+// gate closes, each on a goroutine of its own, so tests can observe a
+// suspended decision.
 type fakeAsyncTransport struct {
 	fakeTransport
-	gate   chan struct{}
-	inline bool
+	gate chan struct{}
 }
 
 func (t *fakeAsyncTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-	if t.inline {
-		resp, rtt, err := t.Query(host, q)
-		done(resp, rtt, err)
-		return
-	}
 	gate := t.gate
 	go func() {
-		if gate != nil {
-			<-gate
-		}
-		resp, rtt, err := t.Query(host, q)
-		done(resp, rtt, err)
+		<-gate
+		done(t.Query(host, q))
 	}()
 }
 
-// completionModes are the two places a miss's completions run. inline: over
-// the transport's blocking Query, on HandleEvent's goroutine before it
-// returns — the simulator and the experiments. deferred: each on a goroutine
-// of its own after the enqueue returned, as the query plane's connection
-// readers deliver them — what identctl runs. It is one code path
-// (srcDone/dstDone, then finishDecision), so a handshake test makes the same
-// assertions in both. The zero mode is inline.
+// completionModes are the two places a miss's completions run. inline: on
+// HandleEvent's goroutine before it returns — a transport answering from a
+// local table (the baselines), or the query plane's fast-path rejections.
+// deferred: each on a goroutine of its own after the enqueue returned, as the
+// query plane's connection readers deliver them — what identctl, the
+// simulator and the experiments run. It is one code path (srcDone/dstDone,
+// then finishDecision), so a handshake test makes the same assertions in
+// both. The zero mode is inline.
 var completionModes = []completionMode{{name: "inline"}, {name: "deferred", deferred: true}}
 
 type completionMode struct {
@@ -61,7 +52,7 @@ func inCompletionModes(t *testing.T, test func(t *testing.T, cm completionMode))
 }
 
 // parked is how many of one decision's queries sit in a gated transport at
-// once: a blocking transport is asked for one end, then the other.
+// once: an inline transport is asked for one end, then the other.
 func (m completionMode) parked() int {
 	if m.deferred {
 		return 2
@@ -76,7 +67,7 @@ func (m completionMode) config(cfg *Config) (settle func()) {
 		return func() {}
 	}
 	d := &deferredTransport{QueryTransport: cfg.Transport}
-	cfg.Transport, cfg.AsyncQueries = d, true
+	cfg.Transport = d
 	return d.wg.Wait
 }
 
@@ -90,7 +81,7 @@ func (d *deferredTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		done(d.Query(host, q))
+		d.QueryTransport.QueryAsync(host, q, done)
 	}()
 }
 
@@ -134,18 +125,10 @@ func (e *endQueries) complete(host netaddr.IP, five flow.Five) {
 	e.open[hostFlow{host, five}]--
 }
 
-func (e *endQueries) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	e.issue(host, q.Flow)
-	defer e.complete(host, q.Flow)
-	return e.QueryTransport.Query(host, q)
-}
-
 func (e *endQueries) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	five := q.Flow
 	e.issue(host, five)
-	e.QueryTransport.(interface {
-		QueryAsync(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))
-	}).QueryAsync(host, q, func(resp *wire.Response, rtt time.Duration, err error) {
+	e.QueryTransport.QueryAsync(host, q, func(resp *wire.Response, rtt time.Duration, err error) {
 		e.complete(host, five)
 		done(resp, rtt, err)
 	})
@@ -196,7 +179,6 @@ func newAsyncController(tr QueryTransport, topo Topology) (*Controller, *fakeDat
 		Transport:      tr,
 		Topology:       topo,
 		InstallEntries: true,
-		AsyncQueries:   true,
 	})
 	c.AddDatapath(dp1)
 	return c, dp1
@@ -283,13 +265,10 @@ func TestAsyncDuplicatesParkAndResolve(t *testing.T) {
 // cache, breaker fast-fail) finishes the decision before HandleEvent
 // returns — no goroutine handoff, no deadlock on the pending counter.
 func TestAsyncInlineCompletion(t *testing.T) {
-	tr := &fakeAsyncTransport{
-		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
-			hostA: {"name": "skype"},
-			hostB: {"name": "skype"},
-		}},
-		inline: true,
-	}
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
 	c, dp1 := newAsyncController(tr, topo)
 
@@ -307,13 +286,10 @@ func TestAsyncInlineCompletion(t *testing.T) {
 // pipeline is never entered — the hit path decides on the packet-in
 // goroutine, preserving the allocation budget's fast path.
 func TestAsyncCacheHitStaysSynchronous(t *testing.T) {
-	tr := &fakeAsyncTransport{
-		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
-			hostA: {"name": "skype"},
-			hostB: {"name": "skype"},
-		}},
-		inline: true,
-	}
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
 	dp1 := &fakeDatapath{id: 1}
 	c := New(Config{
@@ -322,7 +298,6 @@ func TestAsyncCacheHitStaysSynchronous(t *testing.T) {
 		Transport:        tr,
 		Topology:         topo,
 		InstallEntries:   true,
-		AsyncQueries:     true,
 		ResponseCacheTTL: time.Hour,
 	})
 	c.AddDatapath(dp1)
@@ -360,8 +335,8 @@ type fakeTimeoutErr struct{}
 func (fakeTimeoutErr) Error() string { return "fake: i/o timeout" }
 func (fakeTimeoutErr) Timeout() bool { return true }
 
-func (timeoutTransport) Query(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
-	return nil, 50 * time.Millisecond, fakeTimeoutErr{}
+func (timeoutTransport) QueryAsync(_ netaddr.IP, _ wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(nil, 50*time.Millisecond, fakeTimeoutErr{})
 }
 
 // TestTimeoutDoesNotImpersonateHost pins the classification fix: a timeout
@@ -424,6 +399,10 @@ func (t *flakyTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, t
 	return r, 0, nil
 }
 
+func (t *flakyTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(t.Query(host, q))
+}
+
 // TestTransientFailureNotCached: a verdict shaped by a transport timeout
 // must not be pinned in the verdict cache for the TTL — once the daemon
 // answers again, the very next packet of the flow gets the real verdict.
@@ -479,8 +458,8 @@ func (markerNoDaemonErr) NoDaemon() bool { return true }
 
 type markerTransport struct{}
 
-func (markerTransport) Query(netaddr.IP, wire.Query) (*wire.Response, time.Duration, error) {
-	return nil, 0, markerNoDaemonErr{}
+func (markerTransport) QueryAsync(_ netaddr.IP, _ wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(nil, 0, markerNoDaemonErr{})
 }
 
 // TestNoDaemonMarkerAllowsAnswerOnBehalf: transports outside core (the

@@ -125,21 +125,21 @@ type CredentialChecker interface {
 	CredentialExpiry(host netaddr.IP) (time.Time, bool)
 }
 
-// QueryTransport delivers an ident++ query to a host's daemon and returns
-// its response plus the measured round-trip latency. Under Config.AsyncQueries the transport must also have a
-// completion-style face, which New finds by its method: QueryAsyncTraced
-// (queryFunc's signature; internal/query.Engine) or the 3-argument
-// QueryAsync(host, q, done).
+// QueryTransport delivers an ident++ query to a host's daemon. done is
+// invoked exactly once with the response, the measured round-trip latency
+// and the failure: inline on the caller (a local table, a fast-path
+// rejection) or later, on whichever goroutine learns the outcome (over the
+// query plane's Pool, the daemon connection's reader). done must not block.
+// A transport with the richer QueryAsyncTraced (queryFunc's signature;
+// internal/query.Engine) is asked through that instead.
 type QueryTransport interface {
-	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
+	QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error))
 }
 
 // queryFunc is the one face the decision path asks a transport through. done
-// is invoked exactly once — inline on the caller (a blocking transport, the
-// query plane's fast-path failures), or later on whichever
-// goroutine learns the outcome (over the query plane's Pool, the daemon
-// connection's reader). The response it delivers is a read-only borrow. tb
-// is the decision's flight-recorder buffer and epFlag its endpoint
+// is invoked exactly once — inline on the caller, or later on whichever
+// goroutine learns the outcome. The response it delivers is a read-only
+// borrow. tb is the decision's flight-recorder buffer and epFlag its endpoint
 // (trace.FlagSrc or trace.FlagDst), OR'd into every event recorded for the
 // exchange: one StageQueryEnqueue when the query is accepted or rejected, one
 // StageQueryDone before done runs. A nil tb records nothing.
@@ -147,26 +147,15 @@ type queryFunc func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint
 
 // resolveTransport picks the transport's one face, once. internal/query.Engine
 // has queryFunc's shape itself and records richer span events than the
-// controller could (breaker, attempts); a transport with only
-// the 3-argument QueryAsync, and — without AsyncQueries — any transport's
-// blocking Query, completed inline on the caller, are wrapped by selfTracing.
-func resolveTransport(tr QueryTransport, async bool) queryFunc {
-	if !async {
-		return selfTracing(func(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-			done(tr.Query(host, q))
-		})
-	}
-	switch t := tr.(type) {
-	case interface {
+// controller could (breaker, attempts); any other transport's QueryAsync is
+// wrapped by selfTracing.
+func resolveTransport(tr QueryTransport) queryFunc {
+	if t, ok := tr.(interface {
 		QueryAsyncTraced(netaddr.IP, wire.Query, *trace.Buffer, uint16, func(*wire.Response, time.Duration, error))
-	}:
+	}); ok {
 		return t.QueryAsyncTraced
-	case interface {
-		QueryAsync(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))
-	}:
-		return selfTracing(t.QueryAsync)
 	}
-	panic("core: Config.AsyncQueries requires a Transport with QueryAsync or QueryAsyncTraced")
+	return selfTracing(tr.QueryAsync)
 }
 
 // selfTracing adapts a transport that knows nothing of the flight recorder:
@@ -222,14 +211,12 @@ type Config struct {
 	// the M5 ablation: every packet of every flow punts to the controller.
 	InstallEntries bool
 
-	// AsyncQueries lets a cache-missing decision outlive HandleEvent: the two
-	// endpoint queries go out through the transport's completion-style face
-	// (see QueryTransport), HandleEvent returns once both are enqueued, and
-	// the completion that delivers the second response finishes the decision
-	// (evaluation, install, waiter resolution) wherever the transport runs it
-	// — over the query plane, the daemon connection's reader. Off, the
-	// transport's blocking Query is asked for one end, then the other, and
-	// HandleEvent returns with the decision finished.
+	// AsyncQueries selects nothing: every miss asks both ends through the
+	// transport's completion face (QueryTransport) and is finished by the
+	// second completion.
+	//
+	// Deprecated: ignored. Only the benchmark rig (bench/, a module of its
+	// own) still names it; removed by ROADMAP item 0(ii).
 	AsyncQueries bool
 
 	// ResponseCacheTTL turns on the verdict cache (megaflow.go): each full
@@ -401,7 +388,7 @@ func New(cfg Config) *Controller {
 		name:      cfg.Name,
 		sourceTag: "controller:" + cfg.Name,
 		cookies:   cookies{tag: installerTag(cfg.Name)},
-		query:     resolveTransport(cfg.Transport, cfg.AsyncQueries),
+		query:     resolveTransport(cfg.Transport),
 		tr:        cfg.Trace,
 		topo:      cfg.Topology,
 		install:   cfg.InstallEntries,
@@ -695,12 +682,12 @@ func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
 // right here. On a miss the endpoint queries are issued — both ends, or only
 // the source when the destination's listener-scoped answer is held
 // (scope.go) — and the last completion runs finishDecision: before
-// HandleEvent returns when the transport completes inline (every blocking
-// transport; the query plane's fast-path rejections), otherwise wherever the
-// transport completes: under AsyncQueries over the query plane HandleEvent
-// returns as soon as the queries are enqueued, the event loop is free for
-// the next packet-in, and the decision finishes on the reader of the daemon
-// connection whose response arrived last.
+// HandleEvent returns when the transport completes inline (a local table;
+// the query plane's fast-path rejections), otherwise wherever the transport
+// completes. Over the query plane HandleEvent returns as soon as the queries
+// are enqueued, the event loop is free for the next packet-in, and the
+// decision finishes on the reader of the daemon connection whose response
+// arrived last.
 func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	c.hot.packetIns.Add(1)
 	st := c.state.Load()
@@ -829,11 +816,10 @@ func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	// One gather sequence: hand both endpoint queries to the transport (§2
 	// step 3); whichever completion drops pending to zero finishes the
 	// decision. pending is armed before the first enqueue because a
-	// completion may run inline — always, over a blocking transport, whose
-	// two ends are therefore asked one after the other; on an open breaker
-	// or a host inside its dial backoff window over the query plane. The
-	// second call may finish the decision and release the scratch: nothing
-	// reads s or g after it.
+	// completion may run inline — over a transport that answers from a local
+	// table, or over the query plane on an open breaker or a host inside its
+	// dial backoff window. The second call may finish the decision and
+	// release the scratch: nothing reads s or g after it.
 	g.pending.Store(2)
 	c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
 	c.query(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)

@@ -14,7 +14,8 @@ import (
 	"identxx/internal/wire"
 )
 
-// fakeTransport serves canned responses per host.
+// fakeTransport serves canned responses per host, completing inline: the
+// shape of the inline completion mode (completionModes).
 type fakeTransport struct {
 	mu         sync.Mutex
 	responses  map[netaddr.IP]map[string]string // host -> kv
@@ -40,6 +41,10 @@ func (t *fakeTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, ti
 		r.Add(k, v)
 	}
 	return r, t.rtt, nil
+}
+
+func (t *fakeTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(t.Query(host, q))
 }
 
 // fakeTopo returns a fixed two-hop path for every flow.
@@ -371,6 +376,10 @@ func (s *slowTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, ti
 	return wire.NewResponse(q.Flow), 0, nil
 }
 
+func (s *slowTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(s.Query(host, q))
+}
+
 func TestResponseCache(t *testing.T) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"}, hostB: {"name": "skype"},
@@ -594,7 +603,7 @@ func TestInterceptChainAnswersAndAugments(t *testing.T) {
 	q := wire.Query{Flow: five}
 
 	// Augmentation: the authoritative answer passes through B.
-	resp := InterceptChain{Outbound: []Interceptor{cB}}.Exchange(hostB, q, func() *wire.Response {
+	resp := exchange(InterceptChain{Outbound: []Interceptor{cB}}, hostB, q, func() *wire.Response {
 		r := wire.NewResponse(five)
 		r.Add("name", "httpd")
 		return r
@@ -609,7 +618,7 @@ func TestInterceptChainAnswersAndAugments(t *testing.T) {
 	// Interception: A answers on behalf of the host; the chain stops.
 	cA.AnswerForHost(hostB, wire.KV{Key: "type", Value: "printer"})
 	called := false
-	resp2 := InterceptChain{Outbound: []Interceptor{cA, cB}}.Exchange(hostB, q, func() *wire.Response {
+	resp2 := exchange(InterceptChain{Outbound: []Interceptor{cA, cB}}, hostB, q, func() *wire.Response {
 		called = true
 		return nil
 	})
@@ -619,6 +628,14 @@ func TestInterceptChainAnswersAndAugments(t *testing.T) {
 	if v, _ := resp2.Latest("type"); v != "printer" {
 		t.Errorf("intercepted answer = %q", v)
 	}
+}
+
+// exchange runs ch around an authoritative answer that completes inline and
+// returns what the chain delivers.
+func exchange(ch InterceptChain, host netaddr.IP, q wire.Query, answer func() *wire.Response) (got *wire.Response) {
+	ask := func(done func(*wire.Response, time.Duration, error)) { done(answer(), 0, nil) }
+	ch.Exchange(host, q, ask, func(resp *wire.Response, _ time.Duration, _ error) { got = resp })
+	return got
 }
 
 func TestConcurrentHandleEvent(t *testing.T) {

@@ -22,9 +22,9 @@ pass from any to any port 443 with eq(@src[name], web)
 // forbiddenTransport fails the test if the controller queries at all.
 type forbiddenTransport struct{ t *testing.T }
 
-func (tr forbiddenTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (tr forbiddenTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	tr.t.Errorf("header-only flow queried %s (keys %v)", host, q.Keys)
-	return nil, 0, ErrNoDaemon
+	done(nil, 0, ErrNoDaemon)
 }
 
 func TestHeaderOnlyFlowDecidesWithoutQueries(t *testing.T) {

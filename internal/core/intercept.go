@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"identxx/internal/netaddr"
 	"identxx/internal/wire"
 )
@@ -12,7 +14,8 @@ import (
 // not allowed to cause new queries" — InterceptQuery never queries.
 type Interceptor interface {
 	// InterceptQuery may answer q for host on the controller's own
-	// authority. ok=false passes the query through unanswered.
+	// authority, with a non-nil response. ok=false passes the query through
+	// unanswered.
 	InterceptQuery(host netaddr.IP, q wire.Query) (resp *wire.Response, ok bool)
 	// AugmentResponse may append a section to a response in transit, and
 	// reports whether it did.
@@ -61,29 +64,33 @@ type InterceptChain struct {
 	Outbound []Interceptor
 }
 
-// Exchange runs the chain around an authoritative responder function. A
-// response an interceptor answered or augmented is flow-scoped whatever the
-// daemon said: what the interceptor added was added for this flow, not for
-// every flow to the daemon's listener.
+// Exchange runs the chain around ask, the authoritative responder's
+// exchange, and hands done its outcome. An interceptor that answers completes
+// the exchange inline and ask is never called; otherwise each interceptor
+// augments the response ask's completion delivers, in reverse path order,
+// before done runs. A response an interceptor answered or augmented is
+// flow-scoped whatever the daemon said: what the interceptor added was added
+// for this flow, not for every flow to the daemon's listener.
 func (ch InterceptChain) Exchange(host netaddr.IP, q wire.Query,
-	respond func() *wire.Response) *wire.Response {
+	ask func(done func(*wire.Response, time.Duration, error)),
+	done func(*wire.Response, time.Duration, error)) {
 	for _, ic := range ch.Outbound {
 		if resp, ok := ic.InterceptQuery(host, q); ok {
-			if resp != nil {
-				resp.Scope = wire.Scope{}
+			resp.Scope = wire.Scope{}
+			done(resp, 0, nil)
+			return
+		}
+	}
+	ask(func(resp *wire.Response, rtt time.Duration, err error) {
+		augmented := false
+		for i := len(ch.Outbound) - 1; i >= 0; i-- {
+			if ch.Outbound[i].AugmentResponse(q, resp) {
+				augmented = true
 			}
-			return resp
 		}
-	}
-	resp := respond()
-	augmented := false
-	for i := len(ch.Outbound) - 1; i >= 0; i-- {
-		if ch.Outbound[i].AugmentResponse(q, resp) {
-			augmented = true
+		if augmented && resp != nil {
+			resp.Scope = wire.Scope{}
 		}
-	}
-	if augmented && resp != nil {
-		resp.Scope = wire.Scope{}
-	}
-	return resp
+		done(resp, rtt, err)
+	})
 }

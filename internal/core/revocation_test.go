@@ -831,6 +831,10 @@ func (t *updatingTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response
 	return resp, rtt, err
 }
 
+func (t *updatingTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(t.Query(host, q))
+}
+
 // TestRedecideDropsAfterSecondVoid: re-deciding is bounded. A decision whose
 // second attempt voids too releases the packet's buffer with no verdict and
 // is counted, once, as a void drop.
@@ -897,6 +901,10 @@ func (t *gatedTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, t
 	return resp, rtt, err
 }
 
+func (t *gatedTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(t.Query(host, q))
+}
+
 func (t *gatedTransport) arm() {
 	t.mu.Lock()
 	t.gate, t.parked = make(chan struct{}), 0
@@ -924,16 +932,9 @@ func (t *gatedTransport) waitQueries(n int) {
 // goroutine. A controller that has gathered both ends of four misses,
 // installed a six-switch path for each — HandleEvent returning with the
 // verdict installed — torn the fan-in down across all six and reloaded its
-// policy is running on the caller alone, over a blocking transport as over an
-// async one that completes inline: no workers are left behind and none were
-// needed.
+// policy is running on the caller alone, over a transport that completes
+// inline: no workers are left behind and none were needed.
 func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		testSpawnNoGoroutine(t, async)
-	}
-}
-
-func testSpawnNoGoroutine(t *testing.T, async bool) {
 	before := runtime.NumGoroutine()
 
 	const nDatapaths = 6
@@ -944,13 +945,12 @@ func testSpawnNoGoroutine(t *testing.T, async bool) {
 	c := New(Config{
 		Name:   "quiet",
 		Policy: pf.MustCompile("quiet", revPolicy+" keep state"),
-		Transport: &fakeAsyncTransport{inline: true, fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
+		Transport: &fakeTransport{responses: map[netaddr.IP]map[string]string{
 			hostA: {"name": "skype"},
 			hostB: {"name": "skype"},
-		}}},
+		}},
 		Topology:         &fakeTopo{hops: hops},
 		InstallEntries:   true,
-		AsyncQueries:     async,
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})
@@ -964,7 +964,7 @@ func testSpawnNoGoroutine(t *testing.T, async bool) {
 		c.HandleEvent(sampleEvent(revFlow(43000+i), 1))
 	}
 	if got := c.Counters.Get("entries_installed"); got != 4*2*nDatapaths {
-		t.Fatalf("async=%t: entries_installed = %d when HandleEvent returned, want %d", async, got, 4*2*nDatapaths)
+		t.Fatalf("entries_installed = %d when HandleEvent returned, want %d", got, 4*2*nDatapaths)
 	}
 	c.HandleUpdate(hostA, wire.Update{Key: "name", Serial: 1})
 	if got := c.Counters.Get("revocations_flows"); got != 4 {
@@ -979,6 +979,6 @@ func testSpawnNoGoroutine(t *testing.T, async bool) {
 	}
 
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("async=%t: goroutines: %d before, %d after", async, before, after)
+		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }

@@ -37,6 +37,10 @@ func (t *listenerTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response
 	return resp, rtt, err
 }
 
+func (t *listenerTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(t.Query(host, q))
+}
+
 func newListenerController(t *testing.T, revocation bool) (*Controller, *listenerTransport, *fakeDatapath) {
 	t.Helper()
 	tr := &listenerTransport{fakeTransport: skypeFacts()}

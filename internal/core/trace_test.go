@@ -24,6 +24,10 @@ func (d *delayTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, t
 	return d.inner.Query(host, q)
 }
 
+func (d *delayTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
+	done(d.Query(host, q))
+}
+
 // TestSlowDecisionCapturedAtRateZero: with sampling fully off
 // (SampleEvery 0) the recorder must still retain any decision that
 // crosses the slow threshold — the tail stays visible even when the
@@ -106,19 +110,17 @@ func (t *tracedFaceTransport) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb
 }
 
 // TestTransportShapesTraceAlike: whichever face New resolves the transport
-// to — its own traced one, the 3-argument QueryAsync or the blocking Query,
-// the last two through the self-tracing adapter — a decision's trace holds
-// one enqueue/done pair per end, flagged with the end and the outcome.
+// to — its own traced one, or QueryAsync through the self-tracing adapter —
+// a decision's trace holds one enqueue/done pair per end, flagged with the
+// end and the outcome.
 func TestTransportShapesTraceAlike(t *testing.T) {
 	responses := map[netaddr.IP]map[string]string{hostA: {"name": "skype"}} // hostB runs no daemon
 	shapes := []struct {
-		name  string
-		tr    QueryTransport
-		async bool
+		name string
+		tr   QueryTransport
 	}{
-		{"traced face", &tracedFaceTransport{fakeTransport{responses: responses, rtt: time.Millisecond}}, true},
-		{"3-argument async", &fakeAsyncTransport{fakeTransport: fakeTransport{responses: responses, rtt: time.Millisecond}, inline: true}, true},
-		{"blocking", &fakeTransport{responses: responses, rtt: time.Millisecond}, false},
+		{"traced face", &tracedFaceTransport{fakeTransport{responses: responses, rtt: time.Millisecond}}},
+		{"3-argument async", &fakeTransport{responses: responses, rtt: time.Millisecond}},
 	}
 	type span struct {
 		stage trace.Stage
@@ -135,12 +137,11 @@ func TestTransportShapesTraceAlike(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			rec := trace.New(trace.Config{SampleEvery: 1})
 			c := New(Config{
-				Name:         "shapes",
-				Policy:       pf.MustCompile("policy", asyncPolicy),
-				Transport:    shape.tr,
-				Topology:     &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-				AsyncQueries: shape.async,
-				Trace:        rec,
+				Name:      "shapes",
+				Policy:    pf.MustCompile("policy", asyncPolicy),
+				Transport: shape.tr,
+				Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+				Trace:     rec,
 			})
 			c.AddDatapath(&fakeDatapath{id: 1})
 			c.HandleEvent(sampleEvent(flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 100, DstPort: 200}, 1))

@@ -76,7 +76,7 @@ pass from any to any with eq(@src[name], skype) keep state
 		}
 		t.AddRow(sys, p50(ctl.Setup.QuerySrc), p50(ctl.Setup.QueryDst), p50(ctl.Setup.Eval), p50(ctl.Setup.Total), perPacket)
 	}
-	t.Note("wall-clock p50s as the controller records them; ident++ queries each end's daemon over loopback TCP, vanilla queries nothing. The blocking transport asks the two ends one after the other, so a setup waits for their sum, not their max; total is the controller's setup figure, which counts only the slower (identctl's gather overlaps them). The punt and the install cross the in-process switch channel and are not timed. Subsequent packets are identical: both systems forward from the switch flow table.")
+	t.Note("wall-clock p50s as the controller records them; ident++ queries each end's daemon over loopback TCP, vanilla queries nothing. The two ends are asked at once, as identctl asks them, so total is the slower query plus eval. The punt and the install cross the in-process switch channel and are not timed. Subsequent packets are identical: both systems forward from the switch flow table.")
 	t.Fprint(w)
 	return t
 }

@@ -195,19 +195,21 @@ func (h *Host) StartFlow(pid int, dst netaddr.IP, dstPort netaddr.Port) (flow.Fi
 type Network struct {
 	Clock *Clock
 
-	mu       sync.Mutex
-	cond     sync.Cond // broadcast when a pushed update is queued
-	events   []func()
-	updates  uint64 // pushed updates queued so far
-	hosts    map[netaddr.IP]*Host
-	switches map[uint64]*SwitchNode
-	nextSWID uint64
-	nextMAC  uint64
-	lowers   []*lower // every transport's, until Close
-	closed   bool
+	mu        sync.Mutex
+	cond      sync.Cond // broadcast when a pushed update is queued or an exchange completes
+	events    []func()
+	updates   uint64 // pushed updates queued so far
+	exchanges int    // queries a transport started whose completion has not returned
+	hosts     map[netaddr.IP]*Host
+	switches  map[uint64]*SwitchNode
+	nextSWID  uint64
+	nextMAC   uint64
+	lowers    []*lower // every transport's, until Close
+	closed    bool
 }
 
-// updateWait bounds Run's wait for a published update: past it, it is lost.
+// updateWait bounds Run's wait for a published update or a started
+// exchange: past it, the update is lost or the exchange hung.
 const updateWait = 10 * time.Second
 
 // New creates an empty network.
@@ -230,9 +232,10 @@ func (n *Network) Schedule(fn func()) {
 	n.events = append(n.events, fn)
 }
 
-// Run processes events until none is queued and no update a subscribed
-// daemon published is still on its way, or until maxEvents have run (0 means
-// a safety default of 1<<20). It returns the number processed.
+// Run processes events until none is queued, no decision is waiting on a
+// query and no update a subscribed daemon published is still on its way, or
+// until maxEvents have run (0 means a safety default of 1<<20). It returns
+// the number processed.
 func (n *Network) Run(maxEvents int) int {
 	if maxEvents <= 0 {
 		maxEvents = 1 << 20
@@ -249,10 +252,12 @@ func (n *Network) Run(maxEvents int) int {
 }
 
 // next pops the next event, or returns nil when there is none. First it
-// waits until every update a subscribed daemon has published is queued, so
-// an update lands right behind the events queued by the event that caused
-// it, wherever its connection's reader was: a run replays deterministically.
-// The wait is on a condition, never a sleep, and panics after updateWait.
+// waits until every exchange a transport started has completed — a decision
+// finishes on the pool's connection reader — and every update a subscribed
+// daemon has published is queued. So what an event causes is queued right
+// behind the events it queued itself, wherever its connection's reader was:
+// a run replays deterministically. The wait is on a condition, never a sleep,
+// and panics after updateWait.
 func (n *Network) next() func() {
 	var bound *time.Timer
 	expired := false
@@ -268,7 +273,7 @@ func (n *Network) next() func() {
 		n.mu.Unlock()
 		behind := n.behind()
 		n.mu.Lock()
-		if !behind {
+		if !behind && n.exchanges == 0 {
 			if len(n.events) == 0 {
 				return nil
 			}
@@ -278,6 +283,9 @@ func (n *Network) next() func() {
 			return fn
 		}
 		if expired {
+			if n.exchanges > 0 {
+				panic("netsim: a query a transport started never completed")
+			}
 			panic("netsim: an update a daemon published never arrived")
 		}
 		if bound == nil {
@@ -288,7 +296,7 @@ func (n *Network) next() func() {
 				n.mu.Unlock()
 			})
 		}
-		for n.updates == seen && !expired {
+		for n.updates == seen && (behind || n.exchanges > 0) && !expired {
 			n.cond.Wait()
 		}
 	}

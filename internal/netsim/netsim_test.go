@@ -4,6 +4,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"identxx/internal/netaddr"
 	"identxx/internal/packet"
 	"identxx/internal/pf"
+	"identxx/internal/query"
 	"identxx/internal/wire"
 )
 
@@ -557,4 +559,80 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		n.Run(0)
 		ha.Info.Close(five)
 	}
+}
+
+// TestRunWaitsForDecisionsInFlight: a decision finishes on the pool's
+// connection reader, after the event that punted it has returned. With the
+// destination daemon's answer held until a timer releases it, Run returns
+// only after the release; the flow's packet is then delivered; and the
+// source's answer alone, delivered long before, did not finish the decision.
+func TestRunWaitsForDecisionsInFlight(t *testing.T) {
+	n, sw1, sw2, ha, hb := line(t)
+	eng := n.Transport(sw1)
+	ctl := core.New(core.Config{
+		Name: "main",
+		Policy: pf.MustCompile("policy", `
+block all
+pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
+`),
+		Transport: eng, Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+	})
+	n.AttachController(ctl, sw1, sw2)
+	pid := skypePair(t, ha, hb)
+
+	release := make(chan struct{})
+	hb.Daemon.SetForge(func(_ wire.Query, honest *wire.Response) *wire.Response {
+		<-release
+		return honest
+	})
+	// The network closes only once the answer is released, whenever Run
+	// returned.
+	t.Cleanup(func() { <-release })
+	var released atomic.Bool
+	var decidedBeforeRelease atomic.Int64
+	time.AfterFunc(50*time.Millisecond, func() {
+		defer close(release)
+		deadline := time.Now().Add(5 * time.Second)
+		for !srcAnswered(eng, ha.IP()) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if srcAnswered(eng, ha.IP()) {
+			decidedBeforeRelease.Store(ctl.Counters.Get("flows_allowed") + ctl.Counters.Get("flows_denied"))
+		} else {
+			decidedBeforeRelease.Store(-1)
+		}
+		released.Store(true)
+	})
+
+	five, err := ha.StartFlow(pid, hb.IP(), 5060)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(0)
+	if !released.Load() {
+		t.Fatal("Run returned while the destination's answer was still held")
+	}
+	switch got := decidedBeforeRelease.Load(); got {
+	case -1:
+		t.Fatal("the source's answer was never delivered")
+	case 0:
+	default:
+		t.Errorf("%d decisions finished on the source's answer alone, want 0", got)
+	}
+	if got := ctl.Counters.Get("flows_allowed"); got != 1 {
+		t.Errorf("flows_allowed = %d, want 1", got)
+	}
+	if got := hb.ReceivedFlows()[five]; got != 1 {
+		t.Errorf("packets of the flow delivered = %d when Run returned, want 1", got)
+	}
+}
+
+// srcAnswered reports whether eng has delivered an answer from host.
+func srcAnswered(eng *query.Engine, host netaddr.IP) bool {
+	for _, hs := range eng.HostStats() {
+		if hs.Host == host && hs.Queries > 0 {
+			return true
+		}
+	}
+	return false
 }

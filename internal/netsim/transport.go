@@ -15,8 +15,9 @@ import (
 
 // Transport returns the query plane of a controller homed at home: a
 // query.Engine on the virtual clock over a query.Pool of its own (one counter
-// set for both) that reaches each host's daemon.Server on loopback. With the
-// blocking gather a decision completes inside the event that punted it.
+// set for both) that reaches each host's daemon.Server on loopback. A
+// decision finishes on the pool's connection reader, as identctl's do, and
+// Run waits for it before the next event.
 func (n *Network) Transport(home *SwitchNode) *query.Engine {
 	l := &lower{n: n, home: home.SW.ID, serials: make(map[*Host]uint64)}
 	counters := metrics.NewCounter()
@@ -62,22 +63,24 @@ func (l *lower) Resolve(ip netaddr.IP) (string, bool) {
 	return h.addr, true
 }
 
-// Query implements query.Lower. The zone controllers between home and host
-// see the query in path order: the first that answers for host ends it there
-// (§3.4), otherwise host's daemon answers over the pool and each of them
-// augments the response on its way back.
-func (l *lower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
-	var rtt time.Duration
-	err := core.ErrNoDaemon
-	resp := core.InterceptChain{Outbound: l.n.interceptors(l.home, host)}.Exchange(host, q, func() *wire.Response {
-		var r *wire.Response
-		r, rtt, err = l.pool.Query(host, q)
-		return r
+// Go implements query.Lower. The zone controllers between home and host see
+// the query in path order: the first that answers for host ends it there, on
+// the spot (§3.4); otherwise host's daemon answers over the pool and each of
+// them augments the response on its way back. The exchange is outstanding,
+// for Run's wait, until done has returned.
+func (l *lower) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error)) {
+	n := l.n
+	n.mu.Lock()
+	n.exchanges++
+	n.mu.Unlock()
+	ask := func(reply func(*wire.Response, time.Duration, error)) { l.pool.Go(host, q, start, deadline, reply) }
+	core.InterceptChain{Outbound: n.interceptors(l.home, host)}.Exchange(host, q, ask, func(resp *wire.Response, rtt time.Duration, err error) {
+		done(resp, rtt, err)
+		n.mu.Lock()
+		n.exchanges--
+		n.cond.Broadcast()
+		n.mu.Unlock()
 	})
-	if resp == nil {
-		return nil, rtt, err
-	}
-	return resp, rtt, nil
 }
 
 // SetUpdateHandler queues each update the pool receives as an event, and

@@ -71,7 +71,6 @@ func TestStalledSwitchIsCutOffAtWriteDeadline(t *testing.T) {
 		Transport:      eng,
 		Topology:       octetTopo{},
 		InstallEntries: true,
-		AsyncQueries:   true,
 	})
 	server := openflow.NewChannelServer(ctl)
 	addr, err := server.Listen("127.0.0.1:0")

@@ -59,7 +59,6 @@ func credStack(t *testing.T, name string, authority sig.PublicKey, resolver quer
 		Transport:        eng,
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
-		AsyncQueries:     true,
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})

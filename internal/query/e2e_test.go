@@ -140,7 +140,6 @@ pass from any to any port 631 with eq(@dst[type], printer)
 		Transport:        eng,
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
-		AsyncQueries:     true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(dp)
@@ -228,7 +227,6 @@ func TestE2EConcurrentFlowsThroughQueryPlane(t *testing.T) {
 		Transport:      eng,
 		Topology:       &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		AsyncQueries:   true,
 	})
 	ctl.AddDatapath(dp)
 

@@ -14,15 +14,14 @@ import (
 	"identxx/internal/wire"
 )
 
-// Lower is the wire layer underneath an Engine — core.QueryTransport's
-// shape, satisfied by *Pool (real TCP), the simulator's adapter (a Pool
-// behind the §3.4 interception chain), and the baselines. A Lower that also
-// has *Pool's Go(host, q, start, deadline, done) is never waited on: a
-// flight's completion runs on the goroutine that decoded the response. One
-// that only blocks is called on the goroutine that started the flight, which
-// waits out the exchange.
+// Lower is the wire layer underneath an Engine: *Pool (real TCP), or the
+// simulator's adapter (a Pool behind the §3.4 interception chain). Go starts
+// one attempt begun at start and returns without waiting; done runs exactly
+// once, on the goroutine that learns the outcome (over a Pool, the one that
+// decoded the response) or inline for what the lower refuses on the spot,
+// and must not block.
 type Lower interface {
-	Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
+	Go(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error))
 }
 
 // updateSource is the optional push face of a Lower: transports that can
@@ -61,18 +60,15 @@ const (
 )
 
 // Engine is the query-plane brain. It implements core.QueryTransport
-// (blocking Query) and the completion-style faces core.Config.AsyncQueries
-// asks for (QueryAsync, QueryAsyncTraced), all of them over the same
-// retry and breaker state. A host that fails to dial is remembered below,
-// by its Pipe's backoff window, not here. Every query is its own flight to
-// the wire: the controller asks each end of a flow once per decision (its
-// pending set parks a flow's duplicate packet-ins), so there is nothing to
-// share.
+// (QueryAsync) and the traced face the controller prefers
+// (QueryAsyncTraced), plus a blocking Query for callers outside the
+// decision path, all of them over the same retry and breaker state. A host
+// that fails to dial is remembered below, by its Pipe's backoff window, not
+// here. Every query is its own flight to the wire: the controller asks each
+// end of a flow once per decision (its pending set parks a flow's duplicate
+// packet-ins), so there is nothing to share.
 type Engine struct {
-	lower Lower
-	// start issues one attempt begun at start: the lower's Go, or its
-	// blocking Query completed inline.
-	start   func(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error))
+	lower   Lower
 	timeout time.Duration
 	clock   func() time.Time
 
@@ -139,15 +135,6 @@ func NewEngine(cfg Config) *Engine {
 		clock:   cfg.Clock,
 		hosts:   make(map[netaddr.IP]*hostState),
 	}
-	if gl, ok := cfg.Lower.(interface {
-		Go(netaddr.IP, wire.Query, time.Time, time.Time, func(*wire.Response, time.Duration, error))
-	}); ok {
-		e.start = gl.Go
-	} else {
-		e.start = func(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
-			done(e.lower.Query(host, q))
-		}
-	}
 	e.idle.L = &e.idleMu
 	if e.timeout <= 0 {
 		e.timeout = defaultRequestTimeout
@@ -192,18 +179,18 @@ func (e *Engine) Subscribed(host netaddr.IP) bool {
 	return true
 }
 
-// Query implements core.QueryTransport: it blocks until the result is
-// available.
+// Query asks host and blocks until the result is available. It is for
+// callers off the decision path; the controller asks by completion.
 func (e *Engine) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	w := waiters.Get().(*waiter)
 	e.query(host, q, nil, 0, w.done)
 	return w.wait()
 }
 
-// QueryAsync is the completion-style face: done is invoked exactly once —
+// QueryAsync implements core.QueryTransport: done is invoked exactly once —
 // inline for fast-path rejections (breaker, closed, what the lower refuses on
-// the spot, a host inside its dial backoff window) and over a lower that only blocks, otherwise on
-// the goroutine that learns the outcome: over a Pool, the host connection's
+// the spot, a host inside its dial backoff window), otherwise on the
+// goroutine that learns the outcome: over a Pool, the host connection's
 // reader. done must not block; the controller's continuation (evaluate +
 // install) is the intended scale.
 func (e *Engine) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
@@ -328,7 +315,7 @@ func (e *Engine) HostStats() []HostStatus {
 }
 
 // launch starts one attempt, which ends in onReply: over a Pool on the host
-// connection's reader, over a lower that only blocks before launch returns.
+// connection's reader, or inline for what the lower refuses on the spot.
 // The clock is read once: the attempt's start, handed down with the deadline
 // it sets, is where the Pool's RTT begins.
 func (f *flight) launch() {
@@ -336,7 +323,7 @@ func (f *flight) launch() {
 	e.hot.sent.Add(1)
 	f.attempts++
 	now := time.Now()
-	e.start(f.host, f.q, now, now.Add(e.timeout), f.reply)
+	e.lower.Go(f.host, f.q, now, now.Add(e.timeout), f.reply)
 }
 
 // onReply ends one attempt: retry, or settle the host's record and deliver.

@@ -16,14 +16,20 @@ import (
 	"identxx/internal/wire"
 )
 
-// fakeLower is a scriptable lower layer counting wire exchanges.
+// fakeLower is a scriptable lower layer counting wire exchanges. It
+// completes each exchange inline, on the caller, as a Pool does what it
+// refuses on the spot.
 type fakeLower struct {
 	calls atomic.Int64
 	gate  chan struct{} // when non-nil, exchanges block until it closes
 	fn    func(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error)
 }
 
-func (l *fakeLower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (l *fakeLower) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+	done(l.answer(host, q))
+}
+
+func (l *fakeLower) answer(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	l.calls.Add(1)
 	if l.gate != nil {
 		<-l.gate
@@ -36,14 +42,13 @@ func (l *fakeLower) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.D
 	return r, time.Millisecond, nil
 }
 
-// goLower gives fakeLower the Pool's completion face, each exchange on a
-// goroutine of its own: a gated flight stays parked while its caller goes on
-// to issue the next query. (Over a lower with Query alone the engine runs the
-// exchange on the caller.)
+// goLower is fakeLower completing each exchange on a goroutine of its own,
+// as a Pool's reader does: a gated flight stays parked while its caller goes
+// on to issue the next query.
 type goLower struct{ fakeLower }
 
 func (l *goLower) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
-	go func() { done(l.Query(host, q)) }()
+	go func() { done(l.answer(host, q)) }()
 }
 
 // fakeClock is a manually advanced clock for cooldown determinism.
@@ -320,10 +325,10 @@ func TestEngineQueryAsync(t *testing.T) {
 	}
 }
 
-// TestEngineQueryAsyncOverBlockingLower: a lower with Query alone is asked on
-// the caller — done has run when QueryAsync returns, retries included, and no
+// TestEngineQueryAsyncOverInlineLower: over a lower that completes on the
+// caller, done has run when QueryAsync returns, retries included, and no
 // goroutine was started for the flight.
-func TestEngineQueryAsyncOverBlockingLower(t *testing.T) {
+func TestEngineQueryAsyncOverInlineLower(t *testing.T) {
 	lower := &fakeLower{}
 	fails := 1
 	lower.fn = func(_ netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {

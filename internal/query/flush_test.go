@@ -65,7 +65,7 @@ func TestWedgedDaemonTornDownByFlushDeadline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := p.Exchange(hostIP, wire.Query{Flow: testFlow(hostIP, netaddr.Port(6000+i)), Keys: keys}, far)
+			_, _, err := goWait(p, hostIP, wire.Query{Flow: testFlow(hostIP, netaddr.Port(6000+i)), Keys: keys}, far)
 			errs <- err
 		}(i)
 	}

@@ -22,8 +22,8 @@ type PoolConfig struct {
 	// Resolver maps host IPs to daemon addresses. Required.
 	Resolver Resolver
 
-	// RequestTimeout is the per-request deadline Query applies when the
-	// caller does not supply one via Exchange or Go (default 2s).
+	// RequestTimeout is the deadline Query applies; a Go caller supplies its
+	// own (default 2s).
 	RequestTimeout time.Duration
 
 	// Counters receives transport counters; a private set when nil.
@@ -55,7 +55,7 @@ var errNoAddress = fmt.Errorf("query: no daemon address: %w", core.ErrNoDaemon)
 // share the connection, correlated to responses by FIFO order, which is
 // exactly the order daemon.Server answers one connection's queries in.
 // Each response's flow tuple is checked against its request's as a desync
-// guard. Pool implements core.QueryTransport.
+// guard. Pool is the Engine's Lower.
 type Pool struct {
 	resolver   Resolver
 	reqTimeout time.Duration
@@ -142,10 +142,14 @@ func (p *Pool) Subscribed(host netaddr.IP) bool {
 	return hc.streaming
 }
 
-// Query implements core.QueryTransport with the pool's default deadline.
+// Query is Go, started now with the pool's default deadline, and a wait for
+// its completion: one attempt, for a caller that has nothing else to do
+// while it waits (identquery, a test).
 func (p *Pool) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+	w := waiters.Get().(*waiter)
 	now := time.Now()
-	return p.exchange(host, q, now, now.Add(p.reqTimeout))
+	p.Go(host, q, now, now.Add(p.reqTimeout), w.done)
+	return w.wait()
 }
 
 // waiter is a completion to wait for: done is handed to what completes.
@@ -171,17 +175,6 @@ func (w *waiter) wait() (*wire.Response, time.Duration, error) {
 	r := <-w.ch
 	waiters.Put(w)
 	return r.resp, r.rtt, r.err
-}
-
-// Exchange is Go, started now, and a wait for its completion.
-func (p *Pool) Exchange(host netaddr.IP, q wire.Query, deadline time.Time) (*wire.Response, time.Duration, error) {
-	return p.exchange(host, q, time.Now(), deadline)
-}
-
-func (p *Pool) exchange(host netaddr.IP, q wire.Query, start, deadline time.Time) (*wire.Response, time.Duration, error) {
-	w := waiters.Get().(*waiter)
-	p.Go(host, q, start, deadline, w.done)
-	return w.wait()
 }
 
 // Go starts one query/response round trip against host's daemon and returns;

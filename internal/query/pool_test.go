@@ -241,6 +241,14 @@ func TestPoolRejectsOversizedResponse(t *testing.T) {
 	}
 }
 
+// goWait is Go, started now with the caller's deadline, and a wait for its
+// completion.
+func goWait(p *Pool, host netaddr.IP, q wire.Query, deadline time.Time) (*wire.Response, time.Duration, error) {
+	w := waiters.Get().(*waiter)
+	p.Go(host, q, time.Now(), deadline, w.done)
+	return w.wait()
+}
+
 // TestPoolRequestDeadline runs against a server that reads the query but
 // never answers: the exchange must fail with a timeout-classified error by
 // its deadline, and a daemon'd-but-slow host must never be classified as
@@ -267,7 +275,7 @@ func TestPoolRequestDeadline(t *testing.T) {
 	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: l.Addr().String()}})
 	defer p.Close()
 	start := time.Now()
-	_, _, err = p.Exchange(hostIP, wire.Query{Flow: testFlow(hostIP, 5000)}, time.Now().Add(100*time.Millisecond))
+	_, _, err = goWait(p, hostIP, wire.Query{Flow: testFlow(hostIP, 5000)}, time.Now().Add(100*time.Millisecond))
 	if err == nil {
 		t.Fatal("exchange succeeded against a mute server")
 	}

@@ -10,9 +10,8 @@
 //     per-request deadlines; Go starts a query and returns, and its
 //     completion runs on the connection's reader (pool.go).
 //
-//   - Engine sits above any core.QueryTransport-shaped lower layer (the
-//     Pool, directly in identctl, or behind the simulator's interception
-//     chain in the experiments) and adds the behavior a controller serving millions of
+//   - Engine sits above a Lower (the Pool, directly in identctl, or behind
+//     the simulator's interception chain in the experiments) and adds the behavior a controller serving millions of
 //     users needs on the availability-critical path: bounded retries, a
 //     per-host circuit breaker that stops queries to a daemon that is
 //     connected but hung, and an asynchronous completion API the controller uses to suspend a

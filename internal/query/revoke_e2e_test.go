@@ -71,7 +71,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 			{Datapath: 2, OutPort: 3},
 		}},
 		InstallEntries:   true,
-		AsyncQueries:     true,
 		ResponseCacheTTL: time.Hour,
 		Revocation:       true,
 	})
@@ -179,7 +178,6 @@ pass from any to any port 631 with eq(@dst[type], printer)
 		Transport:          eng,
 		Topology:           &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:     true,
-		AsyncQueries:       true,
 		ResponseCacheTTL:   time.Hour,
 		Revocation:         true,
 		RevocationLeaseTTL: 50 * time.Millisecond,

@@ -21,12 +21,18 @@ import (
 
 // --- fixtures -----------------------------------------------------------
 
+// okTransport answers every query inline, as a controller's transport and
+// as an engine's lower.
 type okTransport struct{}
 
-func (okTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
+func (okTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
 	r := wire.NewResponse(q.Flow)
 	r.Add(wire.KeyName, "skype")
-	return r, time.Millisecond, nil
+	done(r, time.Millisecond, nil)
+}
+
+func (t okTransport) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func(*wire.Response, time.Duration, error)) {
+	t.QueryAsync(host, q, done)
 }
 
 type lineTopo struct{}

@@ -183,7 +183,6 @@ func TestOperatorHosts(t *testing.T) {
 			Transport:        eng,
 			Topology:         lineTopo{},
 			InstallEntries:   true,
-			AsyncQueries:     true,
 			ResponseCacheTTL: time.Hour,
 			Revocation:       true,
 		})
