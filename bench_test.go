@@ -498,15 +498,18 @@ func m9Host(b *testing.B, name, ip string) (netaddr.IP, string, flow.Five) {
 //     outstanding on the one connection, each completion issuing the next
 //     from the reader it runs on. ns/op and allocs/op are per query: the
 //     query plane's own cost with the round trips overlapped, the
-//     in-process daemon's answer included (CI gates the allocations; two
-//     of them are the response's decode).
+//     in-process daemon's answer included. Every answer repeats one body,
+//     which the connection's reader decodes once, so CI gates it at 0
+//     allocs/op.
 //   - daemon-down: the host's port answers nothing — after each refused
 //     dial the pool's backoff window fails every miss fast with the same
 //     ErrNoDaemon (CI gates it at 0 allocs/op).
 //   - scoped-miss: a controller with no verdict cache deciding fresh flows
 //     to one listener whose answer it holds (a daemon gave it at listener
 //     scope): each op is one miss and one wire query, the source's, over
-//     real daemons. CI gates its allocs/op at the measured figure.
+//     real daemons. The steady-state miss allocates nothing — the
+//     source's answer is decoded once per connection and the flow's
+//     revocation record is a recycled one — and CI gates it at 0.
 func BenchmarkM9_QueryPlane(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		srcIP, srcAddr, five := m9Host(b, "pc", "10.4.0.1")
@@ -910,7 +913,8 @@ func BenchmarkM10_Compile(b *testing.B) {
 //     over 16 hosts in the controller's five-fact shape (both markers,
 //     name and version at the source, name at the destination): per op one
 //     record is dropped and registered again, what every uncached miss and
-//     its flow-removed cost. CI gates it at <= 1 allocs/op: the record.
+//     its flow-removed cost. The dropped record is the next one registered,
+//     so CI gates it at 0 allocs/op.
 func BenchmarkM11_Revocation(b *testing.B) {
 	srcIP := netaddr.MustParseIP("10.0.0.1")
 	dstIP := netaddr.MustParseIP("10.0.0.2")

@@ -69,8 +69,9 @@ func DialTCP(addr string) *TCPLink { return dialTCP(addr, linkRequestTimeout) }
 
 func dialTCP(addr string, timeout time.Duration) *TCPLink {
 	l := &TCPLink{timeout: timeout}
-	l.pipe = link.NewPipe(&l.mu, addr, timeout, linkMaxInFlight,
-		link.Plane[struct{}, byte]{Frame: ackStatus})
+	l.pipe = link.NewPipe(&l.mu, addr, timeout, linkMaxInFlight, link.Plane[struct{}, byte]{
+		Reader: func() func(wire.Frame) (struct{}, byte, link.Verdict, error) { return ackStatus },
+	})
 	return l
 }
 

@@ -624,6 +624,9 @@ func (c *Controller) AnswerForHost(ip netaddr.IP, pairs ...wire.KV) {
 
 // SetAugmenter installs the response-augmentation hook used when this
 // controller intercepts ident++ responses transiting its network (§3.4).
+// The hook adds what it adds in a section of its own (resp.Augment): the
+// sections resp arrived with are shared with every response its connection
+// decoded from the same body, and must not be written.
 func (c *Controller) SetAugmenter(f func(q wire.Query, resp *wire.Response)) {
 	c.mutate(func(st *ctlState) {
 		st.augment = f

@@ -52,10 +52,10 @@ type heldKey struct {
 }
 
 // heldAnswer is a listener-scoped answer as the controller keeps it. Nothing
-// in it is written after it is stored: the response is read by every
-// decision it serves and never pooled.
+// in it is written after it is stored: the response, a copy of the one the
+// transport lent, is read by every decision it serves and never pooled.
 type heldAnswer struct {
-	resp *wire.Response
+	resp wire.Response
 	keys []string // the destination key hints it was asked with
 	fact string   // the listener fact's key
 	gen  uint64   // the host fence's generation when its decision claimed
@@ -145,7 +145,7 @@ func covers(have, want []string) bool {
 // RTT sample, a hit in the flight recorder.
 func (c *Controller) useHeld(s *decisionScratch, h *heldAnswer) {
 	g := &s.gather
-	g.dst, g.dstFact = h.resp, h.fact
+	g.dst, g.dstFact = &h.resp, h.fact
 	s.bd.DstHeld = true
 	c.hot.scopeHits.Add(1)
 	s.tb.Rec(trace.StageQueryDone, trace.FlagDst|trace.FlagHit, 0)
@@ -162,7 +162,7 @@ func (c *Controller) learn(s *decisionScratch) {
 	}
 	g := &s.gather
 	g.dstFact = revoke.ListenerKey(g.dst.Scope.Proto, g.dst.Scope.Port)
-	h := &heldAnswer{resp: g.dst, keys: slices.Clone(g.qd.Keys), fact: g.dstFact, gen: s.dstGen}
+	h := &heldAnswer{resp: *g.dst, keys: slices.Clone(g.qd.Keys), fact: g.dstFact, gen: s.dstGen}
 	if c.current(h, s.five.DstIP) != nil {
 		c.held.put(destinationKey(s), h)
 		c.hot.scopeLearned.Add(1)

@@ -17,11 +17,15 @@ import (
 // listenerTransport is skypeFacts whose destination host answers every
 // query at the flow's listener scope, as a daemon does for a flow its
 // listener owns. onSrc, when set, runs after each source query is answered;
-// streamDown says every host's update stream is down.
+// streamDown says every host's update stream is down. With lend, a response
+// is lent as a Pool's connection reader lends it: one wrapper per host,
+// rewritten — here to poison — as soon as the completion returns.
 type listenerTransport struct {
 	*fakeTransport
 	onSrc      func()
 	streamDown bool
+	lend       bool
+	lent       map[netaddr.IP]*wire.Response
 }
 
 func (t *listenerTransport) Subscribed(netaddr.IP) bool { return !t.streamDown }
@@ -38,7 +42,22 @@ func (t *listenerTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response
 }
 
 func (t *listenerTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-	done(t.Query(host, q))
+	resp, rtt, err := t.Query(host, q)
+	if !t.lend || resp == nil {
+		done(resp, rtt, err)
+		return
+	}
+	if t.lent == nil {
+		t.lent = make(map[netaddr.IP]*wire.Response)
+	}
+	w := t.lent[host]
+	if w == nil {
+		w = new(wire.Response)
+		t.lent[host] = w
+	}
+	*w = *resp
+	done(w, rtt, err)
+	*w = wire.Response{Sections: []wire.Section{{Pairs: []wire.KV{{Key: wire.KeyName, Value: "poison"}}}}}
 }
 
 func newListenerController(t *testing.T, revocation bool) (*Controller, *listenerTransport, *fakeDatapath) {
@@ -66,7 +85,7 @@ func heldFacts(c *Controller) *wire.Response {
 	if h == nil {
 		return nil
 	}
-	return h.resp
+	return &h.resp
 }
 
 // TestHeldAnswerServesListener: a destination answered at its listener's
@@ -131,6 +150,36 @@ func TestHeldAnswerServesListener(t *testing.T) {
 		if q := tr.queryCount(); q != 8 {
 			t.Errorf("queries = %d, want 8", q)
 		}
+	})
+}
+
+// TestHeldAnswerOutlivesTheLentResponse: a transport lends a response for
+// its completion only. The gather reads a copy, and the held listener answer
+// is a copy of its own: it stays byte-identical while 1,000 later responses
+// pass through the same host's wrapper, and every answer held meanwhile keeps
+// serving its listener's flows.
+func TestHeldAnswerOutlivesTheLentResponse(t *testing.T) {
+	c, tr, _ := newListenerController(t, true)
+	tr.lend = true
+	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
+	c.HandleEvent(sampleEvent(revFlow(40000), 1))
+	held := heldFacts(c)
+	if held == nil {
+		t.Fatal("no answer held for the listener")
+	}
+	want := string(wire.EncodeResponse(held))
+	const later, listeners = 1000, 8
+	for i := 1; i <= later+listeners; i++ { // every listener once, then its held answer
+		f := revFlow(40000 + i)
+		f.DstPort = 6000 + netaddr.Port(i%listeners)
+		c.HandleEvent(sampleEvent(f, 1))
+	}
+	if got := string(wire.EncodeResponse(heldFacts(c))); got != want || heldFacts(c) != held {
+		t.Fatalf("held answer is now %q, was %q", got, want)
+	}
+	c.HandleEvent(sampleEvent(revFlow(39999), 1))
+	checkCounters(t, c, map[string]int64{
+		"flows_allowed": later + listeners + 2, "scope_learned": listeners + 1, "scope_hits": later + 1,
 	})
 }
 

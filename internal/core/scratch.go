@@ -176,7 +176,11 @@ type gatherState struct {
 	// still-matching rule could read from that end.
 	qs, qd wire.Query
 
+	// src and dst are what the evaluation reads of each end: a daemon's
+	// answer copied into srcResp/dstResp (the transport only lends it), a
+	// held listener answer, or a controller-built view.
 	src, dst                   *wire.Response
+	srcResp, dstResp           wire.Response
 	qsrc, qdst                 time.Duration
 	srcBuilt, dstBuilt         bool // response built by the controller (answer-on-behalf), not a daemon
 	srcTransient, dstTransient bool // end lost to transport trouble; decision must not be cached
@@ -205,24 +209,37 @@ type gatherState struct {
 }
 
 // srcDone and dstDone are the transport's completion entry points. The
-// response they receive is a read-only borrow (see internal/query's borrow
-// contract); resolveResponse never mutates it, and downstream it is read by
-// the evaluation and dropped, or — a destination answer given at its
-// listener's scope — kept read-only to serve that listener's next misses
-// (scope.go); never pooled.
+// response they receive is lent for the call (see internal/query's borrow
+// contract): a daemon's answer is copied into the scratch — a few words; its
+// sections are read-only and shared, never written — and downstream it is
+// read by the evaluation, or — a destination answer given at its listener's
+// scope — copied once more to serve that listener's next misses (scope.go);
+// never pooled.
 func (g *gatherState) srcDone(resp *wire.Response, rtt time.Duration, err error) {
-	g.src, g.qsrc, g.srcBuilt, g.srcTransient = g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
+	r, qsrc, built, transient := g.c.resolveResponse(g.st, g.qs.Flow, g.qs.Flow.SrcIP, resp, rtt, err)
+	g.src, g.qsrc, g.srcBuilt, g.srcTransient = keep(&g.srcResp, r, resp), qsrc, built, transient
 	if g.pending.Add(-1) == 0 {
 		g.c.finishDecision(g.owner)
 	}
 }
 
 func (g *gatherState) dstDone(resp *wire.Response, rtt time.Duration, err error) {
-	g.dst, g.qdst, g.dstBuilt, g.dstTransient = g.c.resolveResponse(g.st, g.qd.Flow, g.qd.Flow.DstIP, resp, rtt, err)
-	g.dstScoped = resp != nil && g.dst == resp && resp.Scope == wire.ListenerScope(g.qd.Flow.Proto, g.qd.Flow.DstPort)
+	r, qdst, built, transient := g.c.resolveResponse(g.st, g.qd.Flow, g.qd.Flow.DstIP, resp, rtt, err)
+	g.dstScoped = resp != nil && r == resp && resp.Scope == wire.ListenerScope(g.qd.Flow.Proto, g.qd.Flow.DstPort)
+	g.dst, g.qdst, g.dstBuilt, g.dstTransient = keep(&g.dstResp, r, resp), qdst, built, transient
 	if g.pending.Add(-1) == 0 {
 		g.c.finishDecision(g.owner)
 	}
+}
+
+// keep returns r, the response an end resolved to, as the decision keeps it:
+// when it is the lent one, a copy in own.
+func keep(own, r, lent *wire.Response) *wire.Response {
+	if r == nil || r != lent {
+		return r
+	}
+	*own = *lent
+	return own
 }
 
 func (g *gatherState) reset() {
@@ -230,6 +247,7 @@ func (g *gatherState) reset() {
 	g.st = nil
 	g.qs, g.qd = wire.Query{}, wire.Query{}
 	g.src, g.dst = nil, nil
+	g.srcResp, g.dstResp = wire.Response{}, wire.Response{}
 	g.qsrc, g.qdst = 0, 0
 	g.srcBuilt, g.dstBuilt = false, false
 	g.srcTransient, g.dstTransient = false, false
@@ -242,8 +260,8 @@ func (g *gatherState) reset() {
 // releaseBuilt returns the controller-built response views to the pf pool
 // once the decision that built them is finished — always: the verdict
 // cache keeps verdicts, not responses, so nothing outlives the decision to
-// read them. Daemon-returned responses are owned by the transport or the
-// garbage collector and are not touched here.
+// read them. A daemon's answer is the scratch's copy and is not touched
+// here.
 func (g *gatherState) releaseBuilt() {
 	if g.srcBuilt {
 		pf.ReleaseResponse(g.src)

@@ -61,14 +61,18 @@ const (
 	Fatal                    // the stream cannot be trusted past it: tear the connection down
 )
 
-// Plane is the owner's half of a Pipe. Only Frame is required.
+// Plane is the owner's half of a Pipe. Only Reader is required.
 type Plane[K comparable, R any] struct {
-	// Frame decodes one frame on the connection's reader goroutine, without
-	// the lock. The payload is the reader's reused buffer: copy what is
+	// Reader returns the decoder of one connection's frames. It is called
+	// under the lock once per connection, as the dial succeeds, and what it
+	// returns runs on that connection's reader goroutine only, without the
+	// lock, so it may keep state for the connection alone. It decodes one
+	// frame per call; the payload is the reader's reused buffer: copy what is
 	// kept. With Reply it returns the key of the request the frame says it
 	// answers and the decoded reply or, to fail just that call, an error;
-	// with Fatal, the cause.
-	Frame func(f wire.Frame) (K, R, Verdict, error)
+	// with Fatal, the cause. The reply is the call's completion's for as long
+	// as the completion runs: the reader decodes no other frame meanwhile.
+	Reader func() func(f wire.Frame) (K, R, Verdict, error)
 	// Opened runs under the lock when a dial succeeds; what it appends to
 	// buf is written ahead of the first request.
 	Opened func(buf []byte) []byte
@@ -247,7 +251,7 @@ func (p *Pipe[K, R]) dial() {
 		p.out = NewWriter(p.l, Deadlined(conn, p.timeout), func(err error) {
 			p.teardown(gen, fmt.Errorf("link: write %s: %w", p.addr, err))
 		})
-		go p.read(conn, gen)
+		go p.read(conn, gen, p.plane.Reader())
 		if p.plane.Opened != nil {
 			p.out.Buf = p.plane.Opened(p.out.Buf)
 			p.out.Flush()
@@ -346,9 +350,10 @@ func (p *Pipe[K, R]) sweep() {
 	}
 }
 
-// read is the connection's single reader: it hands every frame to the Plane
-// and completes the oldest call outstanding with each reply.
-func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
+// read is the connection's single reader: it hands every frame to the
+// connection's decoder and completes the oldest call outstanding with each
+// reply.
+func (p *Pipe[K, R]) read(conn net.Conn, gen uint64, decode func(wire.Frame) (K, R, Verdict, error)) {
 	br := bufio.NewReaderSize(conn, connBuf)
 	var payload []byte // every frame's, in turn
 	for {
@@ -358,7 +363,7 @@ func (p *Pipe[K, R]) read(conn net.Conn, gen uint64) {
 			return
 		}
 		payload = buf
-		key, reply, verdict, err := p.plane.Frame(f)
+		key, reply, verdict, err := decode(f)
 		if verdict == OutOfBand {
 			continue
 		}

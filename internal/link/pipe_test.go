@@ -88,21 +88,25 @@ type probe struct {
 	oob atomic.Int64
 }
 
-// counts is how often each hook ran: connections opened and torn down, calls
-// failed by teardowns, dials failed and calls failed fast from the window.
-type counts struct{ opened, downs, failed, fresh, cached int }
+// counts is how often each hook ran: connections opened, their decoders made
+// and connections torn down, calls failed by teardowns, dials failed and
+// calls failed fast from the window.
+type counts struct{ opened, readers, downs, failed, fresh, cached int }
 
 func (pr *probe) pipe(addr string, limit int) *Pipe[uint32, string] {
 	return NewPipe(&pr.mu, addr, time.Second, limit, Plane[uint32, string]{
-		Frame: func(f wire.Frame) (uint32, string, Verdict, error) {
-			switch f.Type {
-			case wire.FrameUpdate:
-				pr.oob.Add(1)
-				return 0, "", OutOfBand, nil
-			case wire.FrameResponse:
-				return uint32(f.SrcIP), string(f.Payload), Reply, nil
+		Reader: func() func(wire.Frame) (uint32, string, Verdict, error) {
+			pr.n.readers++
+			return func(f wire.Frame) (uint32, string, Verdict, error) {
+				switch f.Type {
+				case wire.FrameUpdate:
+					pr.oob.Add(1)
+					return 0, "", OutOfBand, nil
+				case wire.FrameResponse:
+					return uint32(f.SrcIP), string(f.Payload), Reply, nil
+				}
+				return 0, "", Fatal, fmt.Errorf("unexpected frame %#02x", f.Type)
 			}
-			return 0, "", Fatal, fmt.Errorf("unexpected frame %#02x", f.Type)
 		},
 		Opened: func(b []byte) []byte { pr.n.opened++; return b },
 		DialFailed: func(err error, cached bool) error {
@@ -543,8 +547,8 @@ func TestPipeCloseRacingDial(t *testing.T) {
 			t.Error("a connection survived Close")
 		}
 		pr.mu.Unlock()
-		if n := pr.counts(); n.opened != n.downs || n.opened != before {
-			t.Errorf("%d connections opened (%d before the late call), %d torn down", n.opened, before, n.downs)
+		if n := pr.counts(); n.opened != n.downs || n.opened != before || n.readers != n.opened {
+			t.Errorf("%d connections opened (%d before the late call) with %d decoders, %d torn down", n.opened, before, n.readers, n.downs)
 		}
 	}
 	eventually(t, "peer to see every connection closed", func() bool { return pe.live.Load() == 0 })

@@ -144,7 +144,8 @@ func (p *Pool) Subscribed(host netaddr.IP) bool {
 
 // Query is Go, started now with the pool's default deadline, and a wait for
 // its completion: one attempt, for a caller that has nothing else to do
-// while it waits (identquery, a test).
+// while it waits (identquery, a test). The response is the caller's own: a
+// copy of the one the connection's reader lends the completion.
 func (p *Pool) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	w := waiters.Get().(*waiter)
 	now := time.Now()
@@ -152,8 +153,9 @@ func (p *Pool) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Durati
 	return w.wait()
 }
 
-// waiter is a completion to wait for: done is handed to what completes.
-// Recycled with done bound, so a blocking call allocates neither.
+// waiter is a completion to wait for: done is handed to what completes, and
+// copies the lent response into one the waiting caller owns. Recycled with
+// done bound, so a blocking call allocates neither.
 type waiter struct {
 	ch   chan result
 	done completion
@@ -167,7 +169,12 @@ type result struct {
 
 var waiters = sync.Pool{New: func() any {
 	w := &waiter{ch: make(chan result, 1)}
-	w.done = func(resp *wire.Response, rtt time.Duration, err error) { w.ch <- result{resp, rtt, err} }
+	w.done = func(resp *wire.Response, rtt time.Duration, err error) {
+		if resp != nil {
+			resp = resp.Clone()
+		}
+		w.ch <- result{resp, rtt, err}
+	}
 	return w
 }}
 
@@ -184,7 +191,8 @@ func (w *waiter) wait() (*wire.Response, time.Duration, error) {
 // passes) and the time since start — behind a busy pipeline, the wait in it
 // included — on the goroutine link.Pipe completes the call on: the host
 // connection's reader for a response. It may call Go again and must not
-// block.
+// block. The response is lent for as long as done runs (see connReader):
+// done copies what it keeps.
 func (p *Pool) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error)) {
 	x, _ := p.exchanges.Get().(*exchange)
 	if x == nil {
@@ -250,7 +258,7 @@ func (p *Pool) host(host netaddr.IP) (*hostConn, error) {
 	// Every flush gets the request timeout as its write deadline: a daemon
 	// that stops reading is torn down within it.
 	hc.pipe = link.NewPipe(&hc.mu, addr, p.reqTimeout, maxInFlight, link.Plane[flow.Five, *wire.Response]{
-		Frame: hc.frame, Opened: hc.opened, DialFailed: hc.dialFailed, Down: hc.down,
+		Reader: hc.reader, Opened: hc.opened, DialFailed: hc.dialFailed, Down: hc.down,
 	})
 	p.hosts[host] = hc
 	return hc, nil
@@ -349,21 +357,45 @@ func classifyDial(err error) error {
 	return fmt.Errorf("query: %w: %w", err, ErrDial)
 }
 
+// connReader decodes one connection's frames, on its reader goroutine. A
+// daemon answers every flow of one process, or to one listener, with the same
+// body, so the reader decodes each distinct body once (wire.BodyTable), and a
+// reply is one wrapper, resp, around the sections it shares: lent to the
+// call's completion, and rewritten for the next reply once the completion has
+// returned. A completion copies what it keeps — the controller's gather into
+// its scratch, Query into a response of the caller's own. A new connection
+// starts with an empty table.
+type connReader struct {
+	hc     *hostConn
+	bodies wire.BodyTable
+	resp   wire.Response
+}
+
+// reader makes the decoder of a new connection (hc.mu held).
+func (hc *hostConn) reader() func(wire.Frame) (flow.Five, *wire.Response, link.Verdict, error) {
+	rd := &connReader{hc: hc}
+	return rd.frame
+}
+
 // frame is the pipe's view of one frame from the daemon. Update frames —
 // which the daemon pushes unsolicited, so they carry no pipeline slot — are
 // handed to the pool's update handler; anything else must be the response to
 // the oldest query outstanding.
-func (hc *hostConn) frame(f wire.Frame) (key flow.Five, resp *wire.Response, _ link.Verdict, err error) {
+func (rd *connReader) frame(f wire.Frame) (key flow.Five, _ *wire.Response, _ link.Verdict, _ error) {
+	hc := rd.hc
 	if f.Type == wire.FrameUpdate {
 		if !hc.handleUpdate(f) {
 			return key, nil, link.Fatal, errors.New("malformed update")
 		}
 		return key, nil, link.OutOfBand, nil
 	}
-	resp, err = wire.DecodeResponse(f.Payload, f.SrcIP, f.DstIP)
-	if f.Type != wire.FrameResponse || err != nil {
-		return key, nil, link.Fatal, fmt.Errorf("unexpected frame %#02x: %v", f.Type, err)
+	if f.Type != wire.FrameResponse {
+		return key, nil, link.Fatal, fmt.Errorf("unexpected frame %#02x", f.Type)
 	}
+	if err := rd.bodies.Decode(f.Payload, f.SrcIP, f.DstIP, &rd.resp); err != nil {
+		return key, nil, link.Fatal, fmt.Errorf("malformed response: %v", err)
+	}
+	resp := &rd.resp
 	if hc.pool.credentialed() {
 		// Session-level authorization: daemon.Server processes one
 		// connection's frames in order, so the hello (and its verify)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -424,5 +425,106 @@ func TestPoolCloseRacingFirstQueries(t *testing.T) {
 		if c, d := p.Conns.Get(), p.Counters.Get("pool_dials"); c != 0 || d != dials {
 			t.Fatalf("after Close: %d connections, %d dials (%d before the late query)", c, d, dials)
 		}
+	}
+}
+
+// TestQueryResultsAreTheCallers: the connection's reader lends each response
+// to its completion and reuses it, and shares a body's sections with every
+// later response that repeats it, but what Pool.Query and Engine.Query return
+// is the caller's own: unchanged by the thousand responses after it, and the
+// caller's to write without changing any of them.
+func TestQueryResultsAreTheCallers(t *testing.T) {
+	host, addr, srv := startDaemon(t, "pc", "10.0.0.31")
+	defer srv.Close()
+	p := NewPool(PoolConfig{Resolver: StaticResolver{host: addr}})
+	defer p.Close()
+	eng := NewEngine(Config{Lower: p})
+	defer eng.Close()
+	ask := func(sp netaddr.Port) *wire.Response {
+		t.Helper()
+		q := wire.Query{Flow: testFlow(host, sp)}
+		resp, _, err := p.Query(host, q)
+		if sp%2 == 1 {
+			resp, _, err = eng.Query(host, q)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first, second := ask(7000), ask(7001)
+	want := [2]string{string(wire.EncodeResponse(first)), string(wire.EncodeResponse(second))}
+	for sp := netaddr.Port(7002); sp < 8002; sp++ {
+		ask(sp)
+	}
+	for i, r := range []*wire.Response{first, second} {
+		if got := string(wire.EncodeResponse(r)); got != want[i] || r.Flow != testFlow(host, netaddr.Port(7000+i)) {
+			t.Errorf("result %d is now %v %q, was %q", i, r.Flow, got, want[i])
+		}
+		r.Sections[0].Pairs[0].Value = "scribbled"
+		r.Add("scribbled", "too")
+	}
+	if got := string(wire.EncodeResponse(ask(7000))); got != want[0] {
+		t.Errorf("a caller's write reached a later answer: %q, want %q", got, want[0])
+	}
+	if n := p.Counters.Get("pool_dials"); n != 1 {
+		t.Errorf("pool_dials = %d, want 1: every answer on one connection", n)
+	}
+}
+
+// TestPoolHostileDaemonBodyTableBound: a daemon that answers every query with
+// a body it never sent before, some of them at a listener's scope, gets every
+// answer decoded as DecodeResponse decodes it, on one connection. (The
+// table's byte bound itself is wire's TestBodyTableBound.)
+func TestPoolHostileDaemonBodyTableBound(t *testing.T) {
+	hostIP := netaddr.MustParseIP("10.0.0.32")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	answer := func(q wire.Query, i int) *wire.Response {
+		r := wire.NewResponse(q.Flow)
+		r.Add(wire.KeyName, fmt.Sprintf("app-%d-%0200d", i, i))
+		if i%3 == 0 {
+			r.Augment("").Add(wire.KeyUserID, "u")
+		}
+		if i%2 == 0 {
+			r.Scope = wire.ListenerScope(q.Flow.Proto, q.Flow.DstPort)
+		}
+		return r
+	}
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for i := 0; ; i++ {
+			q, err := wire.ReadQuery(conn)
+			if err != nil {
+				return
+			}
+			if wire.WriteResponse(conn, answer(q, i)) != nil {
+				return
+			}
+		}
+	}()
+	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: l.Addr().String()}})
+	defer p.Close()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		q := wire.Query{Flow: testFlow(hostIP, netaddr.Port(1+i))}
+		resp, _, err := p.Query(hostIP, q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		want, _ := wire.DecodeResponse(wire.EncodeResponse(answer(q, i)), q.Flow.SrcIP, q.Flow.DstIP)
+		if !reflect.DeepEqual(resp, want) {
+			t.Fatalf("answer %d decoded as %+v, want %+v", i, resp, want)
+		}
+	}
+	if d := p.Counters.Get("pool_dials"); d != 1 {
+		t.Errorf("pool_dials = %d, want 1: every answer on one connection", d)
 	}
 }

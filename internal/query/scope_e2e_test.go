@@ -196,3 +196,42 @@ func TestE2EHeldAnswerNeedsALiveStream(t *testing.T) {
 		t.Errorf("flows_denied = %d, want 1: the destination no longer answers", got)
 	}
 }
+
+// TestE2EHeldAnswerOutlivesLaterResponses: the listener answer a controller
+// holds is its own copy, not the response the connection's reader lent it.
+// A thousand later responses arrive on the same connection, alternating the
+// held listener's answer with another listener's, whose facts the policy
+// refuses, and ending on the refused one; the next flow to the held listener
+// is still decided on the held answer and allowed.
+func TestE2EHeldAnswerOutlivesLaterResponses(t *testing.T) {
+	r := newScopeRig(t, "10.7.5", func(c *core.Controller) func(netaddr.IP, wire.Update) { return c.HandleUpdate })
+	bob, _ := r.dst.info.UserByName("bob")
+	httpd := r.dst.info.Exec(bob, workload.HTTPD.Exe())
+	if err := r.dst.info.Listen(httpd.PID, netaddr.ProtoTCP, 8080); err != nil {
+		t.Fatal(err)
+	}
+	r.decide(t)
+	r.decide(t)
+	const later = 1000
+	for i := 0; i < later; i++ {
+		f := flow.Five{SrcIP: r.src.ip, DstIP: r.dst.ip, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(50000 + i), DstPort: 5060}
+		if i%2 == 1 {
+			f.DstPort = 8080
+		}
+		resp, _, err := r.pool.Query(r.dst.ip, wire.Query{Flow: f, Keys: []string{wire.KeyName}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name, _ := resp.Latest(wire.KeyName); (name == "skype") != (f.DstPort == 5060) {
+			t.Fatalf("flow to %d answered with name %q", f.DstPort, name)
+		}
+	}
+	r.decide(t)
+	c := r.ctl.Counters
+	if a := answered(r.dst); a != 1+later {
+		t.Fatalf("destination daemon answered %d queries, want %d: the held answer stopped serving", a, 1+later)
+	}
+	if allowed, hits := c.Get("flows_allowed"), c.Get("scope_hits"); allowed != 3 || hits != 2 {
+		t.Fatalf("flows_allowed %d, scope_hits %d; want 3 and 2", allowed, hits)
+	}
+}

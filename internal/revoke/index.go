@@ -19,6 +19,7 @@
 package revoke
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -98,7 +99,8 @@ const (
 // are kept by its cache entry), and an optional lease deadline for facts
 // served by non-pushing daemons (zero = no lease). Register keeps neither
 // slice: it links the facts and copies the paths, so the caller may reuse
-// both. A Registration returned by Drop carries Paths and Lease only.
+// both. A Registration returned by Drop carries Paths and Lease only, and
+// its Paths are the caller's to keep: nothing writes them again.
 type Registration struct {
 	Flow  flow.Five
 	Class uint64
@@ -109,31 +111,31 @@ type Registration struct {
 
 // record is one verdict's dependency record, one allocation (newRecord):
 // its packed key, its lease (Unix nanoseconds, 0 for none), its installed
-// paths — in inline for up to two — and one link per distinct fact it read.
-// Only the links' neighbours change after Register publishes it.
+// paths (keyShard.intern: a list no record writes) and one link per distinct
+// fact it read. Only the links' neighbours change after Register publishes
+// it, until a Drop or a replacing Register recycles it (keyShard.recycle).
 type record struct {
-	key    key
-	lease  int64
-	paths  []uint64
-	inline [2]uint64
-	links  []link
+	key   key
+	lease int64
+	paths []uint64
+	links []link
 }
 
 // newRecord allocates a record with n links, as one object for up to six: a
 // record is a couple of hundred bytes per installed verdict, and their sum is
 // most of the index's footprint. The controller's usual shape is five — two
 // markers and three keys — and six with a listener fact; each gets an object
-// of its own size.
+// of its own size, and a free list of its own (sizeClass).
 func newRecord(n int) *record {
-	switch {
-	case n <= 5:
+	switch sizeClass(n) {
+	case 0:
 		o := new(struct {
 			record
 			l [5]link
 		})
 		o.links = o.l[:n]
 		return &o.record
-	case n == 6:
+	case 1:
 		o := new(struct {
 			record
 			l [6]link
@@ -142,6 +144,18 @@ func newRecord(n int) *record {
 		return &o.record
 	}
 	return &record{links: make([]link, n)}
+}
+
+// sizeClass is the free list of a record with room for n links: 0 for five,
+// 1 for six, -1 for a larger one, which is not recycled.
+func sizeClass(n int) int {
+	switch {
+	case n <= 5:
+		return 0
+	case n == 6:
+		return 1
+	}
+	return -1
 }
 
 // link is one of a record's facts: its place in that fact's list of the
@@ -164,7 +178,9 @@ type factList struct {
 // hostFacts is one host's fact lists: its marker's, and one per key some
 // live record read there. A host has a few keys, so a key's list is found by
 // a linear scan of them — no key string is ever hashed. A list is removed
-// when its last link goes, and the host with its last list.
+// when its last link goes, and the host with its last list, so the fact side
+// holds only what live records stand on; both go to their shard's free lists
+// for the next verdict that reads a fact anew.
 type hostFacts struct {
 	ip     netaddr.IP
 	marker factList
@@ -191,14 +207,123 @@ func (h *hostFacts) find(key string) *factList {
 type factShard struct {
 	mu    sync.Mutex
 	hosts map[netaddr.IP]*hostFacts
+
+	// freeHosts and freeLists keep hosts and lists remove took out, for the
+	// next link that needs one: each holds at most maxFree.
+	freeHosts []*hostFacts
+	freeLists []*factList
+}
+
+// host returns an empty host for ip, recycled when the free list has one.
+func (sh *factShard) host(ip netaddr.IP) *hostFacts {
+	var h *hostFacts
+	if n := len(sh.freeHosts); n > 0 {
+		h = sh.freeHosts[n-1]
+		sh.freeHosts[n-1] = nil
+		sh.freeHosts = sh.freeHosts[:n-1]
+	} else {
+		h = new(hostFacts)
+	}
+	h.ip = ip
+	h.marker.host = h
+	return h
+}
+
+// list returns an empty list for key at h, recycled when the free list has
+// one.
+func (sh *factShard) list(h *hostFacts, key string) *factList {
+	var l *factList
+	if n := len(sh.freeLists); n > 0 {
+		l = sh.freeLists[n-1]
+		sh.freeLists[n-1] = nil
+		sh.freeLists = sh.freeLists[:n-1]
+	} else {
+		l = new(factList)
+	}
+	l.host, l.key = h, key
+	return l
 }
 
 // keyShard is one lock domain of the key→record side. live counts the
-// records of each kind, so occupancy is read without a walk.
+// records of each kind, so occupancy is read without a walk. free keeps
+// records a Drop or a replacing Register unlinked, per sizeClass, for the
+// next Register; paths is the path lists its records share (intern).
 type keyShard struct {
 	mu      sync.Mutex
 	records map[key]*record
 	live    [2]int
+	free    [2][]*record
+	paths   map[pathKey][]uint64
+}
+
+const (
+	// maxFree bounds each free list of a shard: a mass teardown leaves no
+	// more than this many records per size, hosts or fact lists waiting.
+	maxFree = 256
+	// maxFreeKeys is the most key lists a recycled host keeps room for.
+	maxFreeKeys = 8
+	// maxPaths bounds a key shard's interned path lists. Their number is the
+	// routes the controller installs along, not its flows; past the bound a
+	// record gets a copy of its own.
+	maxPaths = 1024
+)
+
+// pathKey is a path list of up to four datapaths as intern keys it.
+type pathKey struct {
+	n   int
+	ids [4]uint64
+}
+
+// intern returns a list equal to paths that nothing writes: the one every
+// record with the same list shares, or, for a list too long to key or past
+// maxPaths, a copy of its own. A record's paths outlive it in the hands of
+// Drop's caller, so they must not live in the recycled record.
+func (ks *keyShard) intern(paths []uint64) []uint64 {
+	var pk pathKey
+	switch {
+	case len(paths) == 0:
+		return nil
+	case len(paths) > len(pk.ids):
+		return slices.Clip(slices.Clone(paths))
+	}
+	pk.n = copy(pk.ids[:], paths)
+	if p, ok := ks.paths[pk]; ok {
+		return p
+	}
+	p := slices.Clip(slices.Clone(paths))
+	if len(ks.paths) < maxPaths {
+		ks.paths[pk] = p
+	}
+	return p
+}
+
+// record returns a record with n links for Register, recycled when its free
+// list has one.
+func (ks *keyShard) record(n int) *record {
+	if c := sizeClass(n); c >= 0 {
+		if free := ks.free[c]; len(free) > 0 {
+			rec := free[len(free)-1]
+			free[len(free)-1] = nil
+			ks.free[c] = free[:len(free)-1]
+			rec.links = rec.links[:n]
+			return rec
+		}
+	}
+	return newRecord(n)
+}
+
+// recycle keeps rec, unlinked from every list and out of records, for the
+// next Register, unless its free list is full. Resolve and Hosts read
+// records only through lists, under a fact lock unlink took after them, so
+// none of them can see it change.
+func (ks *keyShard) recycle(rec *record) {
+	c := sizeClass(cap(rec.links))
+	if c < 0 || len(ks.free[c]) >= maxFree {
+		return
+	}
+	clear(rec.links[:cap(rec.links)])
+	*rec = record{links: rec.links[:0]}
+	ks.free[c] = append(ks.free[c], rec)
 }
 
 // Index is the sharded fact-dependency index. All methods are safe for
@@ -257,7 +382,9 @@ func (ix *Index) lock(of Key) (key, *keyShard) {
 // Register records a verdict's dependencies, replacing any previous record
 // under the same key (re-decided flows re-register; the old record is
 // unlinked first so the index never accretes). A fact listed twice — the
-// marker of a flow whose two ends are one host — is linked once.
+// marker of a flow whose two ends are one host — is linked once. In the
+// steady state it allocates nothing: the record is a recycled one, the paths
+// an interned list, and a list or host it links into anew a recycled one.
 func (ix *Index) Register(r Registration) {
 	distinct := 0
 	for i := range r.Facts {
@@ -265,18 +392,19 @@ func (ix *Index) Register(r Registration) {
 			distinct++
 		}
 	}
-	rec := newRecord(distinct)
-	if !r.Lease.IsZero() {
-		rec.lease = r.Lease.UnixNano()
-	}
-	rec.paths = append(rec.inline[:0:len(rec.inline)], r.Paths...)
 	k, ks := ix.lock(Key{Flow: r.Flow, Class: r.Class})
-	rec.key = k
 	if old := ks.records[k]; old != nil {
 		ix.unlink(old)
+		ks.recycle(old)
 	} else {
 		ks.live[k.kind()]++
 	}
+	rec := ks.record(distinct)
+	rec.key = k
+	if !r.Lease.IsZero() {
+		rec.lease = r.Lease.UnixNano()
+	}
+	rec.paths = ks.intern(r.Paths)
 	ks.records[k] = rec
 	ix.link(rec, r.Facts)
 	ks.mu.Unlock()
@@ -314,14 +442,13 @@ func (ix *Index) link(rec *record, facts []Fact) {
 				sh.mu.Lock()
 			}
 			if h = sh.hosts[f.Host]; h == nil {
-				h = &hostFacts{ip: f.Host}
-				h.marker.host = h
+				h = sh.host(f.Host)
 				sh.hosts[f.Host] = h
 			}
 		}
 		list := h.find(f.Key)
 		if list == nil {
-			list = &factList{host: h, key: f.Key}
+			list = sh.list(h, f.Key)
 			h.keys = append(h.keys, list)
 		}
 		l := &rec.links[n]
@@ -359,6 +486,7 @@ func (ix *Index) unlink(rec *record) {
 
 // remove takes l out of its list, and the list out of its host when l was
 // its last link, and the host out of the shard when that was its last list.
+// What it takes out goes to the shard's free lists while they have room.
 func (sh *factShard) remove(l *link) {
 	list := l.list
 	if l.prev != nil {
@@ -375,17 +503,26 @@ func (sh *factShard) remove(l *link) {
 	}
 	h := list.host
 	if list != &h.marker {
-		for i, kl := range h.keys {
-			if kl == list {
-				last := len(h.keys) - 1
-				h.keys[i], h.keys[last] = h.keys[last], nil
-				h.keys = h.keys[:last]
-				break
-			}
+		i := slices.Index(h.keys, list)
+		last := len(h.keys) - 1
+		h.keys[i], h.keys[last] = h.keys[last], nil
+		h.keys = h.keys[:last]
+		if len(sh.freeLists) < maxFree {
+			*list = factList{}
+			sh.freeLists = append(sh.freeLists, list)
 		}
 	}
-	if h.marker.head == nil && len(h.keys) == 0 {
-		delete(sh.hosts, h.ip)
+	if h.marker.head != nil || len(h.keys) > 0 {
+		return
+	}
+	delete(sh.hosts, h.ip)
+	if len(sh.freeHosts) < maxFree {
+		keys := h.keys
+		if cap(keys) > maxFreeKeys {
+			keys = nil
+		}
+		*h = hostFacts{keys: keys}
+		sh.freeHosts = append(sh.freeHosts, h)
 	}
 }
 
@@ -393,37 +530,40 @@ func (sh *factShard) remove(l *link) {
 // returning its paths and lease for the caller's teardown. ok is false when
 // the flow was not registered.
 func (ix *Index) Drop(f flow.Five) (Registration, bool) {
-	rec := ix.drop(Key{Flow: f})
-	if rec == nil {
-		return Registration{Flow: f}, false
-	}
-	reg := Registration{Flow: f, Paths: rec.paths}
-	if rec.lease != 0 {
-		reg.Lease = time.Unix(0, rec.lease)
-	}
-	return reg, true
+	reg := Registration{Flow: f}
+	ok := ix.drop(Key{Flow: f}, &reg)
+	return reg, ok
 }
 
 // DropClass removes a class's record and unlinks its fact dependencies. ok
 // is false when the id was not registered — concurrent teardowns race
 // benignly; exactly one caller gets true.
 func (ix *Index) DropClass(id uint64) bool {
-	return ix.drop(Key{Class: id}) != nil
+	return ix.drop(Key{Class: id}, nil)
 }
 
-func (ix *Index) drop(of Key) *record {
+// drop removes of's record, copying its paths and lease into reg when reg is
+// not nil, and recycles it.
+func (ix *Index) drop(of Key, reg *Registration) bool {
 	k, ks := ix.lock(of)
 	rec := ks.records[k]
 	if rec != nil {
 		delete(ks.records, k)
 		ks.live[k.kind()]--
 		ix.unlink(rec)
+		if reg != nil {
+			reg.Paths = rec.paths
+			if rec.lease != 0 {
+				reg.Lease = time.Unix(0, rec.lease)
+			}
+		}
+		ks.recycle(rec)
 	}
 	ks.mu.Unlock()
 	if rec != nil {
 		ix.counts[k.kind()].dropped.Add(1)
 	}
-	return rec
+	return rec != nil
 }
 
 // Resolve returns the keys — flows and classes alike — whose verdicts
@@ -511,12 +651,15 @@ func (ix *Index) FlushAll() {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
 		sh.hosts = make(map[netaddr.IP]*hostFacts)
+		sh.freeHosts, sh.freeLists = nil, nil
 		sh.mu.Unlock()
 	}
 	for i := range ix.keyShards {
 		ks := &ix.keyShards[i]
 		ks.records = make(map[key]*record)
 		ks.live = [2]int{}
+		ks.free = [2][]*record{}
+		ks.paths = make(map[pathKey][]uint64)
 		ks.mu.Unlock()
 	}
 }

@@ -3,8 +3,10 @@ package revoke
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -282,11 +284,15 @@ func TestRepeatedFactLinksOnce(t *testing.T) {
 
 // TestDropRemovesEmptyListsAndHosts: a list goes with its last link, and a
 // host with its last list, while lists other records still stand on stay.
+// What goes is reused: registering again against the removed lists, or
+// against a host removed whole, allocates nothing.
 func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 	ix := NewIndex(1) // one fact shard: both hosts side by side
 	k1, k2 := kinds[0].mk(1), kinds[0].mk(2)
-	ix.Register(reg(k1, []string{"name", "version"}, []string{"name"}, 1))
-	ix.Register(reg(k2, []string{"name"}, nil, 1))
+	r1 := reg(k1, []string{"name", "version"}, []string{"name"}, 1)
+	ix.Register(r1)
+	r2 := reg(k2, []string{"name"}, nil, 1)
+	ix.Register(r2)
 	ix.Drop(k1.Flow)
 	if n := checkLists(t, ix); n != 3 {
 		t.Fatalf("%d links left, want k2's three", n)
@@ -300,9 +306,91 @@ func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 	if b == nil || len(b.keys) != 0 {
 		t.Fatalf("host B holds %+v, want its marker only", b)
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		ix.Register(r1)
+		ix.Drop(k1.Flow)
+	}); n != 0 {
+		t.Errorf("re-registering against removed lists allocates %v objects", n)
+	}
 	ix.Drop(k2.Flow)
 	if n := linkedFacts(ix); n != 0 {
 		t.Fatalf("fact side retains %d facts after every drop", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ix.Register(r2)
+		ix.Drop(k2.Flow)
+	}); n != 0 {
+		t.Errorf("re-registering against removed hosts allocates %v objects", n)
+	}
+}
+
+// TestFactSideShrinksBack: what the fact side holds is bounded by the live
+// records, however many distinct hosts and listener ports were ever decided.
+// After every drop no host or list is left, the free lists are within
+// maxFree, and a host that took flows to many ports scans only the lists of
+// its live records and keeps no room for the rest.
+func TestFactSideShrinksBack(t *testing.T) {
+	ix := NewIndex(4)
+	const hosts, ports = 100_000, 2_000
+	host := func(i int) netaddr.IP { return netaddr.IP(0x0b000000 + uint32(i)) }
+	five := func(src, dst netaddr.IP, port int) flow.Five {
+		return flow.Five{SrcIP: src, DstIP: dst, Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: netaddr.Port(port)}
+	}
+	for i := 0; i < hosts; i++ {
+		src, dst := host(i), host(i+1)
+		f := five(src, dst, 80)
+		ix.Register(Registration{Flow: f, Facts: []Fact{{Host: src}, {Host: dst}, {Host: src, Key: "name"}}})
+		ix.Drop(f)
+	}
+	checkShrunk(t, ix)
+
+	// One listener host, a flow to each of many ports in turn, one live at
+	// a time beside a flow that stays.
+	src, dst := host(0), host(1)
+	stay := five(src, dst, 1)
+	ix.Register(Registration{Flow: stay, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: "name"}}})
+	for port := 2; port < ports; port++ {
+		f := five(src, dst, port)
+		ix.Register(Registration{Flow: f, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: ListenerKey(netaddr.ProtoTCP, netaddr.Port(port))}}})
+		ix.Drop(f)
+	}
+	sh := ix.factShard(dst)
+	sh.mu.Lock()
+	n := len(sh.hosts[dst].keys)
+	sh.mu.Unlock()
+	if n != 1 {
+		t.Errorf("the listener host holds %d key lists after %d ports came and went, want the one its live flow reads", n, ports-2)
+	}
+	// Then flows to many ports at once: the host's room for their lists
+	// does not outlive them.
+	for port := 2; port < ports; port++ {
+		f := five(src, dst, port)
+		ix.Register(Registration{Flow: f, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: ListenerKey(netaddr.ProtoTCP, netaddr.Port(port))}}})
+	}
+	for port := 2; port < ports; port++ {
+		ix.Drop(five(src, dst, port))
+	}
+	ix.Drop(stay)
+	checkShrunk(t, ix)
+}
+
+// checkShrunk fails unless the fact side holds no host and every free list
+// of a fact shard is within maxFree.
+func checkShrunk(t *testing.T, ix *Index) {
+	t.Helper()
+	for i := range ix.factShards {
+		sh := &ix.factShards[i]
+		sh.mu.Lock()
+		hosts, freeHosts, freeLists := len(sh.hosts), len(sh.freeHosts), len(sh.freeLists)
+		for _, h := range sh.freeHosts {
+			if cap(h.keys) > maxFreeKeys {
+				t.Errorf("shard %d keeps a free host with room for %d key lists", i, cap(h.keys))
+			}
+		}
+		sh.mu.Unlock()
+		if hosts != 0 || freeHosts > maxFree || freeLists > maxFree {
+			t.Errorf("shard %d holds %d hosts, %d free hosts, %d free lists after every drop", i, hosts, freeHosts, freeLists)
+		}
 	}
 }
 
@@ -379,6 +467,101 @@ func TestConcurrentChurn(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecycledRecordsKeepWhatWasRegistered races registrations, replacing
+// registrations and drops of records of both kinds and both sizes against
+// Resolve, Expired and Hosts, on few shards so that records are reused
+// across keys and goroutines. Every Drop must hand back exactly the paths and
+// lease its flow was last registered with, and paths a Drop handed back must
+// still hold them after their record has been reused many times over.
+func TestRecycledRecordsKeepWhatWasRegistered(t *testing.T) {
+	ix := NewIndex(2)
+	hostC := netaddr.MustParseIP("10.0.0.3")
+	hosts := []netaddr.IP{hostA, hostB, hostC}
+	type handed struct{ got, want []uint64 }
+	var stop atomic.Bool
+	var readers, workers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var keys []Key
+			var stats []HostStat
+			for !stop.Load() {
+				for _, h := range hosts {
+					keys = ix.Resolve(h, "", keys[:0])
+					keys = ix.Resolve(h, "name", keys)
+				}
+				keys = ix.Expired(time.Unix(0, 1500), keys[:0])
+				stats = ix.Hosts(stats[:0])
+				runtime.Gosched()
+			}
+		}()
+	}
+	for g := 0; g < 6; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var kept []handed
+			registration := func(k Key) (Registration, []uint64, time.Time) {
+				src, dst := hosts[rng.Intn(3)], hosts[rng.Intn(3)]
+				facts := []Fact{{Host: src}, {Host: dst}, {Host: src, Key: "name"}, {Host: dst, Key: "name"}, {Host: src, Key: "version"}}
+				if rng.Intn(2) == 0 { // a listener fact: the six-link size
+					facts = append(facts, Fact{Host: dst, Key: ListenerKey(netaddr.ProtoTCP, 80)})
+				}
+				paths := make([]uint64, rng.Intn(7)) // past four: a copy of its own
+				for i := range paths {
+					paths[i] = uint64(rng.Intn(3) + 1)
+				}
+				var lease time.Time
+				if rng.Intn(2) == 0 {
+					lease = time.Unix(0, int64(1000+rng.Intn(1000)))
+				}
+				want := slices.Clone(paths)
+				return Registration{Flow: k.Flow, Class: k.Class, Facts: facts, Paths: paths, Lease: lease}, want, lease
+			}
+			for i := 0; i < 2000; i++ {
+				kind := kinds[i%2]
+				k := kind.mk(g*100 + i%7)
+				r, wantPaths, wantLease := registration(k)
+				ix.Register(r)
+				clear(r.Paths) // Register keeps no slice of the caller's
+				if rng.Intn(3) == 0 {
+					r, wantPaths, wantLease = registration(k)
+					ix.Register(r)
+				}
+				got, ok := drop(ix, k)
+				if !ok {
+					t.Errorf("goroutine %d: drop %d missed its registration", g, i)
+					return
+				}
+				if k.Class != 0 {
+					continue
+				}
+				if !slices.Equal(got.Paths, wantPaths) || !got.Lease.Equal(wantLease) {
+					t.Errorf("goroutine %d: drop %d handed back paths %v lease %v, registered %v %v",
+						g, i, got.Paths, got.Lease, wantPaths, wantLease)
+					return
+				}
+				kept = append(kept, handed{got.Paths, wantPaths})
+			}
+			for _, h := range kept {
+				if !slices.Equal(h.got, h.want) {
+					t.Errorf("goroutine %d: handed-back paths %v became %v after reuse", g, h.want, h.got)
+					return
+				}
+			}
+		}(g)
+	}
+	workers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if n := linkedFacts(ix); n != 0 {
+		t.Errorf("fact side retains %d linked facts after every drop", n)
+	}
+	checkLists(t, ix)
 }
 
 // linkedFacts counts the facts the fact side still holds a list for, and

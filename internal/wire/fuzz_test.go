@@ -98,6 +98,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if ref, refErr := decodeResponseRef(payload); (err == nil) != (refErr == nil) || !reflect.DeepEqual(r, ref) {
 			t.Fatalf("decoder and reference disagree:\n  got:  %+v, %v\n  want: %+v, %v", r, err, ref, refErr)
 		}
+		checkBodyTable(t, payload, r, err)
 		if err != nil {
 			return
 		}
@@ -130,6 +131,52 @@ func FuzzDecodeResponse(f *testing.F) {
 			_ = cv
 		}
 	})
+}
+
+// checkBodyTable decodes payload through a body table and fails unless it
+// decodes exactly as DecodeResponse did (want, wantErr): at first sight, on a
+// repeat, on a repeat after another body, and under another tuple line.
+// Writing through the Add — first thing after the decode — and then the
+// Augment of a decoded response must change nothing the table decodes next.
+func checkBodyTable(t *testing.T, payload []byte, want *Response, wantErr error) {
+	t.Helper()
+	var tab BodyTable
+	other := []byte("17 9 9\nname: other\n")
+	decode := func(step string, payload []byte, want *Response, wantErr error) {
+		t.Helper()
+		var got Response
+		err := tab.Decode(payload, fuzzSrc, fuzzDst, &got)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: table decode error %v, DecodeResponse's %v", step, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("%s: table decoded\n  %+v\nDecodeResponse\n  %+v", step, got, *want)
+		}
+		for i, s := range got.Sections {
+			if len(s.Pairs) != cap(s.Pairs) {
+				t.Fatalf("%s: shared section %d has room for %d more pairs", step, i, cap(s.Pairs)-len(s.Pairs))
+			}
+		}
+		if len(got.Sections) != cap(got.Sections) {
+			t.Fatalf("%s: shared sections have room for %d more", step, cap(got.Sections)-len(got.Sections))
+		}
+		got.Add("scribbled", "w")
+		got.Augment("scribble").Add("scribbled", "x")
+		got.Sections[0].Add("scribbled", "y")
+	}
+	decode("first sight", payload, want, wantErr)
+	decode("repeat", payload, want, wantErr)
+	otherWant, _ := DecodeResponse(other, fuzzSrc, fuzzDst)
+	decode("another body", other, otherWant, nil)
+	decode("repeat after another body", payload, want, wantErr)
+	if _, body, ok := bytes.Cut(payload, []byte("\n")); ok {
+		moved := append([]byte("1 2 3\n"), body...)
+		movedWant, movedErr := DecodeResponse(moved, fuzzSrc, fuzzDst)
+		decode("another tuple line", moved, movedWant, movedErr)
+	}
 }
 
 // decodeQueryRef and decodeResponseRef are the decoders as first written —

@@ -118,17 +118,25 @@ type Response struct {
 	Scope    Scope
 }
 
-// NewResponse builds a response with one initial (possibly empty) section.
+// NewResponse builds a response with one initial (possibly empty) section,
+// and room for a second.
 func NewResponse(f flow.Five) *Response {
-	return &Response{Flow: f, Sections: []Section{{}}}
+	return &Response{Flow: f, Sections: make([]Section, 1, 2)}
 }
 
-// Add appends a pair to the final section.
+// Add appends a pair to the final section. When that section's pairs and
+// the sections themselves are both full, as a BodyTable's shared ones are,
+// the response first gets sections of its own, so that the section's
+// growth is written there and not into an array others read.
 func (r *Response) Add(key, value string) {
 	if len(r.Sections) == 0 {
 		r.addSection("")
 	}
-	r.Sections[len(r.Sections)-1].Add(key, value)
+	n := len(r.Sections)
+	if last := &r.Sections[n-1]; len(last.Pairs) == cap(last.Pairs) && n == cap(r.Sections) {
+		r.Sections = append(make([]Section, 0, n+1), r.Sections...)
+	}
+	r.Sections[n-1].Add(key, value)
 }
 
 // addSection appends an empty section, recycling a slot (and its Pairs
@@ -405,20 +413,24 @@ func AppendSections(b []byte, secs []Section) []byte {
 // transport, as with DecodeQuery. A last pair that is a scope line sets the
 // response's Scope instead of being a pair.
 func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) {
+	r, _, err := decodeResponse(payload, srcIP, dstIP)
+	return r, err
+}
+
+// decodeResponse is DecodeResponse that also returns the payload's body: what
+// follows its tuple line, cut from the one copy every key and value is cut
+// from.
+func decodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, string, error) {
 	if len(payload) > MaxMessageSize {
-		return nil, fmt.Errorf("wire: response exceeds %d bytes", MaxMessageSize)
+		return nil, "", fmt.Errorf("wire: response exceeds %d bytes", MaxMessageSize)
 	}
 	// One copy of the payload backs every key and value; lines are cut from
 	// it in place rather than split into a slice first.
-	first, rest, more := strings.Cut(string(payload), "\n")
-	if strings.TrimSpace(first) == "" {
-		return nil, fmt.Errorf("wire: empty response")
-	}
-	f, err := parseTupleLine(first)
+	first, body, more := strings.Cut(string(payload), "\n")
+	f, err := responseTuple(first, srcIP, dstIP)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	f.SrcIP, f.DstIP = srcIP, dstIP
 	// The response, its first sections and its first pairs are one
 	// allocation. One array backs the pairs of every section — the inline one
 	// while it has room, then one sized for a pair per remaining line — each
@@ -434,6 +446,7 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 	pairs := a.pairs[:0]
 	start := 0     // pairs[start:] belong to the section being filled
 	split := false // an empty line since the last pair: the next starts a section
+	rest := body
 	for more {
 		var l string
 		l, rest, more = strings.Cut(rest, "\n")
@@ -445,7 +458,7 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 				split = true
 				continue
 			}
-			return nil, fmt.Errorf("wire: malformed pair %q", strings.TrimRight(l, "\r"))
+			return nil, "", fmt.Errorf("wire: malformed pair %q", strings.TrimRight(l, "\r"))
 		}
 		key := strings.TrimSpace(l[:colon])
 		// Canonicalize on the way in, exactly as EncodeResponse does on the
@@ -453,7 +466,7 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 		// otherwise decode verbatim but re-encode as a space.
 		val := sanitizeValue(strings.TrimSpace(l[colon+1:]))
 		if key == "" {
-			return nil, fmt.Errorf("wire: empty key in %q", strings.TrimRight(l, "\r"))
+			return nil, "", fmt.Errorf("wire: empty key in %q", strings.TrimRight(l, "\r"))
 		}
 		if split {
 			start = closeSection(r, pairs, start)
@@ -467,7 +480,18 @@ func DecodeResponse(payload []byte, srcIP, dstIP netaddr.IP) (*Response, error) 
 	}
 	closeSection(r, pairs, start)
 	takeScope(r)
-	return r, nil
+	return r, body, nil
+}
+
+// responseTuple parses a response's tuple line into its flow, with the
+// transport's addresses. Like parseTupleLine it keeps nothing of first.
+func responseTuple(first string, srcIP, dstIP netaddr.IP) (flow.Five, error) {
+	if strings.TrimSpace(first) == "" {
+		return flow.Five{}, fmt.Errorf("wire: empty response")
+	}
+	f, err := parseTupleLine(first)
+	f.SrcIP, f.DstIP = srcIP, dstIP
+	return f, err
 }
 
 // closeSection gives the last section of r the pairs from start on, capped,
