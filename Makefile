@@ -212,6 +212,8 @@ bench-compare:
 		-max-allocs 'BenchmarkM9_QueryPlane/scoped-miss=0' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
+		-max-allocs 'BenchmarkM11_Revocation/teardown=8' \
+		-max-allocs 'BenchmarkM11_Revocation/update-wire=0' \
 		-max-allocs 'BenchmarkM11_Revocation/register-drop=0' \
 		-max-allocs 'BenchmarkM12_Megaflow/member-hit=2' \
 		-max-allocs 'BenchmarkM13_CredentialedSession/steady=2' \
@@ -254,6 +256,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePolicy -fuzztime=$(FUZZTIME) ./internal/pf/
 	$(GO) test -fuzz=FuzzDispatch -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/pf/
 	$(GO) test -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzParseCredential -fuzztime=$(FUZZTIME) ./internal/cred/
 	$(GO) test -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzChannelPacketIn -fuzztime=$(FUZZTIME) ./internal/openflow/

@@ -162,3 +162,49 @@ func TestAllocSetupRecorderObserve(t *testing.T) {
 		t.Fatalf("SetupRecorder.Observe allocates %.1f objects/op, want 0", got)
 	}
 }
+
+// TestAllocFlowScopedUpdate: a daemon's flow-scoped update allocates nothing
+// on the controller, whether it finds nothing to tear down — two thirds of
+// them under churn — or tears down the flow's verdict: fence, record drop,
+// deletes and the audit record, labelled once per update key. Each teardown
+// run decides the flow again first (its answers the controller's own), which
+// allocates nothing either.
+func TestAllocFlowScopedUpdate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries randomly under -race; allocation counts are nondeterministic")
+	}
+	srcIP := netaddr.MustParseIP("10.0.0.1")
+	dstIP := netaddr.MustParseIP("10.0.0.2")
+	ctl := core.New(core.Config{
+		Name:           "budget",
+		Policy:         pf.MustCompile("budget", m8Policy),
+		Transport:      m8NoDaemonTransport{},
+		Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries: true,
+		Revocation:     true,
+	})
+	ctl.AddDatapath(&m7Datapath{id: 1})
+	ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})
+	ctl.AnswerForHost(dstIP, wire.KV{Key: wire.KeyName, Value: "skype"})
+	ev := m8Event(srcIP, dstIP)
+	u := wire.Update{Flow: ev.Tuple.Five(), Key: wire.KeyName, Old: "skype", Serial: 1}
+
+	if got := testing.AllocsPerRun(2000, func() { ctl.HandleUpdate(srcIP, u) }); got != 0 {
+		t.Errorf("a flow-scoped update with nothing to tear down allocates %.1f objects, want 0", got)
+	}
+	if n := ctl.Counters.Get("revocations_noop"); n != 2001 {
+		t.Errorf("revocations_noop = %d, want 2001", n)
+	}
+	if got := testing.AllocsPerRun(2000, func() {
+		ctl.HandleEvent(ev)
+		ctl.HandleUpdate(srcIP, u)
+	}); got != 0 {
+		t.Errorf("a decision and the flow-scoped update tearing it down allocate %.1f objects, want 0", got)
+	}
+	if n := ctl.Counters.Get("revocations_flows"); n != 2001 {
+		t.Errorf("revocations_flows = %d, want 2001: every update tore its flow down", n)
+	}
+	if r := ctl.Audit.Revocations(); len(r) == 0 || r[len(r)-1].Rule != "(revoked: update:name)" {
+		t.Errorf("%d teardown audit records, want the last one's rule (revoked: update:name)", len(r))
+	}
+}

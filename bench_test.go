@@ -906,9 +906,19 @@ func BenchmarkM10_Compile(b *testing.B) {
 //     M8/M9-hit in the CI bench-compare gate (measures 0).
 //   - teardown: one full revocation cycle per op — decide+install a flow,
 //     then a flow-scoped endpoint-state update tears it down (cache drop,
-//     index unlink, path deletes). 1/ns-op is flows-torn-down/sec.
+//     index unlink, path deletes). 1/ns-op is flows-torn-down/sec. The
+//     update's side builds nothing (its teardown label is built once per
+//     key); what the op allocates is the decision's, the in-process
+//     transport's answers included, and CI gates it at 8.
 //   - fanin-64: one key-scoped update revokes 64 dependent flows through
 //     the fact-dependency index; flows_torn_per_op reports the fan-in.
+//   - update-wire: the update path end to end — a process's exit makes a
+//     real daemon.Server push one flow-scoped update per flow of it over a
+//     real query.Pool into Controller.HandleUpdate; half tear down a
+//     registered flow, half find nothing (the no-op share under churn).
+//     The op is one update, daemon's side included: the reader decodes it
+//     in place and each key and value was seen before, so CI gates it at
+//     0 allocs/op.
 //   - register-drop: the index alone, at a steady 4096 live flow records
 //     over 16 hosts in the controller's five-fact shape (both markers,
 //     name and version at the source, name at the destination): per op one
@@ -991,6 +1001,103 @@ func BenchmarkM11_Revocation(b *testing.B) {
 		b.ReportMetric(float64(ctl.Counters.Get("revocations_flows"))/float64(b.N), "flows_torn_per_op")
 		if got := ctl.Counters.Get("revocations_flows"); got < int64(b.N)*fan {
 			b.Fatalf("revocations_flows = %d, want >= %d", got, int64(b.N)*fan)
+		}
+	})
+
+	b.Run("update-wire", func(b *testing.B) {
+		// A client host whose daemon serves on loopback, and a controller
+		// without a verdict cache (revoke_churn's configuration) subscribed
+		// to it through a real Pool. Its decisions are answered by the
+		// in-process transport; only the updates cross the wire.
+		clientIP := netaddr.MustParseIP("10.4.6.1")
+		client := hostinfo.New("pc", clientIP, 1)
+		alice := client.AddUser("alice", "users")
+		srv := daemon.NewServer(daemon.New(client))
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { srv.Close() })
+		pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{clientIP: addr.String()}})
+		b.Cleanup(func() { pool.Close() })
+		ctl := core.New(core.Config{
+			Name:   "m11",
+			Policy: pf.MustCompile("m11", m8Policy),
+			Transport: &m7Transport{responses: map[netaddr.IP]map[string]string{
+				clientIP: {"name": "skype"},
+				dstIP:    {"name": "skype"},
+			}},
+			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries: true,
+			Revocation:     true,
+		})
+		ctl.AddDatapath(&m7Datapath{id: 1})
+		var arrived atomic.Int64
+		pool.SetUpdateHandler(func(host netaddr.IP, u wire.Update) {
+			ctl.HandleUpdate(host, u)
+			if !u.Hello {
+				arrived.Add(1)
+			}
+		})
+		await := func(n int64) {
+			deadline := time.Now().Add(5 * time.Second)
+			for arrived.Load() < n {
+				if time.Now().After(deadline) {
+					b.Fatalf("%d of %d updates arrived", arrived.Load(), n)
+				}
+				runtime.Gosched()
+			}
+		}
+		// Each round connects a process's flows — the daemon answering each
+		// once, the controller deciding every other one — and kills the
+		// process: one update per flow, of which half tear down a
+		// registered flow and half find nothing. Only the kill is timed.
+		const round = 1024
+		flows := make([]flow.Five, round)
+		want := int64(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += round {
+			b.StopTimer()
+			n := min(round, b.N-done)
+			proc := client.Exec(alice, workload.Skype.Exe())
+			for i := range flows[:n] {
+				f, err := client.Connect(proc.PID, flow.Five{DstIP: dstIP, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(1024 + i), DstPort: 80})
+				if err != nil {
+					b.Fatal(err)
+				}
+				flows[i] = f
+				if done == 0 {
+					// The daemon publishes changes to what it has answered:
+					// ask once. Later rounds reconnect flows it still
+					// remembers, and each reconnect is an update of its own.
+					if _, _, err := pool.Query(clientIP, wire.Query{Flow: f}); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					want++
+				}
+			}
+			await(want)
+			for i := 0; i < n; i += 2 {
+				ev := m8Event(clientIP, dstIP)
+				ev.Tuple.SrcPort = flows[i].SrcPort
+				ctl.HandleEvent(ev)
+			}
+			if live, _, _ := ctl.RevocationIndexStats(); live != (n+1)/2 {
+				b.Fatalf("%d flows registered, want %d", live, (n+1)/2)
+			}
+			want += int64(n)
+			b.StartTimer()
+			client.Kill(proc.PID)
+			await(want)
+		}
+		b.StopTimer()
+		if live, _, _ := ctl.RevocationIndexStats(); live != 0 {
+			b.Fatalf("%d flows still registered after every kill", live)
+		}
+		if torn, noop := ctl.Counters.Get("revocations_flows"), ctl.Counters.Get("revocations_noop"); torn != int64(b.N+1)/2 || noop < int64(b.N)/2 {
+			b.Fatalf("%d flows torn down and %d no-op updates, want %d and at least %d", torn, noop, (b.N+1)/2, b.N/2)
 		}
 	})
 

@@ -328,6 +328,9 @@ type Controller struct {
 	revoker  *revoke.Index
 	leaseTTL time.Duration
 	held     *heldTable
+	// updateLabels names the teardowns daemons' updates cause in the audit
+	// trail, one label per kind of update (revocation.go).
+	updateLabels updateLabels
 
 	// credTr is the transport's credential face (nil unless it enforces
 	// credentials): consulted at fact ingestion and when leasing registered
@@ -357,7 +360,7 @@ type Controller struct {
 		answeredOnBehalf, headerOnly        *atomic.Int64
 		revUpdates, revFlows, revInflight   *atomic.Int64
 		revRedecided, revVoidDropped        *atomic.Int64
-		revEntries                          *atomic.Int64
+		revEntries, revNoop, flowRemoved    *atomic.Int64
 		megaHits, megaInstalls              *atomic.Int64
 		megaTeardowns                       *atomic.Int64
 		scopeHits, scopeLearned             *atomic.Int64
@@ -419,6 +422,8 @@ func New(cfg Config) *Controller {
 	c.hot.revRedecided = c.Counters.Cell("revocations_redecided")
 	c.hot.revVoidDropped = c.Counters.Cell("revocations_void_dropped")
 	c.hot.revEntries = c.Counters.Cell("revocations_entries")
+	c.hot.revNoop = c.Counters.Cell("revocations_noop")
+	c.hot.flowRemoved = c.Counters.Cell("flow_removed")
 	c.hot.megaHits = c.Counters.Cell("megaflow_hits")
 	c.hot.megaInstalls = c.Counters.Cell("megaflow_installs")
 	c.hot.megaTeardowns = c.Counters.Cell("megaflow_teardowns")
@@ -646,7 +651,7 @@ func (c *Controller) SetAugmenter(f func(q wire.Query, resp *wire.Response)) {
 // stays, and with it the flow's remaining entries, which idle out or fall
 // with the class.
 func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
-	c.Counters.Add("flow_removed", 1)
+	c.hot.flowRemoved.Add(1)
 	five := ev.Match.Tuple.Five()
 	st := c.state.Load()
 	if c.mega != nil {
@@ -971,7 +976,7 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	// current facts. Nothing on hits.
 	if !hit && c.fenced(s) {
 		c.Counters.Add("revocations_raced", 1)
-		c.revokeResolved(five, "raced-decision")
+		c.revokeResolved(five, racedDecisionLabel)
 	}
 }
 

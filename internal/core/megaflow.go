@@ -420,7 +420,7 @@ func (c *Controller) retireMega(e *megaEntry) ([]uint64, bool) {
 // teardownMega revokes one cached verdict: retired, its installed entries
 // deleted, counted as one revoked verdict and audited under the founder's
 // tuple. False means another retirer won and did all of it.
-func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) bool {
+func (c *Controller) teardownMega(st *ctlState, e *megaEntry, lbl *teardownLabel) bool {
 	paths, ok := c.retireMega(e)
 	if !ok {
 		return false
@@ -430,7 +430,7 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, reason string) boo
 		c.hot.megaTeardowns.Add(1)
 	}
 	c.hot.revFlows.Add(1)
-	c.auditRevoked(e.founder, "(megaflow revoked: "+reason+")")
+	c.auditRevoked(e.founder, lbl.classRule)
 	return true
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"identxx/internal/flow"
@@ -46,9 +49,10 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 		return
 	}
 	c.hot.revUpdates.Add(1)
+	lbl := c.updateLabels.of(u)
 	if u.Scope.Listener() {
 		c.Counters.Add("revocations_scope_updates", 1)
-		c.revokeHost(host, revoke.ListenerKey(u.Scope.Proto, u.Scope.Port), "update:"+u.Scope.String())
+		c.revokeHost(host, revoke.ListenerKey(u.Scope.Proto, u.Scope.Port), lbl)
 		return
 	}
 	if u.FlowScoped() {
@@ -56,23 +60,89 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 		// even when no decision state exists yet, the flow fence voids a
 		// decision in flight for this flow, whose gathered responses predate
 		// the change. Nothing else is fenced: the update names one flow.
-		c.revokeResolved(u.Flow, "update:"+updateKeyLabel(u))
+		c.revokeResolved(u.Flow, lbl)
 		return
 	}
 	if u.Resync() {
 		c.Counters.Add("revocations_resyncs", 1)
 	}
-	c.revokeHost(host, u.Key, "update:"+updateKeyLabel(u))
+	c.revokeHost(host, u.Key, lbl)
 }
 
-func updateKeyLabel(u wire.Update) string {
-	if u.Key != "" {
-		return u.Key
+// teardownLabel is what a teardown writes in the audit trail: the rule of a
+// revoked flow's record, "(revoked: <reason>)", and of a revoked class's,
+// "(megaflow revoked: <reason>)". One is built per reason, not per verdict.
+type teardownLabel struct {
+	flowRule, classRule string
+}
+
+func newTeardownLabel(reason string) *teardownLabel {
+	return &teardownLabel{flowRule: "(revoked: " + reason + ")", classRule: "(megaflow revoked: " + reason + ")"}
+}
+
+var (
+	leaseExpiredLabel  = newTeardownLabel("lease-expired")
+	racedDecisionLabel = newTeardownLabel("raced-decision")
+)
+
+// maxUpdateLabels bounds the labels an updateLabels holds. A daemon names a
+// handful of fact keys; a label past the bound is built for its update.
+const maxUpdateLabels = 256
+
+// updateLabels holds the teardown label of each kind of update seen, reason
+// "update:<key>" — "update:resync" for a resync, "update:flow" for a flow-
+// scoped update that names no key, "update:listener <proto>/<port>" at a
+// listener's scope — so that an update builds no string, whether it tears
+// anything down or not. Lookups take no lock: a new label replaces the map
+// with a copy holding it.
+type updateLabels struct {
+	mu     sync.Mutex
+	labels atomic.Pointer[map[updateLabelKey]*teardownLabel]
+}
+
+type updateLabelKey struct {
+	key   string
+	scope wire.Scope
+}
+
+// of returns the teardown label of u.
+func (l *updateLabels) of(u wire.Update) *teardownLabel {
+	k := updateLabelKey{scope: u.Scope}
+	switch {
+	case u.Scope.Listener():
+	case u.Key != "":
+		k.key = u.Key
+	case u.Resync():
+		k.key = "resync"
+	default:
+		k.key = "flow"
 	}
-	if u.Resync() {
-		return "resync"
+	if m := l.labels.Load(); m != nil {
+		if lbl, ok := (*m)[k]; ok {
+			return lbl
+		}
 	}
-	return "flow"
+	reason := "update:" + k.key
+	if k.scope.Listener() {
+		reason = "update:" + k.scope.String()
+	}
+	lbl := newTeardownLabel(reason)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var old map[updateLabelKey]*teardownLabel
+	if m := l.labels.Load(); m != nil {
+		old = *m
+	}
+	if held, ok := old[k]; ok {
+		return held
+	}
+	if len(old) < maxUpdateLabels {
+		m := make(map[updateLabelKey]*teardownLabel, len(old)+1)
+		maps.Copy(m, old)
+		m[k] = lbl
+		l.labels.Store(&m)
+	}
+	return lbl
 }
 
 // RevokeHost is the operator-initiated form (identctl revoke): it tears
@@ -83,7 +153,7 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 	if c.revoker == nil {
 		return 0
 	}
-	n, _ := c.revokeHost(host, key, "operator:"+host.String())
+	n, _ := c.revokeHost(host, key, newTeardownLabel("operator:"+host.String()))
 	return n
 }
 
@@ -92,9 +162,9 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 // decision in flight with host at either end has not registered yet, so the
 // resolve cannot find it, and it must not publish what it gathered; and no
 // answer held for the host serves a decision again.
-func (c *Controller) revokeHost(host netaddr.IP, key, reason string) (n, classes int) {
+func (c *Controller) revokeHost(host netaddr.IP, key string, lbl *teardownLabel) (n, classes int) {
 	c.hosts.bump(host)
-	return c.revokeKeys(c.revoker.Resolve(host, key, nil), reason)
+	return c.revokeKeys(c.revoker.Resolve(host, key, nil), lbl)
 }
 
 // SweepLeases tears down every verdict whose lease has expired — the
@@ -106,7 +176,7 @@ func (c *Controller) SweepLeases() int {
 	if c.revoker == nil {
 		return 0
 	}
-	n, classes := c.revokeKeys(c.revoker.Expired(c.clock(), nil), "lease-expired")
+	n, classes := c.revokeKeys(c.revoker.Expired(c.clock(), nil), leaseExpiredLabel)
 	c.Counters.Add("revocations_lease_expired", int64(n-classes))
 	c.Counters.Add("revocations_wide_lease_expired", int64(classes))
 	return n
@@ -116,16 +186,14 @@ func (c *Controller) SweepLeases() int {
 // records and class records alike, each verdict having exactly one — under
 // one configuration snapshot. It reports how many verdicts fell, and how
 // many of those were classes.
-func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes int) {
+func (c *Controller) revokeKeys(keys []revoke.Key, lbl *teardownLabel) (n, classes int) {
 	if len(keys) == 0 {
 		return 0, 0
 	}
 	st := c.state.Load()
-	// The audit rule string is built once for the whole fan-in.
-	rule := "(revoked: " + reason + ")"
 	for _, k := range keys {
 		if k.Class == 0 {
-			c.revokeFlow(st, k.Flow, reason, rule)
+			c.revokeFlow(st, k.Flow, lbl)
 			n++
 		} else if e := c.mega.get(k.Class); e != nil {
 			// The founder is fenced as a revoked flow is: its re-decision in
@@ -134,7 +202,7 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 			// which the dead entry's addPaths refusal settles.
 			c.flows.shardFor(e.founder).void(e.founder)
 			// One teardown deletes the entries of every member of the class.
-			if c.teardownMega(st, e, reason) {
+			if c.teardownMega(st, e, lbl) {
 				n++
 				classes++
 			}
@@ -144,8 +212,8 @@ func (c *Controller) revokeKeys(keys []revoke.Key, reason string) (n, classes in
 }
 
 // revokeResolved tears one flow down on the current configuration.
-func (c *Controller) revokeResolved(five flow.Five, reason string) {
-	c.revokeFlow(c.state.Load(), five, reason, "(revoked: "+reason+")")
+func (c *Controller) revokeResolved(five flow.Five, lbl *teardownLabel) {
+	c.revokeFlow(c.state.Load(), five, lbl)
 }
 
 // revokeFlow tears one flow down: flow fence, covering-verdict teardown,
@@ -153,10 +221,9 @@ func (c *Controller) revokeResolved(five flow.Five, reason string) {
 // record. A flow whose verdict is cached has no record of its own: the
 // covering class's teardown is its teardown, reported by the class's audit
 // record. A flow with neither a covering class nor a record has no entries
-// to delete — the index is trusted — and only its fence trips. rule is the
-// pre-decorated audit string ("(revoked: <reason>)"), built once by the
-// caller so a fan-in tearing N flows does not concatenate it N times.
-func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule string) {
+// to delete — the index is trusted — and only its fence trips. lbl names
+// the teardown in the audit trail.
+func (c *Controller) revokeFlow(st *ctlState, five flow.Five, lbl *teardownLabel) {
 	// Order matters: trip the flow's fence before probing the cache, so a
 	// decision that read a cached verdict (or gathered responses) before
 	// this cannot publish after the teardown without noticing.
@@ -173,8 +240,9 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 		// entry inserted before this probe is found here; one inserted
 		// after will see the fence at its publication re-check and tear
 		// itself down.
-		for _, e := range c.mega.covering(five, nil) {
-			if c.teardownMega(st, e, reason) {
+		var buf [4]*megaEntry // a flow is covered by one class per mask in use
+		for _, e := range c.mega.covering(five, buf[:0]) {
+			if c.teardownMega(st, e, lbl) {
 				classFell = true
 			}
 		}
@@ -190,13 +258,13 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, reason, rule strin
 		// nothing is known about the flow — the fence above still voids
 		// its in-flight decision.
 		if !classFell {
-			c.Counters.Add("revocations_noop", 1)
+			c.hot.revNoop.Add(1)
 		}
 		return
 	}
 	c.deleteFlowAt(st, five, reg.Paths)
 	c.hot.revFlows.Add(1)
-	c.auditRevoked(five, rule)
+	c.auditRevoked(five, lbl.flowRule)
 }
 
 func (c *Controller) auditRevoked(five flow.Five, rule string) {

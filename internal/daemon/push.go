@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"sort"
-
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
 	"identxx/internal/wire"
@@ -197,25 +195,22 @@ func (d *Daemon) rememberScope(s wire.Scope, a *answer, seq uint64) {
 }
 
 // diffFacts returns whether the fact maps differ and, if so, the first
-// changed key (sorted, for determinism) with its old and new values.
+// changed key (the least, for determinism) with its old and new values.
 func diffFacts(old, cur map[string]string) (key, oldV, newV string, changed bool) {
-	var keys []string
-	for k := range old {
-		if cur[k] != old[k] {
-			keys = append(keys, k)
+	for k, v := range old {
+		if cur[k] != v && (!changed || k < key) {
+			key, changed = k, true
 		}
 	}
 	for k := range cur {
-		if _, ok := old[k]; !ok {
-			keys = append(keys, k)
+		if _, ok := old[k]; !ok && (!changed || k < key) {
+			key, changed = k, true
 		}
 	}
-	if len(keys) == 0 {
+	if !changed {
 		return "", "", "", false
 	}
-	sort.Strings(keys)
-	k := keys[0]
-	return k, old[k], cur[k], true
+	return key, old[key], cur[key], true
 }
 
 // onHostChange is the hostinfo change listener: it re-derives assertions

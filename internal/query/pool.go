@@ -66,6 +66,8 @@ type Pool struct {
 	// Conns gauges currently established connections.
 	Conns metrics.Gauge
 	sent  *atomic.Int64 // Counters' pool_queries_sent, bumped per query
+	// updates is Counters' pool_updates, bumped per update delivered.
+	updates *atomic.Int64
 
 	// onUpdate receives daemon-pushed endpoint-state updates (revocation
 	// plane). When set, every dialed connection subscribes; the reader
@@ -98,6 +100,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		p.Counters = metrics.NewCounter()
 	}
 	p.sent = p.Counters.Cell("pool_queries_sent")
+	p.updates = p.Counters.Cell("pool_updates")
 	return p
 }
 
@@ -291,6 +294,9 @@ type hostConn struct {
 	// against its query's (the call's key) as a desync guard.
 	mu   sync.Mutex
 	pipe *link.Pipe[flow.Five, *wire.Response]
+	// rd is the decoder of the newest connection; its state belongs to that
+	// connection's reader goroutine.
+	rd *connReader
 
 	// Update-stream serial tracking, across connections: lastSerial is the
 	// serial of the last update (or hello) seen from this daemon, ever.
@@ -363,8 +369,11 @@ func classifyDial(err error) error {
 // reply is one wrapper, resp, around the sections it shares: lent to the
 // call's completion, and rewritten for the next reply once the completion has
 // returned. A completion copies what it keeps — the controller's gather into
-// its scratch, Query into a response of the caller's own. A new connection
-// starts with an empty table.
+// its scratch, Query into a response of the caller's own. Pushed updates are
+// decoded through the same table, which holds each distinct key and value
+// they name once, so an update the daemon has said before in other words —
+// another flow, the same fact — costs no allocation. A new connection starts
+// with an empty table.
 type connReader struct {
 	hc     *hostConn
 	bodies wire.BodyTable
@@ -374,6 +383,7 @@ type connReader struct {
 // reader makes the decoder of a new connection (hc.mu held).
 func (hc *hostConn) reader() func(wire.Frame) (flow.Five, *wire.Response, link.Verdict, error) {
 	rd := &connReader{hc: hc}
+	hc.rd = rd
 	return rd.frame
 }
 
@@ -384,9 +394,13 @@ func (hc *hostConn) reader() func(wire.Frame) (flow.Five, *wire.Response, link.V
 func (rd *connReader) frame(f wire.Frame) (key flow.Five, _ *wire.Response, _ link.Verdict, _ error) {
 	hc := rd.hc
 	if f.Type == wire.FrameUpdate {
-		if !hc.handleUpdate(f) {
+		u, err := rd.bodies.DecodeUpdate(f.Payload, f.SrcIP, f.DstIP)
+		if err != nil {
+			// The connection is no longer trustworthy.
+			hc.pool.Counters.Add("pool_update_decode_errors", 1)
 			return key, nil, link.Fatal, errors.New("malformed update")
 		}
+		hc.handleUpdate(u)
 		return key, nil, link.OutOfBand, nil
 	}
 	if f.Type != wire.FrameResponse {
@@ -409,18 +423,12 @@ func (rd *connReader) frame(f wire.Frame) (key flow.Five, _ *wire.Response, _ li
 	return resp.Flow, resp, link.Reply, nil
 }
 
-// handleUpdate decodes and delivers one pushed update, enforcing serial
-// continuity. It returns false on a decode failure (the connection is no
-// longer trustworthy). Serial discontinuities do not kill the connection:
-// they deliver a synthetic resync first — the receiver invalidates its
-// whole view of the host — and then adopt the new serial, because the
-// stream itself is intact, only our knowledge lapsed.
-func (hc *hostConn) handleUpdate(frame wire.Frame) bool {
-	u, err := wire.DecodeUpdateFrame(frame)
-	if err != nil {
-		hc.pool.Counters.Add("pool_update_decode_errors", 1)
-		return false
-	}
+// handleUpdate delivers one pushed update, enforcing serial continuity.
+// Serial discontinuities do not kill the connection: they deliver a
+// synthetic resync first — the receiver invalidates its whole view of the
+// host — and then adopt the new serial, because the stream itself is intact,
+// only our knowledge lapsed.
+func (hc *hostConn) handleUpdate(u wire.Update) {
 	fn := hc.pool.updateFn()
 
 	// Credentialed pools authenticate the stream before believing it:
@@ -457,18 +465,17 @@ func (hc *hostConn) handleUpdate(frame wire.Frame) bool {
 	}
 	hc.mu.Unlock()
 	if fn == nil {
-		return true
+		return
 	}
 	if (resync && !suppress) || credResync {
 		hc.pool.Counters.Add("pool_update_resyncs", 1)
 		fn(hc.host, wire.Update{Serial: u.Serial})
 	}
 	if suppress {
-		return true
+		return
 	}
-	hc.pool.Counters.Add("pool_updates", 1)
+	hc.pool.updates.Add(1)
 	fn(hc.host, u)
-	return true
 }
 
 // down runs once per connection, when it is torn down (hc.mu held).

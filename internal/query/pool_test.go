@@ -528,3 +528,105 @@ func TestPoolHostileDaemonBodyTableBound(t *testing.T) {
 		t.Errorf("pool_dials = %d, want 1: every answer on one connection", d)
 	}
 }
+
+// TestPoolHostileDaemonUpdateTableBound: a daemon that pushes update after
+// update naming a key and values it never named before — values that share
+// long prefixes, some too long for the table to keep — gets every update
+// delivered as DecodeUpdate decodes it, on one connection, while the
+// connection's table stays within its bound.
+func TestPoolHostileDaemonUpdateTableBound(t *testing.T) {
+	hostIP := netaddr.MustParseIP("10.0.0.33")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 10000
+	update := func(i int) wire.Update {
+		u := wire.Update{
+			Flow:   testFlow(hostIP, netaddr.Port(1+i%60000)),
+			Key:    fmt.Sprintf("key-%05d", i%4999),
+			Old:    fmt.Sprintf("old-value-%08d", i),
+			New:    fmt.Sprintf("new-value-%08d", i/2),
+			Serial: uint64(i),
+		}
+		if i%97 == 0 {
+			u.New = fmt.Sprintf("%08d-%0*d", i, wire.BodyTableBytes/16, i)
+		}
+		return u
+	}
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			f, err := wire.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			switch f.Type {
+			case wire.FrameSubscribe:
+				if wire.WriteUpdate(conn, wire.Update{Hello: true}) != nil {
+					return
+				}
+			case wire.FrameQuery:
+				q, _ := wire.DecodeQuery(f.Payload, f.SrcIP, f.DstIP)
+				if wire.WriteResponse(conn, wire.NewResponse(q.Flow)) != nil {
+					return
+				}
+				for i := 1; i <= n; i++ {
+					if wire.WriteUpdate(conn, update(i)) != nil {
+						return
+					}
+				}
+			}
+		}
+	}()
+	p := NewPool(PoolConfig{Resolver: StaticResolver{hostIP: l.Addr().String()}})
+	defer p.Close()
+	// The handler runs on the connection's reader: the table is its to read.
+	var bad error
+	got := 0
+	done := make(chan struct{})
+	p.SetUpdateHandler(func(host netaddr.IP, u wire.Update) {
+		if bad != nil || u.Hello {
+			return
+		}
+		got++
+		p.mu.Lock()
+		hc := p.hosts[host]
+		p.mu.Unlock()
+		hc.mu.Lock()
+		rd := hc.rd
+		hc.mu.Unlock()
+		sent := update(got)
+		want, _ := wire.DecodeUpdate(wire.EncodeUpdate(sent), sent.Flow.SrcIP, sent.Flow.DstIP)
+		if u != want {
+			bad = fmt.Errorf("update %d delivered as %+v, want %+v", got, u, want)
+		} else if b := rd.bodies.Bytes(); b > wire.BodyTableBytes {
+			bad = fmt.Errorf("after update %d the table holds %d bytes, bound %d", got, b, wire.BodyTableBytes)
+		}
+		if bad != nil || got == n {
+			close(done)
+		}
+	})
+	if _, _, err := p.Query(hostIP, wire.Query{Flow: testFlow(hostIP, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%d updates not delivered in 20 s", n)
+	}
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if r := p.Counters.Get("pool_update_resyncs"); r != 0 {
+		t.Errorf("pool_update_resyncs = %d, want 0: the serials run on", r)
+	}
+	if d := p.Counters.Get("pool_dials"); d != 1 {
+		t.Errorf("pool_dials = %d, want 1: every update on one connection", d)
+	}
+}

@@ -17,9 +17,11 @@ const (
 
 	// entryBytes and kvBytes are what a kept body costs beside its own
 	// bytes: the map slot and the response object DecodeResponse allocates
-	// with its first sections and pairs, and each pair's KV.
+	// with its first sections and pairs, and each pair's KV. strBytes is what
+	// a kept update value costs beside its own: its map slot.
 	entryBytes = 512
 	kvBytes    = 32
+	strBytes   = 48
 )
 
 // BodyTable decodes the responses of one connection, parsing each distinct
@@ -36,12 +38,20 @@ const (
 // section through r.Sections[i] (its Add rewrites the section there), and
 // not through Reset.
 //
+// The same connection carries the daemon's pushed updates, and a daemon
+// names the same few keys and values in update after update: DecodeUpdate
+// keeps each distinct value once, and an update whose values it holds is
+// decoded without an allocation.
+//
 // The table charges each body its length, its pairs and a fixed overhead,
-// and holds at most BodyTableBytes: when a new body would take it past that,
-// it forgets everything first. A body longer than BodyTableBytes/16 is not
-// kept. The zero value is an empty table; it is not safe for concurrent use.
+// and each value its length and a fixed overhead, and holds at most
+// BodyTableBytes: when a new body or value would take it past that, it
+// forgets everything first. A body or value longer than BodyTableBytes/16 is
+// not kept. The zero value is an empty table; it is not safe for concurrent
+// use.
 type BodyTable struct {
 	bodies map[string]decodedBody
+	strs   map[string]string
 	size   int
 }
 
@@ -84,14 +94,49 @@ func (t *BodyTable) keep(body string, b decodedBody) {
 	for _, s := range b.secs {
 		cost += kvBytes * len(s.Pairs)
 	}
-	if t.size+cost > BodyTableBytes {
-		clear(t.bodies)
-		t.size = 0
-	}
+	t.charge(cost)
 	if t.bodies == nil {
 		t.bodies = make(map[string]decodedBody)
 	}
 	t.bodies[body] = b
+}
+
+// DecodeUpdate parses payload exactly as DecodeUpdate does, errors included.
+// Key, Old and New are strings the table holds (see BodyTable).
+func (t *BodyTable) DecodeUpdate(payload []byte, srcIP, dstIP netaddr.IP) (Update, error) {
+	return decodeUpdate(payload, srcIP, dstIP, t)
+}
+
+// str returns b as a string: the one the table holds for those bytes, or a
+// copy it keeps from now on. A nil table, or a value too long to keep, gets a
+// copy of its own.
+func (t *BodyTable) str(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if t == nil || len(b) > maxTableBody {
+		return string(b)
+	}
+	if s, ok := t.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	t.charge(len(s) + strBytes)
+	if t.strs == nil {
+		t.strs = make(map[string]string)
+	}
+	t.strs[s] = s
+	return s
+}
+
+// charge counts cost against the bound, forgetting every body and value the
+// table holds first when cost would take it past BodyTableBytes.
+func (t *BodyTable) charge(cost int) {
+	if t.size+cost > BodyTableBytes {
+		clear(t.bodies)
+		clear(t.strs)
+		t.size = 0
+	}
 	t.size += cost
 }
 

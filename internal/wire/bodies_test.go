@@ -122,3 +122,39 @@ func BenchmarkBodyTableDecode(b *testing.B) {
 		})
 	})
 }
+
+// TestBodyTableDecodeUpdateAllocations: an update whose key and values the
+// table holds decodes without an allocation, one with a new value copies that
+// value once, and DecodeUpdate copies each value every time.
+func TestBodyTableDecodeUpdateAllocations(t *testing.T) {
+	u := Update{Flow: sampleFlow(), Scope: ListenerScope(6, 5060), Key: KeyName, Old: "skype", New: "a-value-longer-than-a-stack-buffer-of-32", Serial: 12345678901}
+	payload := EncodeUpdate(u)
+	var tab BodyTable
+	decode := func(decode func() (Update, error)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if got, err := decode(); err != nil || got != u {
+				t.Fatalf("decoded %+v (%v), want %+v", got, err, u)
+			}
+		})
+	}
+	if got := decode(func() (Update, error) { return tab.DecodeUpdate(payload, u.Flow.SrcIP, u.Flow.DstIP) }); got != 0 {
+		t.Errorf("a repeated update: %v allocations per decode, want 0", got)
+	}
+	if got := decode(func() (Update, error) { return DecodeUpdate(payload, u.Flow.SrcIP, u.Flow.DstIP) }); got != 3 {
+		t.Errorf("DecodeUpdate: %v allocations per decode, want 3: one per value", got)
+	}
+	// AllocsPerRun runs its function once more than it counts.
+	fresh := make([][]byte, 101)
+	for i := range fresh {
+		fresh[i] = fmt.Appendf(payload[:len(payload):len(payload)], "old: %d\n", i)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(len(fresh)-1, func() {
+		if _, err := tab.DecodeUpdate(fresh[i], u.Flow.SrcIP, u.Flow.DstIP); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 1 {
+		t.Errorf("an update with a value new to the table: %v allocations per decode, want 1", got)
+	}
+}

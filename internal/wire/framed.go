@@ -206,14 +206,10 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	return writeOnce(w, b, err)
 }
 
-// AppendUpdate appends an unsolicited endpoint-state update as one frame to b.
+// AppendUpdate appends an unsolicited endpoint-state update as one frame to
+// b, the payload rendered in place.
 func AppendUpdate(b []byte, u Update) ([]byte, error) {
-	return AppendFrame(b, Frame{
-		Type:    FrameUpdate,
-		SrcIP:   u.Flow.SrcIP,
-		DstIP:   u.Flow.DstIP,
-		Payload: EncodeUpdate(u),
-	})
+	return finishFrame(appendUpdate(appendHeader(b, FrameUpdate, u.Flow.SrcIP, u.Flow.DstIP), u), len(b))
 }
 
 // WriteUpdate frames and writes an update.

@@ -397,3 +397,197 @@ func FuzzDecodeHello(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeUpdate checks the update decoder against decodeUpdateRef, the
+// decoder as first written: DecodeUpdate, and a BodyTable at its first sight
+// of a payload, on a repeat, and after the table forgot everything for want
+// of room, decode every payload as the reference does, errors included. An
+// update it accepts survives AppendUpdate's frame, whose bytes are those of
+// the encoder as first written.
+func FuzzDecodeUpdate(f *testing.F) {
+	for _, seed := range [][]byte{
+		[]byte("6 234 80\nserial: 3\nkey: name\nold: skype\n"),
+		[]byte("6 234 80\r\n serial : 3 \r\nkey:name\r\nnew: a\rb\r\n"), // CRs and spacing
+		[]byte("0 0 0\nserial: 4\nscope: listener 6/5060\n"),
+		[]byte("0 0 0\nserial: 4\nscope: listener six/5060\n"), // an unreadable scope: a resync
+		[]byte("0 0 0\nserial: 5\nkey: name\nkey: userID\n"),   // the last line wins
+		[]byte("0 0 0\nserial: 1\nunknown: ignored\n"),
+		[]byte("0 0 0\nserial: 7\nhello: 1\ncred: v1 host=10.0.0.1\ncsig: C\n"),
+		[]byte("0 0 0\nserial: 1\nold: " + strings.Repeat("v", maxTableBody+1) + "\n"), // too long to keep
+		[]byte("6 1 2\nserial: 2\nkey: a-rather-long-fact-key\nold: a-rather-long-value-1\nnew: a-rather-long-value-2\n"),
+		[]byte("0 0 0\nserial: banana\n"),
+		[]byte("6 1 2\nkey: x\n"),  // malformed: no serial
+		[]byte("6 1 2\ngarbage\n"), // malformed line
+		[]byte("6 1\nserial: 1\n"), // malformed tuple line
+		[]byte(" \r\nserial: 1\n"), // empty
+		[]byte(""),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want, wantErr := decodeUpdateRef(payload, fuzzSrc, fuzzDst)
+		check := func(step string, got Update, err error) {
+			t.Helper()
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: error %v, the reference's %v", step, err, wantErr)
+			}
+			if got != want {
+				t.Fatalf("%s: decoded\n  %+v\nthe reference\n  %+v", step, got, want)
+			}
+		}
+		got, err := DecodeUpdate(payload, fuzzSrc, fuzzDst)
+		check("DecodeUpdate", got, err)
+		var tab BodyTable
+		got, err = tab.DecodeUpdate(payload, fuzzSrc, fuzzDst)
+		check("first sight", got, err)
+		got, err = tab.DecodeUpdate(payload, fuzzSrc, fuzzDst)
+		check("repeat", got, err)
+		if wantErr == nil {
+			// Values one byte off this update's must not be served for its.
+			near := want
+			for _, v := range []*string{&near.Key, &near.Old, &near.New} {
+				if n := len(*v); n > 0 {
+					*v = (*v)[:n-1] + string(rune('a'+(*v)[n-1]%2))
+				}
+			}
+			tab.DecodeUpdate(EncodeUpdate(near), fuzzSrc, fuzzDst)
+			got, err = tab.DecodeUpdate(payload, fuzzSrc, fuzzDst)
+			check("after values one byte off", got, err)
+		}
+		// Values of 4 KB, each new: the table forgets within 64 KB of them.
+		for i, held := 0, tab.Bytes(); tab.Bytes() >= held; i++ {
+			if i == BodyTableBytes/1024 {
+				t.Fatalf("%d new values and the table never forgot: %d bytes", i, tab.Bytes())
+			}
+			held = tab.Bytes()
+			filler := fmt.Appendf(nil, "0 0 0\nserial: 1\nnew: %d-%04000d\n", i, 0)
+			if _, err := tab.DecodeUpdate(filler, fuzzSrc, fuzzDst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err = tab.DecodeUpdate(payload, fuzzSrc, fuzzDst)
+		check("after the table forgot", got, err)
+		if b := tab.Bytes(); b > BodyTableBytes {
+			t.Fatalf("the table holds %d bytes, bound %d", b, BodyTableBytes)
+		}
+		if err != nil {
+			return
+		}
+
+		frame, err := AppendUpdate([]byte("earlier"), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := AppendFrame([]byte("earlier"), Frame{FrameUpdate, want.Flow.SrcIP, want.Flow.DstIP, encodeUpdateRef(want)})
+		if err != nil || !bytes.Equal(frame, ref) {
+			t.Fatalf("AppendUpdate wrote\n  %q\nthe encoder as first written\n  %q (%v)", frame, ref, err)
+		}
+		f, err := ReadFrame(bytes.NewReader(frame[len("earlier"):]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := tab.DecodeUpdate(f.Payload, fuzzSrc, fuzzDst)
+		if err != nil {
+			t.Fatalf("re-encoded update is undecodable: %v", err)
+		}
+		if !strings.ContainsRune(want.Key+want.Old+want.New+want.Cred+want.CredSig, '\r') && again != want {
+			t.Fatalf("update round trip diverged:\n  first:  %+v\n  second: %+v", want, again)
+		}
+	})
+}
+
+// decodeUpdateRef and encodeUpdateRef are the update codec as first written:
+// the payload split into lines and each line walked, and the payload built
+// with fmt and a strings.Builder. The in-place decoder and the append encoder
+// must agree with them on every input.
+func decodeUpdateRef(payload []byte, srcIP, dstIP netaddr.IP) (Update, error) {
+	if len(payload) > MaxMessageSize {
+		return Update{}, fmt.Errorf("wire: update exceeds %d bytes", MaxMessageSize)
+	}
+	lines := strings.Split(string(payload), "\n")
+	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+		return Update{}, fmt.Errorf("wire: empty update")
+	}
+	f, err := parseTupleLine(lines[0])
+	if err != nil {
+		return Update{}, err
+	}
+	f.SrcIP, f.DstIP = srcIP, dstIP
+	u := Update{Flow: f}
+	sawSerial := false
+	for _, l := range lines[1:] {
+		trimmed := strings.TrimSpace(strings.TrimRight(l, "\r"))
+		if trimmed == "" {
+			continue
+		}
+		colon := strings.Index(trimmed, ":")
+		if colon < 0 {
+			return Update{}, fmt.Errorf("wire: malformed update line %q", trimmed)
+		}
+		key := strings.TrimSpace(trimmed[:colon])
+		val := strings.TrimSpace(trimmed[colon+1:])
+		switch key {
+		case "serial":
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil {
+				return Update{}, fmt.Errorf("wire: bad update serial %q", val)
+			}
+			u.Serial = n
+			sawSerial = true
+		case "hello":
+			u.Hello = val == "1"
+		case scopeKey:
+			u.Scope, _ = parseScopeValue(val)
+		case "key":
+			u.Key = val
+		case "old":
+			u.Old = val
+		case "new":
+			u.New = val
+		case "cred":
+			u.Cred = val
+		case "csig":
+			u.CredSig = val
+		}
+	}
+	if !sawSerial {
+		return Update{}, fmt.Errorf("wire: update without serial")
+	}
+	return u, nil
+}
+
+func encodeUpdateRef(u Update) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d %d %d\n", u.Flow.Proto, u.Flow.SrcPort, u.Flow.DstPort)
+	fmt.Fprintf(&b, "serial: %d\n", u.Serial)
+	if u.Hello {
+		b.WriteString("hello: 1\n")
+	}
+	b.Write(appendScopeLine(nil, u.Scope))
+	if u.Key != "" {
+		b.WriteString("key: ")
+		b.WriteString(sanitizeValue(strings.TrimSpace(u.Key)))
+		b.WriteByte('\n')
+	}
+	if u.Old != "" {
+		b.WriteString("old: ")
+		b.WriteString(sanitizeValue(u.Old))
+		b.WriteByte('\n')
+	}
+	if u.New != "" {
+		b.WriteString("new: ")
+		b.WriteString(sanitizeValue(u.New))
+		b.WriteByte('\n')
+	}
+	if u.Cred != "" {
+		b.WriteString("cred: ")
+		b.WriteString(sanitizeValue(u.Cred))
+		b.WriteByte('\n')
+	}
+	if u.CredSig != "" {
+		b.WriteString("csig: ")
+		b.WriteString(sanitizeValue(u.CredSig))
+		b.WriteByte('\n')
+	}
+	return []byte(b.String())
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -89,94 +90,101 @@ func (u Update) Resync() bool {
 }
 
 // EncodeUpdate renders the update payload.
-func EncodeUpdate(u Update) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d %d\n", u.Flow.Proto, u.Flow.SrcPort, u.Flow.DstPort)
-	fmt.Fprintf(&b, "serial: %d\n", u.Serial)
+func EncodeUpdate(u Update) []byte { return appendUpdate(nil, u) }
+
+// appendUpdate appends the update payload to b: the bytes EncodeUpdate
+// renders, written in place.
+func appendUpdate(b []byte, u Update) []byte {
+	b = appendTupleLine(b, u.Flow)
+	b = append(b, "serial: "...)
+	b = append(strconv.AppendUint(b, u.Serial, 10), '\n')
 	if u.Hello {
-		b.WriteString("hello: 1\n")
+		b = append(b, "hello: 1\n"...)
 	}
-	b.Write(appendScopeLine(nil, u.Scope))
+	b = appendScopeLine(b, u.Scope)
 	if u.Key != "" {
-		b.WriteString("key: ")
-		b.WriteString(sanitizeValue(strings.TrimSpace(u.Key)))
-		b.WriteByte('\n')
+		b = appendUpdateLine(b, "key: ", strings.TrimSpace(u.Key))
 	}
 	if u.Old != "" {
-		b.WriteString("old: ")
-		b.WriteString(sanitizeValue(u.Old))
-		b.WriteByte('\n')
+		b = appendUpdateLine(b, "old: ", u.Old)
 	}
 	if u.New != "" {
-		b.WriteString("new: ")
-		b.WriteString(sanitizeValue(u.New))
-		b.WriteByte('\n')
+		b = appendUpdateLine(b, "new: ", u.New)
 	}
 	if u.Cred != "" {
-		b.WriteString("cred: ")
-		b.WriteString(sanitizeValue(u.Cred))
-		b.WriteByte('\n')
+		b = appendUpdateLine(b, "cred: ", u.Cred)
 	}
 	if u.CredSig != "" {
-		b.WriteString("csig: ")
-		b.WriteString(sanitizeValue(u.CredSig))
-		b.WriteByte('\n')
+		b = appendUpdateLine(b, "csig: ", u.CredSig)
 	}
-	return []byte(b.String())
+	return b
+}
+
+func appendUpdateLine(b []byte, prefix, v string) []byte {
+	b = append(b, prefix...)
+	return append(append(b, sanitizeValue(v)...), '\n')
 }
 
 // DecodeUpdate parses an update payload. As with queries and responses, the
 // flow's IP addresses come from the transport envelope.
 func DecodeUpdate(payload []byte, srcIP, dstIP netaddr.IP) (Update, error) {
+	return decodeUpdate(payload, srcIP, dstIP, nil)
+}
+
+// decodeUpdate is DecodeUpdate with Key, Old and New taken from t (nil:
+// copies of their own). Lines are cut from payload in place and nothing of it
+// is kept: a value is copied, or found in t, and Cred and CredSig — which only
+// a hello carries — are copied.
+func decodeUpdate(payload []byte, srcIP, dstIP netaddr.IP, t *BodyTable) (Update, error) {
 	if len(payload) > MaxMessageSize {
 		return Update{}, fmt.Errorf("wire: update exceeds %d bytes", MaxMessageSize)
 	}
-	lines := strings.Split(string(payload), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+	first, rest, more := bytes.Cut(payload, newline)
+	if len(bytes.TrimSpace(first)) == 0 {
 		return Update{}, fmt.Errorf("wire: empty update")
 	}
-	f, err := parseTupleLine(lines[0])
+	f, err := parseTupleLine(string(first))
 	if err != nil {
 		return Update{}, err
 	}
 	f.SrcIP, f.DstIP = srcIP, dstIP
 	u := Update{Flow: f}
 	sawSerial := false
-	for _, l := range lines[1:] {
-		trimmed := strings.TrimSpace(strings.TrimRight(l, "\r"))
-		if trimmed == "" {
+	for more {
+		var l []byte
+		l, rest, more = bytes.Cut(rest, newline)
+		if l = bytes.TrimSpace(l); len(l) == 0 {
 			continue
 		}
-		colon := strings.Index(trimmed, ":")
+		colon := bytes.IndexByte(l, ':')
 		if colon < 0 {
-			return Update{}, fmt.Errorf("wire: malformed update line %q", trimmed)
+			return Update{}, fmt.Errorf("wire: malformed update line %q", l)
 		}
-		key := strings.TrimSpace(trimmed[:colon])
-		val := strings.TrimSpace(trimmed[colon+1:])
-		switch key {
+		val := bytes.TrimSpace(l[colon+1:])
+		switch string(bytes.TrimSpace(l[:colon])) {
 		case "serial":
-			n, err := strconv.ParseUint(val, 10, 64)
+			n, err := strconv.ParseUint(string(val), 10, 64)
 			if err != nil {
 				return Update{}, fmt.Errorf("wire: bad update serial %q", val)
 			}
 			u.Serial = n
 			sawSerial = true
 		case "hello":
-			u.Hello = val == "1"
+			u.Hello = string(val) == "1"
 		case scopeKey:
 			// A scope this decoder cannot read leaves the update a
 			// resync, never a narrower one.
-			u.Scope, _ = parseScopeValue(val)
+			u.Scope, _ = parseScopeValue(string(val))
 		case "key":
-			u.Key = val
+			u.Key = t.str(val)
 		case "old":
-			u.Old = val
+			u.Old = t.str(val)
 		case "new":
-			u.New = val
+			u.New = t.str(val)
 		case "cred":
-			u.Cred = val
+			u.Cred = string(val)
 		case "csig":
-			u.CredSig = val
+			u.CredSig = string(val)
 		default:
 			// Unknown lines are skipped: future daemons may say more.
 		}
