@@ -40,6 +40,12 @@ lint: fmt-check vet
 # names it, tests included, is a mode coming back. So is a blocking `.Query(`
 # call in internal/core's program code.
 #
+# Revocation is not a mode: every controller keeps its verdicts revocable.
+# Config.Revocation is declared only because bench/ still names it; a
+# `Revocation:` field or a `.Revocation` selector in any other Go of this
+# module, tests included, is the switch coming back. Prose ("Revocation:"
+# opening a comment, "Revocation plane" in a title) is not a field.
+#
 # One place a punt's tuple is derived: a switch decodes its frame, in
 # process (openflow.Switch) or at the controller's end of the secure channel
 # (openflow.ChannelServer), so every controller is handed PacketIn.Tuple. A
@@ -66,6 +72,8 @@ check-seam:
 	if [ -n "$$out" ]; then echo "goroutine or WaitGroup on the decision path:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnw 'AsyncQueries' --include='*.go' . | grep -v '^\./bench/' | grep -vE '^\./internal/core/controller\.go:[0-9]+:[[:space:]]*(//.*|AsyncQueries bool)$$')"; \
 	if [ -n "$$out" ]; then echo "a gather selected by Config.AsyncQueries:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE '(^|[{,(])[[:space:]]*Revocation:|\.Revocation([^[:alnum:]_]|$$)' --include='*.go' . | grep -v '^\./bench/')"; \
+	if [ -n "$$out" ]; then echo "revocation selected by Config.Revocation:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Query\(' internal/core/*.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "a blocking query in internal/core:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE '\.Ten\(' --include='*.go' internal cmd examples | grep -vE '^internal/(openflow|packet)/|_test\.go:')"; \

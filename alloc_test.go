@@ -1,7 +1,6 @@
 package identxx_bench
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -84,7 +83,6 @@ func TestAllocBudgetMegaflowHit(t *testing.T) {
 		Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
@@ -109,45 +107,44 @@ func TestAllocBudgetMegaflowHit(t *testing.T) {
 // TestAllocBudgetMissLocalAnswer pins the cache-miss path where both ends
 // are answered from the controller's answer-on-behalf table: the full
 // two-ended query fan-out, pooled response-view construction, evaluation,
-// audit, and install — still within the budget. With revocation on, every
-// decision also re-registers the flow's dependency record, replacing the
-// last one, and that must fit the same budget.
+// audit, and install — still within the budget. Every decision also
+// re-registers the flow's dependency record, replacing the last one, and
+// that must fit the same budget.
 func TestAllocBudgetMissLocalAnswer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries randomly under -race; allocation counts are nondeterministic")
 	}
-	for _, revocation := range []bool{false, true} {
-		t.Run(fmt.Sprintf("revocation=%v", revocation), func(t *testing.T) {
-			srcIP := netaddr.MustParseIP("10.0.0.1")
-			dstIP := netaddr.MustParseIP("10.0.0.2")
-			ctl := core.New(core.Config{
-				Name:           "budget",
-				Policy:         pf.MustCompile("budget", m8Policy),
-				Transport:      m8NoDaemonTransport{},
-				Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-				InstallEntries: true,
-				Revocation:     revocation,
-			})
-			ctl.AddDatapath(&m7Datapath{id: 1})
-			ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})
-			ctl.AnswerForHost(dstIP, wire.KV{Key: wire.KeyName, Value: "skype"})
-			ev := m8Event(srcIP, dstIP)
-
-			got := allocsPerEvent(ctl, func() { ctl.HandleEvent(ev) })
-			if got > allocBudget {
-				t.Fatalf("miss-local-answer HandleEvent allocates %.1f objects/op, budget is %d", got, allocBudget)
-			}
-			if ctl.Counters.Get("answered_on_behalf") == 0 {
-				t.Fatal("answer-on-behalf path not exercised")
-			}
-			if ctl.Counters.Get("flows_allowed") == 0 {
-				t.Fatal("no flows decided")
-			}
-			if live, registered, _ := ctl.RevocationIndexStats(); revocation && (live != 1 || registered < 2000) {
-				t.Fatalf("%d live records after %d registrations, want the flow's one re-registered every event", live, registered)
-			}
+	// Revocation is always on; the subtest keeps the name it had when the
+	// controller could run without it.
+	t.Run("revocation=true", func(t *testing.T) {
+		srcIP := netaddr.MustParseIP("10.0.0.1")
+		dstIP := netaddr.MustParseIP("10.0.0.2")
+		ctl := core.New(core.Config{
+			Name:           "budget",
+			Policy:         pf.MustCompile("budget", m8Policy),
+			Transport:      m8NoDaemonTransport{},
+			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+			InstallEntries: true,
 		})
-	}
+		ctl.AddDatapath(&m7Datapath{id: 1})
+		ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})
+		ctl.AnswerForHost(dstIP, wire.KV{Key: wire.KeyName, Value: "skype"})
+		ev := m8Event(srcIP, dstIP)
+
+		got := allocsPerEvent(ctl, func() { ctl.HandleEvent(ev) })
+		if got > allocBudget {
+			t.Fatalf("miss-local-answer HandleEvent allocates %.1f objects/op, budget is %d", got, allocBudget)
+		}
+		if ctl.Counters.Get("answered_on_behalf") == 0 {
+			t.Fatal("answer-on-behalf path not exercised")
+		}
+		if ctl.Counters.Get("flows_allowed") == 0 {
+			t.Fatal("no flows decided")
+		}
+		if live, registered, _ := ctl.RevocationIndexStats(); live != 1 || registered < 2000 {
+			t.Fatalf("%d live records after %d registrations, want the flow's one re-registered every event", live, registered)
+		}
+	})
 }
 
 // TestAllocSetupRecorderObserve: every decision, hits included, records
@@ -181,7 +178,6 @@ func TestAllocFlowScopedUpdate(t *testing.T) {
 		Transport:      m8NoDaemonTransport{},
 		Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		Revocation:     true,
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
 	ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})

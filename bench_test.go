@@ -661,7 +661,6 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			Transport:      eng,
 			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries: true,
-			Revocation:     true,
 		})
 		eng.SetUpdateHandler(ctl.HandleUpdate)
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -900,8 +899,7 @@ func BenchmarkM10_Compile(b *testing.B) {
 
 // BenchmarkM11_Revocation measures the revocation plane (PR 5):
 //
-//   - no-subscribers: the M8 cache-hit path with Revocation enabled but no
-//     updates arriving — the proof that adopting the plane costs the
+//   - no-subscribers: the M8 cache-hit path with no updates arriving — the proof that adopting the plane costs the
 //     packet-in hot path nothing. Carries the same ≤ 2 allocs/op budget as
 //     M8/M9-hit in the CI bench-compare gate (measures 0).
 //   - teardown: one full revocation cycle per op — decide+install a flow,
@@ -940,7 +938,6 @@ func BenchmarkM11_Revocation(b *testing.B) {
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 			Shards:           shards,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -1029,7 +1026,6 @@ func BenchmarkM11_Revocation(b *testing.B) {
 			}},
 			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries: true,
-			Revocation:     true,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
 		var arrived atomic.Int64
@@ -1192,7 +1188,6 @@ func BenchmarkM12_Megaflow(b *testing.B) {
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 			Megaflow:         mega,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})

@@ -147,7 +147,6 @@ func main() {
 		Transport:          eng,
 		Topology:           topo,
 		InstallEntries:     true,
-		Revocation:         true,
 		RevocationLeaseTTL: *leaseTTL,
 		ResponseCacheTTL:   *cacheTTL,
 		Megaflow:           *megaflow,

@@ -78,7 +78,6 @@ func TestAdminCommands(t *testing.T) {
 		Topology:         &sinkTopo{},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	ctl.AddDatapath(&sinkDatapath{id: 1})
 	five := flow.Five{
@@ -179,11 +178,10 @@ func torn(t *testing.T, addr string, words ...string) int {
 // TestAdminOverTCP drives the listener + client round trip.
 func TestAdminOverTCP(t *testing.T) {
 	ctl := core.New(core.Config{
-		Name:       "admin-tcp",
-		Policy:     pf.MustCompile("p", "block all"),
-		Transport:  nullTransport{},
-		Topology:   &sinkTopo{},
-		Revocation: true,
+		Name:      "admin-tcp",
+		Policy:    pf.MustCompile("p", "block all"),
+		Transport: nullTransport{},
+		Topology:  &sinkTopo{},
 	})
 	if got := torn(t, operatorServer(t, telemetry.Operator{Ctl: ctl}), "revoke", "10.0.0.9"); got != 0 {
 		t.Errorf("revoke tore down %d, want 0", got)

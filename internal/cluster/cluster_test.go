@@ -49,7 +49,6 @@ func testController(t *testing.T, name string, install bool, hops []core.Hop) *c
 		Topology:         hopTopo{hops: hops},
 		InstallEntries:   install,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	if !install {
 		// HandleEvent drops events from unknown datapaths; non-install

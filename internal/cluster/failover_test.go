@@ -83,7 +83,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		Topology:         hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	if !r.eng.SetUpdateHandler(r.ctl.HandleUpdate) {
 		t.Fatal("engine lower does not push updates")

@@ -50,7 +50,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		Topology:         hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Trace:            r.rec,
 	})
 	r.ctl.AddDatapath(sw)
@@ -184,7 +183,6 @@ func TestTraceLinkRedialNoCrossStitch(t *testing.T) {
 		Transport:        passTransport{},
 		Topology:         hopTopo{},
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Trace:            rec,
 	})
 	ctl.AddDatapath(&sinkDatapath{id: 1})

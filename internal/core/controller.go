@@ -234,21 +234,25 @@ type Config struct {
 	// the cache too. Requires ResponseCacheTTL.
 	Megaflow bool
 
-	// Revocation enables the revocation plane: every cache-missing decision
-	// registers the (host, key) facts its verdict read in a fact-dependency
-	// index — one record, under its cache entry when the verdict is cached,
-	// under its flow otherwise — and HandleUpdate — fed daemon-pushed
-	// endpoint-state updates by the query plane — tears affected verdicts
-	// down live (cache entry dropped, flow-table entries deleted along the
-	// installed path, audit record emitted). The cache-hit fast path is
-	// untouched: it neither registers nor consults the index.
+	// Revocation selects nothing: every controller keeps its verdicts
+	// revocable. Each cache-missing decision registers the (host, key) facts
+	// its verdict read in a fact-dependency index — one record, under its
+	// cache entry when the verdict is cached, under its flow otherwise — and
+	// HandleUpdate, RevokeHost and SweepLeases tear affected verdicts down
+	// live (cache entry dropped, flow-table entries deleted along the
+	// installed path, audit record emitted). The cache-hit fast path neither
+	// registers nor consults the index. Without an update feed
+	// (query.Engine.SetUpdateHandler) the index is only bookkeeping.
+	//
+	// Deprecated: ignored. Only the benchmark rig (bench/, a module of its
+	// own) still names it; removed by ROADMAP item 0(ii).
 	Revocation bool
 
 	// RevocationLeaseTTL is the fallback for daemons that never push (the
 	// honest-but-legacy case): facts from hosts that have not said hello
 	// are leased for this long, and SweepLeases tears expired flows down,
 	// forcing a fresh query — short-lived credentials where no revocation
-	// channel exists. Zero disables leases. Requires Revocation.
+	// channel exists. Zero disables leases.
 	RevocationLeaseTTL time.Duration
 
 	// Shards sets the number of flow-state shards, rounded up to a power
@@ -321,10 +325,9 @@ type Controller struct {
 	mega    *megaTable               // the verdict cache (nil unless ResponseCacheTTL > 0)
 	widen   bool                     // Config.Megaflow: cache under the trace's mask, not the full one
 
-	// revoker is the revocation plane's fact-dependency index (nil unless
-	// Config.Revocation); leaseTTL the legacy-daemon lease fallback; held the
-	// listener-scoped destination answers (scope.go; nil unless
-	// Config.Revocation: without updates nothing would retire them).
+	// revoker is the revocation plane's fact-dependency index; leaseTTL the
+	// legacy-daemon lease fallback; held the listener-scoped destination
+	// answers (scope.go).
 	revoker  *revoke.Index
 	leaseTTL time.Duration
 	held     *heldTable
@@ -436,11 +439,9 @@ func New(cfg Config) *Controller {
 		c.mega = newMegaTable(shards)
 		c.widen = cfg.Megaflow
 	}
-	if cfg.Revocation {
-		c.revoker = revoke.NewIndex(shards)
-		c.leaseTTL = cfg.RevocationLeaseTTL
-		c.held = new(heldTable)
-	}
+	c.revoker = revoke.NewIndex(shards)
+	c.leaseTTL = cfg.RevocationLeaseTTL
+	c.held = new(heldTable)
 	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
 		c.credTr = ct
 	}
@@ -508,12 +509,8 @@ func (c *Controller) ShardStats() []ShardStat {
 }
 
 // ClassRecordStats reports the revocation index's class records — one per
-// cached verdict: resident count plus lifetime register/drop totals. Zeros
-// when revocation is disabled.
+// cached verdict: resident count plus lifetime register/drop totals.
 func (c *Controller) ClassRecordStats() (live int, registered, dropped int64) {
-	if c.revoker == nil {
-		return 0, 0, 0
-	}
 	return c.revoker.ClassStats()
 }
 
@@ -536,11 +533,8 @@ func (c *Controller) PolicyScanStats() (rules, worstCase int) {
 
 // HostDependencies snapshots the revocation index's per-host view (flows
 // and megaflow classes depending on each host's facts, push-capability) —
-// the per-host drill-down. Nil when revocation is disabled.
+// the per-host drill-down.
 func (c *Controller) HostDependencies() []revoke.HostStat {
-	if c.revoker == nil {
-		return nil
-	}
 	return c.revoker.Hosts(nil)
 }
 
@@ -604,11 +598,9 @@ func (c *Controller) SetPolicy(p *pf.Policy) {
 		// unreachable entry.
 		c.mega.flushAll()
 	}
-	if c.revoker != nil {
-		// Every registration described a decision of the old policy; the
-		// table flush below removes the entries wholesale.
-		c.revoker.FlushAll()
-	}
+	// Every registration described a decision of the old policy; the table
+	// flush below removes the entries wholesale.
+	c.revoker.FlushAll()
 	c.deleteTagged(c.cookies.tag)
 	c.Counters.Add("policy_reloads", 1)
 }
@@ -638,8 +630,9 @@ func (c *Controller) SetAugmenter(f func(q wire.Query, resp *wire.Response)) {
 	})
 }
 
-// HandleFlowRemoved implements openflow.Controller. The ingress entry is
-// the only one installed with NotifyRemoved, so its eviction means the
+// HandleFlowRemoved implements openflow.Controller. A verdict's ingress
+// entry — a pass's forward entry at the punting switch, a deny's drop entry
+// — is the only one installed with NotifyRemoved, so its eviction means the
 // flow's forward path is gone from the network's point of view, and a
 // verdict that is the flow's alone goes with it: the cached verdict whose
 // class is exactly that flow is retired — or a flow that idle-timed-out
@@ -663,9 +656,6 @@ func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
 				}
 			}
 		}
-	}
-	if c.revoker == nil {
-		return
 	}
 	reg, ok := c.revoker.Drop(five)
 	if !ok {
@@ -953,15 +943,14 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		// member was installing: its entries postdate the teardown's path
 		// snapshot, so the member deletes its own installs — the self-clean
 		// half of the teardown handshake (megaflow.go). The class's record
-		// is every member's record: a hit touches no index — the hot path
-		// stays exactly as fast as without revocation.
+		// is every member's record: a hit touches no index.
 		if !g.mega.addPaths(s.pathIDs) {
 			c.deleteMegaAt(st, g.mega, s.pathIDs)
 			c.Counters.Add("megaflow_hit_raced", 1)
 		}
-	} else if c.revoker != nil && c.install {
-		// Revocation plane, uncached verdict: record which endpoint facts
-		// it read, so a daemon-pushed update resolves straight to this flow.
+	} else if c.install {
+		// Uncached verdict: record which endpoint facts it read, so a
+		// daemon-pushed update resolves straight to this flow.
 		c.registerDeps(s)
 	} else {
 		return // nothing published that a revocation could have missed
@@ -1107,8 +1096,8 @@ func (c *Controller) apply(dp openflow.Datapath, m openflow.FlowMod) bool {
 // first packet, which must be released into a programmed path, not re-punt
 // at the next hop (Figure 1: entries, then "packet proceeds"). Hops whose
 // datapath is not registered are skipped. Every datapath tried is recorded
-// in s.pathIDs for the teardown-along-path (when anything will tear down),
-// every mod accepted in s.installed.
+// in s.pathIDs for the teardown-along-path, every mod accepted in
+// s.installed.
 func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cookie uint64, ev *openflow.PacketIn, s *decisionScratch) {
 	mod := openflow.FlowMod{
 		Match:       flow.FiveMatch(five),
@@ -1117,7 +1106,6 @@ func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cooki
 		IdleTimeout: entryIdleTimeout,
 		BufferID:    openflow.BufferNone,
 	}
-	track := c.revoker != nil || c.mega != nil
 	var ingress openflow.Datapath
 	var ingressOut uint16
 	for _, h := range hops {
@@ -1125,9 +1113,7 @@ func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cooki
 		if dp == nil {
 			continue
 		}
-		if track {
-			s.pathIDs = appendPathID(s.pathIDs, h.Datapath)
-		}
+		s.pathIDs = appendPathID(s.pathIDs, h.Datapath)
 		if ev != nil && ingress == nil && h.Datapath == ev.SwitchID {
 			ingress, ingressOut = dp, h.OutPort
 			continue
@@ -1201,27 +1187,28 @@ func (c *Controller) packetOutOrRelease(dp openflow.Datapath, ev openflow.Packet
 
 // installDrop caches a deny verdict at the ingress switch so subsequent
 // packets of the flow die in hardware, and discards the buffered packet.
+// The drop entry is the verdict's ingress entry: it asks for a FlowRemoved,
+// so the verdict's record leaves with it (HandleFlowRemoved).
 func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, five flow.Five, s *decisionScratch) {
 	dp.ReleaseBuffer(ev.BufferID)
 	if !c.install {
 		return
 	}
 	mod := openflow.FlowMod{
-		Match:       flow.FiveMatch(five),
-		Priority:    100,
-		Actions:     openflow.Drop,
-		Cookie:      s.cookie(),
-		IdleTimeout: entryIdleTimeout,
-		BufferID:    openflow.BufferNone,
+		Match:         flow.FiveMatch(five),
+		Priority:      100,
+		Actions:       openflow.Drop,
+		Cookie:        s.cookie(),
+		IdleTimeout:   entryIdleTimeout,
+		BufferID:      openflow.BufferNone,
+		NotifyRemoved: true,
 	}
 	if c.apply(dp, mod) {
 		s.installed++
 	}
-	if c.revoker != nil || c.mega != nil {
-		// A deny entry is as revocable as a pass entry: a fact change can
-		// flip the verdict, and the drop entry must not outlive its facts.
-		s.pathIDs = appendPathID(s.pathIDs, ev.SwitchID)
-	}
+	// A deny entry is as revocable as a pass entry: a fact change can flip
+	// the verdict, and the drop entry must not outlive its facts.
+	s.pathIDs = appendPathID(s.pathIDs, ev.SwitchID)
 }
 
 // ruleString names the deciding rule for the audit trail. The rendering is

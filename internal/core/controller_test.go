@@ -438,7 +438,6 @@ func TestSetPolicyFlushesOnlyItsOwnEntries(t *testing.T) {
 			Transport:      skypeFacts(),
 			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries: true,
-			Revocation:     true,
 		})
 		c.AddDatapath(sw)
 		c.HandleEvent(unbuffered(revFlow(45000 + i)))
@@ -478,7 +477,6 @@ func TestRevokeFlow(t *testing.T) {
 		Transport:      tr,
 		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		Revocation:     true,
 	})
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)

@@ -104,10 +104,12 @@ func (e *megaEntry) addPaths(ids []uint64) bool {
 	return true
 }
 
-// announced reports whether the network will say when the entry's installed
-// state is gone: it is one flow's own, that flow passes, and entries went
-// in — the ingress one asking for a flow-removed. Nothing reports the end
-// of a drop entry or of a wider class's members.
+// announced reports whether the entry outlives its serving life as the
+// record of its flow's switch entries: it is one flow's own, that flow
+// passes, and entries went in — the ingress one asking for a flow-removed.
+// Nothing reports the end of a wider class's members. A drop entry asks for
+// a flow-removed too, but a deny is not kept past the sweep: a drop entry
+// left standing on stale facts fails closed.
 func (e *megaEntry) announced() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -374,16 +376,14 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 		matched:   d.Matched,
 		keepState: d.KeepState,
 	}
-	if c.revoker != nil {
-		// Register before publishing: a teardown can only reach the entry
-		// through the table, so whichever one finds it also finds (and
-		// drops) a complete record. Registered after the insert, a teardown
-		// in between dropped an id not yet registered and the late record
-		// was never dropped — an index leak.
-		reg := c.deps(s, tr.SrcRead, tr.DstRead)
-		reg.Class = e.id
-		c.revoker.Register(reg)
-	}
+	// Register before publishing: a teardown can only reach the entry
+	// through the table, so whichever one finds it also finds (and drops) a
+	// complete record. Registered after the insert, a teardown in between
+	// dropped an id not yet registered and the late record was never
+	// dropped — an index leak.
+	reg := c.deps(s, tr.SrcRead, tr.DstRead)
+	reg.Class = e.id
+	c.revoker.Register(reg)
 	resident, expired, swept := c.mega.insert(e, now, c.cacheTTL)
 	for _, old := range swept {
 		// Expired, not revoked: nothing is deleted under live traffic.
@@ -397,9 +397,7 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 	if resident != nil {
 		// Founder race: another decision founded this class first, and this
 		// one joins it.
-		if c.revoker != nil {
-			c.revoker.DropClass(e.id)
-		}
+		c.revoker.DropClass(e.id)
 		return resident
 	}
 	c.hot.megaInstalls.Add(1)
@@ -411,7 +409,7 @@ func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision
 // another retirer won and did all of it.
 func (c *Controller) retireMega(e *megaEntry) ([]uint64, bool) {
 	paths, ok := c.mega.retire(e)
-	if ok && c.revoker != nil {
+	if ok {
 		c.revoker.DropClass(e.id)
 	}
 	return paths, ok

@@ -39,7 +39,6 @@ func newMegaControllerIn(t *testing.T, cm completionMode, policy string, leaseTT
 		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 		InstallEntries:     true,
 		ResponseCacheTTL:   time.Hour,
-		Revocation:         true,
 		RevocationLeaseTTL: leaseTTL,
 		Megaflow:           true,
 		Clock:              clock,
@@ -376,7 +375,6 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	c.AddDatapath(dp1)
 
@@ -450,7 +448,6 @@ func TestMegaflowCookiesDisjointAcrossControllers(t *testing.T) {
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 		})
 		c.AddDatapath(sw)
 		return c
@@ -492,7 +489,6 @@ func TestTakeoverSweepSparesLiveClassMembers(t *testing.T) {
 			Transport:      skypeFacts(),
 			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 			InstallEntries: true,
-			Revocation:     true,
 		}
 		if megaflow {
 			cfg.ResponseCacheTTL, cfg.Megaflow = time.Hour, true
@@ -548,7 +544,6 @@ func testMegaflowUpdateRacingInstallVoidsDecision(t *testing.T, cm completionMod
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 	}
 	settle := cm.config(&cfg)
@@ -625,7 +620,6 @@ func TestMegaflowHitRacingTeardownSelfCleans(t *testing.T) {
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 	})
 	c.AddDatapath(dp1)
@@ -708,7 +702,6 @@ func testMegaflowFounderRaceJoinsResident(t *testing.T, cm completionMode) {
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 	}
 	settle := cm.config(&cfg)
@@ -797,7 +790,6 @@ func TestClassLeaseFollowsCredentialExpiry(t *testing.T) {
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 		Clock:            clock,
 	})

@@ -29,7 +29,7 @@ import (
 
 // HandleUpdate consumes one daemon-pushed endpoint-state update for host.
 // It is the intended sink for query.Engine.SetUpdateHandler and is safe
-// for concurrent use. With revocation disabled it is a no-op.
+// for concurrent use.
 //
 // Scope resolution (see wire.Update): a hello marks the host push-capable
 // (its facts need no lease); a flow-scoped update revokes that flow; an
@@ -40,9 +40,6 @@ import (
 // bump the host fence first, which also retires every answer held for the
 // host (scope.go).
 func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
-	if c.revoker == nil {
-		return
-	}
 	if u.Hello {
 		c.revoker.MarkPush(host)
 		c.Counters.Add("revocations_hellos", 1)
@@ -148,11 +145,8 @@ func (l *updateLabels) of(u wire.Update) *teardownLabel {
 // RevokeHost is the operator-initiated form (identctl revoke): it tears
 // down every flow whose verdict depended on the named fact — or, with an
 // empty key, on any fact — of host, and returns how many flows were torn
-// down. It requires Config.Revocation.
+// down.
 func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
-	if c.revoker == nil {
-		return 0
-	}
 	n, _ := c.revokeHost(host, key, newTeardownLabel("operator:"+host.String()))
 	return n
 }
@@ -173,9 +167,6 @@ func (c *Controller) revokeHost(host netaddr.IP, key string, lbl *teardownLabel)
 // tests directly): the controller spawns no goroutine of its own. Returns
 // the number of verdicts torn down.
 func (c *Controller) SweepLeases() int {
-	if c.revoker == nil {
-		return 0
-	}
 	n, classes := c.revokeKeys(c.revoker.Expired(c.clock(), nil), leaseExpiredLabel)
 	c.Counters.Add("revocations_lease_expired", int64(n-classes))
 	c.Counters.Add("revocations_wide_lease_expired", int64(classes))
@@ -247,12 +238,8 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, lbl *teardownLabel
 			}
 		}
 	}
-	var reg revoke.Registration
-	haveReg := false
-	if c.revoker != nil {
-		reg, haveReg = c.revoker.Drop(five)
-	}
-	if !haveReg {
+	reg, ok := c.revoker.Drop(five)
+	if !ok {
 		// No record of its own: a class's teardown above was this flow's,
 		// and reached everything installed for it. With no class either,
 		// nothing is known about the flow — the fence above still voids
@@ -361,12 +348,8 @@ func earlier(a, b time.Time) time.Time {
 }
 
 // RevocationIndexStats exposes the index's occupancy for operators and
-// tests: live registrations plus lifetime register/drop totals. Zeros when
-// revocation is disabled.
+// tests: live registrations plus lifetime register/drop totals.
 func (c *Controller) RevocationIndexStats() (live int, registered, dropped int64) {
-	if c.revoker == nil {
-		return 0, 0, 0
-	}
 	return c.revoker.Stats()
 }
 

@@ -52,8 +52,8 @@ func verdictCookie(c *Controller, five flow.Five) uint64 {
 	return c.cookies.flow(five)
 }
 
-// newRevController builds a revocation-enabled controller with a two-hop
-// path and the canned skype transport.
+// newRevController builds a controller with a two-hop path and the canned
+// skype transport.
 func newRevController(t *testing.T, cacheTTL, leaseTTL time.Duration, clock func() time.Time) (*Controller, *fakeTransport, *fakeDatapath, *fakeDatapath) {
 	t.Helper()
 	c, tr, dp1, dp2, _ := newRevControllerIn(t, completionMode{}, cacheTTL, leaseTTL, clock)
@@ -74,7 +74,6 @@ func newRevControllerIn(t *testing.T, cm completionMode, cacheTTL, leaseTTL time
 		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 		InstallEntries:     true,
 		ResponseCacheTTL:   cacheTTL,
-		Revocation:         true,
 		RevocationLeaseTTL: leaseTTL,
 		Clock:              clock,
 	}
@@ -270,7 +269,6 @@ func TestResyncTearsDownHost(t *testing.T) {
 // before the fix, a flow whose switch entry idle-timed-out was re-admitted
 // from the verdict cache without consulting the daemons again.
 func TestFlowRemovedDropsCacheEntry(t *testing.T) {
-	// Revocation deliberately off: the fix must hold for every controller.
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
 		hostA: {"name": "skype"},
 		hostB: {"name": "skype"},
@@ -347,8 +345,8 @@ func pushFlowUpdate(c *Controller, five flow.Five) {
 // older than the TTL is not interrupted — and stays the flow's one record:
 // a fact update still tears it down by its cookie, another replica's
 // takeover leaves it alone, and the ingress entry's flow-removed finally
-// retires it. A deny verdict's drop entry reports nothing, so its record
-// leaves at the sweep.
+// retires it. A deny verdict's record leaves at the sweep: a drop entry
+// left standing on stale facts fails closed.
 func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 	const ttl = time.Minute
 	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 44000, DstPort: 5060}
@@ -364,7 +362,6 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 			InstallEntries:   true,
 			ResponseCacheTTL: ttl,
-			Revocation:       true,
 			Shards:           1,
 			Clock:            fc.Now,
 		})
@@ -459,7 +456,6 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 				Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 				InstallEntries:   true,
 				ResponseCacheTTL: cacheTTL,
-				Revocation:       true,
 			})
 			d.AddDatapath(sw1)
 			d.AddDatapath(sw2)
@@ -570,6 +566,70 @@ func TestRevokeHostOperator(t *testing.T) {
 	}
 }
 
+// TestEveryControllerRevokes: a controller built without naming revocation
+// in its Config still keeps its verdicts revocable. A miss registers the
+// facts it read; a pushed key-scoped update tears the flow down and deletes
+// its entries along the path; the operator's RevokeHost tears down another.
+func TestEveryControllerRevokes(t *testing.T) {
+	sw1, sw2 := openflow.NewSwitch(1, "s1", 0), openflow.NewSwitch(2, "s2", 0)
+	c := New(Config{
+		Name:           "plain",
+		Policy:         pf.MustCompile("rev", revPolicy),
+		Transport:      skypeFacts(),
+		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
+		InstallEntries: true,
+	})
+	c.AddDatapath(sw1)
+	c.AddDatapath(sw2)
+	entries := func() int { return sw1.Table.Len() + sw2.Table.Len() }
+
+	c.HandleEvent(unbuffered(revFlow(46000)))
+	if live, _, _ := c.RevocationIndexStats(); live != 1 || entries() != 2 {
+		t.Fatalf("after a miss: %d live records, %d entries; want 1 and 2", live, entries())
+	}
+	c.HandleUpdate(hostA, wire.Update{Key: "name", Old: "skype", Serial: 1})
+	if live, _, _ := c.RevocationIndexStats(); live != 0 || entries() != 0 {
+		t.Errorf("after the update: %d live records, %d entries; want none", live, entries())
+	}
+	checkCounters(t, c, map[string]int64{"revocations_flows": 1, "revocations_entries": 4})
+
+	c.HandleEvent(unbuffered(revFlow(46001)))
+	if n := c.RevokeHost(hostB, ""); n != 1 || entries() != 0 {
+		t.Errorf("RevokeHost tore down %d flows and left %d entries; want 1 and none", n, entries())
+	}
+}
+
+// TestDenyRecordLeavesWithDropEntry: a deny verdict's drop entry asks for a
+// flow-removed, so on a switch that notifies only entries that asked, the
+// verdict's record still leaves when the entry idles out.
+func TestDenyRecordLeavesWithDropEntry(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	sw := openflow.NewSwitch(1, "s1", 0)
+	sw.Clock = fc.Now
+	c := New(Config{
+		Name:           "deny",
+		Policy:         pf.MustCompile("rev", revPolicy),
+		Transport:      skypeFacts(),
+		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries: true,
+		Clock:          fc.Now,
+	})
+	c.AddDatapath(sw)
+	sw.SetController(c)
+
+	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 44000, DstPort: 5060}
+	c.HandleEvent(unbuffered(denied))
+	if live, _, _ := c.RevocationIndexStats(); live != 1 || sw.Table.Len() != 1 || c.Counters.Get("flows_denied") != 1 {
+		t.Fatalf("after the deny: %d live records, %d entries; want 1 and the drop entry", live, sw.Table.Len())
+	}
+	fc.Advance(entryIdleTimeout)
+	sw.Tick()
+	if live, _, _ := c.RevocationIndexStats(); live != 0 || sw.Table.Len() != 0 {
+		t.Errorf("after the idle-out: %d live records, %d entries; want none", live, sw.Table.Len())
+	}
+	checkCounters(t, c, map[string]int64{"flow_removed": 1})
+}
+
 // TestRevocationStorm flaps endpoint state while packet-ins hammer the
 // same shard: race-clean, conservation holds, and the system quiesces into
 // a decidable state. This is the revocation analogue of the PR 1 stress
@@ -587,7 +647,6 @@ func TestRevocationStorm(t *testing.T) {
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Shards:           1, // force every flow and every revocation into one shard
 	})
 	c.AddDatapath(dp1)
@@ -687,9 +746,8 @@ func (t *fakeTransport) set(host netaddr.IP, key, value string) {
 	t.responses[host][key] = value
 }
 
-// newFenceController builds a revocation-enabled controller deciding
-// revPolicy over a one-hop path, its skype transport behind a gate, in
-// completion mode cm.
+// newFenceController builds a controller deciding revPolicy over a one-hop
+// path, its skype transport behind a gate, in completion mode cm.
 func newFenceController(t *testing.T, cm completionMode, shards int, cacheTTL time.Duration) (_ *Controller, _ *fakeTransport, _ *gatedTransport, _ *fakeDatapath, settle func()) {
 	t.Helper()
 	facts := skypeFacts()
@@ -702,7 +760,6 @@ func newFenceController(t *testing.T, cm completionMode, shards int, cacheTTL ti
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: cacheTTL,
-		Revocation:       true,
 		Shards:           shards,
 	}
 	settle = cm.config(&cfg)
@@ -848,7 +905,6 @@ func TestRedecideDropsAfterSecondVoid(t *testing.T) {
 		Transport:      tr,
 		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		Revocation:     true,
 	})
 	tr.c = c
 	c.AddDatapath(dp1)
@@ -952,7 +1008,6 @@ func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
 		Topology:         &fakeTopo{hops: hops},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	dps := make([]*fakeDatapath, nDatapaths)
 	for i := range dps {

@@ -12,10 +12,10 @@ import (
 
 // A destination that has yet to accept a connection is answered for by its
 // listener (§3.5), and a daemon that resolved a flow that way says so: it
-// gives the answer at the listener's scope (wire.Scope). With revocation on,
-// the controller keeps such answers in a table keyed by (host, listener),
-// and a later miss to that listener takes its destination answer from there
-// instead of asking: one query, the source's, where the miss sent two.
+// gives the answer at the listener's scope (wire.Scope). The controller keeps
+// such answers in a table keyed by (host, listener), and a later miss to that
+// listener takes its destination answer from there instead of asking: one
+// query, the source's, where the miss sent two.
 //
 // A held answer serves a decision only while it is known to be current:
 //
@@ -103,32 +103,32 @@ func destinationKey(s *decisionScratch) heldKey {
 // of one host is not a listener's: its daemon answers both ends from the
 // connection.
 func (c *Controller) heldFor(s *decisionScratch) *heldAnswer {
-	if c.held == nil || s.five.SrcIP == s.five.DstIP {
+	if s.five.SrcIP == s.five.DstIP {
 		return nil
 	}
 	h := c.held.get(destinationKey(s))
-	if h == nil || h.gen != s.dstGen || !covers(h.keys, s.dstKeys) {
+	if h == nil || h.gen != s.dstGen || !covers(h.keys, s.dstKeys) || !c.current(s.five.DstIP) {
 		return nil
 	}
-	return c.current(h, s.five.DstIP)
+	return h
 }
 
-// current returns h when what it rests on still holds of host: its daemon
-// pushes and its update stream is up, and its credential, where one is
-// enforced, authorizes it and has not expired.
-func (c *Controller) current(h *heldAnswer, host netaddr.IP) *heldAnswer {
+// current reports whether what a held answer rests on still holds of host:
+// its daemon pushes and its update stream is up, and its credential, where
+// one is enforced, authorizes it and has not expired.
+func (c *Controller) current(host netaddr.IP) bool {
 	if !c.revoker.PushCapable(host) || (c.streams != nil && !c.streams.Subscribed(host)) {
-		return nil
+		return false
 	}
 	if c.credTr != nil {
 		if !c.credTr.HostAuthorized(host) {
-			return nil
+			return false
 		}
 		if exp, ok := c.credTr.CredentialExpiry(host); ok && !c.clock().Before(exp) {
-			return nil
+			return false
 		}
 	}
-	return h
+	return true
 }
 
 // covers reports whether every key in want is in have.
@@ -157,14 +157,11 @@ func (c *Controller) useHeld(s *decisionScratch, h *heldAnswer) {
 // leaves it dead. The listener fact is the attempt's to register whether or
 // not the answer could be kept.
 func (c *Controller) learn(s *decisionScratch) {
-	if c.held == nil {
-		return
-	}
 	g := &s.gather
 	g.dstFact = revoke.ListenerKey(g.dst.Scope.Proto, g.dst.Scope.Port)
-	h := &heldAnswer{resp: *g.dst, keys: slices.Clone(g.qd.Keys), fact: g.dstFact, gen: s.dstGen}
-	if c.current(h, s.five.DstIP) != nil {
-		c.held.put(destinationKey(s), h)
-		c.hot.scopeLearned.Add(1)
+	if !c.current(s.five.DstIP) {
+		return
 	}
+	c.held.put(destinationKey(s), &heldAnswer{resp: *g.dst, keys: slices.Clone(g.qd.Keys), fact: g.dstFact, gen: s.dstGen})
+	c.hot.scopeLearned.Add(1)
 }

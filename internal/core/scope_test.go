@@ -60,7 +60,7 @@ func (t *listenerTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(
 	*w = wire.Response{Sections: []wire.Section{{Pairs: []wire.KV{{Key: wire.KeyName, Value: "poison"}}}}}
 }
 
-func newListenerController(t *testing.T, revocation bool) (*Controller, *listenerTransport, *fakeDatapath) {
+func newListenerController(t *testing.T) (*Controller, *listenerTransport, *fakeDatapath) {
 	t.Helper()
 	tr := &listenerTransport{fakeTransport: skypeFacts()}
 	dp := &fakeDatapath{id: 1}
@@ -70,7 +70,6 @@ func newListenerController(t *testing.T, revocation bool) (*Controller, *listene
 		Transport:      tr,
 		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		Revocation:     revocation,
 	})
 	c.AddDatapath(dp)
 	return c, tr, dp
@@ -90,11 +89,11 @@ func heldFacts(c *Controller) *wire.Response {
 
 // TestHeldAnswerServesListener: a destination answered at its listener's
 // scope serves the listener's next flows while its daemon pushes; not before
-// the daemon said hello, not while its update stream is down, not without
-// revocation, and not past an update that bumps its host's fence.
+// the daemon said hello, not while its update stream is down, and not past an
+// update that bumps its host's fence.
 func TestHeldAnswerServesListener(t *testing.T) {
 	t.Run("no hello", func(t *testing.T) {
-		c, tr, _ := newListenerController(t, true)
+		c, tr, _ := newListenerController(t)
 		for i := 0; i < 3; i++ {
 			c.HandleEvent(sampleEvent(revFlow(49000+i), 1))
 		}
@@ -103,17 +102,8 @@ func TestHeldAnswerServesListener(t *testing.T) {
 			t.Errorf("queries = %d, want 6", q)
 		}
 	})
-	t.Run("revocation off", func(t *testing.T) {
-		c, tr, _ := newListenerController(t, false)
-		for i := 0; i < 3; i++ {
-			c.HandleEvent(sampleEvent(revFlow(49000+i), 1))
-		}
-		if q := tr.queryCount(); q != 6 || c.held != nil {
-			t.Errorf("queries = %d, want 6, and no table", q)
-		}
-	})
 	t.Run("stream down", func(t *testing.T) {
-		c, tr, _ := newListenerController(t, true)
+		c, tr, _ := newListenerController(t)
 		c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
 		c.HandleEvent(sampleEvent(revFlow(49000), 1))
 		tr.streamDown = true
@@ -124,7 +114,7 @@ func TestHeldAnswerServesListener(t *testing.T) {
 		}
 	})
 	t.Run("pushing", func(t *testing.T) {
-		c, tr, _ := newListenerController(t, true)
+		c, tr, _ := newListenerController(t)
 		c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
 		for i := 0; i < 3; i++ {
 			c.HandleEvent(sampleEvent(revFlow(49000+i), 1))
@@ -159,7 +149,7 @@ func TestHeldAnswerServesListener(t *testing.T) {
 // pass through the same host's wrapper, and every answer held meanwhile keeps
 // serving its listener's flows.
 func TestHeldAnswerOutlivesTheLentResponse(t *testing.T) {
-	c, tr, _ := newListenerController(t, true)
+	c, tr, _ := newListenerController(t)
 	tr.lend = true
 	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
 	c.HandleEvent(sampleEvent(revFlow(40000), 1))
@@ -189,7 +179,7 @@ func TestHeldAnswerOutlivesTheLentResponse(t *testing.T) {
 // stood on the old answer falls, and neither a record nor a held answer is
 // left on it.
 func TestHeldAnswerRacingScopeUpdate(t *testing.T) {
-	c, tr, dp := newListenerController(t, true)
+	c, tr, dp := newListenerController(t)
 	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
 	warm := revFlow(49100)
 	c.HandleEvent(sampleEvent(warm, 1))
@@ -256,7 +246,7 @@ func livePasses(dp *fakeDatapath) []flow.Five {
 // decision is done, no pass verdict stands and nothing holds the old answer.
 func TestHeldAnswerConcurrentScopeUpdates(t *testing.T) {
 	const deciders, flowsEach, flips = 4, 60, 40
-	c, tr, dp := newListenerController(t, true)
+	c, tr, dp := newListenerController(t)
 	c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < deciders; g++ {

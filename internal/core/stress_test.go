@@ -35,7 +35,6 @@ func testStressConcurrentPipeline(t *testing.T, cm completionMode) {
 		Topology:         topo,
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
-		Revocation:       true,
 		Shards:           8,
 	}
 	settle := cm.config(&cfg)
@@ -193,7 +192,6 @@ func testStressMegaflowRevocation(t *testing.T, cm completionMode) {
 		Topology:         topo,
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
-		Revocation:       true,
 		Megaflow:         true,
 		Shards:           8,
 	}

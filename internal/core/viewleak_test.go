@@ -37,7 +37,6 @@ func newViewController(cacheTTL time.Duration, clock func() time.Time) *Controll
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: cacheTTL,
-		Revocation:       true,
 		Shards:           1,
 		Clock:            clock,
 	})

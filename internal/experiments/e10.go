@@ -61,7 +61,6 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 				Transport: eng, Topology: n,
 				InstallEntries:   true,
 				ResponseCacheTTL: time.Hour,
-				Revocation:       true,
 				Megaflow:         mode == 1,
 				Clock:            n.Clock.Now,
 			})

@@ -54,7 +54,6 @@ pass from any to any with eq(@src[name], skype)
 			Transport: eng, Topology: n,
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 			Clock:            n.Clock.Now,
 		})
 		// Close the loop: daemon-pushed updates drive the controller's

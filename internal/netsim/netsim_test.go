@@ -387,7 +387,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 			Transport: eng, Topology: n,
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 			Clock:            n.Clock.Now,
 		})
 		eng.SetUpdateHandler(ctl.HandleUpdate)

@@ -42,7 +42,8 @@ type PacketIn struct {
 }
 
 // FlowRemoved is the eviction notification a switch raises when an entry
-// with NotifyRemoved expires or is deleted.
+// installed with NotifyRemoved expires, or when a delete mod that itself
+// carries NotifyRemoved removes an entry.
 type FlowRemoved struct {
 	SwitchID uint64
 	Match    flow.Match
@@ -243,7 +244,8 @@ type FlowMod struct {
 	// through the new entry's actions — Figure 1 step 5, "packet proceeds
 	// to destination".
 	BufferID uint32
-	// NotifyRemoved requests a FlowRemoved event on eviction.
+	// NotifyRemoved requests a FlowRemoved event: on an add, when the new
+	// entry expires; on a delete, for every entry the delete removes.
 	NotifyRemoved bool
 	// Delete removes matching entries instead of adding one.
 	Delete bool
@@ -278,16 +280,19 @@ func (s *Switch) Apply(mod FlowMod) error {
 		} else {
 			removed = s.Table.DeleteWhere(pred)
 		}
-		s.notifyRemoved(removed, mod.NotifyRemoved)
+		if mod.NotifyRemoved {
+			s.notifyRemoved(removed)
+		}
 		return nil
 	}
 	e := &Entry{
-		Match:       mod.Match,
-		Priority:    mod.Priority,
-		Actions:     mod.Actions,
-		Cookie:      mod.Cookie,
-		IdleTimeout: mod.IdleTimeout,
-		HardTimeout: mod.HardTimeout,
+		Match:         mod.Match,
+		Priority:      mod.Priority,
+		Actions:       mod.Actions,
+		Cookie:        mod.Cookie,
+		IdleTimeout:   mod.IdleTimeout,
+		HardTimeout:   mod.HardTimeout,
+		NotifyRemoved: mod.NotifyRemoved,
 	}
 	if err := s.Table.Insert(e, now); err != nil {
 		return fmt.Errorf("switch %d: %w", s.ID, err)
@@ -328,15 +333,22 @@ func (s *Switch) ReleaseBuffer(bufID uint32) {
 	}
 }
 
-// Tick expires timed-out entries and delivers FlowRemoved notifications.
-// The simulator calls it as virtual time advances.
+// Tick expires timed-out entries and delivers a FlowRemoved for each that
+// was installed with NotifyRemoved. The simulator calls it as virtual time
+// advances.
 func (s *Switch) Tick() {
 	removed := s.Table.Expire(s.Clock())
-	s.notifyRemoved(removed, true)
+	flagged := removed[:0]
+	for _, r := range removed {
+		if r.Entry.NotifyRemoved {
+			flagged = append(flagged, r)
+		}
+	}
+	s.notifyRemoved(flagged)
 }
 
-func (s *Switch) notifyRemoved(removed []Removed, notify bool) {
-	if !notify || len(removed) == 0 {
+func (s *Switch) notifyRemoved(removed []Removed) {
+	if len(removed) == 0 {
 		return
 	}
 	s.mu.Lock()

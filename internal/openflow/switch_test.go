@@ -181,24 +181,29 @@ func TestNoControllerDropsMiss(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutNotifiesController: an expired entry installed with
+// NotifyRemoved raises a FlowRemoved; one installed without it leaves the
+// table silently.
 func TestIdleTimeoutNotifiesController(t *testing.T) {
 	rec := &recorder{}
 	sw := newTestSwitch(rec)
 	now := time.Now()
 	clock := now
 	sw.Clock = func() time.Time { return clock }
-	sw.Apply(FlowMod{
-		Match:         flow.FiveMatch(flow.Five{SrcIP: ipA, DstIP: ipB, Proto: netaddr.ProtoTCP, SrcPort: 1234, DstPort: 80}),
-		Actions:       Output(2),
-		IdleTimeout:   time.Second,
-		NotifyRemoved: true,
-		BufferID:      BufferNone,
-		Cookie:        42,
-	})
+	for i, notify := range []bool{true, false} {
+		sw.Apply(FlowMod{
+			Match:         flow.FiveMatch(flow.Five{SrcIP: ipA, DstIP: ipB, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(1234 + i), DstPort: 80}),
+			Actions:       Output(2),
+			IdleTimeout:   time.Second,
+			NotifyRemoved: notify,
+			BufferID:      BufferNone,
+			Cookie:        uint64(42 + i),
+		})
+	}
 	clock = now.Add(2 * time.Second)
 	sw.Tick()
-	if len(rec.removed) != 1 {
-		t.Fatalf("removed = %d", len(rec.removed))
+	if len(rec.removed) != 1 || sw.Table.Len() != 0 {
+		t.Fatalf("removed = %d, %d entries left; want the flagged entry's one and none", len(rec.removed), sw.Table.Len())
 	}
 	if rec.removed[0].Cookie != 42 || rec.removed[0].Reason != RemovedIdleTimeout {
 		t.Errorf("removed event = %+v", rec.removed[0])

@@ -70,6 +70,9 @@ type Entry struct {
 	IdleTimeout time.Duration
 	HardTimeout time.Duration
 
+	// NotifyRemoved: the entry's expiry raises a FlowRemoved.
+	NotifyRemoved bool
+
 	// Counters.
 	Packets uint64
 	Bytes   uint64

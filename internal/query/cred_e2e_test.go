@@ -60,7 +60,6 @@ func credStack(t *testing.T, name string, authority sig.PublicKey, resolver quer
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	ctl.AddDatapath(sw)
 	if !eng.SetUpdateHandler(ctl.HandleUpdate) {

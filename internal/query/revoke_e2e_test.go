@@ -72,7 +72,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 		}},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 	})
 	ctl.AddDatapath(sw1)
 	ctl.AddDatapath(sw2)
@@ -179,7 +178,6 @@ pass from any to any port 631 with eq(@dst[type], printer)
 		Topology:           &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries:     true,
 		ResponseCacheTTL:   time.Hour,
-		Revocation:         true,
 		RevocationLeaseTTL: 50 * time.Millisecond,
 	})
 	ctl.AddDatapath(sw)

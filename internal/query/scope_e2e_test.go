@@ -48,7 +48,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 		Transport:      eng,
 		Topology:       &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		InstallEntries: true,
-		Revocation:     true,
 	})
 	r.ctl.AddDatapath(r.sw)
 	if !eng.SetUpdateHandler(handler(r.ctl)) {

@@ -57,7 +57,6 @@ func newTestController(t *testing.T) *core.Controller {
 		Topology:         lineTopo{},
 		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
-		Revocation:       true,
 		Megaflow:         true,
 	})
 	ctl.AddDatapath(&nullDatapath{id: 1})

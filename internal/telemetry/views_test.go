@@ -114,7 +114,6 @@ func TestOperatorSweep(t *testing.T) {
 		Transport:          okTransport{},
 		Topology:           lineTopo{},
 		InstallEntries:     true,
-		Revocation:         true,
 		RevocationLeaseTTL: time.Minute,
 		Clock:              func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
 	})
@@ -184,7 +183,6 @@ func TestOperatorHosts(t *testing.T) {
 			Topology:         lineTopo{},
 			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
-			Revocation:       true,
 		})
 		ctl.AddDatapath(&nullDatapath{id: 1})
 		ctl.HandleUpdate(hostA, wire.Update{Hello: true, Serial: 1})
