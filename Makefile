@@ -46,6 +46,12 @@ lint: fmt-check vet
 # module, tests included, is the switch coming back. Prose ("Revocation:"
 # opening a comment, "Revocation plane" in a title) is not a field.
 #
+# Every controller installs what it decides: a verdict is cached as flow
+# entries along the path, so only a flow's first packet punts.
+# Config.InstallEntries is declared only because bench/ still names it; an
+# `InstallEntries:` field or an `.InstallEntries` selector in any other Go
+# of this module, tests included, is the no-install mode coming back.
+#
 # One place a punt's tuple is derived: a switch decodes its frame, in
 # process (openflow.Switch) or at the controller's end of the secure channel
 # (openflow.ChannelServer), so every controller is handed PacketIn.Tuple. A
@@ -74,6 +80,8 @@ check-seam:
 	if [ -n "$$out" ]; then echo "a gather selected by Config.AsyncQueries:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE '(^|[{,(])[[:space:]]*Revocation:|\.Revocation([^[:alnum:]_]|$$)' --include='*.go' . | grep -v '^\./bench/')"; \
 	if [ -n "$$out" ]; then echo "revocation selected by Config.Revocation:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE '(^|[{,(])[[:space:]]*InstallEntries:|\.InstallEntries([^[:alnum:]_]|$$)' --include='*.go' . | grep -v '^\./bench/')"; \
+	if [ -n "$$out" ]; then echo "installs selected by Config.InstallEntries:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Query\(' internal/core/*.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "a blocking query in internal/core:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE '\.Ten\(' --include='*.go' internal cmd examples | grep -vE '^internal/(openflow|packet)/|_test\.go:')"; \

@@ -45,7 +45,6 @@ func TestAllocBudgetCacheHit(t *testing.T) {
 		Policy:           pf.MustCompile("budget", m8Policy),
 		Transport:        tr,
 		Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
@@ -81,7 +80,6 @@ func TestAllocBudgetMegaflowHit(t *testing.T) {
 		Policy:           pf.MustCompile("budget", m12Policy),
 		Transport:        tr,
 		Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 	})
@@ -120,11 +118,10 @@ func TestAllocBudgetMissLocalAnswer(t *testing.T) {
 		srcIP := netaddr.MustParseIP("10.0.0.1")
 		dstIP := netaddr.MustParseIP("10.0.0.2")
 		ctl := core.New(core.Config{
-			Name:           "budget",
-			Policy:         pf.MustCompile("budget", m8Policy),
-			Transport:      m8NoDaemonTransport{},
-			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Name:      "budget",
+			Policy:    pf.MustCompile("budget", m8Policy),
+			Transport: m8NoDaemonTransport{},
+			Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
 		ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})
@@ -145,6 +142,61 @@ func TestAllocBudgetMissLocalAnswer(t *testing.T) {
 			t.Fatalf("%d live records after %d registrations, want the flow's one re-registered every event", live, registered)
 		}
 	})
+}
+
+// heldAnswers is a transport that holds every query's completion until
+// answer runs them, so the decision that asked stays suspended meanwhile.
+type heldAnswers struct {
+	held []func(*wire.Response, time.Duration, error)
+}
+
+func (h *heldAnswers) QueryAsync(_ netaddr.IP, _ wire.Query, done func(*wire.Response, time.Duration, error)) {
+	h.held = append(h.held, done)
+}
+
+func (h *heldAnswers) answer() {
+	held := h.held
+	h.held = nil
+	for _, done := range held {
+		done(nil, 0, nil)
+	}
+}
+
+// TestAllocBudgetParkedDuplicate: a duplicate packet-in parked on a decision
+// suspended on its queries allocates nothing once the flow's waiter list has
+// grown. It keeps its switch buffer to release and nothing of its frame.
+func TestAllocBudgetParkedDuplicate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries randomly under -race; allocation counts are nondeterministic")
+	}
+	tr := &heldAnswers{}
+	ctl := core.New(core.Config{
+		Name:      "budget",
+		Policy:    pf.MustCompile("budget", m8Policy),
+		Transport: tr,
+		Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+	})
+	ctl.AddDatapath(&m7Datapath{id: 1})
+	ev := m8Event(netaddr.MustParseIP("10.0.0.1"), netaddr.MustParseIP("10.0.0.2"))
+	ev.Frame = make([]byte, 64)
+	ctl.HandleEvent(ev) // the owner: suspended on both ends' queries
+
+	// 33 duplicates grow the waiter list to its last capacity, 64, and the
+	// 31 runs below fill it to the cap (maxParked) without overflowing.
+	const grown, runs = 33, 30
+	for range grown {
+		ctl.HandleEvent(ev)
+	}
+	if got := testing.AllocsPerRun(runs, func() { ctl.HandleEvent(ev) }); got != 0 {
+		t.Errorf("a parked duplicate allocates %.1f objects, want 0", got)
+	}
+	if n, over := ctl.Counters.Get("duplicate_packet_ins"), ctl.Counters.Get("waiters_overflowed"); n != grown+runs+1 || over != 0 {
+		t.Fatalf("duplicate_packet_ins = %d, waiters_overflowed = %d; want %d parked and none overflowed", n, over, grown+runs+1)
+	}
+	tr.answer()
+	if n := ctl.Counters.Get("waiters_resolved"); n != grown+runs+1 {
+		t.Errorf("waiters_resolved = %d, want %d", n, grown+runs+1)
+	}
 }
 
 // TestAllocSetupRecorderObserve: every decision, hits included, records
@@ -173,11 +225,10 @@ func TestAllocFlowScopedUpdate(t *testing.T) {
 	srcIP := netaddr.MustParseIP("10.0.0.1")
 	dstIP := netaddr.MustParseIP("10.0.0.2")
 	ctl := core.New(core.Config{
-		Name:           "budget",
-		Policy:         pf.MustCompile("budget", m8Policy),
-		Transport:      m8NoDaemonTransport{},
-		Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Name:      "budget",
+		Policy:    pf.MustCompile("budget", m8Policy),
+		Transport: m8NoDaemonTransport{},
+		Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
 	ctl.AnswerForHost(srcIP, wire.KV{Key: wire.KeyName, Value: "skype"})

@@ -211,38 +211,6 @@ func BenchmarkM4_WireRTT(b *testing.B) {
 	}
 }
 
-// BenchmarkM5_CacheAblation compares decision caching in switch tables
-// (the paper's design) against per-packet controller involvement: the
-// punts_per_flow metric is the ablation's cost for a 20-packet flow.
-func BenchmarkM5_CacheAblation(b *testing.B) {
-	for _, install := range []bool{true, false} {
-		name := "install-entries"
-		if !install {
-			name = "ablated-no-cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			newBench := experiments.NewSetupBench
-			if !install {
-				newBench = experiments.NewSetupBenchNoCache
-			}
-			sb := newBench(2, 10)
-			defer sb.Net.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalFlows := 0
-			for i := 0; i < b.N; i++ {
-				if err := sb.PacketTrain(20); err != nil {
-					b.Fatal(err)
-				}
-				totalFlows++
-			}
-			b.StopTimer()
-			punts := float64(sb.Ctl.Counters.Get("packet_ins"))
-			b.ReportMetric(punts/float64(totalFlows), "punts_per_flow")
-		})
-	}
-}
-
 // BenchmarkM6_SigCost measures what Ed25519 verification adds to the
 // decision path (Figures 5/7's verify), against the same policy without it.
 func BenchmarkM6_SigCost(b *testing.B) {
@@ -294,10 +262,9 @@ type m7Datapath struct {
 	mods atomic.Int64
 }
 
-func (d *m7Datapath) DatapathID() uint64                  { return d.id }
-func (d *m7Datapath) Apply(openflow.FlowMod) error        { d.mods.Add(1); return nil }
-func (d *m7Datapath) PacketOut(port uint16, frame []byte) {}
-func (d *m7Datapath) ReleaseBuffer(id uint32)             {}
+func (d *m7Datapath) DatapathID() uint64           { return d.id }
+func (d *m7Datapath) Apply(openflow.FlowMod) error { d.mods.Add(1); return nil }
+func (d *m7Datapath) ReleaseBuffer(id uint32)      {}
 
 // BenchmarkM7_ShardedHandleEvent measures packet-in throughput on the
 // sharded fast path under b.RunParallel, across shard counts. Every
@@ -321,7 +288,6 @@ func BenchmarkM7_ShardedHandleEvent(b *testing.B) {
 				Policy:           pf.MustCompile("m7", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
 				Transport:        tr,
 				Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-				InstallEntries:   true,
 				ResponseCacheTTL: time.Hour,
 				Shards:           shards,
 			})
@@ -414,7 +380,6 @@ func BenchmarkM8_AllocProfile(b *testing.B) {
 			Policy:           pf.MustCompile("m8", m8Policy),
 			Transport:        tr,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -433,11 +398,10 @@ func BenchmarkM8_AllocProfile(b *testing.B) {
 
 	b.Run("miss-local-answer", func(b *testing.B) {
 		ctl := core.New(core.Config{
-			Name:           "m8",
-			Policy:         pf.MustCompile("m8", m8Policy),
-			Transport:      m8NoDaemonTransport{},
-			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Name:      "m8",
+			Policy:    pf.MustCompile("m8", m8Policy),
+			Transport: m8NoDaemonTransport{},
+			Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 			// No verdict cache: every event runs the full two-ended query
 			// fan-out and builds (and releases) both response views.
 		})
@@ -528,7 +492,6 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 			Policy:           pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype)"),
 			Transport:        eng,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -656,11 +619,10 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		eng := query.NewEngine(query.Config{Lower: pool})
 		b.Cleanup(eng.Close)
 		ctl := core.New(core.Config{
-			Name:           "m9",
-			Policy:         pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
-			Transport:      eng,
-			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Name:      "m9",
+			Policy:    pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
+			Transport: eng,
+			Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		})
 		eng.SetUpdateHandler(ctl.HandleUpdate)
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -936,7 +898,6 @@ func BenchmarkM11_Revocation(b *testing.B) {
 			Policy:           pf.MustCompile("m11", m8Policy),
 			Transport:        tr,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 			Shards:           shards,
 		})
@@ -1024,8 +985,7 @@ func BenchmarkM11_Revocation(b *testing.B) {
 				clientIP: {"name": "skype"},
 				dstIP:    {"name": "skype"},
 			}},
-			Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Topology: &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
 		var arrived atomic.Int64
@@ -1186,7 +1146,6 @@ func BenchmarkM12_Megaflow(b *testing.B) {
 			Policy:           pf.MustCompile("m12", m12Policy),
 			Transport:        tr,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 			Megaflow:         mega,
 		})
@@ -1327,7 +1286,6 @@ func BenchmarkM13_CredentialedSession(b *testing.B) {
 			Policy:           pf.MustCompile("m13", "block all\npass from any to any with eq(@src[name], skype)"),
 			Transport:        eng,
 			Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&m7Datapath{id: 1})
@@ -1380,7 +1338,6 @@ func m14Replica(name string) *core.Controller {
 			dstIP: {"name": "skype"},
 		}},
 		Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
@@ -1565,7 +1522,6 @@ func m15Controller(rec *trace.Recorder) (*core.Controller, openflow.PacketIn) {
 		Policy:           pf.MustCompile("m15", m8Policy),
 		Transport:        tr,
 		Topology:         &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Trace:            rec,
 	})

@@ -146,7 +146,6 @@ func main() {
 		Policy:             policy,
 		Transport:          eng,
 		Topology:           topo,
-		InstallEntries:     true,
 		RevocationLeaseTTL: *leaseTTL,
 		ResponseCacheTTL:   *cacheTTL,
 		Megaflow:           *megaflow,

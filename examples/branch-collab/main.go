@@ -48,7 +48,7 @@ func main() {
 		Name:      "B",
 		Policy:    pf.MustCompile("branch-b.control", branchBControl),
 		Transport: n.Transport(swB), Topology: n,
-		InstallEntries: true, Clock: n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 		resp.Augment("controller:B").Add("branch-rules",
@@ -61,7 +61,7 @@ func main() {
 		Name:      "A",
 		Policy:    pf.MustCompile("branch-a.control", branchAControl),
 		Transport: n.Transport(swA), Topology: n,
-		InstallEntries: true, Clock: n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	n.AttachController(ctlA, swA)
 

@@ -46,12 +46,11 @@ func main() {
 	// The ident++ controller: queries each host's daemon over loopback TCP,
 	// computes paths from the simulated topology, installs verdicts.
 	ctl := core.New(core.Config{
-		Name:           "quickstart",
-		Policy:         policy,
-		Transport:      n.Transport(sw),
-		Topology:       n,
-		InstallEntries: true,
-		Clock:          n.Clock.Now,
+		Name:      "quickstart",
+		Policy:    policy,
+		Transport: n.Transport(sw),
+		Topology:  n,
+		Clock:     n.Clock.Now,
 	})
 	n.AttachController(ctl, sw)
 

@@ -89,7 +89,7 @@ func main() {
 
 	ctl := core.New(core.Config{
 		Name: "lab", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw)
 

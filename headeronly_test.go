@@ -36,9 +36,8 @@ block all
 pass from 10.0.0.0/8 to any port 80 keep state
 pass from any to any port 443 with eq(@src[name], web)
 `),
-		Transport:      eng,
-		Topology:       &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Transport: eng,
+		Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	ctl.AddDatapath(&m7Datapath{id: 1})
 

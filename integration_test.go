@@ -95,9 +95,8 @@ func TestAllTCPIntegration(t *testing.T) {
 block all
 pass from any to any with eq(@src[name], skype) keep state
 `),
-		Transport:      eng,
-		Topology:       &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
-		InstallEntries: true,
+		Transport: eng,
+		Topology:  &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
 	})
 	chSrv := openflow.NewChannelServer(ctl)
 	chAddr, err := chSrv.Listen("127.0.0.1:0")
@@ -187,7 +186,7 @@ pass from <net> to <net> port 25 with eq(@src[name], thunderbird) keep state
 		ctl := core.New(core.Config{
 			Name: "enterprise", Policy: policy,
 			Transport: n.Transport(tree.Root), Topology: n,
-			InstallEntries: true, ResponseCacheTTL: time.Second, Clock: n.Clock.Now,
+			ResponseCacheTTL: time.Second, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, tree.AllSwitches()...)
 

@@ -32,7 +32,6 @@ type countingDP struct{ id uint64 }
 
 func (d *countingDP) DatapathID() uint64           { return d.id }
 func (d *countingDP) Apply(openflow.FlowMod) error { return nil }
-func (d *countingDP) PacketOut(uint16, []byte)     {}
 func (d *countingDP) ReleaseBuffer(uint32)         {}
 
 func event(f flow.Five) openflow.PacketIn {
@@ -53,7 +52,7 @@ func TestNullTransportMakesVanillaFirewall(t *testing.T) {
 block all
 pass from any to any port 80 with eq(@src[name], firefox)
 `),
-		Transport: NullTransport{}, Topology: lineTopo{}, InstallEntries: true,
+		Transport: NullTransport{}, Topology: lineTopo{},
 	})
 	ctl.AddDatapath(&countingDP{id: 1})
 	ctl.HandleEvent(event(tcp(1000, 80)))
@@ -67,7 +66,7 @@ pass from any to any port 80 with eq(@src[name], firefox)
 block all
 pass from any to any port 80
 `),
-		Transport: NullTransport{}, Topology: lineTopo{}, InstallEntries: true,
+		Transport: NullTransport{}, Topology: lineTopo{},
 	})
 	ctl2.AddDatapath(&countingDP{id: 1})
 	ctl2.HandleEvent(event(tcp(1000, 80)))
@@ -125,7 +124,7 @@ pass from any to any with eq(@src[name], skype)
 `)
 	mk := func(p *pf.Policy) *core.Controller {
 		c := core.New(core.Config{Name: "ethane", Policy: p, Transport: et,
-			Topology: lineTopo{}, InstallEntries: true})
+			Topology: lineTopo{}})
 		c.AddDatapath(&countingDP{id: 1})
 		return c
 	}

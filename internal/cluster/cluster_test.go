@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,21 +38,18 @@ block all
 pass from any to any with eq(@src[name], skype) keep state
 `
 
-func testController(t *testing.T, name string, install bool, hops []core.Hop) *core.Controller {
+func testController(t *testing.T, name string, hops []core.Hop) *core.Controller {
 	t.Helper()
 	c := core.New(core.Config{
 		Name:             name,
 		Policy:           pf.MustCompile(name, passPolicy),
 		Transport:        passTransport{},
 		Topology:         hopTopo{hops: hops},
-		InstallEntries:   install,
 		ResponseCacheTTL: time.Hour,
 	})
-	if !install {
-		// HandleEvent drops events from unknown datapaths; non-install
-		// tests still need switch 1 registered.
-		c.AddDatapath(&sinkDatapath{id: 1})
-	}
+	// HandleEvent drops events from unknown datapaths: switch 1 is
+	// registered, and a test that installs on it registers its own.
+	c.AddDatapath(&sinkDatapath{id: 1})
 	return c
 }
 
@@ -63,7 +58,6 @@ type sinkDatapath struct{ id uint64 }
 
 func (d *sinkDatapath) DatapathID() uint64           { return d.id }
 func (d *sinkDatapath) Apply(openflow.FlowMod) error { return nil }
-func (d *sinkDatapath) PacketOut(uint16, []byte)     {}
 func (d *sinkDatapath) ReleaseBuffer(uint32)         {}
 
 func testFive(srcPort netaddr.Port) flow.Five {
@@ -127,13 +121,13 @@ func TestOwnerHashDirectionAgnostic(t *testing.T) {
 // in — otherwise replicas with differently-ordered configs would disagree.
 func TestOwnerIndependentOfMemberOrder(t *testing.T) {
 	ms := []Member{{ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}
-	ra := NewRouter(testController(t, "a", false, nil), ms[0], Options{
+	ra := NewRouter(testController(t, "a", nil), ms[0], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := ra.SetMembers(ms); err != nil {
 		t.Fatal(err)
 	}
-	rb := NewRouter(testController(t, "c", false, nil), ms[2], Options{
+	rb := NewRouter(testController(t, "c", nil), ms[2], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := rb.SetMembers([]Member{ms[3], ms[1], ms[2], ms[0]}); err != nil {
@@ -150,7 +144,7 @@ func TestOwnerIndependentOfMemberOrder(t *testing.T) {
 // TestRingShareBalance: HRW should split the flow space roughly evenly.
 func TestRingShareBalance(t *testing.T) {
 	ms := []Member{{ID: "r1"}, {ID: "r2"}, {ID: "r3"}, {ID: "r4"}}
-	r := NewRouter(testController(t, "r1", false, nil), ms[0], Options{
+	r := NewRouter(testController(t, "r1", nil), ms[0], Options{
 		Dial: func(Member) (Link, error) { return nopLink{}, nil },
 	})
 	if err := r.SetMembers(ms); err != nil {
@@ -164,10 +158,10 @@ func TestRingShareBalance(t *testing.T) {
 }
 
 // twoRouters builds an in-process two-replica cluster over Loopback links.
-func twoRouters(t *testing.T, install bool, hops []core.Hop) (*Router, *Router) {
+func twoRouters(t *testing.T, hops []core.Hop) (*Router, *Router) {
 	t.Helper()
-	ctlA := testController(t, "A", install, hops)
-	ctlB := testController(t, "B", install, hops)
+	ctlA := testController(t, "A", hops)
+	ctlB := testController(t, "B", hops)
 	var ra, rb *Router
 	ra = NewRouter(ctlA, Member{ID: "A"}, Options{
 		Dial: func(m Member) (Link, error) { return Loopback{Peer: rb}, nil },
@@ -188,7 +182,7 @@ func twoRouters(t *testing.T, install bool, hops []core.Hop) (*Router, *Router) 
 // TestLoopbackForwarding: events for flows owned by the peer are forwarded
 // and decided there; owned events are decided locally.
 func TestLoopbackForwarding(t *testing.T) {
-	ra, rb := twoRouters(t, false, nil)
+	ra, rb := twoRouters(t, nil)
 
 	mine := fiveOwnedBy(t, ra, true)
 	theirs := fiveOwnedBy(t, ra, false)
@@ -220,7 +214,7 @@ func TestLoopbackForwarding(t *testing.T) {
 // each replica registers its own — so a connect registers on the replica
 // it reached and on no peer.
 func TestAddDatapathReplicatesNothing(t *testing.T) {
-	ra, rb := twoRouters(t, false, nil)
+	ra, rb := twoRouters(t, nil)
 	beforeA, beforeB := ra.Local().DatapathCount(), rb.Local().DatapathCount()
 
 	ra.AddDatapath(&sinkDatapath{id: 9})
@@ -262,7 +256,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 // TestTCPLinkForwardReconnect: the real inter-controller link — forwarded
 // events over TCP, and transparent redial after the connection dies.
 func TestTCPLinkForwardReconnect(t *testing.T) {
-	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
+	rb := NewRouter(testController(t, "B", nil), Member{ID: "B"}, Options{})
 	addr := serveRouter(t, rb, listen(t)).String()
 
 	l := DialTCP(addr)
@@ -388,7 +382,7 @@ func TestTCPLinkLateAckFailsOneForward(t *testing.T) {
 // TestTCPLinkClosedStaysClosed: a forward after Close fails at once and
 // dials nothing.
 func TestTCPLinkClosedStaysClosed(t *testing.T) {
-	rb := NewRouter(testController(t, "B", false, nil), Member{ID: "B"}, Options{})
+	rb := NewRouter(testController(t, "B", nil), Member{ID: "B"}, Options{})
 	ln := listen(t)
 	serveRouter(t, rb, ln)
 
@@ -410,89 +404,6 @@ func TestTCPLinkClosedStaysClosed(t *testing.T) {
 	}
 }
 
-// parkingTransport is an asynchronous transport that answers like
-// passTransport, but only when the test releases it: every decision that
-// needs a query stays suspended until then.
-type parkingTransport struct {
-	passTransport
-	mu     sync.Mutex
-	parked []func()
-}
-
-func (p *parkingTransport) QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.parked = append(p.parked, func() { p.passTransport.QueryAsync(host, q, done) })
-}
-
-func (p *parkingTransport) release() {
-	p.mu.Lock()
-	parked := p.parked
-	p.parked = nil
-	p.mu.Unlock()
-	for _, answer := range parked {
-		answer()
-	}
-}
-
-// frameRecorder is a datapath that keeps the frames it is told to send.
-type frameRecorder struct {
-	sinkDatapath
-	mu   sync.Mutex
-	sent [][]byte
-}
-
-func (d *frameRecorder) PacketOut(_ uint16, frame []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sent = append(d.sent, append([]byte(nil), frame...))
-}
-
-// TestTCPLinkForwardedFrameOutlivesTheNextFrame: the ack of a forwarded packet-in
-// says the owner accepted it, not that it decided — the decision may be
-// suspended on the owner's query plane, holding the packet to release, while
-// the served connection reads the next frame into the same buffer. The packet
-// the owner finally sends must be the one that was forwarded.
-func TestTCPLinkForwardedFrameOutlivesTheNextFrame(t *testing.T) {
-	tr := &parkingTransport{}
-	dp := &frameRecorder{sinkDatapath: sinkDatapath{id: 1}}
-	ctl := core.New(core.Config{
-		Name:      "B",
-		Policy:    pf.MustCompile("B", passPolicy),
-		Transport: tr,
-		Topology:  hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-	})
-	ctl.AddDatapath(dp)
-	rb := NewRouter(ctl, Member{ID: "B"}, Options{})
-	l := DialTCP(serveRouter(t, rb, listen(t)).String())
-	t.Cleanup(func() { l.Close() })
-
-	var want [][]byte
-	for i := range 3 {
-		ev := testPacketIn(testFive(36000 + netaddr.Port(i)))
-		ev.Frame = bytes.Repeat([]byte{0xA0 + byte(i)}, 64)
-		want = append(want, ev.Frame)
-		if err := l.ForwardEvent(ev); err != nil {
-			t.Fatalf("forward %d: %v", i, err)
-		}
-	}
-	sent := func() [][]byte {
-		dp.mu.Lock()
-		defer dp.mu.Unlock()
-		return dp.sent
-	}
-	if n := len(sent()); n != 0 {
-		t.Fatalf("%d packets sent with every decision suspended", n)
-	}
-	waitUntil(t, "the suspended decisions", func() bool {
-		tr.release()
-		return len(sent()) == len(want)
-	})
-	if got := sent(); !reflect.DeepEqual(got, want) {
-		t.Errorf("packets released = %x, want the three forwarded, each intact: %x", got, want)
-	}
-}
-
 // TestTakeoverSweep: a ring rebuild deletes, by installer tag, everything a
 // departed member installed on the switches — the flow's next packet punts
 // to its new owner and re-decides — and leaves the survivor's own entries
@@ -500,7 +411,7 @@ func TestTCPLinkForwardedFrameOutlivesTheNextFrame(t *testing.T) {
 func TestTakeoverSweep(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	hops := []core.Hop{{Datapath: 1, OutPort: 2}}
-	ra, rb := twoRouters(t, true, hops)
+	ra, rb := twoRouters(t, hops)
 	ra.Local().AddDatapath(sw)
 	rb.Local().AddDatapath(sw)
 	// B's flow arrives at A and is forwarded; A decides its own.
@@ -551,7 +462,7 @@ func TestTakeoverSweep(t *testing.T) {
 // TestForwardFallback: an unreachable owner must not blackhole flows — the
 // event is decided locally and the violation counted.
 func TestForwardFallback(t *testing.T) {
-	ctlA := testController(t, "A", false, nil)
+	ctlA := testController(t, "A", nil)
 	ra := NewRouter(ctlA, Member{ID: "A"}, Options{
 		Dial: func(m Member) (Link, error) { return failLink{}, nil },
 	})
@@ -572,7 +483,7 @@ func TestForwardFallback(t *testing.T) {
 // link at all. Its events are decided locally like any failed forward, and
 // counted as fallbacks — the link-down signal — not as owned.
 func TestUnlinkedOwnerFallsBack(t *testing.T) {
-	ctlA := testController(t, "A", false, nil)
+	ctlA := testController(t, "A", nil)
 	ra := NewRouter(ctlA, Member{ID: "A"}, Options{
 		Dial: func(m Member) (Link, error) { return nil, fmt.Errorf("dial %s: refused", m.ID) },
 	})

@@ -48,9 +48,8 @@ func encodeEvent(ev openflow.PacketIn) []byte {
 
 // decodeEvent is encodeEvent's inverse. The frame aliases p, a served
 // connection's reused read buffer, as a switch channel's packet-in aliases
-// its own: the controller copies the frame when it claims the flow, and a
-// parked duplicate's when it parks, so a decision suspended on the query
-// plane never reads the buffer the next frame overwrites.
+// its own: the controller keeps nothing of it, so a decision suspended on
+// the query plane never reads the buffer the next frame overwrites.
 func decodeEvent(p []byte) (openflow.PacketIn, error) {
 	if len(p) < eventHeaderLen {
 		return openflow.PacketIn{}, fmt.Errorf("cluster: event payload %d bytes, want >= %d", len(p), eventHeaderLen)

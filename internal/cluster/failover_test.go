@@ -81,7 +81,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 `),
 		Transport:        r.eng,
 		Topology:         hopTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	if !r.eng.SetUpdateHandler(r.ctl.HandleUpdate) {

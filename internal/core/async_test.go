@@ -174,11 +174,10 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 func newAsyncController(tr QueryTransport, topo Topology) (*Controller, *fakeDatapath) {
 	dp1 := &fakeDatapath{id: 1}
 	c := New(Config{
-		Name:           "async",
-		Policy:         pf.MustCompile("policy", asyncPolicy),
-		Transport:      tr,
-		Topology:       topo,
-		InstallEntries: true,
+		Name:      "async",
+		Policy:    pf.MustCompile("policy", asyncPolicy),
+		Transport: tr,
+		Topology:  topo,
 	})
 	c.AddDatapath(dp1)
 	return c, dp1
@@ -297,7 +296,6 @@ func TestAsyncCacheHitStaysSynchronous(t *testing.T) {
 		Policy:           pf.MustCompile("policy", asyncPolicy),
 		Transport:        tr,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	c.AddDatapath(dp1)
@@ -421,7 +419,6 @@ func TestTransientFailureNotCached(t *testing.T) {
 		Policy:           pf.MustCompile("policy", asyncPolicy),
 		Transport:        tr,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	c.AddDatapath(dp1)
@@ -525,9 +522,8 @@ func TestInstallPathOrderAndCoverage(t *testing.T) {
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep state
 `),
-		Transport:      tr,
-		Topology:       topo,
-		InstallEntries: true,
+		Transport: tr,
+		Topology:  topo,
 	})
 	for i := range dps {
 		dps[i] = &fakeDatapath{id: uint64(i + 1)}

@@ -207,8 +207,11 @@ type Config struct {
 	Transport QueryTransport
 	Topology  Topology
 
-	// InstallEntries caches verdicts in switch flow tables. Disabling it is
-	// the M5 ablation: every packet of every flow punts to the controller.
+	// InstallEntries selects nothing: every controller caches its verdicts
+	// as flow entries along the path, so only a flow's first packet punts.
+	//
+	// Deprecated: ignored. Only the benchmark rig (bench/, a module of its
+	// own) still names it; removed by ROADMAP item 0(ii).
 	InstallEntries bool
 
 	// AsyncQueries selects nothing: every miss asks both ends through the
@@ -314,7 +317,6 @@ type Controller struct {
 	// tr is the flight recorder; nil = tracing disabled (the common case).
 	tr       *trace.Recorder
 	topo     Topology
-	install  bool
 	cacheTTL time.Duration
 	clock    func() time.Time
 
@@ -355,7 +357,7 @@ type Controller struct {
 	// lookup plus the add.
 	hot struct {
 		packetIns, dupPacketIns             *atomic.Int64
-		waitersResolved, waitersForwarded   *atomic.Int64
+		waitersResolved                     *atomic.Int64
 		flowsAllowed, flowsDenied, installs *atomic.Int64
 		evalDiags, installErrors            *atomic.Int64
 		queryErrors, queryTimeouts          *atomic.Int64
@@ -397,7 +399,6 @@ func New(cfg Config) *Controller {
 		query:     resolveTransport(cfg.Transport),
 		tr:        cfg.Trace,
 		topo:      cfg.Topology,
-		install:   cfg.InstallEntries,
 		cacheTTL:  cfg.ResponseCacheTTL,
 		clock:     clock,
 		flows:     newShardTable(shards),
@@ -408,7 +409,6 @@ func New(cfg Config) *Controller {
 	c.hot.packetIns = c.Counters.Cell("packet_ins")
 	c.hot.dupPacketIns = c.Counters.Cell("duplicate_packet_ins")
 	c.hot.waitersResolved = c.Counters.Cell("waiters_resolved")
-	c.hot.waitersForwarded = c.Counters.Cell("waiters_forwarded")
 	c.hot.flowsAllowed = c.Counters.Cell("flows_allowed")
 	c.hot.flowsDenied = c.Counters.Cell("flows_denied")
 	c.hot.installs = c.Counters.Cell("entries_installed")
@@ -720,11 +720,9 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 
 	// The decision owns the flow from here until finishDecision resolves
 	// it; capture the continuation context in the scratch so a suspended
-	// decision survives this goroutine. The frame is the one part of the
-	// event that may not: a switch channel reads every message into one
-	// buffer, so the decision keeps a copy in the scratch's own.
-	s.frame = append(s.frame[:0], ev.Frame...)
-	ev.Frame = s.frame
+	// decision survives this goroutine. Not the frame: nothing reads it, and
+	// a switch channel's is its read buffer, overwritten by the next message.
+	ev.Frame = nil
 	s.sh, s.dp, s.ev, s.five = sh, dp, ev, five
 	// Flight recorder: a nil recorder returns a nil buffer and every Rec
 	// below is a nil-receiver no-op — the disabled path stays within the
@@ -851,11 +849,10 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		c.hot.revVoidDropped.Add(1)
 		s.tb.SetVerdict("voided")
 		s.dp.ReleaseBuffer(s.ev.BufferID)
-		c.endDecision(s, false)
+		c.endDecision(s)
 		return
 	}
-	pass := false
-	defer func() { c.endDecision(s, pass) }()
+	defer c.endDecision(s)
 
 	st, five := s.gather.st, s.five
 	g := &s.gather
@@ -916,7 +913,6 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	})
 
 	if d.Action == pf.Pass {
-		pass = true
 		s.tb.SetVerdict("pass")
 		c.hot.flowsAllowed.Add(1)
 		c.installPath(st, s.dp, s.ev, five, d.KeepState, s)
@@ -948,12 +944,10 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 			c.deleteMegaAt(st, g.mega, s.pathIDs)
 			c.Counters.Add("megaflow_hit_raced", 1)
 		}
-	} else if c.install {
+	} else {
 		// Uncached verdict: record which endpoint facts it read, so a
 		// daemon-pushed update resolves straight to this flow.
 		c.registerDeps(s)
-	} else {
-		return // nothing published that a revocation could have missed
 	}
 	// Publication re-check: a revocation that landed after the fence check
 	// at the top resolved to nothing (neither the cached verdict nor the
@@ -976,18 +970,18 @@ func (c *Controller) fenced(s *decisionScratch) bool {
 }
 
 // endDecision ends the flow's in-flight window and disposes of the decision:
-// the parked duplicates get the verdict (pass says which), and the scratch —
-// including its controller-built response views, which nothing outlives the
-// decision to read — goes back to its pools.
-func (c *Controller) endDecision(s *decisionScratch, pass bool) {
-	// Resolve after the verdict's entries are installed: released buffers
-	// then hit the fresh table entry instead of re-punting. On ablation runs
-	// there is no table entry, so passed waiters are packet-out'd along the
-	// path instead of silently dropped.
+// the parked duplicates' buffers are released, and the scratch — including
+// its controller-built response views, which nothing outlives the decision
+// to read — goes back to its pools. A released buffer is dropped, not
+// forwarded through the verdict's fresh entry (Switch.ReleaseBuffer); a
+// duplicate's retransmission meets that entry instead of punting again.
+func (c *Controller) endDecision(s *decisionScratch) {
 	s.sh.resolve(s.five)
 	if n := len(s.waiters); n > 0 {
 		s.tb.Rec(trace.StageWaiterRelease, 0, int64(n))
-		c.resolveWaiters(s.waiters, pass, s.hops)
+		for i := range s.waiters {
+			s.waiters[i].dp.ReleaseBuffer(s.waiters[i].bufferID)
+		}
 		c.hot.waitersResolved.Add(int64(n))
 	}
 	// The trace buffer goes first: Finish retires it into the recorder's ring
@@ -995,34 +989,6 @@ func (c *Controller) endDecision(s *decisionScratch, pass bool) {
 	s.gather.releaseBuilt()
 	c.tr.Finish(s.tb)
 	s.release()
-}
-
-// resolveWaiters disposes of the parked duplicate packet-ins after the
-// verdict. With entries installed, releasing the buffer forwards (or drops)
-// the packet through the fresh table entry. On ablation runs of a pass
-// verdict there is no entry, so each waiter's frame is packet-out'd along
-// hops — the path installPath already resolved for the owner's packet
-// (empty on deny, install mode, or path error: fall back to release-only).
-// Previously these duplicates were released into a table miss and lost,
-// under-counting delivered packets in the M5 ablation.
-func (c *Controller) resolveWaiters(waiters []parked, pass bool, hops []Hop) {
-	if !pass || c.install {
-		hops = nil
-	}
-	for i := range waiters {
-		w := &waiters[i]
-		w.dp.ReleaseBuffer(w.bufferID)
-		if len(w.frame) == 0 {
-			continue
-		}
-		for _, h := range hops {
-			if h.Datapath == w.switchID {
-				w.dp.PacketOut(h.OutPort, w.frame)
-				c.hot.waitersForwarded.Add(1)
-				break
-			}
-		}
-	}
 }
 
 // resolveResponse turns one end's query outcome into the response the
@@ -1138,23 +1104,6 @@ func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cooki
 // (Figure 1 steps 4-5), plus the reverse path under `keep state`. The
 // forward direction completes before the reverse is issued.
 func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev openflow.PacketIn, five flow.Five, keepState bool, s *decisionScratch) {
-	if !c.install {
-		// Ablation mode: forward this one packet, cache nothing. The path
-		// is stashed so the deferred waiter resolution can forward parked
-		// duplicates over it without a second topology lookup.
-		hops, err := c.topo.Path(five.SrcIP, five.DstIP)
-		if err == nil {
-			s.hops = hops
-			for _, h := range hops {
-				if h.Datapath == ev.SwitchID {
-					c.packetOutOrRelease(ingress, ev, h.OutPort)
-					return
-				}
-			}
-		}
-		ingress.ReleaseBuffer(ev.BufferID)
-		return
-	}
 	hops, err := c.topo.Path(five.SrcIP, five.DstIP)
 	if err != nil {
 		c.Counters.Add("path_errors", 1)
@@ -1176,24 +1125,12 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 	c.hot.installs.Add(int64(s.installed))
 }
 
-func (c *Controller) packetOutOrRelease(dp openflow.Datapath, ev openflow.PacketIn, outPort uint16) {
-	if len(ev.Frame) > 0 {
-		dp.ReleaseBuffer(ev.BufferID)
-		dp.PacketOut(outPort, ev.Frame)
-		return
-	}
-	dp.ReleaseBuffer(ev.BufferID)
-}
-
 // installDrop caches a deny verdict at the ingress switch so subsequent
 // packets of the flow die in hardware, and discards the buffered packet.
 // The drop entry is the verdict's ingress entry: it asks for a FlowRemoved,
 // so the verdict's record leaves with it (HandleFlowRemoved).
 func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, five flow.Five, s *decisionScratch) {
 	dp.ReleaseBuffer(ev.BufferID)
-	if !c.install {
-		return
-	}
 	mod := openflow.FlowMod{
 		Match:         flow.FiveMatch(five),
 		Priority:      100,

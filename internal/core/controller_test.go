@@ -61,13 +61,11 @@ var applySeq atomic.Int64
 
 // fakeDatapath records applied mods.
 type fakeDatapath struct {
-	id        uint64
-	mu        sync.Mutex
-	mods      []openflow.FlowMod
-	seqs      []int64 // applySeq at each Apply, parallel to mods
-	released  []uint32
-	outs      []uint16
-	outFrames [][]byte
+	id       uint64
+	mu       sync.Mutex
+	mods     []openflow.FlowMod
+	seqs     []int64 // applySeq at each Apply, parallel to mods
+	released []uint32
 }
 
 func (d *fakeDatapath) DatapathID() uint64 { return d.id }
@@ -77,12 +75,6 @@ func (d *fakeDatapath) Apply(m openflow.FlowMod) error {
 	d.mods = append(d.mods, m)
 	d.seqs = append(d.seqs, applySeq.Add(1))
 	return nil
-}
-func (d *fakeDatapath) PacketOut(port uint16, frame []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.outs = append(d.outs, port)
-	d.outFrames = append(d.outFrames, frame)
 }
 func (d *fakeDatapath) ReleaseBuffer(id uint32) {
 	d.mu.Lock()
@@ -124,11 +116,10 @@ func newTestController(policySrc string, tr QueryTransport, topo Topology) (*Con
 	dp1 := &fakeDatapath{id: 1}
 	dp2 := &fakeDatapath{id: 2}
 	c := New(Config{
-		Name:           "ctl",
-		Policy:         pf.MustCompile("policy", policySrc),
-		Transport:      tr,
-		Topology:       topo,
-		InstallEntries: true,
+		Name:      "ctl",
+		Policy:    pf.MustCompile("policy", policySrc),
+		Transport: tr,
+		Topology:  topo,
 	})
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
@@ -388,7 +379,7 @@ func TestResponseCache(t *testing.T) {
 	dp := &fakeDatapath{id: 1}
 	c := New(Config{
 		Name: "ctl", Policy: pf.MustCompile("p", `pass from any to any with eq(@src[name], skype)`),
-		Transport: tr, Topology: topo, InstallEntries: true,
+		Transport: tr, Topology: topo,
 		ResponseCacheTTL: time.Minute,
 	})
 	c.AddDatapath(dp)
@@ -433,11 +424,10 @@ func TestSetPolicyFlushesOnlyItsOwnEntries(t *testing.T) {
 	ctls := make(map[string]*Controller)
 	for i, name := range []string{"a", "b"} {
 		c := New(Config{
-			Name:           name,
-			Policy:         pf.MustCompile("rev", revPolicy),
-			Transport:      skypeFacts(),
-			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Name:      name,
+			Policy:    pf.MustCompile("rev", revPolicy),
+			Transport: skypeFacts(),
+			Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		})
 		c.AddDatapath(sw)
 		c.HandleEvent(unbuffered(revFlow(45000 + i)))
@@ -472,11 +462,10 @@ func TestRevokeFlow(t *testing.T) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{hostA: {"name": "x"}, hostB: {"name": "x"}}}
 	dp1, dp2 := &fakeDatapath{id: 1}, &fakeDatapath{id: 2}
 	c := New(Config{
-		Name:           "ctl",
-		Policy:         pf.MustCompile("policy", `pass from any to any with eq(@src[name], x)`),
-		Transport:      tr,
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Name:      "ctl",
+		Policy:    pf.MustCompile("policy", `pass from any to any with eq(@src[name], x)`),
+		Transport: tr,
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	c.AddDatapath(dp1)
 	c.AddDatapath(dp2)
@@ -511,24 +500,53 @@ func TestNonIPDropped(t *testing.T) {
 	}
 }
 
-func TestInstallEntriesAblation(t *testing.T) {
-	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{hostA: {"name": "x"}, hostB: {"name": "x"}}}
-	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
-	dp := &fakeDatapath{id: 1}
+// TestEveryControllerInstalls: a controller built without naming
+// InstallEntries in its Config caches every verdict in the switches. A pass
+// installs its entries along the whole path, the reverse direction too under
+// keep state; a deny installs one drop entry at the ingress switch.
+func TestEveryControllerInstalls(t *testing.T) {
+	sw1, sw2 := openflow.NewSwitch(1, "s1", 0), openflow.NewSwitch(2, "s2", 0)
 	c := New(Config{
-		Name: "ctl", Policy: pf.MustCompile("p", `pass from any to any`),
-		Transport: tr, Topology: topo, InstallEntries: false,
+		Name:      "plain",
+		Policy:    pf.MustCompile("p", "block all\npass from any to any with eq(@dst[name], skype) keep state"),
+		Transport: &fakeTransport{responses: map[netaddr.IP]map[string]string{hostB: {"name": "skype"}}},
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 	})
-	c.AddDatapath(dp)
-	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 2}
-	ev := sampleEvent(five, 1)
-	ev.Frame = []byte{1} // non-empty so the controller can packet-out
-	c.HandleEvent(ev)
-	if dp.modCount() != 0 {
-		t.Error("ablation mode must not install entries")
+	c.AddDatapath(sw1)
+	c.AddDatapath(sw2)
+	actions := func(sw *openflow.Switch, f flow.Five) []openflow.Action {
+		for _, e := range sw.Table.Entries() {
+			if e.Match == flow.FiveMatch(f) {
+				return e.Actions
+			}
+		}
+		return nil
 	}
-	if len(dp.outs) != 1 || dp.outs[0] != 2 {
-		t.Errorf("packet should still be forwarded once: %v", dp.outs)
+
+	passed := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 47000, DstPort: 5060}
+	c.HandleEvent(sampleEvent(passed, 1))
+	for _, sw := range []*openflow.Switch{sw1, sw2} {
+		if a := actions(sw, passed); len(a) != 1 || a[0].Type != openflow.ActionOutput {
+			t.Errorf("s%d: forward entry actions %v, want one output", sw.ID, a)
+		}
+		if a := actions(sw, passed.Reverse()); len(a) != 1 || a[0].Type != openflow.ActionOutput {
+			t.Errorf("s%d: keep-state reverse entry actions %v, want one output", sw.ID, a)
+		}
+	}
+	if n := c.Counters.Get("entries_installed"); n != 4 {
+		t.Errorf("entries_installed = %d, want 4", n)
+	}
+
+	denied := flow.Five{SrcIP: hostB, DstIP: hostA, Proto: netaddr.ProtoTCP, SrcPort: 47001, DstPort: 5060}
+	c.HandleEvent(sampleEvent(denied, 1))
+	if a := actions(sw1, denied); len(a) != 1 || a[0].Type != openflow.ActionDrop {
+		t.Errorf("ingress drop entry actions %v, want drop", a)
+	}
+	if a := actions(sw2, denied); a != nil {
+		t.Errorf("s2 holds an entry for the denied flow: %v", a)
+	}
+	if n := sw1.Table.Len() + sw2.Table.Len(); n != 5 {
+		t.Errorf("%d entries, want the pass's 4 and the drop entry", n)
 	}
 }
 

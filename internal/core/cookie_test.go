@@ -22,7 +22,6 @@ func TestCookieLayout(t *testing.T) {
 			Policy:           pf.MustCompile("rev", revPolicy),
 			Transport:        skypeFacts(),
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: cacheTTL,
 		})
 		c.AddDatapath(dp)

@@ -35,7 +35,6 @@ func TestHeaderOnlyFlowDecidesWithoutQueries(t *testing.T) {
 		Policy:           pf.MustCompile("ho", headerOnlyPolicy),
 		Transport:        forbiddenTransport{t},
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
 	})
 	c.AddDatapath(dp)
@@ -108,11 +107,10 @@ func TestHeaderOnlyDuplicateAccounting(t *testing.T) {
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
 	dp := &fakeDatapath{id: 1}
 	c := New(Config{
-		Name:           "ho-dup",
-		Policy:         pf.MustCompile("ho", headerOnlyPolicy),
-		Transport:      forbiddenTransport{t},
-		Topology:       topo,
-		InstallEntries: true,
+		Name:      "ho-dup",
+		Policy:    pf.MustCompile("ho", headerOnlyPolicy),
+		Transport: forbiddenTransport{t},
+		Topology:  topo,
 	})
 	c.AddDatapath(dp)
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 80}

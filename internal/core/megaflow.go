@@ -105,15 +105,15 @@ func (e *megaEntry) addPaths(ids []uint64) bool {
 }
 
 // announced reports whether the entry outlives its serving life as the
-// record of its flow's switch entries: it is one flow's own, that flow
-// passes, and entries went in — the ingress one asking for a flow-removed.
-// Nothing reports the end of a wider class's members. A drop entry asks for
-// a flow-removed too, but a deny is not kept past the sweep: a drop entry
-// left standing on stale facts fails closed.
+// record of its flow's switch entries: it is one flow's own and entries went
+// in — the ingress one, a pass's or a deny's drop entry, asking for a
+// flow-removed. Nothing reports the end of a wider class's members. A deny
+// is kept as surely as a pass: retired at the sweep, its drop entry would
+// stand on facts no update could reach, refreshed by the sender's retries.
 func (e *megaEntry) announced() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.mask == pf.TraceAllFields && e.action == pf.Pass && len(e.paths) > 0 && !e.dead.Load()
+	return e.mask == pf.TraceAllFields && len(e.paths) > 0 && !e.dead.Load()
 }
 
 // kill retires the entry, returning its path snapshot. ok=false means

@@ -37,7 +37,6 @@ func newMegaControllerIn(t *testing.T, cm completionMode, policy string, leaseTT
 		Policy:             pf.MustCompile("mega", policy),
 		Transport:          tr,
 		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-		InstallEntries:     true,
 		ResponseCacheTTL:   time.Hour,
 		RevocationLeaseTTL: leaseTTL,
 		Megaflow:           true,
@@ -373,7 +372,6 @@ func TestExactHitDoesNotEvaluate(t *testing.T) {
 		Policy:           policy,
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	c.AddDatapath(dp1)
@@ -446,7 +444,6 @@ func TestMegaflowCookiesDisjointAcrossControllers(t *testing.T) {
 			Policy:           pf.MustCompile("mega", megaPolicy),
 			Transport:        skypeFacts(),
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 		})
 		c.AddDatapath(sw)
@@ -484,11 +481,10 @@ func TestTakeoverSweepSparesLiveClassMembers(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	controller := func(name string, megaflow bool) *Controller {
 		cfg := Config{
-			Name:           name,
-			Policy:         pf.MustCompile("mega", megaPolicy),
-			Transport:      skypeFacts(),
-			Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-			InstallEntries: true,
+			Name:      name,
+			Policy:    pf.MustCompile("mega", megaPolicy),
+			Transport: skypeFacts(),
+			Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 		}
 		if megaflow {
 			cfg.ResponseCacheTTL, cfg.Megaflow = time.Hour, true
@@ -542,7 +538,6 @@ func testMegaflowUpdateRacingInstallVoidsDecision(t *testing.T, cm completionMod
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 	}
@@ -618,7 +613,6 @@ func TestMegaflowHitRacingTeardownSelfCleans(t *testing.T) {
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 	})
@@ -700,7 +694,6 @@ func testMegaflowFounderRaceJoinsResident(t *testing.T, cm completionMode) {
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 	}
@@ -788,7 +781,6 @@ func TestClassLeaseFollowsCredentialExpiry(t *testing.T) {
 		Policy:           pf.MustCompile("mega", megaPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 		Clock:            clock,

@@ -72,7 +72,6 @@ func newRevControllerIn(t *testing.T, cm completionMode, cacheTTL, leaseTTL time
 		Policy:             pf.MustCompile("rev", revPolicy),
 		Transport:          tr,
 		Topology:           &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-		InstallEntries:     true,
 		ResponseCacheTTL:   cacheTTL,
 		RevocationLeaseTTL: leaseTTL,
 		Clock:              clock,
@@ -278,7 +277,6 @@ func TestFlowRemovedDropsCacheEntry(t *testing.T) {
 		Policy:           pf.MustCompile("removed", revPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	c.AddDatapath(&fakeDatapath{id: 1})
@@ -345,8 +343,8 @@ func pushFlowUpdate(c *Controller, five flow.Five) {
 // older than the TTL is not interrupted — and stays the flow's one record:
 // a fact update still tears it down by its cookie, another replica's
 // takeover leaves it alone, and the ingress entry's flow-removed finally
-// retires it. A deny verdict's record leaves at the sweep: a drop entry
-// left standing on stale facts fails closed.
+// retires it. A deny verdict's is aged and kept the same way (see
+// TestCachedDenyOutlivesCacheTTL).
 func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 	const ttl = time.Minute
 	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 44000, DstPort: 5060}
@@ -360,7 +358,6 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 				hostB: {"name": "skype"},
 			}},
 			Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-			InstallEntries:   true,
 			ResponseCacheTTL: ttl,
 			Shards:           1,
 			Clock:            fc.Now,
@@ -379,8 +376,8 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 		if got := c.Counters.Get("megaflow_expired"); got != 2 || cachedVerdicts(c) != 1 {
 			t.Fatalf("after the sweep: megaflow_expired=%d cached=%d, want 2/1", got, cachedVerdicts(c))
 		}
-		if flows, classes := liveRecords(c); flows != 0 || classes != 2 {
-			t.Fatalf("after the sweep: records = %d flow / %d class, want the aged pass verdict's and the fresh one's", flows, classes)
+		if flows, classes := liveRecords(c); flows != 0 || classes != 3 {
+			t.Fatalf("after the sweep: records = %d flow / %d class, want the aged verdicts' and the fresh one's", flows, classes)
 		}
 		return c, fc
 	}
@@ -414,11 +411,11 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 		if flows, classes := liveRecords(c); flows != 0 || classes != 0 {
 			t.Errorf("records after the update = %d flow / %d class, want none", flows, classes)
 		}
-		// Each entry left the cache through one counter: the aged one was
-		// counted out by the sweep, and its teardown counts nothing more.
+		// Each entry left the cache through one counter: the aged ones were
+		// counted out by the sweep, and their teardowns count nothing more.
 		_, _, installs, teardowns := c.MegaflowStats()
-		if expired := c.Counters.Get("megaflow_expired"); installs != 3 || teardowns != 1 || expired != 2 || c.Counters.Get("revocations_flows") != 2 {
-			t.Errorf("installs=%d teardowns=%d expired=%d revocations_flows=%d, want 3/1/2/2", installs, teardowns, expired, c.Counters.Get("revocations_flows"))
+		if expired := c.Counters.Get("megaflow_expired"); installs != 3 || teardowns != 1 || expired != 2 || c.Counters.Get("revocations_flows") != 3 {
+			t.Errorf("installs=%d teardowns=%d expired=%d revocations_flows=%d, want 3/1/2/3", installs, teardowns, expired, c.Counters.Get("revocations_flows"))
 		}
 	})
 
@@ -427,8 +424,8 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 		c, _ := setup(t, dp1, dp2)
 		cookie := verdictCookie(c, long)
 		c.HandleFlowRemoved(openflow.FlowRemoved{SwitchID: 1, Match: flow.FiveMatch(long), Cookie: cookie, Reason: openflow.RemovedIdleTimeout})
-		if flows, classes := liveRecords(c); flows != 0 || classes != 1 {
-			t.Errorf("records after flow-removed = %d flow / %d class, want the fresh verdict's only", flows, classes)
+		if flows, classes := liveRecords(c); flows != 0 || classes != 2 {
+			t.Errorf("records after flow-removed = %d flow / %d class, want the deny's and the fresh verdict's", flows, classes)
 		}
 		for _, dp := range []*fakeDatapath{dp1, dp2} {
 			if dels := dp.deleteMods(); len(dels) != 1 || dels[0].Cookie != cookie {
@@ -454,7 +451,6 @@ func TestRevocableVerdictOutlivesCacheTTL(t *testing.T) {
 				Policy:           pf.MustCompile("rev", revPolicy),
 				Transport:        skypeFacts(),
 				Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-				InstallEntries:   true,
 				ResponseCacheTTL: cacheTTL,
 			})
 			d.AddDatapath(sw1)
@@ -573,11 +569,10 @@ func TestRevokeHostOperator(t *testing.T) {
 func TestEveryControllerRevokes(t *testing.T) {
 	sw1, sw2 := openflow.NewSwitch(1, "s1", 0), openflow.NewSwitch(2, "s2", 0)
 	c := New(Config{
-		Name:           "plain",
-		Policy:         pf.MustCompile("rev", revPolicy),
-		Transport:      skypeFacts(),
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-		InstallEntries: true,
+		Name:      "plain",
+		Policy:    pf.MustCompile("rev", revPolicy),
+		Transport: skypeFacts(),
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
 	})
 	c.AddDatapath(sw1)
 	c.AddDatapath(sw2)
@@ -599,6 +594,57 @@ func TestEveryControllerRevokes(t *testing.T) {
 	}
 }
 
+// TestCachedDenyOutlivesCacheTTL: an exact cached deny outlives the cache's
+// TTL as a pass does. Its drop entry stays on the switch after a sweep ages
+// the verdict out of serving, and the sender's retries would keep refreshing
+// the entry's idle timer, so the verdict must stay the entry's record: a fact
+// update for the source host still deletes the drop entry.
+func TestCachedDenyOutlivesCacheTTL(t *testing.T) {
+	const ttl = time.Minute
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	sw := openflow.NewSwitch(1, "s1", 0)
+	c := New(Config{
+		Name:             "aged-deny",
+		Policy:           pf.MustCompile("rev", revPolicy),
+		Transport:        skypeFacts(),
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		ResponseCacheTTL: ttl,
+		Shards:           1,
+		Clock:            fc.Now,
+	})
+	c.AddDatapath(sw)
+	denied := flow.Five{SrcIP: hostA, DstIP: netaddr.MustParseIP("10.0.0.9"), Proto: netaddr.ProtoTCP, SrcPort: 45000, DstPort: 5060}
+	dropEntry := func() bool {
+		for _, e := range sw.Table.Entries() {
+			if e.Match == flow.FiveMatch(denied) {
+				return true
+			}
+		}
+		return false
+	}
+	c.HandleEvent(unbuffered(denied))
+	if c.Counters.Get("flows_denied") != 1 || cachedVerdicts(c) != 1 || !dropEntry() {
+		t.Fatalf("setup: denied=%d cached=%d drop entry=%v, want 1/1/true", c.Counters.Get("flows_denied"), cachedVerdicts(c), dropEntry())
+	}
+	// Another flow's insert two TTLs on sweeps the one shard.
+	fc.Advance(2 * ttl)
+	c.HandleEvent(unbuffered(revFlow(45001)))
+	if got := c.Counters.Get("megaflow_expired"); got != 1 || !dropEntry() {
+		t.Fatalf("after the sweep: megaflow_expired=%d drop entry=%v, want 1/true", got, dropEntry())
+	}
+	if _, classes := liveRecords(c); classes != 2 {
+		t.Fatalf("after the sweep: %d class records, want the aged deny's and the fresh pass's", classes)
+	}
+
+	c.HandleUpdate(hostA, wire.Update{Key: "name", Old: "skype", New: "", Serial: 1})
+	if dropEntry() {
+		t.Error("the aged deny's drop entry survived its source's fact update")
+	}
+	if flows, classes := liveRecords(c); flows != 0 || classes != 0 {
+		t.Errorf("records after the update = %d flow / %d class, want none", flows, classes)
+	}
+}
+
 // TestDenyRecordLeavesWithDropEntry: a deny verdict's drop entry asks for a
 // flow-removed, so on a switch that notifies only entries that asked, the
 // verdict's record still leaves when the entry idles out.
@@ -607,12 +653,11 @@ func TestDenyRecordLeavesWithDropEntry(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	sw.Clock = fc.Now
 	c := New(Config{
-		Name:           "deny",
-		Policy:         pf.MustCompile("rev", revPolicy),
-		Transport:      skypeFacts(),
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
-		Clock:          fc.Now,
+		Name:      "deny",
+		Policy:    pf.MustCompile("rev", revPolicy),
+		Transport: skypeFacts(),
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		Clock:     fc.Now,
 	})
 	c.AddDatapath(sw)
 	sw.SetController(c)
@@ -645,7 +690,6 @@ func TestRevocationStorm(t *testing.T) {
 		Policy:           pf.MustCompile("storm", revPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Shards:           1, // force every flow and every revocation into one shard
 	})
@@ -758,7 +802,6 @@ func newFenceController(t *testing.T, cm completionMode, shards int, cacheTTL ti
 		Policy:           pf.MustCompile("fence", revPolicy),
 		Transport:        tr,
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: cacheTTL,
 		Shards:           shards,
 	}
@@ -900,11 +943,10 @@ func TestRedecideDropsAfterSecondVoid(t *testing.T) {
 	tr := &updatingTransport{fakeTransport: facts}
 	dp1 := &fakeDatapath{id: 1}
 	c := New(Config{
-		Name:           "churn",
-		Policy:         pf.MustCompile("churn", revPolicy),
-		Transport:      tr,
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Name:      "churn",
+		Policy:    pf.MustCompile("churn", revPolicy),
+		Transport: tr,
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	tr.c = c
 	c.AddDatapath(dp1)
@@ -1006,7 +1048,6 @@ func TestInstallRevokeReloadSpawnNoGoroutine(t *testing.T) {
 			hostB: {"name": "skype"},
 		}},
 		Topology:         &fakeTopo{hops: hops},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	dps := make([]*fakeDatapath, nDatapaths)

@@ -65,11 +65,10 @@ func newListenerController(t *testing.T) (*Controller, *listenerTransport, *fake
 	tr := &listenerTransport{fakeTransport: skypeFacts()}
 	dp := &fakeDatapath{id: 1}
 	c := New(Config{
-		Name:           "scope",
-		Policy:         pf.MustCompile("scope", revPolicy),
-		Transport:      tr,
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Name:      "scope",
+		Policy:    pf.MustCompile("scope", revPolicy),
+		Transport: tr,
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	c.AddDatapath(dp)
 	return c, tr, dp

@@ -15,8 +15,7 @@ import (
 )
 
 // decisionScratch is the reusable working set of one HandleEvent decision:
-// the latency breakdown, the path an ablation verdict resolved (reused by
-// the waiter resolver), the datapaths its entries went to, the two-ended
+// the latency breakdown, the datapaths its entries went to, the two-ended
 // query fan-out state, the fence and the parked duplicate packet-ins of the
 // flow it is deciding, and the decision's continuation context (shard,
 // datapath, event), because a cache-missing decision may outlive HandleEvent
@@ -27,8 +26,7 @@ import (
 // entry is not here: it is a value type handed to AuditLog.Record by copy
 // and never escapes the stack.)
 type decisionScratch struct {
-	bd   metrics.SetupBreakdown
-	hops []Hop
+	bd metrics.SetupBreakdown
 
 	// installed counts the flow-mods this decision's verdict applied
 	// without error: what entries_installed adds for a pass verdict and
@@ -65,15 +63,13 @@ type decisionScratch struct {
 	facts []revoke.Fact
 
 	// Continuation context: everything finishDecision needs, captured
-	// before the decision suspends on the query plane. ev.Frame is frame, the
-	// scratch's copy of the packet-in's frame: the caller's may be a switch
-	// channel's read buffer, which the next message overwrites while the
-	// decision waits for its answers.
-	sh    *shard
-	dp    openflow.Datapath
-	ev    openflow.PacketIn
-	frame []byte
-	five  flow.Five
+	// before the decision suspends on the query plane. ev.Frame is nil: the
+	// caller's may be a switch channel's read buffer, which the next message
+	// overwrites while the decision waits for its answers.
+	sh   *shard
+	dp   openflow.Datapath
+	ev   openflow.PacketIn
+	five flow.Five
 
 	// tb is the decision's flight-recorder buffer (internal/trace); nil
 	// when tracing is disabled. Owned by the recorder's pool, not the
@@ -116,17 +112,16 @@ func (s *decisionScratch) cookie() uint64 {
 }
 
 // release clears everything that points outside the scratch — datapaths,
-// responses, config snapshots, the packet-in's frame — so a pooled scratch
+// responses, config snapshots — so a pooled scratch
 // never extends their lifetime, then returns it to the pool. Slice capacity
 // is kept.
 func (s *decisionScratch) release() {
 	s.bd = metrics.SetupBreakdown{}
-	s.hops = nil // owned by the topology, not scratch capacity
 	s.installed = 0
 	s.pathIDs = s.pathIDs[:0]
 	s.voided.Store(false)
 	s.srcGen, s.dstGen, s.attempts = 0, 0, 0
-	clear(s.waiters) // they hold datapaths and frames
+	clear(s.waiters) // they hold datapaths
 	s.waiters = s.waiters[:0]
 	s.sh = nil
 	s.dp = nil
@@ -140,7 +135,6 @@ func (s *decisionScratch) release() {
 	s.srcKeys = s.srcKeys[:0]
 	s.dstKeys = s.dstKeys[:0]
 	s.facts = s.facts[:0]
-	s.frame = s.frame[:0]
 	s.tb = nil // recorder-owned; Finish already returned it to its pool
 	s.gather.reset()
 	scratchPool.Put(s)
@@ -158,7 +152,6 @@ func (s *decisionScratch) again() {
 	s.gather.releaseBuilt()
 	s.gather.reset()
 	s.bd = metrics.SetupBreakdown{}
-	s.hops = nil
 	s.voided.Store(false)
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,17 +35,13 @@ import (
 // response it built before the change, so a capture at read could postdate
 // the update the response predates.
 
-// parked is a duplicate packet-in waiting for the first packet's verdict.
-// Releasing its buffer after the verdict's entries are installed lets the
-// switch forward (or drop) it from its own table instead of re-punting.
-// switchID and frame are kept so ablation runs (InstallEntries=false, no
-// table entry to forward through) can packet-out the parked frame along
-// the path instead of silently dropping it with the buffer.
+// parked is a duplicate packet-in waiting for the first packet's verdict:
+// the switch buffer it holds, released (dropped) once the verdict's entries
+// are installed, so the sender's retransmission meets them instead of
+// punting again.
 type parked struct {
 	dp       openflow.Datapath
-	switchID uint64
 	bufferID uint32
-	frame    []byte
 }
 
 // shard is one lock domain of the flow-decision fast path.
@@ -85,9 +80,7 @@ const maxParked = 64
 // fresh scratch, now the flow's in-flight decision, and owns resolving it;
 // a later caller gets nil and its event is parked on the in-flight
 // decision's waiter list (parkedOK=true) to be resolved by its verdict,
-// unless the list is full (parkedOK=false: the caller releases now). A
-// parked event keeps a copy of its frame: the caller's may be a read buffer
-// the switch channel reuses for its next message.
+// unless the list is full (parkedOK=false: the caller releases now).
 func (s *shard) begin(five flow.Five, dp openflow.Datapath, ev openflow.PacketIn) (d *decisionScratch, parkedOK bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,9 +88,7 @@ func (s *shard) begin(five flow.Five, dp openflow.Datapath, ev openflow.PacketIn
 		if len(owner.waiters) >= maxParked {
 			return nil, false
 		}
-		owner.waiters = append(owner.waiters, parked{
-			dp: dp, switchID: ev.SwitchID, bufferID: ev.BufferID, frame: bytes.Clone(ev.Frame),
-		})
+		owner.waiters = append(owner.waiters, parked{dp: dp, bufferID: ev.BufferID})
 		return nil, true
 	}
 	d = acquireScratch()

@@ -51,7 +51,6 @@ func TestShardedCacheExpiryDeterministicClock(t *testing.T) {
 		Policy:           pf.MustCompile("p", `pass from any to any with eq(@src[name], skype)`),
 		Transport:        tr,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: ttl,
 		Shards:           4,
 		Clock:            fc.Now,
@@ -161,80 +160,6 @@ func TestCeilPow2(t *testing.T) {
 	}
 	if n := defaultShards(); n < 1 || n&(n-1) != 0 {
 		t.Errorf("defaultShards() = %d, want a positive power of two", n)
-	}
-}
-
-// TestAblationParkedDuplicatesArePacketOut covers the InstallEntries=false
-// ablation (the M5 "every packet punts" mode): with no table entry to
-// forward through, duplicates parked during a slow pass decision must be
-// packet-out'd along the flow's path when the verdict resolves them, not
-// silently dropped with their buffers — the ablation models extra latency,
-// not extra loss.
-func TestAblationParkedDuplicatesArePacketOut(t *testing.T) {
-	block := make(chan struct{})
-	slow := &slowTransport{unblock: block}
-	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}
-	dp1 := &fakeDatapath{id: 1}
-	c := New(Config{
-		Name:           "ablate",
-		Policy:         pf.MustCompile("p", `pass from any to any with eq(@src[name], skype)`),
-		Transport:      slow,
-		Topology:       topo,
-		InstallEntries: false, // the ablation under test
-	})
-	c.AddDatapath(dp1)
-	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 9, DstPort: 80}
-
-	first := sampleEvent(five, 1)
-	first.Frame = []byte("frame-first")
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.HandleEvent(first)
-	}()
-	slow.waitUntilQuerying()
-
-	const dups = 3
-	for i := 0; i < dups; i++ {
-		ev := sampleEvent(five, 1)
-		ev.BufferID = uint32(200 + i)
-		ev.Frame = []byte("frame-dup")
-		c.HandleEvent(ev)
-	}
-	close(block)
-	wg.Wait()
-
-	if got := c.Counters.Get("waiters_forwarded"); got != dups {
-		t.Errorf("waiters_forwarded = %d, want %d", got, dups)
-	}
-	dp1.mu.Lock()
-	outs := append([]uint16(nil), dp1.outs...)
-	frames := len(dp1.outFrames)
-	released := append([]uint32(nil), dp1.released...)
-	dp1.mu.Unlock()
-	// Owner's own packet plus every parked duplicate goes out the path's
-	// egress port; every duplicate's buffer is still released.
-	if len(outs) != dups+1 {
-		t.Fatalf("packet-outs = %d, want %d (owner + %d parked)", len(outs), dups+1, dups)
-	}
-	for _, p := range outs {
-		if p != 2 {
-			t.Errorf("packet-out port = %d, want 2 (the path hop)", p)
-		}
-	}
-	if frames != dups+1 {
-		t.Errorf("forwarded frames = %d, want %d", frames, dups+1)
-	}
-	want := map[uint32]bool{7: true, 200: true, 201: true, 202: true}
-	for _, id := range released {
-		delete(want, id)
-	}
-	if len(want) != 0 {
-		t.Errorf("buffers never released: %v", want)
-	}
-	if got := dp1.modCount(); got != 0 {
-		t.Errorf("mods = %d, want 0 (ablation installs nothing)", got)
 	}
 }
 

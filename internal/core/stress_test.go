@@ -33,7 +33,6 @@ func testStressConcurrentPipeline(t *testing.T, cm completionMode) {
 		Policy:           pf.MustCompile("p", `pass from any to any`),
 		Transport:        tr,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
 		Shards:           8,
 	}
@@ -190,7 +189,6 @@ func testStressMegaflowRevocation(t *testing.T, cm completionMode) {
 		Policy:           pf.MustCompile("p", megaPolicy),
 		Transport:        tr,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Minute,
 		Megaflow:         true,
 		Shards:           8,
@@ -354,7 +352,6 @@ func TestPolicySwapInvalidatesInFlightCacheWrite(t *testing.T) {
 		Policy:           pf.MustCompile("p1", `pass from any to any with eq(@src[name], skype)`),
 		Transport:        slow,
 		Topology:         topo,
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Shards:           4,
 	})

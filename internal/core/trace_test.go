@@ -47,10 +47,9 @@ func TestSlowDecisionCapturedAtRateZero(t *testing.T) {
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `),
-		Transport:      tr,
-		Topology:       &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
-		Trace:          rec,
+		Transport: tr,
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		Trace:     rec,
 	})
 	c.AddDatapath(&fakeDatapath{id: 1})
 

@@ -35,7 +35,6 @@ func newViewController(cacheTTL time.Duration, clock func() time.Time) *Controll
 		Policy:           pf.MustCompile("leak", revPolicy),
 		Transport:        &fakeTransport{responses: map[netaddr.IP]map[string]string{}}, // no daemons anywhere
 		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: cacheTTL,
 		Shards:           1,
 		Clock:            clock,

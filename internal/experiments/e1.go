@@ -55,7 +55,7 @@ pass from any to any with eq(@src[name], skype) keep state
 		}
 		ctl := core.New(core.Config{
 			Name: sys, Policy: policy, Transport: tr, Topology: n,
-			InstallEntries: true, Clock: n.Clock.Now,
+			Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, s1, s2)
 

@@ -59,7 +59,6 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 				Name:      "e10",
 				Policy:    pf.MustCompile("e10", policy),
 				Transport: eng, Topology: n,
-				InstallEntries:   true,
 				ResponseCacheTTL: time.Hour,
 				Megaflow:         mode == 1,
 				Clock:            n.Clock.Now,

@@ -107,7 +107,7 @@ func buildFig2() *fig2Net {
 	}
 	f.ctl = core.New(core.Config{
 		Name: "fig2", Policy: policy, Transport: n.Transport(swInt),
-		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(f.ctl, swInt, swExt)
 	return f

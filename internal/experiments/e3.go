@@ -104,7 +104,7 @@ func buildResearch(requirements string, tamper func(cfg string) string) *researc
 	must(err)
 	rn.ctl = core.New(core.Config{
 		Name: "research", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(rn.ctl, sw)
 	return rn

@@ -96,7 +96,7 @@ func RunE4(w io.Writer) *Table {
 		must(err)
 		ctl := core.New(core.Config{
 			Name: "secur", Policy: policy, Transport: n.Transport(sw),
-			Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+			Topology: n, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, sw)
 		return n, ctl, client, mail, web

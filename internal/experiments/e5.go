@@ -72,7 +72,7 @@ func RunE5(w io.Writer) *Table {
 		must(err)
 		ctl := core.New(core.Config{
 			Name: "fig8", Policy: policy, Transport: n.Transport(sw),
-			Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+			Topology: n, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, sw)
 		return n, cs, ss, hi

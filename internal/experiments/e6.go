@@ -109,7 +109,7 @@ func buildE6(system string) *e6Net {
 	}
 	e.ctl = core.New(core.Config{
 		Name: system, Policy: pf.MustCompile(system, policySrc), Transport: tr,
-		Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(e.ctl, root, edge0, edge1)
 	return e

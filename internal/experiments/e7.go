@@ -56,7 +56,7 @@ block all
 pass from any to any port 80
 `),
 			Transport: n.Transport(swB), Topology: n,
-			InstallEntries: true, Clock: n.Clock.Now,
+			Clock: n.Clock.Now,
 		})
 		ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 			resp.Augment("controller:B").Add("branch-rules",
@@ -76,7 +76,7 @@ pass from any to any with allowed(@dst[branch-rules])
 		ctlA := core.New(core.Config{
 			Name: "A", Policy: pf.MustCompile("pA", policyA),
 			Transport: n.Transport(swA), Topology: n,
-			InstallEntries: true, Clock: n.Clock.Now,
+			Clock: n.Clock.Now,
 		})
 		n.AttachController(ctlA, swA)
 

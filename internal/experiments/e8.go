@@ -109,7 +109,7 @@ block all
 pass from any to any with eq(@dst[device-type], printer)
 `),
 		Transport: n.Transport(sw), Topology: n,
-		InstallEntries: true, Clock: n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	// The administrator registers what the network knows about its devices;
 	// the controller answers queries on their behalf (§3.4).

@@ -52,7 +52,6 @@ block all
 pass from any to any with eq(@src[name], skype)
 `),
 			Transport: eng, Topology: n,
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 			Clock:            n.Clock.Now,
 		})

@@ -48,7 +48,6 @@ type SetupBench struct {
 	Ctl    *core.Controller
 	Client *workload.Station
 	Server *workload.Station
-	chain  []*netsim.SwitchNode
 }
 
 // NewSetupBench builds the M1 scenario.
@@ -69,7 +68,7 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 	hb := n.AddHost("server", netaddr.MustParseIP("10.0.0.2"))
 	n.ConnectHost(ha, chain[0])
 	n.ConnectHost(hb, chain[len(chain)-1])
-	sb := &SetupBench{Net: n, chain: chain}
+	sb := &SetupBench{Net: n}
 	sb.Client = workload.Populate(ha, "alice", []string{"users"}, workload.Skype)
 	sb.Server = workload.Populate(hb, "bob", []string{"users"}, workload.Skype)
 	must(hb.Info.Listen(sb.Server.Proc["skype"].PID, netaddr.ProtoTCP, 5060))
@@ -78,24 +77,9 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 		Name:      "m1",
 		Policy:    SyntheticPolicy(ruleCount, false),
 		Transport: n.Transport(chain[0]), Topology: n,
-		InstallEntries: true, Clock: n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	n.AttachController(sb.Ctl, chain...)
-	return sb
-}
-
-// NewSetupBenchNoCache is NewSetupBench with verdict caching disabled —
-// the M5 ablation: every packet of every flow punts to the controller.
-func NewSetupBenchNoCache(diameter, ruleCount int) *SetupBench {
-	sb := NewSetupBench(diameter, ruleCount)
-	n := sb.Net
-	sb.Ctl = core.New(core.Config{
-		Name:      "m5-ablation",
-		Policy:    SyntheticPolicy(ruleCount, false),
-		Transport: n.Transport(sb.chain[0]), Topology: n,
-		InstallEntries: false, Clock: n.Clock.Now,
-	})
-	n.AttachController(sb.Ctl, sb.chain...)
 	return sb
 }
 
@@ -106,22 +90,6 @@ func (sb *SetupBench) OneFlow() error {
 		return err
 	}
 	sb.Net.Run(0)
-	sb.Client.Host.Info.Close(five)
-	return nil
-}
-
-// PacketTrain opens a flow and sends count follow-up packets, draining the
-// simulator after each, then closes the flow.
-func (sb *SetupBench) PacketTrain(count int) error {
-	five, err := sb.Client.Open("skype", sb.Server.Host.IP(), 5060)
-	if err != nil {
-		return err
-	}
-	sb.Net.Run(0)
-	for i := 0; i < count-1; i++ {
-		sb.Client.Host.SendTCP(five, 0x10 /* ACK */, nil)
-		sb.Net.Run(0)
-	}
 	sb.Client.Host.Info.Close(five)
 	return nil
 }

@@ -38,12 +38,11 @@ func buildLine(t testing.TB, policy string) (*Network, *core.Controller, *Host, 
 	t.Helper()
 	n, sw1, sw2, ha, hb := line(t)
 	ctl := core.New(core.Config{
-		Name:           "main",
-		Policy:         pf.MustCompile("policy", policy),
-		Transport:      n.Transport(sw1),
-		Topology:       n,
-		InstallEntries: true,
-		Clock:          n.Clock.Now,
+		Name:      "main",
+		Policy:    pf.MustCompile("policy", policy),
+		Transport: n.Transport(sw1),
+		Topology:  n,
+		Clock:     n.Clock.Now,
 	})
 	n.AttachController(ctl, sw1, sw2)
 	return n, ctl, ha, hb
@@ -171,8 +170,7 @@ func TestIdleTimeoutEvictsAndReinstalls(t *testing.T) {
 	ctl := core.New(core.Config{
 		Name: "main", Policy: pf.MustCompile("p", `pass from any to any`),
 		Transport: n.Transport(sw1), Topology: n,
-		InstallEntries: true,
-		Clock:          n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw1)
 	u := ha.Info.AddUser("u")
@@ -256,7 +254,7 @@ func TestPreemptiveInstallCoversWholePath(t *testing.T) {
 	ctl := core.New(core.Config{
 		Name: "main", Policy: pf.MustCompile("p", `pass from any to any`),
 		Transport: n.Transport(s1), Topology: n,
-		InstallEntries: true, Clock: n.Clock.Now,
+		Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, s1, s2, s3)
 	u := ha.Info.AddUser("u")
@@ -313,7 +311,7 @@ func TestInterceptionAugmentsAcrossZones(t *testing.T) {
 		Name:      "B",
 		Policy:    pf.MustCompile("pB", `pass from any to any`),
 		Transport: n.Transport(s2),
-		Topology:  n, InstallEntries: true, Clock: n.Clock.Now,
+		Topology:  n, Clock: n.Clock.Now,
 	})
 	ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 		resp.Augment("controller:B").Add("branch-ok", "yes")
@@ -326,7 +324,7 @@ func TestInterceptionAugmentsAcrossZones(t *testing.T) {
 block all
 pass from any to any with eq(@dst[branch-ok], yes)
 `),
-		Transport: n.Transport(s1), Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Transport: n.Transport(s1), Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctlA, s1)
 
@@ -385,7 +383,6 @@ block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep state
 `),
 			Transport: eng, Topology: n,
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 			Clock:            n.Clock.Now,
 		})
@@ -450,7 +447,7 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 		eng := n.Transport(sw1)
 		ctl := core.New(core.Config{
 			Name: "main", Policy: pf.MustCompile("policy", policy),
-			Transport: eng, Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+			Transport: eng, Topology: n, Clock: n.Clock.Now,
 		})
 		n.AttachController(ctl, sw1, sw2)
 		pa := skypePair(t, ha, hb)
@@ -486,7 +483,7 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 		eng := n.Transport(sw1)
 		ctl := core.New(core.Config{
 			Name: "main", Policy: pf.MustCompile("policy", policy),
-			Transport: eng, Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+			Transport: eng, Topology: n, Clock: n.Clock.Now,
 		})
 		ctl.AnswerForHost(hb.IP(), wire.KV{Key: wire.KeyName, Value: "skype"})
 		n.AttachController(ctl, sw1, sw2)
@@ -574,7 +571,7 @@ func TestRunWaitsForDecisionsInFlight(t *testing.T) {
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `),
-		Transport: eng, Topology: n, InstallEntries: true, Clock: n.Clock.Now,
+		Transport: eng, Topology: n, Clock: n.Clock.Now,
 	})
 	n.AttachController(ctl, sw1, sw2)
 	pid := skypePair(t, ha, hb)

@@ -19,7 +19,6 @@ import (
 type Datapath interface {
 	DatapathID() uint64
 	Apply(FlowMod) error
-	PacketOut(port uint16, frame []byte)
 	ReleaseBuffer(bufID uint32)
 }
 
@@ -175,7 +174,7 @@ func (a *Agent) readLoop(br *bufio.Reader) {
 func (a *Agent) Close() { a.ch.close() }
 
 // RemoteSwitch is the controller-side handle for a TCP-attached switch.
-// Apply and PacketOut return once the message is queued behind the ones
+// Apply and ReleaseBuffer return once the message is queued behind the ones
 // before it; a message that then cannot be written closes the channel, and
 // every later call fails.
 type RemoteSwitch struct {
@@ -189,11 +188,6 @@ func (r *RemoteSwitch) DatapathID() uint64 { return r.id }
 // Apply implements Datapath by sending a FlowMod message.
 func (r *RemoteSwitch) Apply(mod FlowMod) error {
 	return r.ch.send(func(b []byte, xid uint32) ([]byte, error) { return AppendFlowMod(b, mod, xid) })
-}
-
-// PacketOut implements Datapath.
-func (r *RemoteSwitch) PacketOut(port uint16, frame []byte) {
-	r.packetOut(PacketOutMsg{BufferID: BufferNone, Port: port, Frame: frame})
 }
 
 // ReleaseBuffer implements Datapath: a PacketOut naming the buffer with no

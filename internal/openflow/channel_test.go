@@ -136,7 +136,7 @@ func TestRemoteSwitchFailsAfterPeerGone(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rs.PacketOut(1, testFrame(80)) // must not block or panic
+	rs.ReleaseBuffer(1) // must not block or panic
 }
 
 // countingWriter counts Writes.

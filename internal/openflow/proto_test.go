@@ -225,8 +225,8 @@ func TestSecureChannelEndToEnd(t *testing.T) {
 		t.Fatal("remote flow-mod did not forward the buffered frame")
 	}
 
-	// Remote PacketOut.
-	remote.PacketOut(2, testFrame(81))
+	// A packet-out carrying a frame: the agent transmits it.
+	remote.packetOut(PacketOutMsg{BufferID: BufferNone, Port: 2, Frame: testFrame(81)})
 	deadline = time.Now().Add(2 * time.Second)
 	for rec.txCount() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -66,11 +66,10 @@ func TestStalledSwitchIsCutOffAtWriteDeadline(t *testing.T) {
 	eng := query.NewEngine(query.Config{Lower: pool})
 	defer eng.Close()
 	ctl := core.New(core.Config{
-		Name:           "stall-test",
-		Policy:         pf.MustCompile("p", "pass all keep state\nblock all with eq(@src[name], worm)\n"),
-		Transport:      eng,
-		Topology:       octetTopo{},
-		InstallEntries: true,
+		Name:      "stall-test",
+		Policy:    pf.MustCompile("p", "pass all keep state\nblock all with eq(@src[name], worm)\n"),
+		Transport: eng,
+		Topology:  octetTopo{},
 	})
 	server := openflow.NewChannelServer(ctl)
 	addr, err := server.Listen("127.0.0.1:0")
@@ -129,7 +128,7 @@ func TestStalledSwitchIsCutOffAtWriteDeadline(t *testing.T) {
 		began := time.Now()
 		// Whatever TCP does with a peer that only writes, the test ends.
 		stalled.SetWriteDeadline(began.Add(20 * time.Second))
-		payload := make([]byte, 1200) // comes back in a packet-out: fills the channel sooner
+		payload := make([]byte, 1200) // a full-size punt; only its verdict's flow-mods come back
 		for port := 1; ctl.DatapathCount() == 2 && time.Since(began) < 20*time.Second; port++ {
 			five := flow.Five{SrcIP: netaddr.MustParseIP("10.0.2.1"), DstIP: netaddr.MustParseIP("10.0.2.2"), Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(port), DstPort: netaddr.Port(1 + port>>16)}
 			ev := openflow.PacketIn{SwitchID: 2, BufferID: openflow.BufferNone, InPort: 1, Frame: packet.TCPFrame(1, 2, five, packet.TCPSyn, payload)}

@@ -318,8 +318,9 @@ func (s *Switch) PacketOut(port uint16, frame []byte) {
 	s.transmit(port, frame)
 }
 
-// ReleaseBuffer drops a buffered frame without installing state (the
-// controller decided to deny and the packet must not proceed).
+// ReleaseBuffer drops a buffered frame without installing state: the
+// controller denied the flow, voided its decision, or had parked the packet
+// as a duplicate while the flow was decided.
 func (s *Switch) ReleaseBuffer(bufID uint32) {
 	if bufID == BufferNone {
 		return

@@ -58,7 +58,6 @@ func credStack(t *testing.T, name string, authority sig.PublicKey, resolver quer
 		Policy:           pf.MustCompile(name, credPolicy),
 		Transport:        eng,
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(sw)

@@ -39,7 +39,6 @@ func (d *e2eDatapath) Apply(m openflow.FlowMod) error {
 	d.mods = append(d.mods, m)
 	return nil
 }
-func (d *e2eDatapath) PacketOut(port uint16, frame []byte) {}
 func (d *e2eDatapath) ReleaseBuffer(id uint32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -139,7 +138,6 @@ pass from any to any port 631 with eq(@dst[type], printer)
 `),
 		Transport:        eng,
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(dp)
@@ -159,10 +157,12 @@ pass from any to any port 631 with eq(@dst[type], printer)
 	}
 
 	// Allowed flow: both daemons report skype.
+	// The decision finishes on a daemon connection's reader, which counts
+	// the verdict before it installs: wait for the install's own counter.
 	ctl.HandleEvent(packetIn(connected, 1, 1))
-	waitCounter(t, ctl.Counters, "flows_allowed", 1)
-	if dp.modCount() == 0 {
-		t.Fatal("no entries installed for the allowed flow")
+	waitCounter(t, ctl.Counters, "entries_installed", 1)
+	if n := ctl.Counters.Get("flows_allowed"); n != 1 || dp.modCount() == 0 {
+		t.Fatalf("flows_allowed = %d, %d mods: want the allowed flow's entries installed", n, dp.modCount())
 	}
 
 	// Denied flow: same hosts, a port no registered process owns — the
@@ -222,11 +222,10 @@ func TestE2EConcurrentFlowsThroughQueryPlane(t *testing.T) {
 
 	dp := &e2eDatapath{id: 1}
 	ctl := core.New(core.Config{
-		Name:           "e2e-flood",
-		Policy:         pf.MustCompile("e2e", "block from any to any with eq(@src[name], no-such-app)"),
-		Transport:      eng,
-		Topology:       &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Name:      "e2e-flood",
+		Policy:    pf.MustCompile("e2e", "block from any to any with eq(@src[name], no-such-app)"),
+		Transport: eng,
+		Topology:  &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	ctl.AddDatapath(dp)
 

@@ -70,7 +70,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 			{Datapath: 1, OutPort: 2},
 			{Datapath: 2, OutPort: 3},
 		}},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 	})
 	ctl.AddDatapath(sw1)
@@ -176,7 +175,6 @@ pass from any to any port 631 with eq(@dst[type], printer)
 `),
 		Transport:          eng,
 		Topology:           &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries:     true,
 		ResponseCacheTTL:   time.Hour,
 		RevocationLeaseTTL: 50 * time.Millisecond,
 	})

@@ -45,9 +45,8 @@ func newScopeRig(t *testing.T, base string, handler func(*core.Controller) func(
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `),
-		Transport:      eng,
-		Topology:       &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
-		InstallEntries: true,
+		Transport: eng,
+		Topology:  &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	r.ctl.AddDatapath(r.sw)
 	if !eng.SetUpdateHandler(handler(r.ctl)) {

@@ -43,10 +43,9 @@ func (lineTopo) Path(src, dst netaddr.IP) ([]core.Hop, error) {
 
 type nullDatapath struct{ id uint64 }
 
-func (d *nullDatapath) DatapathID() uint64                  { return d.id }
-func (d *nullDatapath) Apply(openflow.FlowMod) error        { return nil }
-func (d *nullDatapath) PacketOut(port uint16, frame []byte) {}
-func (d *nullDatapath) ReleaseBuffer(id uint32)             {}
+func (d *nullDatapath) DatapathID() uint64           { return d.id }
+func (d *nullDatapath) Apply(openflow.FlowMod) error { return nil }
+func (d *nullDatapath) ReleaseBuffer(id uint32)      {}
 
 func newTestController(t *testing.T) *core.Controller {
 	t.Helper()
@@ -55,7 +54,6 @@ func newTestController(t *testing.T) *core.Controller {
 		Policy:           pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
 		Transport:        okTransport{},
 		Topology:         lineTopo{},
-		InstallEntries:   true,
 		ResponseCacheTTL: time.Hour,
 		Megaflow:         true,
 	})

@@ -113,7 +113,6 @@ func TestOperatorSweep(t *testing.T) {
 		Policy:             pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
 		Transport:          okTransport{},
 		Topology:           lineTopo{},
-		InstallEntries:     true,
 		RevocationLeaseTTL: time.Minute,
 		Clock:              func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
 	})
@@ -181,7 +180,6 @@ func TestOperatorHosts(t *testing.T) {
 			Policy:           pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
 			Transport:        eng,
 			Topology:         lineTopo{},
-			InstallEntries:   true,
 			ResponseCacheTTL: time.Hour,
 		})
 		ctl.AddDatapath(&nullDatapath{id: 1})
@@ -255,11 +253,10 @@ func TestOperatorRingDrop(t *testing.T) {
 	sw := openflow.NewSwitch(1, "s1", 0)
 	newReplica := func(name string) *core.Controller {
 		c := core.New(core.Config{
-			Name:           name,
-			Policy:         pf.MustCompile("p", "pass all"),
-			Transport:      okTransport{},
-			Topology:       lineTopo{},
-			InstallEntries: true,
+			Name:      name,
+			Policy:    pf.MustCompile("p", "pass all"),
+			Transport: okTransport{},
+			Topology:  lineTopo{},
 		})
 		c.AddDatapath(sw)
 		return c
@@ -315,12 +312,11 @@ func packetFrom(src netaddr.IP) openflow.PacketIn {
 func TestOperatorTraceSlowAndByID(t *testing.T) {
 	rec := trace.New(trace.Config{SlowThreshold: time.Nanosecond})
 	ctl := core.New(core.Config{
-		Name:           "traced",
-		Policy:         pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
-		Transport:      okTransport{},
-		Topology:       lineTopo{},
-		InstallEntries: true,
-		Trace:          rec,
+		Name:      "traced",
+		Policy:    pf.MustCompile("p", "block all\npass from any to any with eq(@src[name], skype)"),
+		Transport: okTransport{},
+		Topology:  lineTopo{},
+		Trace:     rec,
 	})
 	ctl.AddDatapath(&nullDatapath{id: 1})
 	driveFlow(ctl, 40000)

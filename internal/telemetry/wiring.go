@@ -23,7 +23,6 @@ var ControllerCounters = map[string]string{
 	"packet_ins":                     "Packet-in events admitted to the decision path.",
 	"duplicate_packet_ins":           "Packet-ins for a flow whose decision was already in flight.",
 	"waiters_resolved":               "Parked duplicate packet-ins resolved by the first verdict.",
-	"waiters_forwarded":              "Packets forwarded on behalf of resolved waiters.",
 	"flows_allowed":                  "Flow setups whose verdict was Allow.",
 	"flows_denied":                   "Flow setups whose verdict was Block.",
 	"eval_diags":                     "Policy evaluations that emitted at least one diagnostic (unknown function, undefined macro or dict, wrong arity, malformed embedded rules or key).",
@@ -44,7 +43,7 @@ var ControllerCounters = map[string]string{
 	"megaflow_hits":                  "Flow setups resolved from the verdict cache without daemon queries or evaluation (exact entries, and wildcard classes under -megaflow).",
 	"megaflow_installs":              "Verdicts inserted into the verdict cache.",
 	"megaflow_teardowns":             "Cached verdicts retired by revocation or flow removal.",
-	"megaflow_expired":               "Cached verdicts unmapped by TTL expiry (no deletes: switch entries idle out; a passing one-flow verdict with entries installed stays on record until its flow is removed).",
+	"megaflow_expired":               "Cached verdicts unmapped by TTL expiry (no deletes: switch entries idle out; a one-flow verdict with entries installed, pass or deny, stays on record until its flow is removed).",
 	"megaflow_hit_raced":             "Members of a cached class (hits and founders) that raced its teardown and deleted their own installs.",
 	"revocations_updates":            "Daemon-pushed endpoint-state updates received.",
 	"revocations_flows":              "Verdicts torn down by the revocation plane: one per flow record, one per cached class.",
