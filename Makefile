@@ -141,7 +141,11 @@ race-query:
 # with them, and so does the daemon's half of that ordering: a change
 # landing between an answer and its memo is still published, and queries
 # racing process and configuration churn leave every memo entry equal to a
-# fresh derivation (the daemon's per-process answers included).
+# fresh derivation (the daemon's per-process answers included). One memo
+# holds flows and listener scopes, so its re-check, rescan and eviction serve
+# both kinds: every change kind's update stream (TestAnswersFollowEveryChange,
+# listener cases included) and the eviction of either kind past the bound
+# repeat with them.
 #
 # The simulator and the experiments query real daemon.Servers over loopback
 # sockets: their decisions finish, and a daemon's pushed updates reach the
@@ -161,7 +165,7 @@ race-query:
 race-core:
 	$(GO) test -race -count=20 -run 'Stress|Megaflow|Takeover|Revo|Redecide|Install|TearsDown|ClassLease|LeaseFallback|DuplicatesPark|HeldAnswer' ./internal/core/
 	$(GO) test -race -count=20 ./internal/revoke/
-	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo|ConcurrentAnswers' ./internal/daemon/
+	$(GO) test -race -count=20 -run 'ChangeBetweenAnswerAndMemo|ConcurrentAnswers|AnswersFollowEveryChange|AnsweredMemoBounded' ./internal/daemon/
 	$(GO) test -race -count=20 ./internal/netsim ./internal/experiments
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Failover|Redecide|Stress' ./internal/cluster ./internal/core
 	$(GO) test -race -count=50 -cpu 1,2,4 -run 'Pipeline|Concurrent|Race|Racing|CloseWaits|Burst|Reconnect|Redial|Recovery|Restart|SerialGap|Async|Revocation' ./internal/query

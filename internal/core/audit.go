@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,47 +48,13 @@ func (e AuditEntry) String() string {
 	return b.String()
 }
 
-// auditStripe is one independently locked ring buffer.
-type auditStripe struct {
-	mu      sync.Mutex
-	entries []AuditEntry
-	next    int
-	full    bool
-}
-
-func (s *auditStripe) record(e AuditEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries[s.next] = e
-	s.next++
-	if s.next == len(s.entries) {
-		s.next = 0
-		s.full = true
-	}
-}
-
-func (s *auditStripe) retained() []AuditEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]AuditEntry, s.next)
-		copy(out, s.entries[:s.next])
-		return out
-	}
-	out := make([]AuditEntry, 0, len(s.entries))
-	out = append(out, s.entries[s.next:]...)
-	out = append(out, s.entries[:s.next]...)
-	return out
-}
-
-// AuditLog is a bounded ring buffer of decisions. Internally it is striped
-// across independently locked rings so Record — which runs on every flow
-// decision — never serializes concurrent decisions behind one lock; a
-// global sequence number restores total order on read and doubles as the
-// total-recorded count.
+// AuditLog is a bounded ring buffer of decisions. Record runs on every flow
+// decision, so the ring is a metrics.Ring, striped so concurrent decisions
+// rarely share a lock; a global sequence number restores total order on read
+// and doubles as the total-recorded count.
 type AuditLog struct {
-	stripes []auditStripe
-	seq     atomic.Int64
+	ring *metrics.Ring[AuditEntry]
+	seq  atomic.Int64
 
 	// stream is the optional live tap (SetStream): a decision-path-safe
 	// callback invoked once per recorded entry, after the ring write. It is
@@ -98,38 +63,18 @@ type AuditLog struct {
 	stream atomic.Pointer[func(AuditEntry)]
 }
 
-// auditStripes is fixed: enough to keep concurrent deciders apart without
-// fragmenting small logs.
-const auditStripes = 8
-
 // NewAuditLog creates a log holding up to capEntries (default 4096).
 func NewAuditLog(capEntries int) *AuditLog {
 	if capEntries <= 0 {
 		capEntries = 4096
 	}
-	n := auditStripes
-	if capEntries < n {
-		n = 1
-	}
-	per, rem := capEntries/n, capEntries%n
-	l := &AuditLog{stripes: make([]auditStripe, n)}
-	for i := range l.stripes {
-		size := per
-		if i < rem {
-			size++ // distribute the remainder so capacity is exact
-		}
-		l.stripes[i].entries = make([]AuditEntry, size)
-	}
-	return l
+	return &AuditLog{ring: metrics.NewRing[AuditEntry](capEntries)}
 }
 
-// Record appends an entry. Stripes are picked round-robin off the global
-// sequence number, so retained capacity stays ~capEntries even when one
-// flow dominates the traffic (hash striping would pin such a workload to
-// one ring and quietly shrink retention 8x).
+// Record appends an entry under the next sequence number.
 func (l *AuditLog) Record(e AuditEntry) {
 	e.seq = l.seq.Add(1)
-	l.stripes[e.seq%int64(len(l.stripes))].record(e)
+	l.ring.Put(e.seq, e)
 	if fn := l.stream.Load(); fn != nil {
 		(*fn)(e)
 	}
@@ -153,14 +98,7 @@ func (l *AuditLog) Total() int64 {
 }
 
 // Entries returns the retained entries, oldest first.
-func (l *AuditLog) Entries() []AuditEntry {
-	var out []AuditEntry
-	for i := range l.stripes {
-		out = append(out, l.stripes[i].retained()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
+func (l *AuditLog) Entries() []AuditEntry { return l.ring.Values() }
 
 // Denials returns the retained entries that denied a flow at setup.
 // Revocation records are not denials — the flow was admitted, then

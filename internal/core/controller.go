@@ -1063,8 +1063,9 @@ func (c *Controller) apply(dp openflow.Datapath, m openflow.FlowMod) bool {
 // at the next hop (Figure 1: entries, then "packet proceeds"). Hops whose
 // datapath is not registered are skipped. Every datapath tried is recorded
 // in s.pathIDs for the teardown-along-path, every mod accepted in
-// s.installed.
-func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cookie uint64, ev *openflow.PacketIn, s *decisionScratch) {
+// s.installed. It reports whether the path has a hop at the packet-in's
+// switch, the one whose flow-mod carries the buffered packet on.
+func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cookie uint64, ev *openflow.PacketIn, s *decisionScratch) bool {
 	mod := openflow.FlowMod{
 		Match:       flow.FiveMatch(five),
 		Priority:    100,
@@ -1089,14 +1090,16 @@ func (c *Controller) installHops(st *ctlState, hops []Hop, five flow.Five, cooki
 			s.installed++
 		}
 	}
-	if ingress != nil {
-		mod.Actions = openflow.Output(ingressOut)
-		mod.BufferID = ev.BufferID
-		mod.NotifyRemoved = true
-		if c.apply(ingress, mod) {
-			s.installed++
-		}
+	if ingress == nil {
+		return false
 	}
+	mod.Actions = openflow.Output(ingressOut)
+	mod.BufferID = ev.BufferID
+	mod.NotifyRemoved = true
+	if c.apply(ingress, mod) {
+		s.installed++
+	}
+	return true
 }
 
 // installPath caches a pass verdict as exact-granularity entries along the
@@ -1111,7 +1114,12 @@ func (c *Controller) installPath(st *ctlState, ingress openflow.Datapath, ev ope
 		return
 	}
 	cookie := s.cookie()
-	c.installHops(st, hops, five, cookie, &ev, s)
+	if !c.installHops(st, hops, five, cookie, &ev, s) {
+		// The path does not cross the switch that punted: nothing there
+		// carries the buffered packet on, so it is dropped and counted.
+		c.Counters.Add("path_errors", 1)
+		ingress.ReleaseBuffer(ev.BufferID)
+	}
 	if keepState {
 		rev := five.Reverse()
 		if rhops, err := c.topo.Path(rev.SrcIP, rev.DstIP); err != nil {

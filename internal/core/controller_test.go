@@ -209,6 +209,33 @@ pass from any to any keep state
 	}
 }
 
+// TestPassOffPathReleasesBuffer punts a passing flow at a switch its path
+// does not cross (identctl's one-hop topology does this for every punt from
+// the source's switch): the buffered first packet is released there, not
+// leaked, and the miss is counted as a path error.
+func TestPassOffPathReleasesBuffer(t *testing.T) {
+	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"}, hostB: {"name": "skype"},
+	}}
+	topo := &fakeTopo{hops: []Hop{{Datapath: 2, OutPort: 3}}}
+	c, dp1, dp2 := newTestController(`
+block all
+pass from any to any with eq(@src[name], skype)
+`, tr, topo)
+	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 100, DstPort: 200}
+	c.HandleEvent(sampleEvent(five, 1))
+
+	if len(dp1.released) != 1 || dp1.released[0] != 7 {
+		t.Errorf("released at the punting switch = %v, want [7]", dp1.released)
+	}
+	if n := c.Counters.Get("path_errors"); n != 1 {
+		t.Errorf("path_errors = %d, want 1", n)
+	}
+	if dp1.modCount() != 0 || dp2.modCount() != 1 {
+		t.Errorf("mods: dp1=%d dp2=%d, want 0 and 1 (the path's one hop)", dp1.modCount(), dp2.modCount())
+	}
+}
+
 func TestNoDaemonFailsClosedUnderDefaultDeny(t *testing.T) {
 	tr := &fakeTransport{responses: map[netaddr.IP]map[string]string{}} // nobody answers
 	topo := &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}}

@@ -129,24 +129,24 @@ func (d *Daemon) derive(q wire.Query) (a *answer, scope wire.Scope, forged *wire
 }
 
 // deriveScope builds the answer the daemon gives now at listener scope s:
-// the answer of the process listening there. ok is false when no process
+// the answer of the process listening there. It is nil when no process
 // listens there or something narrows the scope to flow scope.
-func (d *Daemon) deriveScope(s wire.Scope) (a *answer, ok bool) {
+func (d *Daemon) deriveScope(s wire.Scope) *answer {
 	proc, owned := d.host.ListenerOf(s.Proto, s.Port)
 	if !owned || proc == nil {
-		return nil, false
+		return nil
 	}
 	d.mu.RLock()
 	if d.listenerScopeLocked(s.Proto, s.Port) != s {
 		d.mu.RUnlock()
-		return nil, false
+		return nil
 	}
 	a, gen, built := d.processAnswerLocked(proc)
 	d.mu.RUnlock()
 	if built {
 		d.keepProcess(proc, a, gen)
 	}
-	return a, true
+	return a
 }
 
 // listenerScopeLocked is the scope of an answer resolved through the

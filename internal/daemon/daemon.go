@@ -22,11 +22,11 @@ type ForgeFunc func(q wire.Query, honest *wire.Response) *wire.Response
 // use; controllers may query while applications register flow pairs.
 //
 // Beyond answering, the daemon participates in the revocation plane (see
-// push.go): it remembers the answer it gave per answered flow, and per
-// listener for an answer given at listener scope (each bounded by
-// DefaultAnsweredCap), listens for its host's OS-state changes, and publishes
-// wire.Update messages to subscribers when a previously-given answer stops
-// being true.
+// push.go): it remembers the answer it gave, in one memo bounded by
+// DefaultAnsweredCap — per answered flow, and per listener for an answer
+// given at listener scope — listens for its host's OS-state changes, and
+// publishes wire.Update messages to subscribers when a previously-given
+// answer stops being true.
 type Daemon struct {
 	host *hostinfo.Host
 
@@ -45,9 +45,8 @@ type Daemon struct {
 	dynamic         map[flow.Five][]wire.KV
 	dynamicEvicted  int64 // lifetime dynamic evictions
 	forge           ForgeFunc
-	answered        map[flow.Five]*answer  // the answer each flow was last given
-	scoped          map[wire.Scope]*answer // the answer each listener scope was last given
-	answeredEvicted int64                  // lifetime memo evictions, flows and scopes
+	answered        map[memoKey]*answer // the answer each flow or listener scope was last given
+	answeredEvicted int64               // lifetime memo evictions
 
 	// What narrows a listener's answers to flow scope (answer.go): narrowed
 	// counts, per listener, the flows to it with application pairs; unscoped
@@ -99,6 +98,7 @@ func New(h *hostinfo.Host) *Daemon {
 		userApps: make(map[string]*AppConfig),
 		sysApps:  make(map[string]*AppConfig),
 		dynamic:  make(map[flow.Five][]wire.KV),
+		answered: make(map[memoKey]*answer),
 		narrowed: make(map[wire.Scope]int),
 		noUser:   noUserAnswer(h),
 	}
@@ -157,7 +157,7 @@ func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 		d.narrowed[s]++
 		d.changes.Add(1)
 		d.mu.Unlock()
-		d.rescanScope(s)
+		d.rescanKeys(memoKey{scope: s})
 		d.mu.Lock()
 	}
 	var evicted flow.Five
@@ -176,9 +176,9 @@ func (d *Daemon) ProvideFlowPairs(f flow.Five, pairs ...wire.KV) {
 	d.changes.Add(1)
 	d.mu.Unlock()
 	if haveEvicted {
-		d.rescanFlow(evicted)
+		d.rescanKeys(memoKey{flow: evicted})
 	}
-	d.rescanFlow(f)
+	d.rescanKeys(memoKey{flow: f})
 }
 
 // ClearFlowPairs drops the dynamic pairs for a flow (connection closed).
@@ -189,7 +189,7 @@ func (d *Daemon) ClearFlowPairs(f flow.Five) {
 	d.dropPairsLocked(f)
 	d.changes.Add(1)
 	d.mu.Unlock()
-	d.rescanFlow(f)
+	d.rescanKeys(memoKey{flow: f})
 }
 
 // dropPairsLocked removes f's pairs and the narrowing they held. d.mu must
@@ -281,10 +281,10 @@ func (d *Daemon) respond(q wire.Query) (a *answer, scope wire.Scope, forged *wir
 	// Remember what was asserted (post-forge: the memo tracks what went on
 	// the wire) so a later OS change can be mapped back to this flow, or to
 	// its listener, and published as an update.
-	if scope.Listener() {
-		d.rememberScope(scope, a, seq)
-	} else {
-		d.remember(q.Flow, a, seq)
+	k := memoKey{scope: scope}
+	if !scope.Listener() {
+		k.flow = q.Flow
 	}
+	d.remember(k, a, seq)
 	return a, scope, forged
 }

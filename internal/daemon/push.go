@@ -14,20 +14,22 @@ import (
 // logging out or a process exiting keeps its allowed flows until switch
 // idle-timeout, and the verdict cache re-grants them without asking again.
 //
-// The memo holds one entry per flow answered at flow scope and one per
-// listener answered at listener scope: every flow to a listener that got its
-// answer shares the listener's entry, and a change to that answer is one
-// update at the listener's scope, not one per flow.
+// The memo is one table (memoKey) holding an entry per flow answered at
+// flow scope and one per listener answered at listener scope: every flow to
+// a listener that got its answer shares the listener's entry, and a change
+// to that answer is one update at the listener's scope, not one per flow.
+// Both kinds are remembered, rescanned and evicted by the same code.
 //
-// The answered-facts memo is bounded (DefaultAnsweredCap flows and as many
-// listeners): a daemon on a busy server must not grow per-flow state without
-// limit just because it was queried. Evicting a memo entry means the daemon
-// can no longer tell subscribers when its facts change, so eviction itself
-// is published as an update at the entry's scope — the controller
+// The memo is bounded (DefaultAnsweredCap entries of both kinds together): a
+// daemon on a busy server must not grow per-flow state without limit just
+// because it was queried. Evicting a memo entry means the daemon can no
+// longer tell subscribers when its facts change, so eviction itself is
+// published as an update at the entry's scope — the controller
 // conservatively revokes, the next packet re-queries, and the memo re-learns
 // the entry.
 
-// DefaultAnsweredCap bounds each half of the answered-facts memo.
+// DefaultAnsweredCap bounds the answered-facts memo: flows and listener
+// scopes together.
 const DefaultAnsweredCap = 4096
 
 // DefaultDynamicCap bounds the application-supplied flow-pair map
@@ -83,7 +85,7 @@ func (d *Daemon) UpdateSerial() uint64 {
 func (d *Daemon) AnsweredStats() (entries, evictions int64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return int64(len(d.answered) + len(d.scoped)), d.answeredEvicted
+	return int64(len(d.answered)), d.answeredEvicted
 }
 
 // FlowPairStats reports the dynamic flow-pair map's resident entries and
@@ -117,80 +119,55 @@ func (d *Daemon) emitLocked(u wire.Update) {
 	}
 }
 
-// remember memoizes the answer just given about a flow, evicting (and
-// publishing) an arbitrary other flow when the memo is over capacity. seq is
-// d.changes as read before the answer was built: a change counted since may
-// have rescanned the flow before this answer was memoized — finding it
-// untracked, or tracked with an older answer — so the answer is re-derived
-// here and any difference published. Callers must not hold d.mu or d.pubMu.
-func (d *Daemon) remember(f flow.Five, a *answer, seq uint64) {
-	d.mu.Lock()
-	if d.answered == nil {
-		d.answered = make(map[flow.Five]*answer)
-	}
-	_, existed := d.answered[f]
-	var evicted flow.Five
-	var haveEvicted bool
-	if !existed && len(d.answered) >= DefaultAnsweredCap {
-		for victim := range d.answered {
-			if victim != f {
+// memoKey is what a memo entry is remembered under: a flow answered at flow
+// scope (zero scope), or a listener scope (zero flow) whose answer every flow
+// to the listener shares.
+type memoKey struct {
+	flow  flow.Five
+	scope wire.Scope
+}
+
+// lapsed is the update that withdraws everything derived from k's entry: a
+// flow-scoped update with no key, or one at the listener's scope.
+func (k memoKey) lapsed() wire.Update { return wire.Update{Flow: k.flow, Scope: k.scope} }
+
+// remember memoizes the answer just given under k, evicting an arbitrary
+// other entry, and publishing its lapse, when the memo is full; an answer
+// already held under k costs a read lock. seq is d.changes as read before
+// the answer was built: a change counted since may have rescanned k before
+// this answer was memoized — finding it untracked, or tracked with an older
+// answer — so k is re-derived here and any difference published. Callers
+// must not hold d.mu or d.pubMu.
+func (d *Daemon) remember(k memoKey, a *answer, seq uint64) {
+	d.mu.RLock()
+	held := d.answered[k] == a
+	d.mu.RUnlock()
+	if !held {
+		d.mu.Lock()
+		var evicted memoKey
+		haveEvicted := false
+		if _, existed := d.answered[k]; !existed && len(d.answered) >= DefaultAnsweredCap {
+			for victim := range d.answered {
 				delete(d.answered, victim)
 				d.answeredEvicted++
 				evicted, haveEvicted = victim, true
 				break
 			}
 		}
-	}
-	d.answered[f] = a
-	d.mu.Unlock()
-	if haveEvicted {
-		// The daemon stops tracking the evicted flow: a flow-scoped update
-		// with no key tells the controller to drop everything it derived
-		// from this daemon's answers for that flow.
-		d.pubMu.Lock()
-		d.publishLocked(wire.Update{Flow: evicted})
-		d.pubMu.Unlock()
-	}
-	// Read after the memo write: a change counted after this read rescans
-	// with the flow memoized.
-	if d.changes.Load() != seq {
-		d.rescanFlow(f)
-	}
-}
-
-// rememberScope is remember for an answer given at listener scope s: one
-// entry per listener, whichever of its flows was asked about, re-checked
-// against d.changes exactly as a flow's is.
-func (d *Daemon) rememberScope(s wire.Scope, a *answer, seq uint64) {
-	d.mu.RLock()
-	held := d.scoped[s] == a
-	d.mu.RUnlock()
-	if !held {
-		d.mu.Lock()
-		if d.scoped == nil {
-			d.scoped = make(map[wire.Scope]*answer)
-		}
-		var evicted wire.Scope
-		if _, existed := d.scoped[s]; !existed && len(d.scoped) >= DefaultAnsweredCap {
-			for victim := range d.scoped {
-				if victim != s {
-					delete(d.scoped, victim)
-					d.answeredEvicted++
-					evicted = victim
-					break
-				}
-			}
-		}
-		d.scoped[s] = a
+		d.answered[k] = a
 		d.mu.Unlock()
-		if evicted.Listener() {
+		if haveEvicted {
+			// The daemon stops tracking the evicted entry: its lapse tells
+			// the controller to drop everything it derived from it.
 			d.pubMu.Lock()
-			d.publishLocked(wire.Update{Scope: evicted})
+			d.publishLocked(evicted.lapsed())
 			d.pubMu.Unlock()
 		}
 	}
+	// Read after the memo write: a change counted after this read rescans
+	// with k memoized.
 	if d.changes.Load() != seq {
-		d.rescanScope(s)
+		d.rescanKeys(k)
 	}
 }
 
@@ -240,152 +217,115 @@ func (d *Daemon) onHostChange(ch hostinfo.Change) {
 	}
 	d.changes.Add(1)
 	for _, f := range ch.Flows {
-		d.rescanFlow(f)
+		d.rescanKeys(memoKey{flow: f})
 	}
 	for _, l := range ch.Listeners {
 		d.rescanListener(wire.ListenerScope(l.Proto, l.Port))
 	}
 }
 
-// rescan re-derives the facts for every memo entry, flows and listener
-// scopes, and publishes an update for each whose assertion changed. It runs
-// after host-wide changes (see onHostChange) and configuration installs;
-// cost is bounded by the memo cap. With no subscribers nothing can be
-// published: the stream is marked dirty so the next Subscribe forces a
-// resync.
+// rescan re-derives every memo entry, flows and listener scopes, and
+// publishes an update for each whose assertion changed. It runs after
+// host-wide changes (see onHostChange) and configuration installs; cost is
+// bounded by the memo cap.
 func (d *Daemon) rescan() {
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
-	d.mu.RLock()
-	flows := make([]flow.Five, 0, len(d.answered))
-	for f := range d.answered {
-		flows = append(flows, f)
-	}
-	scopes := make([]wire.Scope, 0, len(d.scoped))
-	for s := range d.scoped {
-		scopes = append(scopes, s)
-	}
-	d.mu.RUnlock()
-	if len(d.subs) == 0 {
-		if len(flows)+len(scopes) > 0 {
-			d.dirty = true
-		}
-		return
-	}
-	for _, f := range flows {
-		d.rescanFlowLocked(f)
-	}
-	for _, s := range scopes {
-		d.rescanScopeLocked(s)
-	}
+	d.rescanWhere(func(memoKey) bool { return true })
 }
 
 // rescanListener re-derives what a change to the listener at s can have
 // changed: the scope's entry, and the entries of flows to it the daemon
 // answered at flow scope (while the scope was narrowed, or before the
-// listener was bound). Finding those flows walks the flow memo; only they
-// are re-derived.
+// listener was bound).
 func (d *Daemon) rescanListener(s wire.Scope) {
-	ip := d.host.IP
+	d.rescanWhere(func(k memoKey) bool {
+		to, inbound := d.listenerScopeOf(k.flow)
+		return k.scope == s || inbound && to == s
+	})
+}
+
+// rescanWhere is the memo walk: it re-derives every entry whose key match
+// accepts, listener scopes first, so a listener's update comes ahead of the
+// updates for flows to it.
+func (d *Daemon) rescanWhere(match func(memoKey) bool) {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
+	var scopes, flows []memoKey
 	d.mu.RLock()
-	_, held := d.scoped[s]
-	var flows []flow.Five
-	for f := range d.answered {
-		if f.DstIP == ip && f.SrcIP != ip && f.Proto == s.Proto && f.DstPort == s.Port {
-			flows = append(flows, f)
+	for k := range d.answered {
+		switch {
+		case !match(k):
+		case k.scope.Listener():
+			scopes = append(scopes, k)
+		default:
+			flows = append(flows, k)
 		}
 	}
 	d.mu.RUnlock()
-	if len(d.subs) == 0 {
-		if held || len(flows) > 0 {
-			d.dirty = true
-		}
-		return
-	}
-	d.rescanScopeLocked(s)
-	for _, f := range flows {
-		d.rescanFlowLocked(f)
-	}
+	d.rescanKeysLocked(append(scopes, flows...))
 }
 
-// rescanFlow re-derives one flow's facts and publishes if they changed.
-func (d *Daemon) rescanFlow(f flow.Five) {
+// rescanKeys re-derives the entries under keys and publishes an update for
+// each whose answer changed.
+func (d *Daemon) rescanKeys(keys ...memoKey) {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
-	if len(d.subs) == 0 {
-		// Nothing can be published; if the flow was being tracked, its
-		// assertion may now be stale — force a resync at next subscribe.
-		d.mu.RLock()
-		_, tracked := d.answered[f]
-		d.mu.RUnlock()
-		if tracked {
-			d.dirty = true
-		}
-		return
-	}
-	d.rescanFlowLocked(f)
+	d.rescanKeysLocked(keys)
 }
 
-// rescanScope is rescanFlow for a listener scope.
-func (d *Daemon) rescanScope(s wire.Scope) {
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
+// rescanKeysLocked is rescanKeys with d.pubMu held. With no subscribers
+// nothing can be published: if one of the keys is tracked its assertion may
+// now be stale, so the stream is marked dirty and the next Subscribe forces
+// a resync.
+func (d *Daemon) rescanKeysLocked(keys []memoKey) {
 	if len(d.subs) == 0 {
 		d.mu.RLock()
-		_, tracked := d.scoped[s]
-		d.mu.RUnlock()
-		if tracked {
-			d.dirty = true
+		for _, k := range keys {
+			if _, tracked := d.answered[k]; tracked {
+				d.dirty = true
+			}
 		}
+		d.mu.RUnlock()
 		return
 	}
-	d.rescanScopeLocked(s)
+	for _, k := range keys {
+		d.rescanLocked(k)
+	}
 }
 
-// rescanFlowLocked does the per-flow diff-and-publish. d.pubMu must be
+// rescanLocked re-derives k's entry and publishes if its answer changed. A
+// flow keeps its entry, now the new answer, and its update names the least
+// changed key (diffFacts). A listener scope whose answer changed or lapsed —
+// different facts, no listener, or narrowed to flow scope — loses its entry,
+// and its update is its lapse: the receiver drops everything it derived from
+// the old answer, so there is nothing left to track until it asks again. An
+// answer with the same facts replaces the entry silently. d.pubMu must be
 // held; d.mu must not be.
-func (d *Daemon) rescanFlowLocked(f flow.Five) {
-	cur, _, _ := d.derive(wire.Query{Flow: f})
+func (d *Daemon) rescanLocked(k memoKey) {
+	var cur *answer
+	if k.scope.Listener() {
+		cur = d.deriveScope(k.scope)
+	} else {
+		cur, _, _ = d.derive(wire.Query{Flow: k.flow})
+	}
 	d.mu.Lock()
-	old, ok := d.answered[f]
-	if !ok || old == cur {
+	old, held := d.answered[k]
+	if !held || old == cur {
 		d.mu.Unlock()
 		return
 	}
-	key, oldV, newV, changed := diffFacts(old.facts, cur.facts)
-	if changed {
-		d.answered[f] = cur
+	u := wire.Update{Flow: k.flow}
+	changed := cur == nil
+	if !changed {
+		u.Key, u.Old, u.New, changed = diffFacts(old.facts, cur.facts)
+	}
+	if changed && k.scope.Listener() {
+		delete(d.answered, k)
+		u = k.lapsed()
+	} else {
+		d.answered[k] = cur
 	}
 	d.mu.Unlock()
 	if changed {
-		d.emitLocked(wire.Update{Flow: f, Key: key, Old: oldV, New: newV})
+		d.emitLocked(u)
 	}
-}
-
-// rescanScopeLocked does the per-scope diff-and-publish: when the answer at
-// s is no longer the one given — different facts, no listener, or narrowed
-// to flow scope — the entry goes and one update at s is published. The
-// receiver drops everything it derived from the old answer, so there is
-// nothing left to track until it asks again. d.pubMu must be held; d.mu
-// must not be.
-func (d *Daemon) rescanScopeLocked(s wire.Scope) {
-	cur, ok := d.deriveScope(s)
-	d.mu.Lock()
-	old, held := d.scoped[s]
-	if !held || (ok && old == cur) {
-		d.mu.Unlock()
-		return
-	}
-	if ok {
-		if _, _, _, changed := diffFacts(old.facts, cur.facts); !changed {
-			d.scoped[s] = cur
-			d.mu.Unlock()
-			return
-		}
-	}
-	delete(d.scoped, s)
-	d.mu.Unlock()
-	d.emitLocked(wire.Update{Scope: s})
 }

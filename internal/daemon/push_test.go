@@ -198,38 +198,78 @@ func TestClearFlowPairsPublishes(t *testing.T) {
 	}
 }
 
+// TestAnsweredMemoBoundedAndEvictionPublished asks about more flows, or more
+// listeners, than the memo holds: the memo stays within DefaultAnsweredCap
+// and each eviction is published as the evicted entry's lapse.
 func TestAnsweredMemoBoundedAndEvictionPublished(t *testing.T) {
-	h, d, p, _ := pushHost(t)
-	c := newCollector()
-	cancel := d.Subscribe(c.fn)
-	defer cancel()
+	for _, tc := range []struct {
+		name string
+		// ask answers the i-th distinct query of the kind; want is the
+		// scope it must be answered at.
+		ask func(t *testing.T, h *hostinfo.Host, p *hostinfo.Process, i int) (q wire.Query, want wire.Scope)
+		// lapse reports whether u is the lapse of an entry the test asked
+		// about.
+		lapse func(u wire.Update) bool
+	}{
+		{
+			name: "flows",
+			ask: func(t *testing.T, h *hostinfo.Host, p *hostinfo.Process, i int) (wire.Query, wire.Scope) {
+				f, err := h.Connect(p.PID, flow.Five{
+					DstIP: netaddr.MustParseIP("10.9.0.2"), Proto: netaddr.ProtoTCP,
+					SrcPort: netaddr.Port(20000 + i), DstPort: 80,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wire.Query{Flow: f}, wire.Scope{}
+			},
+			// A flow-scoped update with no key.
+			lapse: func(u wire.Update) bool { return u.FlowScoped() && u.Key == "" },
+		},
+		{
+			name: "listeners",
+			ask: func(t *testing.T, h *hostinfo.Host, p *hostinfo.Process, i int) (wire.Query, wire.Scope) {
+				port := netaddr.Port(20000 + i)
+				if err := h.Listen(p.PID, netaddr.ProtoTCP, port); err != nil {
+					t.Fatal(err)
+				}
+				f := flow.Five{SrcIP: netaddr.MustParseIP("10.9.0.2"), DstIP: h.IP, Proto: netaddr.ProtoTCP, SrcPort: 40000, DstPort: port}
+				return wire.Query{Flow: f}, wire.ListenerScope(netaddr.ProtoTCP, port)
+			},
+			// An update at a scope the test was answered at, and nothing more.
+			lapse: func(u wire.Update) bool {
+				return u.Scope.Listener() && u.Scope.Port >= 20000 && !u.FlowScoped() && u.Key == ""
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, d, p, _ := pushHost(t)
+			c := newCollector()
+			cancel := d.Subscribe(c.fn)
+			defer cancel()
 
-	for i := 0; i < DefaultAnsweredCap+4; i++ {
-		f, err := h.Connect(p.PID, flow.Five{
-			DstIP: netaddr.MustParseIP("10.9.0.2"), Proto: netaddr.ProtoTCP,
-			SrcPort: netaddr.Port(20000 + i), DstPort: 80,
+			for i := 0; i < DefaultAnsweredCap+4; i++ {
+				q, want := tc.ask(t, h, p, i)
+				if got := d.HandleQuery(q).Scope; got != want {
+					t.Fatalf("query %d answered at %v, want %v", i, got, want)
+				}
+				if entries, _ := d.AnsweredStats(); entries > DefaultAnsweredCap {
+					t.Fatalf("after query %d the memo holds %d entries, cap is %d", i, entries, DefaultAnsweredCap)
+				}
+			}
+			if _, evictions := d.AnsweredStats(); evictions != 4 {
+				t.Errorf("evictions = %d, want 4", evictions)
+			}
+			lapses := 0
+			for _, u := range c.all() {
+				if !u.Hello && tc.lapse(u) {
+					lapses++
+				}
+			}
+			if lapses != 4 {
+				t.Errorf("eviction updates = %d, want 4", lapses)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.HandleQuery(wire.Query{Flow: f})
-	}
-	entries, evictions := d.AnsweredStats()
-	if entries > DefaultAnsweredCap {
-		t.Errorf("memo holds %d entries, cap is %d", entries, DefaultAnsweredCap)
-	}
-	if evictions != 4 {
-		t.Errorf("evictions = %d, want 4", evictions)
-	}
-	// Each eviction is published as a flow-scoped keyless update.
-	evictedUpdates := 0
-	for _, u := range c.all() {
-		if !u.Hello && u.FlowScoped() && u.Key == "" {
-			evictedUpdates++
-		}
-	}
-	if evictedUpdates != 4 {
-		t.Errorf("eviction updates = %d, want 4", evictedUpdates)
 	}
 }
 
@@ -469,5 +509,58 @@ func TestListenElsewherePublishesNothing(t *testing.T) {
 	d.mu.RUnlock()
 	if after != before {
 		t.Error("the bind dropped the per-process answers")
+	}
+}
+
+// TestListenerUpdateComesFirst holds a listener scope and two flows to the
+// listener remembered at flow scope, then changes the listener's answer,
+// through the listener (its owner exits) and host-wide (a patch): whichever
+// walk finds them, the update at the scope is published before the updates
+// for the flows to it.
+func TestListenerUpdateComesFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(w *world)
+	}{
+		{"owner exits", func(w *world) { w.h.Kill(w.p.PID) }},
+		{"patch", func(w *world) { w.h.InstallPatch("KB-1") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newListenerWorld(t)
+			scope := wire.ListenerScope(w.five.Proto, w.five.DstPort)
+			a, b := w.five, w.five
+			a.SrcPort, b.SrcPort = 40001, 40002
+			// b's pairs narrow the listener: both flows are answered, and
+			// remembered, at flow scope.
+			w.providePairs(b, wire.KV{Key: "k", Value: "v"})
+			for _, f := range []flow.Five{a, b} {
+				if s := w.d.HandleQuery(wire.Query{Flow: f}).Scope; s.Listener() {
+					t.Fatalf("narrowed flow %v answered at %v", f, s)
+				}
+			}
+			// With the pairs gone, the listener's next flow is answered at
+			// its scope.
+			w.clearPairs(b)
+			if s := w.d.HandleQuery(wire.Query{Flow: w.five}).Scope; s != scope {
+				t.Fatalf("answered at %v, want %v", s, scope)
+			}
+			c := newCollector()
+			cancel := w.d.Subscribe(c.fn)
+			defer cancel()
+
+			tc.change(w)
+			got := c.all()[1:]
+			if len(got) != 3 {
+				t.Fatalf("updates = %+v, want the scope's and one per flow", got)
+			}
+			if got[0] != (wire.Update{Scope: scope, Serial: got[0].Serial}) {
+				t.Errorf("first update = %+v, want the lapse of %v", got[0], scope)
+			}
+			for _, u := range got[1:] {
+				if (u.Flow != a && u.Flow != b) || u.Key == "" {
+					t.Errorf("update = %+v, want a changed key of a flow to the listener", u)
+				}
+			}
+		})
 	}
 }

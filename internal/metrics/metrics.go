@@ -3,9 +3,10 @@
 // evaluation metric of the Ethane/NOX lineage the paper builds on),
 // decision counts, and cache statistics.
 //
-// Everything here sits on the controller's packet-in hot path, so nothing
-// takes a lock: counters are atomics behind a sync.Map, and a histogram is
-// a fixed array of atomic cells.
+// Everything here sits on the controller's packet-in hot path, so little
+// takes a lock: counters are atomics behind a sync.Map, a histogram is a
+// fixed array of atomic cells, and a retention Ring locks one of its
+// stripes per put.
 package metrics
 
 import (

@@ -37,7 +37,7 @@ var ControllerCounters = map[string]string{
 	"unknown_datapath":               "Packet-ins from datapaths absent from the current snapshot.",
 	"non_ip_dropped":                 "Packet-ins dropped because the frame was not parseable IP.",
 	"waiters_overflowed":             "Duplicate packet-ins dropped because the shard's waiter list was full.",
-	"path_errors":                    "Topology path lookups that failed during install or teardown.",
+	"path_errors":                    "Topology path lookups that failed during install or teardown, and passes whose path does not cross the switch that punted (the buffered packet is dropped).",
 	"queries_intercepted":            "ident++ queries the controller intercepted and answered itself (§3.4).",
 	"responses_augmented":            "Transit responses the controller augmented with its own observations (§3.4).",
 	"megaflow_hits":                  "Flow setups resolved from the verdict cache without daemon queries or evaluation (exact entries, and wildcard classes under -megaflow).",

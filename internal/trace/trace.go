@@ -4,7 +4,7 @@
 // cache probes, the header-only pre-pass, query enqueue/completion per
 // endpoint (annotated with the query engine's retries and breaker),
 // policy eval, install fan-out, waiter
-// release, and revocation voids. Completed traces land in a striped ring;
+// release, and revocation voids. Completed traces land in a metrics.Ring;
 // the telemetry server exports them as JSON-lines on /trace.
 //
 // The recorder has three costs, kept strictly separated:
@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -277,44 +276,6 @@ func ParseID(s string) (uint64, error) {
 	return id, nil
 }
 
-// ringStripes spreads retention across independently locked rings so
-// concurrent decisions retiring traces rarely share a lock, mirroring the
-// audit ring's layout. Always a power of two.
-const ringStripes = 8
-
-type traceStripe struct {
-	mu     sync.Mutex
-	traces []Trace
-	next   int
-	full   bool
-}
-
-func (s *traceStripe) retain(t Trace) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.traces) == 0 {
-		return
-	}
-	s.traces[s.next] = t
-	s.next++
-	if s.next == len(s.traces) {
-		s.next = 0
-		s.full = true
-	}
-}
-
-func (s *traceStripe) retained() []Trace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.next
-	if s.full {
-		n = len(s.traces)
-	}
-	out := make([]Trace, n)
-	copy(out, s.traces[:n])
-	return out
-}
-
 // Config parameterizes a Recorder.
 type Config struct {
 	// SampleEvery retains roughly 1 in N traces, selected
@@ -325,7 +286,7 @@ type Config struct {
 	// SlowThreshold retains any decision that took at least this long,
 	// regardless of sampling. 0 disables the slow trigger.
 	SlowThreshold time.Duration
-	// RingSize is the total retained-trace capacity across all stripes
+	// RingSize is the retained-trace capacity
 	// (default 512).
 	RingSize int
 }
@@ -344,11 +305,11 @@ type Recorder struct {
 		sampled, dropped, slowCaptured, stitched *atomic.Int64
 	}
 
-	idSeq   atomic.Uint64
-	seed    uint64
-	pool    sync.Pool
-	stripes [ringStripes]traceStripe
-	seq     atomic.Int64
+	idSeq atomic.Uint64
+	seed  uint64
+	pool  sync.Pool
+	ring  *metrics.Ring[Trace]
+	seq   atomic.Int64
 }
 
 // New creates an enabled recorder. Callers that want tracing off pass a
@@ -369,14 +330,7 @@ func New(cfg Config) *Recorder {
 	if size <= 0 {
 		size = 512
 	}
-	per, rem := size/ringStripes, size%ringStripes
-	for i := range r.stripes {
-		sz := per
-		if i < rem {
-			sz++
-		}
-		r.stripes[i].traces = make([]Trace, sz)
-	}
+	r.ring = metrics.NewRing[Trace](size)
 	return r
 }
 
@@ -473,7 +427,7 @@ func (r *Recorder) Finish(b *Buffer) {
 			Verdict:  b.verdict,
 			Events:   append([]Event(nil), b.ev[:n]...),
 		}
-		r.stripes[t.Seq&(ringStripes-1)].retain(t)
+		r.ring.Put(t.Seq, t)
 		if b.sampled {
 			r.hot.sampled.Add(1)
 		} else {
@@ -490,12 +444,7 @@ func (r *Recorder) Traces() []Trace {
 	if r == nil {
 		return nil
 	}
-	var out []Trace
-	for i := range r.stripes {
-		out = append(out, r.stripes[i].retained()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return r.ring.Values()
 }
 
 // Slow returns the retained traces captured (or also qualifying) as slow.
