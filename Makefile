@@ -65,6 +65,17 @@ lint: fmt-check vet
 # in internal/wire, query, core or revoke is a zero-copy alias that a reused
 # buffer could change under its reader.
 #
+# One face for the query plane: the controller asks Config.Transport through
+# core.QueryPlane (the traced query and each host's Standing), resolved once
+# in core.New, and the engine asks its lower through query.Lower, which has
+# every method the engine needs. internal/core's TestQueryPlaneSeam type-checks
+# the program code of internal/core and internal/query and fails on any
+# assertion of a value to an interface type but New's one fallback to the
+# plain adapter (an error's chain walk is exempt). The optional faces that
+# seam had — a credential checker, an update-stream probe, the engine's
+# credential and update sources — failing by name, tests included, is
+# their coming back.
+#
 # One policy engine: identctl links the compiled program and its VM. The
 # tree-walking interpreter is internal/pf's test oracle (interp_test.go);
 # any of its symbols, or the old switch that ran it beside the VM, in the
@@ -88,6 +99,9 @@ check-seam:
 	if [ -n "$$out" ]; then echo "a tuple derived outside internal/openflow:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' internal/wire/*.go internal/query/*.go internal/core/*.go internal/revoke/*.go | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "unsafe where the decision path shares memory:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) test -count=1 -run '^TestQueryPlaneSeam$$' ./internal/core/ 2>&1)" || { echo "an optional face asserted on the query plane:"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnwE 'CredentialChecker|updateStreams|credSource|updateSource' --include='*.go' . | grep -v '^\./bench/')"; \
+	if [ -n "$$out" ]; then echo "a probed query-plane face came back:"; echo "$$out"; exit 1; fi
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/identctl" ./cmd/identctl || exit 1; \
 	out="$$($(GO) tool nm "$$tmp/identctl" | grep -E '$(PF_ORACLE_SYMS)')"; \

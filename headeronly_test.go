@@ -21,6 +21,15 @@ func (refusingLower) Go(_ netaddr.IP, _ wire.Query, _, _ time.Time, done func(*w
 	done(nil, 0, core.ErrNoDaemon)
 }
 
+func (refusingLower) SetUpdateHandler(func(netaddr.IP, wire.Update)) {}
+func (refusingLower) Standing(netaddr.IP) core.Standing {
+	return core.Standing{Authorized: true, Streaming: true}
+}
+func (refusingLower) CredentialStatus(netaddr.IP) (query.CredStatus, bool) {
+	return query.CredStatus{}, false
+}
+func (refusingLower) CredentialSessions() []query.HostCredStatus { return nil }
+
 // TestHeaderOnlyFlowKeepsQueryPlaneIdle is the acceptance check for the
 // header-only pre-pass at the full stack: a controller wired to the real
 // asynchronous query plane decides a header-only flow with zero queries

@@ -110,75 +110,74 @@ func isUnauthorized(err error) bool {
 	return ok && ue.Unauthorized()
 }
 
-// CredentialChecker is the credential face of a transport
-// (internal/query.Engine implements it). When the Transport has one and it
-// reports Credentialed — a query plane with an authority key — the credential
-// plane's controller half is on: facts from unauthorized hosts are refused
-// at ingestion (HostAuthorized) and fall back to answer-on-behalf/no-info,
-// and registered facts are leased no longer than the asserting credential's
-// remaining lifetime (CredentialExpiry), so credential expiry tears dependent
-// flows down through the revocation index. Netsim and experiments have no
-// such transport: the insecure mode.
-type CredentialChecker interface {
-	Credentialed() bool
-	HostAuthorized(host netaddr.IP) bool
-	CredentialExpiry(host netaddr.IP) (time.Time, bool)
-}
-
 // QueryTransport delivers an ident++ query to a host's daemon. done is
 // invoked exactly once with the response, the measured round-trip latency
 // and the failure: inline on the caller (a local table, a fast-path
 // rejection) or later, on whichever goroutine learns the outcome (over the
 // query plane's Pool, the daemon connection's reader). done must not block.
-// A transport with the richer QueryAsyncTraced (queryFunc's signature;
-// internal/query.Engine) is asked through that instead.
+// A transport that is a whole QueryPlane (internal/query.Engine) is asked
+// through that; any other is adapted by plain.
 type QueryTransport interface {
 	QueryAsync(host netaddr.IP, q wire.Query, done func(*wire.Response, time.Duration, error))
 }
 
-// queryFunc is the one face the decision path asks a transport through. done
-// is invoked exactly once — inline on the caller, or later on whichever
-// goroutine learns the outcome. The response it delivers is a read-only
-// borrow. tb is the decision's flight-recorder buffer and epFlag its endpoint
-// (trace.FlagSrc or trace.FlagDst), OR'd into every event recorded for the
-// exchange: one StageQueryEnqueue when the query is accepted or rejected, one
-// StageQueryDone before done runs. A nil tb records nothing.
-type queryFunc func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(resp *wire.Response, rtt time.Duration, err error))
-
-// resolveTransport picks the transport's one face, once. internal/query.Engine
-// has queryFunc's shape itself and records richer span events than the
-// controller could (breaker, attempts); any other transport's QueryAsync is
-// wrapped by selfTracing.
-func resolveTransport(tr QueryTransport) queryFunc {
-	if t, ok := tr.(interface {
-		QueryAsyncTraced(netaddr.IP, wire.Query, *trace.Buffer, uint16, func(*wire.Response, time.Duration, error))
-	}); ok {
-		return t.QueryAsyncTraced
-	}
-	return selfTracing(tr.QueryAsync)
+// QueryPlane is the one face the controller asks the query plane through,
+// resolved from Config.Transport once, in New.
+//
+// QueryAsyncTraced is QueryAsync with the decision's flight-recorder buffer:
+// done is invoked exactly once, and the response it delivers is a read-only
+// borrow. ep is the end's flag (trace.FlagSrc or trace.FlagDst), OR'd into
+// every event recorded for the exchange: one StageQueryEnqueue when the
+// query is accepted or rejected, one StageQueryDone before done runs. A nil
+// tb records nothing.
+//
+// Standing is what the controller may trust of host's answers right now. It
+// is asked as each answer is taken in, as its verdict is leased and before a
+// held answer serves, so it must be cheap and must not block.
+type QueryPlane interface {
+	QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(resp *wire.Response, rtt time.Duration, err error))
+	Standing(host netaddr.IP) Standing
 }
 
-// selfTracing adapts a transport that knows nothing of the flight recorder:
-// the adapter records the enqueue/done pair itself, the done event before the
-// caller's completion runs (which may finish the decision and re-pool tb). An
-// untraced decision passes straight through, allocating nothing.
-func selfTracing(issue func(netaddr.IP, wire.Query, func(*wire.Response, time.Duration, error))) queryFunc {
-	return func(host netaddr.IP, q wire.Query, tb *trace.Buffer, epFlag uint16, done func(*wire.Response, time.Duration, error)) {
-		if tb != nil {
-			tb.Rec(trace.StageQueryEnqueue, epFlag, 0)
-			inner := done
-			done = func(resp *wire.Response, rtt time.Duration, err error) {
-				flags := epFlag
-				if err != nil {
-					flags |= trace.FlagErr
-				}
-				tb.Rec(trace.StageQueryDone, flags, int64(rtt))
-				inner(resp, rtt, err)
+// Standing is one host's standing with the query plane. On a credential-
+// enforcing plane (an internal/query.Pool with an authority key) a host is
+// authorized while its session is credential-verified and unexpired, and
+// its answers are refused at ingestion otherwise (resolveResponse); the
+// verdicts they reach are leased no longer than Expiry (deps), so
+// credential expiry tears dependent flows down through the revocation
+// index even if the live lapse is missed. A held answer serves only while
+// its host is authorized, unexpired and Streaming (scope.go).
+type Standing struct {
+	Authorized bool      // the host's answers may influence verdicts
+	Streaming  bool      // its update stream is up: a change there reaches HandleUpdate
+	Expiry     time.Time // its credential's expiry; zero when none is enforced
+}
+
+// plain adapts a transport that has only QueryAsync: it records the
+// enqueue/done pair itself, the done event before the caller's completion
+// runs (which may finish the decision and re-pool tb), and an untraced
+// decision passes straight through, allocating nothing. Such a transport
+// enforces no credential and cannot say whether a stream is up: its hosts
+// stand authorized and streaming, pushing or not by their hellos alone.
+type plain struct{ QueryTransport }
+
+func (p plain) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
+	if tb != nil {
+		tb.Rec(trace.StageQueryEnqueue, ep, 0)
+		inner := done
+		done = func(resp *wire.Response, rtt time.Duration, err error) {
+			flags := ep
+			if err != nil {
+				flags |= trace.FlagErr
 			}
+			tb.Rec(trace.StageQueryDone, flags, int64(rtt))
+			inner(resp, rtt, err)
 		}
-		issue(host, q, done)
 	}
+	p.QueryAsync(host, q, done)
 }
+
+func (plain) Standing(netaddr.IP) Standing { return Standing{Authorized: true, Streaming: true} }
 
 // Hop is one switch traversal on a flow's path.
 type Hop struct {
@@ -202,8 +201,11 @@ type Config struct {
 	// Name names the controller in the responses it augments (§3.4) and in
 	// the cookie of every entry it installs (the installer tag, cookie.go):
 	// keep it across restarts. A cluster replica's is its member id.
-	Name      string
-	Policy    *pf.Policy
+	Name   string
+	Policy *pf.Policy
+	// Transport asks the daemons. New resolves it to the controller's one
+	// QueryPlane: itself when it is one (internal/query.Engine), else
+	// plain's adapter around its QueryAsync.
 	Transport QueryTransport
 	Topology  Topology
 
@@ -311,9 +313,10 @@ type Controller struct {
 	name      string
 	sourceTag string  // "controller:<name>", the §3.4 augmentation source, built once
 	cookies   cookies // the cookie layout under the name's installer tag (cookie.go)
-	// query is Config.Transport's one face (resolveTransport): every miss
-	// asks both ends through it and is finished by the second completion.
-	query queryFunc
+	// plane is Config.Transport's one face (New): every miss asks both ends
+	// through it and is finished by the second completion, and every answer
+	// is trusted as far as its host's standing there says.
+	plane QueryPlane
 	// tr is the flight recorder; nil = tracing disabled (the common case).
 	tr       *trace.Recorder
 	topo     Topology
@@ -336,16 +339,6 @@ type Controller struct {
 	// updateLabels names the teardowns daemons' updates cause in the audit
 	// trail, one label per kind of update (revocation.go).
 	updateLabels updateLabels
-
-	// credTr is the transport's credential face (nil unless it enforces
-	// credentials): consulted at fact ingestion and when leasing registered
-	// facts.
-	credTr CredentialChecker
-
-	// streams is the transport's view of each host's update stream (nil
-	// when it has none): a held answer serves only while its host's stream
-	// is up (scope.go).
-	streams updateStreams
 
 	// Counters and latency recorder are exported for the harness.
 	Counters *metrics.Counter
@@ -396,7 +389,6 @@ func New(cfg Config) *Controller {
 		name:      cfg.Name,
 		sourceTag: "controller:" + cfg.Name,
 		cookies:   cookies{tag: installerTag(cfg.Name)},
-		query:     resolveTransport(cfg.Transport),
 		tr:        cfg.Trace,
 		topo:      cfg.Topology,
 		cacheTTL:  cfg.ResponseCacheTTL,
@@ -442,11 +434,10 @@ func New(cfg Config) *Controller {
 	c.revoker = revoke.NewIndex(shards)
 	c.leaseTTL = cfg.RevocationLeaseTTL
 	c.held = new(heldTable)
-	if ct, ok := cfg.Transport.(CredentialChecker); ok && ct.Credentialed() {
-		c.credTr = ct
-	}
-	if us, ok := cfg.Transport.(updateStreams); ok {
-		c.streams = us
+	if pl, ok := cfg.Transport.(QueryPlane); ok {
+		c.plane = pl
+	} else {
+		c.plane = plain{cfg.Transport}
 	}
 	c.state.Store(&ctlState{
 		policy:    cfg.Policy,
@@ -806,7 +797,7 @@ func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	if h := c.heldFor(s); h != nil {
 		c.useHeld(s, h)
 		g.pending.Store(1)
-		c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
+		c.plane.QueryAsyncTraced(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
 		return
 	}
 	// One gather sequence: hand both endpoint queries to the transport (§2
@@ -817,8 +808,8 @@ func (c *Controller) decide(s *decisionScratch, st *ctlState) {
 	// dial backoff window. The second call may finish the decision and
 	// release the scratch: nothing reads s or g after it.
 	g.pending.Store(2)
-	c.query(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
-	c.query(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)
+	c.plane.QueryAsyncTraced(five.SrcIP, g.qs, s.tb, trace.FlagSrc, g.srcDoneFn)
+	c.plane.QueryAsyncTraced(five.DstIP, g.qd, s.tb, trace.FlagDst, g.dstDoneFn)
 }
 
 // finishDecision is the back half of the Figure 1 pipeline: evaluate the
@@ -1011,7 +1002,7 @@ func (c *Controller) resolveResponse(st *ctlState, five flow.Five, host netaddr.
 		// re-check here so no transport composition can slip facts from an
 		// unauthorized host into a verdict. Refused answers fall through
 		// to answer-on-behalf/no-info like any unauthorized session.
-		if c.credTr == nil || c.credTr.HostAuthorized(host) {
+		if c.plane.Standing(host).Authorized {
 			return resp, rtt, false, false
 		}
 		c.hot.credUnauthorized.Add(1)

@@ -10,6 +10,7 @@ import (
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
 	"identxx/internal/pf"
+	"identxx/internal/trace"
 	"identxx/internal/wire"
 )
 
@@ -751,11 +752,11 @@ type credTransport struct {
 	expiry map[netaddr.IP]time.Time
 }
 
-func (t *credTransport) Credentialed() bool             { return true }
-func (t *credTransport) HostAuthorized(netaddr.IP) bool { return true }
-func (t *credTransport) CredentialExpiry(h netaddr.IP) (time.Time, bool) {
-	exp, ok := t.expiry[h]
-	return exp, ok
+func (t *credTransport) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
+	plain{t}.QueryAsyncTraced(host, q, tb, ep, done)
+}
+func (t *credTransport) Standing(h netaddr.IP) Standing {
+	return Standing{Authorized: true, Streaming: true, Expiry: t.expiry[h]}
 }
 
 // TestClassLeaseFollowsCredentialExpiry: a class record is leased no longer

@@ -302,12 +302,12 @@ func (c *Controller) registerDeps(s *decisionScratch) {
 // verdict read, the host-scope marker plus each key it could have read there
 // (the query hints — the compiled policy's per-flow static key analysis),
 // the listener fact when the destination's answer was a listener's, and the
-// earliest lease any read end imposes: RevocationLeaseTTL from now
-// for a host that has not proven it pushes updates and, on a credential-
-// enforcing transport, the expiry of the credential its facts were admitted
-// under — if the live lapse-resync is missed, the lease sweep still tears
-// the verdict down at expiry. Records keep the expiry they were admitted
-// under; a rotation refreshes subsequent decisions. The facts are built in
+// earliest lease any read end imposes: RevocationLeaseTTL from now for a
+// host that has not proven it pushes updates and, on a credential-enforcing
+// plane, the expiry of the credential its facts were admitted under
+// (Standing.Expiry) — if the live lapse-resync is missed, the lease sweep
+// still tears the verdict down at expiry. Records keep the expiry they were
+// admitted under; a rotation refreshes subsequent decisions. The facts are built in
 // the scratch's buffer: Register keeps none of the registration's slices.
 func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Registration {
 	g := &s.gather
@@ -320,11 +320,7 @@ func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Regi
 		if c.leaseTTL > 0 && !c.revoker.PushCapable(host) {
 			reg.Lease = earlier(reg.Lease, c.clock().Add(c.leaseTTL))
 		}
-		if c.credTr != nil {
-			if exp, ok := c.credTr.CredentialExpiry(host); ok {
-				reg.Lease = earlier(reg.Lease, exp)
-			}
-		}
+		reg.Lease = earlier(reg.Lease, c.plane.Standing(host).Expiry)
 	}
 	if srcRead {
 		end(s.five.SrcIP, g.qs.Keys)
@@ -341,7 +337,7 @@ func (c *Controller) deps(s *decisionScratch, srcRead, dstRead bool) revoke.Regi
 
 // earlier returns the earlier of two lease deadlines, zero meaning none.
 func earlier(a, b time.Time) time.Time {
-	if a.IsZero() || b.Before(a) {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
 		return b
 	}
 	return a

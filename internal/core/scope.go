@@ -19,17 +19,16 @@ import (
 //
 // A held answer serves a decision only while it is known to be current:
 //
-//   - the host's daemon pushes updates (it said hello) and, where the
-//     transport can tell (updateStreams), its update stream is up right
-//     now: a change made while the connection is down reaches the
-//     controller only when a query reconnects, and a held answer sends
-//     none;
+//   - the host's daemon pushes updates (it said hello) and its update
+//     stream is up right now (Standing.Streaming): a change made while the
+//     connection is down reaches the controller only when a query
+//     reconnects, and a held answer sends none;
 //   - its generation is the host fence's current one (shard.go). Every
 //     resync, key-scoped update, RevokeHost and update at a listener's scope
 //     for the host bumps the fence, so each of them retires every answer
 //     held for the host without a scan;
-//   - on a credential-enforcing transport, the host is authorized and its
-//     credential has not expired;
+//   - the host is authorized and its credential, where one is enforced,
+//     has not expired (Standing);
 //   - it was asked with every key hint this flow's destination needs.
 //
 // An answer is stored only by a decision that passed its fence, with the
@@ -38,12 +37,6 @@ import (
 // answer, learned or held, stands on the listener fact (revoke.ListenerKey)
 // beside its host marker and key facts, and the daemon's update at that
 // scope resolves it.
-
-// updateStreams is the face of a transport that can say whether a host's
-// update stream is up (internal/query.Engine over a Pool).
-type updateStreams interface {
-	Subscribed(host netaddr.IP) bool
-}
 
 // heldKey names one listener of one host.
 type heldKey struct {
@@ -117,18 +110,11 @@ func (c *Controller) heldFor(s *decisionScratch) *heldAnswer {
 // its daemon pushes and its update stream is up, and its credential, where
 // one is enforced, authorizes it and has not expired.
 func (c *Controller) current(host netaddr.IP) bool {
-	if !c.revoker.PushCapable(host) || (c.streams != nil && !c.streams.Subscribed(host)) {
+	if !c.revoker.PushCapable(host) {
 		return false
 	}
-	if c.credTr != nil {
-		if !c.credTr.HostAuthorized(host) {
-			return false
-		}
-		if exp, ok := c.credTr.CredentialExpiry(host); ok && !c.clock().Before(exp) {
-			return false
-		}
-	}
-	return true
+	st := c.plane.Standing(host)
+	return st.Authorized && st.Streaming && (st.Expiry.IsZero() || c.clock().Before(st.Expiry))
 }
 
 // covers reports whether every key in want is in have.

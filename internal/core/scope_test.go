@@ -11,6 +11,7 @@ import (
 	"identxx/internal/openflow"
 	"identxx/internal/pf"
 	"identxx/internal/revoke"
+	"identxx/internal/trace"
 	"identxx/internal/wire"
 )
 
@@ -28,7 +29,12 @@ type listenerTransport struct {
 	lent       map[netaddr.IP]*wire.Response
 }
 
-func (t *listenerTransport) Subscribed(netaddr.IP) bool { return !t.streamDown }
+func (t *listenerTransport) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb *trace.Buffer, ep uint16, done func(*wire.Response, time.Duration, error)) {
+	plain{t}.QueryAsyncTraced(host, q, tb, ep, done)
+}
+func (t *listenerTransport) Standing(netaddr.IP) Standing {
+	return Standing{Authorized: true, Streaming: !t.streamDown}
+}
 
 func (t *listenerTransport) Query(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	resp, rtt, err := t.fakeTransport.Query(host, q)
@@ -140,6 +146,78 @@ func TestHeldAnswerServesListener(t *testing.T) {
 			t.Errorf("queries = %d, want 8", q)
 		}
 	})
+}
+
+// credListener is listenerTransport on a credential-enforcing plane: the
+// destination's standing is what the test sets, every other host's a
+// verified session with no expiry.
+type credListener struct {
+	*listenerTransport
+	mu  sync.Mutex
+	dst Standing
+}
+
+func (t *credListener) Standing(host netaddr.IP) Standing {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if host != hostB {
+		return Standing{Authorized: true, Streaming: true}
+	}
+	return t.dst
+}
+
+// TestHeldAnswerNeedsAStandingCredential: on a credential-enforcing plane a
+// held answer serves only while its host is authorized and, by the
+// controller's clock, its credential has not expired. After either lapse the
+// listener's next flow asks its destination again, and no hit is counted.
+func TestHeldAnswerNeedsAStandingCredential(t *testing.T) {
+	start := time.Unix(1000, 0)
+	expiry := start.Add(time.Minute)
+	lapses := []struct {
+		name  string
+		lapse func(tr *credListener, now *time.Time)
+	}{
+		{"not authorized", func(tr *credListener, _ *time.Time) { tr.dst = Standing{Streaming: true} }},
+		{"expired", func(_ *credListener, now *time.Time) { *now = expiry }},
+	}
+	for _, l := range lapses {
+		t.Run(l.name, func(t *testing.T) {
+			var mu sync.Mutex
+			now := start
+			tr := &credListener{
+				listenerTransport: &listenerTransport{fakeTransport: skypeFacts()},
+				dst:               Standing{Authorized: true, Streaming: true, Expiry: expiry},
+			}
+			c := New(Config{
+				Name:      "scope-cred",
+				Policy:    pf.MustCompile("scope-cred", revPolicy),
+				Transport: tr,
+				Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+				Clock:     func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
+			})
+			c.AddDatapath(&fakeDatapath{id: 1})
+			c.HandleUpdate(hostB, wire.Update{Hello: true, Serial: 1})
+			c.HandleEvent(sampleEvent(revFlow(49200), 1))
+			c.HandleEvent(sampleEvent(revFlow(49201), 1))
+			checkCounters(t, c, map[string]int64{"flows_allowed": 2, "scope_learned": 1, "scope_hits": 1})
+			if q := tr.queryCount(); q != 3 {
+				t.Fatalf("queries = %d, want 3: both ends, then the source", q)
+			}
+
+			mu.Lock()
+			tr.mu.Lock()
+			l.lapse(tr, &now)
+			tr.mu.Unlock()
+			mu.Unlock()
+			c.HandleEvent(sampleEvent(revFlow(49202), 1))
+			if got := c.Counters.Get("scope_hits"); got != 1 {
+				t.Errorf("scope_hits = %d, want 1: a held answer served past the lapse", got)
+			}
+			if q := tr.queryCount(); q != 5 {
+				t.Errorf("queries = %d, want 5: the destination asked again", q)
+			}
+		})
+	}
 }
 
 // TestHeldAnswerOutlivesTheLentResponse: a transport lends a response for

@@ -108,6 +108,10 @@ func (t *tracedFaceTransport) QueryAsyncTraced(host netaddr.IP, q wire.Query, tb
 	done(resp, rtt, err)
 }
 
+func (*tracedFaceTransport) Standing(netaddr.IP) Standing {
+	return Standing{Authorized: true, Streaming: true}
+}
+
 // TestTransportShapesTraceAlike: whichever face New resolves the transport
 // to — its own traced one, or QueryAsync through the self-tracing adapter —
 // a decision's trace holds one enqueue/done pair per end, flagged with the

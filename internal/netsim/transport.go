@@ -21,7 +21,7 @@ import (
 func (n *Network) Transport(home *SwitchNode) *query.Engine {
 	l := &lower{n: n, home: home.SW.ID, serials: make(map[*Host]uint64)}
 	counters := metrics.NewCounter()
-	l.pool = query.NewPool(query.PoolConfig{Resolver: l, Counters: counters})
+	l.Pool = query.NewPool(query.PoolConfig{Resolver: l, Counters: counters})
 	l.eng = query.NewEngine(query.Config{Lower: l, Clock: n.Clock.Now, Counters: counters})
 	n.mu.Lock()
 	n.lowers = append(n.lowers, l)
@@ -30,11 +30,13 @@ func (n *Network) Transport(home *SwitchNode) *query.Engine {
 }
 
 // lower is the engine's wire layer: the pool, the host table as its
-// resolver, and the zone controllers on the path around each exchange.
+// resolver, and the zone controllers on the path around each exchange. What
+// the pool knows of each host's session (Standing, the credential views)
+// is the pool's own.
 type lower struct {
+	*query.Pool
 	n    *Network
 	home uint64
-	pool *query.Pool
 	eng  *query.Engine
 
 	// serials is, per host that said hello, the serial of the last update
@@ -73,7 +75,7 @@ func (l *lower) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, don
 	n.mu.Lock()
 	n.exchanges++
 	n.mu.Unlock()
-	ask := func(reply func(*wire.Response, time.Duration, error)) { l.pool.Go(host, q, start, deadline, reply) }
+	ask := func(reply func(*wire.Response, time.Duration, error)) { l.Pool.Go(host, q, start, deadline, reply) }
 	core.InterceptChain{Outbound: n.interceptors(l.home, host)}.Exchange(host, q, ask, func(resp *wire.Response, rtt time.Duration, err error) {
 		done(resp, rtt, err)
 		n.mu.Lock()
@@ -87,12 +89,8 @@ func (l *lower) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, don
 // notes its serial for Run's wait. A host the pool subscribed to counts from
 // its hello on.
 func (l *lower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
-	if fn == nil {
-		l.pool.SetUpdateHandler(nil)
-		return
-	}
 	n := l.n
-	l.pool.SetUpdateHandler(func(ip netaddr.IP, u wire.Update) {
+	l.Pool.SetUpdateHandler(func(ip netaddr.IP, u wire.Update) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if h := n.hosts[ip]; h != nil {
@@ -103,9 +101,6 @@ func (l *lower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
 		n.cond.Broadcast()
 	})
 }
-
-// Subscribed reports whether host's update stream is up on the pool.
-func (l *lower) Subscribed(host netaddr.IP) bool { return l.pool.Subscribed(host) }
 
 // behind reports whether a daemon some transport subscribed to has published
 // an update that transport has not queued. It reads each daemon's serial
@@ -182,7 +177,7 @@ func (n *Network) Close() {
 	n.mu.Unlock()
 	for _, l := range lowers {
 		l.eng.Close()
-		l.pool.Close()
+		l.Pool.Close()
 	}
 	for _, s := range servers {
 		s.Close()

@@ -88,21 +88,20 @@ type CredStatus struct {
 // the insecure mode netsim and experiments run in.
 func (p *Pool) credentialed() bool { return !p.authority.IsZero() }
 
-// Credentialed reports whether this pool enforces credentials — what turns
-// the controller's half of the credential plane on (core.CredentialChecker).
-func (p *Pool) Credentialed() bool { return p.credentialed() }
-
-// CredentialStatus returns host's credential status. ok is false when the
-// pool runs insecure or has never talked to host.
+// CredentialStatus returns host's credential status, the zero status for a
+// host the pool has never asked. ok is false when the pool runs insecure.
 func (p *Pool) CredentialStatus(host netaddr.IP) (CredStatus, bool) {
 	if !p.credentialed() {
 		return CredStatus{}, false
 	}
-	p.mu.Lock()
-	hc := p.hosts[host]
-	p.mu.Unlock()
+	return p.session(host).credStatus(), true
+}
+
+// credStatus snapshots the session's credential state, the key scope copied
+// for the caller to keep; the zero status without a session.
+func (hc *hostConn) credStatus() CredStatus {
 	if hc == nil {
-		return CredStatus{}, false
+		return CredStatus{}
 	}
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
@@ -116,30 +115,7 @@ func (p *Pool) CredentialStatus(host netaddr.IP) (CredStatus, bool) {
 	if len(hc.cred.keys) > 0 {
 		st.Scope = append(st.Scope, hc.cred.keys...)
 	}
-	return st, true
-}
-
-// HostAuthorized reports whether facts from host may influence verdicts
-// right now. Insecure pools authorize everyone; credentialed pools
-// authorize only live verified unexpired sessions.
-func (p *Pool) HostAuthorized(host netaddr.IP) bool {
-	if !p.credentialed() {
-		return true
-	}
-	st, ok := p.CredentialStatus(host)
-	return ok && st.Verified
-}
-
-// CredentialExpiry returns the expiry of host's verified credential; ok
-// is false for insecure pools and unverified sessions. The controller
-// clamps revocation leases to this, making expiry a revocation event even
-// for facts cached past the session's death.
-func (p *Pool) CredentialExpiry(host netaddr.IP) (time.Time, bool) {
-	st, ok := p.CredentialStatus(host)
-	if !ok || !st.Verified {
-		return time.Time{}, false
-	}
-	return st.Expiry, true
+	return st
 }
 
 // HostCredStatus pairs a host with its credential status for drill-downs.
@@ -154,18 +130,11 @@ func (p *Pool) CredentialSessions() []HostCredStatus {
 	if !p.credentialed() {
 		return nil
 	}
-	p.mu.Lock()
-	hosts := make([]netaddr.IP, 0, len(p.hosts))
-	for ip := range p.hosts {
-		hosts = append(hosts, ip)
-	}
-	p.mu.Unlock()
-	out := make([]HostCredStatus, 0, len(hosts))
-	for _, ip := range hosts {
-		if st, ok := p.CredentialStatus(ip); ok {
-			out = append(out, HostCredStatus{Host: ip, CredStatus: st})
-		}
-	}
+	var out []HostCredStatus
+	p.hosts.Range(func(ip, hc any) bool {
+		out = append(out, HostCredStatus{Host: ip.(netaddr.IP), CredStatus: hc.(*hostConn).credStatus()})
+		return true
+	})
 	return out
 }
 

@@ -338,3 +338,40 @@ func TestE2ERotationSurvivesWithoutResync(t *testing.T) {
 		t.Errorf("rotated session fell back to answer-on-behalf (%d)", n)
 	}
 }
+
+// TestCredentialedStandingAllocatesNothing: the controller asks a host's
+// standing as each answer is taken in, as its verdict is leased and before
+// a held answer serves it — up to six times in a credentialed decision — so
+// on a verified session under a scoped credential the check copies
+// nothing: not the key scope, not a status.
+func TestCredentialedStandingAllocatesNothing(t *testing.T) {
+	authPub, authPriv := sig.MustGenerateKey()
+	src := startHost(t, "client", "10.8.6.1", workload.Skype, "alice")
+	dst := startHost(t, "server", "10.8.6.2", workload.Skype, "bob")
+	scope := []string{wire.KeyName, wire.KeyUserID, wire.KeyGroupID}
+	src.d.SetCredential(issueFor(t, authPriv, src, scope, time.Hour))
+	dst.d.SetCredential(issueFor(t, authPriv, dst, scope, time.Hour))
+
+	pool, eng, ctl, _ := credStack(t, "cred-standing", authPub, query.StaticResolver{
+		src.ip: src.addr, dst.ip: dst.addr,
+	})
+	connected := skypeFlow(t, src, dst, 40008)
+	if err := dst.info.Listen(dst.proc.PID, netaddr.ProtoTCP, 5060); err != nil {
+		t.Fatal(err)
+	}
+	ctl.HandleEvent(packetIn(connected, 1, openflow.BufferNone))
+	waitCounter(t, pool.Counters, "pool_cred_verified", 2)
+
+	st := eng.Standing(src.ip)
+	if !st.Authorized || !st.Streaming || st.Expiry.IsZero() {
+		t.Fatalf("src standing = %+v, want an authorized, streaming session with an expiry", st)
+	}
+	if cs, _ := eng.CredentialStatus(src.ip); cs.Wild || len(cs.Scope) != len(scope) {
+		t.Fatalf("src credential status = %+v, want the %d-key scope", cs, len(scope))
+	}
+	for name, standing := range map[string]func(netaddr.IP) core.Standing{"engine": eng.Standing, "pool": pool.Standing} {
+		if n := testing.AllocsPerRun(1000, func() { st = standing(src.ip) }); n != 0 {
+			t.Errorf("%s standing of a scoped credential allocates %.1f per call, want 0", name, n)
+		}
+	}
+}

@@ -19,17 +19,19 @@ import (
 // one attempt begun at start and returns without waiting; done runs exactly
 // once, on the goroutine that learns the outcome (over a Pool, the one that
 // decoded the response) or inline for what the lower refuses on the spot,
-// and must not block.
+// and must not block. SetUpdateHandler installs the sink for the updates
+// its daemons push (Pool.SetUpdateHandler). The rest is what it knows of
+// each host's session, which the Engine passes up unchanged — retries and
+// the breaker sit above authorization, not instead of it: Standing is the
+// controller's per-answer check (Pool.Standing), and CredentialStatus and
+// CredentialSessions are the operator's view of the credential plane (ok
+// false and nil on a lower that enforces none).
 type Lower interface {
 	Go(host netaddr.IP, q wire.Query, start, deadline time.Time, done func(*wire.Response, time.Duration, error))
-}
-
-// updateSource is the optional push face of a Lower: transports that can
-// deliver daemon-pushed endpoint-state updates (*Pool, and the simulator's
-// adapter, which queues the Pool's updates as events) implement it. Lowers without it are
-// the honest-but-legacy case — the controller falls back to TTL leases.
-type updateSource interface {
 	SetUpdateHandler(fn func(host netaddr.IP, u wire.Update))
+	Standing(host netaddr.IP) core.Standing
+	CredentialStatus(host netaddr.IP) (CredStatus, bool)
+	CredentialSessions() []HostCredStatus
 }
 
 // Config parameterizes an Engine. The zero value of every field except
@@ -59,14 +61,13 @@ const (
 	retries          = 1
 )
 
-// Engine is the query-plane brain. It implements core.QueryTransport
-// (QueryAsync) and the traced face the controller prefers
-// (QueryAsyncTraced), plus a blocking Query for callers outside the
-// decision path, all of them over the same retry and breaker state. A host
-// that fails to dial is remembered below, by its Pipe's backoff window, not
-// here. Every query is its own flight to the wire: the controller asks each
-// end of a flow once per decision (its pending set parks a flow's duplicate
-// packet-ins), so there is nothing to share.
+// Engine is the query-plane brain. It is a core.QueryPlane (QueryAsyncTraced
+// and Standing) and a core.QueryTransport (QueryAsync), and has a blocking
+// Query for callers outside the decision path, every query over the same
+// retry and breaker state. A host that fails to dial is remembered below, by
+// its Pipe's backoff window, not here. Every query is its own flight to the
+// wire: the controller asks each end of a flow once per decision (its pending
+// set parks a flow's duplicate packet-ins), so there is nothing to share.
 type Engine struct {
 	lower   Lower
 	timeout time.Duration
@@ -155,29 +156,27 @@ func NewEngine(cfg Config) *Engine {
 }
 
 // SetUpdateHandler threads the revocation plane's update sink through to
-// the lower transport. It returns false when the lower cannot push (no
-// subscription support): the caller then knows every host is lease-only.
-// The handler runs on transport goroutines (the pool's connection readers,
-// or the simulator's event loop, where its adapter queues them); it must be
-// quick and must not re-enter the engine.
+// the lower transport, and reports true: every Lower pushes. The handler
+// runs on transport goroutines (the pool's connection readers, or the
+// simulator's event loop, where its adapter queues them); it must be quick
+// and must not re-enter the engine.
 func (e *Engine) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) bool {
-	us, ok := e.lower.(updateSource)
-	if ok {
-		us.SetUpdateHandler(fn)
-	}
-	return ok
-}
-
-// Subscribed reports whether host's update stream is up, as the lower sees
-// it (*Pool.Subscribed). A lower that cannot tell — one that cannot push,
-// or a test double — reports true: its hosts are push-capable or not by
-// their hellos alone.
-func (e *Engine) Subscribed(host netaddr.IP) bool {
-	if s, ok := e.lower.(interface{ Subscribed(netaddr.IP) bool }); ok {
-		return s.Subscribed(host)
-	}
+	e.lower.SetUpdateHandler(fn)
 	return true
 }
+
+// Standing implements core.QueryPlane: host's standing with the lower.
+func (e *Engine) Standing(host netaddr.IP) core.Standing { return e.lower.Standing(host) }
+
+// CredentialStatus returns host's credential status from the lower; ok is
+// false when it enforces no credential.
+func (e *Engine) CredentialStatus(host netaddr.IP) (CredStatus, bool) {
+	return e.lower.CredentialStatus(host)
+}
+
+// CredentialSessions lists every host the lower has a credential status for
+// (nil when it enforces no credential).
+func (e *Engine) CredentialSessions() []HostCredStatus { return e.lower.CredentialSessions() }
 
 // Query asks host and blocks until the result is available. It is for
 // callers off the decision path; the controller asks by completion.

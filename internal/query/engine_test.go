@@ -29,6 +29,13 @@ func (l *fakeLower) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func(
 	done(l.answer(host, q))
 }
 
+func (*fakeLower) SetUpdateHandler(func(netaddr.IP, wire.Update)) {}
+func (*fakeLower) Standing(netaddr.IP) core.Standing {
+	return core.Standing{Authorized: true, Streaming: true}
+}
+func (*fakeLower) CredentialStatus(netaddr.IP) (CredStatus, bool) { return CredStatus{}, false }
+func (*fakeLower) CredentialSessions() []HostCredStatus           { return nil }
+
 func (l *fakeLower) answer(host netaddr.IP, q wire.Query) (*wire.Response, time.Duration, error) {
 	l.calls.Add(1)
 	if l.gate != nil {

@@ -76,8 +76,10 @@ type Pool struct {
 	updMu    sync.RWMutex
 	onUpdate func(host netaddr.IP, u wire.Update)
 
+	// mu guards closed and the adding of hosts: a session is added once and
+	// kept, so Standing finds one without taking mu.
 	mu     sync.Mutex
-	hosts  map[netaddr.IP]*hostConn
+	hosts  sync.Map // netaddr.IP → *hostConn
 	closed bool
 }
 
@@ -91,7 +93,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		reqTimeout: cfg.RequestTimeout,
 		authority:  cfg.AuthorityKey,
 		Counters:   cfg.Counters,
-		hosts:      make(map[netaddr.IP]*hostConn),
 	}
 	if p.reqTimeout <= 0 {
 		p.reqTimeout = defaultRequestTimeout
@@ -129,21 +130,40 @@ func (p *Pool) updateFn() func(host netaddr.IP, u wire.Update) {
 	return fn
 }
 
+// session returns host's session, nil before the pool has asked host.
+func (p *Pool) session(host netaddr.IP) *hostConn {
+	v, _ := p.hosts.Load(host)
+	hc, _ := v.(*hostConn)
+	return hc
+}
+
+// Standing is host's standing with the pool, read in one lookup that takes
+// no lock unless the pool enforces credentials. Streaming is Subscribed. On
+// an insecure pool every host is authorized; on a credentialed one, a host
+// whose session is credential-verified and unexpired, and Expiry is that
+// credential's.
+func (p *Pool) Standing(host netaddr.IP) core.Standing {
+	hc := p.session(host)
+	if !p.credentialed() {
+		return core.Standing{Authorized: true, Streaming: hc != nil && hc.streaming.Load()}
+	}
+	if hc == nil {
+		return core.Standing{}
+	}
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	st := core.Standing{Streaming: hc.streaming.Load()}
+	if hc.cred.verified && time.Now().Before(hc.cred.expiry) {
+		st.Authorized, st.Expiry = true, hc.cred.expiry
+	}
+	return st
+}
+
 // Subscribed reports whether host's daemon connection is up with its update
 // stream flowing: subscribed, and the daemon's hello on this connection
 // accepted. While it is not, a change at the daemon may not have reached the
 // update handler, and will not until a query reconnects.
-func (p *Pool) Subscribed(host netaddr.IP) bool {
-	p.mu.Lock()
-	hc := p.hosts[host]
-	p.mu.Unlock()
-	if hc == nil {
-		return false
-	}
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	return hc.streaming
-}
+func (p *Pool) Subscribed(host netaddr.IP) bool { return p.Standing(host).Streaming }
 
 // Query is Go, started now with the pool's default deadline, and a wait for
 // its completion: one attempt, for a caller that has nothing else to do
@@ -247,7 +267,7 @@ func (p *Pool) host(host netaddr.IP) (*hostConn, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
-	if hc, ok := p.hosts[host]; ok {
+	if hc := p.session(host); hc != nil {
 		return hc, nil
 	}
 	addr, ok := p.resolver.Resolve(host)
@@ -263,7 +283,7 @@ func (p *Pool) host(host netaddr.IP) (*hostConn, error) {
 	hc.pipe = link.NewPipe(&hc.mu, addr, p.reqTimeout, maxInFlight, link.Plane[flow.Five, *wire.Response]{
 		Reader: hc.reader, Opened: hc.opened, DialFailed: hc.dialFailed, Down: hc.down,
 	})
-	p.hosts[host] = hc
+	p.hosts.Store(host, hc)
 	return hc, nil
 }
 
@@ -271,10 +291,11 @@ func (p *Pool) host(host netaddr.IP) (*hostConn, error) {
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	hosts := make([]*hostConn, 0, len(p.hosts))
-	for _, hc := range p.hosts {
-		hosts = append(hosts, hc)
-	}
+	var hosts []*hostConn
+	p.hosts.Range(func(_, hc any) bool {
+		hosts = append(hosts, hc.(*hostConn))
+		return true
+	})
 	p.mu.Unlock()
 	for _, hc := range hosts {
 		hc.pipe.Close(ErrClosed)
@@ -307,8 +328,8 @@ type hostConn struct {
 	haveSerial bool
 	// streaming is set while the connection is up and its daemon has said
 	// a hello on it that was not suppressed: updates about the host reach
-	// the handler now (Subscribed).
-	streaming bool
+	// the handler now (Subscribed). Written under mu, read without it.
+	streaming atomic.Bool
 
 	// cred is the session's credential-verification state (cred.go);
 	// meaningful only in credentialed pools.
@@ -461,7 +482,7 @@ func (hc *hostConn) handleUpdate(u wire.Update) {
 	}
 	hc.lastSerial, hc.haveSerial = u.Serial, true
 	if u.Hello {
-		hc.streaming = !suppress
+		hc.streaming.Store(!suppress)
 	}
 	hc.mu.Unlock()
 	if fn == nil {
@@ -485,7 +506,7 @@ func (hc *hostConn) down(failed int) {
 	// operator views; no resync is emitted — if the reconnect hello verifies
 	// at an unchanged serial, continuity was never broken.
 	hc.cred.verified = false
-	hc.streaming = false
+	hc.streaming.Store(false)
 	hc.stopLapseLocked()
 	hc.pool.Conns.Dec()
 	if failed > 0 {

@@ -595,9 +595,7 @@ func TestPoolHostileDaemonUpdateTableBound(t *testing.T) {
 			return
 		}
 		got++
-		p.mu.Lock()
-		hc := p.hosts[host]
-		p.mu.Unlock()
+		hc := p.session(host)
 		hc.mu.Lock()
 		rd := hc.rd
 		hc.mu.Unlock()

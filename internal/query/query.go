@@ -22,6 +22,12 @@
 //     wire exchange: the controller already asks each end of a flow once
 //     per decision.
 //
+// The Engine is the controller's core.QueryPlane: the traced query, and each
+// host's standing (authorized, update stream up, credential expiry), which
+// the Pool answers from one session lookup that takes no lock on an insecure
+// pool and copies nothing on a credentialed one (Pool.Standing). Every Lower
+// has the whole face, so nothing in either layer probes for an optional one.
+//
 // Responses delivered by the engine are read-only: callers must not mutate
 // or pool-release them, and may keep them. (The controller honors this: a
 // daemon response is read by one evaluation and dropped to the garbage

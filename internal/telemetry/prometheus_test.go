@@ -35,6 +35,15 @@ func (t okTransport) Go(host netaddr.IP, q wire.Query, _, _ time.Time, done func
 	t.QueryAsync(host, q, done)
 }
 
+func (okTransport) SetUpdateHandler(func(netaddr.IP, wire.Update)) {}
+func (okTransport) Standing(netaddr.IP) core.Standing {
+	return core.Standing{Authorized: true, Streaming: true}
+}
+func (okTransport) CredentialStatus(netaddr.IP) (query.CredStatus, bool) {
+	return query.CredStatus{}, false
+}
+func (okTransport) CredentialSessions() []query.HostCredStatus { return nil }
+
 type lineTopo struct{}
 
 func (lineTopo) Path(src, dst netaddr.IP) ([]core.Hop, error) {

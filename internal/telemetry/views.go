@@ -149,14 +149,15 @@ func hostsView(op Operator, _ url.Values) (any, error) {
 			row(h.Host).HostStatus = h
 		}
 		for _, s := range op.Eng.CredentialSessions() {
-			row(s.Host)
+			row(s.Host).Cred = &s.CredStatus
 		}
 	}
 	out := make([]*HostRow, 0, len(rows))
 	for ip, r := range rows {
-		if op.Eng != nil && op.Eng.Credentialed() {
-			cs, _ := op.Eng.CredentialStatus(ip)
-			r.Cred = &cs
+		if r.Cred == nil && op.Eng != nil {
+			if cs, ok := op.Eng.CredentialStatus(ip); ok {
+				r.Cred = &cs
+			}
 		}
 		out = append(out, r)
 	}

@@ -141,16 +141,15 @@ type credLower struct {
 	sessions map[netaddr.IP]query.CredStatus
 }
 
-func (l credLower) Credentialed() bool { return true }
-func (l credLower) HostAuthorized(h netaddr.IP) bool {
-	return l.sessions[h].Verified
+func (l credLower) Standing(h netaddr.IP) core.Standing {
+	st := core.Standing{Authorized: l.sessions[h].Verified, Streaming: true}
+	if st.Authorized {
+		st.Expiry = l.sessions[h].Expiry
+	}
+	return st
 }
 func (l credLower) CredentialStatus(h netaddr.IP) (query.CredStatus, bool) {
-	st, ok := l.sessions[h]
-	return st, ok
-}
-func (l credLower) CredentialExpiry(h netaddr.IP) (time.Time, bool) {
-	return l.sessions[h].Expiry, l.sessions[h].Verified
+	return l.sessions[h], true
 }
 func (l credLower) CredentialSessions() []query.HostCredStatus {
 	var out []query.HostCredStatus
