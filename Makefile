@@ -76,6 +76,16 @@ lint: fmt-check vet
 # credential and update sources — failing by name, tests included, is
 # their coming back.
 #
+# One assembly: a controller over the query plane is built subscribed to
+# its daemons' updates (query.Engine.Controller), and the simulator builds,
+# subscribes and attaches each of its controllers in one call
+# (netsim.Network.Controller). A `core.New(`, `.SetUpdateHandler(`,
+# `AttachController(` or `.Transport(` in the program code of the
+# experiments or the examples is a controller wired by hand, and a
+# `.SetUpdateHandler(` in program code outside internal/query and
+# internal/netsim is a subscription made beside the one call — leave either
+# out and a controller runs a mode identctl never runs.
+#
 # One policy engine: identctl links the compiled program and its VM. The
 # tree-walking interpreter is internal/pf's test oracle (interp_test.go);
 # any of its symbols, or the old switch that ran it beside the VM, in the
@@ -102,6 +112,10 @@ check-seam:
 	@out="$$($(GO) test -count=1 -run '^TestQueryPlaneSeam$$' ./internal/core/ 2>&1)" || { echo "an optional face asserted on the query plane:"; echo "$$out"; exit 1; }
 	@out="$$(grep -rnwE 'CredentialChecker|updateStreams|credSource|updateSource' --include='*.go' . | grep -v '^\./bench/')"; \
 	if [ -n "$$out" ]; then echo "a probed query-plane face came back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'core\.New\(|\.SetUpdateHandler\(|AttachController\(|\.Transport\(' --include='*.go' internal/experiments examples | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "a controller wired by hand:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn '\.SetUpdateHandler(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(query|netsim)/')"; \
+	if [ -n "$$out" ]; then echo "an update subscription outside the one call:"; echo "$$out"; exit 1; fi
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/identctl" ./cmd/identctl || exit 1; \
 	out="$$($(GO) tool nm "$$tmp/identctl" | grep -E '$(PF_ORACLE_SYMS)')"; \

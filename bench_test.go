@@ -618,13 +618,11 @@ func BenchmarkM9_QueryPlane(b *testing.B) {
 		b.Cleanup(func() { pool.Close() })
 		eng := query.NewEngine(query.Config{Lower: pool})
 		b.Cleanup(eng.Close)
-		ctl := core.New(core.Config{
-			Name:      "m9",
-			Policy:    pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
-			Transport: eng,
-			Topology:  &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+		ctl := eng.Controller(core.Config{
+			Name:     "m9",
+			Policy:   pf.MustCompile("m9", "block all\npass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)"),
+			Topology: &m7Topo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		})
-		eng.SetUpdateHandler(ctl.HandleUpdate)
 		ctl.AddDatapath(&m7Datapath{id: 1})
 		// A decision finishes on the pool's reader. decided waits until n
 		// flows are allowed and no decision holds its flow (a pass counts

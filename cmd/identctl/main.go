@@ -141,19 +141,17 @@ func main() {
 		}
 		name = self.ID
 	}
-	ctl := core.New(core.Config{
+	// The controller asks through the engine and hears what the daemons push:
+	// the pool hands each update to its teardown pipeline.
+	ctl := eng.Controller(core.Config{
 		Name:               name,
 		Policy:             policy,
-		Transport:          eng,
 		Topology:           topo,
 		RevocationLeaseTTL: *leaseTTL,
 		ResponseCacheTTL:   *cacheTTL,
 		Megaflow:           *megaflow,
 		Trace:              recorder,
 	})
-	// Close the revocation loop: daemon pushes demuxed by the pool land in
-	// the controller's teardown pipeline.
-	eng.SetUpdateHandler(ctl.HandleUpdate)
 
 	// Multi-controller operation: wrap the controller in the ownership
 	// router. Non-owned packet-ins forward to their owning replica; each

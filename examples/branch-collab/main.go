@@ -44,26 +44,20 @@ func main() {
 
 	// Branch B accepts only web traffic and advertises that by augmenting
 	// every ident++ response that leaves its network (§3.4).
-	ctlB := core.New(core.Config{
-		Name:      "B",
-		Policy:    pf.MustCompile("branch-b.control", branchBControl),
-		Transport: n.Transport(swB), Topology: n,
-		Clock: n.Clock.Now,
-	})
+	ctlB := n.Controller(core.Config{
+		Name:   "B",
+		Policy: pf.MustCompile("branch-b.control", branchBControl),
+	}, swB)
 	ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 		resp.Augment("controller:B").Add("branch-rules",
 			"block all pass from any to any port 80")
 	})
-	n.AttachController(ctlB, swB)
 
 	// Branch A defers to whatever the destination branch advertises.
-	ctlA := core.New(core.Config{
-		Name:      "A",
-		Policy:    pf.MustCompile("branch-a.control", branchAControl),
-		Transport: n.Transport(swA), Topology: n,
-		Clock: n.Clock.Now,
-	})
-	n.AttachController(ctlA, swA)
+	ctlA := n.Controller(core.Config{
+		Name:   "A",
+		Policy: pf.MustCompile("branch-a.control", branchAControl),
+	}, swA)
 
 	payload := make([]byte, 1000)
 	send := func(app string, port netaddr.Port) {

@@ -43,16 +43,10 @@ func main() {
 	// solved by asking the end-host what is actually talking).
 	policy := pf.MustCompile("quickstart.control", quickstartControl)
 
-	// The ident++ controller: queries each host's daemon over loopback TCP,
-	// computes paths from the simulated topology, installs verdicts.
-	ctl := core.New(core.Config{
-		Name:      "quickstart",
-		Policy:    policy,
-		Transport: n.Transport(sw),
-		Topology:  n,
-		Clock:     n.Clock.Now,
-	})
-	n.AttachController(ctl, sw)
+	// The ident++ controller: queries each host's daemon over loopback TCP
+	// and hears the changes it pushes, computes paths from the simulated
+	// topology, installs verdicts.
+	ctl := n.Controller(core.Config{Name: "quickstart", Policy: policy}, sw)
 
 	// Firefox and dropbox both dial the server on port 80 —
 	// indistinguishable to a port-based firewall.

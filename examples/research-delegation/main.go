@@ -87,11 +87,7 @@ func main() {
 		}
 	}
 
-	ctl := core.New(core.Config{
-		Name: "lab", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, sw)
+	ctl := n.Controller(core.Config{Name: "lab", Policy: policy}, sw)
 
 	try := func(desc string, src *workload.Station, dst *netsim.Host) {
 		dst.ClearReceived()

@@ -49,11 +49,7 @@ func main() {
 		panic(err)
 	}
 
-	ctl := core.New(core.Config{
-		Name: "fig2", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, sw)
+	ctl := n.Controller(core.Config{Name: "fig2", Policy: policy}, sw)
 
 	show := func(desc string, dst *netsim.Host, delivered bool) {
 		verdict := "BLOCKED"

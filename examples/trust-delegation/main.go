@@ -71,11 +71,7 @@ func main() {
 	}
 	desktop.Daemon.InstallConfig(cf, true)
 
-	ctl := core.New(core.Config{
-		Name: "office", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, sw)
+	ctl := n.Controller(core.Config{Name: "office", Policy: policy}, sw)
 
 	try := func(desc string, dst *netsim.Host, port netaddr.Port) {
 		dst.ClearReceived()

@@ -89,14 +89,13 @@ func TestAllTCPIntegration(t *testing.T) {
 	defer pool.Close()
 	eng := query.NewEngine(query.Config{Lower: pool})
 	defer eng.Close()
-	ctl := core.New(core.Config{
+	ctl := eng.Controller(core.Config{
 		Name: "integration",
 		Policy: pf.MustCompile("p", `
 block all
 pass from any to any with eq(@src[name], skype) keep state
 `),
-		Transport: eng,
-		Topology:  &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
+		Topology: &tcpTopo{ports: map[netaddr.IP]uint16{clientIP: 1, serverIP: 2}},
 	})
 	chSrv := openflow.NewChannelServer(ctl)
 	chAddr, err := chSrv.Listen("127.0.0.1:0")
@@ -183,12 +182,7 @@ pass from <net> to <net> port 80 with eq(@src[name], firefox) keep state
 pass from <net> to <net> port 22 with eq(@src[name], ssh) keep state
 pass from <net> to <net> port 25 with eq(@src[name], thunderbird) keep state
 `)
-		ctl := core.New(core.Config{
-			Name: "enterprise", Policy: policy,
-			Transport: n.Transport(tree.Root), Topology: n,
-			ResponseCacheTTL: time.Second, Clock: n.Clock.Now,
-		})
-		n.AttachController(ctl, tree.AllSwitches()...)
+		ctl := n.Controller(core.Config{Name: "enterprise", Policy: policy, ResponseCacheTTL: time.Second}, tree.Root, tree.Edges...)
 
 		gen := workload.NewGenerator(tree, 2009)
 		for i := 0; i < 300; i++ {

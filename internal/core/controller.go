@@ -246,8 +246,8 @@ type Config struct {
 	// HandleUpdate, RevokeHost and SweepLeases tear affected verdicts down
 	// live (cache entry dropped, flow-table entries deleted along the
 	// installed path, audit record emitted). The cache-hit fast path neither
-	// registers nor consults the index. Without an update feed
-	// (query.Engine.SetUpdateHandler) the index is only bookkeeping.
+	// registers nor consults the index. Without an update feed the index
+	// is only bookkeeping; query.Engine.Controller builds a controller fed.
 	//
 	// Deprecated: ignored. Only the benchmark rig (bench/, a module of its
 	// own) still names it; removed by ROADMAP item 0(ii).

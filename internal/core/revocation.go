@@ -28,8 +28,8 @@ import (
 // involved.
 
 // HandleUpdate consumes one daemon-pushed endpoint-state update for host.
-// It is the intended sink for query.Engine.SetUpdateHandler and is safe
-// for concurrent use.
+// query.Engine.Controller installs it as the engine's update sink; it is
+// safe for concurrent use.
 //
 // Scope resolution (see wire.Update): a hello marks the host push-capable
 // (its facts need no lease); a flow-scoped update revokes that flow; an

@@ -47,17 +47,13 @@ block all
 pass from any to any port 80 keep state
 `)
 		if sys == "identxx" {
-			tr = n.Transport(s1)
+			tr = nil // the query plane
 			policy = pf.MustCompile("e1", `
 block all
 pass from any to any with eq(@src[name], skype) keep state
 `)
 		}
-		ctl := core.New(core.Config{
-			Name: sys, Policy: policy, Transport: tr, Topology: n,
-			Clock: n.Clock.Now,
-		})
-		n.AttachController(ctl, s1, s2)
+		ctl := n.Controller(core.Config{Name: sys, Policy: policy, Transport: tr}, s1, s2)
 
 		for i := 0; i < 100; i++ {
 			if err := stA.StartFlow("skype", hb.IP(), 80); err != nil {
@@ -76,7 +72,7 @@ pass from any to any with eq(@src[name], skype) keep state
 		}
 		t.AddRow(sys, p50(ctl.Setup.QuerySrc), p50(ctl.Setup.QueryDst), p50(ctl.Setup.Eval), p50(ctl.Setup.Total), perPacket)
 	}
-	t.Note("wall-clock p50s as the controller records them; ident++ queries each end's daemon over loopback TCP, vanilla queries nothing. The two ends are asked at once, as identctl asks them, so total is the slower query plus eval. The punt and the install cross the in-process switch channel and are not timed. Subsequent packets are identical: both systems forward from the switch flow table.")
+	t.Note("wall-clock p50s as the controller records them; ident++ queries each end's daemon over loopback TCP, vanilla queries nothing. The server's daemon answers at its listener's scope, and the controller holds that answer once the daemon's update stream is up, as identctl does: the first two flows ask both ends (at once), the other 98 only the source, so query-dst is the p50 of two round trips and total is the source's query plus eval. The punt and the install cross the in-process switch channel and are not timed. Subsequent packets are identical: both systems forward from the switch flow table.")
 	t.Fprint(w)
 	return t
 }

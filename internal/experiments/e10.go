@@ -54,17 +54,12 @@ pass from any to any port 80 with eq(@dst[name], httpd)
 				stations[i] = workload.Populate(h, fmt.Sprintf("u%d", i), []string{"users"}, workload.Firefox)
 			}
 
-			eng := n.Transport(s1)
-			ctl := core.New(core.Config{
-				Name:      "e10",
-				Policy:    pf.MustCompile("e10", policy),
-				Transport: eng, Topology: n,
+			ctl := n.Controller(core.Config{
+				Name:             "e10",
+				Policy:           pf.MustCompile("e10", policy),
 				ResponseCacheTTL: time.Hour,
 				Megaflow:         mode == 1,
-				Clock:            n.Clock.Now,
-			})
-			eng.SetUpdateHandler(ctl.HandleUpdate)
-			n.AttachController(ctl, s1, s2)
+			}, s1, s2)
 
 			for _, st := range stations {
 				must(st.StartFlow("firefox", server.IP(), 80))

@@ -105,11 +105,7 @@ func buildFig2() *fig2Net {
 	if err != nil {
 		panic(err)
 	}
-	f.ctl = core.New(core.Config{
-		Name: "fig2", Policy: policy, Transport: n.Transport(swInt),
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(f.ctl, swInt, swExt)
+	f.ctl = n.Controller(core.Config{Name: "fig2", Policy: policy}, swInt, swExt)
 	return f
 }
 

@@ -102,11 +102,7 @@ func buildResearch(requirements string, tamper func(cfg string) string) *researc
 
 	policy, err := pf.LoadSources(map[string]string{"30-research.control": fig5Policy(pub)})
 	must(err)
-	rn.ctl = core.New(core.Config{
-		Name: "research", Policy: policy, Transport: n.Transport(sw),
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(rn.ctl, sw)
+	rn.ctl = n.Controller(core.Config{Name: "research", Policy: policy}, sw)
 	return rn
 }
 

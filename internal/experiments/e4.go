@@ -94,11 +94,7 @@ func RunE4(w io.Writer) *Table {
 		hc.Daemon.InstallConfig(cf, true) // distributed via the system config dir
 		policy, err := pf.LoadSources(map[string]string{"30-secur.control": fig7Policy(securPub)})
 		must(err)
-		ctl := core.New(core.Config{
-			Name: "secur", Policy: policy, Transport: n.Transport(sw),
-			Topology: n, Clock: n.Clock.Now,
-		})
-		n.AttachController(ctl, sw)
+		ctl := n.Controller(core.Config{Name: "secur", Policy: policy}, sw)
 		return n, ctl, client, mail, web
 	}
 	try := func(n *netsim.Network, src *workload.Station, dst *workload.Station, port netaddr.Port) bool {

@@ -70,11 +70,7 @@ func RunE5(w io.Writer) *Table {
 		}
 		policy, err := pf.LoadSources(map[string]string{"10-user-rules.control": fig8Policy})
 		must(err)
-		ctl := core.New(core.Config{
-			Name: "fig8", Policy: policy, Transport: n.Transport(sw),
-			Topology: n, Clock: n.Clock.Now,
-		})
-		n.AttachController(ctl, sw)
+		n.Controller(core.Config{Name: "fig8", Policy: policy}, sw)
 		return n, cs, ss, hi
 	}
 

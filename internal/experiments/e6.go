@@ -88,11 +88,10 @@ func buildE6(system string) *e6Net {
 	e.server = workload.Populate(hSrv, "root", nil, workload.HTTPD, workload.SSHD)
 
 	var policySrc string
-	var tr core.QueryTransport
+	var tr core.QueryTransport // nil: the query plane
 	switch system {
 	case "identxx":
 		policySrc = e6IdentPolicy
-		tr = n.Transport(root)
 	case "vanilla":
 		policySrc = e6VanillaPolicy
 		tr = baseline.NullTransport{}
@@ -107,11 +106,9 @@ func buildE6(system string) *e6Net {
 	default:
 		panic("unknown system " + system)
 	}
-	e.ctl = core.New(core.Config{
+	e.ctl = n.Controller(core.Config{
 		Name: system, Policy: pf.MustCompile(system, policySrc), Transport: tr,
-		Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(e.ctl, root, edge0, edge1)
+	}, root, edge0, edge1)
 	return e
 }
 

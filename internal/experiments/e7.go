@@ -49,20 +49,17 @@ func RunE7(w io.Writer) *Table {
 		workload.Populate(b1, "bsvc", nil, workload.HTTPD)
 
 		// Branch B: accepts only web traffic, and advertises that.
-		ctlB := core.New(core.Config{
+		ctlB := n.Controller(core.Config{
 			Name: "B",
 			Policy: pf.MustCompile("pB", `
 block all
 pass from any to any port 80
 `),
-			Transport: n.Transport(swB), Topology: n,
-			Clock: n.Clock.Now,
-		})
+		}, swB)
 		ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 			resp.Augment("controller:B").Add("branch-rules",
 				"block all pass from any to any port 80")
 		})
-		n.AttachController(ctlB, swB)
 
 		// Branch A: with collaboration it defers to B's advertised rules;
 		// without, it passes everything and lets B drop at its ingress.
@@ -73,12 +70,7 @@ block all
 pass from any to any with allowed(@dst[branch-rules])
 `
 		}
-		ctlA := core.New(core.Config{
-			Name: "A", Policy: pf.MustCompile("pA", policyA),
-			Transport: n.Transport(swA), Topology: n,
-			Clock: n.Clock.Now,
-		})
-		n.AttachController(ctlA, swA)
+		n.Controller(core.Config{Name: "A", Policy: pf.MustCompile("pA", policyA)}, swA)
 
 		// 10 web flows (B accepts) and 10 bulk flows (B rejects), each a
 		// SYN plus a 1000-byte payload packet.

@@ -102,20 +102,17 @@ pass from any to any with member(@src[groupID], staff)
 	st := workload.Populate(legacy, "lee", []string{"users"},
 		workload.App{Name: "lpr", Path: "/usr/bin/lpr", Version: "1", DstPort: 631})
 
-	ctl := core.New(core.Config{
+	ctl := n.Controller(core.Config{
 		Name: "office",
 		Policy: pf.MustCompile("p", `
 block all
 pass from any to any with eq(@dst[device-type], printer)
 `),
-		Transport: n.Transport(sw), Topology: n,
-		Clock: n.Clock.Now,
-	})
+	}, sw)
 	// The administrator registers what the network knows about its devices;
 	// the controller answers queries on their behalf (§3.4).
 	ctl.AnswerForHost(printer.IP(), wire.KV{Key: "device-type", Value: "printer"})
 	ctl.AnswerForHost(fileSrv.IP(), wire.KV{Key: "device-type", Value: "file-server"})
-	n.AttachController(ctl, sw)
 
 	tryB := func(dst *netsim.Host, port netaddr.Port) bool {
 		dst.ClearReceived()

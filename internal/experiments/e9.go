@@ -44,21 +44,14 @@ func RunE9(w io.Writer) *Table {
 		srv := workload.Populate(server, "bob", []string{"users"}, workload.HTTPD)
 		_ = srv
 
-		eng := n.Transport(s1)
-		ctl := core.New(core.Config{
+		ctl := n.Controller(core.Config{
 			Name: "e9",
 			Policy: pf.MustCompile("e9", `
 block all
 pass from any to any with eq(@src[name], skype)
 `),
-			Transport: eng, Topology: n,
 			ResponseCacheTTL: time.Hour,
-			Clock:            n.Clock.Now,
-		})
-		// Close the loop: daemon-pushed updates drive the controller's
-		// teardown pipeline, as in a real deployment.
-		eng.SetUpdateHandler(ctl.HandleUpdate)
-		n.AttachController(ctl, s1, s2)
+		}, s1, s2)
 
 		for i := 0; i < flows; i++ {
 			must(st.StartFlow("skype", server.IP(), 80))

@@ -73,13 +73,7 @@ func NewSetupBench(diameter, ruleCount int) *SetupBench {
 	sb.Server = workload.Populate(hb, "bob", []string{"users"}, workload.Skype)
 	must(hb.Info.Listen(sb.Server.Proc["skype"].PID, netaddr.ProtoTCP, 5060))
 
-	sb.Ctl = core.New(core.Config{
-		Name:      "m1",
-		Policy:    SyntheticPolicy(ruleCount, false),
-		Transport: n.Transport(chain[0]), Topology: n,
-		Clock: n.Clock.Now,
-	})
-	n.AttachController(sb.Ctl, chain...)
+	sb.Ctl = n.Controller(core.Config{Name: "m1", Policy: SyntheticPolicy(ruleCount, false)}, chain[0], chain[1:]...)
 	return sb
 }
 

@@ -37,15 +37,15 @@ func line(t testing.TB) (n *Network, sw1, sw2 *SwitchNode, ha, hb *Host) {
 func buildLine(t testing.TB, policy string) (*Network, *core.Controller, *Host, *Host) {
 	t.Helper()
 	n, sw1, sw2, ha, hb := line(t)
-	ctl := core.New(core.Config{
-		Name:      "main",
-		Policy:    pf.MustCompile("policy", policy),
-		Transport: n.Transport(sw1),
-		Topology:  n,
-		Clock:     n.Clock.Now,
-	})
-	n.AttachController(ctl, sw1, sw2)
+	ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("policy", policy)}, sw1, sw2)
 	return n, ctl, ha, hb
+}
+
+// lastEngine returns the query plane of the controller n built last.
+func lastEngine(n *Network) *query.Engine {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lowers[len(n.lowers)-1].eng
 }
 
 // skypePair runs skype for alice on ha and for bob on hb, listening on
@@ -112,6 +112,36 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	}
 }
 
+// TestControllerHearsItsDaemons: a controller Network.Controller builds is
+// subscribed to every daemon it asks, with no wiring of its own, so the exit
+// of an allowed flow's process tears the flow down.
+func TestControllerHearsItsDaemons(t *testing.T) {
+	n, ctl, ha, hb := buildLine(t, `
+block all
+pass from any to any with eq(@src[name], skype)
+`)
+	pa := skypePair(t, ha, hb)
+	if _, err := ha.StartFlow(pa, hb.IP(), 5060); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(0)
+	if got := ctl.Counters.Get("flows_allowed"); got != 1 {
+		t.Fatalf("flows_allowed = %d, want 1", got)
+	}
+	sw1, sw2 := n.switches[1], n.switches[2]
+	if sw1.SW.Table.Len() == 0 || sw2.SW.Table.Len() == 0 {
+		t.Fatalf("entries = %d, %d: the flow was not installed on its path", sw1.SW.Table.Len(), sw2.SW.Table.Len())
+	}
+	ha.Info.Kill(pa)
+	n.Run(0)
+	if got := ctl.Counters.Get("revocations_flows"); got != 1 {
+		t.Errorf("revocations_flows = %d, want 1", got)
+	}
+	if sw1.SW.Table.Len() != 0 || sw2.SW.Table.Len() != 0 {
+		t.Errorf("entries after the kill = %d, %d, want none", sw1.SW.Table.Len(), sw2.SW.Table.Len())
+	}
+}
+
 func TestDeniedFlowNeverArrives(t *testing.T) {
 	n, ctl, ha, hb := buildLine(t, `
 block all
@@ -167,12 +197,7 @@ func TestIdleTimeoutEvictsAndReinstalls(t *testing.T) {
 	hb := n.AddHost("hostB", netaddr.MustParseIP("10.0.0.2"))
 	n.ConnectHost(ha, sw1)
 	n.ConnectHost(hb, sw1)
-	ctl := core.New(core.Config{
-		Name: "main", Policy: pf.MustCompile("p", `pass from any to any`),
-		Transport: n.Transport(sw1), Topology: n,
-		Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, sw1)
+	ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("p", `pass from any to any`)}, sw1)
 	u := ha.Info.AddUser("u")
 	p := ha.Info.Exec(u, hostinfo.Executable{Path: "/bin/app", Name: "app"})
 	five, err := ha.StartFlow(p.PID, hb.IP(), 80)
@@ -251,12 +276,7 @@ func TestPreemptiveInstallCoversWholePath(t *testing.T) {
 	hb := n.AddHost("b", netaddr.MustParseIP("10.0.0.2"))
 	n.ConnectHost(ha, s1)
 	n.ConnectHost(hb, s3)
-	ctl := core.New(core.Config{
-		Name: "main", Policy: pf.MustCompile("p", `pass from any to any`),
-		Transport: n.Transport(s1), Topology: n,
-		Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, s1, s2, s3)
+	ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("p", `pass from any to any`)}, s1, s2, s3)
 	u := ha.Info.AddUser("u")
 	p := ha.Info.Exec(u, hostinfo.Executable{Path: "/bin/app", Name: "app"})
 	if _, err := ha.StartFlow(p.PID, hb.IP(), 80); err != nil {
@@ -307,26 +327,18 @@ func TestInterceptionAugmentsAcrossZones(t *testing.T) {
 	n.ConnectHost(ha, s1)
 	n.ConnectHost(hb, s2)
 
-	ctlB := core.New(core.Config{
-		Name:      "B",
-		Policy:    pf.MustCompile("pB", `pass from any to any`),
-		Transport: n.Transport(s2),
-		Topology:  n, Clock: n.Clock.Now,
-	})
+	ctlB := n.Controller(core.Config{Name: "B", Policy: pf.MustCompile("pB", `pass from any to any`)}, s2)
 	ctlB.SetAugmenter(func(q wire.Query, resp *wire.Response) {
 		resp.Augment("controller:B").Add("branch-ok", "yes")
 	})
-	n.AttachController(ctlB, s2)
 
-	ctlA := core.New(core.Config{
+	ctlA := n.Controller(core.Config{
 		Name: "A",
 		Policy: pf.MustCompile("pA", `
 block all
 pass from any to any with eq(@dst[branch-ok], yes)
 `),
-		Transport: n.Transport(s1), Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(ctlA, s1)
+	}, s1)
 
 	u := ha.Info.AddUser("u")
 	p := ha.Info.Exec(u, hostinfo.Executable{Path: "/bin/app", Name: "app"})
@@ -375,19 +387,14 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	run := func() outcome {
 		n, sw1, sw2, ha, hb := line(t)
-		eng := n.Transport(sw1)
-		ctl := core.New(core.Config{
+		ctl := n.Controller(core.Config{
 			Name: "main",
 			Policy: pf.MustCompile("policy", `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep state
 `),
-			Transport: eng, Topology: n,
 			ResponseCacheTTL: time.Hour,
-			Clock:            n.Clock.Now,
-		})
-		eng.SetUpdateHandler(ctl.HandleUpdate)
-		n.AttachController(ctl, sw1, sw2)
+		}, sw1, sw2)
 
 		pa := skypePair(t, ha, hb)
 		var flows []flow.Five
@@ -434,22 +441,23 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	}
 }
 
-// TestQueriesCrossTheWire: each decision's two queries leave on the
-// transport's pool and are answered by the hosts' daemon.Servers, and a
-// query a zone controller intercepts never reaches the wire.
+// TestQueriesCrossTheWire: a decision's queries leave on the transport's
+// pool and are answered by the hosts' daemon.Servers, and a query a zone
+// controller intercepts never reaches the wire.
 func TestQueriesCrossTheWire(t *testing.T) {
 	const policy = `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `
 	t.Run("daemons", func(t *testing.T) {
+		// Three flows to hostB's listener. hostB answers at the listener's
+		// scope, and the controller keeps that answer only once it has
+		// handled hostB's hello, which is queued as an event behind the
+		// first decision: the first two decisions ask both ends, the second
+		// keeps hostB's answer, and the third asks only hostA.
 		n, sw1, sw2, ha, hb := line(t)
-		eng := n.Transport(sw1)
-		ctl := core.New(core.Config{
-			Name: "main", Policy: pf.MustCompile("policy", policy),
-			Transport: eng, Topology: n, Clock: n.Clock.Now,
-		})
-		n.AttachController(ctl, sw1, sw2)
+		ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("policy", policy)}, sw1, sw2)
+		eng := lastEngine(n)
 		pa := skypePair(t, ha, hb)
 		for i := 0; i < 3; i++ {
 			if _, err := ha.StartFlow(pa, hb.IP(), 5060); err != nil {
@@ -457,22 +465,25 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 			}
 			n.Run(0)
 		}
-		decisions := ctl.Counters.Get("flows_allowed") + ctl.Counters.Get("flows_denied")
-		if decisions != 3 {
-			t.Fatalf("decisions = %d, want 3", decisions)
+		for name, want := range map[string]int64{
+			"flows_allowed": 3, "revocations_hellos": 2, "scope_learned": 1, "scope_hits": 1,
+		} {
+			if got := ctl.Counters.Get(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
 		}
-		if sent := eng.Counters.Get("pool_queries_sent"); sent != 2*decisions {
-			t.Errorf("pool_queries_sent = %d, want %d", sent, 2*decisions)
+		if sent := eng.Counters.Get("pool_queries_sent"); sent != 5 {
+			t.Errorf("pool_queries_sent = %d, want 5", sent)
 		}
 		if dials := eng.Counters.Get("pool_dials"); dials != 2 {
 			t.Errorf("pool_dials = %d, want one connection per host", dials)
 		}
-		for _, h := range []*Host{ha, hb} {
+		for h, want := range map[*Host]int64{ha: 3, hb: 2} {
 			if h.server == nil {
 				t.Errorf("%s: no daemon.Server started", h.Name)
 			}
-			if got := h.Daemon.Counters.Get("daemon_queries_answered"); got != decisions {
-				t.Errorf("%s answered %d queries, want %d", h.Name, got, decisions)
+			if got := h.Daemon.Counters.Get("daemon_queries_answered"); got != want {
+				t.Errorf("%s answered %d queries, want %d", h.Name, got, want)
 			}
 		}
 	})
@@ -480,13 +491,9 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 		// E8(b)'s shape: the controller answers for hostB itself, so the
 		// query for it stops in the controller's own zone.
 		n, sw1, sw2, ha, hb := line(t)
-		eng := n.Transport(sw1)
-		ctl := core.New(core.Config{
-			Name: "main", Policy: pf.MustCompile("policy", policy),
-			Transport: eng, Topology: n, Clock: n.Clock.Now,
-		})
+		ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("policy", policy)}, sw1, sw2)
 		ctl.AnswerForHost(hb.IP(), wire.KV{Key: wire.KeyName, Value: "skype"})
-		n.AttachController(ctl, sw1, sw2)
+		eng := lastEngine(n)
 		runSkypeFlow(t, n, ha, hb)
 		if got := ctl.Counters.Get("queries_intercepted"); got != 1 {
 			t.Errorf("queries_intercepted = %d, want 1", got)
@@ -564,16 +571,14 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 // source's answer alone, delivered long before, did not finish the decision.
 func TestRunWaitsForDecisionsInFlight(t *testing.T) {
 	n, sw1, sw2, ha, hb := line(t)
-	eng := n.Transport(sw1)
-	ctl := core.New(core.Config{
+	ctl := n.Controller(core.Config{
 		Name: "main",
 		Policy: pf.MustCompile("policy", `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 `),
-		Transport: eng, Topology: n, Clock: n.Clock.Now,
-	})
-	n.AttachController(ctl, sw1, sw2)
+	}, sw1, sw2)
+	eng := lastEngine(n)
 	pid := skypePair(t, ha, hb)
 
 	release := make(chan struct{})

@@ -13,12 +13,30 @@ import (
 	"identxx/internal/wire"
 )
 
-// Transport returns the query plane of a controller homed at home: a
+// Controller builds cfg's controller homed at home and attaches it to home
+// and more. Its topology is the network and its clock the virtual one. It
+// asks through home's query plane, subscribed to every daemon it dials as
+// identctl's is, unless cfg.Transport names another (a baseline's).
+func (n *Network) Controller(cfg core.Config, home *SwitchNode, more ...*SwitchNode) *core.Controller {
+	cfg.Topology, cfg.Clock = n, n.Clock.Now
+	var c *core.Controller
+	if cfg.Transport != nil {
+		c = core.New(cfg)
+	} else {
+		c = n.transport(home).Controller(cfg)
+	}
+	for _, s := range append([]*SwitchNode{home}, more...) {
+		n.attach(c, s)
+	}
+	return c
+}
+
+// transport returns the query plane of a controller homed at home: a
 // query.Engine on the virtual clock over a query.Pool of its own (one counter
 // set for both) that reaches each host's daemon.Server on loopback. A
 // decision finishes on the pool's connection reader, as identctl's do, and
 // Run waits for it before the next event.
-func (n *Network) Transport(home *SwitchNode) *query.Engine {
+func (n *Network) transport(home *SwitchNode) *query.Engine {
 	l := &lower{n: n, home: home.SW.ID, serials: make(map[*Host]uint64)}
 	counters := metrics.NewCounter()
 	l.Pool = query.NewPool(query.PoolConfig{Resolver: l, Counters: counters})
@@ -149,16 +167,14 @@ func (n *Network) interceptors(home uint64, host netaddr.IP) []core.Interceptor 
 	return chain
 }
 
-// AttachController makes c each switch's OpenFlow controller and its zone's
-// interceptor (§3.4), and registers each switch as c's datapath.
-func (n *Network) AttachController(c *core.Controller, switches ...*SwitchNode) {
-	for _, s := range switches {
-		s.SW.SetController(c)
-		c.AddDatapath(s.SW)
-		n.mu.Lock()
-		s.Interceptor = c
-		n.mu.Unlock()
-	}
+// attach makes c the switch's OpenFlow controller and its zone's
+// interceptor (§3.4), and registers the switch as c's datapath.
+func (n *Network) attach(c *core.Controller, s *SwitchNode) {
+	s.SW.SetController(c)
+	c.AddDatapath(s.SW)
+	n.mu.Lock()
+	s.Interceptor = c
+	n.mu.Unlock()
 }
 
 // Close stops every engine, pool and daemon server the network started;

@@ -129,14 +129,13 @@ func TestE2EAsyncControllerOverTCP(t *testing.T) {
 	t.Cleanup(eng.Close)
 
 	dp := &e2eDatapath{id: 1}
-	ctl := core.New(core.Config{
+	ctl := eng.Controller(core.Config{
 		Name: "e2e",
 		Policy: pf.MustCompile("e2e", `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 pass from any to any port 631 with eq(@dst[type], printer)
 `),
-		Transport:        eng,
 		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		ResponseCacheTTL: time.Hour,
 	})
@@ -221,11 +220,10 @@ func TestE2EConcurrentFlowsThroughQueryPlane(t *testing.T) {
 	t.Cleanup(eng.Close)
 
 	dp := &e2eDatapath{id: 1}
-	ctl := core.New(core.Config{
-		Name:      "e2e-flood",
-		Policy:    pf.MustCompile("e2e", "block from any to any with eq(@src[name], no-such-app)"),
-		Transport: eng,
-		Topology:  &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+	ctl := eng.Controller(core.Config{
+		Name:     "e2e-flood",
+		Policy:   pf.MustCompile("e2e", "block from any to any with eq(@src[name], no-such-app)"),
+		Topology: &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 	})
 	ctl.AddDatapath(dp)
 

@@ -165,6 +165,18 @@ func (e *Engine) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) bool 
 	return true
 }
 
+// Controller builds cfg's controller over e: it asks through e, whatever
+// cfg.Transport said, and is subscribed to the updates e's daemons push
+// before it can send its first query, so every connection it dials
+// subscribes and a change of a daemon's facts withdraws the verdicts built
+// on them.
+func (e *Engine) Controller(cfg core.Config) *core.Controller {
+	cfg.Transport = e
+	c := core.New(cfg)
+	e.SetUpdateHandler(c.HandleUpdate)
+	return c
+}
+
 // Standing implements core.QueryPlane: host's standing with the lower.
 func (e *Engine) Standing(host netaddr.IP) core.Standing { return e.lower.Standing(host) }
 

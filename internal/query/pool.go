@@ -115,8 +115,9 @@ func NewPool(cfg PoolConfig) *Pool {
 // on the connection's reader goroutine: it must not block for long and
 // must not call back into the Pool.
 //
-// Install the handler before the first query; already-established
-// connections do not retroactively subscribe (they will on reconnect).
+// Connections established before the handler was installed do not
+// retroactively subscribe (they will on reconnect); Engine.Controller
+// installs its controller's handler before that controller can ask.
 func (p *Pool) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
 	p.updMu.Lock()
 	p.onUpdate = fn

@@ -59,13 +59,14 @@ func TestE2ERevocationTearsDownLiveFlow(t *testing.T) {
 	sw1 := openflow.NewSwitch(1, "edge", 0)
 	sw2 := openflow.NewSwitch(2, "agg", 0)
 
-	ctl := core.New(core.Config{
+	// The revocation plane is wired with the controller: daemon pushes flow
+	// through the pool into it.
+	ctl := eng.Controller(core.Config{
 		Name: "rev-e2e",
 		Policy: pf.MustCompile("rev-e2e", `
 block all
 pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep state
 `),
-		Transport: eng,
 		Topology: &e2eTopo{hops: []core.Hop{
 			{Datapath: 1, OutPort: 2},
 			{Datapath: 2, OutPort: 3},
@@ -74,11 +75,6 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype) keep 
 	})
 	ctl.AddDatapath(sw1)
 	ctl.AddDatapath(sw2)
-	// Wire the revocation plane: daemon pushes flow through the pool into
-	// the controller. Must support push (the lower is a Pool).
-	if !eng.SetUpdateHandler(ctl.HandleUpdate) {
-		t.Fatal("engine lower does not push updates")
-	}
 
 	// A live, daemon-known flow.
 	skypeFlow := flow.Five{
@@ -167,19 +163,17 @@ func TestE2ELegacyDaemonLeaseFallback(t *testing.T) {
 	t.Cleanup(eng.Close)
 
 	sw := openflow.NewSwitch(1, "edge", 0)
-	ctl := core.New(core.Config{
+	ctl := eng.Controller(core.Config{
 		Name: "lease-e2e",
 		Policy: pf.MustCompile("lease-e2e", `
 block all
 pass from any to any port 631 with eq(@dst[type], printer)
 `),
-		Transport:          eng,
 		Topology:           &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
 		ResponseCacheTTL:   time.Hour,
 		RevocationLeaseTTL: 50 * time.Millisecond,
 	})
 	ctl.AddDatapath(sw)
-	eng.SetUpdateHandler(ctl.HandleUpdate)
 	ctl.AnswerForHost(printer, wire.KV{Key: wire.KeyType, Value: "printer"})
 
 	toPrinter := flow.Five{
