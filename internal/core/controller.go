@@ -652,11 +652,10 @@ func (c *Controller) HandleFlowRemoved(ev openflow.FlowRemoved) {
 	if !ok {
 		return
 	}
-	// The notifying switch is included on purpose: only the flow's forward
-	// entry was evicted there — a keep-state reverse entry at the same
-	// switch must go too (deleting the already-gone forward entry is a
-	// no-op).
-	c.deleteFlowAt(st, five, reg.Paths)
+	// Only the flow's forward entry was evicted at the notifying switch: a
+	// keep-state reverse entry there must go too, but a forward delete would
+	// delete nothing. Every other hop gets both.
+	c.deleteFlowAt(st, five, reg.Paths, ev.SwitchID)
 }
 
 // HandleEvent is the Figure 1 pipeline, and with HandleFlowRemoved what

@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,12 +260,23 @@ func (c *Controller) auditRevoked(five flow.Five, rule string) {
 }
 
 // deleteFlowAt issues the flow's two cookie-scoped deletes (forward and
-// reverse match) along paths and counts them in revocations_entries.
-func (c *Controller) deleteFlowAt(st *ctlState, five flow.Five, paths []uint64) {
+// reverse match) along paths and counts them in revocations_entries. At a
+// datapath in evicted the forward entry is already gone, and only the
+// reverse delete goes there.
+func (c *Controller) deleteFlowAt(st *ctlState, five flow.Five, paths []uint64, evicted ...uint64) {
 	fwd := openflow.FlowMod{Delete: true, Cookie: c.cookies.flow(five), CookieMask: ^uint64(0), Match: flow.FiveMatch(five), BufferID: openflow.BufferNone}
 	rev := fwd
 	rev.Match = flow.FiveMatch(five.Reverse())
-	c.hot.revEntries.Add(int64(c.applyAt(st, paths, fwd, rev)))
+	mods := [2]openflow.FlowMod{fwd, rev}
+	issued := 0
+	for i, id := range paths {
+		at := mods[:]
+		if slices.Contains(evicted, id) {
+			at = mods[1:]
+		}
+		issued += c.applyAt(st, paths[i:i+1], at...)
+	}
+	c.hot.revEntries.Add(int64(issued))
 }
 
 // deleteMegaAt deletes a class's installed entries along paths: by the

@@ -10,6 +10,7 @@ import (
 	"identxx/internal/flow"
 	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
+	"identxx/internal/packet"
 	"identxx/internal/pf"
 	"identxx/internal/wire"
 )
@@ -319,15 +320,79 @@ func TestFlowRemovedCleansRemainingPath(t *testing.T) {
 			})
 			// The notifying switch gets deletes too: only its forward entry
 			// was evicted, and a keep-state reverse entry could remain there.
+			// A flow record sends it the reverse delete alone; a class's one
+			// wildcard delete covers both directions anyway.
+			want := map[*fakeDatapath]int{dp1: mode.deletesPerDP, dp2: mode.deletesPerDP}
+			if mode.cacheTTL == 0 {
+				want[dp1] = 1
+				if dels := dp1.deleteMods(); len(dels) == 1 && dels[0].Match != flow.FiveMatch(five.Reverse()) {
+					t.Errorf("dp1's one delete matches %v, want the reverse entry", dels[0].Match)
+				}
+			}
 			for _, dp := range []*fakeDatapath{dp1, dp2} {
-				if n := len(dp.deleteMods()); n != mode.deletesPerDP {
-					t.Errorf("dp%d got %d deletes, want %d", dp.id, n, mode.deletesPerDP)
+				if n := len(dp.deleteMods()); n != want[dp] {
+					t.Errorf("dp%d got %d deletes, want %d", dp.id, n, want[dp])
 				}
 			}
 			if flows, classes := liveRecords(c); flows != 0 || classes != 0 || cachedVerdicts(c) != 0 {
 				t.Errorf("after FlowRemoved: records = %d flow / %d class, cached = %d, want none", flows, classes, cachedVerdicts(c))
 			}
 		})
+	}
+}
+
+// TestFlowRemovedSparesTheEvictedEntry drives a keep-state path over two
+// in-process switches: the forward entry idles out at the ingress switch
+// while the reply keeps the reverse entry there alive. The flow-removed
+// sends the ingress switch only the reverse delete — its forward entry is
+// already gone — and the other hop both; no entry survives anywhere.
+func TestFlowRemovedSparesTheEvictedEntry(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time { return now }
+	c := New(Config{
+		Name:      "evicted",
+		Policy:    pf.MustCompile("evicted", revPolicy+" keep state"),
+		Transport: skypeFacts(),
+		Topology:  &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}, {Datapath: 2, OutPort: 3}}},
+		Clock:     clock,
+	})
+	var sws []*openflow.Switch
+	for id := uint64(1); id <= 2; id++ {
+		sw := openflow.NewSwitch(id, "sw", 0)
+		sw.Clock = clock
+		sw.SetController(c)
+		c.AddDatapath(sw)
+		sws = append(sws, sw)
+	}
+	ingress, other := sws[0], sws[1]
+	macA, macB := netaddr.MustParseMAC("02:00:00:00:00:0a"), netaddr.MustParseMAC("02:00:00:00:00:0b")
+	five := revFlow(43600)
+	ingress.Receive(1, packet.TCPFrame(macA, macB, five, packet.TCPSyn, nil))
+	for _, sw := range sws {
+		if n := sw.Table.Len(); n != 2 {
+			t.Fatalf("switch %d holds %d entries after the pass, want forward and reverse", sw.ID, n)
+		}
+	}
+
+	now = now.Add(entryIdleTimeout / 2)
+	ingress.Receive(2, packet.TCPFrame(macB, macA, five.Reverse(), packet.TCPAck, nil))
+	if n := ingress.Stats.PacketIns.Load(); n != 1 {
+		t.Fatalf("%d packet-ins at the ingress switch: the reply missed the reverse entry", n)
+	}
+	before := []uint64{ingress.Stats.FlowMods.Load(), other.Stats.FlowMods.Load()}
+	now = now.Add(entryIdleTimeout/2 + time.Second)
+	ingress.Tick() // the forward entry idles out; the reverse one has 30 s left
+
+	for i, want := range []uint64{1, 2} {
+		if got := sws[i].Stats.FlowMods.Load() - before[i]; got != want {
+			t.Errorf("switch %d got %d deletes after the flow-removed, want %d", sws[i].ID, got, want)
+		}
+		if n := sws[i].Table.Len(); n != 0 {
+			t.Errorf("switch %d still holds %d entries", sws[i].ID, n)
+		}
+	}
+	if got := c.Counters.Get("revocations_entries"); got != 3 {
+		t.Errorf("revocations_entries = %d, want 3", got)
 	}
 }
 

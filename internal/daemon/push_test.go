@@ -10,6 +10,7 @@ import (
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
 	"identxx/internal/netaddr"
+	"identxx/internal/query"
 	"identxx/internal/wire"
 )
 
@@ -562,5 +563,85 @@ func TestListenerUpdateComesFirst(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProcessExitReachesAPoolSubscriberInOrder drives a process exit over 64
+// memoized flows through a real daemon.Server into a real query.Pool
+// subscriber: 64 updates, serials consecutive from the hello, no resync; the
+// revival's 64 connects follow behind them in the order they were made.
+func TestProcessExitReachesAPoolSubscriberInOrder(t *testing.T) {
+	const flows = 64
+	h := hostinfo.New("pc", netaddr.MustParseIP("10.9.0.1"), 1)
+	alice := h.AddUser("alice", "staff")
+	skype := hostinfo.Executable{Path: "/usr/bin/skype", Name: "skype", Version: "210"}
+	p := h.Exec(alice, skype)
+	d := New(h)
+	srv := NewServer(d)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := query.NewPool(query.PoolConfig{Resolver: query.FixedResolver(addr.String())})
+	defer pool.Close()
+	got := make(chan wire.Update, 2*flows+2)
+	pool.SetUpdateHandler(func(_ netaddr.IP, u wire.Update) { got <- u })
+
+	var fives []flow.Five
+	for range flows {
+		five, err := h.Connect(p.PID, flow.Five{DstIP: netaddr.MustParseIP("10.9.0.2"), Proto: netaddr.ProtoTCP, DstPort: 5060})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pool.Query(h.IP, wire.Query{Flow: five}); err != nil {
+			t.Fatal(err)
+		}
+		fives = append(fives, five)
+	}
+	next := func() wire.Update {
+		t.Helper()
+		select {
+		case u := <-got:
+			return u
+		case <-time.After(5 * time.Second):
+			t.Fatal("an update the daemon published never reached the pool")
+			return wire.Update{}
+		}
+	}
+	hello := next()
+	if !hello.Hello {
+		t.Fatalf("first update %+v, want the hello", hello)
+	}
+
+	h.Kill(p.PID)
+	revived := h.Exec(alice, skype)
+	for _, five := range fives {
+		if _, err := h.Connect(revived.PID, five); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exited := map[flow.Five]bool{}
+	for i := range 2 * flows {
+		u := next()
+		if u.Serial != hello.Serial+uint64(i)+1 || u.Hello || u.Key == "" {
+			t.Fatalf("update %d: %+v, want serial %d naming a changed key", i, u, hello.Serial+uint64(i)+1)
+		}
+		if i < flows {
+			exited[u.Flow] = true
+		} else if want := fives[i-flows]; u.Flow != want {
+			t.Fatalf("revival update %d names %v, want %v: the connects' order", i-flows, u.Flow, want)
+		}
+	}
+	if len(exited) != flows {
+		t.Errorf("the exit's %d updates named %d distinct flows", flows, len(exited))
+	}
+	for _, f := range fives {
+		if !exited[f] {
+			t.Errorf("the exit published nothing for %v", f)
+		}
+	}
+	if n := pool.Counters.Get("pool_update_resyncs"); n != 0 {
+		t.Errorf("%d resyncs, want none", n)
 	}
 }

@@ -90,9 +90,10 @@ func (sc *serverConn) handle(c *link.Conn, f wire.Frame) error {
 		// reads must not kill it; failed pushes tear it down instead.
 		c.SetIdle(0)
 		// Subscribe delivers the hello (and every later update) under
-		// the daemon's publication lock, so the hello is on the wire
+		// the daemon's publication lock, so the hello is buffered
 		// before any subsequent update and serials arrive in order.
-		// Updates are pushed from the publishing goroutine.
+		// Updates are appended from the publishing goroutine, and a
+		// burst of them leaves in one flush.
 		sc.cancel = sc.d.Subscribe(func(u wire.Update) {
 			c.Push(func(b []byte) ([]byte, error) { return wire.AppendUpdate(b, u) })
 		})

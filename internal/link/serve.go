@@ -93,10 +93,11 @@ func (l *Listener) Close() {
 
 // Conn is the writing half of a connection ServeFrames serves.
 type Conn struct {
-	conn net.Conn
-	idle time.Duration // the serving goroutine's
-	mu   sync.Mutex    // keeps replies and pushes whole against each other
-	bw   *bufio.Writer // guarded by mu; every Write under Deadlined
+	conn    net.Conn
+	idle    time.Duration // the serving goroutine's
+	mu      sync.Mutex    // keeps replies and pushes whole against each other
+	bw      *bufio.Writer // guarded by mu; every Write under Deadlined
+	pushing bool          // guarded by mu: a flushPushes is on its way
 }
 
 // ServeFrames is the server half of a Pipe: it reads wire.Frames from conn
@@ -112,16 +113,16 @@ type Conn struct {
 // empty buffer — they are flushed: the peer may be waiting for them before it
 // sends the rest. Every Write gets timeout to complete, so a peer that stops
 // reading is cut off; a read that may block is bounded by idle (0: not at
-// all), which handle can change with SetIdle.
+// all), which handle can change with SetIdle. A failed flush closes conn.
 func ServeFrames(conn net.Conn, timeout, idle time.Duration, handle func(*Conn, wire.Frame) error) {
 	c := &Conn{conn: conn, idle: idle, bw: bufio.NewWriterSize(Deadlined(conn, timeout), connBuf)}
 	br := bufio.NewReaderSize(conn, connBuf)
 	// On a dead connection this fails and nobody minds.
-	defer c.write(nil, true)
+	defer c.flush()
 	var payload []byte
 	for {
 		if !wire.FrameBuffered(br) {
-			if c.write(nil, true) != nil {
+			if c.flush() != nil {
 				return
 			}
 			var deadline time.Time
@@ -148,34 +149,64 @@ func (c *Conn) SetIdle(d time.Duration) { c.idle = d }
 
 // Reply appends one frame — enc renders it, in the writer's free space when
 // it fits — behind the replies already buffered. The serve loop flushes.
-func (c *Conn) Reply(enc func([]byte) ([]byte, error)) error { return c.write(enc, false) }
+func (c *Conn) Reply(enc func([]byte) ([]byte, error)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.appendLocked(enc)
+}
 
-// Push writes one unsolicited frame, from any goroutine: whole, behind
-// whatever replies are buffered, and flushed at once. A push that fails —
-// the write deadline included — closes the connection, so the peer
-// reconnects and resynchronizes instead of silently missing it.
+// Push appends one unsolicited frame, from any goroutine, whole and behind
+// whatever is buffered, and returns without writing it: the pushes of a
+// burst leave together, in one flush run by whichever comes first of the
+// serve loop, before its next read that could block, and a goroutine the
+// burst's first push starts. A push or a flush that fails — a write
+// deadline included — closes the connection, so the peer reconnects and
+// resynchronizes instead of silently missing it; every later push then
+// returns the failure.
 func (c *Conn) Push(enc func([]byte) ([]byte, error)) error {
-	err := c.write(enc, true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.appendLocked(enc); err != nil {
+		c.conn.Close()
+		return err
+	}
+	if !c.pushing {
+		c.pushing = true
+		go c.flushPushes()
+	}
+	return nil
+}
+
+// flushPushes is the flush a burst's first push starts. It returns after
+// that one flush, which the write deadline bounds; nothing waits for it.
+func (c *Conn) flushPushes() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pushing = false
+	c.flushLocked()
+}
+
+func (c *Conn) flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.flushLocked()
+}
+
+// flushLocked writes out what is buffered; a failure closes the connection.
+// A bufio.Writer keeps its first error: after a failed flush every append
+// returns it and appends nothing.
+func (c *Conn) flushLocked() error {
+	err := c.bw.Flush()
 	if err != nil {
 		c.conn.Close()
 	}
 	return err
 }
 
-func (c *Conn) write(enc func([]byte) ([]byte, error), flush bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if enc != nil {
-		b, err := enc(c.bw.AvailableBuffer())
-		if err == nil {
-			_, err = c.bw.Write(b)
-		}
-		if err != nil {
-			return err
-		}
+func (c *Conn) appendLocked(enc func([]byte) ([]byte, error)) error {
+	b, err := enc(c.bw.AvailableBuffer())
+	if err == nil {
+		_, err = c.bw.Write(b)
 	}
-	if flush {
-		return c.bw.Flush()
-	}
-	return nil
+	return err
 }

@@ -215,8 +215,10 @@ func TestServePushNeverInterleavesWithAReply(t *testing.T) {
 }
 
 // A peer that stops reading is cut off when a Write has made no progress for
-// the timeout: a reply's flush ends the loop instead of holding its goroutine,
-// and a push closes the connection, which ends the loop's read.
+// the timeout: a reply's flush ends the loop instead of holding its goroutine.
+// A push only appends, and the flush that carries it fails the same way: it
+// closes the connection, which ends the loop's read, and the failure is not
+// silent — the next push returns it.
 func TestServeCutsOffAPeerThatStopsReading(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	for _, path := range []string{"reply", "push"} {
@@ -226,16 +228,19 @@ func TestServeCutsOffAPeerThatStopsReading(t *testing.T) {
 			defer server.Close()
 			done := make(chan struct{})
 			pushed := make(chan error, 1)
+			served := make(chan *Conn, 1)
+			u := numbered(2, 8) // not the request: its payload is the loop's buffer
+			push := func(c *Conn) error {
+				return c.Push(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, u) })
+			}
 			go func() {
 				defer close(done)
 				ServeFrames(server, timeout, 0, func(c *Conn, f wire.Frame) error {
 					if path == "reply" {
 						return answerTo(c, f)
 					}
-					u := numbered(2, 8) // not f: its payload is the loop's buffer
-					go func() {
-						pushed <- c.Push(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, u) })
-					}()
+					served <- c
+					go func() { pushed <- push(c) }()
 					return nil
 				})
 			}()
@@ -253,15 +258,91 @@ func TestServeCutsOffAPeerThatStopsReading(t *testing.T) {
 				t.Fatal("the loop still serves a peer that never reads")
 			}
 			if path == "push" {
-				if err := <-pushed; !isTimeout(err) {
-					t.Errorf("push to a peer that never reads: %v, want a timeout", err)
+				if err := <-pushed; err != nil {
+					t.Errorf("a push to a connection not yet known dead: %v, want it appended", err)
 				}
 				if _, err := server.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-					t.Errorf("write after a failed push: %v, want the connection closed", err)
+					t.Errorf("write after a failed flush: %v, want the connection closed", err)
+				}
+				if err := push(<-served); !isTimeout(err) {
+					t.Errorf("push after a failed flush: %v, want its timeout", err)
 				}
 			}
 		})
 	}
+}
+
+// A burst of pushes leaves together: 64 pushed from one goroutine without
+// yielding, behind a reply buffered before them, take one Write per buffer
+// they fill and one flush for the rest, and arrive whole and in order. With
+// one P the burst's flusher cannot run until the burst is done.
+func TestServeCoalescesABurstOfPushes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const pushes, size = 64, 200
+	counted := make(chan *writeCounter, 1)
+	conn := serveCounted(t, counted, func(c *Conn, f wire.Frame) error {
+		if err := answerTo(c, f); err != nil {
+			return err
+		}
+		for i := range pushes {
+			u := numbered(i, size)
+			u.Type = wire.FrameUpdate
+			if err := c.Push(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, u) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := wire.WriteFrame(conn, numbered(pushes, size)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	f, err := wire.ReadFrame(br)
+	if err != nil || int(f.SrcIP) != pushes {
+		t.Fatalf("first frame: number %d, %v; want the reply", f.SrcIP, err)
+	}
+	checkFrame(t, f, wire.FrameResponse)
+	reply, _ := wire.AppendFrame(nil, f)
+	total := len(reply)
+	for i := range pushes {
+		f, err := wire.ReadFrame(br)
+		if err != nil || int(f.SrcIP) != i {
+			t.Fatalf("push %d: number %d, %v", i, f.SrcIP, err)
+		}
+		checkFrame(t, f, wire.FrameUpdate)
+		one, _ := wire.AppendFrame(nil, f)
+		total += len(one)
+	}
+	bound := int64((total+connBuf-1)/connBuf + 1)
+	if got := (<-counted).writes.Load(); got > bound {
+		t.Errorf("%d Writes carried a reply and %d pushes (%d bytes), want at most %d", got, pushes, total, bound)
+	}
+}
+
+// serveCounted is serveTCP with the served connection's Writes counted, its
+// counter sent on counted once the connection is accepted.
+func serveCounted(t *testing.T, counted chan<- *writeCounter, handle func(*Conn, wire.Frame) error) net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lis Listener
+	if err := lis.Serve(ln, func(conn net.Conn) {
+		w := &writeCounter{Conn: conn}
+		counted <- w
+		ServeFrames(w, time.Second, time.Second, handle)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	return conn
 }
 
 func isTimeout(err error) bool {
