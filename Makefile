@@ -256,6 +256,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM8_AllocProfile=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/hit=2' \
 		-max-allocs 'BenchmarkM9_QueryPlane/async=0' \
+		-max-bytes 'BenchmarkM9_QueryPlane/async=4' \
 		-max-allocs 'BenchmarkM9_QueryPlane/daemon-down=0' \
 		-max-allocs 'BenchmarkM9_QueryPlane/scoped-miss=0' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \

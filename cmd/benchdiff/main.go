@@ -1,13 +1,17 @@
 // Command benchdiff compares two `go test -bench -benchmem` outputs and
 // enforces the repository's performance budgets (README "Allocation
-// budget"): an allocs/op regression against the base, or an allocs/op
-// value above an absolute budget, fails the run (exit 1); an ns/op
+// budget"): an allocs/op regression against the base, or an allocs/op or
+// B/op value above an absolute budget, fails the run (exit 1); an ns/op
 // regression beyond the slack only warns, because wall-time on shared CI
 // runners is noisy in ways allocation counts are not.
 //
 // Usage:
 //
-//	benchdiff [-ns-warn pct] [-max-allocs regex=N ...] [-json file] base.txt head.txt
+//	benchdiff [-ns-warn pct] [-max-allocs regex=N ...] [-max-bytes regex=N ...] [-json file] base.txt head.txt
+//
+// go test rounds allocs/op down to a whole number, so a path that
+// allocates once every few operations reads 0 allocs/op; its B/op does not
+// round away, and -max-bytes gates that.
 //
 // -json serializes the whole comparison — per-benchmark base/head
 // measurements, deltas, and every gate outcome — to a machine-readable
@@ -43,7 +47,7 @@ type result struct {
 	hasMem bool
 }
 
-// budget is one -max-allocs rule.
+// budget is one -max-allocs or -max-bytes rule.
 type budget struct {
 	re  *regexp.Regexp
 	max float64
@@ -152,9 +156,10 @@ func parseFile(path string) (map[string]*result, error) {
 }
 
 func main() {
-	var budgets budgetFlags
+	var budgets, byteBudgets budgetFlags
 	nsWarn := flag.Float64("ns-warn", 10, "warn when head ns/op exceeds base by more than this percentage")
 	flag.Var(&budgets, "max-allocs", "regex=N absolute allocs/op budget for matching benchmarks (repeatable)")
+	flag.Var(&byteBudgets, "max-bytes", "regex=N absolute B/op budget for matching benchmarks (repeatable)")
 	jsonOut := flag.String("json", "", "write the full comparison (measurements and gate outcomes) as JSON to this file")
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -195,7 +200,15 @@ func main() {
 	for _, n := range baseOnly {
 		fmt.Printf("::warning::%s present in base but missing from head (renamed or deleted?)\n", n)
 	}
-	budgetMatched := make([]bool, len(budgets))
+	gates := []struct {
+		flag, unit string
+		rules      *budgetFlags
+		matched    []bool
+		value      func(*result) float64
+	}{
+		{"-max-allocs", "allocs/op", &budgets, make([]bool, len(budgets)), func(r *result) float64 { return r.allocs }},
+		{"-max-bytes", "B/op", &byteBudgets, make([]bool, len(byteBudgets)), func(r *result) float64 { return r.bytes }},
+	}
 	report := jsonReport{Benchmarks: make([]jsonBench, 0, len(names)), MissingFromHead: baseOnly}
 	for _, name := range names {
 		h := head[name]
@@ -221,15 +234,17 @@ func main() {
 			row.AllocsRegressed = true
 			failed = true
 		}
-		for i, bd := range budgets {
-			if !bd.re.MatchString(name) {
-				continue
-			}
-			budgetMatched[i] = true
-			if h.hasMem && h.allocs > bd.max {
-				fmt.Printf("FAIL: %s allocs/op %.0f exceeds budget %.0f\n", name, h.allocs, bd.max)
-				row.BudgetExceeded = true
-				failed = true
+		for _, g := range gates {
+			for i, bd := range *g.rules {
+				if !bd.re.MatchString(name) {
+					continue
+				}
+				g.matched[i] = true
+				if v := g.value(h); h.hasMem && v > bd.max {
+					fmt.Printf("FAIL: %s %s %.0f exceeds budget %.0f\n", name, g.unit, v, bd.max)
+					row.BudgetExceeded = true
+					failed = true
+				}
 			}
 		}
 		if inBase && b.ns > 0 && h.ns > b.ns*(1+*nsWarn/100) {
@@ -242,10 +257,12 @@ func main() {
 	// A budget rule that matched nothing is a gate checking air — the
 	// benchmark was renamed or the regex typo'd. Fail loudly rather than
 	// letting the contract silently lapse.
-	for i, bd := range budgets {
-		if !budgetMatched[i] {
-			fmt.Printf("FAIL: -max-allocs rule %q matched no benchmark in head output\n", bd.re)
-			failed = true
+	for _, g := range gates {
+		for i, bd := range *g.rules {
+			if !g.matched[i] {
+				fmt.Printf("FAIL: %s rule %q matched no benchmark in head output\n", g.flag, bd.re)
+				failed = true
+			}
 		}
 	}
 	// Write the report before the gate exits: a failed gate is exactly

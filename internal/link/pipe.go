@@ -125,7 +125,7 @@ type Pipe[K comparable, R any] struct {
 	out      *Writer       // conn's only writer; nil exactly when conn is
 	gen      uint64        // connections torn down so far: stale readers and writers no-op
 	pending  []*call[K, R] // written to conn and unanswered, oldest first
-	queue    []*call[K, R] // pending's array from its start, empty: where an emptied queue restarts
+	queue    []*call[K, R] // pending's array from its start, empty: where an emptied queue restarts, and a full one moves to (push)
 	waiting  []*call[K, R] // queued for the dialer to write
 	dialing  bool          // a dialer goroutine is running
 	dialErr  error         // last dial failure, served until nextDial
@@ -213,15 +213,31 @@ func (p *Pipe[K, R]) writeLocked(out *Writer, c *call[K, R]) error {
 		return err
 	}
 	out.Buf = b
-	if len(p.pending) == cap(p.pending) {
-		p.pending = append(p.pending, c)
-		p.queue = p.pending[:0]
-	} else {
-		p.pending = append(p.pending, c)
-	}
+	p.push(c)
 	p.arm(c.deadline)
 	out.Flush()
 	return nil
+}
+
+// push appends c to the pending queue. Popping from the front walks the
+// window along its array; when it reaches the end with at least half the
+// array free behind its head, it moves to the array's front instead of
+// growing a new one, so a connection with a bounded number of calls
+// outstanding appends into one array for good. A window filling more than
+// half grows, and the moves cost O(1) per append on average.
+func (p *Pipe[K, R]) push(c *call[K, R]) {
+	if n := len(p.pending); n == cap(p.pending) {
+		if all := p.queue[:cap(p.queue)]; n > 0 && n <= len(all)/2 {
+			copy(all, p.pending)
+			clear(all[n:])
+			p.pending = all[:n]
+		} else {
+			p.pending = append(p.pending, c)
+			p.queue = p.pending[:0]
+			return
+		}
+	}
+	p.pending = append(p.pending, c)
 }
 
 // dial establishes the connection for the calls waiting for it and writes

@@ -778,3 +778,91 @@ func TestPipeGoDoesNotDial(t *testing.T) {
 		t.Errorf("%d dials failed, want 1 for both calls", n.fresh)
 	}
 }
+
+// A connection that keeps calls outstanding slides its pending window along
+// one array: when the window reaches the end, it moves to the front instead
+// of growing a new array. Over 10,000 calls with 4 in flight (3 or 4
+// outstanding at every push) the process allocates at most a handful of
+// objects; a queue that grows a new array each time the window reaches the
+// end allocates one every few calls. The count is runtime.MemStats.Mallocs
+// over the whole run, not testing.AllocsPerRun, whose per-run average rounds
+// a fraction of an allocation per call down to zero. The peer and the plane
+// allocate nothing per frame, so every allocation counted is the Pipe's.
+func TestPipePendingQueueDoesNotReallocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	pe := listen(t, "127.0.0.1:0", func(c net.Conn, br *bufio.Reader) {
+		var in, out []byte
+		for {
+			f, buf, err := wire.ReadFrameInto(br, in)
+			if err != nil {
+				return
+			}
+			in = buf
+			f.Type = wire.FrameResponse
+			if out, err = wire.AppendFrame(out[:0], f); err != nil {
+				return
+			}
+			if _, err := c.Write(out); err != nil {
+				return
+			}
+		}
+	})
+	var mu sync.Mutex
+	p := NewPipe(&mu, pe.addr(), time.Second, 0, Plane[uint32, uint32]{
+		Reader: func() func(wire.Frame) (uint32, uint32, Verdict, error) {
+			return func(f wire.Frame) (uint32, uint32, Verdict, error) {
+				return uint32(f.SrcIP), uint32(f.SrcIP), Reply, nil
+			}
+		},
+	})
+	defer p.Close(errors.New("test over"))
+
+	// Each of the window's slots calls again from its own completion, on the
+	// reader, until the round's calls are spent. The deadline is far enough
+	// off that the sweeper never runs.
+	const window, warm, calls = 4, 1_000, 10_000
+	deadline := time.Now().Add(time.Minute)
+	var left atomic.Int64
+	var failed atomic.Value
+	finished := make(chan struct{}, window)
+	frames := make([]func([]byte) ([]byte, error), window)
+	dones := make([]func(uint32, error), window)
+	for i := range window {
+		payload := []byte("q")
+		frames[i] = func(b []byte) ([]byte, error) {
+			return wire.AppendFrame(b, wire.Frame{Type: wire.FrameQuery, SrcIP: netaddr.IP(i), Payload: payload})
+		}
+		dones[i] = func(_ uint32, err error) {
+			if err != nil {
+				failed.CompareAndSwap(nil, err)
+			}
+			if left.Add(-1) >= 0 && err == nil {
+				p.Go(uint32(i), deadline, frames[i], dones[i])
+				return
+			}
+			finished <- struct{}{}
+		}
+	}
+	round := func(n int) {
+		left.Store(int64(n - window))
+		for i := range window {
+			p.Go(uint32(i), deadline, frames[i], dones[i])
+		}
+		for range window {
+			<-finished
+		}
+		if err := failed.Load(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(warm) // dial, and size the queue's array
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round(calls)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 8 {
+		t.Errorf("%d allocations over %d calls with %d in flight, want at most a handful", n, calls, window)
+	}
+}

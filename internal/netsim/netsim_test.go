@@ -452,9 +452,10 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 	t.Run("daemons", func(t *testing.T) {
 		// Three flows to hostB's listener. hostB answers at the listener's
 		// scope, and the controller keeps that answer only once it has
-		// handled hostB's hello, which is queued as an event behind the
-		// first decision: the first two decisions ask both ends, the second
-		// keeps hostB's answer, and the third asks only hostA.
+		// handled hostB's hello, which the pool's reader hands it before
+		// the answer behind it, as identctl's does: the first decision asks
+		// both ends and keeps hostB's answer, and the other two ask only
+		// hostA.
 		n, sw1, sw2, ha, hb := line(t)
 		ctl := n.Controller(core.Config{Name: "main", Policy: pf.MustCompile("policy", policy)}, sw1, sw2)
 		eng := lastEngine(n)
@@ -466,19 +467,19 @@ pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
 			n.Run(0)
 		}
 		for name, want := range map[string]int64{
-			"flows_allowed": 3, "revocations_hellos": 2, "scope_learned": 1, "scope_hits": 1,
+			"flows_allowed": 3, "revocations_hellos": 2, "scope_learned": 1, "scope_hits": 2,
 		} {
 			if got := ctl.Counters.Get(name); got != want {
 				t.Errorf("%s = %d, want %d", name, got, want)
 			}
 		}
-		if sent := eng.Counters.Get("pool_queries_sent"); sent != 5 {
-			t.Errorf("pool_queries_sent = %d, want 5", sent)
+		if sent := eng.Counters.Get("pool_queries_sent"); sent != 4 {
+			t.Errorf("pool_queries_sent = %d, want 4", sent)
 		}
 		if dials := eng.Counters.Get("pool_dials"); dials != 2 {
 			t.Errorf("pool_dials = %d, want one connection per host", dials)
 		}
-		for h, want := range map[*Host]int64{ha: 3, hb: 2} {
+		for h, want := range map[*Host]int64{ha: 3, hb: 1} {
 			if h.server == nil {
 				t.Errorf("%s: no daemon.Server started", h.Name)
 			}

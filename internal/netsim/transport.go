@@ -103,18 +103,24 @@ func (l *lower) Go(host netaddr.IP, q wire.Query, start, deadline time.Time, don
 	})
 }
 
-// SetUpdateHandler queues each update the pool receives as an event, and
-// notes its serial for Run's wait. A host the pool subscribed to counts from
-// its hello on.
+// SetUpdateHandler hands a hello to the controller on the pool's reader,
+// before the reader decodes the answer behind it, as identctl's pool does;
+// every other update is queued as an event. Either way it notes the serial
+// for Run's wait. A host the pool subscribed to counts from its hello on.
 func (l *lower) SetUpdateHandler(fn func(host netaddr.IP, u wire.Update)) {
 	n := l.n
 	l.Pool.SetUpdateHandler(func(ip netaddr.IP, u wire.Update) {
+		if u.Hello {
+			fn(ip, u)
+		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if h := n.hosts[ip]; h != nil {
 			l.serials[h] = u.Serial
 		}
-		n.events = append(n.events, func() { fn(ip, u) })
+		if !u.Hello {
+			n.events = append(n.events, func() { fn(ip, u) })
+		}
 		n.updates++
 		n.cond.Broadcast()
 	})

@@ -6,9 +6,11 @@
 // The controller registers one dependency record per verdict when it
 // installs or caches a decision; the facts come from the compiled policy's
 // per-flow static key analysis (the same analysis behind query-key hints
-// and the header-only pre-pass), so an endpoint-state update resolves to
-// the exact set of affected verdicts in O(affected) — never a table scan
-// across every cached flow.
+// and the header-only pre-pass). A record links once per host it read,
+// carrying the set of keys it read there, and once per listener fact, so a
+// daemon's listener update resolves to the exact set of affected verdicts in
+// O(affected), and any other update to one walk of one host's records —
+// never a table scan across every cached flow.
 //
 // Hosts whose daemons never push updates (the honest-but-legacy case) get
 // no revocation channel; their registrations carry a lease deadline
@@ -22,6 +24,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,25 +33,34 @@ import (
 	"identxx/internal/netaddr"
 )
 
-// Fact names one endpoint fact a decision depended on. Key "" is the
-// host-scope marker every registration carries for each end it read: it
-// resolves host-wide invalidations (serial-gap resyncs, daemon restarts,
-// operator "revoke everything about this host") without a separate host
-// table. A listener fact (ListenerKey) stands for the answer a host gave at
-// a listener's scope: the daemon's one update at that scope resolves every
+// Fact names one endpoint fact a decision depended on. A registration that
+// lists any fact at a host read the host, and Key "" says that alone: the
+// end was read, whatever keys it answered with. Resolve with Key "" means
+// any fact at the host — every record that read it — which is what host-wide
+// invalidations (serial-gap resyncs, daemon restarts, operator "revoke
+// everything about this host") resolve, without a separate host table. A
+// listener fact (ListenerKey) stands for the answer a host gave at a
+// listener's scope: the daemon's one update at that scope resolves every
 // verdict that took it, however many flows they are.
 type Fact struct {
 	Host netaddr.IP
 	Key  string
 }
 
+// listenerPrefix opens every listener fact's Key.
+const listenerPrefix = "listener:"
+
 // ListenerKey is the Key of the listener fact for the answer given at the
 // listener on port over proto. It holds a colon, which no fact key read from
 // a response can (the response line splits at its first one), so it names
 // no fact a policy reads.
 func ListenerKey(proto netaddr.Proto, port netaddr.Port) string {
-	return "listener:" + strconv.Itoa(int(proto)) + "/" + strconv.Itoa(int(port))
+	return listenerPrefix + strconv.Itoa(int(proto)) + "/" + strconv.Itoa(int(port))
 }
+
+// isListener reports whether key names a listener fact, which has a list of
+// its own; any other key is a plain one, held in its host link's key set.
+func isListener(key string) bool { return strings.HasPrefix(key, listenerPrefix) }
 
 // Key names what a dependency record stands for. Every installed verdict
 // has exactly one: an uncached verdict's is under its flow (Class zero), a
@@ -111,9 +123,10 @@ type Registration struct {
 
 // record is one verdict's dependency record, one allocation (newRecord):
 // its packed key, its lease (Unix nanoseconds, 0 for none), its installed
-// paths (keyShard.intern: a list no record writes) and one link per distinct
-// fact it read. Only the links' neighbours change after Register publishes
-// it, until a Drop or a replacing Register recycles it (keyShard.recycle).
+// paths (keyShard.intern: a list no record writes) and one link per host it
+// read and per listener fact it took. Only the links' neighbours change
+// after Register publishes it, until a Drop or a replacing Register recycles
+// it (keyShard.recycle).
 type record struct {
 	key   key
 	lease int64
@@ -121,24 +134,24 @@ type record struct {
 	links []link
 }
 
-// newRecord allocates a record with n links, as one object for up to six: a
-// record is a couple of hundred bytes per installed verdict, and their sum is
-// most of the index's footprint. The controller's usual shape is five — two
-// markers and three keys — and six with a listener fact; each gets an object
-// of its own size, and a free list of its own (sizeClass).
+// newRecord allocates a record with n links, as one object for up to three:
+// a record is a couple of hundred bytes per installed verdict, and their sum
+// is most of the index's footprint. The controller's usual shape is two
+// hosts, and three with a listener fact — 152 and 192 bytes; each gets an
+// object of its own size, and a free list of its own (sizeClass).
 func newRecord(n int) *record {
 	switch sizeClass(n) {
 	case 0:
 		o := new(struct {
 			record
-			l [5]link
+			l [2]link
 		})
 		o.links = o.l[:n]
 		return &o.record
 	case 1:
 		o := new(struct {
 			record
-			l [6]link
+			l [3]link
 		})
 		o.links = o.l[:n]
 		return &o.record
@@ -146,53 +159,67 @@ func newRecord(n int) *record {
 	return &record{links: make([]link, n)}
 }
 
-// sizeClass is the free list of a record with room for n links: 0 for five,
-// 1 for six, -1 for a larger one, which is not recycled.
+// sizeClass is the free list of a record with room for n links: 0 for two,
+// 1 for three, -1 for a larger one, which is not recycled.
 func sizeClass(n int) int {
 	switch {
-	case n <= 5:
+	case n <= 2:
 		return 0
-	case n == 6:
+	case n == 3:
 		return 1
 	}
 	return -1
 }
 
-// link is one of a record's facts: its place in that fact's list of the
-// records standing on it. list and rec are fixed when the record links;
-// prev and next belong to the list, under its fact shard's lock.
+// link is one of a record's places in the fact side: in its host's list,
+// with keys the plain keys it read there (nil for none), or in a listener
+// fact's list, with keys nil. list, rec and keys are fixed when the record
+// links; prev and next belong to the list, under its fact shard's lock.
 type link struct {
 	prev, next *link
 	list       *factList
 	rec        *record
+	keys       *keySet
 }
 
-// factList is the records standing on one (host, key) fact, most recently
-// linked first.
+// keySet is a sorted set of plain keys read at one host, interned per fact
+// shard (factShard.keySet) and never written: every link with the same set
+// shares it.
+type keySet struct{ keys []string }
+
+// has reports whether key is in the set; a nil set has no key.
+func (s *keySet) has(key string) bool {
+	return s != nil && slices.Contains(s.keys, key)
+}
+
+// factList is the records standing on one host or one listener fact, most
+// recently linked first. key is "" for a host's list.
 type factList struct {
 	head *link
 	host *hostFacts
 	key  string
 }
 
-// hostFacts is one host's fact lists: its marker's, and one per key some
-// live record read there. A host has a few keys, so a key's list is found by
-// a linear scan of them — no key string is ever hashed. A list is removed
+// hostFacts is one host's fact lists: all, with one link per live record
+// that read the host, and one per listener fact some live record took
+// there. A host has a few listeners, so a listener's list is found by a
+// linear scan of them, not by hashing its key. A list is removed
 // when its last link goes, and the host with its last list, so the fact side
 // holds only what live records stand on; both go to their shard's free lists
 // for the next verdict that reads a fact anew.
 type hostFacts struct {
-	ip     netaddr.IP
-	marker factList
-	keys   []*factList
+	ip        netaddr.IP
+	all       factList
+	listeners []*factList
 }
 
-// find returns the host's list for key, nil when no live record read it.
+// find returns the list (host, key) is linked into: the host's own for any
+// key but a listener's, nil for a listener fact no live record took.
 func (h *hostFacts) find(key string) *factList {
-	if key == "" {
-		return &h.marker
+	if !isListener(key) {
+		return &h.all
 	}
-	for _, l := range h.keys {
+	for _, l := range h.listeners {
 		if l.key == key {
 			return l
 		}
@@ -212,6 +239,13 @@ type factShard struct {
 	// next link that needs one: each holds at most maxFree.
 	freeHosts []*hostFacts
 	freeLists []*factList
+
+	// sets interns the key sets of this shard's host links, under their
+	// sorted keys joined, each ended by a 0 byte; collect and name are
+	// keySet's scratch.
+	sets    map[string]*keySet
+	collect []string
+	name    []byte
 }
 
 // host returns an empty host for ip, recycled when the free list has one.
@@ -225,7 +259,7 @@ func (sh *factShard) host(ip netaddr.IP) *hostFacts {
 		h = new(hostFacts)
 	}
 	h.ip = ip
-	h.marker.host = h
+	h.all.host = h
 	return h
 }
 
@@ -244,6 +278,37 @@ func (sh *factShard) list(h *hostFacts, key string) *factList {
 	return l
 }
 
+// keySet returns the interned set of the plain keys facts list at host, nil
+// when they list none: the one set the shard holds under the keys' sorted
+// names, joined. Past maxSets a set nothing interned yet is a copy of its
+// own.
+func (sh *factShard) keySet(host netaddr.IP, facts []Fact) *keySet {
+	keys := sh.collect[:0]
+	for _, f := range facts {
+		if f.Host == host && f.Key != "" && !isListener(f.Key) && !slices.Contains(keys, f.Key) {
+			keys = append(keys, f.Key)
+		}
+	}
+	sh.collect = keys
+	if len(keys) == 0 {
+		return nil
+	}
+	slices.Sort(keys)
+	name := sh.name[:0]
+	for _, k := range keys {
+		name = append(append(name, k...), 0)
+	}
+	sh.name = name
+	if s, ok := sh.sets[string(name)]; ok {
+		return s
+	}
+	s := &keySet{keys: slices.Clone(keys)}
+	if len(sh.sets) < maxSets {
+		sh.sets[string(name)] = s
+	}
+	return s
+}
+
 // keyShard is one lock domain of the key→record side. live counts the
 // records of each kind, so occupancy is read without a walk. free keeps
 // records a Drop or a replacing Register unlinked, per sizeClass, for the
@@ -260,12 +325,16 @@ const (
 	// maxFree bounds each free list of a shard: a mass teardown leaves no
 	// more than this many records per size, hosts or fact lists waiting.
 	maxFree = 256
-	// maxFreeKeys is the most key lists a recycled host keeps room for.
-	maxFreeKeys = 8
+	// maxFreeListeners is the most listener lists a recycled host keeps
+	// room for.
+	maxFreeListeners = 8
 	// maxPaths bounds a key shard's interned path lists. Their number is the
 	// routes the controller installs along, not its flows; past the bound a
 	// record gets a copy of its own.
 	maxPaths = 1024
+	// maxSets bounds a fact shard's interned key sets. Their number is the
+	// key combinations the policy reads at one end, not its flows.
+	maxSets = 256
 )
 
 // pathKey is a path list of up to four datapaths as intern keys it.
@@ -381,15 +450,21 @@ func (ix *Index) lock(of Key) (key, *keyShard) {
 
 // Register records a verdict's dependencies, replacing any previous record
 // under the same key (re-decided flows re-register; the old record is
-// unlinked first so the index never accretes). A fact listed twice — the
-// marker of a flow whose two ends are one host — is linked once. In the
-// steady state it allocates nothing: the record is a recycled one, the paths
-// an interned list, and a list or host it links into anew a recycled one.
+// unlinked first so the index never accretes). Every host the facts name is
+// linked once, however many of its facts they list — a flow whose two ends
+// are one host lists it twice — and so is every distinct listener fact. In
+// the steady state it allocates nothing: the record is a recycled one, the
+// paths an interned list, each key set an interned one, and a list or host
+// it links into anew a recycled one.
 func (ix *Index) Register(r Registration) {
-	distinct := 0
+	n := 0
 	for i := range r.Facts {
-		if !repeated(r.Facts, i) {
-			distinct++
+		host, listener := links(r.Facts, i)
+		if host {
+			n++
+		}
+		if listener {
+			n++
 		}
 	}
 	k, ks := ix.lock(Key{Flow: r.Flow, Class: r.Class})
@@ -399,7 +474,7 @@ func (ix *Index) Register(r Registration) {
 	} else {
 		ks.live[k.kind()]++
 	}
-	rec := ks.record(distinct)
+	rec := ks.record(n)
 	rec.key = k
 	if !r.Lease.IsZero() {
 		rec.lease = r.Lease.UnixNano()
@@ -411,26 +486,42 @@ func (ix *Index) Register(r Registration) {
 	ix.counts[k.kind()].registered.Add(1)
 }
 
-// repeated reports whether facts[i] is listed earlier in facts.
-func repeated(facts []Fact, i int) bool {
-	for _, f := range facts[:i] {
-		if f == facts[i] {
-			return true
+// links reports what facts[i] links: its host, when it is the first fact
+// listed there, and its listener fact, when it is one listed for the first
+// time.
+func links(facts []Fact, i int) (host, listener bool) {
+	f := facts[i]
+	host, listener = true, isListener(f.Key)
+	for _, g := range facts[:i] {
+		if g.Host == f.Host {
+			host = false
+			listener = listener && g.Key != f.Key
 		}
 	}
-	return false
+	return host, listener
 }
 
-// link splices rec's links into the lists of facts' distinct entries,
-// creating any list or host missing. The caller holds rec's key-shard lock;
-// the fact shards are locked one at a time, once per run of facts that
-// share one.
+// link splices rec's links in: one into the list of each host facts name,
+// with the set of plain keys they list there, and one into the list of each
+// distinct listener fact, creating any list or host missing. The caller
+// holds rec's key-shard lock; the fact shards are locked one at a time, once
+// per run of facts that share one.
 func (ix *Index) link(rec *record, facts []Fact) {
 	var sh *factShard
 	var h *hostFacts
 	n := 0
+	splice := func(list *factList, keys *keySet) {
+		l := &rec.links[n]
+		n++
+		l.rec, l.list, l.keys, l.next = rec, list, keys, list.head
+		if list.head != nil {
+			list.head.prev = l
+		}
+		list.head = l
+	}
 	for i, f := range facts {
-		if repeated(facts, i) {
+		first, listener := links(facts, i)
+		if !first && !listener {
 			continue
 		}
 		if h == nil || h.ip != f.Host {
@@ -446,18 +537,17 @@ func (ix *Index) link(rec *record, facts []Fact) {
 				sh.hosts[f.Host] = h
 			}
 		}
-		list := h.find(f.Key)
-		if list == nil {
-			list = sh.list(h, f.Key)
-			h.keys = append(h.keys, list)
+		if first {
+			splice(&h.all, sh.keySet(f.Host, facts[i:]))
 		}
-		l := &rec.links[n]
-		n++
-		l.rec, l.list, l.next = rec, list, list.head
-		if list.head != nil {
-			list.head.prev = l
+		if listener {
+			list := h.find(f.Key)
+			if list == nil {
+				list = sh.list(h, f.Key)
+				h.listeners = append(h.listeners, list)
+			}
+			splice(list, nil)
 		}
-		list.head = l
 	}
 	if sh != nil {
 		sh.mu.Unlock()
@@ -502,26 +592,26 @@ func (sh *factShard) remove(l *link) {
 		return
 	}
 	h := list.host
-	if list != &h.marker {
-		i := slices.Index(h.keys, list)
-		last := len(h.keys) - 1
-		h.keys[i], h.keys[last] = h.keys[last], nil
-		h.keys = h.keys[:last]
+	if list != &h.all {
+		i := slices.Index(h.listeners, list)
+		last := len(h.listeners) - 1
+		h.listeners[i], h.listeners[last] = h.listeners[last], nil
+		h.listeners = h.listeners[:last]
 		if len(sh.freeLists) < maxFree {
 			*list = factList{}
 			sh.freeLists = append(sh.freeLists, list)
 		}
 	}
-	if h.marker.head != nil || len(h.keys) > 0 {
+	if h.all.head != nil || len(h.listeners) > 0 {
 		return
 	}
 	delete(sh.hosts, h.ip)
 	if len(sh.freeHosts) < maxFree {
-		keys := h.keys
-		if cap(keys) > maxFreeKeys {
-			keys = nil
+		listeners := h.listeners
+		if cap(listeners) > maxFreeListeners {
+			listeners = nil
 		}
-		*h = hostFacts{keys: keys}
+		*h = hostFacts{listeners: listeners}
 		sh.freeHosts = append(sh.freeHosts, h)
 	}
 }
@@ -568,13 +658,17 @@ func (ix *Index) drop(of Key, reg *Registration) bool {
 
 // Resolve returns the keys — flows and classes alike — whose verdicts
 // depend on (host, name), appended to dst, in one pass under the fact's
-// shard lock. Key "" resolves the host-scope marker: everything with any
-// dependency on the host.
+// shard lock. Key "" resolves any fact at the host: everything that read it.
+// A listener fact walks its own list; a plain key walks the host's, keeping
+// the records whose key set holds it.
 func (ix *Index) Resolve(host netaddr.IP, name string, dst []Key) []Key {
 	sh := ix.factShard(host)
 	sh.mu.Lock()
-	for l := sh.head(host, name); l != nil; l = l.next {
-		dst = append(dst, l.rec.key.unpack())
+	l, want := sh.head(host, name)
+	for ; l != nil; l = l.next {
+		if want == "" || l.keys.has(want) {
+			dst = append(dst, l.rec.key.unpack())
+		}
 	}
 	sh.mu.Unlock()
 	return dst
@@ -585,8 +679,9 @@ func (ix *Index) Resolve(host netaddr.IP, name string, dst []Key) []Key {
 func (ix *Index) ResolveFact(host netaddr.IP, name string, dst []flow.Five) []flow.Five {
 	sh := ix.factShard(host)
 	sh.mu.Lock()
-	for l := sh.head(host, name); l != nil; l = l.next {
-		if k := l.rec.key; k.kind() == flowKind {
+	l, want := sh.head(host, name)
+	for ; l != nil; l = l.next {
+		if k := l.rec.key; k.kind() == flowKind && (want == "" || l.keys.has(want)) {
 			dst = append(dst, k.unpack().Flow)
 		}
 	}
@@ -594,14 +689,21 @@ func (ix *Index) ResolveFact(host netaddr.IP, name string, dst []flow.Five) []fl
 	return dst
 }
 
-// head is the first link of (host, name)'s list, nil when nothing stands on it.
-func (sh *factShard) head(host netaddr.IP, name string) *link {
+// head is the first link of the list (host, name) is linked into, nil when
+// nothing stands on it, and the key a link's set must hold for its record to
+// stand on the fact: "" when every link's does — on the host's list for
+// any fact at the host, on a listener fact's own list.
+func (sh *factShard) head(host netaddr.IP, name string) (*link, string) {
+	want := name
+	if isListener(name) {
+		want = ""
+	}
 	if h := sh.hosts[host]; h != nil {
 		if list := h.find(name); list != nil {
-			return list.head
+			return list.head, want
 		}
 	}
-	return nil
+	return nil, want
 }
 
 // Expired returns the keys whose lease deadline has passed at now, appended
@@ -652,6 +754,7 @@ func (ix *Index) FlushAll() {
 		sh.mu.Lock()
 		sh.hosts = make(map[netaddr.IP]*hostFacts)
 		sh.freeHosts, sh.freeLists = nil, nil
+		sh.sets = make(map[string]*keySet)
 		sh.mu.Unlock()
 	}
 	for i := range ix.keyShards {
@@ -675,8 +778,8 @@ type HostStat struct {
 }
 
 // Hosts snapshots the per-host dependency view, appended to dst and sorted
-// by host address. It walks each host's marker list, which holds every
-// record that read the host, so the count is exact without a key-side scan.
+// by host address. It walks each host's list, which holds every record that
+// read the host once, so the count is exact without a key-side scan.
 // Shards are locked one at a time; the result is per-shard consistent.
 func (ix *Index) Hosts(dst []HostStat) []HostStat {
 	start := len(dst)
@@ -684,11 +787,11 @@ func (ix *Index) Hosts(dst []HostStat) []HostStat {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
 		for ip, h := range sh.hosts {
-			if h.marker.head == nil {
+			if h.all.head == nil {
 				continue
 			}
 			var n [2]int
-			for l := h.marker.head; l != nil; l = l.next {
+			for l := h.all.head; l != nil; l = l.next {
 				n[l.rec.key.kind()]++
 			}
 			dst = append(dst, HostStat{Host: ip, Flows: n[flowKind], Classes: n[classKind]})

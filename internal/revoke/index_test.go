@@ -1,6 +1,7 @@
 package revoke
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -35,8 +36,8 @@ var kinds = []struct {
 	{"class", func(n int) Key { return Key{Class: uint64(n) + 1} }},
 }
 
-// reg builds the registration shape the controller uses: per-end key facts
-// plus the host-scope markers.
+// reg builds the registration shape the controller uses: a fact with Key ""
+// per end, the end read, plus the keys read there.
 func reg(k Key, srcKeys, dstKeys []string, paths ...uint64) Registration {
 	facts := []Fact{{Host: hostA}, {Host: hostB}}
 	for _, key := range srcKeys {
@@ -83,7 +84,7 @@ func TestResolveFactExact(t *testing.T) {
 				t.Fatalf("Resolve(A, name) = %v, want none", got)
 			}
 			if got := ix.Resolve(hostA, "", nil); len(got) != 3 {
-				t.Fatalf("Resolve(A, host marker) = %v, want all three", got)
+				t.Fatalf("Resolve(A, any fact) = %v, want all three", got)
 			}
 			// ResolveFact is the same resolve narrowed to the flow records.
 			wantFlows := 0
@@ -91,7 +92,7 @@ func TestResolveFactExact(t *testing.T) {
 				wantFlows = 3
 			}
 			if got := ix.ResolveFact(hostA, "", nil); len(got) != wantFlows {
-				t.Fatalf("ResolveFact(A, host marker) = %v, want %d flows", got, wantFlows)
+				t.Fatalf("ResolveFact(A, any fact) = %v, want %d flows", got, wantFlows)
 			}
 		})
 	}
@@ -140,6 +141,54 @@ func TestResolveAllocatesNothing(t *testing.T) {
 	}); n != 0 || len(keys) != 16 || len(flows) != 8 {
 		t.Errorf("%v allocs per resolve pair, %d keys, %d flows; want 0/16/8", n, len(keys), len(flows))
 	}
+}
+
+// TestRecordFootprint: a record of the controller's usual shape — two hosts,
+// three keys, one listener fact — takes at most 192 bytes of heap. The
+// bytes are read from runtime.MemStats: the live heap with 20,000 such
+// records registered, less the live heap once they are all dropped (the
+// key map keeps its size and every shared list and set stays), over the
+// records the drop let go (those its free lists keep are still live).
+func TestRecordFootprint(t *testing.T) {
+	const n = 20_000
+	ix := NewIndex(1)
+	regs := make([]Registration, n)
+	for i := range regs {
+		regs[i] = reg(kinds[0].mk(i), []string{"name"}, []string{"name", "userID"}, 1, 2)
+		regs[i].Facts = append(regs[i].Facts, Fact{Host: hostB, Key: ListenerKey(netaddr.ProtoTCP, 80)})
+	}
+	for _, r := range regs { // size the key map, and intern the paths and sets
+		ix.Register(r)
+	}
+	for _, r := range regs {
+		ix.Drop(r.Flow)
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, r := range regs {
+		ix.Register(r)
+	}
+	registered := live()
+	for _, r := range regs {
+		ix.Drop(r.Flow)
+	}
+	dropped := live()
+	kept := 0
+	for _, free := range ix.keyShards[0].free {
+		kept += len(free)
+	}
+	// Whole bytes: a record is a whole number of them, and what else the
+	// process did between the readings is a fraction of one per record.
+	per := math.Round(float64(int64(registered)-int64(dropped)) / float64(n-kept))
+	t.Logf("%.0f bytes per record", per)
+	if per > 192 {
+		t.Errorf("a usual-shape record takes %.0f bytes, want at most 192", per)
+	}
+	runtime.KeepAlive(regs)
 }
 
 func TestDropUnlinksFacts(t *testing.T) {
@@ -252,22 +301,28 @@ func TestFlushAll(t *testing.T) {
 }
 
 // TestRepeatedFactLinksOnce: a flow whose two ends are one host lists that
-// host's marker, and every key read at both ends, twice. Each distinct fact
-// is linked once, resolves to the key once, and the drop drains the index.
+// host, and every key read at both ends, twice. The host is linked once,
+// with both keys in its set, and so is the listener fact listed twice; each
+// fact resolves to the key once, and the drop drains the index.
 func TestRepeatedFactLinksOnce(t *testing.T) {
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
 			ix := NewIndex(8)
 			k := kind.mk(1)
-			facts := []Fact{{Host: hostA}, {Host: hostA, Key: "name"}, {Host: hostA, Key: "version"}, {Host: hostA}, {Host: hostA, Key: "name"}}
+			listener := ListenerKey(netaddr.ProtoTCP, 80)
+			facts := []Fact{{Host: hostA}, {Host: hostA, Key: "name"}, {Host: hostA, Key: "version"}, {Host: hostA, Key: listener},
+				{Host: hostA}, {Host: hostA, Key: "name"}, {Host: hostA, Key: listener}}
 			ix.Register(Registration{Flow: k.Flow, Class: k.Class, Facts: facts, Paths: []uint64{1}})
-			for _, key := range []string{"", "name", "version"} {
+			for _, key := range []string{"", "name", "version", listener} {
 				if got := ix.Resolve(hostA, key, nil); len(got) != 1 || got[0] != k {
 					t.Errorf("Resolve(A, %q) = %v, want %v once", key, got, k)
 				}
 			}
-			if n := checkLists(t, ix); n != 3 {
-				t.Errorf("%d links for 3 distinct facts", n)
+			if got := ix.Resolve(hostA, "userID", nil); len(got) != 0 {
+				t.Errorf("Resolve(A, userID) = %v, want none", got)
+			}
+			if n := checkLists(t, ix); n != 2 {
+				t.Errorf("%d links for one host and one listener fact", n)
 			}
 			if hosts := ix.Hosts(nil); len(hosts) != 1 || hosts[0].Flows+hosts[0].Classes != 1 {
 				t.Errorf("Hosts = %+v, want A with one record", hosts)
@@ -285,26 +340,31 @@ func TestRepeatedFactLinksOnce(t *testing.T) {
 // TestDropRemovesEmptyListsAndHosts: a list goes with its last link, and a
 // host with its last list, while lists other records still stand on stay.
 // What goes is reused: registering again against the removed lists, or
-// against a host removed whole, allocates nothing.
+// against a host removed whole, allocates nothing — and neither does the key
+// set, an interned one.
 func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 	ix := NewIndex(1) // one fact shard: both hosts side by side
 	k1, k2 := kinds[0].mk(1), kinds[0].mk(2)
 	r1 := reg(k1, []string{"name", "version"}, []string{"name"}, 1)
+	r1.Facts = append(r1.Facts, Fact{Host: hostB, Key: ListenerKey(netaddr.ProtoTCP, 80)})
 	ix.Register(r1)
 	r2 := reg(k2, []string{"name"}, nil, 1)
 	ix.Register(r2)
+	if n := checkLists(t, ix); n != 5 {
+		t.Fatalf("%d links, want k1's three and k2's two", n)
+	}
 	ix.Drop(k1.Flow)
-	if n := checkLists(t, ix); n != 3 {
-		t.Fatalf("%d links left, want k2's three", n)
+	if n := checkLists(t, ix); n != 2 {
+		t.Fatalf("%d links left, want k2's two", n)
 	}
 	ix.factShards[0].mu.Lock()
 	a, b := ix.factShards[0].hosts[hostA], ix.factShards[0].hosts[hostB]
 	ix.factShards[0].mu.Unlock()
-	if a == nil || len(a.keys) != 1 || a.keys[0].key != "name" {
-		t.Fatalf("host A holds %+v, want the one list k2 stands on", a)
+	if a == nil || a.all.head == nil || a.all.head.rec.key.unpack() != k2 || len(a.listeners) != 0 {
+		t.Fatalf("host A holds %+v, want k2's link only", a)
 	}
-	if b == nil || len(b.keys) != 0 {
-		t.Fatalf("host B holds %+v, want its marker only", b)
+	if b == nil || b.all.head == nil || len(b.listeners) != 0 {
+		t.Fatalf("host B holds %+v, want k2's link and no listener list", b)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		ix.Register(r1)
@@ -314,11 +374,11 @@ func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 	}
 	ix.Drop(k2.Flow)
 	if n := linkedFacts(ix); n != 0 {
-		t.Fatalf("fact side retains %d facts after every drop", n)
+		t.Fatalf("fact side retains %d lists after every drop", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		ix.Register(r2)
-		ix.Drop(k2.Flow)
+		ix.Register(r1)
+		ix.Drop(k1.Flow)
 	}); n != 0 {
 		t.Errorf("re-registering against removed hosts allocates %v objects", n)
 	}
@@ -327,8 +387,9 @@ func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 // TestFactSideShrinksBack: what the fact side holds is bounded by the live
 // records, however many distinct hosts and listener ports were ever decided.
 // After every drop no host or list is left, the free lists are within
-// maxFree, and a host that took flows to many ports scans only the lists of
-// its live records and keeps no room for the rest.
+// maxFree, the interned key sets within maxSets, and a host that took flows
+// to many ports scans only the listener lists of its live records and keeps
+// no room for the rest.
 func TestFactSideShrinksBack(t *testing.T) {
 	ix := NewIndex(4)
 	const hosts, ports = 100_000, 2_000
@@ -348,7 +409,7 @@ func TestFactSideShrinksBack(t *testing.T) {
 	// a time beside a flow that stays.
 	src, dst := host(0), host(1)
 	stay := five(src, dst, 1)
-	ix.Register(Registration{Flow: stay, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: "name"}}})
+	ix.Register(Registration{Flow: stay, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: ListenerKey(netaddr.ProtoTCP, 1)}}})
 	for port := 2; port < ports; port++ {
 		f := five(src, dst, port)
 		ix.Register(Registration{Flow: f, Facts: []Fact{{Host: src}, {Host: dst}, {Host: dst, Key: ListenerKey(netaddr.ProtoTCP, netaddr.Port(port))}}})
@@ -356,10 +417,10 @@ func TestFactSideShrinksBack(t *testing.T) {
 	}
 	sh := ix.factShard(dst)
 	sh.mu.Lock()
-	n := len(sh.hosts[dst].keys)
+	n := len(sh.hosts[dst].listeners)
 	sh.mu.Unlock()
 	if n != 1 {
-		t.Errorf("the listener host holds %d key lists after %d ports came and went, want the one its live flow reads", n, ports-2)
+		t.Errorf("the listener host holds %d listener lists after %d ports came and went, want the one its live flow took", n, ports-2)
 	}
 	// Then flows to many ports at once: the host's room for their lists
 	// does not outlive them.
@@ -374,22 +435,22 @@ func TestFactSideShrinksBack(t *testing.T) {
 	checkShrunk(t, ix)
 }
 
-// checkShrunk fails unless the fact side holds no host and every free list
-// of a fact shard is within maxFree.
+// checkShrunk fails unless the fact side holds no host, every free list of a
+// fact shard is within maxFree and its interned key sets within maxSets.
 func checkShrunk(t *testing.T, ix *Index) {
 	t.Helper()
 	for i := range ix.factShards {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
-		hosts, freeHosts, freeLists := len(sh.hosts), len(sh.freeHosts), len(sh.freeLists)
+		hosts, freeHosts, freeLists, sets := len(sh.hosts), len(sh.freeHosts), len(sh.freeLists), len(sh.sets)
 		for _, h := range sh.freeHosts {
-			if cap(h.keys) > maxFreeKeys {
-				t.Errorf("shard %d keeps a free host with room for %d key lists", i, cap(h.keys))
+			if cap(h.listeners) > maxFreeListeners {
+				t.Errorf("shard %d keeps a free host with room for %d listener lists", i, cap(h.listeners))
 			}
 		}
 		sh.mu.Unlock()
-		if hosts != 0 || freeHosts > maxFree || freeLists > maxFree {
-			t.Errorf("shard %d holds %d hosts, %d free hosts, %d free lists after every drop", i, hosts, freeHosts, freeLists)
+		if hosts != 0 || freeHosts > maxFree || freeLists > maxFree || sets > maxSets {
+			t.Errorf("shard %d holds %d hosts, %d free hosts, %d free lists, %d key sets after every drop", i, hosts, freeHosts, freeLists, sets)
 		}
 	}
 }
@@ -508,7 +569,7 @@ func TestRecycledRecordsKeepWhatWasRegistered(t *testing.T) {
 			registration := func(k Key) (Registration, []uint64, time.Time) {
 				src, dst := hosts[rng.Intn(3)], hosts[rng.Intn(3)]
 				facts := []Fact{{Host: src}, {Host: dst}, {Host: src, Key: "name"}, {Host: dst, Key: "name"}, {Host: src, Key: "version"}}
-				if rng.Intn(2) == 0 { // a listener fact: the six-link size
+				if rng.Intn(2) == 0 { // a listener fact: the three-link size
 					facts = append(facts, Fact{Host: dst, Key: ListenerKey(netaddr.ProtoTCP, 80)})
 				}
 				paths := make([]uint64, rng.Intn(7)) // past four: a copy of its own
@@ -564,17 +625,18 @@ func TestRecycledRecordsKeepWhatWasRegistered(t *testing.T) {
 	checkLists(t, ix)
 }
 
-// linkedFacts counts the facts the fact side still holds a list for, and
-// any host it holds with no list at all: zero iff every link any record made
-// has been unlinked and every list and host left empty has been removed.
+// linkedFacts counts the lists the fact side still holds — a host's own,
+// when a record stands on it, and each listener list — and any host it holds
+// with no list at all: zero iff every link any record made has been
+// unlinked and every list and host left empty has been removed.
 func linkedFacts(ix *Index) int {
 	n := 0
 	for i := range ix.factShards {
 		sh := &ix.factShards[i]
 		sh.mu.Lock()
 		for _, h := range sh.hosts {
-			n += len(h.keys)
-			if h.marker.head != nil || len(h.keys) == 0 {
+			n += len(h.listeners)
+			if h.all.head != nil || len(h.listeners) == 0 {
 				n++
 			}
 		}
@@ -585,7 +647,9 @@ func linkedFacts(ix *Index) int {
 
 // checkLists walks every list of the fact side and fails unless each host
 // holds only non-empty lists, in its own shard, whose links are doubly
-// linked and point back at the list; it returns the links it walked.
+// linked and point back at the list, a record links into each of them at
+// most once, a host link carries a sorted interned key set or none, and a
+// listener link none; it returns the links it walked.
 func checkLists(t *testing.T, ix *Index) int {
 	t.Helper()
 	links := 0
@@ -596,21 +660,29 @@ func checkLists(t *testing.T, ix *Index) int {
 			if h.ip != ip || ix.factShard(ip) != sh {
 				t.Fatalf("host %v filed under %v in shard %d", h.ip, ip, i)
 			}
-			if h.marker.head == nil && len(h.keys) == 0 {
-				t.Fatalf("host %v left behind with no list", ip)
+			if h.all.head == nil {
+				t.Fatalf("host %v left behind with no record on it", ip)
 			}
-			lists := append([]*factList{&h.marker}, h.keys...)
+			lists := append([]*factList{&h.all}, h.listeners...)
 			for j, list := range lists {
-				if list.host != h {
-					t.Fatalf("list %q of %v names another host", list.key, ip)
+				if list.host != h || (j == 0) != (list.key == "") || (j > 0 && !isListener(list.key)) {
+					t.Fatalf("list %q of %v is misfiled", list.key, ip)
 				}
-				if j > 0 && list.head == nil {
-					t.Fatalf("empty list %q of %v left behind", list.key, ip)
-				}
+				seen := make(map[*record]bool)
 				var prev *link
 				for l := list.head; l != nil; l = l.next {
 					if l.list != list || l.prev != prev {
 						t.Fatalf("list %q of %v is not doubly linked", list.key, ip)
+					}
+					if seen[l.rec] {
+						t.Fatalf("a record links twice into list %q of %v", list.key, ip)
+					}
+					seen[l.rec] = true
+					switch {
+					case j > 0 && l.keys != nil:
+						t.Fatalf("a listener link of %v carries keys %v", ip, l.keys.keys)
+					case l.keys != nil && (len(l.keys.keys) == 0 || !slices.IsSorted(l.keys.keys) || sh.sets[setName(l.keys.keys)] != l.keys):
+						t.Fatalf("host link of %v carries keys %v, not a sorted interned set", ip, l.keys.keys)
 					}
 					prev = l
 					links++
@@ -622,20 +694,33 @@ func checkLists(t *testing.T, ix *Index) int {
 	return links
 }
 
+// setName is the name a fact shard interns the set of keys under.
+func setName(keys []string) string {
+	var b []byte
+	for _, k := range keys {
+		b = append(append(b, k...), 0)
+	}
+	return string(b)
+}
+
 // TestIndexAgainstModel drives a seeded random mix of register,
 // re-register, drop, resolve and lease expiry over both kinds of key
 // against the obvious model — a map from key to its facts and lease — and
 // asserts after every step that each fact resolves to exactly the keys the
-// model says depend on it, and at the end that the index is empty exactly
-// when the model is. A drop that forgets to unlink one fact fails the
-// per-step comparison on the first resolve of that fact.
+// model says depend on it, Key "" to every key with any fact at the host,
+// and at the end that the index is empty exactly when the model is. The
+// facts are plain keys and listener facts at three hosts. A drop that
+// forgets to unlink one link fails the per-step comparison on the first
+// resolve of a fact it stood for, and a resolve that ignores a host link's
+// key set fails on the first record that read one key at a host and not
+// another.
 func TestIndexAgainstModel(t *testing.T) {
 	type modelRec struct {
 		facts []Fact
 		lease time.Time
 	}
 	hosts := []netaddr.IP{hostA, hostB, netaddr.MustParseIP("10.0.0.3")}
-	keys := []string{"", "name", "userID", "os-patch"}
+	keys := []string{"", "name", "userID", "os-patch", ListenerKey(netaddr.ProtoTCP, 80), ListenerKey(netaddr.ProtoUDP, 53)}
 	var universe []Fact
 	for _, h := range hosts {
 		for _, k := range keys {
@@ -664,7 +749,7 @@ func TestIndexAgainstModel(t *testing.T) {
 				var want []Key
 				for k, rec := range model {
 					for _, f := range rec.facts {
-						if f == fact {
+						if f == fact || fact.Key == "" && f.Host == fact.Host {
 							want = append(want, k)
 							break
 						}
@@ -695,11 +780,15 @@ func TestIndexAgainstModel(t *testing.T) {
 			if gotFlows != flows || gotClasses != classes {
 				t.Fatalf("seed %d step %d (%s): live = %d flows / %d classes, model says %d / %d", seed, step, op, gotFlows, gotClasses, flows, classes)
 			}
+			// One link per host a record read, and one per listener fact.
 			links := 0
 			for _, rec := range model {
 				distinct := make(map[Fact]bool)
 				for _, f := range rec.facts {
-					distinct[f] = true
+					distinct[Fact{Host: f.Host}] = true
+					if isListener(f.Key) {
+						distinct[f] = true
+					}
 				}
 				links += len(distinct)
 			}
@@ -721,7 +810,7 @@ func TestIndexAgainstModel(t *testing.T) {
 				}
 				if n := len(rec.facts); n > 0 && rng.Intn(3) == 0 {
 					// A fact listed twice, as a flow's two ends that are one
-					// host list its marker: linked once, resolved once.
+					// host list it: linked once, resolved once.
 					rec.facts = append(rec.facts, rec.facts[rng.Intn(n)])
 				}
 				if rng.Intn(3) == 0 {
