@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -11,16 +10,19 @@ import (
 
 // writePrometheus renders families in text exposition format 0.0.4:
 // https://prometheus.io/docs/instrumenting/exposition_formats/
+// Every name, label and bucket bound was rendered at registration, and
+// values are appended into the writer's own buffer, so a scrape allocates
+// little beyond one snapshot per counter set and one ladder per histogram.
 func writePrometheus(w io.Writer, fams []*family) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		switch f.kind {
 		case counterKind:
 			writeHeader(bw, f.name, f.help, "counter")
-			writeSample(bw, f.name, f.labels, "", float64(f.value()))
+			writeSample(bw, f.name, "", f.labels, "", float64(f.value()))
 		case gaugeKind:
 			writeHeader(bw, f.name, f.help, "gauge")
-			writeSample(bw, f.name, f.labels, "", float64(f.value()))
+			writeSample(bw, f.name, "", f.labels, "", float64(f.value()))
 		case histogramKind:
 			writeHistogram(bw, f)
 		case counterSetKind:
@@ -35,15 +37,9 @@ func writePrometheus(w io.Writer, fams []*family) error {
 // flagged undocumented in HELP).
 func writeCounterSet(bw *bufio.Writer, f *family) {
 	snap := f.set.Snapshot()
-	declared := make([]string, 0, len(f.declared))
-	for raw := range f.declared {
-		declared = append(declared, raw)
-	}
-	sort.Strings(declared)
-	for _, raw := range declared {
-		name := counterName(raw)
-		writeHeader(bw, name, f.declared[raw], "counter")
-		writeSample(bw, name, f.labels, "", float64(snap[raw]))
+	for i, raw := range f.order {
+		writeHeader(bw, f.names[i], f.declared[raw], "counter")
+		writeSample(bw, f.names[i], "", f.labels, "", float64(snap[raw]))
 		delete(snap, raw)
 	}
 	extras := make([]string, 0, len(snap))
@@ -54,7 +50,7 @@ func writeCounterSet(bw *bufio.Writer, f *family) {
 	for _, raw := range extras {
 		name := counterName(raw)
 		writeHeader(bw, name, "UNDOCUMENTED counter (absent from the declared set; add it to the wiring table and docs/metrics.md)", "counter")
-		writeSample(bw, name, f.labels, "", float64(snap[raw]))
+		writeSample(bw, name, "", f.labels, "", float64(snap[raw]))
 	}
 }
 
@@ -65,38 +61,39 @@ func writeCounterSet(bw *bufio.Writer, f *family) {
 func writeHistogram(bw *bufio.Writer, f *family) {
 	writeHeader(bw, f.name, f.help, "histogram")
 	ladder, count := f.hist.Buckets()
-	for _, b := range ladder {
-		writeSample(bw, f.name+"_bucket", f.labels, formatLe(b.Le.Seconds()), float64(b.Count))
+	for i, b := range ladder {
+		writeSample(bw, f.name, "_bucket", f.labels, f.les[i], float64(b.Count))
 	}
-	writeSample(bw, f.name+"_bucket", f.labels, "+Inf", float64(count))
-	writeSample(bw, f.name+"_sum", f.labels, "", f.hist.Sum().Seconds())
-	writeSample(bw, f.name+"_count", f.labels, "", float64(count))
+	writeSample(bw, f.name, "_bucket", f.labels, "+Inf", float64(count))
+	writeSample(bw, f.name, "_sum", f.labels, "", f.hist.Sum().Seconds())
+	writeSample(bw, f.name, "_count", f.labels, "", float64(count))
 }
 
 func writeHeader(bw *bufio.Writer, name, help, typ string) {
 	if help != "" {
-		fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(help))
+		bw.WriteString("# HELP ")
+		bw.WriteString(name)
+		bw.WriteByte(' ')
+		bw.WriteString(escapeHelp(help))
+		bw.WriteByte('\n')
 	}
-	fmt.Fprintf(bw, "# TYPE %s %s\n", name, typ)
+	bw.WriteString("# TYPE ")
+	bw.WriteString(name)
+	bw.WriteByte(' ')
+	bw.WriteString(typ)
+	bw.WriteByte('\n')
 }
 
-// writeSample renders one series line. le, when non-empty, is appended as
-// the bucket boundary label.
-func writeSample(bw *bufio.Writer, name string, labels []Label, le string, v float64) {
+// writeSample renders one series line: the name and suffix, the rendered
+// labels, and le, when non-empty, as the bucket boundary label.
+func writeSample(bw *bufio.Writer, name, suffix, labels, le string, v float64) {
 	bw.WriteString(name)
-	if len(labels) > 0 || le != "" {
+	bw.WriteString(suffix)
+	if labels != "" || le != "" {
 		bw.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(sanitizeName(l.Key))
-			bw.WriteString(`="`)
-			bw.WriteString(escapeLabelValue(l.Value))
-			bw.WriteByte('"')
-		}
+		bw.WriteString(labels)
 		if le != "" {
-			if len(labels) > 0 {
+			if labels != "" {
 				bw.WriteByte(',')
 			}
 			bw.WriteString(`le="`)
@@ -106,17 +103,34 @@ func writeSample(bw *bufio.Writer, name string, labels []Label, le string, v flo
 		bw.WriteByte('}')
 	}
 	bw.WriteByte(' ')
-	bw.WriteString(formatValue(v))
+	bw.Write(appendValue(bw.AvailableBuffer(), v))
 	bw.WriteByte('\n')
 }
 
-// formatValue renders a sample value the way Prometheus clients expect:
-// integral values without an exponent where possible.
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+// renderLabels renders constant labels as they stand between a series'
+// braces: key="value" pairs, comma-separated, keys sanitized and values
+// escaped.
+func renderLabels(labels []Label) string {
+	var b strings.Builder
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(sanitizeName(l.Key))
+		b.WriteString(`="`)
+		b.WriteString(escapeLabelValue(l.Value))
+		b.WriteByte('"')
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return b.String()
+}
+
+// appendValue renders a sample value the way Prometheus clients expect:
+// integral values without an exponent where possible.
+func appendValue(b []byte, v float64) []byte {
+	if v == float64(int64(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // formatLe renders a bucket bound; Prometheus treats le values as opaque

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -387,6 +388,25 @@ func TestControllerParseBack(t *testing.T) {
 	// Nothing the controller actually incremented may be undocumented.
 	if strings.Contains(b.String(), "UNDOCUMENTED") {
 		t.Errorf("scrape contains undocumented counters:\n%s", b.String())
+	}
+}
+
+// TestScrapeAllocatesLittle: a scrape of a controller's and an engine's
+// whole surface formats values only — names, labels and bucket bounds were
+// rendered at registration — so it allocates the writer, the registry's
+// family list and one snapshot per counter set and ladder per histogram:
+// a few dozen objects, where rendering every name on every scrape took
+// several hundred.
+func TestScrapeAllocatesLittle(t *testing.T) {
+	ctl := newTestController(t)
+	driveFlow(ctl, 1000)
+	eng := query.NewEngine(query.Config{Lower: okTransport{}})
+	defer eng.Close()
+	r := NewRegistry()
+	RegisterController(r, ctl, Label{Key: "role", Value: "controller"})
+	RegisterEngine(r, eng)
+	if n := testing.AllocsPerRun(20, func() { r.WritePrometheus(io.Discard) }); n > 40 {
+		t.Errorf("a scrape allocates %v objects, want at most 40", n)
 	}
 }
 

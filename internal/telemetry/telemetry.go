@@ -17,6 +17,8 @@ package telemetry
 
 import (
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,7 +52,7 @@ type family struct {
 	name   string // exposition name, fully qualified, suffix included
 	help   string
 	kind   kind
-	labels []Label
+	labels string // the constant labels as they stand between braces, rendered once (add)
 
 	value func() int64       // counterKind, gaugeKind
 	hist  *metrics.Histogram // histogramKind
@@ -62,7 +64,12 @@ type family struct {
 	// that into a CI failure instead of a silent gap.
 	set      *metrics.Counter
 	declared map[string]string
-	prefix   string // prepended to raw names, e.g. "" or "daemon-side" sets
+
+	// Rendered once at registration (add), so a scrape formats values
+	// only: a histogram's bucket bounds, and a counter set's declared raw
+	// names, sorted, with their exposition names.
+	les          []string
+	order, names []string
 }
 
 // Registry holds registered families and renders them (prometheus.go). All
@@ -83,24 +90,22 @@ func NewRegistry() *Registry {
 // identxx_<name>_total.
 func (r *Registry) RegisterCounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.add(&family{
-		name:   counterName(name),
-		help:   help,
-		kind:   counterKind,
-		labels: labels,
-		value:  fn,
-	})
+		name:  counterName(name),
+		help:  help,
+		kind:  counterKind,
+		value: fn,
+	}, labels)
 }
 
 // RegisterGaugeFunc registers an instantaneous level read through fn at
 // scrape time. The exposition name becomes identxx_<name>.
 func (r *Registry) RegisterGaugeFunc(name, help string, fn func() int64, labels ...Label) {
 	r.add(&family{
-		name:   gaugeName(name),
-		help:   help,
-		kind:   gaugeKind,
-		labels: labels,
-		value:  fn,
-	})
+		name:  gaugeName(name),
+		help:  help,
+		kind:  gaugeKind,
+		value: fn,
+	}, labels)
 }
 
 // RegisterGauge registers a metrics.Gauge. Equivalent to RegisterGaugeFunc
@@ -116,12 +121,11 @@ func (r *Registry) RegisterGauge(name, help string, g *metrics.Gauge, labels ...
 // mean latency stay exact even after the reservoir saturates.
 func (r *Registry) RegisterHistogram(name, help string, h *metrics.Histogram, labels ...Label) {
 	r.add(&family{
-		name:   histogramName(name),
-		help:   help,
-		kind:   histogramKind,
-		labels: labels,
-		hist:   h,
-	})
+		name: histogramName(name),
+		help: help,
+		kind: histogramKind,
+		hist: h,
+	}, labels)
 }
 
 // RegisterCounterSet registers a whole metrics.Counter. declared maps each
@@ -133,13 +137,25 @@ func (r *Registry) RegisterHistogram(name, help string, h *metrics.Histogram, la
 func (r *Registry) RegisterCounterSet(set *metrics.Counter, declared map[string]string, labels ...Label) {
 	r.add(&family{
 		kind:     counterSetKind,
-		labels:   labels,
 		set:      set,
 		declared: declared,
-	})
+	}, labels)
 }
 
-func (r *Registry) add(f *family) {
+func (r *Registry) add(f *family, labels []Label) {
+	f.labels = renderLabels(labels)
+	switch f.kind {
+	case histogramKind: // the ladder's bounds are the same on every read
+		ladder, _ := f.hist.Buckets()
+		for _, b := range ladder {
+			f.les = append(f.les, formatLe(b.Le.Seconds()))
+		}
+	case counterSetKind:
+		f.order = slices.Sorted(maps.Keys(f.declared))
+		for _, raw := range f.order {
+			f.names = append(f.names, counterName(raw))
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fams = append(r.fams, f)
