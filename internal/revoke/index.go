@@ -322,8 +322,10 @@ type keyShard struct {
 }
 
 const (
-	// maxFree bounds each free list of a shard: a mass teardown leaves no
-	// more than this many records per size, hosts or fact lists waiting.
+	// maxFree bounds each free list of hosts or fact lists of a shard: a
+	// mass teardown leaves no more than this many waiting. A free list of
+	// records holds this many, or one for every two live records of its
+	// shard when that is more (keyShard.recycle).
 	maxFree = 256
 	// maxFreeListeners is the most listener lists a recycled host keeps
 	// room for.
@@ -382,12 +384,20 @@ func (ks *keyShard) record(n int) *record {
 }
 
 // recycle keeps rec, unlinked from every list and out of records, for the
-// next Register, unless its free list is full. Resolve and Hosts read
-// records only through lists, under a fact lock unlink took after them, so
-// none of them can see it change.
+// next Register, unless its free list is full: it holds maxFree records and
+// one for every two live ones. A table that turns over swings by hundreds of
+// records around its size as drops run ahead of registers, so a bound that
+// grows with the table lets the same records serve it swing after swing,
+// where a fixed one would shed the excess of every swing as garbage; a mass
+// teardown still leaves at most a third of the records it had waiting.
+// Resolve and Hosts read records only through lists, under a fact lock
+// unlink took after them, so none of them can see it change.
 func (ks *keyShard) recycle(rec *record) {
 	c := sizeClass(cap(rec.links))
-	if c < 0 || len(ks.free[c]) >= maxFree {
+	if c < 0 {
+		return
+	}
+	if n := len(ks.free[c]); n >= maxFree && n >= (ks.live[0]+ks.live[1])/2 {
 		return
 	}
 	clear(rec.links[:cap(rec.links)])

@@ -191,6 +191,40 @@ func TestRecordFootprint(t *testing.T) {
 	runtime.KeepAlive(regs)
 }
 
+// TestSwingingTableReusesRecords: a table that turns over drops hundreds of
+// records more than it registers, then registers them back. Its shard keeps
+// what a swing let go, past maxFree, so swing after swing allocates nothing.
+// A free list bounded at maxFree alone sheds 344 records a swing here.
+func TestSwingingTableReusesRecords(t *testing.T) {
+	const size, swing, swings = 4096, 600, 20
+	ix := NewIndex(1)
+	regs := make([]Registration, size)
+	for i := range regs {
+		regs[i] = reg(kinds[0].mk(i), []string{"name", "version"}, []string{"name"}, 1)
+		regs[i].Facts = append(regs[i].Facts, Fact{Host: hostB, Key: ListenerKey(netaddr.ProtoTCP, 80)})
+		ix.Register(regs[i])
+	}
+	round := func(r int) {
+		from := r * swing % (size - swing)
+		for _, g := range regs[from : from+swing] {
+			ix.Drop(g.Flow)
+		}
+		for _, g := range regs[from : from+swing] {
+			ix.Register(g)
+		}
+	}
+	round(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 1; r <= swings; r++ {
+		round(r)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 2 {
+		t.Errorf("%d swings of %d records allocate %d objects, want none", swings, swing, n)
+	}
+}
+
 func TestDropUnlinksFacts(t *testing.T) {
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
