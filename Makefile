@@ -260,6 +260,7 @@ bench-compare:
 		-max-allocs 'BenchmarkM9_QueryPlane/daemon-down=0' \
 		-max-allocs 'BenchmarkM9_QueryPlane/scoped-miss=0' \
 		-max-allocs 'BenchmarkM10_PolicyEval/compiled=2' \
+		-max-bytes 'BenchmarkM10_Compile/2000=1600000' \
 		-max-allocs 'BenchmarkM11_Revocation/no-subscribers=2' \
 		-max-allocs 'BenchmarkM11_Revocation/teardown=8' \
 		-max-allocs 'BenchmarkM11_Revocation/update-wire=0' \

@@ -1,6 +1,7 @@
 package identxx_bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -253,5 +254,40 @@ func TestAllocFlowScopedUpdate(t *testing.T) {
 	}
 	if r := ctl.Audit.Revocations(); len(r) == 0 || r[len(r)-1].Rule != "(revoked: update:name)" {
 		t.Errorf("%d teardown audit records, want the last one's rule (revoked: update:name)", len(r))
+	}
+}
+
+// compileByteBudget bounds what parsing and compiling policy_large's
+// 2000-rule policy allocates: the policy it keeps, its program and dispatch
+// index, and little else. A token array for the whole source, or a list
+// grown by appending, puts the load back over it.
+const compileByteBudget = 1600000
+
+// TestAllocCompileLargePolicy pins BenchmarkM10_Compile/2000's bytes per
+// op. The least of a few loads is taken, so an allocation elsewhere in the
+// process during one of them does not count.
+func TestAllocCompileLargePolicy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation sizes")
+	}
+	src := m10FenceSource(m10FenceRules)
+	var least uint64
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		file, err := pf.Parse("m10-fence", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pf.Compile(file); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	if least > compileByteBudget {
+		t.Fatalf("parse + compile of %d rules allocates %d bytes, budget is %d", m10FenceRules, least, compileByteBudget)
 	}
 }

@@ -891,16 +891,17 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	}
 
 	c.Setup.Observe(*bd)
-	c.Audit.Record(AuditEntry{
+	rule := ruleLabel(d.Rule)
+	c.Audit.record(AuditEntry{
 		Time:      c.clock(),
 		Flow:      five,
 		Action:    d.Action,
-		Rule:      ruleString(d.Rule),
+		Rule:      *rule,
 		Matched:   d.Matched,
 		KeepState: d.KeepState,
 		Diags:     d.Diags,
 		Setup:     *bd,
-	})
+	}, rule)
 
 	if d.Action == pf.Pass {
 		s.tb.SetVerdict("pass")
@@ -1146,12 +1147,16 @@ func (c *Controller) installDrop(dp openflow.Datapath, ev openflow.PacketIn, fiv
 	s.pathIDs = appendPathID(s.pathIDs, ev.SwitchID)
 }
 
-// ruleString names the deciding rule for the audit trail. The rendering is
+// defaultRule names the default verdict in the audit trail.
+var defaultRule = "(default)"
+
+// ruleLabel names the deciding rule for the audit trail. The rendering is
 // memoized on the rule itself (rules are immutable after compile), so audit
-// recording costs a pointer load per decision, not a format.
-func ruleString(r *pf.Rule) string {
+// recording costs a pointer load per decision, not a format, and the ring
+// keeps the pointer.
+func ruleLabel(r *pf.Rule) *string {
 	if r == nil {
-		return "(default)"
+		return &defaultRule
 	}
-	return r.AuditString()
+	return r.AuditLabel()
 }

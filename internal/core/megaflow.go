@@ -428,7 +428,7 @@ func (c *Controller) teardownMega(st *ctlState, e *megaEntry, lbl *teardownLabel
 		c.hot.megaTeardowns.Add(1)
 	}
 	c.hot.revFlows.Add(1)
-	c.auditRevoked(e.founder, lbl.classRule)
+	c.auditRevoked(e.founder, &lbl.classRule)
 	return true
 }
 

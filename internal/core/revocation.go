@@ -252,11 +252,13 @@ func (c *Controller) revokeFlow(st *ctlState, five flow.Five, lbl *teardownLabel
 	}
 	c.deleteFlowAt(st, five, reg.Paths)
 	c.hot.revFlows.Add(1)
-	c.auditRevoked(five, lbl.flowRule)
+	c.auditRevoked(five, &lbl.flowRule)
 }
 
-func (c *Controller) auditRevoked(five flow.Five, rule string) {
-	c.Audit.Record(AuditEntry{Time: c.clock(), Flow: five, Action: pf.Block, Rule: rule, Revoked: true})
+// auditRevoked records a teardown under rule, a label's text, which the
+// audit ring keeps by pointer.
+func (c *Controller) auditRevoked(five flow.Five, rule *string) {
+	c.Audit.record(AuditEntry{Time: c.clock(), Flow: five, Action: pf.Block, Rule: *rule, Revoked: true}, rule)
 }
 
 // deleteFlowAt issues the flow's two cookie-scoped deletes (forward and

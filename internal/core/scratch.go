@@ -23,7 +23,7 @@ import (
 // checked out of a pool per packet-in and returned when the decision
 // completes, so the steady-state decision path allocates nothing — the
 // budget BenchmarkM8_AllocProfile and TestAllocBudget enforce. (The audit
-// entry is not here: it is a value type handed to AuditLog.Record by copy
+// entry is not here: it is a value type handed to AuditLog.record by copy
 // and never escapes the stack.)
 type decisionScratch struct {
 	bd metrics.SetupBreakdown

@@ -25,10 +25,10 @@ const (
 	// could otherwise make the process hold.
 	Bound = 256 << 10
 
-	// retain is the largest buffer kept for the next burst. Steady bursts are
+	// Retain is the largest buffer kept for the next burst. Steady bursts are
 	// a few KB; a buffer one stall grew is garbage afterwards, because every
 	// live KB above Go's 4 MB minimum heap goal costs two of RSS.
-	retain = 64 << 10
+	Retain = 64 << 10
 )
 
 // Writer coalesces the whole frames of any number of senders into one Write
@@ -117,7 +117,7 @@ func (w *Writer) run() {
 			w.l.Unlock()
 			w.fail(err)
 			return
-		case cap(out) <= retain:
+		case cap(out) <= Retain:
 			w.spare = out[:0]
 		}
 	}

@@ -249,7 +249,7 @@ func TestWriterDropsOvergrownBuffer(t *testing.T) {
 	w := NewWriter(&mu, s, func(error) {})
 	defer stop(w, &mu)
 	mu.Lock()
-	w.Buf = append(w.Buf, make([]byte, 2*retain)...)
+	w.Buf = append(w.Buf, make([]byte, 2*Retain)...)
 	w.Flush()
 	mu.Unlock()
 	waitFor(t, "the big write", func() bool { _, n := s.all(); return n == 1 })
@@ -257,8 +257,8 @@ func TestWriterDropsOvergrownBuffer(t *testing.T) {
 	waitFor(t, "the small write", func() bool { _, n := s.all(); return n == 2 })
 	mu.Lock()
 	defer mu.Unlock()
-	if cap(w.Buf) > retain || cap(w.spare) > retain {
-		t.Fatalf("kept %d and %d bytes of capacity, want at most %d each", cap(w.Buf), cap(w.spare), retain)
+	if cap(w.Buf) > Retain || cap(w.spare) > Retain {
+		t.Fatalf("kept %d and %d bytes of capacity, want at most %d each", cap(w.Buf), cap(w.spare), Retain)
 	}
 }
 

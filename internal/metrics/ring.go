@@ -67,6 +67,12 @@ func (r *Ring[T]) Put(seq int64, v T) {
 
 // Values returns the retained values, oldest first.
 func (r *Ring[T]) Values() []T {
+	return Collect(r, func(_ int64, v *T) T { return *v })
+}
+
+// Collect returns fn of each value r retains, with the sequence number it
+// was put under, oldest first.
+func Collect[T, U any](r *Ring[T], fn func(seq int64, v *T) U) []U {
 	var slots []ringSlot[T]
 	for i := range r.stripes {
 		s := &r.stripes[i]
@@ -82,9 +88,9 @@ func (r *Ring[T]) Values() []T {
 		return nil
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].seq < slots[j].seq })
-	out := make([]T, len(slots))
+	out := make([]U, len(slots))
 	for i := range slots {
-		out[i] = slots[i].v
+		out[i] = fn(slots[i].seq, &slots[i].v)
 	}
 	return out
 }

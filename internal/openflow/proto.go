@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"identxx/internal/flow"
+	"identxx/internal/link"
 	"identxx/internal/netaddr"
 )
 
@@ -48,14 +48,14 @@ func AppendMsg(b []byte, m Msg) ([]byte, error) {
 	if msgHeaderLen+len(m.Body) > MaxMsgSize {
 		return b, fmt.Errorf("openflow: message too large (%d bytes)", len(m.Body))
 	}
-	b = slices.Grow(b, msgHeaderLen+len(m.Body))
+	b = grow(b, msgHeaderLen+len(m.Body))
 	return finishMsg(append(appendHeader(b, m.Type, m.Xid), m.Body...), len(b))
 }
 
 // appendHeader appends a message header whose length finishMsg fills in
 // once the body has been appended behind it.
 func appendHeader(b []byte, typ uint8, xid uint32) []byte {
-	b = append(b, ProtoVersion, typ, 0, 0)
+	b = append(grow(b, msgHeaderLen), ProtoVersion, typ, 0, 0)
 	return binary.BigEndian.AppendUint32(b, xid)
 }
 
@@ -72,8 +72,30 @@ func finishMsg(b []byte, start int) ([]byte, error) {
 
 // extend appends n zero bytes to b and returns them as body.
 func extend(b []byte, n int) (all, body []byte) {
-	all = append(b, make([]byte, n)...)
-	return all, all[len(b):]
+	all = grow(b, n)[:len(b)+n]
+	body = all[len(b):]
+	clear(body)
+	return all, body
+}
+
+// grow returns b with room for n more bytes. A b that must move at least
+// doubles its capacity, where append grows a large slice by a quarter: a
+// writer's buffer taking a burst message by message is reallocated O(log n)
+// times, and leaves that much less garbage behind. The doubling stops at
+// link.Retain while the bytes still fit there, so a burst the writer would
+// keep its buffer for does not grow one it drops.
+func grow(b []byte, n int) []byte {
+	need := len(b) + n
+	if need <= cap(b) {
+		return b
+	}
+	c := max(2*cap(b), need)
+	if need <= link.Retain {
+		c = min(c, link.Retain)
+	}
+	nb := make([]byte, len(b), c)
+	copy(nb, b)
+	return nb
 }
 
 // WriteMsg writes a framed message with one Write.

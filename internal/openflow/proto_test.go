@@ -2,11 +2,13 @@ package openflow
 
 import (
 	"bytes"
+	"math/bits"
 	"net"
 	"testing"
 	"time"
 
 	"identxx/internal/flow"
+	"identxx/internal/link"
 	"identxx/internal/netaddr"
 )
 
@@ -89,6 +91,62 @@ func TestFlowModCodecRoundTrip(t *testing.T) {
 	}
 	if len(got.Actions) != 2 || got.Actions[0] != mod.Actions[0] || got.Actions[1] != mod.Actions[1] {
 		t.Errorf("actions = %+v", got.Actions)
+	}
+}
+
+// TestAppendBurstGrowsByDoubling: a burst of flow-mods appended one by one
+// to a writer's buffer reallocates it O(log n) times, never past link.Retain
+// while the burst fits there, and a buffer with the room reallocates it
+// never. Each message must come out intact on a reused,
+// dirty buffer too.
+func TestAppendBurstGrowsByDoubling(t *testing.T) {
+	mod := FlowMod{
+		Match:    flow.FiveMatch(flow.Five{SrcIP: 1, DstIP: 2, Proto: netaddr.ProtoTCP, SrcPort: 3, DstPort: 4}),
+		Actions:  []Action{{Type: ActionOutput, Port: 9}},
+		Cookie:   0xdeadbeef,
+		BufferID: BufferNone,
+	}
+	burst := 64 << 10
+	var b []byte
+	fill := func() {
+		for b = b[:0]; len(b) < burst; {
+			var err error
+			if b, err = AppendFlowMod(b, mod, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	msgLen := len(EncodeFlowMod(mod, 1).Body) + msgHeaderLen
+	limit := 3 + bits.Len(uint(burst/msgLen)) // the first message's two, one per doubling, one at link.Retain
+	if got := testing.AllocsPerRun(1, func() { b = nil; fill() }); got > float64(limit) {
+		t.Errorf("appending %d KB of flow-mods to an empty buffer allocates %.0f times, want at most %d", burst>>10, got, limit)
+	}
+	// A burst a link.Writer keeps its buffer for must not grow one past
+	// link.Retain, which it would drop after the Write.
+	for burst = 40 << 10; burst <= link.Retain-msgLen; burst += 4 << 10 {
+		b = nil
+		fill()
+		if cap(b) > link.Retain {
+			t.Errorf("a %d-byte burst grew an empty buffer to %d bytes, past the %d a writer keeps", len(b), cap(b), link.Retain)
+		}
+	}
+	burst = 64 << 10
+	b = nil
+	fill()
+	for i := range b {
+		b[i] = 0xff
+	}
+	if got := testing.AllocsPerRun(1, fill); got != 0 {
+		t.Errorf("appending the burst again to the same buffer allocates %.0f times, want 0", got)
+	}
+	for off := 0; off < len(b); off += msgLen {
+		m, err := ReadMsg(bytes.NewReader(b[off : off+msgLen]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeFlowMod(m); err != nil || got.Match != mod.Match || got.Cookie != mod.Cookie || got.Priority != 0 || got.IdleTimeout != 0 {
+			t.Fatalf("message at %d: %+v, %v", off, got, err)
+		}
 	}
 }
 

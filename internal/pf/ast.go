@@ -260,13 +260,19 @@ func (*Rule) stmt() {}
 // entries record ("pass from any to any @ policy:3"). The string is computed
 // once per rule and cached; concurrent callers may race the first render but
 // always observe a complete string.
-func (r *Rule) AuditString() string {
+func (r *Rule) AuditString() string { return *r.AuditLabel() }
+
+// AuditLabel returns the cached AuditString itself: every call returns the
+// same pointer, so a record can keep it in place of a copy of the string.
+func (r *Rule) AuditLabel() *string {
 	if s := r.audit.Load(); s != nil {
-		return *s
+		return s
 	}
 	s := fmt.Sprintf("%s @ %s", r, r.Pos)
-	r.audit.Store(&s)
-	return s
+	if r.audit.CompareAndSwap(nil, &s) {
+		return &s
+	}
+	return r.audit.Load()
 }
 
 func (r *Rule) String() string {

@@ -45,10 +45,9 @@ func lowerPolicy(p *Policy) *Program {
 	pr.rules = rules
 	pr.index = buildDispatch(rules)
 
-	var srcSets, dstSets [][]string
+	srcSets, dstSets := make([][]string, len(rules)), make([][]string, len(rules))
 	for i := range rules {
-		srcSets = append(srcSets, rules[i].srcKeys)
-		dstSets = append(dstSets, rules[i].dstKeys)
+		srcSets[i], dstSets[i] = rules[i].srcKeys, rules[i].dstKeys
 	}
 	pr.srcKeysAll = sortedKeyUnion(srcSets...)
 	pr.dstKeysAll = sortedKeyUnion(dstSets...)

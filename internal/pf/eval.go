@@ -71,6 +71,12 @@ func Compile(files ...*File) (*Policy, error) {
 	}
 	// Definitions first, so rules may reference tables defined later in the
 	// concatenation (the paper's 99-local-footer constrains rules in 50-).
+	// The rule list is sized once, for every statement a rule.
+	stmts := 0
+	for _, f := range files {
+		stmts += len(f.Stmts)
+	}
+	p.Rules = make([]*Rule, 0, stmts)
 	var tableDefs []*TableDef
 	for _, f := range files {
 		for _, s := range f.Stmts {

@@ -7,13 +7,45 @@ import (
 )
 
 // Parse parses a PF+=2 source unit. file names the source for diagnostics.
+//
+// The parser pulls tokens from the lexer one at a time, keeping only the
+// current token and the next; a pre-pass that lexes the whole unit first
+// and keeps nothing but a statement count reports a lexical error ahead of
+// any parse error, wherever in the unit each sits, and sizes the
+// statement list.
 func Parse(file, src string) (*File, error) {
-	toks, err := lexAll(file, src)
+	n, err := countStmts(file, src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{file: file, toks: toks}
-	return p.parseFile()
+	p := &parser{file: file, lex: newLexer(file, src)}
+	p.tok = p.lexNext()
+	p.next = p.lexNext()
+	return p.parseFile(n)
+}
+
+// countStmts lexes src through and returns an upper bound on the number of
+// statements it holds (each table, dict, pass or block keyword and each
+// word followed by '=' may start one), or the first lexical error.
+func countStmts(file, src string) (int, error) {
+	l := newLexer(file, src)
+	n := 0
+	var prev tokKind
+	for {
+		t, err := l.next()
+		if err != nil {
+			return 0, err
+		}
+		switch {
+		case t.kind == tokEOF:
+			return n, nil
+		case t.kind == tokWord && (t.text == "table" || t.text == "dict" || t.text == "pass" || t.text == "block"):
+			n++
+		case t.kind == tokAssign && prev == tokWord:
+			n++
+		}
+		prev = t.kind
+	}
 }
 
 // ParseRules parses rule-only source, as carried in ident++ `requirements`
@@ -34,21 +66,28 @@ func ParseRules(origin, src string) ([]*Rule, error) {
 
 type parser struct {
 	file string
-	toks []token
-	pos  int
+	lex  lexer
+	tok  token // the current token
+	next token // the one after it
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
-func (p *parser) peek() token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// lexNext scans the token after p.next. Parse has lexed the unit once
+// already, so the lexer cannot fail here; at the end of input it keeps
+// returning EOF.
+func (p *parser) lexNext() token {
+	t, err := p.lex.next()
+	if err != nil {
+		return token{kind: tokEOF, line: p.lex.line}
 	}
-	return p.toks[len(p.toks)-1]
+	return t
 }
+
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) peek() token { return p.next }
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF {
+		p.tok, p.next = p.next, p.lexNext()
 	}
 	return t
 }
@@ -65,8 +104,8 @@ func (p *parser) expect(kind tokKind) (token, error) {
 	return p.advance(), nil
 }
 
-func (p *parser) parseFile() (*File, error) {
-	f := &File{}
+func (p *parser) parseFile(stmts int) (*File, error) {
+	f := &File{Stmts: make([]Stmt, 0, stmts)}
 	for p.cur().kind != tokEOF {
 		t := p.cur()
 		switch {

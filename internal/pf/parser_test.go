@@ -7,6 +7,22 @@ import (
 	"identxx/internal/netaddr"
 )
 
+// lexAll scans the whole input into a token slice, for the lexer tests.
+func lexAll(file, src string) ([]token, error) {
+	l := newLexer(file, src)
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := lexAll("t", `pass from <lan> to !<server> with eq(@src[userID], system) # comment`)
 	if err != nil {
@@ -304,6 +320,41 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse("bad", src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseReportsLexicalErrorFirst pins the error order the parser keeps
+// although it reads tokens one at a time: a lexical error anywhere in the
+// unit is reported ahead of a parse error before it.
+func TestParseReportsLexicalErrorFirst(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"pass from 10.0.0.999 to any\nblock ~ all\n", `t:2: unexpected character "~"`},
+		{"frobnicate all\npass with eq(@src[name], \"open", `t:2: unterminated string`},
+		{"pass from any to any keep\ntable <t { 10.0.0.1 }", `t:2: malformed table reference`},
+		{"pass from bogus to any\n", `t:1: bad address "bogus"`},
+	} {
+		_, err := Parse("t", tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+func TestLexStringText(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`"plain text"`, "plain text"},
+		{"\"two\nlines\"", "two\nlines"},
+		{"\"joined \\\nacross\"", "joined across"},
+		{"\"\\\nlead\"", "lead"},
+		{`"kept \\escape"`, `kept \\escape`},
+	} {
+		toks, err := lexAll("t", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if toks[0].kind != tokString || toks[0].text != tc.want {
+			t.Errorf("lex(%q) = %v %q, want string %q", tc.src, toks[0].kind, toks[0].text, tc.want)
 		}
 	}
 }

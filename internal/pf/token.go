@@ -13,10 +13,7 @@
 // `pass`, `block`, `table`, `dict`, or macro assignment.
 package pf
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 type tokKind int
 
@@ -96,8 +93,8 @@ type lexer struct {
 	file string
 }
 
-func newLexer(file, src string) *lexer {
-	return &lexer{src: src, line: 1, file: file}
+func newLexer(file, src string) lexer {
+	return lexer{src: src, line: 1, file: file}
 }
 
 func (l *lexer) errorf(line int, format string, args ...any) error {
@@ -254,50 +251,41 @@ func (l *lexer) scanTableRef() (token, error) {
 	return token{tokTable, name, line}, nil
 }
 
+// scanString scans a quoted string. Its text is a slice of the source
+// unless a backslash-newline continuation splits it, which only then is
+// joined into a string of its own.
 func (l *lexer) scanString() (token, error) {
 	line := l.line
 	l.pos++ // consume opening quote
-	var b strings.Builder
+	seg := l.pos
+	var joined []byte // the segments before the last continuation
+	split := false
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
+		switch l.src[l.pos] {
 		case '"':
+			text := l.src[seg:l.pos]
+			if split {
+				text = string(append(joined, text...))
+			}
 			l.pos++
-			return token{tokString, b.String(), line}, nil
+			return token{tokString, text, line}, nil
 		case '\n':
 			l.line++
-			b.WriteByte(c)
 			l.pos++
 		case '\\':
 			// Inside strings a backslash-newline is a continuation; any
 			// other escape is kept verbatim (PF strings are not C strings).
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\n' {
+				joined, split = append(joined, l.src[seg:l.pos]...), true
 				l.line++
 				l.pos += 2
+				seg = l.pos
 				continue
 			}
-			b.WriteByte(c)
 			l.pos++
 		default:
-			b.WriteByte(c)
 			l.pos++
 		}
 	}
 	return token{}, l.errorf(line, "unterminated string")
-}
-
-// lexAll scans the whole input, for the parser's token buffer.
-func lexAll(file, src string) ([]token, error) {
-	l := newLexer(file, src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
 }

@@ -418,6 +418,50 @@ func TestDropRemovesEmptyListsAndHosts(t *testing.T) {
 	}
 }
 
+// TestKeySetReusesNewestLinks: a record reading the keys one of its host's
+// two newest links read there takes that link's set without looking the
+// keys up, so a host that is a source of one record and a destination of
+// the next still shares both sets.
+func TestKeySetReusesNewestLinks(t *testing.T) {
+	ix := NewIndex(1)
+	sh := &ix.factShards[0]
+	setsAt := func(k Key) (src, dst *keySet) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		for _, ip := range []netaddr.IP{hostA, hostB} {
+			for l := sh.hosts[ip].all.head; l != nil; l = l.next {
+				if l.rec.key.unpack() == k {
+					if ip == hostA {
+						src = l.keys
+					} else {
+						dst = l.keys
+					}
+				}
+			}
+		}
+		return src, dst
+	}
+	k1, k2, k3 := kinds[0].mk(1), kinds[0].mk(2), kinds[0].mk(3)
+	ix.Register(reg(k1, []string{"version", "name"}, []string{"name"}, 1))
+	// The reverse flow: host A reads {name} as the destination, host B
+	// {name version} as the source.
+	rev := reg(k2, nil, nil, 1)
+	rev.Facts = append(rev.Facts, Fact{Host: hostB, Key: "name"}, Fact{Host: hostB, Key: "version"}, Fact{Host: hostA, Key: "name"})
+	ix.Register(rev)
+	src1, dst1 := setsAt(k1)
+	src2, dst2 := setsAt(k2)
+	if src1 != dst2 || dst1 != src2 {
+		t.Fatalf("sets not shared: k1 %v %v, k2 %v %v", src1, dst1, src2, dst2)
+	}
+	sh.mu.Lock()
+	clear(sh.sets) // a lookup now finds nothing, and interns a new set
+	sh.mu.Unlock()
+	ix.Register(reg(k3, []string{"name", "version"}, []string{"name"}, 1))
+	if src3, dst3 := setsAt(k3); src3 != src1 || dst3 != dst1 {
+		t.Errorf("k3 took sets %p %p, want its hosts' newest links' %p %p", src3, dst3, src1, dst1)
+	}
+}
+
 // TestFactSideShrinksBack: what the fact side holds is bounded by the live
 // records, however many distinct hosts and listener ports were ever decided.
 // After every drop no host or list is left, the free lists are within
